@@ -21,8 +21,11 @@ must agree with every index-derived answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter
 from typing import NamedTuple
 
 from repro.core.element_index import ElementIndex, ElementRecord
@@ -31,14 +34,17 @@ from repro.core.join import JoinPair, JoinStatistics, LazyJoiner
 from repro.core.readpath import ReadPathCache
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
-from repro.errors import InvalidSegmentError, QueryError, XMLSyntaxError
+from repro.errors import InvalidSegmentError, QueryError
 from repro.joins.merge_join import merge_containment_join
 from repro.joins.stack_tree import AXIS_DESCENDANT, stack_tree_desc
-from repro.xml.parser import is_well_formed, parse_fragment
+from repro.xml.parser import parse_fragment
+from repro.xml.wellformed import Audit, reaches_cleanly, well_formed
 
 __all__ = ["LazyXMLDatabase", "GlobalElement", "RemovalOutcome"]
 
 _ALGORITHMS = ("lazy", "std", "merge")
+
+_segment_gp = attrgetter("gp")
 
 
 class GlobalElement(NamedTuple):
@@ -100,6 +106,11 @@ class LazyXMLDatabase:
         # sorted by start — the database's cached parse of each segment,
         # used for insertion-depth computation and removal maintenance.
         self._segment_elements: dict[int, list[tuple[int, int, int, int]]] = {}
+        # Sids of the top-level documents known to be well-formed with every
+        # segment and element record matching the text (DESIGN.md §4,
+        # "Removal validation").  Derived and never persisted: a loaded
+        # database starts with none and earns them back one scan at a time.
+        self._trusted: set[int] = set()
 
     # ------------------------------------------------------------------
     # properties
@@ -212,7 +223,19 @@ class LazyXMLDatabase:
                 raise QueryError('validate="full" requires keep_text=True')
             self._validate_splice(fragment, position)
         parent = self.log.ertree.innermost_segment(position)
-        base_level = self._depth_at(parent, position)
+        base_level, anchor = self._depth_at(parent, position)
+        # A fragment is a balanced run of whole tokens, so a trusted
+        # document stays trusted when the fragment lands inside an element
+        # and between tokens; the scan from the nearest record boundary
+        # decides the latter, before anything is touched.
+        top_sid = parent.path[1] if parent.sid != DUMMY_ROOT_SID else None
+        stays_trusted = (
+            top_sid in self._trusted
+            and base_level > 0
+            and reaches_cleanly(
+                self._text, anchor, position, self.log.node(top_sid).end
+            )
+        )
 
         tag_counts: Counter = Counter(e.tag for e in document.elements)
         receipt = self.log.insert_segment(position, len(fragment), tag_counts)
@@ -229,8 +252,14 @@ class LazyXMLDatabase:
             if self._keep_text:
                 self._text = self._text[:position] + fragment + self._text[position:]
         except BaseException:
+            self._trusted.discard(top_sid)
             self._rollback_insert(receipt, tag_counts)
             raise
+        if top_sid is None:
+            if self._keep_text:
+                self._trusted.add(receipt.sid)  # a parsed fragment, alone
+        elif not stays_trusted:
+            self._trusted.discard(top_sid)
         return receipt
 
     def _rollback_insert(self, receipt: InsertReceipt, tag_counts: Counter) -> None:
@@ -260,40 +289,63 @@ class LazyXMLDatabase:
     def _validate_splice(self, fragment: str, position: int) -> None:
         """Reject an insertion that would leave the super document malformed.
 
-        Parses the would-be text before any structure is touched, so a
+        Scans the mirror with the fragment spliced in logically — no
+        would-be text is built — before any structure is touched, so a
         failed full validation leaves the database unchanged.
         """
-        candidate = self._text[:position] + fragment + self._text[position:]
-        try:
-            parse_fragment(f"<__dummy_root__>{candidate}</__dummy_root__>")
-        except XMLSyntaxError as exc:
+        text = self._text
+        spliced = [
+            (text, 0, position),
+            (fragment, 0, len(fragment)),
+            (text, position, len(text)),
+        ]
+        if not well_formed(spliced, wrapped=True):
             raise InvalidSegmentError(
-                f"insertion at {position} would produce malformed XML: {exc}"
-            ) from exc
+                f"insertion at {position} would produce malformed XML"
+            )
 
-    def _depth_at(self, parent: ERNode, position: int) -> int:
-        """Absolute depth of the innermost element containing ``position``.
+    def _depth_at(self, parent: ERNode, position: int) -> tuple[int, int]:
+        """Absolute depth of the innermost element containing ``position``,
+        and the nearest record boundary at or before it.
 
         ``parent`` is the deepest segment whose span contains the position.
         The innermost containing element usually belongs to it; when the
         position falls in a region of the parent outside its root element
         (prolog/trailing material), the walk continues up the ancestor
-        chain.  Returns 0 when no element contains the position (top-level
-        insertion under the dummy root).
+        chain.  The depth is 0 when no element contains the position
+        (top-level insertion under the dummy root).
+
+        The boundary is a global offset: the start of an element of
+        ``parent`` open at the position, the end of one closed before it,
+        the end of a child segment before it, or ``parent``'s own start —
+        whichever is nearest.  In a trusted document each of these lies
+        between tokens, which is what lets :meth:`insert` scan only the gap.
         """
-        node: ERNode | None = parent
-        while node is not None and node.sid != DUMMY_ROOT_SID:
+        node = parent
+        anchor = position
+        while node.sid != DUMMY_ROOT_SID:
             local = node.to_local(position)
-            best = 0
+            best = boundary = 0
             for _tid, start, end, level in self._segment_elements[node.sid]:
                 if start >= local:
                     break
-                if local < end and level > best:
-                    best = level
+                if local < end:
+                    if level > best:
+                        best = level
+                    if start > boundary:
+                        boundary = start
+                elif end > boundary:
+                    boundary = end
+            if node is parent:
+                # Children inserted at the boundary's own offset follow it.
+                anchor = node.to_global(boundary, count_ties=False)
+                before = bisect_left(node.children, position, key=_segment_gp)
+                if before:
+                    anchor = max(anchor, node.children[before - 1].end)
             if best:
-                return best
+                return best, anchor
             node = node.parent
-        return 0
+        return 0, anchor
 
     def remove(self, position: int, length: int) -> RemovalOutcome:
         """Remove ``length`` characters starting at ``position``.
@@ -308,16 +360,7 @@ class LazyXMLDatabase:
         tag-list maintenance operates only on data the report proves
         present, so an invalid request never leaves partial mutations.
         """
-        if length <= 0:
-            raise InvalidSegmentError(
-                f"removal length must be positive, got {length}"
-            )
-        if position < 0 or position + length > self.log.document_length:
-            raise InvalidSegmentError(
-                f"removal span [{position}, {position + length}) outside "
-                f"super document [0, {self.log.document_length})"
-            )
-        self._validate_removal_span(position, length)
+        verdict = self._validate_removal_span(position, length)
         report = self.log.remove_span(position, length)
         per_segment_counts: dict[int, Counter] = {}
         removed_elements = 0
@@ -329,6 +372,7 @@ class LazyXMLDatabase:
             per_segment_counts[sid] = counts
             removed_elements += sum(counts.values())
             self._segment_elements.pop(sid, None)
+            self._trusted.discard(sid)
             # Version keys already make stale compiled entries unreachable;
             # the eager drop just reclaims their memory (sids never return).
             self.readpath.drop_segment(sid)
@@ -352,62 +396,149 @@ class LazyXMLDatabase:
         self.log.apply_removal_counts(per_segment_counts, report)
         if self._keep_text:
             self._text = self._text[:position] + self._text[position + length :]
+        if verdict is not None:
+            top_sid, trusted = verdict
+            if trusted:
+                self._trusted.add(top_sid)
+            else:
+                self._trusted.discard(top_sid)
         return RemovalOutcome(report=report, elements_removed=removed_elements)
 
-    def _validate_removal_span(self, position: int, length: int) -> None:
+    def check_removal(self, position: int, length: int) -> None:
+        """Raise, changing nothing, when ``remove(position, length)`` would.
+
+        The whole pre-mutation check of :meth:`remove` as a read-only call,
+        so a caller that must commit to an operation before applying it (the
+        journal: :func:`repro.durability.recovery.validate_op`) refuses
+        exactly the spans the apply would refuse.
+        """
+        self._validate_removal_span(position, length)
+
+    def _validate_removal_span(
+        self, position: int, length: int
+    ) -> tuple[int, bool] | None:
         """Reject spans that would corrupt structure, before any mutation.
 
-        Two failure shapes used to slip through silently:
+        Beyond bounds, two shapes are refused:
 
         - a span **crossing a segment boundary** — Fig. 7's clipping cases
           would remove one segment's tail and its neighbour's head, leaving
-          both with unbalanced tags;
-        - a span **landing mid-tag** inside one segment — structurally a
-          plain partial removal, but the surviving text no longer parses.
+          both with unbalanced tags.  A read-only ER-tree walk mirroring
+          Fig. 7's span classification refuses any ``LEFT_INTERSECT``/
+          ``RIGHT_INTERSECT`` against a live segment;
+        - a span **landing mid-tag** inside one top-level document
+          (text-mirror databases only): refused iff that document parses
+          now and would not parse with the span excised.  A mirror that is
+          already malformed (fragment-validated mid-text inserts) is never
+          refused, and spans covering whole top-level documents are not
+          text-checked.
 
-        The boundary check is a read-only ER-tree walk mirroring Fig. 7's
-        span classification: any ``LEFT_INTERSECT``/``RIGHT_INTERSECT``
-        against a live segment is refused.  The mid-tag check (text-mirror
-        databases only) re-parses the affected top-level document with the
-        span excised; it refuses only when the removal *breaks* a document
-        that currently parses, so databases already carrying a malformed
-        mirror (fragment-validated mid-text inserts) keep their existing
-        remove behaviour.
+        The text check costs what the span costs.  In a *trusted* document
+        (see ``_trusted``) a span that is exactly one live segment's extent
+        is a balanced run of whole tokens inside an element, and taking it
+        out cannot change how the rest parses: nothing is read.  Any other
+        case scans the document once with the span excised — no copy, no
+        tree — and scans it as it stands only if that fails.
+
+        Returns ``(top-level sid, trusted afterwards)`` for :meth:`remove`
+        to record once the span is gone, or ``None`` when the span lies in
+        no single document.  Read-only.
         """
-        self._reject_boundary_crossing(self.log.ertree.root, position, length)
-        if not self._keep_text:
-            return
-        for top in self.log.ertree.root.children:
-            if relate(position, length, top.gp, top.length) is not SpanRelation.CONTAINED:
-                continue
-            current = self._text[top.gp : top.end]
-            candidate = (
-                self._text[top.gp : position]
-                + self._text[position + length : top.end]
+        if length <= 0:
+            raise InvalidSegmentError(
+                f"removal length must be positive, got {length}"
             )
-            if is_well_formed(current) and not is_well_formed(candidate):
-                raise InvalidSegmentError(
-                    f"removal span [{position}, {position + length}) lands "
-                    "mid-tag: the surviving document would not be "
-                    "well-formed"
-                )
-            break
+        end = position + length
+        if position < 0 or end > self.log.document_length:
+            raise InvalidSegmentError(
+                f"removal span [{position}, {end}) outside "
+                f"super document [0, {self.log.document_length})"
+            )
+        # Descend to the deepest segment strictly containing the span.
+        top: ERNode | None = None
+        node = self.log.ertree.root
+        whole_segment = False
+        while True:
+            inner = None
+            children = node.children
+            # Children are disjoint and sorted: only those from the last one
+            # starting at or before the span up to its end can touch it.
+            first = max(0, bisect_right(children, position, key=_segment_gp) - 1)
+            for child in islice(children, first, None):
+                if child.gp >= end:
+                    break
+                rel = relate(position, length, child.gp, child.length)
+                if rel is SpanRelation.CONTAINED:
+                    inner = child
+                    break
+                if rel is SpanRelation.CONTAINS:
+                    whole_segment = child.gp == position and child.end == end
+                elif rel in (
+                    SpanRelation.LEFT_INTERSECT, SpanRelation.RIGHT_INTERSECT
+                ):
+                    raise InvalidSegmentError(
+                        f"removal span [{position}, {end}) crosses "
+                        f"the boundary of segment {child.sid} "
+                        f"[{child.gp}, {child.end}); remove whole segments or "
+                        "spans inside one segment"
+                    )
+            if inner is None:
+                break
+            node = inner
+            if top is None:
+                top = inner
+        if not self._keep_text or top is None:
+            return None
+        if whole_segment and top.sid in self._trusted:
+            return top.sid, True
+        text = self._text
+        audit = self._audit_after_removal(top, node, position, end)
+        excised = [(text, top.gp, position), (text, end, top.end)]
+        if not well_formed(excised, audit=audit) and well_formed(
+            [(text, top.gp, top.end)]
+        ):
+            raise InvalidSegmentError(
+                f"removal span [{position}, {end}) lands "
+                "mid-tag: the surviving document would not be "
+                "well-formed"
+            )
+        return top.sid, audit.confirmed
 
-    def _reject_boundary_crossing(
-        self, node: ERNode, position: int, length: int
-    ) -> None:
-        for child in node.children:
-            rel = relate(position, length, child.gp, child.length)
-            if rel is SpanRelation.CONTAINED:
-                self._reject_boundary_crossing(child, position, length)
-                return
-            if rel in (SpanRelation.LEFT_INTERSECT, SpanRelation.RIGHT_INTERSECT):
-                raise InvalidSegmentError(
-                    f"removal span [{position}, {position + length}) crosses "
-                    f"the boundary of segment {child.sid} "
-                    f"[{child.gp}, {child.end}); remove whole segments or "
-                    "spans inside one segment"
-                )
+    def _audit_after_removal(
+        self, top: ERNode, holder: ERNode, position: int, end: int
+    ) -> Audit:
+        """What must hold in ``top``'s document, once ``[position, end)`` is
+        gone from segment ``holder``, for the document to be trusted: every
+        surviving segment under ``top`` a balanced run of whole tokens
+        inside an element, every surviving element record an element of the
+        text.  Offsets are pre-removal globals, as the excised scan sees
+        them."""
+        ranges: list[tuple[int, bool]] = []
+        elements: set[tuple[int, int]] = set()
+        lost_from = holder.to_local(position)
+        lost_to = holder.to_local(end)
+        pending: list[tuple[ERNode, bool]] = [(top, True)]
+        while pending:
+            node, entering = pending.pop()
+            if not entering:
+                ranges.append((node.end, False))
+                continue
+            if node is not top:
+                ranges.append((node.gp, True))
+                pending.append((node, False))
+            to_global = node.to_global
+            for _tid, start, stop, _level in self._segment_elements[node.sid]:
+                # remove() drops the holder's records inside the span.
+                if node is holder and start >= lost_from and stop <= lost_to:
+                    continue
+                elements.add((to_global(start), to_global(stop, count_ties=False)))
+            pending.extend(
+                (child, True)
+                for child in reversed(node.children)
+                # Children inside the span go with it.
+                if not (position <= child.gp and child.end <= end)
+            )
+        return Audit(ranges, elements)
 
     def remove_segment(self, sid: int) -> RemovalOutcome:
         """Remove exactly the span segment ``sid`` currently occupies."""
@@ -564,6 +695,10 @@ class LazyXMLDatabase:
         """
         from repro.core.maintenance import repack_segment
 
+        node = self.log.node(sid)
+        if len(node.path) > 1:
+            # Re-derived labels are not the parsed ones the mark vouches for.
+            self._trusted.discard(node.path[1])
         return repack_segment(self, sid)
 
     def compact(self):
@@ -574,6 +709,7 @@ class LazyXMLDatabase:
         """
         from repro.core.maintenance import compact_database
 
+        self._trusted.clear()
         return compact_database(self)
 
     def apply_batch(self, ops: list[dict]) -> list:
@@ -626,6 +762,9 @@ class LazyXMLDatabase:
             assert len(self._text) == self.log.document_length, (
                 "text mirror and ER-tree disagree on document length"
             )
+        assert self._trusted <= {top.sid for top in self.log.ertree.root.children}, (
+            "trusted mark on something that is not a live top-level document"
+        )
 
     def oracle_join(
         self, tag_a: str, tag_d: str, axis: str = AXIS_DESCENDANT

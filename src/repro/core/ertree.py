@@ -279,12 +279,14 @@ class ERNode:
         children may share an insertion point), so ties are resolved by
         bisect side: ``bisect_right`` counts them, ``bisect_left`` does not.
         """
-        if not (0 <= local <= self.virtual_own_length()):
+        _, lps, len_prefix, t_starts, t_ends, removed_prefix = self._compiled()
+        # virtual_own_length(), from the compiled prefix sums: O(1), not a
+        # walk over the children on every call.
+        if not (0 <= local <= self.length - len_prefix[-1] + removed_prefix[-1]):
             raise InvalidSegmentError(
                 f"local offset {local} outside segment {self.sid} "
                 f"(virtual own length {self.virtual_own_length()})"
             )
-        _, lps, len_prefix, t_starts, t_ends, removed_prefix = self._compiled()
         idx = bisect_left(t_starts, local)
         removed = removed_prefix[idx]
         if idx and t_ends[idx - 1] > local:

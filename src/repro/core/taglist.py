@@ -242,6 +242,14 @@ class TagList:
             return
         gps = [e.node.gp for e in entries]
         idx = bisect_left(gps, node.gp)
+        # A segment whose head was cut back to a child's start shares that
+        # child's gp: step over the tie to the entry that is this segment.
+        while (
+            idx < len(entries)
+            and entries[idx].sid != node.sid
+            and gps[idx] == node.gp
+        ):
+            idx += 1
         if idx >= len(entries) or entries[idx].sid != node.sid:
             raise UpdateError(
                 f"segment {node.sid} not in tag-list of tid {tid}"

@@ -94,7 +94,13 @@ def validate_op(db: LazyXMLDatabase, op: dict) -> None:
 
     This runs *before* the journal append in the live write path, so the
     journal only ever records operations that will succeed; replay applies
-    the same checks, keeping the two paths in lockstep.
+    the same checks, keeping the two paths in lockstep.  Removes go through
+    :meth:`LazyXMLDatabase.check_removal`, the very check ``remove`` runs,
+    so a mid-tag or boundary-crossing span is refused here, not after the
+    fsync.  (Batch sub-ops are checked at apply time, where a refused one
+    is skipped identically live and in replay; journals written before
+    this check existed may hold refused single removes, and replay skips
+    those the same way.)
     """
     kind = op.get("op")
     if kind == BATCH_KIND:
@@ -119,16 +125,10 @@ def validate_op(db: LazyXMLDatabase, op: dict) -> None:
         if op.get("validate") == "full":
             db._validate_splice(fragment, position)
     elif kind == "remove":
-        position, length = op["position"], op["length"]
-        if length <= 0:
-            raise InvalidSegmentError(f"removal length must be positive, got {length}")
-        if position < 0 or position + length > db.document_length:
-            raise InvalidSegmentError(
-                f"removal span [{position}, {position + length}) outside "
-                f"super document [0, {db.document_length})"
-            )
+        db.check_removal(op["position"], op["length"])
     elif kind == "remove_segment":
-        db.log.node(op["sid"])  # raises SegmentNotFoundError when absent
+        node = db.log.node(op["sid"])  # raises SegmentNotFoundError when absent
+        db.check_removal(node.gp, node.length)
     elif kind == "repack":
         require_repackable(db, op["sid"])
     elif kind == "compact":

@@ -12,11 +12,15 @@ module gives readers a *pinned, immutable* view instead, RCU-style:
   long as it is held — that is the whole isolation argument.
 - The single writer applies each committed operation to the authoritative
   database, then calls :meth:`~EpochManager.publish` with the op records.
-  Publish replays the ops onto a *spare* buffer (cheap: O(op), the same
-  deterministic dispatcher crash recovery uses, so replica state is
-  bit-identical to the primary) and atomically swaps it in as the next
-  epoch.  Readers arriving after the swap see the new epoch; readers still
-  holding the old one are undisturbed.
+  Publish replays the ops onto a *spare* buffer and atomically swaps it in
+  as the next epoch.  Replay goes through the deterministic dispatcher
+  crash recovery uses, so replica state is bit-identical to the primary,
+  and costs what the ops cost: an insert parses its fragment, a
+  whole-segment remove reads no text at all once the replica trusts the
+  document (a freshly cloned replica pays one scan of that document first;
+  see DESIGN.md §4, "Removal validation").  Readers arriving after the
+  swap see the new epoch; readers still holding the old one are
+  undisturbed.
 - The previous buffer becomes the next spare once its pin count drains to
   zero (the RCU grace period).  A reader that holds a pin past
   ``drain_timeout`` cannot wedge the writer: publish abandons the stuck

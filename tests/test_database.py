@@ -408,3 +408,20 @@ class TestRemoveSpanValidation:
         with pytest.raises(InvalidSegmentError, match="crosses the boundary"):
             db.remove(5, 8)
         db.check_invariants()
+
+
+def test_partial_removes_in_segments_sharing_a_start():
+    """Cutting a segment's head back to its first child's start leaves the
+    two with one global position; tag-list maintenance must still find
+    each by sid (it used to bisect on gp alone and raise mid-removal)."""
+    db = LazyXMLDatabase()
+    db.insert("<r><x/></r>")
+    outer = db.insert("<!--c--><a><a/></a>", 3)
+    inner = db.insert("<a><a/></a>", 3 + len("<!--c-->"))
+    db.remove(3, len("<!--c-->"))
+    assert db.log.node(outer.sid).gp == db.log.node(inner.sid).gp
+    db.remove(db.text.index("<a/>"), 4)  # an element of the inner segment
+    db.remove(db.text.rindex("<a/>"), 4)  # and one of the outer
+    assert db.text == "<r><a></a><a></a><x/></r>"
+    db.check_invariants()
+    assert_join_matches_oracle(db, "r", "a")

@@ -15,7 +15,7 @@ from repro.durability.checkpoint import read_checkpoint, write_checkpoint
 from repro.durability.database import DurableDatabase
 from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME, recover
 from repro.durability.wal import RECORD_HEADER, Journal, read_journal
-from repro.errors import CheckpointError, JournalError
+from repro.errors import CheckpointError, InvalidSegmentError, JournalError
 from repro.storage import dumps
 from repro.workloads.scenarios import registration_stream
 from tests.helpers import assert_join_matches_oracle
@@ -239,6 +239,62 @@ class TestDurableDatabase:
             assert dumps(dd2.db) == expected
             assert dd2.recovery_report.ops_replayed == 0
             assert dd2.last_seq == 2
+
+    def test_refused_remove_appends_nothing(self, tmp_path):
+        """validate_op runs the span check remove() runs, so a mid-tag or
+        boundary-crossing remove is refused before the journal append: no
+        seq consumed, no bytes written, nothing for recovery to skip."""
+        directory = tmp_path / "state"
+        with DurableDatabase(directory) as dd:
+            dd.insert("<a><b>hello</b></a>")
+            dd.insert("<c>two</c>")
+            nested = dd.insert("<n>x</n>", dd.text.index("hello"))
+            seq, size = dd.last_seq, dd.journal_size
+            node = dd.log.node(nested.sid)
+            for position, length, message in [
+                (1, 3, "mid-tag"),
+                (dd.text.index("</a>") + 2, 5, "crosses the boundary"),
+                (node.gp + 1, node.length, "crosses the boundary"),
+            ]:
+                with pytest.raises(InvalidSegmentError, match=message):
+                    dd.remove(position, length)
+                assert (dd.last_seq, dd.journal_size) == (seq, size)
+            expected = dumps(dd.db)
+        with DurableDatabase(directory) as dd2:
+            assert dd2.recovery_report.ops_skipped == 0
+            assert dd2.last_seq == seq
+            assert dumps(dd2.db) == expected
+
+    def test_refused_remove_segment_appends_nothing(self, tmp_path):
+        """The whole-segment remove that must be refused: a segment whose
+        text ends a comment the document opened."""
+        with DurableDatabase(tmp_path / "state") as dd:
+            dd.insert("<a><b><!-- --></b></a>")
+            inner = dd.insert("<b>--></b>", dd.text.index("<!--") + 4)
+            dd.remove(dd.text.index(" --></b>"), len(" --></b>"))
+            seq, size = dd.last_seq, dd.journal_size
+            with pytest.raises(InvalidSegmentError, match="mid-tag"):
+                dd.remove_segment(inner.sid)
+            assert (dd.last_seq, dd.journal_size) == (seq, size)
+            dd.check_invariants()
+
+    def test_journal_holding_a_refused_remove_still_recovers(self, tmp_path):
+        """Journals written before validate_op checked spans can hold a
+        remove the apply refused (seq consumed, state untouched); replay
+        skips it and lands on the state the live database had."""
+        directory = tmp_path / "state"
+        directory.mkdir()
+        with Journal(directory / JOURNAL_NAME) as journal:
+            journal.append(1, {"op": "insert", "fragment": "<a><b>hello</b></a>", "position": 0})
+            journal.append(2, {"op": "remove", "position": 1, "length": 3})
+            journal.append(3, {"op": "insert", "fragment": "<c/>", "position": 19})
+        with DurableDatabase(directory) as dd:
+            report = dd.recovery_report
+            assert (report.ops_replayed, report.ops_skipped) == (2, 1)
+            assert "mid-tag" in report.skipped_details[0]
+            assert dd.last_seq == 3
+            assert dd.text == "<a><b>hello</b></a><c/>"
+            dd.check_invariants()
 
     def test_all_op_kinds_roundtrip(self, tmp_path):
         directory = tmp_path / "state"

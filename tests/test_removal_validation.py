@@ -1,0 +1,436 @@
+"""Removal validation: the lean checker against the double re-parse it replaced.
+
+``remove`` refuses a span inside one top-level document iff that document
+parses now and would not parse with the span excised.  Until PR 14 the
+database decided that by slicing the document out of the text mirror twice
+and tree-parsing both copies; that validator lives on here, verbatim, as
+the oracle (:class:`DoubleParseDatabase`).  The shipped validator skips the
+text entirely for whole-segment removes in *trusted* documents and
+otherwise scans once, in place — so the properties below drive both through
+the same random histories (mid-tag inserts, comments and CDATA holding
+tags, partial removes, repack/compact, snapshot round trips) and demand the
+same verdict, the same error, the same text, every time — for the remove
+that was drawn and, in every state reached, for each live segment.
+
+The second half pins the *shape* of the cost by counting the bytes handed
+to the checker, not by timing.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import storage
+from repro.core import database as database_module
+from repro.core.database import LazyXMLDatabase
+from repro.core.segment import SpanRelation, relate
+from repro.errors import InvalidSegmentError, ReproError, XMLSyntaxError
+from repro.xml.parser import is_well_formed, parse_fragment
+from repro.xml.wellformed import well_formed
+
+
+class DoubleParseDatabase(LazyXMLDatabase):
+    """The parent commit's validators, moved here verbatim: the oracle."""
+
+    def _validate_splice(self, fragment: str, position: int) -> None:
+        candidate = self._text[:position] + fragment + self._text[position:]
+        try:
+            parse_fragment(f"<__dummy_root__>{candidate}</__dummy_root__>")
+        except XMLSyntaxError as exc:
+            raise InvalidSegmentError(
+                f"insertion at {position} would produce malformed XML: {exc}"
+            ) from exc
+
+    def _validate_removal_span(self, position: int, length: int) -> None:
+        if length <= 0:
+            raise InvalidSegmentError(
+                f"removal length must be positive, got {length}"
+            )
+        if position < 0 or position + length > self.log.document_length:
+            raise InvalidSegmentError(
+                f"removal span [{position}, {position + length}) outside "
+                f"super document [0, {self.log.document_length})"
+            )
+        self._reject_boundary_crossing(self.log.ertree.root, position, length)
+        if not self._keep_text:
+            return
+        for top in self.log.ertree.root.children:
+            if relate(position, length, top.gp, top.length) is not SpanRelation.CONTAINED:
+                continue
+            current = self._text[top.gp : top.end]
+            candidate = (
+                self._text[top.gp : position]
+                + self._text[position + length : top.end]
+            )
+            if is_well_formed(current) and not is_well_formed(candidate):
+                raise InvalidSegmentError(
+                    f"removal span [{position}, {position + length}) lands "
+                    "mid-tag: the surviving document would not be "
+                    "well-formed"
+                )
+            break
+
+    def _reject_boundary_crossing(self, node, position: int, length: int) -> None:
+        for child in node.children:
+            rel = relate(position, length, child.gp, child.length)
+            if rel is SpanRelation.CONTAINED:
+                self._reject_boundary_crossing(child, position, length)
+                return
+            if rel in (SpanRelation.LEFT_INTERSECT, SpanRelation.RIGHT_INTERSECT):
+                raise InvalidSegmentError(
+                    f"removal span [{position}, {position + length}) crosses "
+                    f"the boundary of segment {child.sid} "
+                    f"[{child.gp}, {child.end}); remove whole segments or "
+                    "spans inside one segment"
+                )
+
+
+# ----------------------------------------------------------------------
+# random histories
+
+
+#: Character data and markup that look like the end (or start) of something.
+_FILLERS = (
+    "", "x", " ", "-->", "]]>", "<!-- <b> -->", "<!----->", "<![CDATA[</a><b>]]>",
+    "<?pi <a> ?>", "&lt;", "'\"",
+)
+_ATTRIBUTES = ("", ' t=">"', " t='/>'", ' t="-->" u="<!--"', ' t="<b>"', " t='\"'")
+
+
+@st.composite
+def _elements(draw, depth=0):
+    tag = draw(st.sampled_from("ab"))
+    attributes = draw(st.sampled_from(_ATTRIBUTES))
+    if draw(st.integers(0, 3)) == 0:
+        return f"<{tag}{attributes}/>"
+    parts = [draw(st.sampled_from(_FILLERS))]
+    if depth < 2:
+        for _ in range(draw(st.integers(0, 2))):
+            parts.append(draw(_elements(depth + 1)))
+            parts.append(draw(st.sampled_from(_FILLERS)))
+    return f"<{tag}{attributes}>{''.join(parts)}</{tag}>"
+
+
+_PROLOGS = ("", "", "", " ", "<!--p-->", "<?xml version='1.0'?>", "<!DOCTYPE a>")
+_EPILOGS = ("", "", "", "\n", "<!--e-->", "<!-- <a> -->")
+
+
+@st.composite
+def _fragments(draw):
+    return (
+        draw(st.sampled_from(_PROLOGS))
+        + draw(_elements())
+        + draw(st.sampled_from(_EPILOGS))
+    )
+
+
+#: One op: a kind and three numbers the replay maps onto the current state.
+_OPS = st.tuples(
+    st.sampled_from(
+        ["insert"] * 5
+        + ["remove_segment"] * 4
+        + ["remove_tokens"] * 3
+        + ["repair"] * 2
+        + ["remove_any", "insert_full", "repack", "compact", "reload"]
+    ),
+    st.integers(0, 10_000),
+    st.integers(0, 10_000),
+    _fragments(),
+)
+
+_TOKEN_EDGE = re.compile(r"<|(?<=>)")
+
+
+def _attempt(db, call):
+    """Run ``call(db)``; the outcome as something two databases can compare."""
+    try:
+        call(db)
+    except ReproError as exc:
+        return type(exc), "mid-tag" in str(exc), "crosses the boundary" in str(exc)
+    return None
+
+
+def _replay(ops, check=None):
+    db, oracle = LazyXMLDatabase(), DoubleParseDatabase()
+    for kind, a, b, fragment in ops:
+        text = oracle.text
+        sids = sorted(sid for sid in oracle.log.ertree._nodes if sid)
+        edges = [m.start() for m in _TOKEN_EDGE.finditer(text)] + [len(text)]
+        if kind in ("insert", "insert_full"):
+            # Any offset, but mostly at or just past a token edge: between
+            # tokens, inside a tag's name, behind a comment's opener.
+            position = a % (len(text) + 1)
+            if b % 4:
+                position = min(len(text), edges[a % len(edges)] + (b % 4 - 1) * 2)
+            validate = "full" if kind == "insert_full" else "fragment"
+            call = lambda d: d.insert(fragment, position, validate=validate)  # noqa: E731
+        elif kind == "remove_segment":
+            if not sids:
+                continue
+            sid = sids[a % len(sids)]
+            call = lambda d: d.remove_segment(sid)  # noqa: E731
+        elif kind == "remove_tokens":
+            # A span between two places where a token can start or end:
+            # the removes a careful caller issues, many of them accepted.
+            lo, hi = sorted((edges[a % len(edges)], edges[b % len(edges)]))
+            call = lambda d: d.remove(lo, hi - lo)  # noqa: E731
+        elif kind == "repair":
+            # The remove that brings a malformed mirror back, if one exists:
+            # how documents get to parse with segments in odd places.
+            spans = [(lo, hi) for lo in edges for hi in edges if lo < hi]
+            random.Random(a).shuffle(spans)
+            for lo, hi in spans[:40]:
+                if not is_well_formed(f"<r>{text}</r>") and is_well_formed(
+                    f"<r>{text[:lo]}{text[hi:]}</r>"
+                ):
+                    break
+            else:
+                continue
+            call = lambda d: d.remove(lo, hi - lo)  # noqa: E731
+        elif kind == "remove_any":
+            position = a % (len(text) + 1)
+            length = 1 + b % 12
+            call = lambda d: d.remove(position, length)  # noqa: E731
+        elif kind == "repack":
+            if not sids:
+                continue
+            sid = sids[a % len(sids)]
+            call = lambda d: d.repack(sid)  # noqa: E731
+        elif kind == "compact":
+            call = lambda d: d.compact()  # noqa: E731
+        else:  # a snapshot round trip: every derived mark is lost
+            db = storage.loads(storage.dumps(db))
+            oracle = storage.loads(storage.dumps(oracle))
+            oracle.__class__ = DoubleParseDatabase
+            continue
+        expected = _attempt(oracle, call)
+        assert _attempt(db, call) == expected, (kind, a, b, fragment, text)
+        assert db.text == oracle.text
+        db.check_invariants()
+        # Not only the remove that was drawn: in the state it left, the
+        # read-only check must give the oracle's verdict for every live
+        # segment (the spans the trusted mark lets through unread).
+        for node in list(oracle.log.ertree.nodes())[1:]:
+            assert _attempt(
+                db, lambda d: d.check_removal(node.gp, node.length)
+            ) == _attempt(
+                oracle, lambda d: d._validate_removal_span(node.gp, node.length)
+            ), (node.sid, db.text, db._trusted)
+        if check is not None:
+            check(db)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(st.lists(_OPS, min_size=1, max_size=14))
+def test_same_verdicts_as_the_double_parse(ops):
+    _replay(ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_OPS, min_size=1, max_size=14))
+def test_a_trusted_document_really_is(ops):
+    """The mark's meaning, checked from scratch in every state reached: a
+    trusted document parses, and still does without any one of its
+    segments.  (A wrongly kept mark can take many more ops to surface as
+    a wrong verdict; this catches it at the op that went wrong.)"""
+
+    def check(db):
+        for top in db.log.ertree.root.children:
+            if top.sid not in db._trusted:
+                continue
+            assert is_well_formed(db.text[top.gp : top.end])
+            for node in top.iter_subtree():
+                if node is not top:
+                    assert is_well_formed(
+                        db.text[top.gp : node.gp] + db.text[node.end : top.end]
+                    )
+
+    _replay(ops, check)
+
+
+def test_segment_inside_a_comment_is_not_trusted():
+    """The regression behind the 'token boundary' half of the mark: a
+    document can parse while a live segment straddles a comment's end."""
+    db = LazyXMLDatabase()
+    db.insert("<a><b><!-- --></b></a>")
+    inner = db.insert("<b>--></b>", db.text.index("<!--") + 4)
+    assert not is_well_formed(db.text)
+    db.remove(db.text.index(" --></b>"), len(" --></b>"))
+    assert db.text == "<a><b><!--<b>--></b></a>"
+    assert is_well_formed(db.text)
+    before = storage.dumps(db)
+    with pytest.raises(InvalidSegmentError, match="mid-tag"):
+        db.remove_segment(inner.sid)
+    assert storage.dumps(db) == before
+    db.check_invariants()
+
+
+def test_root_element_in_a_nested_segment_is_not_trusted():
+    """The 'inside an element' half: a segment in a document's prolog can
+    end up holding its only root, and taking it out must still be refused."""
+    db = LazyXMLDatabase()
+    db.insert("<!--c--><a/>")
+    inner = db.insert("<b/>", len("<!--c-->"))
+    db.remove(db.text.index("<a/>"), len("<a/>"))
+    assert db.text == "<!--c--><b/>"
+    with pytest.raises(InvalidSegmentError, match="mid-tag"):
+        db.remove_segment(inner.sid)
+
+
+def test_records_orphaned_by_an_unaligned_cut_are_not_trusted():
+    """The 'records match the text' half: a cut through two tags can leave
+    a document that parses and an element record that starts mid-tag — no
+    boundary for a later insert to scan from."""
+    db = LazyXMLDatabase()
+    top = db.insert('<a><b t="1">x</b><c u="2">y</c></a>')
+    assert top.sid in db._trusted
+    cut = 'b t="1">x</b><'
+    db.remove(db.text.index(cut), len(cut))
+    assert db.text == '<a><c u="2">y</c></a>' and is_well_formed(db.text)
+    assert top.sid not in db._trusted
+    db.check_invariants()
+
+
+_XMLISH = st.lists(
+    st.sampled_from(
+        ["<a>", "</a>", "<b>", "</b>", "<a/>", "<b t='>'>", "<!--", "-->", "<![CDATA[",
+         "]]>", "<?p", "?>", "<?xml", "<!DOCTYPE", ">", "<", "/", "x", " ", "\n",
+         "\x1f", " ", "=", "'", '"', "t", "&"]
+    ),
+    max_size=14,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_XMLISH, st.text(max_size=24), _fragments()))
+def test_checker_agrees_with_the_parser(text):
+    assert well_formed([(text, 0, len(text))]) == is_well_formed(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_XMLISH, _fragments()), st.one_of(_XMLISH, _fragments()), st.data())
+def test_checker_reads_pieces_as_their_concatenation(text, other, data):
+    """Excision (two windows on one string) and splicing (three windows on
+    two), including tokens that only exist across the seam."""
+    lo = data.draw(st.integers(0, len(text)))
+    hi = data.draw(st.integers(lo, len(text)))
+    excised = [(text, 0, lo), (text, hi, len(text))]
+    assert well_formed(excised) == is_well_formed(text[:lo] + text[hi:])
+    spliced = [(text, 0, lo), (other, 0, len(other)), (text, lo, len(text))]
+    joined = text[:lo] + other + text[lo:]
+    assert well_formed(spliced) == is_well_formed(joined)
+    assert well_formed(spliced, wrapped=True) == is_well_formed(f"<r>{joined}</r>")
+
+
+# ----------------------------------------------------------------------
+# cost shape: bytes handed to the checker, counted
+
+
+class _ByteCounter:
+    """Wraps the database module's ``well_formed``; sums the window sizes."""
+
+    def __init__(self, monkeypatch):
+        self.bytes = 0
+        self.calls = 0
+        monkeypatch.setattr(database_module, "well_formed", self)
+
+    def __call__(self, pieces, **kwargs):
+        self.calls += 1
+        self.bytes += sum(end - start for _, start, end in pieces)
+        return well_formed(pieces, **kwargs)
+
+    def take(self):
+        seen, self.bytes, self.calls = (self.bytes, self.calls), 0, 0
+        return seen
+
+
+def _site(persons: int) -> str:
+    body = "".join(
+        f'<person id="p{i}"><name>P {i}</name><profile><interest/></profile></person>'
+        for i in range(persons)
+    )
+    return f"<site><people>{body}</people></site>"
+
+
+@pytest.mark.parametrize("persons", [20, 200])
+def test_whole_segment_remove_in_a_trusted_document_reads_nothing(persons, monkeypatch):
+    counter = _ByteCounter(monkeypatch)
+    db = LazyXMLDatabase()
+    db.insert(_site(persons))
+    point = db.text.index("<person")
+    for round_ in range(5):
+        receipt = db.insert(f"<person><name>new {round_}</name></person>", point)
+        db.remove_segment(receipt.sid)
+    assert counter.take() == (0, 0)
+    db.check_invariants()
+
+
+def test_untrusted_document_costs_one_pass_then_none(monkeypatch):
+    db = LazyXMLDatabase()
+    db.insert(_site(50))
+    db.insert("<other/>")
+    point = db.text.index("<person")
+    first = db.insert("<person><name>one</name></person>", point)
+    second = db.insert("<person><name>two</name></person>", point)
+    db = storage.loads(storage.dumps(db))  # marks are not persisted
+    assert not db._trusted
+    top = db.log.ertree.root.children[0]
+    counter = _ByteCounter(monkeypatch)
+    db.remove_segment(first.sid)
+    scanned, calls = counter.take()
+    assert calls == 1 and scanned <= top.length + first.length
+    assert top.sid in db._trusted
+    db.remove_segment(second.sid)
+    assert counter.take() == (0, 0)
+
+
+def test_partial_remove_scans_one_document_once(monkeypatch):
+    db = LazyXMLDatabase()
+    db.insert(_site(50))
+    db.insert(_site(50))
+    top = db.log.ertree.root.children[1]
+    counter = _ByteCounter(monkeypatch)
+    start = db.text.index("<person", top.gp)
+    length = db.text.index("</person>", start) + len("</person>") - start
+    db.remove(start, length)
+    scanned, calls = counter.take()
+    assert calls == 1 and scanned == top.length  # post-removal length
+    assert top.sid in db._trusted  # a clean cut: records still match the text
+
+
+def test_chop_style_ingest_leaves_every_document_trusted():
+    """The shape ``benchmarks/e2e/corpus.py`` ingests: per document one
+    skeleton, then each cut subtree at its offset, all in one batch."""
+    rng = random.Random(7)
+    ops = []
+    doc_start = 0
+    for _ in range(3):
+        text = _site(12)
+        cuts = [
+            (m.start(), m.end())
+            for m in re.finditer(r"<profile>.*?</profile>", text)
+            if rng.random() < 0.5
+        ]
+        pieces, cursor = [], 0
+        for start, end in cuts:
+            pieces.append(text[cursor:start])
+            cursor = end
+        pieces.append(text[cursor:])
+        ops.append({"op": "insert", "fragment": "".join(pieces), "position": doc_start})
+        ops.extend(
+            {"op": "insert", "fragment": text[start:end], "position": doc_start + start}
+            for start, end in cuts
+        )
+        doc_start += len(text)
+    db = LazyXMLDatabase()
+    assert all(result is not None for result in db.apply_batch(ops))
+    tops = [top.sid for top in db.log.ertree.root.children]
+    assert len(tops) == 3 and set(tops) == db._trusted
+    assert db.segment_count > 6

@@ -140,7 +140,12 @@ class TestSpecialConstructs:
 
 
 class TestNamesAndErrors:
-    @pytest.mark.parametrize("name", ["a", "A", "_x", "a-b", "a.b", "a:b", "a1"])
+    @pytest.mark.parametrize(
+        "name",
+        ["a", "A", "_x", "a-b", "a.b", "a:b", "a1",
+         # names leaving ASCII at the start, in the middle, at the end
+         "\u00e9", "\u00e9a-1", "a\u00e9b", "ab\u00b2", "\u4e2d\u6587:x"],
+    )
     def test_valid_names(self, name):
         (token,) = tokenize(f"<{name}/>")
         assert token.name == name
