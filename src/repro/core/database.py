@@ -272,19 +272,12 @@ class LazyXMLDatabase:
         surviving segment's global position and ancestor lengths and leaves
         no tombstone (the span aligns with the fresh node's boundaries).
         """
-        tids = {
-            tid
-            for tid in (self.log.tags.tid_of(name) for name in tag_counts)
-            if tid is not None
-        }
-        self.index.remove_segment(receipt.sid, tids)
+        counts = {self.log.tags.tid_of(name): n for name, n in tag_counts.items()}
+        self.index.remove_segment(receipt.sid, counts.keys())
         self._segment_elements.pop(receipt.sid, None)
         self.readpath.drop_segment(receipt.sid)
-        self.log.ertree.remove_span(receipt.gp, receipt.length)
-        for name, count in tag_counts.items():
-            tid = self.log.tags.tid_of(name)
-            if tid is not None:
-                self.log.taglist.remove_occurrences(tid, receipt.sid, count)
+        report = self.log.remove_span(receipt.gp, receipt.length)
+        self.log.apply_removal_counts({receipt.sid: counts}, report)
 
     def _validate_splice(self, fragment: str, position: int) -> None:
         """Reject an insertion that would leave the super document malformed.

@@ -29,6 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.errors import InvalidSegmentError, SegmentNotFoundError
@@ -60,6 +62,10 @@ _G_SEGMENTS = METRICS.gauge(
 _G_DEPTH = METRICS.gauge(
     "log.depth.max", unit="levels", site="ERTree (deepest segment)"
 )
+
+# Child lists are sorted by gp and hold live nodes: every per-update lookup
+# bisects them in place instead of rebuilding a key list.
+_node_gp = attrgetter("gp")
 
 
 class ERNode:
@@ -121,10 +127,6 @@ class ERNode:
         removal, where the removed span may coincide with the segment.
         """
         return self.gp <= gp and gp + length <= self.end
-
-    def child_local_positions(self) -> list[int]:
-        """The ``lp`` of each child, in child order."""
-        return [child.lp for child in self.children]
 
     def iter_subtree(self) -> Iterator["ERNode"]:
         """Pre-order iteration over this node and all descendants."""
@@ -236,13 +238,16 @@ class ERNode:
                 f"offset {gp} outside segment {self.sid} span "
                 f"[{self.gp}, {self.end})"
             )
-        if gp == self.end and not self._tombstones:
-            # Append point: past every child and own character, so the
-            # event scan below would consume everything and land on the
-            # own-text length — skip compiling the event list.  (With a
-            # trailing tombstone the scan instead collapses to the hole's
-            # virtual start, so tombstoned nodes take the general path.)
-            return self._own_length()
+        if not self._tombstones:
+            # No holes: the answer follows from the last child starting at
+            # or before the offset — inside it collapses to its insertion
+            # point, past it own characters resume at ``child.lp`` — so one
+            # bisect replaces compiling and scanning the event list.
+            idx = bisect_right(self.children, gp, key=_node_gp)
+            if not idx:
+                return gp - self.gp
+            child = self.children[idx - 1]
+            return child.lp + max(0, gp - child.end)
         actual = self.gp  # actual offset reached so far
         virtual = 0
         events = self._events()
@@ -324,15 +329,10 @@ class ERNode:
         events.sort(key=lambda e: (e[0], e[1]))  # "child" < "tomb"
         return events
 
-    def _own_length(self) -> int:
-        """Actual length of this segment's own text (children excluded)."""
-        return self.length - sum(child.length for child in self.children)
-
     def virtual_own_length(self) -> int:
         """Own length in virtual coordinates (tombstoned characters count)."""
-        return self._own_length() + sum(
-            t_end - t_start for t_start, t_end in self._tombstones
-        )
+        own = self.length - sum(child.length for child in self.children)
+        return own + sum(t_end - t_start for t_start, t_end in self._tombstones)
 
     def __repr__(self) -> str:
         return (
@@ -357,14 +357,21 @@ class PartialRemoval:
 
 @dataclass
 class RemovalReport:
-    """Outcome of a span removal, for element-index/tag-list maintenance."""
+    """Outcome of a span removal, for element-index/tag-list maintenance.
 
-    removed_sids: list[int] = field(default_factory=list)
+    ``removed`` holds the deleted nodes themselves, in pre-order: they are
+    out of the tree, but the tag-list still has to find their entries, and
+    it finds entries by node (each is left with ``gp`` at the hole's start,
+    where its entries sort between the survivors on either side).
+    """
+
+    removed: list[ERNode] = field(default_factory=list)
     partials: list[PartialRemoval] = field(default_factory=list)
 
-    def affected_sids(self) -> list[int]:
-        """Every segment that needs element-index attention."""
-        return self.removed_sids + [p.sid for p in self.partials]
+    @property
+    def removed_sids(self) -> list[int]:
+        """Sids of the fully deleted segments, in pre-order."""
+        return [node.sid for node in self.removed]
 
 
 class ERTree:
@@ -481,12 +488,29 @@ class ERTree:
     @staticmethod
     def _child_strictly_containing(node: ERNode, gp: int) -> ERNode | None:
         children = node.children
-        idx = bisect_right([c.gp for c in children], gp) - 1
+        idx = bisect_right(children, gp, key=_node_gp) - 1
         if idx >= 0:
             child = children[idx]
             if child.gp < gp < child.end:
                 return child
         return None
+
+    @staticmethod
+    def _shift_subtrees(pending: list[ERNode], delta: int) -> int:
+        """Move every node under ``pending`` by ``delta``; the count moved.
+
+        The one O(N) step the paper itself prescribes (Figs. 5/7) — but it
+        is handed only the siblings at or after the update point, never the
+        whole tree.  Consumes ``pending``.
+        """
+        shifted = 0
+        while pending:
+            node = pending.pop()
+            node.gp += delta
+            shifted += 1
+            if node.children:
+                pending.extend(node.children)
+        return shifted
 
     # ------------------------------------------------------------------
     # insertion (Fig. 5)
@@ -521,54 +545,34 @@ class ERTree:
             steps = (sid + self.sid_stride - self.sid_start) // self.sid_stride
             self._next_sid = self.sid_start + steps * self.sid_stride
 
-        # Step 1: global position shift (inclusive — see module docstring).
-        # Appends skip the walk: segment lengths are strictly positive, so
-        # every existing node starts at least one character before the
-        # super-document end and nothing can sit at or past ``gp``.
-        is_append = gp == self.root.length
-        shifted = 0
-        if not is_append:
-            for node in self.root.iter_subtree():
-                if node.gp >= gp and node is not self.root:
-                    node.gp += length
-                    shifted += 1
-
-        # Step 2: descend to the parent, growing ancestors on the way.
-        # Each grown ancestor's compiled read state depends on child
-        # lengths, so the whole chain is touched — O(depth), the
-        # "invalidation is O(touched structures)" contract.  An append's
-        # parent is always the root: no existing child's span can extend
-        # past the old super-document end, so none strictly contains gp.
+        # Steps 1 and 2 in one descent: at each level the siblings at or
+        # after ``gp`` (inclusive — see module docstring) move right with
+        # their whole subtrees, and the one child strictly containing ``gp``
+        # is the next level.  Each ancestor on the way grows, and its
+        # compiled read state depends on child lengths, so the whole chain
+        # is touched — O(depth), the "invalidation is O(touched
+        # structures)" contract.  An append finds nothing to move and no
+        # child to enter after one bisect of the root's children.
         parent = self.root
-        parent.length += length
-        parent._touch()
-        if not is_append:
-            while True:
-                child = self._child_strictly_containing(parent, gp)
-                if child is None:
-                    break
-                parent = child
-                parent.length += length
-                parent._touch()
+        moving: list[ERNode] = []
+        while True:
+            parent.length += length
+            parent._touch()
+            children = parent.children
+            idx = bisect_left(children, gp, key=_node_gp)
+            moving.extend(islice(children, idx, None))
+            if not idx or children[idx - 1].end <= gp:
+                break
+            parent = children[idx - 1]
+        shifted = self._shift_subtrees(moving, length)
 
         # Step 3: splice the new leaf in, keeping children sorted by gp,
         # and compute its local position.  ``to_local`` implements
         # Definition 2 (subtract left-sibling lengths) generalized to
-        # parents that lost characters to partial removals.
-        new = ERNode(sid, gp=gp, length=length, lp=0, parent=parent)
-        # to_local above the insert compiles the parent's read state, so
-        # the child splice must re-touch it or the cache would miss ``new``.
-        if is_append and not parent._tombstones:
-            # The append point in the (already grown) parent's virtual
-            # space is the end of its own text — subtract the growth
-            # instead of compiling the child-event list.
-            new.lp = parent._own_length() - length
-            parent.children.append(new)
-        else:
-            new.lp = parent.to_local(gp)
-            gps = [c.gp for c in parent.children]
-            idx = bisect_right(gps, gp)
-            parent.children.insert(idx, new)
+        # parents that lost characters to partial removals; on such a
+        # parent it compiles the read state, so the splice re-touches it.
+        new = ERNode(sid, gp=gp, length=length, lp=parent.to_local(gp), parent=parent)
+        parent.children.insert(idx, new)
         parent._touch()
         self._nodes[sid] = new
         self._track_add(new)
@@ -603,28 +607,47 @@ class ERTree:
             )
         report = RemovalReport()
         self._remove_from(self.root, gp, length, report)
-        # One global position pass over the survivors (the recursion only
-        # adjusts lengths).  A node starting before the hole keeps its gp; a
-        # node whose start fell inside the hole has its surviving content
-        # begin where the hole begins (this covers arbitrarily nested
-        # right-intersections, which Fig. 7's per-level `k.gp` update gets
-        # wrong); a node starting at or after the hole's end shifts left.
-        shifted = 0
-        for node in self.root.iter_subtree():
-            if node is self.root:
-                continue
-            if node.gp >= end:
-                node.gp -= length
-                shifted += 1
-            elif node.gp > gp:
-                node.gp = gp
-                shifted += 1
+        shifted = self._close_gap(gp, end)
+        for node in report.removed:
+            node.gp = gp  # see RemovalReport
         if METRICS.enabled and self.observed:
-            _M_REMOVED.inc(len(report.removed_sids))
+            _M_REMOVED.inc(len(report.removed))
             _M_TOMBSTONES.inc(len(report.partials))
             _M_SHIFT.observe(shifted)
             self._publish_gauges()
         return report
+
+    def _close_gap(self, gp: int, end: int) -> int:
+        """The global position pass over the survivors of ``[gp, end)``.
+
+        Runs after the recursion (which only adjusts lengths).  A node
+        starting before the hole keeps its gp; a node whose start fell
+        inside the hole has its surviving content begin where the hole
+        begins (this covers arbitrarily nested right-intersections, which
+        Fig. 7's per-level `k.gp` update gets wrong); a node starting at or
+        after the hole's end shifts left.  Per level at most two children
+        met the hole and survived — the one starting at or before it and
+        the one straddling its end — so the pass descends those and shifts
+        the siblings after them, instead of visiting every node.  Returns
+        the number of nodes moved.
+        """
+        shifted = 0
+        met = [self.root]
+        after: list[ERNode] = []
+        while met:
+            children = met.pop().children
+            first = max(0, bisect_right(children, gp, key=_node_gp) - 1)
+            for idx in range(first, len(children)):
+                child = children[idx]
+                if child.gp >= end:
+                    after.extend(islice(children, idx, None))
+                    break
+                if child.gp > gp:
+                    child.gp = gp
+                    shifted += 1
+                if child.end > gp:
+                    met.append(child)
+        return shifted + self._shift_subtrees(after, gp - end)
 
     def _remove_from(
         self, node: ERNode, rm_gp: int, rm_len: int, report: RemovalReport
@@ -645,33 +668,38 @@ class ERTree:
         node.length -= rm_len
         node._touch()
 
-        surviving: list[ERNode] = []
-        for child in node.children:
+        # Children are disjoint and sorted: only those from the last one
+        # starting at or before the span up to its end can touch it, and the
+        # ones it swallows whole are one contiguous run, ``[lo, hi)``.
+        children = node.children
+        first = max(0, bisect_right(children, rm_gp, key=_node_gp) - 1)
+        lo = hi = first
+        for idx in range(first, len(children)):
+            child = children[idx]
+            if child.gp >= rm_end:
+                break
             rel = relate(rm_gp, rm_len, child.gp, child.length)
-            if rel in (SpanRelation.BEFORE, SpanRelation.AFTER):
-                surviving.append(child)
-            elif rel is SpanRelation.CONTAINED:
+            if rel is SpanRelation.CONTAINED:
                 # Removed span strictly inside this child: recurse whole span.
                 self._remove_from(child, rm_gp, rm_len, report)
-                surviving.append(child)
             elif rel is SpanRelation.CONTAINS:
                 self._delete_subtree(child, report)
+                if lo == hi:
+                    lo = idx
+                hi = idx + 1
             elif rel is SpanRelation.LEFT_INTERSECT:
                 # Removal starts inside the child, runs past its end: clip to
                 # the child's tail (Fig. 7 lines 12–14).
                 self._remove_from(child, rm_gp, child.end - rm_gp, report)
-                surviving.append(child)
-            else:  # RIGHT_INTERSECT
+            elif rel is SpanRelation.RIGHT_INTERSECT:
                 # Removal covers the child's head (Fig. 7 lines 17–20): clip.
                 # Its new global position comes from the final global pass.
                 self._remove_from(child, child.gp, rm_end - child.gp, report)
-                surviving.append(child)
-        if len(surviving) != len(node.children):
-            node.children = surviving
+        del children[lo:hi]
 
     def _delete_subtree(self, node: ERNode, report: RemovalReport) -> None:
         for sub in node.iter_subtree():
-            report.removed_sids.append(sub.sid)
+            report.removed.append(sub)
             del self._nodes[sub.sid]
             self._track_remove(sub)
             if self._on_remove is not None:

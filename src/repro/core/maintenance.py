@@ -85,7 +85,7 @@ def repack_segment(db, sid: int) -> RepackResult:
         db.index.remove_segment(old_sid, counts.keys())
         old_node = db.log.node(old_sid)
         for tid, count in counts.items():
-            db.log.taglist.remove_occurrences_for_node(tid, old_node, count)
+            db.log.taglist.remove_occurrences(tid, old_node, count)
         db._segment_elements.pop(old_sid, None)
         # The version bumps above already fence off stale compiled state;
         # eagerly reclaim it (repacked sids are never queried again).
@@ -97,6 +97,7 @@ def repack_segment(db, sid: int) -> RepackResult:
     db.index.insert_segment(new_node.sid, fresh_records, base_level=0)
     for tid, count in Counter(r[0] for r in fresh_records).items():
         db.log.taglist.add_segment(tid, new_node, count)
+    db.log.publish_fanout()
     db._segment_elements[new_node.sid] = sorted(
         fresh_records, key=lambda record: record[1]
     )

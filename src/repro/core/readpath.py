@@ -271,6 +271,9 @@ class ReadPathCache:
         self._elements: dict[tuple[int, int], tuple[int, CompiledElements]] = {}
         # (tid, sid) -> (index_version, node_version, CompiledPushList)
         self._push: dict[tuple[int, int], tuple[int, int, CompiledPushList]] = {}
+        # sid -> tids with an `_elements` entry (a push list is compiled
+        # from one, so its key is covered too): what drop_segment pops.
+        self._compiled_tids: dict[int, set[int]] = {}
         # tid -> (taglist_version, CompiledSegmentList)
         self._segments: dict[int, tuple[int, CompiledSegmentList]] = {}
         # sid -> lp (immutable; no version key)
@@ -298,6 +301,7 @@ class ReadPathCache:
         """Drop all compiled state (counters are kept)."""
         self._elements.clear()
         self._push.clear()
+        self._compiled_tids.clear()
         self._segments.clear()
         self._lps.clear()
         self._lattices.clear()
@@ -331,6 +335,7 @@ class ReadPathCache:
             *self._index.segment_key_columns(tid, sid)
         )
         self._elements[key] = (version, compiled)
+        self._compiled_tids.setdefault(sid, set()).add(tid)
         return compiled
 
     def bulk_elements(self, tid: int) -> dict[int, CompiledElements]:
@@ -365,6 +370,7 @@ class ReadPathCache:
                 invalidated += 1
             compiled = CompiledElements.from_keys(*cols)
             elements[(tid, sid)] = (version, compiled)
+            self._compiled_tids.setdefault(sid, set()).add(tid)
             out[sid] = compiled
             stale += 1
         if invalidated:
@@ -610,13 +616,10 @@ class ReadPathCache:
 
     def drop_segment(self, sid: int) -> int:
         """Forget all compiled state for a removed/repacked segment."""
-        doomed = [key for key in self._elements if key[1] == sid]
-        for key in doomed:
-            del self._elements[key]
-        doomed_push = [key for key in self._push if key[1] == sid]
-        for key in doomed_push:
-            del self._push[key]
-        dropped = len(doomed) + len(doomed_push)
+        dropped = 0
+        for tid in self._compiled_tids.pop(sid, ()):
+            dropped += self._elements.pop((tid, sid), None) is not None
+            dropped += self._push.pop((tid, sid), None) is not None
         if self._lps.pop(sid, None) is not None:
             dropped += 1
         if dropped:

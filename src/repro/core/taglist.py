@@ -8,19 +8,22 @@ leading toward the descendant segment) without walking the ER-tree — plus the
 number of element occurrences, which decides when a deletion may drop the
 entry.
 
-Entries are ordered by the ascending *global position* of their segments.
-Relative gp order between surviving segments is never changed by an update
-(shifts are order-preserving), so in LD mode sortedness is maintained by a
-single binary insertion per update.  In LS mode entries are appended
-unsorted and :meth:`TagList.finalize` sorts every touched list just before
-querying.
+Entries are ordered by the ascending *global position* of their segments,
+a segment before the segments inside it (ER-tree pre-order).  Relative gp
+order between surviving segments is never changed by an update (shifts are
+order-preserving), and an entry holds the live :class:`ERNode`, so in LD
+mode every insertion and removal finds its place by bisecting the list on
+``entry.node.gp`` — one binary search per tag of the segment, no key list
+rebuilt, no scan by sid.  In LS mode entries are appended unsorted and
+:meth:`TagList.finalize` sorts every touched list just before querying.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.core.ertree import ERNode
 from repro.errors import UpdateError
@@ -34,7 +37,7 @@ _M_ENTRIES_ADDED = METRICS.counter(
     "taglist.entries_added", unit="entries", site="TagList.add_segment"
 )
 _M_ENTRIES_DROPPED = METRICS.counter(
-    "taglist.entries_dropped", unit="entries", site="TagList.remove_occurrences*"
+    "taglist.entries_dropped", unit="entries", site="TagList.remove_occurrences"
 )
 _M_SCANS = METRICS.counter(
     "taglist.segment_scans", unit="calls", site="TagList.segments_for"
@@ -45,6 +48,8 @@ _M_ENTRIES_SCANNED = METRICS.counter(
 _G_FANOUT = METRICS.gauge(
     "log.fanout.max", unit="entries", site="TagList (longest per-tag list)"
 )
+
+_entry_gp = attrgetter("node.gp")
 
 
 class TagRegistry:
@@ -133,7 +138,7 @@ class TagList:
         """Total element occurrences of ``tid`` across all segments, O(1).
 
         Maintained incrementally by :meth:`add_segment` /
-        ``remove_occurrences*`` — the selectivity estimate join planning
+        :meth:`remove_occurrences` — the selectivity estimate join planning
         reads instead of probing the element index's B+-tree (which stays
         authoritative for invariant checks).
         """
@@ -165,8 +170,9 @@ class TagList:
         entries = self._lists.setdefault(tid, [])
         entry = TagEntry(node, count)
         if self._dynamic:
-            idx = bisect_left([e.node.gp for e in entries], node.gp)
-            entries.insert(idx, entry)
+            # A live entry sharing this gp is an ancestor whose head was
+            # cut back to here (repack re-adds under one): it stays first.
+            entries.insert(bisect_right(entries, node.gp, key=_entry_gp), entry)
         else:
             entries.append(entry)
             self._unsorted.add(tid)
@@ -176,81 +182,37 @@ class TagList:
             self._max_fanout = len(entries)
         if METRICS.enabled and self.observed:
             _M_ENTRIES_ADDED.inc()
-            _G_FANOUT.set(self.max_fanout())
 
-    def remove_occurrences(self, tid: int, sid: int, removed: int) -> None:
-        """Subtract ``removed`` occurrences of ``tid`` from segment ``sid``.
+    def remove_occurrences(self, tid: int, node: ERNode, removed: int) -> None:
+        """Subtract ``removed`` occurrences of ``tid`` from segment ``node``.
 
         Drops the entry once its count reaches zero — the rule of Section
         3.3: "a path has to be deleted only if no more elements with that tag
-        are contained in the segment after the deletion".
+        are contained in the segment after the deletion".  ``node`` may be a
+        segment the ER-tree has just deleted (see
+        :class:`~repro.core.ertree.RemovalReport`).
+
+        The entry is found by bisecting on gp and stepping over ties.
+        Entries tie when a segment's head was cut back to its first child's
+        start, and at the start of a hole just closed, where the deleted
+        segments' entries sit until this method drops them: a tie run is at
+        most the nesting depth plus the segments deleted with ``node``.  An
+        unfinalized LS list is unsorted and has to be walked.
         """
         if removed <= 0:
             return
         entries = self._lists.get(tid)
         if not entries:
             raise UpdateError(f"no tag-list for tid {tid}")
-        idx = self._locate(tid, sid)
-        entry = entries[idx]
-        if entry.count < removed:
-            raise UpdateError(
-                f"removing {removed} occurrences of tid {tid} from segment "
-                f"{sid}, only {entry.count} recorded"
-            )
-        entry.count -= removed
-        self._bump(tid)
-        self._debit_total(tid, removed)
-        if entry.count == 0:
-            del entries[idx]
-            if not entries:
-                del self._lists[tid]
-            self._fanout_dirty = True
-            if METRICS.enabled and self.observed:
-                _M_ENTRIES_DROPPED.inc()
-                _G_FANOUT.set(self.max_fanout())
-
-    def _debit_total(self, tid: int, removed: int) -> None:
-        remaining = self._totals.get(tid, 0) - removed
-        if remaining > 0:
-            self._totals[tid] = remaining
-        else:
-            self._totals.pop(tid, None)
-
-    def _locate(self, tid: int, sid: int) -> int:
-        """Index of the entry for ``sid`` in ``tid``'s list (linear scan).
-
-        Callers holding the live :class:`ERNode` should prefer
-        :meth:`remove_occurrences_for_node`, which binary-searches on the
-        segment's (unique) global position instead.
-        """
-        for idx, entry in enumerate(self._lists[tid]):
-            if entry.sid == sid:
-                return idx
-        raise UpdateError(f"segment {sid} not in tag-list of tid {tid}")
-
-    def remove_occurrences_for_node(
-        self, tid: int, node: ERNode, removed: int
-    ) -> None:
-        """Like :meth:`remove_occurrences` but O(log N): locates by gp."""
-        if removed <= 0:
-            return
-        entries = self._lists.get(tid)
-        if not entries:
-            raise UpdateError(f"no tag-list for tid {tid}")
-        if tid in self._unsorted:
-            self.remove_occurrences(tid, node.sid, removed)
-            return
-        gps = [e.node.gp for e in entries]
-        idx = bisect_left(gps, node.gp)
-        # A segment whose head was cut back to a child's start shares that
-        # child's gp: step over the tie to the entry that is this segment.
-        while (
-            idx < len(entries)
-            and entries[idx].sid != node.sid
-            and gps[idx] == node.gp
-        ):
-            idx += 1
-        if idx >= len(entries) or entries[idx].sid != node.sid:
+        first = (
+            0 if tid in self._unsorted
+            else bisect_left(entries, node.gp, key=_entry_gp)
+        )
+        idx = next(
+            (i for i in range(first, len(entries)) if entries[i].node is node),
+            None,
+        )
+        if idx is None:
             raise UpdateError(
                 f"segment {node.sid} not in tag-list of tid {tid}"
             )
@@ -262,7 +224,11 @@ class TagList:
             )
         entry.count -= removed
         self._bump(tid)
-        self._debit_total(tid, removed)
+        remaining = self._totals.get(tid, 0) - removed
+        if remaining > 0:
+            self._totals[tid] = remaining
+        else:
+            self._totals.pop(tid, None)
         if entry.count == 0:
             del entries[idx]
             if not entries:
@@ -270,7 +236,6 @@ class TagList:
             self._fanout_dirty = True
             if METRICS.enabled and self.observed:
                 _M_ENTRIES_DROPPED.inc()
-                _G_FANOUT.set(self.max_fanout())
 
     def finalize(self) -> None:
         """Sort any LS-mode lists left unsorted by appends."""
@@ -316,24 +281,9 @@ class TagList:
             _M_ENTRIES_SCANNED.inc(len(entries))
         return entries
 
-    def count_for(self, tid: int, sid: int) -> int:
-        """Occurrences of ``tid`` recorded for segment ``sid`` (0 if none)."""
-        for entry in self._lists.get(tid, []):
-            if entry.sid == sid:
-                return entry.count
-        return 0
-
     def tids(self) -> Iterator[int]:
         """Tag ids that currently have at least one entry."""
         return iter(self._lists)
-
-    def tids_for_segment(self, sid: int) -> list[int]:
-        """Every tag id recorded for segment ``sid`` (linear scan helper)."""
-        return [
-            tid
-            for tid, entries in self._lists.items()
-            if any(entry.sid == sid for entry in entries)
-        ]
 
     # ------------------------------------------------------------------
     # size accounting (Fig. 11(a))

@@ -24,6 +24,7 @@ from repro.core.ertree import ERNode, ERTree, RemovalReport
 from repro.core.sbtree import SBTree
 from repro.core.taglist import TagList, TagRegistry
 from repro.errors import UpdateError
+from repro.obs.metrics import METRICS
 
 __all__ = ["UpdateLog", "InsertReceipt", "LogStats"]
 
@@ -113,6 +114,7 @@ class UpdateLog:
         for name, count in tag_counts.items():
             tid = self.tags.intern(name)
             self.taglist.add_segment(tid, node, count)
+        self.publish_fanout()
         assert node.parent is not None  # only the dummy root lacks a parent
         return InsertReceipt(
             sid=node.sid,
@@ -140,18 +142,21 @@ class UpdateLog:
 
         ``per_segment_counts`` maps sid → Counter(tid → removed occurrences)
         as returned by the element index.  Fully removed segments no longer
-        have ER-tree nodes, so their entries are located by sid scan; partial
-        segments use the O(log N) gp-based locate.
+        have ER-tree nodes; the report still holds them, so every entry —
+        deleted segment's or survivor's — is found by its node's gp.
         """
-        removed = set(report.removed_sids)
+        gone = {node.sid: node for node in report.removed}
         for sid, counts in per_segment_counts.items():
-            if sid in removed:
-                for tid, count in counts.items():
-                    self.taglist.remove_occurrences(tid, sid, count)
-            else:
-                node = self.ertree.node(sid)
-                for tid, count in counts.items():
-                    self.taglist.remove_occurrences_for_node(tid, node, count)
+            node = gone.get(sid) or self.ertree.node(sid)
+            for tid, count in counts.items():
+                self.taglist.remove_occurrences(tid, node, count)
+        self.publish_fanout()
+
+    def publish_fanout(self) -> None:
+        """Publish the tag-list fan-out gauge: once per update, however
+        many entries the update added or dropped."""
+        if METRICS.enabled and self.taglist.observed:
+            self.taglist._publish_gauge()
 
     # ------------------------------------------------------------------
     # LS-mode finalization

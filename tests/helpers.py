@@ -20,3 +20,24 @@ def assert_join_matches_oracle(db, tag_a, tag_d, axis="descendant", **options):
         f"{len(got)} pairs vs oracle {len(want)}"
     )
     return pairs
+
+
+def count_for(taglist, tid: int, sid: int) -> int:
+    """Occurrences of ``tid`` recorded for segment ``sid`` (0 if none).
+
+    A linear walk: test-only, which is why it lives here and not on
+    :class:`~repro.core.taglist.TagList`.
+    """
+    for entry in taglist._lists.get(tid, []):
+        if entry.sid == sid:
+            return entry.count
+    return 0
+
+
+def tids_for_segment(taglist, sid: int) -> list[int]:
+    """Every tag id recorded for segment ``sid`` (linear, test-only)."""
+    return [
+        tid
+        for tid, entries in taglist._lists.items()
+        if any(entry.sid == sid for entry in entries)
+    ]

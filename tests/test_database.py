@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.helpers import assert_join_matches_oracle
+from tests.helpers import assert_join_matches_oracle, count_for
 from repro.core.database import LazyXMLDatabase
 from repro.errors import (
     InvalidSegmentError,
@@ -131,7 +131,7 @@ class TestRemove:
         tid_y = db.log.tags.tid_of("y")
         pos = db.text.index("<y/>")
         db.remove(pos, 4)
-        assert db.log.taglist.count_for(tid_y, 2) == 0
+        assert count_for(db.log.taglist, tid_y, 2) == 0
 
     def test_remove_element_from_first_segment(self):
         db = self.build()

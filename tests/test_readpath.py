@@ -158,10 +158,16 @@ def test_whole_segment_removal_drops_compiled_entries():
         n for n in db.log.ertree.nodes() if n.sid != DUMMY_ROOT_SID
     ][0]
     sid = node.sid
+    held = sum(key[1] == sid for key in (*rp._elements, *rp._push))
+    held += sid in rp._lps
+    assert held >= 2
+    invalidations = rp.invalidations
     db.remove(node.gp, node.length)
     assert not any(key[1] == sid for key in rp._elements)
     assert not any(key[1] == sid for key in rp._push)
-    assert sid not in rp._lps
+    assert sid not in rp._lps and sid not in rp._compiled_tids
+    # Every entry the segment held counts as one invalidation, no more.
+    assert rp.invalidations == invalidations + held
 
 
 def test_join_memo_invalidates_when_either_tag_changes():

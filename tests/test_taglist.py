@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from repro.core.ertree import ERTree
+from repro.core.ertree import ERNode, ERTree
 from repro.core.taglist import TagList, TagRegistry
 from repro.errors import UpdateError
+from tests.helpers import count_for, tids_for_segment
 
 
 class TestTagRegistry:
@@ -66,23 +67,23 @@ class TestDynamicMode:
         tree, nodes = make_tree_with_segments(2)
         taglist = TagList()
         taglist.add_segment(1, nodes[0], count=3)
-        taglist.remove_occurrences(1, nodes[0].sid, 2)
-        assert taglist.count_for(1, nodes[0].sid) == 1
+        taglist.remove_occurrences(1, nodes[0], 2)
+        assert count_for(taglist, 1, nodes[0].sid) == 1
 
     def test_remove_to_zero_drops_entry(self):
         tree, nodes = make_tree_with_segments(2)
         taglist = TagList()
         taglist.add_segment(1, nodes[0], count=2)
         taglist.add_segment(1, nodes[1], count=1)
-        taglist.remove_occurrences(1, nodes[0].sid, 2)
-        assert taglist.count_for(1, nodes[0].sid) == 0
+        taglist.remove_occurrences(1, nodes[0], 2)
+        assert count_for(taglist, 1, nodes[0].sid) == 0
         assert len(taglist.segments_for(1)) == 1
 
     def test_last_entry_removal_drops_list(self):
         tree, nodes = make_tree_with_segments(1)
         taglist = TagList()
         taglist.add_segment(1, nodes[0], count=1)
-        taglist.remove_occurrences(1, nodes[0].sid, 1)
+        taglist.remove_occurrences(1, nodes[0], 1)
         assert list(taglist.tids()) == []
 
     def test_remove_more_than_recorded_raises(self):
@@ -90,34 +91,38 @@ class TestDynamicMode:
         taglist = TagList()
         taglist.add_segment(1, nodes[0], count=1)
         with pytest.raises(UpdateError):
-            taglist.remove_occurrences(1, nodes[0].sid, 2)
+            taglist.remove_occurrences(1, nodes[0], 2)
 
     def test_remove_unknown_tid_raises(self):
         taglist = TagList()
         with pytest.raises(UpdateError):
-            taglist.remove_occurrences(9, 1, 1)
+            taglist.remove_occurrences(9, ERTree().root, 1)
 
-    def test_remove_unknown_sid_raises(self):
-        tree, nodes = make_tree_with_segments(1)
+    def test_remove_unknown_segment_raises(self):
+        tree, nodes = make_tree_with_segments(2)
         taglist = TagList()
         taglist.add_segment(1, nodes[0], count=1)
         with pytest.raises(UpdateError):
-            taglist.remove_occurrences(1, 999, 1)
+            taglist.remove_occurrences(1, nodes[1], 1)
+        # Same gp as a recorded segment, but not that segment.
+        twin = ERNode(999, gp=nodes[0].gp, length=10, lp=0, parent=tree.root)
+        with pytest.raises(UpdateError):
+            taglist.remove_occurrences(1, twin, 1)
 
     def test_remove_zero_is_noop(self):
         tree, nodes = make_tree_with_segments(1)
         taglist = TagList()
         taglist.add_segment(1, nodes[0], count=1)
-        taglist.remove_occurrences(1, nodes[0].sid, 0)
-        assert taglist.count_for(1, nodes[0].sid) == 1
+        taglist.remove_occurrences(1, nodes[0], 0)
+        assert count_for(taglist, 1, nodes[0].sid) == 1
 
-    def test_remove_for_node_fast_path(self):
+    def test_remove_from_the_middle(self):
         tree, nodes = make_tree_with_segments(6)
         taglist = TagList()
         for node in nodes:
             taglist.add_segment(3, node, count=2)
-        taglist.remove_occurrences_for_node(3, nodes[3], 2)
-        assert taglist.count_for(3, nodes[3].sid) == 0
+        taglist.remove_occurrences(3, nodes[3], 2)
+        assert count_for(taglist, 3, nodes[3].sid) == 0
         assert len(taglist.segments_for(3)) == 5
 
     def test_entry_exposes_path(self):
@@ -134,8 +139,8 @@ class TestDynamicMode:
         taglist.add_segment(1, nodes[0], count=1)
         taglist.add_segment(2, nodes[0], count=1)
         taglist.add_segment(2, nodes[1], count=1)
-        assert sorted(taglist.tids_for_segment(nodes[0].sid)) == [1, 2]
-        assert taglist.tids_for_segment(nodes[1].sid) == [2]
+        assert sorted(tids_for_segment(taglist, nodes[0].sid)) == [1, 2]
+        assert tids_for_segment(taglist, nodes[1].sid) == [2]
 
     def test_sorted_after_interleaved_gp_shifts(self):
         # Insertions shift gps but preserve relative order; list must stay
@@ -168,7 +173,7 @@ class TestStaticMode:
         taglist = TagList(dynamic=False)
         for node in nodes:
             taglist.add_segment(1, node, count=1)
-        taglist.remove_occurrences(1, nodes[1].sid, 1)
+        taglist.remove_occurrences(1, nodes[1], 1)
         taglist.finalize()
         assert len(taglist.segments_for(1)) == 2
 

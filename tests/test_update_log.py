@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.update_log import UpdateLog
 from repro.errors import UpdateError
+from tests.helpers import count_for
 
 
 class TestConstruction:
@@ -40,7 +41,7 @@ class TestInsertion:
         log = UpdateLog()
         receipt = log.insert_segment(0, 20, {"a": 2, "b": 1})
         tid_a = log.tags.tid_of("a")
-        assert log.taglist.count_for(tid_a, receipt.sid) == 2
+        assert count_for(log.taglist, tid_a, receipt.sid) == 2
 
     def test_nested_receipt(self):
         log = UpdateLog()
@@ -82,7 +83,7 @@ class TestRemoval:
         tid_b = log.tags.tid_of("b")
         log.remove_span(10, 10)
         # Section 3.3: tag-list updates only after element-index deletion.
-        assert log.taglist.count_for(tid_b, inner.sid) == 2
+        assert count_for(log.taglist, tid_b, inner.sid) == 2
 
     def test_apply_removal_counts_full(self):
         log, outer, inner = self.build()
@@ -91,16 +92,16 @@ class TestRemoval:
         log.apply_removal_counts(
             {inner.sid: Counter({tid_a: 1, tid_b: 2})}, report
         )
-        assert log.taglist.count_for(tid_a, inner.sid) == 0
-        assert log.taglist.count_for(tid_b, inner.sid) == 0
-        assert log.taglist.count_for(tid_a, outer.sid) == 3
+        assert count_for(log.taglist, tid_a, inner.sid) == 0
+        assert count_for(log.taglist, tid_b, inner.sid) == 0
+        assert count_for(log.taglist, tid_a, outer.sid) == 3
 
     def test_apply_removal_counts_partial(self):
         log, outer, inner = self.build()
         report = log.remove_span(2, 3)  # outer's own chars only
         tid_a = log.tags.tid_of("a")
         log.apply_removal_counts({outer.sid: Counter({tid_a: 1})}, report)
-        assert log.taglist.count_for(tid_a, outer.sid) == 2
+        assert count_for(log.taglist, tid_a, outer.sid) == 2
 
     def test_remove_shrinks_document(self):
         log, *_ = self.build()
