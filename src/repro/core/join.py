@@ -44,6 +44,12 @@ moves exploit the compiled layouts:
   prefix maxima exceed ``P`` is dismissed with one comparison.  When no
   frame element joins and the segment has no in-segment work, the
   D-elements are never fetched at all.
+
+The answer is memoised **per descendant segment**: the output is grouped
+by D-segment and one group depends only on ``SL_A`` and that segment, so
+after an update :meth:`LazyJoiner._refresh` runs the same loop over just
+the D-segments whose element version moved and reuses every other chunk.
+``stats=`` and the ablation flags run the from-scratch merge, its oracle.
 """
 
 from __future__ import annotations
@@ -53,9 +59,9 @@ import os
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from operator import attrgetter
 from time import perf_counter
 
@@ -151,6 +157,7 @@ def _gc_paused():
             if _gc_depth == 0 and _gc_was_enabled:
                 gc.enable()
 
+_NO_SPAN = nullcontext()  # stateless, so one serves every untraced join
 _node_gp = attrgetter("gp")
 
 
@@ -240,6 +247,46 @@ class _Frame:
         return records
 
 
+class _ChunkMeter:
+    """The ``context`` of a memoised merge (:meth:`LazyJoiner._refresh`).
+
+    Forwards every checkpoint and charge to the caller's context, if any,
+    so deadlines and budgets act on the merge as it runs, and records per
+    merged D-segment where its output starts (``cuts``) and the deepest
+    stack charged meanwhile (``depths``: segment stack and in-segment
+    element stack alike) — what a warm call charges in the merge's place.
+    """
+
+    __slots__ = ("_context", "cuts", "depths")
+
+    def __init__(self, context):
+        self._context = context
+        self.cuts: list[int] = []
+        self.depths: list[int] = []
+
+    def begin_segment(self, offset: int) -> None:
+        self.cuts.append(offset)
+        self.depths.append(0)
+
+    def tick(self) -> None:
+        if self._context is not None:
+            self._context.tick()
+
+    def check_deadline(self) -> None:
+        if self._context is not None:
+            self._context.check_deadline()
+
+    def charge_rows(self, n: int) -> None:
+        if self._context is not None:
+            self._context.charge_rows(n)
+
+    def charge_depth(self, depth: int) -> None:
+        if depth > self.depths[-1]:
+            self.depths[-1] = depth
+        if self._context is not None:
+            self._context.charge_depth(depth)
+
+
 class LazyJoiner:
     """Executes Lazy-Join over an update log and element index."""
 
@@ -303,62 +350,82 @@ class LazyJoiner:
         Requires a query-ready log (LD always is; LS must have had
         ``prepare_for_query()`` run).
 
-        Default-configuration calls (no stats, no context, both
-        optimizations on, stored-path branching) are answered from the
-        read-path cache's join-result memo when both tags are unchanged
-        since the answer was computed — see
-        :meth:`~repro.core.readpath.ReadPathCache.cached_join` for the
-        soundness argument.  Any ablation flag, statistics collection or
-        query context bypasses the memo so those semantics stay exact.
+        Default-configuration calls (no stats, both optimizations on,
+        stored-path branching) are answered from the read-path cache's
+        per-descendant-segment join memo: the stored answer while both
+        tags are unchanged, otherwise the chunks of the untouched
+        D-segments plus a merge of the touched ones (:meth:`_refresh`).  A
+        ``context`` is charged for the whole answer either way, so a
+        budget aborts a warm call exactly as it aborts a cold one.  Any
+        ablation flag or statistics collection runs the from-scratch
+        merge, which stays the memo's oracle.
         """
+        trace = context.trace if context is not None else None
+        with (
+            _NO_SPAN if trace is None
+            else trace.span("lazy_join", a=tag_a, d=tag_d, axis=axis)
+        ) as span:
+            return self._join(
+                tag_a, tag_d, axis, optimize_push, trim_top,
+                branch_strategy, stats, context, span,
+            )
+
+    def _join(
+        self, tag_a, tag_d, axis, optimize_push, trim_top, branch_strategy,
+        stats, context, span,
+    ) -> list[JoinPair]:
+        enabled = METRICS.enabled
         memo_key = None
         if (
             stats is None
-            and context is None
             and optimize_push
             and trim_top
             and branch_strategy == "path"
+            and axis in _AXES
+            and self._readpath.enabled
             and self._log.query_ready
         ):
             tid_a = self._log.tags.tid_of(tag_a)
             tid_d = self._log.tags.tid_of(tag_d)
-            if tid_a is not None and tid_d is not None and axis in _AXES:
+            if tid_a is not None and tid_d is not None:
                 memo_key = (tid_a, tid_d, axis)
+                if context is not None:
+                    context.check_deadline()
                 cached = self._readpath.cached_join(tid_a, tid_d, axis)
                 if cached is not None:
-                    if METRICS.enabled:
+                    flat, depth = cached
+                    if context is not None:
+                        context.charge_depth(depth)
+                        context.charge_rows(len(flat))
+                    if span is not None:
+                        span.annotate(pairs=len(flat), memo="hit")
+                    if enabled:
                         _M_CALLS.inc()
-                        _M_PAIRS.inc(len(cached))
+                        _M_PAIRS.inc(len(flat))
                     # Fresh list: callers may sort/extend their copy.
-                    return list(cached)
+                    return list(flat)
         if stats is None:
             stats = JoinStatistics()
-        enabled = METRICS.enabled
         start = perf_counter() if enabled else 0.0
-        trace = context.trace if context is not None else None
-        if trace is None:
-            with _gc_paused():
+        with _gc_paused():
+            if memo_key is None:
                 results = self._join_impl(
                     tag_a, tag_d, axis, optimize_push, trim_top,
                     branch_strategy, stats, context,
                 )
-        else:
-            with trace.span("lazy_join", a=tag_a, d=tag_d, axis=axis) as span:
-                with _gc_paused():
-                    results = self._join_impl(
-                        tag_a, tag_d, axis, optimize_push, trim_top,
-                        branch_strategy, stats, context,
-                    )
-                span.annotate(
-                    pairs=stats.pairs,
-                    cross_pairs=stats.cross_pairs,
-                    in_segment_pairs=stats.in_segment_pairs,
-                    segments_pushed=stats.segments_pushed,
-                    max_stack_depth=stats.max_stack_depth,
-                )
+            else:
+                results = self._refresh(memo_key, tag_a, tag_d, stats, context)
+        if span is not None:
+            span.annotate(
+                pairs=len(results),
+                cross_pairs=stats.cross_pairs,
+                in_segment_pairs=stats.in_segment_pairs,
+                segments_pushed=stats.segments_pushed,
+                max_stack_depth=stats.max_stack_depth,
+            )
         if enabled:
             _M_CALLS.inc()
-            _M_PAIRS.inc(stats.pairs)
+            _M_PAIRS.inc(len(results))
             _M_CROSS.inc(stats.cross_pairs)
             _M_IN_SEG.inc(stats.in_segment_pairs)
             _M_PUSHED.inc(stats.segments_pushed)
@@ -368,9 +435,69 @@ class LazyJoiner:
             _M_TRIMMED.inc(stats.elements_trimmed)
             _H_STACK.observe(stats.max_stack_depth)
             _H_SECONDS.observe(perf_counter() - start)
-        if memo_key is not None and self._readpath.enabled:
-            self._readpath.store_join(*memo_key, tuple(results))
         return results
+
+    def _refresh(
+        self, memo_key, tag_a: str, tag_d: str, stats: JoinStatistics, context
+    ) -> list[JoinPair]:
+        """Bring the join memo for ``memo_key`` up to date; answer from it.
+
+        The memo keeps one chunk ``(element version, stack depth, pairs)``
+        per D-segment sid, good while ``index.version(sid)`` stands — the
+        whole validity key, see DESIGN.md 4e.  This runs the ordinary
+        merge over the D-segments whose chunk is missing or stale (the
+        loop is correct for any gp-ascending subset of ``SL_D``), cuts
+        its output at their boundaries, and publishes the chunks of the
+        *current* ``SL_D`` with one assignment: dead sids leave there, and
+        readers sharing a pinned replica each publish a complete entry.
+        An abort (deadline, budget, cancel) propagates before the publish.
+        """
+        tid_a, tid_d, axis = memo_key
+        rp = self._readpath
+        old = rp.join_chunks(tid_a, tid_d, axis)
+        nodes = rp.segment_list(tid_d).nodes
+        version_of = self._index.version
+        todo = [
+            node for node in nodes
+            if (chunk := old.get(node.sid)) is None
+            or chunk[0] != version_of(node.sid)
+        ]
+        merged: list[JoinPair] = []
+        fresh: dict = {}
+        if todo:
+            meter = _ChunkMeter(context)
+            merged = self._join_impl(
+                tag_a, tag_d, axis, True, True, "path", stats, meter,
+                None if len(todo) == len(nodes) else todo, meter,
+            )
+            cuts = meter.cuts
+            if cuts:
+                cuts.append(len(merged))
+                for node, lo, hi, depth in zip(
+                    todo, cuts, cuts[1:], meter.depths
+                ):
+                    fresh[node.sid] = (
+                        version_of(node.sid), depth, tuple(merged[lo:hi])
+                    )
+            else:
+                # A tag has no element left: the merge returned before
+                # its loop, and every chunk is empty.
+                fresh = {
+                    node.sid: (version_of(node.sid), 0, ()) for node in todo
+                }
+        chunks = {
+            node.sid: fresh.get(node.sid) or old[node.sid] for node in nodes
+        }
+        flat = tuple(chain.from_iterable(c[2] for c in chunks.values()))
+        depth = max((c[1] for c in chunks.values()), default=0)
+        if context is not None:
+            # The merge charged what it produced; the reused chunks are
+            # charged here, so the budget sees the whole answer.
+            context.charge_depth(depth)
+            context.charge_rows(len(flat) - len(merged))
+            context.check_deadline()
+        rp.store_join(tid_a, tid_d, axis, flat, depth, chunks)
+        return list(flat)
 
     def _join_impl(
         self,
@@ -382,7 +509,12 @@ class LazyJoiner:
         branch_strategy: str,
         stats: JoinStatistics,
         context,
+        d_nodes=None,
+        meter=None,
     ) -> list[JoinPair]:
+        """The merge of Fig. 9; ``d_nodes`` restricts it to a gp-ascending
+        subset of ``SL_D`` and ``meter`` learns where each D-segment's
+        output starts (both for :meth:`_refresh`)."""
         if axis not in _AXES:
             raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
         if branch_strategy not in _BRANCH_STRATEGIES:
@@ -403,7 +535,6 @@ class LazyJoiner:
         if tid_a is None or tid_d is None:
             return []
         rp = self._readpath
-        lattice = None
         if rp.enabled:
             # Segment-list misses are exact staleness signals: *any*
             # element change to a tag bumps its tag-list version, so a
@@ -411,7 +542,9 @@ class LazyJoiner:
             # element columns are fresh too.  Only on a miss is the tag
             # warmed — one bulk whole-tag compile pass instead of
             # segment-at-a-time misses — which keeps the fully-warm hot
-            # path at zero extra checks.
+            # path at zero extra checks.  A merge of a few touched
+            # D-segments probes them one by one instead: the whole-tag
+            # range pass would cost what the corpus costs.
             pre_misses = rp.misses
             csl_a = rp.segment_list(tid_a)
             a_stale = rp.misses != pre_misses
@@ -420,11 +553,11 @@ class LazyJoiner:
             d_stale = rp.misses != pre_misses
             if not csl_a.entries or not csl_d.entries:
                 return []
-            if a_stale:
-                rp.warm_tag(tid_a, csl_a.nodes, push=optimize_push)
-            if d_stale and tid_d != tid_a:
-                rp.warm_tag(tid_d)
-            lattice = rp.path_lattice(tid_a, tid_d, csl_a, csl_d)
+            if d_nodes is None:
+                if a_stale:
+                    rp.warm_tag(tid_a, csl_a.nodes, push=optimize_push)
+                if d_stale and tid_d != tid_a:
+                    rp.warm_tag(tid_d)
             get_elements = rp.elements
             get_push = rp.push_elements
         else:
@@ -488,10 +621,11 @@ class LazyJoiner:
         ai = 0
         a_count = len(nodes_a)
 
-        for di, d_entry in enumerate(csl_d.entries):
+        for sd in csl_d.nodes if d_nodes is None else d_nodes:
             if context is not None:
                 context.tick()
-            sd = d_entry.node
+            if meter is not None:
+                meter.begin_segment(len(results))
             # Step 1 — pop stack segments that end before sd starts: sorted
             # gps mean they cannot contain sd nor any later D-segment.
             while stack and sd.gp >= stack[-1].node.end:
@@ -504,31 +638,22 @@ class LazyJoiner:
             # other members are galloped over untested.
             if ai < a_count and nodes_a[ai].gp < sd.gp:
                 nxt = bisect_left(nodes_a, sd.gp, ai, a_count, key=_node_gp)
-                if lattice is not None:
-                    # Compiled path lattice: sd's candidate row is already
-                    # resolved to ascending csl_a positions, so the run's
-                    # candidates are one row slice bounded by two bisects.
-                    row = lattice[di]
-                    lo = bisect_left(row, ai)
-                    candidates = row[lo:bisect_left(row, nxt, lo)]
-                else:
-                    # Mapped path indices increase along the path (path
-                    # order and nodes_a are both ascending in gp), so
-                    # probing the path deepest-first stops at the first
-                    # already-merged index: the run's candidates are a
-                    # suffix of the mapped path, found in O(new
-                    # candidates) instead of O(depth).
-                    candidates = []
-                    path = sd.path
-                    for k in range(len(path) - 2, -1, -1):
-                        idx = sid_index_a.get(path[k])
-                        if idx is None:
-                            continue
-                        if idx < ai:
-                            break
-                        if idx < nxt:
-                            candidates.append(idx)
-                    candidates.reverse()
+                # Mapped path indices increase along the path (path order
+                # and nodes_a are both ascending in gp), so probing the
+                # path deepest-first stops at the first already-merged
+                # index: the run's candidates are a suffix of the mapped
+                # path, found in O(new candidates) instead of O(depth).
+                candidates = []
+                path = sd.path
+                for k in range(len(path) - 2, -1, -1):
+                    idx = sid_index_a.get(path[k])
+                    if idx is None:
+                        continue
+                    if idx < ai:
+                        break
+                    if idx < nxt:
+                        candidates.append(idx)
+                candidates.reverse()
                 pushed_in_run = 0
                 for idx in candidates:
                     sa = nodes_a[idx]
@@ -567,8 +692,6 @@ class LazyJoiner:
                             else:
                                 frame.covered_prefix = top.covered_prefix
                         stack.append(frame)
-                        if context is not None:
-                            context.charge_depth(len(stack))
                         stats.segments_pushed += 1
                         stats.elements_pushed += len(starts)
                         pushed_in_run += 1
@@ -577,6 +700,10 @@ class LazyJoiner:
                 stats.segments_skipped += (nxt - ai) - pushed_in_run
                 stats.segments_galloped += (nxt - ai) - len(candidates)
                 ai = nxt
+            # Charged per D-segment, not per push: the stack sd is merged
+            # under is part of what its memo chunk must remember.
+            if context is not None and stack:
+                context.charge_depth(len(stack))
 
             # Step 3 — generate joins for sd.  Fetch sd's D-elements only
             # when some join can actually involve them — this is the
@@ -779,25 +906,3 @@ class LazyJoiner:
 def _prefix_max(values) -> list[int]:
     """Running maximum of ``values`` (the frame-dismissal column)."""
     return list(accumulate(values, max))
-
-
-def _elements_containing_a_child(
-    node: ERNode, elements: list[ElementRecord]
-) -> list[ElementRecord]:
-    """Optimization (i): keep elements containing >= 1 child insertion point.
-
-    Only such elements can ever satisfy ``start < P < end`` for any branch
-    position P, because P is always some child's lp.  Child lps are sorted
-    (children are gp-ordered and lp is monotone in gp), so one bisect per
-    element decides it.  Kept as the reference implementation of the filter
-    the read-path cache precompiles (:meth:`ReadPathCache.push_elements`).
-    """
-    lps = [child.lp for child in node.children]
-    if not lps:
-        return []
-    kept = []
-    for elem in elements:
-        idx = bisect_right(lps, elem.start)
-        if idx < len(lps) and lps[idx] < elem.end:
-            kept.append(elem)
-    return kept

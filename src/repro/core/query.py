@@ -366,16 +366,36 @@ def _evaluate(
                 _M_PLAN_SHORT.inc()
             return []
         step_pairs[i] = pairs
+    steps = query.steps
+    if not steps:
+        # The index's own order is ``(sid, start)``.
+        records = db.index.all_elements(tid_entry)
+        return [(record,) for record in records] if bindings else list(records)
+    if not bindings:
+        # Distinct final matches need no binding tuples: a semi-join chain
+        # over the step pairs.  ``(sid, start)`` identifies a record, so
+        # plain record order is ``(sid, start)`` order.
+        matched = {desc for _anc, desc in step_pairs[0]}
+        for i in range(1, len(steps)):
+            if context is not None:
+                context.check_deadline()
+            matched = {desc for anc, desc in step_pairs[i] if anc in matched}
+        return sorted(matched)
+    # Seeded from the step-0 pairs: an entry element without one binds
+    # nothing, and sorted records are the index's order.
+    extend: dict[ElementRecord, list[ElementRecord]] = {}
+    for anc, desc in step_pairs[0]:
+        extend.setdefault(anc, []).append(desc)
     current: list[tuple[ElementRecord, ...]] = [
-        (record,) for record in db.index.all_elements(tid_entry)
+        (anc, desc) for anc in sorted(extend) for desc in extend[anc]
     ]
-    for i, step in enumerate(query.steps):
+    for i in range(1, len(steps)):
         if not current:
             break
         if context is not None:
             context.check_deadline()
         survivors = {binding[-1] for binding in current}
-        extend: dict[ElementRecord, list[ElementRecord]] = {}
+        extend = {}
         for anc, desc in step_pairs[i]:
             if anc in survivors:
                 extend.setdefault(anc, []).append(desc)
@@ -384,17 +404,7 @@ def _evaluate(
             for binding in current
             for desc in extend.get(binding[-1], ())
         ]
-    if bindings:
-        return current
-    seen: set[ElementRecord] = set()
-    out: list[ElementRecord] = []
-    for binding in current:
-        record = binding[-1]
-        if record not in seen:
-            seen.add(record)
-            out.append(record)
-    out.sort(key=lambda r: (r.sid, r.start))
-    return out
+    return current
 
 
 def _evaluate_pathstack(db, query: PathQuery, *, bindings: bool, context=None):

@@ -6,8 +6,8 @@ not laziness.  Between two updates, the structures a join reads are
 immutable, and the service layer's epoch publishing (``repro.service.
 snapshot``) makes that window explicit: a published replica is never
 mutated, so anything compiled from it stays valid for the epoch's lifetime.
-This module compiles the three read-side layouts Lazy-Join touches per
-call and memoizes them under *per-structure version keys*:
+This module compiles the read-side layouts Lazy-Join touches per call and
+memoizes them under *per-structure version keys*:
 
 - **element arrays** — per ``(tid, sid)``, the segment's element records
   materialized once as a tuple plus flat sorted ``array('q')`` start/end/
@@ -28,16 +28,16 @@ call and memoizes them under *per-structure version keys*:
 - **local positions** — ``sid -> lp`` for branch-point resolution.  An lp
   is immutable for the segment's whole lifetime and sids are never reused,
   so this memo needs no version key at all;
-- **join results** — the top of the stack: a whole ``A//D`` answer keyed
-  on ``(tid_a, tid_d, axis)`` plus *both tags' versions*.  This is sound
-  because of the lazy scheme's core invariant: element labels are local
-  and immutable, and the containment relation between two existing
-  elements can never be changed by later updates (insertions splice new
-  segments, removals only delete elements) — so the pair set is a pure
-  function of the two element sets, and each element set changes exactly
-  when its tag's version bumps (entries added/dropped/recounted,
-  including via repack's relabelling).  Even the pair *order* survives
-  unrelated updates, since gp shifts are order-preserving.
+- **join results** — the top of the stack: per ``(tid_a, tid_d, axis)``,
+  one *chunk* of pairs per descendant segment, stamped with the segment's
+  ``ElementIndex.version``, plus the chunks concatenated in ``SL_D`` order
+  under *both tags' versions* for the nothing-changed hit.  A chunk
+  depends on its segment's own elements and on the A-elements of its
+  ER-ancestors that span its branch point; labels are immutable, inserts
+  add leaf segments, and a remove cannot delete such an ancestor element
+  without deleting the segment — so a chunk is good exactly while its
+  stamp is current (DESIGN.md §4e), and the join after an update re-merges only
+  the touched D-segments.  Pair order survives too: gp shifts keep order.
 
 Every cache honors one **kill switch** (:attr:`ReadPathCache.enabled`,
 initialized from the ``REPRO_READPATH_CACHE`` environment variable; ``0``
@@ -87,12 +87,6 @@ _M_JOIN_HITS = METRICS.counter(
 )
 _M_JOIN_MISSES = METRICS.counter(
     "readpath.joins.misses", unit="lookups", site="ReadPathCache.cached_join"
-)
-_M_LAT_HITS = METRICS.counter(
-    "readpath.lattices.hits", unit="lookups", site="ReadPathCache.path_lattice"
-)
-_M_LAT_MISSES = METRICS.counter(
-    "readpath.lattices.misses", unit="lookups", site="ReadPathCache.path_lattice"
 )
 _M_INVALIDATED = METRICS.counter(
     "readpath.invalidations",
@@ -147,11 +141,6 @@ class CompiledElements:
         self.ends = ends
         self.levels = levels
         return self
-
-    # Historical name from when the extractors returned raw index keys
-    # and records materialized lazily; the index now stores the records
-    # themselves, so both constructors adopt the same quadruple.
-    from_keys = from_columns
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -278,10 +267,9 @@ class ReadPathCache:
         self._segments: dict[int, tuple[int, CompiledSegmentList]] = {}
         # sid -> lp (immutable; no version key)
         self._lps: dict[int, int] = {}
-        # (tid_a, tid_d) -> (version_a, version_d, per-D-segment rows)
-        self._lattices: dict[tuple[int, int], tuple[int, int, tuple]] = {}
-        # (tid_a, tid_d, axis) -> (version_a, version_d, results tuple)
-        self._joins: dict[tuple[int, int, str], tuple[int, int, tuple]] = {}
+        # (tid_a, tid_d, axis) -> (version_a, version_d, results tuple,
+        #   stack depth, {D-segment sid: (index_version, depth, pairs)})
+        self._joins: dict[tuple[int, int, str], tuple] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -304,7 +292,6 @@ class ReadPathCache:
         self._compiled_tids.clear()
         self._segments.clear()
         self._lps.clear()
-        self._lattices.clear()
         self._joins.clear()
 
     # ------------------------------------------------------------------
@@ -313,7 +300,7 @@ class ReadPathCache:
     def elements(self, tid: int, sid: int) -> CompiledElements:
         """The compiled element arrays for ``(tid, sid)``."""
         if not self.enabled:
-            return CompiledElements.from_keys(
+            return CompiledElements.from_columns(
                 *self._index.segment_key_columns(tid, sid)
             )
         key = (tid, sid)
@@ -331,7 +318,7 @@ class ReadPathCache:
         self.misses += 1
         if METRICS.enabled:
             _M_EL_MISSES.inc()
-        compiled = CompiledElements.from_keys(
+        compiled = CompiledElements.from_columns(
             *self._index.segment_key_columns(tid, sid)
         )
         self._elements[key] = (version, compiled)
@@ -354,7 +341,7 @@ class ReadPathCache:
         out: dict[int, CompiledElements] = {}
         if not self.enabled:
             for sid, cols in columns.items():
-                out[sid] = CompiledElements.from_keys(*cols)
+                out[sid] = CompiledElements.from_columns(*cols)
             return out
         version_of = self._index.version
         elements = self._elements
@@ -368,7 +355,7 @@ class ReadPathCache:
                     out[sid] = cached[1]
                     continue
                 invalidated += 1
-            compiled = CompiledElements.from_keys(*cols)
+            compiled = CompiledElements.from_columns(*cols)
             elements[(tid, sid)] = (version, compiled)
             self._compiled_tids.setdefault(sid, set()).add(tid)
             out[sid] = compiled
@@ -506,70 +493,18 @@ class ReadPathCache:
         self._segments[tid] = (version, compiled)
         return compiled
 
-    def path_lattice(self, tid_a: int, tid_d: int, csl_a, csl_d) -> tuple:
-        """Per-D-segment rows of ``csl_a`` positions of its proper ancestors.
-
-        Row ``j`` lists, ascending, the positions in ``csl_a`` of the sids
-        on ``csl_d.nodes[j]``'s stored tag-list path *excluding its own
-        sid* — exactly the A-segments that can strictly contain it
-        (segments form a laminar family, so a container must be an ER-tree
-        ancestor).  The merge's Step 2 then finds the candidates between
-        two merge positions with two bisects into the row instead of
-        probing the path sid-by-sid per descendant segment.  Rows ascend
-        because path order and segment-list order are both ascending in
-        global position.
-
-        Memoized under *both* tags' tag-list versions: any element change
-        to either tag bumps its version, and the rows depend only on the
-        two segment lists and the D-nodes' stored paths, which the
-        tag-list versions cover (path changes imply occurrence changes).
-        ``csl_a`` / ``csl_d`` are the caller's already-fetched compiled
-        segment lists, so a hit costs two version reads and a dict probe.
-        """
-        key = (tid_a, tid_d)
-        taglist = self._log.taglist
-        va = taglist.version(tid_a)
-        vd = taglist.version(tid_d)
-        cached = self._lattices.get(key)
-        if cached is not None:
-            if cached[0] == va and cached[1] == vd:
-                self.hits += 1
-                if METRICS.enabled:
-                    _M_LAT_HITS.inc()
-                return cached[2]
-            self.invalidations += 1
-            if METRICS.enabled:
-                _M_INVALIDATED.inc()
-        self.misses += 1
-        if METRICS.enabled:
-            _M_LAT_MISSES.inc()
-        get = csl_a.sid_index.get
-        rows = tuple(
-            tuple(
-                idx
-                for sid in node.path[:-1]
-                if (idx := get(sid)) is not None
-            )
-            for node in csl_d.nodes
-        )
-        if self.enabled:
-            self._lattices[key] = (va, vd, rows)
-        return rows
-
     def cached_join(self, tid_a: int, tid_d: int, axis: str) -> tuple | None:
-        """A previously stored ``tid_a // tid_d`` answer, if still valid.
+        """The stored ``tid_a // tid_d`` answer, if still whole.
 
-        Valid means *both* tags' versions are unchanged since the store —
-        the precise condition under which the pair set (and its order) is
-        provably identical; see the module docstring.  Returns the frozen
-        results tuple, or ``None`` on miss/stale.
+        Whole means *both* tags' versions are unchanged since the store —
+        then no chunk can have moved (see the module docstring).  Returns
+        ``(results tuple, stack depth)``, or ``None`` on a miss; a stale
+        entry stays in place, because most of its chunks are still good
+        (:meth:`join_chunks`).
         """
-        if not self.enabled:
-            return None
-        key = (tid_a, tid_d, axis)
-        cached = self._joins.get(key)
-        taglist = self._log.taglist
+        cached = self._joins.get((tid_a, tid_d, axis))
         if cached is not None:
+            taglist = self._log.taglist
             if (
                 cached[0] == taglist.version(tid_a)
                 and cached[1] == taglist.version(tid_d)
@@ -577,8 +512,7 @@ class ReadPathCache:
                 self.hits += 1
                 if METRICS.enabled:
                     _M_JOIN_HITS.inc()
-                return cached[2]
-            del self._joins[key]
+                return cached[2], cached[3]
             self.invalidations += 1
             if METRICS.enabled:
                 _M_INVALIDATED.inc()
@@ -587,17 +521,32 @@ class ReadPathCache:
             _M_JOIN_MISSES.inc()
         return None
 
+    def join_chunks(self, tid_a: int, tid_d: int, axis: str) -> dict:
+        """The per-D-segment chunks last stored for this join (maybe stale).
+
+        ``{sid: (index_version, depth, pairs)}``; a chunk is good while
+        ``index_version`` is still :meth:`ElementIndex.version` of its sid.
+        """
+        cached = self._joins.get((tid_a, tid_d, axis))
+        return {} if cached is None else cached[4]
+
     def store_join(
-        self, tid_a: int, tid_d: int, axis: str, results: tuple
+        self, tid_a: int, tid_d: int, axis: str,
+        results: tuple, depth: int, chunks: dict,
     ) -> None:
-        """Remember a freshly computed join answer under the current versions."""
-        if not self.enabled:
-            return
+        """Publish a join answer and its chunks under the current versions.
+
+        One assignment of one immutable entry: a concurrent reader of the
+        same (pinned, hence unchanging) replica sees the old entry or the
+        new one, both valid.
+        """
         taglist = self._log.taglist
         self._joins[(tid_a, tid_d, axis)] = (
             taglist.version(tid_a),
             taglist.version(tid_d),
             results,
+            depth,
+            chunks,
         )
 
     def lp_of(self, sid: int) -> int:
@@ -645,8 +594,8 @@ class ReadPathCache:
                 "push_lists": len(self._push),
                 "segment_lists": len(self._segments),
                 "lps": len(self._lps),
-                "path_lattices": len(self._lattices),
                 "join_results": len(self._joins),
+                "join_chunks": sum(len(e[4]) for e in self._joins.values()),
             },
         }
 
@@ -659,9 +608,9 @@ class ReadPathCache:
             total += 8 * 3 * len(push)
         for _, compiled_list in self._segments.values():
             total += 8 * 2 * len(compiled_list.entries)
-        for _, _, rows in self._lattices.values():
-            total += 8 * sum(map(len, rows))
-        for _, _, results in self._joins.values():
-            total += 8 * 8 * len(results)  # two 4-field records per pair
+        for _, _, results, _, chunks in self._joins.values():
+            # two 4-field records per pair, one more reference to it from
+            # its chunk, three scalars per chunk
+            total += 8 * 9 * len(results) + 8 * 3 * len(chunks)
         total += 8 * len(self._lps)
         return total

@@ -237,15 +237,13 @@ def _cmd_twig(service, session, request, ctx):
 def _cmd_join(service, session, request, ctx):
     tag_a = _str_field(request, "ancestor", "join")
     tag_d = _str_field(request, "descendant", "join")
-    algorithm = request.get("algorithm", "auto")
+    algorithm = request.get("algorithm", "lazy")
     axis = request.get("axis", "descendant")
     if not isinstance(algorithm, str) or not isinstance(axis, str):
         raise ProtocolError("join 'algorithm' and 'axis' must be strings")
     if session.pinned is not None:
         pairs = session.pinned.db.structural_join(
-            tag_a, tag_d, axis,
-            algorithm="lazy" if algorithm == "auto" else algorithm,
-            context=ctx,
+            tag_a, tag_d, axis, algorithm=algorithm, context=ctx
         )
     else:
         pairs = service.join(

@@ -15,11 +15,6 @@ Composes the pieces of :mod:`repro.service` into one operational surface:
   CircuitBreaker`: repeated repack/compact failures open the breaker and
   the service degrades gracefully — reads keep flowing, writes are shed
   while pressure is critical — instead of hot-looping a failing repair;
-- **degradation the other way**: when the log is *clean* (every segment
-  top-level, no nesting, no tombstones — the state a compact leaves
-  behind), ``algorithm="auto"`` joins skip the lazy cross-segment
-  machinery entirely and run the repacked fast path, one in-segment
-  Stack-Tree-Desc per shared segment;
 - **sharded primaries** (:class:`~repro.shard.database.ShardedDatabase`
   and its durable subclass) are served natively: reads scatter-gather
   through the shard executor's worker replicas instead of pinning epoch
@@ -49,7 +44,7 @@ from repro.errors import (
     ResourceExhausted,
     ServiceClosed,
 )
-from repro.joins.stack_tree import AXIS_DESCENDANT, stack_tree_desc
+from repro.joins.stack_tree import AXIS_DESCENDANT
 from repro.obs.metrics import METRICS
 from repro.obs.trace import Trace
 from repro.service.admission import AdmissionController
@@ -65,7 +60,7 @@ from repro.service.pressure import (
 )
 from repro.service.snapshot import EpochManager, Snapshot
 
-__all__ = ["ServiceConfig", "DatabaseService", "clean_segment_join", "log_is_clean"]
+__all__ = ["ServiceConfig", "DatabaseService"]
 
 # Service-level counters mirror the `_counters` dict (the dict stays the
 # in-process health() shape; the registry makes them part of the exported
@@ -82,12 +77,6 @@ _SERVICE_COUNTERS = {
     ),
     "resource_aborts": METRICS.counter(
         "service.resource_aborts", unit="queries", site="DatabaseService.read"
-    ),
-    "fast_path_joins": METRICS.counter(
-        "service.fast_path_joins", unit="joins", site="DatabaseService.join"
-    ),
-    "lazy_joins": METRICS.counter(
-        "service.lazy_joins", unit="joins", site="DatabaseService.join"
     ),
     "writes_shed_degraded": METRICS.counter(
         "service.writes_shed", unit="ops", site="DatabaseService._write"
@@ -154,47 +143,6 @@ class _DirectView:
 
     def __exit__(self, *exc_info) -> None:
         pass
-
-
-def log_is_clean(db) -> bool:
-    """True when the update log carries no structural debt: every segment
-    is a top-level document with no nested segments and no tombstones —
-    exactly the state :func:`~repro.core.maintenance.compact_database`
-    leaves behind."""
-    for node in db.log.ertree.root.children:
-        if node.children or node.tombstones():
-            return False
-    return True
-
-
-def clean_segment_join(
-    db, tag_a: str, tag_d: str, axis: str = AXIS_DESCENDANT, *, context=None
-):
-    """The repacked fast path: per-segment Stack-Tree-Desc, no lazy machinery.
-
-    Sound only when :func:`log_is_clean` holds — top-level segments are
-    disjoint documents, so cross-segment pairs are impossible and the join
-    decomposes into independent in-segment joins over immutable local
-    labels.  Returns the same (ancestor, descendant) record pairs as
-    ``algorithm="lazy"``, grouped by segment in ascending global position.
-    """
-    tid_a = db.log.tags.tid_of(tag_a)
-    tid_d = db.log.tags.tid_of(tag_d)
-    if tid_a is None or tid_d is None:
-        return []
-    d_sids = {entry.sid for entry in db.log.taglist.segments_for(tid_d)}
-    results = []
-    for entry in db.log.taglist.segments_for(tid_a):
-        if entry.sid not in d_sids:
-            continue
-        if context is not None:
-            context.tick()
-        a_elements = db.index.elements_list(tid_a, entry.sid)
-        d_elements = db.index.elements_list(tid_d, entry.sid)
-        results.extend(
-            stack_tree_desc(a_elements, d_elements, axis=axis, context=context)
-        )
-    return results
 
 
 class DatabaseService:
@@ -284,8 +232,6 @@ class DatabaseService:
             "writes": 0,
             "deadline_aborts": 0,
             "resource_aborts": 0,
-            "fast_path_joins": 0,
-            "lazy_joins": 0,
             "writes_shed_degraded": 0,
             "maintenance_runs": 0,
             "maintenance_failures": 0,
@@ -402,36 +348,19 @@ class DatabaseService:
         tag_d: str,
         axis: str = AXIS_DESCENDANT,
         *,
-        algorithm: str = "auto",
+        algorithm: str = "lazy",
         context=None,
         wait_timeout=None,
         **options,
     ):
-        """Snapshot-isolated structural join.
-
-        ``algorithm="auto"`` (the default) picks the repacked fast path
-        (:func:`clean_segment_join`) when the pinned snapshot's log is
-        clean and Lazy-Join otherwise; any explicit algorithm name is
-        forwarded to :meth:`LazyXMLDatabase.structural_join`.
-        """
-
-        def run(db, ctx):
-            if algorithm == "auto":
-                # Sharded coordinators have no single log to test for
-                # cleanliness; the scatter plan *is* the fast path there
-                # (per-shard joins already skip shards the catalog prunes).
-                if not self._sharded and log_is_clean(db):
-                    self._count("fast_path_joins")
-                    return clean_segment_join(db, tag_a, tag_d, axis, context=ctx)
-                self._count("lazy_joins")
-                return db.structural_join(
-                    tag_a, tag_d, axis, algorithm="lazy", context=ctx, **options
-                )
-            return db.structural_join(
+        """Snapshot-isolated :meth:`LazyXMLDatabase.structural_join`."""
+        return self.read(
+            lambda db, ctx: db.structural_join(
                 tag_a, tag_d, axis, algorithm=algorithm, context=ctx, **options
-            )
-
-        return self.read(run, context=context, wait_timeout=wait_timeout)
+            ),
+            context=context,
+            wait_timeout=wait_timeout,
+        )
 
     # ------------------------------------------------------------------
     # tracing

@@ -13,7 +13,7 @@ Commands::
 
     query <path-expression>          count + spans of matches
     twig <twig-expression>           branching-pattern query (holistic)
-    join <anc> <desc> [algorithm]    structural join (default: auto)
+    join <anc> <desc> [algorithm]    structural join (default: lazy)
     insert <position|end> <xml...>   insert the rest of the line
     remove <position> <length>       remove a character span
     trace query <path-expression>    run a query, print per-span timings
@@ -146,7 +146,7 @@ class ServiceShell:
         parts = rest.split()
         if len(parts) not in (2, 3):
             raise ValueError("join needs: <ancestor> <descendant> [algorithm]")
-        algorithm = parts[2] if len(parts) == 3 else "auto"
+        algorithm = parts[2] if len(parts) == 3 else "lazy"
         pairs = self.service.join(parts[0], parts[1], algorithm=algorithm)
         self._print(f"ok {len(pairs)} pair(s)")
 

@@ -11,8 +11,8 @@ numpy size floors are patched down so the vectorized branches actually
 execute at test scale instead of silently delegating to python.
 
 The interleaved-seed tests pin the *memo* side of the tentpole: the
-cross-query path-resolution memos (segment lists, path lattices, bulk
-element entries) must miss **iff** observable state changed — repeated
+cross-query memos (segment lists, bulk element entries, the per-segment
+join chunks) must miss **iff** observable state changed — repeated
 identical queries add zero misses, and queries issued right after an
 update still answer exactly what the string-splice oracle answers.
 """
@@ -151,7 +151,7 @@ def test_memos_miss_iff_state_changed(seed):
     """Interleaved updates/queries: invalidation is exact both ways.
 
     No update between two identical queries ⇒ zero new compile misses
-    (the segment-list / lattice / element memos all revalidate as hits);
+    (the segment-list / element / join memos all revalidate as hits);
     an update between them ⇒ the next answers still match the oracle
     (nothing stale survived the version bumps).
     """
@@ -199,7 +199,8 @@ def test_memos_miss_iff_state_changed(seed):
 
 
 def test_lattice_memo_populates_and_survives_unrelated_updates():
-    """The path lattice caches per tag pair and only drops on touch."""
+    """The per-pair memo is the join memo now (the path lattice is gone):
+    one entry per tag pair, one chunk per D-segment, a repeat reads it."""
     db = replay_random_sequence(7, n_ops=6).db
     tags = [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))]
     live = [t for t in tags if db.log.tags.tid_of(t) is not None][:2]
@@ -207,7 +208,11 @@ def test_lattice_memo_populates_and_survives_unrelated_updates():
         pytest.skip("seed produced fewer than two live tags")
     a, d = live
     db.structural_join(a, d)
-    assert db.readpath.stats()["entries"]["path_lattices"] >= 1
+    entries = db.readpath.stats()["entries"]
+    assert entries["join_results"] == 1
+    assert entries["join_chunks"] == len(
+        db.log.taglist.segments_for(db.log.tags.tid_of(d))
+    )
     misses_before = db.readpath.misses
     db.structural_join(a, d)
     assert db.readpath.misses == misses_before

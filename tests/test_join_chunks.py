@@ -1,0 +1,312 @@
+"""The join memo is kept per descendant segment: same answers, local cost.
+
+``LazyJoiner`` stores, per ``(A, D, axis)``, one chunk of pairs per
+D-segment and after an update re-merges only the D-segments whose element
+version moved (DESIGN.md §4e).  What that must not change, and what it must
+buy:
+
+- the default call equals the ``stats=`` from-scratch merge — same pairs,
+  same order — after every step of a random update history, and a second
+  call is a hit;
+- the join after a one-segment update merges one D-segment (insert) or none
+  (whole-segment remove), on 250 forms and on 4 000 alike;
+- readers sharing one pinned replica may refresh the memo concurrently;
+- a budget aborts a warm call exactly as it aborts a cold one, and an
+  aborted merge publishes nothing.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import join as join_module
+from repro.core.database import LazyXMLDatabase
+from repro.core.join import JoinStatistics
+from repro.core.readpath import cache_enabled_default
+from repro.errors import (
+    DeadlineExceeded,
+    QueryCancelled,
+    ReproError,
+    ResourceExhausted,
+)
+from repro.service.context import QueryContext
+from repro.service.server import DatabaseService, ServiceConfig
+from repro.storage import dumps, loads
+from tests.test_log_maintenance import _OPS, _form, _loaded, apply_op
+
+#: CI runs this file once more under ``REPRO_READPATH_CACHE=0``: the answers
+#: and the typed aborts must not move; there is no memo to look at.
+_MEMO = cache_enabled_default()
+needs_memo = pytest.mark.skipif(not _MEMO, reason="read-path cache switched off")
+
+_TAGS = ("a", "b", "c")
+_AXES = ("descendant", "child")
+
+_HISTORY = st.lists(
+    st.one_of(
+        _OPS,
+        st.tuples(
+            st.sampled_from(["repack", "compact", "reload"]),
+            st.integers(0, 10_000),
+            st.integers(0, 10_000),
+        ),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def assert_memo_is_the_merge(db: LazyXMLDatabase) -> None:
+    """Every tag pair, both axes: default call == from-scratch merge, and
+    the call after it recompiles nothing."""
+    db.prepare_for_query()
+    for tag_a in _TAGS:
+        for tag_d in _TAGS:
+            for axis in _AXES:
+                got = db.structural_join(tag_a, tag_d, axis)
+                want = db.structural_join(
+                    tag_a, tag_d, axis, stats=JoinStatistics()
+                )
+                assert got == want, (tag_a, tag_d, axis)
+                misses = db.readpath.misses
+                assert db.structural_join(tag_a, tag_d, axis) == want
+                assert db.readpath.misses == misses, (tag_a, tag_d, axis)
+
+
+def _replay(mode: str, ops) -> None:
+    db = LazyXMLDatabase(mode)
+    for kind, a, b in ops:
+        live = list(db.log.ertree.nodes())[1:]
+        if kind == "repack" and live:
+            db.repack(live[a % len(live)].sid)
+        elif kind == "compact":
+            db.compact()
+        elif kind == "reload":
+            db = loads(dumps(db))
+        else:
+            apply_op(db, kind, a, b)
+        assert_memo_is_the_merge(db)
+    db.check_invariants()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_HISTORY)
+def test_ld_history_memo_equals_from_scratch_merge(ops):
+    _replay("dynamic", ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_HISTORY)
+def test_ls_history_memo_equals_from_scratch_merge(ops):
+    _replay("static", ops)
+
+
+@needs_memo
+def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
+    db = LazyXMLDatabase()
+    first = db.insert("<a><b>1</b></a>")
+    nested = db.insert("<b><c>2</c></b>", db.text.index("</a>"))
+    db.insert("<a><b>3</b></a>")
+    db.structural_join("a", "b")
+    key = (db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant")
+    before = db.readpath.join_chunks(*key)
+    assert set(before) == {1, 2, 3}
+    db.insert("<a><b>4</b></a>")
+    db.structural_join("a", "b")
+    after = db.readpath.join_chunks(*key)
+    assert all(after[sid] is before[sid] for sid in before)  # reused, not rebuilt
+    db.remove_segment(first.sid)  # takes the nested segment with it
+    db.structural_join("a", "b")
+    assert set(db.readpath.join_chunks(*key)) == {3, 4}
+    assert nested.sid == 2
+    assert_memo_is_the_merge(db)
+
+
+# ----------------------------------------------------------------------
+# cost shape: the join after an update costs what the update touched
+
+
+@needs_memo
+@pytest.mark.perf_smoke
+def test_join_after_update_merges_only_the_touched_segment(monkeypatch):
+    """Counts, not seconds: in-segment kernel calls (one per merged
+    D-segment holding both tags) and read-path misses of the first
+    ``form//f3`` after a tail insert and after taking it back."""
+    calls = []
+    real = join_module.stack_tree_desc
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(join_module, "stack_tree_desc", counting)
+
+    def join_cost(db) -> tuple[int, int]:
+        del calls[:]
+        misses = db.readpath.misses
+        pairs = db.structural_join("form", "f3")
+        cost = (len(calls), db.readpath.misses - misses)
+        assert pairs == db.structural_join("form", "f3", stats=JoinStatistics())
+        return cost
+
+    shapes = []
+    for forms in (250, 4_000):
+        db, _rate = _loaded(forms)
+        assert join_cost(db)[0] == forms  # cold: every D-segment is merged
+        receipt = db.insert(_form(1_000_000))
+        after_insert = join_cost(db)
+        db.remove_segment(receipt.sid)
+        shapes.append((after_insert, join_cost(db)))
+    # One D-segment merged after the insert, none after the remove; the
+    # misses (the memo, two segment lists, the new segment's columns) do
+    # not follow the corpus either.
+    (after_insert, after_remove) = shapes[0]
+    assert (after_insert[0], after_remove[0]) == (1, 0)
+    assert shapes[0] == shapes[1]
+
+
+# ----------------------------------------------------------------------
+# budgets: warm and cold abort alike; an aborted merge publishes nothing
+
+
+def _budget_db() -> LazyXMLDatabase:
+    db = LazyXMLDatabase()
+    for i in range(6):
+        db.insert(f"<a><b>{i}</b><a><b>n</b></a></a>")
+    db.insert("<b>in</b>", db.text.index("</a>"))  # a cross-segment pair
+    return db
+
+
+class _ExpiredClock:
+    now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def _contexts():
+    clock = _ExpiredClock()
+    expired = QueryContext(timeout=1.0, clock=clock, check_every=1)
+    clock.now = 2.0
+    cancelled = QueryContext()
+    cancelled.cancel("caller went away")
+    return [
+        (QueryContext(max_result_rows=5), ResourceExhausted),
+        (QueryContext(max_stack_depth=0), ResourceExhausted),
+        (expired, DeadlineExceeded),
+        (cancelled, QueryCancelled),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("warm_first", [False, True])
+def test_budget_aborts_warm_and_cold_alike(case, warm_first):
+    db = _budget_db()
+    full = db.structural_join("a", "b", stats=JoinStatistics())
+    assert len(full) > 5
+    if warm_first:
+        assert db.structural_join("a", "b") == full
+    key = (db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant")
+    chunks = db.readpath.join_chunks(*key)
+    assert len(chunks) == (7 if warm_first and _MEMO else 0)
+    for _ in range(2):  # cold-then-cold again, or warm-then-warm
+        context, error = _contexts()[case]
+        with pytest.raises(error) as raised:
+            db.structural_join("a", "b", context=context)
+        assert type(raised.value) is error
+        # An aborted query leaves the memo as it found it.
+        assert db.readpath.join_chunks(*key) == chunks
+    assert db.structural_join("a", "b") == full
+    # ... and after an update, with one chunk to re-merge.
+    db.insert("<a><b>late</b></a>")
+    chunks = db.readpath.join_chunks(*key)
+    context, error = _contexts()[case]
+    with pytest.raises(error):
+        db.structural_join("a", "b", context=context)
+    assert db.readpath.join_chunks(*key) == chunks
+    assert db.structural_join("a", "b") == db.structural_join(
+        "a", "b", stats=JoinStatistics()
+    )
+
+
+def test_generous_budget_is_charged_the_whole_answer_warm_and_cold():
+    db = _budget_db()
+    charged = []
+    for _ in range(2):
+        context = QueryContext(
+            timeout=60.0, max_result_rows=10**6, max_stack_depth=10**6
+        )
+        pairs = db.structural_join("a", "b", context=context)
+        charged.append((context.rows, len(pairs)))
+    assert charged[0] == charged[1] == (len(pairs), len(pairs))
+    tight = QueryContext(max_stack_depth=1)
+    with pytest.raises(ResourceExhausted):  # nested <a> in one segment: depth 2
+        db.structural_join("a", "b", context=tight)
+
+
+# ----------------------------------------------------------------------
+# readers of one pinned replica refresh the memo concurrently
+
+
+def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
+    db = LazyXMLDatabase()
+    db.apply_batch([{"op": "insert", "fragment": _form(i)} for i in range(40)])
+    service = DatabaseService(db, config=ServiceConfig(drain_timeout=0.05))
+    errors: list = []
+    stop = threading.Event()
+
+    def writer():
+        i = 0
+        try:
+            while not stop.is_set():
+                receipt = service.insert(_form(10_000 + i))
+                if i % 2:
+                    service.remove_segment(receipt.sid)
+                i += 1
+        except ReproError as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    def reader(snap, barrier, out):
+        try:
+            barrier.wait()
+            out.append([snap.db.structural_join("form", "f3") for _ in range(3)])
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    writing = threading.Thread(target=writer)
+    writing.start()
+    try:
+        for _ in range(12):
+            with service.snapshot() as snap:
+                barrier = threading.Barrier(8)
+                answers: list = []
+                readers = [
+                    threading.Thread(target=reader, args=(snap, barrier, answers))
+                    for _ in range(8)
+                ]
+                for thread in readers:
+                    thread.start()
+                for thread in readers:
+                    thread.join()
+                assert not errors, errors
+                want = snap.db.structural_join(
+                    "form", "f3", stats=JoinStatistics()
+                )
+                assert len(answers) == 8
+                assert all(got == want for trio in answers for got in trio)
+                # Dead sids left with the publish: one chunk per live
+                # D-segment, however many epochs this replica replayed.
+                entries = snap.db.readpath.stats()["entries"]
+                assert entries["join_results"] == (1 if _MEMO else 0)
+                assert entries["join_chunks"] == (
+                    snap.db.segment_count if _MEMO else 0
+                )
+    finally:
+        stop.set()
+        writing.join()
+        service.close()
+    assert not errors, errors

@@ -78,75 +78,89 @@ def _check(db: LazyXMLDatabase, model: CharModel) -> None:
     db.check_invariants()
 
 
-def _remove(db, model, position, length) -> None:
+def _remove(db, position, length) -> list:
     try:
         db.remove(position, length)
     except ReproError:
-        return  # refused before the first mutation: the checks still run
-    model.remove(position, length)
+        return []  # refused before the first mutation: the checks still run
+    return [("remove", position, length)]
+
+
+def apply_op(db: LazyXMLDatabase, kind: str, a: int, b: int) -> list:
+    """Run one op of the ``_OPS`` alphabet; what it did to the text, as
+    ``("insert", gp, length, sid or None)`` / ``("remove", gp, length)``.
+    Shared with ``tests/test_join_chunks.py``."""
+    fragment = FRAGMENTS[a % len(FRAGMENTS)]
+    position = b % (db.document_length + 1)
+    live = list(db.log.ertree.nodes())[1:]
+    if kind == "insert":
+        receipt = db.insert(fragment, position)
+        return [("insert", position, len(fragment), receipt.sid)]
+    if kind == "rollback":
+        # The index takes half the records, then fails: the rollback
+        # finds the fresh segment's entries through the removal report.
+        real = db.index.insert_segment
+
+        def half_then_fail(sid, records, base_level=0):
+            real(sid, records[: len(records) // 2], base_level)
+            raise RuntimeError("injected index failure")
+
+        db.index.insert_segment = half_then_fail
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                db.insert(fragment, position)
+        finally:
+            del db.index.insert_segment
+        return [  # the sid is burned
+            ("insert", position, len(fragment), None),
+            ("remove", position, len(fragment)),
+        ]
+    if kind == "remove_segment" and live:
+        # Whole segment, with whatever is nested inside it.
+        node = live[a % len(live)]
+        return _remove(db, node.gp, node.length)
+    if kind == "remove_element" and live:
+        # Part of one segment: an element's span (it may swallow whole
+        # child segments, or be refused for crossing one's boundary).
+        node = live[a % len(live)]
+        records = db._segment_elements[node.sid]
+        if records:
+            _tid, start, end, _level = records[b % len(records)]
+            lo = node.to_global(start)
+            hi = node.to_global(end, count_ties=False)
+            return _remove(db, lo, hi - lo)
+    if kind == "remove_any" and db.document_length:
+        position = b % db.document_length
+        return _remove(db, position, 1 + a % 9)
+    if kind == "batch":
+        length = 1 + a % 6
+        batch = [
+            {"op": "insert", "fragment": fragment, "position": position},
+            {"op": "insert", "fragment": FRAGMENTS[b % len(FRAGMENTS)]},
+            {"op": "remove", "position": position, "length": length},
+        ]
+        return [
+            ("insert", result.gp, result.length, None)
+            if sub["op"] == "insert"
+            else ("remove", sub["position"], sub["length"])
+            for sub, result in zip(batch, db.apply_batch(batch))
+            if result is not None
+        ]
+    if kind == "prepare":
+        db.prepare_for_query()  # LS: sorts the lists; later ops bisect
+    return []
 
 
 def _replay(mode: str, ops) -> None:
     db = LazyXMLDatabase(mode)
     model = CharModel()
     for kind, a, b in ops:
-        fragment = FRAGMENTS[a % len(FRAGMENTS)]
-        position = b % (db.document_length + 1)
-        live = list(db.log.ertree.nodes())[1:]
-        if kind == "insert":
-            receipt = db.insert(fragment, position)
-            assert receipt.sid == model.insert(position, len(fragment))
-        elif kind == "rollback":
-            # The index takes half the records, then fails: the rollback
-            # finds the fresh segment's entries through the removal report.
-            real = db.index.insert_segment
-
-            def half_then_fail(sid, records, base_level=0):
-                real(sid, records[: len(records) // 2], base_level)
-                raise RuntimeError("injected index failure")
-
-            db.index.insert_segment = half_then_fail
-            try:
-                with pytest.raises(RuntimeError, match="injected"):
-                    db.insert(fragment, position)
-            finally:
-                del db.index.insert_segment
-            model.insert(position, len(fragment))  # the sid is burned
-            model.remove(position, len(fragment))
-        elif kind == "remove_segment" and live:
-            # Whole segment, with whatever is nested inside it.
-            node = live[a % len(live)]
-            _remove(db, model, node.gp, node.length)
-        elif kind == "remove_element" and live:
-            # Part of one segment: an element's span (it may swallow whole
-            # child segments, or be refused for crossing one's boundary).
-            node = live[a % len(live)]
-            records = db._segment_elements[node.sid]
-            if records:
-                _tid, start, end, _level = records[b % len(records)]
-                lo = node.to_global(start)
-                hi = node.to_global(end, count_ties=False)
-                _remove(db, model, lo, hi - lo)
-        elif kind == "remove_any" and db.document_length:
-            position = b % db.document_length
-            _remove(db, model, position, 1 + a % 9)
-        elif kind == "batch":
-            length = 1 + a % 6
-            batch = [
-                {"op": "insert", "fragment": fragment, "position": position},
-                {"op": "insert", "fragment": FRAGMENTS[b % len(FRAGMENTS)]},
-                {"op": "remove", "position": position, "length": length},
-            ]
-            results = db.apply_batch(batch)
-            for sub, result in zip(batch, results):
-                if result is None:
-                    continue
-                if sub["op"] == "insert":
-                    model.insert(result.gp, result.length)
-                else:
-                    model.remove(sub["position"], sub["length"])
-        elif kind == "prepare":
-            db.prepare_for_query()  # LS: sorts the lists; later ops bisect
+        for event in apply_op(db, kind, a, b):
+            if event[0] == "insert":
+                sid = model.insert(event[1], event[2])
+                assert event[3] is None or event[3] == sid
+            else:
+                model.remove(event[1], event[2])
         _check(db, model)
     db.prepare_for_query()
     _check(db, model)

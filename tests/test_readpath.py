@@ -91,8 +91,8 @@ def test_kill_switch_env(monkeypatch):
         "push_lists": 0,
         "segment_lists": 0,
         "lps": 0,
-        "path_lattices": 0,
         "join_results": 0,
+        "join_chunks": 0,
     }
     monkeypatch.delenv("REPRO_READPATH_CACHE")
     assert cache_enabled_default() is True

@@ -30,7 +30,6 @@ from repro.service import (
     ServiceConfig,
     retry_with_backoff,
 )
-from repro.service.server import clean_segment_join, log_is_clean
 from repro.service.shell import ServiceShell
 from repro.workloads.scenarios import registration_stream
 
@@ -418,42 +417,6 @@ class TestPressureMonitor:
 
 
 # ----------------------------------------------------------------------
-# fast path
-
-
-class TestCleanFastPath:
-    def test_clean_detection(self):
-        db = populated_db(3)
-        assert log_is_clean(db)
-        db.insert("<nested/>", db.log.node(1).gp + len("<registration>"))
-        assert not log_is_clean(db)
-        db.compact()
-        assert log_is_clean(db)
-
-    def test_tombstones_disable_fast_path(self):
-        db = LazyXMLDatabase()
-        db.insert("<a><b>hello</b><c/></a>")
-        db.remove(3, 12)  # partial removal leaves a tombstone
-        assert not log_is_clean(db)
-
-    def test_fast_path_matches_lazy(self):
-        db = populated_db(6)
-        assert log_is_clean(db)
-        for pair in [("registration", "interest"), ("contact", "city"),
-                     ("registration", "nosuchtag")]:
-            fast = clean_segment_join(db, *pair)
-            lazy = db.structural_join(*pair, algorithm="lazy")
-            assert sorted(fast) == sorted(lazy)
-
-    def test_fast_path_child_axis(self):
-        db = populated_db(4)
-        fast = clean_segment_join(db, "contact", "city", axis="child")
-        lazy = db.structural_join("contact", "city", axis="child",
-                                  algorithm="lazy")
-        assert sorted(fast) == sorted(lazy)
-
-
-# ----------------------------------------------------------------------
 # the assembled service
 
 
@@ -473,17 +436,6 @@ class TestDatabaseService:
         with svc.snapshot() as fresh:
             assert fresh.db.document_length > frozen
         snap.release()
-        svc.close()
-
-    def test_join_auto_uses_fast_path_when_clean(self):
-        svc = DatabaseService(populated_db(3))
-        svc.join("registration", "interest")
-        assert svc.health()["counters"]["fast_path_joins"] == 1
-        # dirty the log: nested insert → lazy path
-        svc.insert("<nested/>", 14)
-        svc.join("registration", "interest")
-        counters = svc.health()["counters"]
-        assert counters["lazy_joins"] == 1
         svc.close()
 
     def test_explicit_algorithm_respected(self):
