@@ -1,28 +1,9 @@
 """CI gate for the perf-smoke envelopes.
 
-Validates what the perf-smoke job needs beyond "the script exited 0",
-dispatching on the envelope's ``benchmark`` name:
-
-``joins_readpath`` (``BENCH_joins.smoke.json``):
-
-- the envelope carries the current ``repro-bench/2`` schema with every
-  required section present, including the ``meta`` block naming the
-  active join-kernel and compile backends (a ``numpy`` compile backend
-  claimed without numpy available is a contradiction and fails);
-- the ``cold_compile`` series exists, covers at least the ``python``
-  compile backend, and every bulk whole-tag compile produced columns
-  **byte-identical** to the per-segment reference — a mismatch means
-  the vectorized compile changed the answers;
-- each workload recorded its read-path cache counters and the measured
-  (second-and-later) passes actually hit the cache — a zero hit count
-  means the memo keys broke and every "warm" number silently measured
-  recompilation;
-- the summary's A//D warm speedups exist and are positive;
-- the kernel-backend series covers at least the ``legacy`` and ``python``
-  backends (``numpy`` rides along when importable), every backend
-  produced an **identical pair count** per workload — a mismatch means a
-  vectorized kernel changed the answers, making its timing meaningless —
-  and each backend recorded positive compiled-regime timings.
+Validates what the perf-smoke job needs beyond "the script exited 0":
+every envelope must carry the current ``repro-bench/2`` schema with every
+required section present; the rest dispatches on the envelope's
+``benchmark`` name.
 
 ``replication`` (``BENCH_replication.smoke.json``):
 
@@ -70,7 +51,7 @@ dispatching on the envelope's ``benchmark`` name:
   gate only requires it to be positive; the >= 1.5x acceptance target is
   asserted on the full ``BENCH_shard.json`` run.
 
-Usage:  python benchmarks/check_smoke_envelope.py [path]
+Usage:  python benchmarks/check_smoke_envelope.py PATH
 """
 
 from __future__ import annotations
@@ -80,8 +61,7 @@ import sys
 from pathlib import Path
 
 REQUIRED_KEYS = {
-    "schema", "benchmark", "meta", "params", "tables", "sweeps", "results",
-    "metrics",
+    "schema", "benchmark", "params", "tables", "sweeps", "results", "metrics",
 }
 SCHEMA = "repro-bench/2"
 
@@ -91,12 +71,6 @@ def check(path: Path) -> None:
     assert doc.get("schema") == SCHEMA, f"schema {doc.get('schema')!r}"
     missing = REQUIRED_KEYS - set(doc)
     assert not missing, f"envelope missing sections: {sorted(missing)}"
-    meta = doc["meta"]
-    for key in ("join_kernel", "compile_backend", "numpy_available"):
-        assert key in meta, f"meta missing {key!r}"
-    assert not (
-        meta["compile_backend"] == "numpy" and not meta["numpy_available"]
-    ), "meta claims the numpy compile backend without numpy available"
     benchmark = doc["benchmark"]
     if benchmark == "shard_scatter":
         check_shard(doc)
@@ -110,78 +84,7 @@ def check(path: Path) -> None:
     if benchmark == "twig":
         check_twig(doc)
         return
-    assert benchmark == "joins_readpath", f"unknown benchmark {benchmark!r}"
-
-    results = doc["results"]
-    caches = []
-    for fig in ("fig12", "fig13"):
-        for key, workload in results[fig].items():
-            cache = workload.get("cache")
-            assert cache is not None, f"{fig}/{key} recorded no cache stats"
-            caches.append((f"{fig}/{key}", cache))
-    caches.append(("fig14", results["fig14"]["cache"]))
-    for label, cache in caches:
-        assert cache["enabled"], f"{label}: cache was disabled"
-        assert cache["hits"] > 0, f"{label}: warm passes never hit the cache"
-
-    kernels = results["kernels"]
-    backends = kernels["backends"]
-    assert {"legacy", "python"} <= set(backends), (
-        f"kernel series missing core backends: {backends}"
-    )
-    n_workloads = 0
-    for label, per in kernels.items():
-        if label in ("backends", "regime"):
-            continue
-        n_workloads += 1
-        assert per["identical_pairs"], (
-            f"kernels/{label}: pair counts differ across backends — a "
-            f"vectorized kernel changed the answers"
-        )
-        for backend in backends:
-            rec = per[backend]
-            assert rec["ad_ms"] > 0 and rec["da_ms"] > 0, (
-                f"kernels/{label}/{backend}: non-positive timing"
-            )
-            assert rec["speedup_vs_legacy"] > 0
-    assert n_workloads > 0, "kernel series recorded no workloads"
-
-    cold = results.get("cold_compile")
-    assert cold is not None, "envelope missing the cold_compile series"
-    compile_backends = cold["backends"]
-    assert "python" in compile_backends, (
-        f"cold_compile missing the python backend: {compile_backends}"
-    )
-    n_cold = 0
-    for label, per_workload in cold.items():
-        if label == "backends":
-            continue
-        for tag, entry in per_workload.items():
-            n_cold += 1
-            assert entry["segments"] > 0 and entry["elements"] > 0, (
-                f"cold_compile/{label}/{tag}: empty workload proves nothing"
-            )
-            assert entry["per_segment_ms"] > 0
-            for backend in compile_backends:
-                rec = entry["per_backend"][backend]
-                assert rec["identical_columns"], (
-                    f"cold_compile/{label}/{tag}/{backend}: bulk columns "
-                    f"differ from the per-segment reference — the "
-                    f"vectorized compile changed the answers"
-                )
-                assert rec["bulk_ms"] > 0
-    assert n_cold > 0, "cold_compile series recorded no workloads"
-
-    summary = results["summary"]
-    assert summary["ad_speedup_min"] > 0
-    print(
-        f"[check_smoke_envelope] OK: {len(caches)} workloads warm, "
-        f"A//D speedups {summary['ad_speedup_min']:.2f}x..."
-        f"{summary['ad_speedup_max']:.2f}x, kernel parity over "
-        f"{n_workloads} workloads x {len(backends)} backends, "
-        f"cold-compile parity over {n_cold} tags x "
-        f"{len(compile_backends)} compile backends"
-    )
+    raise AssertionError(f"unknown benchmark {benchmark!r}")
 
 
 def check_twig(doc: dict) -> None:
@@ -339,7 +242,6 @@ def check_net(doc: dict) -> None:
 
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
-        __file__
-    ).resolve().parent.parent / "BENCH_joins.smoke.json"
-    check(target)
+    if len(sys.argv) != 2:
+        sys.exit("usage: python benchmarks/check_smoke_envelope.py PATH")
+    check(Path(sys.argv[1]))

@@ -1,8 +1,8 @@
 """Perf-trajectory ledger: headline metrics across PR generations.
 
 Every PR that refreshes a full ``BENCH_*.json`` moves a handful of
-headline numbers — cold join speedup, warm memo speedup, ingest
-throughput, service saturation, shard scaling, replication catch-up.
+headline numbers — ingest throughput, service saturation, shard
+scaling, replication catch-up, holistic twig speedup.
 Each envelope only records *its own* run, so regressions that creep in
 over several PRs are invisible unless someone diffs git history by hand.
 
@@ -55,23 +55,12 @@ def _load(root: Path, name: str) -> dict | None:
 
 def headline(root: Path) -> dict:
     """The headline metrics of every committed full-run envelope."""
-    joins = _load(root, "BENCH_joins.json")
     fig16 = _load(root, "BENCH_fig16_insert.json")
     net = _load(root, "BENCH_net.json")
     shard = _load(root, "BENCH_shard.json")
     repl = _load(root, "BENCH_replication.json")
     twig = _load(root, "BENCH_twig.json")
     return {
-        "joins": {
-            "ad_speedup_median": _get(
-                joins, "results", "summary", "ad_speedup_median"
-            ),
-            "cold_speedup_vs_baseline_median": _get(
-                joins, "results", "summary", "cold_speedup_vs_baseline",
-                "median"
-            ),
-            "meta": _get(joins, "meta"),
-        },
         "ingest": {
             "batched_speedup": _get(
                 fig16, "results", "batched_ingest", "speedup"
@@ -135,7 +124,7 @@ def main() -> None:
     entry = append(root, args.label)
     for group, metrics in entry["metrics"].items():
         for name, value in metrics.items():
-            if name == "meta" or value is None:
+            if value is None:
                 continue
             print(f"    {group}.{name} = {value:.4g}")
 

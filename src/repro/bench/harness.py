@@ -167,22 +167,10 @@ def envelope(
     ``results`` carries any script-specific payload that is not naturally
     a table or sweep.  The metric snapshot is taken at call time, so call
     this *after* the measured work.
-
-    Every envelope also carries a ``meta`` block with the active kernel
-    and compile backends plus numpy availability, so BENCH diffs across
-    machines (or across ``REPRO_*`` environments) are interpretable
-    without reconstructing the run's environment.
     """
-    from repro.joins import kernels
-
     return {
         "schema": SCHEMA,
         "benchmark": name,
-        "meta": {
-            "join_kernel": kernels.current_backend(),
-            "compile_backend": kernels.current_compile_backend(),
-            "numpy_available": kernels._numpy() is not None,
-        },
         "params": dict(params or {}),
         "tables": [table.as_dict() for table in tables],
         "sweeps": [sweep.as_dict() for sweep in sweeps],

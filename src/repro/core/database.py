@@ -89,8 +89,7 @@ class LazyXMLDatabase:
                              sid_stride=sid_stride)
         self.index = ElementIndex()
         # The compiled read path (version-keyed element-array / segment-list
-        # caches) is shared by every query executor on this database;
-        # REPRO_READPATH_CACHE=0 is the kill switch.
+        # caches) is shared by every query executor on this database.
         self.readpath = ReadPathCache(self.log, self.index)
         self._joiner = LazyJoiner(self.log, self.index, self.readpath)
         # The twig subsystem's structural synopsis: per-edge feasibility

@@ -23,21 +23,15 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 from repro.btree import BPlusTree
-from repro.joins import kernels
 from repro.obs.metrics import METRICS
 
 __all__ = ["ElementRecord", "ElementIndex", "records_from_keys"]
 
 _ORDER = 64
-
-# Below this many whole-tag elements the numpy matrix round-trip costs more
-# than three plain map passes; mirrors the kernel-side NUMPY_STD_MIN floor.
-_NUMPY_COLUMNS_MIN = 64
 
 # Mutation-path instruments honor ElementIndex.observed (replica replay
 # guard); the read counters are query-path and ignore it.
@@ -168,30 +162,11 @@ class ElementIndex:
 
         Returns ``(records, starts, ends, levels)`` — the records tuple plus
         the parallel ``array('q')`` columns the compiled read path serves,
-        extracted with bulk leaf slicing and C-level ``map`` passes over the
-        raw index keys instead of a per-element generator.  Same contents
-        and order as :meth:`elements_list`.
-        """
-        keys = self._tree.range_keys((tid, (sid,)), (tid, (sid + 1,)))
-        records = records_from_keys(keys)
-        starts = array("q", map(_REC_START, records))
-        ends = array("q", map(_REC_END, records))
-        levels = array("q", map(_REC_LEVEL, records))
-        if METRICS.enabled:
-            _M_READS.inc()
-            _M_RECORDS_READ.inc(len(records))
-        return records, starts, ends, levels
-
-    def segment_key_columns(
-        self, tid: int, sid: int
-    ) -> tuple[tuple[ElementRecord, ...], array, array, array]:
-        """:meth:`segment_columns`, serving the stored record objects.
-
-        Returns ``(records, starts, ends, levels)``.  The records tuple
-        is one ``itemgetter`` pass over the ``(tid, record)`` index keys
-        — reference copies of the stored NamedTuples, no per-element
-        construction — so the compiled read path pays only the column
-        extraction it actually scans with.
+        extracted with bulk leaf slicing and C-level ``map`` passes instead
+        of a per-element generator.  The records are the NamedTuples stored
+        inside the ``(tid, record)`` index keys — reference copies, no
+        per-element construction.  Same contents and order as
+        :meth:`elements_list`.
         """
         keys = self._tree.range_keys((tid, (sid,)), (tid, (sid + 1,)))
         records = records_from_keys(keys)
@@ -204,9 +179,9 @@ class ElementIndex:
         return records, starts, ends, levels
 
     def tag_columns(
-        self, tid: int, *, backend: str | None = None
+        self, tid: int
     ) -> dict[int, tuple[list, array, array, array]]:
-        """Whole-tag bulk form of :meth:`segment_key_columns` — one pass.
+        """Whole-tag bulk form of :meth:`segment_columns` — one pass.
 
         Returns ``{sid: (keys, starts, ends, levels)}`` for *every*
         segment holding at least one ``tid`` element, each entry's
@@ -219,12 +194,6 @@ class ElementIndex:
         cut out with C-level slices located by tuple-prefix bisects — so
         the cost is one tree descent plus O(elements) column work for the
         entire tag, instead of one descent and one pass per ``(tid, sid)``.
-
-        ``backend`` picks the column builder (default:
-        ``REPRO_COMPILE_BACKEND``): ``python`` transposes the record run
-        with one ``zip(*records)`` pass; ``numpy`` flattens it into one
-        int64 matrix and slices columns out of it (worth it for large
-        tags; both produce byte-identical ``array('q')`` columns).
         """
         keys = self._tree.range_keys((tid,), (tid + 1,))
         out: dict[int, tuple] = {}
@@ -232,24 +201,10 @@ class ElementIndex:
         if not n:
             return out
         records = records_from_keys(keys)
-        if backend is None:
-            backend = kernels.current_compile_backend()
-        np = kernels._numpy() if backend == "numpy" else None
-        if np is not None and n >= _NUMPY_COLUMNS_MIN:
-            mat = np.fromiter(
-                chain.from_iterable(records), dtype=np.int64, count=4 * n
-            ).reshape(n, 4)
-            starts_all = array("q")
-            starts_all.frombytes(np.ascontiguousarray(mat[:, 1]).tobytes())
-            ends_all = array("q")
-            ends_all.frombytes(np.ascontiguousarray(mat[:, 2]).tobytes())
-            levels_all = array("q")
-            levels_all.frombytes(np.ascontiguousarray(mat[:, 3]).tobytes())
-        else:
-            _, starts_t, ends_t, levels_t = zip(*records)
-            starts_all = array("q", starts_t)
-            ends_all = array("q", ends_t)
-            levels_all = array("q", levels_t)
+        _, starts_t, ends_t, levels_t = zip(*records)
+        starts_all = array("q", starts_t)
+        ends_all = array("q", ends_t)
+        levels_all = array("q", levels_t)
         lo = 0
         while lo < n:
             sid = records[lo][0]

@@ -55,7 +55,6 @@ the D-segments whose element version moved and reuses every other chunk.
 from __future__ import annotations
 
 import gc
-import os
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
@@ -70,7 +69,7 @@ from repro.core.ertree import ERNode
 from repro.core.readpath import ReadPathCache
 from repro.core.update_log import UpdateLog
 from repro.errors import QueryError
-from repro.joins import kernels
+from repro.joins.kernels import select_open
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT, stack_tree_desc
 from repro.obs.metrics import LATENCY_BUCKETS, METRICS, SIZE_BUCKETS
 
@@ -129,8 +128,6 @@ _AXES = (AXIS_DESCENDANT, AXIS_CHILD)
 # measured at ~25% of a large cold join.  Joins therefore pause automatic
 # collection for their duration (nesting-safe across threads; the pause
 # window is bounded by one join and restores the caller's GC state).
-# ``REPRO_JOIN_GC_PAUSE=0`` opts out.
-_GC_PAUSE = os.environ.get("REPRO_JOIN_GC_PAUSE", "1") != "0"
 _gc_lock = threading.Lock()
 _gc_depth = 0
 _gc_was_enabled = False
@@ -140,9 +137,6 @@ _gc_was_enabled = False
 def _gc_paused():
     """Scoped pause of automatic garbage collection (see module note)."""
     global _gc_depth, _gc_was_enabled
-    if not _GC_PAUSE:
-        yield
-        return
     with _gc_lock:
         if _gc_depth == 0:
             _gc_was_enabled = gc.isenabled()
@@ -382,7 +376,6 @@ class LazyJoiner:
             and trim_top
             and branch_strategy == "path"
             and axis in _AXES
-            and self._readpath.enabled
             and self._log.query_ready
         ):
             tid_a = self._log.tags.tid_of(tag_a)
@@ -535,87 +528,34 @@ class LazyJoiner:
         if tid_a is None or tid_d is None:
             return []
         rp = self._readpath
-        if rp.enabled:
-            # Segment-list misses are exact staleness signals: *any*
-            # element change to a tag bumps its tag-list version, so a
-            # fresh compiled segment list implies the tag's compiled
-            # element columns are fresh too.  Only on a miss is the tag
-            # warmed — one bulk whole-tag compile pass instead of
-            # segment-at-a-time misses — which keeps the fully-warm hot
-            # path at zero extra checks.  A merge of a few touched
-            # D-segments probes them one by one instead: the whole-tag
-            # range pass would cost what the corpus costs.
-            pre_misses = rp.misses
-            csl_a = rp.segment_list(tid_a)
-            a_stale = rp.misses != pre_misses
-            pre_misses = rp.misses
-            csl_d = rp.segment_list(tid_d)
-            d_stale = rp.misses != pre_misses
-            if not csl_a.entries or not csl_d.entries:
-                return []
-            if d_nodes is None:
-                if a_stale:
-                    rp.warm_tag(tid_a, csl_a.nodes, push=optimize_push)
-                if d_stale and tid_d != tid_a:
-                    rp.warm_tag(tid_d)
-            get_elements = rp.elements
-            get_push = rp.push_elements
-        else:
-            csl_a = rp.segment_list(tid_a)
-            csl_d = rp.segment_list(tid_d)
-            if not csl_a.entries or not csl_d.entries:
-                return []
-            # Kill-switch mode: nothing survives this call, but *within*
-            # one join a segment's element columns are fetched up to three
-            # times (push filter, in-segment join, descendant fetch), and
-            # a compile-dominated cold join touches most segments of both
-            # tags — so each tag is bulk-compiled up front with a single
-            # whole-tag range pass into a call-local scratch memo.  Same
-            # memo idea for the (immutable) lp resolutions behind the
-            # branch function.
-            elem_memo: dict = {}
-            rp_elements = rp.elements
-            for bulk_tid in {tid_a, tid_d}:
-                for bulk_sid, compiled in rp.bulk_elements(bulk_tid).items():
-                    elem_memo[(bulk_tid, bulk_sid)] = compiled
-
-            def get_elements(tid, sid):
-                # Misses only for (tid, sid) pairs with no recorded
-                # elements (the bulk pass emits occupied segments only):
-                # compile the empty columns once and memo them too.
-                key = (tid, sid)
-                compiled = elem_memo.get(key)
-                if compiled is None:
-                    compiled = elem_memo[key] = rp_elements(tid, sid)
-                return compiled
-
-            compile_push = rp.compile_push_from
-            kept_fn = kernels.push_selector()
-
-            def get_push(tid, node):
-                return compile_push(get_elements(tid, node.sid), node, kept_fn)
-
-            if branch_strategy == "path":
-                lp_memo: dict = {}
-                rp_lp = rp.lp_of
-
-                def branch_fn(frame_node, target):
-                    child_sid = target.path[frame_node.depth + 1]
-                    lp = lp_memo.get(child_sid)
-                    if lp is None:
-                        lp = rp_lp(child_sid)
-                        lp_memo[child_sid] = lp
-                    return lp
+        # Segment-list misses are exact staleness signals: *any* element
+        # change to a tag bumps its tag-list version, so a fresh compiled
+        # segment list implies the tag's compiled element columns are
+        # fresh too.  Only on a miss is the tag warmed — one bulk
+        # whole-tag compile pass instead of segment-at-a-time misses —
+        # which keeps the fully-warm hot path at zero extra checks.  A
+        # merge of a few touched D-segments probes them one by one
+        # instead: the whole-tag range pass would cost what the corpus
+        # costs.
+        pre_misses = rp.misses
+        csl_a = rp.segment_list(tid_a)
+        a_stale = rp.misses != pre_misses
+        pre_misses = rp.misses
+        csl_d = rp.segment_list(tid_d)
+        d_stale = rp.misses != pre_misses
+        if not csl_a.entries or not csl_d.entries:
+            return []
+        if d_nodes is None:
+            if a_stale:
+                rp.warm_tag(tid_a, csl_a.nodes, push=optimize_push)
+            if d_stale and tid_d != tid_a:
+                rp.warm_tag(tid_d)
+        get_elements = rp.elements
+        get_push = rp.push_elements
 
         nodes_a = csl_a.nodes
         sid_index_a = csl_a.sid_index
         child_only = axis == AXIS_CHILD
-        # One backend decision per join call: the candidate-scan kernel
-        # for the Step 3 cascade and the in-segment STD backend (identical
-        # results on every backend; hoisted so the per-segment joins skip
-        # the environment lookup).
-        select_open = kernels.open_selector()
-        std_backend = kernels.current_backend()
         results: list[JoinPair] = []
         stack: list[_Frame] = []
         ai = 0
@@ -722,10 +662,10 @@ class LazyJoiner:
                 live: list = []
             elif child_only:
                 prefix = ()
-                live = self._cross_matches_child(stack, sd, select_open)
+                live = self._cross_matches_child(stack, sd)
             else:
                 prefix, live = self._cross_matches_descendant(
-                    stack, sd, branch_fn, select_open
+                    stack, sd, branch_fn
                 )
             n_matched = len(prefix) + len(live)
             if not n_matched and not in_segment:
@@ -762,7 +702,7 @@ class LazyJoiner:
                 # so no pairs are lost — Section 4.2).  The nested
                 # Stack-Tree-Desc checkpoints and charges rows through the
                 # same context; the compiled columns ride along so the
-                # column kernels skip re-deriving them.
+                # kernel skips re-deriving them.
                 a_compiled = get_elements(tid_a, sd.sid)
                 in_pairs = stack_tree_desc(
                     a_compiled,
@@ -772,7 +712,6 @@ class LazyJoiner:
                     a_starts=a_compiled.starts,
                     a_ends=a_compiled.ends,
                     d_starts=d_compiled.starts,
-                    backend=std_backend,
                 )
                 results.extend(in_pairs)
                 stats.in_segment_pairs += len(in_pairs)
@@ -841,10 +780,10 @@ class LazyJoiner:
         stats.elements_trimmed += trimmed
         records = frame.records
         starts = frame.starts
-        # Rebuilt columns keep the ``array('q')`` layout so the column
-        # kernels can take zero-copy views of trimmed frames too.  The
-        # trimmed record list is pinned directly: the frame no longer
-        # mirrors any compiled artifact, so the lazy source is dropped.
+        # Rebuilt columns keep the compiled artifacts' ``array('q')``
+        # layout.  The trimmed record list is pinned directly: the frame
+        # no longer mirrors any compiled artifact, so the lazy source is
+        # dropped.
         frame._records = [records[i] for i in kept]
         frame.source = None
         frame.starts = array("q", [starts[i] for i in kept])
@@ -852,7 +791,7 @@ class LazyJoiner:
         frame.maxends = _prefix_max(frame.ends)
 
     def _cross_matches_descendant(
-        self, stack: list[_Frame], sd: ERNode, branch_fn, select_open
+        self, stack: list[_Frame], sd: ERNode, branch_fn
     ) -> tuple[tuple, list]:
         """Step 3 cross candidates: frame A-elements joining segment ``sd``.
 
@@ -879,7 +818,7 @@ class LazyJoiner:
         return top.covered_prefix, live
 
     def _cross_matches_child(
-        self, stack: list[_Frame], sd: ERNode, select_open
+        self, stack: list[_Frame], sd: ERNode
     ) -> list[ElementRecord]:
         """Parent/child cross candidates: only ``sd``'s parent segment.
 

@@ -223,7 +223,6 @@ def plan_path(db, query: PathQuery) -> PathPlan:
     readpath = getattr(db, "readpath", None)
     if (
         readpath is not None
-        and readpath.enabled
         and db.log.query_ready
         and all(counts)
     ):

@@ -39,19 +39,17 @@ memoizes them under *per-structure version keys*:
   stamp is current (DESIGN.md §4e), and the join after an update re-merges only
   the touched D-segments.  Pair order survives too: gp shifts keep order.
 
-Every cache honors one **kill switch** (:attr:`ReadPathCache.enabled`,
-initialized from the ``REPRO_READPATH_CACHE`` environment variable; ``0``
-disables).  Disabled, lookups compile fresh state per call and store
-nothing — the read path still runs, only the memoization is off.
+There is one regime: every lookup memoises.  :meth:`ReadPathCache.clear`
+is the "cold" lever — it forces the same recompilation through the same
+code.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from itertools import accumulate
 
-from repro.joins import kernels
+from repro.joins.kernels import push_kept
 from repro.obs.metrics import METRICS
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "CompiledPushList",
     "CompiledSegmentList",
     "ReadPathCache",
-    "cache_enabled_default",
 ]
 
 # Query-path instruments (a cache hit/miss is real read work wherever it
@@ -95,11 +92,6 @@ _M_INVALIDATED = METRICS.counter(
 )
 
 
-def cache_enabled_default() -> bool:
-    """The kill switch's process default: ``REPRO_READPATH_CACHE`` != 0."""
-    return os.environ.get("REPRO_READPATH_CACHE", "1") != "0"
-
-
 class CompiledElements:
     """One segment's elements of one tag, compiled to flat columns.
 
@@ -113,9 +105,9 @@ class CompiledElements:
     adopting them here is reference copying, not per-element NamedTuple
     construction — the historical dominant compile cost.  The instance
     is also a start-ordered sequence of its records
-    (``len``/index/iterate), which is how the Stack-Tree kernels consume
-    it; kernels that defer record access until emission (the column
-    kernels) resolve ``.records`` once and index the plain tuple.
+    (``len``/index/iterate), which is how Stack-Tree-Desc consumes it;
+    the column kernel defers record access until emission, then resolves
+    ``.records`` once and indexes the plain tuple.
     """
 
     __slots__ = ("records", "starts", "ends", "levels")
@@ -131,9 +123,9 @@ class CompiledElements:
         """Adopt pre-extracted records and columns in one step.
 
         The bulk-extraction path (``ElementIndex.segment_columns`` /
-        ``segment_key_columns`` / ``tag_columns``): the index hands over
-        the stored record tuple and parallel columns in one pass, so
-        compilation never touches the elements one at a time.
+        ``tag_columns``): the index hands over the stored record tuple
+        and parallel columns in one pass, so compilation never touches
+        the elements one at a time.
         """
         self = cls.__new__(cls)
         self.records = records
@@ -182,7 +174,8 @@ class CompiledPushList:
     def from_selection(cls, source: CompiledElements, kept) -> "CompiledPushList":
         """Filtered view of compiled element columns.
 
-        ``kept`` is the surviving index list from a push kernel, or
+        ``kept`` is the surviving index list from
+        :func:`~repro.joins.kernels.push_kept`, or
         ``None`` for "every element survives" — in which case the
         source's (immutable) columns are shared outright and the record
         tuple is shared on materialization too.
@@ -252,10 +245,9 @@ class ReadPathCache:
     landed.
     """
 
-    def __init__(self, log, index, *, enabled: bool | None = None):
+    def __init__(self, log, index):
         self._log = log
         self._index = index
-        self.enabled = cache_enabled_default() if enabled is None else enabled
         # (tid, sid) -> (index_version, CompiledElements)
         self._elements: dict[tuple[int, int], tuple[int, CompiledElements]] = {}
         # (tid, sid) -> (index_version, node_version, CompiledPushList)
@@ -274,17 +266,6 @@ class ReadPathCache:
         self.misses = 0
         self.invalidations = 0
 
-    # ------------------------------------------------------------------
-    # switches
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Kill switch: stop memoizing and drop everything held."""
-        self.enabled = False
-        self.clear()
-
     def clear(self) -> None:
         """Drop all compiled state (counters are kept)."""
         self._elements.clear()
@@ -299,10 +280,6 @@ class ReadPathCache:
 
     def elements(self, tid: int, sid: int) -> CompiledElements:
         """The compiled element arrays for ``(tid, sid)``."""
-        if not self.enabled:
-            return CompiledElements.from_columns(
-                *self._index.segment_key_columns(tid, sid)
-            )
         key = (tid, sid)
         version = self._index.version(sid)
         cached = self._elements.get(key)
@@ -319,7 +296,7 @@ class ReadPathCache:
         if METRICS.enabled:
             _M_EL_MISSES.inc()
         compiled = CompiledElements.from_columns(
-            *self._index.segment_key_columns(tid, sid)
+            *self._index.segment_columns(tid, sid)
         )
         self._elements[key] = (version, compiled)
         self._compiled_tids.setdefault(sid, set()).add(tid)
@@ -330,19 +307,14 @@ class ReadPathCache:
 
         One ``ElementIndex.tag_columns`` range pass slices all of ``tid``'s
         index leaves and emits per-segment columns; this wraps each as a
-        :class:`CompiledElements` and (enabled mode) installs the stale
-        ones under their current versions, so every later
-        :meth:`elements` call for the tag is a hit.  Entries already fresh
-        in the cache keep their identity (the compiled artifacts are
-        shared with live join frames).  Returns ``{sid: compiled}`` for
+        :class:`CompiledElements` and installs the stale ones under their
+        current versions, so every later :meth:`elements` call for the tag
+        is a hit.  Entries already fresh in the cache keep their identity
+        (the compiled artifacts are shared with live join frames).  Returns ``{sid: compiled}`` for
         the segments that hold at least one ``tid`` element.
         """
         columns = self._index.tag_columns(tid)
         out: dict[int, CompiledElements] = {}
-        if not self.enabled:
-            for sid, cols in columns.items():
-                out[sid] = CompiledElements.from_columns(*cols)
-            return out
         version_of = self._index.version
         elements = self._elements
         stale = 0
@@ -376,16 +348,11 @@ class ReadPathCache:
         The cold-compile fast path: one :meth:`bulk_elements` pass warms
         every segment's element columns, and with ``push=True`` the
         optimization-(i) push lists of ``nodes`` (the tag's segment-list
-        ER-nodes) are compiled in the same sweep — one backend-kernel
-        resolution for the whole batch instead of one per segment.
-        Enabled mode only (disabled mode memoizes nothing to warm).
+        ER-nodes) are compiled in the same sweep.
         """
-        if not self.enabled:
-            return
         compiled_by_sid = self.bulk_elements(tid)
         if not push:
             return
-        kept_fn = kernels.push_selector()
         version_of = self._index.version
         push_cache = self._push
         stale = 0
@@ -406,7 +373,7 @@ class ReadPathCache:
                 # transiently); compile the empty columns through the
                 # ordinary per-segment path so it is cached consistently.
                 full = self.elements(tid, sid)
-            push_cache[key] = (iv, nv, self.compile_push_from(full, node, kept_fn))
+            push_cache[key] = (iv, nv, self.compile_push_from(full, node))
             stale += 1
         if invalidated:
             self.invalidations += invalidated
@@ -420,8 +387,6 @@ class ReadPathCache:
     def push_elements(self, tid: int, node) -> CompiledPushList:
         """The optimization-(i) push list for tag ``tid`` in segment ``node``."""
         sid = node.sid
-        if not self.enabled:
-            return self._compile_push(tid, node)
         key = (tid, sid)
         iv = self._index.version(sid)
         nv = node._version
@@ -438,43 +403,31 @@ class ReadPathCache:
         self.misses += 1
         if METRICS.enabled:
             _M_PUSH_MISSES.inc()
-        compiled = self._compile_push(tid, node)
+        compiled = self.compile_push_from(self.elements(tid, sid), node)
         self._push[key] = (iv, nv, compiled)
         return compiled
 
-    def _compile_push(self, tid: int, node) -> CompiledPushList:
-        return self.compile_push_from(self.elements(tid, node.sid), node)
-
     @staticmethod
-    def compile_push_from(
-        full: CompiledElements, node, kept_fn=None
-    ) -> CompiledPushList:
+    def compile_push_from(full: CompiledElements, node) -> CompiledPushList:
         """Optimization-(i) filter over already compiled element columns.
 
         An element survives iff the first child insertion point past its
-        start lies inside its span.  The survivor selection is delegated
-        to a compile-backend kernel (:func:`repro.joins.kernels.
-        push_selector`): the python kernel advances a single cursor over
-        the (sorted) child lps — one O(n + m) merge scan — and the numpy
-        kernel evaluates the same predicate with one ``searchsorted``
-        over the whole column.  When every element survives, the compiled
+        start lies inside its span — :func:`~repro.joins.kernels.push_kept`
+        advances a single cursor over the (sorted) child lps, one
+        O(n + m) merge scan.  When every element survives, the compiled
         columns are shared outright (compiled artifacts are immutable;
-        the join's trim path already copies on write).  Batch callers
-        resolve ``kept_fn`` once per pass and thread it through.
+        the join's trim path already copies on write).
         """
         lps = [child.lp for child in node.children]
         if not lps:
             return CompiledPushList((), array("q"), array("q"))
-        if kept_fn is None:
-            kept_fn = kernels.push_selector()
-        kept = kept_fn(full.starts, full.ends, lps)
-        return CompiledPushList.from_selection(full, kept)
+        return CompiledPushList.from_selection(
+            full, push_kept(full.starts, full.ends, lps)
+        )
 
     def segment_list(self, tid: int) -> CompiledSegmentList:
         """The compiled segment list (``SL`` of Lazy-Join) for ``tid``."""
         taglist = self._log.taglist
-        if not self.enabled:
-            return CompiledSegmentList(taglist.segments_for(tid))
         version = taglist.version(tid)
         cached = self._segments.get(tid)
         if cached is not None:
@@ -551,8 +504,6 @@ class ReadPathCache:
 
     def lp_of(self, sid: int) -> int:
         """The (immutable) local position of segment ``sid``."""
-        if not self.enabled:
-            return self._log.sbtree.lookup(sid).lp
         lp = self._lps.get(sid)
         if lp is None:
             lp = self._log.sbtree.lookup(sid).lp
@@ -584,7 +535,6 @@ class ReadPathCache:
         """Hit/miss/entry counts (surfaced by the service health output)."""
         lookups = self.hits + self.misses
         return {
-            "enabled": self.enabled,
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,

@@ -1,218 +1,39 @@
-"""Column-at-a-time join kernels: the vectorized inner loops of the joins.
+"""Column-at-a-time join kernels: the inner loops of the joins.
 
-The compiled read path (:mod:`repro.core.readpath`) already freezes each
+The compiled read path (:mod:`repro.core.readpath`) freezes each
 segment's element lists into flat, start-sorted ``array('q')`` columns.
-The original join loops nevertheless walked Python frames per element:
-Stack-Tree-Desc touched every descendant individually, and the
-cross-segment cascade scanned candidate ends one index at a time.  This
-module provides the same computations as *whole-run* kernels:
+This module runs the join loops over those columns a *run* at a time
+instead of an element at a time:
 
 - :func:`std_pairs_python` — Stack-Tree-Desc where the unit of work is a
-  *run* of consecutive descendants sharing one ancestor stack.  The run's
+  run of consecutive descendants sharing one ancestor stack.  The run's
   extent is found with two bisects over the start column (the next
   ancestor push and the top-of-stack expiry are the only stack events),
   and the run's pairs are emitted with a single C-level comprehension
   instead of a per-descendant interpreter loop.
-- :func:`std_pairs_numpy` — the same join as pure column arithmetic: for
-  a laminar (tree-shaped) interval family, ancestor ``a`` joins exactly
-  the contiguous descendant range ``a.start < d.start < a.end``, so two
-  ``searchsorted`` calls produce every per-ancestor range, ``repeat`` /
-  ``cumsum`` expand them to index pairs, and one ``lexsort`` restores the
-  (descendant, ancestor-start) emission order of the frame walk.
-- :func:`select_open_python` / :func:`select_open_numpy` — the Step 3
-  cross-segment candidate scan (``ends[i] > branch`` over a bisected
-  prefix), as one comprehension over zipped column slices or one numpy
-  compare + take.
+- :func:`select_open` — the Step 3 cross-segment candidate scan
+  (``ends[i] > branch`` over a bisected prefix), as one comprehension
+  over zipped column slices.
+- :func:`push_kept` — the Section 4.2 optimization-(i) filter as one
+  cursor merge over a segment's columns and its child lps.
 
 **Parity contract.** Every kernel consumes start-sorted element sequences
 from a tree labeling: intervals are laminar (no partial overlap), starts
-are unique within one list, and ``end > start``.  On that domain each
-kernel returns the byte-identical pair list — same pairs, same order —
-as the legacy frame-walking loop, which `tests/test_join_kernels.py`
-asserts property-style across adversarial layouts.  ``JoinStatistics``
-is unaffected: the kernels replace only emission loops, never the
-counters' control flow.
-
-**Backend selection.** ``REPRO_JOIN_KERNEL`` picks the process default:
-``python`` (default), ``numpy`` (vectorized, requires numpy), or
-``legacy`` (the original loops, kept as the parity reference).  numpy is
-strictly optional — requesting it without numpy installed degrades
-silently to ``python``, as does an unrecognized value: a typo may change
-which identical-result kernel runs, never the results.  Budget
-*enforcement points* are backend-dependent (a run or a whole kernel call
-is one cancellation checkpoint instead of one descendant), but charged
-totals and completed results are identical.
+are unique within one list, and ``end > start``.  On that domain
+:func:`std_pairs_python` returns the byte-identical pair list — same
+pairs, same order — as the per-descendant frame walk kept in
+``tests/helpers.py``, which ``tests/test_join_kernels.py`` asserts
+property-style across adversarial layouts.  Budget *enforcement points*
+differ (a run is one cancellation checkpoint instead of one descendant),
+but charged totals and completed results are identical.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from itertools import chain, repeat
 
-from repro.errors import QueryError
-
-__all__ = [
-    "KERNEL_ENV",
-    "BACKENDS",
-    "COMPILE_ENV",
-    "COMPILE_BACKENDS",
-    "current_backend",
-    "current_compile_backend",
-    "numpy_available",
-    "normalize_backend",
-    "normalize_compile_backend",
-    "set_backend",
-    "use_backend",
-    "set_compile_backend",
-    "use_compile_backend",
-    "std_pairs_python",
-    "std_pairs_numpy",
-    "select_open_python",
-    "select_open_numpy",
-    "open_selector",
-    "push_kept_python",
-    "push_kept_numpy",
-    "push_selector",
-]
-
-#: Environment variable naming the default kernel backend.
-KERNEL_ENV = "REPRO_JOIN_KERNEL"
-
-#: Recognized backend names, in "most conservative first" order.
-BACKENDS = ("legacy", "python", "numpy")
-
-#: Environment variable naming the default *compile* backend — the
-#: column-builder side of the read path (whole-tag bulk extraction and
-#: the push-list cursor merge), as opposed to the merge kernels above.
-COMPILE_ENV = "REPRO_COMPILE_BACKEND"
-
-#: Recognized compile backends.  There is no ``legacy`` here: the
-#: record-at-a-time reference is ``ElementIndex.segment_columns`` itself,
-#: which the parity suite compares both backends against.
-COMPILE_BACKENDS = ("python", "numpy")
-
-_np = None
-_np_checked = False
-
-
-def _numpy():
-    """The numpy module, or ``None`` — checked once, never required."""
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy  # noqa: F401 — optional accelerator
-
-            _np = numpy
-        except Exception:  # pragma: no cover - environment-dependent
-            _np = None
-    return _np
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy backend can actually run."""
-    return _numpy() is not None
-
-
-def normalize_backend(name: str) -> str:
-    """Validate an explicitly requested backend name (typed error)."""
-    if name not in BACKENDS:
-        raise QueryError(
-            f"join kernel must be one of {BACKENDS}, got {name!r}"
-        )
-    return name
-
-
-_forced: str | None = None
-
-
-def current_backend() -> str:
-    """The active backend: override, else ``REPRO_JOIN_KERNEL``, else python.
-
-    ``numpy`` without numpy installed and unrecognized environment values
-    both degrade to ``python`` — results never depend on the selection.
-    """
-    name = _forced
-    if name is None:
-        name = os.environ.get(KERNEL_ENV, "python")
-    if name not in BACKENDS:
-        name = "python"
-    if name == "numpy" and not numpy_available():
-        return "python"
-    return name
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend process-wide (``None`` restores env resolution)."""
-    global _forced
-    _forced = None if name is None else normalize_backend(name)
-
-
-@contextmanager
-def use_backend(name: str | None):
-    """Scoped :func:`set_backend` — the parity tests' switch."""
-    global _forced
-    previous = _forced
-    set_backend(name)
-    try:
-        yield
-    finally:
-        _forced = previous
-
-
-# ----------------------------------------------------------------------
-# compile-backend selection (mirrors the join-kernel switch above)
-
-
-def normalize_compile_backend(name: str) -> str:
-    """Validate an explicitly requested compile backend name (typed error)."""
-    if name not in COMPILE_BACKENDS:
-        raise QueryError(
-            f"compile backend must be one of {COMPILE_BACKENDS}, got {name!r}"
-        )
-    return name
-
-
-_forced_compile: str | None = None
-
-
-def current_compile_backend() -> str:
-    """The active compile backend: override, else ``REPRO_COMPILE_BACKEND``.
-
-    Exactly the join-kernel contract: ``numpy`` without numpy installed
-    and unrecognized environment values both degrade silently to
-    ``python`` — column contents never depend on the selection.
-    """
-    name = _forced_compile
-    if name is None:
-        name = os.environ.get(COMPILE_ENV, "python")
-    if name not in COMPILE_BACKENDS:
-        name = "python"
-    if name == "numpy" and not numpy_available():
-        return "python"
-    return name
-
-
-def set_compile_backend(name: str | None) -> None:
-    """Force a compile backend process-wide (``None`` restores env)."""
-    global _forced_compile
-    _forced_compile = (
-        None if name is None else normalize_compile_backend(name)
-    )
-
-
-@contextmanager
-def use_compile_backend(name: str | None):
-    """Scoped :func:`set_compile_backend` — the parity tests' switch."""
-    global _forced_compile
-    previous = _forced_compile
-    set_compile_backend(name)
-    try:
-        yield
-    finally:
-        _forced_compile = previous
+__all__ = ["std_pairs_python", "select_open", "push_kept"]
 
 
 # ----------------------------------------------------------------------
@@ -370,91 +191,11 @@ def std_pairs_python(
     return results
 
 
-def std_pairs_numpy(
-    ancestors,
-    descendants,
-    *,
-    child_only: bool = False,
-    context=None,
-    a_starts=None,
-    a_ends=None,
-    d_starts=None,
-) -> list[tuple]:
-    """Fully vectorized Stack-Tree-Desc (descendant axis).
-
-    Laminar intervals make containment a pure range condition per
-    ancestor (``a.start < d.start < a.end`` over start-sorted
-    descendants), so the whole join is two ``searchsorted`` calls, a
-    ``repeat``/``cumsum`` range expansion, and one ``lexsort`` back into
-    frame-walk emission order.  The child axis (and a missing numpy)
-    delegate to :func:`std_pairs_python` — child emission is bounded by
-    one pair per descendant, which the run kernel already handles without
-    materializing the full containment relation.
-    """
-    np = _numpy()
-    if np is None or child_only:
-        return std_pairs_python(
-            ancestors,
-            descendants,
-            child_only=child_only,
-            context=context,
-            a_starts=a_starts,
-            a_ends=a_ends,
-            d_starts=d_starts,
-        )
-    n_a = len(ancestors)
-    n_d = len(descendants)
-    if not n_a or not n_d:
-        return []
-    if context is not None:
-        context.tick()
-    a_s = _np_column(np, a_starts, ancestors, "start")
-    a_e = _np_column(np, a_ends, ancestors, "end")
-    d_s = _np_column(np, d_starts, descendants, "start")
-    lo = np.searchsorted(d_s, a_s, side="right")
-    hi = np.searchsorted(d_s, a_e, side="left")
-    counts = hi - lo  # >= 0: start < end makes lo <= hi
-    total = int(counts.sum())
-    if total == 0:
-        return []
-    prefix = np.cumsum(counts) - counts
-    a_idx = np.repeat(np.arange(n_a, dtype=np.int64), counts)
-    d_idx = np.arange(total, dtype=np.int64) - np.repeat(prefix - lo, counts)
-    if context is not None:
-        # The frame walk's budgets, charged wholesale: the deepest
-        # containment nesting and every emitted row.
-        context.charge_depth(int(np.bincount(d_idx, minlength=1).max()))
-        context.charge_rows(total)
-    order = np.lexsort((a_idx, d_idx))  # descendant-major, ancestor minor
-    # Emission is certain here (total > 0): resolve lazy compiled
-    # columns to their plain record sequences once, then index tuples.
-    a_get = getattr(ancestors, "records", ancestors).__getitem__
-    d_get = getattr(descendants, "records", descendants).__getitem__
-    return list(
-        zip(map(a_get, a_idx[order].tolist()), map(d_get, d_idx[order].tolist()))
-    )
-
-
-def _np_column(np, values, records, attr):
-    """A contiguous int64 view/copy of a column for searchsorted."""
-    if values is None:
-        return np.fromiter(
-            (getattr(record, attr) for record in records),
-            dtype=np.int64,
-            count=len(records),
-        )
-    try:
-        # array('q') (and any 8-byte int buffer): zero-copy view.
-        return np.frombuffer(values, dtype=np.int64)
-    except (TypeError, ValueError, BufferError):
-        return np.asarray(values, dtype=np.int64)
-
-
 # ----------------------------------------------------------------------
 # cross-segment candidate-scan kernels (the Step 3 bisect cascade)
 
 
-def select_open_python(records, ends, hi: int, branch: int, out: list) -> None:
+def select_open(records, ends, hi: int, branch: int, out: list) -> None:
     """Append ``records[i]`` for ``i < hi`` with ``ends[i] > branch``.
 
     One C-level column slice plus a zipped comprehension — the caller has
@@ -466,48 +207,11 @@ def select_open_python(records, ends, hi: int, branch: int, out: list) -> None:
     )
 
 
-def select_open_numpy(records, ends, hi: int, branch: int, out: list) -> None:
-    """numpy variant of :func:`select_open_python` (same contract).
-
-    Below ``_NUMPY_SELECT_MIN`` candidates the array round-trip costs more
-    than the zipped comprehension, so short prefixes take the python path
-    — the selected records are identical either way.
-    """
-    np = _numpy()
-    if np is None or hi < _NUMPY_SELECT_MIN:
-        return select_open_python(records, ends, hi, branch, out)
-    try:
-        column = np.frombuffer(ends, dtype=np.int64)[:hi]
-    except (TypeError, ValueError, BufferError):
-        column = np.asarray(ends[:hi], dtype=np.int64)
-    matches = np.nonzero(column > branch)[0]
-    if matches.size:
-        out.extend(map(records.__getitem__, matches.tolist()))
-
-
-#: Candidate-prefix length below which numpy setup dominates the scan.
-_NUMPY_SELECT_MIN = 64
-
-#: Combined input size below which the run kernel beats full
-#: vectorization for Stack-Tree-Desc (dispatcher heuristic only —
-#: explicitly requested kernels are always honored).
-NUMPY_STD_MIN = 64
-
-
-def open_selector(backend: str | None = None):
-    """The candidate-scan kernel for ``backend`` (default: current)."""
-    if backend is None:
-        backend = current_backend()
-    if backend == "numpy" and numpy_available():
-        return select_open_numpy
-    return select_open_python
-
-
 # ----------------------------------------------------------------------
 # push-list compile kernels (the Section 4.2 optimization-(i) filter)
 
 
-def push_kept_python(starts, ends, lps) -> list | None:
+def push_kept(starts, ends, lps) -> list | None:
     """Indices of elements containing at least one child insertion point.
 
     ``starts``/``ends`` are a segment's start-sorted element columns;
@@ -533,45 +237,3 @@ def push_kept_python(starts, ends, lps) -> list | None:
     if len(kept) == n:
         return None
     return kept
-
-
-def push_kept_numpy(starts, ends, lps) -> list | None:
-    """Vectorized :func:`push_kept_python` (same contract, same output).
-
-    The cursor merge becomes one ``searchsorted`` over the child lps plus
-    one bounds-checked compare.  Below ``_NUMPY_PUSH_MIN`` elements the
-    array round-trip costs more than the merge, so short columns take the
-    python path — the kept index list is identical either way.
-    """
-    np = _numpy()
-    n = len(starts)
-    if np is None or n < _NUMPY_PUSH_MIN:
-        return push_kept_python(starts, ends, lps)
-    try:
-        s = np.frombuffer(starts, dtype=np.int64)
-        e = np.frombuffer(ends, dtype=np.int64)
-    except (TypeError, ValueError, BufferError):
-        s = np.asarray(starts, dtype=np.int64)
-        e = np.asarray(ends, dtype=np.int64)
-    l_arr = np.asarray(lps, dtype=np.int64)
-    idx = np.searchsorted(l_arr, s, side="right")
-    in_range = idx < l_arr.size
-    sel = np.zeros(n, dtype=bool)
-    sel[in_range] = l_arr[idx[in_range]] < e[in_range]
-    kept = np.nonzero(sel)[0]
-    if kept.size == n:
-        return None
-    return kept.tolist()
-
-
-#: Element-column length below which numpy setup dominates the merge.
-_NUMPY_PUSH_MIN = 64
-
-
-def push_selector(backend: str | None = None):
-    """The push-filter kernel for ``backend`` (default: current compile)."""
-    if backend is None:
-        backend = current_compile_backend()
-    if backend == "numpy" and numpy_available():
-        return push_kept_numpy
-    return push_kept_python

@@ -14,23 +14,18 @@ the variant the paper extends.
 Works over any objects exposing ``start``, ``end`` (end-exclusive) and
 ``level`` attributes, e.g. :class:`~repro.core.element_index.ElementRecord`.
 
-:func:`stack_tree_desc` is a dispatcher over the column-at-a-time kernels
-of :mod:`repro.joins.kernels` (selected by ``REPRO_JOIN_KERNEL`` or the
-``kernel`` argument); the original frame-walking loop is kept verbatim as
-the ``legacy`` backend and the parity-testing reference.
+:func:`stack_tree_desc` runs the run-at-a-time column kernel of
+:mod:`repro.joins.kernels`; the per-descendant frame walk it replaced
+lives on in ``tests/helpers.py`` as the order-exact parity reference.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
-from operator import attrgetter
 
 from repro.errors import QueryError
-from repro.joins import kernels
+from repro.joins.kernels import std_pairs_python
 from repro.obs.metrics import METRICS
-
-_start_of = attrgetter("start")
 
 __all__ = ["stack_tree_desc", "stack_tree_anc", "AXIS_DESCENDANT", "AXIS_CHILD"]
 
@@ -57,8 +52,6 @@ def stack_tree_desc(
     a_starts=None,
     a_ends=None,
     d_starts=None,
-    kernel: str | None = None,
-    backend: str | None = None,
 ) -> list[tuple]:
     """Join two start-sorted element lists on containment.
 
@@ -69,11 +62,10 @@ def stack_tree_desc(
     ``descendant.level == ancestor.level + 1``.
 
     ``context`` is an optional
-    :class:`~repro.service.context.QueryContext`: the descendant loop (a
-    run of descendants, in the column kernels) is a cooperative
-    cancellation checkpoint, emitted pairs are charged against the row
-    budget and stack pushes against the depth budget.  The join is
-    read-only, so an abort leaves no trace.
+    :class:`~repro.service.context.QueryContext`: each run of descendants
+    sharing one stack is a cooperative cancellation checkpoint, emitted
+    pairs are charged against the row budget and stack pushes against the
+    depth budget.  The join is read-only, so an abort leaves no trace.
 
     Self-joins are safe: an element never pairs with itself because
     containment is strict.
@@ -87,103 +79,17 @@ def stack_tree_desc(
 
     ``a_starts``/``a_ends``/``d_starts`` are optional precompiled integer
     columns parallel to the record sequences (the read-path cache's
-    ``array('q')`` layouts); omitted, the kernels derive them.  ``kernel``
-    pins a :mod:`repro.joins.kernels` backend for this call (the parity
-    suite's switch); by default ``REPRO_JOIN_KERNEL`` decides.  ``backend``
-    is a pre-resolved ``current_backend()`` value callers in a tight loop
-    pass to hoist the per-call environment lookup — the size floor still
-    applies, so results stay identical.  Every backend returns the
-    identical pair list.
+    ``array('q')`` layouts); omitted, the kernel derives them.
     """
     if axis not in _AXES:
         raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
-    child_only = axis == AXIS_CHILD
-    if kernel is None:
-        if backend is None:
-            backend = kernels.current_backend()
-        # Auto mode: full vectorization only pays off past a size floor;
-        # the run kernel wins on small inputs (identical results).
-        if (
-            backend == "numpy"
-            and len(ancestors) + len(descendants) < kernels.NUMPY_STD_MIN
-        ):
-            backend = "python"
-    else:
-        backend = kernels.normalize_backend(kernel)
-    if backend == "numpy":
-        results = kernels.std_pairs_numpy(
-            ancestors, descendants, child_only=child_only, context=context,
-            a_starts=a_starts, a_ends=a_ends, d_starts=d_starts,
-        )
-    elif backend == "python":
-        results = kernels.std_pairs_python(
-            ancestors, descendants, child_only=child_only, context=context,
-            a_starts=a_starts, a_ends=a_ends, d_starts=d_starts,
-        )
-    else:
-        results = _stack_tree_desc_legacy(
-            ancestors, descendants, child_only, context
-        )
+    results = std_pairs_python(
+        ancestors, descendants, child_only=axis == AXIS_CHILD, context=context,
+        a_starts=a_starts, a_ends=a_ends, d_starts=d_starts,
+    )
     if METRICS.enabled:
         _M_CALLS.inc()
         _M_PAIRS.inc(len(results))
-    return results
-
-
-def _stack_tree_desc_legacy(
-    ancestors: Sequence,
-    descendants: Sequence,
-    child_only: bool,
-    context,
-) -> list[tuple]:
-    """The original per-descendant frame walk — the parity reference."""
-    results: list[tuple] = []
-    stack: list = []
-    a_index = 0
-    a_count = len(ancestors)
-    d_index = 0
-    d_count = len(descendants)
-    while d_index < d_count:
-        desc = descendants[d_index]
-        if context is not None:
-            context.tick()
-        if not stack:
-            if a_index >= a_count:
-                break
-            nxt_start = ancestors[a_index].start
-            if desc.start <= nxt_start:
-                # No ancestor starts strictly before desc (or any earlier
-                # descendant in the run): skip ahead past nxt_start.
-                d_index = bisect_right(
-                    descendants, nxt_start, d_index, d_count, key=_start_of
-                )
-                continue
-        # Push every ancestor starting before this descendant.
-        while a_index < a_count and ancestors[a_index].start < desc.start:
-            candidate = ancestors[a_index]
-            while stack and stack[-1].end <= candidate.start:
-                stack.pop()
-            stack.append(candidate)
-            a_index += 1
-        if context is not None:
-            context.charge_depth(len(stack))
-        # Drop ancestors that ended before this descendant starts.
-        while stack and stack[-1].end <= desc.start:
-            stack.pop()
-        # Everything left on the stack contains desc (no partial overlap in
-        # tree-shaped interval sets).
-        if child_only:
-            # Only the innermost ancestor can be the parent.
-            if stack and stack[-1].level + 1 == desc.level:
-                results.append((stack[-1], desc))
-                if context is not None:
-                    context.charge_rows(1)
-        else:
-            for anc in stack:
-                results.append((anc, desc))
-            if context is not None:
-                context.charge_rows(len(stack))
-        d_index += 1
     return results
 
 

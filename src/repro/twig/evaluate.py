@@ -271,7 +271,7 @@ def _tid_stream(db, tid, keep_sids, axis, context):
     contribute a match and is skipped wholesale.
     """
     readpath = getattr(db, "readpath", None)
-    if readpath is None or not readpath.enabled:
+    if readpath is None:
         return list(db.global_elements(db.log.tags.name_of(tid), context=context))
     from repro.core.database import GlobalElement
 

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
+
 from repro.core.database import LazyXMLDatabase
+
+_start_of = attrgetter("start")
 
 
 def normalized_join(db: LazyXMLDatabase, pairs) -> list:
@@ -41,3 +46,65 @@ def tids_for_segment(taglist, sid: int) -> list[int]:
         for tid, entries in taglist._lists.items()
         if any(entry.sid == sid for entry in entries)
     ]
+
+
+def stack_tree_desc_legacy(
+    ancestors, descendants, axis="descendant", *, context=None, **_columns
+) -> list[tuple]:
+    """The original per-descendant Stack-Tree-Desc frame walk.
+
+    The order-exact reference ``tests/test_join_kernels.py`` holds the
+    shipped run-at-a-time kernel to: same pairs, same order, same charged
+    rows.  Takes :func:`~repro.joins.stack_tree.stack_tree_desc`'s
+    arguments (precompiled columns are accepted and ignored) so it can
+    stand in for it under ``monkeypatch``.
+    """
+    child_only = axis == "child"
+    results: list[tuple] = []
+    stack: list = []
+    a_index = 0
+    a_count = len(ancestors)
+    d_index = 0
+    d_count = len(descendants)
+    while d_index < d_count:
+        desc = descendants[d_index]
+        if context is not None:
+            context.tick()
+        if not stack:
+            if a_index >= a_count:
+                break
+            nxt_start = ancestors[a_index].start
+            if desc.start <= nxt_start:
+                # No ancestor starts strictly before desc (or any earlier
+                # descendant in the run): skip ahead past nxt_start.
+                d_index = bisect_right(
+                    descendants, nxt_start, d_index, d_count, key=_start_of
+                )
+                continue
+        # Push every ancestor starting before this descendant.
+        while a_index < a_count and ancestors[a_index].start < desc.start:
+            candidate = ancestors[a_index]
+            while stack and stack[-1].end <= candidate.start:
+                stack.pop()
+            stack.append(candidate)
+            a_index += 1
+        if context is not None:
+            context.charge_depth(len(stack))
+        # Drop ancestors that ended before this descendant starts.
+        while stack and stack[-1].end <= desc.start:
+            stack.pop()
+        # Everything left on the stack contains desc (no partial overlap in
+        # tree-shaped interval sets).
+        if child_only:
+            # Only the innermost ancestor can be the parent.
+            if stack and stack[-1].level + 1 == desc.level:
+                results.append((stack[-1], desc))
+                if context is not None:
+                    context.charge_rows(1)
+        else:
+            for anc in stack:
+                results.append((anc, desc))
+            if context is not None:
+                context.charge_rows(len(stack))
+        d_index += 1
+    return results

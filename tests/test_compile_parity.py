@@ -1,14 +1,11 @@
-"""Vectorized compile-path parity and memo-invalidation exactness.
+"""Bulk compile-path parity and memo-invalidation exactness.
 
 The bulk whole-tag compile (:meth:`ElementIndex.tag_columns`) promises
 byte-identical columns to the per-segment record-at-a-time path it
-replaces, under *every* compile backend — that contract is what makes
-``REPRO_COMPILE_BACKEND`` a pure performance knob.  The push-list
-kernels (:func:`push_kept_python` / :func:`push_kept_numpy`) make the
-same promise for the Section 4.2 optimization-(i) filter.  Hypothesis
-drives both over seeded random documents and adversarial columns; the
-numpy size floors are patched down so the vectorized branches actually
-execute at test scale instead of silently delegating to python.
+replaces.  The push-list kernel (:func:`push_kept`) makes the same
+promise against the quadratic containment scan for the Section 4.2
+optimization-(i) filter.  Hypothesis drives both over seeded random
+documents and adversarial columns.
 
 The interleaved-seed tests pin the *memo* side of the tentpole: the
 cross-query memos (segment lists, bulk element entries, the per-segment
@@ -21,13 +18,11 @@ from __future__ import annotations
 
 import random
 from array import array
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import element_index
 from repro.joins import kernels
 from repro.workloads.generator import generate_fragment
 from tests.helpers import normalized_join
@@ -37,15 +32,13 @@ from tests.oracle import (
     safe_insert_positions,
 )
 
-_BACKENDS = ["python"] + (["numpy"] if kernels.numpy_available() else [])
-
 
 def _record_at_a_time(index, tid):
     """The reference compile: one record at a time off the iterator API.
 
     Deliberately the slowest possible shape — per-record attribute reads
     feeding per-segment generator-built columns — so it shares no code
-    with either bulk builder it checks.
+    with the bulk builder it checks.
     """
     grouped: dict[int, list] = {}
     for record in index.all_elements(tid):
@@ -74,7 +67,7 @@ def _assert_columns_equal(label, got, want):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_bulk_tag_columns_match_record_at_a_time(seed):
-    """tag_columns == segment_columns == record-at-a-time, per backend."""
+    """tag_columns == segment_columns == record-at-a-time."""
     db = replay_random_sequence(seed, n_ops=6).db
     for tid in range(len(db.log.tags)):
         reference = _record_at_a_time(db.index, tid)
@@ -83,13 +76,8 @@ def test_bulk_tag_columns_match_record_at_a_time(seed):
         }
         _assert_columns_equal(f"segment_columns/tid={tid}",
                               per_segment, reference)
-        for backend in _BACKENDS:
-            # Floor down to 1 so the numpy matrix branch really runs on
-            # test-sized tags rather than delegating to the python path.
-            with patch.object(element_index, "_NUMPY_COLUMNS_MIN", 1):
-                bulk = db.index.tag_columns(tid, backend=backend)
-            _assert_columns_equal(f"tag_columns[{backend}]/tid={tid}",
-                                  bulk, reference)
+        _assert_columns_equal(f"tag_columns/tid={tid}",
+                              db.index.tag_columns(tid), reference)
 
 
 _spans = st.lists(
@@ -102,7 +90,7 @@ _lps = st.lists(st.integers(0, 500), max_size=24)
 @settings(max_examples=200, deadline=None)
 @given(elements=_spans, lps=_lps)
 def test_push_kernels_agree_with_brute_force(elements, lps):
-    """push_kept_{python,numpy} == the quadratic containment scan."""
+    """push_kept == the quadratic containment scan."""
     elements.sort()
     starts = array("q", (start for start, _ in elements))
     ends = array("q", (start + length for start, length in elements))
@@ -113,36 +101,7 @@ def test_push_kernels_agree_with_brute_force(elements, lps):
         if any(start < lp < start + length for lp in lps_sorted)
     ]
     expected = None if len(brute) == len(elements) else brute
-    assert kernels.push_kept_python(starts, ends, lps_sorted) == expected
-    if kernels.numpy_available():
-        with patch.object(kernels, "_NUMPY_PUSH_MIN", 0):
-            assert (
-                kernels.push_kept_numpy(starts, ends, lps_sorted) == expected
-            )
-
-
-def test_push_selector_dispatches_on_compile_backend():
-    with kernels.use_compile_backend("python"):
-        assert kernels.push_selector() is kernels.push_kept_python
-    if kernels.numpy_available():
-        with kernels.use_compile_backend("numpy"):
-            assert kernels.push_selector() is kernels.push_kept_numpy
-
-
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_joins_identical_across_compile_backends(backend):
-    """End-to-end: the same seeded joins under each compile backend."""
-    db = replay_random_sequence(41, n_ops=8).db
-    tags = [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))]
-    with kernels.use_compile_backend("python"):
-        want = {
-            (a, d): normalized_join(db, db.structural_join(a, d))
-            for a in tags[:3] for d in tags[:3] if a != d
-        }
-    db.readpath.clear()
-    with kernels.use_compile_backend(backend):
-        for (a, d), pairs in want.items():
-            assert normalized_join(db, db.structural_join(a, d)) == pairs
+    assert kernels.push_kept(starts, ends, lps_sorted) == expected
 
 
 @settings(max_examples=12, deadline=None)

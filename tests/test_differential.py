@@ -24,6 +24,7 @@ import random
 import pytest
 
 from repro.core.database import LazyXMLDatabase
+from repro.core.element_index import ElementIndex
 from repro.core.join import JoinStatistics
 from repro.obs.metrics import METRICS
 from repro.workloads.generator import generate_fragment, tag_pool
@@ -88,21 +89,17 @@ def test_lazy_store_matches_reference(seed):
             assert _M_CROSS.value - cross_before >= cross_truth
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_interleaved_updates_and_joins_stay_coherent(seed):
-    """Updates interleaved with repeated joins: the read-path cache must
-    never serve yesterday's answer.
+def _interleave_updates_and_joins(seed):
+    """Updates interleaved with repeated joins on one long-lived cache.
 
-    After *every* operation, for each probed tag pair, three answers must
-    agree with the string-splice reference: a **cold** one (cache
-    disabled and flushed — per-call compilation), a **fresh** one (cache
-    enabled, compiled entries revalidated against the new versions), and
-    a **warm** one (the immediately repeated call, a join-result memo
-    hit).  This is the interleaving that breaks a cache with a missing
-    invalidation edge: the same queries run before and after each update,
-    so any structure whose version failed to bump serves a stale compiled
-    answer on the *fresh* call, and any over-broad invalidation shows up
-    as the warm call never hitting.
+    The database's read-path cache is left alone from op to op, so every
+    compiled entry and memo chunk that an update did not touch survives
+    it and must be revalidated by the version counters alone.  After
+    *every* operation, for each probed tag pair, three answers must agree
+    with the string-splice reference: the **first** call after the update
+    (surviving entries revalidated, touched ones recompiled), its
+    **repeat** (a join-result memo hit), and the ``stats=`` **from-scratch**
+    merge, which reads the same compiled columns but no memo.
     """
     rng = random.Random(seed)
     tags = tag_pool(3)
@@ -113,21 +110,21 @@ def test_interleaved_updates_and_joins_stay_coherent(seed):
     def check_all():
         for tag_a, tag_d in pairs:
             truth = ref.join(tag_a, tag_d)
-            db.readpath.disable()
-            cold = db.structural_join(tag_a, tag_d)
-            db.readpath.enable()
-            fresh = db.structural_join(tag_a, tag_d)
+            first = db.structural_join(tag_a, tag_d)
             hits_before = db.readpath.hits
-            warm = db.structural_join(tag_a, tag_d)
+            repeat = db.structural_join(tag_a, tag_d)
             if (
                 db.log.tags.tid_of(tag_a) is not None
                 and db.log.tags.tid_of(tag_d) is not None
             ):
                 # known tags always store a memo, so the repeat must hit
                 assert db.readpath.hits > hits_before, (tag_a, tag_d)
-            assert _span_pairs(db, cold) == truth, (tag_a, tag_d)
-            assert _span_pairs(db, fresh) == truth, (tag_a, tag_d)
-            assert _span_pairs(db, warm) == truth, (tag_a, tag_d)
+            scratch = db.structural_join(
+                tag_a, tag_d, stats=JoinStatistics()
+            )
+            assert _span_pairs(db, first) == truth, (tag_a, tag_d)
+            assert _span_pairs(db, repeat) == truth, (tag_a, tag_d)
+            assert _span_pairs(db, scratch) == truth, (tag_a, tag_d)
 
     seed_fragment = generate_fragment(6, tags, rng=rng, max_depth=4)
     db.insert(seed_fragment)
@@ -148,6 +145,22 @@ def test_interleaved_updates_and_joins_stay_coherent(seed):
             ref.insert(fragment, position)
         check_all()
     db.check_invariants()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_interleaved_updates_and_joins_stay_coherent(seed):
+    """The read-path cache must never serve yesterday's answer."""
+    _interleave_updates_and_joins(seed)
+
+
+def test_interleaving_catches_a_missing_invalidation_edge(monkeypatch):
+    """The test above has teeth: with the element-version bump disabled —
+    a cache with a missing invalidation edge — stale compiled state
+    survives an update and the interleaving fails."""
+    monkeypatch.setattr(ElementIndex, "_bump", lambda self, sid: None)
+    with pytest.raises(AssertionError):
+        for seed in range(40):
+            _interleave_updates_and_joins(seed)
 
 
 def test_sequences_exercise_removals():

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core import join as join_module
 from repro.core.database import LazyXMLDatabase
 from repro.core.join import JoinStatistics
-from repro.core.readpath import cache_enabled_default
 from repro.errors import (
     DeadlineExceeded,
     QueryCancelled,
@@ -37,11 +36,6 @@ from repro.service.context import QueryContext
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.storage import dumps, loads
 from tests.test_log_maintenance import _OPS, _form, _loaded, apply_op
-
-#: CI runs this file once more under ``REPRO_READPATH_CACHE=0``: the answers
-#: and the typed aborts must not move; there is no memo to look at.
-_MEMO = cache_enabled_default()
-needs_memo = pytest.mark.skipif(not _MEMO, reason="read-path cache switched off")
 
 _TAGS = ("a", "b", "c")
 _AXES = ("descendant", "child")
@@ -105,7 +99,6 @@ def test_ls_history_memo_equals_from_scratch_merge(ops):
     _replay("static", ops)
 
 
-@needs_memo
 def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
     db = LazyXMLDatabase()
     first = db.insert("<a><b>1</b></a>")
@@ -130,7 +123,6 @@ def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
 # cost shape: the join after an update costs what the update touched
 
 
-@needs_memo
 @pytest.mark.perf_smoke
 def test_join_after_update_merges_only_the_touched_segment(monkeypatch):
     """Counts, not seconds: in-segment kernel calls (one per merged
@@ -212,7 +204,7 @@ def test_budget_aborts_warm_and_cold_alike(case, warm_first):
         assert db.structural_join("a", "b") == full
     key = (db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant")
     chunks = db.readpath.join_chunks(*key)
-    assert len(chunks) == (7 if warm_first and _MEMO else 0)
+    assert len(chunks) == (7 if warm_first else 0)
     for _ in range(2):  # cold-then-cold again, or warm-then-warm
         context, error = _contexts()[case]
         with pytest.raises(error) as raised:
@@ -301,10 +293,8 @@ def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
                 # Dead sids left with the publish: one chunk per live
                 # D-segment, however many epochs this replica replayed.
                 entries = snap.db.readpath.stats()["entries"]
-                assert entries["join_results"] == (1 if _MEMO else 0)
-                assert entries["join_chunks"] == (
-                    snap.db.segment_count if _MEMO else 0
-                )
+                assert entries["join_results"] == 1
+                assert entries["join_chunks"] == snap.db.segment_count
     finally:
         stop.set()
         writing.join()

@@ -1,11 +1,13 @@
-"""Kernel-parity property suite: python == numpy == legacy, bit for bit.
+"""Kernel-parity property suite: the shipped kernel == the legacy loop.
 
 The column-at-a-time kernels (:mod:`repro.joins.kernels`) rewrite the
 correctness-critical inner loops of Stack-Tree-Desc and the cross-segment
 candidate scan.  This suite is their contract: on every input from the
-kernels' domain — start-sorted laminar interval families — each backend
-returns the *byte-identical* pair list, and a whole structural join run
-under each backend returns identical rows **and** identical
+kernels' domain — start-sorted laminar interval families — the shipped
+run-at-a-time kernel returns the *byte-identical* pair list of the
+per-descendant frame walk it replaced (``tests.helpers.
+stack_tree_desc_legacy``), and a whole structural join whose in-segment
+joins run the legacy loop returns identical rows **and** identical
 :class:`~repro.core.join.JoinStatistics` ground truth.
 
 Layout generation is adversarial by construction: the Hypothesis tree
@@ -26,12 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import join as join_module
 from repro.core.join import JoinStatistics
-from repro.errors import QueryError
 from repro.joins import kernels
 from repro.joins.stack_tree import stack_tree_desc
 from repro.workloads.chopper import chop_text
 from repro.xml.parser import parse
+
+from tests.helpers import stack_tree_desc_legacy
 
 
 class El(NamedTuple):
@@ -42,10 +46,7 @@ class El(NamedTuple):
     level: int
 
 
-ALL_BACKENDS = ("legacy", "python", "numpy")
-
-
-def _pairs(ancestors, descendants, axis, backend, *, columns, context=None):
+def _pairs(ancestors, descendants, axis, *, columns, context=None):
     kwargs = {}
     if columns:
         kwargs = {
@@ -54,7 +55,7 @@ def _pairs(ancestors, descendants, axis, backend, *, columns, context=None):
             "d_starts": array("q", (d.start for d in descendants)),
         }
     return stack_tree_desc(
-        ancestors, descendants, axis, kernel=backend, context=context, **kwargs
+        ancestors, descendants, axis, context=context, **kwargs
     )
 
 
@@ -124,28 +125,24 @@ class _RecordingContext:
 @given(roles=laminar_roles(), axis=st.sampled_from(["descendant", "child"]))
 def test_kernel_parity_generated(roles, axis):
     ancestors, descendants = roles
-    reference = _pairs(ancestors, descendants, axis, "legacy", columns=False)
-    for backend in ("python", "numpy"):
-        for columns in (False, True):
-            assert (
-                _pairs(ancestors, descendants, axis, backend, columns=columns)
-                == reference
-            ), f"{backend} (columns={columns}) diverged from legacy"
+    reference = stack_tree_desc_legacy(ancestors, descendants, axis)
+    for columns in (False, True):
+        assert (
+            _pairs(ancestors, descendants, axis, columns=columns) == reference
+        ), f"kernel (columns={columns}) diverged from legacy"
 
 
 @settings(max_examples=100, deadline=None)
 @given(roles=laminar_roles(), axis=st.sampled_from(["descendant", "child"]))
 def test_kernel_row_charges_agree(roles, axis):
-    """Charged row totals are backend-independent (enforcement points may
+    """Charged row totals match the legacy loop's (enforcement points may
     differ, the accounted work may not)."""
     ancestors, descendants = roles
-    totals = {}
-    for backend in ALL_BACKENDS:
-        ctx = _RecordingContext()
-        _pairs(ancestors, descendants, axis, backend, columns=True, context=ctx)
-        totals[backend] = ctx.rows
-    assert totals["python"] == totals["legacy"]
-    assert totals["numpy"] == totals["legacy"]
+    shipped = _RecordingContext()
+    _pairs(ancestors, descendants, axis, columns=True, context=shipped)
+    legacy = _RecordingContext()
+    stack_tree_desc_legacy(ancestors, descendants, axis, context=legacy)
+    assert shipped.rows == legacy.rows
 
 
 CHAIN = [El(i, 400 - i, i + 1) for i in range(200)]  # fully nested spine
@@ -177,13 +174,11 @@ ADVERSARIAL = [
     "name,ancestors,descendants", ADVERSARIAL, ids=[c[0] for c in ADVERSARIAL]
 )
 def test_kernel_parity_adversarial(name, ancestors, descendants, axis):
-    reference = _pairs(ancestors, descendants, axis, "legacy", columns=False)
-    for backend in ("python", "numpy"):
-        for columns in (False, True):
-            assert (
-                _pairs(ancestors, descendants, axis, backend, columns=columns)
-                == reference
-            )
+    reference = stack_tree_desc_legacy(ancestors, descendants, axis)
+    for columns in (False, True):
+        assert (
+            _pairs(ancestors, descendants, axis, columns=columns) == reference
+        )
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +192,15 @@ def test_kernel_parity_adversarial(name, ancestors, descendants, axis):
     data=st.data(),
 )
 def test_select_open_parity(ends, branch, data):
-    """python and numpy candidate scans select identical records, on both
-    sides of the numpy size floor (lists past 64 take the array path)."""
+    """The candidate scan selects exactly the bisected prefix's records
+    still open at the branch point, appended after what ``out`` held."""
     ends.sort()  # prefix-max columns are non-decreasing
     records = [El(i, e, 1) for i, e in enumerate(ends)]
     column = array("q", ends)
     hi = data.draw(st.integers(0, len(ends)))
-    out_py: list = []
-    kernels.select_open_python(records, column, hi, branch, out_py)
-    out_np: list = []
-    kernels.select_open_numpy(records, column, hi, branch, out_np)
-    assert out_np == out_py
-    assert out_py == [r for r in records[:hi] if r.end > branch]
+    out: list = ["kept"]
+    kernels.select_open(records, column, hi, branch, out)
+    assert out == ["kept"] + [r for r in records[:hi] if r.end > branch]
 
 
 # ----------------------------------------------------------------------
@@ -242,16 +234,22 @@ JOIN_CASES = [
 ]
 
 
-def _join_all_backends(text, n_segments, shape, tag_a, tag_d, axis):
-    out = {}
-    for backend in ALL_BACKENDS:
-        with kernels.use_backend(backend):
-            db, _ = chop_text(text, n_segments, shape, seed=7)
-            db.prepare_for_query()
-            stats = JoinStatistics()
-            rows = db.structural_join(tag_a, tag_d, axis, stats=stats)
-            out[backend] = (rows, dataclasses.asdict(stats))
-    return out
+def _join(text, n_segments, shape, tag_a, tag_d, axis):
+    db, _ = chop_text(text, n_segments, shape, seed=7)
+    db.prepare_for_query()
+    stats = JoinStatistics()
+    rows = db.structural_join(tag_a, tag_d, axis, stats=stats)
+    return rows, dataclasses.asdict(stats)
+
+
+def _join_shipped_and_legacy(*case):
+    """One whole Lazy-Join as shipped, one with every in-segment join run
+    by the legacy loop."""
+    shipped = _join(*case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(join_module, "stack_tree_desc", stack_tree_desc_legacy)
+        legacy = _join(*case)
+    return shipped, legacy
 
 
 @pytest.mark.parametrize("axis", ["descendant", "child"])
@@ -261,12 +259,11 @@ def _join_all_backends(text, n_segments, shape, tag_a, tag_d, axis):
     ids=[f"{i}-{c[3]}-{c[4]}-n{c[1]}" for i, c in enumerate(JOIN_CASES)],
 )
 def test_structural_join_parity(text, n, shape, tag_a, tag_d, axis):
-    results = _join_all_backends(text, n, shape, tag_a, tag_d, axis)
-    ref_rows, ref_stats = results["legacy"]
-    for backend in ("python", "numpy"):
-        rows, stats = results[backend]
-        assert rows == ref_rows, f"{backend} rows diverged"
-        assert stats == ref_stats, f"{backend} JoinStatistics diverged"
+    (rows, stats), (ref_rows, ref_stats) = _join_shipped_and_legacy(
+        text, n, shape, tag_a, tag_d, axis
+    )
+    assert rows == ref_rows, "rows diverged"
+    assert stats == ref_stats, "JoinStatistics diverged"
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,59 +288,7 @@ def test_structural_join_parity(text, n, shape, tag_a, tag_d, axis):
 def test_structural_join_parity_generated(fragments, n_segments, axis):
     text = "<r>" + "".join(fragments) + "</r>"
     n = min(n_segments, len(parse(text).elements))
-    results = _join_all_backends(text, n, "balanced", "a", "d", axis)
-    ref_rows, ref_stats = results["legacy"]
-    for backend in ("python", "numpy"):
-        assert results[backend] == (ref_rows, ref_stats)
-
-
-# ----------------------------------------------------------------------
-# backend selection semantics
-
-
-def test_normalize_backend_rejects_unknown():
-    with pytest.raises(QueryError):
-        kernels.normalize_backend("fortran")
-    with pytest.raises(QueryError):
-        stack_tree_desc([], [], kernel="fortran")
-
-
-def test_env_resolution(monkeypatch):
-    monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-    with kernels.use_backend(None):
-        assert kernels.current_backend() == "python"
-        monkeypatch.setenv(kernels.KERNEL_ENV, "legacy")
-        assert kernels.current_backend() == "legacy"
-        monkeypatch.setenv(kernels.KERNEL_ENV, "no-such-kernel")
-        assert kernels.current_backend() == "python"  # typo-safe degrade
-
-
-def test_numpy_absent_degrades(monkeypatch):
-    """numpy requested but unavailable: silently the python kernel, with
-    identical results — the no-numpy CI leg runs the whole suite this way."""
-    monkeypatch.setattr(kernels, "_np", None)
-    monkeypatch.setattr(kernels, "_np_checked", True)
-    assert not kernels.numpy_available()
-    with kernels.use_backend("numpy"):
-        assert kernels.current_backend() == "python"
-    ancestors = [El(0, 9, 1), El(2, 5, 2)]
-    descendants = [El(3, 4, 3)]
-    assert kernels.std_pairs_numpy(ancestors, descendants) == (
-        kernels.std_pairs_python(ancestors, descendants)
+    shipped, legacy = _join_shipped_and_legacy(
+        text, n, "balanced", "a", "d", axis
     )
-    out: list = []
-    kernels.select_open_numpy(
-        [El(0, 5, 1)] * 100, array("q", [5] * 100), 100, 3, out
-    )
-    assert len(out) == 100
-    assert kernels.open_selector("numpy") is kernels.select_open_python
-
-
-def test_use_backend_restores_previous():
-    kernels.set_backend("legacy")
-    try:
-        with kernels.use_backend("python"):
-            assert kernels.current_backend() == "python"
-        assert kernels.current_backend() == "legacy"
-    finally:
-        kernels.set_backend(None)
+    assert shipped == legacy

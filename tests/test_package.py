@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -43,6 +47,29 @@ class TestExports:
         db.insert("<author><name/></author>", position=db.text.index("<author/>"))
         pairs = db.structural_join("article", "author")
         assert len(pairs) == 2
+
+
+def test_library_names_no_repro_environment_variable():
+    """``src/repro`` has one configuration: no ``REPRO_*`` switch.
+
+    ``benchmarks/e2e/run.py`` measures the program with every ``REPRO_*``
+    variable scrubbed from the environment; that is the only program
+    there is as long as no module names one.  A string constant that *is*
+    such a name (however it reaches ``os.environ``) fails here, so the
+    next switch arrives with a deliberate edit to this test and a
+    measured workload that needs it, not unannounced.
+    """
+    name = re.compile(r"REPRO_\w*")
+    found = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and name.fullmatch(node.value)
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.value}")
+    assert not found, found
 
 
 class TestErrorHierarchy:

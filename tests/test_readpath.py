@@ -1,10 +1,10 @@
-"""The compiled read path: correctness, invalidation, and overhead guards.
+"""The compiled read path: correctness and invalidation guards.
 
-Four concerns, mirroring the module's contract (``repro.core.readpath``):
+Three concerns, mirroring the module's contract (``repro.core.readpath``):
 
-- **parity** — enabled, disabled, memo-hit and memo-bypassed joins must
-  return identical pair lists (same pairs, same order), and the kill
-  switch must change nothing observable;
+- **parity** — cold (after ``clear()``), memo-hit and memo-bypassed
+  (``stats=``, the from-scratch merge) joins must return identical pair
+  lists (same pairs, same order);
 - **invalidation** — version-keyed entries revalidate exactly when the
   underlying structure changed: hits on repeat lookups, one invalidation
   (not a flush) per touched structure, eager drops on segment removal;
@@ -12,10 +12,7 @@ Four concerns, mirroring the module's contract (``repro.core.readpath``):
   structure's version counter bumps *iff* its observable state changed.
   Never bumping on change means stale answers; always bumping (e.g. on
   every gp shift) means the cache never hits.  Driven by seeded random
-  insert/remove/repack sequences via hypothesis;
-- **overhead** — with the cache disabled, the residual machinery is a few
-  attribute checks per lookup; a deterministic bound (regions x per-check
-  cost, the ``test_obs_overhead`` idiom) keeps it under 5%.
+  insert/remove/repack sequences via hypothesis.
 
 The ``perf_smoke`` marked test is the CI perf-smoke gate: a small join
 workload run twice must hit the cache on the second pass, and the
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import json
 import random
-from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +37,6 @@ from repro.workloads.join_mix import build_join_mix, sweep_configs
 
 from tests.oracle import _random_removal, safe_insert_positions
 
-OVERHEAD_BUDGET = 0.05
-
 
 def _mix_db(n_segments: int = 12, fraction: float = 0.5) -> LazyXMLDatabase:
     config = sweep_configs(n_segments, "nested", [fraction])[0]
@@ -56,46 +50,27 @@ def _ids(pairs):
 
 
 # ----------------------------------------------------------------------
-# parity: every cache regime returns the same answer
+# parity: cold, warm and from-scratch return the same answer
 
 
 def test_enabled_disabled_and_memo_parity():
+    """Cold (``clear()``), warm (memo hit) and from-scratch (``stats=``)
+    agree.  The name predates the removal of the cache's off switch:
+    ``clear()`` is what "disabled" became."""
     db = _mix_db()
-    db.readpath.disable()
-    cold = db.structural_join("a", "d")
-    db.readpath.enable()
     first = db.structural_join("a", "d")          # compiles + stores memo
     warm = db.structural_join("a", "d")           # memo hit
     bypass = db.structural_join("a", "d", stats=JoinStatistics())
-    assert _ids(first) == _ids(cold)
-    assert _ids(warm) == _ids(cold)
-    assert _ids(bypass) == _ids(cold)
+    db.readpath.clear()
+    assert not any(db.readpath.stats()["entries"].values())
+    misses = db.readpath.misses
+    cold = db.structural_join("a", "d")           # recompiles everything
+    assert db.readpath.misses > misses
+    assert _ids(first) == _ids(bypass)
+    assert _ids(warm) == _ids(bypass)
+    assert _ids(cold) == _ids(bypass)
     # A memo hit hands back a fresh list, never the cached tuple's alias.
     assert warm is not first
-
-
-def test_kill_switch_env(monkeypatch):
-    from repro.core.readpath import ReadPathCache, cache_enabled_default
-
-    monkeypatch.setenv("REPRO_READPATH_CACHE", "0")
-    assert cache_enabled_default() is False
-    db = _mix_db(6)
-    cache = ReadPathCache(db.log, db.index)
-    assert cache.enabled is False
-    tid = db.log.tags.tid_of("a")
-    sid = db.log.taglist.segments_for(tid)[0].sid
-    cache.elements(tid, sid)
-    cache.segment_list(tid)
-    assert cache.stats()["entries"] == {
-        "elements": 0,
-        "push_lists": 0,
-        "segment_lists": 0,
-        "lps": 0,
-        "join_results": 0,
-        "join_chunks": 0,
-    }
-    monkeypatch.delenv("REPRO_READPATH_CACHE")
-    assert cache_enabled_default() is True
 
 
 # ----------------------------------------------------------------------
@@ -307,60 +282,6 @@ def test_queries_never_bump_versions():
     db.structural_join("d", "a")
     assert _tag_states(db)[0] == before_tags
     assert _segment_states(db)[0] == before_segs
-
-
-# ----------------------------------------------------------------------
-# overhead: the disabled cache must cost only its attribute checks
-
-
-@pytest.mark.overhead
-def test_disabled_cache_overhead_within_budget():
-    """Deterministic bound, the ``test_obs_overhead`` idiom.
-
-    Disabled, every ``ReadPathCache`` lookup is one ``self.enabled``
-    attribute check before compiling exactly what the pre-cache code
-    built inline.  Count the lookups one workload pass performs (the
-    enabled-mode hit/miss counters measure precisely that when the join
-    memo is bypassed), price one check in a tight loop, and bound the
-    product — doubled to cover the uncounted ``lp_of``/``cached_join``/
-    ``store_join`` checks — against 5% of the disabled runtime.
-    """
-    db = _mix_db(12)
-    rp = db.readpath
-
-    def workload():
-        for _ in range(10):
-            db.structural_join("a", "d", stats=JoinStatistics())
-            db.structural_join("d", "a", stats=JoinStatistics())
-
-    rp.enable()
-    workload()  # compile pass
-    before = rp.hits + rp.misses
-    workload()
-    regions = 2 * (rp.hits + rp.misses - before)
-    assert regions > 0
-
-    rp.disable()
-    disabled = min(
-        (lambda: (t := perf_counter(), workload(), perf_counter() - t)[2])()
-        for _ in range(5)
-    )
-
-    sink = 0
-    begin = perf_counter()
-    for _ in range(200_000):
-        if rp.enabled:
-            sink += 1
-    per_check = (perf_counter() - begin) / 200_000
-    assert sink == 0
-
-    overhead = regions * per_check
-    fraction = overhead / disabled
-    assert fraction < OVERHEAD_BUDGET, (
-        f"{regions} enabled-checks x {per_check * 1e9:.1f}ns "
-        f"= {overhead * 1e3:.3f}ms is {fraction:.1%} of the "
-        f"{disabled * 1e3:.1f}ms disabled workload"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -42,20 +42,12 @@ def _sharded_span_pairs(pairs):
     return sorted((a.gspan, d.gspan) for a, d in pairs)
 
 
-def _set_readpath(result, enabled: bool) -> None:
-    for shard_db in result.sharded.shards:
-        base = getattr(shard_db, "db", shard_db)
-        if enabled:
-            base.readpath.enable()
-        else:
-            base.readpath.disable()
-    if enabled:
-        result.single.readpath.enable()
-    else:
-        # Cold means cold everywhere: the coordinator's scatter cache
-        # would otherwise answer without touching the shards.
-        result.sharded.flush_caches()
-        result.single.readpath.disable()
+def _clear_caches(sharded) -> None:
+    """Cold means cold everywhere: the coordinator's scatter cache would
+    otherwise answer without touching the shards."""
+    sharded.flush_caches()
+    for shard_db in sharded.shards:
+        getattr(shard_db, "db", shard_db).readpath.clear()
 
 
 def _check_parity(result) -> None:
@@ -77,18 +69,22 @@ def _check_parity(result) -> None:
         single_pairs = single.structural_join(tag_a, tag_d, stats=single_stats)
         assert _single_span_pairs(single, single_pairs) == truth
 
-        # Cold: no compiled read-path memos anywhere.
-        _set_readpath(result, False)
-        cold = sharded.structural_join(tag_a, tag_d)
-        assert _sharded_span_pairs(cold) == truth, (tag_a, tag_d, result.ops)
-        _set_readpath(result, True)
-
-        # Fresh + warm: compiled entries revalidate, then memo-hit.
-        stats = JoinStatistics()
-        fresh = sharded.structural_join(tag_a, tag_d, stats=stats)
+        # Fresh + warm: the caches were left alone since the step's
+        # update, so surviving entries revalidate, then memo-hit.
+        fresh = sharded.structural_join(tag_a, tag_d)
         assert _sharded_span_pairs(fresh) == truth, (tag_a, tag_d, result.ops)
         warm = sharded.structural_join(tag_a, tag_d)
         assert _sharded_span_pairs(warm) == truth, (tag_a, tag_d, result.ops)
+
+        # From scratch: the ``stats=`` merge reads no memo.
+        stats = JoinStatistics()
+        scratch = sharded.structural_join(tag_a, tag_d, stats=stats)
+        assert _sharded_span_pairs(scratch) == truth, (tag_a, tag_d, result.ops)
+
+        # Cold: no compiled read-path memos anywhere.
+        _clear_caches(sharded)
+        cold = sharded.structural_join(tag_a, tag_d)
+        assert _sharded_span_pairs(cold) == truth, (tag_a, tag_d, result.ops)
 
         # Metric ground truth: the folded per-shard statistics carry the
         # reference's pair count and the single database's segment split.
