@@ -365,14 +365,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "remove":
         outcome = db.remove(args.position, args.length)
         persist()
-        if hasattr(outcome, "outcomes"):  # sharded: one outcome per shard
-            segments = sum(
-                len(sub.report.removed_sids) for _, sub in outcome.outcomes
-            )
-        else:
-            segments = len(outcome.report.removed_sids)
         print(
-            f"removed {args.length} chars: {segments} "
+            f"removed {args.length} chars: {len(outcome.report.removed_sids)} "
             f"segment(s) and {outcome.elements_removed} element record(s) gone"
         )
         return 0
@@ -386,15 +380,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.count:
             print(len(records))
         else:
+            from repro.service.commands import span_row
+
             for record in records:
-                if hasattr(record, "gstart"):  # sharded: virtual-global span
-                    print(
-                        f"{record.gstart}\t{record.gend}\tsid={record.sid} "
-                        f"shard={record.shard} level={record.level}"
-                    )
-                else:
-                    start, end = db.global_span(record)
-                    print(f"{start}\t{end}\tsid={record.sid} level={record.level}")
+                start, end, sid, level = span_row(db, record)
+                print(f"{start}\t{end}\tsid={sid} level={level}")
         return 0
 
     if args.command == "join":
@@ -422,13 +412,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "compact":
         result = db.compact()
         persist()
-        results = result if isinstance(result, list) else [result]
-        before = sum(r.segments_before for r in results)
-        after = sum(r.segments_after for r in results)
-        relabelled = sum(r.elements_relabelled for r in results)
         print(
-            f"compacted {before} -> {after} "
-            f"segments ({relabelled} elements relabelled)"
+            f"compacted {result.segments_before} -> {result.segments_after} "
+            f"segments ({result.elements_relabelled} elements relabelled)"
         )
         return 0
 

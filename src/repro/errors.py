@@ -46,6 +46,7 @@ __all__ = [
     "FrameCorrupt",
     "Overloaded",
     "ConnectionLost",
+    "error_class",
 ]
 
 
@@ -302,3 +303,16 @@ class ConnectionLost(NetError):
     error.  Whether a lost write actually committed is unknown to the
     client — exactly-once is the caller's concern (idempotent ops are
     safe to retry)."""
+
+
+def error_class(name: str) -> type | None:
+    """The :class:`ReproError` subclass called ``name``, or ``None``.
+
+    How a typed error is rebuilt on the far side of a boundary that
+    carries only its class name and message (the TCP wire, a shard
+    worker's pipe); the caller decides what an unknown name degrades to.
+    """
+    cls = globals().get(name)
+    if isinstance(cls, type) and issubclass(cls, ReproError):
+        return cls
+    return None

@@ -36,6 +36,7 @@ from repro.errors import (
 from repro.net import frame as wire
 from repro.net.frame import FrameDecoder, encode_frame
 from repro.net.protocol import (
+    COMMANDS,
     decode_payload,
     encode_payload,
     raise_error_payload,
@@ -299,46 +300,23 @@ class NetClient:
             attempt, policy=policy or self.backoff, retry_on=retry_on
         )
 
-    # Convenience verbs (thin; the dict protocol is the real API).
-
-    async def ping(self) -> dict:
-        return await self.request("ping")
-
-    async def query(self, expr: str, **args) -> dict:
-        return await self.request("query", expr=expr, **args)
-
-    async def twig(self, expr: str, **args) -> dict:
-        return await self.request("twig", expr=expr, **args)
-
-    async def join(self, ancestor: str, descendant: str, **args) -> dict:
-        return await self.request(
-            "join", ancestor=ancestor, descendant=descendant, **args
-        )
-
-    async def insert(self, fragment: str, position=None, **args) -> dict:
-        return await self.request(
-            "insert", fragment=fragment, position=position, **args
-        )
-
-    async def batch(self, ops: list, **args) -> dict:
-        """Apply op records as one commit; see the ``batch`` command.
-
-        Like any write, a lost ack leaves the (whole) batch possibly
-        durable — retry only when re-applying is acceptable.
+    def __getattr__(self, verb: str):
+        """Every table verb as a method (the dict protocol is the real
+        API): ``await client.join("a", "b", axis="child")``.  Positional
+        values fill the verb's required fields, then its optional ones, in
+        table order; a verb only a newer server knows goes through
+        :meth:`request`.  Like any write, a lost ack leaves a write (a
+        whole ``batch``) possibly durable — retry only when re-applying
+        is acceptable.
         """
-        return await self.request("batch", ops=ops, **args)
-
-    async def pin(self) -> dict:
-        return await self.request("pin")
-
-    async def unpin(self) -> dict:
-        return await self.request("unpin")
-
-    async def health(self) -> dict:
-        return await self.request("health")
-
-    async def stats(self) -> dict:
-        return await self.request("stats")
+        entry = COMMANDS.get(verb)
+        if entry is None:
+            raise AttributeError(verb)
+        ordered = sorted(entry.fields, key=lambda field: not field.required)
+        names = [field.name for field in ordered]
+        return lambda *values, **fields: self.request(
+            verb, **dict(zip(names, values)), **fields
+        )
 
     async def shutdown_server(self) -> dict:
         return await self.request("shutdown")

@@ -34,19 +34,17 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.database import LazyXMLDatabase
-from repro.durability.recovery import apply_op, validate_op
+from repro.durability.recovery import apply_op
 from repro.errors import (
     Busy,
     CircuitOpenError,
     DeadlineExceeded,
     Draining,
-    QueryError,
     ResourceExhausted,
     ServiceClosed,
 )
 from repro.joins.stack_tree import AXIS_DESCENDANT
 from repro.obs.metrics import METRICS
-from repro.obs.trace import Trace
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker
 from repro.service.context import QueryContext
@@ -273,23 +271,23 @@ class DatabaseService:
     # ------------------------------------------------------------------
     # reads
 
-    def read(self, fn, *, context=None, wait_timeout=None):
+    def read(self, fn, *, context=None, wait_timeout=None, snapshot=None):
         """Run ``fn(db, context)`` against a pinned snapshot.
 
-        The generic read entry point: admission-controlled, snapshot-
-        isolated, deadline-enforced.  ``fn`` must treat ``db`` as
-        read-only.
+        The one read entry point: admission-controlled, snapshot-
+        isolated, deadline-enforced, counted.  ``fn`` must treat ``db`` as
+        read-only and let nothing of it escape: once the pin is released a
+        drained buffer becomes the publish spare and is mutated in place.
+        ``snapshot`` is a pin the caller already holds (a session's
+        repeatable-read epoch); omitted, the read pins the current one.
         """
         self._ensure_open()
         wait = self.config.admission_wait if wait_timeout is None else wait_timeout
         with self._admission.admit("read", wait_timeout=wait):
             ctx = context if context is not None else self.make_context()
-            if self._epochs is None:
-                # Sharded: scatter-gather against the coordinator (worker
-                # replicas are the snapshot; the shard lock orders reads
-                # against the single writer).
-                return self._run_read(fn, self._base, ctx)
-            with self._epochs.pin() as snap:
+            if snapshot is not None:
+                return self._run_read(fn, snapshot.db, ctx)
+            with self.snapshot() as snap:
                 return self._run_read(fn, snap.db, ctx)
 
     def _run_read(self, fn, db, ctx):
@@ -363,80 +361,48 @@ class DatabaseService:
         )
 
     # ------------------------------------------------------------------
-    # tracing
-
-    def trace_query(self, expression: str, *, bindings: bool = False,
-                    wait_timeout=None):
-        """Run :meth:`query` with span tracing; returns ``(result, spans)``.
-
-        ``spans`` is the trace's span list as JSON-serializable dicts (see
-        :mod:`repro.obs.trace` for the format), covering the path query and
-        every per-step join it ran.
-        """
-        trace = Trace()
-        context = self.make_context(trace=trace)
-        result = self.query(
-            expression, bindings=bindings, context=context,
-            wait_timeout=wait_timeout,
-        )
-        return result, trace.as_dicts()
-
-    def trace_twig(self, expression: str, *, bindings: bool = False,
-                   strategy: str = "auto", wait_timeout=None):
-        """Run :meth:`twig` with span tracing; returns ``(result, spans)``.
-
-        The ``twig_query`` span carries the planner's verdict (chosen
-        strategy, twig vs pairwise cost estimates, per-edge costs).
-        """
-        trace = Trace()
-        context = self.make_context(trace=trace)
-        result = self.twig(
-            expression, bindings=bindings, strategy=strategy,
-            context=context, wait_timeout=wait_timeout,
-        )
-        return result, trace.as_dicts()
-
-    def trace_join(self, tag_a: str, tag_d: str, axis: str = AXIS_DESCENDANT,
-                   *, algorithm: str = "lazy", wait_timeout=None, **options):
-        """Run :meth:`join` with span tracing; returns ``(result, spans)``."""
-        trace = Trace()
-        context = self.make_context(trace=trace)
-        result = self.join(
-            tag_a, tag_d, axis, algorithm=algorithm, context=context,
-            wait_timeout=wait_timeout, **options,
-        )
-        return result, trace.as_dicts()
-
-    # ------------------------------------------------------------------
     # writes (single writer)
+
+    def apply(self, op: dict, *, wait_timeout=None):
+        """Commit one journal-dialect op record; returns the op's result.
+
+        The one write entry (the methods below are this call with the
+        record spelled out): ``repack``/``compact`` run in the maintenance
+        class behind the breaker, the rest in the write class; an
+        ``insert`` without a position appends.
+        """
+        kind = op["op"]
+        if kind in ("repack", "compact"):
+            return self._maintenance_op(op, wait_timeout=wait_timeout)
+        if kind == "insert" and op.get("position") is None:
+            op = {**op, "position": self._base.document_length}
+        return self._write(op, wait_timeout=wait_timeout)
 
     def insert(self, fragment: str, position: int | None = None, *,
                validate: str = "fragment", wait_timeout=None):
-        if position is None:
-            position = self._base.document_length
         op = {"op": "insert", "fragment": fragment, "position": position}
         if validate != "fragment":
             op["validate"] = validate
-        return self._write(op, wait_timeout=wait_timeout)
+        return self.apply(op, wait_timeout=wait_timeout)
 
     def remove(self, position: int, length: int, *, wait_timeout=None):
-        return self._write(
+        return self.apply(
             {"op": "remove", "position": position, "length": length},
             wait_timeout=wait_timeout,
         )
 
     def remove_segment(self, sid: int, *, wait_timeout=None):
-        return self._write({"op": "remove_segment", "sid": sid},
-                           wait_timeout=wait_timeout)
+        return self.apply({"op": "remove_segment", "sid": sid},
+                          wait_timeout=wait_timeout)
 
     def repack(self, sid: int, *, wait_timeout=None):
         """Operator-requested repack (maintenance class, breaker-guarded)."""
-        return self._maintenance_op({"op": "repack", "sid": sid},
-                                    wait_timeout=wait_timeout)
+        return self.apply({"op": "repack", "sid": sid},
+                          wait_timeout=wait_timeout)
 
     def compact(self, *, wait_timeout=None):
         """Operator-requested compact (maintenance class, breaker-guarded)."""
-        return self._maintenance_op({"op": "compact"}, wait_timeout=wait_timeout)
+        return self.apply({"op": "compact"}, wait_timeout=wait_timeout)
 
     def apply_batch(self, ops: list[dict], *, wait_timeout=None):
         """Apply several structural ops as **one** write; per-op results.
@@ -448,7 +414,7 @@ class DatabaseService:
         dialect; one whose preconditions fail mid-batch yields ``None``
         in its result slot.
         """
-        return self._write(
+        return self.apply(
             {"op": "batch", "ops": [dict(sub) for sub in ops]},
             wait_timeout=wait_timeout,
         )
@@ -478,12 +444,13 @@ class DatabaseService:
     def _apply_primary(self, op: dict):
         """Apply ``op`` to the authoritative database.
 
-        Durable primaries dispatch through their journaled methods — the
-        op is fsynced before it is applied, so pressure-triggered repacks
-        journal exactly like user writes; sharded primaries dispatch
-        through the coordinator's virtual-coordinate methods (which route
-        to the owning shard and forward to its worker); plain primaries
-        use the shared validate/apply dispatcher.
+        Every primary spells the structural operations alike, so the
+        record goes through the dispatcher recovery and the replicas use:
+        a durable primary's methods journal (fsync before apply, so
+        pressure-triggered repacks journal like user writes), the sharded
+        coordinator's route to the owning shard.  A batch goes to the
+        primary's own ``apply_batch``, where it becomes *one* commit (one
+        whole-batch validation, one journal record, one fsync).
 
         With a replication cluster attached, the write goes through the
         cluster instead: commit on the primary node, ship the record to
@@ -494,27 +461,9 @@ class DatabaseService:
             return self._replication.commit_from(
                 self._replication.primary_id, dict(op)
             )
-        if self._durable or self._sharded:
-            kind = op["op"]
-            if kind == "batch":
-                return self.primary.apply_batch(op["ops"])
-            if kind == "insert":
-                return self.primary.insert(
-                    op["fragment"],
-                    op["position"],
-                    validate=op.get("validate", "fragment"),
-                )
-            if kind == "remove":
-                return self.primary.remove(op["position"], op["length"])
-            if kind == "remove_segment":
-                return self.primary.remove_segment(op["sid"])
-            if kind == "repack":
-                return self.primary.repack(op["sid"])
-            if kind == "compact":
-                return self.primary.compact()
-            raise QueryError(f"unknown operation {kind!r}")
-        validate_op(self._base, op)
-        return apply_op(self._base, op)
+        if op["op"] == "batch":
+            return self.primary.apply_batch(op["ops"])
+        return apply_op(self.primary, op)
 
     def _publish(self, ops: list[dict]) -> None:
         """Publish committed ops to readers; self-heal on replica failure.

@@ -3,49 +3,44 @@
 One command per line on the input stream, one ``ok``/``error`` report per
 command on the output stream — a deliberately plain protocol that works
 over a pipe, a terminal, or a test harness without any dependency beyond
-the standard library.  All database access goes through the
-:class:`~repro.service.server.DatabaseService`, so every command gets the
-service's admission control, snapshot isolation, deadlines, and graceful
-degradation; a ``Busy`` or ``DeadlineExceeded`` is reported and the loop
-keeps serving.
+the standard library.  The shell owns no verb: a line is tokenised into
+the request dict its verb's table entry describes, run by
+:func:`~repro.service.commands.execute_request` — so every command gets
+the service's admission control, snapshot isolation, deadlines, and
+graceful degradation, and the field checks the TCP front end gets — and
+printed by one reply renderer.  A ``Busy`` or ``DeadlineExceeded`` is
+reported and the loop keeps serving.
 
-Commands::
+Commands (line form, service class, meaning — the verb table, printed)::
 
-    query <path-expression>          count + spans of matches
-    twig <twig-expression>           branching-pattern query (holistic)
-    join <anc> <desc> [algorithm]    structural join (default: lazy)
-    insert <position|end> <xml...>   insert the rest of the line
-    remove <position> <length>       remove a character span
-    trace query <path-expression>    run a query, print per-span timings
-    trace twig <twig-expression>     run a twig query, print spans
-    trace join <anc> <desc> [algo]   run a join, print per-span timings
-    repack <sid> | compact           breaker-guarded maintenance
-    maintain                         sample pressure, run the plan
-    pressure | health | stats        JSON status output
-    repl-status                      replication term/lag/role per node
-    promote <node>                   fail over to a follower (fenced term)
-    shutdown                         graceful drain, then exit
-    help | quit | exit
+{reference}
+{also}
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.errors import ReproError, ServiceClosed
+from repro.errors import ProtocolError, ReproError, ServiceClosed
+from repro.service.commands import (
+    COMMANDS,
+    SessionState,
+    execute_request,
+    line_request,
+    reference,
+    render_reply,
+)
 from repro.service.server import DatabaseService
 
 __all__ = ["ServiceShell"]
 
-_HELP = (
-    "commands: query <expr> | twig <expr> | join <anc> <desc> [algo] | "
-    "insert <pos|end> <xml> | remove <pos> <len> | "
-    "trace query <expr> | trace twig <expr> | "
-    "trace join <anc> <desc> [algo] | "
-    "repack <sid> | compact | "
-    "maintain | pressure | health | stats | "
-    "repl-status | promote <node> | shutdown | help | quit"
+#: The shell's own words, which are not requests to the service.
+_ALSO = (
+    "    trace <read verb ...>     the same read, with per-span timings\n"
+    "    shutdown                  graceful drain, then exit\n"
+    "    help | quit | exit"
 )
+
+if __doc__:  # absent under -OO
+    __doc__ = __doc__.format(reference=reference(), also=_ALSO)
 
 
 class ServiceShell:
@@ -60,6 +55,7 @@ class ServiceShell:
         self.service = service
         self._in = in_stream
         self._out = out_stream
+        self._session = SessionState(0)
 
     def run(self) -> None:
         """Serve until EOF, ``quit``/``shutdown``, or Ctrl-C.
@@ -82,20 +78,25 @@ class ServiceShell:
     def drain(self) -> None:
         """Stop accepting new work; in-flight requests finish normally.
 
-        Safe to call repeatedly and on an already-closed service (the
-        caller owns the final ``close()``).
+        Releases the session's pin, if it took one.  Safe to call
+        repeatedly and on an already-closed service (the caller owns the
+        final ``close()``).
         """
+        self._session.release()
         try:
             self.service.begin_drain()
         except Exception:  # pragma: no cover - nothing to drain
             pass
 
     def handle(self, line: str) -> bool:
-        line = line.strip()
-        if not line:
+        verb, _, rest = line.strip().partition(" ")
+        if not verb:
             return True
-        verb, _, rest = line.partition(" ")
         verb = verb.lower()
+        traced = verb == "trace"
+        if traced:
+            verb, _, rest = rest.strip().partition(" ")
+            verb = verb.lower()
         if verb in ("quit", "exit"):
             self._print("ok bye")
             return False
@@ -103,143 +104,26 @@ class ServiceShell:
             self.drain()
             self._print("ok draining; bye")
             return False
-        try:
-            # Dashed verbs (repl-status) map to underscored handlers.
-            handler = getattr(self, f"_cmd_{verb.replace('-', '_')}", None)
-            if handler is None:
-                self._print(f"error unknown command {verb!r}; try 'help'")
-            else:
-                handler(rest.strip())
-        except ServiceClosed:
-            self._print("error service closed")
-            return False
-        except ReproError as exc:
-            self._print(f"error {type(exc).__name__}: {exc}")
-        except ValueError as exc:
-            self._print(f"error bad argument: {exc}")
+        if verb == "help":
+            self._print(f"ok commands:\n{reference()}\n{_ALSO}")
+        elif verb not in COMMANDS:
+            self._print(f"error unknown command {verb!r}; try 'help'")
+        else:
+            try:
+                request = line_request(verb, rest)
+                if traced:
+                    request["trace"] = True
+                reply = execute_request(self.service, self._session, request)
+                for text in render_reply(verb, reply):
+                    self._print(text)
+            except ServiceClosed:
+                self._print("error service closed")
+                return False
+            except ProtocolError as exc:
+                self._print(f"error bad argument: {exc}")
+            except ReproError as exc:
+                self._print(f"error {type(exc).__name__}: {exc}")
         return True
-
-    # ------------------------------------------------------------------
-
-    def _cmd_help(self, rest: str) -> None:
-        self._print(f"ok {_HELP}")
-
-    def _cmd_query(self, rest: str) -> None:
-        if not rest:
-            raise ValueError("query needs a path expression")
-        records = self.service.query(rest)
-        self._print(f"ok {len(records)} match(es)")
-        for record in records:
-            self._print(f"  sid={record.sid} start={record.start} "
-                        f"end={record.end} level={record.level}")
-
-    def _cmd_twig(self, rest: str) -> None:
-        if not rest:
-            raise ValueError("twig needs a twig expression")
-        records = self.service.twig(rest)
-        self._print(f"ok {len(records)} match(es)")
-        for record in records:
-            self._print(f"  sid={record.sid} start={record.start} "
-                        f"end={record.end} level={record.level}")
-
-    def _cmd_join(self, rest: str) -> None:
-        parts = rest.split()
-        if len(parts) not in (2, 3):
-            raise ValueError("join needs: <ancestor> <descendant> [algorithm]")
-        algorithm = parts[2] if len(parts) == 3 else "lazy"
-        pairs = self.service.join(parts[0], parts[1], algorithm=algorithm)
-        self._print(f"ok {len(pairs)} pair(s)")
-
-    def _cmd_insert(self, rest: str) -> None:
-        where, _, fragment = rest.partition(" ")
-        if not fragment:
-            raise ValueError("insert needs: <position|end> <xml fragment>")
-        position = None if where == "end" else int(where)
-        receipt = self.service.insert(fragment, position)
-        self._print(f"ok inserted segment {receipt.sid} at {receipt.gp}")
-
-    def _cmd_remove(self, rest: str) -> None:
-        parts = rest.split()
-        if len(parts) != 2:
-            raise ValueError("remove needs: <position> <length>")
-        outcome = self.service.remove(int(parts[0]), int(parts[1]))
-        self._print(f"ok removed {outcome.elements_removed} element record(s)")
-
-    def _cmd_trace(self, rest: str) -> None:
-        kind, _, spec = rest.partition(" ")
-        kind = kind.lower()
-        spec = spec.strip()
-        if kind == "query":
-            if not spec:
-                raise ValueError("trace query needs a path expression")
-            result, spans = self.service.trace_query(spec)
-            self._print(f"ok {len(result)} match(es), {len(spans)} span(s)")
-        elif kind == "twig":
-            if not spec:
-                raise ValueError("trace twig needs a twig expression")
-            result, spans = self.service.trace_twig(spec)
-            self._print(f"ok {len(result)} match(es), {len(spans)} span(s)")
-        elif kind == "join":
-            parts = spec.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(
-                    "trace join needs: <ancestor> <descendant> [algorithm]"
-                )
-            algorithm = parts[2] if len(parts) == 3 else "lazy"
-            result, spans = self.service.trace_join(
-                parts[0], parts[1], algorithm=algorithm
-            )
-            self._print(f"ok {len(result)} pair(s), {len(spans)} span(s)")
-        else:
-            raise ValueError(
-                "trace needs: query <expr> | twig <expr> | join <anc> <desc>"
-            )
-        for span in spans:
-            self._print("  " + json.dumps(span, sort_keys=True))
-
-    def _cmd_repack(self, rest: str) -> None:
-        if not rest:
-            raise ValueError("repack needs: <sid>")
-        self.service.repack(int(rest))
-        self._print("ok repacked")
-
-    def _cmd_compact(self, rest: str) -> None:
-        result = self.service.compact()
-        # A sharded primary compacts every shard and returns one
-        # CompactionResult per shard; report the aggregate.
-        results = result if isinstance(result, list) else [result]
-        before = sum(r.segments_before for r in results)
-        after = sum(r.segments_after for r in results)
-        self._print(f"ok compacted {before} -> {after} segment(s)")
-
-    def _cmd_maintain(self, rest: str) -> None:
-        report = self.service.run_maintenance()
-        self._print(f"ok pressure {report.level}; "
-                    f"breaker {self.service.health()['breaker']['state']}")
-
-    def _cmd_pressure(self, rest: str) -> None:
-        report = self.service.check_pressure()
-        self._print("ok " + json.dumps(report.as_dict(), sort_keys=True))
-
-    def _cmd_health(self, rest: str) -> None:
-        self._print("ok " + json.dumps(self.service.health(), sort_keys=True))
-
-    def _cmd_stats(self, rest: str) -> None:
-        self._print("ok " + json.dumps(self.service.stats(), sort_keys=True))
-
-    def _cmd_repl_status(self, rest: str) -> None:
-        status = self.service.replication_status()
-        if status is None:
-            self._print("ok replication disabled (serve with --replicas N)")
-        else:
-            self._print("ok " + json.dumps(status, sort_keys=True))
-
-    def _cmd_promote(self, rest: str) -> None:
-        if not rest:
-            raise ValueError("promote needs: <node id>")
-        node = self.service.promote(int(rest))
-        self._print(f"ok node {node.node_id} promoted to primary "
-                    f"at term {node.term}")
 
     def _print(self, text: str) -> None:
         print(text, file=self._out, flush=True)

@@ -21,7 +21,7 @@ exploits exactly that property:
 """
 
 from repro.shard.catalog import TagCatalog
-from repro.shard.database import ShardedDatabase, ShardElement, ShardedRemovalOutcome
+from repro.shard.database import ShardedDatabase, ShardElement
 from repro.shard.docmap import DocumentMap
 from repro.shard.durable import ShardedDurableDatabase
 from repro.shard.executor import InProcessExecutor, ProcessExecutor
@@ -31,7 +31,6 @@ __all__ = [
     "TagCatalog",
     "ShardedDatabase",
     "ShardElement",
-    "ShardedRemovalOutcome",
     "ShardedDurableDatabase",
     "InProcessExecutor",
     "ProcessExecutor",

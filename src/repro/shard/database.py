@@ -41,24 +41,25 @@ import heapq
 import threading
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import NamedTuple
 
 from repro.core.database import LazyXMLDatabase, RemovalOutcome
-from repro.core.ertree import ERNode
+from repro.core.ertree import ERNode, RemovalReport
 from repro.core.join import JoinStatistics
 from repro.core.query import parse_path
 from repro.core.segment import DUMMY_ROOT_SID
+from repro.core.maintenance import RepackResult
 from repro.core.update_log import LogStats
-from repro.durability.recovery import OP_KINDS, apply_op, validate_batch_ops
-from repro.errors import InvalidSegmentError, QueryError, RecoveryError, ReproError
+from repro.durability.recovery import apply_op, validate_batch_ops
+from repro.errors import InvalidSegmentError, QueryError
 from repro.joins.stack_tree import AXIS_DESCENDANT
 from repro.obs.metrics import METRICS, SIZE_BUCKETS
 from repro.shard.catalog import TagCatalog
 from repro.shard.docmap import DocumentMap
 from repro.shard.executor import InProcessExecutor, ProcessExecutor
 
-__all__ = ["ShardedDatabase", "ShardElement", "ShardedRemovalOutcome"]
+__all__ = ["ShardedDatabase", "ShardElement"]
 
 _M_SCATTERS = METRICS.counter(
     "shard.scatter.queries", unit="queries", site="ShardedDatabase (fan-out)"
@@ -162,14 +163,6 @@ class ShardElement:
             f"ShardElement(shard={self.shard}, sid={self.sid}, "
             f"gspan=({self.gstart}, {self.gend}), level={self.level})"
         )
-
-
-@dataclass
-class ShardedRemovalOutcome:
-    """What a virtual-coordinate removal did, per touched shard."""
-
-    outcomes: list[tuple[int, RemovalOutcome]]
-    elements_removed: int
 
 
 class _Doc(NamedTuple):
@@ -421,18 +414,29 @@ class ShardedDatabase:
         return views
 
     @staticmethod
-    def _make_element(views, shard, sid, start, end, level, gs, ge) -> ShardElement:
-        """Shard-local result row -> :class:`ShardElement`.
+    def _make_element(views, shard, start, end, gs, ge, sid, level) -> ShardElement:
+        """One worker reply row -> :class:`ShardElement`.
 
-        The owning document is found by the span's *start* position — an
-        element never crosses its document, but its exclusive end may
-        touch the next document's start.
+        A row is the record's shard-local ``(start, end)`` followed by its
+        :func:`~repro.service.commands.span_row` on the shard.  The owning
+        document is found by the span's *start* position — an element
+        never crosses its document, but its exclusive end may touch the
+        next document's start.
         """
         gps, cells = views[shard]
         i = bisect_right(gps, gs) - 1
         base = gps[i]
         return ShardElement(shard, sid, start, end, level, cells[i],
                             gs - base, ge - base)
+
+    def _element_rows(self, views, shard, reply) -> list[ShardElement]:
+        """A worker's rows as elements (``path``, ``twig``, ``elements``)."""
+        make = self._make_element
+        return [make(views, shard, *row) for row in reply]
+
+    def _binding_rows(self, views, shard, reply) -> list[tuple]:
+        """A worker's ``bindings=True`` matches, one element tuple each."""
+        return [tuple(self._element_rows(views, shard, match)) for match in reply]
 
     # ------------------------------------------------------------------
     # update routing
@@ -524,7 +528,7 @@ class ShardedDatabase:
             return doc
         return None
 
-    def remove(self, position: int, length: int) -> ShardedRemovalOutcome:
+    def remove(self, position: int, length: int) -> RemovalOutcome:
         """Remove ``length`` characters at virtual-global ``position``.
 
         A span inside one document routes to its shard (which applies the
@@ -534,7 +538,8 @@ class ShardedDatabase:
         reverse global order so earlier sub-removals never shift later
         ones.  A span partially crossing a document boundary is refused
         with the same typed error the single database raises for its
-        top-level segments.
+        top-level segments.  Either way the result is what the single
+        database returns: one :class:`RemovalOutcome` for the span.
         """
         with self._lock:
             if length <= 0:
@@ -560,13 +565,9 @@ class ShardedDatabase:
             )
             if inside is not None:
                 local = inside.node.gp + (position - inside.vstart)
-                outcome = self._commit(
+                return self._commit(
                     inside.shard,
                     {"op": "remove", "position": local, "length": length},
-                )
-                return ShardedRemovalOutcome(
-                    outcomes=[(inside.shard, outcome)],
-                    elements_removed=outcome.elements_removed,
                 )
             covered = [d for d in table if position <= d.vstart and d.vend <= end]
             if (
@@ -586,10 +587,8 @@ class ShardedDatabase:
                     f"[{crossing.vstart}, {crossing.vend}); remove whole "
                     "documents or spans inside one document"
                 )
-            outcomes: list[tuple[int, RemovalOutcome]] = []
-            removed = 0
-            for doc in reversed(covered):
-                outcome = self._commit(
+            outcomes = [
+                self._commit(
                     doc.shard,
                     {
                         "op": "remove",
@@ -598,12 +597,19 @@ class ShardedDatabase:
                     },
                     ("remove", doc.index),
                 )
-                outcomes.append((doc.shard, outcome))
-                removed += outcome.elements_removed
+                for doc in reversed(covered)
+            ]
             outcomes.reverse()
-            return ShardedRemovalOutcome(outcomes=outcomes, elements_removed=removed)
+            # One outcome for the whole span, documents in global order.
+            return RemovalOutcome(
+                RemovalReport(
+                    [node for o in outcomes for node in o.report.removed],
+                    [part for o in outcomes for part in o.report.partials],
+                ),
+                sum(o.elements_removed for o in outcomes),
+            )
 
-    def remove_segment(self, sid: int) -> ShardedRemovalOutcome:
+    def remove_segment(self, sid: int) -> RemovalOutcome:
         """Remove exactly the span segment ``sid`` occupies (sid-routed)."""
         with self._lock:
             shard = self.shard_of_sid(sid)
@@ -619,12 +625,8 @@ class ShardedDatabase:
                         if seen == ordinal:
                             doc_change = ("remove", doc_index)
                             break
-            outcome = self._commit(
+            return self._commit(
                 shard, {"op": "remove_segment", "sid": sid}, doc_change
-            )
-            return ShardedRemovalOutcome(
-                outcomes=[(shard, outcome)],
-                elements_removed=outcome.elements_removed,
             )
 
     def repack(self, sid: int):
@@ -632,68 +634,45 @@ class ShardedDatabase:
         with self._lock:
             return self._commit(self.shard_of_sid(sid), {"op": "repack", "sid": sid})
 
-    def compact(self, shard: int | None = None):
-        """Compact every shard (or one): one segment per document."""
+    def compact(self, shard: int | None = None) -> RepackResult:
+        """Compact every shard (or one): one segment per document.
+
+        Returns one :class:`RepackResult` summed over the shards.
+        """
         with self._lock:
             targets = range(self._n) if shard is None else [shard]
-            return [self._commit(s, {"op": "compact"}) for s in targets]
+            per = [self._commit(s, {"op": "compact"}) for s in targets]
+        return RepackResult(
+            new_sids=[sid for r in per for sid in r.new_sids],
+            segments_before=sum(r.segments_before for r in per),
+            segments_after=sum(r.segments_after for r in per),
+            elements_relabelled=sum(r.elements_relabelled for r in per),
+        )
+
+    def global_span(self, record: ShardElement) -> tuple[int, int]:
+        """The current virtual-global ``(start, end)`` of one element."""
+        return record.gspan
 
     def apply_batch(self, ops: list[dict]) -> list:
         """Apply a batch of virtual-coordinate op records in order.
 
         Each record uses the journal dialect with *virtual-global*
-        positions; the coordinator routes every sub-op to its shard under
-        one lock acquisition, so no reader interleaves mid-batch.  A
-        sub-op whose preconditions fail against mid-batch state yields
-        ``None`` in its result slot, mirroring the single-database skip
-        semantics.  The durable subclass turns each shard's share of the
-        batch into a single journal record (atomicity is per shard there —
-        see :class:`~repro.shard.durable.ShardedDurableDatabase`).
+        positions.  The sub-ops run through the same batch dispatcher the
+        single database uses — it calls this coordinator's own methods,
+        which route each to its shard — under one lock acquisition, so no
+        reader interleaves mid-batch, and a sub-op whose preconditions
+        fail against mid-batch state yields ``None`` in its result slot
+        exactly as there.  The durable subclass turns each shard's share
+        of the batch into a single journal record (atomicity is per shard
+        there — see :class:`~repro.shard.durable.ShardedDurableDatabase`).
         """
-        results: list = []
         with self._lock:
             # Whole-batch validation against the virtual super-document
             # length first, so a malformed batch is rejected before any
             # sub-op applies — identically to the single database.
-            validate_batch_ops(
-                list(ops),
-                sum(self._base(i).document_length for i in range(self._n)),
-            )
+            validate_batch_ops(list(ops), self.document_length)
             with self._batched_commits():
-                for sub in ops:
-                    kind = sub.get("op")
-                    try:
-                        if kind == "insert":
-                            results.append(
-                                self.insert(
-                                    sub["fragment"],
-                                    sub.get("position"),
-                                    validate=sub.get("validate", "fragment"),
-                                )
-                            )
-                        elif kind == "remove":
-                            results.append(
-                                self.remove(sub["position"], sub["length"])
-                            )
-                        elif kind == "remove_segment":
-                            results.append(self.remove_segment(sub["sid"]))
-                        elif kind == "repack":
-                            results.append(self.repack(sub["sid"]))
-                        elif kind == "compact":
-                            results.append(self.compact())
-                        else:  # pragma: no cover - caught by validation
-                            raise RecoveryError(
-                                f"invalid batch operation {kind!r} "
-                                f"(must be one of {OP_KINDS})"
-                            )
-                    except RecoveryError:
-                        raise
-                    except ReproError:
-                        # Apply-time precondition failure against
-                        # mid-batch state: deterministic skip, matching
-                        # the single-database batch dispatcher.
-                        results.append(None)
-        return results
+                return apply_op(self, {"op": "batch", "ops": ops})
 
     @contextmanager
     def _batched_commits(self):
@@ -861,12 +840,7 @@ class ShardedDatabase:
         def build(views, shard, reply):
             make = self._make_element
             return [
-                (
-                    make(views, shard, row[0], row[1], row[2], row[3],
-                         row[4], row[5]),
-                    make(views, shard, row[6], row[7], row[8], row[9],
-                         row[10], row[11]),
-                )
+                (make(views, shard, *row[:6]), make(views, shard, *row[6:]))
                 for row in reply["pairs"]
             ]
 
@@ -907,22 +881,30 @@ class ShardedDatabase:
 
     def global_elements(self, tag: str, *, context=None) -> list[ShardElement]:
         """All elements of ``tag``, virtual-global spans, sorted by start."""
-        def build(views, shard, reply):
-            return [self._make_element(views, shard, *row) for row in reply]
-
         with self._lock:
-            targets = self.catalog.shards_for(tag)
-            if not targets:
-                return []
-            return self._scatter_merge(
+            return self._scatter_matches(
                 ("elements", tag),
-                targets,
+                self.catalog.shards_for(tag),
                 "elements",
                 lambda s: (tag,),
+                False,
                 context,
-                build,
-                _ELEMENT_SORT_KEY,
             )
+
+    def _scatter_matches(self, key, targets, verb, make_args, bindings, context):
+        """Scatter an element-valued query and merge by global position:
+        :class:`ShardElement` rows, or tuples of them with ``bindings``."""
+        if not targets:
+            return []
+        return self._scatter_merge(
+            key,
+            targets,
+            verb,
+            make_args,
+            context,
+            self._binding_rows if bindings else self._element_rows,
+            _BINDINGS_SORT_KEY if bindings else _ELEMENT_SORT_KEY,
+        )
 
     def path_query(self, expression: str, *, bindings: bool = False, context=None):
         """Scatter-gather path evaluation (``person//profile/interest``).
@@ -934,37 +916,18 @@ class ShardedDatabase:
         """
         query = parse_path(expression)
         tags = [query.entry] + [step.tag for step in query.steps]
-        if bindings:
-            def build(views, shard, reply):
-                return [
-                    tuple(
-                        self._make_element(views, shard, *row) for row in match
-                    )
-                    for match in reply
-                ]
-
-            sort_key = _BINDINGS_SORT_KEY
-        else:
-            def build(views, shard, reply):
-                return [self._make_element(views, shard, *row) for row in reply]
-
-            sort_key = _ELEMENT_SORT_KEY
         with self._lock:
-            targets = self.catalog.shards_for(*tags)
-            if not targets:
-                return []
-            return self._scatter_merge(
+            return self._scatter_matches(
                 ("path", expression, bindings),
-                targets,
+                self.catalog.shards_for(*tags),
                 "path",
                 lambda s: (
                     expression,
                     bindings,
                     context.remaining() if context is not None else None,
                 ),
+                bindings,
                 context,
-                build,
-                sort_key,
             )
 
     def twig_query(
@@ -985,36 +948,13 @@ class ShardedDatabase:
         """
         from repro.twig.pattern import parse_twig
 
-        query = parse_twig(expression)
-        tags = sorted(query.tags())
-        if bindings:
-            def build(views, shard, reply):
-                return [
-                    tuple(
-                        self._make_element(views, shard, *row) for row in match
-                    )
-                    for match in reply
-                ]
-
-            sort_key = _BINDINGS_SORT_KEY
-        else:
-            def build(views, shard, reply):
-                return [self._make_element(views, shard, *row) for row in reply]
-
-            sort_key = _ELEMENT_SORT_KEY
+        tags = sorted(parse_twig(expression).tags())
         with self._lock:
-            # An all-wildcard pattern names no concrete tag: every shard
-            # is a candidate.
-            targets = (
-                self.catalog.shards_for(*tags)
-                if tags
-                else list(range(self._n))
-            )
-            if not targets:
-                return []
-            return self._scatter_merge(
+            return self._scatter_matches(
                 ("twig", expression, bindings, strategy),
-                targets,
+                # An all-wildcard pattern names no concrete tag: every
+                # shard is a candidate.
+                self.catalog.shards_for(*tags) if tags else list(range(self._n)),
                 "twig",
                 lambda s: (
                     expression,
@@ -1022,9 +962,8 @@ class ShardedDatabase:
                     strategy,
                     context.remaining() if context is not None else None,
                 ),
+                bindings,
                 context,
-                build,
-                sort_key,
             )
 
     # ------------------------------------------------------------------

@@ -37,8 +37,9 @@ from dataclasses import asdict
 from repro import storage
 from repro.core.join import JoinStatistics
 from repro.durability.recovery import apply_op
-from repro.errors import ReproError, WorkerLost
+from repro.errors import ReproError, WorkerLost, error_class
 from repro.obs.metrics import METRICS
+from repro.service.commands import span_row
 from repro.service.context import QueryContext
 
 __all__ = ["InProcessExecutor", "ProcessExecutor", "handle_request"]
@@ -71,30 +72,14 @@ _IDLE_POLL = 0.25
 # shared request dispatch (worker process, in-process executor, fallback)
 
 
-def _span_rows(db, records):
-    """Rows of ``(sid, start, end, level, gstart, gend)`` for records.
+def _rows(db, records):
+    """Reply rows ``(start, end, gstart, gend, sid, level)``: each
+    record's shard-local span, then its :func:`span_row`.
 
     Global spans are shard-local here; the coordinator rebases them into
     virtual-global coordinates with the document map.
     """
-    node_cache: dict[int, object] = {}
-    rows = []
-    for record in records:
-        node = node_cache.get(record.sid)
-        if node is None:
-            node = db.log.sbtree.lookup(record.sid)
-            node_cache[record.sid] = node
-        rows.append(
-            (
-                record.sid,
-                record.start,
-                record.end,
-                record.level,
-                node.to_global(record.start),
-                node.to_global(record.end, count_ties=False),
-            )
-        )
-    return rows
+    return [(r.start, r.end, *span_row(db, r)) for r in records]
 
 
 def handle_request(db, verb: str, args: tuple):
@@ -116,8 +101,8 @@ def handle_request(db, verb: str, args: tuple):
             context=context,
             **lazy_options,
         )
-        a_rows = _span_rows(db, [a for a, _ in pairs])
-        d_rows = _span_rows(db, [d for _, d in pairs])
+        a_rows = _rows(db, [a for a, _ in pairs])
+        d_rows = _rows(db, [d for _, d in pairs])
         return {
             "stats": asdict(stats),
             "pairs": [a + d for a, d in zip(a_rows, d_rows)],
@@ -125,7 +110,7 @@ def handle_request(db, verb: str, args: tuple):
     if verb == "elements":
         (tag,) = args
         return [
-            (e.record.sid, e.record.start, e.record.end, e.record.level, e.start, e.end)
+            (e.record.start, e.record.end, e.start, e.end, e.record.sid, e.level)
             for e in db.global_elements(tag)
         ]
     if verb == "path":
@@ -133,8 +118,8 @@ def handle_request(db, verb: str, args: tuple):
         context = QueryContext(timeout=timeout) if timeout is not None else None
         result = db.path_query(expression, bindings=bindings, context=context)
         if bindings:
-            return [_span_rows(db, match) for match in result]
-        return _span_rows(db, result)
+            return [_rows(db, match) for match in result]
+        return _rows(db, result)
     if verb == "twig":
         expression, bindings, strategy, timeout = args
         context = QueryContext(timeout=timeout) if timeout is not None else None
@@ -142,8 +127,8 @@ def handle_request(db, verb: str, args: tuple):
             expression, bindings=bindings, strategy=strategy, context=context
         )
         if bindings:
-            return [_span_rows(db, match) for match in result]
-        return _span_rows(db, result)
+            return [_rows(db, match) for match in result]
+        return _rows(db, result)
     if verb == "stats":
         return {
             "readpath": db.readpath.stats(),
@@ -182,16 +167,6 @@ def _worker_main(conn, payload: str) -> None:  # pragma: no cover - subprocess
         else:
             conn.send((req_id, "ok", result))
     conn.close()
-
-
-def _reraise(type_name: str, message: str, shard: int):
-    """Rebuild a worker-side exception as its typed local counterpart."""
-    from repro import errors
-
-    exc_type = getattr(errors, type_name, None)
-    if isinstance(exc_type, type) and issubclass(exc_type, ReproError):
-        raise exc_type(message)
-    raise WorkerLost(f"shard {shard} worker failed: {type_name}: {message}")
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +384,15 @@ class ProcessExecutor:
             self._mark_lost(shard)
             raise WorkerLost(f"shard {shard} worker desynced (reply {req_id})")
         if status == "error":
-            _reraise(rest[0], rest[1], shard)
+            # The worker's exception, rebuilt as its typed local
+            # counterpart; anything else means the worker itself failed.
+            type_name, message = rest
+            exc_type = error_class(type_name)
+            if exc_type is None:
+                raise WorkerLost(
+                    f"shard {shard} worker failed: {type_name}: {message}"
+                )
+            raise exc_type(message)
         return rest[0]
 
     def query(self, shard: int, verb: str, args: tuple, *, timeout=None):

@@ -6,7 +6,7 @@ import contextlib
 import time
 
 from repro.core.database import LazyXMLDatabase
-from repro.net.protocol import COMMANDS
+from repro.service.commands import COMMANDS, Field, Verb
 from repro.service.server import DatabaseService
 from repro.workloads.scenarios import registration_stream
 
@@ -25,7 +25,7 @@ def make_service(n: int = 5, **service_kwargs) -> DatabaseService:
     return DatabaseService(make_db(n), **service_kwargs)
 
 
-def _cmd_slowop(service, session, request, ctx):
+def _cmd_slowop(service, session, args, ctx):
     """Test-only verb: busy-wait ``seconds`` at cooperative checkpoints.
 
     Exercises exactly what a long join exercises — the QueryContext
@@ -33,17 +33,17 @@ def _cmd_slowop(service, session, request, ctx):
     shed/cancel/drain tests are deterministic instead of racing real
     query latencies.
     """
-    deadline = time.monotonic() + float(request.get("seconds", 0.5))
+    deadline = time.monotonic() + args["seconds"]
     while time.monotonic() < deadline:
         ctx.check_deadline()
         time.sleep(0.005)
-    return {"slept": float(request.get("seconds", 0.5))}
+    return {"slept": args["seconds"]}
 
 
 @contextlib.contextmanager
 def slowop_installed():
-    """Temporarily register the ``slowop`` verb in the protocol table."""
-    COMMANDS["slowop"] = _cmd_slowop
+    """Temporarily register the ``slowop`` verb in the verb table."""
+    COMMANDS["slowop"] = Verb(_cmd_slowop, (Field("seconds", "float", 0.5),))
     try:
         yield
     finally:

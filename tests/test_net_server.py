@@ -203,12 +203,13 @@ class TestProtocolDiscipline:
         converted into a client-blamed 'bad arguments' ProtocolError —
         it propagates, for the server to report as an internal error."""
         from repro.net.protocol import COMMANDS, SessionState, execute_request
+        from repro.service.commands import Verb
 
-        def _cmd_buggy(service, session, request, ctx):
+        def _cmd_buggy(service, session, args, ctx):
             return len(None)  # an internal defect, not a client mistake
 
         service = make_service(2)
-        COMMANDS["buggy"] = _cmd_buggy
+        COMMANDS["buggy"] = Verb(_cmd_buggy)
         try:
             session = SessionState(1)
             with pytest.raises(TypeError):

@@ -72,6 +72,23 @@ def test_library_names_no_repro_environment_variable():
     assert not found, found
 
 
+def test_front_ends_own_no_verb():
+    """The shell is a codec over the verb table: it defines no ``_cmd_*``
+    and imports nothing from ``repro.net``; ``help`` is the table, so
+    every verb (a new one included) appears in it."""
+    from repro.service import DatabaseService, commands, shell
+
+    assert not [name for name in vars(shell.ServiceShell) if name.startswith("_cmd_")]
+    assert not [name for name in vars(DatabaseService) if name.startswith("trace_")]
+    tree = ast.parse(Path(shell.__file__).read_text(encoding="utf-8"))
+    imported = [
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ]
+    assert not [name for name in imported if name.startswith("repro.net")]
+    rows = commands.reference().splitlines()
+    assert [row.split()[0] for row in rows] == list(commands.COMMANDS)
+
+
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
         "name",

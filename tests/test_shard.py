@@ -101,7 +101,7 @@ class TestRouting:
         length = len(DOCS[1]) + len(DOCS[2])
         outcome = db.remove(start, length)
         single.remove(start, length)
-        assert len(outcome.outcomes) == 2
+        assert len(outcome.report.removed_sids) == 2
         assert db.text == single.text
         assert db.docmap.docs == [0, 1]
         db.check_invariants()
@@ -119,8 +119,8 @@ class TestRouting:
         db.insert("<c>nested</c>", table[0].vstart + len("<a>"))
         top_sid = db.shards[0].log.ertree.root.children[0].sid
         db.repack(top_sid)
-        results = db.compact()
-        assert len(results) == 2
+        result = db.compact()
+        assert result.segments_after == len(DOCS)
         db.check_invariants()
 
     def test_from_database_partitions_by_document(self):

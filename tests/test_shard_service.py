@@ -26,6 +26,7 @@ import pytest
 from repro.__main__ import main
 from repro.core.database import LazyXMLDatabase
 from repro.errors import WorkerLost
+from repro.net.protocol import SessionState, execute_request
 from repro.service import DatabaseService, ServiceConfig
 from repro.service.pressure import LEVEL_OK, PressureThresholds
 from repro.shard import ShardedDatabase
@@ -79,8 +80,8 @@ class TestServiceOverSharded:
             before = len(service.join("a", "c"))
             service.insert("<a><c>svc</c></a>")
             assert len(service.join("a", "c")) == before + 1
-            results = service.compact()
-            assert isinstance(results, list) and len(results) == 2
+            result = service.compact()
+            assert result.segments_after == len(DOCS) + 1
 
     def test_health_reports_the_shard_topology(self):
         with DatabaseService(sharded()) as service:
@@ -116,9 +117,14 @@ class TestServiceOverSharded:
 
     def test_trace_join_records_the_scatter_span(self):
         with DatabaseService(sharded()) as service:
-            result, trace_spans = service.trace_join("a", "c")
-            assert spans(result) == spans(service.join("a", "c"))
-            assert any(s["name"] == "shard_scatter" for s in trace_spans)
+            reply = execute_request(
+                service,
+                SessionState(1),
+                {"cmd": "join", "ancestor": "a", "descendant": "c",
+                 "trace": True},
+            )
+            assert reply["pairs"] == len(service.join("a", "c"))
+            assert any(s["name"] == "shard_scatter" for s in reply["trace"])
 
 
 @pytest.mark.skipif(os.name != "posix", reason="worker processes require POSIX")

@@ -444,8 +444,12 @@ class TestServiceSurface:
         with service_db() as svc:
             result = svc.twig("r//a[b]/c")
             assert len(result) == 2
-            traced, trace_spans = svc.trace_twig("r//a[b]/c")
-            assert len(traced) == len(result)
+            reply = execute_request(
+                svc, SessionState(1),
+                {"cmd": "twig", "expr": "r//a[b]/c", "trace": True},
+            )
+            assert reply["count"] == len(result)
+            trace_spans = reply["trace"]
             twig_span = next(s for s in trace_spans if s["name"] == "twig_query")
             assert twig_span["attrs"]["strategy"] in ("twig", "pairwise")
             assert "cost_twig" in twig_span["attrs"]
