@@ -1,39 +1,25 @@
-"""Benchmark harness: timing helpers, builders and per-figure experiments.
+"""The figure experiments: timing helpers, builders and the registry.
 
-The heavy lifting for every figure lives in
-:mod:`repro.bench.experiments`; the repository's ``benchmarks/`` directory
-wraps those functions in pytest-benchmark tests and printable mains, and
-``examples/reproduce_paper.py`` runs the full set.
+:mod:`repro.bench.experiments` holds one function per paper figure and
+:data:`~repro.bench.experiments.FIGURES`, the registry that names them;
+``benchmarks/figures.py`` at the repository root is the one command that
+runs it (``[id ...] [--quick] [--check]``) and the source of every number
+in EXPERIMENTS.md.
 """
 
 from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
-from repro.bench.experiments import (
-    ablation_branch_strategy,
-    ablation_push_optimizations,
-    fig11_update_log,
-    fig12_cross_join,
-    fig13_segments,
-    fig14_15_xmark,
-    fig16_insert,
-    fig17_element_insert,
-    spine_document,
-)
-from repro.bench.harness import Sweep, Table, measure
+from repro.bench.experiments import FIGURES, Figure, spine_document
+from repro.bench.harness import Sweep, Table, measure, measure_cold_join
 
 __all__ = [
     "measure",
+    "measure_cold_join",
     "Table",
     "Sweep",
     "insert_under",
     "build_uniform_segments",
     "parent_plan",
     "spine_document",
-    "fig11_update_log",
-    "fig12_cross_join",
-    "fig13_segments",
-    "fig14_15_xmark",
-    "fig16_insert",
-    "fig17_element_insert",
-    "ablation_push_optimizations",
-    "ablation_branch_strategy",
+    "FIGURES",
+    "Figure",
 ]

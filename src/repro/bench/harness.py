@@ -1,41 +1,17 @@
-"""Timing and reporting utilities shared by the benchmark suite.
+"""Timing and reporting utilities shared by the figure experiments.
 
-Small on purpose: a monotonic timer helper, a result-table formatter that
-prints paper-style rows, and a container for (x, series...) sweeps.  The
-``benchmarks/`` scripts use these both under pytest-benchmark and as
-directly runnable ``main()`` programs that print each figure's series.
-
-Every runnable benchmark writes the same self-describing JSON **envelope**
-(:func:`envelope` / :func:`write_envelope`): schema version, benchmark
-name, workload parameters, the tables/sweeps it printed, and a snapshot of
-the process metric registry — so a ``BENCH_*.json`` can be interpreted
-without re-reading the script that produced it.
+Small on purpose: a monotonic timer helper, the cold-join timer every
+LD/LS figure timing goes through, a result-table formatter that prints
+paper-style rows, and a container for (x, series...) sweeps.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.obs.metrics import METRICS
-
-__all__ = [
-    "measure",
-    "Table",
-    "Sweep",
-    "SCHEMA",
-    "metrics_snapshot",
-    "envelope",
-    "write_envelope",
-]
-
-#: Envelope schema identifier.  Bump when the envelope layout changes.
-#: ``repro-bench/2`` added: uniform envelope for every script, workload
-#: params, and the embedded metric snapshot.
-SCHEMA = "repro-bench/2"
+__all__ = ["measure", "measure_cold_join", "Table", "Sweep"]
 
 
 def measure(fn: Callable[[], object], *, repeat: int = 3) -> float:
@@ -52,6 +28,29 @@ def measure(fn: Callable[[], object], *, repeat: int = 3) -> float:
         if elapsed < best:
             best = elapsed
     return best
+
+
+def measure_cold_join(
+    db, join: Callable[[], list], *, repeat: int = 3
+) -> tuple[float, int]:
+    """Best-of-``repeat`` seconds of ``join()`` on ``db``, and its pair count.
+
+    The database's compiled read state is dropped before every repetition,
+    so the time is the merge of Fig. 9 plus its index reads — never a
+    :meth:`~repro.core.readpath.ReadPathCache.cached_join` hit, which
+    repetitions two and three of a plain :func:`measure` would report.
+    (Warm, steady-state reads are what ``benchmarks/e2e`` measures.)  The
+    clears are a handful of ``dict.clear()`` calls, negligible against the
+    join they precede.
+    """
+    pairs = 0
+
+    def cold() -> None:
+        nonlocal pairs
+        db.readpath.clear()
+        pairs = len(join())
+
+    return measure(cold, repeat=repeat), pairs
 
 
 @dataclass
@@ -113,10 +112,10 @@ class Table:
         print(self.format())
         print()
 
-    def as_dict(self) -> dict:
-        """JSON-serializable form for the benchmark envelope."""
-        return {"title": self.title, "headers": list(self.headers),
-                "rows": [list(row) for row in self.rows]}
+    def column(self, name: str) -> list[object]:
+        """The values under header ``name``, in row order."""
+        col = self.headers.index(name)
+        return [row[col] for row in self.rows]
 
 
 @dataclass
@@ -137,54 +136,3 @@ class Sweep:
         for i, x in enumerate(self.xs):
             table.add_row([x] + [self.series[name][i] for name in self.series])
         return table
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form for the benchmark envelope."""
-        return {"x_name": self.x_name, "xs": list(self.xs),
-                "series": {name: list(ys) for name, ys in self.series.items()}}
-
-
-# ----------------------------------------------------------------------
-# the self-describing result envelope (``BENCH_*.json``)
-
-
-def metrics_snapshot() -> dict:
-    """The process metric registry as plain dicts (see ``repro.obs``)."""
-    return METRICS.snapshot()
-
-
-def envelope(
-    name: str,
-    *,
-    params: dict | None = None,
-    tables: Iterable[Table] = (),
-    sweeps: Iterable[Sweep] = (),
-    results: dict | None = None,
-) -> dict:
-    """Assemble the uniform benchmark-result envelope.
-
-    ``params`` records the workload knobs (sizes, repeat counts, modes);
-    ``results`` carries any script-specific payload that is not naturally
-    a table or sweep.  The metric snapshot is taken at call time, so call
-    this *after* the measured work.
-    """
-    return {
-        "schema": SCHEMA,
-        "benchmark": name,
-        "params": dict(params or {}),
-        "tables": [table.as_dict() for table in tables],
-        "sweeps": [sweep.as_dict() for sweep in sweeps],
-        "results": dict(results or {}),
-        "metrics": metrics_snapshot(),
-    }
-
-
-def write_envelope(path, name: str, **kwargs) -> Path:
-    """Write :func:`envelope` output to ``path`` and report where."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(envelope(name, **kwargs), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"[{name}] wrote {path}")
-    return path

@@ -731,7 +731,7 @@ class ERTree:
             if self._on_remove is not None:
                 self._on_remove(sub)
         new_sid = self._next_sid
-        self._next_sid += 1
+        self._next_sid += self.sid_stride
         new = ERNode(new_sid, gp=old.gp, length=old.length, lp=old.lp, parent=parent)
         parent.children[parent.children.index(old)] = new
         parent._touch()

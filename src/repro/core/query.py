@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.core.element_index import ElementRecord
-from repro.errors import PathSyntaxError, QueryError
+from repro.errors import PathSyntaxError
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT
 from repro.obs.metrics import LATENCY_BUCKETS, METRICS
 
@@ -260,7 +260,6 @@ def evaluate_path(
     expression: str,
     *,
     bindings: bool = False,
-    algorithm: str = "joins",
     context=None,
 ):
     """Evaluate a path expression against a :class:`LazyXMLDatabase`.
@@ -268,15 +267,8 @@ def evaluate_path(
     Returns the distinct matches of the final step in ``(sid, start)``
     order, or — with ``bindings=True`` — the full match tuples (one
     :class:`ElementRecord` per step, duplicates possible when intermediate
-    elements fan out).
-
-    ``algorithm`` selects the executor:
-
-    - ``"joins"`` (default): one Lazy-Join per step, filtered by semi-join
-      against the previous step's matches;
-    - ``"pathstack"``: the holistic PathStack algorithm
-      (:mod:`repro.joins.path_stack`) over derived global labels — no
-      intermediate step results are ever materialized.
+    elements fan out).  One Lazy-Join runs per step, filtered by semi-join
+    against the previous step's matches.
 
     ``context`` is an optional
     :class:`~repro.service.context.QueryContext`, threaded into every
@@ -284,22 +276,16 @@ def evaluate_path(
     path query honors one shared deadline/row budget end to end.
     """
     query = expression if isinstance(expression, PathQuery) else parse_path(expression)
-    if algorithm not in ("joins", "pathstack"):
-        raise QueryError(
-            f"algorithm must be 'joins' or 'pathstack', got {algorithm!r}"
-        )
     enabled = METRICS.enabled
     start = perf_counter() if enabled else 0.0
     plan = plan_path(db, query)
     _record_plan(query, plan)
     trace = context.trace if context is not None else None
     if trace is None:
-        result = _evaluate(db, query, plan, bindings, algorithm, context)
+        result = _evaluate(db, query, plan, bindings, context)
     else:
-        with trace.span(
-            "path_query", expr=str(query), algorithm=algorithm
-        ) as span:
-            result = _evaluate(db, query, plan, bindings, algorithm, context)
+        with trace.span("path_query", expr=str(query)) as span:
+            result = _evaluate(db, query, plan, bindings, context)
             span.annotate(
                 matches=len(result),
                 strategy="pairwise",
@@ -335,17 +321,13 @@ def _record_plan(query: PathQuery, plan: PathPlan) -> None:
     )
 
 
-def _evaluate(
-    db, query: PathQuery, plan: PathPlan, bindings: bool, algorithm: str, context
-):
+def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
     if plan.empty:
         # A tag with zero recorded elements anywhere on the path empties
         # the whole result: answer without touching the element index.
         if METRICS.enabled:
             _M_PLAN_SHORT.inc()
         return []
-    if algorithm == "pathstack":
-        return _evaluate_pathstack(db, query, bindings=bindings, context=context)
     tid_entry = db.log.tags.tid_of(query.entry)
     if tid_entry is None:
         return []
@@ -404,33 +386,3 @@ def _evaluate(
             for desc in extend.get(binding[-1], ())
         ]
     return current
-
-
-def _evaluate_pathstack(db, query: PathQuery, *, bindings: bool, context=None):
-    """Holistic execution over derived global labels."""
-    from repro.joins.path_stack import path_stack
-
-    tags = [query.entry] + [step.tag for step in query.steps]
-    axes = [AXIS_DESCENDANT] + [step.axis for step in query.steps]
-    streams = []
-    for tag in tags:
-        if context is not None:
-            context.check_deadline()
-        streams.append(db.global_elements(tag, context=context))
-    chains = path_stack(streams, axes)
-    if context is not None:
-        context.check_deadline()
-        context.charge_rows(len(chains))
-    if bindings:
-        return [
-            tuple(element.record for element in chain) for chain in chains
-        ]
-    seen: set[ElementRecord] = set()
-    out: list[ElementRecord] = []
-    for chain in chains:
-        record = chain[-1].record
-        if record not in seen:
-            seen.add(record)
-            out.append(record)
-    out.sort(key=lambda r: (r.sid, r.start))
-    return out

@@ -970,9 +970,19 @@ class ShardedDatabase:
     # verification
 
     def check_invariants(self) -> None:
-        """Per-shard invariants plus the document-map correspondence."""
+        """Per-shard invariants, the sid lattice, and the document map."""
         for s in range(self._n):
             self._base(s).check_invariants()
+            # Routing by sid is only sound while every live segment sits
+            # on its own shard's lattice (which also keeps sids unique
+            # across shards).
+            for node in self._base(s).log.ertree.nodes():
+                if node.sid != DUMMY_ROOT_SID:
+                    home = self.shard_of_sid(node.sid)
+                    assert home == s, (
+                        f"shard {s} holds sid {node.sid}, which routes to "
+                        f"shard {home}"
+                    )
             children = self._base(s).log.ertree.root.children
             mapped = self.docmap.docs_on(s)
             assert mapped == len(children), (

@@ -5,9 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
-from repro.bench.harness import Sweep, Table, measure
+from repro.bench.experiments import (
+    FIGURES,
+    ablation_push_optimizations,
+    ablation_repack,
+    fig11_log_size,
+    fig14_cardinalities,
+    fig16_insert,
+    spine_document,
+    xmark_databases,
+)
+from repro.bench.harness import Sweep, Table, measure, measure_cold_join
 from repro.core.database import LazyXMLDatabase
 from repro.errors import UpdateError
+from repro.obs.metrics import METRICS
+from repro.workloads.join_mix import build_join_mix, sweep_configs
+from repro.workloads.xmark import XMARK_QUERIES
+from repro.xml.parser import parse
 
 
 class TestMeasure:
@@ -23,6 +37,19 @@ class TestMeasure:
 
         measure(fn, repeat=4)
         assert len(calls) == 4
+
+    def test_cold_join_drops_compiled_state_before_every_repetition(self):
+        db = LazyXMLDatabase()
+        db.insert("<a><d/><d/></a>")
+        compiled_at_entry = []
+
+        def join():
+            compiled_at_entry.append(db.readpath.stats()["entries"]["join_results"])
+            return db.structural_join("a", "d")
+
+        elapsed, pairs = measure_cold_join(db, join, repeat=3)
+        assert elapsed > 0 and pairs == 2
+        assert compiled_at_entry == [0, 0, 0]
 
 
 class TestTable:
@@ -100,79 +127,123 @@ class TestBuilders:
         assert db.text == "<t0><x/><t0><y/></t0></t0>"
 
 
+#: Parameters small enough for tier-1; one entry per registry id.
+TINY = {
+    "fig11a": {"segment_counts": (5, 10)},
+    "fig11b": {"segment_counts": (5, 10), "repeat": 1},
+    "fig12": {"segment_counts": (8,), "fractions": (0.0, 1.0), "repeat": 3},
+    "fig13": {"segment_counts": (4, 8), "depth": 20, "repeat": 3},
+    "fig14": {"scale": 0.005, "n_segments": 8},
+    "fig15": {"scale": 0.005, "n_segments": 8, "repeat": 3},
+    "fig16": {"doc_segment_counts": (4, 8), "repeat": 1},
+    "fig16-ingest": {"n_ops": 8, "batch": 4, "repeat": 1},
+    "fig17": {
+        "element_counts": (5,),
+        "tag_counts": (2,),
+        "segment_counts": (5,),
+        "n_segments": 5,
+        "prime_base_nodes": 30,
+        "prime_groups": (5,),
+        "repeat": 1,
+    },
+    "ablation-push": {"n_segments": 8, "repeat": 1},
+    "ablation-paths": {"n_segments": 12, "repeat": 1},
+    "ablation-repack": {"n_segments": 8, "repeat": 1},
+    "overload": {
+        "rates": (50.0,),
+        "duration": 0.2,
+        "ceiling_duration": 0.1,
+        "conns": 4,
+        "docs": 5,
+    },
+}
+
+
 class TestExperimentsSmoke:
-    """Each experiment function runs at tiny scale and returns sane shapes."""
+    """Every registry entry runs at tiny scale and returns sane tables."""
 
-    def test_fig11(self):
-        from repro.bench.experiments import fig11_update_log
+    @pytest.mark.parametrize("fid", FIGURES)
+    def test_figure(self, fid):
+        figure = FIGURES[fid]
+        assert figure.quick, "no quick parameter set"
+        assert callable(figure.shape), "no shape predicate"
+        hits_before = METRICS.value("readpath.joins.hits")
+        tables = figure.run(**TINY[fid])
+        assert tables
+        for table in tables:
+            assert table.rows, table.title
+            assert set(figure.columns) <= set(table.headers), table.title
+            if "pairs" in table.headers:
+                # A joining figure raises when LD, LS and STD disagree on
+                # a pair count, so getting here means they agreed.
+                assert all(n > 0 for n in table.column("pairs")), table.title
+        # Every LD/LS timing is a cold join: with repeat=3, a plain
+        # best-of-three would hit the join memo twice per point.
+        assert METRICS.value("readpath.joins.hits") == hits_before
 
-        tables = fig11_update_log(segment_counts=(5, 10), shapes=("balanced",), repeat=1)
-        table = tables["balanced"]
-        assert [row[0] for row in table.rows] == [5, 10]
-        sizes = [row[3] for row in table.rows]
-        assert sizes[1] > sizes[0]
+    def test_tiny_covers_the_registry(self):
+        assert set(TINY) == set(FIGURES)
 
-    def test_fig12(self):
-        from repro.bench.experiments import fig12_cross_join
-
-        sweep = fig12_cross_join(n_segments=8, fractions=(0.0, 1.0), repeat=1)
-        assert sweep.xs == [0, 100]
-        assert sweep.series["actual_cross_pct"] == [0, 100.0]
-        assert all(v > 0 for v in sweep.series["ld_ms"])
-
-    def test_fig13(self):
-        from repro.bench.experiments import fig13_segments
-
-        sweeps = fig13_segments(segment_counts=(4, 8), shapes=("nested",), depth=20, repeat=1)
-        assert list(sweeps) == ["nested"]
-        assert sweeps["nested"].xs == [4, 8]
-
-    def test_fig14_15(self):
-        from repro.bench.experiments import fig14_15_xmark
-
-        cards, times = fig14_15_xmark(scale=0.005, n_segments=8, repeat=1)
-        assert len(cards.rows) == 5
-        assert len(times.rows) == 5
-        assert all(row[2] >= 0 for row in cards.rows)
-
-    def test_fig16(self):
-        from repro.bench.experiments import fig16_insert
-
-        sweep = fig16_insert(doc_segment_counts=(4, 8), repeat=1)
-        assert len(sweep.xs) == 2
-        assert all(v > 0 for v in sweep.series["traditional_ms"])
-
-    def test_fig17(self):
-        from repro.bench.experiments import fig17_element_insert
-
-        sweeps = fig17_element_insert(
-            element_counts=(5,),
-            tag_counts=(2,),
-            segment_counts=(5,),
-            n_segments=5,
-            prime_base_nodes=30,
-            prime_groups=(5,),
-            repeat=1,
-        )
-        assert set(sweeps) == {"elements", "tags", "segments"}
-        assert all(v > 0 for v in sweeps["elements"].series["prime_k5_us"])
-
-    def test_ablation_push(self):
-        from repro.bench.experiments import ablation_push_optimizations
-
-        table = ablation_push_optimizations(n_segments=8, repeat=1)
-        assert len(table.rows) == 4
-
-    def test_ablation_branch(self):
-        from repro.bench.experiments import ablation_branch_strategy
-
-        table = ablation_branch_strategy(n_segments=12, repeat=1)
-        assert [row[0] for row in table.rows] == ["path", "bisect", "walk"]
+    def test_cross_percentage_is_realized(self):
+        nested, _balanced = FIGURES["fig12"].run(**TINY["fig12"])
+        assert nested.column("target_cross_pct") == [0, 100]
+        assert nested.column("actual_cross_pct") == [0, 100.0]
 
     def test_spine_document(self):
-        from repro.bench.experiments import spine_document
-        from repro.xml.parser import parse
-
         doc = parse(spine_document(10, bushiness=2))
         t0_levels = [e.level for e in doc.elements if e.tag == "t0"]
         assert max(t0_levels) == 10
+
+
+class TestDeterministicShapes:
+    """The figures' claims that are counts, not timings, at tiny scale."""
+
+    def test_nested_taglist_outgrows_balanced(self):
+        balanced, nested = fig11_log_size(segment_counts=(60,))
+        assert nested.column("taglist_kb")[0] > 2 * balanced.column("taglist_kb")[0]
+        FIGURES["fig11a"].shape([balanced, nested])
+
+    def test_nested_growth_is_superlinear(self):
+        (nested,) = fig11_log_size(segment_counts=(40, 80), shapes=("nested",))
+        at_40, at_80 = nested.column("taglist_kb")
+        # O(T N^2): doubling N should much more than double the tag-list.
+        assert at_80 > 3 * at_40
+
+    def test_fig14_cardinality_ordering(self):
+        # person//watch ⊇ watches//watch, person//interest ⊇ profile//interest
+        FIGURES["fig14"].shape(fig14_cardinalities(scale=0.01, n_segments=20))
+
+    def test_all_algorithms_agree_on_cardinalities(self):
+        ld, ls = xmark_databases(0.01, 20)
+        for _, tag_a, tag_d in XMARK_QUERIES:
+            lazy = len(ld.structural_join(tag_a, tag_d))
+            assert lazy == len(ld.structural_join(tag_a, tag_d, algorithm="std"))
+            assert lazy == len(ld.structural_join(tag_a, tag_d, algorithm="merge"))
+            assert lazy == len(ls.structural_join(tag_a, tag_d))
+
+    def test_relabeling_touches_about_half_the_labels(self):
+        (table,) = fig16_insert(doc_segment_counts=(40,), repeat=1)
+        assert 30 < table.column("relabelled_pct")[0] < 80
+
+    def test_branch_strategies_agree(self):
+        db = LazyXMLDatabase(keep_text=False)
+        build_join_mix(db, sweep_configs(30, "nested", [1.0])[0])
+        path, bisect, walk = (
+            sorted(db.structural_join("a", "d", branch_strategy=strategy))
+            for strategy in ("path", "bisect", "walk")
+        )
+        assert path == bisect == walk and path
+
+    def test_push_optimization_reduces_pushed_elements(self):
+        tables = ablation_push_optimizations(n_segments=20, repeat=1)
+        FIGURES["ablation-push"].shape(tables)
+
+    def test_compaction_preserves_results(self):
+        (table,) = ablation_repack(n_segments=20, repeat=1)
+        before, after = table.column("pairs")
+        assert before == after > 0
+
+    def test_compaction_shrinks_the_log(self):
+        (table,) = ablation_repack(n_segments=20, repeat=1)
+        assert table.column("log_kb")[1] < table.column("log_kb")[0]
+        assert table.column("segments")[1] < table.column("segments")[0]

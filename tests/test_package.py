@@ -89,6 +89,25 @@ def test_front_ends_own_no_verb():
     assert [row.split()[0] for row in rows] == list(commands.COMMANDS)
 
 
+def test_one_benchmark_estate():
+    """Two measuring programs and nothing else: ``benchmarks/e2e`` (the
+    gated end-to-end benchmark) and ``benchmarks/figures.py`` (the paper's
+    figures from one registry).  No committed result JSON that nothing
+    re-measures, and no pytest-benchmark target anywhere."""
+    root = Path(__file__).resolve().parents[1]
+    held = {p.name for p in (root / "benchmarks").iterdir()} - {"__pycache__"}
+    assert held == {"e2e", "figures.py"}
+    assert not list(root.glob("BENCH_*.json"))
+    requests = []
+    for folder in ("tests", "benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+                    if any(arg.arg == "benchmark" for arg in node.args.args):
+                        requests.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not requests, requests
+
+
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
         "name",

@@ -1,4 +1,9 @@
-"""Tests for the holistic PathStack executor."""
+"""Tests for the holistic PathStack enumerator.
+
+Unit tests drive :func:`path_stack` on hand-built streams; the parity
+class holds the twig executor's holistic strategy (which runs it over
+global streams) to the pairwise Lazy-Join pipeline on plain chains.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ from repro.core.database import LazyXMLDatabase
 from repro.core.query import evaluate_path
 from repro.errors import QueryError
 from repro.joins.path_stack import path_stack
+from repro.twig.evaluate import evaluate_twig
 from repro.workloads.generator import GeneratorConfig, generate_tree
 from repro.workloads.scenarios import registration_stream
 from repro.xml.parser import parse
@@ -103,7 +109,7 @@ class TestAgainstJoinPipeline:
         for fragment in registration_stream(6):
             db.insert(fragment)
         joins = self.spans(db, evaluate_path(db, expression))
-        holistic = self.spans(db, evaluate_path(db, expression, algorithm="pathstack"))
+        holistic = self.spans(db, evaluate_twig(db, expression, strategy="twig"))
         assert joins == holistic, expression
 
     @pytest.mark.parametrize("seed", range(8))
@@ -128,7 +134,7 @@ class TestAgainstJoinPipeline:
         for expression in ("t0//t1", "t0//t1//t2", "t0/t1", "t1//t2//t1"):
             joins = self.spans(db, evaluate_path(db, expression))
             holistic = self.spans(
-                db, evaluate_path(db, expression, algorithm="pathstack")
+                db, evaluate_twig(db, expression, strategy="twig")
             )
             assert joins == holistic, (seed, expression)
 
@@ -143,14 +149,8 @@ class TestAgainstJoinPipeline:
         )
         holistic = sorted(
             tuple(db.global_span(r) for r in chain)
-            for chain in evaluate_path(
-                db, expression, bindings=True, algorithm="pathstack"
+            for chain in evaluate_twig(
+                db, expression, bindings=True, strategy="twig"
             )
         )
         assert joins == holistic
-
-    def test_unknown_algorithm_rejected(self):
-        db = LazyXMLDatabase()
-        db.insert("<a/>")
-        with pytest.raises(QueryError):
-            evaluate_path(db, "a", algorithm="teleport")

@@ -15,13 +15,11 @@ Three concerns, mirroring the module's contract (``repro.core.readpath``):
   insert/remove/repack sequences via hypothesis.
 
 The ``perf_smoke`` marked test is the CI perf-smoke gate: a small join
-workload run twice must hit the cache on the second pass, and the
-benchmark envelope it writes must validate against ``repro-bench/2``.
+workload run twice must hit the cache on the second pass.
 """
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -31,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core.database import LazyXMLDatabase
 from repro.core.ertree import DUMMY_ROOT_SID
 from repro.core.join import JoinStatistics
-from repro.bench.harness import SCHEMA, Table, write_envelope
 from repro.workloads.generator import generate_fragment, tag_pool
 from repro.workloads.join_mix import build_join_mix, sweep_configs
 
@@ -285,38 +282,21 @@ def test_queries_never_bump_versions():
 
 
 # ----------------------------------------------------------------------
-# CI perf smoke: warm second pass + valid envelope
+# CI perf smoke: warm second pass
 
 
 @pytest.mark.perf_smoke
-def test_perf_smoke_second_pass_hits_and_envelope_validates(tmp_path):
+def test_perf_smoke_second_pass_hits_and_envelope_validates():
+    """The second pass hits.  The name predates the removal of the
+    benchmark envelope this test also used to write and validate."""
     db = _mix_db(10)
     queries = [("a", "d"), ("d", "a")]
     for tag_a, tag_d in queries:
         db.structural_join(tag_a, tag_d)  # first pass: compile + store
     hits_before = db.readpath.hits
-    pair_counts = [
-        len(db.structural_join(tag_a, tag_d)) for tag_a, tag_d in queries
-    ]
+    for tag_a, tag_d in queries:
+        db.structural_join(tag_a, tag_d)
     stats = db.readpath.stats()
     assert db.readpath.hits > hits_before, "second pass never hit the cache"
     assert stats["hit_rate"] > 0.0
     assert stats["entries"]["join_results"] == len(queries)
-
-    table = Table("perf smoke", ["query", "pairs"])
-    for (tag_a, tag_d), pairs in zip(queries, pair_counts):
-        table.add_row([f"{tag_a}//{tag_d}", pairs])
-    path = write_envelope(
-        tmp_path / "BENCH_smoke.json",
-        "readpath_smoke",
-        params={"n_segments": 10},
-        tables=[table],
-        results={"cache": stats},
-    )
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["schema"] == SCHEMA
-    assert set(doc) >= {
-        "schema", "benchmark", "params", "tables", "sweeps", "results",
-        "metrics",
-    }
-    assert doc["results"]["cache"]["hits"] > 0

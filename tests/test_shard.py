@@ -123,6 +123,34 @@ class TestRouting:
         assert result.segments_after == len(DOCS)
         db.check_invariants()
 
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_compact_and_repack_stay_on_the_sid_lattice(self, n_shards):
+        db = sharded_with_docs(n_shards)
+        db.compact()
+        first = db._doc_table()[0]
+        db.insert("<c>nested</c>", first.vstart + len("<a>"))
+        db.repack(first.node.sid)
+        owners: dict[int, int] = {}
+        for shard, shard_db in enumerate(db.shards):
+            for node in shard_db.log.ertree.root.children:
+                assert db.shard_of_sid(node.sid) == shard
+                assert owners.setdefault(node.sid, shard) == shard
+        assert len(owners) == len(DOCS)
+        db.check_invariants()
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    @pytest.mark.parametrize("victim", range(len(DOCS)))
+    def test_remove_segment_after_compact_removes_that_document(
+        self, n_shards, victim
+    ):
+        db = sharded_with_docs(n_shards)
+        db.compact()
+        doc = db._doc_table()[victim]
+        expected = db.text[: doc.vstart] + db.text[doc.vend :]
+        db.remove_segment(doc.node.sid)
+        assert db.text == expected
+        db.check_invariants()
+
     def test_from_database_partitions_by_document(self):
         single = LazyXMLDatabase()
         for doc in DOCS:

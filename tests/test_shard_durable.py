@@ -86,6 +86,25 @@ class TestReopen:
                 assert (node.sid - 1) % 2 == shard
         reopened.close()
 
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_compacted_sid_lattices_survive_checkpoint_and_reopen(
+        self, tmp_path, n_shards
+    ):
+        db = build(tmp_path, n_shards)
+        db.compact()
+        db.checkpoint()
+        db.compact()  # replayed from the journal tail on reopen
+        db.close()
+        reopened = ShardedDurableDatabase(tmp_path / "state")
+        reopened.insert("<a><c>new</c></a>")
+        reopened.compact()
+        for shard, shard_db in enumerate(reopened.shards):
+            for node in shard_db.log.ertree.root.children:
+                assert reopened.shard_of_sid(node.sid) == shard
+        reopened.check_invariants()
+        assert reopened.segment_count == len(DOCS) + 1
+        reopened.close()
+
 
 class TestCoordinatedCheckpoint:
     def test_epoch_files_and_manifest_agree(self, tmp_path):
