@@ -27,6 +27,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
 from repro.bench.harness import Sweep, Table, measure, measure_cold_join
@@ -38,10 +39,16 @@ from repro.durability.database import DurableDatabase
 from repro.errors import QueryError
 from repro.labeling.interval import IntervalLabelingIndex
 from repro.labeling.prime import PrimeLabeling
+from repro.twig.pattern import parse_twig
 from repro.workloads.chopper import apply_chop, chop, chop_text
 from repro.workloads.generator import generate_uniform_fragment, tag_pool
 from repro.workloads.join_mix import JoinMixConfig, build_join_mix, sweep_configs
-from repro.workloads.xmark import XMARK_QUERIES, XMarkConfig, generate_site
+from repro.workloads.xmark import (
+    XMARK_QUERIES,
+    XMarkConfig,
+    generate_person,
+    generate_site,
+)
 from repro.xml.parser import parse, parse_fragment
 from repro.xml.serializer import Node
 
@@ -54,6 +61,7 @@ __all__ = [
     "fig13_segments",
     "fig14_cardinalities",
     "fig15_xmark_times",
+    "twig_strategies",
     "fig16_insert",
     "fig16_batched_ingest",
     "fig17_element_insert",
@@ -349,6 +357,64 @@ def fig15_xmark_times(
     for qid, tag_a, tag_d in XMARK_QUERIES:
         times = _time_joins(ld, ls, tag_a, tag_d, repeat)
         table.add_row([qid] + [times[name] for name in table.headers[1:]])
+    return [table]
+
+
+#: The non-plain twigs of ``twig_read_heavy`` (``benchmarks/e2e/corpus.py``):
+#: branches, a wildcard step, a positional predicate.  None is a plain
+#: chain, so ``strategy="pairwise"`` runs the edge decomposition and never
+#: the join memo.
+XMARK_TWIGS = (
+    "people/person[watches/watch]//interest",
+    "person[profile/interest]//watch",
+    "site//person[phone]/name",
+    "open_auction[bidder]//increase",
+    "people/*[profile]/name",
+    "person/profile/interest[2]",
+)
+
+
+def twig_strategies(
+    scale: float = 0.08, n_segments: int = 100, *, seed: int = 7, repeat: int = 7
+) -> list[Table]:
+    """Holistic vs pairwise twig time per pattern, cold and after an update.
+
+    Cold drops the compiled read state before each repetition; "updated"
+    times the first query after a ``person`` is inserted under ``people``
+    (and removed again afterwards), which is what a served twig costs.
+    """
+    db, _ = xmark_databases(scale, n_segments, seed)
+    person = generate_person(
+        random.Random(seed), 10**6, XMarkConfig(scale=scale, seed=seed)
+    ).to_xml()
+    position = db.global_elements("people")[0].start + len("<people>")
+    table = Table(
+        "Twig — holistic vs pairwise per pattern",
+        ["pattern", "branching", "holistic_cold_ms", "pairwise_cold_ms",
+         "holistic_updated_ms", "pairwise_updated_ms", "matches"],
+    )
+    for expression in XMARK_TWIGS:
+        cold, updated, matches = {}, {}, set()
+        for strategy in ("twig", "pairwise"):
+            run = partial(db.twig_query, expression, strategy=strategy)
+            cold[strategy], count = measure_cold_join(db, run, repeat=repeat)
+            matches.add(count)
+            updated[strategy] = float("inf")
+            for _ in range(repeat):
+                receipt = db.insert(person, position)
+                updated[strategy] = min(updated[strategy], measure(run, repeat=1))
+                db.remove_segment(receipt.sid)
+        if len(matches) != 1:
+            raise QueryError(f"{expression}: executors disagree: {matches}")
+        table.add_row([
+            expression,
+            not parse_twig(expression).is_linear,
+            cold["twig"] * _MS,
+            cold["pairwise"] * _MS,
+            updated["twig"] * _MS,
+            updated["pairwise"] * _MS,
+            matches.pop(),
+        ])
     return [table]
 
 
@@ -709,6 +775,18 @@ def _shape_fig15(tables: list[Table]) -> None:
         _expect(ld < std, f"{query}: LD {ld:.2f} ms not < STD {std:.2f} ms")
 
 
+def _shape_twig(tables: list[Table]) -> None:
+    # The served state.  Cold, both executors pay the same column compile,
+    # which leaves their difference inside the noise on some patterns.
+    for pattern, branching, holistic, pairwise in zip(*(
+        tables[0].column(name) for name in
+        ("pattern", "branching", "holistic_updated_ms", "pairwise_updated_ms")
+    )):
+        _expect(not branching or holistic <= pairwise,
+                f"{pattern}: holistic {holistic:.2f} ms not <= pairwise "
+                f"{pairwise:.2f} ms on the first query after an update")
+
+
 def _shape_fig16(tables: list[Table]) -> None:
     lazy, trad = tables[0].column("lazy_ms"), tables[0].column("traditional_ms")
     _expect(trad[-1] > 2 * trad[0], f"traditional {trad[0]:.2f} -> {trad[-1]:.2f} ms "
@@ -812,6 +890,14 @@ FIGURES: dict[str, Figure] = {
         # STD on the in-segment queries and the claim stops resolving.
         quick={"repeat": 2},
         shape=_shape_fig15,
+    ),
+    "twig": Figure(
+        "Twig — holistic vs pairwise executor per pattern",
+        twig_strategies,
+        ("pattern", "branching", "holistic_cold_ms", "pairwise_cold_ms",
+         "holistic_updated_ms", "pairwise_updated_ms", "matches"),
+        quick={"scale": 0.03, "repeat": 3},
+        shape=_shape_twig,
     ),
     "fig16": Figure(
         "Fig. 16 — inserting one segment: LD vs traditional relabeling",

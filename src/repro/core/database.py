@@ -88,9 +88,16 @@ class LazyXMLDatabase:
         self.log = UpdateLog(mode=mode, sid_start=sid_start,
                              sid_stride=sid_stride)
         self.index = ElementIndex()
+        # Per-segment parsed element records (tid, start, end, abs level),
+        # sorted by start — the database's cached parse of each segment,
+        # used for insertion-depth computation and removal maintenance.
+        self._segment_elements: dict[int, list[tuple[int, int, int, int]]] = {}
         # The compiled read path (version-keyed element-array / segment-list
-        # caches) is shared by every query executor on this database.
-        self.readpath = ReadPathCache(self.log, self.index)
+        # caches) is shared by every query executor on this database.  It
+        # is handed the parse cache itself, not a method of this object: a
+        # reference back to the database would make every dropped replica
+        # wait for the cycle collector.
+        self.readpath = ReadPathCache(self.log, self.index, self._segment_elements)
         self._joiner = LazyJoiner(self.log, self.index, self.readpath)
         # The twig subsystem's structural synopsis: per-edge feasibility
         # and selectivity off the tag catalog alone, memoized under the
@@ -101,10 +108,6 @@ class LazyXMLDatabase:
         self.path_summary = PathSummary(self.log)
         self._keep_text = keep_text
         self._text: str = ""
-        # Per-segment parsed element records (tid, start, end, abs level),
-        # sorted by start — the database's cached parse of each segment,
-        # used for insertion-depth computation and removal maintenance.
-        self._segment_elements: dict[int, list[tuple[int, int, int, int]]] = {}
         # Sids of the top-level documents known to be well-formed with every
         # segment and element record matching the text (DESIGN.md §4,
         # "Removal validation").  Derived and never persisted: a loaded

@@ -26,6 +26,7 @@ interval in that segment's *local* coordinate space.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -299,6 +300,32 @@ class ERNode:
         offset = local - removed
         cut = bisect_right(lps, local) if count_ties else bisect_left(lps, local)
         return self.gp + offset + len_prefix[cut]
+
+    def global_offsets(self, locals_, *, count_ties: bool = True):
+        """Column form of :meth:`to_global`, minus ``gp``.
+
+        ``array('q')`` of ``to_global(v, count_ties=...) - self.gp`` for
+        each ``v`` — a function of the child list, child lengths and
+        tombstones only, so it stays valid exactly while ``_version``
+        does, through any number of ``gp`` shifts.  Values must be label
+        offsets of this segment (no range check).  A segment with neither
+        children nor tombstones maps every offset to itself: ``locals_``
+        is returned as is, for the caller to share.
+        """
+        _, lps, len_prefix, t_starts, t_ends, removed_prefix = self._compiled()
+        if not lps and not t_starts:
+            return locals_
+        cut = bisect_right if count_ties else bisect_left
+        if not t_starts:
+            return array("q", [v + len_prefix[cut(lps, v)] for v in locals_])
+        out = array("q")
+        for v in locals_:
+            idx = bisect_left(t_starts, v)
+            removed = removed_prefix[idx]
+            if idx and t_ends[idx - 1] > v:
+                removed -= t_ends[idx - 1] - v
+            out.append(v - removed + len_prefix[cut(lps, v)])
+        return out
 
     def _events(self) -> list[tuple[int, str, int]]:
         """Memoized :meth:`_build_events` (see :meth:`_compiled`)."""

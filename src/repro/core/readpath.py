@@ -19,6 +19,14 @@ memoizes them under *per-structure version keys*:
   containment scans, keyed on the element version *and* the ER-node's
   version (children can move under a segment without its elements
   changing);
+- **span columns** — per ``(tid, sid)``, the elements' global spans minus
+  the segment's ``gp``: what ``to_global`` adds for child segments and
+  tombstones before each label, worked out once per (element version,
+  ER-node version) instead of per record per query.  ``gp`` itself is
+  never cached — a stream is ``node.gp + column``, read live — so a gp
+  shift invalidates nothing.  A segment with no children and no
+  tombstones shares its element arrays outright; a wildcard step reads
+  the same columns merged over the segment's tags, under the same key;
 - **segment lists** — per tag, the tag-list entries frozen as a tuple with
   an O(1) ``sid -> position`` map, keyed on :meth:`TagList.version`.
   Global positions are deliberately *not* copied out: gp shifts on every
@@ -144,6 +152,24 @@ class CompiledElements:
         return iter(self.records)
 
 
+def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
+    """``compiled`` with its local spans mapped to global ones minus ``gp``.
+
+    One :meth:`ERNode.global_offsets` pass per column instead of two
+    ``to_global`` calls per record.  A segment whose labels *are* its
+    offsets (no children, no tombstones) gets ``compiled`` back.
+    """
+    starts = node.global_offsets(compiled.starts)
+    if starts is compiled.starts:
+        return compiled
+    return CompiledElements.from_columns(
+        compiled.records,
+        starts,
+        node.global_offsets(compiled.ends, count_ties=False),
+        compiled.levels,
+    )
+
+
 class CompiledPushList:
     """A segment's Lazy-Join push list: optimization-(i) filtered columns.
 
@@ -245,15 +271,23 @@ class ReadPathCache:
     landed.
     """
 
-    def __init__(self, log, index):
+    def __init__(self, log, index, segment_records=None):
         self._log = log
         self._index = index
-        # (tid, sid) -> (index_version, CompiledElements)
+        # sid -> that segment's parsed ``(tid, start, end, level)`` records
+        # (the database's parse cache, by reference).  Read for the tag ids
+        # a segment holds — a superset is fine — and only by the all-tags
+        # element arrays.
+        self._segment_records = segment_records
+        # (tid, sid) -> (index_version, CompiledElements); tid None = all tags
         self._elements: dict[tuple[int, int], tuple[int, CompiledElements]] = {}
         # (tid, sid) -> (index_version, node_version, CompiledPushList)
         self._push: dict[tuple[int, int], tuple[int, int, CompiledPushList]] = {}
-        # sid -> tids with an `_elements` entry (a push list is compiled
-        # from one, so its key is covered too): what drop_segment pops.
+        # (tid, sid) -> (index_version, node_version, gp-free CompiledElements)
+        self._spans: dict[tuple[int, int], tuple[int, int, CompiledElements]] = {}
+        # sid -> tids with an `_elements` entry (push lists and span columns
+        # are compiled from one, so their keys are covered too): what
+        # drop_segment pops.
         self._compiled_tids: dict[int, set[int]] = {}
         # tid -> (taglist_version, CompiledSegmentList)
         self._segments: dict[int, tuple[int, CompiledSegmentList]] = {}
@@ -270,6 +304,7 @@ class ReadPathCache:
         """Drop all compiled state (counters are kept)."""
         self._elements.clear()
         self._push.clear()
+        self._spans.clear()
         self._compiled_tids.clear()
         self._segments.clear()
         self._lps.clear()
@@ -278,8 +313,12 @@ class ReadPathCache:
     # ------------------------------------------------------------------
     # compiled lookups
 
-    def elements(self, tid: int, sid: int) -> CompiledElements:
-        """The compiled element arrays for ``(tid, sid)``."""
+    def elements(self, tid: int | None, sid: int) -> CompiledElements:
+        """The compiled element arrays for ``(tid, sid)``.
+
+        ``tid`` ``None`` is every tag: the segment's per-tag arrays merged
+        by start (what a wildcard step reads), under the same key.
+        """
         key = (tid, sid)
         version = self._index.version(sid)
         cached = self._elements.get(key)
@@ -295,12 +334,36 @@ class ReadPathCache:
         self.misses += 1
         if METRICS.enabled:
             _M_EL_MISSES.inc()
-        compiled = CompiledElements.from_columns(
-            *self._index.segment_columns(tid, sid)
-        )
+        if tid is None:
+            compiled = self._merged_elements(sid)
+        else:
+            compiled = CompiledElements.from_columns(
+                *self._index.segment_columns(tid, sid)
+            )
         self._elements[key] = (version, compiled)
         self._compiled_tids.setdefault(sid, set()).add(tid)
         return compiled
+
+    def _merged_elements(self, sid: int) -> CompiledElements:
+        tids = {record[0] for record in self._segment_records.get(sid, ())}
+        parts = [
+            part for tid in sorted(tids) if (part := self.elements(tid, sid))
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        starts = [start for part in parts for start in part.starts]
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+
+        def merged(column):
+            values = [value for part in parts for value in getattr(part, column)]
+            return map(values.__getitem__, order)
+
+        return CompiledElements.from_columns(
+            tuple(merged("records")),
+            array("q", map(starts.__getitem__, order)),
+            array("q", merged("ends")),
+            array("q", merged("levels")),
+        )
 
     def bulk_elements(self, tid: int) -> dict[int, CompiledElements]:
         """Whole-tag bulk compile: every segment's element columns at once.
@@ -425,6 +488,35 @@ class ReadPathCache:
             full, push_kept(full.starts, full.ends, lps)
         )
 
+    def span_columns(self, tid: int | None, node) -> CompiledElements:
+        """Tag ``tid``'s elements in segment ``node`` as gp-free global spans.
+
+        ``starts[i]`` / ``ends[i]`` are ``node.to_global(record.start)`` /
+        ``node.to_global(record.end, count_ties=False)`` minus ``node.gp``;
+        ``levels`` and ``records`` are the element arrays' own.  ``tid``
+        ``None`` is every tag (see :meth:`elements`).
+        """
+        sid = node.sid
+        key = (tid, sid)
+        iv = self._index.version(sid)
+        nv = node._version
+        cached = self._spans.get(key)
+        if cached is not None:
+            if cached[0] == iv and cached[1] == nv:
+                self.hits += 1
+                if METRICS.enabled:
+                    _M_EL_HITS.inc()
+                return cached[2]
+            self.invalidations += 1
+            if METRICS.enabled:
+                _M_INVALIDATED.inc()
+        self.misses += 1
+        if METRICS.enabled:
+            _M_EL_MISSES.inc()
+        spans = span_offsets(self.elements(tid, sid), node)
+        self._spans[key] = (iv, nv, spans)
+        return spans
+
     def segment_list(self, tid: int) -> CompiledSegmentList:
         """The compiled segment list (``SL`` of Lazy-Join) for ``tid``."""
         taglist = self._log.taglist
@@ -520,6 +612,7 @@ class ReadPathCache:
         for tid in self._compiled_tids.pop(sid, ()):
             dropped += self._elements.pop((tid, sid), None) is not None
             dropped += self._push.pop((tid, sid), None) is not None
+            dropped += self._spans.pop((tid, sid), None) is not None
         if self._lps.pop(sid, None) is not None:
             dropped += 1
         if dropped:
@@ -542,6 +635,7 @@ class ReadPathCache:
             "entries": {
                 "elements": len(self._elements),
                 "push_lists": len(self._push),
+                "span_columns": len(self._spans),
                 "segment_lists": len(self._segments),
                 "lps": len(self._lps),
                 "join_results": len(self._joins),
@@ -552,8 +646,18 @@ class ReadPathCache:
     def approximate_bytes(self) -> int:
         """Rough size of the compiled state: 8 bytes per stored scalar."""
         total = 0
+        # Three columns and the record references per compiled object; a
+        # one-tag segment's all-tags entry, and the span columns of a
+        # segment whose labels are its offsets, are the per-tag object
+        # again.  Span columns of their own add two offset columns.
+        counted = set()
         for _, compiled in self._elements.values():
-            total += 8 * 3 * len(compiled) + 8 * len(compiled)
+            if id(compiled) not in counted:
+                counted.add(id(compiled))
+                total += 8 * 4 * len(compiled)
+        for _, _, spans in self._spans.values():
+            if id(spans) not in counted:
+                total += 8 * 2 * len(spans)
         for _, _, push in self._push.values():
             total += 8 * 3 * len(push)
         for _, compiled_list in self._segments.values():

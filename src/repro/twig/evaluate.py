@@ -3,24 +3,22 @@
 Two executors answer the same :class:`~repro.twig.pattern.TwigQuery`:
 
 **Holistic** (``strategy="twig"``, TwigStack-style).  One global element
-stream per pattern node, built column-at-a-time from the read-path
-cache's frozen columns (:meth:`~repro.core.readpath.ReadPathCache
-.bulk_elements` + :meth:`~repro.core.readpath.ReadPathCache
-.segment_list`) with the segment-local → global shift hoisted per
-segment.  Stream construction applies the Lazy-Join cross-segment test
-(Proposition 3) to each pattern edge: a segment of the child tag whose
-ER-tree path holds no segment of the parent tag cannot contribute a
-match and is skipped before a single element is emitted — for child
-axes only the segment itself and its direct parent segment qualify
-(Prop 3(1)).  Branch constraints are then folded into the trunk streams
-by per-edge *stack semi-joins* (an open-ancestor watermark for
-descendant edges, a level-targeted binary search for child edges —
-never a pair list).  For the default record output the trunk itself is
-then reduced the same way — successive downward semi-joins keep each
-step's elements with a surviving ancestor one edge up, so the whole
-evaluation is linear in stream size plus output and no root-to-leaf
-chain is ever enumerated.  Only ``bindings=True`` (which must *return*
-the chains) materializes them, via the chained per-step stacks of
+stream per pattern node — four parallel columns, assembled as
+``node.gp + column`` from the read-path cache's gp-free span columns
+(:meth:`~repro.core.readpath.ReadPathCache.span_columns`), so a query
+after an update re-derives only the segments the update touched.  Stream
+construction applies the Lazy-Join cross-segment test (Proposition 3) to
+each pattern edge: a segment of the child tag whose ER-tree path holds no
+segment of the parent tag cannot contribute a match and is skipped before
+a single element is emitted — for child axes only the segment itself and
+its direct parent segment qualify (Prop 3(1)).  The trunk is then reduced
+top-down: each step keeps its elements with a surviving ancestor one edge
+up, and the survivors meet the step's branches as per-edge *existence
+semi-joins* over the columns (two bisects per parent element find the
+children inside it — never a pair list).  The whole evaluation is linear
+in stream size plus output and no root-to-leaf chain is ever enumerated.
+Only ``bindings=True`` (which must *return* the chains) materializes
+them, via the chained per-step stacks of
 :func:`~repro.joins.path_stack.path_stack`.
 
 **Pairwise** (``strategy="pairwise"``).  The classic decomposition the
@@ -41,8 +39,12 @@ record coordinates.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, islice
+from operator import itemgetter
 from time import perf_counter
 
+from repro.core.database import GlobalElement
 from repro.errors import QueryError
 from repro.joins.path_stack import path_stack
 from repro.joins.stack_tree import AXIS_CHILD, stack_tree_desc
@@ -54,6 +56,9 @@ from repro.twig.summary import PathSummary
 __all__ = ["evaluate_twig"]
 
 _STRATEGIES = ("auto", "twig", "pairwise")
+
+_PIECE_LEVELS = itemgetter(3)
+_PIECE_RECORDS = itemgetter(4)
 
 _M_CALLS = METRICS.counter(
     "twig.queries", unit="queries", site="evaluate_twig"
@@ -119,9 +124,7 @@ def evaluate_twig(
     enabled = METRICS.enabled
     start = perf_counter() if enabled else 0.0
     if summary is None:
-        summary = getattr(db, "path_summary", None)
-        if summary is None:
-            summary = PathSummary(db.log)
+        summary = db.path_summary
     plan = plan_twig(query, summary)
     chosen = plan.strategy if strategy == "auto" else strategy
     PLAN_RECORDER.record(
@@ -177,19 +180,26 @@ def _execute(db, query, plan, chosen, bindings, context, summary):
     if chosen == "twig":
         if METRICS.enabled:
             _M_HOLISTIC.inc()
+        trunk = _reduced_trunk(query, streams)
         if not bindings:
-            matches = _holistic_outputs(query, streams)
+            # After the reduction an output element matches iff it
+            # survived: existence, not enumeration.  (sid, start) names
+            # an element, so plain record order is the canonical order.
+            matches = trunk[-1][_RECORDS]
             if context is not None:
                 context.check_deadline()
                 context.charge_rows(len(matches))
-            out = [e.record for e in matches]
-            out.sort(key=lambda r: (r.sid, r.start))
-            return out
-        chains = _holistic_chains(query, streams)
+            return sorted(matches)
+        chains = path_stack(
+            [_elements(stream) for stream in trunk],
+            [node.axis for node in query.trunk],
+        )
     else:
         if METRICS.enabled:
             _M_PAIRWISE.inc()
-        chains = _pairwise(query, streams, context)
+        chains = _pairwise(
+            query, [_elements(stream) for stream in streams], context
+        )
     if context is not None:
         context.check_deadline()
         context.charge_rows(len(chains))
@@ -198,15 +208,7 @@ def _execute(db, query, plan, chosen, bindings, context, summary):
             (tuple(e.record for e in chain) for chain in chains),
             key=_chain_record_key,
         )
-    seen = set()
-    out = []
-    for chain in chains:
-        record = chain[-1].record
-        if record not in seen:
-            seen.add(record)
-            out.append(record)
-    out.sort(key=lambda r: (r.sid, r.start))
-    return out
+    return sorted({chain[-1].record for chain in chains})
 
 
 def _chain_record_key(chain):
@@ -215,6 +217,24 @@ def _chain_record_key(chain):
 
 # ----------------------------------------------------------------------
 # stream construction (shared by both executors)
+#
+# A stream is four parallel lists — global starts, global ends, levels,
+# records — in start order.  The semi-joins and predicate filters read the
+# integer columns; GlobalElement objects exist only where an API hands
+# them out (`_elements`).
+
+_STARTS, _ENDS, _LEVELS, _RECORDS = range(4)
+
+
+def _take(stream, keep):
+    """The rows of ``stream`` whose ``keep`` flag is set."""
+    return tuple(list(compress(column, keep)) for column in stream)
+
+
+def _elements(stream):
+    """The stream as :class:`GlobalElement` objects (``path_stack`` and
+    ``stack_tree_desc`` take and return elements, not columns)."""
+    return list(map(GlobalElement, *stream))
 
 
 def _build_streams(db, query, summary, context):
@@ -225,63 +245,61 @@ def _build_streams(db, query, summary, context):
     of the parent's *final* stream).
     """
     parents = {child.index: parent for parent, child in query.edges()}
-    streams: list[list | None] = [None] * len(query.nodes)
+    streams: list[tuple | None] = [None] * len(query.nodes)
     for node in query.nodes:
         parent = parents.get(node.index)
         keep_sids = None
-        if parent is not None and not parent.is_wildcard and not node.is_wildcard:
+        if parent is not None and not parent.is_wildcard:
             keep_sids = summary.segment_sids(parent.tag)
-        stream = _tag_stream(
-            db, node.tag, axis=node.axis, keep_sids=keep_sids, context=context
-        )
+        stream = _tag_stream(db, node.tag, node.axis, keep_sids, context)
         if node.position is not None:
-            parent_stream = streams[parent.index] if parent is not None else []
-            stream = _positional_filter(parent_stream, stream, node.position)
+            stream = _take(
+                stream,
+                _nth_child(streams[parent.index], stream, node.position),
+            )
         if node.value is not None:
-            stream = _value_filter(db, stream, node.value)
+            stream = _take(stream, _value_matches(db, stream, node.value))
         streams[node.index] = stream
     return streams
 
 
-def _tag_stream(db, tag, *, axis, keep_sids, context):
-    if tag == WILDCARD:
-        registry = db.log.tags
-        out = []
-        for tid in range(len(registry)):
-            out.extend(_tid_stream(db, tid, None, axis, context))
-    else:
-        tid = db.log.tags.tid_of(tag)
-        if tid is None:
-            return []
-        out = _tid_stream(db, tid, keep_sids, axis, context)
-    # Segments interleave in global coordinates (a child segment's span
-    # nests inside its parent's), so the concatenation needs one sort —
-    # same contract as LazyXMLDatabase.global_elements.
-    out.sort(key=lambda e: e.start)
-    return out
+def _tag_stream(db, tag, axis, keep_sids, context):
+    """One tag's elements in global coordinates: ``node.gp + column``.
 
-
-def _tid_stream(db, tid, keep_sids, axis, context):
-    """One tag's elements in global coordinates, off the frozen columns.
+    The read path keeps each segment's spans minus its ``gp``
+    (:meth:`~repro.core.readpath.ReadPathCache.span_columns`; a wildcard
+    reads the all-tags columns of every segment), so after an update
+    only the segments it touched are re-derived and the rest is one
+    addition per element.
 
     ``keep_sids`` — the segments holding the pattern-parent's tag — is
     the Lazy-Join cross-segment test applied at stream-build time: a
     segment whose ER-tree path misses every parent segment (for child
-    axes: whose own sid and direct parent sid both miss) cannot
-    contribute a match and is skipped wholesale.
-    """
-    readpath = getattr(db, "readpath", None)
-    if readpath is None:
-        return list(db.global_elements(db.log.tags.name_of(tid), context=context))
-    from repro.core.database import GlobalElement
+    axes: whose own sid and direct parent sid both miss, Prop 3(1))
+    cannot contribute a match and is skipped wholesale.
 
-    csl = readpath.segment_list(tid)
-    columns = readpath.bulk_elements(tid)
+    Segments arrive in ER-tree pre-order, and a segment nested inside an
+    earlier one sits in a gap of that one's elements; so the earlier
+    segment is emitted up to the gap (one bisect on its starts column),
+    the nested one goes in, and the rest follows — start order, no sort.
+    """
+    readpath = db.readpath
+    if tag == WILDCARD:
+        tid = None
+        nodes = islice(db.log.ertree.nodes(), 1, None)  # not the dummy root
+    else:
+        tid = db.log.tags.tid_of(tag)
+        nodes = () if tid is None else readpath.segment_list(tid).nodes
+    span_columns = readpath.span_columns
     child_axis = axis == AXIS_CHILD
-    out = []
-    for entry, node in zip(csl.entries, csl.nodes):
+    # Column pieces in start order: (gp, starts, ends, levels, records).
+    pieces: list[tuple] = []
+    # Segments whose tail is still to come, outermost first:
+    # [columns, gp, rows emitted, segment end].
+    enclosing: list[list] = []
+    for node in nodes:
         if keep_sids is not None:
-            path = entry.path
+            path = node.path
             if child_axis:
                 if path[-1] not in keep_sids and (
                     len(path) < 2 or path[-2] not in keep_sids
@@ -289,30 +307,53 @@ def _tid_stream(db, tid, keep_sids, axis, context):
                     continue
             elif keep_sids.isdisjoint(path):
                 continue
-        compiled = columns.get(node.sid)
-        if not compiled:
+        columns = span_columns(tid, node)
+        if not columns.starts:
             continue
         if context is not None:
             context.tick()
-        to_global = node.to_global
-        for record in compiled.records:
-            out.append(
-                GlobalElement(
-                    to_global(record.start),
-                    to_global(record.end, count_ties=False),
-                    record.level,
-                    record,
-                )
-            )
-    return out
+        gp = node.gp
+        while enclosing:
+            outer = enclosing[-1]
+            if outer[3] <= gp:
+                pieces.append(_piece(enclosing.pop(), None))
+                continue
+            gap = bisect_left(outer[0].starts, gp - outer[1], outer[2])
+            if gap > outer[2]:
+                pieces.append(_piece(outer, gap))
+                outer[2] = gap
+            break
+        enclosing.append([columns, gp, 0, gp + node.length])
+    while enclosing:
+        pieces.append(_piece(enclosing.pop(), None))
+    return (
+        [gp + offset for gp, column, _, _, _ in pieces for offset in column],
+        [gp + offset for gp, _, column, _, _ in pieces for offset in column],
+        list(chain.from_iterable(map(_PIECE_LEVELS, pieces))),
+        list(chain.from_iterable(map(_PIECE_RECORDS, pieces))),
+    )
+
+
+def _piece(enclosing, hi):
+    """The not yet emitted rows below ``hi`` of an ``enclosing`` entry."""
+    columns, gp, lo, _ = enclosing
+    if lo == 0 and hi is None:
+        return gp, columns.starts, columns.ends, columns.levels, columns.records
+    return (
+        gp,
+        columns.starts[lo:hi],
+        columns.ends[lo:hi],
+        columns.levels[lo:hi],
+        columns.records[lo:hi],
+    )
 
 
 # ----------------------------------------------------------------------
 # predicate filters (shared by both executors)
 
 
-def _value_filter(db, stream, value):
-    """Keep elements whose raw inner text equals ``value``.
+def _value_matches(db, stream, value):
+    """Which elements' raw inner text equals ``value``.
 
     Inner text is the slice between the start tag's ``>`` and the end
     tag's ``<`` of the element's global span — raw, no normalization.
@@ -325,66 +366,52 @@ def _value_filter(db, stream, value):
             "value predicates require the database text "
             "(open with keep_text=True)"
         ) from exc
-    out = []
-    for e in stream:
-        s = text[e.start:e.end]
+    keep = []
+    for start, end in zip(stream[_STARTS], stream[_ENDS]):
+        s = text[start:end]
         open_end = s.find(">")
         close_start = s.rfind("<")
         inner = s[open_end + 1:close_start] if 0 <= open_end < close_start else ""
-        if inner == value:
-            out.append(e)
-    return out
+        keep.append(inner == value)
+    return keep
 
 
-def _positional_filter(parents, children, n):
-    """Keep each child that is the ``n``-th same-tag child of its parent.
+def _child_runs(parents, children):
+    """Per parent element, ``(lo, hi, level + 1)``: the run of ``children``
+    rows starting inside its span and the level its own children have.
+
+    Two bisects on the children's starts column per parent, so children
+    outside every parent are never looked at.  Elements of one forest
+    nest or are disjoint, which makes "starts inside" the same as
+    "contained"; of the contained ones, exactly those one level down are
+    the parent's children.
+    """
+    c_starts = children[_STARTS]
+    for start, end, level in zip(*parents[:_RECORDS]):
+        lo = bisect_right(c_starts, start)
+        yield lo, bisect_left(c_starts, end, lo), level + 1
+
+
+def _nth_child(parents, children, n):
+    """Which children are the ``n``-th same-tag child of their parent.
 
     The element parent of a child-axis match is the unique containing
     element one level up; a child whose element parent is absent from
-    ``parents`` (the parent step's stream) cannot match and is dropped.
-    Ordinals count *all* same-tag children of that parent in document
-    order, independent of other predicates.
+    ``parents`` (the parent step's stream) cannot match.  Ordinals count
+    *all* same-tag children of that parent in document order,
+    independent of other predicates.
     """
-    if not parents or not children:
-        return []
-    out = []
-    counts: dict[int, int] = {}
-    stack: list[tuple[int, int, int, int]] = []  # (start, end, level, index)
-    pi = 0
-    for d in children:
-        while pi < len(parents) and parents[pi].start < d.start:
-            p = parents[pi]
-            while stack and stack[-1][1] <= p.start:
-                stack.pop()
-            stack.append((p.start, p.end, p.level, pi))
-            pi += 1
-        while stack and stack[-1][1] <= d.start:
-            stack.pop()
-        # Open parents nest, so levels increase bottom-to-top: binary
-        # search for the (unique) one exactly one level up.
-        target = d.level - 1
-        lo, hi = 0, len(stack) - 1
-        found = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            level = stack[mid][2]
-            if level == target:
-                found = mid
-                break
-            if level < target:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        if found is None:
-            continue
-        p_start, p_end, _, key = stack[found]
-        if p_end < d.end:
-            continue
-        count = counts.get(key, 0) + 1
-        counts[key] = count
-        if count == n:
-            out.append(d)
-    return out
+    keep = [False] * len(children[_STARTS])
+    c_levels = children[_LEVELS]
+    for lo, hi, want in _child_runs(parents, children):
+        seen = 0
+        for row in range(lo, hi):
+            if c_levels[row] == want:
+                seen += 1
+                if seen == n:
+                    keep[row] = True
+                    break
+    return keep
 
 
 # ----------------------------------------------------------------------
@@ -394,157 +421,72 @@ def _positional_filter(parents, children, n):
 def _edge_satisfied(parents, children, axis):
     """Existence semi-join: which parent elements have a qualifying child.
 
-    One merge pass over the two start-sorted streams with a stack of
-    open parent elements.  A descendant-axis child satisfies *every*
-    open parent, recorded O(1) with a watermark (all entries below the
-    watermark height are satisfied); a child-axis child satisfies only
-    the open parent exactly one level up, found by binary search (open
-    parents nest, so stack levels are strictly increasing).  No pair is
-    ever materialized.
+    A descendant-axis parent qualifies when its run of contained
+    children is not empty, a child-axis parent when the run holds an
+    element one level down.  No pair is ever materialized.
     """
-    sat = [False] * len(parents)
-    if not parents or not children:
-        return sat
-    child_axis = axis == AXIS_CHILD
-    stack: list[int] = []  # indices into parents, innermost on top
-    marked: list[bool] = []  # child-axis per-entry marks
-    watermark = 0  # stack heights below this are satisfied
-
-    def pop():
-        nonlocal watermark
-        index = stack.pop()
-        flag = marked.pop()
-        if flag or len(stack) < watermark:
-            sat[index] = True
-        if watermark > len(stack):
-            watermark = len(stack)
-
-    pi = 0
-    for f in children:
-        while pi < len(parents) and parents[pi].start < f.start:
-            p = parents[pi]
-            while stack and parents[stack[-1]].end <= p.start:
-                pop()
-            stack.append(pi)
-            marked.append(False)
-            pi += 1
-        while stack and parents[stack[-1]].end <= f.start:
-            pop()
-        if not stack:
-            continue
-        if parents[stack[-1]].end < f.end:
-            continue  # overlap without containment cannot happen in a
-            # well-formed forest; guard anyway
-        if child_axis:
-            target = f.level - 1
-            lo, hi = 0, len(stack) - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                level = parents[stack[mid]].level
-                if level == target:
-                    marked[mid] = True
-                    break
-                if level < target:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-        else:
-            watermark = len(stack)
-    while stack:
-        pop()
-    return sat
+    if axis != AXIS_CHILD:
+        return [lo < hi for lo, hi, _ in _child_runs(parents, children)]
+    c_levels = children[_LEVELS]
+    return [
+        want in c_levels[lo:hi]
+        for lo, hi, want in _child_runs(parents, children)
+    ]
 
 
 def _has_ancestor(parents, children, axis):
     """Downward semi-join: which child elements have a qualifying parent.
 
-    The dual of :func:`_edge_satisfied` — same single merge pass over
-    the start-sorted streams with a stack of open parents, but recording
-    satisfaction on the *children*: a descendant-axis child qualifies
-    when any parent is open around it, a child-axis child when the open
-    parent exactly one level up exists (binary search; open parents
-    nest, so stack levels are strictly increasing).
+    The dual of :func:`_edge_satisfied` over the same runs: every child
+    in a descendant-axis parent's run qualifies, and of a child-axis
+    parent's run the elements one level down.  Parents come in start
+    order, so a parent nested in an earlier one adds nothing to a
+    descendant-axis answer and its run is skipped.
     """
-    keep = [False] * len(children)
-    if not parents or not children:
+    keep = [False] * len(children[_STARTS])
+    if axis != AXIS_CHILD:
+        done = 0  # rows below this are settled
+        for lo, hi, _ in _child_runs(parents, children):
+            if hi > done:
+                lo = max(lo, done)
+                keep[lo:hi] = [True] * (hi - lo)
+                done = hi
         return keep
-    child_axis = axis == AXIS_CHILD
-    stack: list = []  # open parent elements, innermost on top
-    pi = 0
-    for ci, d in enumerate(children):
-        while pi < len(parents) and parents[pi].start < d.start:
-            p = parents[pi]
-            while stack and stack[-1].end <= p.start:
-                stack.pop()
-            stack.append(p)
-            pi += 1
-        while stack and stack[-1].end <= d.start:
-            stack.pop()
-        if not stack or stack[-1].end < d.end:
-            continue
-        if child_axis:
-            target = d.level - 1
-            lo, hi = 0, len(stack) - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                level = stack[mid].level
-                if level == target:
-                    keep[ci] = True
-                    break
-                if level < target:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-        else:
-            keep[ci] = True
+    c_levels = children[_LEVELS]
+    for lo, hi, want in _child_runs(parents, children):
+        for row in range(lo, hi):
+            if c_levels[row] == want:
+                keep[row] = True
     return keep
 
 
-def _branch_filtered_trunk(query, streams):
-    """Trunk streams with every branch constraint semi-joined in."""
-
-    def branch_filtered(node):
-        stream = streams[node.index]
-        for branch in node.branches:
-            if not stream:
-                break
-            branch_stream = branch_filtered(branch)
-            keep = _edge_satisfied(stream, branch_stream, branch.axis)
-            stream = [e for e, k in zip(stream, keep) if k]
-        return stream
-
-    return [branch_filtered(node) for node in query.trunk]
+def _with_branches(node, stream, streams):
+    """``stream`` (rows of ``node``) cut to the rows every branch of
+    ``node`` has a witness under."""
+    for branch in node.branches:
+        if not stream[_STARTS]:
+            break
+        witnesses = _with_branches(branch, streams[branch.index], streams)
+        stream = _take(stream, _edge_satisfied(stream, witnesses, branch.axis))
+    return stream
 
 
-def _holistic_outputs(query, streams):
-    """Distinct output-step elements, no chain enumeration.
+def _reduced_trunk(query, streams):
+    """The trunk streams with every constraint semi-joined in.
 
-    After the branch folds, an output element matches iff an ancestor
-    path through the trunk exists — existence, not enumeration, so each
-    trunk edge is one downward semi-join and the survivors of the last
-    step *are* the answer.  This is where the holistic executor beats
-    the pairwise decomposition structurally: its work is linear in the
-    streams while pair lists can be quadratic.
+    Top-down: a step is first cut to the elements with a surviving
+    ancestor one edge up, and only those meet the step's branches — so a
+    selective ancestor shrinks every semi-join below it.  The survivors
+    of the last step *are* the answer; the chains ``bindings=True`` wants
+    run through the survivors of every step.
     """
-    trunk_streams = _branch_filtered_trunk(query, streams)
-    if any(not stream for stream in trunk_streams):
-        return []
-    current = trunk_streams[0]
-    for node, stream in zip(query.trunk[1:], trunk_streams[1:]):
-        keep = _has_ancestor(current, stream, node.axis)
-        current = [e for e, k in zip(stream, keep) if k]
-        if not current:
-            return []
-    return current
-
-
-def _holistic_chains(query, streams):
-    """Branch semi-joins bottom-up, then chained stacks over the trunk."""
-    trunk_streams = _branch_filtered_trunk(query, streams)
-    if any(not stream for stream in trunk_streams):
-        return []
-    axes = [node.axis for node in query.trunk]
-    return path_stack(trunk_streams, axes)
+    trunk = []
+    for node in query.trunk:
+        stream = streams[node.index]
+        if trunk:
+            stream = _take(stream, _has_ancestor(trunk[-1], stream, node.axis))
+        trunk.append(_with_branches(node, stream, streams))
+    return trunk
 
 
 # ----------------------------------------------------------------------

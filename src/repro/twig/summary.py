@@ -24,7 +24,9 @@ direct parent segment (Prop 3(1)).
 Synopses are memoized per ``(tid_a, tid_d, axis)`` under *both* tags'
 tag-list versions — the same §4e discipline as the read-path cache, so
 an update invalidates O(touched tags) synopses and untouched edges stay
-warm.
+warm.  The per-tag ``{sid: count}`` map every synopsis of that tag (and
+the executor's Prop. 3 segment pruning) starts from is memoized the same
+way, once per tag version rather than once per edge.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ class PathSummary:
         self._log = log
         # (tid_a, tid_d, axis) -> (version_a, version_d, EdgeSynopsis)
         self._edges: dict[tuple[int, int, str], tuple[int, int, EdgeSynopsis]] = {}
+        # tid -> (version, {sid: count})
+        self._counts: dict[int, tuple[int, dict[int, int]]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -123,9 +127,7 @@ class PathSummary:
         d_total = taglist.total_count(tid_d)
         if a_total == 0 or d_total == 0:
             return EdgeSynopsis(False, 0, a_total, d_total)
-        counts_a = {
-            entry.sid: entry.count for entry in taglist.segments_for(tid_a)
-        }
+        counts_a = self._segment_counts(tid_a)
         child_only = axis == AXIS_CHILD
         est_pairs = 0
         feasible = False
@@ -158,16 +160,27 @@ class PathSummary:
                 return False
         return True
 
-    def segment_sids(self, tag: str) -> frozenset[int]:
-        """The segments holding ``tag`` (empty for wildcard: no pruning)."""
-        if tag == WILDCARD:
-            return frozenset()
-        tid = self._log.tags.tid_of(tag)
+    def _segment_counts(self, tid: int) -> dict[int, int]:
+        """``{sid: occurrences}`` of one tag, per tag-list version."""
+        taglist = self._log.taglist
+        version = taglist.version(tid)
+        cached = self._counts.get(tid)
+        if cached is None or cached[0] != version:
+            cached = (
+                version,
+                {e.sid: e.count for e in taglist.segments_for(tid)},
+            )
+            self._counts[tid] = cached
+        return cached[1]
+
+    def segment_sids(self, tag: str):
+        """The sids of the segments holding ``tag``, as a set-like view
+        (empty for an unknown tag, and for the wildcard, which callers do
+        not prune by)."""
+        tid = None if tag == WILDCARD else self._log.tags.tid_of(tag)
         if tid is None:
             return frozenset()
-        return frozenset(
-            entry.sid for entry in self._log.taglist.segments_for(tid)
-        )
+        return self._segment_counts(tid).keys()
 
     def stats(self) -> dict:
         return {

@@ -135,6 +135,7 @@ TINY = {
     "fig13": {"segment_counts": (4, 8), "depth": 20, "repeat": 3},
     "fig14": {"scale": 0.005, "n_segments": 8},
     "fig15": {"scale": 0.005, "n_segments": 8, "repeat": 3},
+    "twig": {"scale": 0.005, "n_segments": 8, "repeat": 1},
     "fig16": {"doc_segment_counts": (4, 8), "repeat": 1},
     "fig16-ingest": {"n_ops": 8, "batch": 4, "repeat": 1},
     "fig17": {

@@ -71,7 +71,9 @@ def assert_memo_is_the_merge(db: LazyXMLDatabase) -> None:
                 assert db.readpath.misses == misses, (tag_a, tag_d, axis)
 
 
-def _replay(mode: str, ops) -> None:
+def _replay(mode: str, ops, check=assert_memo_is_the_merge) -> None:
+    """Run ``check(db)`` after every step of a ``_HISTORY``.  Shared with
+    ``tests/test_readpath.py`` and ``tests/test_twig_parity.py``."""
     db = LazyXMLDatabase(mode)
     for kind, a, b in ops:
         live = list(db.log.ertree.nodes())[1:]
@@ -83,7 +85,7 @@ def _replay(mode: str, ops) -> None:
             db = loads(dumps(db))
         else:
             apply_op(db, kind, a, b)
-        assert_memo_is_the_merge(db)
+        check(db)
     db.check_invariants()
 
 

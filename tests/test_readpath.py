@@ -1,6 +1,6 @@
 """The compiled read path: correctness and invalidation guards.
 
-Three concerns, mirroring the module's contract (``repro.core.readpath``):
+Four concerns, mirroring the module's contract (``repro.core.readpath``):
 
 - **parity** — cold (after ``clear()``), memo-hit and memo-bypassed
   (``stats=``, the from-scratch merge) joins must return identical pair
@@ -8,6 +8,10 @@ Three concerns, mirroring the module's contract (``repro.core.readpath``):
 - **invalidation** — version-keyed entries revalidate exactly when the
   underlying structure changed: hits on repeat lookups, one invalidation
   (not a flush) per touched structure, eager drops on segment removal;
+- **span columns** — the gp-free global spans the twig engine assembles
+  its streams from equal ``to_global`` record for record after every step
+  of a random update history, the lookup after a lookup is a hit, and the
+  twig after a one-segment update derives what the update touched;
 - **version exactness** — the property the whole design leans on: a
   structure's version counter bumps *iff* its observable state changed.
   Never bumping on change means stale answers; always bumping (e.g. on
@@ -26,13 +30,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import readpath as readpath_module
 from repro.core.database import LazyXMLDatabase
-from repro.core.ertree import DUMMY_ROOT_SID
+from repro.core.ertree import DUMMY_ROOT_SID, ERNode
 from repro.core.join import JoinStatistics
 from repro.workloads.generator import generate_fragment, tag_pool
 from repro.workloads.join_mix import build_join_mix, sweep_configs
 
 from tests.oracle import _random_removal, safe_insert_positions
+from tests.test_join_chunks import _HISTORY, _replay
+from tests.test_log_maintenance import _form, _loaded
 
 
 def _mix_db(n_segments: int = 12, fraction: float = 0.5) -> LazyXMLDatabase:
@@ -124,19 +131,21 @@ def test_whole_segment_removal_drops_compiled_entries():
     db.insert("<a><d>x</d></a>")
     db.insert("<a><d>y</d></a>")
     db.structural_join("a", "d")  # warm everything
+    db.twig_query("a/*")  # ... the span columns too, per tag and all-tags
     rp = db.readpath
     assert rp.stats()["entries"]["elements"] > 0
     node = [
         n for n in db.log.ertree.nodes() if n.sid != DUMMY_ROOT_SID
     ][0]
     sid = node.sid
-    held = sum(key[1] == sid for key in (*rp._elements, *rp._push))
+    held = sum(key[1] == sid for key in (*rp._elements, *rp._push, *rp._spans))
     held += sid in rp._lps
-    assert held >= 2
+    assert held >= 2 and (None, sid) in rp._spans
     invalidations = rp.invalidations
     db.remove(node.gp, node.length)
     assert not any(key[1] == sid for key in rp._elements)
     assert not any(key[1] == sid for key in rp._push)
+    assert not any(key[1] == sid for key in rp._spans)
     assert sid not in rp._lps and sid not in rp._compiled_tids
     # Every entry the segment held counts as one invalidation, no more.
     assert rp.invalidations == invalidations + held
@@ -168,6 +177,138 @@ def test_repack_invalidates_relabelled_tag():
     )
     assert spans_after == spans_before
     db.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# span columns: to_global minus gp, cached while nothing they read moved
+
+
+def assert_span_columns_are_to_global(db: LazyXMLDatabase) -> None:
+    """Every ``(tid, sid)`` and every all-tags ``(None, sid)``: the cached
+    columns are ``to_global`` minus ``gp`` record for record, and the
+    lookup after the lookup recompiles nothing."""
+    rp = db.readpath
+    for node in list(db.log.ertree.nodes())[1:]:
+        per_tag = [
+            (tid, db.index.elements_list(tid, node.sid))
+            for tid in range(len(db.log.tags))
+        ]
+        everything = sorted(
+            (r for _, records in per_tag for r in records), key=lambda r: r.start
+        )
+        for tid, records in (*per_tag, (None, everything)):
+            columns = rp.span_columns(tid, node)
+            assert list(columns.records) == records, (tid, node.sid)
+            assert list(columns.levels) == [r.level for r in records]
+            assert list(zip(columns.starts, columns.ends)) == [
+                (
+                    node.to_global(r.start) - node.gp,
+                    node.to_global(r.end, count_ties=False) - node.gp,
+                )
+                for r in records
+            ], (tid, node.sid)
+            misses = rp.misses
+            assert rp.span_columns(tid, node) is columns
+            assert rp.misses == misses, (tid, node.sid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_HISTORY)
+def test_ld_history_span_columns_equal_to_global(ops):
+    _replay("dynamic", ops, assert_span_columns_are_to_global)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_HISTORY)
+def test_ls_history_span_columns_equal_to_global(ops):
+    _replay("static", ops, assert_span_columns_are_to_global)
+
+
+def test_span_columns_go_stale_when_touch_stops_bumping_the_version(monkeypatch):
+    """The property above is what ``ERNode._touch`` buys: with the version
+    bump gone (the coordinate memo still dropped, so ``to_global`` itself
+    stays right) a child insertion leaves the parent's offsets stale."""
+    ops = [("insert", 0, 0), ("insert", 3, 3)]  # <a><b>x</b></a>, <a/> inside it
+    _replay("dynamic", ops, assert_span_columns_are_to_global)
+    monkeypatch.setattr(ERNode, "_touch", lambda self: setattr(self, "_rp", None))
+    with pytest.raises(AssertionError):
+        _replay("dynamic", ops, assert_span_columns_are_to_global)
+
+
+def test_span_columns_are_counted_and_cleared():
+    db = LazyXMLDatabase()
+    db.insert("<a><b>x</b></a>")
+    db.insert("<b>y</b>", len("<a>"))  # nested: the outer labels shift
+    rp = db.readpath
+    db.twig_query("a/*")
+    entries = rp.stats()["entries"]
+    # a and the all-tags columns of the outer segment, all-tags of the
+    # inner one; the outer one's b arrays exist only to be merged.
+    assert entries["span_columns"] == 3 and entries["elements"] == 5
+    # 32 bytes a row for each compiled object (outer a, outer b, their
+    # two-row merge, inner b: the inner all-tags entry and its span
+    # columns are that one again), 16 a row for the outer segment's two
+    # sets of offset columns, 16 for the one-entry segment list of a.
+    assert rp.approximate_bytes() == 32 * 5 + 16 * 3 + 16
+    rp.clear()
+    assert not any(rp.stats()["entries"].values())
+    assert rp.approximate_bytes() == 0
+
+
+#: Seven patterns over the ``_form`` corpus: branches, child and descendant
+#: axes, a positional and a value predicate, a wildcard step under a child
+#: axis, a wildcard entry step, and one the summary prunes.
+_FORM_SUITE = (
+    "form[f3]//f7",
+    "form/f1",
+    "form[id]/f2[1]",
+    'form[f5="v7"]/id',
+    "form/*",
+    "*[f9]",
+    "form[nosuch]//f1",
+)
+#: The tags the suite names that a form holds; its wildcards read the
+#: all-tags columns, one more key per segment.
+_FORM_SUITE_KEYS = len({"form", "f3", "f7", "f1", "id", "f2", "f5", "f9"}) + 1
+
+
+@pytest.mark.perf_smoke
+def test_twig_after_update_derives_only_the_touched_segments(monkeypatch):
+    """Counts, not seconds: span-column derivations (one per missed
+    ``(tid, sid)`` key) of the seven-pattern suite after a tail insert,
+    after an insert inside that form, and after taking the form back."""
+    derived = []
+    real = readpath_module.span_offsets
+
+    def counting(compiled, node):
+        derived.append(node.sid)
+        return real(compiled, node)
+
+    monkeypatch.setattr(readpath_module, "span_offsets", counting)
+
+    def suite_cost(db) -> int:
+        del derived[:]
+        for expression in _FORM_SUITE:
+            db.twig_query(expression)
+        return len(derived)
+
+    shapes = []
+    for forms in (250, 4_000):
+        db, _rate = _loaded(forms)
+        assert suite_cost(db) == forms * _FORM_SUITE_KEYS  # cold: everything
+        assert suite_cost(db) == 0
+        receipt = db.insert(_form(1_000_000))
+        after_insert = suite_cost(db)
+        db.insert("<f3>nested</f3>", receipt.gp + len("<form>"))
+        after_nested = suite_cost(db)
+        db.remove_segment(receipt.sid)
+        shapes.append((after_insert, after_nested, suite_cost(db)))
+    # Touched path segments x the keys the suite reads there: the new
+    # segment alone; then the form again (its offsets moved) plus the
+    # nested segment's one tag and its all-tags columns; nothing after a
+    # whole-segment remove.  No term follows the corpus.
+    assert shapes[0] == (_FORM_SUITE_KEYS, _FORM_SUITE_KEYS + 2, 0)
+    assert shapes[0] == shapes[1]
 
 
 # ----------------------------------------------------------------------

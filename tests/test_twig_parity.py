@@ -13,6 +13,15 @@ covering branches, nested branches, wildcards, and positional
 predicates.  Plain linear chains additionally check the pairwise
 fallback against the real ``plan_path`` pipeline, pinning the
 ``to_path_query`` bridge.
+
+The same agreement is held after every step of the shared ``apply_op``
+histories of ``tests/test_join_chunks.py`` (inserts anywhere, whole,
+partial and nested removes, batches, rollback, repack, compact,
+dumps/loads; LD and LS).  Both executors (and ``bindings=True``) read
+the one stream builder, so agreement between them says nothing about
+*it*: wherever the text mirror still parses to the indexed elements, the
+answers are also held to the brute-force tree matcher of
+``tests/test_twig_oracle.py``.
 """
 
 from __future__ import annotations
@@ -23,9 +32,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import evaluate_path
+from repro.errors import XMLSyntaxError
 from repro.twig import parse_twig
 from repro.twig.evaluate import evaluate_twig
-from tests.oracle import replay_random_sequence, safe_insert_positions
+from tests.oracle import (
+    ReferenceDatabase,
+    replay_random_sequence,
+    safe_insert_positions,
+)
+from tests.test_join_chunks import _HISTORY, _replay
+from tests.test_twig_oracle import reference_twig
 from repro.workloads.generator import generate_fragment, tag_pool
 
 TAGS = tag_pool(4)
@@ -44,6 +60,27 @@ SHAPES = [
     "{0}/*/{1}",
     "{0}/{1}[1]",
     "{0}[{1}/{2}]//{3}",
+    "{0}/*",
+    "*[{0}]//{1}",
+    "{0}[{1}[2]]",
+    '{0}[{1}/{2}=""]',
+]
+
+#: Twigs over ``tests/test_log_maintenance.FRAGMENTS`` (tags a, b, c; texts
+#: x, y, z, w, v): a wildcard under a child axis and as the entry step,
+#: positional and value predicates on a step and on a branch.
+HISTORY_PATTERNS = [
+    "a//b",
+    "c[a]/b",
+    "b[b/a]",
+    "a/*",
+    'c/*[.="z"]',
+    "*/b",
+    "*[c]//a",
+    "b/b[1]",
+    "c[b[1]]",
+    'a[b="x"]',
+    'b[b/a="v"]//a',
 ]
 
 
@@ -127,3 +164,51 @@ def test_forced_strategy_agrees_with_planner_choice(seed):
         auto = [record_key(r) for r in evaluate_twig(db, expr)]
         forced = assert_strategies_agree(db, expr)
         assert auto == forced, expr
+
+
+def mirror_reference(db):
+    """The re-parse reference for ``db``, or ``None`` when the text mirror
+    no longer parses to the indexed elements: the histories insert at any
+    offset, also inside a tag, and from then on only the index speaks."""
+    ref = ReferenceDatabase()
+    ref.text = db.text
+    try:
+        parsed = ref._parse()
+    except XMLSyntaxError:
+        return None
+    ref._parse = lambda: parsed  # one parse per step, not one per pattern
+    for tag in "abc":
+        indexed = sorted((e.start, e.end) for e in db.global_elements(tag))
+        if ref.elements(tag) != indexed:
+            return None
+    return ref
+
+
+def assert_history_answers(db) -> None:
+    """Every pattern: twig == pairwise, records and chains alike, == the
+    brute-force tree matcher.  A step whose mirror is no longer the indexed
+    document is passed over: spans that share a start are not a forest,
+    and no executor defines an answer over them."""
+    db.prepare_for_query()
+    ref = mirror_reference(db)
+    if ref is None:
+        return
+    for expr in HISTORY_PATTERNS:
+        got = assert_strategies_agree(db, expr)
+        spans = sorted(
+            db.global_span(r) for r in evaluate_twig(db, expr, strategy="twig")
+        )
+        assert len(spans) == len(got)
+        assert spans == reference_twig(ref, expr), expr
+
+
+@settings(max_examples=40, deadline=None)
+@given(_HISTORY)
+def test_ld_history_twig_pairwise_and_tree_matcher_agree(ops):
+    _replay("dynamic", ops, assert_history_answers)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_HISTORY)
+def test_ls_history_twig_pairwise_and_tree_matcher_agree(ops):
+    _replay("static", ops, assert_history_answers)
