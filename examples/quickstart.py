@@ -37,7 +37,7 @@ def main() -> None:
     # 4. The laziness invariant: the <title/> of segment 1 keeps its local
     #    label forever, while its *global* position is derived on demand.
     tid_title = db.log.tags.tid_of("title")
-    record = db.index.elements_list(tid_title, 1)[0]
+    record = db.index.block(1).tag(tid_title)[0]
     print("segment-1 title local label:", (record.sid, record.start, record.end))
     print("derived global span:", db.global_span(record))
     db.insert("<pamphlet/>", db.text.index("<shelf>"))  # shifts everything after

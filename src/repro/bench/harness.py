@@ -35,10 +35,13 @@ def measure_cold_join(
 ) -> tuple[float, int]:
     """Best-of-``repeat`` seconds of ``join()`` on ``db``, and its pair count.
 
-    The database's compiled read state is dropped before every repetition,
-    so the time is the merge of Fig. 9 plus its index reads — never a
+    The database's derived read state (segment lists, push lists, span
+    columns, the join memo) is dropped before every repetition, so the
+    time is the merge of Fig. 9 plus its index reads — never a
     :meth:`~repro.core.readpath.ReadPathCache.cached_join` hit, which
     repetitions two and three of a plain :func:`measure` would report.
+    Element blocks are base data: LD, LS and STD read them through the
+    same :meth:`~repro.core.element_index.ElementIndex.block` call.
     (Warm, steady-state reads are what ``benchmarks/e2e`` measures.)  The
     clears are a handful of ``dict.clear()`` calls, negligible against the
     join they precede.

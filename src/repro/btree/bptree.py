@@ -1,11 +1,13 @@
 """A generic in-memory B+-tree.
 
-This is the storage substrate shared by the SB-tree (Section 3.2 of the
-paper) and the element index (Section 3.4).  The paper assumes B+-trees both
-for the update log and for the element index; implementing one real B+-tree
-(rather than wrapping a ``dict``) preserves the access-cost structure that
-the paper's complexity analysis counts: ``O(log n)`` node visits per lookup
-and contiguous leaf scans for range queries.
+This is the storage substrate of the SB-tree (Section 3.2 of the paper)
+and of the interval-labeling baseline's element index.  The paper assumes
+B+-trees both for the update log and for the element index; implementing
+one real B+-tree (rather than wrapping a ``dict``) preserves the
+access-cost structure that the paper's complexity analysis counts:
+``O(log n)`` node visits per lookup and contiguous leaf scans for range
+queries.  (The lazy element index itself is per-segment blocks addressed
+by sid — :mod:`repro.core.element_index`.)
 
 Keys may be any mutually comparable values; the library uses tuples of
 integers throughout.  Keys are unique: inserting an existing key replaces its
@@ -291,9 +293,8 @@ class BPlusTree:
     def leaf_slices(self, lo=None, hi=None) -> Iterator[list]:
         """Yield per-leaf key chunks covering ``lo <= key < hi``, in order.
 
-        The bulk leaf-scan primitive behind :meth:`range_keys` and the
-        element index's whole-tag column builder: one Python-level step
-        per *leaf*, each chunk produced by a C-level list slice (or the
+        The bulk leaf-scan primitive behind :meth:`range_keys`: one
+        Python-level step per *leaf*, each chunk produced by a C-level list slice (or the
         leaf's whole key list when no trimming is needed).  Chunks may
         alias live leaf storage — callers must not mutate a chunk or the
         tree while consuming the iterator.
@@ -324,19 +325,12 @@ class BPlusTree:
         The bulk form of :meth:`range` for key-only scans: whole-leaf list
         slices (:meth:`leaf_slices`) replace per-key generator resumption,
         so the cost is one Python-level step per *leaf* rather than per
-        key.  This is what the cold read path compiles element columns
-        from — every uncached join re-extracts whole segments (or, on the
-        whole-tag bulk path, a tag's entire leaf run at once), making the
-        per-key constant the bill.
+        key.
         """
         out: list = []
         for chunk in self.leaf_slices(lo, hi):
             out.extend(chunk)
         return out
-
-    def count_range(self, lo=None, hi=None, *, inclusive=(True, False)) -> int:
-        """Count keys in the range without materializing the pairs."""
-        return sum(1 for _ in self.range(lo, hi, inclusive=inclusive))
 
     # ------------------------------------------------------------------
     # insertion

@@ -7,7 +7,7 @@ Public surface:
 - :class:`~repro.core.update_log.UpdateLog` — SB-tree + tag-list with the
   Fig. 5/7 update algorithms;
 - :class:`~repro.core.element_index.ElementIndex` — the (tid, sid, start,
-  end, level) B+-tree;
+  end, level) records, one write-once block per segment;
 - :class:`~repro.core.join.LazyJoiner` — the Fig. 9 structural join;
 - :class:`~repro.core.ertree.ERTree` — the segment-relationship tree.
 """

@@ -21,6 +21,8 @@ must agree with every index-derived answer.
 
 from __future__ import annotations
 
+import gc
+import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -45,6 +47,43 @@ __all__ = ["LazyXMLDatabase", "GlobalElement", "RemovalOutcome"]
 _ALGORITHMS = ("lazy", "std", "merge")
 
 _segment_gp = attrgetter("gp")
+
+# A join allocates tens of thousands of result tuples that all *survive*
+# into the returned list, so every generation-0 collection triggered by
+# that allocation burst scans live data and frees nothing — pure overhead,
+# measured at ~25% of a large cold join.  Every join algorithm (lazy, std,
+# merge: one regime, so the figures compare merges and not collectors)
+# therefore runs with automatic collection paused — nesting-safe across
+# threads; the pause window is bounded by one join and restores the
+# caller's GC state.
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_was_enabled = False
+
+
+class _GcPaused:
+    """Scoped pause of automatic garbage collection (see the note above)."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        global _gc_depth, _gc_was_enabled
+        with _gc_lock:
+            if _gc_depth == 0:
+                _gc_was_enabled = gc.isenabled()
+                if _gc_was_enabled:
+                    gc.disable()
+            _gc_depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        global _gc_depth
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_was_enabled:
+                gc.enable()
+
+
+_gc_paused = _GcPaused()  # stateless: one serves every join
 
 
 class GlobalElement(NamedTuple):
@@ -88,16 +127,10 @@ class LazyXMLDatabase:
         self.log = UpdateLog(mode=mode, sid_start=sid_start,
                              sid_stride=sid_stride)
         self.index = ElementIndex()
-        # Per-segment parsed element records (tid, start, end, abs level),
-        # sorted by start — the database's cached parse of each segment,
-        # used for insertion-depth computation and removal maintenance.
-        self._segment_elements: dict[int, list[tuple[int, int, int, int]]] = {}
-        # The compiled read path (version-keyed element-array / segment-list
-        # caches) is shared by every query executor on this database.  It
-        # is handed the parse cache itself, not a method of this object: a
-        # reference back to the database would make every dropped replica
-        # wait for the cycle collector.
-        self.readpath = ReadPathCache(self.log, self.index, self._segment_elements)
+        # The compiled read path (version-keyed push-list / span-column /
+        # segment-list caches) is shared by every query executor on this
+        # database.
+        self.readpath = ReadPathCache(self.log, self.index)
         self._joiner = LazyJoiner(self.log, self.index, self.readpath)
         # The twig subsystem's structural synopsis: per-edge feasibility
         # and selectivity off the tag catalog alone, memoized under the
@@ -247,10 +280,6 @@ class LazyXMLDatabase:
                 for e in document.elements
             ]
             self.index.insert_segment(receipt.sid, records, base_level)
-            self._segment_elements[receipt.sid] = [
-                (tid, start, end, base_level + level)
-                for tid, start, end, level in records
-            ]
             if self._keep_text:
                 self._text = self._text[:position] + fragment + self._text[position:]
         except BaseException:
@@ -267,16 +296,15 @@ class LazyXMLDatabase:
     def _rollback_insert(self, receipt: InsertReceipt, tag_counts: Counter) -> None:
         """Undo a segment insertion whose index maintenance failed midway.
 
-        Reverses the structures in dependency order: element-index entries
-        (whatever subset landed), the cached parse, the ER-/SB-tree node,
-        and finally the tag-list occurrences the update-log insertion
-        registered.  Removing the exact just-inserted span restores every
-        surviving segment's global position and ancestor lengths and leaves
-        no tombstone (the span aligns with the fresh node's boundaries).
+        Reverses the structures in dependency order: the element-index
+        block (if it landed), the ER-/SB-tree node, and finally the
+        tag-list occurrences the update-log insertion registered.
+        Removing the exact just-inserted span restores every surviving
+        segment's global position and ancestor lengths and leaves no
+        tombstone (the span aligns with the fresh node's boundaries).
         """
         counts = {self.log.tags.tid_of(name): n for name, n in tag_counts.items()}
-        self.index.remove_segment(receipt.sid, counts.keys())
-        self._segment_elements.pop(receipt.sid, None)
+        self.index.remove_segment(receipt.sid)
         self.readpath.drop_segment(receipt.sid)
         report = self.log.remove_span(receipt.gp, receipt.length)
         self.log.apply_removal_counts({receipt.sid: counts}, report)
@@ -321,7 +349,8 @@ class LazyXMLDatabase:
         while node.sid != DUMMY_ROOT_SID:
             local = node.to_local(position)
             best = boundary = 0
-            for _tid, start, end, level in self._segment_elements[node.sid]:
+            block = self.index.block(node.sid)
+            for start, end, level in zip(block.starts, block.ends, block.levels):
                 if start >= local:
                     break
                 if local < end:
@@ -362,11 +391,9 @@ class LazyXMLDatabase:
         for sid in report.removed_sids:
             if sid == DUMMY_ROOT_SID:
                 continue
-            tids = {tid for tid, *_ in self._segment_elements.get(sid, ())}
-            counts = self.index.remove_segment(sid, tids)
+            counts = self.index.remove_segment(sid)
             per_segment_counts[sid] = counts
             removed_elements += sum(counts.values())
-            self._segment_elements.pop(sid, None)
             self._trusted.discard(sid)
             # Version keys already make stale compiled entries unreachable;
             # the eager drop just reclaims their memory (sids never return).
@@ -374,20 +401,11 @@ class LazyXMLDatabase:
         for partial in report.partials:
             if partial.sid == DUMMY_ROOT_SID:
                 continue
-            records = self._segment_elements.get(partial.sid, [])
-            tids = {tid for tid, *_ in records}
             counts = self.index.remove_local_range(
-                partial.sid, partial.local_start, partial.local_end, tids
+                partial.sid, partial.local_start, partial.local_end
             )
             per_segment_counts[partial.sid] = counts
             removed_elements += sum(counts.values())
-            self._segment_elements[partial.sid] = [
-                rec
-                for rec in records
-                if not (
-                    rec[1] >= partial.local_start and rec[2] <= partial.local_end
-                )
-            ]
         self.log.apply_removal_counts(per_segment_counts, report)
         if self._keep_text:
             self._text = self._text[:position] + self._text[position + length :]
@@ -522,7 +540,8 @@ class LazyXMLDatabase:
                 ranges.append((node.gp, True))
                 pending.append((node, False))
             to_global = node.to_global
-            for _tid, start, stop, _level in self._segment_elements[node.sid]:
+            block = self.index.block(node.sid)
+            for start, stop in zip(block.starts, block.ends):
                 # remove() drops the holder's records inside the span.
                 if node is holder and start >= lost_from and stop <= lost_to:
                     continue
@@ -571,27 +590,33 @@ class LazyXMLDatabase:
         cooperative deadline/row/depth enforcement to every algorithm; the
         join is read-only, so a typed abort leaves the database untouched.
         """
-        if algorithm == "lazy":
-            return self._joiner.join(
-                tag_a, tag_d, axis, stats=stats, context=context, **lazy_options
-            )
         if algorithm not in _ALGORITHMS:
             raise QueryError(
                 f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
             )
-        if not self.log.query_ready:
-            raise QueryError(
-                "update log is not query-ready; call prepare_for_query()"
-            )
-        trace = context.trace if context is not None else None
-        if trace is None:
-            return self._materialized_join(tag_a, tag_d, axis, algorithm, context)
-        with trace.span(
-            f"{algorithm}_join", a=tag_a, d=tag_d, axis=axis
-        ) as span:
-            results = self._materialized_join(tag_a, tag_d, axis, algorithm, context)
-            span.annotate(pairs=len(results))
-        return results
+        with _gc_paused:
+            if algorithm == "lazy":
+                return self._joiner.join(
+                    tag_a, tag_d, axis, stats=stats, context=context,
+                    **lazy_options,
+                )
+            if not self.log.query_ready:
+                raise QueryError(
+                    "update log is not query-ready; call prepare_for_query()"
+                )
+            trace = context.trace if context is not None else None
+            if trace is None:
+                return self._materialized_join(
+                    tag_a, tag_d, axis, algorithm, context
+                )
+            with trace.span(
+                f"{algorithm}_join", a=tag_a, d=tag_d, axis=axis
+            ) as span:
+                results = self._materialized_join(
+                    tag_a, tag_d, axis, algorithm, context
+                )
+                span.annotate(pairs=len(results))
+            return results
 
     def _materialized_join(
         self, tag_a: str, tag_d: str, axis: str, algorithm: str, context
@@ -612,26 +637,24 @@ class LazyXMLDatabase:
         """All elements of ``tag`` with derived global spans, sorted by start.
 
         This is the materialization step the paper describes for running
-        traditional join algorithms on top of the lazy store: fetch each
-        element's segment from the SB-tree and shift its local span by the
-        segment's global position and child-segment lengths.  ``context``
-        makes the materialization loop a cancellation checkpoint.
+        traditional join algorithms on top of the lazy store: for each
+        segment the tag-list names, shift the local spans of its elements
+        by the segment's global position and child-segment lengths.
+        ``context`` makes the materialization loop a cancellation
+        checkpoint.
         """
         tid = self.log.tags.tid_of(tag)
         if tid is None:
             return []
         out: list[GlobalElement] = []
-        node_cache: dict[int, ERNode] = {}
-        for record in self.index.all_elements(tid):
-            if context is not None:
-                context.tick()
-            node = node_cache.get(record.sid)
-            if node is None:
-                node = self.log.sbtree.lookup(record.sid)
-                node_cache[record.sid] = node
-            gstart = node.to_global(record.start)
-            gend = node.to_global(record.end, count_ties=False)
-            out.append(GlobalElement(gstart, gend, record.level, record))
+        for entry in self.log.taglist.segments_for(tid):
+            to_global = entry.node.to_global
+            for record in self.index.block(entry.sid).tag(tid).records:
+                if context is not None:
+                    context.tick()
+                gstart = to_global(record.start)
+                gend = to_global(record.end, count_ties=False)
+                out.append(GlobalElement(gstart, gend, record.level, record))
         out.sort(key=lambda e: e.start)
         return out
 
@@ -732,23 +755,25 @@ class LazyXMLDatabase:
         self.log.check_invariants()
         self.index.check_invariants()
         # The tag-list's incrementally maintained occurrence counts (what
-        # join planning and the compiled read path consume) must agree with
-        # the element index's authoritative B+-tree — probed here with the
-        # count_range/has_segment_tag scans the hot path no longer uses.
+        # join planning reads, and the directory every per-tag read walks)
+        # must agree with the element index's blocks, both ways.
         taglist = self.log.taglist
-        for tid in list(taglist.tids()):
-            total = 0
-            for entry in taglist._lists[tid]:
-                assert self.index.has_segment_tag(tid, entry.sid), (
-                    f"tag-list records tid {tid} in segment {entry.sid} "
-                    "but the element index has no such records"
-                )
-                indexed = self.index.count(tid, entry.sid)
-                assert indexed == entry.count, (
-                    f"tag-list count {entry.count} != indexed count "
-                    f"{indexed} for tid {tid} in segment {entry.sid}"
-                )
-                total += entry.count
+        listed = {
+            (tid, entry.sid): entry.count
+            for tid in taglist.tids()
+            for entry in taglist._lists[tid]
+        }
+        indexed = {
+            (tid, sid): count
+            for sid in self.index.sids()
+            for tid, count in Counter(self.index.block(sid).tids).items()
+        }
+        assert listed == indexed, (
+            "tag-list counts and element-index blocks disagree on (tid, sid): "
+            f"{sorted(set(listed.items()) ^ set(indexed.items()))}"
+        )
+        for tid in taglist.tids():
+            total = sum(entry.count for entry in taglist._lists[tid])
             assert taglist.total_count(tid) == total, (
                 f"tag-list running total {taglist.total_count(tid)} != "
                 f"entry sum {total} for tid {tid}"

@@ -1,37 +1,38 @@
-"""The element index of Section 3.4.
+"""The element index of Section 3.4, as write-once per-segment blocks.
 
-A B+-tree whose keys are ``(tid, sid, start, end, level)``:
+The paper's index is one B+-tree keyed ``(tid, sid, start, end, level)``;
+its access pattern is "all elements of tag *t* in segment *s*", found by a
+``log(NE)`` descent.  Labels are segment-local and never rewritten, so the
+same answers come from a plainer layout: one immutable
+:class:`SegmentBlock` per segment, addressed by sid (the descent becomes a
+dictionary probe, for Lazy-Join and the baselines alike), holding the
+segment's elements once — every tag, in document order — as four
+``array('q')`` columns:
 
-- ``tid`` — tag id;
-- ``sid`` — the segment the element arrived in;
-- ``start``/``end`` — the element's *local* span inside that segment's
+- ``tids`` — tag id;
+- ``starts``/``ends`` — the element's *local* span inside the segment's
   original text (end-exclusive here; the containment tests are unaffected);
-- ``level`` — the element's absolute depth in the super document.
+- ``levels`` — the element's absolute depth in the super document.
 
 ``(sid, start)`` uniquely identifies an element, and — the whole point of
-the lazy scheme — no existing key is ever rewritten by an update: insertions
-only add keys, removals only delete keys.
-
-The key order makes "all elements of tag *t* in segment *s*" one contiguous
-leaf scan, which is the access pattern Lazy-Join's cost model charges as
-``log(NE) + p_A``.
+the lazy scheme — no stored label is ever rewritten by an update: an
+insertion writes a block, a whole removal drops one, a partial removal
+replaces one.  The per-tag directory is the tag-list (Section 3.2), which
+already names the segments holding each tag.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from repro.btree import BPlusTree
 from repro.obs.metrics import METRICS
 
-__all__ = ["ElementRecord", "ElementIndex", "records_from_keys"]
-
-_ORDER = 64
+__all__ = ["ElementRecord", "CompiledElements", "SegmentBlock", "ElementIndex"]
 
 # Mutation-path instruments honor ElementIndex.observed (replica replay
 # guard); the read counters are query-path and ignore it.
@@ -42,11 +43,16 @@ _M_REMOVED = METRICS.counter(
     "index.records_removed", unit="records", site="ElementIndex.remove_*"
 )
 _M_READS = METRICS.counter(
-    "index.reads", unit="calls", site="ElementIndex.elements_list"
+    "index.reads", unit="views", site="SegmentBlock.tag"
 )
 _M_RECORDS_READ = METRICS.counter(
-    "index.records_read", unit="records", site="ElementIndex.elements_list"
+    "index.records_read", unit="records", site="SegmentBlock.tag"
 )
+
+# Block order.  Filtered to one tag it is the ``(start, end, level)`` order
+# joins consume; unfiltered it is document order with ties (possible only
+# after repacking a document an update split mid-token) broken by tag id.
+_ROW_ORDER = itemgetter(1, 0, 2, 3)
 
 
 class ElementRecord(NamedTuple):
@@ -58,42 +64,105 @@ class ElementRecord(NamedTuple):
     level: int
 
 
-# Index keys are ``(tid, record)`` two-tuples.  A NamedTuple compares
-# elementwise like any tuple, so the tree order is identical to the flat
-# ``(tid, sid, start, end, level)`` layout — but the stored record IS the
-# join-facing :class:`ElementRecord`, so "materializing" a segment's
-# records is one C-level ``itemgetter`` pass over stored objects with
-# zero per-element allocation.  Range bounds use tuple prefixes:
-# ``(tid, (sid,))`` sorts before every ``(tid, (sid, start, ...))``.
-_KEY_REC = itemgetter(1)
-_REC_START = itemgetter(1)
-_REC_END = itemgetter(2)
-_REC_LEVEL = itemgetter(3)
+class CompiledElements:
+    """Elements of one segment — one tag's, or every tag's — as flat columns.
 
-
-def records_from_keys(keys) -> tuple[ElementRecord, ...]:
-    """Extract the stored :class:`ElementRecord` objects from index keys.
-
-    Records live inside the ``(tid, record)`` keys, so this is a single
-    reference-copying pass — no per-element tuple construction.  Building
-    record objects used to be the single most expensive step of compiling
-    a segment's elements; storing them in the key makes the compile path
-    column-extraction plus pointer copies.
+    ``records`` is the :class:`ElementRecord` tuple (what join results
+    are made of); ``starts``/``ends``/``levels`` are parallel
+    ``array('q')`` columns sorted by start — local coordinates, which are
+    immutable, so an instance never goes stale from *other* segments'
+    updates.  The instance is also a start-ordered sequence of its records
+    (``len``/index/iterate), which is how Stack-Tree-Desc consumes it; the
+    column kernel defers record access until emission, then resolves
+    ``.records`` once and indexes the plain tuple.
     """
-    return tuple(map(_KEY_REC, keys))
+
+    __slots__ = ("records", "starts", "ends", "levels")
+
+    def __init__(self, records, starts, ends, levels):
+        self.records = records
+        self.starts = starts
+        self.ends = ends
+        self.levels = levels
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        return self.records[index]
+
+    def __iter__(self):
+        return iter(self.records)
+
+
+class SegmentBlock:
+    """One segment's elements, written once.
+
+    The columns are the segment's rows in block order (see ``_ROW_ORDER``)
+    and are never edited.  :meth:`tag` cuts the :class:`CompiledElements`
+    view of one tag (``None``: every tag) on first read and keeps it for
+    the block's lifetime — a segment holds many tags and most are never
+    queried, so nothing per tag exists until a reader asks.  Readers of a
+    pinned replica may cut the same view twice; either object is valid.
+    """
+
+    __slots__ = ("sid", "tids", "starts", "ends", "levels", "_views")
+
+    def __init__(self, sid: int, rows=()):
+        """``rows`` are ``(tid, start, end, level)`` in block order."""
+        self.sid = sid
+        tids, starts, ends, levels = zip(*rows) if rows else ((), (), (), ())
+        self.tids = array("q", tids)
+        self.starts = array("q", starts)
+        self.ends = array("q", ends)
+        self.levels = array("q", levels)
+        self._views: dict[int | None, CompiledElements] = {}
+
+    def __len__(self) -> int:
+        return len(self.tids)
+
+    def rows(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(tid, start, end, level)`` per element, in block order — the
+        ``records`` list of the snapshot format."""
+        return zip(self.tids, self.starts, self.ends, self.levels)
+
+    def tag(self, tid: int | None) -> CompiledElements:
+        """The elements of tag ``tid`` (``None``: of every tag) as columns."""
+        view = self._views.get(tid)
+        if view is None:
+            view = self._views[tid] = self._cut(tid)
+        return view
+
+    def _cut(self, tid: int | None) -> CompiledElements:
+        columns = (self.starts, self.ends, self.levels)
+        if tid is not None:
+            keep = [held == tid for held in self.tids]
+            if all(keep):
+                # A one-tag segment (or an empty one): the all-tags view.
+                return self.tag(None)
+            columns = [array("q", compress(column, keep)) for column in columns]
+        records = tuple(map(ElementRecord, repeat(self.sid), *columns))
+        if METRICS.enabled:
+            _M_READS.inc()
+            _M_RECORDS_READ.inc(len(records))
+        return CompiledElements(records, *columns)
+
+
+_NO_ELEMENTS = SegmentBlock(0)
 
 
 class ElementIndex:
-    """B+-tree element index with per-removal occurrence accounting."""
+    """``{sid: block}`` — the single home of element data."""
 
-    def __init__(self, order: int = _ORDER):
-        self._tree = BPlusTree(order=order)
+    def __init__(self):
+        self._blocks: dict[int, SegmentBlock] = {}
+        self._size = 0
         #: See ERTree.observed — cleared on EpochManager read replicas.
         self.observed = True
         # Read-path version keys: one counter per segment, bumped exactly
-        # when that segment's recorded elements change.  The compiled
-        # element-array cache (repro.core.readpath) keys on these, so
-        # invalidation is O(touched segments), never a global flush.
+        # when that segment's recorded elements change.  What is compiled
+        # from a block *and* an ER-node (repro.core.readpath) keys on
+        # these, so invalidation is O(touched segments), never a flush.
         self._versions: dict[int, int] = {}
 
     def version(self, sid: int) -> int:
@@ -103,11 +172,26 @@ class ElementIndex:
     def _bump(self, sid: int) -> None:
         self._versions[sid] = self._versions.get(sid, 0) + 1
 
+    def _install(self, sid: int, block: SegmentBlock) -> None:
+        """Make ``block`` (when empty: nothing) what ``sid`` holds."""
+        self._size += len(block) - len(self._blocks.pop(sid, ()))
+        if block:
+            self._blocks[sid] = block
+        self._bump(sid)
+
     def __len__(self) -> int:
-        return len(self._tree)
+        return self._size
+
+    def sids(self) -> Iterator[int]:
+        """The segments that hold at least one element."""
+        return iter(self._blocks)
+
+    def block(self, sid: int) -> SegmentBlock:
+        """Segment ``sid``'s block; an empty one when it holds no element."""
+        return self._blocks.get(sid, _NO_ELEMENTS)
 
     # ------------------------------------------------------------------
-    # insertion
+    # updates
 
     def insert_segment(
         self,
@@ -115,7 +199,7 @@ class ElementIndex:
         records: Iterable[tuple[int, int, int, int]],
         base_level: int = 0,
     ) -> Counter:
-        """Add a freshly inserted segment's elements.
+        """Write a freshly inserted segment's block.
 
         ``records`` are ``(tid, start, end, level)`` tuples with segment-local
         spans and 1-based in-segment levels; ``base_level`` is the absolute
@@ -124,157 +208,36 @@ class ElementIndex:
         Returns the per-tid occurrence counts, which the caller feeds into
         the tag-list.
         """
-        counts: Counter = Counter()
-        inserted = 0
-        for tid, start, end, level in records:
-            self._tree.insert(
-                (tid, ElementRecord(sid, start, end, base_level + level)),
-                None,
-            )
-            counts[tid] += 1
-            inserted += 1
-        if inserted:
-            self._bump(sid)
-        if METRICS.enabled and self.observed:
-            _M_INSERTED.inc(inserted)
-        return counts
-
-    # ------------------------------------------------------------------
-    # lookups
-
-    def elements(self, tid: int, sid: int) -> Iterator[ElementRecord]:
-        """Elements of tag ``tid`` in segment ``sid``, ascending by start."""
-        for key, _ in self._tree.range((tid, (sid,)), (tid, (sid + 1,))):
-            yield key[1]
-
-    def elements_list(self, tid: int, sid: int) -> list[ElementRecord]:
-        """:meth:`elements`, materialized."""
-        records = list(self.elements(tid, sid))
-        if METRICS.enabled:
-            _M_READS.inc()
-            _M_RECORDS_READ.inc(len(records))
-        return records
-
-    def segment_columns(
-        self, tid: int, sid: int
-    ) -> tuple[tuple[ElementRecord, ...], array, array, array]:
-        """Column-at-a-time form of :meth:`elements_list`.
-
-        Returns ``(records, starts, ends, levels)`` — the records tuple plus
-        the parallel ``array('q')`` columns the compiled read path serves,
-        extracted with bulk leaf slicing and C-level ``map`` passes instead
-        of a per-element generator.  The records are the NamedTuples stored
-        inside the ``(tid, record)`` index keys — reference copies, no
-        per-element construction.  Same contents and order as
-        :meth:`elements_list`.
-        """
-        keys = self._tree.range_keys((tid, (sid,)), (tid, (sid + 1,)))
-        records = records_from_keys(keys)
-        starts = array("q", map(_REC_START, records))
-        ends = array("q", map(_REC_END, records))
-        levels = array("q", map(_REC_LEVEL, records))
-        if METRICS.enabled:
-            _M_READS.inc()
-            _M_RECORDS_READ.inc(len(records))
-        return records, starts, ends, levels
-
-    def tag_columns(
-        self, tid: int
-    ) -> dict[int, tuple[list, array, array, array]]:
-        """Whole-tag bulk form of :meth:`segment_columns` — one pass.
-
-        Returns ``{sid: (keys, starts, ends, levels)}`` for *every*
-        segment holding at least one ``tid`` element, each entry's
-        columns byte-identical to the matching :meth:`segment_columns`
-        call (``keys`` are the raw index keys; records materialize
-        lazily via :func:`records_from_keys`).  The tag's leaves are
-        sliced once (:meth:`BPlusTree.leaf_slices` under
-        :meth:`~repro.btree.BPlusTree.range_keys`), the whole-tag columns
-        are built with single C-level passes, and per-segment views are
-        cut out with C-level slices located by tuple-prefix bisects — so
-        the cost is one tree descent plus O(elements) column work for the
-        entire tag, instead of one descent and one pass per ``(tid, sid)``.
-        """
-        keys = self._tree.range_keys((tid,), (tid + 1,))
-        out: dict[int, tuple] = {}
-        n = len(keys)
-        if not n:
-            return out
-        records = records_from_keys(keys)
-        _, starts_t, ends_t, levels_t = zip(*records)
-        starts_all = array("q", starts_t)
-        ends_all = array("q", ends_t)
-        levels_all = array("q", levels_t)
-        lo = 0
-        while lo < n:
-            sid = records[lo][0]
-            # ``(sid + 1,)`` compares below every record of the next
-            # segment and above every record of this one — the same
-            # prefix bound the per-segment range lookups use.
-            hi = bisect_left(records, (sid + 1,), lo, n)
-            out[sid] = (
-                records[lo:hi],
-                starts_all[lo:hi],
-                ends_all[lo:hi],
-                levels_all[lo:hi],
-            )
-            lo = hi
-        if METRICS.enabled:
-            _M_READS.inc()
-            _M_RECORDS_READ.inc(n)
-        return out
-
-    def all_elements(self, tid: int) -> Iterator[ElementRecord]:
-        """Every element of tag ``tid`` across all segments.
-
-        Ordered by ``(sid, start)`` — the STD baseline re-sorts these by
-        derived global position before joining.
-        """
-        for key, _ in self._tree.range((tid,), (tid + 1,)):
-            yield key[1]
-
-    def count(self, tid: int, sid: int) -> int:
-        """Number of ``tid`` elements recorded for segment ``sid``."""
-        return self._tree.count_range((tid, (sid,)), (tid, (sid + 1,)))
-
-    def has_segment_tag(self, tid: int, sid: int) -> bool:
-        """True when segment ``sid`` holds at least one ``tid`` element."""
-        return (
-            next(iter(self._tree.range((tid, (sid,)), (tid, (sid + 1,)))), None)
-            is not None
+        block = SegmentBlock(
+            sid,
+            sorted(
+                (
+                    (tid, start, end, base_level + level)
+                    for tid, start, end, level in records
+                ),
+                key=_ROW_ORDER,
+            ),
         )
+        if block:
+            self._install(sid, block)
+        if METRICS.enabled and self.observed:
+            _M_INSERTED.inc(len(block))
+        return Counter(block.tids)
 
-    # ------------------------------------------------------------------
-    # removal
-
-    def remove_segment(self, sid: int, tids: Iterable[int]) -> Counter:
-        """Delete every record of segment ``sid`` for the given tag ids.
+    def remove_segment(self, sid: int) -> Counter:
+        """Drop segment ``sid``'s block.
 
         Returns per-tid removal counts — the bookkeeping Section 3.4 calls
-        out as needed to decide tag-list path removal.  ``tids`` comes from
-        the tag-list (the segment's recorded tags); tags not actually present
-        contribute zero and are harmless.
+        out as needed to decide tag-list path removal.  A segment without
+        elements contributes nothing and is harmless.
         """
-        counts: Counter = Counter()
-        for tid in tids:
-            keys = [
-                key
-                for key, _ in self._tree.range((tid, (sid,)), (tid, (sid + 1,)))
-            ]
-            for key in keys:
-                self._tree.delete(key)
-            if keys:
-                counts[tid] = len(keys)
-        if counts:
-            self._bump(sid)
-        if METRICS.enabled and self.observed:
-            _M_REMOVED.inc(sum(counts.values()))
-        return counts
+        return self._keep(sid, [])
 
     def remove_local_range(
-        self, sid: int, local_start: int, local_end: int, tids: Iterable[int]
+        self, sid: int, local_start: int, local_end: int
     ) -> Counter:
-        """Delete records of ``sid`` lying entirely inside a local interval.
+        """Replace ``sid``'s block by one without the records lying entirely
+        inside a local interval.
 
         Used for partially affected segments in a removal: an element whose
         ``[start, end)`` span falls within ``[local_start, local_end)`` was
@@ -282,31 +245,44 @@ class ElementIndex:
         interval survive (their labels stay order-consistent).  Returns
         per-tid removal counts.
         """
-        counts: Counter = Counter()
-        for tid in tids:
-            doomed = []
-            for key, _ in self._tree.range(
-                (tid, (sid, local_start)), (tid, (sid, local_end))
-            ):
-                if key[1].end <= local_end:
-                    doomed.append(key)
-            for key in doomed:
-                self._tree.delete(key)
-            if doomed:
-                counts[tid] = len(doomed)
-        if counts:
-            self._bump(sid)
+        return self._keep(
+            sid,
+            [
+                row for row in self.block(sid).rows()
+                if row[1] < local_start or row[2] > local_end
+            ],
+        )
+
+    def _keep(self, sid: int, rows: list) -> Counter:
+        """Leave ``sid`` only ``rows`` of its block; count what left by tid."""
+        block = self.block(sid)
+        if len(rows) == len(block):
+            return Counter()
+        survivors = SegmentBlock(sid, rows)
+        self._install(sid, survivors)
+        counts = Counter(block.tids)
+        counts.subtract(survivors.tids)
         if METRICS.enabled and self.observed:
-            _M_REMOVED.inc(sum(counts.values()))
-        return counts
+            _M_REMOVED.inc(len(block) - len(rows))
+        return +counts
 
     # ------------------------------------------------------------------
     # accounting
 
     def approximate_bytes(self) -> int:
-        """Estimated in-memory size of the index."""
-        return self._tree.approximate_bytes()
+        """Estimated in-memory size: 8 bytes per stored scalar."""
+        total = 0
+        for block in self._blocks.values():
+            total += 8 * 4 * len(block)
+            for view in {id(v): v for v in block._views.values()}.values():
+                # Record references; a filtered view's own three columns.
+                total += 8 * len(view) * (1 if view.starts is block.starts else 4)
+        return total
 
     def check_invariants(self) -> None:
-        """Delegate structural checking to the underlying B+-tree."""
-        self._tree.check_invariants()
+        """Every block non-empty and in block order; the size in step."""
+        for sid, block in self._blocks.items():
+            assert block and block.sid == sid, f"block {sid} empty or misfiled"
+            rows = list(map(_ROW_ORDER, block.rows()))
+            assert rows == sorted(rows), f"block {sid} is out of order"
+        assert self._size == sum(map(len, self._blocks.values()))

@@ -26,18 +26,20 @@ switchable (for the ablation benchmarks):
 The parent/child variant restricts cross joins to (parent segment of ``T``,
 ``T``) per Proposition 3(1) and filters on ``LevelNum``.
 
-The merge runs over the **compiled read path** (:mod:`repro.core.readpath`):
-segment lists, element arrays and push lists are version-keyed compiled
-artifacts, so repeated joins between updates reuse them.  Two skip-ahead
+The merge runs over the element index's per-segment column views and the
+**compiled read path** (:mod:`repro.core.readpath`): segment lists and push
+lists are version-keyed compiled artifacts, so repeated joins between
+updates reuse them.  Two skip-ahead
 moves exploit the compiled layouts:
 
 - **segment-list galloping** (Step 2): the A-segments between two
   consecutive D-segments form a run the merge previously scanned one entry
-  at a time.  A segment in that run strictly containing the D-segment must
-  be an ER-tree ancestor of it (segments form a laminar family), hence its
-  sid is on the D-segment's stored tag-list path — so one bisect finds the
-  run's end and only ``len(path)`` sid probes find the containing segments;
-  everything else in the run is skipped without even a containment test;
+  at a time.  The segments in that run containing the D-segment are
+  exactly its ER-tree ancestors (segments form a laminar family), hence
+  their sids are on the D-segment's stored tag-list path — so one bisect
+  finds the run's end and only ``len(path)`` sid probes find the
+  containing segments; everything else in the run is skipped without even
+  a containment test;
 - **element bisecting** (Step 3): a frame's compiled columns are sorted by
   start with a prefix-max-of-end column, so the candidates for
   ``start < P < end`` are found by one bisect, and a frame none of whose
@@ -54,11 +56,9 @@ the D-segments whose element version moved and reuses every other chunk.
 
 from __future__ import annotations
 
-import gc
-import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate, chain, product
 from operator import attrgetter
@@ -121,35 +121,6 @@ _H_STACK = METRICS.histogram(
 __all__ = ["LazyJoiner", "JoinPair", "JoinStatistics"]
 
 _AXES = (AXIS_DESCENDANT, AXIS_CHILD)
-
-# A join allocates tens of thousands of result tuples that all *survive*
-# into the returned list, so every generation-0 collection triggered by
-# that allocation burst scans live data and frees nothing — pure overhead,
-# measured at ~25% of a large cold join.  Joins therefore pause automatic
-# collection for their duration (nesting-safe across threads; the pause
-# window is bounded by one join and restores the caller's GC state).
-_gc_lock = threading.Lock()
-_gc_depth = 0
-_gc_was_enabled = False
-
-
-@contextmanager
-def _gc_paused():
-    """Scoped pause of automatic garbage collection (see module note)."""
-    global _gc_depth, _gc_was_enabled
-    with _gc_lock:
-        if _gc_depth == 0:
-            _gc_was_enabled = gc.isenabled()
-            if _gc_was_enabled:
-                gc.disable()
-        _gc_depth += 1
-    try:
-        yield
-    finally:
-        with _gc_lock:
-            _gc_depth -= 1
-            if _gc_depth == 0 and _gc_was_enabled:
-                gc.enable()
 
 _NO_SPAN = nullcontext()  # stateless, so one serves every untraced join
 _node_gp = attrgetter("gp")
@@ -400,14 +371,13 @@ class LazyJoiner:
         if stats is None:
             stats = JoinStatistics()
         start = perf_counter() if enabled else 0.0
-        with _gc_paused():
-            if memo_key is None:
-                results = self._join_impl(
-                    tag_a, tag_d, axis, optimize_push, trim_top,
-                    branch_strategy, stats, context,
-                )
-            else:
-                results = self._refresh(memo_key, tag_a, tag_d, stats, context)
+        if memo_key is None:
+            results = self._join_impl(
+                tag_a, tag_d, axis, optimize_push, trim_top,
+                branch_strategy, stats, context,
+            )
+        else:
+            results = self._refresh(memo_key, tag_a, tag_d, stats, context)
         if span is not None:
             span.annotate(
                 pairs=len(results),
@@ -528,28 +498,10 @@ class LazyJoiner:
         if tid_a is None or tid_d is None:
             return []
         rp = self._readpath
-        # Segment-list misses are exact staleness signals: *any* element
-        # change to a tag bumps its tag-list version, so a fresh compiled
-        # segment list implies the tag's compiled element columns are
-        # fresh too.  Only on a miss is the tag warmed — one bulk
-        # whole-tag compile pass instead of segment-at-a-time misses —
-        # which keeps the fully-warm hot path at zero extra checks.  A
-        # merge of a few touched D-segments probes them one by one
-        # instead: the whole-tag range pass would cost what the corpus
-        # costs.
-        pre_misses = rp.misses
         csl_a = rp.segment_list(tid_a)
-        a_stale = rp.misses != pre_misses
-        pre_misses = rp.misses
         csl_d = rp.segment_list(tid_d)
-        d_stale = rp.misses != pre_misses
         if not csl_a.entries or not csl_d.entries:
             return []
-        if d_nodes is None:
-            if a_stale:
-                rp.warm_tag(tid_a, csl_a.nodes, push=optimize_push)
-            if d_stale and tid_d != tid_a:
-                rp.warm_tag(tid_d)
         get_elements = rp.elements
         get_push = rp.push_elements
 
@@ -571,15 +523,20 @@ class LazyJoiner:
             while stack and sd.gp >= stack[-1].node.end:
                 stack.pop()
 
-            # Step 2 — push A-segments preceding sd that (strictly) contain
-            # it; skip the rest.  Compiled skip-ahead: one bisect bounds the
-            # run of A-segments with gp < sd.gp, and only ER-tree ancestors
-            # of sd (its stored tag-list path) can contain it, so the run's
-            # other members are galloped over untested.
-            if ai < a_count and nodes_a[ai].gp < sd.gp:
+            # Step 2 — push the A-segments preceding sd that contain it;
+            # skip the rest.  Compiled skip-ahead: one bisect bounds the run
+            # of A-segments with gp < sd.gp, and the ones containing sd are
+            # exactly its ER-tree ancestors — the sids on its stored
+            # tag-list path — so the run's other members are galloped over
+            # untested.  Containment is read off the path, never off a gp
+            # comparison: a removal can cut an ancestor's head back to sd's
+            # own gp (the ancestor stays first in the list), and an answer
+            # that flipped on such a tie would not be the one the memo
+            # holds for sd (DESIGN.md §4e).
+            if ai < a_count and nodes_a[ai].gp <= sd.gp:
                 nxt = bisect_left(nodes_a, sd.gp, ai, a_count, key=_node_gp)
                 # Mapped path indices increase along the path (path order
-                # and nodes_a are both ascending in gp), so probing the
+                # and nodes_a are both ER-tree pre-order), so probing the
                 # path deepest-first stops at the first already-merged
                 # index: the run's candidates are a suffix of the mapped
                 # path, found in O(new candidates) instead of O(depth).
@@ -591,14 +548,14 @@ class LazyJoiner:
                         continue
                     if idx < ai:
                         break
-                    if idx < nxt:
-                        candidates.append(idx)
-                candidates.reverse()
+                    candidates.append(idx)
+                if candidates:
+                    candidates.reverse()
+                    # An ancestor tied with sd on gp lies past the bisect.
+                    nxt = max(nxt, candidates[-1] + 1)
                 pushed_in_run = 0
                 for idx in candidates:
                     sa = nodes_a[idx]
-                    if not (sa.gp < sd.gp and sa.end > sd.end):
-                        continue
                     if optimize_push:
                         source = get_push(tid_a, sa)
                         starts = source.starts
@@ -767,10 +724,6 @@ class LazyJoiner:
         frame's columns may still be the cache's compiled artifacts, so the
         trim rebuilds them copy-on-write rather than mutating in place.
         """
-        if frame.node.end <= sa.gp or not (frame.node.gp < sa.gp):
-            return
-        if not (sa.end <= frame.node.end):
-            return
         branch = branch_fn(frame.node, sa)
         ends = frame.ends
         kept = [i for i, end in enumerate(ends) if end > branch]

@@ -20,7 +20,6 @@ holes), so packing also reclaims the bookkeeping left by partial removals.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.segment import DUMMY_ROOT_SID
@@ -57,50 +56,36 @@ def repack_segment(db, sid: int) -> RepackResult:
     Every element of the subtree gets a fresh local label in the new
     segment's coordinate space (derived from its current global span, so
     partial-removal tombstones are flattened away).  The ER-tree, SB-tree,
-    tag-list, element index and the database's cached parses are all kept
-    consistent.
+    tag-list and element index are all kept consistent.
     """
     require_repackable(db, sid)
     node = db.log.node(sid)
     base_gp = node.gp
 
     # Gather the subtree's element records with global-derived fresh labels.
-    old_sids = [sub.sid for sub in node.iter_subtree()]
+    old_nodes = list(node.iter_subtree())
     fresh_records: list[tuple[int, int, int, int]] = []
-    removal_counts: dict[int, Counter] = {}
-    for sub in node.iter_subtree():
-        records = db._segment_elements.get(sub.sid, [])
-        counts: Counter = Counter()
-        for tid, start, end, level in records:
+    for sub in old_nodes:
+        for tid, start, end, level in db.index.block(sub.sid).rows():
             gstart = sub.to_global(start)
             gend = sub.to_global(end, count_ties=False)
             fresh_records.append((tid, gstart - base_gp, gend - base_gp, level))
-            counts[tid] += 1
-        removal_counts[sub.sid] = counts
-    fresh_records.sort(key=lambda record: (record[1], -record[2]))
 
     # Drop the old segments from every structure.
-    for old_sid in old_sids:
-        counts = removal_counts[old_sid]
-        db.index.remove_segment(old_sid, counts.keys())
-        old_node = db.log.node(old_sid)
-        for tid, count in counts.items():
+    for old_node in old_nodes:
+        for tid, count in db.index.remove_segment(old_node.sid).items():
             db.log.taglist.remove_occurrences(tid, old_node, count)
-        db._segment_elements.pop(old_sid, None)
         # The version bumps above already fence off stale compiled state;
         # eagerly reclaim it (repacked sids are never queried again).
-        db.readpath.drop_segment(old_sid)
+        db.readpath.drop_segment(old_node.sid)
 
     # One fresh segment over the same span; re-register everything.
     segments_before = db.segment_count
     new_node = db.log.ertree.collapse_subtree(sid)
-    db.index.insert_segment(new_node.sid, fresh_records, base_level=0)
-    for tid, count in Counter(r[0] for r in fresh_records).items():
+    counts = db.index.insert_segment(new_node.sid, fresh_records, base_level=0)
+    for tid, count in counts.items():
         db.log.taglist.add_segment(tid, new_node, count)
     db.log.publish_fanout()
-    db._segment_elements[new_node.sid] = sorted(
-        fresh_records, key=lambda record: record[1]
-    )
     return RepackResult(
         new_sids=[new_node.sid],
         segments_before=segments_before,

@@ -21,9 +21,9 @@ probed against the tag-list's O(1) occurrence totals
 or element-free tag short-circuits to ``[]`` without touching the element
 index, and the per-step structural joins are executed cheapest-estimate
 first so that a step producing zero pairs aborts the query before its more
-expensive siblings run.  (The B+-tree probes ``ElementIndex.count`` /
-``has_segment_tag`` remain the authoritative source — used by invariant
-checks — while the planner reads only the incrementally maintained totals.)
+expensive siblings run.  (The element index's blocks remain the
+authoritative source — ``check_invariants`` compares — while the planner
+reads only the incrementally maintained totals.)
 """
 
 from __future__ import annotations
@@ -349,9 +349,13 @@ def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
         step_pairs[i] = pairs
     steps = query.steps
     if not steps:
-        # The index's own order is ``(sid, start)``.
-        records = db.index.all_elements(tid_entry)
-        return [(record,) for record in records] if bindings else list(records)
+        # Record order is ``(sid, start)`` order.
+        records = sorted(
+            record
+            for entry in db.log.taglist.segments_for(tid_entry)
+            for record in db.index.block(entry.sid).tag(tid_entry).records
+        )
+        return [(record,) for record in records] if bindings else records
     if not bindings:
         # Distinct final matches need no binding tuples: a semi-join chain
         # over the step pairs.  ``(sid, start)`` identifies a record, so

@@ -7,12 +7,12 @@ immutable, and the service layer's epoch publishing (``repro.service.
 snapshot``) makes that window explicit: a published replica is never
 mutated, so anything compiled from it stays valid for the epoch's lifetime.
 This module compiles the read-side layouts Lazy-Join touches per call and
-memoizes them under *per-structure version keys*:
+memoizes them under *per-structure version keys*.  Element columns are not
+among them: a segment's elements are base data, held once by the element
+index as an immutable block (:mod:`repro.core.element_index`), and
+:meth:`ReadPathCache.elements` is a direct read of the block's view.  What
+is derived, and kept here:
 
-- **element arrays** — per ``(tid, sid)``, the segment's element records
-  materialized once as a tuple plus flat sorted ``array('q')`` start/end/
-  level columns, keyed on :meth:`ElementIndex.version` (bumped exactly when
-  that segment's records change);
 - **push lists** — the Section 4.2 optimization-(i) filter (elements
   containing at least one child insertion point) precomputed per
   ``(tid, sid)`` together with a prefix-max-of-end column for skip-ahead
@@ -25,8 +25,8 @@ memoizes them under *per-structure version keys*:
   ER-node version) instead of per record per query.  ``gp`` itself is
   never cached — a stream is ``node.gp + column``, read live — so a gp
   shift invalidates nothing.  A segment with no children and no
-  tombstones shares its element arrays outright; a wildcard step reads
-  the same columns merged over the segment's tags, under the same key;
+  tombstones shares its block's view outright; a wildcard step reads
+  the all-tags view (``tid`` ``None``) the same way;
 - **segment lists** — per tag, the tag-list entries frozen as a tuple with
   an O(1) ``sid -> position`` map, keyed on :meth:`TagList.version`.
   Global positions are deliberately *not* copied out: gp shifts on every
@@ -48,8 +48,8 @@ memoizes them under *per-structure version keys*:
   the touched D-segments.  Pair order survives too: gp shifts keep order.
 
 There is one regime: every lookup memoises.  :meth:`ReadPathCache.clear`
-is the "cold" lever — it forces the same recompilation through the same
-code.
+is the "cold" lever — it drops everything derived and forces the same
+recompilation through the same code; element blocks are not its to drop.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 
+from repro.core.element_index import CompiledElements
 from repro.joins.kernels import push_kept
 from repro.obs.metrics import METRICS
 
 __all__ = [
-    "CompiledElements",
     "CompiledPushList",
     "CompiledSegmentList",
     "ReadPathCache",
@@ -70,10 +70,10 @@ __all__ = [
 # Query-path instruments (a cache hit/miss is real read work wherever it
 # happens, so these ignore the per-structure `observed` replica flag).
 _M_EL_HITS = METRICS.counter(
-    "readpath.elements.hits", unit="lookups", site="ReadPathCache.elements"
+    "readpath.elements.hits", unit="lookups", site="ReadPathCache.span_columns"
 )
 _M_EL_MISSES = METRICS.counter(
-    "readpath.elements.misses", unit="lookups", site="ReadPathCache.elements"
+    "readpath.elements.misses", unit="lookups", site="ReadPathCache.span_columns"
 )
 _M_SEG_HITS = METRICS.counter(
     "readpath.segments.hits", unit="lookups", site="ReadPathCache.segment_list"
@@ -100,58 +100,6 @@ _M_INVALIDATED = METRICS.counter(
 )
 
 
-class CompiledElements:
-    """One segment's elements of one tag, compiled to flat columns.
-
-    ``records`` is the :class:`ElementRecord` tuple (what join results
-    are made of); ``starts``/``ends``/``levels`` are parallel
-    ``array('q')`` columns sorted by start — local coordinates, which are
-    immutable, so a compiled instance never goes stale from *other*
-    segments' updates.
-
-    The element index stores the record objects *inside* its keys, so
-    adopting them here is reference copying, not per-element NamedTuple
-    construction — the historical dominant compile cost.  The instance
-    is also a start-ordered sequence of its records
-    (``len``/index/iterate), which is how Stack-Tree-Desc consumes it;
-    the column kernel defers record access until emission, then resolves
-    ``.records`` once and indexes the plain tuple.
-    """
-
-    __slots__ = ("records", "starts", "ends", "levels")
-
-    def __init__(self, records):
-        self.records = tuple(records)
-        self.starts = array("q", (r.start for r in self.records))
-        self.ends = array("q", (r.end for r in self.records))
-        self.levels = array("q", (r.level for r in self.records))
-
-    @classmethod
-    def from_columns(cls, records, starts, ends, levels) -> "CompiledElements":
-        """Adopt pre-extracted records and columns in one step.
-
-        The bulk-extraction path (``ElementIndex.segment_columns`` /
-        ``tag_columns``): the index hands over the stored record tuple
-        and parallel columns in one pass, so compilation never touches
-        the elements one at a time.
-        """
-        self = cls.__new__(cls)
-        self.records = records
-        self.starts = starts
-        self.ends = ends
-        self.levels = levels
-        return self
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def __getitem__(self, index):
-        return self.records[index]
-
-    def __iter__(self):
-        return iter(self.records)
-
-
 def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
     """``compiled`` with its local spans mapped to global ones minus ``gp``.
 
@@ -162,7 +110,7 @@ def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
     starts = node.global_offsets(compiled.starts)
     if starts is compiled.starts:
         return compiled
-    return CompiledElements.from_columns(
+    return CompiledElements(
         compiled.records,
         starts,
         node.global_offsets(compiled.ends, count_ties=False),
@@ -271,24 +219,14 @@ class ReadPathCache:
     landed.
     """
 
-    def __init__(self, log, index, segment_records=None):
+    def __init__(self, log, index):
         self._log = log
         self._index = index
-        # sid -> that segment's parsed ``(tid, start, end, level)`` records
-        # (the database's parse cache, by reference).  Read for the tag ids
-        # a segment holds — a superset is fine — and only by the all-tags
-        # element arrays.
-        self._segment_records = segment_records
-        # (tid, sid) -> (index_version, CompiledElements); tid None = all tags
-        self._elements: dict[tuple[int, int], tuple[int, CompiledElements]] = {}
-        # (tid, sid) -> (index_version, node_version, CompiledPushList)
-        self._push: dict[tuple[int, int], tuple[int, int, CompiledPushList]] = {}
-        # (tid, sid) -> (index_version, node_version, gp-free CompiledElements)
-        self._spans: dict[tuple[int, int], tuple[int, int, CompiledElements]] = {}
-        # sid -> tids with an `_elements` entry (push lists and span columns
-        # are compiled from one, so their keys are covered too): what
-        # drop_segment pops.
-        self._compiled_tids: dict[int, set[int]] = {}
+        # sid -> {tid: (index_version, node_version, CompiledPushList)}
+        self._push: dict[int, dict[int, tuple[int, int, CompiledPushList]]] = {}
+        # sid -> {tid: (index_version, node_version, gp-free
+        #   CompiledElements)}; tid None = all tags
+        self._spans: dict[int, dict[int | None, tuple]] = {}
         # tid -> (taglist_version, CompiledSegmentList)
         self._segments: dict[int, tuple[int, CompiledSegmentList]] = {}
         # sid -> lp (immutable; no version key)
@@ -302,10 +240,8 @@ class ReadPathCache:
 
     def clear(self) -> None:
         """Drop all compiled state (counters are kept)."""
-        self._elements.clear()
         self._push.clear()
         self._spans.clear()
-        self._compiled_tids.clear()
         self._segments.clear()
         self._lps.clear()
         self._joins.clear()
@@ -314,161 +250,43 @@ class ReadPathCache:
     # compiled lookups
 
     def elements(self, tid: int | None, sid: int) -> CompiledElements:
-        """The compiled element arrays for ``(tid, sid)``.
+        """Segment ``sid``'s elements of tag ``tid`` (``None``: of every
+        tag, what a wildcard step reads): the element index's own view."""
+        return self._index.block(sid).tag(tid)
 
-        ``tid`` ``None`` is every tag: the segment's per-tag arrays merged
-        by start (what a wildcard step reads), under the same key.
-        """
-        key = (tid, sid)
-        version = self._index.version(sid)
-        cached = self._elements.get(key)
-        if cached is not None:
-            if cached[0] == version:
-                self.hits += 1
-                if METRICS.enabled:
-                    _M_EL_HITS.inc()
-                return cached[1]
-            self.invalidations += 1
-            if METRICS.enabled:
-                _M_INVALIDATED.inc()
-        self.misses += 1
-        if METRICS.enabled:
-            _M_EL_MISSES.inc()
-        if tid is None:
-            compiled = self._merged_elements(sid)
-        else:
-            compiled = CompiledElements.from_columns(
-                *self._index.segment_columns(tid, sid)
-            )
-        self._elements[key] = (version, compiled)
-        self._compiled_tids.setdefault(sid, set()).add(tid)
-        return compiled
-
-    def _merged_elements(self, sid: int) -> CompiledElements:
-        tids = {record[0] for record in self._segment_records.get(sid, ())}
-        parts = [
-            part for tid in sorted(tids) if (part := self.elements(tid, sid))
-        ]
-        if len(parts) == 1:
-            return parts[0]
-        starts = [start for part in parts for start in part.starts]
-        order = sorted(range(len(starts)), key=starts.__getitem__)
-
-        def merged(column):
-            values = [value for part in parts for value in getattr(part, column)]
-            return map(values.__getitem__, order)
-
-        return CompiledElements.from_columns(
-            tuple(merged("records")),
-            array("q", map(starts.__getitem__, order)),
-            array("q", merged("ends")),
-            array("q", merged("levels")),
-        )
-
-    def bulk_elements(self, tid: int) -> dict[int, CompiledElements]:
-        """Whole-tag bulk compile: every segment's element columns at once.
-
-        One ``ElementIndex.tag_columns`` range pass slices all of ``tid``'s
-        index leaves and emits per-segment columns; this wraps each as a
-        :class:`CompiledElements` and installs the stale ones under their
-        current versions, so every later :meth:`elements` call for the tag
-        is a hit.  Entries already fresh in the cache keep their identity
-        (the compiled artifacts are shared with live join frames).  Returns ``{sid: compiled}`` for
-        the segments that hold at least one ``tid`` element.
-        """
-        columns = self._index.tag_columns(tid)
-        out: dict[int, CompiledElements] = {}
-        version_of = self._index.version
-        elements = self._elements
-        stale = 0
-        invalidated = 0
-        for sid, cols in columns.items():
-            version = version_of(sid)
-            cached = elements.get((tid, sid))
-            if cached is not None:
-                if cached[0] == version:
-                    out[sid] = cached[1]
-                    continue
-                invalidated += 1
-            compiled = CompiledElements.from_columns(*cols)
-            elements[(tid, sid)] = (version, compiled)
-            self._compiled_tids.setdefault(sid, set()).add(tid)
-            out[sid] = compiled
-            stale += 1
-        if invalidated:
-            self.invalidations += invalidated
-            if METRICS.enabled:
-                _M_INVALIDATED.inc(invalidated)
-        if stale:
-            self.misses += stale
-            if METRICS.enabled:
-                _M_EL_MISSES.inc(stale)
-        return out
-
-    def warm_tag(self, tid: int, nodes=(), *, push: bool = False) -> None:
-        """Bulk-warm a tag's compiled element (and push) state.
-
-        The cold-compile fast path: one :meth:`bulk_elements` pass warms
-        every segment's element columns, and with ``push=True`` the
-        optimization-(i) push lists of ``nodes`` (the tag's segment-list
-        ER-nodes) are compiled in the same sweep.
-        """
-        compiled_by_sid = self.bulk_elements(tid)
-        if not push:
-            return
-        version_of = self._index.version
-        push_cache = self._push
-        stale = 0
-        invalidated = 0
-        for node in nodes:
-            sid = node.sid
-            key = (tid, sid)
-            iv = version_of(sid)
-            nv = node._version
-            cached = push_cache.get(key)
-            if cached is not None:
-                if cached[0] == iv and cached[1] == nv:
-                    continue
-                invalidated += 1
-            full = compiled_by_sid.get(sid)
-            if full is None:
-                # Tag-list entry without index records (possible only
-                # transiently); compile the empty columns through the
-                # ordinary per-segment path so it is cached consistently.
-                full = self.elements(tid, sid)
-            push_cache[key] = (iv, nv, self.compile_push_from(full, node))
-            stale += 1
-        if invalidated:
-            self.invalidations += invalidated
-            if METRICS.enabled:
-                _M_INVALIDATED.inc(invalidated)
-        if stale:
-            self.misses += stale
-            if METRICS.enabled:
-                _M_PUSH_MISSES.inc(stale)
-
-    def push_elements(self, tid: int, node) -> CompiledPushList:
-        """The optimization-(i) push list for tag ``tid`` in segment ``node``."""
+    def _versioned(self, table: dict, tid, node, compile_from, hit, miss):
+        """``table[node.sid][tid]`` while the segment's elements and its
+        ER-node stand as they were when it was compiled; else recompiled
+        by ``compile_from(view, node)`` and stored."""
         sid = node.sid
-        key = (tid, sid)
         iv = self._index.version(sid)
         nv = node._version
-        cached = self._push.get(key)
+        held = table.get(sid)
+        if held is None:
+            held = table[sid] = {}
+        cached = held.get(tid)
         if cached is not None:
             if cached[0] == iv and cached[1] == nv:
                 self.hits += 1
                 if METRICS.enabled:
-                    _M_PUSH_HITS.inc()
+                    hit.inc()
                 return cached[2]
             self.invalidations += 1
             if METRICS.enabled:
                 _M_INVALIDATED.inc()
         self.misses += 1
         if METRICS.enabled:
-            _M_PUSH_MISSES.inc()
-        compiled = self.compile_push_from(self.elements(tid, sid), node)
-        self._push[key] = (iv, nv, compiled)
+            miss.inc()
+        compiled = compile_from(self.elements(tid, sid), node)
+        held[tid] = (iv, nv, compiled)
         return compiled
+
+    def push_elements(self, tid: int, node) -> CompiledPushList:
+        """The optimization-(i) push list for tag ``tid`` in segment ``node``."""
+        return self._versioned(
+            self._push, tid, node, self.compile_push_from,
+            _M_PUSH_HITS, _M_PUSH_MISSES,
+        )
 
     @staticmethod
     def compile_push_from(full: CompiledElements, node) -> CompiledPushList:
@@ -496,26 +314,9 @@ class ReadPathCache:
         ``levels`` and ``records`` are the element arrays' own.  ``tid``
         ``None`` is every tag (see :meth:`elements`).
         """
-        sid = node.sid
-        key = (tid, sid)
-        iv = self._index.version(sid)
-        nv = node._version
-        cached = self._spans.get(key)
-        if cached is not None:
-            if cached[0] == iv and cached[1] == nv:
-                self.hits += 1
-                if METRICS.enabled:
-                    _M_EL_HITS.inc()
-                return cached[2]
-            self.invalidations += 1
-            if METRICS.enabled:
-                _M_INVALIDATED.inc()
-        self.misses += 1
-        if METRICS.enabled:
-            _M_EL_MISSES.inc()
-        spans = span_offsets(self.elements(tid, sid), node)
-        self._spans[key] = (iv, nv, spans)
-        return spans
+        return self._versioned(
+            self._spans, tid, node, span_offsets, _M_EL_HITS, _M_EL_MISSES
+        )
 
     def segment_list(self, tid: int) -> CompiledSegmentList:
         """The compiled segment list (``SL`` of Lazy-Join) for ``tid``."""
@@ -608,13 +409,11 @@ class ReadPathCache:
 
     def drop_segment(self, sid: int) -> int:
         """Forget all compiled state for a removed/repacked segment."""
-        dropped = 0
-        for tid in self._compiled_tids.pop(sid, ()):
-            dropped += self._elements.pop((tid, sid), None) is not None
-            dropped += self._push.pop((tid, sid), None) is not None
-            dropped += self._spans.pop((tid, sid), None) is not None
-        if self._lps.pop(sid, None) is not None:
-            dropped += 1
+        dropped = (
+            len(self._push.pop(sid, ()))
+            + len(self._spans.pop(sid, ()))
+            + (self._lps.pop(sid, None) is not None)
+        )
         if dropped:
             self.invalidations += dropped
             if METRICS.enabled:
@@ -633,9 +432,8 @@ class ReadPathCache:
             "invalidations": self.invalidations,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
             "entries": {
-                "elements": len(self._elements),
-                "push_lists": len(self._push),
-                "span_columns": len(self._spans),
+                "push_lists": sum(map(len, self._push.values())),
+                "span_columns": sum(map(len, self._spans.values())),
                 "segment_lists": len(self._segments),
                 "lps": len(self._lps),
                 "join_results": len(self._joins),
@@ -646,20 +444,16 @@ class ReadPathCache:
     def approximate_bytes(self) -> int:
         """Rough size of the compiled state: 8 bytes per stored scalar."""
         total = 0
-        # Three columns and the record references per compiled object; a
-        # one-tag segment's all-tags entry, and the span columns of a
-        # segment whose labels are its offsets, are the per-tag object
-        # again.  Span columns of their own add two offset columns.
-        counted = set()
-        for _, compiled in self._elements.values():
-            if id(compiled) not in counted:
-                counted.add(id(compiled))
-                total += 8 * 4 * len(compiled)
-        for _, _, spans in self._spans.values():
-            if id(spans) not in counted:
-                total += 8 * 2 * len(spans)
-        for _, _, push in self._push.values():
-            total += 8 * 3 * len(push)
+        # Span columns of their own are two offset columns; those of a
+        # segment whose labels are its offsets are the element index's
+        # view again (counted there, like every element column).
+        for sid, held in self._spans.items():
+            for tid, (_, _, spans) in held.items():
+                if spans is not self.elements(tid, sid):
+                    total += 8 * 2 * len(spans)
+        for held in self._push.values():
+            for _, _, push in held.values():
+                total += 8 * 3 * len(push)
         for _, compiled_list in self._segments.values():
             total += 8 * 2 * len(compiled_list.entries)
         for _, _, results, _, chunks in self._joins.values():

@@ -119,7 +119,7 @@ class TagList:
         self._versions: dict[int, int] = {}
         # Total occurrences per tag across all segments, maintained
         # incrementally — the O(1) selectivity probe join planning uses
-        # instead of B+-tree count_range scans.
+        # instead of counting through the element index.
         self._totals: dict[int, int] = {}
         # Longest per-tag list, maintained incrementally: adds bump it in
         # O(1); drops only mark it dirty and max_fanout() recomputes in
@@ -139,7 +139,7 @@ class TagList:
 
         Maintained incrementally by :meth:`add_segment` /
         :meth:`remove_occurrences` — the selectivity estimate join planning
-        reads instead of probing the element index's B+-tree (which stays
+        reads instead of probing the element index (which stays
         authoritative for invariant checks).
         """
         return self._totals.get(tid, 0)

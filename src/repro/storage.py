@@ -23,11 +23,9 @@ snapshots are diffable and future-proof.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 
 from repro.core.database import LazyXMLDatabase
-from repro.core.element_index import ElementRecord
 from repro.core.ertree import ERNode
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.errors import ReproError
@@ -60,10 +58,7 @@ def dumps(db: LazyXMLDatabase) -> str:
             "length": node.length,
             "lp": node.lp,
             "tombstones": [list(t) for t in node.tombstones()],
-            "records": [
-                list(record)
-                for record in db._segment_elements.get(node.sid, [])
-            ],
+            "records": [list(row) for row in db.index.block(node.sid).rows()],
         }
         segments.append(entry)
     payload = {
@@ -243,14 +238,8 @@ def loads(data: str) -> LazyXMLDatabase:
         ertree._track_add(node)
         nodes[sid] = node
         db.log.sbtree.on_add(node)
-        records = [tuple(record) for record in entry["records"]]
-        db._segment_elements[sid] = records
-        counts: Counter = Counter()
-        for tid, start, end, level in records:
-            db.index._tree.insert(
-                (tid, ElementRecord(sid, start, end, level)), None
-            )
-            counts[tid] += 1
+        # Stored levels are absolute already.
+        counts = db.index.insert_segment(sid, entry["records"], base_level=0)
         for tid, count in counts.items():
             db.log.taglist.add_segment(tid, node, count)
     for node in nodes.values():

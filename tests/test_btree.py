@@ -196,9 +196,6 @@ class TestRange:
         tree.delete(5)
         assert [k for k, _ in tree.range(5, 8)] == [6, 7]
 
-    def test_count_range(self, tree):
-        assert tree.count_range(5, 15) == 10
-
     def test_range_tuple_prefix_bounds(self):
         tree = BPlusTree(order=4)
         for sid in range(3):

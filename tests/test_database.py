@@ -58,7 +58,7 @@ class TestInsert:
         db.insert("<c><e/></c>", position=db.text.index("<b/>"))
         tid_e = db.log.tags.tid_of("e")
         sid = 2
-        (record,) = db.index.elements_list(tid_e, sid)
+        (record,) = db.index.block(sid).tag(tid_e)
         assert record.level == 3  # a(1) > c(2) > e(3)
 
     def test_validate_full_accepts_good_insert(self):
@@ -182,13 +182,13 @@ class TestGlobalSpans:
         db = LazyXMLDatabase()
         db.insert("<a><b/></a>")
         tid_b = db.log.tags.tid_of("b")
-        (b_record,) = db.index.elements_list(tid_b, 1)
+        (b_record,) = db.index.block(1).tag(tid_b)
         span_before = db.global_span(b_record)
         db.insert("<c/>", position=3)  # before <b/>
         span_after = db.global_span(b_record)
         assert span_after[0] == span_before[0] + 4
         # the record itself (local label) never changed
-        assert db.index.elements_list(tid_b, 1) == [b_record]
+        assert list(db.index.block(1).tag(tid_b)) == [b_record]
 
 
 class TestScenarioStreams:

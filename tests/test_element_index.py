@@ -1,4 +1,4 @@
-"""Tests for the (tid, sid, start, end, level) element index."""
+"""Tests for the element index: one write-once column block per segment."""
 
 from __future__ import annotations
 
@@ -19,6 +19,11 @@ def index():
     return idx
 
 
+def _tagged(index, tid):
+    """Every record of ``tid``, segment by segment."""
+    return [r for sid in index.sids() for r in index.block(sid).tag(tid)]
+
+
 class TestInsertAndLookup:
     def test_counts_returned_on_insert(self):
         idx = ElementIndex()
@@ -27,104 +32,151 @@ class TestInsertAndLookup:
 
     def test_len(self, index):
         assert len(index) == 5
+        assert sorted(index.sids()) == [1, 2]
 
     def test_elements_scoped_by_tid_and_sid(self, index):
-        records = index.elements_list(1, 1)
-        assert records == [
+        view = index.block(1).tag(1)
+        assert view.records == (
             ElementRecord(1, 3, 10, 2),
             ElementRecord(1, 12, 20, 2),
-        ]
+        )
+        assert list(view) == list(view.records) and view[1] is view.records[1]
+        assert (list(view.starts), list(view.ends), list(view.levels)) == (
+            [3, 12], [10, 20], [2, 2],
+        )
 
     def test_elements_sorted_by_start(self, index):
         idx = ElementIndex()
         idx.insert_segment(1, [(0, 20, 25, 2), (0, 0, 30, 1), (0, 5, 9, 2)], 0)
-        starts = [r.start for r in idx.elements(0, 1)]
-        assert starts == sorted(starts)
+        assert list(idx.block(1).tag(0).starts) == [0, 5, 20]
+
+    def test_rows_are_the_records_in_block_order(self):
+        idx = ElementIndex()
+        # Equal starts (a repacked token-split document): tid, then end.
+        rows = [(1, 4, 9, 2), (0, 4, 9, 2), (0, 4, 6, 3), (2, 0, 12, 1)]
+        idx.insert_segment(1, rows, 0)
+        assert list(idx.block(1).rows()) == [
+            (2, 0, 12, 1), (0, 4, 6, 3), (0, 4, 9, 2), (1, 4, 9, 2),
+        ]
+        assert [(r.start, r.end) for r in idx.block(1).tag(0)] == [(4, 6), (4, 9)]
+        assert [r.start for r in idx.block(1).tag(None)] == [0, 4, 4, 4]
 
     def test_base_level_applied(self, index):
-        (root,) = [r for r in index.elements(0, 2)]
+        (root,) = index.block(2).tag(0)
         assert root.level == 3  # base 2 + in-segment level 1
 
+    def test_views_are_cut_once_and_on_demand(self, index):
+        block = index.block(1)
+        assert block._views == {}  # nothing per tag exists until a reader asks
+        view = block.tag(1)
+        assert block.tag(1) is view and set(block._views) == {1}
+        everything = block.tag(None)
+        assert [r.start for r in everything] == [0, 3, 12]
+        assert everything.starts is block.starts  # the block's own columns
+        assert set(block._views) == {1, None}
+
+    def test_one_tag_segment_shares_its_all_tags_view(self):
+        idx = ElementIndex()
+        idx.insert_segment(1, [(4, 0, 9, 1), (4, 2, 5, 2)], 0)
+        assert idx.block(1).tag(4) is idx.block(1).tag(None)
+
     def test_all_elements_across_segments(self, index):
-        records = list(index.all_elements(1))
+        records = _tagged(index, 1)
         assert len(records) == 3
         assert {r.sid for r in records} == {1, 2}
 
     def test_all_elements_unknown_tid_empty(self, index):
-        assert list(index.all_elements(9)) == []
+        assert _tagged(index, 9) == []
 
     def test_count(self, index):
-        assert index.count(1, 1) == 2
-        assert index.count(1, 2) == 1
-        assert index.count(7, 1) == 0
+        assert len(index.block(1).tag(1)) == 2
+        assert len(index.block(2).tag(1)) == 1
+        assert len(index.block(1).tag(7)) == 0
 
     def test_has_segment_tag(self, index):
-        assert index.has_segment_tag(0, 1)
-        assert not index.has_segment_tag(3, 1)
+        assert index.block(1).tag(0)
+        assert not index.block(1).tag(3)
+        assert not index.block(99) and not index.block(99).tag(0)
 
     def test_records_immutable_identity(self, index):
         # (sid, start) uniquely identifies an element.
         seen = set()
-        for tid in (0, 1):
-            for record in index.all_elements(tid):
-                key = (record.sid, record.start)
-                assert key not in seen
-                seen.add(key)
+        for record in _tagged(index, None):
+            key = (record.sid, record.start)
+            assert key not in seen
+            seen.add(key)
+        assert len(seen) == len(index)
 
 
 class TestRemoveSegment:
     def test_remove_whole_segment(self, index):
-        counts = index.remove_segment(1, [0, 1])
+        version = index.version(1)
+        counts = index.remove_segment(1)
         assert counts == Counter({1: 2, 0: 1})
-        assert index.count(0, 1) == 0
-        assert index.count(1, 1) == 0
+        assert index.version(1) == version + 1
+        assert not index.block(1) and list(index.sids()) == [2]
         # other segment untouched
-        assert index.count(1, 2) == 1
+        assert len(index.block(2).tag(1)) == 1 and len(index) == 2
 
     def test_remove_with_absent_tids_harmless(self, index):
-        counts = index.remove_segment(1, [0, 1, 7, 8])
+        counts = index.remove_segment(1)
         assert 7 not in counts and 8 not in counts
 
     def test_remove_unknown_segment_empty(self, index):
-        assert index.remove_segment(99, [0, 1]) == Counter()
+        assert index.remove_segment(99) == Counter()
+        assert index.version(99) == 0 and len(index) == 5
 
 
 class TestRemoveLocalRange:
     def test_elements_fully_inside_removed(self, index):
-        counts = index.remove_local_range(1, 3, 10, [0, 1])
+        before = index.block(1)
+        kept = before.tag(1)
+        counts = index.remove_local_range(1, 3, 10)
         assert counts == Counter({1: 1})
-        assert index.count(1, 1) == 1  # [12,20) survives
+        assert len(index.block(1).tag(1)) == 1  # [12,20) survives
+        # The block was replaced, not edited: a reader's view stands.
+        assert index.block(1) is not before and len(kept) == 2
+        assert list(before.rows()) == [(0, 0, 30, 1), (1, 3, 10, 2), (1, 12, 20, 2)]
 
     def test_containing_elements_survive(self, index):
         # Range [5, 8) is inside the [3,10) element: nothing fully inside.
-        counts = index.remove_local_range(1, 5, 8, [0, 1])
+        before, version = index.block(1), index.version(1)
+        counts = index.remove_local_range(1, 5, 8)
         assert counts == Counter()
-        assert index.count(1, 1) == 2
+        assert len(index.block(1).tag(1)) == 2
+        assert index.block(1) is before and index.version(1) == version
 
     def test_boundary_exact_span_removed(self, index):
-        counts = index.remove_local_range(1, 12, 20, [1])
+        counts = index.remove_local_range(1, 12, 20)
         assert counts == Counter({1: 1})
 
     def test_partial_overlap_survives(self, index):
         # Range [15, 25) cuts the [12,20) element: record survives (labels
         # stay order-consistent even if text was clipped).
-        counts = index.remove_local_range(1, 15, 25, [1])
+        counts = index.remove_local_range(1, 15, 25)
         assert counts == Counter()
 
     def test_multiple_tids(self):
         idx = ElementIndex()
         idx.insert_segment(1, [(0, 0, 20, 1), (1, 2, 6, 2), (2, 8, 12, 2)], 0)
-        counts = idx.remove_local_range(1, 0, 20, [0, 1, 2])
+        counts = idx.remove_local_range(1, 0, 20)
         assert counts == Counter({0: 1, 1: 1, 2: 1})
-        assert len(idx) == 0
+        assert len(idx) == 0 and list(idx.sids()) == []
 
 
 class TestAccounting:
     def test_bytes_positive(self, index):
-        assert index.approximate_bytes() > 0
+        base = index.approximate_bytes()
+        assert base == 8 * 4 * 5
+        index.block(1).tag(None)  # record references
+        index.block(1).tag(1)  # ... and three columns of its own
+        assert index.approximate_bytes() == base + 8 * 3 + 8 * 4 * 2
 
     def test_invariants(self, index):
         index.check_invariants()
+        index.block(1).starts.reverse()
+        with pytest.raises(AssertionError):
+            index.check_invariants()
 
     def test_many_segments_scale(self):
         idx = ElementIndex()
@@ -133,6 +185,6 @@ class TestAccounting:
         assert len(idx) == 200
         idx.check_invariants()
         for sid in range(1, 101, 2):
-            idx.remove_segment(sid, [0, 1])
+            idx.remove_segment(sid)
         assert len(idx) == 100
         idx.check_invariants()

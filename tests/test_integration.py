@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import assert_join_matches_oracle, normalized_join
 from repro.core.database import LazyXMLDatabase
+from repro.core.element_index import ElementRecord
 from repro.workloads.generator import generate_fragment, tag_pool
 from repro.workloads.scenarios import dblp_stream, registration_stream
 from repro.workloads.xmark import XMARK_QUERIES, XMarkConfig, generate_site
@@ -98,19 +99,23 @@ class TestRandomizedWorkloads:
         rnd = random.Random(100 + seed)
         db = LazyXMLDatabase()
         random_workload(db, rnd, steps=8)
-        keys_before = set()
-        for tid in range(len(db.log.tags)):
-            for record in db.index.all_elements(tid):
-                keys_before.add((tid, record))
+        def keys():
+            return {
+                (tid, ElementRecord(sid, start, end, level))
+                for sid in db.index.sids()
+                for tid, start, end, level in db.index.block(sid).rows()
+            }
+
+        keys_before = keys()
+        blocks_before = {sid: db.index.block(sid) for sid in db.index.sids()}
         # Pure insertions: every pre-existing key must survive verbatim.
         for _ in range(5):
             fragment = generate_fragment(rnd.randint(2, 8), TAGS, seed=rnd.randrange(10**6))
             db.insert(fragment, _random_insert_point(db, rnd))
-        keys_after = set()
-        for tid in range(len(db.log.tags)):
-            for record in db.index.all_elements(tid):
-                keys_after.add((tid, record))
-        assert keys_before <= keys_after
+        assert keys_before <= keys()
+        # ... in the very blocks that held them: an insertion writes one
+        # block and touches no other.
+        assert all(db.index.block(sid) is b for sid, b in blocks_before.items())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ld_ls_equivalence(self, seed):

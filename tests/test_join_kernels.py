@@ -292,3 +292,31 @@ def test_structural_join_parity_generated(fragments, n_segments, axis):
         text, n, "balanced", "a", "d", axis
     )
     assert shipped == legacy
+
+
+# ----------------------------------------------------------------------
+# push_kept: the Section 4.2 optimization-(i) filter == the quadratic scan
+
+
+_spans = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(1, 60)),
+    max_size=40,
+)
+_lps = st.lists(st.integers(0, 500), max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements=_spans, lps=_lps)
+def test_push_kernels_agree_with_brute_force(elements, lps):
+    """push_kept == the quadratic containment scan."""
+    elements.sort()
+    starts = array("q", (start for start, _ in elements))
+    ends = array("q", (start + length for start, length in elements))
+    lps_sorted = sorted(lps)
+    brute = [
+        i
+        for i, (start, length) in enumerate(elements)
+        if any(start < lp < start + length for lp in lps_sorted)
+    ]
+    expected = None if len(brute) == len(elements) else brute
+    assert kernels.push_kept(starts, ends, lps_sorted) == expected

@@ -59,7 +59,7 @@ def assert_lists_match_index(db: LazyXMLDatabase) -> None:
         rebuilt = [
             (node.sid, count)
             for node in preorder
-            if (count := db.index.count(tid, node.sid))
+            if (count := list(db.index.block(node.sid).tids).count(tid))
         ]
         held = [(e.sid, e.count) for e in taglist._lists.get(tid, [])]
         if tid in taglist._unsorted:  # LS, not finalized: any order
@@ -123,7 +123,7 @@ def apply_op(db: LazyXMLDatabase, kind: str, a: int, b: int) -> list:
         # Part of one segment: an element's span (it may swallow whole
         # child segments, or be refused for crossing one's boundary).
         node = live[a % len(live)]
-        records = db._segment_elements[node.sid]
+        records = list(db.index.block(node.sid).rows())
         if records:
             _tid, start, end, _level = records[b % len(records)]
             lo = node.to_global(start)

@@ -79,7 +79,7 @@ class TestRepackSegment:
         result = db.repack(1)
         new_sid = result.new_sids[0]
         tid_z = db.log.tags.tid_of("z")
-        (record,) = db.index.elements_list(tid_z, new_sid)
+        (record,) = db.index.block(new_sid).tag(tid_z)
         node = db.log.node(new_sid)
         span = db.global_span(record)
         assert db.text[span[0] : span[1]] == "<z/>"

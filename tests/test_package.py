@@ -72,6 +72,37 @@ def test_library_names_no_repro_environment_variable():
     assert not found, found
 
 
+def test_element_data_has_one_home():
+    """``src/repro`` keeps a segment's elements once, in ``ElementIndex``.
+
+    The B+-tree serves the SB-tree and the interval-labeling baseline
+    only, and the names of the two copies that used to shadow the index
+    (the database's parse cache, the read path's element table and its
+    bulk-compile plumbing) occur nowhere — not in code, not in prose — so
+    a second home for element data arrives with a deliberate edit to this
+    test, not unannounced.
+    """
+    root = Path(repro.__file__).parent
+    gone = re.compile(r"_segment_elements|tag_columns|bulk_elements|warm_tag")
+    importers, found = [], []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found += [
+            f"{path.name}:{number} {line.strip()}"
+            for number, line in enumerate(text.splitlines(), 1)
+            if gone.search(line)
+        ]
+        if path.parent.name != "btree" and any(
+            alias.name == "BPlusTree"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ):
+            importers.append(path.relative_to(root).as_posix())
+    assert not found, found
+    assert importers == ["core/sbtree.py", "labeling/interval.py"]
+
+
 def test_front_ends_own_no_verb():
     """The shell is a codec over the verb table: it defines no ``_cmd_*``
     and imports nothing from ``repro.net``; ``help`` is the table, so

@@ -32,12 +32,18 @@ from hypothesis import strategies as st
 
 from repro.core import readpath as readpath_module
 from repro.core.database import LazyXMLDatabase
+from repro.core.element_index import ElementRecord
 from repro.core.ertree import DUMMY_ROOT_SID, ERNode
 from repro.core.join import JoinStatistics
 from repro.workloads.generator import generate_fragment, tag_pool
 from repro.workloads.join_mix import build_join_mix, sweep_configs
 
-from tests.oracle import _random_removal, safe_insert_positions
+from tests.helpers import normalized_join
+from tests.oracle import (
+    _random_removal,
+    replay_random_sequence,
+    safe_insert_positions,
+)
 from tests.test_join_chunks import _HISTORY, _replay
 from tests.test_log_maintenance import _form, _loaded
 
@@ -93,6 +99,21 @@ def test_repeat_lookups_hit():
     assert rp.hits > hits
 
 
+def test_elements_are_the_element_index_blocks_own_views():
+    """One home for a segment's elements: the read path holds no copy (its
+    ``elements`` is the block's view, not a cache of it) and neither does
+    the database."""
+    db = _mix_db(8)
+    for tid in (db.log.tags.tid_of("a"), db.log.tags.tid_of("d"), None):
+        for node in list(db.log.ertree.nodes())[1:]:
+            view = db.readpath.elements(tid, node.sid)
+            assert view is db.index.block(node.sid).tag(tid)
+    assert not hasattr(db, "_segment_elements")
+    assert not hasattr(db.readpath, "_elements")
+    db.readpath.clear()  # derived state only: the views stand
+    assert db.readpath.elements(tid, node.sid) is view
+
+
 def test_update_invalidates_only_touched_structures():
     db = LazyXMLDatabase()
     db.insert("<a><d>one</d></a>")
@@ -115,15 +136,18 @@ def test_element_arrays_invalidate_on_in_segment_removal():
     rp = db.readpath
     tid = db.log.tags.tid_of("d")
     sid = db.log.taglist.segments_for(tid)[0].sid
+    node = db.log.node(sid)
     before = rp.elements(tid, sid)
-    assert len(before) == 2
+    assert len(before) == 2 and rp.span_columns(tid, node) is before
     d_first = db.global_elements("d")[0]
     db.remove(d_first.start, d_first.end - d_first.start)
     invalidations = rp.invalidations
     after = rp.elements(tid, sid)
     assert after is not before
-    assert len(after) == 1
-    assert rp.invalidations > invalidations
+    assert len(after) == 1 and len(before) == 2  # replaced, not edited
+    # What was compiled from the old block is found stale, not served.
+    assert rp.span_columns(tid, node).records == after.records
+    assert rp.invalidations == invalidations + 1
 
 
 def test_whole_segment_removal_drops_compiled_entries():
@@ -132,22 +156,26 @@ def test_whole_segment_removal_drops_compiled_entries():
     db.insert("<a><d>y</d></a>")
     db.structural_join("a", "d")  # warm everything
     db.twig_query("a/*")  # ... the span columns too, per tag and all-tags
+    db.insert("<d>z</d>", len("<a>"))  # a child: a push list and an lp to hold
+    db.structural_join("a", "d")
+    db.twig_query("a/*")
     rp = db.readpath
-    assert rp.stats()["entries"]["elements"] > 0
     node = [
         n for n in db.log.ertree.nodes() if n.sid != DUMMY_ROOT_SID
     ][0]
     sid = node.sid
-    held = sum(key[1] == sid for key in (*rp._elements, *rp._push, *rp._spans))
-    held += sid in rp._lps
-    assert held >= 2 and (None, sid) in rp._spans
+    held = len(rp._push[sid]) + len(rp._spans[sid])
+    assert held >= 3 and None in rp._spans[sid]
+    child = node.children[0].sid
+    held += len(rp._spans[child]) + (child in rp._lps)
+    assert child in rp._lps and db.index.block(sid)
     invalidations = rp.invalidations
     db.remove(node.gp, node.length)
-    assert not any(key[1] == sid for key in rp._elements)
-    assert not any(key[1] == sid for key in rp._push)
-    assert not any(key[1] == sid for key in rp._spans)
-    assert sid not in rp._lps and sid not in rp._compiled_tids
-    # Every entry the segment held counts as one invalidation, no more.
+    for dead in (sid, child):
+        assert dead not in rp._push and dead not in rp._spans
+        assert dead not in rp._lps
+        assert not db.index.block(dead)  # the block, and its views with it
+    # Every entry the segments held counts as one invalidation, no more.
     assert rp.invalidations == invalidations + held
 
 
@@ -190,7 +218,14 @@ def assert_span_columns_are_to_global(db: LazyXMLDatabase) -> None:
     rp = db.readpath
     for node in list(db.log.ertree.nodes())[1:]:
         per_tag = [
-            (tid, db.index.elements_list(tid, node.sid))
+            (
+                tid,
+                [
+                    ElementRecord(node.sid, start, end, level)
+                    for held, start, end, level in db.index.block(node.sid).rows()
+                    if held == tid
+                ],
+            )
             for tid in range(len(db.log.tags))
         ]
         everything = sorted(
@@ -243,16 +278,20 @@ def test_span_columns_are_counted_and_cleared():
     db.twig_query("a/*")
     entries = rp.stats()["entries"]
     # a and the all-tags columns of the outer segment, all-tags of the
-    # inner one; the outer one's b arrays exist only to be merged.
-    assert entries["span_columns"] == 3 and entries["elements"] == 5
-    # 32 bytes a row for each compiled object (outer a, outer b, their
-    # two-row merge, inner b: the inner all-tags entry and its span
-    # columns are that one again), 16 a row for the outer segment's two
-    # sets of offset columns, 16 for the one-entry segment list of a.
-    assert rp.approximate_bytes() == 32 * 5 + 16 * 3 + 16
+    # inner one.  Element views are the element index's, not entries here.
+    assert entries["span_columns"] == 3 and "elements" not in entries
+    # 16 bytes a row for the outer segment's two sets of offset columns
+    # (the inner segment's span columns are its block's view again), 16
+    # for the one-entry segment list of a.
+    assert rp.approximate_bytes() == 16 * 3 + 16
+    # The index counts the columns: 32 a row per block, 8 a row for each
+    # all-tags view's records, 32 for the outer segment's one-row a view
+    # (a one-tag segment's per-tag view is its all-tags one).
+    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32
     rp.clear()
     assert not any(rp.stats()["entries"].values())
     assert rp.approximate_bytes() == 0
+    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32  # base data
 
 
 #: Seven patterns over the ``_form`` corpus: branches, child and descendant
@@ -311,6 +350,28 @@ def test_twig_after_update_derives_only_the_touched_segments(monkeypatch):
     assert shapes[0] == shapes[1]
 
 
+@pytest.mark.perf_smoke
+def test_join_after_update_cuts_only_the_views_it_reads():
+    """Counts, not seconds: a form holds 18 tags and an ``a//b`` join reads
+    two of them, so after a tail insert the new segment's block holds
+    exactly those two views — per-tag columns are cut on demand, never at
+    insert (eagerly they cost 8-14 % of ``peak_rss_mb``, DESIGN.md §5
+    finding 13) — on 250 forms and on 4 000 alike."""
+    shapes = []
+    for forms in (250, 4_000):
+        db, _rate = _loaded(forms)
+        assert not any(db.index.block(sid)._views for sid in db.index.sids())
+        db.structural_join("form", "f3")
+        receipt = db.insert(_form(1_000_000))
+        block = db.index.block(receipt.sid)
+        assert len(set(block.tids)) == 18 and block._views == {}
+        db.structural_join("form", "f3")
+        held = [len(db.index.block(sid)._views) for sid in db.index.sids()]
+        shapes.append((set(block._views), max(held), sum(held) - 2 * forms))
+    read = {db.log.tags.tid_of("form"), db.log.tags.tid_of("f3")}
+    assert shapes[0] == shapes[1] == (read, 2, 2)
+
+
 # ----------------------------------------------------------------------
 # version exactness: bump iff observable state changed
 
@@ -327,18 +388,13 @@ def _tag_states(db):
 
 
 def _segment_states(db):
-    all_tids = range(len(db.log.tags))
     versions, states = {}, {}
     for node in db.log.ertree.nodes():
         if node.sid == DUMMY_ROOT_SID:
             continue
         sid = node.sid
         versions[sid] = db.index.version(sid)
-        states[sid] = tuple(
-            (tid, tuple(db.index.elements_list(tid, sid)))
-            for tid in all_tids
-            if db.index.has_segment_tag(tid, sid)
-        )
+        states[sid] = tuple(db.index.block(sid).rows())
     return versions, states
 
 
@@ -441,3 +497,80 @@ def test_perf_smoke_second_pass_hits_and_envelope_validates():
     assert db.readpath.hits > hits_before, "second pass never hit the cache"
     assert stats["hit_rate"] > 0.0
     assert stats["entries"]["join_results"] == len(queries)
+
+
+# ----------------------------------------------------------------------
+# memo exactness against the string-splice oracle: miss iff state changed
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_memos_miss_iff_state_changed(seed):
+    """Interleaved updates/queries: invalidation is exact both ways.
+
+    No update between two identical queries ⇒ zero new compile misses
+    (the segment-list / element / join memos all revalidate as hits);
+    an update between them ⇒ the next answers still match the oracle
+    (nothing stale survived the version bumps).
+    """
+    result = replay_random_sequence(seed, n_ops=4)
+    db, ref = result.db, result.reference
+    rng = random.Random(seed + 1)
+    tags = result.tags[:3]
+    probes = [(a, d) for a in tags for d in tags if a != d]
+
+    for _ in range(3):
+        warm = {}
+        for a, d in probes:
+            warm[(a, d)] = normalized_join(db, db.structural_join(a, d))
+            assert warm[(a, d)] == sorted(ref.join(a, d)), result.ops
+        misses_before = db.readpath.misses
+        for a, d in probes:
+            assert normalized_join(db, db.structural_join(a, d)) == (
+                warm[(a, d)]
+            )
+        assert db.readpath.misses == misses_before, (
+            "repeated identical queries recompiled something: a memo "
+            "invalidated without an observable state change"
+        )
+
+        removal = None
+        if rng.random() < 0.4 and db.document_length:
+            removal = _random_removal(db, rng, tags)
+        if removal is not None:
+            position, length = removal
+            db.remove(position, length)
+            ref.remove(position, length)
+        else:
+            fragment = generate_fragment(3, tags, rng=rng, max_depth=3)
+            position = rng.choice(safe_insert_positions(ref.text))
+            db.insert(fragment, position)
+            ref.insert(fragment, position)
+
+        for a, d in probes:
+            got = normalized_join(db, db.structural_join(a, d))
+            assert got == sorted(ref.join(a, d)), (
+                "post-update answer diverged from the oracle: a memo "
+                "served stale compiled state",
+                result.ops,
+            )
+
+
+def test_lattice_memo_populates_and_survives_unrelated_updates():
+    """The per-pair memo is the join memo now (the path lattice is gone):
+    one entry per tag pair, one chunk per D-segment, a repeat reads it."""
+    db = replay_random_sequence(7, n_ops=6).db
+    tags = [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))]
+    live = [t for t in tags if db.log.tags.tid_of(t) is not None][:2]
+    if len(live) < 2:
+        pytest.skip("seed produced fewer than two live tags")
+    a, d = live
+    db.structural_join(a, d)
+    entries = db.readpath.stats()["entries"]
+    assert entries["join_results"] == 1
+    assert entries["join_chunks"] == len(
+        db.log.taglist.segments_for(db.log.tags.tid_of(d))
+    )
+    misses_before = db.readpath.misses
+    db.structural_join(a, d)
+    assert db.readpath.misses == misses_before

@@ -23,7 +23,43 @@ def populated_db(mode="dynamic", keep_text=True):
     return db
 
 
+#: ``dumps`` of :func:`golden_db`, produced at the commit before the element
+#: index became per-segment blocks (PR 24).  The snapshot is the checkpoint
+#: and the replica seed, so its bytes are a contract: a layout change under
+#: ``ElementIndex`` must not move them (``stored_bytes_per_input_byte``).
+GOLDEN_SNAPSHOT = (
+    '{"format": 1, "mode": "dynamic", "keep_text": true, "text": "<a><b><a><c>deep<c>tail</c></c></a><c/></b><b>x</b></a><c><b/><b>z</b></c>", '
+    '"tags": ["a", "b", "c"], "next_sid": 8, "segments": ['
+    '{"sid": 0, "parent": null, "gp": 0, "length": 74, "lp": 0, "tombstones": [], "records": []}, '
+    '{"sid": 1, "parent": 0, "gp": 0, "length": 55, "lp": 0, "tombstones": [[11, 19]], "records": [[0, 0, 23, 1], [1, 3, 11, 2]]}, '
+    '{"sid": 6, "parent": 1, "gp": 3, "length": 40, "lp": 3, "tombstones": [], "records": [[1, 0, 29, 2], [0, 3, 21, 3], [2, 6, 17, 4], [2, 21, 25, 3]]}, '
+    '{"sid": 7, "parent": 6, "gp": 16, "length": 11, "lp": 13, "tombstones": [], "records": [[2, 0, 11, 5]]}, '
+    '{"sid": 3, "parent": 0, "gp": 55, "length": 19, "lp": 0, "tombstones": [], "records": [[2, 0, 19, 1], [1, 3, 7, 2], [1, 7, 15, 2]]}]}'
+)
+
+
+def golden_db() -> LazyXMLDatabase:
+    """Ten ops: nested inserts, partial and whole removes, a repack."""
+    db = LazyXMLDatabase()
+    db.insert("<a><b>x</b><c>y</c></a>")                      # sid 1
+    db.insert("<b><a>n</a><c/></b>", len("<a>"))              # sid 2, nested
+    db.insert("<c><b/><b>z</b></c>")                          # sid 3
+    db.insert("<a><c>deep</c></a>", db.text.index("<c/>"))    # sid 4, in sid 2
+    db.remove(db.text.index("<c>y</c>"), len("<c>y</c>"))     # partial, sid 1
+    db.insert("<b><b>w</b></b>", db.text.index("<b>z</b>"))   # sid 5, in sid 3
+    db.remove(db.text.index("<a>n</a>"), len("<a>n</a>"))     # partial, sid 2
+    db.repack(2)                                              # sids 2, 4 -> 6
+    db.remove_segment(5)                                      # whole
+    db.insert("<c>tail</c>", db.text.index("</c></a>"))       # sid 7, in sid 6
+    db.check_invariants()
+    return db
+
+
 class TestSnapshotRoundTrip:
+    def test_golden_bytes(self):
+        assert dumps(golden_db()) == GOLDEN_SNAPSHOT
+        assert dumps(loads(GOLDEN_SNAPSHOT)) == GOLDEN_SNAPSHOT
+
     def test_text_preserved(self):
         db = populated_db()
         copy = loads(dumps(db))
