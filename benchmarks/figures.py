@@ -1,7 +1,7 @@
 """Run the paper's figures: ``figures.py [id ...] [--quick] [--check]``.
 
-Every figure of the evaluation (Section 5), the design ablations and the
-overload curve are entries of one registry,
+Every figure of the evaluation (Section 5), the segment-packing ablation
+and the overload curve are entries of one registry,
 :data:`repro.bench.experiments.FIGURES`.  This command runs the named
 entries (default: every entry not marked on-request) at full scale, or at
 the registry's reduced sizes with ``--quick``, and prints each table as

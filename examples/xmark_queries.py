@@ -1,9 +1,9 @@
 """XMark-style query workload over a chopped database (paper Section 5.3).
 
 Generates an XMark-like auction site document, chops it into segments with
-a balanced ER-tree, and answers the paper's five queries (Fig. 14) with all
-three join algorithms, printing cardinalities, timings and cross-segment
-statistics.
+a balanced ER-tree, and answers the paper's five queries (Fig. 14) with
+Lazy-Join and Stack-Tree-Desc, printing cardinalities, timings and
+cross-segment statistics.
 
 Run:  python examples/xmark_queries.py [scale] [n_segments]
 """
@@ -29,7 +29,7 @@ def main(scale: float = 0.05, n_segments: int = 60) -> None:
     assert db.text == text  # chopping reproduces the document exactly
 
     header = f"{'query':6} {'xpath':22} {'pairs':>8} {'cross%':>7} " \
-             f"{'lazy ms':>9} {'std ms':>9} {'merge ms':>9}"
+             f"{'lazy ms':>9} {'std ms':>9}"
     print("\n" + header)
     print("-" * len(header))
     for qid, tag_a, tag_d in XMARK_QUERIES:
@@ -42,13 +42,9 @@ def main(scale: float = 0.05, n_segments: int = 60) -> None:
         db.structural_join(tag_a, tag_d, algorithm="std")
         std_ms = (time.perf_counter() - started) * 1e3
 
-        started = time.perf_counter()
-        db.structural_join(tag_a, tag_d, algorithm="merge")
-        merge_ms = (time.perf_counter() - started) * 1e3
-
         print(f"{qid:6} {tag_a + '//' + tag_d:22} {len(pairs):>8} "
               f"{stats.cross_fraction * 100:>6.1f} "
-              f"{lazy_ms:>9.2f} {std_ms:>9.2f} {merge_ms:>9.2f}")
+              f"{lazy_ms:>9.2f} {std_ms:>9.2f}")
 
     # Bonus: a parent/child query through the same machinery.
     pairs = db.structural_join("person", "profile", axis="child")

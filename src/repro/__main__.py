@@ -156,9 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("ancestor_tag", nargs="?", default=None)
     cmd.add_argument("descendant_tag", nargs="?", default=None)
     cmd.add_argument("--axis", choices=["descendant", "child"], default="descendant")
-    cmd.add_argument(
-        "--algorithm", choices=["lazy", "std", "merge"], default="lazy"
-    )
+    cmd.add_argument("--algorithm", choices=["lazy", "std"], default="lazy")
 
     cmd = commands.add_parser("stats", help="print database statistics")
     cmd.add_argument("db", nargs="?", default=None)
@@ -576,8 +574,7 @@ def _cmd_serve(args: argparse.Namespace, db, persist) -> int:
             raise ReproError("serve --replicas requires --durable DIR")
         if isinstance(db, ShardedDatabase):
             raise ReproError(
-                "serve --replicas requires an unsharded durable directory "
-                "(per-shard chains live in repro.shard.replication)"
+                "serve --replicas requires an unsharded durable directory"
             )
         # The cluster owns the durable handle; reopen the directory as the
         # primary node (node 0) with followers under <durable>/replicas/.

@@ -13,10 +13,9 @@ Every LD/LS join timing goes through
 :func:`~repro.bench.harness.measure_cold_join`, so a figure compares joins
 over label schemes — Lazy-Join from dropped compiled state against
 Stack-Tree-Desc deriving its global labels — not a result cache against a
-join.  Timings are best-of-seven by default: STD's allocation-heavy merge
-runs under the cyclic collector (Lazy-Join pauses it around its merge),
-and a best-of-three still lands on a full collection at some sizes, which
-reads as a 2x bimodal STD curve.
+join.  Both algorithms run with the cyclic collector paused
+(``LazyXMLDatabase.structural_join``); timings are best-of-seven by
+default against machine noise.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ __all__ = [
     "fig16_insert",
     "fig16_batched_ingest",
     "fig17_element_insert",
-    "ablation_push_optimizations",
-    "ablation_branch_strategy",
     "ablation_repack",
     "spine_document",
     "xmark_databases",
@@ -610,74 +607,7 @@ def fig17_element_insert(
 
 
 # ----------------------------------------------------------------------
-# Ablations (DESIGN.md E9–E11)
-
-
-def ablation_push_optimizations(
-    n_segments: int = 50,
-    shape: str = "nested",
-    *,
-    fraction: float = 0.8,
-    repeat: int = 7,
-) -> list[Table]:
-    """E9: effect of the two Fig. 9 stack optimizations on join time."""
-    config = sweep_configs(n_segments, shape, [fraction])[0]
-    db = LazyXMLDatabase(keep_text=False)
-    build_join_mix(db, config)
-    table = Table(
-        "Ablation — Lazy-Join stack optimizations",
-        ["optimize_push", "trim_top", "join_ms", "elements_pushed", "pairs"],
-    )
-    for optimize_push in (True, False):
-        for trim_top in (True, False):
-            stats = JoinStatistics()
-            db.structural_join(
-                "a", "d", optimize_push=optimize_push, trim_top=trim_top, stats=stats
-            )
-            # ``stats=`` runs the from-scratch merge in every arm; without
-            # it the default arm alone would also build the join memo.
-            elapsed, pairs = measure_cold_join(
-                db,
-                lambda: db.structural_join(
-                    "a", "d", optimize_push=optimize_push, trim_top=trim_top,
-                    stats=JoinStatistics(),
-                ),
-                repeat=repeat,
-            )
-            table.add_row(
-                [optimize_push, trim_top, elapsed * _MS, stats.elements_pushed, pairs]
-            )
-    return [table]
-
-
-def ablation_branch_strategy(
-    n_segments: int = 120,
-    *,
-    fraction: float = 1.0,
-    repeat: int = 7,
-) -> list[Table]:
-    """E10: stored tag-list paths vs recomputing branch positions.
-
-    Deep nested chains make the difference visible: ``walk`` pays O(depth)
-    per stack frame, the stored-path strategy O(log N).
-    """
-    config = sweep_configs(n_segments, "nested", [fraction])[0]
-    db = LazyXMLDatabase(keep_text=False)
-    build_join_mix(db, config)
-    table = Table(
-        "Ablation — branch position strategy", ["strategy", "join_ms", "pairs"]
-    )
-    for strategy in ("path", "bisect", "walk"):
-        # ``stats=``: the from-scratch merge in every arm (see E9).
-        elapsed, pairs = measure_cold_join(
-            db,
-            lambda: db.structural_join(
-                "a", "d", branch_strategy=strategy, stats=JoinStatistics()
-            ),
-            repeat=repeat,
-        )
-        table.add_row([strategy, elapsed * _MS, pairs])
-    return [table]
+# Ablation (DESIGN.md E11)
 
 
 def ablation_repack(n_segments: int = 80, *, repeat: int = 7) -> list[Table]:
@@ -819,16 +749,6 @@ def _shape_same_pairs(tables: list[Table]) -> None:
     _expect(len(set(pairs)) == 1 and pairs[0] > 0, f"pair counts differ: {pairs}")
 
 
-def _shape_ablation_push(tables: list[Table]) -> None:
-    _shape_same_pairs(tables)
-    pushed = dict(zip(
-        zip(tables[0].column("optimize_push"), tables[0].column("trim_top")),
-        tables[0].column("elements_pushed"),
-    ))
-    _expect(pushed[True, True] < pushed[False, True],
-            f"the push filter does not reduce pushed elements: {pushed}")
-
-
 def _shape_ablation_repack(tables: list[Table]) -> None:
     _shape_same_pairs(tables)
     for name in ("segments", "log_kb"):
@@ -924,20 +844,6 @@ FIGURES: dict[str, Figure] = {
             "prime_base_nodes": 300,
         },
         shape=_shape_fig17,
-    ),
-    "ablation-push": Figure(
-        "Ablation E9 — Lazy-Join stack optimizations",
-        ablation_push_optimizations,
-        ("optimize_push", "trim_top", "join_ms", "elements_pushed", "pairs"),
-        quick={"repeat": 2},
-        shape=_shape_ablation_push,
-    ),
-    "ablation-paths": Figure(
-        "Ablation E10 — branch position strategy",
-        ablation_branch_strategy,
-        ("strategy", "join_ms", "pairs"),
-        quick={"repeat": 2},
-        shape=_shape_same_pairs,
     ),
     "ablation-repack": Figure(
         "Ablation E11 — segment packing",

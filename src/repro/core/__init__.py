@@ -14,13 +14,12 @@ Public surface:
 
 from repro.core.database import GlobalElement, LazyXMLDatabase, RemovalOutcome
 from repro.core.element_index import ElementIndex, ElementRecord
-from repro.core.estimate import join_selectivity_hint, join_upper_bound
 from repro.core.ertree import ERNode, ERTree, PartialRemoval, RemovalReport
 from repro.core.join import JoinPair, JoinStatistics, LazyJoiner
 from repro.core.maintenance import RepackResult, compact_database, repack_segment
 from repro.core.query import PathQuery, PathStep, evaluate_path, parse_path
 from repro.core.sbtree import SBTree
-from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate, span_contains
+from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.core.taglist import TagEntry, TagList, TagRegistry
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
 
@@ -38,8 +37,6 @@ __all__ = [
     "PathStep",
     "parse_path",
     "evaluate_path",
-    "join_upper_bound",
-    "join_selectivity_hint",
     "RepackResult",
     "repack_segment",
     "compact_database",
@@ -55,6 +52,5 @@ __all__ = [
     "TagRegistry",
     "SpanRelation",
     "relate",
-    "span_contains",
     "DUMMY_ROOT_SID",
 ]

@@ -6,9 +6,8 @@ Ties together the paper's pieces end to end:
   XML fragment / a ``(position, length)`` span, exactly the interface Section
   3.3 assumes ("only the start location ... and the length ... are available
   to us"), and keep the update log and element index consistent;
-- queries: :meth:`structural_join` runs Lazy-Join (``algorithm="lazy"``),
-  Stack-Tree-Desc over derived global labels (``"std"``), or the merge
-  baseline (``"merge"``);
+- queries: :meth:`structural_join` runs Lazy-Join (``algorithm="lazy"``) or
+  Stack-Tree-Desc over derived global labels (``"std"``);
 - global-position reconstruction: element labels are local and immutable, but
   global spans are always derivable from the ER-tree (:meth:`global_span`) —
   the core invariant of the lazy approach.
@@ -37,23 +36,22 @@ from repro.core.readpath import ReadPathCache
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
 from repro.errors import InvalidSegmentError, QueryError
-from repro.joins.merge_join import merge_containment_join
 from repro.joins.stack_tree import AXIS_DESCENDANT, stack_tree_desc
 from repro.xml.parser import parse_fragment
 from repro.xml.wellformed import Audit, reaches_cleanly, well_formed
 
 __all__ = ["LazyXMLDatabase", "GlobalElement", "RemovalOutcome"]
 
-_ALGORITHMS = ("lazy", "std", "merge")
+_ALGORITHMS = ("lazy", "std")
 
 _segment_gp = attrgetter("gp")
 
 # A join allocates tens of thousands of result tuples that all *survive*
 # into the returned list, so every generation-0 collection triggered by
 # that allocation burst scans live data and frees nothing — pure overhead,
-# measured at ~25% of a large cold join.  Every join algorithm (lazy, std,
-# merge: one regime, so the figures compare merges and not collectors)
-# therefore runs with automatic collection paused — nesting-safe across
+# measured at ~25% of a large cold join.  Both join algorithms (lazy and
+# std: one regime, so the figures compare merges and not collectors)
+# therefore run with automatic collection paused — nesting-safe across
 # threads; the pause window is bounded by one join and restores the
 # caller's GC state.
 _gc_lock = threading.Lock()
@@ -575,16 +573,15 @@ class LazyXMLDatabase:
         algorithm: str = "lazy",
         stats: JoinStatistics | None = None,
         context=None,
-        **lazy_options,
     ) -> list[JoinPair]:
         """Answer ``tag_a // tag_d`` (or ``/`` with ``axis="child"``).
 
-        ``algorithm`` selects Lazy-Join (``"lazy"``), Stack-Tree-Desc over
-        derived global labels (``"std"``), or the merge baseline
-        (``"merge"``).  All three return the same pairs of
+        ``algorithm`` selects Lazy-Join (``"lazy"``) or Stack-Tree-Desc over
+        derived global labels (``"std"``).  Both return the same pairs of
         :class:`~repro.core.element_index.ElementRecord`; ordering differs
-        (lazy: by descendant segment; std: by global descendant position;
-        merge: by global ancestor position).
+        (lazy: by descendant segment; std: by global descendant position).
+        ``stats`` (Lazy-Join only) collects :class:`JoinStatistics` and runs
+        the from-scratch merge instead of the join memo.
 
         ``context`` (a :class:`~repro.service.context.QueryContext`) adds
         cooperative deadline/row/depth enforcement to every algorithm; the
@@ -597,8 +594,7 @@ class LazyXMLDatabase:
         with _gc_paused:
             if algorithm == "lazy":
                 return self._joiner.join(
-                    tag_a, tag_d, axis, stats=stats, context=context,
-                    **lazy_options,
+                    tag_a, tag_d, axis, stats=stats, context=context
                 )
             if not self.log.query_ready:
                 raise QueryError(
@@ -606,31 +602,19 @@ class LazyXMLDatabase:
                 )
             trace = context.trace if context is not None else None
             if trace is None:
-                return self._materialized_join(
-                    tag_a, tag_d, axis, algorithm, context
-                )
-            with trace.span(
-                f"{algorithm}_join", a=tag_a, d=tag_d, axis=axis
-            ) as span:
-                results = self._materialized_join(
-                    tag_a, tag_d, axis, algorithm, context
-                )
+                return self._std_join(tag_a, tag_d, axis, context)
+            with trace.span("std_join", a=tag_a, d=tag_d, axis=axis) as span:
+                results = self._std_join(tag_a, tag_d, axis, context)
                 span.annotate(pairs=len(results))
             return results
 
-    def _materialized_join(
-        self, tag_a: str, tag_d: str, axis: str, algorithm: str, context
+    def _std_join(
+        self, tag_a: str, tag_d: str, axis: str, context
     ) -> list[JoinPair]:
-        """The std/merge baselines: derive global labels, join on them."""
+        """The STD baseline: derive global labels, join on them."""
         a_globals = self.global_elements(tag_a, context=context)
         d_globals = self.global_elements(tag_d, context=context)
-        if algorithm == "std":
-            pairs = stack_tree_desc(a_globals, d_globals, axis=axis, context=context)
-        else:
-            pairs = merge_containment_join(a_globals, d_globals, axis=axis)
-            if context is not None:
-                context.check_deadline()
-                context.charge_rows(len(pairs))
+        pairs = stack_tree_desc(a_globals, d_globals, axis=axis, context=context)
         return [(a.record, d.record) for a, d in pairs]
 
     def global_elements(self, tag: str, *, context=None) -> list[GlobalElement]:

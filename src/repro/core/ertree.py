@@ -121,14 +121,6 @@ class ERNode:
         """Number of ancestor segments (0 for the dummy root)."""
         return len(self.path) - 1
 
-    def contains_span(self, gp: int, length: int) -> bool:
-        """True when ``[gp, gp+length)`` lies inside this segment's span.
-
-        Non-strict (sharing endpoints allowed): used for descending during
-        removal, where the removed span may coincide with the segment.
-        """
-        return self.gp <= gp and gp + length <= self.end
-
     def iter_subtree(self) -> Iterator["ERNode"]:
         """Pre-order iteration over this node and all descendants."""
         stack = [self]
@@ -194,15 +186,6 @@ class ERNode:
             )
             self._rp = rp
         return rp
-
-    def _removed_before(self, virtual: int) -> int:
-        """Virtual characters removed strictly before offset ``virtual``."""
-        _, _, _, t_starts, t_ends, removed_prefix = self._compiled()
-        idx = bisect_left(t_starts, virtual)
-        removed = removed_prefix[idx]
-        if idx and t_ends[idx - 1] > virtual:
-            removed -= t_ends[idx - 1] - virtual
-        return removed
 
     def _add_tombstone(self, start: int, end: int) -> None:
         """Record the virtual interval [start, end) as removed (merging)."""

@@ -14,14 +14,13 @@ candidate ancestor segments, and splits the work per Proposition 3:
   local element lists are joined with Stack-Tree-Desc (local labels are
   immutable, so this is always sound).
 
-Both optimizations of Section 4.2 are implemented and individually
-switchable (for the ablation benchmarks):
-
-1. only A-elements that contain at least one child-segment insertion point
-   are pushed (no other element can ever satisfy Proposition 3(2));
-2. when pushing a new segment, the top frame drops elements whose span ends
-   at or before the new segment's branch point — they cannot join anything
-   later.
+Of the two optimizations of Section 4.2, (i) is always on: only
+A-elements that contain at least one child-segment insertion point are
+pushed (no other element can ever satisfy Proposition 3(2)).  (ii) —
+dropping top-frame elements that end before a newly pushed segment's
+branch point — bought no time on any figure shape (EXPERIMENTS.md, E9) and
+is not implemented: the frames below the top are frozen into its covered
+prefix anyway, and the top frame's candidates are found by bisect.
 
 The parent/child variant restricts cross joins to (parent segment of ``T``,
 ``T``) per Proposition 3(1) and filters on ``LevelNum``.
@@ -51,16 +50,15 @@ The answer is memoised **per descendant segment**: the output is grouped
 by D-segment and one group depends only on ``SL_A`` and that segment, so
 after an update :meth:`LazyJoiner._refresh` runs the same loop over just
 the D-segments whose element version moved and reuses every other chunk.
-``stats=`` and the ablation flags run the from-scratch merge, its oracle.
+``stats=`` runs the from-scratch merge, its oracle.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import accumulate, chain, product
+from itertools import chain, product
 from operator import attrgetter
 from time import perf_counter
 
@@ -72,8 +70,6 @@ from repro.errors import QueryError
 from repro.joins.kernels import select_open
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT, stack_tree_desc
 from repro.obs.metrics import LATENCY_BUCKETS, METRICS, SIZE_BUCKETS
-
-_BRANCH_STRATEGIES = ("path", "bisect", "walk")
 
 # Query-path instruments: a join is real work wherever it runs, so these
 # ignore the per-structure `observed` flag.  The per-call JoinStatistics is
@@ -101,9 +97,6 @@ _M_GALLOPED = METRICS.counter(
 )
 _M_D_AVOIDED = METRICS.counter(
     "join.lazy.d_fetches_avoided", unit="segments", site="LazyJoiner.join"
-)
-_M_TRIMMED = METRICS.counter(
-    "join.lazy.elements_trimmed", unit="elements", site="LazyJoiner.join"
 )
 _H_SECONDS = METRICS.histogram(
     "join.lazy.seconds",
@@ -144,7 +137,6 @@ class JoinStatistics:
     #: frame element joins, and no in-segment work).
     d_fetches_avoided: int = 0
     elements_pushed: int = 0
-    elements_trimmed: int = 0
     cross_pairs: int = 0
     in_segment_pairs: int = 0
     max_stack_depth: int = 0
@@ -161,55 +153,37 @@ class JoinStatistics:
 
 
 class _Frame:
-    """One stack entry: a candidate ancestor segment and its live A-elements.
+    """One stack entry: a candidate ancestor segment and its pushed
+    A-elements — the segment's compiled push list, read in place: parallel
+    ``starts`` / ``ends`` / ``maxends`` (prefix max of ends) columns sorted
+    by start, and ``records``, which the push list materializes only when
+    the frame emits pairs (a pure-scan join stays on the integer columns).
 
-    The element view is columnar — ``records`` plus parallel ``starts`` /
-    ``ends`` / ``maxends`` (prefix max of ends) sorted by start — and is
-    *shared with the read-path cache* until the first trim, which replaces
-    the columns copy-on-write (compiled artifacts are immutable).
-
-    ``cached_branch`` is the paper's auxiliary data structure (Section 4.3):
-    while a frame is covered by a deeper frame, every descendant segment
-    reaches it through the same child, so its branch position is computed
-    once at push time instead of per descendant segment.  ``covered_prefix``
-    extends the same argument to the whole candidate cascade: every frame
-    below the top is covered, with frozen columns *and* a frozen branch, so
-    its matching elements — and therefore the concatenation of matches over
-    all covered frames — are invariant until the stack changes.  Each frame
-    stores that concatenation for the frames strictly below it, computed
-    incrementally at push time; the per-descendant-segment cascade then
-    touches only the top frame instead of walking the whole stack.
-
-    ``source`` is the compiled artifact (push list or element columns)
-    the frame's records come from; the record tuple itself materializes
-    lazily on first access, because only frames that actually emit pairs
-    ever need the record objects — a pure-scan join works entirely on
-    the integer columns.
+    ``covered_prefix`` is the paper's auxiliary data structure (Section
+    4.3), extended to the whole candidate cascade: while a frame is covered
+    by a deeper frame, every descendant segment reaches it through the same
+    child, so its branch position — and with its immutable columns, its
+    matching elements — are fixed until the stack changes.  Each frame
+    stores the concatenated matches of every frame strictly below it,
+    computed incrementally at push time; the per-descendant-segment cascade
+    then touches only the top frame instead of walking the whole stack.
     """
 
-    __slots__ = (
-        "node", "source", "_records", "starts", "ends", "maxends",
-        "cached_branch", "covered_prefix",
-    )
+    __slots__ = ("node", "source", "starts", "ends", "maxends", "covered_prefix")
 
-    def __init__(self, node: ERNode, source, starts, ends, maxends):
+    def __init__(self, node: ERNode, source):
         self.node = node
         self.source = source
-        self._records = None
-        self.starts = starts
-        self.ends = ends
-        self.maxends = maxends
-        self.cached_branch: int | None = None
+        self.starts = source.starts
+        self.ends = source.ends
+        self.maxends = source.maxends
         #: Concatenated cross-match candidates of every frame below this
         #: one (all covered, hence frozen); set at push time.
         self.covered_prefix: tuple = ()
 
     @property
     def records(self):
-        records = self._records
-        if records is None:
-            records = self._records = self.source.records
-        return records
+        return self.source.records
 
 
 class _ChunkMeter:
@@ -278,9 +252,6 @@ class LazyJoiner:
         tag_d: str,
         axis: str = AXIS_DESCENDANT,
         *,
-        optimize_push: bool = True,
-        trim_top: bool = True,
-        branch_strategy: str = "path",
         stats: JoinStatistics | None = None,
         context=None,
     ) -> list[JoinPair]:
@@ -289,21 +260,8 @@ class LazyJoiner:
         Results are grouped by descendant segment in ascending global
         position (cross-segment pairs for a segment first, then its
         in-segment pairs); use :func:`sorted` with a global-position key for
-        a total document order.  ``optimize_push`` / ``trim_top`` toggle the
-        two Section 4.2 optimizations.  Pass a :class:`JoinStatistics` to
-        collect execution counters.
-
-        ``branch_strategy`` picks how ``P_T^S`` (the branch position of a
-        stack segment toward the descendant segment) is computed — the
-        ablation knob for the tag-list's stored paths:
-
-        - ``"path"`` (default, the paper's design): index the descendant's
-          stored tag-list path with the frame's depth, then one SB-tree
-          lookup — O(log N);
-        - ``"bisect"``: binary-search the frame's child list by gp;
-        - ``"walk"``: climb parent pointers from the descendant segment —
-          what an implementation *without* stored paths must do, O(depth)
-          per frame.
+        a total document order.  Pass a :class:`JoinStatistics` to collect
+        execution counters.
 
         ``context`` is an optional
         :class:`~repro.service.context.QueryContext`: the descendant-segment
@@ -315,40 +273,26 @@ class LazyJoiner:
         Requires a query-ready log (LD always is; LS must have had
         ``prepare_for_query()`` run).
 
-        Default-configuration calls (no stats, both optimizations on,
-        stored-path branching) are answered from the read-path cache's
+        Calls without ``stats`` are answered from the read-path cache's
         per-descendant-segment join memo: the stored answer while both
         tags are unchanged, otherwise the chunks of the untouched
         D-segments plus a merge of the touched ones (:meth:`_refresh`).  A
         ``context`` is charged for the whole answer either way, so a
-        budget aborts a warm call exactly as it aborts a cold one.  Any
-        ablation flag or statistics collection runs the from-scratch
-        merge, which stays the memo's oracle.
+        budget aborts a warm call exactly as it aborts a cold one.
+        Statistics collection runs the from-scratch merge, which stays the
+        memo's oracle.
         """
         trace = context.trace if context is not None else None
         with (
             _NO_SPAN if trace is None
             else trace.span("lazy_join", a=tag_a, d=tag_d, axis=axis)
         ) as span:
-            return self._join(
-                tag_a, tag_d, axis, optimize_push, trim_top,
-                branch_strategy, stats, context, span,
-            )
+            return self._join(tag_a, tag_d, axis, stats, context, span)
 
-    def _join(
-        self, tag_a, tag_d, axis, optimize_push, trim_top, branch_strategy,
-        stats, context, span,
-    ) -> list[JoinPair]:
+    def _join(self, tag_a, tag_d, axis, stats, context, span) -> list[JoinPair]:
         enabled = METRICS.enabled
         memo_key = None
-        if (
-            stats is None
-            and optimize_push
-            and trim_top
-            and branch_strategy == "path"
-            and axis in _AXES
-            and self._log.query_ready
-        ):
+        if stats is None and axis in _AXES and self._log.query_ready:
             tid_a = self._log.tags.tid_of(tag_a)
             tid_d = self._log.tags.tid_of(tag_d)
             if tid_a is not None and tid_d is not None:
@@ -372,10 +316,7 @@ class LazyJoiner:
             stats = JoinStatistics()
         start = perf_counter() if enabled else 0.0
         if memo_key is None:
-            results = self._join_impl(
-                tag_a, tag_d, axis, optimize_push, trim_top,
-                branch_strategy, stats, context,
-            )
+            results = self._join_impl(tag_a, tag_d, axis, stats, context)
         else:
             results = self._refresh(memo_key, tag_a, tag_d, stats, context)
         if span is not None:
@@ -395,7 +336,6 @@ class LazyJoiner:
             _M_SKIPPED.inc(stats.segments_skipped)
             _M_GALLOPED.inc(stats.segments_galloped)
             _M_D_AVOIDED.inc(stats.d_fetches_avoided)
-            _M_TRIMMED.inc(stats.elements_trimmed)
             _H_STACK.observe(stats.max_stack_depth)
             _H_SECONDS.observe(perf_counter() - start)
         return results
@@ -430,7 +370,7 @@ class LazyJoiner:
         if todo:
             meter = _ChunkMeter(context)
             merged = self._join_impl(
-                tag_a, tag_d, axis, True, True, "path", stats, meter,
+                tag_a, tag_d, axis, stats, meter,
                 None if len(todo) == len(nodes) else todo, meter,
             )
             cuts = meter.cuts
@@ -467,9 +407,6 @@ class LazyJoiner:
         tag_a: str,
         tag_d: str,
         axis: str,
-        optimize_push: bool,
-        trim_top: bool,
-        branch_strategy: str,
         stats: JoinStatistics,
         context,
         d_nodes=None,
@@ -480,14 +417,6 @@ class LazyJoiner:
         output starts (both for :meth:`_refresh`)."""
         if axis not in _AXES:
             raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
-        if branch_strategy not in _BRANCH_STRATEGIES:
-            raise QueryError(
-                f"branch_strategy must be one of {_BRANCH_STRATEGIES}, "
-                f"got {branch_strategy!r}"
-            )
-        # Local, not an instance attribute: one LazyJoiner may serve many
-        # concurrent reader threads over a pinned snapshot.
-        branch_fn = getattr(self, f"_branch_{branch_strategy}")
         if not self._log.query_ready:
             raise QueryError(
                 "update log is not query-ready; call prepare_for_query() "
@@ -504,6 +433,7 @@ class LazyJoiner:
             return []
         get_elements = rp.elements
         get_push = rp.push_elements
+        branch_of = self._branch_path
 
         nodes_a = csl_a.nodes
         sid_index_a = csl_a.sid_index
@@ -556,20 +486,9 @@ class LazyJoiner:
                 pushed_in_run = 0
                 for idx in candidates:
                     sa = nodes_a[idx]
-                    if optimize_push:
-                        source = get_push(tid_a, sa)
-                        starts = source.starts
-                        ends = source.ends
-                        maxends = source.maxends
-                    else:
-                        source = get_elements(tid_a, sa.sid)
-                        starts = source.starts
-                        ends = source.ends
-                        maxends = _prefix_max(ends)
-                    if trim_top and stack:
-                        self._trim_frame(stack[-1], sa, stats, branch_fn)
-                    if len(starts):
-                        frame = _Frame(sa, source, starts, ends, maxends)
+                    source = get_push(tid_a, sa)
+                    if len(source):
+                        frame = _Frame(sa, source)
                         if stack:
                             # The covered frame's branch toward everything
                             # below the new top goes through the new top's
@@ -577,8 +496,7 @@ class LazyJoiner:
                             # and the new frame's covered prefix is the
                             # old prefix plus that frozen set.
                             top = stack[-1]
-                            branch = branch_fn(top.node, sa)
-                            top.cached_branch = branch
+                            branch = branch_of(top.node, sa)
                             hi = bisect_left(top.starts, branch)
                             if hi and top.maxends[hi - 1] > branch:
                                 merged = list(top.covered_prefix)
@@ -590,7 +508,7 @@ class LazyJoiner:
                                 frame.covered_prefix = top.covered_prefix
                         stack.append(frame)
                         stats.segments_pushed += 1
-                        stats.elements_pushed += len(starts)
+                        stats.elements_pushed += len(source)
                         pushed_in_run += 1
                         if len(stack) > stats.max_stack_depth:
                             stats.max_stack_depth = len(stack)
@@ -621,9 +539,7 @@ class LazyJoiner:
                 prefix = ()
                 live = self._cross_matches_child(stack, sd)
             else:
-                prefix, live = self._cross_matches_descendant(
-                    stack, sd, branch_fn
-                )
+                prefix, live = self._cross_matches_descendant(stack, sd)
             n_matched = len(prefix) + len(live)
             if not n_matched and not in_segment:
                 stats.d_fetches_avoided += 1
@@ -679,13 +595,9 @@ class LazyJoiner:
     # ------------------------------------------------------------------
     # helpers
 
-    # ``P_target^frame`` — the lp of frame's child toward ``target``
-    # (Section 4.1) — is computed by one of the ``_branch_*`` strategies
-    # below; :meth:`join` resolves the chosen strategy to a local callable
-    # so concurrent joins on one joiner never share mutable state.
-
     def _branch_path(self, frame_node: ERNode, target: ERNode) -> int:
-        """Stored-path strategy: one path index plus one lp-memo lookup.
+        """``P_target^frame`` (Section 4.1): the lp of the frame's child
+        toward ``target`` — one path index plus one lp-memo lookup.
 
         This is what the tag-list stores paths *for*: the frame's sid sits
         at ``target.path[frame_node.depth]``, so the child on the branch is
@@ -695,56 +607,8 @@ class LazyJoiner:
         child_sid = target.path[frame_node.depth + 1]
         return self._readpath.lp_of(child_sid)
 
-    @staticmethod
-    def _branch_bisect(frame_node: ERNode, target: ERNode) -> int:
-        """Child-list strategy: the branch child is the unique child whose
-        span contains ``target`` — the rightmost child with gp <= target.gp.
-        """
-        children = frame_node.children
-        idx = bisect_right([c.gp for c in children], target.gp) - 1
-        return children[idx].lp
-
-    @staticmethod
-    def _branch_walk(frame_node: ERNode, target: ERNode) -> int:
-        """No-paths strategy: climb parent pointers from ``target``."""
-        node = target
-        while node.parent is not frame_node:
-            node = node.parent
-            assert node is not None, "frame is not an ancestor of target"
-        return node.lp
-
-    def _trim_frame(
-        self, frame: _Frame, sa: ERNode, stats: JoinStatistics, branch_fn
-    ) -> None:
-        """Optimization (ii): drop top-frame elements ending before ``sa``.
-
-        ``sa`` (and every future segment from either list) branches off the
-        frame at a local position >= ``P_sa``, so elements with
-        ``end <= P_sa`` can never satisfy Proposition 3(2) again.  The
-        frame's columns may still be the cache's compiled artifacts, so the
-        trim rebuilds them copy-on-write rather than mutating in place.
-        """
-        branch = branch_fn(frame.node, sa)
-        ends = frame.ends
-        kept = [i for i, end in enumerate(ends) if end > branch]
-        trimmed = len(ends) - len(kept)
-        if not trimmed:
-            return
-        stats.elements_trimmed += trimmed
-        records = frame.records
-        starts = frame.starts
-        # Rebuilt columns keep the compiled artifacts' ``array('q')``
-        # layout.  The trimmed record list is pinned directly: the frame
-        # no longer mirrors any compiled artifact, so the lazy source is
-        # dropped.
-        frame._records = [records[i] for i in kept]
-        frame.source = None
-        frame.starts = array("q", [starts[i] for i in kept])
-        frame.ends = array("q", [ends[i] for i in kept])
-        frame.maxends = _prefix_max(frame.ends)
-
     def _cross_matches_descendant(
-        self, stack: list[_Frame], sd: ERNode, branch_fn
+        self, stack: list[_Frame], sd: ERNode
     ) -> tuple[tuple, list]:
         """Step 3 cross candidates: frame A-elements joining segment ``sd``.
 
@@ -762,7 +626,7 @@ class LazyJoiner:
         frame-then-element emission order of the uncompiled merge.
         """
         top = stack[-1]
-        branch = branch_fn(top.node, sd)
+        branch = self._branch_path(top.node, sd)
         hi = bisect_left(top.starts, branch)
         if hi == 0 or top.maxends[hi - 1] <= branch:
             return top.covered_prefix, []
@@ -794,7 +658,3 @@ class LazyJoiner:
         select_open(top.records, top.ends, hi, branch, matched)
         return matched
 
-
-def _prefix_max(values) -> list[int]:
-    """Running maximum of ``values`` (the frame-dismissal column)."""
-    return list(accumulate(values, max))

@@ -296,8 +296,8 @@ class ReadPathCache:
         start lies inside its span — :func:`~repro.joins.kernels.push_kept`
         advances a single cursor over the (sorted) child lps, one
         O(n + m) merge scan.  When every element survives, the compiled
-        columns are shared outright (compiled artifacts are immutable;
-        the join's trim path already copies on write).
+        columns are shared outright (compiled artifacts are immutable, and
+        the join only reads them).
         """
         lps = [child.lp for child in node.children]
         if not lps:

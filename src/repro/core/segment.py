@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["SpanRelation", "relate", "span_contains", "DUMMY_ROOT_SID"]
+__all__ = ["SpanRelation", "relate", "DUMMY_ROOT_SID"]
 
 #: The sid reserved for the dummy root that wraps the whole database.
 DUMMY_ROOT_SID = 0
@@ -78,15 +78,3 @@ def relate(a_gp: int, a_len: int, b_gp: int, b_len: int) -> SpanRelation:
     if a_gp > b_gp:
         return SpanRelation.LEFT_INTERSECT
     return SpanRelation.RIGHT_INTERSECT
-
-
-def span_contains(outer_gp: int, outer_len: int, inner_gp: int, inner_len: int) -> bool:
-    """Definition 1 containment: ``outer`` strictly contains ``inner``.
-
-    Strict on both sides, exactly as the paper defines segment containment;
-    a span never contains itself.
-    """
-    return (
-        outer_gp < inner_gp
-        and outer_gp + outer_len > inner_gp + inner_len
-    )

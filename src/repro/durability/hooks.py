@@ -23,7 +23,6 @@ __all__ = [
     "set_failpoint",
     "clear_failpoint",
     "clear_all_failpoints",
-    "active_failpoints",
 ]
 
 #: Every failpoint the write path declares, in rough execution order.
@@ -91,8 +90,3 @@ def clear_failpoint(name: str) -> None:
 def clear_all_failpoints() -> None:
     """Remove every registered callback."""
     _active.clear()
-
-
-def active_failpoints() -> list[str]:
-    """Names with a registered callback (test-suite hygiene checks)."""
-    return sorted(_active)

@@ -2,26 +2,19 @@
 
 - :func:`~repro.joins.stack_tree.stack_tree_desc` — Stack-Tree-Desc, the STD
   baseline and Lazy-Join's in-segment subroutine;
-- :func:`~repro.joins.merge_join.merge_containment_join` — the older
-  merge-style baseline;
-- :func:`~repro.joins.merge_join.naive_containment_join` — all-pairs oracle.
+- :func:`~repro.joins.path_stack.path_stack` — the holistic PathStack kernel
+  of the twig executor.
+
+The merge-style containment join and the all-pairs join live in
+``tests/helpers.py`` as the oracles the stack-based joins are held to.
 """
 
-from repro.joins.merge_join import merge_containment_join, naive_containment_join
 from repro.joins.path_stack import path_stack
-from repro.joins.stack_tree import (
-    AXIS_CHILD,
-    AXIS_DESCENDANT,
-    stack_tree_anc,
-    stack_tree_desc,
-)
+from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT, stack_tree_desc
 
 __all__ = [
     "stack_tree_desc",
-    "stack_tree_anc",
-    "merge_containment_join",
     "path_stack",
-    "naive_containment_join",
     "AXIS_DESCENDANT",
     "AXIS_CHILD",
 ]

@@ -27,15 +27,15 @@ from repro.errors import QueryError
 from repro.joins.kernels import std_pairs_python
 from repro.obs.metrics import METRICS
 
-__all__ = ["stack_tree_desc", "stack_tree_anc", "AXIS_DESCENDANT", "AXIS_CHILD"]
+__all__ = ["stack_tree_desc", "AXIS_DESCENDANT", "AXIS_CHILD"]
 
 # Query-path instruments, folded in once per call (see repro.obs.metrics).
 # Covers both standalone STD runs and Lazy-Join's in-segment subjoins.
 _M_CALLS = METRICS.counter(
-    "join.stacktree.calls", unit="joins", site="stack_tree_desc/anc"
+    "join.stacktree.calls", unit="joins", site="stack_tree_desc"
 )
 _M_PAIRS = METRICS.counter(
-    "join.stacktree.pairs", unit="pairs", site="stack_tree_desc/anc"
+    "join.stacktree.pairs", unit="pairs", site="stack_tree_desc"
 )
 
 AXIS_DESCENDANT = "descendant"
@@ -92,69 +92,3 @@ def stack_tree_desc(
         _M_PAIRS.inc(len(results))
     return results
 
-
-def stack_tree_anc(
-    ancestors: Sequence,
-    descendants: Sequence,
-    axis: str = AXIS_DESCENDANT,
-    *,
-    context=None,
-) -> list[tuple]:
-    """Join two start-sorted element lists, output sorted by *ancestor*.
-
-    The companion algorithm of reference [1]: the same single merge pass as
-    :func:`stack_tree_desc`, but pairs cannot be emitted as soon as they are
-    found (an outer ancestor precedes its nested descendants in the output
-    while its pairs keep accruing), so every stack entry buffers a
-    *self-list* of its own pairs and an *inherit-list* of pairs from popped
-    inner entries; lists drain to the output when the bottom entry pops.
-
-    Output order: ancestors by document position, each ancestor's pairs by
-    descendant position.
-    """
-    if axis not in _AXES:
-        raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
-    child_only = axis == AXIS_CHILD
-    results: list[tuple] = []
-    # Stack entries: [element, self_list, inherit_list]
-    stack: list[list] = []
-
-    def pop() -> None:
-        element, self_list, inherit_list = stack.pop()
-        merged = self_list + inherit_list
-        if stack:
-            stack[-1][2].extend(merged)
-        else:
-            results.extend(merged)
-
-    a_index = 0
-    a_count = len(ancestors)
-    for desc in descendants:
-        if context is not None:
-            context.tick()
-        while a_index < a_count and ancestors[a_index].start < desc.start:
-            candidate = ancestors[a_index]
-            while stack and stack[-1][0].end <= candidate.start:
-                pop()
-            stack.append([candidate, [], []])
-            a_index += 1
-        if context is not None:
-            context.charge_depth(len(stack))
-        while stack and stack[-1][0].end <= desc.start:
-            pop()
-        if child_only:
-            if stack and stack[-1][0].level + 1 == desc.level:
-                stack[-1][1].append((stack[-1][0], desc))
-                if context is not None:
-                    context.charge_rows(1)
-        else:
-            for entry in stack:
-                entry[1].append((entry[0], desc))
-            if context is not None:
-                context.charge_rows(len(stack))
-    while stack:
-        pop()
-    if METRICS.enabled:
-        _M_CALLS.inc()
-        _M_PAIRS.inc(len(results))
-    return results

@@ -8,10 +8,10 @@ Layering (each importable and testable alone):
   round-tripping, per-session state (pinned epochs, in-flight budgets).
 - :mod:`repro.net.server` — the asyncio TCP server: pipelining,
   backpressure, load shedding, deadlines, graceful drain.
-- :mod:`repro.net.client` — pipelined asyncio client with shared
-  backoff-retry machinery.
-- :mod:`repro.net.testing` — fault-injection harness for the drill
-  matrix (truncated/corrupt frames, resets, half-closes, stalls).
+- :mod:`repro.net.client` — pipelined asyncio client.
+
+The fault-injection harness of the drill matrix (truncated/corrupt frames,
+resets, half-closes, stalls) lives in ``tests/net_harness.py``.
 """
 
 from repro.net.client import NetClient, connect

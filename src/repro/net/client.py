@@ -6,16 +6,9 @@ to its awaiting coroutine by request id.  Server failures re-raise as the
 *same* typed :mod:`repro.errors` exception the server caught
 (:func:`~repro.net.protocol.raise_error_payload`), so a caller handles
 :class:`~repro.errors.Overloaded` from a remote service exactly like a
-local :class:`~repro.errors.Busy`.
-
-Retries ride the shared :func:`~repro.service.retry.retry_with_backoff_async`
-machinery (capped exponential backoff, full jitter, injectable sleep) —
-the same policy engine the replication heartbeat uses.  By default only
-shed-class errors (:class:`~repro.errors.Overloaded`,
-:class:`~repro.errors.Busy`) are retried; retrying
-:class:`~repro.errors.ConnectionLost` is opt-in because a write whose ack
-was lost may already be durable, and replaying it is a semantic decision
-the caller must make.
+local :class:`~repro.errors.Busy`.  The client never retries: a write
+whose ack was lost may already be durable, and replaying it is a semantic
+decision the caller must make.
 """
 
 from __future__ import annotations
@@ -24,12 +17,10 @@ import asyncio
 from itertools import count
 
 from repro.errors import (
-    Busy,
     ConnectionLost,
     DeadlineExceeded,
     FrameError,
     NetError,
-    Overloaded,
     ProtocolError,
     ReproError,
 )
@@ -41,13 +32,8 @@ from repro.net.protocol import (
     encode_payload,
     raise_error_payload,
 )
-from repro.service.retry import BackoffPolicy, retry_with_backoff_async
 
 __all__ = ["NetClient", "connect"]
-
-#: Errors worth an automatic retry: the server explicitly shed the
-#: request without doing any work, so a replay is always safe.
-RETRYABLE = (Overloaded, Busy)
 
 
 class NetClient:
@@ -71,14 +57,12 @@ class NetClient:
         *,
         max_frame_bytes: int = wire.MAX_FRAME_BYTES,
         connect_timeout: float = 5.0,
-        backoff: BackoffPolicy | None = None,
         client_name: str = "repro-net-client",
     ):
         self.host = host
         self.port = port
         self.max_frame_bytes = max_frame_bytes
         self.connect_timeout = connect_timeout
-        self.backoff = backoff or BackoffPolicy()
         self.client_name = client_name
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -94,10 +78,6 @@ class NetClient:
 
     # ------------------------------------------------------------------
     # lifecycle
-
-    @property
-    def connected(self) -> bool:
-        return self._writer is not None and self._conn_error is None
 
     async def connect(self) -> "NetClient":
         """Open the connection and complete the HELLO/WELCOME handshake."""
@@ -213,12 +193,6 @@ class NetClient:
             or ConnectionLost("connection closed with requests outstanding")
         )
 
-    async def _reset(self) -> None:
-        """Drop the dead connection so the next attempt reconnects."""
-        await self._shutdown_transport()
-        self._conn_error = None
-        self.session_id = None
-
     async def __aenter__(self) -> "NetClient":
         if self._writer is None:
             await self.connect()
@@ -270,36 +244,6 @@ class NetClient:
                 f"response (request {request_id})"
             ) from None
 
-    async def request_with_retry(
-        self,
-        cmd: str,
-        *,
-        policy: BackoffPolicy | None = None,
-        retry_on: tuple = RETRYABLE,
-        reconnect: bool = False,
-        timeout: float | None = None,
-        **args,
-    ) -> dict:
-        """``request`` wrapped in shared backoff-retry machinery.
-
-        ``reconnect=True`` additionally retries
-        :class:`~repro.errors.ConnectionLost` by re-dialing first —
-        appropriate for idempotent reads; for writes, remember the
-        previous attempt may have committed without acking.
-        """
-        if reconnect:
-            retry_on = tuple(retry_on) + (ConnectionLost,)
-
-        async def attempt():
-            if reconnect and not self.connected:
-                await self._reset()
-                await self.connect()
-            return await self.request(cmd, timeout=timeout, **args)
-
-        return await retry_with_backoff_async(
-            attempt, policy=policy or self.backoff, retry_on=retry_on
-        )
-
     def __getattr__(self, verb: str):
         """Every table verb as a method (the dict protocol is the real
         API): ``await client.join("a", "b", axis="child")``.  Positional
@@ -317,9 +261,6 @@ class NetClient:
         return lambda *values, **fields: self.request(
             verb, **dict(zip(names, values)), **fields
         )
-
-    async def shutdown_server(self) -> dict:
-        return await self.request("shutdown")
 
     # ------------------------------------------------------------------
     # response demultiplexing

@@ -257,10 +257,6 @@ class TcpServer:
             raise NetError("server is not listening")
         return self._server.sockets[0].getsockname()[1]
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     async def serve_forever(self) -> None:
         """Serve until SIGTERM/SIGINT (or a ``shutdown`` request) drains.
 

@@ -21,9 +21,6 @@ Layers:
   catch-up from checkpoint + journal tail, heartbeat/reconnect, rejoin;
 - :mod:`~repro.replication.cluster` — the wiring: write fan-out, fencing
   on ship, promote/kill/restart/partition verbs, status.
-
-Per-shard replica chains over this machinery live in
-:mod:`repro.shard.replication`.
 """
 
 from repro.replication.channel import InProcessChannel

@@ -274,31 +274,6 @@ class ReplicationCluster:
             self._acked[node_id] = seq
 
     # ------------------------------------------------------------------
-    # reads
-
-    def pin_follower(self, node_id: int | None = None, *, min_seq: int | None = None):
-        """Pin an epoch snapshot on a live follower (primary as fallback).
-
-        With ``min_seq``, a lagging follower first catches up from the
-        primary; :class:`~repro.errors.LaggingReplica` propagates only
-        when it still cannot reach the sequence.
-        """
-        if node_id is None:
-            followers = self.follower_ids()
-            node_id = followers[0] if followers else self.primary_id
-        node = self.nodes[node_id]
-        if node_id in self._dead:
-            raise ReplicationError(f"node {node_id} is down")
-        if (
-            min_seq is not None
-            and node.last_seq < min_seq
-            and self.primary_id not in self._dead
-        ):
-            node.catch_up(self.primary)
-            self._note_acked(node_id, node.last_seq)
-        return node.pin(min_seq)
-
-    # ------------------------------------------------------------------
     # failover / fault verbs
 
     def promote(self, node_id: int) -> ReplicaNode:

@@ -118,10 +118,6 @@ class RejoinReport:
     resynced: bool = False
 
     @property
-    def lost(self) -> int:
-        return len(self.lost_seqs)
-
-    @property
     def reported_seqs(self) -> list[int]:
         """Every seq the rejoin could not prove replicated (lost ∪ indeterminate)."""
         return sorted({*self.lost_seqs, *self.indeterminate_seqs})
@@ -133,8 +129,7 @@ class ReplicaNode:
     Any object with ``journal_path``, ``checkpoint_path``,
     ``checkpoint_seq``, ``last_seq`` and ``term`` attributes can serve as
     the *primary view* for :meth:`catch_up`/:meth:`rejoin` — a live
-    :class:`ReplicaNode` qualifies, as does the per-shard adapter in
-    :mod:`repro.shard.replication`.
+    :class:`ReplicaNode` qualifies.
     """
 
     def __init__(

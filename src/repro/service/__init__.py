@@ -13,8 +13,7 @@ makes that trade safe to operate under concurrent load:
   that sheds over-limit requests with a transient :class:`~repro.errors
   .Busy`;
 - :mod:`repro.service.retry` — the shared capped-jittered backoff policy
-  (sync and async) used by admission callers, the replication heartbeat,
-  and the network client;
+  used by admission callers and the replication heartbeat;
 - :mod:`repro.service.breaker` — a circuit breaker guarding automatic
   maintenance;
 - :mod:`repro.service.pressure` — update-log pressure monitoring and
@@ -27,11 +26,7 @@ from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker
 from repro.service.context import QueryContext
 from repro.service.pressure import PressureMonitor, PressureReport, PressureThresholds
-from repro.service.retry import (
-    BackoffPolicy,
-    retry_with_backoff,
-    retry_with_backoff_async,
-)
+from repro.service.retry import BackoffPolicy, retry_with_backoff
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.snapshot import EpochManager, Snapshot
 
@@ -48,5 +43,4 @@ __all__ = [
     "ServiceConfig",
     "Snapshot",
     "retry_with_backoff",
-    "retry_with_backoff_async",
 ]

@@ -153,7 +153,7 @@ def bind(cmd, fields, request: dict) -> dict:
 
 _REQUEST_FIELDS = (
     Field("timeout_ms", "float", None),
-    Field("max_rows", "int", None),
+    Field("max_rows", "count", None),
     Field("trace", "flag", False),
 )
 
@@ -311,7 +311,7 @@ COMMANDS: dict[str, Verb] = {
         (Field("ancestor", "word"), Field("descendant", "word"),
          Field("algorithm", "word", "lazy"),
          Field("axis", "word", "descendant")),
-        "read", "{pairs} pair(s)", "structural join (lazy | std | merge)"),
+        "read", "{pairs} pair(s)", "structural join (lazy | std)"),
     "insert": Verb(
         _write("insert"),
         (Field("position", "int", None, "end"), Field("fragment", "text")),

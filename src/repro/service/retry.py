@@ -1,19 +1,15 @@
 """Shared retry-with-backoff policy for every transient-failure site.
 
-Three subsystems retry transient rejections: admission control retries
-:class:`~repro.errors.Busy` on behalf of impatient callers, the
+Two subsystems retry transient rejections: admission control retries
+:class:`~repro.errors.Busy` on behalf of impatient callers, and the
 replication heartbeat retries :class:`~repro.errors.ChannelCut` through
-partitions, and the network client retries :class:`~repro.errors
-.Overloaded` sheds.  They must share one policy — capped exponential
-backoff with **full jitter** (the AWS-style scheme: sleeping a uniform
-random fraction of the cap de-correlates retry storms) — and one set of
-metrics, so a storm anywhere shows up in the same ``service.retry.*``
-instruments.
+partitions.  They share one policy — capped exponential backoff with
+**full jitter** (the AWS-style scheme: sleeping a uniform random fraction
+of the cap de-correlates retry storms) — and one set of metrics, so a
+storm anywhere shows up in the same ``service.retry.*`` instruments.
 
 Both the sleep function and the policy's RNG are injectable, so tests
-drive retries deterministically and instantaneously;
-:func:`retry_with_backoff_async` is the same loop for coroutine callers
-(``sleep`` defaults to :func:`asyncio.sleep`).
+drive retries deterministically and instantaneously.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.errors import Busy
 from repro.obs.metrics import LATENCY_BUCKETS, METRICS
 
-__all__ = ["BackoffPolicy", "retry_with_backoff", "retry_with_backoff_async"]
+__all__ = ["BackoffPolicy", "retry_with_backoff"]
 
 _M_RETRY_ATTEMPTS = METRICS.counter(
     "service.retry.attempts", unit="retries", site="retry_with_backoff"
@@ -106,33 +102,3 @@ def retry_with_backoff(
             sleep(delay)
             attempt += 1
 
-
-async def retry_with_backoff_async(
-    fn,
-    *,
-    policy: BackoffPolicy | None = None,
-    retry_on=(Busy,),
-    sleep=None,
-):
-    """:func:`retry_with_backoff` for coroutine callers.
-
-    ``fn`` is an async callable invoked with no arguments; ``sleep`` is an
-    async callable (default :func:`asyncio.sleep`).  Shares the sync
-    helper's policy and ``service.retry.*`` metrics.
-    """
-    import asyncio
-
-    if policy is None:
-        policy = BackoffPolicy()
-    if sleep is None:
-        sleep = asyncio.sleep
-    attempt = 0
-    while True:
-        try:
-            return await fn()
-        except retry_on:
-            delay = _before_sleep(policy, attempt)
-            if delay is None:
-                raise
-            await sleep(delay)
-            attempt += 1

@@ -302,24 +302,6 @@ class DatabaseService:
         self._count("queries")
         return result
 
-    def follower_read(self, fn, *, min_seq=None, context=None, wait_timeout=None):
-        """Run ``fn(db, context)`` against an epoch-pinned *follower* snapshot.
-
-        Offloads reads from the primary when a replication cluster is
-        attached (falls back to :meth:`read` otherwise).  ``min_seq``
-        demands read-your-writes at a replicated sequence number: the
-        follower catches up first, and :class:`~repro.errors
-        .LaggingReplica` propagates if it still cannot reach it.
-        """
-        self._ensure_open()
-        if self._replication is None:
-            return self.read(fn, context=context, wait_timeout=wait_timeout)
-        wait = self.config.admission_wait if wait_timeout is None else wait_timeout
-        with self._admission.admit("read", wait_timeout=wait):
-            ctx = context if context is not None else self.make_context()
-            with self._replication.pin_follower(min_seq=min_seq) as snap:
-                return self._run_read(fn, snap.db, ctx)
-
     def query(self, expression: str, *, bindings: bool = False, context=None,
               wait_timeout=None):
         """Snapshot-isolated :meth:`LazyXMLDatabase.path_query`."""
@@ -349,12 +331,11 @@ class DatabaseService:
         algorithm: str = "lazy",
         context=None,
         wait_timeout=None,
-        **options,
     ):
         """Snapshot-isolated :meth:`LazyXMLDatabase.structural_join`."""
         return self.read(
             lambda db, ctx: db.structural_join(
-                tag_a, tag_d, axis, algorithm=algorithm, context=ctx, **options
+                tag_a, tag_d, axis, algorithm=algorithm, context=ctx
             ),
             context=context,
             wait_timeout=wait_timeout,
@@ -736,11 +717,6 @@ class DatabaseService:
             raise Draining(
                 "service is draining for shutdown; no new requests accepted"
             )
-
-    @property
-    def draining(self) -> bool:
-        """True after :meth:`begin_drain` (and before :meth:`close`)."""
-        return self._draining
 
     def begin_drain(self) -> None:
         """Enter the draining state: refuse *new* requests with a typed

@@ -37,10 +37,6 @@ class TagCatalog:
         """Global occurrence count of ``tag``."""
         return sum(self.count_on(s, tag) for s in range(len(self._shards)))
 
-    def shard_counts(self, tag: str) -> list[int]:
-        """Per-shard occurrence counts, indexed by shard."""
-        return [self.count_on(s, tag) for s in range(len(self._shards))]
-
     def shards_for(self, *tags: str) -> list[int]:
         """Shards where every tag in ``tags`` occurs at least once."""
         return [

@@ -818,7 +818,6 @@ class ShardedDatabase:
         algorithm: str = "lazy",
         stats: JoinStatistics | None = None,
         context=None,
-        **lazy_options,
     ) -> list[tuple[ShardElement, ShardElement]]:
         """Scatter-gather ``tag_a // tag_d`` across the shards.
 
@@ -832,10 +831,7 @@ class ShardedDatabase:
         :class:`JoinStatistics` (summed; stack depth maxed) and forces a
         full fan-out, like the single database's memo bypass.
         """
-        key = _hashable_key(
-            "join", tag_a, tag_d, axis, algorithm,
-            tuple(sorted(lazy_options.items())),
-        )
+        key = _hashable_key("join", tag_a, tag_d, axis, algorithm)
 
         def build(views, shard, reply):
             make = self._make_element
@@ -860,7 +856,6 @@ class ShardedDatabase:
                     tag_d,
                     axis,
                     algorithm,
-                    dict(lazy_options),
                     context.remaining() if context is not None else None,
                 ),
                 context,

@@ -38,10 +38,6 @@ class DocumentMap:
         """Shard index per document, in global document order (a copy)."""
         return list(self._docs)
 
-    def shard_of(self, doc_index: int) -> int:
-        """Owning shard of the document at global position ``doc_index``."""
-        return self._docs[doc_index]
-
     def ordinal(self, doc_index: int) -> int:
         """The document's position among its shard's documents.
 
@@ -75,10 +71,6 @@ class DocumentMap:
 
     def to_list(self) -> list[int]:
         return list(self._docs)
-
-    @classmethod
-    def from_list(cls, docs: list[int]) -> "DocumentMap":
-        return cls(docs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DocumentMap docs={self._docs}>"

@@ -31,7 +31,6 @@ declares the worker lost after a grace period past the deadline.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import asdict
 
 from repro import storage
@@ -89,17 +88,11 @@ def handle_request(db, verb: str, args: tuple):
     LazyXMLDatabase` (or a durable wrapper delegating to one).
     """
     if verb == "join":
-        tag_a, tag_d, axis, algorithm, lazy_options, timeout = args
+        tag_a, tag_d, axis, algorithm, timeout = args
         context = QueryContext(timeout=timeout) if timeout is not None else None
         stats = JoinStatistics()
         pairs = db.structural_join(
-            tag_a,
-            tag_d,
-            axis,
-            algorithm=algorithm,
-            stats=stats,
-            context=context,
-            **lazy_options,
+            tag_a, tag_d, axis, algorithm=algorithm, stats=stats, context=context
         )
         a_rows = _rows(db, [a for a, _ in pairs])
         d_rows = _rows(db, [d for _, d in pairs])

@@ -217,13 +217,6 @@ class TwigQuery:
             for branch in parent.branches:
                 yield parent, branch
 
-    def parent_of(self, node: TwigNode) -> TwigNode | None:
-        """The pattern parent of ``node`` (None for the entry step)."""
-        for parent, child in self.edges():
-            if child is node:
-                return parent
-        return None
-
     def tags(self) -> set[str]:
         """The concrete (non-wildcard) tags the pattern names."""
         return {n.tag for n in self.nodes if not n.is_wildcard}

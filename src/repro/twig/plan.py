@@ -139,10 +139,6 @@ class PlanRecorder:
     def snapshot(self) -> dict:
         return {"counts": dict(self._counts), "recent": list(self._recent)}
 
-    def reset(self) -> None:
-        self._recent.clear()
-        self._counts = {"twig": 0, "pairwise": 0, "pruned": 0}
-
 
 #: The process-wide decision log (mirrors the METRICS registry pattern).
 PLAN_RECORDER = PlanRecorder()

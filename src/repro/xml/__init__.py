@@ -12,7 +12,7 @@ element structure with exact character offsets:
 """
 
 from repro.xml.model import XMLDocument, XMLElement
-from repro.xml.parser import element_records, is_well_formed, parse, parse_fragment
+from repro.xml.parser import is_well_formed, parse, parse_fragment
 from repro.xml.serializer import Node, escape_attribute, escape_text, serialize
 from repro.xml.tokenizer import Token, TokenKind, tokenize
 
@@ -21,7 +21,6 @@ __all__ = [
     "XMLElement",
     "parse",
     "parse_fragment",
-    "element_records",
     "is_well_formed",
     "Node",
     "serialize",

@@ -76,10 +76,6 @@ class XMLElement:
             yield node
             node = node.parent
 
-    def text_of(self, source: str) -> str:
-        """Return the raw markup of this element from the original text."""
-        return source[self.start : self.end]
-
     def __hash__(self) -> int:  # identity-based: elements are tree nodes
         return id(self)
 
@@ -108,34 +104,6 @@ class XMLDocument:
     def __iter__(self) -> Iterator[XMLElement]:
         return iter(self.elements)
 
-    def elements_by_tag(self) -> dict[str, list[XMLElement]]:
-        """Group elements by tag name, preserving document order."""
-        by_tag: dict[str, list[XMLElement]] = {}
-        for element in self.elements:
-            by_tag.setdefault(element.tag, []).append(element)
-        return by_tag
-
     def tags(self) -> set[str]:
         """The set of distinct tag names appearing in the fragment."""
         return {element.tag for element in self.elements}
-
-    def find_innermost(self, offset: int) -> XMLElement | None:
-        """Return the deepest element whose span strictly contains ``offset``.
-
-        ``offset`` is "strictly inside" an element when it falls after the
-        opening ``<`` and before the final ``>`` — i.e. text inserted at that
-        offset would land inside the element's markup.  Returns ``None`` when
-        the offset is outside the root element.
-        """
-        node = self.root
-        if not (node.start < offset < node.end):
-            return None
-        while True:
-            inner = None
-            for child in node.children:
-                if child.start < offset < child.end:
-                    inner = child
-                    break
-            if inner is None:
-                return node
-            node = inner

@@ -16,7 +16,7 @@ from repro.errors import XMLSyntaxError
 from repro.xml.model import XMLDocument, XMLElement
 from repro.xml.tokenizer import Token, TokenKind, tokenize
 
-__all__ = ["parse", "parse_fragment", "element_records", "is_well_formed"]
+__all__ = ["parse", "parse_fragment", "is_well_formed"]
 
 
 def parse(text: str) -> XMLDocument:
@@ -100,17 +100,6 @@ def parse_fragment(text: str) -> XMLDocument:
     segment about to be inserted" from "parsing a whole document".
     """
     return parse(text)
-
-
-def element_records(text: str) -> list[tuple[str, int, int, int]]:
-    """Return ``(tag, start, end, level)`` for every element, document order.
-
-    This is the exact shape the element index ingests when a segment is
-    inserted: local positions in the segment's own coordinate space, with
-    ``level`` starting at 1 for the segment root.
-    """
-    document = parse(text)
-    return [(e.tag, e.start, e.end, e.level) for e in document.elements]
 
 
 def is_well_formed(text: str) -> bool:

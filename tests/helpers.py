@@ -6,6 +6,10 @@ from bisect import bisect_right
 from operator import attrgetter
 
 from repro.core.database import LazyXMLDatabase
+from repro.errors import QueryError
+from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT
+
+_AXES = (AXIS_DESCENDANT, AXIS_CHILD)
 
 _start_of = attrgetter("start")
 
@@ -108,3 +112,52 @@ def stack_tree_desc_legacy(
                 context.charge_rows(len(stack))
         d_index += 1
     return results
+
+
+def merge_containment_join(ancestors, descendants, axis=AXIS_DESCENDANT) -> list:
+    """The pre-stack merge join (MPMGJN / EE-join style), ordered by ancestor.
+
+    For each ancestor, binary-search the first descendant starting inside
+    its span and scan until the span ends; nested ancestors re-scan the
+    same descendants, O(|A|·|D|) at worst.  Simple enough to be an oracle
+    for the stack-based joins.  ``axis="child"`` keeps only pairs with
+    ``descendant.level == ancestor.level + 1``.
+    """
+    if axis not in _AXES:
+        raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
+    child_only = axis == AXIS_CHILD
+    starts = [d.start for d in descendants]
+    results: list[tuple] = []
+    for anc in ancestors:
+        idx = bisect_right(starts, anc.start)
+        while idx < len(descendants) and descendants[idx].start < anc.end:
+            desc = descendants[idx]
+            if desc.end <= anc.end and (
+                not child_only or desc.level == anc.level + 1
+            ):
+                results.append((anc, desc))
+            idx += 1
+    return results
+
+
+def naive_containment_join(ancestors, descendants, axis=AXIS_DESCENDANT) -> list:
+    """All-pairs containment join (the oracle's oracle, O(|A|·|D|) always)."""
+    if axis not in _AXES:
+        raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
+    child_only = axis == AXIS_CHILD
+    results: list[tuple] = []
+    for anc in ancestors:
+        for desc in descendants:
+            if anc.start < desc.start and desc.end <= anc.end:
+                if not child_only or desc.level == anc.level + 1:
+                    results.append((anc, desc))
+    return results
+
+
+def merge_join_records(db, tag_a, tag_d, axis=AXIS_DESCENDANT) -> list:
+    """The merge oracle over ``db``'s derived global labels, as record pairs
+    (the shape ``db.structural_join`` answers in)."""
+    pairs = merge_containment_join(
+        db.global_elements(tag_a), db.global_elements(tag_d), axis=axis
+    )
+    return [(a.record, d.record) for a, d in pairs]

@@ -7,7 +7,6 @@ import pytest
 from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
 from repro.bench.experiments import (
     FIGURES,
-    ablation_push_optimizations,
     ablation_repack,
     fig11_log_size,
     fig14_cardinalities,
@@ -19,9 +18,9 @@ from repro.bench.harness import Sweep, Table, measure, measure_cold_join
 from repro.core.database import LazyXMLDatabase
 from repro.errors import UpdateError
 from repro.obs.metrics import METRICS
-from repro.workloads.join_mix import build_join_mix, sweep_configs
 from repro.workloads.xmark import XMARK_QUERIES
 from repro.xml.parser import parse
+from tests.helpers import merge_join_records
 
 
 class TestMeasure:
@@ -147,8 +146,6 @@ TINY = {
         "prime_groups": (5,),
         "repeat": 1,
     },
-    "ablation-push": {"n_segments": 8, "repeat": 1},
-    "ablation-paths": {"n_segments": 12, "repeat": 1},
     "ablation-repack": {"n_segments": 8, "repeat": 1},
     "overload": {
         "rates": (50.0,),
@@ -219,25 +216,12 @@ class TestDeterministicShapes:
         for _, tag_a, tag_d in XMARK_QUERIES:
             lazy = len(ld.structural_join(tag_a, tag_d))
             assert lazy == len(ld.structural_join(tag_a, tag_d, algorithm="std"))
-            assert lazy == len(ld.structural_join(tag_a, tag_d, algorithm="merge"))
+            assert lazy == len(merge_join_records(ld, tag_a, tag_d))
             assert lazy == len(ls.structural_join(tag_a, tag_d))
 
     def test_relabeling_touches_about_half_the_labels(self):
         (table,) = fig16_insert(doc_segment_counts=(40,), repeat=1)
         assert 30 < table.column("relabelled_pct")[0] < 80
-
-    def test_branch_strategies_agree(self):
-        db = LazyXMLDatabase(keep_text=False)
-        build_join_mix(db, sweep_configs(30, "nested", [1.0])[0])
-        path, bisect, walk = (
-            sorted(db.structural_join("a", "d", branch_strategy=strategy))
-            for strategy in ("path", "bisect", "walk")
-        )
-        assert path == bisect == walk and path
-
-    def test_push_optimization_reduces_pushed_elements(self):
-        tables = ablation_push_optimizations(n_segments=20, repeat=1)
-        FIGURES["ablation-push"].shape(tables)
 
     def test_compaction_preserves_results(self):
         (table,) = ablation_repack(n_segments=20, repeat=1)

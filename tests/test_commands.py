@@ -145,6 +145,7 @@ def test_every_verb_has_required_field_cases():
 
 @pytest.mark.parametrize("budget", [
     {"timeout_ms": "fast"}, {"max_rows": "many"}, {"trace": "yes"},
+    {"max_rows": -1},
 ])
 def test_request_wide_fields_are_checked_for_every_verb(tmp_path, budget):
     service = make_service("plain", tmp_path)

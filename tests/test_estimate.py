@@ -1,4 +1,11 @@
-"""Tests for update-log-only join cardinality estimation."""
+"""Tests for join cardinality estimation from the update log alone.
+
+:meth:`~repro.twig.summary.PathSummary.edge` estimates an edge's join
+output from tag-list counts and stored paths — no element-index access,
+no join execution.  ``est_pairs`` must be a sound upper bound (the planner
+prunes on 0 and budgets on the bound); ``est_pairs / (|A|·|D|)`` is the
+selectivity in [0, 1] the planners rank edges by.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,19 @@ import random
 import pytest
 
 from repro.core.database import LazyXMLDatabase
-from repro.core.estimate import join_selectivity_hint, join_upper_bound
 from repro.workloads.join_mix import JoinMixConfig, build_join_mix, sweep_configs
 from repro.workloads.scenarios import registration_stream
+
+
+def join_upper_bound(db, tag_a: str, tag_d: str) -> int:
+    return db.path_summary.edge(tag_a, tag_d, "descendant").est_pairs
+
+
+def join_selectivity(db, tag_a: str, tag_d: str) -> float:
+    edge = db.path_summary.edge(tag_a, tag_d, "descendant")
+    if not edge.a_total or not edge.d_total:
+        return 0.0
+    return edge.est_pairs / (edge.a_total * edge.d_total)
 
 
 class TestUpperBound:
@@ -22,10 +39,10 @@ class TestUpperBound:
     def test_zero_guarantees_empty(self):
         db = LazyXMLDatabase()
         db.insert("<r><a/></r>")
-        db.insert("<d/>")  # sibling top-level segment: bound counts it?
-        bound = join_upper_bound(db, "a", "d")
-        actual = len(db.structural_join("a", "d"))
-        assert actual <= bound
+        db.insert("<d/>")  # a sibling top-level segment: nothing to join
+        assert join_upper_bound(db, "a", "d") == 0
+        assert not db.path_summary.edge("a", "d", "descendant").feasible
+        assert db.structural_join("a", "d") == []
 
     @pytest.mark.parametrize("shape", ["nested", "balanced"])
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
@@ -80,9 +97,9 @@ class TestUpperBound:
         db = LazyXMLDatabase(mode="static")
         for fragment in registration_stream(4):
             db.insert(fragment)
-        bound = join_upper_bound(db, "registration", "interest")
         db.prepare_for_query()
-        assert len(db.structural_join("registration", "interest")) <= bound
+        bound = join_upper_bound(db, "registration", "interest")
+        assert 0 < len(db.structural_join("registration", "interest")) <= bound
 
 
 class TestSelectivityHint:
@@ -90,18 +107,18 @@ class TestSelectivityHint:
         db = LazyXMLDatabase()
         for fragment in registration_stream(6):
             db.insert(fragment)
-        hint = join_selectivity_hint(db, "registration", "interest")
+        hint = join_selectivity(db, "registration", "interest")
         assert 0.0 < hint <= 1.0
 
     def test_zero_for_unknown(self):
         db = LazyXMLDatabase()
         db.insert("<a/>")
-        assert join_selectivity_hint(db, "a", "zz") == 0.0
+        assert join_selectivity(db, "a", "zz") == 0.0
 
     def test_disjoint_tags_lower_than_nested(self):
         db = LazyXMLDatabase()
         db.insert("<r><a><d/></a><b/><b/><b/></r>")
         db.insert("<d/>")  # top-level, joins nothing with b
-        nested = join_selectivity_hint(db, "a", "d")
-        disjoint = join_selectivity_hint(db, "b", "d")
+        nested = join_selectivity(db, "a", "d")
+        disjoint = join_selectivity(db, "b", "d")
         assert disjoint <= nested

@@ -1,4 +1,4 @@
-"""Tests for the baseline structural joins (Stack-Tree-Desc, merge join).
+"""Tests for Stack-Tree-Desc and the join oracles in ``tests/helpers.py``.
 
 The interval lists come from real parsed trees or from a random-tree
 generator, so they always have the tree-shaped no-partial-overlap property
@@ -15,12 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
-from repro.joins import (
-    merge_containment_join,
-    naive_containment_join,
-    stack_tree_desc,
-)
+from repro.joins import stack_tree_desc
 from repro.xml.parser import parse
+from tests.helpers import merge_containment_join, naive_containment_join
 
 
 class Interval(NamedTuple):
@@ -184,52 +181,3 @@ class TestEquivalenceProperties:
         desc = set(stack_tree_desc(by_tag["a"], by_tag["d"]))
         assert child <= desc
 
-
-class TestStackTreeAnc:
-    def test_output_sorted_by_ancestor(self):
-        from repro.joins import stack_tree_anc
-
-        text = "<a><d/><a><d/></a><d/></a>"
-        a = intervals_from_xml(text, "a")
-        d = intervals_from_xml(text, "d")
-        pairs = stack_tree_anc(a, d)
-        anc_starts = [p[0].start for p in pairs]
-        assert anc_starts == sorted(anc_starts)
-        # within one ancestor, descendants in document order
-        for i in range(1, len(pairs)):
-            if pairs[i - 1][0] == pairs[i][0]:
-                assert pairs[i - 1][1].start < pairs[i][1].start
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_naive(self, seed):
-        from repro.joins import stack_tree_anc
-
-        rnd = random.Random(300 + seed)
-        by_tag = random_tree_intervals(rnd, rnd.randint(2, 60))
-        for axis in ("descendant", "child"):
-            got = sorted(stack_tree_anc(by_tag["a"], by_tag["d"], axis=axis))
-            want = sorted(
-                naive_containment_join(by_tag["a"], by_tag["d"], axis=axis)
-            )
-            assert got == want
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_agrees_with_desc_variant(self, seed):
-        from repro.joins import stack_tree_anc
-
-        rnd = random.Random(400 + seed)
-        by_tag = random_tree_intervals(rnd, rnd.randint(2, 50))
-        anc = set(stack_tree_anc(by_tag["a"], by_tag["d"]))
-        desc = set(stack_tree_desc(by_tag["a"], by_tag["d"]))
-        assert anc == desc
-
-    def test_invalid_axis(self):
-        from repro.joins import stack_tree_anc
-
-        with pytest.raises(QueryError):
-            stack_tree_anc([], [], axis="uncle")
-
-    def test_empty_inputs(self):
-        from repro.joins import stack_tree_anc
-
-        assert stack_tree_anc([], []) == []

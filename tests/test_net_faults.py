@@ -38,7 +38,7 @@ from repro.net import frame as wire
 from repro.net.frame import encode_frame
 from repro.net.protocol import decode_payload, encode_payload
 from repro.net.server import NetServerConfig
-from repro.net.testing import FaultyClient, ServerHarness
+from tests.net_harness import FaultyClient, ServerHarness
 from tests.net_util import make_service, slowop_installed
 from tests.oracle import ReferenceDatabase
 

@@ -390,14 +390,14 @@ class TestGracefulDrain:
     def test_shutdown_command_triggers_drain(self):
         async def scenario(service, server, port):
             async with await connect("127.0.0.1", port) as client:
-                reply = await client.shutdown_server()
+                reply = await client.request("shutdown")
                 assert reply["draining"] is True
             for _ in range(300):
-                if server.draining:
+                if server.status()["draining"]:
                     break
                 await asyncio.sleep(0.01)
-            assert server.draining
-            assert service.draining
+            assert server.status()["draining"]
+            assert service.health()["status"] == "draining"
 
         run_server_test(scenario)
 

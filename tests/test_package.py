@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -101,6 +102,138 @@ def test_element_data_has_one_home():
             importers.append(path.relative_to(root).as_posix())
     assert not found, found
     assert importers == ["core/sbtree.py", "labeling/interval.py"]
+
+
+#: Library names only tests read, each with why it stays in ``src/``.
+READ_ONLY_BY_TESTS = {
+    "core.database.LazyXMLDatabase.oracle_join":
+        "oracle: the text-reparse join every join test compares against",
+    "xml.parser.is_well_formed":
+        "oracle: the well-formedness verdict the removal tests compare against",
+    "xml.model.XMLElement.contains":
+        "oracle: Def. 1 containment the chopper tests check nesting with",
+    "labeling.prime.PrimeLabeling.is_ancestor":
+        "oracle: the divisibility test that shows PRIME labels are right",
+    "replication.cluster.ReplicationCluster.restart":
+        "fault verb: the crash-restart drills bring a killed node back",
+    "replication.cluster.ReplicationCluster.heal":
+        "fault verb: the partition drills end a partition",
+    "replication.cluster.ReplicationCluster.heartbeat_all":
+        "recovery verb: the drills drive one heartbeat round",
+    "shard.executor.ProcessExecutor.respawn":
+        "recovery verb: the killed-worker drill restarts a worker",
+    "durability.hooks.set_failpoint":
+        "failpoint setter: the crash matrices arm a failpoint",
+    "durability.hooks.clear_failpoint":
+        "failpoint setter: the crash matrices disarm one failpoint",
+    "durability.hooks.clear_all_failpoints":
+        "failpoint setter: the fixtures disarm every failpoint",
+    "shard.database.ShardedDatabase.flush_caches":
+        "reset hook: drills drop the scatter cache to reach a dead worker",
+    "obs.metrics.MetricsRegistry.reset":
+        "reset hook: metric tests start from zeroed instruments",
+    "service.context.QueryContext.ticks":
+        "introspection: the budget tests count checkpoints",
+    "btree.bptree.BPlusTree.node_count":
+        "introspection: the B+-tree tests check splits and bulk loads",
+    "labeling.interval.IntervalLabelingIndex.all_records":
+        "introspection: the relabeling tests read every label",
+    "replication.channel.InProcessChannel.is_cut":
+        "introspection: the partition tests check a channel is cut",
+    "replication.node.ReplicaNode.seq_at":
+        "introspection: the drills check which seq an epoch holds",
+    "replication.node.RejoinReport.reported_seqs":
+        "introspection: the rejoin drills check the unreplicated seqs",
+    "workloads.generator.generate_fragment":
+        "test input generator: random well-formed fragments",
+}
+
+
+def _library_names(root: Path):
+    """``(name, path, first line, last line)`` of every top-level and
+    class-level ``def`` and ``class`` under ``src/repro`` (dunders are
+    called implicitly, so they have no reader to find)."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    package = root / "src" / "repro"
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).with_suffix("").as_posix()
+        module = module.replace("/", ".")
+        for node in ast.parse(path.read_text("utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for prefix, defn in [(module, node)] + [
+                (f"{module}.{node.name}", member) for member in members
+            ]:
+                if isinstance(defn, kinds) and not (
+                    defn.name.startswith("__") and defn.name.endswith("__")
+                ):
+                    yield (f"{prefix}.{defn.name}", path, defn.lineno,
+                           defn.end_lineno)
+
+
+def test_every_library_name_has_a_reader():
+    """Every ``def`` and ``class`` in ``src/repro`` is read by the library,
+    the benchmarks or the examples — or is in :data:`READ_ONLY_BY_TESTS`
+    with its reason.
+
+    A read is a loaded ``Name`` or ``Attribute`` under ``src/``,
+    ``benchmarks/`` or ``examples/`` outside the name's own body (an import
+    or an ``__all__`` entry re-exports, it does not read).  Names match by
+    spelling, so a method shares readers with every namesake: the check
+    finds what nothing can reach, not every dead path.
+    """
+    root = Path(__file__).resolve().parents[1]
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for folder in ("src", "benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.id, []).append((path, node.lineno))
+                elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = sorted(
+        name
+        for name, path, first, last in _library_names(root)
+        if not any(
+            where != path or not first <= line <= last
+            for where, line in reads.get(name.rsplit(".", 1)[1], ())
+        )
+    )
+    unlisted = sorted(set(unread) - set(READ_ONLY_BY_TESTS))
+    assert not unlisted, unlisted
+    stale = sorted(set(READ_ONLY_BY_TESTS) - set(unread))
+    assert not stale, f"read by the library now, or gone: {stale}"
+    assert len(READ_ONLY_BY_TESTS) <= 20
+
+
+def test_package_map_is_current():
+    """DESIGN.md §2's package map has one row per package under
+    ``src/repro``, and names only gated workloads (``BENCHMARK.json``),
+    figure ids (``FIGURES``) and test files that exist."""
+    from repro.bench.experiments import FIGURES
+
+    root = Path(__file__).resolve().parents[1]
+    design = (root / "DESIGN.md").read_text("utf-8")
+    section = design.split("### Package map", 1)[1].split("\n#", 1)[0]
+    rows = [
+        [re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    packages = sorted(
+        f"{path.parent.name}/"
+        for path in (root / "src" / "repro").glob("*/__init__.py")
+    )
+    assert sorted(row[0][0] for row in rows) == packages
+    workloads = {
+        entry["name"]
+        for entry in json.loads((root / "BENCHMARK.json").read_text())["workloads"]
+    }
+    for package, named_workloads, figures, tests in rows:
+        assert set(named_workloads) <= workloads, package
+        assert set(figures) <= set(FIGURES), package
+        assert tests and all((root / name).is_file() for name in tests), package
 
 
 def test_front_ends_own_no_verb():

@@ -108,7 +108,7 @@ class TestQueryContextUnit:
 class TestCancellationInQueries:
     """Deadline/budget enforcement inside the actual engines."""
 
-    @pytest.mark.parametrize("algorithm", ["lazy", "std", "merge"])
+    @pytest.mark.parametrize("algorithm", ["lazy", "std"])
     def test_expired_deadline_aborts_join(self, algorithm):
         db = populated_db()
         clock = FakeClock()

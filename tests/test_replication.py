@@ -267,7 +267,7 @@ class TestEpochPinnedReads:
             cluster.insert("<a/>")
             cluster.insert("<b/>", 0)
             follower = cluster.nodes[1]
-            with cluster.pin_follower(min_seq=2) as snap:
+            with follower.pin(min_seq=2) as snap:
                 assert snap.db.text == cluster.primary.durable.db.text
                 assert follower.seq_at(snap.epoch) == 2
 
@@ -277,10 +277,11 @@ class TestEpochPinnedReads:
             cluster.insert("<a/>")
             with pytest.raises(LaggingReplica):
                 cluster.nodes[1].pin(min_seq=1)
-            # pin_follower catches up from the primary first, so the same
-            # demand succeeds through the cluster API.
+            # Once the follower catches up from the primary, the same
+            # demand succeeds.
             cluster.heal(1)
-            with cluster.pin_follower(min_seq=1) as snap:
+            cluster.nodes[1].catch_up(cluster.primary)
+            with cluster.nodes[1].pin(min_seq=1) as snap:
                 assert snap.db.text == "<a/>"
 
 

@@ -1,25 +1,19 @@
 """Tests for the shared retry/backoff policy (``repro.service.retry``).
 
-One policy engine serves three retry sites (admission ``Busy``,
-replication ``ChannelCut``, network ``Overloaded``), so its contract is
-tested once, here: deterministic delays under an injected RNG, exact
-retry counts, typed-exception selectivity, and parity between the sync
-and async entry points.
+One policy engine serves both retry sites (admission ``Busy``,
+replication ``ChannelCut``), so its contract is tested once, here:
+deterministic delays under an injected RNG, exact retry counts and
+typed-exception selectivity.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 
 import pytest
 
 from repro.errors import Busy, ChannelCut, Overloaded, QueryError
-from repro.service.retry import (
-    BackoffPolicy,
-    retry_with_backoff,
-    retry_with_backoff_async,
-)
+from repro.service.retry import BackoffPolicy, retry_with_backoff
 
 
 def make_policy(**overrides):
@@ -143,57 +137,6 @@ class TestRetrySync:
         assert slept == expected
 
 
-class TestRetryAsync:
-    def test_async_parity_with_sync(self):
-        attempts = []
-
-        async def fn():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise Overloaded("shed")
-            return "ok"
-
-        slept = []
-
-        async def fake_sleep(delay):
-            slept.append(delay)
-
-        out = asyncio.run(retry_with_backoff_async(
-            fn, policy=make_policy(), retry_on=(Overloaded,),
-            sleep=fake_sleep,
-        ))
-        assert out == "ok"
-        assert len(attempts) == 3
-        assert len(slept) == 2
-
-    def test_async_exhaustion_reraises(self):
-        async def fn():
-            raise Overloaded("always")
-
-        async def fake_sleep(delay):
-            pass
-
-        with pytest.raises(Overloaded):
-            asyncio.run(retry_with_backoff_async(
-                fn, policy=make_policy(retries=2),
-                retry_on=(Overloaded,), sleep=fake_sleep,
-            ))
-
-    def test_async_default_sleep_is_asyncio(self):
-        """Without an injected sleep the loop really awaits asyncio.sleep
-        (tiny delays so the test stays fast)."""
-        attempts = []
-
-        async def fn():
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise Busy("later")
-            return "ok"
-
-        policy = make_policy(base_delay=0.0001, max_delay=0.0002)
-        assert asyncio.run(retry_with_backoff_async(fn, policy=policy)) == "ok"
-
-
 class TestSharedImportSites:
     def test_admission_reexports_for_compat(self):
         from repro.service.admission import (
@@ -203,11 +146,6 @@ class TestSharedImportSites:
 
         assert A_Policy is BackoffPolicy
         assert a_retry is retry_with_backoff
-
-    def test_service_package_exports_async_variant(self):
-        import repro.service as svc
-
-        assert svc.retry_with_backoff_async is retry_with_backoff_async
 
     def test_replication_uses_shared_policy(self):
         import repro.replication.node as node

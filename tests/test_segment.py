@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate, span_contains
+from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
+from repro.xml.model import XMLElement
 
 
 class TestRelate:
@@ -87,7 +88,18 @@ class TestRelate:
             )
 
 
+def span_contains(outer_gp, outer_len, inner_gp, inner_len) -> bool:
+    """Definition 1 containment of two spans, as the library decides it
+    (:meth:`~repro.xml.model.XMLElement.contains`)."""
+    outer = XMLElement("o", outer_gp, outer_gp + outer_len, 1)
+    inner = XMLElement("i", inner_gp, inner_gp + inner_len, 2)
+    return outer.contains(inner)
+
+
 class TestSpanContains:
+    """Strict on both sides, exactly as the paper defines containment; a
+    span never contains itself."""
+
     def test_strict_containment(self):
         assert span_contains(0, 10, 2, 5)
 

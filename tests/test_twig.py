@@ -59,6 +59,15 @@ def spans(db, records):
     return sorted(db.global_span(r) for r in records)
 
 
+def decisions_since(before: dict, after: dict) -> dict:
+    """Planner decisions per strategy between two recorder snapshots (the
+    recorder is process-wide, so a test counts its own by difference)."""
+    return {
+        key: count - before["counts"].get(key, 0)
+        for key, count in after["counts"].items()
+    }
+
+
 # ----------------------------------------------------------------------
 # pattern grammar
 
@@ -284,21 +293,20 @@ class TestPlanner:
 
     def test_recorder_counts_decisions(self):
         db = make_db()
-        PLAN_RECORDER.reset()
+        before = PLAN_RECORDER.snapshot()
         db.twig_query("r//a[b]")
         db.twig_query("r//nosuch[b]")
-        snap = PLAN_RECORDER.snapshot()
-        assert snap["counts"]["pruned"] == 1
-        assert sum(snap["counts"].values()) == 2
-        assert snap["recent"][-1]["surface"] == "twig"
+        counts = decisions_since(before, PLAN_RECORDER.snapshot())
+        assert counts["pruned"] == 1
+        assert sum(counts.values()) == 2
+        assert PLAN_RECORDER.snapshot()["recent"][-1]["surface"] == "twig"
 
     def test_path_surface_recorded_too(self):
         db = make_db()
-        PLAN_RECORDER.reset()
+        before = PLAN_RECORDER.snapshot()
         db.path_query("r//a")
-        snap = PLAN_RECORDER.snapshot()
-        assert snap["counts"]["pairwise"] == 1
-        assert snap["recent"][-1]["surface"] == "path"
+        assert decisions_since(before, PLAN_RECORDER.snapshot())["pairwise"] == 1
+        assert PLAN_RECORDER.snapshot()["recent"][-1]["surface"] == "path"
 
     def test_prune_compiles_zero_columns(self):
         """Acceptance: impossible twig answers [] off the synopsis alone."""
@@ -456,11 +464,10 @@ class TestServiceSurface:
 
     def test_stats_exposes_planner(self):
         with service_db() as svc:
-            PLAN_RECORDER.reset()
+            before = PLAN_RECORDER.snapshot()
             svc.twig("r//a[b]")
-            stats = svc.stats()
-            assert stats["planner"]["counts"]["twig"] + \
-                stats["planner"]["counts"]["pairwise"] == 1
+            counts = decisions_since(before, svc.stats()["planner"])
+            assert counts["twig"] + counts["pairwise"] == 1
 
     def test_protocol_verb(self):
         with service_db() as svc:

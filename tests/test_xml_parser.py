@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XMLSyntaxError
-from repro.xml.parser import element_records, is_well_formed, parse, parse_fragment
+from repro.xml.parser import is_well_formed, parse, parse_fragment
 from repro.xml.serializer import Node
 
 
@@ -31,7 +31,7 @@ class TestStructure:
         text = "<a><b>xy</b><c/></a>"
         doc = parse(text)
         for element in doc.elements:
-            fragment = element.text_of(text)
+            fragment = text[element.start : element.end]
             assert fragment.startswith(f"<{element.tag}")
             assert fragment.endswith(">")
         b = doc.root.children[0]
@@ -100,15 +100,22 @@ class TestWellFormedness:
 
 
 class TestElementRecords:
+    """The ``(tag, start, end, level)`` rows the element index stores for
+    a segment come straight out of the parsed elements."""
+
+    @staticmethod
+    def records(text):
+        return [(e.tag, e.start, e.end, e.level) for e in parse(text).elements]
+
     def test_records_shape(self):
-        records = element_records("<a><b/><c><d/></c></a>")
+        records = self.records("<a><b/><c><d/></c></a>")
         assert records[0] == ("a", 0, len("<a><b/><c><d/></c></a>"), 1)
         assert records[1] == ("b", 3, 7, 2)
         assert [r[3] for r in records] == [1, 2, 2, 3]
 
     def test_records_with_attributes_and_text(self):
         text = '<r a="1"><x>hi</x></r>'
-        records = element_records(text)
+        records = self.records(text)
         assert records[1][0] == "x"
         assert text[records[1][1] : records[1][2]] == "<x>hi</x>"
 
@@ -137,32 +144,8 @@ class TestModelNavigation:
     def test_length(self, doc):
         assert doc.root.length == len(doc.text)
 
-    def test_elements_by_tag(self):
-        doc = parse("<a><b/><b/><c/></a>")
-        by_tag = doc.elements_by_tag()
-        assert len(by_tag["b"]) == 2
-        assert len(by_tag["a"]) == 1
-
     def test_tags(self):
         assert parse("<a><b/><b/></a>").tags() == {"a", "b"}
-
-    def test_find_innermost_basic(self, doc):
-        b = doc.elements[1]
-        inner = doc.find_innermost(b.start + 4)
-        assert inner.tag in ("b", "c")
-
-    def test_find_innermost_outside_root(self):
-        doc = parse("  <a/> ")
-        assert doc.find_innermost(0) is None
-        assert doc.find_innermost(len(doc.text)) is None
-
-    def test_find_innermost_at_root_edges(self):
-        doc = parse("<a><b/></a>")
-        # Offset 0 is the root's '<': not strictly inside.
-        assert doc.find_innermost(0) is None
-        assert doc.find_innermost(1).tag == "a"
-        b = doc.elements[1]
-        assert doc.find_innermost(b.start + 1).tag == "b"
 
     def test_document_iter_and_len(self, doc):
         assert len(list(iter(doc))) == len(doc) == 5
