@@ -90,6 +90,27 @@ _POSITIONALS = {
 }
 
 
+def _bounded(kind, *, zero_ok: bool):
+    """An argparse ``type=`` for a count or a duration: a ``kind`` value
+    that is positive, or non-negative when ``zero_ok``."""
+    least = "non-negative" if zero_ok else "positive"
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 or (zero_ok and value == 0)):
+            raise argparse.ArgumentTypeError(f"must be {least}, got {text}")
+        return value
+
+    parse.__name__ = f"{least} {kind.__name__}"
+    return parse
+
+
+_POSITIVE = _bounded(int, zero_ok=False)
+_COUNT = _bounded(int, zero_ok=True)
+_SECONDS = _bounded(float, zero_ok=False)
+_SECONDS_OR_ZERO = _bounded(float, zero_ok=True)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors (unknown subcommand, bad flag) exit 2 with ONE line —
     a scriptable contract, not a usage dump."""
@@ -116,11 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("load", help="build a database from an XML file")
     cmd.add_argument("xml_file", type=Path)
     cmd.add_argument("--db", type=Path, default=None, help="snapshot to write")
-    cmd.add_argument("--segments", type=int, default=1)
+    cmd.add_argument("--segments", type=_POSITIVE, default=1)
     cmd.add_argument("--shape", choices=["balanced", "nested"], default="balanced")
-    cmd.add_argument("--mode", choices=["dynamic", "static"], default="dynamic")
     cmd.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_POSITIVE, default=1,
         help="partition into N shards (requires --durable; creates "
         "per-shard WALs and a coordinated checkpoint manifest)",
     )
@@ -192,30 +212,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument("db", nargs="?", default=None)
     cmd.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_SECONDS, default=None,
         help="default per-query deadline in seconds",
     )
     cmd.add_argument(
-        "--max-rows", type=int, default=None,
+        "--max-rows", type=_COUNT, default=None,
         help="default per-query result-row budget",
     )
-    cmd.add_argument("--readers", type=int, default=16,
+    cmd.add_argument("--readers", type=_POSITIVE, default=16,
                      help="concurrent read limit")
     cmd.add_argument(
-        "--maintenance-interval", type=float, default=0.0,
+        "--maintenance-interval", type=_SECONDS_OR_ZERO, default=0.0,
         help="seconds between background pressure checks (0 = only "
         "piggybacked on writes)",
     )
     cmd.add_argument(
-        "--max-segments", type=int, default=256,
+        "--max-segments", type=_POSITIVE, default=256,
         help="pressure bound: segment count",
     )
     cmd.add_argument(
-        "--max-depth", type=int, default=12,
+        "--max-depth", type=_POSITIVE, default=12,
         help="pressure bound: ER-tree depth",
     )
     cmd.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_POSITIVE, default=None,
         help="partition a snapshot into N shards at startup (a sharded "
         "durable directory is detected from its manifest instead)",
     )
@@ -225,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default) or in-process on the coordinator",
     )
     cmd.add_argument(
-        "--replicas", type=int, default=0,
+        "--replicas", type=_COUNT, default=0,
         help="replicate every committed record to N follower directories "
         "under <durable>/replicas/ (requires an unsharded --durable DIR)",
     )
@@ -236,12 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
         "a 'shutdown' request drains gracefully)",
     )
     cmd.add_argument(
-        "--max-conns", type=int, default=128,
+        "--max-conns", type=_POSITIVE, default=128,
         help="TCP: concurrent connection limit (excess connects are shed "
         "with a typed Overloaded)",
     )
     cmd.add_argument(
-        "--drain-grace", type=float, default=5.0,
+        "--drain-grace", type=_SECONDS_OR_ZERO, default=5.0,
         help="TCP: seconds to let in-flight requests finish during a "
         "graceful drain before cancelling them",
     )
@@ -310,15 +330,11 @@ def _open(args: argparse.Namespace):
             sdd = ShardedDurableDatabase(
                 directory, executor=getattr(args, "executor", "inprocess")
             )
-            sdd.prepare_for_query()
             return sdd, lambda: None
-        dd = DurableDatabase(directory)
-        dd.prepare_for_query()
-        return dd, lambda: None
+        return DurableDatabase(directory), lambda: None
     _require(args, "db")
     path = Path(args.db)
     db = load(path)
-    db.prepare_for_query()
     return db, lambda: save(db, path)
 
 
@@ -439,7 +455,6 @@ def _stats_payload(args: argparse.Namespace, db) -> dict:
 
     if isinstance(db, ShardedDatabase):
         totals = {
-            "mode": db.mode,
             "documents": len(db.docmap),
             "characters": db.document_length,
             "segments": db.segment_count,
@@ -457,14 +472,13 @@ def _stats_payload(args: argparse.Namespace, db) -> dict:
         if db.n_shards == 1:
             # Compatibility fallback: the unsharded flat keys still parse.
             for key in (
-                "mode", "characters", "segments", "elements", "tags",
+                "characters", "segments", "elements", "tags",
                 "sbtree_bytes", "taglist_bytes",
             ):
                 payload[key] = totals[key]
         return payload
     log_stats = db.stats()
     payload = {
-        "mode": db.mode,
         "characters": db.document_length,
         "segments": db.segment_count,
         "elements": db.element_count,
@@ -496,7 +510,6 @@ def _cmd_stats(args: argparse.Namespace, db) -> int:
     if isinstance(db, ShardedDatabase):
         payload = _stats_payload(args, db)
         totals = payload["totals"]
-        print(f"mode:       {totals['mode']}")
         print(f"shards:     {db.n_shards}")
         print(f"documents:  {totals['documents']}")
         print(f"characters: {totals['characters']}")
@@ -515,7 +528,6 @@ def _cmd_stats(args: argparse.Namespace, db) -> int:
                 f"{entry['elements']} element(s)"
             )
         return 0
-    print(f"mode:       {db.mode}")
     print(f"characters: {db.document_length}")
     print(f"segments:   {db.segment_count}")
     print(f"elements:   {db.element_count}")
@@ -549,27 +561,23 @@ def _cmd_serve(args: argparse.Namespace, db, persist) -> int:
     from repro.service.shell import ServiceShell
     from repro.shard.database import ShardedDatabase
 
-    if args.shards is not None and args.shards > 1:
-        if isinstance(db, ShardedDatabase):
-            if db.n_shards != args.shards:
-                raise ReproError(
-                    f"--shards {args.shards} conflicts with the sharded "
-                    f"directory's manifest ({db.n_shards} shards)"
-                )
-        else:
-            # Partition the snapshot at startup; writes stay in memory
-            # (persist() rewrites nothing for the sharded copy).
-            db = ShardedDatabase.from_database(
-                db, args.shards, executor=args.executor
+    if isinstance(db, ShardedDatabase):
+        if args.shards is not None and db.n_shards != args.shards:
+            db.close()
+            raise ReproError(
+                f"--shards {args.shards} conflicts with the sharded "
+                f"directory's manifest ({db.n_shards} shards)"
             )
-            persist = lambda: None  # noqa: E731 - deliberate shadowing
+    elif args.shards is not None and args.shards > 1:
+        # Partition the snapshot at startup; writes stay in memory
+        # (persist() rewrites nothing for the sharded copy).
+        db = ShardedDatabase.from_database(db, args.shards, executor=args.executor)
+        persist = lambda: None  # noqa: E731 - deliberate shadowing
 
     replication = None
     if args.replicas:
         from repro.replication import ReplicationCluster
 
-        if args.replicas < 1:
-            raise ReproError("serve --replicas needs a positive count")
         if not args.durable:
             raise ReproError("serve --replicas requires --durable DIR")
         if isinstance(db, ShardedDatabase):
@@ -695,9 +703,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         if args.shards > 1:
             from repro.shard.durable import ShardedDurableDatabase
 
-            db = ShardedDurableDatabase(
-                directory, args.shards, mode=args.mode
-            )
+            db = ShardedDurableDatabase(directory, args.shards)
             _load_into(db, text, args)
             db.checkpoint()
             db.close()
@@ -707,14 +713,14 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 f"segment(s); {where}"
             )
             return 0
-        db = DurableDatabase(directory, mode=args.mode)
+        db = DurableDatabase(directory)
         _load_into(db, text, args)
         db.checkpoint()
         where = f"durable dir: {directory}"
     else:
         if args.db is None:
             raise ReproError("load requires --db SNAPSHOT (or --durable DIR)")
-        db = LazyXMLDatabase(mode=args.mode)
+        db = LazyXMLDatabase()
         _load_into(db, text, args)
         save(db, args.db)
         where = f"snapshot: {args.db}"
@@ -766,7 +772,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
         else:
             db = load(target)
             detail = f"snapshot, {db.segment_count} segment(s)"
-        db.prepare_for_query()
         db.check_invariants()
     except (ReproError, AssertionError, OSError) as exc:
         print(f"fsck: {target}: CORRUPT", file=sys.stderr)

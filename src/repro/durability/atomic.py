@@ -18,11 +18,11 @@ from repro.durability import hooks
 __all__ = ["atomic_write_text", "fsync_directory"]
 
 
-def atomic_write_text(path: str | Path, data: str, *, encoding: str = "utf-8") -> None:
-    """Atomically replace ``path`` with ``data``."""
+def atomic_write_text(path: str | Path, data: str) -> None:
+    """Atomically replace ``path`` with ``data`` (UTF-8)."""
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    payload = data.encode(encoding)
+    payload = data.encode("utf-8")
     hooks.fire("atomic.before_tmp_write")
     fd = os.open(str(tmp), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:

@@ -31,7 +31,6 @@ forwarding; only the five structural ops are intercepted.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
 
 from repro.durability import hooks
 from repro.durability.atomic import fsync_directory
@@ -57,34 +56,24 @@ class DurableDatabase:
     directory:
         Holds ``checkpoint.json`` and ``journal.wal``.  Created (with
         parents) when missing; an existing directory is opened through
-        crash recovery.
-    mode, keep_text:
-        Forwarded to the fresh database when the directory is empty; an
-        existing checkpoint carries its own settings.
-    checkpoint_every:
-        Optional op count after which a checkpoint is taken automatically.
+        crash recovery, which always yields a query-ready LD database.
+        A checkpoint is taken when :meth:`checkpoint` is called, never
+        behind the caller's back.
     """
 
     def __init__(
         self,
         directory: str | Path,
         *,
-        mode: str = "dynamic",
-        keep_text: bool = True,
-        checkpoint_every: int | None = None,
         checkpoint_name: str = CHECKPOINT_NAME,
         sid_start: int = 1,
         sid_stride: int = 1,
     ):
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be a positive op count")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._checkpoint_name = checkpoint_name
         self.db, self.recovery_report = recover(
             self.directory,
-            mode=mode,
-            keep_text=keep_text,
             checkpoint_name=checkpoint_name,
             sid_start=sid_start,
             sid_stride=sid_stride,
@@ -105,8 +94,6 @@ class DurableDatabase:
         )
         if not journal_existed:
             fsync_directory(self.directory)
-        self._checkpoint_every = checkpoint_every
-        self._ops_since_checkpoint = 0
         self._poisoned: str | None = None
         self._deferred: list[dict] | None = None
 
@@ -114,9 +101,9 @@ class DurableDatabase:
     # lifecycle
 
     @classmethod
-    def open(cls, directory: str | Path, **kwargs: Any) -> "DurableDatabase":
+    def open(cls, directory: str | Path) -> "DurableDatabase":
         """Open (or create) a durable directory; alias of the constructor."""
-        return cls(directory, **kwargs)
+        return cls(directory)
 
     def close(self) -> None:
         """Release the journal file descriptor (no implicit checkpoint)."""
@@ -188,14 +175,7 @@ class DurableDatabase:
             self._poisoned = f"append of seq {seq} failed: {exc}"
             raise
         self._last_seq = seq
-        result = apply_op(self.db, op)
-        self._ops_since_checkpoint += 1
-        if (
-            self._checkpoint_every is not None
-            and self._ops_since_checkpoint >= self._checkpoint_every
-        ):
-            self.checkpoint()
-        return result
+        return apply_op(self.db, op)
 
     def checkpoint(self) -> None:
         """Fold the journal into an atomic snapshot, then truncate it."""
@@ -205,7 +185,6 @@ class DurableDatabase:
         self._checkpoint_seq = self._last_seq
         self._journal.truncate()
         hooks.fire("checkpoint.after_truncate")
-        self._ops_since_checkpoint = 0
 
     def export_checkpoint(self, name: str) -> int:
         """Phase 1 of a coordinated checkpoint: write a snapshot under
@@ -225,7 +204,6 @@ class DurableDatabase:
         self._checkpoint_seq = self._last_seq
         self._journal.truncate()
         hooks.fire("checkpoint.after_truncate")
-        self._ops_since_checkpoint = 0
 
     # ------------------------------------------------------------------
     # journaled structural operations
@@ -276,7 +254,7 @@ class DurableDatabase:
         partially committed batch.  Sub-ops apply in order through the
         recovery dispatcher; one whose preconditions fail mid-batch is
         skipped (``None`` in the returned result list), identically live
-        and in replay.  Counts as one op toward ``checkpoint_every``.
+        and in replay.
         """
         return self._commit(
             {"op": "batch", "ops": [dict(sub) for sub in ops]}
@@ -340,12 +318,6 @@ class DurableDatabase:
             self._poisoned = f"append of seq {seq} failed: {exc}"
             raise
         self._last_seq = seq
-        self._ops_since_checkpoint += 1
-        if (
-            self._checkpoint_every is not None
-            and self._ops_since_checkpoint >= self._checkpoint_every
-        ):
-            self.checkpoint()
 
     # ------------------------------------------------------------------
     # read-side delegation

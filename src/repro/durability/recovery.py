@@ -273,18 +273,17 @@ def apply_op(db: LazyXMLDatabase, op: dict):
 def recover(
     directory: str | Path,
     *,
-    mode: str = "dynamic",
-    keep_text: bool = True,
     checkpoint_name: str = CHECKPOINT_NAME,
     sid_start: int = 1,
     sid_stride: int = 1,
 ) -> tuple[LazyXMLDatabase, RecoveryReport]:
     """Reconstruct the database stored in ``directory``.
 
-    ``mode`` and ``keep_text`` configure the fresh database when no
-    checkpoint exists yet; an existing checkpoint carries its own settings
-    (including the sid namespace, which ``sid_start``/``sid_stride`` seed
-    for fresh shard databases).  ``checkpoint_name`` lets the sharded
+    The result is a query-ready LD database: the checkpoint's
+    (:func:`repro.storage.loads` builds LD whatever mode it names), or a
+    fresh one with the text mirror when there is none yet.  An existing
+    checkpoint carries its own sid namespace; ``sid_start``/``sid_stride``
+    seed it for fresh shard databases.  ``checkpoint_name`` lets the sharded
     coordinated-checkpoint layer use epoch-named checkpoint files.
     Raises :class:`RecoveryError` (via :class:`CheckpointError`) when the
     checkpoint itself is corrupt — losing the base state is not a condition
@@ -299,12 +298,7 @@ def recover(
         report.checkpoint_seq = last_seq
         report.last_seq = last_seq
     else:
-        db = LazyXMLDatabase(
-            mode=mode,
-            keep_text=keep_text,
-            sid_start=sid_start,
-            sid_stride=sid_stride,
-        )
+        db = LazyXMLDatabase(sid_start=sid_start, sid_stride=sid_stride)
     scan: JournalScan = read_journal(directory / JOURNAL_NAME)
     report.torn_tail = scan.torn_tail
     report.journal_valid_bytes = scan.valid_bytes

@@ -35,6 +35,9 @@ from repro.net.protocol import (
 
 __all__ = ["NetClient", "connect"]
 
+#: Seconds the TCP connect and the HELLO/WELCOME handshake may each take.
+_CONNECT_TIMEOUT = 5.0
+
 
 class NetClient:
     """One pipelined connection to a :class:`~repro.net.server.TcpServer`.
@@ -50,20 +53,9 @@ class NetClient:
     pipelining).
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        max_frame_bytes: int = wire.MAX_FRAME_BYTES,
-        connect_timeout: float = 5.0,
-        client_name: str = "repro-net-client",
-    ):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
-        self.connect_timeout = connect_timeout
-        self.client_name = client_name
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -86,7 +78,7 @@ class NetClient:
         try:
             self._reader, self._writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port),
-                self.connect_timeout,
+                _CONNECT_TIMEOUT,
             )
         except asyncio.TimeoutError:
             raise ConnectionLost(
@@ -96,19 +88,18 @@ class NetClient:
             raise ConnectionLost(
                 f"connect to {self.host}:{self.port} failed: {exc}"
             ) from None
-        self._decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
+        self._decoder = FrameDecoder()
         self._conn_error = None
         hello_id = next(self._ids)
         self._writer.write(encode_frame(
             wire.T_HELLO, hello_id,
             encode_payload({
-                "version": wire.WIRE_VERSION, "client": self.client_name,
+                "version": wire.WIRE_VERSION, "client": "repro-net-client",
             }),
-            max_frame_bytes=self.max_frame_bytes,
         ))
         await self._writer.drain()
         welcome = await asyncio.wait_for(
-            self._read_one_frame(), self.connect_timeout
+            self._read_one_frame(), _CONNECT_TIMEOUT
         )
         if welcome.type == wire.T_ERROR:
             payload = decode_payload(welcome.payload)
@@ -157,10 +148,9 @@ class NetClient:
         if goodbye and self._conn_error is None:
             try:
                 async with self._write_lock:
-                    writer.write(encode_frame(
-                        wire.T_GOODBYE, next(self._ids), b"",
-                        max_frame_bytes=self.max_frame_bytes,
-                    ))
+                    writer.write(
+                        encode_frame(wire.T_GOODBYE, next(self._ids), b"")
+                    )
                     await writer.drain()
                 # The server answers GOODBYE after in-flight work lands;
                 # the reader task consumes it and exits on EOF.
@@ -220,10 +210,7 @@ class NetClient:
             raise self._conn_error
         request_id = next(self._ids)
         payload = {"cmd": cmd, **args}
-        data = encode_frame(
-            wire.T_REQUEST, request_id, encode_payload(payload),
-            max_frame_bytes=self.max_frame_bytes,
-        )
+        data = encode_frame(wire.T_REQUEST, request_id, encode_payload(payload))
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
@@ -341,6 +328,6 @@ class NetClient:
                 future.set_exception(exc)
 
 
-async def connect(host: str, port: int, **kwargs) -> NetClient:
+async def connect(host: str, port: int) -> NetClient:
     """Dial a server and return a connected :class:`NetClient`."""
-    return await NetClient(host, port, **kwargs).connect()
+    return await NetClient(host, port).connect()

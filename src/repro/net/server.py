@@ -704,9 +704,7 @@ class TcpServer:
     # ------------------------------------------------------------------
     # writes & teardown
 
-    async def _drain_writer(
-        self, conn: _Connection, timeout: float | None = None
-    ) -> bool:
+    async def _drain_writer(self, conn: _Connection) -> bool:
         """Wait (bounded) for the connection's write buffer to drain.
 
         A client that stops reading must not park the waiter forever —
@@ -717,9 +715,8 @@ class TcpServer:
         dead and aborted (no lingering FIN handshake against a full
         buffer); returns ``False`` so the caller stops using it.
         """
-        timeout = self.config.write_timeout if timeout is None else timeout
         try:
-            await asyncio.wait_for(conn.writer.drain(), timeout)
+            await asyncio.wait_for(conn.writer.drain(), self.config.write_timeout)
             return True
         except asyncio.TimeoutError:
             self._counters["timeouts"] += 1

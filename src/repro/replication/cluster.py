@@ -91,9 +91,6 @@ class ReplicationCluster:
         root: str | Path,
         n_followers: int = 2,
         *,
-        mode: str = "dynamic",
-        keep_text: bool = True,
-        checkpoint_every: int | None = None,
         primary_dir: str | Path | None = None,
         heartbeat_policy: BackoffPolicy | None = None,
         sleep=time.sleep,
@@ -129,9 +126,6 @@ class ReplicationCluster:
                 node_id,
                 role=role,
                 term=term,
-                mode=mode,
-                keep_text=keep_text,
-                checkpoint_every=checkpoint_every,
             )
         primaries = [
             n for n in self.nodes.values() if n.role == "primary" and not n.fenced
@@ -435,7 +429,7 @@ class ReplicationCluster:
 
     def checkpoint(self) -> None:
         """Checkpoint the primary (followers fold their own journals on
-        resync or via their ``checkpoint_every``)."""
+        resync)."""
         self.primary.durable.checkpoint()
 
     def close(self) -> None:

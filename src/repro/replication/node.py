@@ -139,9 +139,6 @@ class ReplicaNode:
         *,
         role: str = "follower",
         term: int = 0,
-        mode: str = "dynamic",
-        keep_text: bool = True,
-        checkpoint_every: int | None = None,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -155,15 +152,7 @@ class ReplicaNode:
         self.role: str = manifest["role"]
         self.replicated_seq: int = manifest["replicated_seq"]
         self._fenced = False
-        self._mode = mode
-        self._keep_text = keep_text
-        self._checkpoint_every = checkpoint_every
-        self.durable = DurableDatabase(
-            self.directory,
-            mode=mode,
-            keep_text=keep_text,
-            checkpoint_every=checkpoint_every,
-        )
+        self.durable = DurableDatabase(self.directory)
         self._tail_offset = 0
         self._tail_ckpt_seq: int | None = None
         self.heartbeats = 0
@@ -422,12 +411,7 @@ class ReplicaNode:
         else:
             # The primary has no checkpoint: start over from scratch.
             (self.directory / "checkpoint.json").unlink(missing_ok=True)
-        self.durable = DurableDatabase(
-            self.directory,
-            mode=self._mode,
-            keep_text=self._keep_text,
-            checkpoint_every=self._checkpoint_every,
-        )
+        self.durable = DurableDatabase(self.directory)
         self.durable.checkpoint()
         self._tail_offset = 0
         self._tail_ckpt_seq = None

@@ -90,10 +90,10 @@ class _ClassState:
 class AdmissionController:
     """Bounded per-class admission with immediate ``Busy`` load shedding.
 
-    ``admit(cls)`` admits when the class has a free slot; otherwise it
-    waits up to ``wait_timeout`` *if* the class's wait queue has room, and
-    rejects with :class:`~repro.errors.Busy` when the queue is full or the
-    wait times out.  ``wait_timeout=0`` makes rejection immediate.
+    ``admit(cls, wait)`` admits when the class has a free slot; otherwise
+    it waits up to ``wait`` seconds *if* the class's wait queue has room,
+    and rejects with :class:`~repro.errors.Busy` when the queue is full or
+    the wait times out.  ``wait=0`` makes rejection immediate.
     """
 
     def __init__(
@@ -115,7 +115,7 @@ class AdmissionController:
         }
         self._closed = False
 
-    def admit(self, request_class: str, *, wait_timeout: float = 0.0) -> Ticket:
+    def admit(self, request_class: str, wait: float) -> Ticket:
         """Admit a request of ``request_class`` or raise ``Busy``."""
         state = self._state(request_class)
         with self._lock:
@@ -123,7 +123,7 @@ class AdmissionController:
                 raise ServiceClosed("admission controller is closed")
             if state.active < state.limit:
                 return self._admit_locked(state, request_class)
-            if wait_timeout <= 0 or state.waiting >= state.queue_depth:
+            if wait <= 0 or state.waiting >= state.queue_depth:
                 state.rejected += 1
                 if METRICS.enabled:
                     _M_REJECTED.inc()
@@ -133,7 +133,7 @@ class AdmissionController:
                     f"{state.waiting} waiting); retry with backoff"
                 )
             state.waiting += 1
-            deadline = time.monotonic() + wait_timeout
+            deadline = time.monotonic() + wait
             try:
                 while state.active >= state.limit:
                     remaining = deadline - time.monotonic()
@@ -141,16 +141,16 @@ class AdmissionController:
                         state.rejected += 1
                         if METRICS.enabled:
                             _M_REJECTED.inc()
-                            _H_WAIT.observe(wait_timeout)
+                            _H_WAIT.observe(wait)
                         raise Busy(
                             f"{request_class} queue wait exceeded "
-                            f"{wait_timeout:.3f}s; retry with backoff"
+                            f"{wait:.3f}s; retry with backoff"
                         )
                     self._freed.wait(remaining)
             finally:
                 state.waiting -= 1
             if METRICS.enabled:
-                _H_WAIT.observe(wait_timeout - (deadline - time.monotonic()))
+                _H_WAIT.observe(wait - (deadline - time.monotonic()))
             return self._admit_locked(state, request_class)
 
     def _admit_locked(self, state: _ClassState, request_class: str) -> Ticket:

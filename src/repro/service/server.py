@@ -101,7 +101,7 @@ class ServiceConfig:
     #: Wait-queue depth per class (over the concurrency limit).
     read_queue_depth: int = 32
     write_queue_depth: int = 8
-    #: Default seconds a request may wait for admission before ``Busy``.
+    #: Seconds a request may wait for admission before ``Busy``.
     admission_wait: float = 0.05
     #: Default per-query deadline (seconds); ``None`` = no deadline.
     default_timeout: float | None = None
@@ -191,7 +191,6 @@ class DatabaseService:
             self._base: LazyXMLDatabase = getattr(primary, "db", primary)
             self._durable = self._base is not primary
         self._clock = clock
-        self._base.prepare_for_query()
         # Sharded primaries skip the epoch store: reads fan out to worker
         # replicas kept current by lazy op forwarding, so there is no
         # single replica to publish epochs over.
@@ -271,7 +270,7 @@ class DatabaseService:
     # ------------------------------------------------------------------
     # reads
 
-    def read(self, fn, *, context=None, wait_timeout=None, snapshot=None):
+    def read(self, fn, *, context=None, snapshot=None):
         """Run ``fn(db, context)`` against a pinned snapshot.
 
         The one read entry point: admission-controlled, snapshot-
@@ -282,8 +281,7 @@ class DatabaseService:
         repeatable-read epoch); omitted, the read pins the current one.
         """
         self._ensure_open()
-        wait = self.config.admission_wait if wait_timeout is None else wait_timeout
-        with self._admission.admit("read", wait_timeout=wait):
+        with self._admission.admit("read", self.config.admission_wait):
             ctx = context if context is not None else self.make_context()
             if snapshot is not None:
                 return self._run_read(fn, snapshot.db, ctx)
@@ -302,49 +300,26 @@ class DatabaseService:
         self._count("queries")
         return result
 
-    def query(self, expression: str, *, bindings: bool = False, context=None,
-              wait_timeout=None):
+    def query(self, expression: str):
         """Snapshot-isolated :meth:`LazyXMLDatabase.path_query`."""
-        return self.read(
-            lambda db, ctx: db.path_query(expression, bindings=bindings, context=ctx),
-            context=context,
-            wait_timeout=wait_timeout,
-        )
+        return self.read(lambda db, ctx: db.path_query(expression, context=ctx))
 
-    def twig(self, expression: str, *, bindings: bool = False,
-             strategy: str = "auto", context=None, wait_timeout=None):
+    def twig(self, expression: str):
         """Snapshot-isolated :meth:`LazyXMLDatabase.twig_query`."""
-        return self.read(
-            lambda db, ctx: db.twig_query(
-                expression, bindings=bindings, strategy=strategy, context=ctx
-            ),
-            context=context,
-            wait_timeout=wait_timeout,
-        )
+        return self.read(lambda db, ctx: db.twig_query(expression, context=ctx))
 
-    def join(
-        self,
-        tag_a: str,
-        tag_d: str,
-        axis: str = AXIS_DESCENDANT,
-        *,
-        algorithm: str = "lazy",
-        context=None,
-        wait_timeout=None,
-    ):
+    def join(self, tag_a: str, tag_d: str, axis: str = AXIS_DESCENDANT, *,
+             context=None):
         """Snapshot-isolated :meth:`LazyXMLDatabase.structural_join`."""
         return self.read(
-            lambda db, ctx: db.structural_join(
-                tag_a, tag_d, axis, algorithm=algorithm, context=ctx
-            ),
+            lambda db, ctx: db.structural_join(tag_a, tag_d, axis, context=ctx),
             context=context,
-            wait_timeout=wait_timeout,
         )
 
     # ------------------------------------------------------------------
     # writes (single writer)
 
-    def apply(self, op: dict, *, wait_timeout=None):
+    def apply(self, op: dict):
         """Commit one journal-dialect op record; returns the op's result.
 
         The one write entry (the methods below are this call with the
@@ -354,38 +329,33 @@ class DatabaseService:
         """
         kind = op["op"]
         if kind in ("repack", "compact"):
-            return self._maintenance_op(op, wait_timeout=wait_timeout)
+            return self._maintenance_op(op)
         if kind == "insert" and op.get("position") is None:
             op = {**op, "position": self._base.document_length}
-        return self._write(op, wait_timeout=wait_timeout)
+        return self._write(op)
 
     def insert(self, fragment: str, position: int | None = None, *,
-               validate: str = "fragment", wait_timeout=None):
+               validate: str = "fragment"):
         op = {"op": "insert", "fragment": fragment, "position": position}
         if validate != "fragment":
             op["validate"] = validate
-        return self.apply(op, wait_timeout=wait_timeout)
+        return self.apply(op)
 
-    def remove(self, position: int, length: int, *, wait_timeout=None):
-        return self.apply(
-            {"op": "remove", "position": position, "length": length},
-            wait_timeout=wait_timeout,
-        )
+    def remove(self, position: int, length: int):
+        return self.apply({"op": "remove", "position": position, "length": length})
 
-    def remove_segment(self, sid: int, *, wait_timeout=None):
-        return self.apply({"op": "remove_segment", "sid": sid},
-                          wait_timeout=wait_timeout)
+    def remove_segment(self, sid: int):
+        return self.apply({"op": "remove_segment", "sid": sid})
 
-    def repack(self, sid: int, *, wait_timeout=None):
+    def repack(self, sid: int):
         """Operator-requested repack (maintenance class, breaker-guarded)."""
-        return self.apply({"op": "repack", "sid": sid},
-                          wait_timeout=wait_timeout)
+        return self.apply({"op": "repack", "sid": sid})
 
-    def compact(self, *, wait_timeout=None):
+    def compact(self):
         """Operator-requested compact (maintenance class, breaker-guarded)."""
-        return self.apply({"op": "compact"}, wait_timeout=wait_timeout)
+        return self.apply({"op": "compact"})
 
-    def apply_batch(self, ops: list[dict], *, wait_timeout=None):
+    def apply_batch(self, ops: list[dict]):
         """Apply several structural ops as **one** write; per-op results.
 
         The batch is one admission ticket, one primary commit (durable
@@ -395,12 +365,9 @@ class DatabaseService:
         dialect; one whose preconditions fail mid-batch yields ``None``
         in its result slot.
         """
-        return self.apply(
-            {"op": "batch", "ops": [dict(sub) for sub in ops]},
-            wait_timeout=wait_timeout,
-        )
+        return self.apply({"op": "batch", "ops": [dict(sub) for sub in ops]})
 
-    def _write(self, op: dict, *, wait_timeout=None, request_class: str = "write"):
+    def _write(self, op: dict, request_class: str = "write"):
         self._ensure_open()
         if (
             request_class == "write"
@@ -412,8 +379,7 @@ class DatabaseService:
                 "service is degraded (pressure critical, maintenance "
                 "circuit open); writes are shed until the log drains"
             )
-        wait = self.config.admission_wait if wait_timeout is None else wait_timeout
-        with self._admission.admit(request_class, wait_timeout=wait):
+        with self._admission.admit(request_class, self.config.admission_wait):
             with self._writer_lock:
                 result = self._apply_primary(op)
                 self._publish([op])
@@ -494,7 +460,6 @@ class DatabaseService:
             node = self._replication.promote(node_id)
             self.primary = node.durable
             self._base = node.durable.db
-            self._base.prepare_for_query()
             old = self._epochs
             self._epochs = EpochManager(
                 self._base, drain_timeout=self.config.drain_timeout
@@ -595,11 +560,9 @@ class DatabaseService:
         self._last_pressure = self.check_pressure()
         return self._last_pressure
 
-    def _maintenance_op(self, op: dict, *, wait_timeout=None):
+    def _maintenance_op(self, op: dict):
         def attempt():
-            return self._write(
-                op, wait_timeout=wait_timeout, request_class="maintenance"
-            )
+            return self._write(op, "maintenance")
 
         self._count("maintenance_runs")
         try:
@@ -663,7 +626,6 @@ class DatabaseService:
         epochs = self._epochs.metrics() if self._epochs is not None else None
         payload = {
             "status": status,
-            "mode": self._base.mode,
             "durable": self._durable,
             "segments": self._base.segment_count,
             "elements": self._base.element_count,

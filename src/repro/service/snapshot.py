@@ -66,6 +66,15 @@ _M_CLONE_FALLBACKS = METRICS.counter(
 )
 
 
+def _replica(db: LazyXMLDatabase) -> LazyXMLDatabase:
+    """A clone of ``db`` to replay onto.  Replicas replay ops the observed
+    primary already counted; mutation-path metrics must not see them
+    twice."""
+    replica = storage.clone(db)
+    replica.set_observed(False)
+    return replica
+
+
 class _Buffer:
     """One read replica: a database plus epoch/pin bookkeeping."""
 
@@ -121,19 +130,12 @@ class EpochManager:
     drain_timeout:
         Seconds :meth:`publish` waits for the retiring buffer's pins to
         drain before abandoning it and cloning a fresh replica instead.
-    clone_fn:
-        Replica factory (injectable for tests); defaults to
-        :func:`repro.storage.clone`.
+
+    Every buffer is a :func:`repro.storage.clone`, so a replica is a
+    query-ready LD database whatever the seed's mode.
     """
 
-    def __init__(
-        self,
-        seed: LazyXMLDatabase,
-        *,
-        drain_timeout: float = 5.0,
-        clone_fn=storage.clone,
-    ):
-        self._clone = clone_fn
+    def __init__(self, seed: LazyXMLDatabase, *, drain_timeout: float = 5.0):
         self._drain_timeout = drain_timeout
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
@@ -142,22 +144,13 @@ class EpochManager:
         self._ops: deque[dict] = deque()
         self._ops_base = 0
         self._ops_total = 0
-        first = _Buffer(self._seed_clone(seed), applied_upto=0)
+        first = _Buffer(_replica(seed), applied_upto=0)
         self._current: _Buffer | None = first
         self._spares: deque[_Buffer] = deque()
         self._clones = 1
         self._publishes = 0
         self._drain_waits = 0
         self._clone_fallbacks = 0
-
-    def _seed_clone(self, db: LazyXMLDatabase) -> LazyXMLDatabase:
-        replica = self._clone(db)
-        # Replicas replay ops the observed primary already counted;
-        # mutation-path metrics must not see them twice.
-        if hasattr(replica, "set_observed"):
-            replica.set_observed(False)
-        replica.prepare_for_query()
-        return replica
 
     # ------------------------------------------------------------------
     # reader side
@@ -207,7 +200,6 @@ class EpochManager:
             op = self._ops_at(spare.applied_upto)
             apply_op(spare.db, op)
             spare.applied_upto += 1
-        spare.db.prepare_for_query()
         with self._lock:
             if self._current is None:
                 raise ServiceClosed("epoch manager is closed")
@@ -252,10 +244,7 @@ class EpochManager:
             if self._current is None:
                 raise ServiceClosed("epoch manager is closed")
             source = self._current
-        replica = self._clone(source.db)
-        if hasattr(replica, "set_observed"):
-            replica.set_observed(False)
-        buffer = _Buffer(replica, applied_upto=source.applied_upto)
+        buffer = _Buffer(_replica(source.db), applied_upto=source.applied_upto)
         self._clones += 1
         return buffer
 

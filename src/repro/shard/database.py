@@ -187,9 +187,8 @@ class ShardedDatabase:
     n_shards:
         Number of partitions.  Each shard allocates segment ids from a
         disjoint lattice (``sid_start=1+i``, ``sid_stride=n_shards``), so
-        a sid names its owning shard: ``(sid - 1) % n_shards``.
-    mode, keep_text:
-        Forwarded to every shard database.
+        a sid names its owning shard: ``(sid - 1) % n_shards``.  Fresh
+        shards are LD databases with the text mirror.
     executor:
         ``"inprocess"`` (default — run queries on the authoritative
         shards), ``"process"`` (persistent worker processes), or an
@@ -204,8 +203,6 @@ class ShardedDatabase:
         self,
         n_shards: int = 1,
         *,
-        mode: str = "dynamic",
-        keep_text: bool = True,
         executor="inprocess",
         shards=None,
         docmap: DocumentMap | None = None,
@@ -218,12 +215,7 @@ class ShardedDatabase:
             )
         self._n = n_shards
         self._shards = list(shards) if shards is not None else [
-            LazyXMLDatabase(
-                mode=mode,
-                keep_text=keep_text,
-                sid_start=1 + i,
-                sid_stride=n_shards,
-            )
+            LazyXMLDatabase(sid_start=1 + i, sid_stride=n_shards)
             for i in range(n_shards)
         ]
         self.docmap = docmap if docmap is not None else DocumentMap()
@@ -274,10 +266,6 @@ class ShardedDatabase:
     def executor(self):
         return self._executor
 
-    @property
-    def mode(self) -> str:
-        return self._base(0).mode
-
     def _base(self, shard: int) -> LazyXMLDatabase:
         db = self._shards[shard]
         return getattr(db, "db", db)
@@ -320,16 +308,13 @@ class ShardedDatabase:
             taglist_bytes=sum(p.taglist_bytes for p in per),
         )
 
-    def version_counters(self, *, detail: bool = False) -> dict:
+    def version_counters(self) -> dict:
         """Summed per-structure version counters (single-DB-compatible)."""
-        per = [self._base(s).version_counters(detail=detail) for s in range(self._n)]
-        out = {
+        per = [self._base(s).version_counters() for s in range(self._n)]
+        return {
             key: sum(p[key] for p in per)
             for key in ("ertree", "element_index", "taglist")
         }
-        if detail:
-            out["shards"] = per
-        return out
 
     def shard_stats(self) -> list[dict]:
         """Per-shard stats block (the ``stats --json`` "shards" array)."""
@@ -358,10 +343,6 @@ class ShardedDatabase:
     def set_observed(self, flag: bool) -> None:
         for s in range(self._n):
             self._base(s).set_observed(flag)
-
-    def prepare_for_query(self) -> None:
-        for s in range(self._n):
-            self._base(s).prepare_for_query()
 
     def close(self) -> None:
         """Shut the executor down (worker processes, if any)."""
@@ -634,14 +615,13 @@ class ShardedDatabase:
         with self._lock:
             return self._commit(self.shard_of_sid(sid), {"op": "repack", "sid": sid})
 
-    def compact(self, shard: int | None = None) -> RepackResult:
-        """Compact every shard (or one): one segment per document.
+    def compact(self) -> RepackResult:
+        """Compact every shard: one segment per document.
 
         Returns one :class:`RepackResult` summed over the shards.
         """
         with self._lock:
-            targets = range(self._n) if shard is None else [shard]
-            per = [self._commit(s, {"op": "compact"}) for s in targets]
+            per = [self._commit(s, {"op": "compact"}) for s in range(self._n)]
         return RepackResult(
             new_sids=[sid for r in per for sid in r.new_sids],
             segments_before=sum(r.segments_before for r in per),
@@ -1010,9 +990,7 @@ class ShardedDatabase:
         """
         if not db._keep_text:
             raise QueryError("from_database requires a keep_text=True source")
-        sharded = cls(
-            n_shards, mode=db.mode, keep_text=True, executor="inprocess"
-        )
+        sharded = cls(n_shards)
         text = db.text
         for top in db.log.ertree.root.children:
             sharded.insert(text[top.gp : top.end])

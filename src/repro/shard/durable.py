@@ -127,9 +127,8 @@ class ShardedDurableDatabase(ShardedDatabase):
     n_shards:
         Required when creating a fresh directory; on reopen it must match
         the manifest (or be omitted).
-    checkpoint_every:
-        Optional total-op count after which a *coordinated* checkpoint is
-        taken automatically.
+
+    A coordinated checkpoint is taken when :meth:`checkpoint` is called.
     """
 
     def __init__(
@@ -137,13 +136,8 @@ class ShardedDurableDatabase(ShardedDatabase):
         directory: str | Path,
         n_shards: int | None = None,
         *,
-        mode: str = "dynamic",
-        keep_text: bool = True,
         executor="inprocess",
-        checkpoint_every: int | None = None,
     ):
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be a positive op count")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         manifest = read_manifest(self.directory)
@@ -173,8 +167,6 @@ class ShardedDurableDatabase(ShardedDatabase):
             durables.append(
                 DurableDatabase(
                     shard_dir,
-                    mode=mode,
-                    keep_text=keep_text,
                     checkpoint_name=_checkpoint_name(epoch),
                     sid_start=1 + i,
                     sid_stride=n_shards,
@@ -185,8 +177,6 @@ class ShardedDurableDatabase(ShardedDatabase):
         )
         super().__init__(
             n_shards,
-            mode=mode,
-            keep_text=keep_text,
             executor=executor,
             shards=durables,
             docmap=DocumentMap(docs),
@@ -209,8 +199,6 @@ class ShardedDurableDatabase(ShardedDatabase):
                 ),
             )
         self._meta_seq = meta_seq
-        self._checkpoint_every = checkpoint_every
-        self._ops_since_checkpoint = 0
         self._in_batch = False
         try:
             self.check_invariants()
@@ -351,23 +339,10 @@ class ShardedDurableDatabase(ShardedDatabase):
             durable = self._shards[shard]
             durable.suspend_deferred()
             try:
-                result = super()._commit(shard, op, doc_change)
+                return super()._commit(shard, op, doc_change)
             finally:
                 durable.resume_deferred()
-        else:
-            result = super()._commit(shard, op, doc_change)
-        self._ops_since_checkpoint += 1
-        if (
-            not self._in_batch
-            and self._checkpoint_every is not None
-            and self._ops_since_checkpoint >= self._checkpoint_every
-        ):
-            # A coordinated checkpoint mid-batch would snapshot applied-
-            # but-unjournaled sub-ops under a last_seq that does not cover
-            # them (their later batch record would then replay on top —
-            # a double apply); the trigger is re-checked at batch end.
-            self.checkpoint()
-        return result
+        return super()._commit(shard, op, doc_change)
 
     # ------------------------------------------------------------------
     # batched commits (one journal record per shard share)
@@ -393,11 +368,6 @@ class ShardedDurableDatabase(ShardedDatabase):
         finally:
             self._in_batch = False
             self._flush_deferred(end=True)
-            if (
-                self._checkpoint_every is not None
-                and self._ops_since_checkpoint >= self._checkpoint_every
-            ):
-                self.checkpoint()
 
     def _flush_deferred(self, end: bool = False) -> None:
         """Flush every shard's buffer; first failure re-raised at the end.
@@ -451,7 +421,6 @@ class ShardedDurableDatabase(ShardedDatabase):
             for durable in self._shards:
                 durable.confirm_checkpoint()
             self._meta_journal.truncate()
-            self._ops_since_checkpoint = 0
             for i in range(self.n_shards):
                 old = (
                     self.directory

@@ -141,7 +141,6 @@ def _worker_main(conn, payload: str) -> None:  # pragma: no cover - subprocess
     db = storage.loads(payload)
     # The replica replays ops the authoritative shard already counted.
     db.set_observed(False)
-    db.prepare_for_query()
     while True:
         try:
             message = conn.recv()
@@ -217,12 +216,10 @@ class ProcessExecutor:
     in-process (degraded mode) so queries keep answering.
     """
 
-    def __init__(self, shards, *, start_method: str | None = None):
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(start_method)
+    def __init__(self, shards):
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
         self._shards = shards
         self._workers: list[_Worker] = [
             self._spawn(shard) for shard in range(len(shards))

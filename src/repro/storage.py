@@ -63,7 +63,9 @@ def dumps(db: LazyXMLDatabase) -> str:
         segments.append(entry)
     payload = {
         "format": FORMAT_VERSION,
-        "mode": db.mode,
+        # Every loaded database is LD (see :func:`loads`); the field stays
+        # so the format, and snapshots written before, keep their bytes.
+        "mode": "dynamic",
         "keep_text": db._keep_text,
         "text": db._text if db._keep_text else None,
         "tags": [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))],
@@ -174,6 +176,19 @@ def _validate_payload(payload: dict) -> None:
             all(0 <= record[0] < tag_count for record in entry["records"]),
             f"{where}.records reference tag ids outside the tag table",
         )
+    # The next insert mints ``next_sid``: it must be a fresh sid on this
+    # database's lattice, or the database would reuse a live sid (or, as
+    # a shard, mint one its sibling owns).
+    start = payload.get("sid_start", 1)
+    stride = payload.get("sid_stride", 1)
+    next_sid = payload["next_sid"]
+    _expect(start <= stride, f"sid_start {start} exceeds sid_stride {stride}")
+    _expect(
+        next_sid >= start and (next_sid - start) % stride == 0,
+        f"next_sid {next_sid} is not on the sid lattice {start} + k*{stride}",
+    )
+    top = max((entry["sid"] for entry in payload["segments"]), default=0)
+    _expect(next_sid > top, f"next_sid {next_sid} does not exceed stored sid {top}")
 
 
 def loads(data: str) -> LazyXMLDatabase:
@@ -182,6 +197,10 @@ def loads(data: str) -> LazyXMLDatabase:
     Any structural defect in the payload — missing or ill-typed keys, bad
     record arity, dangling parent references — raises :class:`SnapshotError`
     rather than a raw ``KeyError``/``TypeError``/``ValueError``.
+
+    The result is an LD database ready for queries, whatever ``mode`` the
+    snapshot names: loading rebuilds every tag list in order, so an LS
+    snapshot has nothing left to defer.
     """
     try:
         payload = json.loads(data)
@@ -192,7 +211,6 @@ def loads(data: str) -> LazyXMLDatabase:
         raise SnapshotError(f"unsupported snapshot format: {found!r}")
     _validate_payload(payload)
     db = LazyXMLDatabase(
-        mode=payload["mode"],
         keep_text=payload["keep_text"],
         sid_start=payload.get("sid_start", 1),
         sid_stride=payload.get("sid_stride", 1),
@@ -244,7 +262,7 @@ def loads(data: str) -> LazyXMLDatabase:
             db.log.taglist.add_segment(tid, node, count)
     for node in nodes.values():
         node.children.sort(key=lambda child: child.gp)
-    ertree._next_sid = payload.get("next_sid", max(nodes) + 1)
+    ertree._next_sid = payload["next_sid"]
     db.set_observed(True)
     return db
 

@@ -175,23 +175,6 @@ def test_batch_with_skipped_sub_op_replays_identically(tmp_path):
     recovered.close()
 
 
-def test_batch_triggers_deferred_checkpoint(tmp_path):
-    """checkpoint_every counts the batch as one op and the checkpoint runs
-    after the commit — recovery from the checkpointed directory is clean."""
-    directory = tmp_path / "state"
-    dd = DurableDatabase(directory, checkpoint_every=1)
-    dd.apply_batch(
-        [{"op": "insert", "fragment": "<a/>"}, {"op": "insert", "fragment": "<b/>"}]
-    )
-    assert dd.journal_size == 0  # checkpoint truncated the batch record
-    text = dd.text
-    dd.close()
-    recovered = DurableDatabase(directory)
-    assert recovered.text == text
-    recovered.check_invariants()
-    recovered.close()
-
-
 # ----------------------------------------------------------------------
 # sharded durable coordinator
 
@@ -325,28 +308,5 @@ def test_sharded_batch_docmap_change_mid_batch(tmp_path, hit):
     if not crashed:  # fewer fsyncs than `hit`: the batch simply committed
         assert recovered.text == splice(pre_text, ops)
     assert recovered.text in legal, "recovery produced a non-prefix state"
-    recovered.check_invariants()
-    recovered.close()
-
-
-def test_sharded_batch_triggers_checkpoint_at_end(tmp_path):
-    """The coordinated checkpoint a batch earns is deferred to batch end
-    (mid-batch it would snapshot applied-but-unjournaled sub-ops)."""
-    directory = tmp_path / "state"
-    sdd = ShardedDurableDatabase(directory, 2, checkpoint_every=2)
-    sdd.insert(DOC_A)
-    sdd.insert(DOC_B)
-    epoch_before = sdd.epoch
-    text_before = sdd.text
-    ops, oracle_text = nested_insert_ops(
-        text_before, [("<one>", "<i1/>"), ("<two>", "<i2/>")]
-    )
-    sdd.apply_batch(ops)
-    assert sdd.epoch > epoch_before  # checkpoint ran once, after the batch
-    assert sdd.journal_sizes == [0, 0]
-    assert sdd.text == oracle_text
-    sdd.close()
-    recovered = ShardedDurableDatabase(directory)
-    assert recovered.text == oracle_text
     recovered.check_invariants()
     recovered.close()

@@ -236,7 +236,7 @@ def probe_sids(kind, tmp_path):
 
 #: Status replies carry timings and process-wide counters; these keys are
 #: what the same history must agree on.
-STABLE = ("mode", "durable", "segments", "elements", "document_length")
+STABLE = ("durable", "segments", "elements", "document_length")
 
 
 def normal(verb, reply):
@@ -424,7 +424,7 @@ PARENT_REPLIES = [
 
 PARENT_HEALTH_KEYS = [
     "admission", "breaker", "counters", "document_length", "durable",
-    "elements", "epochs", "log_bytes", "mode", "pressure", "readpath",
+    "elements", "epochs", "log_bytes", "pressure", "readpath",
     "segments", "status",
 ]
 PARENT_STATS_KEYS = sorted(
@@ -476,7 +476,7 @@ def test_pinned_read_is_counted_and_admitted(tmp_path):
             execute_request(service, session, request)
         assert service.health()["counters"]["queries"] == before + 3
         # The read class is full: a pinned read is shed like any other.
-        with service._admission.admit("read", wait_timeout=0.0):
+        with service._admission.admit("read", 0):
             for request in (
                 {"cmd": "query", "expr": "a"},
                 {"cmd": "twig", "expr": "a[b]"},

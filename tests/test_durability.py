@@ -21,6 +21,15 @@ from repro.workloads.scenarios import registration_stream
 from tests.helpers import assert_join_matches_oracle
 
 
+def _hand_written_checkpoint(directory, payload: str) -> None:
+    """A checkpoint envelope around ``payload``, bypassing ``dumps``."""
+    directory.mkdir(parents=True)
+    (directory / CHECKPOINT_NAME).write_text(json.dumps({
+        "format": "repro-checkpoint", "version": 1, "last_seq": 0,
+        "crc32": zlib.crc32(payload.encode("utf-8")), "payload": payload,
+    }))
+
+
 class TestJournal:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "j.wal"
@@ -314,20 +323,6 @@ class TestDurableDatabase:
             dd2.check_invariants()
             assert_join_matches_oracle(dd2.db, "registration", "interest")
 
-    def test_auto_checkpoint(self, tmp_path):
-        directory = tmp_path / "state"
-        with DurableDatabase(directory, checkpoint_every=2) as dd:
-            dd.insert("<a/>")
-            assert dd.journal_size > 0
-            dd.insert("<b/>")
-            assert dd.journal_size == 0  # second op triggered the checkpoint
-            dd.insert("<c/>")
-            assert dd.journal_size > 0
-        with DurableDatabase(directory) as dd2:
-            assert dd2.text == "<a/><b/><c/>"
-            assert dd2.recovery_report.checkpoint_found
-            assert dd2.recovery_report.ops_replayed == 1
-
     def test_invalid_op_never_reaches_journal(self, tmp_path):
         directory = tmp_path / "state"
         with DurableDatabase(directory) as dd:
@@ -370,24 +365,36 @@ class TestDurableDatabase:
             dd2.check_invariants()
 
     def test_static_mode(self, tmp_path):
+        """A checkpoint of an LS database (its ``mode`` field written by
+        hand: ``dumps`` always writes "dynamic") recovers query-ready LD."""
+        ls = LazyXMLDatabase(mode="static")
+        for fragment in registration_stream(2):
+            ls.insert(fragment)
+        payload = dumps(ls).replace('"mode": "dynamic"', '"mode": "static"', 1)
         directory = tmp_path / "state"
-        with DurableDatabase(directory, mode="static") as dd:
-            for fragment in registration_stream(2):
-                dd.insert(fragment)
-            dd.checkpoint()
-        with DurableDatabase(directory) as dd2:
-            assert dd2.mode == "static"
-            dd2.prepare_for_query()
-            assert_join_matches_oracle(dd2.db, "registration", "interest")
+        _hand_written_checkpoint(directory, payload)
+        with DurableDatabase(directory) as dd:
+            assert dd.mode == "dynamic"
+            assert_join_matches_oracle(dd.db, "registration", "interest")
 
     def test_keep_text_false(self, tmp_path):
+        """So does a checkpoint of an LS database without the text mirror
+        (the figures' LS arm), which keeps no text."""
+        ls = LazyXMLDatabase(mode="static", keep_text=False)
+        reference = LazyXMLDatabase()
+        for fragment in registration_stream(2):
+            ls.insert(fragment)
+            reference.insert(fragment)
         directory = tmp_path / "state"
-        with DurableDatabase(directory, keep_text=False) as dd:
-            for fragment in registration_stream(2):
-                dd.insert(fragment)
-            expected = sorted(dd.structural_join("user", "occupation"))
-        with DurableDatabase(directory) as dd2:
-            assert sorted(dd2.structural_join("user", "occupation")) == expected
+        _hand_written_checkpoint(
+            directory,
+            dumps(ls).replace('"mode": "dynamic"', '"mode": "static"', 1),
+        )
+        with DurableDatabase(directory) as dd:
+            assert dd.mode == "dynamic"
+            assert sorted(dd.structural_join("user", "occupation")) == sorted(
+                reference.structural_join("user", "occupation")
+            )
 
     def test_recover_function_reports(self, tmp_path):
         directory = tmp_path / "state"

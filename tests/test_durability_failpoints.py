@@ -141,32 +141,6 @@ def test_crash_during_checkpoint(tmp_path, failpoint):
     crash_scenario(tmp_path, "checkpoint", failpoint)
 
 
-@pytest.mark.parametrize("op_name", ["insert", "remove"])
-def test_crash_during_auto_checkpoint_after_op(tmp_path, op_name):
-    """Kill the checkpoint an op triggers via checkpoint_every: the op itself
-    was journaled first, so recovery must land on the post-op state."""
-    directory = tmp_path / "state"
-    dd = DurableDatabase(directory, checkpoint_every=1000)
-    for fragment in registration_stream(2):
-        dd.insert(fragment)
-    dd.insert(APPEND_FRAGMENT)  # gives the remove op a <user>text</user> victim
-    dd._checkpoint_every = 1  # next op checkpoints immediately
-    pre = dumps(dd.db)
-    shadow = loads(pre)
-    run_op(shadow, op_name)
-    post = dumps(shadow)
-    try:
-        with crash_at("atomic.after_tmp_write"):
-            run_op(dd, op_name)
-    except SimulatedCrash:
-        pass
-    dd.close()
-    recovered = DurableDatabase(directory)
-    assert dumps(recovered.db) == post
-    recovered.check_invariants()
-    recovered.close()
-
-
 def test_every_declared_failpoint_reachable(tmp_path):
     """Each failpoint in the registry fires during a normal durable session
     (guards against declared-but-never-fired names rotting the matrix).

@@ -382,7 +382,7 @@ class TestGracefulDrain:
                 pass
             # ...and fresh connections cannot be made at all.
             with pytest.raises(Exception):
-                await connect("127.0.0.1", port, connect_timeout=0.5)
+                await connect("127.0.0.1", port)
             await client.close(goodbye=False)
 
         run_server_test(scenario)

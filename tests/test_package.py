@@ -207,6 +207,168 @@ def test_every_library_name_has_a_reader():
     assert len(READ_ONLY_BY_TESTS) <= 20
 
 
+#: Defaulted parameters of the serving stack that only tests set, each
+#: with why the keyword stays.
+SET_ONLY_BY_TESTS = {
+    "service.server.DatabaseService(clock)":
+        "test-fake seam: breaker and deadline tests drive a fake clock",
+    "replication.cluster.ReplicationCluster(sleep)":
+        "test-fake seam: heartbeat drills record the backoff instead of sleeping",
+    "replication.cluster.ReplicationCluster(heartbeat_policy)":
+        "test-fake seam: reconnect drills shrink the backoff policy",
+    "replication.cluster.ReplicationCluster.partition(after)":
+        "drill verb argument: a partition that cuts after n records",
+    "replication.node.ReplicaNode.pin(min_seq)":
+        "drill verb argument: a follower read that must reach a seq",
+    "service.commands.execute_request(context)":
+        "set through run_in_executor, whose arguments the walk cannot see",
+}
+
+#: The serving stack the keyword guard walks: packages above the core.
+_SERVING_STACK = ("durability", "shard", "replication", "service", "net")
+
+
+def _keyword_walk(root: Path):
+    """The defaulted parameters of every ``def`` in the serving stack (and
+    ``__main__.py``) that no call under ``src/``, ``benchmarks/`` or
+    ``examples/`` sets, as ``module.Qual.name(parameter)``.
+
+    A def is called by its name, or by its class's name for ``__init__``
+    (``super().__init__`` names the base classes).  A call sets a
+    parameter by keyword, by positional count, or through ``*``/``**``.
+    A ``name=name`` forward of the caller's own parameter (and a ``**kw``
+    forward of its own ``**kw``) sets the callee's parameter only if the
+    caller's is set itself — by a call, or by the tests that
+    :data:`SET_ONLY_BY_TESTS` names — so sets are resolved to a fixed
+    point.
+    """
+    defs, calls = [], []
+
+    def visit(node, module, cls, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, child, enclosing)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                method = node is cls and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                positional = positional[1:] if method else positional
+                named = positional + [a.arg for a in args.kwonlyargs]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+                init = method and child.name == "__init__"
+                owner = f"{module}.{cls.name}" if method else module
+                defn = {
+                    "key": owner if init else f"{owner}.{child.name}",
+                    "callee": cls.name if init else child.name,
+                    "positional": positional,
+                    "named": set(named),
+                    "required": set(named) - set(defaulted),
+                    "defaulted": defaulted,
+                    "kwarg": args.kwarg.arg if args.kwarg else None,
+                    "set": set(),
+                    "any": False,
+                }
+                defs.append(defn)
+                visit(child, module, cls, defn)
+            else:
+                if isinstance(child, ast.Call):
+                    calls.append((child, cls, enclosing))
+                visit(child, module, cls, enclosing)
+
+    guarded = []
+    for folder in ("src", "benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            module = path.relative_to(root / folder).with_suffix("").as_posix()
+            module = module.removeprefix("repro/").replace("/", ".")
+            start = len(defs)
+            visit(ast.parse(path.read_text("utf-8")), module, None, None)
+            if folder == "src" and (
+                module.split(".")[0] in _SERVING_STACK or module == "__main__"
+            ):
+                guarded += defs[start:]
+    by_callee: dict[str, list[dict]] = {}
+    for defn in defs:
+        by_callee.setdefault(defn["callee"], []).append(defn)
+
+    def callees(call, cls):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return by_callee.get(func.id, [])
+        if not isinstance(func, ast.Attribute):
+            return []
+        if (
+            func.attr == "__init__" and cls is not None
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"
+        ):
+            bases = [getattr(b, "id", getattr(b, "attr", "")) for b in cls.bases]
+            return [d for base in bases for d in by_callee.get(base, [])]
+        return by_callee.get(func.attr, [])
+
+    def called_with(defn, name):
+        return name in defn["required"] or name in defn["set"] or defn["any"]
+
+    def is_set(defn, name):
+        return called_with(defn, name) or (
+            f"{defn['key']}({name})" in SET_ONLY_BY_TESTS
+        )
+
+    changed = True
+    while changed:
+        changed = False
+        for call, cls, caller in calls:
+            for defn in callees(call, cls):
+                before = (len(defn["set"]), defn["any"])
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                count = len(defn["positional"]) if starred else len(call.args)
+                defn["set"].update(defn["positional"][:count])
+                for kw in call.keywords:
+                    name = getattr(kw.value, "id", None) if caller else None
+                    if kw.arg is None:
+                        if name is not None and name == caller["kwarg"]:
+                            defn["set"] |= caller["set"] - caller["named"]
+                            defn["any"] |= caller["any"]
+                        else:
+                            defn["any"] = True
+                    elif (
+                        kw.arg != name or kw.arg not in caller["named"]
+                        or is_set(caller, kw.arg)
+                    ):
+                        defn["set"].add(kw.arg)
+                changed |= before != (len(defn["set"]), defn["any"])
+    return sorted(
+        f"{defn['key']}({name})"
+        for defn in guarded
+        for name in defn["defaulted"]
+        if not called_with(defn, name)
+    )
+
+
+def test_every_keyword_has_a_setter():
+    """Every defaulted parameter of a ``def`` in the serving stack
+    (``durability``, ``shard``, ``replication``, ``service``, ``net``) and
+    ``__main__.py`` is set by some call under ``src/``, ``benchmarks/`` or
+    ``examples/`` — or is in :data:`SET_ONLY_BY_TESTS` with its reason.
+
+    A keyword nothing but a test sets is a switch with one production
+    value: the value is the program, and the keyword goes.  Callees match
+    by spelling, as in :func:`test_every_library_name_has_a_reader`.
+    """
+    unset = _keyword_walk(Path(__file__).resolve().parents[1])
+    unlisted = sorted(set(unset) - set(SET_ONLY_BY_TESTS))
+    assert not unlisted, unlisted
+    stale = sorted(set(SET_ONLY_BY_TESTS) - set(unset))
+    assert not stale, f"set by the library now, or gone: {stale}"
+    assert len(SET_ONLY_BY_TESTS) <= 8
+
+
 def test_package_map_is_current():
     """DESIGN.md §2's package map has one row per package under
     ``src/repro``, and names only gated workloads (``BENCHMARK.json``),

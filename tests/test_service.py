@@ -171,12 +171,12 @@ class TestEpochManager:
 class TestAdmission:
     def test_admits_up_to_limit_then_busy(self):
         ctl = AdmissionController({"read": 2}, queue_depth={"read": 0})
-        a = ctl.admit("read")
-        b = ctl.admit("read")
+        a = ctl.admit("read", 0)
+        b = ctl.admit("read", 0)
         with pytest.raises(Busy):
-            ctl.admit("read")
+            ctl.admit("read", 0)
         a.release()
-        c = ctl.admit("read")
+        c = ctl.admit("read", 0)
         c.release()
         b.release()
         metrics = ctl.metrics()["read"]
@@ -187,40 +187,40 @@ class TestAdmission:
 
     def test_release_is_idempotent(self):
         ctl = AdmissionController({"read": 1}, queue_depth={"read": 0})
-        ticket = ctl.admit("read")
+        ticket = ctl.admit("read", 0)
         ticket.release()
         ticket.release()
         assert ctl.metrics()["read"]["active"] == 0
 
     def test_ticket_context_manager(self):
         ctl = AdmissionController({"write": 1}, queue_depth={"write": 0})
-        with ctl.admit("write"):
+        with ctl.admit("write", 0):
             with pytest.raises(Busy):
-                ctl.admit("write")
-        ctl.admit("write").release()
+                ctl.admit("write", 0)
+        ctl.admit("write", 0).release()
 
     def test_full_queue_rejects_immediately(self):
         ctl = AdmissionController({"read": 1}, queue_depth={"read": 0})
-        with ctl.admit("read"):
+        with ctl.admit("read", 0):
             with pytest.raises(Busy):
-                ctl.admit("read", wait_timeout=5.0)  # depth 0: no waiting
+                ctl.admit("read", 5.0)  # depth 0: no waiting
 
     def test_wait_timeout_expires(self):
         ctl = AdmissionController({"read": 1}, queue_depth={"read": 4})
-        with ctl.admit("read"):
+        with ctl.admit("read", 0):
             with pytest.raises(Busy, match="queue wait"):
-                ctl.admit("read", wait_timeout=0.01)
+                ctl.admit("read", 0.01)
 
     def test_unknown_class_is_busy(self):
         ctl = AdmissionController()
         with pytest.raises(Busy):
-            ctl.admit("nonsense")
+            ctl.admit("nonsense", 0)
 
     def test_closed_controller(self):
         ctl = AdmissionController()
         ctl.close()
         with pytest.raises(ServiceClosed):
-            ctl.admit("read")
+            ctl.admit("read", 0)
 
 
 class TestBackoff:
@@ -440,8 +440,9 @@ class TestDatabaseService:
 
     def test_explicit_algorithm_respected(self):
         svc = DatabaseService(populated_db(3))
-        lazy = svc.join("registration", "interest", algorithm="lazy")
-        std = svc.join("registration", "interest", algorithm="std")
+        lazy = svc.join("registration", "interest")
+        std = svc.read(lambda db, ctx: db.structural_join(
+            "registration", "interest", algorithm="std", context=ctx))
         assert sorted(lazy) == sorted(std)
         svc.close()
 
@@ -636,3 +637,66 @@ class TestCLIErrorHandling:
         captured = capsys.readouterr()
         assert "ok " in captured.out
         assert "serving" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "{snap}", "--readers", "0"],
+            ["serve", "{snap}", "--max-rows", "-1"],
+            ["serve", "{snap}", "--timeout", "-1"],
+            ["serve", "{snap}", "--timeout", "0"],
+            ["serve", "{snap}", "--maintenance-interval", "-1"],
+            ["serve", "{snap}", "--max-segments", "0"],
+            ["serve", "{snap}", "--max-depth", "0"],
+            ["serve", "{snap}", "--shards", "0"],
+            ["serve", "{snap}", "--replicas", "-1"],
+            ["serve", "{snap}", "--max-conns", "0"],
+            ["serve", "{snap}", "--drain-grace", "-1"],
+            ["--durable", "{state}", "load", "{xml}", "--shards", "0"],
+            ["--durable", "{state}", "load", "{xml}", "--shards", "-2"],
+            ["load", "{xml}", "--db", "{snap}", "--segments", "-4"],
+        ],
+        ids=lambda argv: "".join(argv[-2:]),
+    )
+    def test_bad_count_or_duration_exits_2_one_line(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        from repro.__main__ import main
+        from repro.storage import save
+
+        paths = {
+            "snap": tmp_path / "db.json",
+            "state": tmp_path / "state",
+            "xml": tmp_path / "doc.xml",
+        }
+        save(populated_db(1), paths["snap"])
+        paths["xml"].write_text("<a><b/></a>")
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        with pytest.raises(SystemExit) as excinfo:
+            main([word.format(**paths) for word in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert argv[-2] in err
+        assert not (tmp_path / "state").exists()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_serve_shards_must_match_a_sharded_directory(
+        self, shards, tmp_path, capsys, monkeypatch
+    ):
+        from repro.__main__ import main
+
+        xml = tmp_path / "doc.xml"
+        xml.write_text("<a><b/></a>")
+        state = str(tmp_path / "state")
+        assert main(["--durable", state, "load", str(xml), "--shards", "2"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        code = main([
+            "--durable", state, "serve", "--shards", str(shards),
+            "--executor", "inprocess",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "conflicts" in err

@@ -286,7 +286,7 @@ class TestShardAffinity:
         # Warm every shard's compiled read path.
         for i in range(self.N):
             db.structural_join(f"t{i}", "c")
-        before = db.version_counters(detail=True)["shards"]
+        before = [s.version_counters(detail=True) for s in db.shards]
 
         def writer(shard: int):
             for _ in range(self.WRITES):
@@ -302,7 +302,7 @@ class TestShardAffinity:
         for t in threads:
             t.join()
 
-        after = db.version_counters(detail=True)["shards"]
+        after = [s.version_counters(detail=True) for s in db.shards]
         # The written shards moved; the untouched shards are bit-identical.
         for shard in (0, 1):
             assert after[shard] != before[shard]
@@ -337,10 +337,10 @@ class TestShardAffinity:
 
     def test_writes_bump_only_the_owning_shards_counters(self):
         db = self._build()
-        before = [db.version_counters(detail=True)["shards"][s] for s in range(self.N)]
+        before = [s.version_counters(detail=True) for s in db.shards]
         table = db._doc_table()
         doc = next(d for d in table if d.shard == 3)
         db.insert("<c>w</c>", doc.vstart + len("<t3>"))
-        after = [db.version_counters(detail=True)["shards"][s] for s in range(self.N)]
+        after = [s.version_counters(detail=True) for s in db.shards]
         assert after[3] != before[3]
         assert after[:3] == before[:3]

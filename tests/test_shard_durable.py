@@ -158,15 +158,6 @@ class TestCoordinatedCheckpoint:
         assert not stray.exists(), "stale phase-1 leftovers reclaimed"
         reopened.close()
 
-    def test_auto_checkpoint_every(self, tmp_path):
-        db = ShardedDurableDatabase(
-            tmp_path / "state", 2, checkpoint_every=3
-        )
-        for doc in DOCS:  # 4 ops: one coordinated checkpoint fires
-            db.insert(doc)
-        assert db.epoch == 1
-        db.close()
-
 
 class TestDocmapJournal:
     def test_dangling_tail_record_is_discarded(self, tmp_path):

@@ -111,7 +111,8 @@ def test_sharded_matches_single_and_reference(seed, n_shards):
     )
     _check_parity(result)
     # Version-counter bookkeeping: the summed counters equal the
-    # per-shard detail, and every shard that holds documents saw updates.
-    counters = result.sharded.version_counters(detail=True)
+    # per-shard ones.
+    counters = result.sharded.version_counters()
+    per = [shard.version_counters() for shard in result.sharded.shards]
     for key in ("ertree", "element_index", "taglist"):
-        assert counters[key] == sum(p[key] for p in counters["shards"])
+        assert counters[key] == sum(p[key] for p in per)

@@ -218,7 +218,7 @@ class TestCLIStatsShape:
         flat = self._stats(state, capsys)
         # Old consumers read the flat keys; new consumers read totals.
         assert "shards" in flat and "totals" in flat
-        for key in ("mode", "characters", "segments", "elements"):
+        for key in ("characters", "segments", "elements"):
             assert key in flat
             assert flat[key] == flat["totals"][key]
 

@@ -104,11 +104,14 @@ class TestSnapshotRoundTrip:
         assert_join_matches_oracle(copy, "preferences", "interest")
 
     def test_static_mode_roundtrip(self):
+        """An LS database loads back as a query-ready LD database — also
+        from a snapshot whose ``mode`` field still says "static"."""
         db = populated_db(mode="static")
-        copy = loads(dumps(db))
-        assert copy.mode == "static"
-        copy.prepare_for_query()
-        assert_join_matches_oracle(copy, "registration", "interest")
+        text = dumps(db)
+        old = text.replace('"mode": "dynamic"', '"mode": "static"', 1)
+        for copy in (loads(text), loads(old)):
+            assert copy.mode == "dynamic"
+            assert_join_matches_oracle(copy, "registration", "interest")
 
     def test_keep_text_false_roundtrip(self):
         db = populated_db(keep_text=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 
@@ -177,3 +178,54 @@ class TestLoadsHardening:
         copy = loads(json.dumps(valid_payload()))
         copy.check_invariants()
         assert copy.text == "<a><b/><c/></a>"
+
+    def test_next_sid_at_a_live_sid_rejected(self):
+        """Loaded, this snapshot would mint sid 1 again on the next insert
+        (and fail ``check_invariants`` with a registry out of sync)."""
+        db = small_db()
+        db.insert("<d/>")
+        payload = json.loads(dumps(db))
+        assert payload["next_sid"] == 3
+        payload["next_sid"] = 1
+        with pytest.raises(SnapshotError, match="next_sid 1 does not exceed"):
+            loads(json.dumps(payload))
+
+    def test_shard_next_sid_off_its_lattice_rejected(self):
+        """Shard 0 of two owns the odd sids; a ``next_sid`` of 6 would
+        mint a sid the lattice assigns to shard 1."""
+        from repro.shard.database import ShardedDatabase
+
+        sharded = ShardedDatabase(2)
+        for tag in "wxyz":
+            sharded.insert(f"<{tag}/>")
+        payload = json.loads(dumps(sharded.shards[0]))
+        assert (payload["sid_start"], payload["sid_stride"]) == (1, 2)
+        assert payload["next_sid"] == 5
+        loads(json.dumps(payload)).check_invariants()
+        payload["next_sid"] = 6
+        with pytest.raises(SnapshotError, match="not on the sid lattice"):
+            loads(json.dumps(payload))
+
+    def test_checkpoint_with_a_live_next_sid_is_corrupt(self, tmp_path, capsys):
+        """Recovery refuses such a checkpoint with a typed error, and
+        ``fsck`` reports the directory CORRUPT."""
+        from repro.__main__ import main
+        from repro.durability.database import DurableDatabase
+        from repro.errors import CheckpointError
+
+        directory = tmp_path / "state"
+        with DurableDatabase(directory) as durable:
+            durable.insert("<a/>")
+            durable.insert("<b/>")
+            durable.checkpoint()
+        path = directory / "checkpoint.json"
+        envelope = json.loads(path.read_text())
+        envelope["payload"] = envelope["payload"].replace(
+            '"next_sid": 3', '"next_sid": 1'
+        )
+        envelope["crc32"] = zlib.crc32(envelope["payload"].encode("utf-8"))
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match="next_sid"):
+            DurableDatabase(directory)
+        assert main(["fsck", str(directory)]) == 1
+        assert "CORRUPT" in capsys.readouterr().err
