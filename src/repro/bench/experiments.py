@@ -24,7 +24,7 @@ import random
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -85,7 +85,7 @@ def _time_joins(ld, ls, tag_a: str, tag_d: str, repeat: int) -> dict[str, float]
     if ls is not None:
         rng = random.Random(0)
 
-        def ls_query() -> list:
+        def ls_query() -> Sequence:
             ls.log.mark_stale(rng)
             ls.prepare_for_query()
             return ls.structural_join(tag_a, tag_d)

@@ -8,7 +8,7 @@ paper-style rows, and a container for (x, series...) sweeps.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 __all__ = ["measure", "measure_cold_join", "Table", "Sweep"]
@@ -31,29 +31,33 @@ def measure(fn: Callable[[], object], *, repeat: int = 3) -> float:
 
 
 def measure_cold_join(
-    db, join: Callable[[], list], *, repeat: int = 3
+    db, join: Callable[[], Sequence], *, repeat: int = 3
 ) -> tuple[float, int]:
     """Best-of-``repeat`` seconds of ``join()`` on ``db``, and its pair count.
 
-    The database's derived read state (segment lists, push lists, span
-    columns, the join memo) is dropped before every repetition, so the
-    time is the merge of Fig. 9 plus its index reads — never a
+    The database's derived read state (push lists, span columns, the join
+    memo) is dropped before every repetition, so the time is the merge of
+    Fig. 9 plus its index reads — never a
     :meth:`~repro.core.readpath.ReadPathCache.cached_join` hit, which
     repetitions two and three of a plain :func:`measure` would report.
     Element blocks are base data: LD, LS and STD read them through the
     same :meth:`~repro.core.element_index.ElementIndex.block` call.
     (Warm, steady-state reads are what ``benchmarks/e2e`` measures.)  The
-    clears are a handful of ``dict.clear()`` calls, negligible against the
-    join they precede.
+    clear runs before the clock starts and the answer is dropped after it
+    stops: the clear frees the previous repetition's memo, about a fifth
+    of the join on Fig. 13 nested-160, which is not the join's cost.
     """
+    best = float("inf")
     pairs = 0
-
-    def cold() -> None:
-        nonlocal pairs
+    for _ in range(repeat):
         db.readpath.clear()
-        pairs = len(join())
-
-    return measure(cold, repeat=repeat), pairs
+        start = time.perf_counter()
+        answer = join()
+        elapsed = time.perf_counter() - start
+        pairs = len(answer)
+        del answer
+        best = min(best, elapsed)
+    return best, pairs
 
 
 @dataclass

@@ -24,6 +24,7 @@ import gc
 import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
@@ -125,9 +126,9 @@ class LazyXMLDatabase:
         self.log = UpdateLog(mode=mode, sid_start=sid_start,
                              sid_stride=sid_stride)
         self.index = ElementIndex()
-        # The compiled read path (version-keyed push-list / span-column /
-        # segment-list caches) is shared by every query executor on this
-        # database.
+        # The compiled read path (version-keyed push lists and span
+        # columns, the join memo) is shared by every query executor on
+        # this database.
         self.readpath = ReadPathCache(self.log, self.index)
         self._joiner = LazyJoiner(self.log, self.index, self.readpath)
         # The twig subsystem's structural synopsis: per-edge feasibility
@@ -573,7 +574,7 @@ class LazyXMLDatabase:
         algorithm: str = "lazy",
         stats: JoinStatistics | None = None,
         context=None,
-    ) -> list[JoinPair]:
+    ) -> Sequence[JoinPair]:
         """Answer ``tag_a // tag_d`` (or ``/`` with ``axis="child"``).
 
         ``algorithm`` selects Lazy-Join (``"lazy"``) or Stack-Tree-Desc over
@@ -581,7 +582,8 @@ class LazyXMLDatabase:
         :class:`~repro.core.element_index.ElementRecord`; ordering differs
         (lazy: by descendant segment; std: by global descendant position).
         ``stats`` (Lazy-Join only) collects :class:`JoinStatistics` and runs
-        the from-scratch merge instead of the join memo.
+        the from-scratch merge instead of the join memo, whose answer comes
+        back uncopied: read it, never mutate it.
 
         ``context`` (a :class:`~repro.service.context.QueryContext`) adds
         cooperative deadline/row/depth enforcement to every algorithm; the
@@ -761,6 +763,10 @@ class LazyXMLDatabase:
             assert taglist.total_count(tid) == total, (
                 f"tag-list running total {taglist.total_count(tid)} != "
                 f"entry sum {total} for tid {tid}"
+            )
+            nodes = [entry.node for entry in taglist._lists[tid]]
+            assert tid in taglist._unsorted or taglist._nodes[tid] == nodes, (
+                f"segment list of tid {tid} out of step with its entries"
             )
         if self._keep_text:
             assert len(self._text) == self.log.document_length, (

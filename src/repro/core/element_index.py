@@ -54,6 +54,11 @@ _M_RECORDS_READ = METRICS.counter(
 # after repacking a document an update split mid-token) broken by tag id.
 _ROW_ORDER = itemgetter(1, 0, 2, 3)
 
+#: Writes the element index's journal remembers.  Once it holds twice this
+#: many sids the oldest ``JOURNAL_KEPT`` go; a reader further behind than
+#: what is left learns nothing from it (a join memo that old is a miss).
+JOURNAL_KEPT = 4096
+
 
 class ElementRecord(NamedTuple):
     """An element as the index sees it: local span plus absolute level."""
@@ -164,13 +169,37 @@ class ElementIndex:
         # from a block *and* an ER-node (repro.core.readpath) keys on
         # these, so invalidation is O(touched segments), never a flush.
         self._versions: dict[int, int] = {}
+        # The write journal: every sid written, oldest first,
+        # ``_journal[0]`` being write number ``_journal_start``.  What a
+        # join memo reads to learn which D-segments moved since it was
+        # built, instead of comparing every chunk's version.
+        self._journal: list[int] = []
+        self._journal_start = 0
+
+    @property
+    def journal_position(self) -> int:
+        """How many writes this index has seen: where the next one goes."""
+        return self._journal_start + len(self._journal)
+
+    def written_since(self, position: int) -> list[int] | None:
+        """The sids written at or after journal ``position`` (repeats
+        possible), or ``None`` when the journal no longer reaches back
+        that far."""
+        offset = position - self._journal_start
+        return None if offset < 0 else self._journal[offset:]
 
     def version(self, sid: int) -> int:
         """Monotone counter of observable changes to ``sid``'s records."""
         return self._versions.get(sid, 0)
 
     def _bump(self, sid: int) -> None:
+        """Record a write of ``sid``: its version and the journal."""
         self._versions[sid] = self._versions.get(sid, 0) + 1
+        journal = self._journal
+        journal.append(sid)
+        if len(journal) >= 2 * JOURNAL_KEPT:
+            del journal[:JOURNAL_KEPT]
+            self._journal_start += JOURNAL_KEPT
 
     def _install(self, sid: int, block: SegmentBlock) -> None:
         """Make ``block`` (when empty: nothing) what ``sid`` holds."""
@@ -270,8 +299,9 @@ class ElementIndex:
     # accounting
 
     def approximate_bytes(self) -> int:
-        """Estimated in-memory size: 8 bytes per stored scalar."""
-        total = 0
+        """Estimated in-memory size: 8 bytes per stored scalar (the write
+        journal's sids included)."""
+        total = 8 * len(self._journal)
         for block in self._blocks.values():
             total += 8 * 4 * len(block)
             for view in {id(v): v for v in block._views.values()}.values():

@@ -25,20 +25,19 @@ prefix anyway, and the top frame's candidates are found by bisect.
 The parent/child variant restricts cross joins to (parent segment of ``T``,
 ``T``) per Proposition 3(1) and filters on ``LevelNum``.
 
-The merge runs over the element index's per-segment column views and the
-**compiled read path** (:mod:`repro.core.readpath`): segment lists and push
-lists are version-keyed compiled artifacts, so repeated joins between
-updates reuse them.  Two skip-ahead
-moves exploit the compiled layouts:
+The merge runs over the tag list's segment lists (:meth:`TagList.nodes`),
+the element index's per-segment column views and the **compiled read
+path** (:mod:`repro.core.readpath`): push lists are version-keyed
+compiled artifacts, so repeated joins between updates reuse them.  Two
+skip-ahead moves exploit these layouts:
 
 - **segment-list galloping** (Step 2): the A-segments between two
   consecutive D-segments form a run the merge previously scanned one entry
   at a time.  The segments in that run containing the D-segment are
-  exactly its ER-tree ancestors (segments form a laminar family), hence
-  their sids are on the D-segment's stored tag-list path — so one bisect
-  finds the run's end and only ``len(path)`` sid probes find the
-  containing segments; everything else in the run is skipped without even
-  a containment test;
+  exactly its ER-tree ancestors (segments form a laminar family) — so one
+  bisect finds the run's end and one position probe per ancestor finds
+  the containing segments; everything else in the run is skipped without
+  even a containment test;
 - **element bisecting** (Step 3): a frame's compiled columns are sorted by
   start with a prefix-max-of-end column, so the candidates for
   ``start < P < end`` are found by one bisect, and a frame none of whose
@@ -48,23 +47,26 @@ moves exploit the compiled layouts:
 
 The answer is memoised **per descendant segment**: the output is grouped
 by D-segment and one group depends only on ``SL_A`` and that segment, so
-after an update :meth:`LazyJoiner._refresh` runs the same loop over just
-the D-segments whose element version moved and reuses every other chunk.
-``stats=`` runs the from-scratch merge, its oracle.
+after an update :meth:`LazyJoiner._refresh` asks the element index which
+segments were written since the memo was built, runs the same loop over
+just those D-segments and splices their chunks into the rest — work that
+follows the update, not ``|SL_D|``.  The answer is returned as stored, not
+copied.  ``stats=`` runs the from-scratch merge, its oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, product
-from operator import attrgetter
+from itertools import chain, compress, product
+from operator import attrgetter, itemgetter
 from time import perf_counter
 
 from repro.core.element_index import ElementIndex, ElementRecord
 from repro.core.ertree import ERNode
-from repro.core.readpath import ReadPathCache
+from repro.core.readpath import JoinMemo, ReadPathCache
 from repro.core.update_log import UpdateLog
 from repro.errors import QueryError
 from repro.joins.kernels import select_open
@@ -111,18 +113,59 @@ _H_STACK = METRICS.histogram(
     boundaries=SIZE_BUCKETS,
 )
 
-__all__ = ["LazyJoiner", "JoinPair", "JoinStatistics"]
+__all__ = ["LazyJoiner", "JoinAnswer", "JoinPair", "JoinStatistics"]
 
 _AXES = (AXIS_DESCENDANT, AXIS_CHILD)
 
 _NO_SPAN = nullcontext()  # stateless, so one serves every untraced join
 _node_gp = attrgetter("gp")
+_chunk_pairs = itemgetter(0)
+#: A memo chunk: one D-segment's ``(pairs, deepest stack charged)``.
+_NO_CHUNK = ((), 0)
 
 
 #: A join result: (ancestor element, descendant element), each an
 #: :class:`~repro.core.element_index.ElementRecord` carrying (sid, local
 #: start, local end, absolute level).
 JoinPair = tuple[ElementRecord, ElementRecord]
+
+
+class JoinAnswer(Sequence):
+    """A memoised join's pairs: its chunks, one after the other.
+
+    What :meth:`LazyJoiner.join` hands out from the memo, uncopied: the
+    chunk list is the memo's own and is never mutated, iteration chains
+    the chunks at C level, and it compares equal to a list of the same
+    pairs (the from-scratch merge's answer).  Indexing flattens once.
+    """
+
+    __slots__ = ("_chunks", "_length", "_flat")
+
+    def __init__(self, chunks: list, length: int):
+        self._chunks = chunks
+        self._length = length
+        self._flat = None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return chain.from_iterable(map(_chunk_pairs, self._chunks))
+
+    def __getitem__(self, index):
+        if self._flat is None:
+            self._flat = list(self)
+        return self._flat[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, JoinAnswer)):
+            return len(other) == self._length and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"JoinAnswer({list(self)!r})"
 
 
 @dataclass
@@ -150,6 +193,21 @@ class JoinStatistics:
         """Fraction of results that were cross-segment joins."""
         total = self.pairs
         return self.cross_pairs / total if total else 0.0
+
+
+def _position(nodes: list[ERNode], node: ERNode, lo: int = 0) -> int | None:
+    """Where ``node`` sits in a segment list at or after ``lo``, or
+    ``None``: one bisect on gp, then a step over the ties — segments tie
+    only where a head was cut back to its first child's start, a run no
+    longer than the nesting depth."""
+    gp = node.gp
+    for i in range(bisect_left(nodes, gp, lo, key=_node_gp), len(nodes)):
+        held = nodes[i]
+        if held is node:
+            return i
+        if held.gp != gp:
+            break
+    return None
 
 
 class _Frame:
@@ -254,14 +312,15 @@ class LazyJoiner:
         *,
         stats: JoinStatistics | None = None,
         context=None,
-    ) -> list[JoinPair]:
+    ) -> Sequence[JoinPair]:
         """Answer ``tag_a // tag_d`` (or ``/`` with ``axis="child"``).
 
         Results are grouped by descendant segment in ascending global
         position (cross-segment pairs for a segment first, then its
         in-segment pairs); use :func:`sorted` with a global-position key for
         a total document order.  Pass a :class:`JoinStatistics` to collect
-        execution counters.
+        execution counters.  The answer may be the join memo's own
+        :class:`JoinAnswer`: read it, never mutate it.
 
         ``context`` is an optional
         :class:`~repro.service.context.QueryContext`: the descendant-segment
@@ -275,8 +334,8 @@ class LazyJoiner:
 
         Calls without ``stats`` are answered from the read-path cache's
         per-descendant-segment join memo: the stored answer while both
-        tags are unchanged, otherwise the chunks of the untouched
-        D-segments plus a merge of the touched ones (:meth:`_refresh`).  A
+        tags are unchanged, otherwise the chunks of the unwritten
+        D-segments plus a merge of the written ones (:meth:`_refresh`).  A
         ``context`` is charged for the whole answer either way, so a
         budget aborts a warm call exactly as it aborts a cold one.
         Statistics collection runs the from-scratch merge, which stays the
@@ -289,7 +348,7 @@ class LazyJoiner:
         ) as span:
             return self._join(tag_a, tag_d, axis, stats, context, span)
 
-    def _join(self, tag_a, tag_d, axis, stats, context, span) -> list[JoinPair]:
+    def _join(self, tag_a, tag_d, axis, stats, context, span) -> Sequence[JoinPair]:
         enabled = METRICS.enabled
         memo_key = None
         if stats is None and axis in _AXES and self._log.query_ready:
@@ -299,19 +358,18 @@ class LazyJoiner:
                 memo_key = (tid_a, tid_d, axis)
                 if context is not None:
                     context.check_deadline()
-                cached = self._readpath.cached_join(tid_a, tid_d, axis)
-                if cached is not None:
-                    flat, depth = cached
+                memo = self._readpath.cached_join(tid_a, tid_d, axis)
+                if memo is not None:
+                    pairs = memo.answer
                     if context is not None:
-                        context.charge_depth(depth)
-                        context.charge_rows(len(flat))
+                        context.charge_depth(memo.depth)
+                        context.charge_rows(len(pairs))
                     if span is not None:
-                        span.annotate(pairs=len(flat), memo="hit")
+                        span.annotate(pairs=len(pairs), memo="hit")
                     if enabled:
                         _M_CALLS.inc()
-                        _M_PAIRS.inc(len(flat))
-                    # Fresh list: callers may sort/extend their copy.
-                    return list(flat)
+                        _M_PAIRS.inc(len(pairs))
+                    return pairs
         if stats is None:
             stats = JoinStatistics()
         start = perf_counter() if enabled else 0.0
@@ -342,65 +400,85 @@ class LazyJoiner:
 
     def _refresh(
         self, memo_key, tag_a: str, tag_d: str, stats: JoinStatistics, context
-    ) -> list[JoinPair]:
+    ) -> JoinAnswer:
         """Bring the join memo for ``memo_key`` up to date; answer from it.
 
-        The memo keeps one chunk ``(element version, stack depth, pairs)``
-        per D-segment sid, good while ``index.version(sid)`` stands — the
-        whole validity key, see DESIGN.md 4e.  This runs the ordinary
-        merge over the D-segments whose chunk is missing or stale (the
-        loop is correct for any gp-ascending subset of ``SL_D``), cuts
-        its output at their boundaries, and publishes the chunks of the
-        *current* ``SL_D`` with one assignment: dead sids leave there, and
-        readers sharing a pinned replica each publish a complete entry.
-        An abort (deadline, budget, cancel) propagates before the publish.
+        A chunk is good while its D-segment has not been written — the
+        whole validity key, see DESIGN.md 4e.  The memo's chunks are
+        aligned with ``SL_D`` as it stood, so the tag list's edits to
+        ``SL_D`` since then realign them, a new D-segment getting an empty
+        chunk; the element index's journal names the segments written
+        since the memo's position, and the ordinary merge runs over those
+        still in ``SL_D`` (the loop is correct for any gp-ascending
+        subset), its output cut at their boundaries and put in their
+        places.  No memo, or a journal or tag
+        list that no longer reaches back to it, leaves every D-segment to
+        merge.  The new memo is published with one assignment, so readers
+        sharing a pinned replica each publish a complete entry, and an
+        abort (deadline, budget, cancel) propagates before the publish.
         """
         tid_a, tid_d, axis = memo_key
         rp = self._readpath
-        old = rp.join_chunks(tid_a, tid_d, axis)
-        nodes = rp.segment_list(tid_d).nodes
-        version_of = self._index.version
-        todo = [
-            node for node in nodes
-            if (chunk := old.get(node.sid)) is None
-            or chunk[0] != version_of(node.sid)
-        ]
+        taglist = self._log.taglist
+        position = self._index.journal_position
+        old = rp.join_memo(tid_a, tid_d, axis)
+        written = edits = None
+        if old is not None:
+            written = self._index.written_since(old.position)
+            edits = taglist.edits_since(tid_d, old.version_d)
+        nodes = taglist.nodes(tid_d)
+        if written is None or edits is None:
+            redo = range(len(nodes))
+            chunks = [_NO_CHUNK] * len(nodes)
+            counts = {0: len(nodes)}
+            length = 0
+        else:
+            chunks = old.chunks.copy()
+            counts = old.depth_counts.copy()
+            length = len(old.answer)
+            for edit in edits:
+                if edit > 0:
+                    chunks.insert(edit - 1, _NO_CHUNK)
+                    counts[0] = counts.get(0, 0) + 1
+                elif edit < 0:
+                    pairs, depth = chunks.pop(-edit - 1)
+                    counts[depth] -= 1
+                    length -= len(pairs)
+            ertree = self._log.ertree
+            redo = sorted({
+                i for sid in set(written) if sid in ertree
+                and (i := _position(nodes, ertree.node(sid))) is not None
+            })
         merged: list[JoinPair] = []
-        fresh: dict = {}
-        if todo:
+        if redo:
             meter = _ChunkMeter(context)
-            merged = self._join_impl(
-                tag_a, tag_d, axis, stats, meter,
-                None if len(todo) == len(nodes) else todo, meter,
-            )
-            cuts = meter.cuts
-            if cuts:
-                cuts.append(len(merged))
-                for node, lo, hi, depth in zip(
-                    todo, cuts, cuts[1:], meter.depths
-                ):
-                    fresh[node.sid] = (
-                        version_of(node.sid), depth, tuple(merged[lo:hi])
-                    )
-            else:
-                # A tag has no element left: the merge returned before
-                # its loop, and every chunk is empty.
-                fresh = {
-                    node.sid: (version_of(node.sid), 0, ()) for node in todo
-                }
-        chunks = {
-            node.sid: fresh.get(node.sid) or old[node.sid] for node in nodes
-        }
-        flat = tuple(chain.from_iterable(c[2] for c in chunks.values()))
-        depth = max((c[1] for c in chunks.values()), default=0)
+            subset = None if len(redo) == len(nodes) else [nodes[i] for i in redo]
+            merged = self._join_impl(tag_a, tag_d, axis, stats, meter, subset, meter)
+            # No cuts: a tag has no element left, the merge returned before
+            # its loop, and every chunk it was to redo is empty.
+            cuts = meter.cuts or [0] * len(redo)
+            cuts.append(len(merged))
+            for i, lo, hi, depth in zip(
+                redo, cuts, cuts[1:], meter.depths or [0] * len(redo)
+            ):
+                pairs, was = chunks[i]
+                counts[was] -= 1
+                counts[depth] = counts.get(depth, 0) + 1
+                length += hi - lo - len(pairs)
+                chunks[i] = (tuple(merged[lo:hi]), depth)
+        depth = max(compress(counts, counts.values()), default=0)
+        answer = JoinAnswer(chunks, length)
         if context is not None:
             # The merge charged what it produced; the reused chunks are
             # charged here, so the budget sees the whole answer.
             context.charge_depth(depth)
-            context.charge_rows(len(flat) - len(merged))
+            context.charge_rows(length - len(merged))
             context.check_deadline()
-        rp.store_join(tid_a, tid_d, axis, flat, depth, chunks)
-        return list(flat)
+        rp.store_join(tid_a, tid_d, axis, JoinMemo(
+            taglist.version(tid_a), taglist.version(tid_d), position,
+            chunks, counts, answer, depth,
+        ))
+        return answer
 
     def _join_impl(
         self,
@@ -427,23 +505,21 @@ class LazyJoiner:
         if tid_a is None or tid_d is None:
             return []
         rp = self._readpath
-        csl_a = rp.segment_list(tid_a)
-        csl_d = rp.segment_list(tid_d)
-        if not csl_a.entries or not csl_d.entries:
+        nodes_a = self._log.taglist.nodes(tid_a)
+        nodes_d = self._log.taglist.nodes(tid_d)
+        if not nodes_a or not nodes_d:
             return []
         get_elements = rp.elements
         get_push = rp.push_elements
         branch_of = self._branch_path
 
-        nodes_a = csl_a.nodes
-        sid_index_a = csl_a.sid_index
         child_only = axis == AXIS_CHILD
         results: list[JoinPair] = []
         stack: list[_Frame] = []
         ai = 0
         a_count = len(nodes_a)
 
-        for sd in csl_d.nodes if d_nodes is None else d_nodes:
+        for sd in nodes_d if d_nodes is None else d_nodes:
             if context is not None:
                 context.tick()
             if meter is not None:
@@ -456,29 +532,28 @@ class LazyJoiner:
             # Step 2 — push the A-segments preceding sd that contain it;
             # skip the rest.  Compiled skip-ahead: one bisect bounds the run
             # of A-segments with gp < sd.gp, and the ones containing sd are
-            # exactly its ER-tree ancestors — the sids on its stored
-            # tag-list path — so the run's other members are galloped over
-            # untested.  Containment is read off the path, never off a gp
-            # comparison: a removal can cut an ancestor's head back to sd's
-            # own gp (the ancestor stays first in the list), and an answer
-            # that flipped on such a tie would not be the one the memo
-            # holds for sd (DESIGN.md §4e).
+            # exactly its ER-tree ancestors — its parent chain — so the
+            # run's other members are galloped over untested.  Containment
+            # is read off the chain, never off a gp comparison: a removal
+            # can cut an ancestor's head back to sd's own gp (the ancestor
+            # stays first in the list), and an answer that flipped on such
+            # a tie would not be the one the memo holds for sd (DESIGN.md
+            # §4e).
             if ai < a_count and nodes_a[ai].gp <= sd.gp:
                 nxt = bisect_left(nodes_a, sd.gp, ai, a_count, key=_node_gp)
-                # Mapped path indices increase along the path (path order
-                # and nodes_a are both ER-tree pre-order), so probing the
-                # path deepest-first stops at the first already-merged
-                # index: the run's candidates are a suffix of the mapped
-                # path, found in O(new candidates) instead of O(depth).
+                # Ancestor positions increase with depth (SL_A is ER-tree
+                # pre-order), so the run's candidates are the deepest
+                # ancestors, and the walk up stops at the first whose gp
+                # lies before the run's: it, and all above it, were
+                # merged already.
                 candidates = []
-                path = sd.path
-                for k in range(len(path) - 2, -1, -1):
-                    idx = sid_index_a.get(path[k])
-                    if idx is None:
-                        continue
-                    if idx < ai:
-                        break
-                    candidates.append(idx)
+                floor = nodes_a[ai].gp
+                ancestor = sd.parent
+                while ancestor is not None and ancestor.gp >= floor:
+                    idx = _position(nodes_a, ancestor, ai)
+                    if idx is not None:
+                        candidates.append(idx)
+                    ancestor = ancestor.parent
                 if candidates:
                     candidates.reverse()
                     # An ancestor tied with sd on gp lies past the bisect.
@@ -528,7 +603,12 @@ class LazyJoiner:
             # The compiled columns sharpen it further: joining frame
             # elements are found by bisect first, and if none join (and
             # there is no in-segment work) the D-fetch is avoided too.
-            in_segment = sd.sid in sid_index_a
+            # sd, if in SL_A, is no earlier than the run's end, and there
+            # it ties with the first A-segment left.
+            in_segment = (
+                ai < a_count and nodes_a[ai].gp == sd.gp
+                and _position(nodes_a, sd, ai) is not None
+            )
             if not stack and not in_segment:
                 stats.segments_skipped += 1
                 continue

@@ -187,11 +187,9 @@ class PathPlan:
     output pairs): running the cheapest joins first lets a zero-pair step
     abort the query before the expensive ones execute.
 
-    ``segment_counts`` are the per-tag compiled segment-list lengths, read
-    from the read-path cache's cross-query memo when it is enabled (empty
-    otherwise).  They break cost ties — the Lazy-Join merge's outer loop
-    scales with segment counts, not element counts — and probing them
-    warms the segment-list memo for the joins about to execute.
+    ``segment_counts`` are the per-tag segment-list lengths (empty when
+    the log is not query-ready).  They break cost ties — the Lazy-Join
+    merge's outer loop scales with segment counts, not element counts.
     """
 
     tags: tuple[str, ...]
@@ -220,20 +218,10 @@ def plan_path(db, query: PathQuery) -> PathPlan:
         counts.append(0 if tid is None else db.log.taglist.total_count(tid))
     counts = tuple(counts)
     segment_counts: tuple[int, ...] = ()
-    readpath = getattr(db, "readpath", None)
-    if (
-        readpath is not None
-        and db.log.query_ready
-        and all(counts)
-    ):
-        # Feed the planner from the compiled segment lists: the per-tag
-        # compile is memoized under the tag-list version, so these probes
-        # warm the cross-query memo for the joins about to run and cost
-        # O(1) per tag once warm.
-        lengths = {
-            tid: len(readpath.segment_list(tid)) for tid in set(tids)
-        }
-        segment_counts = tuple(lengths[tid] for tid in tids)
+    if db.log.query_ready and all(counts):
+        # Feed the planner the segment lists' lengths: the lists the joins
+        # about to run merge, O(1) per tag.
+        segment_counts = tuple(len(db.log.taglist.nodes(tid)) for tid in tids)
     n_steps = len(query.steps)
     if segment_counts:
         # Same primary cost; segment-count products break ties because

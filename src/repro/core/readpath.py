@@ -10,8 +10,10 @@ This module compiles the read-side layouts Lazy-Join touches per call and
 memoizes them under *per-structure version keys*.  Element columns are not
 among them: a segment's elements are base data, held once by the element
 index as an immutable block (:mod:`repro.core.element_index`), and
-:meth:`ReadPathCache.elements` is a direct read of the block's view.  What
-is derived, and kept here:
+:meth:`ReadPathCache.elements` is a direct read of the block's view.  Nor
+are segment lists: the tag list keeps each tag's node list, the ``SL`` the
+merge reads, and applies its own inserts and removes to it
+(:meth:`TagList.nodes`).  What is derived, and kept here:
 
 - **push lists** — the Section 4.2 optimization-(i) filter (elements
   containing at least one child insertion point) precomputed per
@@ -27,25 +29,22 @@ is derived, and kept here:
   shift invalidates nothing.  A segment with no children and no
   tombstones shares its block's view outright; a wildcard step reads
   the all-tags view (``tid`` ``None``) the same way;
-- **segment lists** — per tag, the tag-list entries frozen as a tuple with
-  an O(1) ``sid -> position`` map, keyed on :meth:`TagList.version`.
-  Global positions are deliberately *not* copied out: gp shifts on every
-  update, so the compiled list stores node references and the join reads
-  ``node.gp`` live — which is what keeps invalidation O(touched
-  structures) instead of a global flush per update;
 - **local positions** — ``sid -> lp`` for branch-point resolution.  An lp
   is immutable for the segment's whole lifetime and sids are never reused,
   so this memo needs no version key at all;
 - **join results** — the top of the stack: per ``(tid_a, tid_d, axis)``,
-  one *chunk* of pairs per descendant segment, stamped with the segment's
-  ``ElementIndex.version``, plus the chunks concatenated in ``SL_D`` order
-  under *both tags' versions* for the nothing-changed hit.  A chunk
-  depends on its segment's own elements and on the A-elements of its
-  ER-ancestors that span its branch point; labels are immutable, inserts
-  add leaf segments, and a remove cannot delete such an ancestor element
-  without deleting the segment — so a chunk is good exactly while its
-  stamp is current (DESIGN.md §4e), and the join after an update re-merges only
-  the touched D-segments.  Pair order survives too: gp shifts keep order.
+  a :class:`JoinMemo` — one *chunk* of pairs per descendant segment, in a
+  list aligned with ``SL_D``, and the answer, a read-only sequence over
+  the chunks handed out uncopied while *both tags' versions* stand.  A
+  chunk depends on its segment's own elements and on the A-elements of
+  its ER-ancestors that span its branch point; labels are immutable,
+  inserts add leaf segments, and a remove cannot delete such an ancestor
+  element without deleting the segment — so a chunk is good exactly while
+  its segment has not been written (DESIGN.md §4e).  The join after an
+  update realigns the chunks by ``SL_D``'s edits, reads the sids the
+  element index's journal logged since the memo was built, and re-merges
+  those D-segments alone; a journal or an edit log trimmed past the memo
+  makes it a miss.  Pair order survives too: gp shifts keep order.
 
 There is one regime: every lookup memoises.  :meth:`ReadPathCache.clear`
 is the "cold" lever — it drops everything derived and forces the same
@@ -55,7 +54,9 @@ recompilation through the same code; element blocks are not its to drop.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from itertools import accumulate
+from typing import NamedTuple
 
 from repro.core.element_index import CompiledElements
 from repro.joins.kernels import push_kept
@@ -63,7 +64,7 @@ from repro.obs.metrics import METRICS
 
 __all__ = [
     "CompiledPushList",
-    "CompiledSegmentList",
+    "JoinMemo",
     "ReadPathCache",
 ]
 
@@ -74,12 +75,6 @@ _M_EL_HITS = METRICS.counter(
 )
 _M_EL_MISSES = METRICS.counter(
     "readpath.elements.misses", unit="lookups", site="ReadPathCache.span_columns"
-)
-_M_SEG_HITS = METRICS.counter(
-    "readpath.segments.hits", unit="lookups", site="ReadPathCache.segment_list"
-)
-_M_SEG_MISSES = METRICS.counter(
-    "readpath.segments.misses", unit="lookups", site="ReadPathCache.segment_list"
 )
 _M_PUSH_HITS = METRICS.counter(
     "readpath.push.hits", unit="lookups", site="ReadPathCache.push_elements"
@@ -187,26 +182,24 @@ class CompiledPushList:
         return len(self.starts)
 
 
-class CompiledSegmentList:
-    """One tag's segment list frozen for merging: ``SL_A`` / ``SL_D``.
+class JoinMemo(NamedTuple):
+    """One stored ``A // D`` answer and the chunks it is cut from.
 
-    ``entries`` / ``nodes`` are position-aligned tuples in ascending
-    segment-gp order; ``sid_index`` maps sid to position, which is what
-    makes the skip-ahead merge exact: the A-segments containing a
-    descendant segment are precisely the ones on its ER-tree path, so the
-    merge can jump over a run of non-containing segments and probe only
-    ``len(path)`` sids instead of scanning the run.
+    ``chunks[i]`` is ``(pairs, depth)`` for the ``i``-th D-segment of
+    ``SL_D`` at tag version ``version_d``: its pairs and the deepest stack
+    its merge charged; ``depth_counts`` maps a depth to how many chunks
+    have it.  ``answer`` strings the chunks' pairs together — what callers
+    get — and ``depth`` is their maximum.  Built when the element index's
+    journal stood at ``position``.  Never mutated once stored.
     """
 
-    __slots__ = ("entries", "nodes", "sid_index")
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-        self.nodes = tuple(entry.node for entry in self.entries)
-        self.sid_index = {node.sid: i for i, node in enumerate(self.nodes)}
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    version_a: int
+    version_d: int
+    position: int
+    chunks: list
+    depth_counts: dict
+    answer: Sequence
+    depth: int
 
 
 class ReadPathCache:
@@ -227,13 +220,10 @@ class ReadPathCache:
         # sid -> {tid: (index_version, node_version, gp-free
         #   CompiledElements)}; tid None = all tags
         self._spans: dict[int, dict[int | None, tuple]] = {}
-        # tid -> (taglist_version, CompiledSegmentList)
-        self._segments: dict[int, tuple[int, CompiledSegmentList]] = {}
         # sid -> lp (immutable; no version key)
         self._lps: dict[int, int] = {}
-        # (tid_a, tid_d, axis) -> (version_a, version_d, results tuple,
-        #   stack depth, {D-segment sid: (index_version, depth, pairs)})
-        self._joins: dict[tuple[int, int, str], tuple] = {}
+        # (tid_a, tid_d, axis) -> JoinMemo
+        self._joins: dict[tuple[int, int, str], JoinMemo] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -242,7 +232,6 @@ class ReadPathCache:
         """Drop all compiled state (counters are kept)."""
         self._push.clear()
         self._spans.clear()
-        self._segments.clear()
         self._lps.clear()
         self._joins.clear()
 
@@ -318,47 +307,25 @@ class ReadPathCache:
             self._spans, tid, node, span_offsets, _M_EL_HITS, _M_EL_MISSES
         )
 
-    def segment_list(self, tid: int) -> CompiledSegmentList:
-        """The compiled segment list (``SL`` of Lazy-Join) for ``tid``."""
-        taglist = self._log.taglist
-        version = taglist.version(tid)
-        cached = self._segments.get(tid)
-        if cached is not None:
-            if cached[0] == version:
-                self.hits += 1
-                if METRICS.enabled:
-                    _M_SEG_HITS.inc()
-                return cached[1]
-            self.invalidations += 1
-            if METRICS.enabled:
-                _M_INVALIDATED.inc()
-        self.misses += 1
-        if METRICS.enabled:
-            _M_SEG_MISSES.inc()
-        compiled = CompiledSegmentList(taglist.segments_for(tid))
-        self._segments[tid] = (version, compiled)
-        return compiled
-
-    def cached_join(self, tid_a: int, tid_d: int, axis: str) -> tuple | None:
-        """The stored ``tid_a // tid_d`` answer, if still whole.
+    def cached_join(self, tid_a: int, tid_d: int, axis: str) -> JoinMemo | None:
+        """The stored ``tid_a // tid_d`` memo, if its answer is still whole.
 
         Whole means *both* tags' versions are unchanged since the store —
-        then no chunk can have moved (see the module docstring).  Returns
-        ``(results tuple, stack depth)``, or ``None`` on a miss; a stale
-        entry stays in place, because most of its chunks are still good
-        (:meth:`join_chunks`).
+        then no chunk can have moved (see the module docstring).  On a miss
+        a stale entry stays in place, because most of its chunks are still
+        good (:meth:`join_memo`).
         """
         cached = self._joins.get((tid_a, tid_d, axis))
         if cached is not None:
             taglist = self._log.taglist
             if (
-                cached[0] == taglist.version(tid_a)
-                and cached[1] == taglist.version(tid_d)
+                cached.version_a == taglist.version(tid_a)
+                and cached.version_d == taglist.version(tid_d)
             ):
                 self.hits += 1
                 if METRICS.enabled:
                     _M_JOIN_HITS.inc()
-                return cached[2], cached[3]
+                return cached
             self.invalidations += 1
             if METRICS.enabled:
                 _M_INVALIDATED.inc()
@@ -367,33 +334,18 @@ class ReadPathCache:
             _M_JOIN_MISSES.inc()
         return None
 
-    def join_chunks(self, tid_a: int, tid_d: int, axis: str) -> dict:
-        """The per-D-segment chunks last stored for this join (maybe stale).
+    def join_memo(self, tid_a: int, tid_d: int, axis: str) -> JoinMemo | None:
+        """The memo last stored for this join, whole or stale."""
+        return self._joins.get((tid_a, tid_d, axis))
 
-        ``{sid: (index_version, depth, pairs)}``; a chunk is good while
-        ``index_version`` is still :meth:`ElementIndex.version` of its sid.
-        """
-        cached = self._joins.get((tid_a, tid_d, axis))
-        return {} if cached is None else cached[4]
-
-    def store_join(
-        self, tid_a: int, tid_d: int, axis: str,
-        results: tuple, depth: int, chunks: dict,
-    ) -> None:
-        """Publish a join answer and its chunks under the current versions.
+    def store_join(self, tid_a: int, tid_d: int, axis: str, memo: JoinMemo) -> None:
+        """Publish a join memo.
 
         One assignment of one immutable entry: a concurrent reader of the
         same (pinned, hence unchanging) replica sees the old entry or the
         new one, both valid.
         """
-        taglist = self._log.taglist
-        self._joins[(tid_a, tid_d, axis)] = (
-            taglist.version(tid_a),
-            taglist.version(tid_d),
-            results,
-            depth,
-            chunks,
-        )
+        self._joins[(tid_a, tid_d, axis)] = memo
 
     def lp_of(self, sid: int) -> int:
         """The (immutable) local position of segment ``sid``."""
@@ -434,10 +386,9 @@ class ReadPathCache:
             "entries": {
                 "push_lists": sum(map(len, self._push.values())),
                 "span_columns": sum(map(len, self._spans.values())),
-                "segment_lists": len(self._segments),
                 "lps": len(self._lps),
                 "join_results": len(self._joins),
-                "join_chunks": sum(len(e[4]) for e in self._joins.values()),
+                "join_chunks": sum(len(m.chunks) for m in self._joins.values()),
             },
         }
 
@@ -454,11 +405,9 @@ class ReadPathCache:
         for held in self._push.values():
             for _, _, push in held.values():
                 total += 8 * 3 * len(push)
-        for _, compiled_list in self._segments.values():
-            total += 8 * 2 * len(compiled_list.entries)
-        for _, _, results, _, chunks in self._joins.values():
+        for memo in self._joins.values():
             # two 4-field records per pair, one more reference to it from
-            # its chunk, three scalars per chunk
-            total += 8 * 9 * len(results) + 8 * 3 * len(chunks)
+            # its chunk; a chunk's reference, pairs and depth per D-segment
+            total += 8 * 9 * len(memo.answer) + 8 * 3 * len(memo.chunks)
         total += 8 * len(self._lps)
         return total

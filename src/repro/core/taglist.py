@@ -20,8 +20,9 @@ rebuilt, no scan by sid.  In LS mode entries are appended unsorted and
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -50,6 +51,11 @@ _G_FANOUT = METRICS.gauge(
 )
 
 _entry_gp = attrgetter("node.gp")
+_entry_node = attrgetter("node")
+
+#: Edits one tag's list remembers.  Once it holds twice this many the
+#: oldest ``EDITS_KEPT`` go; a reader further behind starts over.
+EDITS_KEPT = 64
 
 
 class TagRegistry:
@@ -114,9 +120,21 @@ class TagList:
         self.observed = True
         # Read-path version keys: one counter per tag, bumped exactly when
         # that tag's list changes observably (entries added/dropped, counts
-        # changed, order changed by finalize/unsort).  The compiled
-        # segment-list cache (repro.core.readpath) keys on these.
+        # changed, order changed by finalize/unsort).  The join memo
+        # (repro.core.readpath) keys on these.
         self._versions: dict[int, int] = {}
+        # Each list's nodes alone, position-aligned with its entries once
+        # sorted: the segment list Lazy-Join merges, read in place — every
+        # insert and remove below applies to it, so no reader rebuilds or
+        # copies it (an LS sort rebuilds it once, in finalize).
+        self._nodes: dict[int, list[ERNode]] = {}
+        # The edits behind the version bumps, for what a reader keeps
+        # aligned with a list (the join memo's chunks): tid -> [version
+        # before ``edits[0]``, edits], one edit per bump — ``i + 1`` an
+        # entry inserted at ``i``, ``-(i + 1)`` one deleted from ``i``,
+        # ``0`` a count changed in place.  A reorder (finalize, unsort)
+        # forgets them.
+        self._edits: dict[int, list] = {}
         # Total occurrences per tag across all segments, maintained
         # incrementally — the O(1) selectivity probe join planning uses
         # instead of counting through the element index.
@@ -131,8 +149,32 @@ class TagList:
         """Monotone counter of observable changes to ``tid``'s list."""
         return self._versions.get(tid, 0)
 
-    def _bump(self, tid: int) -> None:
+    def _bump(self, tid: int, edit: int) -> None:
+        version = self._versions.get(tid, 0)
+        self._versions[tid] = version + 1
+        held = self._edits.get(tid)
+        if held is None:
+            held = self._edits[tid] = [version, array("q")]
+        edits = held[1]
+        edits.append(edit)
+        if len(edits) >= 2 * EDITS_KEPT:
+            del edits[:EDITS_KEPT]
+            held[0] += EDITS_KEPT
+
+    def _reordered(self, tid: int) -> None:
         self._versions[tid] = self._versions.get(tid, 0) + 1
+        self._edits.pop(tid, None)
+
+    def edits_since(self, tid: int, version: int) -> Sequence[int] | None:
+        """The edits that took ``tid``'s list from ``version`` to now (see
+        ``_edits``), or ``None`` when they are not all known any more or
+        the list awaits sorting (LS)."""
+        if version == self.version(tid):
+            return ()
+        held = self._edits.get(tid)
+        if held is None or version < held[0] or tid in self._unsorted:
+            return None
+        return held[1][version - held[0]:]
 
     def total_count(self, tid: int) -> int:
         """Total element occurrences of ``tid`` across all segments, O(1).
@@ -168,15 +210,18 @@ class TagList:
         if count <= 0:
             raise UpdateError(f"tag count must be positive, got {count}")
         entries = self._lists.setdefault(tid, [])
+        nodes = self._nodes.setdefault(tid, [])
         entry = TagEntry(node, count)
         if self._dynamic:
             # A live entry sharing this gp is an ancestor whose head was
             # cut back to here (repack re-adds under one): it stays first.
-            entries.insert(bisect_right(entries, node.gp, key=_entry_gp), entry)
+            index = bisect_right(entries, node.gp, key=_entry_gp)
         else:
-            entries.append(entry)
+            index = len(entries)
             self._unsorted.add(tid)
-        self._bump(tid)
+        entries.insert(index, entry)
+        nodes.insert(index, node)
+        self._bump(tid, index + 1)
         self._totals[tid] = self._totals.get(tid, 0) + count
         if len(entries) > self._max_fanout:
             self._max_fanout = len(entries)
@@ -223,7 +268,7 @@ class TagList:
                 f"{node.sid}, only {entry.count} recorded"
             )
         entry.count -= removed
-        self._bump(tid)
+        self._bump(tid, 0 if entry.count else -(idx + 1))
         remaining = self._totals.get(tid, 0) - removed
         if remaining > 0:
             self._totals[tid] = remaining
@@ -231,8 +276,10 @@ class TagList:
             self._totals.pop(tid, None)
         if entry.count == 0:
             del entries[idx]
+            del self._nodes[tid][idx]
             if not entries:
                 del self._lists[tid]
+                del self._nodes[tid]
             self._fanout_dirty = True
             if METRICS.enabled and self.observed:
                 _M_ENTRIES_DROPPED.inc()
@@ -241,8 +288,10 @@ class TagList:
         """Sort any LS-mode lists left unsorted by appends."""
         for tid in self._unsorted:
             if tid in self._lists:
-                self._lists[tid].sort(key=lambda e: e.node.gp)
-            self._bump(tid)
+                entries = self._lists[tid]
+                entries.sort(key=_entry_gp)
+                self._nodes[tid] = list(map(_entry_node, entries))
+            self._reordered(tid)
         self._unsorted.clear()
 
     def unsort(self, rng=None) -> None:
@@ -259,27 +308,36 @@ class TagList:
             else:
                 rng.shuffle(entries)
             self._unsorted.add(tid)
-            self._bump(tid)
+            self._reordered(tid)
 
     # ------------------------------------------------------------------
     # queries
 
-    def segments_for(self, tid: int) -> list[TagEntry]:
-        """Entries for ``tid`` in ascending segment-gp order.
-
-        This is the segment list (``SL_A`` / ``SL_D``) the Lazy-Join
-        algorithm merges.  Raises if called on an unfinalized LS list.
-        """
+    def _require_sorted(self, tid: int) -> None:
         if tid in self._unsorted:
             raise UpdateError(
                 f"tag-list for tid {tid} is unsorted; call finalize() "
                 "(LS mode requires prepare_for_query before joining)"
             )
+
+    def segments_for(self, tid: int) -> list[TagEntry]:
+        """Entries for ``tid`` in ascending segment-gp order.
+
+        Raises if called on an unfinalized LS list.
+        """
+        self._require_sorted(tid)
         entries = self._lists.get(tid, [])
         if METRICS.enabled:
             _M_SCANS.inc()
             _M_ENTRIES_SCANNED.inc(len(entries))
         return entries
+
+    def nodes(self, tid: int) -> list[ERNode]:
+        """The nodes of :meth:`segments_for` — the segment list (``SL_A`` /
+        ``SL_D``) Lazy-Join merges — as the live list: read it, never
+        mutate it.  Raises if called on an unfinalized LS list."""
+        self._require_sorted(tid)
+        return self._nodes.get(tid, [])
 
     def tids(self) -> Iterator[int]:
         """Tag ids that currently have at least one entry."""

@@ -34,8 +34,9 @@ The epoch discipline is also what lets replicas keep a **warm compiled
 read path** (:mod:`repro.core.readpath`) across publishes: a buffer is
 only mutated while private (op replay on the spare), each replayed op
 bumps exactly the version counters of the structures it touched, and once
-published the buffer is immutable — so compiled element arrays and segment
-lists stay valid for untouched structures from epoch to epoch, and
+published the buffer is immutable — so compiled push lists, span
+columns and join chunks stay valid for untouched structures from epoch
+to epoch, and
 invalidation cost tracks the op stream, not the database size.
 :meth:`EpochManager.metrics` surfaces the published replica's cache
 hit/miss counters as ``readpath``.

@@ -289,7 +289,7 @@ def _tag_stream(db, tag, axis, keep_sids, context):
         nodes = islice(db.log.ertree.nodes(), 1, None)  # not the dummy root
     else:
         tid = db.log.tags.tid_of(tag)
-        nodes = () if tid is None else readpath.segment_list(tid).nodes
+        nodes = () if tid is None else db.log.taglist.nodes(tid)
     span_columns = readpath.span_columns
     child_axis = axis == AXIS_CHILD
     # Column pieces in start order: (gp, starts, ends, levels, records).

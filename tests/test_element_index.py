@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core import element_index
 from repro.core.element_index import ElementIndex, ElementRecord
 
 
@@ -167,7 +168,7 @@ class TestRemoveLocalRange:
 class TestAccounting:
     def test_bytes_positive(self, index):
         base = index.approximate_bytes()
-        assert base == 8 * 4 * 5
+        assert base == 8 * 4 * 5 + 8 * 2  # and the journal's two writes
         index.block(1).tag(None)  # record references
         index.block(1).tag(1)  # ... and three columns of its own
         assert index.approximate_bytes() == base + 8 * 3 + 8 * 4 * 2
@@ -188,3 +189,27 @@ class TestAccounting:
             idx.remove_segment(sid)
         assert len(idx) == 100
         idx.check_invariants()
+
+
+class TestWriteJournal:
+    def test_every_write_and_only_writes(self, index):
+        assert index.journal_position == 2
+        assert index.written_since(0) == [1, 2]
+        index.remove_local_range(1, 40, 50)  # removes nothing: no write
+        index.remove_segment(7)  # holds nothing: no write
+        assert index.written_since(2) == []
+        index.remove_local_range(1, 3, 10)
+        index.remove_segment(2)
+        assert index.written_since(2) == [1, 2]
+        assert index.journal_position == 4
+
+    def test_trimmed_past_a_position_it_answers_none(self, monkeypatch):
+        monkeypatch.setattr(element_index, "JOURNAL_KEPT", 2)
+        idx = ElementIndex()
+        for sid in range(1, 5):
+            idx.insert_segment(sid, [(0, 0, 10, 1)], 0)
+        # The fourth write reached twice JOURNAL_KEPT: the oldest two went.
+        assert idx.journal_position == 4
+        assert idx.written_since(1) is None
+        assert idx.written_since(2) == [3, 4]
+        assert idx.approximate_bytes() == 8 * 4 * 4 + 8 * 2

@@ -17,15 +17,22 @@ buy:
 
 from __future__ import annotations
 
+import statistics
 import threading
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import element_index
 from repro.core import join as join_module
 from repro.core.database import LazyXMLDatabase
+from repro.core.element_index import ElementIndex
 from repro.core.join import JoinStatistics
+from repro.core.taglist import TagList
+from repro.durability import recovery
 from repro.errors import (
     DeadlineExceeded,
     QueryCancelled,
@@ -34,8 +41,9 @@ from repro.errors import (
 )
 from repro.service.context import QueryContext
 from repro.service.server import DatabaseService, ServiceConfig
-from repro.storage import dumps, loads
-from tests.test_log_maintenance import _OPS, _form, _loaded, apply_op
+from repro.service.snapshot import EpochManager
+from repro.storage import clone, dumps, loads
+from tests.test_log_maintenance import FRAGMENTS, _OPS, _form, _loaded, apply_op
 
 #: The fourth insert lands inside the ``<a/>`` token of segment 2 and the
 #: remove takes that segment's two characters before its new child, so the
@@ -56,7 +64,9 @@ _HISTORY = st.lists(
     st.one_of(
         _OPS,
         st.tuples(
-            st.sampled_from(["repack", "compact", "reload"]),
+            st.sampled_from(
+                ["repack", "compact", "reload", "clone", "trim", "epoch"]
+            ),
             st.integers(0, 10_000),
             st.integers(0, 10_000),
         ),
@@ -83,9 +93,40 @@ def assert_memo_is_the_merge(db: LazyXMLDatabase) -> None:
                 assert db.readpath.misses == misses, (tag_a, tag_d, axis)
 
 
+def _epochs(db: LazyXMLDatabase, a: int, b: int, check) -> None:
+    """Three publishes of an :class:`EpochManager` seeded with ``db``, the
+    published replica ``check``-ed in every epoch.  From the second
+    publish on, the spare replayed onto is a replica that answered an
+    epoch ago: its memo meets two ops' writes at once."""
+    manager = EpochManager(db)
+    first = {
+        "op": "insert",
+        "fragment": FRAGMENTS[a % len(FRAGMENTS)],
+        "position": b % (db.document_length + 1),
+    }
+    sid = None
+    for op in (first, {"op": "insert", "fragment": FRAGMENTS[b % len(FRAGMENTS)]},
+               None):
+        with manager.pin() as snap:
+            check(snap.db)
+        if op is None:  # take the first insert back
+            op = {"op": "remove_segment", "sid": sid}
+        receipt = recovery.apply_op(db, op)
+        sid = sid or receipt.sid
+        manager.publish([op])
+    with manager.pin() as snap:
+        check(snap.db)
+    manager.close()
+
+
 def _replay(mode: str, ops, check=assert_memo_is_the_merge) -> None:
     """Run ``check(db)`` after every step of a ``_HISTORY``.  Shared with
-    ``tests/test_readpath.py`` and ``tests/test_twig_parity.py``."""
+    ``tests/test_readpath.py`` and ``tests/test_twig_parity.py``.
+
+    Beyond the ``_OPS`` updates: repacks and compaction (fresh sids for
+    old ones), reloads and clones (a database whose journal starts at its
+    load), ``trim`` (an insert, then writes that trim the element index's
+    journal past every memo's position) and ``epoch`` (:func:`_epochs`)."""
     db = LazyXMLDatabase(mode)
     for kind, a, b in ops:
         live = list(db.log.ertree.nodes())[1:]
@@ -95,6 +136,15 @@ def _replay(mode: str, ops, check=assert_memo_is_the_merge) -> None:
             db.compact()
         elif kind == "reload":
             db = loads(dumps(db))
+        elif kind == "clone":
+            db = clone(db)
+        elif kind == "trim":
+            with mock.patch.object(element_index, "JOURNAL_KEPT", 1):
+                apply_op(db, "insert", a, b)
+                db.remove_segment(db.insert("<z/>").sid)
+        elif kind == "epoch":
+            db.prepare_for_query()
+            _epochs(db, a, b, check)
         else:
             apply_op(db, kind, a, b)
         check(db)
@@ -132,6 +182,13 @@ def test_gp_tie_answers_alike_warm_cold_and_from_scratch(mode):
     assert db.structural_join("a", "a") == warm
 
 
+def _chunks(db: LazyXMLDatabase, key) -> dict:
+    """``{D-segment sid: (pairs, depth)}`` of the memo just stored under
+    ``key``."""
+    nodes = db.log.taglist.nodes(key[1])
+    return dict(zip((node.sid for node in nodes), db.readpath.join_memo(*key).chunks))
+
+
 def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
     db = LazyXMLDatabase()
     first = db.insert("<a><b>1</b></a>")
@@ -139,15 +196,15 @@ def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
     db.insert("<a><b>3</b></a>")
     db.structural_join("a", "b")
     key = (db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant")
-    before = db.readpath.join_chunks(*key)
+    before = _chunks(db, key)
     assert set(before) == {1, 2, 3}
     db.insert("<a><b>4</b></a>")
     db.structural_join("a", "b")
-    after = db.readpath.join_chunks(*key)
+    after = _chunks(db, key)
     assert all(after[sid] is before[sid] for sid in before)  # reused, not rebuilt
     db.remove_segment(first.sid)  # takes the nested segment with it
     db.structural_join("a", "b")
-    assert set(db.readpath.join_chunks(*key)) == {3, 4}
+    assert set(_chunks(db, key)) == {3, 4}
     assert nested.sid == 2
     assert_memo_is_the_merge(db)
 
@@ -194,6 +251,64 @@ def test_join_after_update_merges_only_the_touched_segment(monkeypatch):
     assert shapes[0] == shapes[1]
 
 
+def _join_after_tail_pair(db: LazyXMLDatabase, i: int) -> float:
+    """Seconds of the first ``form//f3`` after a tail insert plus the first
+    after the remove that takes it back."""
+    receipt = db.insert(_form(1_000_000 + i))
+    started = time.perf_counter()
+    db.structural_join("form", "f3")
+    after_insert = time.perf_counter() - started
+    db.remove_segment(receipt.sid)
+    started = time.perf_counter()
+    db.structural_join("form", "f3")
+    return after_insert + time.perf_counter() - started
+
+
+@pytest.mark.perf_smoke
+def test_join_after_update_does_not_follow_the_corpus(monkeypatch):
+    """The refresh finds the written D-segments in the element index's
+    journal, and the tag list patches the segment lists it merges, so the
+    join after a tail insert and the one after taking it back make as
+    many ``ElementIndex.version`` calls and ``TagList.segments_for`` scans
+    (none) on 4 000 forms as on 250 — when the memo re-checked every
+    chunk's version it made one call per D-segment, and each touched
+    tag's segment list was rebuilt from a scan — and the 4 000-form pair
+    takes less than twice the 250-form one.  Medians of 40 pairs taken
+    alternately, best of three attempts: a shape check, not a timer."""
+    counted = ((ElementIndex, "version"), (TagList, "segments_for"))
+    calls = dict.fromkeys((name for _, name in counted), 0)
+
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    dbs = [_loaded(forms)[0] for forms in (250, 4_000)]
+    with monkeypatch.context() as patched:
+        for owner, name in counted:
+            patched.setattr(owner, name, counting(name, getattr(owner, name)))
+        counts = []
+        for db in dbs:
+            db.structural_join("form", "f3")
+            calls.update(dict.fromkeys(calls, 0))
+            _join_after_tail_pair(db, 0)
+            counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"version": 0, "segments_for": 0}
+    for _attempt in range(3):
+        samples = [[], []]
+        for i in range(1, 46):
+            for db, held in zip(dbs, samples):
+                held.append(_join_after_tail_pair(db, i))
+        small, large = (statistics.median(held[5:]) for held in samples)
+        if large <= 2 * small:
+            return
+    pytest.fail(
+        f"join after an update: 4 000 forms x{large / small:.1f} of 250 "
+        "(bound 2)"
+    )
+
+
 # ----------------------------------------------------------------------
 # budgets: warm and cold abort alike; an aborted merge publishes nothing
 
@@ -236,23 +351,23 @@ def test_budget_aborts_warm_and_cold_alike(case, warm_first):
     if warm_first:
         assert db.structural_join("a", "b") == full
     key = (db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant")
-    chunks = db.readpath.join_chunks(*key)
-    assert len(chunks) == (7 if warm_first else 0)
+    memo = db.readpath.join_memo(*key)
+    assert (memo is not None and len(memo.chunks) == 7) == warm_first
     for _ in range(2):  # cold-then-cold again, or warm-then-warm
         context, error = _contexts()[case]
         with pytest.raises(error) as raised:
             db.structural_join("a", "b", context=context)
         assert type(raised.value) is error
         # An aborted query leaves the memo as it found it.
-        assert db.readpath.join_chunks(*key) == chunks
+        assert db.readpath.join_memo(*key) is memo
     assert db.structural_join("a", "b") == full
     # ... and after an update, with one chunk to re-merge.
     db.insert("<a><b>late</b></a>")
-    chunks = db.readpath.join_chunks(*key)
+    memo = db.readpath.join_memo(*key)
     context, error = _contexts()[case]
     with pytest.raises(error):
         db.structural_join("a", "b", context=context)
-    assert db.readpath.join_chunks(*key) == chunks
+    assert db.readpath.join_memo(*key) is memo
     assert db.structural_join("a", "b") == db.structural_join(
         "a", "b", stats=JoinStatistics()
     )

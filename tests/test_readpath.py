@@ -79,8 +79,10 @@ def test_enabled_disabled_and_memo_parity():
     assert _ids(first) == _ids(bypass)
     assert _ids(warm) == _ids(bypass)
     assert _ids(cold) == _ids(bypass)
-    # A memo hit hands back a fresh list, never the cached tuple's alias.
-    assert warm is not first
+    # A memo hit hands back the stored answer itself, which has no
+    # mutators, and it equals the from-scratch merge's list.
+    assert warm is first and not hasattr(warm, "append")
+    assert warm == bypass and bypass == warm
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +97,8 @@ def test_repeat_lookups_hit():
     first = rp.elements(tid, sid)
     hits = rp.hits
     assert rp.elements(tid, sid) is first
-    assert rp.segment_list(tid) is rp.segment_list(tid)
+    node = db.log.node(sid)
+    assert rp.push_elements(tid, node) is rp.push_elements(tid, node)
     assert rp.hits > hits
 
 
@@ -119,15 +122,17 @@ def test_update_invalidates_only_touched_structures():
     db.insert("<a><d>one</d></a>")
     db.insert("<b><e>two</e></b>")
     rp = db.readpath
-    tid_a = db.log.tags.tid_of("a")
-    tid_b = db.log.tags.tid_of("b")
-    sl_a = rp.segment_list(tid_a)
-    sl_b = rp.segment_list(tid_b)
-    # A new <a> document bumps tag a's list but must leave b's compiled
-    # entry valid — invalidation is O(touched structures), not a flush.
+    tids = {tag: db.log.tags.tid_of(tag) for tag in "abde"}
+    db.structural_join("a", "d")
+    memo_b = (db.structural_join("b", "e"), tids["b"], tids["e"], "descendant")
+    nodes_a = db.log.taglist.nodes(tids["a"])
+    # A new <a> document patches tag a's segment list where it stands and
+    # must leave the b//e memo whole — invalidation is O(touched
+    # structures), not a flush.
     db.insert("<a><d>three</d></a>")
-    assert rp.segment_list(tid_a) is not sl_a
-    assert rp.segment_list(tid_b) is sl_b
+    assert db.log.taglist.nodes(tids["a"]) is nodes_a and len(nodes_a) == 2
+    assert rp.cached_join(tids["a"], tids["d"], "descendant") is None
+    assert rp.cached_join(*memo_b[1:]).answer is memo_b[0]
 
 
 def test_element_arrays_invalidate_on_in_segment_removal():
@@ -281,17 +286,43 @@ def test_span_columns_are_counted_and_cleared():
     # inner one.  Element views are the element index's, not entries here.
     assert entries["span_columns"] == 3 and "elements" not in entries
     # 16 bytes a row for the outer segment's two sets of offset columns
-    # (the inner segment's span columns are its block's view again), 16
-    # for the one-entry segment list of a.
-    assert rp.approximate_bytes() == 16 * 3 + 16
+    # (the inner segment's span columns are its block's view again).
+    assert rp.approximate_bytes() == 16 * 3
     # The index counts the columns: 32 a row per block, 8 a row for each
     # all-tags view's records, 32 for the outer segment's one-row a view
-    # (a one-tag segment's per-tag view is its all-tags one).
-    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32
+    # (a one-tag segment's per-tag view is its all-tags one), 8 for each
+    # of the two writes its journal holds.
+    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32 + 8 * 2
     rp.clear()
     assert not any(rp.stats()["entries"].values())
     assert rp.approximate_bytes() == 0
-    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32  # base data
+    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32 + 8 * 2
+
+
+def test_join_memo_and_write_journal_are_counted():
+    """``join_chunks`` and the memo's bytes follow its chunk lists; the
+    element index counts its journal's sids."""
+    db = LazyXMLDatabase()
+    for _ in range(3):
+        db.insert("<a><b>x</b><b>y</b></a>")
+    db.insert("<c/>")
+    rp = db.readpath
+    assert db.index.approximate_bytes() == 32 * 10 + 8 * 4  # a sid a write
+    assert len(db.structural_join("a", "b")) == 6
+    index_bytes = db.index.approximate_bytes()  # now with the views cut
+    assert rp.stats()["entries"]["join_chunks"] == 3
+    # 72 bytes a pair (two records, one reference from its chunk), 24 a
+    # D-segment (its chunk's reference, pairs and depth).
+    assert rp.approximate_bytes() == 72 * 6 + 24 * 3
+    receipt = db.insert("<a><b>z</b></a>")
+    assert len(db.structural_join("a", "b")) == 7
+    assert rp.stats()["entries"]["join_chunks"] == 4
+    assert rp.approximate_bytes() == 72 * 7 + 24 * 4
+    db.remove_segment(receipt.sid)
+    db.structural_join("a", "b")
+    assert rp.stats()["entries"]["join_chunks"] == 3
+    assert rp.approximate_bytes() == 72 * 6 + 24 * 3
+    assert db.index.approximate_bytes() == index_bytes + 8 * 2
 
 
 #: Seven patterns over the ``_form`` corpus: branches, child and descendant
