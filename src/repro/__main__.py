@@ -1,93 +1,88 @@
-"""Command-line interface: ``python -m repro <command> ...``.
+"""Command-line interface: ``python -m repro <command> TARGET ...``.
 
-A thin operational layer over :class:`~repro.core.database.LazyXMLDatabase`
-and :mod:`repro.storage` snapshots:
+TARGET is a snapshot file or a durable directory, and the target itself
+says which: a directory is durable (write-ahead journal + atomic
+checkpoints, :mod:`repro.durability`), a directory holding
+``manifest.json`` is sharded (per-shard journals + a coordinated
+checkpoint, :mod:`repro.shard`), and anything else is a snapshot file
+(:mod:`repro.storage`).
+
+**Table verbs.**  Every verb of the service's table
+(:data:`repro.service.commands.COMMANDS`) is a subcommand, and the CLI is
+one more codec over it, like the ``serve`` shell.
+``python -m repro <verb> TARGET <words...> [--<field> VALUE]`` opens
+TARGET, wraps it in a :class:`~repro.service.server.DatabaseService`, runs
+the request the shell line ``<verb> <words...>`` stands for and prints the
+reply exactly as the shell prints it.  ``--<field>`` sets a field only the
+wire reaches, such as ``--limit`` or ``--strategy``.  After a write or
+maintenance verb a snapshot target is saved; a durable target journaled
+the op before the reply.
+
+    python -m repro insert db.json 120 '<interest topic="x"/>'   # or: end
+    python -m repro remove db.json 120 34
+    python -m repro query db.json 'person//profile/interest' [--limit 0]
+    python -m repro twig db.json 'person[profile]//phone' --strategy pairwise
+    python -m repro join db.json person interest std [child]
+    python -m repro stats state/            # health + metric catalogue, JSON
+    python -m repro compact db.json
+
+A bad or missing field is one ``error: ...`` line and exit 2, like any
+other usage error; any other refusal is exit 1.
+
+**Commands with no verb:**
 
     python -m repro load doc.xml --db db.json --segments 20 --shape balanced
-    python -m repro insert db.json fragment.xml --position 120
-    python -m repro remove db.json --position 120 --length 34
-    python -m repro query db.json "person//profile/interest" [--count]
-    python -m repro join db.json person interest --algorithm std
-    python -m repro stats db.json [--metrics] [--json]
-    python -m repro compact db.json
+    python -m repro load doc.xml --durable state/ [--shards 4]
     python -m repro dump db.json            # print the document text
-    python -m repro fsck db.json            # verify a snapshot / durable dir
+    python -m repro checkpoint state/       # fold the journals into a checkpoint
+    python -m repro fsck state/             # read-only check: exit 0 ok, 1 corrupt
+    python -m repro serve state/ [--tcp HOST:PORT] [--executor inprocess]
+    python -m repro serve db.json --shards 4   # partition a snapshot at startup
 
-Every subcommand can also run against a **durable directory** (write-ahead
-journal + atomic checkpoints, see :mod:`repro.durability`) instead of a
-plain snapshot by passing the global ``--durable DIR`` flag, in which case
-the snapshot-path argument is omitted:
-
-    python -m repro --durable state/ load doc.xml
-    python -m repro --durable state/ insert fragment.xml --position 120
-    python -m repro --durable state/ query "person//profile/interest"
-    python -m repro --durable state/ checkpoint
-    python -m repro --durable state/ fsck
-
-In durable mode, mutating commands are journaled (fsynced before the
-command reports success) rather than rewriting the whole snapshot; the
-``checkpoint`` command folds the journal into the checkpoint file.
-
-**Sharded operation** (:mod:`repro.shard`): ``load --shards N`` with
-``--durable`` creates an N-way document-partitioned directory (per-shard
-WALs plus a coordinated checkpoint manifest).  A durable directory that
-contains ``manifest.json`` is recognised as sharded by *every* command —
-``query``/``join``/``stats``/``serve``/``fsck``/``checkpoint`` open it
-through :class:`~repro.shard.durable.ShardedDurableDatabase`
-automatically.  ``serve --shards N`` on a plain snapshot partitions it at
-startup and fans queries out to persistent worker processes:
-
-    python -m repro --durable state/ load doc.xml --shards 4
-    python -m repro --durable state/ serve --executor process
-    python -m repro serve db.json --shards 4
+``serve`` runs the verb table over stdin/stdout (or framed TCP) for a
+whole session; a sharded directory brings its topology from its manifest.
 
 **Replication** (:mod:`repro.replication`): ``serve --replicas N`` on an
 unsharded durable directory streams every committed journal record to N
-follower directories under ``<durable>/replicas/`` and adds the
-``repl-status`` / ``promote <node>`` shell commands.  Offline, the same
-verbs inspect and fail over a cluster that is not being served:
+follower directories under ``<dir>/replicas/``.  Offline, ``repl-status``
+and ``promote`` inspect and fail over a cluster that is not being served;
+they read manifests without opening a node, and they shadow the table
+verbs of the same name:
 
-    python -m repro --durable state/ serve --replicas 2
+    python -m repro serve state/ --replicas 2
     python -m repro repl-status state/
     python -m repro promote state/replicas/node-1
 
-Offline ``promote`` performs the fenced term bump (persisted in the
-node's replication manifest *before* it may accept writes); a stale
-primary that comes back sees the higher term and refuses appends.
+Offline ``promote`` persists the fenced term bump in the node's
+replication manifest *before* it may accept writes; a stale primary that
+comes back sees the higher term and refuses appends.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from repro import LazyXMLDatabase, __version__
-from repro.core.join import JoinStatistics
 from repro.durability.database import DurableDatabase
-from repro.errors import ReproError
+from repro.errors import ProtocolError, ReproError
+from repro.service import DatabaseService
+from repro.service.commands import (
+    COMMANDS,
+    SessionState,
+    execute_request,
+    line_fields,
+    line_request,
+    render_reply,
+)
 from repro.storage import load, save
 from repro.workloads.chopper import chop_text
 
 __all__ = ["main", "build_parser"]
 
-#: Positional arguments per command, leftmost first.  When ``--durable`` is
-#: given the snapshot-path positional is omitted on the command line, so the
-#: parsed values must be shifted one slot to the right.
-_POSITIONALS = {
-    "insert": ("db", "fragment_file"),
-    "remove": ("db",),
-    "query": ("db", "expression"),
-    "join": ("db", "ancestor_tag", "descendant_tag"),
-    "stats": ("db",),
-    "compact": ("db",),
-    "dump": ("db",),
-    "fsck": ("db",),
-    "checkpoint": ("db",),
-    "serve": ("db",),
-    "repl-status": ("db",),
-    "promote": ("db",),
-}
+_TARGET = "snapshot file or durable directory"
 
 
 def _bounded(kind, *, zero_ok: bool):
@@ -119,24 +114,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message} (see {self.prog} --help)\n")
 
 
+def _wire_fields(verb: str) -> list:
+    """The verb's fields no shell line reaches: its ``--<name>`` options."""
+    line = line_fields(verb) or ()
+    return [field for field in COMMANDS[verb].fields if field not in line]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="python -m repro",
         description="Lazy XML Updates database (SIGMOD 2005 reproduction)",
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    parser.add_argument(
-        "--durable",
-        metavar="DIR",
-        default=None,
-        help="operate on a durable directory (journal + checkpoints) "
-        "instead of a snapshot file; omit the snapshot-path argument",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     cmd = commands.add_parser("load", help="build a database from an XML file")
     cmd.add_argument("xml_file", type=Path)
-    cmd.add_argument("--db", type=Path, default=None, help="snapshot to write")
+    into = cmd.add_mutually_exclusive_group(required=True)
+    into.add_argument("--db", type=Path, help="snapshot file to write")
+    into.add_argument(
+        "--durable", type=Path, metavar="DIR", help="durable directory to create"
+    )
     cmd.add_argument("--segments", type=_POSITIVE, default=1)
     cmd.add_argument("--shape", choices=["balanced", "nested"], default="balanced")
     cmd.add_argument(
@@ -144,73 +142,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition into N shards (requires --durable; creates "
         "per-shard WALs and a coordinated checkpoint manifest)",
     )
+    cmd.set_defaults(run=_cmd_load)
 
-    cmd = commands.add_parser("insert", help="insert a fragment file")
-    cmd.add_argument("db", nargs="?", default=None)
-    cmd.add_argument("fragment_file", nargs="?", default=None)
-    cmd.add_argument("--position", type=int, default=None)
-
-    cmd = commands.add_parser("remove", help="remove a character span")
-    cmd.add_argument("db", nargs="?", default=None)
-    cmd.add_argument("--position", type=int, required=True)
-    cmd.add_argument("--length", type=int, required=True)
-
-    cmd = commands.add_parser("query", help="evaluate a path expression")
-    cmd.add_argument("db", nargs="?", default=None)
-    cmd.add_argument("expression", nargs="?", default=None)
-    cmd.add_argument("--count", action="store_true", help="print only the count")
-    cmd.add_argument(
-        "--twig",
-        action="store_true",
-        help="evaluate as a twig pattern (branches, wildcards, predicates)",
-    )
-    cmd.add_argument(
-        "--strategy",
-        choices=["auto", "twig", "pairwise"],
-        default="auto",
-        help="twig execution strategy (with --twig; default: planner choice)",
-    )
-
-    cmd = commands.add_parser("join", help="run one structural join")
-    cmd.add_argument("db", nargs="?", default=None)
-    cmd.add_argument("ancestor_tag", nargs="?", default=None)
-    cmd.add_argument("descendant_tag", nargs="?", default=None)
-    cmd.add_argument("--axis", choices=["descendant", "child"], default="descendant")
-    cmd.add_argument("--algorithm", choices=["lazy", "std"], default="lazy")
-
-    cmd = commands.add_parser("stats", help="print database statistics")
-    cmd.add_argument("db", nargs="?", default=None)
-    cmd.add_argument(
-        "--metrics", action="store_true",
-        help="also print the process metric catalogue with current values",
-    )
-    cmd.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit stats (and --metrics snapshot) as one JSON object",
-    )
-
-    cmd = commands.add_parser("compact", help="rebuild the index (pack segments)")
-    cmd.add_argument("db", nargs="?", default=None)
-
-    cmd = commands.add_parser("dump", help="print the document text")
-    cmd.add_argument("db", nargs="?", default=None)
+    for name, run, text in (
+        ("dump", _cmd_dump, "print the document text"),
+        ("checkpoint", _cmd_checkpoint,
+         "fold a durable directory's journals into its checkpoint"),
+        ("fsck", _cmd_fsck,
+         "verify a snapshot file or durable directory (read-only)"),
+        ("repl-status", _cmd_repl_status,
+         "print replication manifests, terms and seqs for a cluster "
+         "directory (a served durable dir or a cluster root)"),
+    ):
+        cmd = commands.add_parser(name, help=text)
+        cmd.add_argument("target", type=Path, help=_TARGET)
+        cmd.set_defaults(run=run)
 
     cmd = commands.add_parser(
-        "fsck", help="verify a snapshot file or durable directory"
+        "promote",
+        help="fail over to the given node directory: persist a fenced, "
+        "strictly higher term in its replication manifest",
     )
-    cmd.add_argument("db", nargs="?", default=None)
-
-    cmd = commands.add_parser(
-        "checkpoint", help="fold a durable directory's journal into its checkpoint"
+    cmd.add_argument("target", type=Path, help="replica node directory")
+    cmd.add_argument(
+        "--term", type=int, default=None,
+        help="explicit new term (default: one above the highest term "
+        "found across the node's replication group)",
     )
-    cmd.add_argument("db", nargs="?", default=None)
+    cmd.set_defaults(run=_cmd_promote)
 
     cmd = commands.add_parser(
         "serve",
         help="serve the database over a line protocol on stdin/stdout "
         "(snapshot isolation, deadlines, backpressure, auto-maintenance)",
     )
-    cmd.add_argument("db", nargs="?", default=None)
+    cmd.add_argument("target", type=Path, help=_TARGET)
     cmd.add_argument(
         "--timeout", type=_SECONDS, default=None,
         help="default per-query deadline in seconds",
@@ -247,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--replicas", type=_COUNT, default=0,
         help="replicate every committed record to N follower directories "
-        "under <durable>/replicas/ (requires an unsharded --durable DIR)",
+        "under <target>/replicas/ (requires an unsharded durable directory)",
     )
     cmd.add_argument(
         "--tcp", metavar="HOST:PORT", default=None,
@@ -265,302 +231,93 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP: seconds to let in-flight requests finish during a "
         "graceful drain before cancelling them",
     )
+    cmd.set_defaults(run=_cmd_serve)
 
-    cmd = commands.add_parser(
-        "repl-status",
-        help="print replication manifests, terms and seqs for a cluster "
-        "directory (a served --durable dir or a cluster root)",
-    )
-    cmd.add_argument("db", nargs="?", default=None)
-
-    cmd = commands.add_parser(
-        "promote",
-        help="fail over to the given node directory: persist a fenced, "
-        "strictly higher term in its replication manifest",
-    )
-    cmd.add_argument("db", nargs="?", default=None)
-    cmd.add_argument(
-        "--term", type=int, default=None,
-        help="explicit new term (default: one above the highest term "
-        "found across the node's replication group)",
-    )
+    for verb, entry in COMMANDS.items():
+        if verb in commands.choices:
+            continue  # an offline command of the same name shadows the verb
+        cmd = commands.add_parser(verb, help=entry.doc)
+        cmd.add_argument("target", type=Path, help=_TARGET)
+        if line_fields(verb) is not None:
+            cmd.add_argument(
+                "words", nargs="*", help="the shell line's words after the verb"
+            )
+        for field in _wire_fields(verb):
+            cmd.add_argument(
+                f"--{field.name}",
+                type=json.loads if field.kind == "ops" else str,
+                help=f"the wire-only {field.kind} field {field.name!r}",
+            )
+        cmd.set_defaults(run=_run_verb)
     return parser
 
 
-def _shift_positionals(args: argparse.Namespace) -> None:
-    """In durable mode the snapshot path is omitted; realign positionals."""
-    names = _POSITIONALS.get(args.command)
-    if names is None:
-        return
-    values = [getattr(args, name) for name in names]
-    present = [value for value in values if value is not None]
-    if len(present) == len(names):
-        raise ReproError(
-            "--durable replaces the snapshot-path argument; drop "
-            f"{present[0]!r} from the command line"
-        )
-    shifted = [None] + present + [None] * (len(names) - len(present) - 1)
-    for name, value in zip(names, shifted):
-        setattr(args, name, value)
+def _sharded(target: Path) -> bool:
+    """A directory holding a coordinated-checkpoint manifest is sharded."""
+    return (target / "manifest.json").exists()
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ReproError(f"missing required argument: {name}")
-
-
-def _open(args: argparse.Namespace):
-    """Open the database plus a ``persist()`` to call after mutations.
-
-    Snapshot mode rewrites the snapshot atomically; durable mode persists
-    through the journal as each op commits, so ``persist`` is a no-op.
-    """
-    if args.durable:
-        directory = Path(args.durable)
-        if not directory.is_dir():
-            raise OSError(
-                f"durable directory {str(directory)!r} does not exist "
-                "or is not a directory (create it with: load --durable)"
-            )
-        if (directory / "manifest.json").exists():
-            # A coordinated-checkpoint manifest marks a sharded directory.
+def _open(target: Path, executor: str = "inprocess"):
+    """The database TARGET names: a directory is durable — sharded when it
+    holds a shard manifest — and anything else is a snapshot file."""
+    if target.is_dir():
+        if _sharded(target):
             from repro.shard.durable import ShardedDurableDatabase
 
-            sdd = ShardedDurableDatabase(
-                directory, executor=getattr(args, "executor", "inprocess")
-            )
-            return sdd, lambda: None
-        return DurableDatabase(directory), lambda: None
-    _require(args, "db")
-    path = Path(args.db)
-    db = load(path)
-    return db, lambda: save(db, path)
+            return ShardedDurableDatabase(target, executor=executor)
+        return DurableDatabase(target)
+    if not target.is_file():
+        raise OSError(
+            f"{str(target)!r} is neither a snapshot file nor a durable directory"
+        )
+    return load(target)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.durable and args.command != "load":
-            _shift_positionals(args)
-        return _dispatch(args)
+        return args.run(args)
+    except (ProtocolError, OSError) as exc:
+        # Usage-level failures (a bad or missing field, an unreadable
+        # target or input file): one line, exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        # Environment problems (unreadable --durable directory, missing
-        # input file) are usage-level failures: one line, exit 2.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "load":
-        return _cmd_load(args)
-    if args.command == "fsck":
-        return _cmd_fsck(args)
-    if args.command == "checkpoint":
-        return _cmd_checkpoint(args)
-    if args.command == "repl-status":
-        return _cmd_repl_status(args)
-    if args.command == "promote":
-        return _cmd_promote(args)
-
-    db, persist = _open(args)
-
-    if args.command == "insert":
-        _require(args, "fragment_file")
-        fragment = Path(args.fragment_file).read_text(encoding="utf-8")
-        receipt = db.insert(fragment, args.position)
-        persist()
-        print(f"inserted segment {receipt.sid} at {receipt.gp} (path {receipt.path})")
-        return 0
-
-    if args.command == "remove":
-        outcome = db.remove(args.position, args.length)
-        persist()
-        print(
-            f"removed {args.length} chars: {len(outcome.report.removed_sids)} "
-            f"segment(s) and {outcome.elements_removed} element record(s) gone"
-        )
-        return 0
-
-    if args.command == "query":
-        _require(args, "expression")
-        if args.twig:
-            records = db.twig_query(args.expression, strategy=args.strategy)
-        else:
-            records = db.path_query(args.expression)
-        if args.count:
-            print(len(records))
-        else:
-            from repro.service.commands import span_row
-
-            for record in records:
-                start, end, sid, level = span_row(db, record)
-                print(f"{start}\t{end}\tsid={sid} level={level}")
-        return 0
-
-    if args.command == "join":
-        _require(args, "ancestor_tag", "descendant_tag")
-        stats = JoinStatistics()
-        kwargs = {"stats": stats} if args.algorithm == "lazy" else {}
-        pairs = db.structural_join(
-            args.ancestor_tag,
-            args.descendant_tag,
-            axis=args.axis,
-            algorithm=args.algorithm,
-            **kwargs,
-        )
-        print(f"{len(pairs)} pairs")
-        if args.algorithm == "lazy":
-            print(
-                f"cross-segment: {stats.cross_pairs}, "
-                f"in-segment: {stats.in_segment_pairs}"
-            )
-        return 0
-
-    if args.command == "stats":
-        return _cmd_stats(args, db)
-
-    if args.command == "compact":
-        result = db.compact()
-        persist()
-        print(
-            f"compacted {result.segments_before} -> {result.segments_after} "
-            f"segments ({result.elements_relabelled} elements relabelled)"
-        )
-        return 0
-
-    if args.command == "dump":
-        print(db.text)
-        return 0
-
-    if args.command == "serve":
-        return _cmd_serve(args, db, persist)
-
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def _stats_payload(args: argparse.Namespace, db) -> dict:
-    """The ``stats --json`` object.
-
-    Sharded databases emit ``{"shards": [...], "totals": {...}}`` — one
-    entry per shard carrying its read-path cache stats and per-structure
-    version counters, plus the aggregated totals.  With a single shard the
-    flat single-database keys are *also* kept at the top level, so scripts
-    written against the unsharded shape keep parsing.
-    """
-    from repro.shard.database import ShardedDatabase
-
-    if isinstance(db, ShardedDatabase):
-        totals = {
-            "documents": len(db.docmap),
-            "characters": db.document_length,
-            "segments": db.segment_count,
-            "elements": db.element_count,
-            "tags": len(db.catalog.tags()),
-            "sbtree_bytes": db.stats().sbtree_bytes,
-            "taglist_bytes": db.stats().taglist_bytes,
-            "versions": db.version_counters(),
-        }
-        if hasattr(db, "epoch"):  # ShardedDurableDatabase
-            totals["epoch"] = db.epoch
-            totals["last_seqs"] = db.last_seqs
-            totals["journal_bytes"] = sum(db.journal_sizes)
-        payload = {"shards": db.shard_stats(), "totals": totals}
-        if db.n_shards == 1:
-            # Compatibility fallback: the unsharded flat keys still parse.
-            for key in (
-                "characters", "segments", "elements", "tags",
-                "sbtree_bytes", "taglist_bytes",
-            ):
-                payload[key] = totals[key]
-        return payload
-    log_stats = db.stats()
-    payload = {
-        "characters": db.document_length,
-        "segments": db.segment_count,
-        "elements": db.element_count,
-        "tags": len(db.log.tags),
-        "sbtree_bytes": log_stats.sbtree_bytes,
-        "taglist_bytes": log_stats.taglist_bytes,
-    }
-    if args.durable:
-        payload["journal_bytes"] = db.journal_size
-        payload["last_seq"] = db.last_seq
-    return payload
-
-
-def _cmd_stats(args: argparse.Namespace, db) -> int:
-    """Database size stats, optionally with the process metric catalogue."""
-    from repro.obs.metrics import METRICS
-    from repro.shard.database import ShardedDatabase
-
-    log_stats = db.stats()
-    if args.as_json:
-        import json
-
-        payload = _stats_payload(args, db)
-        if args.metrics:
-            payload["metrics"] = METRICS.snapshot()
-            payload["metric_catalogue"] = METRICS.catalogue()
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    if isinstance(db, ShardedDatabase):
-        payload = _stats_payload(args, db)
-        totals = payload["totals"]
-        print(f"shards:     {db.n_shards}")
-        print(f"documents:  {totals['documents']}")
-        print(f"characters: {totals['characters']}")
-        print(f"segments:   {totals['segments']}")
-        print(f"elements:   {totals['elements']}")
-        print(f"tags:       {totals['tags']}")
-        if "epoch" in totals:
-            print(
-                f"epoch:      {totals['epoch']} "
-                f"(journals {totals['journal_bytes']} B)"
-            )
-        for entry in payload["shards"]:
-            print(
-                f"  shard {entry['shard']}: {entry['documents']} doc(s), "
-                f"{entry['segments']} segment(s), "
-                f"{entry['elements']} element(s)"
-            )
-        return 0
-    print(f"characters: {db.document_length}")
-    print(f"segments:   {db.segment_count}")
-    print(f"elements:   {db.element_count}")
-    print(f"tags:       {len(db.log.tags)}")
-    print(f"SB-tree:    {log_stats.sbtree_bytes / 1024:.1f} KB")
-    print(f"tag-list:   {log_stats.taglist_bytes / 1024:.1f} KB")
-    if args.durable:
-        dd: DurableDatabase = db
-        print(f"journal:    {dd.journal_size} B (last seq {dd.last_seq})")
-    if args.metrics:
-        snapshot = METRICS.snapshot()
-        state = "enabled" if METRICS.enabled else "disabled"
-        print(f"metrics:    {len(snapshot)} instrument(s), recording {state}")
-        for entry in METRICS.catalogue():
-            name = entry["name"]
-            data = snapshot[name]
-            if entry["type"] == "histogram":
-                value = f"n={data['count']} mean={data['mean']:.4g} max={data['max']:.4g}"
-            else:
-                value = str(data["value"])
-            print(
-                f"  {name:<28} {entry['type']:<9} {value:<28} "
-                f"[{entry['unit']}] {entry['site']}"
-            )
+def _run_verb(args: argparse.Namespace) -> int:
+    """A table verb: the shell line ``<verb> <words...>`` against TARGET."""
+    verb = args.command
+    request = (
+        line_request(verb, " ".join(args.words)) if "words" in args
+        else {"cmd": verb}
+    )
+    for field in _wire_fields(verb):
+        value = getattr(args, field.name)
+        if value is not None:
+            request[field.name] = value
+    db = _open(args.target)
+    service = DatabaseService(db)
+    try:
+        reply = execute_request(service, SessionState(0), request)
+    finally:
+        service.close()
+    if COMMANDS[verb].kind in ("write", "maintenance") and not args.target.is_dir():
+        save(db, args.target)
+    print("\n".join(render_reply(verb, reply)))
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace, db, persist) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the resilient service shell over stdin/stdout."""
-    from repro.service import DatabaseService, PressureThresholds, ServiceConfig
+    from repro.service import PressureThresholds, ServiceConfig
     from repro.service.shell import ServiceShell
     from repro.shard.database import ShardedDatabase
 
+    db = _open(args.target, args.executor)
+    snapshot = not args.target.is_dir()
     if isinstance(db, ShardedDatabase):
         if args.shards is not None and db.n_shards != args.shards:
             db.close()
@@ -569,28 +326,24 @@ def _cmd_serve(args: argparse.Namespace, db, persist) -> int:
                 f"directory's manifest ({db.n_shards} shards)"
             )
     elif args.shards is not None and args.shards > 1:
-        # Partition the snapshot at startup; writes stay in memory
-        # (persist() rewrites nothing for the sharded copy).
+        # Partition the snapshot at startup; writes stay in memory (the
+        # snapshot file is not rewritten from the sharded copy).
         db = ShardedDatabase.from_database(db, args.shards, executor=args.executor)
-        persist = lambda: None  # noqa: E731 - deliberate shadowing
+        snapshot = False
 
     replication = None
     if args.replicas:
         from repro.replication import ReplicationCluster
 
-        if not args.durable:
-            raise ReproError("serve --replicas requires --durable DIR")
-        if isinstance(db, ShardedDatabase):
+        if not isinstance(db, DurableDatabase):
             raise ReproError(
                 "serve --replicas requires an unsharded durable directory"
             )
         # The cluster owns the durable handle; reopen the directory as the
-        # primary node (node 0) with followers under <durable>/replicas/.
+        # primary node (node 0) with followers under <target>/replicas/.
         db.close()
         replication = ReplicationCluster(
-            Path(args.durable) / "replicas",
-            args.replicas,
-            primary_dir=Path(args.durable),
+            args.target / "replicas", args.replicas, primary_dir=args.target
         )
         db = None
 
@@ -633,7 +386,8 @@ def _cmd_serve(args: argparse.Namespace, db, persist) -> int:
             ServiceShell(service, sys.stdin, sys.stdout).run()
     finally:
         service.close()
-        persist()
+        if snapshot:
+            save(db, args.target)
     return 0
 
 
@@ -686,44 +440,36 @@ def _serve_tcp(service, args: argparse.Namespace) -> None:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     text = args.xml_file.read_text(encoding="utf-8")
-    if args.shards > 1 and not args.durable:
-        raise ReproError("load --shards requires --durable DIR")
-    if args.durable:
+    if args.durable is None:
+        if args.shards > 1:
+            raise ReproError("load --shards requires --durable DIR")
+        db, where = LazyXMLDatabase(), f"snapshot: {args.db}"
+    else:
         from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME
-        from repro.shard.durable import MANIFEST_NAME
+        from repro.shard.durable import MANIFEST_NAME, ShardedDurableDatabase
 
-        directory = Path(args.durable)
         for name in (CHECKPOINT_NAME, JOURNAL_NAME, MANIFEST_NAME):
-            existing = directory / name
+            existing = args.durable / name
             if existing.exists() and existing.stat().st_size:
                 raise ReproError(
                     f"refusing to load into non-empty durable directory "
                     f"({existing} exists)"
                 )
         if args.shards > 1:
-            from repro.shard.durable import ShardedDurableDatabase
-
-            db = ShardedDurableDatabase(directory, args.shards)
-            _load_into(db, text, args)
-            db.checkpoint()
-            db.close()
-            where = f"sharded durable dir ({args.shards} shards): {directory}"
-            print(
-                f"loaded {db.element_count} elements into {db.segment_count} "
-                f"segment(s); {where}"
-            )
-            return 0
-        db = DurableDatabase(directory)
-        _load_into(db, text, args)
-        db.checkpoint()
-        where = f"durable dir: {directory}"
+            db = ShardedDurableDatabase(args.durable, args.shards)
+            where = f"sharded durable dir ({args.shards} shards): {args.durable}"
+        else:
+            db = DurableDatabase(args.durable)
+            where = f"durable dir: {args.durable}"
+    if args.segments <= 1:
+        db.insert(text)
     else:
-        if args.db is None:
-            raise ReproError("load requires --db SNAPSHOT (or --durable DIR)")
-        db = LazyXMLDatabase()
-        _load_into(db, text, args)
+        chop_text(text, args.segments, args.shape, db=db)
+    if args.durable is None:
         save(db, args.db)
-        where = f"snapshot: {args.db}"
+    else:
+        db.checkpoint()
+        db.close()
     print(
         f"loaded {db.element_count} elements into {db.segment_count} "
         f"segment(s); {where}"
@@ -731,21 +477,34 @@ def _cmd_load(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_into(db, text: str, args: argparse.Namespace) -> None:
-    if args.segments <= 1:
-        db.insert(text)
-    else:
-        chop_text(text, args.segments, args.shape, db=db)
+def _cmd_dump(args: argparse.Namespace) -> int:
+    db = _open(args.target)
+    print(db.text)
+    if args.target.is_dir():
+        db.close()
+    return 0
+
+
+def _cmd_checkpoint(args: argparse.Namespace) -> int:
+    if args.target.is_file():
+        raise ReproError(
+            f"checkpoint needs a durable directory; {str(args.target)!r} "
+            "is a snapshot file"
+        )
+    db = _open(args.target)
+    before = db.journal_size
+    db.checkpoint()
+    after = db.journal_size
+    db.close()
+    print(f"checkpoint written: {args.target} (journal {before} B -> {after} B)")
+    return 0
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
     """Verify a snapshot file or durable directory; non-zero on corruption."""
-    target = Path(args.durable) if args.durable else None
-    if target is None:
-        _require(args, "db")
-        target = Path(args.db)
+    target = args.target
     try:
-        if target.is_dir() and (target / "manifest.json").exists():
+        if target.is_dir() and _sharded(target):
             from repro.shard.durable import ShardedDurableDatabase
 
             db = ShardedDurableDatabase(target)
@@ -780,36 +539,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     print(
         f"fsck: {target}: ok ({detail}; {db.element_count} elements, "
         f"{db.document_length} chars)"
-    )
-    return 0
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    if not args.durable:
-        raise ReproError("checkpoint requires --durable DIR")
-    directory = Path(args.durable)
-    if (directory / "manifest.json").exists():
-        from repro.shard.durable import ShardedDurableDatabase
-
-        db = ShardedDurableDatabase(directory)
-        before = sum(db.journal_sizes)
-        db.checkpoint()
-        after = sum(db.journal_sizes)
-        epoch = db.epoch
-        db.close()
-        print(
-            f"coordinated checkpoint written: epoch {epoch}, "
-            f"{db.n_shards} shard(s) (journals {before} B -> {after} B)"
-        )
-        return 0
-    db = DurableDatabase(args.durable)
-    before = db.journal_size
-    db.checkpoint()
-    after = db.journal_size
-    db.close()
-    print(
-        f"checkpoint written at seq {db.last_seq} "
-        f"(journal {before} B -> {after} B)"
     )
     return 0
 
@@ -849,8 +578,6 @@ def _replication_group(directory: Path) -> list[Path]:
 def _node_replication_status(directory: Path) -> dict:
     """One node's manifest plus its durable seqs, read without opening
     (and thereby recovering) the database — safe on a live node."""
-    import json
-
     from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME
     from repro.durability.wal import read_journal
     from repro.replication import read_replication_manifest
@@ -881,12 +608,7 @@ def _node_replication_status(directory: Path) -> dict:
 
 
 def _cmd_repl_status(args: argparse.Namespace) -> int:
-    import json
-
-    directory = Path(args.durable) if args.durable else None
-    if directory is None:
-        _require(args, "db")
-        directory = Path(args.db)
+    directory = args.target
     if not directory.is_dir():
         raise OSError(f"{str(directory)!r} is not a directory")
     group = _replication_group(directory)
@@ -917,10 +639,7 @@ def _cmd_repl_status(args: argparse.Namespace) -> int:
 def _cmd_promote(args: argparse.Namespace) -> int:
     from repro.replication import advance_term, read_replication_manifest
 
-    directory = Path(args.durable) if args.durable else None
-    if directory is None:
-        _require(args, "db")
-        directory = Path(args.db)
+    directory = args.target
     if not directory.is_dir():
         raise OSError(f"{str(directory)!r} is not a directory")
     manifest = read_replication_manifest(directory)

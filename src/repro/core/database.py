@@ -180,34 +180,6 @@ class LazyXMLDatabase:
         """Update-log size snapshot (Fig. 11(a) series)."""
         return self.log.stats()
 
-    def version_counters(self, *, detail: bool = False) -> dict:
-        """Sum (and optionally dump) the read-path version counters.
-
-        These counters key every compiled-cache entry
-        (:mod:`repro.core.readpath`), so an unchanged snapshot of them
-        proves no memo on this database was invalidated — the
-        shard-affinity tests and ``stats --json`` both rely on that.
-        """
-        ertree = {
-            node.sid: node._version
-            for node in self.log.ertree._nodes.values()
-            if node._version
-        }
-        index = dict(self.index._versions)
-        taglist = dict(self.log.taglist._versions)
-        counters = {
-            "ertree": sum(ertree.values()),
-            "element_index": sum(index.values()),
-            "taglist": sum(taglist.values()),
-        }
-        if detail:
-            counters["detail"] = {
-                "ertree": ertree,
-                "element_index": index,
-                "taglist": taglist,
-            }
-        return counters
-
     def set_observed(self, flag: bool) -> None:
         """Enable/disable mutation-path metrics on every owned structure.
 

@@ -105,7 +105,7 @@ def _reject_unsupported(text: str, expression: str) -> None:
     """Point at the first token this surface cannot parse.
 
     Twig-surface tokens get a redirecting diagnostic (use
-    :func:`repro.twig.parse_twig` / ``--twig``); ``axis::`` steps are
+    :func:`repro.twig.parse_twig` / the ``twig`` verb); ``axis::`` steps are
     named explicitly since no surface implements them yet.
     """
     axis = _AXIS_RE.search(text)
@@ -120,7 +120,7 @@ def _reject_unsupported(text: str, expression: str) -> None:
             raise PathSyntaxError(
                 f"token unsupported in linear path expressions "
                 f"({_TWIG_ONLY[char]} need the twig surface: "
-                f"repro.twig.parse_twig or `query --twig`)",
+                f"repro.twig.parse_twig or the `twig` verb)",
                 token=char,
                 position=position,
             )

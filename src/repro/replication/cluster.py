@@ -78,8 +78,8 @@ class ReplicationCluster:
         Follower count for a fresh root (reopen infers it from disk).
     primary_dir:
         Optional existing durable directory to use as node 0's home
-        (``python -m repro serve --replicas`` points this at the loaded
-        ``--durable`` directory, so the followers bootstrap from its
+        (``python -m repro serve DIR --replicas N`` points this at the
+        served durable directory, so the followers bootstrap from its
         checkpoint); defaults to ``root/node-0``.
     heartbeat_policy, sleep:
         Backoff policy and sleep function for follower heartbeats

@@ -6,10 +6,11 @@ reply built, and :func:`execute_request` runs one request against a
 :class:`~repro.service.server.DatabaseService`.  The front ends are
 codecs over that call: the line shell turns a text line into the dict
 (:func:`line_request`) and prints the reply (:func:`render_reply`), the
-TCP front end carries the same dict as JSON.  A write goes request ->
-table entry -> journal-dialect op record -> ``service.apply`` ->
-``apply_op`` on the primary; a read goes request -> table entry ->
-``service.read``.  Every request may also carry the budgets
+command line (``python -m repro <verb> TARGET <words...>``) does the same
+for one line per process, and the TCP front end carries the same dict as
+JSON.  A write goes request -> table entry -> journal-dialect op record
+-> ``service.apply`` -> ``apply_op`` on the primary; a read goes request
+-> table entry -> ``service.read``.  Every request may also carry the budgets
 ``timeout_ms`` / ``max_rows`` (the deadline a client sends is the
 deadline the join loops enforce) and, on a read verb, ``trace`` (the
 reply then carries the span list of :mod:`repro.obs.trace`).
@@ -25,8 +26,8 @@ from repro.obs.trace import Trace
 
 __all__ = [
     "COMMANDS", "Field", "SessionState", "Verb", "bind", "execute_request",
-    "line_request", "reference", "render_reply", "request_context",
-    "span_row",
+    "line_fields", "line_request", "reference", "render_reply",
+    "request_context", "span_row",
 ]
 
 #: Upper bound on spans returned inline by one query response; larger
@@ -392,7 +393,7 @@ def execute_request(
 # the text-line codec (shell) and the printed reference
 
 
-def _line_fields(verb: str) -> list[Field] | None:
+def line_fields(verb: str) -> list[Field] | None:
     """The fields a text line can supply, in order (None = wire-only)."""
     fields = COMMANDS[verb].fields
     kinds = [field.kind for field in fields]
@@ -406,7 +407,7 @@ def line_request(verb: str, rest: str) -> dict:
     """The request a text line ``<verb> <rest>`` stands for.  Words stay
     strings: :func:`execute_request` coerces them exactly as it coerces
     wire values, so both front ends share one set of field checks."""
-    fields = _line_fields(verb)
+    fields = line_fields(verb)
     if fields is None:
         raise ProtocolError(f"{verb} has no line form (wire only)")
     request = {"cmd": verb}
@@ -445,7 +446,7 @@ def render_reply(verb: str, reply: dict) -> list[str]:
 
 def _usage(verb: str) -> str:
     """``verb <required> [optional]`` over the fields a line reaches."""
-    fields = _line_fields(verb)
+    fields = line_fields(verb)
     if fields is None:
         return f"{verb} (wire only)"
     words = [verb]
@@ -463,7 +464,7 @@ def reference() -> str:
     docstring and the README print."""
     rows = []
     for verb, entry in COMMANDS.items():
-        line = _line_fields(verb) or ()
+        line = line_fields(verb) or ()
         wire = [field.name for field in entry.fields if field not in line]
         doc = entry.doc + (f"; wire fields: {', '.join(wire)}" if wire else "")
         rows.append(f"    {_usage(verb):<47} {entry.kind:<12} {doc}")

@@ -44,11 +44,3 @@ class TagCatalog:
             for s in range(len(self._shards))
             if all(self.count_on(s, tag) > 0 for tag in tags)
         ]
-
-    def tags(self) -> set[str]:
-        """Union of tag names interned anywhere."""
-        names: set[str] = set()
-        for db in self._shards:
-            registry = db.log.tags
-            names.update(registry.name_of(tid) for tid in range(len(registry)))
-        return names

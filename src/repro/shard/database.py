@@ -44,9 +44,9 @@ from contextlib import contextmanager
 from dataclasses import fields
 from typing import NamedTuple
 
-from repro.core.database import LazyXMLDatabase, RemovalOutcome
+from repro.core.database import _ALGORITHMS, LazyXMLDatabase, RemovalOutcome
 from repro.core.ertree import ERNode, RemovalReport
-from repro.core.join import JoinStatistics
+from repro.core.join import _AXES, JoinStatistics
 from repro.core.query import parse_path
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.core.maintenance import RepackResult
@@ -92,7 +92,13 @@ _SCATTER_CACHE_CAP = 128
 #: Merge orders — identical to the single-database result orders.
 _PAIR_SORT_KEY = lambda p: (p[1].gstart, p[1].gend, p[0].gstart, p[0].gend)  # noqa: E731
 _ELEMENT_SORT_KEY = lambda e: (e.gstart, e.gend)  # noqa: E731
-_BINDINGS_SORT_KEY = lambda m: tuple((e.gstart, e.gend) for e in m)  # noqa: E731
+
+
+def _check_choice(name: str, value: str, allowed: tuple) -> None:
+    """The single database's refusal of an unknown ``axis``,
+    ``algorithm`` or ``strategy``, raised before the catalog prunes."""
+    if value not in allowed:
+        raise QueryError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def _hashable_key(*parts):
@@ -308,38 +314,6 @@ class ShardedDatabase:
             taglist_bytes=sum(p.taglist_bytes for p in per),
         )
 
-    def version_counters(self) -> dict:
-        """Summed per-structure version counters (single-DB-compatible)."""
-        per = [self._base(s).version_counters() for s in range(self._n)]
-        return {
-            key: sum(p[key] for p in per)
-            for key in ("ertree", "element_index", "taglist")
-        }
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard stats block (the ``stats --json`` "shards" array)."""
-        worker = self._executor.worker_stats()
-        out = []
-        for s in range(self._n):
-            db = self._base(s)
-            stats = db.stats()
-            out.append(
-                {
-                    "shard": s,
-                    "documents": self.docmap.docs_on(s),
-                    "characters": db.document_length,
-                    "segments": stats.segments,
-                    "elements": db.element_count,
-                    "tags": len(db.log.tags),
-                    "sbtree_bytes": stats.sbtree_bytes,
-                    "taglist_bytes": stats.taglist_bytes,
-                    "readpath": db.readpath.stats(),
-                    "versions": db.version_counters(),
-                    "worker": worker[s],
-                }
-            )
-        return out
-
     def set_observed(self, flag: bool) -> None:
         for s in range(self._n):
             self._base(s).set_observed(flag)
@@ -414,10 +388,6 @@ class ShardedDatabase:
         """A worker's rows as elements (``path``, ``twig``, ``elements``)."""
         make = self._make_element
         return [make(views, shard, *row) for row in reply]
-
-    def _binding_rows(self, views, shard, reply) -> list[tuple]:
-        """A worker's ``bindings=True`` matches, one element tuple each."""
-        return [tuple(self._element_rows(views, shard, match)) for match in reply]
 
     # ------------------------------------------------------------------
     # update routing
@@ -823,6 +793,10 @@ class ShardedDatabase:
         fold = None
         if stats is not None:
             fold = lambda shard, reply: self._fold_stats(stats, reply["stats"])
+        # Argument errors come before pruning: a join no shard can answer
+        # refuses a bad axis or algorithm exactly as one database does.
+        _check_choice("algorithm", algorithm, _ALGORITHMS)
+        _check_choice("axis", axis, _AXES)
         with self._lock:
             targets = self.catalog.shards_for(tag_a, tag_d)
             if not targets:
@@ -862,13 +836,12 @@ class ShardedDatabase:
                 self.catalog.shards_for(tag),
                 "elements",
                 lambda s: (tag,),
-                False,
                 context,
             )
 
-    def _scatter_matches(self, key, targets, verb, make_args, bindings, context):
-        """Scatter an element-valued query and merge by global position:
-        :class:`ShardElement` rows, or tuples of them with ``bindings``."""
+    def _scatter_matches(self, key, targets, verb, make_args, context):
+        """Scatter an element-valued query and merge its
+        :class:`ShardElement` rows by global position."""
         if not targets:
             return []
         return self._scatter_merge(
@@ -877,42 +850,33 @@ class ShardedDatabase:
             verb,
             make_args,
             context,
-            self._binding_rows if bindings else self._element_rows,
-            _BINDINGS_SORT_KEY if bindings else _ELEMENT_SORT_KEY,
+            self._element_rows,
+            _ELEMENT_SORT_KEY,
         )
 
-    def path_query(self, expression: str, *, bindings: bool = False, context=None):
+    def path_query(self, expression: str, *, context=None):
         """Scatter-gather path evaluation (``person//profile/interest``).
 
         A path match lives entirely inside one document, so per-shard
         evaluation unions to the global answer; shards missing any tag on
-        the path are pruned.  Returns :class:`ShardElement` rows (or
-        tuples of them with ``bindings=True``) merged by global position.
+        the path are pruned.  Returns :class:`ShardElement` rows merged
+        by global position.
         """
         query = parse_path(expression)
         tags = [query.entry] + [step.tag for step in query.steps]
         with self._lock:
             return self._scatter_matches(
-                ("path", expression, bindings),
+                ("path", expression),
                 self.catalog.shards_for(*tags),
                 "path",
                 lambda s: (
                     expression,
-                    bindings,
                     context.remaining() if context is not None else None,
                 ),
-                bindings,
                 context,
             )
 
-    def twig_query(
-        self,
-        expression: str,
-        *,
-        bindings: bool = False,
-        strategy: str = "auto",
-        context=None,
-    ):
+    def twig_query(self, expression: str, *, strategy: str = "auto", context=None):
         """Scatter-gather twig evaluation (``person[profile]//phone``).
 
         Like :meth:`path_query`, a twig match is rooted inside one
@@ -921,23 +885,23 @@ class ShardedDatabase:
         pruned (wildcard steps prune nothing).  Rows merge by global
         position on the coordinator's heap.
         """
+        from repro.twig.evaluate import _STRATEGIES
         from repro.twig.pattern import parse_twig
 
         tags = sorted(parse_twig(expression).tags())
+        _check_choice("strategy", strategy, _STRATEGIES)
         with self._lock:
             return self._scatter_matches(
-                ("twig", expression, bindings, strategy),
+                ("twig", expression, strategy),
                 # An all-wildcard pattern names no concrete tag: every
                 # shard is a candidate.
                 self.catalog.shards_for(*tags) if tags else list(range(self._n)),
                 "twig",
                 lambda s: (
                     expression,
-                    bindings,
                     strategy,
                     context.remaining() if context is not None else None,
                 ),
-                bindings,
                 context,
             )
 

@@ -394,11 +394,6 @@ class ShardedDurableDatabase(ShardedDatabase):
         """Epoch of the current coordinated checkpoint set."""
         return self._epoch
 
-    @property
-    def last_seqs(self) -> list[int]:
-        """Per-shard committed journal seqs."""
-        return [d.last_seq for d in self._shards]
-
     def checkpoint(self) -> None:
         """Take a coordinated, all-or-nothing checkpoint of every shard.
 
@@ -451,8 +446,9 @@ class ShardedDurableDatabase(ShardedDatabase):
     # introspection / lifecycle
 
     @property
-    def journal_sizes(self) -> list[int]:
-        return [d.journal_size for d in self._shards]
+    def journal_size(self) -> int:
+        """Bytes in the shard journals (a checkpoint truncates them)."""
+        return sum(d.journal_size for d in self._shards)
 
     def recovery_reports(self):
         """The per-shard :class:`RecoveryReport` objects from opening."""

@@ -107,26 +107,15 @@ def handle_request(db, verb: str, args: tuple):
             for e in db.global_elements(tag)
         ]
     if verb == "path":
-        expression, bindings, timeout = args
+        expression, timeout = args
         context = QueryContext(timeout=timeout) if timeout is not None else None
-        result = db.path_query(expression, bindings=bindings, context=context)
-        if bindings:
-            return [_rows(db, match) for match in result]
-        return _rows(db, result)
+        return _rows(db, db.path_query(expression, context=context))
     if verb == "twig":
-        expression, bindings, strategy, timeout = args
+        expression, strategy, timeout = args
         context = QueryContext(timeout=timeout) if timeout is not None else None
-        result = db.twig_query(
-            expression, bindings=bindings, strategy=strategy, context=context
+        return _rows(
+            db, db.twig_query(expression, strategy=strategy, context=context)
         )
-        if bindings:
-            return [_rows(db, match) for match in result]
-        return _rows(db, result)
-    if verb == "stats":
-        return {
-            "readpath": db.readpath.stats(),
-            "versions": db.version_counters(),
-        }
     if verb == "ping":
         return "pong"
     raise ValueError(f"unknown shard request verb {verb!r}")
@@ -187,9 +176,6 @@ class InProcessExecutor:
     def scatter(self, requests, *, timeout: float | None = None):
         """Sequential fan-out: ``requests`` is ``[(shard, verb, args)]``."""
         return [self.query(shard, verb, args) for shard, verb, args in requests]
-
-    def worker_stats(self) -> list[dict | None]:
-        return [None for _ in self._shards]
 
     def close(self) -> None:
         pass
@@ -385,12 +371,12 @@ class ProcessExecutor:
             raise exc_type(message)
         return rest[0]
 
-    def query(self, shard: int, verb: str, args: tuple, *, timeout=None):
+    def query(self, shard: int, verb: str, args: tuple):
         if self._workers[shard].dead:
             if METRICS.enabled:
                 _M_DEGRADED.inc()
             return handle_request(self._shards[shard], verb, args)
-        return self._request(shard, verb, args, timeout=timeout)
+        return self._request(shard, verb, args)
 
     def scatter(self, requests, *, timeout: float | None = None):
         """Fan a batch of ``(shard, verb, args)`` out and gather in order.
@@ -418,16 +404,3 @@ class ProcessExecutor:
             shard = requests[index][0]
             results[index] = self._gather_one(shard, timeout)
         return results
-
-    def worker_stats(self) -> list[dict | None]:
-        """Best-effort replica cache stats per shard (None when dead)."""
-        out: list[dict | None] = []
-        for shard in range(len(self._workers)):
-            if self._workers[shard].dead:
-                out.append(None)
-                continue
-            try:
-                out.append(self.query(shard, "stats", (), timeout=5.0))
-            except (WorkerLost, ReproError):
-                out.append(None)
-        return out

@@ -437,69 +437,66 @@ class TestDurableCLI:
 
     def test_full_durable_session(self, doc_file, tmp_path, capsys):
         state = str(tmp_path / "state")
-        assert main(["--durable", state, "load", str(doc_file)]) == 0
-        fragment = tmp_path / "frag.xml"
-        fragment.write_text("<person><phone/></person>")
-        assert (
-            main(
-                [
-                    "--durable", state, "insert", str(fragment),
-                    "--position", str(len("<site>")),
-                ]
-            )
-            == 0
-        )
+        assert main(["load", str(doc_file), "--durable", state]) == 0
+        fragment = "<person><phone/></person>"
+        assert main(["insert", state, str(len("<site>")), fragment]) == 0
         capsys.readouterr()
-        assert main(["--durable", state, "query", "person//phone", "--count"]) == 0
-        assert capsys.readouterr().out.strip() == "4"
-        assert main(["--durable", state, "checkpoint"]) == 0
-        assert main(["--durable", state, "fsck"]) == 0
+        assert main(["query", state, "person//phone", "--limit", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "ok 4 match(es)"
+        assert main(["checkpoint", state]) == 0
+        assert "journal" in capsys.readouterr().out
+        assert main(["fsck", state]) == 0
         out = capsys.readouterr().out
-        assert "ok" in out
-        assert main(["--durable", state, "stats"]) == 0
-        assert "journal:" in capsys.readouterr().out
-        assert main(["--durable", state, "compact"]) == 0
+        assert "ok" in out and "last_seq=2" in out  # load + insert
+        assert main(["stats", state]) == 0
+        payload = json.loads(capsys.readouterr().out[3:])
+        assert payload["durable"] is True and payload["elements"] == 8
+        assert main(["compact", state]) == 0
         capsys.readouterr()
-        assert main(["--durable", state, "dump"]) == 0
+        assert main(["dump", state]) == 0
         assert capsys.readouterr().out.count("<person>") == 3
 
     def test_durable_remove_and_join(self, doc_file, tmp_path, capsys):
         state = str(tmp_path / "state")
-        main(["--durable", state, "load", str(doc_file)])
+        main(["load", str(doc_file), "--durable", state])
         text = doc_file.read_text()
         start = text.index("<person>")
         length = text.index("</person>") + len("</person>") - start
-        assert (
-            main(
-                [
-                    "--durable", state, "remove",
-                    "--position", str(start), "--length", str(length),
-                ]
-            )
-            == 0
-        )
+        assert main(["remove", state, str(start), str(length)]) == 0
         capsys.readouterr()
-        assert main(["--durable", state, "join", "person", "phone"]) == 0
-        assert "2 pairs" in capsys.readouterr().out
+        assert main(["join", state, "person", "phone"]) == 0
+        assert capsys.readouterr().out.strip() == "ok 2 pair(s)"
 
     def test_load_refuses_nonempty_directory(self, doc_file, tmp_path, capsys):
         state = str(tmp_path / "state")
-        assert main(["--durable", state, "load", str(doc_file)]) == 0
-        assert main(["--durable", state, "load", str(doc_file)]) == 1
+        assert main(["load", str(doc_file), "--durable", state]) == 0
+        assert main(["load", str(doc_file), "--durable", state]) == 1
         assert "refusing" in capsys.readouterr().err
 
-    def test_durable_with_stray_db_argument_rejected(self, tmp_path, capsys):
+    def test_durable_with_stray_db_argument_rejected(
+        self, doc_file, tmp_path, capsys
+    ):
+        """The target is the one positional before the verb's words; a
+        word the verb does not take is a usage error, as in the shell."""
         state = str(tmp_path / "state")
-        assert main(["--durable", state, "stats", "stray.json"]) == 1
-        assert "--durable replaces" in capsys.readouterr().err
+        main(["load", str(doc_file), "--durable", state])
+        capsys.readouterr()
+        assert main(["stats", state, "stray.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "left over: 'stray.json'" in err
 
-    def test_checkpoint_requires_durable(self, capsys):
-        assert main(["checkpoint"]) == 1
-        assert "requires --durable" in capsys.readouterr().err
+    def test_checkpoint_requires_durable(self, doc_file, tmp_path, capsys):
+        snapshot = str(tmp_path / "db.json")
+        main(["load", str(doc_file), "--db", snapshot])
+        capsys.readouterr()
+        assert main(["checkpoint", snapshot]) == 1
+        assert "needs a durable directory" in capsys.readouterr().err
 
     def test_snapshot_path_still_required_without_durable(self, capsys):
-        assert main(["stats"]) == 1
-        assert "missing required argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats"])
+        assert excinfo.value.code == 2
+        assert "required: target" in capsys.readouterr().err
 
 
 class TestFsckCLI:

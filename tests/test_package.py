@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import re
@@ -399,9 +400,12 @@ def test_package_map_is_current():
 
 
 def test_front_ends_own_no_verb():
-    """The shell is a codec over the verb table: it defines no ``_cmd_*``
-    and imports nothing from ``repro.net``; ``help`` is the table, so
-    every verb (a new one included) appears in it."""
+    """The shell and the CLI are codecs over the verb table.  The shell
+    defines no ``_cmd_*`` and imports nothing from ``repro.net``; ``help``
+    is the table, so every verb (a new one included) appears in it.  Every
+    verb but the offline ``repl-status``/``promote`` is a CLI subcommand
+    the table built, and ``__main__`` defines no handler named after one."""
+    from repro import __main__ as cli
     from repro.service import DatabaseService, commands, shell
 
     assert not [name for name in vars(shell.ServiceShell) if name.startswith("_cmd_")]
@@ -413,6 +417,20 @@ def test_front_ends_own_no_verb():
     assert not [name for name in imported if name.startswith("repro.net")]
     rows = commands.reference().splitlines()
     assert [row.split()[0] for row in rows] == list(commands.COMMANDS)
+
+    table_verbs = set(commands.COMMANDS) - {"repl-status", "promote"}
+    subcommands = next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for verb in table_verbs:
+        assert subcommands[verb].get_default("run") is cli._run_verb, verb
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = {
+        node.name.lstrip("_").removeprefix("cmd_")
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert not handlers & {verb.replace("-", "_") for verb in table_verbs}
 
 
 def test_one_benchmark_estate():

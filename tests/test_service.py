@@ -609,7 +609,7 @@ class TestCLIErrorHandling:
 
         not_a_dir = tmp_path / "state"
         not_a_dir.write_text("plain file")
-        code = main(["--durable", str(not_a_dir), "stats"])
+        code = main(["stats", str(not_a_dir / "shard-00")])
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
@@ -618,7 +618,7 @@ class TestCLIErrorHandling:
     def test_missing_durable_dir_exits_2(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        code = main(["--durable", str(tmp_path / "nope"), "query", "a"])
+        code = main(["query", str(tmp_path / "nope"), "a"])
         assert code == 2
         assert "durable directory" in capsys.readouterr().err
 
@@ -652,8 +652,8 @@ class TestCLIErrorHandling:
             ["serve", "{snap}", "--replicas", "-1"],
             ["serve", "{snap}", "--max-conns", "0"],
             ["serve", "{snap}", "--drain-grace", "-1"],
-            ["--durable", "{state}", "load", "{xml}", "--shards", "0"],
-            ["--durable", "{state}", "load", "{xml}", "--shards", "-2"],
+            ["load", "{xml}", "--durable", "{state}", "--shards", "0"],
+            ["load", "{xml}", "--durable", "{state}", "--shards", "-2"],
             ["load", "{xml}", "--db", "{snap}", "--segments", "-4"],
         ],
         ids=lambda argv: "".join(argv[-2:]),
@@ -689,12 +689,11 @@ class TestCLIErrorHandling:
         xml = tmp_path / "doc.xml"
         xml.write_text("<a><b/></a>")
         state = str(tmp_path / "state")
-        assert main(["--durable", state, "load", str(xml), "--shards", "2"]) == 0
+        assert main(["load", str(xml), "--durable", state, "--shards", "2"]) == 0
         capsys.readouterr()
         monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
         code = main([
-            "--durable", state, "serve", "--shards", str(shards),
-            "--executor", "inprocess",
+            "serve", state, "--shards", str(shards), "--executor", "inprocess",
         ])
         assert code == 1
         err = capsys.readouterr().err

@@ -6,12 +6,13 @@ one shard and per-shard join answers union to the global answer).  These
 tests exercise its bookkeeping directly — the sid lattice, the document
 map, boundary vs inside insert routing, whole-document removal
 decomposition — plus the PR 4 interaction the partitioning exists to
-protect: a write to one shard must leave every *other* shard's version
-counters (and therefore its compiled read-path memos) untouched.
+protect: a write to one shard must leave every *other* shard's compiled
+read-path memos valid, so a cold re-run there recompiles nothing.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -189,6 +190,48 @@ class TestCatalog:
         assert [(a.shard, d.shard) for a, d in pairs] == [(0, 0)]
 
 
+#: A bad argument on a query over tags no shard holds: (verb request,
+#: direct call, the argument the error names).
+_BAD_ARGUMENTS = [
+    ({"cmd": "join", "ancestor": "nope", "descendant": "nada",
+      "axis": "sideways"},
+     lambda db: db.structural_join("nope", "nada", "sideways"), "axis"),
+    ({"cmd": "join", "ancestor": "nope", "descendant": "nada",
+      "algorithm": "merge"},
+     lambda db: db.structural_join("nope", "nada", algorithm="merge"),
+     "algorithm"),
+    ({"cmd": "twig", "expr": "nope[nada]", "strategy": "fastest"},
+     lambda db: db.twig_query("nope[nada]", strategy="fastest"), "strategy"),
+]
+
+
+@pytest.mark.parametrize("n_shards", [None, 1, 2], ids=["single", "1", "2"])
+@pytest.mark.parametrize(
+    "request_, call, name", _BAD_ARGUMENTS, ids=["axis", "algorithm", "strategy"]
+)
+def test_bad_argument_refused_before_pruning(n_shards, request_, call, name):
+    """The coordinator checks ``axis``/``algorithm``/``strategy`` before
+    the catalog prunes every shard, so a query no shard can answer raises
+    the single database's :class:`QueryError`, directly and through the
+    verb, instead of answering ``[]``."""
+    from repro.errors import QueryError
+    from repro.service import DatabaseService
+    from repro.service.commands import SessionState, execute_request
+
+    single = LazyXMLDatabase()
+    for doc in DOCS:
+        single.insert(doc)
+    db = single if n_shards is None else sharded_with_docs(n_shards)
+    with pytest.raises(QueryError) as want:
+        call(single)
+    assert f"{name} must be one of" in str(want.value)
+    with pytest.raises(QueryError, match=re.escape(str(want.value))):
+        call(db)
+    with DatabaseService(db) as service:
+        with pytest.raises(QueryError, match=re.escape(str(want.value))):
+            execute_request(service, SessionState(0), dict(request_))
+
+
 class _CountingExecutor:
     """Wraps an executor, recording which shards each scatter contacted."""
 
@@ -281,12 +324,19 @@ class TestShardAffinity:
             db.insert(f"<t{i}><c>x</c><b><c>y</c></b></t{i}>")
         return db
 
+    def _misses_after_rerun(self, db):
+        """Each shard's read-path misses after a cold scatter of every
+        shard's ``t<i>//c`` twig, whose streams are the span columns
+        keyed on the segment's versions: a shard whose memos survived
+        recompiles nothing."""
+        db.flush_caches()
+        for i in range(self.N):
+            db.twig_query(f"t{i}//c")
+        return [shard.readpath.misses for shard in db.shards]
+
     def test_concurrent_writers_leave_other_shards_versions_untouched(self):
         db = self._build()
-        # Warm every shard's compiled read path.
-        for i in range(self.N):
-            db.structural_join(f"t{i}", "c")
-        before = [s.version_counters(detail=True) for s in db.shards]
+        before = self._misses_after_rerun(db)  # warms every read path
 
         def writer(shard: int):
             for _ in range(self.WRITES):
@@ -302,13 +352,13 @@ class TestShardAffinity:
         for t in threads:
             t.join()
 
-        after = [s.version_counters(detail=True) for s in db.shards]
-        # The written shards moved; the untouched shards are bit-identical.
+        after = self._misses_after_rerun(db)
+        # The written shards re-derive their columns; the others hit.
         for shard in (0, 1):
-            assert after[shard] != before[shard]
+            assert after[shard] > before[shard]
         for shard in (2, 3):
             assert after[shard] == before[shard], (
-                f"shard {shard} version counters changed without a write"
+                f"shard {shard} recompiled its read path without a write"
             )
         db.check_invariants()
 
@@ -338,10 +388,10 @@ class TestShardAffinity:
 
     def test_writes_bump_only_the_owning_shards_counters(self):
         db = self._build()
-        before = [s.version_counters(detail=True) for s in db.shards]
+        before = self._misses_after_rerun(db)
         table = db._doc_table()
         doc = next(d for d in table if d.shard == 3)
         db.insert("<c>w</c>", doc.vstart + len("<t3>"))
-        after = [s.version_counters(detail=True) for s in db.shards]
-        assert after[3] != before[3]
+        after = self._misses_after_rerun(db)
+        assert after[3] > before[3]
         assert after[:3] == before[:3]

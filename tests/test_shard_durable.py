@@ -59,7 +59,7 @@ class TestReopen:
         db = build(tmp_path)
         db.checkpoint()
         assert db.epoch == 1
-        assert db.journal_sizes == [0, 0]
+        assert db.journal_size == 0
         db.insert("<a><c>post</c></a>")
         want_text = db.text
         db.close()

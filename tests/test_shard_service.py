@@ -9,10 +9,8 @@ mid-query surfaces as a typed :class:`~repro.errors.WorkerLost` through
 ``service.join`` within the query deadline — never a hang — and the
 service keeps answering (degraded, then respawned).
 
-The CLI checks pin the restructured ``stats --json`` contract:
-``{"shards": [...], "totals": {...}}`` when sharded, flat single-DB keys
-preserved at top level when N=1, and the old flat shape untouched for
-unsharded databases.
+The CLI checks pin the ``stats`` verb's shape on every target: totals at
+the top level, and a ``shards`` block when the target is sharded.
 """
 
 from __future__ import annotations
@@ -164,7 +162,9 @@ class TestServiceFaultDrill:
 
 
 class TestCLIStatsShape:
-    """Satellite 1: the restructured ``stats --json`` contract."""
+    """The CLI's ``stats`` is the ``stats`` verb: the service's health and
+    metric catalogue, totals at the top level for every target, plus a
+    ``shards`` block when the target is sharded."""
 
     XML = "<r><a><c>x</c></a><a><c>y</c></a><b><c>z</c></b><a><b>w</b></a></r>"
 
@@ -172,7 +172,7 @@ class TestCLIStatsShape:
         xml = tmp_path / "input.xml"
         xml.write_text(self.XML, encoding="utf-8")
         state = tmp_path / f"state-{n_shards}"
-        argv = ["--durable", str(state), "load", str(xml), "--segments", "4"]
+        argv = ["load", str(xml), "--durable", str(state), "--segments", "4"]
         if n_shards > 1:
             argv += ["--shards", str(n_shards)]
         assert main(argv) == 0
@@ -180,28 +180,22 @@ class TestCLIStatsShape:
 
     def _stats(self, state, capsys):
         capsys.readouterr()  # drop the load banner
-        assert main(["--durable", str(state), "stats", "--json"]) == 0
-        return json.loads(capsys.readouterr().out)
+        assert main(["stats", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("ok ") and out.count("\n") == 1
+        return json.loads(out[3:])
 
     def test_sharded_stats_have_shards_and_totals(self, tmp_path, capsys):
         state = self._load(tmp_path, 2)
         payload = self._stats(state, capsys)
-        assert set(payload) >= {"shards", "totals"}
-        assert len(payload["shards"]) == 2
-        for entry in payload["shards"]:
-            assert {"shard", "documents", "readpath", "versions"} <= set(entry)
-            assert {"ertree", "element_index", "taglist"} <= set(
-                entry["versions"]
-            )
-        totals = payload["totals"]
-        assert totals["characters"] == len(self.XML)
-        assert totals["documents"] == sum(
-            e["documents"] for e in payload["shards"]
-        )
-        assert totals["segments"] == sum(
-            e["segments"] for e in payload["shards"]
-        )
-        assert "epoch" in totals and "journal_bytes" in totals
+        shards = payload["shards"]
+        assert shards["count"] == 2 and shards["executor"] == "inprocess"
+        assert len(shards["documents"]) == 2
+        assert shards["workers_alive"] == [True, True]
+        assert payload["document_length"] == len(self.XML)
+        assert payload["durable"] is True
+        assert payload["elements"] == self.XML.count("</")
+        assert {"metrics", "metric_catalogue", "planner"} <= set(payload)
 
     def test_n1_sharded_keeps_flat_keys_for_compatibility(
         self, tmp_path, capsys
@@ -215,24 +209,22 @@ class TestCLIStatsShape:
         for doc in DOCS:
             db.insert(doc)
         db.close()
-        flat = self._stats(state, capsys)
-        # Old consumers read the flat keys; new consumers read totals.
-        assert "shards" in flat and "totals" in flat
-        for key in ("characters", "segments", "elements"):
-            assert key in flat
-            assert flat[key] == flat["totals"][key]
+        payload = self._stats(state, capsys)
+        assert payload["shards"]["count"] == 1
+        assert payload["shards"]["documents"] == [len(DOCS)]
+        assert payload["document_length"] == sum(map(len, DOCS))
+        assert payload["segments"] == len(DOCS)
 
     def test_unsharded_stats_stay_flat(self, tmp_path, capsys):
-        # A plain (non-manifest) durable dir keeps the PR 3 flat shape.
+        # A plain (non-manifest) durable dir has no shards block.
         state = self._load(tmp_path, 1)
         payload = self._stats(state, capsys)
-        assert "shards" not in payload and "totals" not in payload
-        assert payload["characters"] == len(self.XML)
+        assert "shards" not in payload
+        assert payload["document_length"] == len(self.XML)
+        assert payload["durable"] is True
 
     def test_sharded_serve_refuses_shard_conflict(self, tmp_path, capsys):
         state = self._load(tmp_path, 2)
-        code = main(
-            ["--durable", str(state), "serve", "--shards", "4"]
-        )
+        code = main(["serve", str(state), "--shards", "4"])
         assert code == 1
         assert "shard" in capsys.readouterr().err

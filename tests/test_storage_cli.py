@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -147,10 +148,12 @@ class TestCLI:
         db_path = tmp_path / "db.json"
         assert main(["load", str(doc_file), "--db", str(db_path)]) == 0
         assert db_path.exists()
+        capsys.readouterr()
         assert main(["stats", str(db_path)]) == 0
         out = capsys.readouterr().out
-        assert "segments:   1" in out
-        assert "elements:   6" in out
+        assert out.startswith("ok ")
+        payload = json.loads(out[3:])
+        assert (payload["segments"], payload["elements"]) == (1, 6)
 
     def test_load_chopped(self, doc_file, tmp_path, capsys):
         db_path = tmp_path / "db.json"
@@ -162,8 +165,8 @@ class TestCLI:
         db_path = tmp_path / "db.json"
         main(["load", str(doc_file), "--db", str(db_path)])
         capsys.readouterr()
-        assert main(["query", str(db_path), "person//phone", "--count"]) == 0
-        assert capsys.readouterr().out.strip() == "3"
+        assert main(["query", str(db_path), "person//phone", "--limit", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "ok 3 match(es)"
 
     def test_query_prints_spans(self, doc_file, tmp_path, capsys):
         db_path = tmp_path / "db.json"
@@ -171,31 +174,26 @@ class TestCLI:
         capsys.readouterr()
         main(["query", str(db_path), "site//person"])
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
+        assert lines == [
+            "ok 2 match(es)",
+            "  sid=1 start=6 end=31 level=2",
+            "  sid=1 start=31 end=64 level=2",
+        ]
 
     def test_join(self, doc_file, tmp_path, capsys):
         db_path = tmp_path / "db.json"
         main(["load", str(doc_file), "--db", str(db_path)])
         capsys.readouterr()
         assert main(["join", str(db_path), "person", "phone"]) == 0
-        out = capsys.readouterr().out
-        assert "3 pairs" in out
+        assert capsys.readouterr().out.strip() == "ok 3 pair(s)"
 
     def test_insert_and_dump(self, doc_file, tmp_path, capsys):
         db_path = tmp_path / "db.json"
-        fragment = tmp_path / "frag.xml"
-        fragment.write_text("<person><phone/></person>")
         main(["load", str(doc_file), "--db", str(db_path)])
         position = len("<site>")
-        assert (
-            main(
-                [
-                    "insert", str(db_path), str(fragment),
-                    "--position", str(position),
-                ]
-            )
-            == 0
-        )
+        assert main([
+            "insert", str(db_path), str(position), "<person><phone/></person>",
+        ]) == 0
         capsys.readouterr()
         main(["dump", str(db_path)])
         out = capsys.readouterr().out
@@ -207,18 +205,10 @@ class TestCLI:
         text = doc_file.read_text()
         start = text.index("<person>")
         length = text.index("</person>") + len("</person>") - start
-        assert (
-            main(
-                [
-                    "remove", str(db_path),
-                    "--position", str(start), "--length", str(length),
-                ]
-            )
-            == 0
-        )
+        assert main(["remove", str(db_path), str(start), str(length)]) == 0
         capsys.readouterr()
-        main(["query", str(db_path), "person//phone", "--count"])
-        assert capsys.readouterr().out.strip() == "2"
+        main(["query", str(db_path), "person//phone", "--limit", "0"])
+        assert capsys.readouterr().out.strip() == "ok 2 match(es)"
 
     def test_compact(self, doc_file, tmp_path, capsys):
         db_path = tmp_path / "db.json"
@@ -233,3 +223,39 @@ class TestCLI:
         db_path.write_text("not json")
         assert main(["stats", str(db_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+#: Words for each read verb of the table, over the same document as TestCLI.
+READ_WORDS = {
+    "query": "person//phone",
+    "twig": "site/person[phone]",
+    "join": "person phone std",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(READ_WORDS))
+def test_cli_prints_what_the_shell_prints(verb, tmp_path, capsys):
+    """On the same snapshot, ``python -m repro <verb> TARGET <words>``
+    prints exactly what the ``serve`` shell prints for ``<verb> <words>``."""
+    import io
+
+    from repro.service import DatabaseService
+    from repro.service.commands import COMMANDS
+    from repro.service.shell import ServiceShell
+
+    reads = {verb for verb, entry in COMMANDS.items() if entry.kind == "read"}
+    assert set(READ_WORDS) == reads
+    path = tmp_path / "db.json"
+    xml = tmp_path / "doc.xml"
+    xml.write_text(
+        "<site><person><phone/></person><person><phone/><phone/></person></site>"
+    )
+    main(["load", str(xml), "--db", str(path), "--segments", "2"])
+    capsys.readouterr()
+    words = READ_WORDS[verb]
+    assert main([verb, str(path), *words.split()]) == 0
+    out = io.StringIO()
+    with DatabaseService(load(path)) as service:
+        assert ServiceShell(service, io.StringIO(), out).handle(f"{verb} {words}")
+    assert capsys.readouterr().out == out.getvalue()
+    assert out.getvalue().startswith("ok ")

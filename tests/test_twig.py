@@ -8,7 +8,7 @@ planner and its process-wide decision log, the holistic and pairwise
 executors on handcrafted documents (branches, wildcards, positional and
 value predicates, bindings), and the end-to-end surfaces — database
 method, service + tracing + stats, TCP protocol verb, shell command,
-and ``query --twig`` on the CLI.
+and the ``twig`` verb on the CLI.
 
 The structural-prune acceptance criterion is pinned here too: a twig
 whose edge the summary proves impossible must answer ``[]`` without
@@ -187,7 +187,7 @@ class TestParsePathErrors:
     def test_twig_tokens_redirect_to_twig_surface(self):
         with pytest.raises(PathSyntaxError) as exc_info:
             parse_path("r/a[b]")
-        assert "--twig" in str(exc_info.value) or "twig" in str(exc_info.value)
+        assert "the `twig` verb" in str(exc_info.value)
 
     def test_empty_expression(self):
         with pytest.raises(PathSyntaxError):
@@ -551,16 +551,19 @@ class TestCLISurface:
         return path
 
     def test_query_twig(self, db_path, capsys):
-        assert main(["query", str(db_path), "r//a[b]/c", "--twig"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 2
+        capsys.readouterr()
+        assert main(["twig", str(db_path), "r//a[b]/c"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "ok 2 match(es)" and len(lines) == 3
 
     def test_query_twig_strategy_and_count(self, db_path, capsys):
+        capsys.readouterr()
         assert main(
-            ["query", str(db_path), "r//a[b]/c", "--twig",
-             "--strategy", "pairwise", "--count"]
+            ["twig", str(db_path), "r//a[b]/c",
+             "--strategy", "pairwise", "--limit", "0"]
         ) == 0
-        assert capsys.readouterr().out.strip() == "2"
+        assert capsys.readouterr().out.strip() == "ok 2 match(es)"
 
     def test_query_twig_syntax_error(self, db_path, capsys):
-        assert main(["query", str(db_path), "r/a[", "--twig"]) != 0
+        assert main(["twig", str(db_path), "r/a["]) == 1
+        assert "error:" in capsys.readouterr().err
