@@ -131,18 +131,21 @@ JoinPair = tuple[ElementRecord, ElementRecord]
 
 
 class JoinAnswer(Sequence):
-    """A memoised join's pairs: its chunks, one after the other.
+    """A memoised answer's rows: its chunks', one after the other.
 
-    What :meth:`LazyJoiner.join` hands out from the memo, uncopied: the
-    chunk list is the memo's own and is never mutated, iteration chains
-    the chunks at C level, and it compares equal to a list of the same
-    pairs (the from-scratch merge's answer).  Indexing flattens once.
+    What the join memo hands out (a chunk is a D-segment's ``(pairs,
+    depth)``, ``part`` picks the pairs) and the path memo (a chunk is a
+    segment's matches), uncopied: the chunk list is the memo's own and is
+    never mutated, iteration chains the chunks at C level, and it compares
+    equal to a list of the same rows (the from-scratch answer).  Indexing
+    flattens once.
     """
 
-    __slots__ = ("_chunks", "_length", "_flat")
+    __slots__ = ("_chunks", "_part", "_length", "_flat")
 
-    def __init__(self, chunks: list, length: int):
+    def __init__(self, chunks: list, length: int, part=None):
         self._chunks = chunks
+        self._part = part
         self._length = length
         self._flat = None
 
@@ -150,7 +153,16 @@ class JoinAnswer(Sequence):
         return self._length
 
     def __iter__(self):
-        return chain.from_iterable(map(_chunk_pairs, self._chunks))
+        parts = self._chunks if self._part is None else map(self._part, self._chunks)
+        return chain.from_iterable(parts)
+
+    def segment_rows(self, nodes: list[ERNode], node: ERNode):
+        """The rows of ``node``'s chunk, or ``()`` when ``node`` is not in
+        ``nodes``, the segment list the chunks line up with."""
+        i = _position(nodes, node)
+        if i is None:
+            return ()
+        return self._chunks[i] if self._part is None else self._part(self._chunks[i])
 
     def __getitem__(self, index):
         if self._flat is None:
@@ -467,7 +479,7 @@ class LazyJoiner:
                 length += hi - lo - len(pairs)
                 chunks[i] = (tuple(merged[lo:hi]), depth)
         depth = max(compress(counts, counts.values()), default=0)
-        answer = JoinAnswer(chunks, length)
+        answer = JoinAnswer(chunks, length, _chunk_pairs)
         if context is not None:
             # The merge charged what it produced; the reused chunks are
             # charged here, so the budget sees the whole answer.

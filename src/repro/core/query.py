@@ -15,6 +15,14 @@ a three-step path costs three structural joins, never a document scan.
 Evaluation returns the matches of the *last* step by default;
 ``bindings=True`` returns full match tuples (one element per step).
 
+Per call run the plan, one structural join per step (each from its join
+memo) and a read of the element index's write journal.  Memoised are
+:func:`parse_path` and, per parsed path, a :class:`~repro.core.readpath
+.PathMemo`: for step ``k`` and segment ``s`` the elements of ``s``
+matching the first ``k + 1`` steps, recomputed only once ``s`` is written
+(DESIGN.md §4e).  The answer chains the last level in sid order,
+uncopied: ``(sid, start)`` order without a sort.
+
 Execution is *selectivity-ordered*: before any join runs, every step tag is
 probed against the tag-list's O(1) occurrence totals
 (:meth:`~repro.core.taglist.TagList.total_count`).  A path naming an absent
@@ -29,10 +37,15 @@ reads only the incrementally maintained totals.)
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 
 from repro.core.element_index import ElementRecord
+from repro.core.join import JoinAnswer
+from repro.core.readpath import PathMemo
 from repro.errors import PathSyntaxError
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT
 from repro.obs.metrics import LATENCY_BUCKETS, METRICS
@@ -126,12 +139,14 @@ def _reject_unsupported(text: str, expression: str) -> None:
             )
 
 
+@lru_cache(maxsize=256)
 def parse_path(expression: str) -> PathQuery:
     """Parse ``a//b/c`` into a :class:`PathQuery`.
 
     The expression is relative (no leading separator): the first tag matches
     anywhere in the database, mirroring how the paper's experiments phrase
-    queries (``person//phone``).  Raises
+    queries (``person//phone``).  Memoised per string; a bad one raises on
+    every call.  Raises
     :class:`~repro.errors.PathSyntaxError` (a :class:`~repro.errors
     .QueryError`) naming the offending token and position on syntax
     problems; tokens that belong to the richer twig surface (``*``,
@@ -255,8 +270,9 @@ def evaluate_path(
     Returns the distinct matches of the final step in ``(sid, start)``
     order, or — with ``bindings=True`` — the full match tuples (one
     :class:`ElementRecord` per step, duplicates possible when intermediate
-    elements fan out).  One Lazy-Join runs per step, filtered by semi-join
-    against the previous step's matches.
+    elements fan out).  One Lazy-Join runs per step; the distinct matches
+    come from the path memo (module docstring), a read-only sequence to
+    read, never mutate.
 
     ``context`` is an optional
     :class:`~repro.service.context.QueryContext`, threaded into every
@@ -322,7 +338,7 @@ def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
     # Run the per-step joins cheapest-estimate first (joins are read-only
     # and independent; only the semi-join *filtering* is sequential), so a
     # step with no pairs at all aborts before the expensive joins execute.
-    step_pairs: dict[int, list] = {}
+    step_pairs: list = [None] * len(query.steps)
     for i in plan.join_order:
         if context is not None:
             context.check_deadline()
@@ -345,15 +361,7 @@ def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
         )
         return [(record,) for record in records] if bindings else records
     if not bindings:
-        # Distinct final matches need no binding tuples: a semi-join chain
-        # over the step pairs.  ``(sid, start)`` identifies a record, so
-        # plain record order is ``(sid, start)`` order.
-        matched = {desc for _anc, desc in step_pairs[0]}
-        for i in range(1, len(steps)):
-            if context is not None:
-                context.check_deadline()
-            matched = {desc for anc, desc in step_pairs[i] if anc in matched}
-        return sorted(matched)
+        return _path_matches(db, tid_entry, steps, step_pairs, context)
     # Seeded from the step-0 pairs: an entry element without one binds
     # nothing, and sorted records are the index's order.
     extend: dict[ElementRecord, list[ElementRecord]] = {}
@@ -378,3 +386,77 @@ def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
             for desc in extend.get(binding[-1], ())
         ]
     return current
+
+
+def _path_matches(db, tid_entry: int, steps, answers: list, context):
+    """The distinct final matches: the path memo, brought up to date.
+
+    ``answers`` are the step joins' (each a join memo's
+    :class:`JoinAnswer`), in step order.  The sids the journal wrote since
+    the memo's position are recomputed level by level from each step
+    join's rows for the segment; no memo, or a journal trimmed past it,
+    recomputes every segment of each step tag's list.  Published with one
+    assignment after the last level: an abort publishes nothing.
+    """
+    log, index, rp = db.log, db.index, db.readpath
+    tids = [log.tags.tid_of(step.tag) for step in steps]
+    key = (tid_entry, tuple(zip([step.axis for step in steps], tids)))
+    old = rp.path_memo(key)
+    written = None if old is None else index.written_since(old.position)
+    if written == []:
+        return old.answer
+    position = index.journal_position
+    if written is not None:
+        tree = log.ertree
+        touched = [(s, tree.node(s) if s in tree else None) for s in set(written)]
+    last = len(steps) - 1
+    length = 0 if written is None else len(old.answer)
+    levels: list = []
+    previous = None
+    for k, pairs in enumerate(answers):
+        if context is not None:
+            context.check_deadline()
+        nodes = log.taglist.nodes(tids[k])
+        if written is None:
+            sids, entries = array("q"), []
+            redo = [(node.sid, node) for node in nodes]
+        else:
+            sids, entries = (held[:] for held in old.levels[k])
+            redo = touched
+        for sid, node in redo:
+            rows = () if node is None else pairs.segment_rows(nodes, node)
+            kept = _segment_matches(rows, previous) if rows else ()
+            i = bisect_left(sids, sid)
+            if i < len(sids) and sids[i] == sid:
+                length -= len(entries[i]) if k == last else 0
+                del sids[i], entries[i]
+            if kept:
+                length += len(kept) if k == last else 0
+                sids.insert(i, sid)
+                entries.insert(i, tuple(sorted(kept)) if k == last else kept)
+        previous = (sids, entries)
+        levels.append(previous)
+    answer = JoinAnswer(previous[1], length)
+    rp.store_path(key, PathMemo(position, levels, answer))
+    return answer
+
+
+def _segment_matches(rows, previous) -> set:
+    """One segment's matches at one level: the descendants in ``rows``
+    (a step join's pairs for the segment) whose ancestor matched the
+    level before — ``previous``, that level's ``(sids, entries)``, or
+    ``None`` at the first step, whose ancestors all match."""
+    if previous is None:
+        return {desc for _anc, desc in rows}
+    sids, entries = previous
+    held: dict = {}  # ancestor sid -> its entry at the level before
+    kept = set()
+    for anc, desc in rows:
+        matched = held.get(anc.sid)
+        if matched is None:
+            i = bisect_left(sids, anc.sid)
+            found = i < len(sids) and sids[i] == anc.sid
+            matched = held[anc.sid] = entries[i] if found else ()
+        if anc in matched:
+            kept.add(desc)
+    return kept

@@ -45,6 +45,9 @@ merge reads, and applies its own inserts and removes to it
   element index's journal logged since the memo was built, and re-merges
   those D-segments alone; a journal or an edit log trimmed past the memo
   makes it a miss.  Pair order survives too: gp shifts keep order.
+- **path matches** — per parsed path, a :class:`PathMemo`: per step and
+  segment the elements matching so far (:mod:`repro.core.query`), good
+  by the same rule; the :data:`PATHS_KEPT` stored last are kept.
 
 There is one regime: every lookup memoises.  :meth:`ReadPathCache.clear`
 is the "cold" lever — it drops everything derived and forces the same
@@ -65,8 +68,12 @@ from repro.obs.metrics import METRICS
 __all__ = [
     "CompiledPushList",
     "JoinMemo",
+    "PathMemo",
     "ReadPathCache",
 ]
+
+#: Path memos kept per cache (as many as ``query.parse_path`` memoises).
+PATHS_KEPT = 256
 
 # Query-path instruments (a cache hit/miss is real read work wherever it
 # happens, so these ignore the per-structure `observed` replica flag).
@@ -202,6 +209,17 @@ class JoinMemo(NamedTuple):
     depth: int
 
 
+class PathMemo(NamedTuple):
+    """One path's distinct matches: ``levels[k]`` is sid-ascending parallel
+    ``(sids, entries)``, ``entries[i]`` segment ``sids[i]``'s elements
+    matching the first ``k + 1`` steps (a set; at the last step a
+    start-sorted tuple, which ``answer`` chains).  Never mutated."""
+
+    position: int
+    levels: list
+    answer: Sequence
+
+
 class ReadPathCache:
     """Version-keyed memo of compiled read-path state for one database.
 
@@ -224,6 +242,8 @@ class ReadPathCache:
         self._lps: dict[int, int] = {}
         # (tid_a, tid_d, axis) -> JoinMemo
         self._joins: dict[tuple[int, int, str], JoinMemo] = {}
+        # (entry tid, ((axis, tid), ...)) -> PathMemo
+        self._paths: dict[tuple, PathMemo] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -234,6 +254,7 @@ class ReadPathCache:
         self._spans.clear()
         self._lps.clear()
         self._joins.clear()
+        self._paths.clear()
 
     # ------------------------------------------------------------------
     # compiled lookups
@@ -347,6 +368,20 @@ class ReadPathCache:
         """
         self._joins[(tid_a, tid_d, axis)] = memo
 
+    def path_memo(self, key: tuple) -> PathMemo | None:
+        """The memo last stored for this path, current or not."""
+        return self._paths.get(key)
+
+    def store_path(self, key: tuple, memo: PathMemo) -> None:
+        """Publish a path memo as the newest, dropping the oldest past
+        :data:`PATHS_KEPT` (safe for readers storing at once)."""
+        paths = self._paths
+        paths.pop(key, None)
+        paths[key] = memo
+        if len(paths) > PATHS_KEPT:
+            for stale in list(paths)[:-PATHS_KEPT]:
+                paths.pop(stale, None)
+
     def lp_of(self, sid: int) -> int:
         """The (immutable) local position of segment ``sid``."""
         lp = self._lps.get(sid)
@@ -389,6 +424,10 @@ class ReadPathCache:
                 "lps": len(self._lps),
                 "join_results": len(self._joins),
                 "join_chunks": sum(len(m.chunks) for m in self._joins.values()),
+                "path_results": len(self._paths),
+                "path_entries": sum(
+                    len(sids) for m in self._paths.values() for sids, _ in m.levels
+                ),
             },
         }
 
@@ -409,5 +448,9 @@ class ReadPathCache:
             # two 4-field records per pair, one more reference to it from
             # its chunk; a chunk's reference, pairs and depth per D-segment
             total += 8 * 9 * len(memo.answer) + 8 * 3 * len(memo.chunks)
+        for memo in self._paths.values():
+            # a reference per matched record; a sid and an entry per row
+            for sids, entries in memo.levels:
+                total += 8 * (2 * len(sids) + sum(map(len, entries)))
         total += 8 * len(self._lps)
         return total

@@ -19,6 +19,7 @@ reply then carries the span list of :mod:`repro.obs.trace`).
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from repro.errors import ProtocolError
@@ -187,9 +188,11 @@ def span_row(db, record) -> list:
 
 
 def _matches(db, records, limit: int) -> dict:
+    # islice, not a slice: a memoised answer would flatten itself (and
+    # keep the copy) to hand over its first ``limit`` rows.
     return {
         "count": len(records),
-        "spans": [span_row(db, record) for record in records[:limit]],
+        "spans": [span_row(db, record) for record in islice(records, limit)],
         "truncated": len(records) > limit,
     }
 

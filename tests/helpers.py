@@ -161,3 +161,22 @@ def merge_join_records(db, tag_a, tag_d, axis=AXIS_DESCENDANT) -> list:
         db.global_elements(tag_a), db.global_elements(tag_d), axis=axis
     )
     return [(a.record, d.record) for a, d in pairs]
+
+
+def semi_join_path(db, expression: str) -> list:
+    """The path memo's oracle: the distinct final matches of a path with
+    at least one step, in ``(sid, start)`` order, from a semi-join chain
+    over from-scratch step merges (``stats=``: no join memo read)."""
+    from repro.core.join import JoinStatistics
+    from repro.core.query import parse_path
+
+    query = parse_path(expression)
+    ancestors = [query.entry] + [step.tag for step in query.steps]
+    matched = None
+    for tag_a, step in zip(ancestors, query.steps):
+        pairs = db.structural_join(
+            tag_a, step.tag, step.axis, stats=JoinStatistics()
+        )
+        matched = {d for a, d in pairs if matched is None or a in matched}
+    # ``(sid, start)`` identifies a record, so record order is that order.
+    return sorted(matched)

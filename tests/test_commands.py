@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.database import LazyXMLDatabase
+from repro.core.join import JoinAnswer
 from repro.durability.database import DurableDatabase
 from repro.errors import (
     Busy,
@@ -47,6 +48,7 @@ from repro.service.commands import (
     line_request,
     reference,
     render_reply,
+    span_row,
 )
 from repro.service.shell import ServiceShell
 from repro.shard import ShardedDatabase
@@ -172,6 +174,27 @@ def test_limit_null_is_the_default_and_zero_is_zero(tmp_path):
             service, session, {"cmd": "query", "expr": "a", "limit": 0}
         )
         assert zero == {"count": 2, "spans": [], "truncated": True}
+    finally:
+        service.close()
+
+
+def test_query_reply_leaves_the_memoised_answer_unflattened(tmp_path):
+    """The reply reads its first ``limit`` rows off the path memo's answer
+    without indexing it: a slice would flatten the answer and keep the
+    copy for the memo's lifetime."""
+    service = make_service("plain", tmp_path)
+    try:
+        session = SessionState(1)
+        execute_request(service, session, {"cmd": "pin"})
+        reply = execute_request(
+            service, session, {"cmd": "query", "expr": "a//c", "limit": 1}
+        )
+        assert reply["count"] == 2 and reply["truncated"]
+        db = session.pinned.db
+        answer = db.path_query("a//c")  # the memo's own answer, a hit
+        assert isinstance(answer, JoinAnswer) and answer._flat is None
+        assert reply["spans"] == [span_row(db, answer[0])]
+        session.release()
     finally:
         service.close()
 

@@ -10,7 +10,8 @@ buy:
   call is a hit;
 - the join after a one-segment update merges one D-segment (insert) or none
   (whole-segment remove), on 250 forms and on 4 000 alike;
-- readers sharing one pinned replica may refresh the memo concurrently;
+- readers sharing one pinned replica may refresh the memo (and the path
+  memo above it, ``tests/test_path_memo.py``) concurrently;
 - a budget aborts a warm call exactly as it aborts a cold one, and an
   aborted merge publishes nothing.
 """
@@ -43,6 +44,7 @@ from repro.service.context import QueryContext
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.snapshot import EpochManager
 from repro.storage import clone, dumps, loads
+from tests.helpers import semi_join_path
 from tests.test_log_maintenance import FRAGMENTS, _OPS, _form, _loaded, apply_op
 
 #: The fourth insert lands inside the ``<a/>`` token of segment 2 and the
@@ -413,7 +415,11 @@ def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
     def reader(snap, barrier, out):
         try:
             barrier.wait()
-            out.append([snap.db.structural_join("form", "f3") for _ in range(3)])
+            out.append([
+                (snap.db.structural_join("form", "f3"),
+                 snap.db.path_query("form/f3"))
+                for _ in range(3)
+            ])
         except Exception as exc:  # pragma: no cover - reported below
             errors.append(exc)
 
@@ -433,16 +439,22 @@ def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
                 for thread in readers:
                     thread.join()
                 assert not errors, errors
-                want = snap.db.structural_join(
-                    "form", "f3", stats=JoinStatistics()
+                want = (
+                    snap.db.structural_join("form", "f3", stats=JoinStatistics()),
+                    semi_join_path(snap.db, "form/f3"),
                 )
                 assert len(answers) == 8
-                assert all(got == want for trio in answers for got in trio)
-                # Dead sids left with the publish: one chunk per live
-                # D-segment, however many epochs this replica replayed.
+                assert all(
+                    pairs == want[0] and list(matches) == want[1]
+                    for trio in answers for pairs, matches in trio
+                )
+                # Dead sids left with the publish: one chunk per join (the
+                # path's is the child axis) and one path entry per live
+                # segment, however many epochs this replica replayed.
                 entries = snap.db.readpath.stats()["entries"]
-                assert entries["join_results"] == 1
-                assert entries["join_chunks"] == snap.db.segment_count
+                assert (entries["join_results"], entries["path_results"]) == (2, 1)
+                assert entries["join_chunks"] == 2 * snap.db.segment_count
+                assert entries["path_entries"] == snap.db.segment_count
     finally:
         stop.set()
         writing.join()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.database import LazyXMLDatabase
 from repro.core.query import PathQuery, PathStep, evaluate_path, parse_path
-from repro.errors import QueryError
+from repro.errors import PathSyntaxError, QueryError
 from repro.workloads.scenarios import registration_stream
 from repro.xml.parser import parse
 
@@ -48,6 +48,12 @@ class TestParse:
     def test_rejects_malformed(self, bad):
         with pytest.raises(QueryError):
             parse_path(bad)
+
+    def test_memoised_per_expression_string(self):
+        assert parse_path("a//b/c") is parse_path("a//b/c")
+        for _ in range(2):  # an error is not cached: it raises every time
+            with pytest.raises(PathSyntaxError):
+                parse_path("a///b")
 
 
 def oracle_path(db, expression):
