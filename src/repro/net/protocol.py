@@ -12,9 +12,10 @@ exception the server caught (:func:`error_payload` /
 :func:`raise_error_payload`).
 
 :func:`execute_request` is deliberately synchronous: the database service
-is thread-safe and blocking, so the asyncio server runs each request on a
-bounded worker pool and the protocol layer stays testable without an
-event loop.
+is thread-safe and blocking, so the asyncio server chooses where each
+request runs — a short read on its event loop, everything else on a
+bounded worker pool (:mod:`repro.net.server`) — and the protocol layer
+stays testable without an event loop.
 """
 
 from __future__ import annotations

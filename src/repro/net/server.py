@@ -4,10 +4,13 @@
 (:mod:`repro.net.frame` / :mod:`repro.net.protocol`) from many concurrent
 connections onto one thread-safe
 :class:`~repro.service.server.DatabaseService`.  The asyncio event loop
-owns all connection state (single-threaded, no locks on the bookkeeping);
-each request body runs on a bounded worker pool sized to the global
-in-flight cap, so the blocking database layer never blocks the loop and
-the loop never queues unbounded work behind it.
+owns all connection state (single-threaded, no locks on the bookkeeping).
+A read verb alone in flight on a service with an epoch store runs on the
+loop itself (the thread hop costs more than the read) and moves to the
+pool if it outlives :data:`LOOP_BUDGET`; every other request body runs
+on a bounded worker pool sized to the global in-flight cap, so the
+blocking database layer never holds the loop past the budget and the
+loop never queues unbounded work behind it.
 
 Robustness contract (each clause is drilled by ``tests/test_net_faults``):
 
@@ -59,6 +62,7 @@ from repro.errors import (
 from repro.net import frame as wire
 from repro.net.frame import Frame, FrameDecoder, encode_frame
 from repro.net.protocol import (
+    COMMANDS,
     SessionState,
     decode_payload,
     encode_payload,
@@ -67,8 +71,14 @@ from repro.net.protocol import (
     request_context,
 )
 from repro.obs.metrics import LATENCY_BUCKETS, METRICS
+from repro.service.context import OverBudget
 
 __all__ = ["NetServerConfig", "TcpServer"]
+
+#: Seconds a read may hold the event loop before it moves to the pool: no
+#: longer than a pool thread holds the GIL from the loop anyway
+#: (``sys.getswitchinterval()``, 5 ms by default).
+LOOP_BUDGET = 0.002
 
 _M_CONNS_TOTAL = METRICS.counter(
     "net.connections.total", unit="connections", site="TcpServer._on_connection"
@@ -226,6 +236,8 @@ class TcpServer:
             "connections_total": 0,
             "connections_shed": 0,
             "requests": 0,
+            "loop_reads": 0,
+            "moved_reads": 0,
             "sheds": 0,
             "errors": 0,
             "frames_rejected": 0,
@@ -592,6 +604,13 @@ class TcpServer:
                 error_payload(Draining("server is draining; request refused")),
             )
             return True
+        if frame.request_id in conn.session.inflight:
+            # Overwriting the running request's entry would undercount the
+            # per-connection cap and orphan its cancellation.
+            await self._send(conn, wire.T_ERROR, frame.request_id, error_payload(
+                ProtocolError(f"request id {frame.request_id} is already in flight")
+            ))
+            return True
         if (
             len(conn.session.inflight) >= self.config.max_inflight_per_conn
             or self._inflight >= self.config.max_inflight
@@ -627,8 +646,16 @@ class TcpServer:
         task.add_done_callback(conn.tasks.discard)
         return True
 
+    def _runs_on_loop(self, cmd) -> bool:
+        """A read verb alone in flight (it waits for no admission ticket)
+        on a service whose reads pin in-process buffers (a sharded read
+        waits on worker pipes for as long as its deadline allows)."""
+        verb = COMMANDS.get(cmd) if isinstance(cmd, str) else None
+        return (self._inflight == 1 and getattr(verb, "kind", None) == "read"
+                and self.service.has_epoch_store)
+
     async def _run_request(self, conn: _Connection, frame: Frame) -> None:
-        """Decode, execute on the worker pool, respond; typed end to end.
+        """Decode, execute (loop or worker pool), respond; typed end to end.
 
         The in-flight slots were reserved synchronously by
         ``_dispatch_frame``; the ``finally`` here is the single release
@@ -668,12 +695,22 @@ class TcpServer:
                 # Cancelled (connection death, drain) before we got here.
                 ctx.cancel(reserved.cancelled)
             session.inflight[request_id] = ctx
-            loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(
-                self._executor,
-                execute_request,
-                self.service, session, request, ctx,
-            )
+            result = None
+            if self._runs_on_loop(request.get("cmd")):
+                try:
+                    result = execute_request(
+                        self.service, session, request, ctx.attempt(LOOP_BUDGET)
+                    )
+                except OverBudget:
+                    self._counters["moved_reads"] += 1
+                else:
+                    self._counters["loop_reads"] += 1
+            if result is None:
+                result = await asyncio.get_running_loop().run_in_executor(
+                    self._executor,
+                    execute_request,
+                    self.service, session, request, ctx,
+                )
             if request.get("cmd") in ("health", "stats"):
                 result = dict(result)
                 result["net"] = self.status()

@@ -19,13 +19,20 @@ from __future__ import annotations
 import time
 
 from repro.errors import DeadlineExceeded, QueryCancelled, ResourceExhausted
+from repro.obs.trace import Trace
 
-__all__ = ["QueryContext"]
+__all__ = ["OverBudget", "QueryContext"]
 
 #: How many ticks pass between deadline clock reads.  Power of two so the
 #: modulo compiles to a mask; 64 keeps worst-case overrun tiny while making
 #: the common case a single integer increment.
 _CHECK_EVERY = 64
+
+
+class OverBudget(Exception):
+    """An :meth:`QueryContext.attempt` ran past its budget before its
+    deadline.  Not a :class:`~repro.errors.ReproError`: it never reaches a
+    client and counts as no abort; the caller re-runs the query."""
 
 
 class QueryContext:
@@ -59,6 +66,7 @@ class QueryContext:
         "max_result_rows",
         "max_stack_depth",
         "_cancelled",
+        "_budget_end",
         "trace",
     )
 
@@ -87,6 +95,7 @@ class QueryContext:
         self.max_result_rows = max_result_rows
         self.max_stack_depth = max_stack_depth
         self._cancelled: str | None = None
+        self._budget_end: float | None = None
         self.trace = trace
 
     # ------------------------------------------------------------------
@@ -133,11 +142,30 @@ class QueryContext:
         if self._cancelled is not None:
             raise QueryCancelled(self._cancelled)
         if self._deadline is not None and self._clock() > self._deadline:
+            if self._deadline == self._budget_end:
+                raise OverBudget(f"budget spent after {self._ticks} checkpoints")
             raise DeadlineExceeded(
                 f"query exceeded its deadline by "
                 f"{self._clock() - self._deadline:.3f}s "
                 f"(after {self._ticks} checkpoints, {self._rows} rows)"
             )
+
+    def attempt(self, budget: float) -> "QueryContext":
+        """A fresh copy (own trace, same limits and absolute deadline) whose
+        first checkpoint past ``budget`` seconds raises :class:`OverBudget`
+        — the TCP server's loop attempt; ``self`` stays fit for a re-run."""
+        end = self._clock() + budget
+        fresh = QueryContext(
+            deadline=end if self._deadline is None else min(end, self._deadline),
+            max_result_rows=self.max_result_rows,
+            max_stack_depth=self.max_stack_depth,
+            check_every=self._check_every,
+            clock=self._clock,
+            trace=None if self.trace is None else Trace(),
+        )
+        fresh._budget_end = end
+        fresh._cancelled = self._cancelled
+        return fresh
 
     def charge_rows(self, n: int) -> None:
         """Charge ``n`` result rows against the row budget."""

@@ -267,6 +267,12 @@ class DatabaseService:
             return _DirectView(self._base)
         return self._epochs.pin()
 
+    @property
+    def has_epoch_store(self) -> bool:
+        """True when a read pins an in-process epoch buffer; False for a
+        sharded primary, whose reads wait on worker pipes."""
+        return self._epochs is not None
+
     # ------------------------------------------------------------------
     # reads
 

@@ -40,11 +40,25 @@ def _cmd_slowop(service, session, args, ctx):
     return {"slept": args["seconds"]}
 
 
+def _cmd_slowread(service, session, args, ctx):
+    """Test-only read verb: ``slowop`` under an epoch pin.  An idle server
+    starts it on the event loop; it outlives the loop budget at its second
+    checkpoint and finishes on the worker pool."""
+    return service.read(
+        lambda db, context: _cmd_slowop(service, session, args, context),
+        context=ctx, snapshot=session.pinned,
+    )
+
+
 @contextlib.contextmanager
 def slowop_installed():
-    """Temporarily register the ``slowop`` verb in the verb table."""
-    COMMANDS["slowop"] = Verb(_cmd_slowop, (Field("seconds", "float", 0.5),))
+    """Temporarily register the ``slowop`` (status) and ``slowread``
+    (read) verbs in the verb table."""
+    seconds = (Field("seconds", "float", 0.5),)
+    COMMANDS["slowop"] = Verb(_cmd_slowop, seconds)
+    COMMANDS["slowread"] = Verb(_cmd_slowread, seconds, kind="read")
     try:
         yield
     finally:
         COMMANDS.pop("slowop", None)
+        COMMANDS.pop("slowread", None)

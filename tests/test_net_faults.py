@@ -300,11 +300,19 @@ class TestConnectionDeaths:
     def test_disconnect_cancels_inflight_work(self):
         """A dead connection's running request is cooperatively cancelled
         — its worker does not grind on for a client that left."""
+        self._disconnect_cancels("slowop")
+
+    def test_disconnect_cancels_a_moved_read(self):
+        """A read that outlived the loop budget runs on the pool under a
+        fresh context, and that is the context a disconnect cancels."""
+        self._disconnect_cancels("slowread")
+
+    def _disconnect_cancels(self, verb):
         service = make_service()
         try:
             with slowop_installed(), ServerHarness(service) as harness:
                 client = FaultyClient("127.0.0.1", harness.port)
-                client.send_request("slowop", seconds=30.0)
+                client.send_request(verb, seconds=30.0)
                 deadline = time.monotonic() + 5.0
                 while (
                     harness.status()["inflight"] == 0
@@ -314,13 +322,59 @@ class TestConnectionDeaths:
                 assert harness.status()["inflight"] == 1
                 client.reset()
                 # Far sooner than the 30s the op asked for:
-                wait_quiescent(harness, service, timeout=5.0)
+                counters = wait_quiescent(harness, service, timeout=5.0)[
+                    "counters"
+                ]
+                assert counters["moved_reads"] == (verb == "slowread")
                 assert_alive(harness)
         finally:
             service.close()
 
 
 class TestPipelinedBurst:
+    def test_reused_inflight_id_is_refused_and_the_cap_holds(self):
+        """Six pipelined frames share id 7, then ids 8 and 9 follow: one
+        id-7 request runs, the other five are typed ProtocolErrors carrying
+        id 7 (no slot taken), id 8 fills the per-connection cap of two and
+        id 9 is shed."""
+        service = make_service()
+        config = NetServerConfig(max_inflight_per_conn=2)
+        ids = [7] * 6 + [8, 9]
+        try:
+            with slowop_installed(), ServerHarness(
+                service, config
+            ) as harness:
+                with FaultyClient("127.0.0.1", harness.port) as client:
+                    client.send_bytes(b"".join(
+                        encode_frame(
+                            wire.T_REQUEST, request_id,
+                            encode_payload({"cmd": "slowop", "seconds": 0.3}),
+                        )
+                        for request_id in ids
+                    ))
+                    # The refusals and the shed answer at once, the two
+                    # admitted requests after their 0.3 s.
+                    replies = [client.recv_frame() for _ in ids[2:]]
+                    assert harness.status()["inflight"] == 2
+                    replies += [client.recv_frame() for _ in ids[:2]]
+                    ok = sorted(
+                        r.request_id for r in replies
+                        if r.type == wire.T_RESPONSE
+                    )
+                    errors = sorted(
+                        (r.request_id, decode_payload(r.payload)["error"])
+                        for r in replies if r.type == wire.T_ERROR
+                    )
+                    assert ok == [7, 8]
+                    assert errors == [(7, "ProtocolError")] * 5 + [
+                        (9, "Overloaded")
+                    ]
+                counters = wait_quiescent(harness, service)["counters"]
+                assert (counters["sheds"], counters["requests"]) == (1, 2)
+                assert_alive(harness)
+        finally:
+            service.close()
+
     def test_single_chunk_burst_cannot_bypass_inflight_caps(self):
         """Every frame of a burst that arrives in one read chunk is
         dispatched without yielding to the event loop, so the in-flight

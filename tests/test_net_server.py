@@ -22,19 +22,21 @@ from repro.errors import (
     QueryError,
     DeadlineExceeded,
 )
+from repro.net import server as server_module
 from repro.net.client import connect
 from repro.net.server import NetServerConfig, TcpServer
+from repro.service.context import OverBudget, QueryContext
 from tests.net_util import make_service, slowop_installed
 
 pytestmark = pytest.mark.timeout(60)
 
 
-def run_server_test(coro_fn, *, config=None, n=5, **service_kwargs):
+def run_server_test(coro_fn, *, config=None, n=5, service=None, **service_kwargs):
     """Boilerplate: service + started server + drain/close, around a
     coroutine ``coro_fn(service, server, port)``."""
 
-    async def main():
-        service = make_service(n, **service_kwargs)
+    async def main(service):
+        service = service or make_service(n, **service_kwargs)
         server = TcpServer(service, config or NetServerConfig())
         await server.start()
         try:
@@ -43,7 +45,20 @@ def run_server_test(coro_fn, *, config=None, n=5, **service_kwargs):
             await server.drain(grace=2.0)
             service.close()
 
-    return asyncio.run(main())
+    return asyncio.run(main(service))
+
+
+def pool_submissions(server) -> list[str]:
+    """The verbs the server hands its worker pool from now on, in order."""
+    verbs = []
+    submit = server._executor.submit
+
+    def counting(fn, *args, **kwargs):
+        verbs.append(args[2].get("cmd"))
+        return submit(fn, *args, **kwargs)
+
+    server._executor.submit = counting
+    return verbs
 
 
 class TestRequestExecution:
@@ -349,13 +364,21 @@ class TestGracefulDrain:
         run_server_test(scenario, config=config)
 
     def test_drain_cancels_stragglers_after_grace(self):
+        self._drain_cancels_straggler("slowop")
+
+    def test_drain_cancels_a_moved_read_straggler(self):
+        """A read that outlived the loop budget finishes on the pool, where
+        drain cancels it like any straggler."""
+        self._drain_cancels_straggler("slowread")
+
+    def _drain_cancels_straggler(self, verb):
         config = NetServerConfig(drain_grace=0.1)
 
         async def scenario(service, server, port):
             with slowop_installed():
                 client = await connect("127.0.0.1", port)
                 inflight = asyncio.ensure_future(
-                    client.request("slowop", seconds=30.0)
+                    client.request(verb, seconds=30.0)
                 )
                 await asyncio.sleep(0.05)
                 summary = await server.drain()
@@ -366,6 +389,9 @@ class TestGracefulDrain:
             # No pins, no in-flight leaked through the forced abort.
             assert service.health()["epochs"]["active_pins"] == 0
             assert server.status()["inflight"] == 0
+            counters = server.status()["counters"]
+            assert counters["moved_reads"] == (verb == "slowread")
+            assert counters["loop_reads"] == 0
 
         run_server_test(scenario, config=config)
 
@@ -398,6 +424,210 @@ class TestGracefulDrain:
                 await asyncio.sleep(0.01)
             assert server.status()["draining"]
             assert service.health()["status"] == "draining"
+
+        run_server_test(scenario)
+
+
+_READS = [
+    ("query", {"expr": "user/name"}),
+    ("query", {"expr": "registration//interest"}),
+    ("join", {"ancestor": "registration", "descendant": "interest"}),
+    ("twig", {"expr": "registration[user/name]//interest"}),
+]
+
+
+class _SteppingClock:
+    """A clock that moves 1 ms each time it is read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 0.001
+        return self.now
+
+
+def _updated_service():
+    """A service whose published buffer holds join and path memos that
+    the last insert left stale, so the next read refreshes them."""
+    from repro.net.protocol import SessionState, execute_request
+
+    service = make_service(20)
+    session = SessionState(1)
+    for fragment in ("<a/>", "<registration><user><name>n</name></user>"
+                     "<interest/></registration>"):
+        for cmd, fields in _READS:
+            execute_request(service, session, {"cmd": cmd, **fields})
+        service.insert(fragment)
+    return service
+
+
+def _memos(service) -> tuple:
+    with service.snapshot() as snap:
+        tid = snap.db.log.tags.tid_of
+        readpath = snap.db.readpath
+        return (
+            readpath.join_memo(tid("registration"), tid("interest"), "descendant"),
+            readpath.path_memo((tid("user"), (("child", tid("name")),))),
+            readpath.path_memo(
+                (tid("registration"), (("descendant", tid("interest")),))
+            ),
+        )
+
+
+class TestWhereARequestRuns:
+    """An idle server answers a read on its event loop; a read that
+    outlives the loop budget moves to the pool; everything else always
+    runs on the pool."""
+
+    def test_idle_server_answers_reads_on_the_loop(self):
+        async def scenario(service, server, port):
+            async with await connect("127.0.0.1", port) as client:
+                # Cold, a twig compiles its plan and columns (a few ms
+                # here): it may outlive the budget and move.
+                for cmd, fields in _READS:
+                    await client.request(cmd, **fields)
+                counters = server.status()["counters"]
+                assert counters["loop_reads"] + counters["moved_reads"] == 4
+                loop_reads = counters["loop_reads"]
+                pool = pool_submissions(server)
+                for cmd, fields in _READS:
+                    await client.request(cmd, **fields)
+                assert pool == []
+                await client.insert("<registration><name>w</name></registration>")
+                await client.ping()
+                await client.health()
+            assert pool == ["insert", "ping", "health"]
+            assert server.status()["counters"]["loop_reads"] == loop_reads + 4
+
+        run_server_test(scenario)
+
+    def test_read_beside_another_request_uses_the_pool(self):
+        async def scenario(service, server, port):
+            pool = pool_submissions(server)
+            with slowop_installed():
+                async with await connect("127.0.0.1", port) as client:
+                    slow = asyncio.ensure_future(
+                        client.request("slowop", seconds=0.3)
+                    )
+                    await asyncio.sleep(0.05)
+                    assert (await client.query("name"))["count"] == 5
+                    await slow
+            assert pool == ["slowop", "query"]
+            assert server.status()["counters"]["loop_reads"] == 0
+
+        run_server_test(scenario)
+
+    def test_moved_read_replies_as_a_loop_read(self, monkeypatch):
+        """A read over the budget is abandoned at its first checkpoint and
+        re-run on the pool: the same reply, counted once as a query, never
+        as a deadline abort or a net error."""
+
+        async def scenario(service, server, port):
+            reads = _READS + [("query", {"expr": "user/name", "trace": True})]
+            async with await connect("127.0.0.1", port) as client:
+                for cmd, fields in _READS:  # warm: nothing cold moves
+                    await client.request(cmd, **fields)
+                before = server.status()["counters"]
+                queries = service.health()["counters"]["queries"]
+                pool = pool_submissions(server)
+                on_loop = [await client.request(c, **f) for c, f in reads]
+                monkeypatch.setattr(server_module, "LOOP_BUDGET", -1.0)
+                moved = [await client.request(c, **f) for c, f in reads]
+            assert moved[:-1] == on_loop[:-1]
+            # The abandoned attempt leaves no span in the moved read's trace.
+            assert [span["name"] for span in moved[-1].pop("trace")] == [
+                span["name"] for span in on_loop[-1].pop("trace")
+            ]
+            assert moved[-1] == on_loop[-1]
+            assert pool == [cmd for cmd, _ in reads]
+            after = server.status()["counters"]
+            assert after["loop_reads"] - before["loop_reads"] == 5
+            assert after["moved_reads"] - before["moved_reads"] == 5
+            assert after["errors"] == 0
+            served = service.health()["counters"]
+            assert served["queries"] - queries == 10
+            assert served["deadline_aborts"] == 0
+
+        run_server_test(scenario, n=20)
+
+    @pytest.mark.parametrize("checkpoints", range(12))
+    def test_abandoned_attempt_leaves_the_memos_as_found(self, checkpoints):
+        """The loop attempt stops at any checkpoint, mid-refresh included;
+        it publishes no memo, and the pool's re-run answers as a read on
+        a twin service that was never interrupted."""
+        from repro.net.protocol import SessionState, execute_request
+
+        service, twin = _updated_service(), _updated_service()
+        session = SessionState(1)
+        try:
+            assert None not in _memos(service)
+            # The _memos() entry each read publishes (a twig, none).  A
+            # path query's step join that finished before the stop may
+            # publish its own memo: that answer is whole.
+            for (cmd, fields), owned in zip(_READS, (1, 2, 0, None)):
+                request = {"cmd": cmd, **fields}
+                found = _memos(service)
+                attempt = QueryContext(
+                    clock=_SteppingClock(), check_every=1
+                ).attempt(checkpoints * 0.001 + 0.0005)
+                try:
+                    reply = execute_request(service, session, request, attempt)
+                except OverBudget:
+                    if owned is not None:
+                        assert _memos(service)[owned] is found[owned]
+                    reply = execute_request(service, session, request)
+                assert reply == execute_request(twin, session, request)
+            assert service.health()["counters"]["deadline_aborts"] == 0
+            assert service.health()["epochs"]["active_pins"] == 0
+        finally:
+            service.close()
+            twin.close()
+
+    def test_sharded_reads_never_start_on_the_loop(self):
+        from repro.service.server import DatabaseService
+        from repro.shard import ShardedDatabase
+
+        primary = ShardedDatabase(2)
+        for doc in ("<a><b>x</b></a>", "<a><b>y</b><b>z</b></a>"):
+            primary.insert(doc)
+        service = DatabaseService(primary)
+        assert not service.has_epoch_store
+
+        async def scenario(service, server, port):
+            pool = pool_submissions(server)
+            async with await connect("127.0.0.1", port) as client:
+                assert (await client.query("a/b"))["count"] == 3
+                assert (await client.join("a", "b"))["pairs"] == 3
+                assert (await client.request("twig", expr="a[b]"))["count"] == 2
+            assert pool == ["query", "join", "twig"]
+            assert server.status()["counters"]["loop_reads"] == 0
+
+        run_server_test(scenario, service=service)
+
+    def test_loop_budget_is_inside_the_switch_interval(self):
+        import sys
+
+        assert 0 < server_module.LOOP_BUDGET <= sys.getswitchinterval()
+
+    @pytest.mark.perf_smoke
+    def test_idle_reads_make_no_thread_hop(self):
+        """The hop gate, as counts: on an idle server 50 sequential queries
+        are 50 loop reads and no pool submission; 10 inserts are 10."""
+
+        async def scenario(service, server, port):
+            with service.snapshot() as snap:  # warm, as a served corpus is
+                snap.db.path_query("user/name")
+            pool = pool_submissions(server)
+            async with await connect("127.0.0.1", port) as client:
+                for _ in range(50):
+                    assert (await client.query("user/name"))["count"] == 5
+                assert pool == []
+                for i in range(10):
+                    await client.insert(f"<registration><name>{i}</name></registration>")
+            assert pool == ["insert"] * 10
+            counters = server.status()["counters"]
+            assert (counters["loop_reads"], counters["moved_reads"]) == (50, 0)
 
         run_server_test(scenario)
 

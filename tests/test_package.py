@@ -221,8 +221,6 @@ SET_ONLY_BY_TESTS = {
         "drill verb argument: a partition that cuts after n records",
     "replication.node.ReplicaNode.pin(min_seq)":
         "drill verb argument: a follower read that must reach a seq",
-    "service.commands.execute_request(context)":
-        "set through run_in_executor, whose arguments the walk cannot see",
 }
 
 #: The serving stack the keyword guard walks: packages above the core.
@@ -367,7 +365,7 @@ def test_every_keyword_has_a_setter():
     assert not unlisted, unlisted
     stale = sorted(set(SET_ONLY_BY_TESTS) - set(unset))
     assert not stale, f"set by the library now, or gone: {stale}"
-    assert len(SET_ONLY_BY_TESTS) <= 8
+    assert len(SET_ONLY_BY_TESTS) <= 5
 
 
 def test_package_map_is_current():
