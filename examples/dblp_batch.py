@@ -2,8 +2,9 @@
 
 A bibliography server receives batches of new entries during the day and
 answers queries at night.  LS mode makes updates as cheap as possible —
-only the ER-tree is maintained; tag-list sorting and the SB-tree build are
-deferred into one ``prepare_for_query()`` call before the query window.
+only the ER-tree is maintained and the tag-list takes unsorted appends;
+sorting is deferred into one ``prepare_for_query()`` call before the query
+window.
 
 Run:  python examples/dblp_batch.py [n_days] [entries_per_day]
 """
@@ -50,8 +51,8 @@ def main(n_days: int = 5, entries_per_day: int = 80) -> None:
         f"(tag-list {stats.taglist_bytes / 1024:.1f} KB)"
     )
     print(
-        "LS trade-off: every daytime insert skipped tag-list sorting and\n"
-        "SB-tree maintenance; the one-off prepare step paid it back at night."
+        "LS trade-off: every daytime insert skipped tag-list sorting;\n"
+        "the one-off prepare step paid it back at night."
     )
 
 

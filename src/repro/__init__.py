@@ -2,7 +2,7 @@
 
 An updatable XML database where element labels are *local* to the segment
 that inserted them and therefore never change on later updates; an in-memory
-update log (SB-tree + tag-list) maps local labels to global structure, and
+update log (ER-tree + tag-list) maps local labels to global structure, and
 the Lazy-Join algorithm answers ``A//D`` / ``A/D`` structural joins directly
 over segments.
 

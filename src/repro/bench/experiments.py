@@ -76,7 +76,8 @@ def _time_joins(ld, ls, tag_a: str, tag_d: str, repeat: int) -> dict[str, float]
     """Cold LD, cold LS and STD times (ms) of one join, plus its pair count.
 
     LS (``ls`` may be ``None``) includes the deferred prepare step, as the
-    paper's LS curve does.  STD derives global labels on every call, so it
+    paper's LS curve does: the tag-list sort, on lists shuffled before
+    each repetition.  STD derives global labels on every call, so it
     has no compiled state to drop.  A figure whose algorithms return
     different answers is void, so the pair counts must agree.
     """
@@ -86,7 +87,7 @@ def _time_joins(ld, ls, tag_a: str, tag_d: str, repeat: int) -> dict[str, float]
         rng = random.Random(0)
 
         def ls_query() -> Sequence:
-            ls.log.mark_stale(rng)
+            ls.log.taglist.unsort(rng)
             ls.prepare_for_query()
             return ls.structural_join(tag_a, tag_d)
 
@@ -226,7 +227,7 @@ def fig12_cross_join(
                 build_join_mix(ld, config)
                 ls = LazyXMLDatabase(mode="static", keep_text=False)
                 build_join_mix(ls, config)
-                ls.prepare_for_query()  # so mark_stale has sorted input
+                ls.prepare_for_query()  # so unsort has sorted input
                 stats = JoinStatistics()
                 ld.structural_join("a", "d", stats=stats)
                 sweep.add(

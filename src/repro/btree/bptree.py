@@ -1,8 +1,9 @@
 """A generic in-memory B+-tree.
 
-This is the storage substrate of the SB-tree (Section 3.2 of the paper)
-and of the interval-labeling baseline's element index.  The paper assumes
-B+-trees both for the update log and for the element index; implementing
+This is the storage substrate of the interval-labeling baseline's element
+index.  The paper assumes B+-trees both for the update log and for the
+element index; the update log here asks only point questions, so its
+SB-tree is the ER-tree's sid map (DESIGN.md §2).  Implementing
 one real B+-tree (rather than wrapping a ``dict``) preserves the
 access-cost structure that the paper's complexity analysis counts:
 ``O(log n)`` node visits per lookup and contiguous leaf scans for range

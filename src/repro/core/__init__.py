@@ -4,7 +4,7 @@ Public surface:
 
 - :class:`~repro.core.database.LazyXMLDatabase` — the facade most users
   want: text-level inserts/removals plus structural joins;
-- :class:`~repro.core.update_log.UpdateLog` — SB-tree + tag-list with the
+- :class:`~repro.core.update_log.UpdateLog` — ER-tree + tag-list with the
   Fig. 5/7 update algorithms;
 - :class:`~repro.core.element_index.ElementIndex` — the (tid, sid, start,
   end, level) records, one write-once block per segment;
@@ -18,9 +18,8 @@ from repro.core.ertree import ERNode, ERTree, PartialRemoval, RemovalReport
 from repro.core.join import JoinPair, JoinStatistics, LazyJoiner
 from repro.core.maintenance import RepackResult, compact_database, repack_segment
 from repro.core.query import PathQuery, PathStep, evaluate_path, parse_path
-from repro.core.sbtree import SBTree
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
-from repro.core.taglist import TagEntry, TagList, TagRegistry
+from repro.core.taglist import TagList, TagRegistry
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
 
 __all__ = [
@@ -46,9 +45,7 @@ __all__ = [
     "ERNode",
     "RemovalReport",
     "PartialRemoval",
-    "SBTree",
     "TagList",
-    "TagEntry",
     "TagRegistry",
     "SpanRelation",
     "relate",

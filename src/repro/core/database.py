@@ -113,7 +113,7 @@ class LazyXMLDatabase:
     ----------
     mode:
         ``"dynamic"`` (LD — update log fully maintained per update) or
-        ``"static"`` (LS — tag-list sorting and SB-tree build deferred to
+        ``"static"`` (LS — tag-list sorting deferred to
         :meth:`prepare_for_query`).
     keep_text:
         Mirror the super-document text in memory.  Needed for
@@ -268,7 +268,7 @@ class LazyXMLDatabase:
         """Undo a segment insertion whose index maintenance failed midway.
 
         Reverses the structures in dependency order: the element-index
-        block (if it landed), the ER-/SB-tree node, and finally the
+        block (if it landed), the ER-tree node, and finally the
         tag-list occurrences the update-log insertion registered.
         Removing the exact just-inserted span restores every surviving
         segment's global position and ancestor lengths and leaves no
@@ -570,10 +570,7 @@ class LazyXMLDatabase:
                 return self._joiner.join(
                     tag_a, tag_d, axis, stats=stats, context=context
                 )
-            if not self.log.query_ready:
-                raise QueryError(
-                    "update log is not query-ready; call prepare_for_query()"
-                )
+            self.log.require_query_ready()
             trace = context.trace if context is not None else None
             if trace is None:
                 return self._std_join(tag_a, tag_d, axis, context)
@@ -601,13 +598,14 @@ class LazyXMLDatabase:
         ``context`` makes the materialization loop a cancellation
         checkpoint.
         """
+        self.log.require_query_ready()
         tid = self.log.tags.tid_of(tag)
         if tid is None:
             return []
         out: list[GlobalElement] = []
-        for entry in self.log.taglist.segments_for(tid):
-            to_global = entry.node.to_global
-            for record in self.index.block(entry.sid).tag(tid).records:
+        for node in self.log.taglist.nodes(tid):
+            to_global = node.to_global
+            for record in self.index.block(node.sid).tag(tid).records:
                 if context is not None:
                     context.tick()
                 gstart = to_global(record.start)
@@ -618,7 +616,7 @@ class LazyXMLDatabase:
 
     def global_span(self, record: ElementRecord) -> tuple[int, int]:
         """Derive the current global ``(start, end)`` of one element."""
-        node = self.log.sbtree.lookup(record.sid)
+        node = self.log.node(record.sid)
         return (
             node.to_global(record.start),
             node.to_global(record.end, count_ties=False),
@@ -717,9 +715,9 @@ class LazyXMLDatabase:
         # must agree with the element index's blocks, both ways.
         taglist = self.log.taglist
         listed = {
-            (tid, entry.sid): entry.count
+            (tid, sid): count
             for tid in taglist.tids()
-            for entry in taglist._lists[tid]
+            for sid, count in taglist.counts(tid).items()
         }
         indexed = {
             (tid, sid): count
@@ -730,16 +728,6 @@ class LazyXMLDatabase:
             "tag-list counts and element-index blocks disagree on (tid, sid): "
             f"{sorted(set(listed.items()) ^ set(indexed.items()))}"
         )
-        for tid in taglist.tids():
-            total = sum(entry.count for entry in taglist._lists[tid])
-            assert taglist.total_count(tid) == total, (
-                f"tag-list running total {taglist.total_count(tid)} != "
-                f"entry sum {total} for tid {tid}"
-            )
-            nodes = [entry.node for entry in taglist._lists[tid]]
-            assert tid in taglist._unsorted or taglist._nodes[tid] == nodes, (
-                f"segment list of tid {tid} out of step with its entries"
-            )
         if self._keep_text:
             assert len(self._text) == self.log.document_length, (
                 "text mirror and ER-tree disagree on document length"

@@ -387,14 +387,12 @@ class RemovalReport:
 class ERTree:
     """The segment-relationship tree plus the paper's update algorithms.
 
-    Node lifecycle events are reported through two optional callbacks
-    (``on_add``, ``on_remove``) so the owning :class:`~repro.core.update_log.
-    UpdateLog` can keep the SB-tree's B+-tree level in sync without this
-    class knowing about it.
+    ``_nodes`` is the SB-tree's sid index: every point lookup by sid
+    (:meth:`node`, ``in``) reads it, and only the update algorithms below
+    write it.
     """
 
-    def __init__(self, on_add=None, on_remove=None, *, sid_start: int = 1,
-                 sid_stride: int = 1):
+    def __init__(self, *, sid_start: int = 1, sid_stride: int = 1):
         if sid_start < 1 or sid_stride < 1 or sid_start > sid_stride:
             raise ValueError(
                 f"invalid sid namespace start={sid_start} stride={sid_stride}"
@@ -407,8 +405,6 @@ class ERTree:
         self.sid_start = sid_start
         self.sid_stride = sid_stride
         self._next_sid = sid_start
-        self._on_add = on_add
-        self._on_remove = on_remove
         #: Mutation-path instruments fire only on observed trees; the
         #: EpochManager clears this on read replicas so replayed ops are
         #: not double-counted.
@@ -590,8 +586,6 @@ class ERTree:
             _M_ADDED.inc()
             _M_SHIFT.observe(shifted)
             self._publish_gauges()
-        if self._on_add is not None:
-            self._on_add(new)
         return new
 
     # ------------------------------------------------------------------
@@ -712,8 +706,6 @@ class ERTree:
             report.removed.append(sub)
             del self._nodes[sub.sid]
             self._track_remove(sub)
-            if self._on_remove is not None:
-                self._on_remove(sub)
 
     # ------------------------------------------------------------------
     # maintenance surgery (segment packing, Section 5.3 / future work)
@@ -738,8 +730,6 @@ class ERTree:
         for sub in old.iter_subtree():
             del self._nodes[sub.sid]
             self._track_remove(sub)
-            if self._on_remove is not None:
-                self._on_remove(sub)
         new_sid = self._next_sid
         self._next_sid += self.sid_stride
         new = ERNode(new_sid, gp=old.gp, length=old.length, lp=old.lp, parent=parent)
@@ -749,8 +739,6 @@ class ERTree:
         self._track_add(new)
         if METRICS.enabled and self.observed:
             self._publish_gauges()
-        if self._on_add is not None:
-            self._on_add(new)
         return new
 
     # ------------------------------------------------------------------

@@ -507,11 +507,7 @@ class LazyJoiner:
         output starts (both for :meth:`_refresh`)."""
         if axis not in _AXES:
             raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
-        if not self._log.query_ready:
-            raise QueryError(
-                "update log is not query-ready; call prepare_for_query() "
-                "(required in LS mode)"
-            )
+        self._log.require_query_ready()
         tid_a = self._log.tags.tid_of(tag_a)
         tid_d = self._log.tags.tid_of(tag_d)
         if tid_a is None or tid_d is None:
@@ -689,15 +685,13 @@ class LazyJoiner:
 
     def _branch_path(self, frame_node: ERNode, target: ERNode) -> int:
         """``P_target^frame`` (Section 4.1): the lp of the frame's child
-        toward ``target`` — one path index plus one lp-memo lookup.
+        toward ``target`` — one path index plus one SB-tree lookup.
 
         This is what the tag-list stores paths *for*: the frame's sid sits
         at ``target.path[frame_node.depth]``, so the child on the branch is
-        the next path component.  Local positions are immutable, so the
-        read-path cache memoizes the SB-tree resolution per sid.
+        the next path component.
         """
-        child_sid = target.path[frame_node.depth + 1]
-        return self._readpath.lp_of(child_sid)
+        return self._log.node(target.path[frame_node.depth + 1]).lp
 
     def _cross_matches_descendant(
         self, stack: list[_Frame], sd: ERNode

@@ -55,8 +55,8 @@ def repack_segment(db, sid: int) -> RepackResult:
 
     Every element of the subtree gets a fresh local label in the new
     segment's coordinate space (derived from its current global span, so
-    partial-removal tombstones are flattened away).  The ER-tree, SB-tree,
-    tag-list and element index are all kept consistent.
+    partial-removal tombstones are flattened away).  The ER-tree, tag-list
+    and element index are all kept consistent.
     """
     require_repackable(db, sid)
     node = db.log.node(sid)

@@ -353,11 +353,12 @@ def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
         step_pairs[i] = pairs
     steps = query.steps
     if not steps:
+        db.log.require_query_ready()
         # Record order is ``(sid, start)`` order.
         records = sorted(
             record
-            for entry in db.log.taglist.segments_for(tid_entry)
-            for record in db.index.block(entry.sid).tag(tid_entry).records
+            for node in db.log.taglist.nodes(tid_entry)
+            for record in db.index.block(node.sid).tag(tid_entry).records
         )
         return [(record,) for record in records] if bindings else records
     if not bindings:

@@ -29,9 +29,6 @@ merge reads, and applies its own inserts and removes to it
   shift invalidates nothing.  A segment with no children and no
   tombstones shares its block's view outright; a wildcard step reads
   the all-tags view (``tid`` ``None``) the same way;
-- **local positions** — ``sid -> lp`` for branch-point resolution.  An lp
-  is immutable for the segment's whole lifetime and sids are never reused,
-  so this memo needs no version key at all;
 - **join results** — the top of the stack: per ``(tid_a, tid_d, axis)``,
   a :class:`JoinMemo` — one *chunk* of pairs per descendant segment, in a
   list aligned with ``SL_D``, and the answer, a read-only sequence over
@@ -238,8 +235,6 @@ class ReadPathCache:
         # sid -> {tid: (index_version, node_version, gp-free
         #   CompiledElements)}; tid None = all tags
         self._spans: dict[int, dict[int | None, tuple]] = {}
-        # sid -> lp (immutable; no version key)
-        self._lps: dict[int, int] = {}
         # (tid_a, tid_d, axis) -> JoinMemo
         self._joins: dict[tuple[int, int, str], JoinMemo] = {}
         # (entry tid, ((axis, tid), ...)) -> PathMemo
@@ -252,7 +247,6 @@ class ReadPathCache:
         """Drop all compiled state (counters are kept)."""
         self._push.clear()
         self._spans.clear()
-        self._lps.clear()
         self._joins.clear()
         self._paths.clear()
 
@@ -382,25 +376,13 @@ class ReadPathCache:
             for stale in list(paths)[:-PATHS_KEPT]:
                 paths.pop(stale, None)
 
-    def lp_of(self, sid: int) -> int:
-        """The (immutable) local position of segment ``sid``."""
-        lp = self._lps.get(sid)
-        if lp is None:
-            lp = self._log.sbtree.lookup(sid).lp
-            self._lps[sid] = lp
-        return lp
-
     # ------------------------------------------------------------------
     # eager invalidation (lazy version checks already guarantee safety;
     # this reclaims memory for segments that will never be queried again)
 
     def drop_segment(self, sid: int) -> int:
         """Forget all compiled state for a removed/repacked segment."""
-        dropped = (
-            len(self._push.pop(sid, ()))
-            + len(self._spans.pop(sid, ()))
-            + (self._lps.pop(sid, None) is not None)
-        )
+        dropped = len(self._push.pop(sid, ())) + len(self._spans.pop(sid, ()))
         if dropped:
             self.invalidations += dropped
             if METRICS.enabled:
@@ -421,7 +403,6 @@ class ReadPathCache:
             "entries": {
                 "push_lists": sum(map(len, self._push.values())),
                 "span_columns": sum(map(len, self._spans.values())),
-                "lps": len(self._lps),
                 "join_results": len(self._joins),
                 "join_chunks": sum(len(m.chunks) for m in self._joins.values()),
                 "path_results": len(self._paths),
@@ -452,5 +433,4 @@ class ReadPathCache:
             # a reference per matched record; a sid and an entry per row
             for sids, entries in memo.levels:
                 total += 8 * (2 * len(sids) + sum(map(len, entries)))
-        total += 8 * len(self._lps)
         return total

@@ -1,57 +1,50 @@
 """The tag-list: inverted map from tag ids to segment paths (Section 3.2).
 
 For every tag id the tag-list keeps the list of segments containing at least
-one element with that tag.  Each entry stores the segment's ER-tree *path*
-(the sid chain from the dummy root, Fig. 4) — paths let the Lazy-Join
-algorithm compute `P_T^S` (the local position of the stack segment's child
-leading toward the descendant segment) without walking the ER-tree — plus the
-number of element occurrences, which decides when a deletion may drop the
-entry.
+one element with that tag, plus the number of element occurrences per
+segment, which decides when a deletion may drop the segment.  The list holds
+the live :class:`ERNode` of each segment, so each entry's ER-tree *path*
+(the sid chain from the dummy root, Fig. 4) is ``node.path`` — paths let the
+Lazy-Join algorithm compute `P_T^S` (the local position of the stack
+segment's child leading toward the descendant segment) without walking the
+ER-tree.  The counts live beside the list, ``{sid: count}`` per tag, and
+their keys are exactly the list's sids.
 
-Entries are ordered by the ascending *global position* of their segments,
-a segment before the segments inside it (ER-tree pre-order).  Relative gp
+Lists are ordered by the ascending *global position* of their segments, a
+segment before the segments inside it (ER-tree pre-order).  Relative gp
 order between surviving segments is never changed by an update (shifts are
-order-preserving), and an entry holds the live :class:`ERNode`, so in LD
-mode every insertion and removal finds its place by bisecting the list on
-``entry.node.gp`` — one binary search per tag of the segment, no key list
-rebuilt, no scan by sid.  In LS mode entries are appended unsorted and
-:meth:`TagList.finalize` sorts every touched list just before querying.
+order-preserving), so in LD mode every insertion and removal finds its
+place by bisecting the list on ``node.gp`` — one binary search per tag of
+the segment, no key list rebuilt, no scan by sid.  In LS mode segments are
+appended unsorted and :meth:`TagList.finalize` sorts every touched list
+just before querying.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from operator import attrgetter
 
 from repro.core.ertree import ERNode
 from repro.errors import UpdateError
 from repro.obs.metrics import METRICS
 
-__all__ = ["TagRegistry", "TagEntry", "TagList"]
+__all__ = ["TagRegistry", "TagList"]
 
-# Mutation-path instruments honor TagList.observed (replica replay guard);
-# the segments_for scan counters are query-path and ignore it.
+# Mutation-path instruments honor TagList.observed (replica replay guard).
 _M_ENTRIES_ADDED = METRICS.counter(
     "taglist.entries_added", unit="entries", site="TagList.add_segment"
 )
 _M_ENTRIES_DROPPED = METRICS.counter(
     "taglist.entries_dropped", unit="entries", site="TagList.remove_occurrences"
 )
-_M_SCANS = METRICS.counter(
-    "taglist.segment_scans", unit="calls", site="TagList.segments_for"
-)
-_M_ENTRIES_SCANNED = METRICS.counter(
-    "taglist.entries_scanned", unit="entries", site="TagList.segments_for"
-)
 _G_FANOUT = METRICS.gauge(
     "log.fanout.max", unit="entries", site="TagList (longest per-tag list)"
 )
 
-_entry_gp = attrgetter("node.gp")
-_entry_node = attrgetter("node")
+_node_gp = attrgetter("gp")
 
 #: Edits one tag's list remembers.  Once it holds twice this many the
 #: oldest ``EDITS_KEPT`` go; a reader further behind starts over.
@@ -93,45 +86,31 @@ class TagRegistry:
         return name in self._by_name
 
 
-@dataclass
-class TagEntry:
-    """One tag-list record: a segment holding ``count`` elements of a tag."""
-
-    node: ERNode
-    count: int
-
-    @property
-    def sid(self) -> int:
-        return self.node.sid
-
-    @property
-    def path(self) -> tuple[int, ...]:
-        return self.node.path
-
-
 class TagList:
     """The inverted tag → segment-path lists, with LD/LS maintenance."""
 
     def __init__(self, *, dynamic: bool = True):
         self._dynamic = dynamic
-        self._lists: dict[int, list[TagEntry]] = {}
+        # Each tag's segment list, the SL Lazy-Join merges, read in place:
+        # every insert and remove below applies to it, so no reader
+        # rebuilds or copies it.  A tag with no segment has no list.
+        self._nodes: dict[int, list[ERNode]] = {}
+        # Each tag's occurrence count per segment; the keys are the sids
+        # of the tag's list.
+        self._counts: dict[int, dict[int, int]] = {}
+        # Tags whose lists LS appends left unsorted (see finalize).
         self._unsorted: set[int] = set()
         #: See ERTree.observed — cleared on EpochManager read replicas.
         self.observed = True
         # Read-path version keys: one counter per tag, bumped exactly when
-        # that tag's list changes observably (entries added/dropped, counts
-        # changed, order changed by finalize/unsort).  The join memo
+        # that tag's list changes observably (segments added/dropped,
+        # counts changed, order changed by finalize/unsort).  The join memo
         # (repro.core.readpath) keys on these.
         self._versions: dict[int, int] = {}
-        # Each list's nodes alone, position-aligned with its entries once
-        # sorted: the segment list Lazy-Join merges, read in place — every
-        # insert and remove below applies to it, so no reader rebuilds or
-        # copies it (an LS sort rebuilds it once, in finalize).
-        self._nodes: dict[int, list[ERNode]] = {}
         # The edits behind the version bumps, for what a reader keeps
         # aligned with a list (the join memo's chunks): tid -> [version
-        # before ``edits[0]``, edits], one edit per bump — ``i + 1`` an
-        # entry inserted at ``i``, ``-(i + 1)`` one deleted from ``i``,
+        # before ``edits[0]``, edits], one edit per bump — ``i + 1`` a
+        # segment inserted at ``i``, ``-(i + 1)`` one deleted from ``i``,
         # ``0`` a count changed in place.  A reorder (finalize, unsort)
         # forgets them.
         self._edits: dict[int, list] = {}
@@ -141,7 +120,7 @@ class TagList:
         self._totals: dict[int, int] = {}
         # Longest per-tag list, maintained incrementally: adds bump it in
         # O(1); drops only mark it dirty and max_fanout() recomputes in
-        # O(T) (one len() per tag) instead of walking every entry.
+        # O(T) (one len() per tag) instead of walking every list.
         self._max_fanout = 0
         self._fanout_dirty = False
 
@@ -189,9 +168,7 @@ class TagList:
     def max_fanout(self) -> int:
         """Length of the longest per-tag list (0 when empty)."""
         if self._fanout_dirty:
-            self._max_fanout = max(
-                (len(entries) for entries in self._lists.values()), default=0
-            )
+            self._max_fanout = max(map(len, self._nodes.values()), default=0)
             self._fanout_dirty = False
         return self._max_fanout
 
@@ -209,88 +186,83 @@ class TagList:
         """
         if count <= 0:
             raise UpdateError(f"tag count must be positive, got {count}")
-        entries = self._lists.setdefault(tid, [])
         nodes = self._nodes.setdefault(tid, [])
-        entry = TagEntry(node, count)
         if self._dynamic:
-            # A live entry sharing this gp is an ancestor whose head was
+            # A live segment sharing this gp is an ancestor whose head was
             # cut back to here (repack re-adds under one): it stays first.
-            index = bisect_right(entries, node.gp, key=_entry_gp)
+            index = bisect_right(nodes, node.gp, key=_node_gp)
         else:
-            index = len(entries)
+            index = len(nodes)
             self._unsorted.add(tid)
-        entries.insert(index, entry)
         nodes.insert(index, node)
+        self._counts.setdefault(tid, {})[node.sid] = count
         self._bump(tid, index + 1)
         self._totals[tid] = self._totals.get(tid, 0) + count
-        if len(entries) > self._max_fanout:
-            self._max_fanout = len(entries)
+        if len(nodes) > self._max_fanout:
+            self._max_fanout = len(nodes)
         if METRICS.enabled and self.observed:
             _M_ENTRIES_ADDED.inc()
 
     def remove_occurrences(self, tid: int, node: ERNode, removed: int) -> None:
         """Subtract ``removed`` occurrences of ``tid`` from segment ``node``.
 
-        Drops the entry once its count reaches zero — the rule of Section
-        3.3: "a path has to be deleted only if no more elements with that tag
-        are contained in the segment after the deletion".  ``node`` may be a
-        segment the ER-tree has just deleted (see
-        :class:`~repro.core.ertree.RemovalReport`).
+        Drops the segment from the list once its count reaches zero — the
+        rule of Section 3.3: "a path has to be deleted only if no more
+        elements with that tag are contained in the segment after the
+        deletion".  ``node`` may be a segment the ER-tree has just deleted
+        (see :class:`~repro.core.ertree.RemovalReport`).
 
-        The entry is found by bisecting on gp and stepping over ties.
-        Entries tie when a segment's head was cut back to its first child's
-        start, and at the start of a hole just closed, where the deleted
-        segments' entries sit until this method drops them: a tie run is at
-        most the nesting depth plus the segments deleted with ``node``.  An
-        unfinalized LS list is unsorted and has to be walked.
+        The count is a dict read.  A drop finds the node by bisecting on gp
+        and stepping over ties.  Segments tie when a segment's head was cut
+        back to its first child's start, and at the start of a hole just
+        closed, where the deleted segments sit until this method drops
+        them: a tie run is at most the nesting depth plus the segments
+        deleted with ``node``.  An unfinalized LS list is unsorted and has
+        to be walked.
         """
         if removed <= 0:
             return
-        entries = self._lists.get(tid)
-        if not entries:
+        counts = self._counts.get(tid)
+        if counts is None:
             raise UpdateError(f"no tag-list for tid {tid}")
-        first = (
-            0 if tid in self._unsorted
-            else bisect_left(entries, node.gp, key=_entry_gp)
-        )
-        idx = next(
-            (i for i in range(first, len(entries)) if entries[i].node is node),
-            None,
-        )
-        if idx is None:
+        held = counts.get(node.sid)
+        if held is None:
             raise UpdateError(
                 f"segment {node.sid} not in tag-list of tid {tid}"
             )
-        entry = entries[idx]
-        if entry.count < removed:
+        if held < removed:
             raise UpdateError(
                 f"removing {removed} occurrences of tid {tid} from segment "
-                f"{node.sid}, only {entry.count} recorded"
+                f"{node.sid}, only {held} recorded"
             )
-        entry.count -= removed
-        self._bump(tid, 0 if entry.count else -(idx + 1))
-        remaining = self._totals.get(tid, 0) - removed
+        remaining = self._totals[tid] - removed
         if remaining > 0:
             self._totals[tid] = remaining
         else:
-            self._totals.pop(tid, None)
-        if entry.count == 0:
-            del entries[idx]
-            del self._nodes[tid][idx]
-            if not entries:
-                del self._lists[tid]
-                del self._nodes[tid]
-            self._fanout_dirty = True
-            if METRICS.enabled and self.observed:
-                _M_ENTRIES_DROPPED.inc()
+            del self._totals[tid]
+        if held > removed:
+            counts[node.sid] = held - removed
+            self._bump(tid, 0)
+            return
+        nodes = self._nodes[tid]
+        first = (
+            0 if tid in self._unsorted
+            else bisect_left(nodes, node.gp, key=_node_gp)
+        )
+        idx = nodes.index(node, first)
+        del nodes[idx], counts[node.sid]
+        self._bump(tid, -(idx + 1))
+        if not nodes:
+            del self._nodes[tid], self._counts[tid]
+            self._unsorted.discard(tid)
+        self._fanout_dirty = True
+        if METRICS.enabled and self.observed:
+            _M_ENTRIES_DROPPED.inc()
 
     def finalize(self) -> None:
         """Sort any LS-mode lists left unsorted by appends."""
         for tid in self._unsorted:
-            if tid in self._lists:
-                entries = self._lists[tid]
-                entries.sort(key=_entry_gp)
-                self._nodes[tid] = list(map(_entry_node, entries))
+            self._nodes[tid].sort(key=_node_gp)
             self._reordered(tid)
         self._unsorted.clear()
 
@@ -302,53 +274,43 @@ class TagList:
         whole database.  ``rng`` is a ``random.Random``; when omitted the
         lists are reversed instead of shuffled (deterministic).
         """
-        for tid, entries in self._lists.items():
+        for tid, nodes in self._nodes.items():
             if rng is None:
-                entries.reverse()
+                nodes.reverse()
             else:
-                rng.shuffle(entries)
+                rng.shuffle(nodes)
             self._unsorted.add(tid)
             self._reordered(tid)
 
     # ------------------------------------------------------------------
     # queries
 
-    def _require_sorted(self, tid: int) -> None:
-        if tid in self._unsorted:
-            raise UpdateError(
-                f"tag-list for tid {tid} is unsorted; call finalize() "
-                "(LS mode requires prepare_for_query before joining)"
-            )
-
-    def segments_for(self, tid: int) -> list[TagEntry]:
-        """Entries for ``tid`` in ascending segment-gp order.
-
-        Raises if called on an unfinalized LS list.
-        """
-        self._require_sorted(tid)
-        entries = self._lists.get(tid, [])
-        if METRICS.enabled:
-            _M_SCANS.inc()
-            _M_ENTRIES_SCANNED.inc(len(entries))
-        return entries
+    @property
+    def awaiting_sort(self) -> bool:
+        """True while some LS list has appends :meth:`finalize` must sort."""
+        return bool(self._unsorted)
 
     def nodes(self, tid: int) -> list[ERNode]:
-        """The nodes of :meth:`segments_for` — the segment list (``SL_A`` /
-        ``SL_D``) Lazy-Join merges — as the live list: read it, never
-        mutate it.  Raises if called on an unfinalized LS list."""
-        self._require_sorted(tid)
+        """``tid``'s segment list (``SL_A`` / ``SL_D``), the one Lazy-Join
+        merges, in ascending gp order once sorted: the live list — read it,
+        never mutate it."""
         return self._nodes.get(tid, [])
 
+    def counts(self, tid: int) -> Mapping[int, int]:
+        """``{sid: occurrences}`` of ``tid``, one key per segment of its
+        list: the live map — read it, never mutate it."""
+        return self._counts.get(tid, {})
+
     def tids(self) -> Iterator[int]:
-        """Tag ids that currently have at least one entry."""
-        return iter(self._lists)
+        """Tag ids that currently have at least one segment."""
+        return iter(self._nodes)
 
     # ------------------------------------------------------------------
     # size accounting (Fig. 11(a))
 
     def entry_count(self) -> int:
         """Total number of (tag, segment) entries across all lists."""
-        return sum(len(entries) for entries in self._lists.values())
+        return sum(map(len, self._nodes.values()))
 
     def approximate_bytes(self) -> int:
         """Estimated in-memory size: 8 bytes per stored id/count.
@@ -357,8 +319,30 @@ class TagList:
         head stores its tag id — the layout of Fig. 4 and the source of the
         O(T·N²) worst case of Proposition 1.
         """
-        total = 8 * len(self._lists)
-        for entries in self._lists.values():
-            for entry in entries:
-                total += 8 * (len(entry.path) + 1)
+        total = 8 * len(self._nodes)
+        for nodes in self._nodes.values():
+            for node in nodes:
+                total += 8 * (len(node.path) + 1)
         return total
+
+    def check_invariants(self) -> None:
+        """Each tag's count keys are its list's sids, its total is their
+        sum, and a sorted list is gp-ascending."""
+        tids = self._nodes.keys()
+        assert tids == self._counts.keys() == self._totals.keys(), (
+            "tags out of step"
+        )
+        assert self._unsorted <= tids, "empty list marked unsorted"
+        for tid, nodes in self._nodes.items():
+            counts = self._counts[tid]
+            sids = [node.sid for node in nodes]
+            assert len(sids) == len(counts) and set(sids) == counts.keys(), (
+                f"count map of tid {tid} out of step with its segment list"
+            )
+            assert self._totals[tid] == sum(counts.values()), (
+                f"running total of tid {tid} != its counts' sum"
+            )
+            gps = [node.gp for node in nodes]
+            assert tid in self._unsorted or gps == sorted(gps), (
+                f"segment list of tid {tid} out of gp order"
+            )

@@ -1,17 +1,18 @@
-"""The in-memory update log: SB-tree + tag-list (Section 3.2–3.3).
+"""The in-memory update log: ER-tree + tag-list (Section 3.2–3.3).
 
-:class:`UpdateLog` composes the three structures the paper defines —
-ER-tree, SB-tree and tag-list — behind the two update entry points the
-paper's model allows: *insert a segment* and *remove a span*, both given
-only ``(global position, length)`` plus the inserted segment's tag counts.
+:class:`UpdateLog` composes the structures the paper defines — ER-tree,
+SB-tree and tag-list — behind the two update entry points the paper's
+model allows: *insert a segment* and *remove a span*, both given only
+``(global position, length)`` plus the inserted segment's tag counts.  The
+SB-tree is asked only point questions (which node has this sid?), so its
+sid index is the ER-tree's own ``{sid: node}`` registry (DESIGN.md §2).
 
 Two maintenance modes (Section 5.1):
 
 - ``"dynamic"`` (LD): everything is maintained on every update; the log is
   always query-ready.
-- ``"static"`` (LS): updates touch only the ER-tree (plus unsorted tag-list
-  appends); :meth:`prepare_for_query` sorts the path lists and bulk-builds
-  the SB-tree's B+-tree just before querying.
+- ``"static"`` (LS): updates append to the tag-list's lists unsorted;
+  :meth:`prepare_for_query` sorts them just before querying.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core.ertree import ERNode, ERTree, RemovalReport
-from repro.core.sbtree import SBTree
 from repro.core.taglist import TagList, TagRegistry
-from repro.errors import UpdateError
+from repro.errors import QueryError
 from repro.obs.metrics import METRICS
 
 __all__ = ["UpdateLog", "InsertReceipt", "LogStats"]
@@ -62,21 +62,15 @@ class LogStats:
 
 
 class UpdateLog:
-    """SB-tree + tag-list with the paper's update algorithms."""
+    """ER-tree + tag-list with the paper's update algorithms."""
 
     def __init__(self, mode: str = "dynamic", *, sid_start: int = 1,
                  sid_stride: int = 1):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self._mode = mode
-        dynamic = mode == "dynamic"
         self.ertree = ERTree(sid_start=sid_start, sid_stride=sid_stride)
-        self.sbtree = SBTree(self.ertree, dynamic=dynamic)
-        self.ertree._on_add = self.sbtree.on_add
-        self.ertree._on_remove = self.sbtree.on_remove
-        # The dummy root predates the callback wiring; register it directly.
-        self.sbtree.on_add(self.ertree.root)
-        self.taglist = TagList(dynamic=dynamic)
+        self.taglist = TagList(dynamic=mode == "dynamic")
         self.tags = TagRegistry()
 
     # ------------------------------------------------------------------
@@ -107,8 +101,7 @@ class UpdateLog:
 
         ``tag_counts`` maps tag names to element occurrence counts inside the
         segment — the information the tag-list stores.  Runs Fig. 5 on the
-        ER-tree, registers the new node with the SB-tree, and updates (LD) or
-        appends to (LS) the per-tag path lists.
+        ER-tree and updates (LD) or appends to (LS) the per-tag path lists.
         """
         node = self.ertree.add_segment(gp, length)
         for name, count in tag_counts.items():
@@ -128,7 +121,7 @@ class UpdateLog:
     def remove_span(self, gp: int, length: int) -> RemovalReport:
         """Remove ``length`` characters at offset ``gp`` (Fig. 7).
 
-        Updates the ER-tree/SB-tree and returns the removal report.  The
+        Updates the ER-tree and returns the removal report.  The
         tag-list is *not* touched here: per Section 3.3 it is updated only
         after the element index deletion has counted what actually left —
         feed those counts to :meth:`apply_removal_counts`.
@@ -162,46 +155,46 @@ class UpdateLog:
     # LS-mode finalization
 
     def prepare_for_query(self) -> None:
-        """Make the log query-ready (no-op for LD beyond staleness checks).
-
-        LS mode: sorts unsorted tag-list paths and bulk-builds the SB-tree's
-        B+-tree from the ER-tree — the work Section 5.1 says LS defers to
-        "just before querying".
-        """
+        """Make the log query-ready: sort the tag-list paths LS appended
+        unsorted — the work Section 5.1 says LS defers to "just before
+        querying" (nothing to do in LD)."""
         self.taglist.finalize()
-        if self.sbtree.is_stale:
-            self.sbtree.rebuild()
 
     @property
     def query_ready(self) -> bool:
-        """True when joins may run without :meth:`prepare_for_query`."""
-        return not self.sbtree.is_stale
+        """True when no tag list awaits sorting, so queries may run."""
+        return not self.taglist.awaiting_sort
 
-    def mark_stale(self, rng=None) -> None:
-        """Return the log to the not-yet-prepared LS state (bench support).
-
-        Unsorts the tag-list and flags the SB-tree for rebuild so the cost
-        of :meth:`prepare_for_query` can be measured repeatedly.  Only
-        meaningful in ``"static"`` mode.
-        """
-        if self._mode != "static":
-            raise UpdateError("mark_stale applies to static (LS) mode only")
-        self.taglist.unsort(rng)
-        self.sbtree._stale = True
+    def require_query_ready(self) -> None:
+        """Raise :class:`QueryError` unless :attr:`query_ready` — the one
+        check every query entry point runs before reading a segment list."""
+        if not self.query_ready:
+            raise QueryError(
+                "update log is not query-ready; call prepare_for_query() "
+                "(LS mode defers the tag-list sort to it)"
+            )
 
     # ------------------------------------------------------------------
     # introspection
 
     def node(self, sid: int) -> ERNode:
-        """ER-tree node lookup by sid (via the live registry)."""
+        """The SB-tree lookup: segment ``sid``'s ER-tree node."""
         return self.ertree.node(sid)
 
     def stats(self) -> LogStats:
-        """Current size snapshot (Fig. 11(a))."""
+        """Current size snapshot (Fig. 11(a)).
+
+        The SB-tree counts, per live segment (dummy root included), a
+        16-byte sid map entry — the key and value a B+-tree leaf holds —
+        and the fixed-width leaf record of Fig. 2: gp, length, lp, parent
+        pointer and one pointer per child.
+        """
         return LogStats(
             segments=self.segment_count,
             tag_entries=self.taglist.entry_count(),
-            sbtree_bytes=self.sbtree.approximate_bytes(),
+            sbtree_bytes=sum(
+                8 * (6 + len(node.children)) for node in self.ertree.nodes()
+            ),
             taglist_bytes=self.taglist.approximate_bytes(),
         )
 
@@ -229,11 +222,9 @@ class UpdateLog:
     def check_invariants(self) -> None:
         """Cross-structure consistency check used by the test suite."""
         self.ertree.check_invariants()
-        if self._mode == "dynamic":
-            assert len(self.sbtree) == len(self.ertree), (
-                "SB-tree and ER-tree disagree on segment count"
-            )
-            for node in self.ertree.nodes():
-                assert self.sbtree.lookup(node.sid) is node, (
-                    f"SB-tree stale for sid {node.sid}"
+        self.taglist.check_invariants()
+        for tid in self.taglist.tids():
+            for node in self.taglist.nodes(tid):
+                assert self.ertree._nodes.get(node.sid) is node, (
+                    f"tag-list of tid {tid} holds dead segment {node.sid}"
                 )

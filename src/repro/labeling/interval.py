@@ -68,8 +68,10 @@ class IntervalLabelingIndex:
 
         Every existing element whose span starts at/after ``position`` is
         shifted right by the fragment length; enclosing elements' ends are
-        extended.  All changed keys are deleted and reinserted.  Returns the
-        number of elements the fragment added.
+        extended.  All changed keys are deleted and reinserted.  Into an
+        empty index the fragment is loaded, not inserted: the tree is
+        bulk-built from its sorted keys.  Returns the number of elements
+        the fragment added.
         """
         if position is None:
             position = self._document_length
@@ -82,18 +84,24 @@ class IntervalLabelingIndex:
         length = len(fragment)
 
         base_level = self._depth_at(position)
-        self._shift_for_insert(position, length)
-        for element in document.elements:
-            tid = self.tags.intern(element.tag)
-            self._tree.insert(
-                (
-                    tid,
-                    position + element.start,
-                    position + element.end,
-                    base_level + element.level,
-                ),
-                None,
+        keys = [
+            (
+                self.tags.intern(element.tag),
+                position + element.start,
+                position + element.end,
+                base_level + element.level,
             )
+            for element in document.elements
+        ]
+        if self._tree:
+            self._shift_for_insert(position, length)
+            for key in keys:
+                self._tree.insert(key, None)
+        else:
+            self._tree = BPlusTree.bulk_load(
+                [(key, None) for key in sorted(keys)], order=_ORDER
+            )
+            self._relabelled_last_update = 0
         self._document_length += length
         return len(document.elements)
 

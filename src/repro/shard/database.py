@@ -1,7 +1,7 @@
 """`ShardedDatabase` — the coordinator over N document-partitioned shards.
 
 Each shard is a full :class:`~repro.core.database.LazyXMLDatabase` (own
-ER-tree/SB-tree, tag-list, element index, compiled read path) holding a
+ER-tree, tag-list, element index, compiled read path) holding a
 subset of the top-level documents; the coordinator presents them as one
 *virtual* super document.
 

@@ -224,7 +224,7 @@ def loads(data: str) -> LazyXMLDatabase:
         db.log.tags.intern(name)
 
     ertree = db.log.ertree
-    nodes: dict[int, ERNode] = {DUMMY_ROOT_SID: ertree.root}
+    nodes = ertree._nodes
     seen_sids: set[int] = set()
     # Segments arrive in pre-order (parents first) from dumps().
     for entry in payload["segments"]:
@@ -252,10 +252,8 @@ def loads(data: str) -> LazyXMLDatabase:
         node._tombstones = [tuple(t) for t in entry["tombstones"]]
         parent.children.append(node)
         parent._touch()
-        ertree._nodes[sid] = node
-        ertree._track_add(node)
         nodes[sid] = node
-        db.log.sbtree.on_add(node)
+        ertree._track_add(node)
         # Stored levels are absolute already.
         counts = db.index.insert_segment(sid, entry["records"], base_level=0)
         for tid, count in counts.items():

@@ -116,11 +116,7 @@ def evaluate_twig(
         raise QueryError(
             f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
         )
-    if not db.log.query_ready:
-        raise QueryError(
-            "update log is not query-ready; call prepare_for_query() "
-            "(required in LS mode)"
-        )
+    db.log.require_query_ready()
     enabled = METRICS.enabled
     start = perf_counter() if enabled else 0.0
     if summary is None:

@@ -2,7 +2,8 @@
 
 The tag list (§4 of DESIGN.md) already stores, per ``(tid, sid)``, the
 ER-tree *path* of every segment holding the tag — the chain of segment
-ids from the dummy root down (:attr:`~repro.core.taglist.TagEntry.path`).
+ids from the dummy root down (``node.path`` of each node of
+:meth:`~repro.core.taglist.TagList.nodes`).
 Because the segment family is laminar, that path is exactly the set of
 segments that can contain an element of segment ``sid`` (Proposition 3's
 cross-segment containment test, evaluated at segment granularity): an
@@ -25,8 +26,8 @@ Synopses are memoized per ``(tid_a, tid_d, axis)`` under *both* tags'
 tag-list versions — the same §4e discipline as the read-path cache, so
 an update invalidates O(touched tags) synopses and untouched edges stay
 warm.  The per-tag ``{sid: count}`` map every synopsis of that tag (and
-the executor's Prop. 3 segment pruning) starts from is memoized the same
-way, once per tag version rather than once per edge.
+the executor's Prop. 3 segment pruning) starts from is the tag list's
+own (:meth:`~repro.core.taglist.TagList.counts`), read live.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ class PathSummary:
         self._log = log
         # (tid_a, tid_d, axis) -> (version_a, version_d, EdgeSynopsis)
         self._edges: dict[tuple[int, int, str], tuple[int, int, EdgeSynopsis]] = {}
-        # tid -> (version, {sid: count})
-        self._counts: dict[int, tuple[int, dict[int, int]]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -127,12 +126,13 @@ class PathSummary:
         d_total = taglist.total_count(tid_d)
         if a_total == 0 or d_total == 0:
             return EdgeSynopsis(False, 0, a_total, d_total)
-        counts_a = self._segment_counts(tid_a)
+        counts_a = taglist.counts(tid_a)
+        counts_d = taglist.counts(tid_d)
         child_only = axis == AXIS_CHILD
         est_pairs = 0
         feasible = False
-        for entry in taglist.segments_for(tid_d):
-            path = entry.path
+        for node in taglist.nodes(tid_d):
+            path = node.path
             if child_only:
                 # Prop 3(1): a child-axis parent element lives in the same
                 # segment or the directly enclosing one.
@@ -142,7 +142,7 @@ class PathSummary:
             on_path = sum(counts_a.get(sid, 0) for sid in candidates)
             if on_path:
                 feasible = True
-                est_pairs += on_path * entry.count
+                est_pairs += on_path * counts_d[node.sid]
         return EdgeSynopsis(feasible, est_pairs, a_total, d_total)
 
     # ------------------------------------------------------------------
@@ -160,19 +160,6 @@ class PathSummary:
                 return False
         return True
 
-    def _segment_counts(self, tid: int) -> dict[int, int]:
-        """``{sid: occurrences}`` of one tag, per tag-list version."""
-        taglist = self._log.taglist
-        version = taglist.version(tid)
-        cached = self._counts.get(tid)
-        if cached is None or cached[0] != version:
-            cached = (
-                version,
-                {e.sid: e.count for e in taglist.segments_for(tid)},
-            )
-            self._counts[tid] = cached
-        return cached[1]
-
     def segment_sids(self, tag: str):
         """The sids of the segments holding ``tag``, as a set-like view
         (empty for an unknown tag, and for the wildcard, which callers do
@@ -180,7 +167,7 @@ class PathSummary:
         tid = None if tag == WILDCARD else self._log.tags.tid_of(tag)
         if tid is None:
             return frozenset()
-        return self._segment_counts(tid).keys()
+        return self._log.taglist.counts(tid).keys()
 
     def stats(self) -> dict:
         return {

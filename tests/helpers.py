@@ -32,24 +32,13 @@ def assert_join_matches_oracle(db, tag_a, tag_d, axis="descendant", **options):
 
 
 def count_for(taglist, tid: int, sid: int) -> int:
-    """Occurrences of ``tid`` recorded for segment ``sid`` (0 if none).
-
-    A linear walk: test-only, which is why it lives here and not on
-    :class:`~repro.core.taglist.TagList`.
-    """
-    for entry in taglist._lists.get(tid, []):
-        if entry.sid == sid:
-            return entry.count
-    return 0
+    """Occurrences of ``tid`` recorded for segment ``sid`` (0 if none)."""
+    return taglist.counts(tid).get(sid, 0)
 
 
 def tids_for_segment(taglist, sid: int) -> list[int]:
     """Every tag id recorded for segment ``sid`` (linear, test-only)."""
-    return [
-        tid
-        for tid, entries in taglist._lists.items()
-        if any(entry.sid == sid for entry in entries)
-    ]
+    return [tid for tid in taglist.tids() if sid in taglist.counts(tid)]
 
 
 def stack_tree_desc_legacy(

@@ -243,12 +243,6 @@ class TestInsertion:
         with pytest.raises(SegmentNotFoundError):
             ERTree().node(99)
 
-    def test_callbacks_fire(self):
-        added = []
-        tree = ERTree(on_add=added.append)
-        node = tree.add_segment(0, 5)
-        assert added == [node]
-
 
 class TestLocalGlobalMapping:
     @pytest.fixture
@@ -429,14 +423,6 @@ class TestRemoval:
             tree.remove_span(0, 0)
         with pytest.raises(InvalidSegmentError):
             tree.remove_span(-1, 3)
-
-    def test_remove_callbacks_fire(self):
-        removed = []
-        tree = ERTree(on_remove=removed.append)
-        tree.add_segment(0, 10)
-        inner = tree.add_segment(2, 4)
-        tree.remove_span(0, 14)
-        assert {n.sid for n in removed} == {1, inner.sid}
 
 
 class TestInnermostSegment:

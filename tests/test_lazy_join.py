@@ -184,11 +184,11 @@ class TestOptimizationEquivalence:
         on = JoinStatistics()
         db.structural_join("a", "d", stats=on)
         tid_a, tid_d = db.log.tags.tid_of("a"), db.log.tags.tid_of("d")
-        a_sids = {entry.sid for entry in db.log.taglist.segments_for(tid_a)}
+        a_sids = db.log.taglist.counts(tid_a).keys()
         stacked = {
             sid
-            for entry in db.log.taglist.segments_for(tid_d)
-            for sid in entry.path[:-1]
+            for node in db.log.taglist.nodes(tid_d)
+            for sid in node.path[:-1]
             if sid in a_sids
         }
         unfiltered = sum(len(db.index.block(sid).tag(tid_a)) for sid in stacked)

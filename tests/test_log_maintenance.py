@@ -61,14 +61,15 @@ def assert_lists_match_index(db: LazyXMLDatabase) -> None:
             for node in preorder
             if (count := list(db.index.block(node.sid).tids).count(tid))
         ]
-        held = [(e.sid, e.count) for e in taglist._lists.get(tid, [])]
+        counts = taglist.counts(tid)
+        held = [(node.sid, counts[node.sid]) for node in taglist.nodes(tid)]
         if tid in taglist._unsorted:  # LS, not finalized: any order
             held.sort()
             rebuilt.sort()
         assert held == rebuilt, (db.log.tags.name_of(tid), held, rebuilt)
         assert taglist.total_count(tid) == sum(count for _, count in rebuilt)
     assert taglist.max_fanout() == max(
-        (len(entries) for entries in taglist._lists.values()), default=0
+        (len(taglist.nodes(tid)) for tid in taglist.tids()), default=0
     )
 
 
@@ -218,9 +219,10 @@ def test_log_level_history_with_crossing_spans(raw_ops):
                 for node in preorder
                 if held[node.sid][tid]
             ]
-            entries = log.taglist._lists.get(tid, [])
-            assert [(e.sid, e.count) for e in entries] == rebuilt
-            gps = [e.node.gp for e in entries]
+            nodes = log.taglist.nodes(tid)
+            counts = log.taglist.counts(tid)
+            assert [(node.sid, counts[node.sid]) for node in nodes] == rebuilt
+            gps = [node.gp for node in nodes]
             assert gps == sorted(gps)
         assert_tree_matches_model(log.ertree, model)
         log.check_invariants()
@@ -231,7 +233,7 @@ def test_log_level_history_with_crossing_spans(raw_ops):
 
 
 def _sids(log: UpdateLog, name: str) -> list[int]:
-    return [e.sid for e in log.taglist.segments_for(log.tags.tid_of(name))]
+    return [node.sid for node in log.taglist.nodes(log.tags.tid_of(name))]
 
 
 def test_head_cut_back_to_first_child_start():

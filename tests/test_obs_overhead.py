@@ -42,7 +42,6 @@ OVERHEAD_BUDGET = 0.05
 REGION_COUNTERS = (
     "join.lazy.calls",
     "join.stacktree.calls",
-    "taglist.segment_scans",
     "index.reads",
     "query.path.calls",
 )

@@ -75,17 +75,24 @@ def test_library_names_no_repro_environment_variable():
 
 
 def test_element_data_has_one_home():
-    """``src/repro`` keeps a segment's elements once, in ``ElementIndex``.
+    """``src/repro`` keeps each fact once: a segment's elements in
+    ``ElementIndex``, a segment by sid in the ER-tree's registry, and a
+    tag's segments in the tag list's node list and count map.
 
-    The B+-tree serves the SB-tree and the interval-labeling baseline
-    only, and the names of the two copies that used to shadow the index
-    (the database's parse cache, the read path's element table and its
-    bulk-compile plumbing) occur nowhere — not in code, not in prose — so
-    a second home for element data arrives with a deliberate edit to this
-    test, not unannounced.
+    The B+-tree serves the interval-labeling baseline only, and the names
+    of the copies that used to shadow those homes occur nowhere — not in
+    code, not in prose: the database's parse cache, the read path's
+    element table and its bulk-compile plumbing; the SB-tree's B+-tree
+    and the read path's lp memo; the tag list's entry records and the
+    path summary's count memo; the bench-only LS reset.  A second home
+    arrives with a deliberate edit to this test, not unannounced.
     """
     root = Path(repro.__file__).parent
-    gone = re.compile(r"_segment_elements|tag_columns|bulk_elements|warm_tag")
+    gone = re.compile(
+        r"_segment_elements|tag_columns|bulk_elements|warm_tag"
+        r"|SBTree|\.sbtree\b|\b_lps\b|\blp_of\b|TagEntry|mark_stale"
+        r"|\b_segment_counts\b"
+    )
     importers, found = [], []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -102,7 +109,7 @@ def test_element_data_has_one_home():
         ):
             importers.append(path.relative_to(root).as_posix())
     assert not found, found
-    assert importers == ["core/sbtree.py", "labeling/interval.py"]
+    assert importers == ["labeling/interval.py"]
 
 
 #: Library names only tests read, each with why it stays in ``src/``.

@@ -93,7 +93,7 @@ def test_repeat_lookups_hit():
     db = _mix_db(8)
     rp = db.readpath
     tid = db.log.tags.tid_of("d")
-    sid = db.log.taglist.segments_for(tid)[0].sid
+    sid = db.log.taglist.nodes(tid)[0].sid
     first = rp.elements(tid, sid)
     hits = rp.hits
     assert rp.elements(tid, sid) is first
@@ -140,7 +140,7 @@ def test_element_arrays_invalidate_on_in_segment_removal():
     db.insert("<a><d>x</d><d>y</d></a>")
     rp = db.readpath
     tid = db.log.tags.tid_of("d")
-    sid = db.log.taglist.segments_for(tid)[0].sid
+    sid = db.log.taglist.nodes(tid)[0].sid
     node = db.log.node(sid)
     before = rp.elements(tid, sid)
     assert len(before) == 2 and rp.span_columns(tid, node) is before
@@ -161,7 +161,7 @@ def test_whole_segment_removal_drops_compiled_entries():
     db.insert("<a><d>y</d></a>")
     db.structural_join("a", "d")  # warm everything
     db.twig_query("a/*")  # ... the span columns too, per tag and all-tags
-    db.insert("<d>z</d>", len("<a>"))  # a child: a push list and an lp to hold
+    db.insert("<d>z</d>", len("<a>"))  # a child: a push list to hold
     db.structural_join("a", "d")
     db.twig_query("a/*")
     rp = db.readpath
@@ -172,13 +172,12 @@ def test_whole_segment_removal_drops_compiled_entries():
     held = len(rp._push[sid]) + len(rp._spans[sid])
     assert held >= 3 and None in rp._spans[sid]
     child = node.children[0].sid
-    held += len(rp._spans[child]) + (child in rp._lps)
-    assert child in rp._lps and db.index.block(sid)
+    held += len(rp._spans[child])
+    assert db.index.block(sid)
     invalidations = rp.invalidations
     db.remove(node.gp, node.length)
     for dead in (sid, child):
         assert dead not in rp._push and dead not in rp._spans
-        assert dead not in rp._lps
         assert not db.index.block(dead)  # the block, and its views with it
     # Every entry the segments held counts as one invalidation, no more.
     assert rp.invalidations == invalidations + held
@@ -412,8 +411,9 @@ def _tag_states(db):
     versions, states = {}, {}
     for tid in list(taglist.tids()):
         versions[tid] = taglist.version(tid)
+        counts = taglist.counts(tid)
         states[tid] = tuple(
-            (entry.sid, entry.count) for entry in taglist._lists[tid]
+            (node.sid, counts[node.sid]) for node in taglist.nodes(tid)
         )
     return versions, states
 
@@ -600,7 +600,7 @@ def test_lattice_memo_populates_and_survives_unrelated_updates():
     entries = db.readpath.stats()["entries"]
     assert entries["join_results"] == 1
     assert entries["join_chunks"] == len(
-        db.log.taglist.segments_for(db.log.tags.tid_of(d))
+        db.log.taglist.nodes(db.log.tags.tid_of(d))
     )
     misses_before = db.readpath.misses
     db.structural_join(a, d)

@@ -53,9 +53,10 @@ class TestDynamicMode:
         # insert in a scrambled order; list must come out gp-sorted
         for node in [nodes[2], nodes[0], nodes[3], nodes[1]]:
             taglist.add_segment(7, node, count=2)
-        entries = taglist.segments_for(7)
-        assert [e.node.gp for e in entries] == sorted(e.node.gp for e in entries)
-        assert all(e.count == 2 for e in entries)
+        gps = [node.gp for node in taglist.nodes(7)]
+        assert gps == sorted(gps) and len(gps) == 4
+        assert set(taglist.counts(7).values()) == {2}
+        taglist.check_invariants()
 
     def test_zero_count_rejected(self):
         tree, nodes = make_tree_with_segments(1)
@@ -77,7 +78,8 @@ class TestDynamicMode:
         taglist.add_segment(1, nodes[1], count=1)
         taglist.remove_occurrences(1, nodes[0], 2)
         assert count_for(taglist, 1, nodes[0].sid) == 0
-        assert len(taglist.segments_for(1)) == 1
+        assert len(taglist.nodes(1)) == 1
+        taglist.check_invariants()
 
     def test_last_entry_removal_drops_list(self):
         tree, nodes = make_tree_with_segments(1)
@@ -85,6 +87,7 @@ class TestDynamicMode:
         taglist.add_segment(1, nodes[0], count=1)
         taglist.remove_occurrences(1, nodes[0], 1)
         assert list(taglist.tids()) == []
+        assert taglist.counts(1) == {}
 
     def test_remove_more_than_recorded_raises(self):
         tree, nodes = make_tree_with_segments(1)
@@ -123,15 +126,16 @@ class TestDynamicMode:
             taglist.add_segment(3, node, count=2)
         taglist.remove_occurrences(3, nodes[3], 2)
         assert count_for(taglist, 3, nodes[3].sid) == 0
-        assert len(taglist.segments_for(3)) == 5
+        assert len(taglist.nodes(3)) == 5
+        taglist.check_invariants()
 
     def test_entry_exposes_path(self):
         tree, nodes = make_tree_with_segments(3, nested=True)
         taglist = TagList()
         taglist.add_segment(1, nodes[2], count=1)
-        (entry,) = taglist.segments_for(1)
-        assert entry.path == nodes[2].path
-        assert entry.sid == nodes[2].sid
+        (node,) = taglist.nodes(1)
+        assert node.path == nodes[2].path
+        assert dict(taglist.counts(1)) == {nodes[2].sid: 1}
 
     def test_tids_for_segment(self):
         tree, nodes = make_tree_with_segments(2)
@@ -152,7 +156,7 @@ class TestDynamicMode:
             gp = rnd.randint(0, tree.total_length)
             node = tree.add_segment(gp, 5)
             taglist.add_segment(0, node, count=1)
-            gps = [e.node.gp for e in taglist.segments_for(0)]
+            gps = [node.gp for node in taglist.nodes(0)]
             assert gps == sorted(gps)
 
 
@@ -162,10 +166,11 @@ class TestStaticMode:
         taglist = TagList(dynamic=False)
         for node in reversed(nodes):
             taglist.add_segment(1, node, count=1)
-        with pytest.raises(UpdateError):
-            taglist.segments_for(1)
+        assert taglist.awaiting_sort
+        taglist.check_invariants()
         taglist.finalize()
-        gps = [e.node.gp for e in taglist.segments_for(1)]
+        assert not taglist.awaiting_sort
+        gps = [node.gp for node in taglist.nodes(1)]
         assert gps == sorted(gps)
 
     def test_removals_work_while_unsorted(self):
@@ -175,7 +180,7 @@ class TestStaticMode:
             taglist.add_segment(1, node, count=1)
         taglist.remove_occurrences(1, nodes[1], 1)
         taglist.finalize()
-        assert len(taglist.segments_for(1)) == 2
+        assert taglist.nodes(1) == [nodes[0], nodes[2]]
 
     def test_unsort_restales(self):
         tree, nodes = make_tree_with_segments(4)
@@ -184,10 +189,9 @@ class TestStaticMode:
             taglist.add_segment(1, node, count=1)
         taglist.finalize()
         taglist.unsort()
-        with pytest.raises(UpdateError):
-            taglist.segments_for(1)
+        assert taglist.awaiting_sort
         taglist.finalize()
-        gps = [e.node.gp for e in taglist.segments_for(1)]
+        gps = [node.gp for node in taglist.nodes(1)]
         assert gps == sorted(gps)
 
     def test_unsort_with_rng(self):
@@ -198,7 +202,7 @@ class TestStaticMode:
         taglist.finalize()
         taglist.unsort(random.Random(0))
         taglist.finalize()
-        assert len(taglist.segments_for(1)) == 5
+        assert taglist.nodes(1) == nodes
 
 
 class TestAccounting:

@@ -1,4 +1,4 @@
-"""Tests for the composed update log (SB-tree + tag-list, LD/LS modes)."""
+"""Tests for the composed update log (ER-tree + tag-list, LD/LS modes)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ from collections import Counter
 
 import pytest
 
+from repro.btree import BPlusTree
+from repro.core.database import LazyXMLDatabase
 from repro.core.update_log import UpdateLog
-from repro.errors import UpdateError
+from repro.errors import QueryError
 from tests.helpers import count_for
 
 
@@ -54,7 +56,7 @@ class TestInsertion:
     def test_sbtree_lookup_after_insert(self):
         log = UpdateLog()
         receipt = log.insert_segment(0, 10, {"x": 1})
-        assert log.sbtree.lookup(receipt.sid).sid == receipt.sid
+        assert log.node(receipt.sid).sid == receipt.sid
 
     def test_segment_count_and_length(self):
         log = UpdateLog()
@@ -122,7 +124,7 @@ class TestStaticMode:
         log = UpdateLog(mode="static")
         receipt = log.insert_segment(0, 10, {"a": 1})
         log.prepare_for_query()
-        assert log.sbtree.lookup(receipt.sid).sid == receipt.sid
+        assert log.node(receipt.sid).sid == receipt.sid
 
     def test_prepare_sorts_taglist(self):
         log = UpdateLog(mode="static")
@@ -130,7 +132,7 @@ class TestStaticMode:
             log.insert_segment(0, 10, {"a": 1})  # prepends: reverse gp order
         log.prepare_for_query()
         tid = log.tags.tid_of("a")
-        gps = [e.node.gp for e in log.taglist.segments_for(tid)]
+        gps = [node.gp for node in log.taglist.nodes(tid)]
         assert gps == sorted(gps)
 
     def test_updates_after_prepare_restale(self):
@@ -145,16 +147,37 @@ class TestStaticMode:
         for _ in range(4):
             log.insert_segment(log.document_length, 10, {"a": 1})
         log.prepare_for_query()
-        log.mark_stale(random.Random(1))
+        log.taglist.unsort(random.Random(1))
         assert not log.query_ready
         log.prepare_for_query()
         tid = log.tags.tid_of("a")
-        gps = [e.node.gp for e in log.taglist.segments_for(tid)]
+        gps = [node.gp for node in log.taglist.nodes(tid)]
         assert gps == sorted(gps)
 
-    def test_mark_stale_rejected_in_dynamic(self):
-        with pytest.raises(UpdateError):
-            UpdateLog().mark_stale()
+    def test_insert_without_elements_defers_nothing(self):
+        log = UpdateLog(mode="static")
+        log.insert_segment(0, 10, {})
+        assert log.query_ready
+
+    def test_remove_alone_defers_nothing(self):
+        db = LazyXMLDatabase(mode="static")
+        receipt = db.insert("<a><b/></a>")
+        db.insert("<a/>")
+        db.prepare_for_query()
+        db.remove_segment(receipt.sid)
+        assert db.log.query_ready
+        db.check_invariants()
+
+    def test_list_emptied_before_prepare_defers_nothing(self):
+        log = UpdateLog(mode="static")
+        receipt = log.insert_segment(0, 10, {"a": 1})
+        assert not log.query_ready
+        report = log.remove_span(0, 10)
+        log.apply_removal_counts(
+            {receipt.sid: Counter({log.tags.tid_of("a"): 1})}, report
+        )
+        assert log.query_ready
+        log.check_invariants()
 
     def test_prepare_noop_in_dynamic(self):
         log = UpdateLog()
@@ -175,6 +198,22 @@ class TestStats:
         assert stats.taglist_bytes > 0
         assert stats.total_bytes == stats.sbtree_bytes + stats.taglist_bytes
 
+    def test_sbtree_bytes_are_a_b_plus_tree_leaf_level(self):
+        """The sid map counts what a B+-tree over the sids (order 64, as
+        Fig. 11(a) used to build) holds in its leaves, plus the Fig. 2
+        records; past one leaf only the interior levels drop out, < 1 %."""
+        log = UpdateLog()
+        prev = None
+        for _ in range(300):
+            gp = 0 if prev is None else log.node(prev).gp + 1
+            prev = log.insert_segment(gp, 10, {"a": 1}).sid
+        nodes = list(log.ertree.nodes())
+        tree = BPlusTree.bulk_load(sorted((n.sid, n) for n in nodes), order=64)
+        btree = tree.approximate_bytes() + sum(
+            8 * (4 + len(node.children)) for node in nodes
+        )
+        assert btree * 0.99 <= log.stats().sbtree_bytes < btree
+
     def test_taglist_grows_quadratically_when_nested(self):
         # Proposition 1: tag-list is O(T N^2) in the nested worst case.
         def nested_log(n):
@@ -188,3 +227,24 @@ class TestStats:
         small, large = nested_log(10), nested_log(20)
         # quadratic-ish growth: doubling n should much more than double size
         assert large > small * 3
+
+
+_ENTRY_POINTS = {
+    "path one step": lambda db: db.path_query("a"),
+    "path two steps": lambda db: db.path_query("a//b"),
+    "twig": lambda db: db.twig_query("a[b]"),
+    "lazy join": lambda db: db.structural_join("a", "b"),
+    "std join": lambda db: db.structural_join("a", "b", algorithm="std"),
+    "global elements": lambda db: db.global_elements("a"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_unprepared_ls_query_raises_one_typed_error(entry):
+    db = LazyXMLDatabase(mode="static")
+    db.insert("<a><b/></a>")
+    db.insert("<a><b/><b/></a>")
+    with pytest.raises(QueryError, match="not query-ready"):
+        _ENTRY_POINTS[entry](db)
+    db.prepare_for_query()
+    _ENTRY_POINTS[entry](db)
