@@ -180,18 +180,6 @@ class LazyXMLDatabase:
         """Update-log size snapshot (Fig. 11(a) series)."""
         return self.log.stats()
 
-    def set_observed(self, flag: bool) -> None:
-        """Enable/disable mutation-path metrics on every owned structure.
-
-        The :class:`~repro.service.snapshot.EpochManager` clears this on
-        read replicas: they replay the primary's committed ops, and counting
-        those replays would double-charge every write.  Query-path
-        instruments (joins, index reads) are unaffected.
-        """
-        self.log.ertree.observed = flag
-        self.log.taglist.observed = flag
-        self.index.observed = flag
-
     # ------------------------------------------------------------------
     # updates
 

@@ -34,19 +34,8 @@ from repro.obs.metrics import METRICS
 
 __all__ = ["ElementRecord", "CompiledElements", "SegmentBlock", "ElementIndex"]
 
-# Mutation-path instruments honor ElementIndex.observed (replica replay
-# guard); the read counters are query-path and ignore it.
-_M_INSERTED = METRICS.counter(
-    "index.records_inserted", unit="records", site="ElementIndex.insert_segment"
-)
-_M_REMOVED = METRICS.counter(
-    "index.records_removed", unit="records", site="ElementIndex.remove_*"
-)
 _M_READS = METRICS.counter(
     "index.reads", unit="views", site="SegmentBlock.tag"
-)
-_M_RECORDS_READ = METRICS.counter(
-    "index.records_read", unit="records", site="SegmentBlock.tag"
 )
 
 # Block order.  Filtered to one tag it is the ``(start, end, level)`` order
@@ -149,7 +138,6 @@ class SegmentBlock:
         records = tuple(map(ElementRecord, repeat(self.sid), *columns))
         if METRICS.enabled:
             _M_READS.inc()
-            _M_RECORDS_READ.inc(len(records))
         return CompiledElements(records, *columns)
 
 
@@ -162,8 +150,6 @@ class ElementIndex:
     def __init__(self):
         self._blocks: dict[int, SegmentBlock] = {}
         self._size = 0
-        #: See ERTree.observed — cleared on EpochManager read replicas.
-        self.observed = True
         # Read-path version keys: one counter per segment, bumped exactly
         # when that segment's recorded elements change.  What is compiled
         # from a block *and* an ER-node (repro.core.readpath) keys on
@@ -249,8 +235,6 @@ class ElementIndex:
         )
         if block:
             self._install(sid, block)
-        if METRICS.enabled and self.observed:
-            _M_INSERTED.inc(len(block))
         return Counter(block.tids)
 
     def remove_segment(self, sid: int) -> Counter:
@@ -291,8 +275,6 @@ class ElementIndex:
         self._install(sid, survivors)
         counts = Counter(block.tids)
         counts.subtract(survivors.tids)
-        if METRICS.enabled and self.observed:
-            _M_REMOVED.inc(len(block) - len(rows))
         return +counts
 
     # ------------------------------------------------------------------

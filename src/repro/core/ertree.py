@@ -35,34 +35,8 @@ from operator import attrgetter
 
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.errors import InvalidSegmentError, SegmentNotFoundError
-from repro.obs.metrics import METRICS, SIZE_BUCKETS
 
 __all__ = ["ERNode", "ERTree", "RemovalReport", "PartialRemoval"]
-
-# Mutation-path instruments (module-level handles; see repro.obs.metrics).
-# Only `observed` trees emit — read replicas replay the primary's ops and
-# must not double-count them.
-_M_ADDED = METRICS.counter(
-    "ertree.segments_added", unit="segments", site="ERTree.add_segment"
-)
-_M_REMOVED = METRICS.counter(
-    "ertree.segments_removed", unit="segments", site="ERTree.remove_span"
-)
-_M_TOMBSTONES = METRICS.counter(
-    "ertree.tombstones_added", unit="intervals", site="ERTree.remove_span"
-)
-_M_SHIFT = METRICS.histogram(
-    "ertree.shift.nodes",
-    unit="nodes",
-    site="ERTree.add_segment/remove_span",
-    boundaries=SIZE_BUCKETS,
-)
-_G_SEGMENTS = METRICS.gauge(
-    "log.segments", unit="segments", site="ERTree (live segment count)"
-)
-_G_DEPTH = METRICS.gauge(
-    "log.depth.max", unit="levels", site="ERTree (deepest segment)"
-)
 
 # Child lists are sorted by gp and hold live nodes: every per-update lookup
 # bisects them in place instead of rebuilding a key list.
@@ -405,17 +379,13 @@ class ERTree:
         self.sid_start = sid_start
         self.sid_stride = sid_stride
         self._next_sid = sid_start
-        #: Mutation-path instruments fire only on observed trees; the
-        #: EpochManager clears this on read replicas so replayed ops are
-        #: not double-counted.
-        self.observed = True
         # depth -> number of live segments at that depth (dummy root at 0);
         # kept incrementally so max_depth is O(1) instead of a tree walk.
         self._depth_counts: dict[int, int] = {0: 1}
         self._max_depth = 0
 
     # ------------------------------------------------------------------
-    # incremental dimension tracking (feeds PressureMonitor / gauges)
+    # incremental dimension tracking (feeds PressureMonitor)
 
     def _track_add(self, node: ERNode) -> None:
         depth = node.depth
@@ -441,10 +411,6 @@ class ERTree:
         a full pre-order walk.
         """
         return self._max_depth
-
-    def _publish_gauges(self) -> None:
-        _G_SEGMENTS.set(len(self._nodes) - 1)
-        _G_DEPTH.set(self._max_depth)
 
     # ------------------------------------------------------------------
     # accessors
@@ -502,21 +468,18 @@ class ERTree:
         return None
 
     @staticmethod
-    def _shift_subtrees(pending: list[ERNode], delta: int) -> int:
-        """Move every node under ``pending`` by ``delta``; the count moved.
+    def _shift_subtrees(pending: list[ERNode], delta: int) -> None:
+        """Move every node under ``pending`` by ``delta``.
 
         The one O(N) step the paper itself prescribes (Figs. 5/7) — but it
         is handed only the siblings at or after the update point, never the
         whole tree.  Consumes ``pending``.
         """
-        shifted = 0
         while pending:
             node = pending.pop()
             node.gp += delta
-            shifted += 1
             if node.children:
                 pending.extend(node.children)
-        return shifted
 
     # ------------------------------------------------------------------
     # insertion (Fig. 5)
@@ -570,7 +533,7 @@ class ERTree:
             if not idx or children[idx - 1].end <= gp:
                 break
             parent = children[idx - 1]
-        shifted = self._shift_subtrees(moving, length)
+        self._shift_subtrees(moving, length)
 
         # Step 3: splice the new leaf in, keeping children sorted by gp,
         # and compute its local position.  ``to_local`` implements
@@ -582,10 +545,6 @@ class ERTree:
         parent._touch()
         self._nodes[sid] = new
         self._track_add(new)
-        if METRICS.enabled and self.observed:
-            _M_ADDED.inc()
-            _M_SHIFT.observe(shifted)
-            self._publish_gauges()
         return new
 
     # ------------------------------------------------------------------
@@ -611,17 +570,12 @@ class ERTree:
             )
         report = RemovalReport()
         self._remove_from(self.root, gp, length, report)
-        shifted = self._close_gap(gp, end)
+        self._close_gap(gp, end)
         for node in report.removed:
             node.gp = gp  # see RemovalReport
-        if METRICS.enabled and self.observed:
-            _M_REMOVED.inc(len(report.removed))
-            _M_TOMBSTONES.inc(len(report.partials))
-            _M_SHIFT.observe(shifted)
-            self._publish_gauges()
         return report
 
-    def _close_gap(self, gp: int, end: int) -> int:
+    def _close_gap(self, gp: int, end: int) -> None:
         """The global position pass over the survivors of ``[gp, end)``.
 
         Runs after the recursion (which only adjusts lengths).  A node
@@ -632,10 +586,8 @@ class ERTree:
         after the hole's end shifts left.  Per level at most two children
         met the hole and survived — the one starting at or before it and
         the one straddling its end — so the pass descends those and shifts
-        the siblings after them, instead of visiting every node.  Returns
-        the number of nodes moved.
+        the siblings after them, instead of visiting every node.
         """
-        shifted = 0
         met = [self.root]
         after: list[ERNode] = []
         while met:
@@ -648,10 +600,9 @@ class ERTree:
                     break
                 if child.gp > gp:
                     child.gp = gp
-                    shifted += 1
                 if child.end > gp:
                     met.append(child)
-        return shifted + self._shift_subtrees(after, gp - end)
+        self._shift_subtrees(after, gp - end)
 
     def _remove_from(
         self, node: ERNode, rm_gp: int, rm_len: int, report: RemovalReport
@@ -737,8 +688,6 @@ class ERTree:
         parent._touch()
         self._nodes[new_sid] = new
         self._track_add(new)
-        if METRICS.enabled and self.observed:
-            self._publish_gauges()
         return new
 
     # ------------------------------------------------------------------

@@ -71,11 +71,10 @@ from repro.core.update_log import UpdateLog
 from repro.errors import QueryError
 from repro.joins.kernels import select_open
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT, stack_tree_desc
-from repro.obs.metrics import LATENCY_BUCKETS, METRICS, SIZE_BUCKETS
+from repro.obs.metrics import METRICS
 
-# Query-path instruments: a join is real work wherever it runs, so these
-# ignore the per-structure `observed` flag.  The per-call JoinStatistics is
-# folded into the registry once at join end — zero per-pair registry work.
+# The per-call JoinStatistics is folded into the registry once at join
+# end — zero per-pair registry work.
 _M_CALLS = METRICS.counter(
     "join.lazy.calls", unit="joins", site="LazyJoiner.join"
 )
@@ -88,29 +87,8 @@ _M_CROSS = METRICS.counter(
 _M_IN_SEG = METRICS.counter(
     "join.lazy.in_segment_pairs", unit="pairs", site="LazyJoiner.join"
 )
-_M_PUSHED = METRICS.counter(
-    "join.lazy.segments_pushed", unit="segments", site="LazyJoiner.join"
-)
-_M_SKIPPED = METRICS.counter(
-    "join.lazy.segments_skipped", unit="segments", site="LazyJoiner.join"
-)
-_M_GALLOPED = METRICS.counter(
-    "join.lazy.segments_galloped", unit="segments", site="LazyJoiner.join"
-)
-_M_D_AVOIDED = METRICS.counter(
-    "join.lazy.d_fetches_avoided", unit="segments", site="LazyJoiner.join"
-)
 _H_SECONDS = METRICS.histogram(
-    "join.lazy.seconds",
-    unit="seconds",
-    site="LazyJoiner.join",
-    boundaries=LATENCY_BUCKETS,
-)
-_H_STACK = METRICS.histogram(
-    "join.lazy.stack_depth",
-    unit="frames",
-    site="LazyJoiner.join",
-    boundaries=SIZE_BUCKETS,
+    "join.lazy.seconds", unit="seconds", site="LazyJoiner.join"
 )
 
 __all__ = ["LazyJoiner", "JoinAnswer", "JoinPair", "JoinStatistics"]
@@ -402,11 +380,6 @@ class LazyJoiner:
             _M_PAIRS.inc(len(results))
             _M_CROSS.inc(stats.cross_pairs)
             _M_IN_SEG.inc(stats.in_segment_pairs)
-            _M_PUSHED.inc(stats.segments_pushed)
-            _M_SKIPPED.inc(stats.segments_skipped)
-            _M_GALLOPED.inc(stats.segments_galloped)
-            _M_D_AVOIDED.inc(stats.d_fetches_avoided)
-            _H_STACK.observe(stats.max_stack_depth)
             _H_SECONDS.observe(perf_counter() - start)
         return results
 

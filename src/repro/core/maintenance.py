@@ -85,7 +85,6 @@ def repack_segment(db, sid: int) -> RepackResult:
     counts = db.index.insert_segment(new_node.sid, fresh_records, base_level=0)
     for tid, count in counts.items():
         db.log.taglist.add_segment(tid, new_node, count)
-    db.log.publish_fanout()
     return RepackResult(
         new_sids=[new_node.sid],
         segments_before=segments_before,

@@ -48,7 +48,7 @@ from repro.core.join import JoinAnswer
 from repro.core.readpath import PathMemo
 from repro.errors import PathSyntaxError
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT
-from repro.obs.metrics import LATENCY_BUCKETS, METRICS
+from repro.obs.metrics import METRICS
 
 __all__ = [
     "PathStep",
@@ -64,16 +64,8 @@ _NAME_RE = re.compile(r"[A-Za-z_:][\w:.\-]*$")
 _M_PATH_CALLS = METRICS.counter(
     "query.path.calls", unit="queries", site="evaluate_path"
 )
-_M_PLAN_SHORT = METRICS.counter(
-    "query.plan.short_circuits",
-    unit="queries",
-    site="evaluate_path (zero-selectivity tag or empty step join)",
-)
 _H_PATH_SECONDS = METRICS.histogram(
-    "query.path.seconds",
-    unit="seconds",
-    site="evaluate_path",
-    boundaries=LATENCY_BUCKETS,
+    "query.path.seconds", unit="seconds", site="evaluate_path"
 )
 
 
@@ -329,8 +321,6 @@ def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
     if plan.empty:
         # A tag with zero recorded elements anywhere on the path empties
         # the whole result: answer without touching the element index.
-        if METRICS.enabled:
-            _M_PLAN_SHORT.inc()
         return []
     tid_entry = db.log.tags.tid_of(query.entry)
     if tid_entry is None:
@@ -347,8 +337,6 @@ def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
             plan.tags[i], step.tag, axis=step.axis, context=context
         )
         if not pairs:
-            if METRICS.enabled:
-                _M_PLAN_SHORT.inc()
             return []
         step_pairs[i] = pairs
     steps = query.steps

@@ -60,7 +60,6 @@ from typing import NamedTuple
 
 from repro.core.element_index import CompiledElements
 from repro.joins.kernels import push_kept
-from repro.obs.metrics import METRICS
 
 __all__ = [
     "CompiledPushList",
@@ -71,32 +70,6 @@ __all__ = [
 
 #: Path memos kept per cache (as many as ``query.parse_path`` memoises).
 PATHS_KEPT = 256
-
-# Query-path instruments (a cache hit/miss is real read work wherever it
-# happens, so these ignore the per-structure `observed` replica flag).
-_M_EL_HITS = METRICS.counter(
-    "readpath.elements.hits", unit="lookups", site="ReadPathCache.span_columns"
-)
-_M_EL_MISSES = METRICS.counter(
-    "readpath.elements.misses", unit="lookups", site="ReadPathCache.span_columns"
-)
-_M_PUSH_HITS = METRICS.counter(
-    "readpath.push.hits", unit="lookups", site="ReadPathCache.push_elements"
-)
-_M_PUSH_MISSES = METRICS.counter(
-    "readpath.push.misses", unit="lookups", site="ReadPathCache.push_elements"
-)
-_M_JOIN_HITS = METRICS.counter(
-    "readpath.joins.hits", unit="lookups", site="ReadPathCache.cached_join"
-)
-_M_JOIN_MISSES = METRICS.counter(
-    "readpath.joins.misses", unit="lookups", site="ReadPathCache.cached_join"
-)
-_M_INVALIDATED = METRICS.counter(
-    "readpath.invalidations",
-    unit="entries",
-    site="ReadPathCache (stale entry replaced or dropped)",
-)
 
 
 def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
@@ -258,7 +231,7 @@ class ReadPathCache:
         tag, what a wildcard step reads): the element index's own view."""
         return self._index.block(sid).tag(tid)
 
-    def _versioned(self, table: dict, tid, node, compile_from, hit, miss):
+    def _versioned(self, table: dict, tid, node, compile_from):
         """``table[node.sid][tid]`` while the segment's elements and its
         ER-node stand as they were when it was compiled; else recompiled
         by ``compile_from(view, node)`` and stored."""
@@ -272,25 +245,16 @@ class ReadPathCache:
         if cached is not None:
             if cached[0] == iv and cached[1] == nv:
                 self.hits += 1
-                if METRICS.enabled:
-                    hit.inc()
                 return cached[2]
             self.invalidations += 1
-            if METRICS.enabled:
-                _M_INVALIDATED.inc()
         self.misses += 1
-        if METRICS.enabled:
-            miss.inc()
         compiled = compile_from(self.elements(tid, sid), node)
         held[tid] = (iv, nv, compiled)
         return compiled
 
     def push_elements(self, tid: int, node) -> CompiledPushList:
         """The optimization-(i) push list for tag ``tid`` in segment ``node``."""
-        return self._versioned(
-            self._push, tid, node, self.compile_push_from,
-            _M_PUSH_HITS, _M_PUSH_MISSES,
-        )
+        return self._versioned(self._push, tid, node, self.compile_push_from)
 
     @staticmethod
     def compile_push_from(full: CompiledElements, node) -> CompiledPushList:
@@ -318,9 +282,7 @@ class ReadPathCache:
         ``levels`` and ``records`` are the element arrays' own.  ``tid``
         ``None`` is every tag (see :meth:`elements`).
         """
-        return self._versioned(
-            self._spans, tid, node, span_offsets, _M_EL_HITS, _M_EL_MISSES
-        )
+        return self._versioned(self._spans, tid, node, span_offsets)
 
     def cached_join(self, tid_a: int, tid_d: int, axis: str) -> JoinMemo | None:
         """The stored ``tid_a // tid_d`` memo, if its answer is still whole.
@@ -338,15 +300,9 @@ class ReadPathCache:
                 and cached.version_d == taglist.version(tid_d)
             ):
                 self.hits += 1
-                if METRICS.enabled:
-                    _M_JOIN_HITS.inc()
                 return cached
             self.invalidations += 1
-            if METRICS.enabled:
-                _M_INVALIDATED.inc()
         self.misses += 1
-        if METRICS.enabled:
-            _M_JOIN_MISSES.inc()
         return None
 
     def join_memo(self, tid_a: int, tid_d: int, axis: str) -> JoinMemo | None:
@@ -383,10 +339,7 @@ class ReadPathCache:
     def drop_segment(self, sid: int) -> int:
         """Forget all compiled state for a removed/repacked segment."""
         dropped = len(self._push.pop(sid, ())) + len(self._spans.pop(sid, ()))
-        if dropped:
-            self.invalidations += dropped
-            if METRICS.enabled:
-                _M_INVALIDATED.inc(dropped)
+        self.invalidations += dropped
         return dropped
 
     # ------------------------------------------------------------------

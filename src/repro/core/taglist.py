@@ -29,20 +29,8 @@ from operator import attrgetter
 
 from repro.core.ertree import ERNode
 from repro.errors import UpdateError
-from repro.obs.metrics import METRICS
 
 __all__ = ["TagRegistry", "TagList"]
-
-# Mutation-path instruments honor TagList.observed (replica replay guard).
-_M_ENTRIES_ADDED = METRICS.counter(
-    "taglist.entries_added", unit="entries", site="TagList.add_segment"
-)
-_M_ENTRIES_DROPPED = METRICS.counter(
-    "taglist.entries_dropped", unit="entries", site="TagList.remove_occurrences"
-)
-_G_FANOUT = METRICS.gauge(
-    "log.fanout.max", unit="entries", site="TagList (longest per-tag list)"
-)
 
 _node_gp = attrgetter("gp")
 
@@ -100,8 +88,6 @@ class TagList:
         self._counts: dict[int, dict[int, int]] = {}
         # Tags whose lists LS appends left unsorted (see finalize).
         self._unsorted: set[int] = set()
-        #: See ERTree.observed — cleared on EpochManager read replicas.
-        self.observed = True
         # Read-path version keys: one counter per tag, bumped exactly when
         # that tag's list changes observably (segments added/dropped,
         # counts changed, order changed by finalize/unsort).  The join memo
@@ -172,9 +158,6 @@ class TagList:
             self._fanout_dirty = False
         return self._max_fanout
 
-    def _publish_gauge(self) -> None:
-        _G_FANOUT.set(self.max_fanout())
-
     # ------------------------------------------------------------------
     # updates
 
@@ -200,8 +183,6 @@ class TagList:
         self._totals[tid] = self._totals.get(tid, 0) + count
         if len(nodes) > self._max_fanout:
             self._max_fanout = len(nodes)
-        if METRICS.enabled and self.observed:
-            _M_ENTRIES_ADDED.inc()
 
     def remove_occurrences(self, tid: int, node: ERNode, removed: int) -> None:
         """Subtract ``removed`` occurrences of ``tid`` from segment ``node``.
@@ -256,8 +237,6 @@ class TagList:
             del self._nodes[tid], self._counts[tid]
             self._unsorted.discard(tid)
         self._fanout_dirty = True
-        if METRICS.enabled and self.observed:
-            _M_ENTRIES_DROPPED.inc()
 
     def finalize(self) -> None:
         """Sort any LS-mode lists left unsorted by appends."""

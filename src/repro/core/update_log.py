@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from repro.core.ertree import ERNode, ERTree, RemovalReport
 from repro.core.taglist import TagList, TagRegistry
 from repro.errors import QueryError
-from repro.obs.metrics import METRICS
 
 __all__ = ["UpdateLog", "InsertReceipt", "LogStats"]
 
@@ -107,7 +106,6 @@ class UpdateLog:
         for name, count in tag_counts.items():
             tid = self.tags.intern(name)
             self.taglist.add_segment(tid, node, count)
-        self.publish_fanout()
         assert node.parent is not None  # only the dummy root lacks a parent
         return InsertReceipt(
             sid=node.sid,
@@ -143,13 +141,6 @@ class UpdateLog:
             node = gone.get(sid) or self.ertree.node(sid)
             for tid, count in counts.items():
                 self.taglist.remove_occurrences(tid, node, count)
-        self.publish_fanout()
-
-    def publish_fanout(self) -> None:
-        """Publish the tag-list fan-out gauge: once per update, however
-        many entries the update added or dropped."""
-        if METRICS.enabled and self.taglist.observed:
-            self.taglist._publish_gauge()
 
     # ------------------------------------------------------------------
     # LS-mode finalization
@@ -208,16 +199,6 @@ class UpdateLog:
             "max_depth": self.ertree.max_depth,
             "max_fanout": self.taglist.max_fanout(),
         }
-
-    def publish_gauges(self) -> None:
-        """Push this log's dimensions to the registry's ``log.*`` gauges.
-
-        The gauges are process-global while logs are not; a service that
-        reads pressure from the registry refreshes them from its own
-        primary first so another database's updates cannot bleed in.
-        """
-        self.ertree._publish_gauges()
-        self.taglist._publish_gauge()
 
     def check_invariants(self) -> None:
         """Cross-structure consistency check used by the test suite."""

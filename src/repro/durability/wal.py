@@ -34,7 +34,7 @@ from time import perf_counter
 
 from repro.durability import hooks
 from repro.errors import JournalError
-from repro.obs.metrics import LATENCY_BUCKETS, METRICS
+from repro.obs.metrics import METRICS
 
 __all__ = [
     "Journal",
@@ -44,23 +44,8 @@ __all__ = [
     "RECORD_HEADER",
 ]
 
-_M_APPENDS = METRICS.counter(
-    "wal.appends", unit="records", site="Journal.append"
-)
-_M_BYTES = METRICS.counter(
-    "wal.bytes_written", unit="bytes", site="Journal.append"
-)
-_M_FSYNCS = METRICS.counter(
-    "wal.fsyncs", unit="calls", site="Journal.append"
-)
-_M_TRUNCATES = METRICS.counter(
-    "wal.truncates", unit="calls", site="Journal.truncate"
-)
 _H_FSYNC = METRICS.histogram(
-    "wal.fsync.seconds",
-    unit="seconds",
-    site="Journal.append",
-    boundaries=LATENCY_BUCKETS,
+    "wal.fsync.seconds", unit="seconds", site="Journal.append"
 )
 
 #: (payload length, payload crc32), big-endian.
@@ -195,9 +180,6 @@ class Journal:
             fsync_start = perf_counter()
             os.fsync(fd)
             _H_FSYNC.observe(perf_counter() - fsync_start)
-            _M_APPENDS.inc()
-            _M_BYTES.inc(len(header) + len(payload))
-            _M_FSYNCS.inc()
         else:
             os.fsync(fd)
         hooks.fire("wal.append.after_fsync")
@@ -213,9 +195,6 @@ class Journal:
         hooks.fire("wal.truncate.before")
         os.ftruncate(fd, 0)
         os.fsync(fd)
-        if METRICS.enabled:
-            _M_TRUNCATES.inc()
-            _M_FSYNCS.inc()
         hooks.fire("wal.truncate.after")
 
     def size(self) -> int:

@@ -34,9 +34,6 @@ __all__ = ["stack_tree_desc", "AXIS_DESCENDANT", "AXIS_CHILD"]
 _M_CALLS = METRICS.counter(
     "join.stacktree.calls", unit="joins", site="stack_tree_desc"
 )
-_M_PAIRS = METRICS.counter(
-    "join.stacktree.pairs", unit="pairs", site="stack_tree_desc"
-)
 
 AXIS_DESCENDANT = "descendant"
 AXIS_CHILD = "child"
@@ -89,6 +86,5 @@ def stack_tree_desc(
     )
     if METRICS.enabled:
         _M_CALLS.inc()
-        _M_PAIRS.inc(len(results))
     return results
 

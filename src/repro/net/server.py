@@ -70,7 +70,7 @@ from repro.net.protocol import (
     execute_request,
     request_context,
 )
-from repro.obs.metrics import LATENCY_BUCKETS, METRICS
+from repro.obs.metrics import METRICS
 from repro.service.context import OverBudget
 
 __all__ = ["NetServerConfig", "TcpServer"]
@@ -80,52 +80,20 @@ __all__ = ["NetServerConfig", "TcpServer"]
 #: (``sys.getswitchinterval()``, 5 ms by default).
 LOOP_BUDGET = 0.002
 
-_M_CONNS_TOTAL = METRICS.counter(
-    "net.connections.total", unit="connections", site="TcpServer._on_connection"
-)
-_G_CONNS_OPEN = METRICS.gauge(
-    "net.connections.open", unit="connections", site="TcpServer._on_connection"
-)
-_M_CONNS_SHED = METRICS.counter(
-    "net.connections.shed", unit="connections", site="TcpServer._on_connection"
-)
-_M_FRAMES_IN = METRICS.counter(
-    "net.frames.in", unit="frames", site="TcpServer._read_loop"
-)
-_M_FRAMES_OUT = METRICS.counter(
-    "net.frames.out", unit="frames", site="TcpServer._send"
-)
-_M_BYTES_IN = METRICS.counter(
-    "net.bytes.in", unit="bytes", site="TcpServer._read_loop"
-)
-_M_BYTES_OUT = METRICS.counter(
-    "net.bytes.out", unit="bytes", site="TcpServer._send"
-)
+# `net.requests` and `net.sheds` repeat the per-server `_counters` twins
+# (which tests and health read per server) because the end-to-end
+# benchmark reads them by name from the process-wide `stats` reply.
 _M_REQUESTS = METRICS.counter(
     "net.requests", unit="requests", site="TcpServer._run_request"
-)
-_H_REQUEST_SECONDS = METRICS.histogram(
-    "net.request.seconds", unit="seconds", site="TcpServer._run_request",
-    boundaries=LATENCY_BUCKETS,
 )
 _M_SHEDS = METRICS.counter(
     "net.sheds", unit="requests", site="TcpServer._dispatch_frame"
 )
-_M_ERRORS = METRICS.counter(
-    "net.errors", unit="responses", site="TcpServer._run_request"
-)
-_M_FRAMES_REJECTED = METRICS.counter(
-    "net.frames.rejected", unit="frames", site="TcpServer._read_loop"
-)
-_M_BP_PAUSES = METRICS.counter(
-    "net.backpressure.pauses", unit="pauses", site="TcpServer._read_loop"
-)
-_M_TIMEOUTS = METRICS.counter(
-    "net.timeouts", unit="connections", site="TcpServer._read_loop"
+_H_REQUEST_SECONDS = METRICS.histogram(
+    "net.request.seconds", unit="seconds", site="TcpServer._run_request"
 )
 _H_DRAIN_SECONDS = METRICS.histogram(
-    "net.drain.seconds", unit="seconds", site="TcpServer.drain",
-    boundaries=LATENCY_BUCKETS,
+    "net.drain.seconds", unit="seconds", site="TcpServer.drain"
 )
 
 
@@ -404,8 +372,6 @@ class TcpServer:
             # Shed at the door: typed response, then close.  (A draining
             # listener is already closed; this covers the race window.)
             self._counters["connections_shed"] += 1
-            if METRICS.enabled:
-                _M_CONNS_SHED.inc()
             exc = (
                 Draining("server is draining; connection refused")
                 if self._draining
@@ -419,9 +385,6 @@ class TcpServer:
             return
         self._conns[session.session_id] = conn
         self._counters["connections_total"] += 1
-        if METRICS.enabled:
-            _M_CONNS_TOTAL.inc()
-            _G_CONNS_OPEN.set(len(self._conns))
         try:
             writer.transport.set_write_buffer_limits(
                 high=self.config.write_buffer_cap,
@@ -451,8 +414,6 @@ class TcpServer:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self._counters["timeouts"] += 1
-                if METRICS.enabled:
-                    _M_TIMEOUTS.inc()
                 return False
             try:
                 data = await asyncio.wait_for(
@@ -460,13 +421,9 @@ class TcpServer:
                 )
             except asyncio.TimeoutError:
                 self._counters["timeouts"] += 1
-                if METRICS.enabled:
-                    _M_TIMEOUTS.inc()
                 return False
             if not data:
                 return False  # EOF before HELLO
-            if METRICS.enabled:
-                _M_BYTES_IN.inc(len(data))
             try:
                 frames = decoder.feed(data)
             except (FrameError, ProtocolError) as exc:
@@ -498,8 +455,6 @@ class TcpServer:
                 ),
             )
             return False
-        if METRICS.enabled:
-            _M_FRAMES_IN.inc()
         await self._send(
             conn,
             wire.T_WELCOME,
@@ -514,8 +469,6 @@ class TcpServer:
         )
         # Frames pipelined behind the HELLO are valid immediately.
         for frame in leftover:
-            if METRICS.enabled:
-                _M_FRAMES_IN.inc()
             if not await self._dispatch_frame(conn, frame):
                 return False
         self._decoders[conn.session.session_id] = decoder
@@ -529,8 +482,6 @@ class TcpServer:
             # past the cap pauses its own request intake.
             if conn.writer.transport.get_write_buffer_size() > cap:
                 self._counters["backpressure_pauses"] += 1
-                if METRICS.enabled:
-                    _M_BP_PAUSES.inc()
                 async with conn.write_lock:
                     if not await self._drain_writer(conn):
                         return  # client never read; connection aborted
@@ -544,8 +495,6 @@ class TcpServer:
                 if conn.session.inflight:
                     continue  # not idle: work pending for this client
                 self._counters["timeouts"] += 1
-                if METRICS.enabled:
-                    _M_TIMEOUTS.inc()
                 stalled = decoder.pending
                 await self._send(
                     conn, wire.T_GOODBYE, 0,
@@ -558,16 +507,12 @@ class TcpServer:
                 return
             if not data:
                 return  # EOF: clean close (or half-close; writes flushed in teardown)
-            if METRICS.enabled:
-                _M_BYTES_IN.inc(len(data))
             try:
                 frames = decoder.feed(data)
             except (FrameError, ProtocolError) as exc:
                 await self._reject_stream(conn, exc)
                 return
             for frame in frames:
-                if METRICS.enabled:
-                    _M_FRAMES_IN.inc()
                 if not await self._dispatch_frame(conn, frame):
                     return
 
@@ -578,8 +523,6 @@ class TcpServer:
         counted so an operator sees malformed-frame storms in ``stats``.
         """
         self._counters["frames_rejected"] += 1
-        if METRICS.enabled:
-            _M_FRAMES_REJECTED.inc()
         await self._send(conn, wire.T_ERROR, 0, error_payload(exc))
 
     async def _dispatch_frame(self, conn: _Connection, frame: Frame) -> bool:
@@ -717,15 +660,11 @@ class TcpServer:
             await self._send(conn, wire.T_RESPONSE, request_id, result)
         except ReproError as exc:
             self._counters["errors"] += 1
-            if METRICS.enabled:
-                _M_ERRORS.inc()
             await self._send(
                 conn, wire.T_ERROR, request_id, error_payload(exc)
             )
         except Exception as exc:  # never let a bug kill the handler
             self._counters["errors"] += 1
-            if METRICS.enabled:
-                _M_ERRORS.inc()
             await self._send(
                 conn, wire.T_ERROR, request_id,
                 error_payload(NetError(
@@ -757,8 +696,6 @@ class TcpServer:
             return True
         except asyncio.TimeoutError:
             self._counters["timeouts"] += 1
-            if METRICS.enabled:
-                _M_TIMEOUTS.inc()
             conn.closed = True
             try:
                 conn.writer.transport.abort()
@@ -796,9 +733,6 @@ class TcpServer:
                 return
             try:
                 conn.writer.write(data)
-                if METRICS.enabled:
-                    _M_FRAMES_OUT.inc()
-                    _M_BYTES_OUT.inc(len(data))
                 if (
                     conn.writer.transport.get_write_buffer_size()
                     > self.config.write_buffer_cap
@@ -809,8 +743,6 @@ class TcpServer:
                     # the buffer drains below the low-water mark — or
                     # until write_timeout declares the client dead.
                     self._counters["backpressure_pauses"] += 1
-                    if METRICS.enabled:
-                        _M_BP_PAUSES.inc()
                     await self._drain_writer(conn)
             except (ConnectionError, RuntimeError):
                 conn.closed = True  # reset mid-write; teardown reaps it
@@ -855,5 +787,3 @@ class TcpServer:
         conn.session.release()
         self._conns.pop(conn.session.session_id, None)
         self._decoders.pop(conn.session.session_id, None)
-        if METRICS.enabled:
-            _G_CONNS_OPEN.set(len(self._conns))

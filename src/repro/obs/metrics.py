@@ -1,9 +1,11 @@
-"""A dependency-free metrics registry: counters, gauges, histograms.
+"""A dependency-free metrics registry: counters and latency histograms.
 
-The paper's whole argument is quantitative — update-log size, cross- vs
-in-segment join fractions, repack/compact timing — so the reproduction
-exports those numbers from the code paths that produce them instead of
-recomputing them ad hoc in every benchmark script.  Design constraints:
+A count lives in the object that does the work (the read-path cache's
+hits, a server's ``_counters``, the admission controller's per-class
+tallies), and ``health``/``stats`` read it there.  The registry keeps
+what no object keeps: per-layer latency histograms and the few
+process-wide counts something reads by name (DESIGN.md §4d).  Design
+constraints:
 
 - **Dependency-free.**  Standard library only; importable from every layer
   (the core structures must not grow a third-party observability stack).
@@ -17,12 +19,6 @@ recomputing them ad hoc in every benchmark script.  Design constraints:
 - **Fixed histogram buckets.**  Bucket boundaries are chosen at
   registration and never resized, so ``observe`` is one bisect plus two
   integer adds.
-
-Mutation-path instruments additionally honor a per-structure ``observed``
-flag (see :class:`~repro.core.database.LazyXMLDatabase.set_observed`):
-read replicas replay the primary's committed ops, and counting those
-replays would double-charge every write.  Query-path instruments ignore
-the flag — a join is real work wherever it runs.
 
     >>> from repro.obs.metrics import MetricsRegistry
     >>> reg = MetricsRegistry()
@@ -39,21 +35,16 @@ from time import perf_counter
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "METRICS",
     "LATENCY_BUCKETS",
-    "SIZE_BUCKETS",
 ]
 
 #: Seconds-latency boundaries: 10µs .. 10s, roughly half-decade steps.
 LATENCY_BUCKETS = (
     1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0
 )
-
-#: Count/size boundaries: powers of four, 1 .. ~1M.
-SIZE_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576)
 
 
 class Counter:
@@ -70,28 +61,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-    def _reset(self) -> None:
-        self.value = 0
-
-    def _snapshot(self) -> dict:
-        return {"type": self.kind, "unit": self.unit, "value": self.value}
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "unit", "site", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, unit: str, site: str):
-        self.name = name
-        self.unit = unit
-        self.site = site
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
 
     def _reset(self) -> None:
         self.value = 0
@@ -203,16 +172,13 @@ class MetricsRegistry:
     def counter(self, name: str, *, unit: str = "events", site: str = "") -> Counter:
         return self._register(Counter, name, unit, site)
 
-    def gauge(self, name: str, *, unit: str = "value", site: str = "") -> Gauge:
-        return self._register(Gauge, name, unit, site)
-
     def histogram(
         self,
         name: str,
         *,
         unit: str = "value",
         site: str = "",
-        boundaries: tuple = SIZE_BUCKETS,
+        boundaries: tuple = LATENCY_BUCKETS,
     ) -> Histogram:
         return self._register(Histogram, name, unit, site, boundaries)
 
@@ -237,11 +203,15 @@ class MetricsRegistry:
         """The instrument registered under ``name``, or ``None``."""
         return self._instruments.get(name)
 
-    def value(self, name: str, default=0):
-        """Shortcut: the current value of a counter/gauge (or ``default``)."""
-        instrument = self._instruments.get(name)
-        if instrument is None or isinstance(instrument, Histogram):
-            return default
+    def value(self, name: str) -> int:
+        """The current value of counter ``name``.
+
+        An unknown name raises ``KeyError``, so a reader of a renamed or
+        deleted instrument fails instead of reading a fresh zero.
+        """
+        instrument = self._instruments[name]
+        if isinstance(instrument, Histogram):
+            raise TypeError(f"metric {name!r} is a histogram: it has no value")
         return instrument.value
 
     def snapshot(self) -> dict:

@@ -40,24 +40,12 @@ import time
 from pathlib import Path
 
 from repro.errors import ChannelCut, FencedError, ReplicationError
-from repro.obs.metrics import METRICS
 from repro.replication.channel import InProcessChannel
 from repro.replication.manifest import read_replication_manifest
 from repro.replication.node import RejoinReport, ReplicaNode
 from repro.service.retry import BackoffPolicy
 
 __all__ = ["ReplicationCluster"]
-
-_M_SHIPPED = METRICS.counter(
-    "repl.records_shipped", unit="records", site="ReplicationCluster._commit_from"
-)
-_M_MISSED = METRICS.counter(
-    "repl.records_missed", unit="records", site="ReplicationCluster._commit_from"
-)
-_G_TERM = METRICS.gauge("repl.term", unit="term", site="ReplicationCluster")
-_G_LAG = METRICS.gauge(
-    "repl.lag.max", unit="records", site="ReplicationCluster.status"
-)
 
 
 def _node_dirname(node_id: int) -> str:
@@ -157,8 +145,6 @@ class ReplicationCluster:
         self._acked: dict[int, int] = {
             nid: node.last_seq for nid, node in self.nodes.items()
         }
-        if METRICS.enabled:
-            _G_TERM.set(self.primary.term)
 
     # ------------------------------------------------------------------
     # topology
@@ -226,7 +212,6 @@ class ReplicationCluster:
             "node": node_id,
             "record": {"seq": seq, "op": dict(op)},
         }
-        shipped = 0
         for other_id, channel in self.append_channels.items():
             if other_id == node_id or other_id in self._dead:
                 continue
@@ -234,8 +219,6 @@ class ReplicationCluster:
                 reply = channel.call(message)
             except ChannelCut:
                 self.missed[other_id].add(seq)
-                if METRICS.enabled:
-                    _M_MISSED.inc()
                 continue
             except FencedError as exc:
                 sender.fence(getattr(exc, "term", None))
@@ -244,14 +227,11 @@ class ReplicationCluster:
                 # Healed partition: the tail (including this record) is in
                 # the sender's journal; pull it directly.
                 self.nodes[other_id].catch_up(sender)
-            shipped += 1
             applied_upto = self.nodes[other_id].last_seq
             self._note_acked(other_id, applied_upto)
             self.missed[other_id] = {
                 s for s in self.missed[other_id] if s > applied_upto
             }
-        if METRICS.enabled and shipped:
-            _M_SHIPPED.inc(shipped)
         if node_id == self.primary_id:
             # The ack map only tracks the current primary's lineage, so a
             # stale sender must never advance its watermark from it.
@@ -293,8 +273,6 @@ class ReplicationCluster:
         for nid in self.missed:
             self.missed[nid] = {s for s in self.missed[nid] if s <= node.last_seq}
         self._rebind_heartbeats()
-        if METRICS.enabled:
-            _G_TERM.set(new_term)
         return node
 
     def kill(self, node_id: int) -> None:
@@ -413,8 +391,6 @@ class ReplicationCluster:
             for nid in self.nodes
             if nid != self.primary_id
         }
-        if METRICS.enabled:
-            _G_LAG.set(max(lags.values()) if lags else 0)
         return {
             "primary": self.primary_id,
             "term": primary.term,

@@ -61,26 +61,8 @@ from repro.service.snapshot import EpochManager, Snapshot
 
 __all__ = ["ReplicaNode", "RejoinReport"]
 
-_M_FENCED = METRICS.counter(
-    "repl.fenced_appends", unit="refusals", site="ReplicaNode.handle"
-)
-_M_CATCHUP = METRICS.counter(
-    "repl.catchup_records", unit="records", site="ReplicaNode.catch_up"
-)
-_M_RESYNCS = METRICS.counter(
-    "repl.resyncs", unit="resyncs", site="ReplicaNode._full_resync"
-)
-_M_HEARTBEATS = METRICS.counter(
-    "repl.heartbeats", unit="messages", site="ReplicaNode.heartbeat"
-)
-_M_RECONNECTS = METRICS.counter(
-    "repl.reconnects", unit="retries", site="ReplicaNode.heartbeat"
-)
 _M_LOST = METRICS.counter(
     "repl.lost_writes", unit="records", site="ReplicaNode.rejoin"
-)
-_M_INDETERMINATE = METRICS.counter(
-    "repl.indeterminate_writes", unit="records", site="ReplicaNode.rejoin"
 )
 
 #: Epoch→seq entries kept per node (old epochs' pins drain quickly).
@@ -266,8 +248,6 @@ class ReplicaNode:
         sender_term = message.get("term", 0)
         if sender_term < self.term:
             self.fenced_appends += 1
-            if METRICS.enabled:
-                _M_FENCED.inc()
             err = FencedError(
                 f"node {self.node_id} refuses {message.get('kind')} from "
                 f"term {sender_term}: current term is {self.term}"
@@ -285,8 +265,6 @@ class ReplicaNode:
         kind = message.get("kind")
         if kind == "heartbeat":
             self.heartbeats += 1
-            if METRICS.enabled:
-                _M_HEARTBEATS.inc()
             return {
                 "status": "ok",
                 "term": self.term,
@@ -376,8 +354,6 @@ class ReplicaNode:
         self._tail_offset = scan.valid_bytes
         if ops:
             self._publish(ops)
-            if METRICS.enabled:
-                _M_CATCHUP.inc(applied)
         return applied
 
     def _full_resync(self, view) -> None:
@@ -397,8 +373,6 @@ class ReplicaNode:
         recreates an empty journal.
         """
         self.resyncs += 1
-        if METRICS.enabled:
-            _M_RESYNCS.inc()
         self.epochs.close()
         self.durable.close()
         (self.directory / "journal.wal").unlink(missing_ok=True)
@@ -446,13 +420,8 @@ class ReplicaNode:
         reply = retry_with_backoff(
             attempt, policy=policy, retry_on=(ChannelCut,), sleep=sleep
         )
-        if tries > 1:
-            self.reconnects += tries - 1
-            if METRICS.enabled:
-                _M_RECONNECTS.inc(tries - 1)
+        self.reconnects += tries - 1
         self.heartbeats += 1
-        if METRICS.enabled:
-            _M_HEARTBEATS.inc()
         peer_term = reply.get("term", 0)
         if peer_term > self.term:
             self.term = peer_term
@@ -513,10 +482,7 @@ class ReplicaNode:
                 indeterminate_seqs.append(seq)
                 indeterminate_ops.append(op)
         if METRICS.enabled:
-            if lost_seqs:
-                _M_LOST.inc(len(lost_seqs))
-            if indeterminate_seqs:
-                _M_INDETERMINATE.inc(len(indeterminate_seqs))
+            _M_LOST.inc(len(lost_seqs))
         self.role = "follower"
         self.term = max(self.term, view.term)
         self._fenced = False

@@ -7,7 +7,7 @@ writes grow the update log faster than maintenance can drain it.  The
 ``maintenance``) concurrency limits plus a small wait queue per class; a
 request over both limits is rejected *immediately* with the transient
 :class:`~repro.errors.Busy` — load shedding, not queue collapse.  Shed and
-admitted counts are exported as metrics.
+admitted counts are in :meth:`AdmissionController.metrics`.
 
 Callers that can wait should wrap their attempt in
 :func:`~repro.service.retry.retry_with_backoff` (re-exported here), which
@@ -22,22 +22,15 @@ import threading
 import time
 
 from repro.errors import Busy, ServiceClosed
-from repro.obs.metrics import LATENCY_BUCKETS, METRICS
+from repro.obs.metrics import METRICS
 from repro.service.retry import BackoffPolicy, retry_with_backoff
 
 __all__ = ["AdmissionController", "Ticket", "BackoffPolicy", "retry_with_backoff"]
 
-_M_ADMITTED = METRICS.counter(
-    "service.admission.admitted", unit="requests", site="AdmissionController.admit"
-)
-_M_REJECTED = METRICS.counter(
-    "service.admission.rejected", unit="requests", site="AdmissionController.admit"
-)
 _H_WAIT = METRICS.histogram(
     "service.admission.wait_seconds",
     unit="seconds",
     site="AdmissionController.admit (queued waits only)",
-    boundaries=LATENCY_BUCKETS,
 )
 
 #: Default per-class concurrency limits: many readers, one writer (the
@@ -125,8 +118,6 @@ class AdmissionController:
                 return self._admit_locked(state, request_class)
             if wait <= 0 or state.waiting >= state.queue_depth:
                 state.rejected += 1
-                if METRICS.enabled:
-                    _M_REJECTED.inc()
                 raise Busy(
                     f"{request_class} limit reached "
                     f"({state.active}/{state.limit} active, "
@@ -136,11 +127,12 @@ class AdmissionController:
             deadline = time.monotonic() + wait
             try:
                 while state.active >= state.limit:
+                    if self._closed:
+                        raise ServiceClosed("admission controller is closed")
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0 or self._closed:
+                    if remaining <= 0:
                         state.rejected += 1
                         if METRICS.enabled:
-                            _M_REJECTED.inc()
                             _H_WAIT.observe(wait)
                         raise Busy(
                             f"{request_class} queue wait exceeded "
@@ -157,8 +149,6 @@ class AdmissionController:
         state.active += 1
         state.admitted += 1
         state.peak = max(state.peak, state.active)
-        if METRICS.enabled:
-            _M_ADMITTED.inc()
         return Ticket(self, request_class)
 
     def _release(self, request_class: str) -> None:

@@ -23,15 +23,8 @@ import threading
 import time
 
 from repro.errors import CircuitOpenError
-from repro.obs.metrics import METRICS
 
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
-
-_M_TRANSITIONS = METRICS.counter(
-    "service.breaker.transitions",
-    unit="transitions",
-    site="CircuitBreaker (any state change)",
-)
 
 CLOSED = "closed"
 OPEN = "open"
@@ -77,8 +70,6 @@ class CircuitBreaker:
         ):
             self._state = HALF_OPEN
             self._probing = False
-            if METRICS.enabled:
-                _M_TRANSITIONS.inc()
         return self._state
 
     def allow(self) -> bool:
@@ -116,8 +107,6 @@ class CircuitBreaker:
         with self._lock:
             self._total_successes += 1
             self._consecutive_failures = 0
-            if self._state != CLOSED and METRICS.enabled:
-                _M_TRANSITIONS.inc()
             self._state = CLOSED
             self._probing = False
             self._opened_at = None
@@ -135,8 +124,6 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
                 self._probing = False
                 self._trips += 1
-                if METRICS.enabled:
-                    _M_TRANSITIONS.inc()
 
     def metrics(self) -> dict:
         with self._lock:

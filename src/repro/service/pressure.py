@@ -26,16 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.segment import DUMMY_ROOT_SID
-from repro.obs.metrics import METRICS
 
 __all__ = ["PressureThresholds", "PressureReport", "PressureMonitor"]
-
-_M_SAMPLES = METRICS.counter(
-    "pressure.samples", unit="samples", site="PressureMonitor.sample"
-)
-_M_CRITICAL = METRICS.counter(
-    "pressure.critical_samples", unit="samples", site="PressureMonitor.sample"
-)
 
 LEVEL_OK = "ok"
 LEVEL_ELEVATED = "elevated"
@@ -98,26 +90,18 @@ class PressureMonitor:
         self.samples = 0
         self.critical_samples = 0
 
-    def sample(self, db, *, from_registry: bool = False) -> PressureReport:
+    def sample(self, db) -> PressureReport:
         """Measure ``db`` and return the report (no mutation).
 
         The three dimensions come from the structures' incremental trackers
         (``UpdateLog.dimensions()`` — O(1), replacing the full ER-tree and
-        tag-list walks this method used to run per sample).  With
-        ``from_registry=True`` they are read from the metrics registry's
-        ``log.*`` gauges instead — the service path, where the sampled
-        database is the observed primary that published them.
+        tag-list walks this method used to run per sample).
         """
         limits = self.thresholds
-        if from_registry:
-            segments = int(METRICS.value("log.segments"))
-            depth = int(METRICS.value("log.depth.max"))
-            fanout = int(METRICS.value("log.fanout.max"))
-        else:
-            dims = db.log.dimensions()
-            segments = dims["segments"]
-            depth = dims["max_depth"]
-            fanout = dims["max_fanout"]
+        dims = db.log.dimensions()
+        segments = dims["segments"]
+        depth = dims["max_depth"]
+        fanout = dims["max_fanout"]
         report = PressureReport(segments=segments, depth=depth, fanout=fanout)
 
         dimensions = (
@@ -149,10 +133,6 @@ class PressureMonitor:
         self.samples += 1
         if report.level == LEVEL_CRITICAL:
             self.critical_samples += 1
-        if METRICS.enabled:
-            _M_SAMPLES.inc()
-            if report.level == LEVEL_CRITICAL:
-                _M_CRITICAL.inc()
         return report
 
     def _plan(self, db, critical: list[str]) -> list[dict]:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import Busy
-from repro.obs.metrics import LATENCY_BUCKETS, METRICS
+from repro.obs.metrics import METRICS
 
 __all__ = ["BackoffPolicy", "retry_with_backoff"]
 
@@ -30,10 +30,7 @@ _M_RETRY_GIVEUPS = METRICS.counter(
     "service.retry.giveups", unit="requests", site="retry_with_backoff"
 )
 _H_RETRY_SLEEP = METRICS.histogram(
-    "service.retry.sleep_seconds",
-    unit="seconds",
-    site="retry_with_backoff",
-    boundaries=LATENCY_BUCKETS,
+    "service.retry.sleep_seconds", unit="seconds", site="retry_with_backoff"
 )
 
 

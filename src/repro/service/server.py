@@ -60,36 +60,6 @@ from repro.service.snapshot import EpochManager, Snapshot
 
 __all__ = ["ServiceConfig", "DatabaseService"]
 
-# Service-level counters mirror the `_counters` dict (the dict stays the
-# in-process health() shape; the registry makes them part of the exported
-# metric catalogue alongside the structure-level instruments).
-_SERVICE_COUNTERS = {
-    "queries": METRICS.counter(
-        "service.queries", unit="queries", site="DatabaseService.read"
-    ),
-    "writes": METRICS.counter(
-        "service.writes", unit="ops", site="DatabaseService._write"
-    ),
-    "deadline_aborts": METRICS.counter(
-        "service.deadline_aborts", unit="queries", site="DatabaseService.read"
-    ),
-    "resource_aborts": METRICS.counter(
-        "service.resource_aborts", unit="queries", site="DatabaseService.read"
-    ),
-    "writes_shed_degraded": METRICS.counter(
-        "service.writes_shed", unit="ops", site="DatabaseService._write"
-    ),
-    "maintenance_runs": METRICS.counter(
-        "service.maintenance.runs", unit="ops", site="DatabaseService._maintenance_op"
-    ),
-    "maintenance_failures": METRICS.counter(
-        "service.maintenance.failures", unit="ops", site="DatabaseService._maintenance_op"
-    ),
-    "replica_rebuilds": METRICS.counter(
-        "service.replica_rebuilds", unit="rebuilds", site="DatabaseService._publish"
-    ),
-}
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -235,12 +205,6 @@ class DatabaseService:
             "replica_rebuilds": 0,
         }
 
-    def _count(self, key: str) -> None:
-        """Bump a service counter in both the dict and the registry."""
-        self._counters[key] += 1
-        if METRICS.enabled:
-            _SERVICE_COUNTERS[key].inc()
-
     # ------------------------------------------------------------------
     # contexts & snapshots
 
@@ -298,12 +262,12 @@ class DatabaseService:
         try:
             result = fn(db, ctx)
         except DeadlineExceeded:
-            self._count("deadline_aborts")
+            self._counters["deadline_aborts"] += 1
             raise
         except ResourceExhausted:
-            self._count("resource_aborts")
+            self._counters["resource_aborts"] += 1
             raise
-        self._count("queries")
+        self._counters["queries"] += 1
         return result
 
     def query(self, expression: str):
@@ -380,7 +344,7 @@ class DatabaseService:
             and self.config.shed_writes_when_degraded
             and self.is_degraded
         ):
-            self._count("writes_shed_degraded")
+            self._counters["writes_shed_degraded"] += 1
             raise Busy(
                 "service is degraded (pressure critical, maintenance "
                 "circuit open); writes are shed until the log drains"
@@ -389,7 +353,7 @@ class DatabaseService:
             with self._writer_lock:
                 result = self._apply_primary(op)
                 self._publish([op])
-                self._count("writes")
+                self._counters["writes"] += 1
                 if request_class == "write":
                     self._after_write()
         return result
@@ -435,7 +399,7 @@ class DatabaseService:
         try:
             self._epochs.publish(ops)
         except Exception:
-            self._count("replica_rebuilds")
+            self._counters["replica_rebuilds"] += 1
             old = self._epochs
             self._epochs = EpochManager(
                 self._base, drain_timeout=self.config.drain_timeout
@@ -494,31 +458,21 @@ class DatabaseService:
             self.run_maintenance()
 
     def check_pressure(self) -> PressureReport:
-        """Sample pressure on the authoritative log (no maintenance run).
-
-        Reads the dimensions from the metrics registry's ``log.*`` gauges
-        (published incrementally by the observed primary) when metrics are
-        enabled, falling back to the structures' O(1) trackers otherwise —
-        either way, no ER-tree or tag-list walk.
-        """
+        """Sample pressure on the authoritative log (no maintenance run):
+        the log's O(1) trackers, no ER-tree or tag-list walk."""
         with self._writer_lock:
             if self._sharded:
                 report = self._sample_sharded()
             else:
-                if METRICS.enabled:
-                    self._base.log.publish_gauges()
-                report = self._monitor.sample(
-                    self._base, from_registry=METRICS.enabled
-                )
+                report = self._monitor.sample(self._base)
         self._last_pressure = report
         return report
 
     def _sample_sharded(self) -> PressureReport:
         """Per-shard pressure, merged: worst level governs, plans concatenate.
 
-        Each shard's log is sampled from its own O(1) trackers (the
-        registry's ``log.*`` gauges aggregate all shards and cannot be
-        attributed).  Repack plans carry lattice sids, which the sharded
+        Each shard's log is sampled from its own O(1) trackers.  Repack
+        plans carry lattice sids, which the sharded
         dispatcher routes to the owning shard; a compact anywhere collapses
         to one global compact (the coordinator compacts every shard).
         """
@@ -570,13 +524,13 @@ class DatabaseService:
         def attempt():
             return self._write(op, "maintenance")
 
-        self._count("maintenance_runs")
+        self._counters["maintenance_runs"] += 1
         try:
             return self._breaker.call(attempt)
         except CircuitOpenError:
             raise
         except Exception:
-            self._count("maintenance_failures")
+            self._counters["maintenance_failures"] += 1
             raise
 
     @property

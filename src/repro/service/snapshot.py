@@ -52,28 +52,8 @@ from repro import storage
 from repro.core.database import LazyXMLDatabase
 from repro.durability.recovery import apply_op
 from repro.errors import ServiceClosed
-from repro.obs.metrics import METRICS
 
 __all__ = ["EpochManager", "Snapshot"]
-
-_M_PUBLISHES = METRICS.counter(
-    "service.epoch.publishes", unit="epochs", site="EpochManager.publish"
-)
-_M_DRAIN_WAITS = METRICS.counter(
-    "service.epoch.drain_waits", unit="waits", site="EpochManager._take_spare_locked"
-)
-_M_CLONE_FALLBACKS = METRICS.counter(
-    "service.epoch.clone_fallbacks", unit="clones", site="EpochManager._take_spare_locked"
-)
-
-
-def _replica(db: LazyXMLDatabase) -> LazyXMLDatabase:
-    """A clone of ``db`` to replay onto.  Replicas replay ops the observed
-    primary already counted; mutation-path metrics must not see them
-    twice."""
-    replica = storage.clone(db)
-    replica.set_observed(False)
-    return replica
 
 
 class _Buffer:
@@ -145,7 +125,7 @@ class EpochManager:
         self._ops: deque[dict] = deque()
         self._ops_base = 0
         self._ops_total = 0
-        first = _Buffer(_replica(seed), applied_upto=0)
+        first = _Buffer(storage.clone(seed), applied_upto=0)
         self._current: _Buffer | None = first
         self._spares: deque[_Buffer] = deque()
         self._clones = 1
@@ -209,8 +189,6 @@ class EpochManager:
             self._current = spare
             self._spares.append(retiring)
             self._publishes += 1
-            if METRICS.enabled:
-                _M_PUBLISHES.inc()
             self._truncate_ops_locked()
             return spare.epoch
 
@@ -222,8 +200,6 @@ class EpochManager:
         if spare.pins == 0:
             return spare
         self._drain_waits += 1
-        if METRICS.enabled:
-            _M_DRAIN_WAITS.inc()
         deadline = time.monotonic() + self._drain_timeout
         while spare.pins:
             remaining = deadline - time.monotonic()
@@ -232,8 +208,6 @@ class EpochManager:
                 # garbage-collected when the reader releases) and report
                 # that a fresh clone is needed.
                 self._clone_fallbacks += 1
-                if METRICS.enabled:
-                    _M_CLONE_FALLBACKS.inc()
                 return None
             self._drained.wait(remaining)
         return spare
@@ -245,7 +219,7 @@ class EpochManager:
             if self._current is None:
                 raise ServiceClosed("epoch manager is closed")
             source = self._current
-        buffer = _Buffer(_replica(source.db), applied_upto=source.applied_upto)
+        buffer = _Buffer(storage.clone(source.db), applied_upto=source.applied_upto)
         self._clones += 1
         return buffer
 

@@ -54,7 +54,7 @@ from repro.core.update_log import LogStats
 from repro.durability.recovery import apply_op, validate_batch_ops
 from repro.errors import InvalidSegmentError, QueryError
 from repro.joins.stack_tree import AXIS_DESCENDANT
-from repro.obs.metrics import METRICS, SIZE_BUCKETS
+from repro.obs.metrics import METRICS
 from repro.shard.catalog import TagCatalog
 from repro.shard.docmap import DocumentMap
 from repro.shard.executor import InProcessExecutor, ProcessExecutor
@@ -64,19 +64,6 @@ __all__ = ["ShardedDatabase", "ShardElement"]
 _M_SCATTERS = METRICS.counter(
     "shard.scatter.queries", unit="queries", site="ShardedDatabase (fan-out)"
 )
-_H_FANOUT = METRICS.histogram(
-    "shard.scatter.fanout",
-    unit="shards",
-    site="ShardedDatabase (shards contacted per query)",
-    boundaries=SIZE_BUCKETS,
-)
-_M_ROUTED_OPS = METRICS.counter(
-    "shard.ops_routed", unit="ops", site="ShardedDatabase._commit"
-)
-_G_SHARDS = METRICS.gauge(
-    "shard.count", unit="shards", site="ShardedDatabase"
-)
-
 _M_CACHE_HITS = METRICS.counter(
     "shard.scatter.cache_hits",
     unit="queries",
@@ -240,21 +227,6 @@ class ShardedDatabase:
             self._executor = ProcessExecutor(self._shards)
         else:
             self._executor = executor
-        _G_SHARDS.set(n_shards)
-        self._g_docs = [
-            METRICS.gauge(
-                f"shard.{i}.docs", unit="documents", site="ShardedDatabase"
-            )
-            for i in range(n_shards)
-        ]
-        self._c_ops = [
-            METRICS.counter(
-                f"shard.{i}.ops", unit="ops", site="ShardedDatabase._commit"
-            )
-            for i in range(n_shards)
-        ]
-        for i in range(n_shards):
-            self._g_docs[i].set(self.docmap.docs_on(i))
 
     # ------------------------------------------------------------------
     # structure accessors
@@ -313,10 +285,6 @@ class ShardedDatabase:
             sbtree_bytes=sum(p.sbtree_bytes for p in per),
             taglist_bytes=sum(p.taglist_bytes for p in per),
         )
-
-    def set_observed(self, flag: bool) -> None:
-        for s in range(self._n):
-            self._base(s).set_observed(flag)
 
     def close(self) -> None:
         """Shut the executor down (worker processes, if any)."""
@@ -410,10 +378,6 @@ class ShardedDatabase:
                 self.docmap.insert_doc(doc_index, shard)
             else:
                 self.docmap.remove_doc(doc_index)
-            self._g_docs[shard].set(self.docmap.docs_on(shard))
-        if METRICS.enabled:
-            _M_ROUTED_OPS.inc()
-            self._c_ops[shard].inc()
         self._shard_ops[shard] += 1
         self._executor.forward(shard, op)
         return result
@@ -640,7 +604,6 @@ class ShardedDatabase:
         requests = [(s, verb, make_args(s)) for s in targets]
         if METRICS.enabled:
             _M_SCATTERS.inc()
-            _H_FANOUT.observe(len(targets))
         trace = context.trace if context is not None else None
         if trace is None:
             return self._executor.scatter(requests, timeout=timeout)

@@ -51,9 +51,6 @@ _M_DEGRADED = METRICS.counter(
 _M_WORKER_LOST = METRICS.counter(
     "shard.worker_losses", unit="workers", site="ProcessExecutor._gather"
 )
-_M_OPS_FORWARDED = METRICS.counter(
-    "shard.ops_forwarded", unit="ops", site="ProcessExecutor.forward"
-)
 
 #: Pending forwarded ops per shard before an eager flush (a ping carrying
 #: the backlog) bounds coordinator-side memory.
@@ -128,8 +125,6 @@ def handle_request(db, verb: str, args: tuple):
 def _worker_main(conn, payload: str) -> None:  # pragma: no cover - subprocess
     """Loop of one shard worker: replay forwarded ops, answer requests."""
     db = storage.loads(payload)
-    # The replica replays ops the authoritative shard already counted.
-    db.set_observed(False)
     while True:
         try:
             message = conn.recv()
@@ -239,8 +234,6 @@ class ProcessExecutor:
         if worker.dead:
             return  # respawn reseeds from the authoritative snapshot
         worker.pending.append(op)
-        if METRICS.enabled:
-            _M_OPS_FORWARDED.inc()
         if len(worker.pending) >= _FLUSH_THRESHOLD:
             try:
                 self.query(shard, "ping", ())

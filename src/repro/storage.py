@@ -215,9 +215,6 @@ def loads(data: str) -> LazyXMLDatabase:
         sid_start=payload.get("sid_start", 1),
         sid_stride=payload.get("sid_stride", 1),
     )
-    # Reconstruction is not an update: suppress mutation-path metrics while
-    # the structures are rebuilt (restored below).
-    db.set_observed(False)
     if db._keep_text:
         db._text = payload["text"] or ""
     for name in payload["tags"]:
@@ -261,7 +258,6 @@ def loads(data: str) -> LazyXMLDatabase:
     for node in nodes.values():
         node.children.sort(key=lambda child: child.gp)
     ertree._next_sid = payload["next_sid"]
-    db.set_observed(True)
     return db
 
 

@@ -48,7 +48,7 @@ from repro.core.database import GlobalElement
 from repro.errors import QueryError
 from repro.joins.path_stack import path_stack
 from repro.joins.stack_tree import AXIS_CHILD, stack_tree_desc
-from repro.obs.metrics import LATENCY_BUCKETS, METRICS
+from repro.obs.metrics import METRICS
 from repro.twig.pattern import WILDCARD, TwigQuery, parse_twig
 from repro.twig.plan import PLAN_RECORDER, plan_twig
 from repro.twig.summary import PathSummary
@@ -60,32 +60,8 @@ _STRATEGIES = ("auto", "twig", "pairwise")
 _PIECE_LEVELS = itemgetter(3)
 _PIECE_RECORDS = itemgetter(4)
 
-_M_CALLS = METRICS.counter(
-    "twig.queries", unit="queries", site="evaluate_twig"
-)
-_M_HOLISTIC = METRICS.counter(
-    "twig.holistic", unit="queries", site="evaluate_twig (stack executor)"
-)
-_M_PAIRWISE = METRICS.counter(
-    "twig.pairwise",
-    unit="queries",
-    site="evaluate_twig (edge-decomposition executor)",
-)
-_M_FALLBACK = METRICS.counter(
-    "twig.fallback_path",
-    unit="queries",
-    site="evaluate_twig (delegated to the plan_path pipeline)",
-)
-_M_PRUNED = METRICS.counter(
-    "twig.pruned",
-    unit="queries",
-    site="evaluate_twig (answered [] from the path summary alone)",
-)
 _H_SECONDS = METRICS.histogram(
-    "twig.seconds",
-    unit="seconds",
-    site="evaluate_twig",
-    boundaries=LATENCY_BUCKETS,
+    "twig.seconds", unit="seconds", site="evaluate_twig"
 )
 
 
@@ -149,23 +125,18 @@ def evaluate_twig(
                 edge_costs=[list(edge) for edge in plan.edge_costs],
             )
     if enabled:
-        _M_CALLS.inc()
         _H_SECONDS.observe(perf_counter() - start)
     return result
 
 
 def _execute(db, query, plan, chosen, bindings, context, summary):
     if plan.empty:
-        if METRICS.enabled:
-            _M_PRUNED.inc()
         return []
     if chosen == "pairwise" and query.is_plain:
         # The existing selectivity-ordered Lazy-Join pipeline (with its
         # read-path join memo) is the pairwise executor for plain chains.
         from repro.core.query import evaluate_path
 
-        if METRICS.enabled:
-            _M_FALLBACK.inc()
         result = evaluate_path(
             db, query.to_path_query(), bindings=bindings, context=context
         )
@@ -174,8 +145,6 @@ def _execute(db, query, plan, chosen, bindings, context, summary):
         return result
     streams = _build_streams(db, query, summary, context)
     if chosen == "twig":
-        if METRICS.enabled:
-            _M_HOLISTIC.inc()
         trunk = _reduced_trunk(query, streams)
         if not bindings:
             # After the reduction an output element matches iff it
@@ -191,8 +160,6 @@ def _execute(db, query, plan, chosen, bindings, context, summary):
             [node.axis for node in query.trunk],
         )
     else:
-        if METRICS.enabled:
-            _M_PAIRWISE.inc()
         chains = _pairwise(
             query, [_elements(stream) for stream in streams], context
         )

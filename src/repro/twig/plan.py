@@ -30,23 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.obs.metrics import METRICS
 from repro.twig.pattern import TwigQuery
 from repro.twig.summary import PathSummary
 
 __all__ = ["TwigPlan", "plan_twig", "PlanRecorder", "PLAN_RECORDER"]
-
-_M_TWIG = METRICS.counter(
-    "twig.plan.twig", unit="queries", site="plan_twig (holistic chosen)"
-)
-_M_PAIRWISE = METRICS.counter(
-    "twig.plan.pairwise", unit="queries", site="plan_twig (pairwise chosen)"
-)
-_M_PRUNED = METRICS.counter(
-    "twig.plan.pruned",
-    unit="queries",
-    site="plan_twig (path summary proved an edge infeasible)",
-)
 
 
 @dataclass(frozen=True)
@@ -89,13 +76,6 @@ def plan_twig(query: TwigQuery, summary: PathSummary) -> TwigPlan:
             empty = True
     cost_twig = sum(node_totals)
     strategy = "pairwise" if cost_pairwise < cost_twig else "twig"
-    if METRICS.enabled:
-        if empty:
-            _M_PRUNED.inc()
-        elif strategy == "twig":
-            _M_TWIG.inc()
-        else:
-            _M_PAIRWISE.inc()
     return TwigPlan(
         strategy=strategy,
         empty=empty,
@@ -140,5 +120,5 @@ class PlanRecorder:
         return {"counts": dict(self._counts), "recent": list(self._recent)}
 
 
-#: The process-wide decision log (mirrors the METRICS registry pattern).
+#: The process-wide decision log: the one count of planner verdicts.
 PLAN_RECORDER = PlanRecorder()

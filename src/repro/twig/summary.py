@@ -35,22 +35,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.joins.stack_tree import AXIS_CHILD
-from repro.obs.metrics import METRICS
 from repro.twig.pattern import WILDCARD
 
 __all__ = ["EdgeSynopsis", "PathSummary"]
-
-_M_HITS = METRICS.counter(
-    "twig.summary.hits", unit="probes", site="PathSummary.edge"
-)
-_M_MISSES = METRICS.counter(
-    "twig.summary.misses", unit="probes", site="PathSummary.edge"
-)
-_M_INVALIDATIONS = METRICS.counter(
-    "twig.summary.invalidations",
-    unit="entries",
-    site="PathSummary.edge (stale version pair recomputed)",
-)
 
 
 class EdgeSynopsis(NamedTuple):
@@ -107,15 +94,9 @@ class PathSummary:
         if cached is not None:
             if cached[0] == version_a and cached[1] == version_d:
                 self.hits += 1
-                if METRICS.enabled:
-                    _M_HITS.inc()
                 return cached[2]
             self.invalidations += 1
-            if METRICS.enabled:
-                _M_INVALIDATIONS.inc()
         self.misses += 1
-        if METRICS.enabled:
-            _M_MISSES.inc()
         synopsis = self._compute(tid_a, tid_d, axis)
         self._edges[key] = (version_a, version_d, synopsis)
         return synopsis

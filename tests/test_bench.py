@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import experiments
 from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
 from repro.bench.experiments import (
     FIGURES,
@@ -17,7 +18,6 @@ from repro.bench.experiments import (
 from repro.bench.harness import Sweep, Table, measure, measure_cold_join
 from repro.core.database import LazyXMLDatabase
 from repro.errors import UpdateError
-from repro.obs.metrics import METRICS
 from repro.workloads.xmark import XMARK_QUERIES
 from repro.xml.parser import parse
 from tests.helpers import merge_join_records
@@ -161,11 +161,30 @@ class TestExperimentsSmoke:
     """Every registry entry runs at tiny scale and returns sane tables."""
 
     @pytest.mark.parametrize("fid", FIGURES)
-    def test_figure(self, fid):
+    def test_figure(self, fid, monkeypatch):
         figure = FIGURES[fid]
         assert figure.quick, "no quick parameter set"
         assert callable(figure.shape), "no shape predicate"
-        hits_before = METRICS.value("readpath.joins.hits")
+        # Every LD/LS timing is a cold join: each repetition does the
+        # first one's read-path work (a plain best-of-three would answer
+        # repetitions two and three from the join memo).
+        lookups = []
+
+        def checked_cold_join(db, join, *, repeat=3):
+            work = []
+
+            def counted():
+                before = db.readpath.stats()
+                answer = join()
+                after = db.readpath.stats()
+                work.append(tuple(after[k] - before[k] for k in ("hits", "misses")))
+                return answer
+
+            result = measure_cold_join(db, counted, repeat=repeat)
+            lookups.append(work)
+            return result
+
+        monkeypatch.setattr(experiments, "measure_cold_join", checked_cold_join)
         tables = figure.run(**TINY[fid])
         assert tables
         for table in tables:
@@ -175,9 +194,8 @@ class TestExperimentsSmoke:
                 # A joining figure raises when LD, LS and STD disagree on
                 # a pair count, so getting here means they agreed.
                 assert all(n > 0 for n in table.column("pairs")), table.title
-        # Every LD/LS timing is a cold join: with repeat=3, a plain
-        # best-of-three would hit the join memo twice per point.
-        assert METRICS.value("readpath.joins.hits") == hits_before
+        for work in lookups:
+            assert len(set(work)) == 1, work
 
     def test_tiny_covers_the_registry(self):
         assert set(TINY) == set(FIGURES)

@@ -38,9 +38,9 @@ from tests.oracle import (
 
 N_SEQUENCES = 220
 
-_M_PAIRS = METRICS.counter("join.lazy.pairs")
-_M_CROSS = METRICS.counter("join.lazy.cross_pairs")
-_M_IN_SEG = METRICS.counter("join.lazy.in_segment_pairs")
+_M_PAIRS = METRICS.get("join.lazy.pairs")
+_M_CROSS = METRICS.get("join.lazy.cross_pairs")
+_M_IN_SEG = METRICS.get("join.lazy.in_segment_pairs")
 
 
 def _span_pairs(db, pairs):

@@ -303,23 +303,6 @@ def test_children_sharing_one_lp():
     db.check_invariants()
 
 
-def test_fanout_gauge_published_once_per_update(monkeypatch):
-    from repro.core import taglist as taglist_module
-
-    published = []
-
-    class Recorder:
-        set = staticmethod(published.append)
-
-    monkeypatch.setattr(taglist_module, "_G_FANOUT", Recorder)
-    db = LazyXMLDatabase()
-    receipt = db.insert("<a><b/><c/><d/><e/></a>")
-    db.insert("<a><b/></a>")
-    assert published == [1, 2]
-    db.remove_segment(receipt.sid)  # five entries dropped, one publication
-    assert published == [1, 2, 1]
-
-
 # ----------------------------------------------------------------------
 # scaling: an update costs what the segment costs, not what the siblings do
 
@@ -346,6 +329,35 @@ def _tail_pair(db: LazyXMLDatabase, i: int) -> tuple[float, float]:
     inserted = time.perf_counter()
     db.remove(receipt.gp, receipt.length)
     return inserted - started, time.perf_counter() - inserted
+
+
+@pytest.mark.perf_smoke
+def test_writes_do_no_pressure_work(monkeypatch):
+    """An update touches the ER-tree and its tag lists and nothing else:
+    20 tail insert/remove pairs make no ``TagList.max_fanout`` call, on
+    250 and on 4 000 forms.  The fan-out is read when pressure is
+    sampled, once per ``check_pressure``."""
+    from repro.core.taglist import TagList
+    from repro.service import DatabaseService, ServiceConfig
+
+    calls = []
+    max_fanout = TagList.max_fanout
+
+    def counted(taglist):
+        calls.append(taglist)
+        return max_fanout(taglist)
+
+    monkeypatch.setattr(TagList, "max_fanout", counted)
+    for forms in (250, 4_000):
+        db, _ = _loaded(forms)
+        calls.clear()
+        for i in range(20):
+            _tail_pair(db, i)
+        assert calls == [], f"{len(calls)} max_fanout calls on {forms} forms"
+        with DatabaseService(db, config=ServiceConfig(pressure_check_every=0)) as service:
+            calls.clear()
+            service.check_pressure()
+            assert calls == [db.log.taglist], forms
 
 
 def _scaling_ratios() -> tuple[float, float, float]:

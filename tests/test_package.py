@@ -215,6 +215,72 @@ def test_every_library_name_has_a_reader():
     assert len(READ_ONLY_BY_TESTS) <= 20
 
 
+def test_every_metric_has_a_reader():
+    """Each event is counted once, where the work happens.
+
+    Every ``METRICS.counter``/``METRICS.histogram`` registered under
+    ``src/repro`` is either a ``unit="seconds"`` histogram (a per-layer
+    latency no object keeps) or read by name — a string constant equal to
+    its name — outside its registration, in ``src/``, ``benchmarks/`` or a
+    test other than this file.  A count an object already keeps belongs to
+    that object's ``stats()``/``metrics()``, not a registry mirror.  The
+    per-structure replica flag that only kept mutation-path mirrors from
+    double-counting is gone with them.
+    """
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "repro"
+    registered: dict[str, tuple[Path, int, int]] = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "METRICS"
+                and node.func.attr in ("counter", "gauge", "histogram")
+            ):
+                continue
+            where = f"{path.relative_to(root)}:{node.lineno}"
+            assert node.args and isinstance(node.args[0], ast.Constant), (
+                f"{where}: a metric name must be a string literal"
+            )
+            units = [k.value for k in node.keywords if k.arg == "unit"]
+            latency = node.func.attr == "histogram" and [
+                getattr(unit, "value", None) for unit in units
+            ] == ["seconds"]
+            if not latency:
+                registered[node.args[0].value] = (path, node.lineno, node.end_lineno)
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    for folder in ("src", "benchmarks", "tests"):
+        for path in sorted((root / folder).rglob("*.py")):
+            if path.resolve() == Path(__file__).resolve():
+                continue
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Constant) and node.value in registered:
+                    reads.setdefault(node.value, []).append((path, node.lineno))
+    unread = sorted(
+        name
+        for name, (path, first, last) in registered.items()
+        if not any(
+            where != path or not first <= line <= last
+            for where, line in reads.get(name, ())
+        )
+    )
+    assert not unread, unread
+
+    gone = re.compile(
+        r"set_observed|\.observed\b|from_registry|publish_gauges|publish_fanout"
+        r"|SIZE_BUCKETS"
+    )
+    found = [
+        f"{path.relative_to(package)}:{number} {line.strip()}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert not found, found
+
+
 #: Defaulted parameters of the serving stack that only tests set, each
 #: with why the keyword stays.
 SET_ONLY_BY_TESTS = {

@@ -343,8 +343,8 @@ class TestTailJournal:
 
 class TestRetryMetrics:
     def test_attempts_and_sleep_histogram(self):
-        attempts = METRICS.counter("service.retry.attempts")
-        sleeps = METRICS.histogram("service.retry.sleep_seconds")
+        attempts = METRICS.get("service.retry.attempts")
+        sleeps = METRICS.get("service.retry.sleep_seconds")
         before_attempts = attempts.value
         before_sleeps = sleeps.count
         calls = {"n": 0}
@@ -366,7 +366,7 @@ class TestRetryMetrics:
         assert sleeps.count - before_sleeps == 2
 
     def test_giveups_counted_on_exhaustion(self):
-        giveups = METRICS.counter("service.retry.giveups")
+        giveups = METRICS.get("service.retry.giveups")
         before = giveups.value
 
         def always_cut():

@@ -305,7 +305,7 @@ def test_heartbeat_detects_lag_and_catches_up(tmp_path):
 
 
 def test_stale_primary_fenced_and_lost_write_reported(tmp_path):
-    lost_counter = METRICS.counter("repl.lost_writes")
+    lost_counter = METRICS.get("repl.lost_writes")
     cluster = ReplicationCluster(tmp_path / "c", 2)
     try:
         acked: list[dict] = []

@@ -222,6 +222,38 @@ class TestAdmission:
         with pytest.raises(ServiceClosed):
             ctl.admit("read", 0)
 
+    def test_close_wakes_a_queued_request_with_service_closed(self):
+        """A request queued when the controller closes learns the service
+        is gone at once — not a retryable ``Busy`` that reads as a wait
+        timeout — and is not counted as shed."""
+        import threading
+        import time
+
+        ctl = AdmissionController({"read": 1}, queue_depth={"read": 4})
+        outcome = {}
+
+        def queued():
+            start = time.monotonic()
+            try:
+                ctl.admit("read", 5.0)
+            except Exception as exc:  # noqa: BLE001 - the outcome is checked below
+                outcome["error"] = exc
+            outcome["waited"] = time.monotonic() - start
+
+        with ctl.admit("read", 0):
+            waiter = threading.Thread(target=queued)
+            waiter.start()
+            deadline = time.monotonic() + 5.0
+            while ctl.metrics()["read"]["waiting"] == 0:
+                assert time.monotonic() < deadline, "the request never queued"
+                time.sleep(0.001)
+            ctl.close()
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+        assert isinstance(outcome["error"], ServiceClosed), outcome
+        assert outcome["waited"] < 5.0
+        assert ctl.metrics()["read"]["rejected"] == 0
+
 
 class TestBackoff:
     def test_delays_grow_and_cap(self):

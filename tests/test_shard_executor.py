@@ -114,7 +114,7 @@ class TestFailureModel:
     def test_degraded_queries_count_in_metrics(self, db):
         from repro.obs.metrics import METRICS
 
-        counter = METRICS.counter("shard.degraded_queries")
+        counter = METRICS.get("shard.degraded_queries")
         before = counter.value
         db.executor.kill(0)
         db.structural_join("a", "c")
