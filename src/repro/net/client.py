@@ -2,7 +2,10 @@
 
 :class:`NetClient` speaks the framed wire protocol with full pipelining:
 many requests can be outstanding on one connection, each correlated back
-to its awaiting coroutine by request id.  Server failures re-raise as the
+to its awaiting coroutine by request id.  It is an
+:class:`asyncio.Protocol`: ``data_received`` resolves each reply's future
+as its frame completes, so a request costs a write and an await — no
+task, lock or timeout of its own.  Server failures re-raise as the
 *same* typed :mod:`repro.errors` exception the server caught
 (:func:`~repro.net.protocol.raise_error_payload`), so a caller handles
 :class:`~repro.errors.Overloaded` from a remote service exactly like a
@@ -39,7 +42,7 @@ __all__ = ["NetClient", "connect"]
 _CONNECT_TIMEOUT = 5.0
 
 
-class NetClient:
+class NetClient(asyncio.Protocol):
     """One pipelined connection to a :class:`~repro.net.server.TcpServer`.
 
     Usage::
@@ -56,14 +59,16 @@ class NetClient:
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._reader_task: asyncio.Task | None = None
+        self._transport: asyncio.Transport | None = None
         self._decoder: FrameDecoder | None = None
         self._ids = count(1)
         self._pending: dict[int, asyncio.Future] = {}
-        self._write_lock = asyncio.Lock()
         self._conn_error: Exception | None = None
+        # Per connection: the WELCOME, the end of the transport, and —
+        # while the transport is paused — the moment it can take more.
+        self._welcome: asyncio.Future | None = None
+        self._lost: asyncio.Future | None = None
+        self._writable: asyncio.Future | None = None
         self.session_id: int | None = None
         self.server_limits: dict = {}
         self.goodbye: dict | None = None
@@ -72,69 +77,47 @@ class NetClient:
     # lifecycle
 
     async def connect(self) -> "NetClient":
-        """Open the connection and complete the HELLO/WELCOME handshake."""
-        if self._writer is not None:
+        """Open the connection and complete the HELLO/WELCOME handshake.
+
+        Any failure closes the socket and leaves the client unconnected;
+        it raises typed: :class:`~repro.errors.ConnectionLost` for a
+        refused, closed or silent server, else what the server sent.
+        """
+        if self._transport is not None:
             raise NetError("client already connected")
-        try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                _CONNECT_TIMEOUT,
-            )
-        except asyncio.TimeoutError:
-            raise ConnectionLost(
-                f"connect to {self.host}:{self.port} timed out"
-            ) from None
-        except OSError as exc:
-            raise ConnectionLost(
-                f"connect to {self.host}:{self.port} failed: {exc}"
-            ) from None
+        loop = asyncio.get_running_loop()
         self._decoder = FrameDecoder()
         self._conn_error = None
-        hello_id = next(self._ids)
-        self._writer.write(encode_frame(
-            wire.T_HELLO, hello_id,
-            encode_payload({
-                "version": wire.WIRE_VERSION, "client": "repro-net-client",
-            }),
-        ))
-        await self._writer.drain()
-        welcome = await asyncio.wait_for(
-            self._read_one_frame(), _CONNECT_TIMEOUT
-        )
-        if welcome.type == wire.T_ERROR:
-            payload = decode_payload(welcome.payload)
-            await self._shutdown_transport()
-            raise_error_payload(payload)  # typed: Overloaded/Draining/...
-        if welcome.type != wire.T_WELCOME:
-            await self._shutdown_transport()
-            raise ProtocolError(
-                f"expected welcome, got {welcome.type_name}"
+        self._welcome = loop.create_future()
+        self._lost = loop.create_future()
+        where = f"{self.host}:{self.port}"
+        try:
+            await asyncio.wait_for(
+                loop.create_connection(lambda: self, self.host, self.port),
+                _CONNECT_TIMEOUT,
             )
-        greeting = decode_payload(welcome.payload)
+            self._transport.write(encode_frame(
+                wire.T_HELLO, next(self._ids),
+                encode_payload({
+                    "version": wire.WIRE_VERSION, "client": "repro-net-client",
+                }),
+            ))
+            greeting = await asyncio.wait_for(self._welcome, _CONNECT_TIMEOUT)
+        except asyncio.TimeoutError:
+            await self._drop()
+            raise ConnectionLost(f"connect to {where} timed out") from None
+        except ReproError:
+            await self._drop()
+            raise
+        except OSError as exc:
+            await self._drop()
+            raise ConnectionLost(f"connect to {where} failed: {exc}") from None
         self.session_id = greeting.get("session")
         self.server_limits = {
             k: v for k, v in greeting.items()
             if k in ("max_frame_bytes", "max_inflight")
         }
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
         return self
-
-    async def _read_one_frame(self):
-        """Synchronously pull the next frame (handshake only)."""
-        while True:
-            frames = []
-            data = await self._reader.read(64 * 1024)
-            if not data:
-                raise ConnectionLost(
-                    "server closed the connection during handshake"
-                )
-            frames = self._decoder.feed(data)
-            if frames:
-                if len(frames) > 1:  # pragma: no cover - server pipelining
-                    raise ProtocolError("unexpected frames before welcome")
-                return frames[0]
 
     async def close(self, *, goodbye: bool = True) -> None:
         """Orderly shutdown: GOODBYE, wait for sign-off, close, clean up.
@@ -142,49 +125,31 @@ class NetClient:
         With ``goodbye=False`` the socket is just closed (tests use this
         to simulate an impolite client).  Idempotent.
         """
-        writer = self._writer
-        if writer is None:
+        if self._transport is None:
             return
         if goodbye and self._conn_error is None:
-            try:
-                async with self._write_lock:
-                    writer.write(
-                        encode_frame(wire.T_GOODBYE, next(self._ids), b"")
-                    )
-                    await writer.drain()
-                # The server answers GOODBYE after in-flight work lands;
-                # the reader task consumes it and exits on EOF.
-                if self._reader_task is not None:
-                    await asyncio.wait_for(
-                        asyncio.shield(self._reader_task), 5.0
-                    )
-            except (ReproError, ConnectionError, asyncio.TimeoutError):
-                pass
-        await self._shutdown_transport()
+            self._transport.write(
+                encode_frame(wire.T_GOODBYE, next(self._ids), b"")
+            )
+            # The server answers GOODBYE after in-flight work lands, then
+            # closes the connection.
+            await asyncio.wait([self._lost], timeout=5.0)
+        await self._drop()
 
-    async def _shutdown_transport(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-            self._writer = None
-            self._reader = None
-        self._fail_pending(
-            self._conn_error
-            or ConnectionLost("connection closed with requests outstanding")
+    async def _drop(self) -> None:
+        """Close the transport now, fail what is pending, and wait until
+        it is gone — so a later ``connect`` starts clean."""
+        transport, self._transport = self._transport, None
+        if transport is None:
+            return
+        self._conn_error = self._conn_error or ConnectionLost(
+            "connection closed with requests outstanding"
         )
+        transport.abort()
+        await self._lost
 
     async def __aenter__(self) -> "NetClient":
-        if self._writer is None:
+        if self._transport is None:
             await self.connect()
         return self
 
@@ -202,34 +167,40 @@ class NetClient:
         ``timeout`` is the *client-side* wall-clock budget; pass
         ``timeout_ms`` in ``args`` to bound the server-side execution too
         (the two compose: server deadline for the work, client deadline
-        for the round trip).
+        for the round trip).  A reply that arrives after the client-side
+        deadline is dropped.
         """
-        if self._writer is None:
+        if self._transport is None:
             raise ConnectionLost("client is not connected")
         if self._conn_error is not None:
             raise self._conn_error
         request_id = next(self._ids)
         payload = {"cmd": cmd, **args}
-        data = encode_frame(wire.T_REQUEST, request_id, encode_payload(payload))
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
+        self._transport.write(
+            encode_frame(wire.T_REQUEST, request_id, encode_payload(payload))
+        )
+        timer = None
+        if timeout is not None:
+            timer = asyncio.get_running_loop().call_later(
+                timeout, self._expire, request_id, cmd, timeout
+            )
         try:
-            async with self._write_lock:
-                self._writer.write(data)
-                await self._writer.drain()
-        except (ConnectionError, RuntimeError) as exc:
-            self._pending.pop(request_id, None)
-            raise ConnectionLost(f"send failed: {exc}") from None
-        try:
-            if timeout is not None:
-                return await asyncio.wait_for(future, timeout)
+            if self._writable is not None:
+                await asyncio.shield(self._writable)
             return await future
-        except asyncio.TimeoutError:
-            self._pending.pop(request_id, None)
-            raise DeadlineExceeded(
+        finally:
+            if timer is not None:
+                timer.cancel()
+
+    def _expire(self, request_id: int, cmd: str, timeout: float) -> None:
+        future = self._pending.pop(request_id, None)
+        if future is not None and not future.done():
+            future.set_exception(DeadlineExceeded(
                 f"client-side timeout ({timeout}s) awaiting {cmd!r} "
                 f"response (request {request_id})"
-            ) from None
+            ))
 
     def __getattr__(self, verb: str):
         """Every table verb as a method (the dict protocol is the real
@@ -250,33 +221,54 @@ class NetClient:
         )
 
     # ------------------------------------------------------------------
-    # response demultiplexing
+    # asyncio callbacks: response demultiplexing
 
-    async def _read_loop(self) -> None:
-        reader = self._reader
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    self._conn_error = self._conn_error or ConnectionLost(
-                        "server closed the connection"
-                    )
-                    break
-                try:
-                    frames = self._decoder.feed(data)
-                except (FrameError, ProtocolError) as exc:
-                    self._conn_error = exc
-                    break
-                for frame in frames:
-                    self._handle_frame(frame)
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError) as exc:
-            self._conn_error = ConnectionLost(f"read failed: {exc}")
-        finally:
-            self._fail_pending(
-                self._conn_error or ConnectionLost("connection closed")
-            )
+            frames = self._decoder.feed(data)
+        except (FrameError, ProtocolError) as exc:
+            self._conn_error = exc
+            self._transport.abort()
+            return
+        for frame in frames:
+            if self._welcome.done():
+                self._handle_frame(frame)
+            else:
+                self._greeted(frame)
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        writable, self._writable = self._writable, None
+        if not writable.done():
+            writable.set_result(None)
+
+    def connection_lost(self, exc) -> None:
+        error = self._conn_error = self._conn_error or ConnectionLost(
+            f"connection lost: {exc}" if exc else "server closed the connection"
+        )
+        if not self._welcome.done():
+            self._welcome.set_exception(error)
+        if self._writable is not None:
+            self.resume_writing()
+        self._fail_pending(error)
+        if not self._lost.done():
+            self._lost.set_result(None)
+
+    def _greeted(self, frame) -> None:
+        """The handshake's answer: WELCOME, or a typed refusal."""
+        try:
+            if frame.type == wire.T_ERROR:
+                raise_error_payload(decode_payload(frame.payload))
+            if frame.type != wire.T_WELCOME:
+                raise ProtocolError(f"expected welcome, got {frame.type_name}")
+            self._welcome.set_result(decode_payload(frame.payload))
+        except ReproError as exc:  # Overloaded/Draining/...
+            self._welcome.set_exception(exc)
 
     def _handle_frame(self, frame) -> None:
         if frame.type == wire.T_GOODBYE:

@@ -3,8 +3,10 @@
 `TcpServer` multiplexes pipelined, length-prefixed requests
 (:mod:`repro.net.frame` / :mod:`repro.net.protocol`) from many concurrent
 connections onto one thread-safe
-:class:`~repro.service.server.DatabaseService`.  The asyncio event loop
-owns all connection state (single-threaded, no locks on the bookkeeping).
+:class:`~repro.service.server.DatabaseService`.  Each connection is an
+:class:`asyncio.Protocol`: the event loop calls it back with bytes, and it
+dispatches every frame synchronously.  The loop owns all connection state
+(single-threaded, no locks on the bookkeeping, no task per request).
 A read verb alone in flight on a service with an epoch store runs on the
 loop itself (the thread hop costs more than the read) and moves to the
 pool if it outlives :data:`LOOP_BUDGET`; every other request body runs
@@ -14,15 +16,14 @@ loop never queues unbounded work behind it.
 
 Robustness contract (each clause is drilled by ``tests/test_net_faults``):
 
-- **Backpressure, not buffering.**  Responses are written under a
-  per-connection lock with the transport's write-buffer high-water mark
-  set to ``write_buffer_cap``; when a slow client's buffer is over the
-  cap the read loop *stops reading* (counted in
-  ``net.backpressure.pauses``) until the buffer drains, so a client that
-  never reads can never balloon server memory — its TCP window fills
-  instead.  A client whose buffer does not drain within ``write_timeout``
-  is declared dead and aborted, returning its in-flight slots to the
-  pool rather than parking them behind an unbounded drain wait.
+- **Backpressure, not buffering.**  Each transport's write-buffer
+  high-water mark is ``write_buffer_cap``; when a slow client's buffer
+  crosses it, asyncio calls ``pause_writing`` and the connection *stops
+  reading* (counted in ``backpressure_pauses``) until ``resume_writing``,
+  so a client that never reads can never balloon server memory — its TCP
+  window fills instead.  A connection still paused after
+  ``write_timeout`` is declared dead by its timer and aborted, returning
+  its in-flight slots to the pool.
 - **Shedding, not queueing.**  A connection over ``max_conns``, or a
   request over the per-connection / global in-flight caps, is refused
   immediately with a typed :class:`~repro.errors.Overloaded` response
@@ -44,11 +45,13 @@ Robustness contract (each clause is drilled by ``tests/test_net_faults``):
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import signal
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 
 from repro.errors import (
@@ -84,13 +87,13 @@ LOOP_BUDGET = 0.002
 # (which tests and health read per server) because the end-to-end
 # benchmark reads them by name from the process-wide `stats` reply.
 _M_REQUESTS = METRICS.counter(
-    "net.requests", unit="requests", site="TcpServer._run_request"
+    "net.requests", unit="requests", site="_Connection._dispatch"
 )
 _M_SHEDS = METRICS.counter(
-    "net.sheds", unit="requests", site="TcpServer._dispatch_frame"
+    "net.sheds", unit="requests", site="_Connection._dispatch"
 )
 _H_REQUEST_SECONDS = METRICS.histogram(
-    "net.request.seconds", unit="seconds", site="TcpServer._run_request"
+    "net.request.seconds", unit="seconds", site="_Connection._finish"
 )
 _H_DRAIN_SECONDS = METRICS.histogram(
     "net.drain.seconds", unit="seconds", site="TcpServer.drain"
@@ -119,10 +122,10 @@ class NetServerConfig:
     #: makes the app-level cap bind sooner (tests use this to drill
     #: slow-reader behavior deterministically).
     so_sndbuf: int | None = None
-    #: Seconds a write may wait for a slow client's buffer to drain
-    #: before the connection is declared dead and aborted.  Without this
-    #: bound, a client that stops reading would park its in-flight
-    #: requests (and their global slots) behind an unbounded drain wait.
+    #: Seconds a connection may stay paused (its client not reading), or
+    #: closing with bytes unflushed, before it is declared dead and
+    #: aborted.  Without this bound, a client that stops reading would
+    #: park its in-flight requests (and their global slots) forever.
     write_timeout: float = 30.0
     #: Seconds a new connection may take to send its HELLO.
     handshake_timeout: float = 5.0
@@ -130,51 +133,343 @@ class NetServerConfig:
     idle_timeout: float = 300.0
     #: Seconds drain waits for in-flight requests before cancelling them.
     drain_grace: float = 5.0
-    #: Socket read chunk size.
-    read_chunk: int = 64 * 1024
 
 
-class _ReservedSlot:
-    """Placeholder registered in ``session.inflight`` at dispatch time,
-    before the request's real :class:`QueryContext` exists.
+async def _until(event: asyncio.Event, timeout: float) -> None:
+    """Wait for ``event``, at most ``timeout`` seconds."""
+    with contextlib.suppress(asyncio.TimeoutError):
+        await asyncio.wait_for(event.wait(), timeout)
 
-    The in-flight caps are enforced against state mutated *synchronously*
-    in ``_dispatch_frame``: a pipelined burst decoded from one read chunk
-    dispatches every frame without yielding to the event loop, so a
-    reservation taken inside the spawned task would let the whole burst
-    bypass the caps and queue in the worker pool.  The placeholder
-    remembers a cancellation that lands in the dispatch-to-execute window
-    so it can be transferred onto the real context.
+
+class _Connection(asyncio.Protocol):
+    """One live connection: its decoder, its session and one timer.
+
+    Every frame is dispatched from ``data_received`` before the next one
+    is looked at, so a request's in-flight slot and its
+    :class:`~repro.service.context.QueryContext` are one
+    ``session.inflight`` entry from the moment it is admitted: a
+    pipelined burst in one chunk cannot slip past the caps, and a
+    cancellation always has a context to land on.
     """
 
-    __slots__ = ("cancelled",)
-
-    def __init__(self):
-        self.cancelled: str | None = None
-
-    def cancel(self, reason: str) -> None:
-        self.cancelled = reason
-
-
-class _Connection:
-    """Loop-side state for one live connection."""
-
     __slots__ = (
-        "reader", "writer", "session", "write_lock", "tasks", "closed",
-        "peer",
+        "server", "session", "decoder", "loop", "transport", "timer",
+        "opened", "active", "paused_at", "welcomed", "leaving", "goodbye_id",
     )
 
-    def __init__(self, reader, writer, session: SessionState):
-        self.reader = reader
-        self.writer = writer
-        self.session = session
-        self.write_lock = asyncio.Lock()
-        self.tasks: set[asyncio.Task] = set()
-        self.closed = False
+    def __init__(self, server: TcpServer):
+        self.server = server
+        self.session = SessionState(next(server._session_ids))
+        self.decoder = FrameDecoder(max_frame_bytes=server.config.max_frame_bytes)
+        self.loop = asyncio.get_running_loop()
+        self.transport: asyncio.Transport | None = None
+        self.timer: asyncio.TimerHandle | None = None
+        self.opened = self.active = self.loop.time()
+        #: Loop time the peer stopped taking our bytes: writing paused,
+        #: or a close began flushing.  ``None`` while bytes flow.
+        self.paused_at: float | None = None
+        self.welcomed = False
+        #: Close once nothing is in flight (client GOODBYE or half-close);
+        #: ``goodbye_id`` is the GOODBYE to answer first, if one came.
+        self.leaving = False
+        self.goodbye_id: int | None = None
+
+    # ------------------------------------------------------------------
+    # asyncio callbacks
+
+    def connection_made(self, transport) -> None:
+        server, config = self.server, self.server.config
+        self.transport = transport
+        if server._draining or len(server._conns) >= config.max_conns:
+            # Shed at the door: typed response, then close.  (A draining
+            # listener is already closed; this covers the race window.)
+            server._counters["connections_shed"] += 1
+            exc = (
+                Draining("server is draining; connection refused")
+                if server._draining
+                else Overloaded(
+                    f"connection limit reached "
+                    f"({len(server._conns)}/{config.max_conns})"
+                )
+            )
+            self._send(wire.T_ERROR, 0, error_payload(exc))
+            transport.close()
+            return
+        server._conns[self.session.session_id] = self
+        server._counters["connections_total"] += 1
+        transport.set_write_buffer_limits(
+            high=config.write_buffer_cap, low=config.write_buffer_cap // 4
+        )
+        if config.so_sndbuf is not None:
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, config.so_sndbuf
+            )
+        self.timer = self.loop.call_later(config.handshake_timeout, self._tick)
+
+    def data_received(self, data: bytes) -> None:
+        if self.leaving:
+            return  # nothing after a sign-off is read
+        self.active = self.loop.time()
         try:
-            self.peer = writer.get_extra_info("peername")
-        except Exception:  # pragma: no cover - transport quirk
-            self.peer = None
+            frames = self.decoder.feed(data)
+        except (FrameError, ProtocolError) as exc:
+            self._reject(exc)
+            return
+        for frame in frames:
+            if self.leaving or self.transport.is_closing():
+                return
+            if self.welcomed:
+                self._dispatch(frame)
+            else:
+                self._greet(frame)
+
+    def eof_received(self) -> bool:
+        """A half-close: answer everything in flight, then close."""
+        self.leaving = True
+        if not self.session.inflight:
+            self._leave()
+        return True  # keep the write side open until then
+
+    def pause_writing(self) -> None:
+        self.server._counters["backpressure_pauses"] += 1
+        self.paused_at = self.loop.time()
+        self.transport.pause_reading()
+        self.timer.cancel()
+        self._tick()  # re-arm for the write timeout
+
+    def resume_writing(self) -> None:
+        if not self.transport.is_closing():
+            self.paused_at = None
+            self.transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        """Every exit path ends here: cancel, release, forget.
+
+        This is the no-leak guarantee the fault drills assert — a dead
+        connection leaves no epoch pin and no session entry; its pool
+        work is cancelled, and the pin goes when the last of it ends.
+        """
+        server = self.server
+        if self.timer is not None:
+            self.timer.cancel()
+        self.session.cancel_inflight("connection lost; query cancelled")
+        if not self.session.inflight:
+            self.session.release()
+        server._conns.pop(self.session.session_id, None)
+        if not server._conns:
+            server._all_closed.set()
+
+    # ------------------------------------------------------------------
+    # frames
+
+    def _tick(self) -> None:
+        """The connection's one timer: act on the bound that applies now
+        if it has passed, else re-arm for the moment it would."""
+        config = self.server.config
+        now = self.loop.time()
+        if self.paused_at is not None:
+            since, limit = self.paused_at, config.write_timeout
+        elif not self.welcomed:
+            since, limit = self.opened, config.handshake_timeout
+        else:
+            since = now if self.session.inflight else self.active
+            limit = config.idle_timeout
+        if now < since + limit:
+            self.timer = self.loop.call_at(since + limit, self._tick)
+            return
+        self.server._counters["timeouts"] += 1
+        if self.paused_at is not None:
+            self.transport.abort()  # the client stopped reading
+        elif not self.welcomed:
+            self.transport.close()
+        else:
+            pending = self.decoder.pending
+            self._send(wire.T_GOODBYE, 0, {
+                "reason": "idle timeout" + (" mid-frame" if pending else ""),
+                "pending_bytes": pending,
+            })
+            self._close()
+
+    def _greet(self, hello: Frame) -> None:
+        """The first frame must be a HELLO at our wire version."""
+        if hello.type != wire.T_HELLO:
+            return self._reject(ProtocolError(
+                f"expected hello, got {hello.type_name} (handshake violation)"
+            ))
+        try:
+            greeting = decode_payload(hello.payload) if hello.payload else {}
+        except ProtocolError as exc:
+            return self._reject(exc)
+        peer_version = greeting.get("version", wire.WIRE_VERSION)
+        if peer_version != wire.WIRE_VERSION:
+            return self._reject(ProtocolError(
+                f"unsupported wire version {peer_version} "
+                f"(speaking {wire.WIRE_VERSION})"
+            ))
+        self.welcomed = True  # frames behind the HELLO are valid at once
+        config = self.server.config
+        self._send(wire.T_WELCOME, hello.request_id, {
+            "server": "repro",
+            "version": wire.WIRE_VERSION,
+            "session": self.session.session_id,
+            "max_frame_bytes": config.max_frame_bytes,
+            "max_inflight": config.max_inflight_per_conn,
+        })
+
+    def _dispatch(self, frame: Frame) -> None:
+        """One frame after the handshake: sign-off, frame type, drain, id
+        reuse, the two caps, decode — then run it on the loop or hand it
+        to the pool."""
+        server, session = self.server, self.session
+        config = server.config
+        request_id = frame.request_id
+        if frame.type == wire.T_GOODBYE:
+            # Client sign-off: let in-flight work answer, then close.
+            self.leaving, self.goodbye_id = True, request_id
+            if not session.inflight:
+                self._leave()
+            return
+        if frame.type != wire.T_REQUEST:
+            return self._reject(ProtocolError(
+                f"unexpected {frame.type_name} frame after handshake"
+            ))
+        if server._draining:
+            return self._send(wire.T_ERROR, request_id, error_payload(
+                Draining("server is draining; request refused")
+            ))
+        if request_id in session.inflight:
+            # Overwriting the running request's entry would undercount the
+            # per-connection cap and orphan its cancellation.
+            return self._send(wire.T_ERROR, request_id, error_payload(
+                ProtocolError(f"request id {request_id} is already in flight")
+            ))
+        full_conn = len(session.inflight) >= config.max_inflight_per_conn
+        if full_conn or server._inflight >= config.max_inflight:
+            # Shed, never queue: the caps bound worker-pool depth exactly.
+            server._counters["sheds"] += 1
+            if METRICS.enabled:
+                _M_SHEDS.inc()
+            scope = "connection" if full_conn else "server"
+            return self._send(wire.T_ERROR, request_id, error_payload(
+                Overloaded(f"{scope} in-flight limit reached; retry with backoff")
+            ))
+        server._counters["requests"] += 1
+        if METRICS.enabled:
+            _M_REQUESTS.inc()
+        try:
+            request = decode_payload(frame.payload)
+            if request.get("cmd") == "shutdown":
+                # Operator drain over the wire: acknowledge, then drain.
+                self._send(wire.T_RESPONSE, request_id, {"draining": True})
+                return server.request_drain()
+            ctx = request_context(server.service, request)
+        except ProtocolError as exc:
+            return self._send(wire.T_ERROR, request_id, error_payload(exc))
+        session.inflight[request_id] = ctx
+        server._inflight += 1
+        started = time.perf_counter()
+        # A paused connection's reads take the pool path, where the caps
+        # bound what its buffer can still be handed.
+        if self.paused_at is None and server._runs_on_loop(request.get("cmd")):
+            try:
+                result = execute_request(
+                    server.service, session, request, ctx.attempt(LOOP_BUDGET)
+                )
+            except OverBudget:
+                server._counters["moved_reads"] += 1
+            except Exception as exc:
+                return self._finish(request_id, request, started, exc)
+            else:
+                server._counters["loop_reads"] += 1
+                return self._finish(request_id, request, started, result)
+        self.loop.run_in_executor(
+            server._executor, execute_request,
+            server.service, session, request, ctx,
+        ).add_done_callback(
+            partial(self._pool_done, request_id, request, started)
+        )
+
+    def _pool_done(self, request_id, request, started, future) -> None:
+        try:
+            outcome = future.result()
+        except Exception as exc:
+            outcome = exc
+        self._finish(request_id, request, started, outcome)
+
+    def _finish(self, request_id, request, started, outcome) -> None:
+        """Answer a request that held a slot and give the slot back: the
+        single release point for every path through an admitted request."""
+        server, session = self.server, self.session
+        if isinstance(outcome, Exception):
+            server._counters["errors"] += 1
+            if not isinstance(outcome, ReproError):  # never kill the handler
+                outcome = NetError(
+                    f"internal error: {type(outcome).__name__}: {outcome}"
+                )
+            type_, payload = wire.T_ERROR, error_payload(outcome)
+        elif request.get("cmd") in ("health", "stats"):
+            type_, payload = wire.T_RESPONSE, {**outcome, "net": server.status()}
+        else:
+            type_, payload = wire.T_RESPONSE, outcome
+        del session.inflight[request_id]
+        server._inflight -= 1
+        self.active = self.loop.time()
+        if METRICS.enabled:
+            _H_REQUEST_SECONDS.observe(time.perf_counter() - started)
+        if not server._inflight:
+            server._idle.set()
+        self._send(type_, request_id, payload)
+        if not session.inflight:
+            if self.transport.is_closing():
+                session.release()
+            elif self.leaving:
+                self._leave()
+
+    # ------------------------------------------------------------------
+    # writes & close
+
+    def _send(self, type_: int, request_id: int, payload: dict) -> None:
+        """Write one frame; a closing connection drops it."""
+        if self.transport.is_closing():
+            return
+        cap = self.server.config.max_frame_bytes
+        try:
+            data = encode_frame(
+                type_, request_id, encode_payload(payload), max_frame_bytes=cap
+            )
+        except ReproError:
+            # Response bigger than the frame cap: degrade to a typed
+            # error the client *can* receive.
+            data = encode_frame(
+                wire.T_ERROR, request_id,
+                encode_payload(error_payload(NetError(
+                    "response exceeded the frame cap; narrow the request"
+                ))),
+                max_frame_bytes=cap,
+            )
+        self.transport.write(data)
+
+    def _reject(self, exc: Exception) -> None:
+        """A framing/protocol defect: typed error frame, then close.
+
+        Connection-fatal (stream sync is lost) but never process-fatal;
+        counted so an operator sees malformed-frame storms in ``stats``.
+        """
+        self.server._counters["frames_rejected"] += 1
+        self._send(wire.T_ERROR, 0, error_payload(exc))
+        self._close()
+
+    def _leave(self) -> None:
+        """Sign off once nothing is in flight: answer GOODBYE, close."""
+        if self.goodbye_id is not None:
+            self._send(wire.T_GOODBYE, self.goodbye_id, {})
+        self._close()
+
+    def _close(self) -> None:
+        """Flush and close; the timer aborts a flush that stalls."""
+        self.transport.close()
+        if self.paused_at is None:
+            self.paused_at = self.loop.time()
 
 
 class TcpServer:
@@ -192,13 +487,14 @@ class TcpServer:
         self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._conns: dict[int, _Connection] = {}
-        # Per-connection decoders live here (not on SessionState) so the
-        # read loop can continue from bytes buffered during the handshake.
-        self._decoders: dict[int, FrameDecoder] = {}
         self._session_ids = count(1)
         self._inflight = 0
         self._draining = False
-        self._stopped: asyncio.Event | None = None
+        # Drain's waits: set when the in-flight count reaches 0, when the
+        # last connection leaves, and when drain is done.
+        self._idle = asyncio.Event()
+        self._all_closed = asyncio.Event()
+        self._stopped = asyncio.Event()
         self._drain_task: asyncio.Task | None = None
         self._counters = {
             "connections_total": 0,
@@ -221,13 +517,12 @@ class TcpServer:
         """Bind and start accepting; returns once listening."""
         if self._server is not None:
             raise NetError("server already started")
-        self._stopped = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="repro-net",
         )
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
 
     @property
@@ -279,10 +574,11 @@ class TcpServer:
         ``grace`` for in-flight requests to finish; (4) cooperatively
         cancel stragglers (they answer with typed cancellation errors);
         (5) mark the service draining, send GOODBYE frames, flush every
-        write buffer, close every connection.
+        write buffer, close every connection.  Each wait is an event,
+        bounded.
         """
         if self._draining:
-            await self._wait_conns_closed()
+            await _until(self._stopped, 5.0)
             return {"drained": True, "already": True}
         self._draining = True
         self._counters["drains"] += 1
@@ -290,25 +586,19 @@ class TcpServer:
         started = time.perf_counter()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # (3) grace period for in-flight work.
-        deadline = started + grace
-        while self._inflight_total() and time.perf_counter() < deadline:
-            await asyncio.sleep(0.005)
+        await self._quiet(grace)
         # (4) cancel stragglers at their next cooperative checkpoint.
         aborted = 0
         for conn in list(self._conns.values()):
-            if conn.session.inflight:
-                aborted += len(conn.session.inflight)
-                conn.session.cancel_inflight(
-                    "server draining: request aborted after grace period"
-                )
+            aborted += len(conn.session.inflight)
+            conn.session.cancel_inflight(
+                "server draining: request aborted after grace period"
+            )
         # Cancellation is cooperative; give it one more grace window but
         # never hang the drain on a request that refuses to die.
-        cancel_deadline = time.perf_counter() + max(grace, 1.0)
-        while self._inflight_total() and time.perf_counter() < cancel_deadline:
-            await asyncio.sleep(0.005)
-        stragglers = self._inflight_total()
+        await self._quiet(max(grace, 1.0))
+        stragglers = self._inflight
         # (5) no new work can start now; drain the service too, then
         # say goodbye and flush.
         try:
@@ -316,14 +606,18 @@ class TcpServer:
         except Exception:  # pragma: no cover - already closed
             pass
         for conn in list(self._conns.values()):
-            await self._send(
-                conn,
-                wire.T_GOODBYE,
-                0,
+            conn._send(
+                wire.T_GOODBYE, 0,
                 {"reason": "draining", "aborted_in_flight": aborted},
             )
-            await self._close_connection(conn)
-        await self._wait_conns_closed(timeout=max(grace, 1.0))
+            conn._close()
+        if self._conns:
+            self._all_closed.clear()
+            await _until(self._all_closed, max(grace, 1.0))
+        for conn in list(self._conns.values()):
+            conn.transport.abort()  # a flush the peer never took
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._executor is not None:
             # A straggler that ignored cancellation must not hang the
             # drain; abandon its worker thread (daemonized by interpreter
@@ -332,17 +626,22 @@ class TcpServer:
         elapsed = time.perf_counter() - started
         if METRICS.enabled:
             _H_DRAIN_SECONDS.observe(elapsed)
-        if self._stopped is not None:
-            self._stopped.set()
+        self._stopped.set()
         return {"drained": True, "aborted": aborted, "seconds": elapsed}
 
-    async def _wait_conns_closed(self, timeout: float = 5.0) -> None:
-        deadline = time.perf_counter() + timeout
-        while self._conns and time.perf_counter() < deadline:
-            await asyncio.sleep(0.005)
+    async def _quiet(self, timeout: float) -> None:
+        """Wait, at most ``timeout`` seconds, for nothing in flight."""
+        if self._inflight:
+            self._idle.clear()
+            await _until(self._idle, timeout)
 
-    def _inflight_total(self) -> int:
-        return self._inflight
+    def _runs_on_loop(self, cmd) -> bool:
+        """A read verb alone in flight (it waits for no admission ticket)
+        on a service whose reads pin in-process buffers (a sharded read
+        waits on worker pipes for as long as its deadline allows)."""
+        verb = COMMANDS.get(cmd) if isinstance(cmd, str) else None
+        return (self._inflight == 1 and getattr(verb, "kind", None) == "read"
+                and self.service.has_epoch_store)
 
     def status(self) -> dict:
         """Loop-side operational snapshot (merged into health/stats)."""
@@ -361,429 +660,3 @@ class TcpServer:
             },
             "counters": dict(self._counters),
         }
-
-    # ------------------------------------------------------------------
-    # connection handling
-
-    async def _on_connection(self, reader, writer) -> None:
-        session = SessionState(next(self._session_ids))
-        conn = _Connection(reader, writer, session)
-        if self._draining or len(self._conns) >= self.config.max_conns:
-            # Shed at the door: typed response, then close.  (A draining
-            # listener is already closed; this covers the race window.)
-            self._counters["connections_shed"] += 1
-            exc = (
-                Draining("server is draining; connection refused")
-                if self._draining
-                else Overloaded(
-                    f"connection limit reached "
-                    f"({len(self._conns)}/{self.config.max_conns})"
-                )
-            )
-            await self._send(conn, wire.T_ERROR, 0, error_payload(exc))
-            await self._close_connection(conn)
-            return
-        self._conns[session.session_id] = conn
-        self._counters["connections_total"] += 1
-        try:
-            writer.transport.set_write_buffer_limits(
-                high=self.config.write_buffer_cap,
-                low=self.config.write_buffer_cap // 4,
-            )
-            if self.config.so_sndbuf is not None:
-                sock = writer.get_extra_info("socket")
-                if sock is not None:
-                    sock.setsockopt(
-                        socket.SOL_SOCKET, socket.SO_SNDBUF,
-                        self.config.so_sndbuf,
-                    )
-            if await self._handshake(conn):
-                await self._read_loop(conn)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer died; cleanup below is the contract
-        finally:
-            await self._teardown(conn)
-
-    async def _handshake(self, conn: _Connection) -> bool:
-        """Require a HELLO within ``handshake_timeout``; reply WELCOME."""
-        decoder = FrameDecoder(max_frame_bytes=self.config.max_frame_bytes)
-        deadline = time.monotonic() + self.config.handshake_timeout
-        hello: Frame | None = None
-        leftover: list[Frame] = []
-        while hello is None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._counters["timeouts"] += 1
-                return False
-            try:
-                data = await asyncio.wait_for(
-                    conn.reader.read(self.config.read_chunk), remaining
-                )
-            except asyncio.TimeoutError:
-                self._counters["timeouts"] += 1
-                return False
-            if not data:
-                return False  # EOF before HELLO
-            try:
-                frames = decoder.feed(data)
-            except (FrameError, ProtocolError) as exc:
-                await self._reject_stream(conn, exc)
-                return False
-            if frames:
-                hello, leftover = frames[0], frames[1:]
-        if hello.type != wire.T_HELLO:
-            await self._reject_stream(
-                conn,
-                ProtocolError(
-                    f"expected hello, got {hello.type_name} "
-                    "(handshake violation)"
-                ),
-            )
-            return False
-        try:
-            greeting = decode_payload(hello.payload) if hello.payload else {}
-        except ProtocolError as exc:
-            await self._reject_stream(conn, exc)
-            return False
-        peer_version = greeting.get("version", wire.WIRE_VERSION)
-        if peer_version != wire.WIRE_VERSION:
-            await self._reject_stream(
-                conn,
-                ProtocolError(
-                    f"unsupported wire version {peer_version} "
-                    f"(speaking {wire.WIRE_VERSION})"
-                ),
-            )
-            return False
-        await self._send(
-            conn,
-            wire.T_WELCOME,
-            hello.request_id,
-            {
-                "server": "repro",
-                "version": wire.WIRE_VERSION,
-                "session": conn.session.session_id,
-                "max_frame_bytes": self.config.max_frame_bytes,
-                "max_inflight": self.config.max_inflight_per_conn,
-            },
-        )
-        # Frames pipelined behind the HELLO are valid immediately.
-        for frame in leftover:
-            if not await self._dispatch_frame(conn, frame):
-                return False
-        self._decoders[conn.session.session_id] = decoder
-        return True
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        decoder = self._decoders[conn.session.session_id]
-        cap = self.config.write_buffer_cap
-        while not conn.closed:
-            # Backpressure: a slow client whose responses are piling up
-            # past the cap pauses its own request intake.
-            if conn.writer.transport.get_write_buffer_size() > cap:
-                self._counters["backpressure_pauses"] += 1
-                async with conn.write_lock:
-                    if not await self._drain_writer(conn):
-                        return  # client never read; connection aborted
-                continue
-            try:
-                data = await asyncio.wait_for(
-                    conn.reader.read(self.config.read_chunk),
-                    self.config.idle_timeout,
-                )
-            except asyncio.TimeoutError:
-                if conn.session.inflight:
-                    continue  # not idle: work pending for this client
-                self._counters["timeouts"] += 1
-                stalled = decoder.pending
-                await self._send(
-                    conn, wire.T_GOODBYE, 0,
-                    {
-                        "reason": "idle timeout"
-                        + (" mid-frame" if stalled else ""),
-                        "pending_bytes": stalled,
-                    },
-                )
-                return
-            if not data:
-                return  # EOF: clean close (or half-close; writes flushed in teardown)
-            try:
-                frames = decoder.feed(data)
-            except (FrameError, ProtocolError) as exc:
-                await self._reject_stream(conn, exc)
-                return
-            for frame in frames:
-                if not await self._dispatch_frame(conn, frame):
-                    return
-
-    async def _reject_stream(self, conn: _Connection, exc: Exception) -> None:
-        """A framing/protocol defect: typed error frame, then close.
-
-        Connection-fatal (stream sync is lost) but never process-fatal;
-        counted so an operator sees malformed-frame storms in ``stats``.
-        """
-        self._counters["frames_rejected"] += 1
-        await self._send(conn, wire.T_ERROR, 0, error_payload(exc))
-
-    async def _dispatch_frame(self, conn: _Connection, frame: Frame) -> bool:
-        """Handle one decoded frame; False ends the connection."""
-        if frame.type == wire.T_GOODBYE:
-            # Client sign-off: let in-flight work answer, then close.
-            while conn.session.inflight:
-                await asyncio.sleep(0.005)
-            await self._send(conn, wire.T_GOODBYE, frame.request_id, {})
-            return False
-        if frame.type != wire.T_REQUEST:
-            await self._reject_stream(
-                conn,
-                ProtocolError(
-                    f"unexpected {frame.type_name} frame after handshake"
-                ),
-            )
-            return False
-        if self._draining:
-            await self._send(
-                conn, wire.T_ERROR, frame.request_id,
-                error_payload(Draining("server is draining; request refused")),
-            )
-            return True
-        if frame.request_id in conn.session.inflight:
-            # Overwriting the running request's entry would undercount the
-            # per-connection cap and orphan its cancellation.
-            await self._send(conn, wire.T_ERROR, frame.request_id, error_payload(
-                ProtocolError(f"request id {frame.request_id} is already in flight")
-            ))
-            return True
-        if (
-            len(conn.session.inflight) >= self.config.max_inflight_per_conn
-            or self._inflight >= self.config.max_inflight
-        ):
-            # Shed, never queue: the caps bound worker-pool depth exactly.
-            self._counters["sheds"] += 1
-            if METRICS.enabled:
-                _M_SHEDS.inc()
-            scope = (
-                "connection"
-                if len(conn.session.inflight)
-                >= self.config.max_inflight_per_conn
-                else "server"
-            )
-            await self._send(
-                conn, wire.T_ERROR, frame.request_id,
-                error_payload(Overloaded(
-                    f"{scope} in-flight limit reached; retry with backoff"
-                )),
-            )
-            return True
-        # Reserve the slots *now*, before yielding: every frame of a
-        # pipelined burst is dispatched from one read chunk without the
-        # spawned tasks getting a chance to run, so counting in-flight
-        # inside _run_request would let the burst bypass both caps.
-        # _run_request's finally releases the reservation on every path.
-        conn.session.inflight[frame.request_id] = _ReservedSlot()
-        self._inflight += 1
-        task = asyncio.get_running_loop().create_task(
-            self._run_request(conn, frame)
-        )
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
-        return True
-
-    def _runs_on_loop(self, cmd) -> bool:
-        """A read verb alone in flight (it waits for no admission ticket)
-        on a service whose reads pin in-process buffers (a sharded read
-        waits on worker pipes for as long as its deadline allows)."""
-        verb = COMMANDS.get(cmd) if isinstance(cmd, str) else None
-        return (self._inflight == 1 and getattr(verb, "kind", None) == "read"
-                and self.service.has_epoch_store)
-
-    async def _run_request(self, conn: _Connection, frame: Frame) -> None:
-        """Decode, execute (loop or worker pool), respond; typed end to end.
-
-        The in-flight slots were reserved synchronously by
-        ``_dispatch_frame``; the ``finally`` here is the single release
-        point for every path through the request.
-        """
-        started = time.perf_counter()
-        self._counters["requests"] += 1
-        if METRICS.enabled:
-            _M_REQUESTS.inc()
-        request_id = frame.request_id
-        session = conn.session
-        try:
-            try:
-                request = decode_payload(frame.payload)
-            except ProtocolError as exc:
-                await self._send(
-                    conn, wire.T_ERROR, request_id, error_payload(exc)
-                )
-                return
-            if request.get("cmd") == "shutdown":
-                # Operator drain over the wire: acknowledge, then drain
-                # in a separate task (this response must still flush).
-                await self._send(
-                    conn, wire.T_RESPONSE, request_id, {"draining": True}
-                )
-                self.request_drain()
-                return
-            try:
-                ctx = request_context(self.service, request)
-            except ProtocolError as exc:
-                await self._send(
-                    conn, wire.T_ERROR, request_id, error_payload(exc)
-                )
-                return
-            reserved = session.inflight.get(request_id)
-            if isinstance(reserved, _ReservedSlot) and reserved.cancelled:
-                # Cancelled (connection death, drain) before we got here.
-                ctx.cancel(reserved.cancelled)
-            session.inflight[request_id] = ctx
-            result = None
-            if self._runs_on_loop(request.get("cmd")):
-                try:
-                    result = execute_request(
-                        self.service, session, request, ctx.attempt(LOOP_BUDGET)
-                    )
-                except OverBudget:
-                    self._counters["moved_reads"] += 1
-                else:
-                    self._counters["loop_reads"] += 1
-            if result is None:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    execute_request,
-                    self.service, session, request, ctx,
-                )
-            if request.get("cmd") in ("health", "stats"):
-                result = dict(result)
-                result["net"] = self.status()
-            await self._send(conn, wire.T_RESPONSE, request_id, result)
-        except ReproError as exc:
-            self._counters["errors"] += 1
-            await self._send(
-                conn, wire.T_ERROR, request_id, error_payload(exc)
-            )
-        except Exception as exc:  # never let a bug kill the handler
-            self._counters["errors"] += 1
-            await self._send(
-                conn, wire.T_ERROR, request_id,
-                error_payload(NetError(
-                    f"internal error: {type(exc).__name__}: {exc}"
-                )),
-            )
-        finally:
-            session.inflight.pop(request_id, None)
-            self._inflight -= 1
-            if METRICS.enabled:
-                _H_REQUEST_SECONDS.observe(time.perf_counter() - started)
-
-    # ------------------------------------------------------------------
-    # writes & teardown
-
-    async def _drain_writer(self, conn: _Connection) -> bool:
-        """Wait (bounded) for the connection's write buffer to drain.
-
-        A client that stops reading must not park the waiter forever —
-        the read loop's idle timeout cannot fire while a write holds the
-        connection's write lock, so an unbounded drain would let a few
-        slow readers pin their in-flight slots and starve
-        ``max_inflight`` globally.  On timeout the connection is declared
-        dead and aborted (no lingering FIN handshake against a full
-        buffer); returns ``False`` so the caller stops using it.
-        """
-        try:
-            await asyncio.wait_for(conn.writer.drain(), self.config.write_timeout)
-            return True
-        except asyncio.TimeoutError:
-            self._counters["timeouts"] += 1
-            conn.closed = True
-            try:
-                conn.writer.transport.abort()
-            except Exception:  # pragma: no cover - transport already gone
-                pass
-            return False
-        except (ConnectionError, RuntimeError):
-            conn.closed = True
-            return False
-
-    async def _send(
-        self, conn: _Connection, type_: int, request_id: int, payload: dict
-    ) -> None:
-        """Write one frame; slow-client safe, dead-connection tolerant."""
-        if conn.closed:
-            return
-        try:
-            data = encode_frame(
-                type_, request_id, encode_payload(payload),
-                max_frame_bytes=self.config.max_frame_bytes,
-            )
-        except ReproError:
-            # Response bigger than the frame cap: degrade to a typed
-            # error the client *can* receive.
-            data = encode_frame(
-                type_ if type_ == wire.T_ERROR else wire.T_ERROR,
-                request_id,
-                encode_payload(error_payload(NetError(
-                    "response exceeded the frame cap; narrow the request"
-                ))),
-                max_frame_bytes=self.config.max_frame_bytes,
-            )
-        async with conn.write_lock:
-            if conn.closed:
-                return
-            try:
-                conn.writer.write(data)
-                if (
-                    conn.writer.transport.get_write_buffer_size()
-                    > self.config.write_buffer_cap
-                ):
-                    # The client is consuming slower than we produce:
-                    # this write waits (holding the connection's write
-                    # lock, which also parks its request intake) until
-                    # the buffer drains below the low-water mark — or
-                    # until write_timeout declares the client dead.
-                    self._counters["backpressure_pauses"] += 1
-                    await self._drain_writer(conn)
-            except (ConnectionError, RuntimeError):
-                conn.closed = True  # reset mid-write; teardown reaps it
-
-    async def _close_connection(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        try:
-            async with conn.write_lock:
-                try:
-                    # Best-effort flush, bounded: a closing connection
-                    # must never stall shutdown behind a reader that
-                    # stopped reading.
-                    await asyncio.wait_for(
-                        conn.writer.drain(),
-                        min(self.config.write_timeout, 5.0),
-                    )
-                except (
-                    ConnectionError, RuntimeError, asyncio.TimeoutError,
-                ):
-                    pass
-            conn.writer.close()
-            try:
-                await conn.writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-        except Exception:  # pragma: no cover - transport already gone
-            pass
-
-    async def _teardown(self, conn: _Connection) -> None:
-        """Every exit path funnels here: cancel, await, release, forget.
-
-        This is the no-leak guarantee the fault drills assert — a dead
-        connection leaves no running task, no epoch pin, no session entry,
-        and every acked write it produced is already durable.
-        """
-        conn.session.cancel_inflight("connection lost; query cancelled")
-        if conn.tasks:
-            await asyncio.gather(*list(conn.tasks), return_exceptions=True)
-        await self._close_connection(conn)
-        conn.session.release()
-        self._conns.pop(conn.session.session_id, None)
-        self._decoders.pop(conn.session.session_id, None)

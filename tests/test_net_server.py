@@ -11,19 +11,24 @@ session pinning, deadlines, load shedding, and graceful drain.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
 from repro.errors import (
+    ConnectionLost,
     Draining,
+    FrameCorrupt,
     Overloaded,
     ProtocolError,
     QueryCancelled,
     QueryError,
     DeadlineExceeded,
+    ReproError,
 )
+from repro.net import client as client_module
 from repro.net import server as server_module
-from repro.net.client import connect
+from repro.net.client import NetClient, connect
 from repro.net.server import NetServerConfig, TcpServer
 from repro.service.context import OverBudget, QueryContext
 from tests.net_util import make_service, slowop_installed
@@ -59,6 +64,19 @@ def pool_submissions(server) -> list[str]:
 
     server._executor.submit = counting
     return verbs
+
+
+def loop_calls(name: str) -> list:
+    """The calls of the running loop's ``name`` method from now on."""
+    loop = asyncio.get_running_loop()
+    calls, method = [], getattr(loop, name)
+
+    def recording(*args, **kwargs):
+        calls.append(method(*args, **kwargs))
+        return calls[-1]
+
+    setattr(loop, name, recording)
+    return calls
 
 
 class TestRequestExecution:
@@ -134,6 +152,23 @@ class TestRequestExecution:
                             "slowop", seconds=5.0, timeout_ms=50
                         )
                     assert (await client.ping())["pong"] is True
+
+        run_server_test(scenario)
+
+    def test_client_deadline_drops_the_late_reply(self):
+        async def scenario(service, server, port):
+            with slowop_installed():
+                async with await connect("127.0.0.1", port) as client:
+                    with pytest.raises(DeadlineExceeded, match="'slowop'"):
+                        await client.request("slowop", seconds=0.5, timeout=0.05)
+                    while server.status()["inflight"]:  # the late reply...
+                        await asyncio.sleep(0.02)
+                    await asyncio.sleep(0.05)  # ...reaches the client
+                    assert (await client.ping())["pong"] is True
+                    # A reply in time cancels the deadline it armed.
+                    armed = loop_calls("call_at")
+                    assert (await client.ping(timeout=5.0))["pong"] is True
+                    assert armed and all(timer.cancelled() for timer in armed)
 
         run_server_test(scenario)
 
@@ -613,18 +648,21 @@ class TestWhereARequestRuns:
     @pytest.mark.perf_smoke
     def test_idle_reads_make_no_thread_hop(self):
         """The hop gate, as counts: on an idle server 50 sequential queries
-        are 50 loop reads and no pool submission; 10 inserts are 10."""
+        are 50 loop reads and no pool submission; 10 inserts are 10.
+        Neither end creates a task or arms a timer for either."""
 
         async def scenario(service, server, port):
             with service.snapshot() as snap:  # warm, as a served corpus is
                 snap.db.path_query("user/name")
             pool = pool_submissions(server)
             async with await connect("127.0.0.1", port) as client:
+                tasks, timers = loop_calls("create_task"), loop_calls("call_at")
                 for _ in range(50):
                     assert (await client.query("user/name"))["count"] == 5
-                assert pool == []
+                assert (pool, len(tasks), len(timers)) == ([], 0, 0)
                 for i in range(10):
                     await client.insert(f"<registration><name>{i}</name></registration>")
+                assert (len(tasks), len(timers)) == (0, 0)
             assert pool == ["insert"] * 10
             counters = server.status()["counters"]
             assert (counters["loop_reads"], counters["moved_reads"]) == (50, 0)
@@ -730,6 +768,95 @@ class TestHandshake:
                     assert reply["slept"] == 0.6
 
         run_server_test(scenario, config=config)
+
+
+    def test_connect_to_a_silent_server_times_out_typed(self, monkeypatch):
+        async def silent(reader, writer):
+            pass
+
+        assert _connect_twice(monkeypatch, silent, hang_ups=2) == [
+            ConnectionLost, ConnectionLost
+        ]
+
+    def test_connect_to_a_closing_server_is_connection_lost(self, monkeypatch):
+        async def closing(reader, writer):
+            writer.close()
+
+        assert _connect_twice(monkeypatch, closing, hang_ups=0) == [
+            ConnectionLost, ConnectionLost
+        ]
+
+    def test_connect_to_a_garbage_server_is_frame_corrupt(self, monkeypatch):
+        async def garbage(reader, writer):
+            writer.write(b"\xde\xad\xbe\xef" * 16)
+
+        assert _connect_twice(monkeypatch, garbage, hang_ups=2) == [
+            FrameCorrupt, FrameCorrupt
+        ]
+
+    def test_welcome_and_goodbye_in_one_write_connects(self):
+        """A drain racing a connect: the client is welcomed and told."""
+        from repro.net import frame as wire
+        from repro.net.frame import encode_frame
+        from repro.net.protocol import encode_payload
+
+        async def main():
+            async def draining(reader, writer):
+                await reader.read(65536)  # the HELLO
+                writer.write(
+                    encode_frame(wire.T_WELCOME, 1, encode_payload({"session": 7}))
+                    + encode_frame(wire.T_GOODBYE, 0, encode_payload(
+                        {"reason": "draining"}
+                    ))
+                )
+                writer.close()
+
+            listener = await asyncio.start_server(draining, "127.0.0.1", 0)
+            client = await connect("127.0.0.1", listener.sockets[0].getsockname()[1])
+            try:
+                assert client.session_id == 7
+                assert client.goodbye == {"reason": "draining"}
+            finally:
+                await client.close()
+                listener.close()
+
+        asyncio.run(main())
+
+
+def _connect_twice(monkeypatch, handle, *, hang_ups: int) -> list:
+    """Connect one client twice to a server that runs ``handle(reader,
+    writer)`` on each accept and then, unless it closed, reads until the
+    client hangs up.  Returns the error type each connect raised, once
+    the server has seen ``hang_ups`` clients close their socket."""
+    monkeypatch.setattr(client_module, "_CONNECT_TIMEOUT", 0.2)
+
+    async def main():
+        hung_up = []
+
+        async def serve(reader, writer):
+            await handle(reader, writer)
+            if not writer.is_closing():
+                with contextlib.suppress(ConnectionError):
+                    await reader.read()
+                hung_up.append(True)
+                writer.close()
+
+        listener = await asyncio.start_server(serve, "127.0.0.1", 0)
+        client = NetClient("127.0.0.1", listener.sockets[0].getsockname()[1])
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ReproError) as caught:
+                await client.connect()
+            raised.append(type(caught.value))
+        for _ in range(200):
+            if len(hung_up) >= hang_ups:
+                break
+            await asyncio.sleep(0.01)
+        assert len(hung_up) == hang_ups
+        listener.close()
+        return raised
+
+    return asyncio.run(main())
 
 
 class TestServeTcpCli:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import asyncio
 import json
 import re
 from pathlib import Path
@@ -157,10 +158,15 @@ READ_ONLY_BY_TESTS = {
 }
 
 
+#: The callbacks an event loop makes on an ``asyncio.Protocol``, by name.
+_LOOP_CALLBACKS = {name for name in dir(asyncio.Protocol) if name[0] != "_"}
+
+
 def _library_names(root: Path):
     """``(name, path, first line, last line)`` of every top-level and
-    class-level ``def`` and ``class`` under ``src/repro`` (dunders are
-    called implicitly, so they have no reader to find)."""
+    class-level ``def`` and ``class`` under ``src/repro`` (dunders and
+    :data:`_LOOP_CALLBACKS` are called implicitly, so they have no reader
+    to find)."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     package = root / "src" / "repro"
     for path in sorted(package.rglob("*.py")):
@@ -173,6 +179,7 @@ def _library_names(root: Path):
             ]:
                 if isinstance(defn, kinds) and not (
                     defn.name.startswith("__") and defn.name.endswith("__")
+                    or defn.name in _LOOP_CALLBACKS
                 ):
                     yield (f"{prefix}.{defn.name}", path, defn.lineno,
                            defn.end_lineno)
