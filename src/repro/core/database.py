@@ -137,7 +137,7 @@ class LazyXMLDatabase:
         # package graph acyclic — repro.twig never loads unless used).
         from repro.twig.summary import PathSummary
 
-        self.path_summary = PathSummary(self.log)
+        self.path_summary = PathSummary(self.log, self.index)
         self._keep_text = keep_text
         self._text: str = ""
         # Sids of the top-level documents known to be well-formed with every
@@ -238,7 +238,8 @@ class LazyXMLDatabase:
                 (self.log.tags.intern(e.tag), e.start, e.end, e.level)
                 for e in document.elements
             ]
-            self.index.insert_segment(receipt.sid, records, base_level)
+            if not self.index.insert_segment(receipt.sid, records, base_level):
+                self.index.note_text_write(receipt.sid)  # text, no element
             if self._keep_text:
                 self._text = self._text[:position] + fragment + self._text[position:]
         except BaseException:
@@ -264,7 +265,7 @@ class LazyXMLDatabase:
         """
         counts = {self.log.tags.tid_of(name): n for name, n in tag_counts.items()}
         self.index.remove_segment(receipt.sid)
-        self.readpath.drop_segment(receipt.sid)
+        self.readpath.drop_segment(self.log.node(receipt.sid))
         report = self.log.remove_span(receipt.gp, receipt.length)
         self.log.apply_removal_counts({receipt.sid: counts}, report)
 
@@ -347,24 +348,30 @@ class LazyXMLDatabase:
         report = self.log.remove_span(position, length)
         per_segment_counts: dict[int, Counter] = {}
         removed_elements = 0
-        for sid in report.removed_sids:
+        for node in report.removed:
+            sid = node.sid
             if sid == DUMMY_ROOT_SID:
                 continue
             counts = self.index.remove_segment(sid)
+            if not counts:
+                self.index.note_text_write(sid)
             per_segment_counts[sid] = counts
             removed_elements += sum(counts.values())
-            self._trusted.discard(sid)
             # Version keys already make stale compiled entries unreachable;
-            # the eager drop just reclaims their memory (sids never return).
-            self.readpath.drop_segment(sid)
+            # the eager drop reclaims their memory (sids never return) and
+            # notes where the segment hung, for the twig memo's refresh.
+            self.readpath.drop_segment(node)
         for partial in report.partials:
             if partial.sid == DUMMY_ROOT_SID:
                 continue
             counts = self.index.remove_local_range(
                 partial.sid, partial.local_start, partial.local_end
             )
+            if not counts:
+                self.index.note_text_write(partial.sid)
             per_segment_counts[partial.sid] = counts
             removed_elements += sum(counts.values())
+        self._trusted.difference_update(report.removed_sids)
         self.log.apply_removal_counts(per_segment_counts, report)
         if self._keep_text:
             self._text = self._text[:position] + self._text[position + length :]

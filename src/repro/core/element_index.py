@@ -181,6 +181,12 @@ class ElementIndex:
     def _bump(self, sid: int) -> None:
         """Record a write of ``sid``: its version and the journal."""
         self._versions[sid] = self._versions.get(sid, 0) + 1
+        self.note_text_write(sid)
+
+    def note_text_write(self, sid: int) -> None:
+        """Journal a write of ``sid``'s text, records changed or not: an
+        element around it may have new inner text (a twig value
+        predicate reads it), though its own records stand."""
         journal = self._journal
         journal.append(sid)
         if len(journal) >= 2 * JOURNAL_KEPT:

@@ -77,7 +77,7 @@ def repack_segment(db, sid: int) -> RepackResult:
             db.log.taglist.remove_occurrences(tid, old_node, count)
         # The version bumps above already fence off stale compiled state;
         # eagerly reclaim it (repacked sids are never queried again).
-        db.readpath.drop_segment(old_node.sid)
+        db.readpath.drop_segment(old_node)
 
     # One fresh segment over the same span; re-register everything.
     segments_before = db.segment_count

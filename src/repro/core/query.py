@@ -57,6 +57,7 @@ __all__ = [
     "parse_path",
     "plan_path",
     "evaluate_path",
+    "patch_level",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w:.\-]*$")
@@ -415,19 +416,33 @@ def _path_matches(db, tid_entry: int, steps, answers: list, context):
         for sid, node in redo:
             rows = () if node is None else pairs.segment_rows(nodes, node)
             kept = _segment_matches(rows, previous) if rows else ()
-            i = bisect_left(sids, sid)
-            if i < len(sids) and sids[i] == sid:
-                length -= len(entries[i]) if k == last else 0
-                del sids[i], entries[i]
-            if kept:
-                length += len(kept) if k == last else 0
-                sids.insert(i, sid)
-                entries.insert(i, tuple(sorted(kept)) if k == last else kept)
+            if k == last:
+                kept = tuple(sorted(kept))
+                length -= len(patch_level(sids, entries, sid, kept))
+                length += len(kept)
+            else:
+                patch_level(sids, entries, sid, kept)
         previous = (sids, entries)
         levels.append(previous)
     answer = JoinAnswer(previous[1], length)
     rp.store_path(key, PathMemo(position, levels, answer))
     return answer
+
+
+def patch_level(sids, entries, sid: int, entry):
+    """Put ``entry`` in segment ``sid``'s place of one memo level, the
+    sid-ascending parallel ``(sids, entries)`` of a path or twig memo
+    (copies, being refreshed); an empty ``entry`` takes ``sid`` out.
+    Returns the entry it replaced, ``()`` when there was none."""
+    i = bisect_left(sids, sid)
+    old = ()
+    if i < len(sids) and sids[i] == sid:
+        old = entries[i]
+        del sids[i], entries[i]
+    if entry:
+        sids.insert(i, sid)
+        entries.insert(i, entry)
+    return old
 
 
 def _segment_matches(rows, previous) -> set:

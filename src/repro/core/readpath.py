@@ -44,7 +44,15 @@ merge reads, and applies its own inserts and removes to it
   makes it a miss.  Pair order survives too: gp shifts keep order.
 - **path matches** — per parsed path, a :class:`PathMemo`: per step and
   segment the elements matching so far (:mod:`repro.core.query`), good
-  by the same rule; the :data:`PATHS_KEPT` stored last are kept.
+  by the same rule; the :data:`PATHS_KEPT` stored last are kept;
+- **twig matches** — per parsed twig pattern, a :class:`PathMemo` in the
+  same store under the pattern's preorder: per pattern node and segment
+  the elements that survive (:mod:`repro.twig.memo`).  A written
+  segment is recomputed, and in its ER-ancestors only the *spine* — the
+  elements around its branch point (Proposition 3) — is re-checked.  For
+  that the cache keeps each block's **parent rows** (per element, the
+  row of the innermost enclosing element of the same segment) and, for
+  each segment dropped lately, its parent sid and local position.
 
 There is one regime: every lookup memoises.  :meth:`ReadPathCache.clear`
 is the "cold" lever — it drops everything derived and forces the same
@@ -58,6 +66,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from typing import NamedTuple
 
+from repro.core import element_index
 from repro.core.element_index import CompiledElements
 from repro.joins.kernels import push_kept
 
@@ -88,6 +97,22 @@ def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
         node.global_offsets(compiled.ends, count_ties=False),
         compiled.levels,
     )
+
+
+def parent_rows(block) -> array:
+    """Per row of ``block``, the row of its innermost enclosing element in
+    the same segment, or ``-1``: one stack pass over the start-ordered
+    rows (elements of one segment nest or are disjoint)."""
+    parents = array("q", [-1]) * len(block)
+    ends = block.ends
+    stack: list[int] = []
+    for row, start in enumerate(block.starts):
+        while stack and ends[stack[-1]] <= start:
+            stack.pop()
+        if stack:
+            parents[row] = stack[-1]
+        stack.append(row)
+    return parents
 
 
 class CompiledPushList:
@@ -183,7 +208,9 @@ class PathMemo(NamedTuple):
     """One path's distinct matches: ``levels[k]`` is sid-ascending parallel
     ``(sids, entries)``, ``entries[i]`` segment ``sids[i]``'s elements
     matching the first ``k + 1`` steps (a set; at the last step a
-    start-sorted tuple, which ``answer`` chains).  Never mutated."""
+    start-sorted tuple, which ``answer`` chains).  A twig memo has one
+    level per pattern node, every entry a start-sorted tuple, and chains
+    its output node's.  Never mutated."""
 
     position: int
     levels: list
@@ -210,8 +237,15 @@ class ReadPathCache:
         self._spans: dict[int, dict[int | None, tuple]] = {}
         # (tid_a, tid_d, axis) -> JoinMemo
         self._joins: dict[tuple[int, int, str], JoinMemo] = {}
-        # (entry tid, ((axis, tid), ...)) -> PathMemo
+        # (entry tid, ((axis, tid), ...)) -> PathMemo, and a twig
+        # pattern's preorder ((tid, axis, position, value, shape), ...)
+        # -> its PathMemo
         self._paths: dict[tuple, PathMemo] = {}
+        # sid -> (index version, parent rows of its block)
+        self._parents: dict[int, tuple[int, array]] = {}
+        # sid -> (parent sid, lp) of a dropped segment, oldest first; as
+        # many as the element index's journal holds sids
+        self._vanished: dict[int, tuple[int, int]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -222,6 +256,7 @@ class ReadPathCache:
         self._spans.clear()
         self._joins.clear()
         self._paths.clear()
+        self._parents.clear()
 
     # ------------------------------------------------------------------
     # compiled lookups
@@ -318,8 +353,22 @@ class ReadPathCache:
         """
         self._joins[(tid_a, tid_d, axis)] = memo
 
+    def parent_rows(self, sid: int) -> array:
+        """:func:`parent_rows` of segment ``sid``'s block, kept while the
+        block stands."""
+        version = self._index.version(sid)
+        held = self._parents.get(sid)
+        if held is None or held[0] != version:
+            held = self._parents[sid] = (version, parent_rows(self._index.block(sid)))
+        return held[1]
+
+    def vanished(self, sid: int) -> tuple[int, int] | None:
+        """``(parent sid, lp)`` of dropped segment ``sid``, or ``None``
+        once forgotten (or never dropped)."""
+        return self._vanished.get(sid)
+
     def path_memo(self, key: tuple) -> PathMemo | None:
-        """The memo last stored for this path, current or not."""
+        """The memo last stored for this path or twig, current or not."""
         return self._paths.get(key)
 
     def store_path(self, key: tuple, memo: PathMemo) -> None:
@@ -336,8 +385,16 @@ class ReadPathCache:
     # eager invalidation (lazy version checks already guarantee safety;
     # this reclaims memory for segments that will never be queried again)
 
-    def drop_segment(self, sid: int) -> int:
-        """Forget all compiled state for a removed/repacked segment."""
+    def drop_segment(self, node) -> int:
+        """Forget all compiled state for a removed/repacked segment, and
+        note where it hung (:meth:`vanished`)."""
+        sid = node.sid
+        self._parents.pop(sid, None)
+        vanished = self._vanished
+        vanished[sid] = (node.parent.sid, node.lp)
+        if len(vanished) >= 2 * element_index.JOURNAL_KEPT:
+            for stale in list(vanished)[: element_index.JOURNAL_KEPT]:
+                del vanished[stale]
         dropped = len(self._push.pop(sid, ())) + len(self._spans.pop(sid, ()))
         self.invalidations += dropped
         return dropped
@@ -348,6 +405,9 @@ class ReadPathCache:
     def stats(self) -> dict:
         """Hit/miss/entry counts (surfaced by the service health output)."""
         lookups = self.hits + self.misses
+        paths = [[], []]  # path memos, twig memos
+        for key, memo in self._paths.items():
+            paths[_is_twig(key)].append(memo)
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -358,10 +418,10 @@ class ReadPathCache:
                 "span_columns": sum(map(len, self._spans.values())),
                 "join_results": len(self._joins),
                 "join_chunks": sum(len(m.chunks) for m in self._joins.values()),
-                "path_results": len(self._paths),
-                "path_entries": sum(
-                    len(sids) for m in self._paths.values() for sids, _ in m.levels
-                ),
+                "path_results": len(paths[0]),
+                "path_entries": _entry_count(paths[0]),
+                "twig_results": len(paths[1]),
+                "twig_entries": _entry_count(paths[1]),
             },
         }
 
@@ -386,4 +446,15 @@ class ReadPathCache:
             # a reference per matched record; a sid and an entry per row
             for sids, entries in memo.levels:
                 total += 8 * (2 * len(sids) + sum(map(len, entries)))
+        for _, parents in self._parents.values():
+            total += 8 * len(parents)
         return total
+
+
+def _is_twig(key: tuple) -> bool:
+    """A twig memo's key is its nodes' tuples; a path's starts with a tid."""
+    return isinstance(key[0], tuple)
+
+
+def _entry_count(memos) -> int:
+    return sum(len(sids) for memo in memos for sids, _ in memo.levels)

@@ -4,11 +4,15 @@
   wildcards, value predicates) compiled to a :class:`TwigQuery` tree;
 - :mod:`repro.twig.summary` — the :class:`PathSummary` structural
   synopsis over the tag catalog + ER-tree (edge feasibility and
-  selectivity, memoized under the §4e version counters);
+  selectivity, memoized under the §4e version counters and folded per
+  written segment);
 - :mod:`repro.twig.plan` — the twig/pairwise planner and the process
   planner-decision log;
 - :mod:`repro.twig.evaluate` — the holistic (TwigStack-style) and
-  pairwise executors, byte-identical by construction.
+  pairwise executors, byte-identical by construction;
+- :mod:`repro.twig.memo` — the twig memo the holistic executor answers
+  from: per pattern node and segment the surviving elements, refreshed
+  after an update by Proposition 3.
 
 ``evaluate_twig`` is re-exported lazily: :mod:`repro.core.database`
 imports this package for :class:`PathSummary`, and the evaluator

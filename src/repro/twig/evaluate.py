@@ -2,7 +2,14 @@
 
 Two executors answer the same :class:`~repro.twig.pattern.TwigQuery`:
 
-**Holistic** (``strategy="twig"``, TwigStack-style).  One global element
+**Holistic** (``strategy="twig"``, TwigStack-style).  Its distinct output
+matches come from the pattern's twig memo (:mod:`repro.twig.memo`): per
+pattern node and segment the elements that survive, refreshed after an
+update where the journal and Proposition 3 say something can have moved,
+so a query after an update costs what the update touched.  The answer is
+the memo's own read-only sequence, in ``(sid, start)`` order.  With
+``bindings=True`` (which must *return* the chains) the executor runs over
+whole streams: one global element
 stream per pattern node — four parallel columns, assembled as
 ``node.gp + column`` from the read-path cache's gp-free span columns
 (:meth:`~repro.core.readpath.ReadPathCache.span_columns`), so a query
@@ -16,10 +23,8 @@ top-down: each step keeps its elements with a surviving ancestor one edge
 up, and the survivors meet the step's branches as per-edge *existence
 semi-joins* over the columns (two bisects per parent element find the
 children inside it — never a pair list).  The whole evaluation is linear
-in stream size plus output and no root-to-leaf chain is ever enumerated.
-Only ``bindings=True`` (which must *return* the chains) materializes
-them, via the chained per-step stacks of
-:func:`~repro.joins.path_stack.path_stack`.
+in stream size plus output, and the chains come from the chained
+per-step stacks of :func:`~repro.joins.path_stack.path_stack`.
 
 **Pairwise** (``strategy="pairwise"``).  The classic decomposition the
 holistic algorithm exists to beat: one Stack-Tree-Desc join per pattern
@@ -27,9 +32,9 @@ edge, materializing intermediate pair lists, followed by semi-join
 filtering and chain assembly.  Plain chains (no twig-only features)
 instead fall back to the existing selectivity-ordered
 :func:`~repro.core.query.evaluate_path` pipeline, which reuses the
-read-path join memo.  Both executors share stream construction and the
-predicate filters, so the parity suite checks exactly the matching
-logic.
+read-path join memo.  Both stream executors share stream construction
+and the predicate filters; the memo shares none of it, so the parity
+suite holds it to an independent reading of the pattern.
 
 Results are byte-identical across executors by construction of a
 canonical output order: distinct output-step records in ``(sid, start)``
@@ -49,6 +54,7 @@ from repro.errors import QueryError
 from repro.joins.path_stack import path_stack
 from repro.joins.stack_tree import AXIS_CHILD, stack_tree_desc
 from repro.obs.metrics import METRICS
+from repro.twig.memo import database_text, inner_text, memo_matches
 from repro.twig.pattern import WILDCARD, TwigQuery, parse_twig
 from repro.twig.plan import PLAN_RECORDER, plan_twig
 from repro.twig.summary import PathSummary
@@ -80,7 +86,11 @@ def evaluate_twig(
     step) in ``(sid, start)`` order, or — with ``bindings=True`` — the
     trunk match chains (one :class:`~repro.core.element_index
     .ElementRecord` per trunk step; branch steps are existential and not
-    returned).
+    returned).  The holistic executor's matches are its twig memo's own
+    read-only sequence: read it, never mutate it.  With a trace, the
+    ``twig_query`` span says how the memo served the query (``memo``:
+    ``hit``, ``refresh`` or ``cold``; ``refreshed`` segment entries;
+    ``spine`` elements looked at).
 
     ``strategy`` pins an executor (``"twig"`` / ``"pairwise"``) or lets
     the path-summary planner choose (``"auto"``).  ``context`` threads
@@ -109,12 +119,12 @@ def evaluate_twig(
     )
     trace = context.trace if context is not None else None
     if trace is None:
-        result = _execute(db, query, plan, chosen, bindings, context, summary)
+        result, _ = _execute(db, query, plan, chosen, bindings, context, summary)
     else:
         with trace.span(
             "twig_query", expr=str(query), strategy=chosen
         ) as span:
-            result = _execute(
+            result, memo = _execute(
                 db, query, plan, chosen, bindings, context, summary
             )
             span.annotate(
@@ -124,14 +134,25 @@ def evaluate_twig(
                 cost_pairwise=plan.cost_pairwise,
                 edge_costs=[list(edge) for edge in plan.edge_costs],
             )
+            if memo is not None:
+                span.annotate(memo=memo[0], refreshed=memo[1], spine=memo[2])
     if enabled:
         _H_SECONDS.observe(perf_counter() - start)
     return result
 
 
 def _execute(db, query, plan, chosen, bindings, context, summary):
+    """The answer, and how the twig memo served it (``None``: not used)."""
     if plan.empty:
-        return []
+        return [], None
+    if chosen == "twig" and not bindings:
+        return memo_matches(db, query, context)
+    return _stream_execute(db, query, chosen, bindings, context, summary), None
+
+
+def _stream_execute(db, query, chosen, bindings, context, summary):
+    """The executors over whole global streams: ``bindings=True`` and the
+    pairwise decomposition."""
     if chosen == "pairwise" and query.is_plain:
         # The existing selectivity-ordered Lazy-Join pipeline (with its
         # read-path join memo) is the pairwise executor for plain chains.
@@ -146,15 +167,6 @@ def _execute(db, query, plan, chosen, bindings, context, summary):
     streams = _build_streams(db, query, summary, context)
     if chosen == "twig":
         trunk = _reduced_trunk(query, streams)
-        if not bindings:
-            # After the reduction an output element matches iff it
-            # survived: existence, not enumeration.  (sid, start) names
-            # an element, so plain record order is the canonical order.
-            matches = trunk[-1][_RECORDS]
-            if context is not None:
-                context.check_deadline()
-                context.charge_rows(len(matches))
-            return sorted(matches)
         chains = path_stack(
             [_elements(stream) for stream in trunk],
             [node.axis for node in query.trunk],
@@ -322,21 +334,11 @@ def _value_matches(db, stream, value):
     tag's ``<`` of the element's global span — raw, no normalization.
     Requires the database to keep its text.
     """
-    try:
-        text = db.text
-    except QueryError as exc:
-        raise QueryError(
-            "value predicates require the database text "
-            "(open with keep_text=True)"
-        ) from exc
-    keep = []
-    for start, end in zip(stream[_STARTS], stream[_ENDS]):
-        s = text[start:end]
-        open_end = s.find(">")
-        close_start = s.rfind("<")
-        inner = s[open_end + 1:close_start] if 0 <= open_end < close_start else ""
-        keep.append(inner == value)
-    return keep
+    text = database_text(db)
+    return [
+        inner_text(text[start:end]) == value
+        for start, end in zip(stream[_STARTS], stream[_ENDS])
+    ]
 
 
 def _child_runs(parents, children):

@@ -27,6 +27,7 @@ offending token and character position.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.errors import PathSyntaxError
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT
@@ -406,13 +407,16 @@ class _Parser:
         node.branches = node.branches + (chain[0],)
 
 
+@lru_cache(maxsize=256)
 def parse_twig(expression: str) -> TwigQuery:
     """Parse a branching twig expression into a :class:`TwigQuery`.
 
     Accepts everything :func:`~repro.core.query.parse_path` accepts plus
     wildcard steps, ``[...]`` branches, and positional/value predicates.
     Raises :class:`~repro.errors.PathSyntaxError` with the offending
-    token and position on malformed input.
+    token and position on malformed input.  Memoised per string, so a
+    parsed query is shared: nothing may mutate it; a bad string raises on
+    every call.
     """
     if isinstance(expression, TwigQuery):
         return expression

@@ -24,14 +24,20 @@ direct parent segment (Prop 3(1)).
 
 Synopses are memoized per ``(tid_a, tid_d, axis)`` under *both* tags'
 tag-list versions — the same §4e discipline as the read-path cache, so
-an update invalidates O(touched tags) synopses and untouched edges stay
-warm.  The per-tag ``{sid: count}`` map every synopsis of that tag (and
-the executor's Prop. 3 segment pruning) starts from is the tag list's
-own (:meth:`~repro.core.taglist.TagList.counts`), read live.
+untouched edges stay warm.  A synopsis keeps its ``est_pairs`` as one
+term per D-segment, and when a tag version has moved it is *folded*, not
+rebuilt: the element index's journal names the segments written since,
+and only their terms and those of the D-segments below them (whose
+A-count on path may have changed) are worked out again.  A journal
+trimmed past the synopsis rebuilds it (``invalidations``).  The per-tag
+``{sid: count}`` map every synopsis of that tag (and the executor's
+Prop. 3 segment pruning) starts from is the tag list's own
+(:meth:`~repro.core.taglist.TagList.counts`), read live.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from repro.joins.stack_tree import AXIS_CHILD
@@ -52,25 +58,37 @@ class EdgeSynopsis(NamedTuple):
 _EMPTY = EdgeSynopsis(False, 0, 0, 0)
 
 
-class PathSummary:
-    """Incrementally maintained edge synopses for one database's catalog."""
+class _Edge(NamedTuple):
+    """A memoised synopsis: built at both tags' versions and the element
+    index's journal ``position``, ``terms`` its non-zero ``est_pairs``
+    terms by D-segment.  Never mutated."""
 
-    def __init__(self, log):
+    version_a: int
+    version_d: int
+    position: int
+    terms: dict
+    synopsis: EdgeSynopsis
+
+
+class PathSummary:
+    """Incrementally maintained edge synopses for one database's catalog
+    (``log``, its update log; ``index``, its element index)."""
+
+    def __init__(self, log, index):
         self._log = log
-        # (tid_a, tid_d, axis) -> (version_a, version_d, EdgeSynopsis)
-        self._edges: dict[tuple[int, int, str], tuple[int, int, EdgeSynopsis]] = {}
+        self._index = index
+        self._edges: dict[tuple[int, int, str], _Edge] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
     # ------------------------------------------------------------------
     def total(self, tag: str) -> int:
-        """O(1)-per-tag element total; wildcard sums the whole catalog."""
-        taglist = self._log.taglist
+        """O(1) element total of a tag; the wildcard's is every element."""
         if tag == WILDCARD:
-            return sum(taglist.total_count(tid) for tid in taglist.tids())
+            return len(self._index)
         tid = self._log.tags.tid_of(tag)
-        return 0 if tid is None else taglist.total_count(tid)
+        return 0 if tid is None else self._log.taglist.total_count(tid)
 
     def edge(self, tag_a: str, tag_d: str, axis: str) -> EdgeSynopsis:
         """The synopsis for pattern edge ``tag_a axis tag_d``."""
@@ -91,40 +109,73 @@ class PathSummary:
         version_d = taglist.version(tid_d)
         key = (tid_a, tid_d, axis)
         cached = self._edges.get(key)
-        if cached is not None:
-            if cached[0] == version_a and cached[1] == version_d:
-                self.hits += 1
-                return cached[2]
-            self.invalidations += 1
+        if cached is not None and (
+            cached.version_a == version_a and cached.version_d == version_d
+        ):
+            self.hits += 1
+            return cached.synopsis
         self.misses += 1
-        synopsis = self._compute(tid_a, tid_d, axis)
-        self._edges[key] = (version_a, version_d, synopsis)
+        position = self._index.journal_position
+        written = (
+            None if cached is None
+            else self._index.written_since(cached.position)
+        )
+        if written is None:
+            if cached is not None:
+                self.invalidations += 1
+            terms = {}
+            est_pairs = self._fold(terms, tid_a, tid_d, axis, None)
+        else:
+            terms = dict(cached.terms)
+            est_pairs = cached.synopsis.est_pairs + self._fold(
+                terms, tid_a, tid_d, axis, written
+            )
+        synopsis = EdgeSynopsis(
+            bool(terms), est_pairs,
+            taglist.total_count(tid_a), taglist.total_count(tid_d),
+        )
+        self._edges[key] = _Edge(version_a, version_d, position, terms, synopsis)
         return synopsis
 
-    def _compute(self, tid_a: int, tid_d: int, axis: str) -> EdgeSynopsis:
+    def _fold(self, terms: dict, tid_a: int, tid_d: int, axis: str, written) -> int:
+        """Work the ``est_pairs`` terms out again into ``terms`` — for every
+        D-segment (``written`` ``None``), or for the written segments and
+        the D-segments below them — and return what ``est_pairs`` gained.
+
+        A D-segment's term is ``(A-count on its path) x (its D-count)``:
+        Prop. 3, the segments that can hold an ancestor of its elements
+        are those on its ER-tree path — for the child axis only itself and
+        the directly enclosing one (Prop 3(1)).
+        """
         taglist = self._log.taglist
-        a_total = taglist.total_count(tid_a)
-        d_total = taglist.total_count(tid_d)
-        if a_total == 0 or d_total == 0:
-            return EdgeSynopsis(False, 0, a_total, d_total)
         counts_a = taglist.counts(tid_a)
         counts_d = taglist.counts(tid_d)
         child_only = axis == AXIS_CHILD
-        est_pairs = 0
-        feasible = False
-        for node in taglist.nodes(tid_d):
-            path = node.path
-            if child_only:
-                # Prop 3(1): a child-axis parent element lives in the same
-                # segment or the directly enclosing one.
-                candidates = path[-2:] if len(path) >= 2 else path[-1:]
-            else:
-                candidates = path
-            on_path = sum(counts_a.get(sid, 0) for sid in candidates)
-            if on_path:
-                feasible = True
-                est_pairs += on_path * counts_d[node.sid]
-        return EdgeSynopsis(feasible, est_pairs, a_total, d_total)
+        tree = self._log.ertree
+        if written is None:
+            redo = list(counts_d)
+        else:
+            redo = set(written)
+            for sid in written:
+                if sid in tree:
+                    node = tree.node(sid)
+                    below = (
+                        node.children if child_only
+                        else islice(node.iter_subtree(), 1, None)
+                    )
+                    redo.update(inner.sid for inner in below)
+        gained = 0
+        for sid in redo:
+            term = 0
+            count_d = counts_d.get(sid)
+            if count_d:
+                path = tree.node(sid).path
+                candidates = path[-2:] if child_only else path
+                term = count_d * sum(counts_a.get(held, 0) for held in candidates)
+            gained += term - terms.pop(sid, 0)
+            if term:
+                terms[sid] = term
+        return gained
 
     # ------------------------------------------------------------------
     def feasible(self, query) -> bool:

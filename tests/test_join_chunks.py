@@ -11,7 +11,8 @@ buy:
 - the join after a one-segment update merges one D-segment (insert) or none
   (whole-segment remove), on 250 forms and on 4 000 alike;
 - readers sharing one pinned replica may refresh the memo (and the path
-  memo above it, ``tests/test_path_memo.py``) concurrently;
+  and twig memos above it, ``tests/test_path_memo.py``,
+  ``tests/test_twig_memo.py``) concurrently;
 - a budget aborts a warm call exactly as it aborts a cold one, and an
   aborted merge publishes nothing.
 """
@@ -414,7 +415,8 @@ def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
             barrier.wait()
             out.append([
                 (snap.db.structural_join("form", "f3"),
-                 snap.db.path_query("form/f3"))
+                 snap.db.path_query("form/f3"),
+                 snap.db.twig_query("form[f1]/f3", strategy="twig"))
                 for _ in range(3)
             ])
         except Exception as exc:  # pragma: no cover - reported below
@@ -439,19 +441,24 @@ def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
                 want = (
                     snap.db.structural_join("form", "f3", stats=JoinStatistics()),
                     semi_join_path(snap.db, "form/f3"),
+                    list(snap.db.twig_query("form[f1]/f3", strategy="pairwise")),
                 )
                 assert len(answers) == 8
                 assert all(
                     pairs == want[0] and list(matches) == want[1]
-                    for trio in answers for pairs, matches in trio
+                    and list(twig) == want[2]
+                    for trio in answers for pairs, matches, twig in trio
                 )
                 # Dead sids left with the publish: one chunk per join (the
-                # path's is the child axis) and one path entry per live
-                # segment, however many epochs this replica replayed.
+                # path's is the child axis), one path entry per live
+                # segment and one twig entry per node and live segment,
+                # however many epochs this replica replayed.
                 entries = snap.db.readpath.stats()["entries"]
                 assert (entries["join_results"], entries["path_results"]) == (2, 1)
                 assert entries["join_chunks"] == 2 * snap.db.segment_count
                 assert entries["path_entries"] == snap.db.segment_count
+                assert entries["twig_results"] == 1
+                assert entries["twig_entries"] == 3 * snap.db.segment_count
     finally:
         stop.set()
         writing.join()

@@ -483,8 +483,8 @@ class _SteppingClock:
 
 
 def _updated_service():
-    """A service whose published buffer holds join and path memos that
-    the last insert left stale, so the next read refreshes them."""
+    """A service whose published buffer holds join, path and twig memos
+    that the last insert left stale, so the next read refreshes them."""
     from repro.net.protocol import SessionState, execute_request
 
     service = make_service(20)
@@ -498,15 +498,19 @@ def _updated_service():
 
 
 def _memos(service) -> tuple:
+    from repro.twig import memo, parse_twig
+
     with service.snapshot() as snap:
         tid = snap.db.log.tags.tid_of
         readpath = snap.db.readpath
+        twig = parse_twig(_READS[3][1]["expr"])
         return (
             readpath.join_memo(tid("registration"), tid("interest"), "descendant"),
             readpath.path_memo((tid("user"), (("child", tid("name")),))),
             readpath.path_memo(
                 (tid("registration"), (("descendant", tid("interest")),))
             ),
+            readpath.path_memo(memo.memo_key(twig, snap.db.log.tags)),
         )
 
 
@@ -597,10 +601,10 @@ class TestWhereARequestRuns:
         session = SessionState(1)
         try:
             assert None not in _memos(service)
-            # The _memos() entry each read publishes (a twig, none).  A
-            # path query's step join that finished before the stop may
-            # publish its own memo: that answer is whole.
-            for (cmd, fields), owned in zip(_READS, (1, 2, 0, None)):
+            # The _memos() entry each read publishes.  A path query's step
+            # join that finished before the stop may publish its own memo:
+            # that answer is whole.
+            for (cmd, fields), owned in zip(_READS, (1, 2, 0, 3)):
                 request = {"cmd": cmd, **fields}
                 found = _memos(service)
                 attempt = QueryContext(

@@ -160,10 +160,12 @@ def test_whole_segment_removal_drops_compiled_entries():
     db.insert("<a><d>x</d></a>")
     db.insert("<a><d>y</d></a>")
     db.structural_join("a", "d")  # warm everything
-    db.twig_query("a/*")  # ... the span columns too, per tag and all-tags
+    # ... the span columns too, per tag and all-tags (streams are built
+    # for bindings; without them a twig reads its memo)
+    db.twig_query("a/*", bindings=True)
     db.insert("<d>z</d>", len("<a>"))  # a child: a push list to hold
     db.structural_join("a", "d")
-    db.twig_query("a/*")
+    db.twig_query("a/*", bindings=True)
     rp = db.readpath
     node = [
         n for n in db.log.ertree.nodes() if n.sid != DUMMY_ROOT_SID
@@ -279,7 +281,7 @@ def test_span_columns_are_counted_and_cleared():
     db.insert("<a><b>x</b></a>")
     db.insert("<b>y</b>", len("<a>"))  # nested: the outer labels shift
     rp = db.readpath
-    db.twig_query("a/*")
+    db.twig_query("a/*", bindings=True)  # the columns its streams read
     entries = rp.stats()["entries"]
     # a and the all-tags columns of the outer segment, all-tags of the
     # inner one.  Element views are the element index's, not entries here.
@@ -344,8 +346,10 @@ _FORM_SUITE_KEYS = len({"form", "f3", "f7", "f1", "id", "f2", "f5", "f9"}) + 1
 @pytest.mark.perf_smoke
 def test_twig_after_update_derives_only_the_touched_segments(monkeypatch):
     """Counts, not seconds: span-column derivations (one per missed
-    ``(tid, sid)`` key) of the seven-pattern suite after a tail insert,
-    after an insert inside that form, and after taking the form back."""
+    ``(tid, sid)`` key) of the seven-pattern suite's streams (built for
+    its binding chains: without them a twig reads its memo,
+    ``tests/test_twig_memo.py``) after a tail insert, after an insert
+    inside that form, and after taking the form back."""
     derived = []
     real = readpath_module.span_offsets
 
@@ -358,7 +362,7 @@ def test_twig_after_update_derives_only_the_touched_segments(monkeypatch):
     def suite_cost(db) -> int:
         del derived[:]
         for expression in _FORM_SUITE:
-            db.twig_query(expression)
+            db.twig_query(expression, bindings=True)
         return len(derived)
 
     shapes = []

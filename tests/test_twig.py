@@ -205,14 +205,14 @@ class TestParsePathErrors:
 class TestPathSummary:
     def test_totals(self):
         db = make_db()
-        summary = PathSummary(db.log)
+        summary = PathSummary(db.log, db.index)
         assert summary.total("a") == 4
         assert summary.total("nosuch") == 0
         assert summary.total("*") == db.element_count
 
     def test_edge_feasibility(self):
         db = make_db()
-        summary = PathSummary(db.log)
+        summary = PathSummary(db.log, db.index)
         assert summary.edge("r", "a", "descendant").feasible
         assert summary.edge("a", "b", "child").feasible
         # Same-segment tags are conservatively feasible (the synopsis is
@@ -227,7 +227,7 @@ class TestPathSummary:
         db.insert("<x><y/></x>")
         db.insert("<p><q/></p>")
         db.prepare_for_query()
-        summary = PathSummary(db.log)
+        summary = PathSummary(db.log, db.index)
         syn = summary.edge("x", "q", "descendant")
         assert not syn.feasible and syn.est_pairs == 0
         assert syn.a_total == 1 and syn.d_total == 1
@@ -238,14 +238,14 @@ class TestPathSummary:
         db.insert("<x><y/></x>")
         db.insert("<p><q/></p>")
         db.prepare_for_query()
-        summary = PathSummary(db.log)
+        summary = PathSummary(db.log, db.index)
         assert summary.feasible(parse_twig("x//y"))
         assert not summary.feasible(parse_twig("x//q"))
         assert not summary.feasible(parse_twig("x//nosuch"))
 
     def test_memo_hits_and_invalidation(self):
         db = make_db()
-        summary = PathSummary(db.log)
+        summary = PathSummary(db.log, db.index)
         summary.edge("r", "a", "descendant")
         before = summary.stats()
         summary.edge("r", "a", "descendant")
@@ -253,15 +253,18 @@ class TestPathSummary:
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
         # An update bumps the taglist versions: the memo entry is stale
-        # and recomputed exactly once (O(touched tags) invalidation).
+        # and the written segment is folded in, with no rebuild.
         db.insert("<a><b>new</b></a>", db.document_length)
-        summary.edge("r", "a", "descendant")
+        folded = summary.edge("r", "a", "descendant")
         bumped = summary.stats()
-        assert bumped["invalidations"] == after["invalidations"] + 1
+        assert bumped["misses"] == after["misses"] + 1
+        assert bumped["invalidations"] == after["invalidations"]
+        fresh = PathSummary(db.log, db.index)  # no memo: built from scratch
+        assert folded == fresh.edge("r", "a", "descendant")
 
     def test_segment_sids(self):
         db = make_db()
-        summary = PathSummary(db.log)
+        summary = PathSummary(db.log, db.index)
         sids = summary.segment_sids("a")
         assert sids  # at least the seed segment
         assert summary.segment_sids("nosuch") == frozenset()
@@ -278,12 +281,12 @@ class TestPlanner:
         db.insert("<x><y/></x>")
         db.insert("<p><q/></p>")
         db.prepare_for_query()
-        plan = plan_twig(parse_twig("x//q"), PathSummary(db.log))
+        plan = plan_twig(parse_twig("x//q"), PathSummary(db.log, db.index))
         assert plan.empty
 
     def test_plan_carries_costs(self):
         db = make_db()
-        plan = plan_twig(parse_twig("r//a/b"), PathSummary(db.log))
+        plan = plan_twig(parse_twig("r//a/b"), PathSummary(db.log, db.index))
         assert plan.cost_twig > 0
         assert plan.cost_pairwise > 0
         assert plan.strategy in ("twig", "pairwise")
@@ -421,7 +424,7 @@ class TestEvaluate:
 
     def test_explicit_summary_reused(self):
         db = make_db()
-        summary = PathSummary(db.log)
+        summary = PathSummary(db.log, db.index)
         result = evaluate_twig(db, "r//a[b]", summary=summary)
         assert len(result) == len(db.twig_query("r//a[b]"))
         assert summary.stats()["entries"] > 0
