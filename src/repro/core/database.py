@@ -131,10 +131,10 @@ class LazyXMLDatabase:
         # this database.
         self.readpath = ReadPathCache(self.log, self.index)
         self._joiner = LazyJoiner(self.log, self.index, self.readpath)
-        # The twig subsystem's structural synopsis: per-edge feasibility
-        # and selectivity off the tag catalog alone, memoized under the
-        # same version counters as the read path (lazy import keeps the
-        # package graph acyclic — repro.twig never loads unless used).
+        # The twig subsystem's view of the tag catalog: tag totals (the
+        # plan rule's absent-tag prune) and the segments holding a tag,
+        # read live (lazy import keeps the package graph acyclic —
+        # repro.twig never loads unless used).
         from repro.twig.summary import PathSummary
 
         self.path_summary = PathSummary(self.log, self.index)
@@ -638,10 +638,10 @@ class LazyXMLDatabase:
         """Evaluate a branching twig pattern (``"person[profile]//phone"``).
 
         See :func:`repro.twig.evaluate.evaluate_twig`: the holistic
-        stack executor over the compiled read path, the pairwise
-        decomposition, or — ``strategy="auto"`` — whichever the
-        :class:`~repro.twig.summary.PathSummary` planner estimates
-        cheaper.  ``context`` threads the shared deadline/row budget.
+        executor, answered from the pattern's twig memo (``"twig"``, and
+        ``"auto"``, which is the same), or the pairwise decomposition
+        (``"pairwise"``).  ``context`` threads the shared deadline/row
+        budget.
         """
         from repro.twig.evaluate import evaluate_twig
 

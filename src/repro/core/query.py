@@ -301,8 +301,8 @@ def _record_plan(query: PathQuery, plan: PathPlan) -> None:
     """Feed the shared planner decision log (see :mod:`repro.twig.plan`).
 
     Linear path queries always execute pairwise; recording them next to
-    the twig planner's twig/pairwise choices makes plan regressions
-    observable from one place (``stats()["planner"]``).
+    the twig surface's decisions makes plan regressions observable from
+    one place (``stats()["planner"]``).
     """
     from repro.twig.plan import PLAN_RECORDER
 
@@ -310,10 +310,6 @@ def _record_plan(query: PathQuery, plan: PathPlan) -> None:
         expression=str(query),
         strategy="pairwise",
         surface="path",
-        cost_twig=None,
-        cost_pairwise=sum(
-            plan.estimated_cost(i) for i in range(len(plan.tags) - 1)
-        ),
         pruned=plan.empty,
     )
 

@@ -102,15 +102,20 @@ def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
 def parent_rows(block) -> array:
     """Per row of ``block``, the row of its innermost enclosing element in
     the same segment, or ``-1``: one stack pass over the start-ordered
-    rows (elements of one segment nest or are disjoint)."""
+    rows (elements of one segment nest or are disjoint).  Containment is
+    strict, as in the structural joins: an element starting where another
+    starts does not enclose it."""
     parents = array("q", [-1]) * len(block)
-    ends = block.ends
+    starts, ends = block.starts, block.ends
     stack: list[int] = []
-    for row, start in enumerate(block.starts):
+    for row, start in enumerate(starts):
         while stack and ends[stack[-1]] <= start:
             stack.pop()
-        if stack:
-            parents[row] = stack[-1]
+        up = len(stack) - 1
+        while up >= 0 and starts[stack[up]] == start:
+            up -= 1
+        if up >= 0:
+            parents[row] = stack[up]
         stack.append(row)
     return parents
 

@@ -1,15 +1,14 @@
-"""Twig query subsystem: branching patterns, path summary, planner.
+"""Twig query subsystem: branching patterns, path summary, plan rule.
 
 - :mod:`repro.twig.pattern` — the twig surface (``a[b//c]/d[2]``,
   wildcards, value predicates) compiled to a :class:`TwigQuery` tree;
-- :mod:`repro.twig.summary` — the :class:`PathSummary` structural
-  synopsis over the tag catalog + ER-tree (edge feasibility and
-  selectivity, memoized under the §4e version counters and folded per
-  written segment);
-- :mod:`repro.twig.plan` — the twig/pairwise planner and the process
+- :mod:`repro.twig.summary` — the :class:`PathSummary`: tag totals and
+  the segments holding a tag, read live off the tag catalog;
+- :mod:`repro.twig.plan` — the plan rule (``auto`` is the twig memo; a
+  pattern naming an absent tag is empty) and the process
   planner-decision log;
-- :mod:`repro.twig.evaluate` — the holistic (TwigStack-style) and
-  pairwise executors, byte-identical by construction;
+- :mod:`repro.twig.evaluate` — the holistic and pairwise executors,
+  byte-identical by construction;
 - :mod:`repro.twig.memo` — the twig memo the holistic executor answers
   from: per pattern node and segment the surviving elements, refreshed
   after an update by Proposition 3.
@@ -23,14 +22,13 @@ acyclic at load time.
 from __future__ import annotations
 
 from repro.twig.pattern import WILDCARD, TwigNode, TwigQuery, parse_twig
-from repro.twig.summary import EdgeSynopsis, PathSummary
+from repro.twig.summary import PathSummary
 
 __all__ = [
     "WILDCARD",
     "TwigNode",
     "TwigQuery",
     "parse_twig",
-    "EdgeSynopsis",
     "PathSummary",
     "evaluate_twig",
     "plan_twig",

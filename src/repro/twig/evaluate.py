@@ -1,30 +1,18 @@
-"""Holistic twig evaluation over the compiled read path.
+"""Twig evaluation over the compiled read path.
 
 Two executors answer the same :class:`~repro.twig.pattern.TwigQuery`:
 
-**Holistic** (``strategy="twig"``, TwigStack-style).  Its distinct output
-matches come from the pattern's twig memo (:mod:`repro.twig.memo`): per
-pattern node and segment the elements that survive, refreshed after an
-update where the journal and Proposition 3 say something can have moved,
-so a query after an update costs what the update touched.  The answer is
-the memo's own read-only sequence, in ``(sid, start)`` order.  With
-``bindings=True`` (which must *return* the chains) the executor runs over
-whole streams: one global element
-stream per pattern node — four parallel columns, assembled as
-``node.gp + column`` from the read-path cache's gp-free span columns
-(:meth:`~repro.core.readpath.ReadPathCache.span_columns`), so a query
-after an update re-derives only the segments the update touched.  Stream
-construction applies the Lazy-Join cross-segment test (Proposition 3) to
-each pattern edge: a segment of the child tag whose ER-tree path holds no
-segment of the parent tag cannot contribute a match and is skipped before
-a single element is emitted — for child axes only the segment itself and
-its direct parent segment qualify (Prop 3(1)).  The trunk is then reduced
-top-down: each step keeps its elements with a surviving ancestor one edge
-up, and the survivors meet the step's branches as per-edge *existence
-semi-joins* over the columns (two bisects per parent element find the
-children inside it — never a pair list).  The whole evaluation is linear
-in stream size plus output, and the chains come from the chained
-per-step stacks of :func:`~repro.joins.path_stack.path_stack`.
+**Holistic** (``strategy="twig"``, and ``"auto"``, which is the same).
+Its answer comes from the pattern's twig memo (:mod:`repro.twig.memo`):
+per pattern node and segment the elements that survive, refreshed after
+an update where the journal and Proposition 3 say something can have
+moved, so a query after an update costs what the update touched.  The
+distinct output matches are the memo's own read-only sequence, in
+``(sid, start)`` order.  With ``bindings=True`` (which must *return* the
+chains) each trunk step's global element stream is cut to the elements
+its memo level holds, and the chains come from the chained per-step
+stacks of :func:`~repro.joins.path_stack.path_stack`: every survivor has
+a surviving element one trunk edge up, so no chain dead-ends.
 
 **Pairwise** (``strategy="pairwise"``).  The classic decomposition the
 holistic algorithm exists to beat: one Stack-Tree-Desc join per pattern
@@ -32,9 +20,10 @@ edge, materializing intermediate pair lists, followed by semi-join
 filtering and chain assembly.  Plain chains (no twig-only features)
 instead fall back to the existing selectivity-ordered
 :func:`~repro.core.query.evaluate_path` pipeline, which reuses the
-read-path join memo.  Both stream executors share stream construction
-and the predicate filters; the memo shares none of it, so the parity
-suite holds it to an independent reading of the pattern.
+read-path join memo.  Stream construction and the predicate filters
+serve the pairwise executor and the holistic chains; the memo shares
+none of it, so the parity suite holds it to an independent reading of
+the pattern.
 
 Results are byte-identical across executors by construction of a
 canonical output order: distinct output-step records in ``(sid, start)``
@@ -57,7 +46,6 @@ from repro.obs.metrics import METRICS
 from repro.twig.memo import database_text, inner_text, memo_matches
 from repro.twig.pattern import WILDCARD, TwigQuery, parse_twig
 from repro.twig.plan import PLAN_RECORDER, plan_twig
-from repro.twig.summary import PathSummary
 
 __all__ = ["evaluate_twig"]
 
@@ -78,7 +66,6 @@ def evaluate_twig(
     bindings: bool = False,
     strategy: str = "auto",
     context=None,
-    summary: PathSummary | None = None,
 ):
     """Evaluate a twig pattern against a :class:`LazyXMLDatabase`.
 
@@ -92,10 +79,9 @@ def evaluate_twig(
     ``hit``, ``refresh`` or ``cold``; ``refreshed`` segment entries;
     ``spine`` elements looked at).
 
-    ``strategy`` pins an executor (``"twig"`` / ``"pairwise"``) or lets
-    the path-summary planner choose (``"auto"``).  ``context`` threads
-    the usual deadline/row budgets; ``summary`` overrides the database's
-    own :class:`PathSummary` (tests).
+    ``strategy`` pins an executor (``"twig"`` / ``"pairwise"``);
+    ``"auto"`` is the holistic one.  ``context`` threads the usual
+    deadline/row budgets.
     """
     query = expression if isinstance(expression, TwigQuery) else parse_twig(expression)
     if strategy not in _STRATEGIES:
@@ -105,55 +91,69 @@ def evaluate_twig(
     db.log.require_query_ready()
     enabled = METRICS.enabled
     start = perf_counter() if enabled else 0.0
-    if summary is None:
-        summary = db.path_summary
-    plan = plan_twig(query, summary)
+    plan = plan_twig(query, db.path_summary)
     chosen = plan.strategy if strategy == "auto" else strategy
     PLAN_RECORDER.record(
-        expression=str(query),
-        strategy=chosen,
-        surface="twig",
-        cost_twig=plan.cost_twig,
-        cost_pairwise=plan.cost_pairwise,
-        pruned=plan.empty,
+        expression=str(query), strategy=chosen, surface="twig", pruned=plan.empty
     )
     trace = context.trace if context is not None else None
     if trace is None:
-        result, _ = _execute(db, query, plan, chosen, bindings, context, summary)
+        result, _ = _execute(db, query, plan.empty, chosen, bindings, context)
     else:
         with trace.span(
             "twig_query", expr=str(query), strategy=chosen
         ) as span:
-            result, memo = _execute(
-                db, query, plan, chosen, bindings, context, summary
+            result, served = _execute(
+                db, query, plan.empty, chosen, bindings, context
             )
-            span.annotate(
-                matches=len(result),
-                pruned=plan.empty,
-                cost_twig=plan.cost_twig,
-                cost_pairwise=plan.cost_pairwise,
-                edge_costs=[list(edge) for edge in plan.edge_costs],
-            )
-            if memo is not None:
-                span.annotate(memo=memo[0], refreshed=memo[1], spine=memo[2])
+            span.annotate(matches=len(result), pruned=plan.empty)
+            if served is not None:
+                span.annotate(
+                    memo=served[0], refreshed=served[1], spine=served[2]
+                )
     if enabled:
         _H_SECONDS.observe(perf_counter() - start)
     return result
 
 
-def _execute(db, query, plan, chosen, bindings, context, summary):
+def _execute(db, query, empty, chosen, bindings, context):
     """The answer, and how the twig memo served it (``None``: not used)."""
-    if plan.empty:
+    if empty:
         return [], None
-    if chosen == "twig" and not bindings:
-        return memo_matches(db, query, context)
-    return _stream_execute(db, query, chosen, bindings, context, summary), None
+    if chosen == "pairwise":
+        return _pairwise_execute(db, query, bindings, context), None
+    key, memo, served = memo_matches(db, query, context)
+    result = _memo_chains(db, query, memo.levels, context) if bindings else (
+        memo.answer
+    )
+    if context is not None:
+        context.check_deadline()
+        context.charge_rows(len(result))
+    if served[0] != "hit":
+        # Published once the answer is charged: an abort publishes nothing.
+        db.readpath.store_path(key, memo)
+    return result, served
 
 
-def _stream_execute(db, query, chosen, bindings, context, summary):
-    """The executors over whole global streams: ``bindings=True`` and the
-    pairwise decomposition."""
-    if chosen == "pairwise" and query.is_plain:
+def _memo_chains(db, query, levels, context):
+    """The trunk chains, each step's stream cut to its memo level."""
+    streams = []
+    for node in query.trunk:
+        held = set(chain.from_iterable(levels[node.index][1]))
+        stream = _tag_stream(db, node.tag, node.axis, None, context)
+        streams.append(
+            _elements(_take(stream, [r in held for r in stream[_RECORDS]]))
+        )
+    chains = path_stack(streams, [node.axis for node in query.trunk])
+    return sorted(
+        (tuple(e.record for e in chain) for chain in chains),
+        key=_chain_record_key,
+    )
+
+
+def _pairwise_execute(db, query, bindings, context):
+    """The pairwise decomposition over whole global streams."""
+    if query.is_plain:
         # The existing selectivity-ordered Lazy-Join pipeline (with its
         # read-path join memo) is the pairwise executor for plain chains.
         from repro.core.query import evaluate_path
@@ -164,17 +164,10 @@ def _stream_execute(db, query, chosen, bindings, context, summary):
         if bindings:
             result = sorted(result, key=_chain_record_key)
         return result
-    streams = _build_streams(db, query, summary, context)
-    if chosen == "twig":
-        trunk = _reduced_trunk(query, streams)
-        chains = path_stack(
-            [_elements(stream) for stream in trunk],
-            [node.axis for node in query.trunk],
-        )
-    else:
-        chains = _pairwise(
-            query, [_elements(stream) for stream in streams], context
-        )
+    streams = _build_streams(db, query, context)
+    chains = _pairwise(
+        query, [_elements(stream) for stream in streams], context
+    )
     if context is not None:
         context.check_deadline()
         context.charge_rows(len(chains))
@@ -191,12 +184,12 @@ def _chain_record_key(chain):
 
 
 # ----------------------------------------------------------------------
-# stream construction (shared by both executors)
+# stream construction (the pairwise executor and the holistic chains)
 #
 # A stream is four parallel lists — global starts, global ends, levels,
-# records — in start order.  The semi-joins and predicate filters read the
-# integer columns; GlobalElement objects exist only where an API hands
-# them out (`_elements`).
+# records — in start order.  The predicate filters read the integer
+# columns; GlobalElement objects exist only where an API hands them out
+# (`_elements`).
 
 _STARTS, _ENDS, _LEVELS, _RECORDS = range(4)
 
@@ -212,7 +205,7 @@ def _elements(stream):
     return list(map(GlobalElement, *stream))
 
 
-def _build_streams(db, query, summary, context):
+def _build_streams(db, query, context):
     """One predicate-filtered global stream per pattern node, preorder.
 
     Preorder guarantees a node's pattern parent is built first, which the
@@ -220,6 +213,7 @@ def _build_streams(db, query, summary, context):
     of the parent's *final* stream).
     """
     parents = {child.index: parent for parent, child in query.edges()}
+    summary = db.path_summary
     streams: list[tuple | None] = [None] * len(query.nodes)
     for node in query.nodes:
         parent = parents.get(node.index)
@@ -324,7 +318,7 @@ def _piece(enclosing, hi):
 
 
 # ----------------------------------------------------------------------
-# predicate filters (shared by both executors)
+# predicate filters (the pairwise executor)
 
 
 def _value_matches(db, stream, value):
@@ -341,22 +335,6 @@ def _value_matches(db, stream, value):
     ]
 
 
-def _child_runs(parents, children):
-    """Per parent element, ``(lo, hi, level + 1)``: the run of ``children``
-    rows starting inside its span and the level its own children have.
-
-    Two bisects on the children's starts column per parent, so children
-    outside every parent are never looked at.  Elements of one forest
-    nest or are disjoint, which makes "starts inside" the same as
-    "contained"; of the contained ones, exactly those one level down are
-    the parent's children.
-    """
-    c_starts = children[_STARTS]
-    for start, end, level in zip(*parents[:_RECORDS]):
-        lo = bisect_right(c_starts, start)
-        yield lo, bisect_left(c_starts, end, lo), level + 1
-
-
 def _nth_child(parents, children, n):
     """Which children are the ``n``-th same-tag child of their parent.
 
@@ -365,93 +343,25 @@ def _nth_child(parents, children, n):
     ``parents`` (the parent step's stream) cannot match.  Ordinals count
     *all* same-tag children of that parent in document order,
     independent of other predicates.
+
+    Two bisects on the children's starts column per parent find the run
+    starting inside it, so children outside every parent are never looked
+    at.  Elements of one forest nest or are disjoint, which makes "starts
+    inside" the same as "contained"; of the contained ones, exactly those
+    one level down are the parent's children.
     """
-    keep = [False] * len(children[_STARTS])
-    c_levels = children[_LEVELS]
-    for lo, hi, want in _child_runs(parents, children):
+    c_starts, c_levels = children[_STARTS], children[_LEVELS]
+    keep = [False] * len(c_starts)
+    for start, end, level in zip(*parents[:_RECORDS]):
+        lo = bisect_right(c_starts, start)
         seen = 0
-        for row in range(lo, hi):
-            if c_levels[row] == want:
+        for row in range(lo, bisect_left(c_starts, end, lo)):
+            if c_levels[row] == level + 1:
                 seen += 1
                 if seen == n:
                     keep[row] = True
                     break
     return keep
-
-
-# ----------------------------------------------------------------------
-# the holistic executor
-
-
-def _edge_satisfied(parents, children, axis):
-    """Existence semi-join: which parent elements have a qualifying child.
-
-    A descendant-axis parent qualifies when its run of contained
-    children is not empty, a child-axis parent when the run holds an
-    element one level down.  No pair is ever materialized.
-    """
-    if axis != AXIS_CHILD:
-        return [lo < hi for lo, hi, _ in _child_runs(parents, children)]
-    c_levels = children[_LEVELS]
-    return [
-        want in c_levels[lo:hi]
-        for lo, hi, want in _child_runs(parents, children)
-    ]
-
-
-def _has_ancestor(parents, children, axis):
-    """Downward semi-join: which child elements have a qualifying parent.
-
-    The dual of :func:`_edge_satisfied` over the same runs: every child
-    in a descendant-axis parent's run qualifies, and of a child-axis
-    parent's run the elements one level down.  Parents come in start
-    order, so a parent nested in an earlier one adds nothing to a
-    descendant-axis answer and its run is skipped.
-    """
-    keep = [False] * len(children[_STARTS])
-    if axis != AXIS_CHILD:
-        done = 0  # rows below this are settled
-        for lo, hi, _ in _child_runs(parents, children):
-            if hi > done:
-                lo = max(lo, done)
-                keep[lo:hi] = [True] * (hi - lo)
-                done = hi
-        return keep
-    c_levels = children[_LEVELS]
-    for lo, hi, want in _child_runs(parents, children):
-        for row in range(lo, hi):
-            if c_levels[row] == want:
-                keep[row] = True
-    return keep
-
-
-def _with_branches(node, stream, streams):
-    """``stream`` (rows of ``node``) cut to the rows every branch of
-    ``node`` has a witness under."""
-    for branch in node.branches:
-        if not stream[_STARTS]:
-            break
-        witnesses = _with_branches(branch, streams[branch.index], streams)
-        stream = _take(stream, _edge_satisfied(stream, witnesses, branch.axis))
-    return stream
-
-
-def _reduced_trunk(query, streams):
-    """The trunk streams with every constraint semi-joined in.
-
-    Top-down: a step is first cut to the elements with a surviving
-    ancestor one edge up, and only those meet the step's branches — so a
-    selective ancestor shrinks every semi-join below it.  The survivors
-    of the last step *are* the answer; the chains ``bindings=True`` wants
-    run through the survivors of every step.
-    """
-    trunk = []
-    for node in query.trunk:
-        stream = streams[node.index]
-        if trunk:
-            stream = _take(stream, _has_ancestor(trunk[-1], stream, node.axis))
-        trunk.append(_with_branches(node, stream, streams))
-    return trunk
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import compress, count
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -116,31 +117,24 @@ def _layout(query) -> _Layout:
 
 
 def memo_matches(db, query, context):
-    """The distinct output matches from the pattern's twig memo, brought
-    up to date, and ``(how, refreshed, spine)``: ``"hit"``, ``"refresh"``
+    """The pattern's twig memo brought up to date: ``(key, memo, served)``,
+    ``served`` being ``(how, refreshed, spine)`` — ``"hit"``, ``"refresh"``
     or ``"cold"``, the segment entries recomputed and the spine elements
-    looked at.  The memo is published with one assignment once the answer
-    is charged, so an abort publishes nothing."""
+    looked at.  Unless ``how`` is ``"hit"`` the memo is not published
+    yet: the caller stores it under ``key`` with one assignment once its
+    answer is charged, so an abort publishes nothing."""
     rp = db.readpath
     key = memo_key(query, db.log.tags)
     old = rp.path_memo(key)
     written = None if old is None else db.index.written_since(old.position)
-    refresh = None
     if written == []:
         rp.hits += 1
-        answer = old.answer
-    else:
-        rp.misses += 1
-        position = db.index.journal_position
-        refresh = _Refresh(db, query, old, written, context)
-        answer = refresh.run()
-    if context is not None:
-        context.check_deadline()
-        context.charge_rows(len(answer))
-    if refresh is None:
-        return answer, ("hit", 0, 0)
-    rp.store_path(key, PathMemo(position, refresh.levels, answer))
-    return answer, (refresh.how, refresh.refreshed, len(refresh.spine_rows))
+        return key, old, ("hit", 0, 0)
+    rp.misses += 1
+    position = db.index.journal_position
+    refresh = _Refresh(db, query, old, written, context)
+    memo = PathMemo(position, refresh.levels, refresh.run())
+    return key, memo, (refresh.how, refresh.refreshed, len(refresh.spine_rows))
 
 
 class _Refresh:
@@ -276,18 +270,18 @@ class _Refresh:
         self.refreshed += 1
         if self.context is not None:
             self.context.tick()
+        # A start alone names no element: two may share one.  The tag's
+        # records are its rows in block order, which is record order for
+        # one tag; the wildcard's ties are ordered by tag, so it sorts.
         records = block.tag(tid).records
-        member = self._member
-        if tid is None:
-            return tuple(
-                record for row, record in enumerate(records)
-                if member(node, sid, row)
-            )
-        starts = block.starts
-        return tuple(
-            record for record in records
-            if member(node, sid, bisect_left(starts, record.start))
+        rows = range(len(block)) if tid is None else compress(
+            count(), map(tid.__eq__, block.tids)
         )
+        entry = tuple(
+            record for row, record in zip(rows, records)
+            if self._member(node, sid, row)
+        )
+        return entry if tid is not None else tuple(sorted(entry))
 
     def _entry_of(self, n: int, sid: int) -> tuple:
         sids, entries = self.levels[n]
@@ -295,12 +289,14 @@ class _Refresh:
         return entries[i] if i < len(sids) and sids[i] == sid else ()
 
     def _holds(self, n: int, sid: int, row: int) -> bool:
-        """Whether row ``row`` of segment ``sid`` is in level ``n``: a
-        start names an element of a segment."""
+        """Whether row ``row`` of segment ``sid`` is in level ``n``."""
         entry = self._entry_of(n, sid)
-        start = self.index.block(sid).starts[row]
-        i = bisect_left(entry, (sid, start))
-        return i < len(entry) and entry[i].start == start
+        block = self.index.block(sid)
+        record = ElementRecord(
+            sid, block.starts[row], block.ends[row], block.levels[row]
+        )
+        i = bisect_left(entry, record)
+        return i < len(entry) and entry[i] == record
 
     # ------------------------------------------------------------------
     # what a level must look at again
@@ -583,9 +579,10 @@ class _Refresh:
             starts, ends, levels = block.starts, block.ends, block.levels
             want = levels[row] + 1
             seg = self.tree.node(sid)
+            lo = bisect_right(starts, starts[row], row + 1)  # strictly inside
             found = [
                 (seg.to_global(starts[k]), sid, k)
-                for k in range(row + 1, bisect_left(starts, ends[row], row + 1))
+                for k in range(lo, bisect_left(starts, ends[row], lo))
                 if levels[k] == want and (tid is None or block.tids[k] == tid)
             ]
             for child in self._inside(sid, starts[row], ends[row]):

@@ -2,17 +2,16 @@
 
 Covers the whole vertical: the pattern grammar and its typed
 :class:`PathSyntaxError` reporting (shared with the upgraded
-``parse_path``), the :class:`PathSummary` synopsis (feasibility,
-selectivity memo, version-counter invalidation), the twig/pairwise
-planner and its process-wide decision log, the holistic and pairwise
+``parse_path``), the :class:`PathSummary` tag totals and segment sets,
+the plan rule and its process-wide decision log, the holistic and pairwise
 executors on handcrafted documents (branches, wildcards, positional and
 value predicates, bindings), and the end-to-end surfaces — database
 method, service + tracing + stats, TCP protocol verb, shell command,
 and the ``twig`` verb on the CLI.
 
-The structural-prune acceptance criterion is pinned here too: a twig
-whose edge the summary proves impossible must answer ``[]`` without
-compiling a single read-path column (readpath misses delta == 0).
+The prune acceptance criterion is pinned here too: a twig naming a tag
+with no element must answer ``[]`` without compiling a single read-path
+column (readpath misses delta == 0).
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from repro.errors import (
     ResourceExhausted,
 )
 from repro.net.protocol import SessionState, execute_request
+from repro.obs.trace import Trace
 from repro.service.context import QueryContext
 from repro.service.server import DatabaseService
 from repro.service.shell import ServiceShell
@@ -210,58 +210,6 @@ class TestPathSummary:
         assert summary.total("nosuch") == 0
         assert summary.total("*") == db.element_count
 
-    def test_edge_feasibility(self):
-        db = make_db()
-        summary = PathSummary(db.log, db.index)
-        assert summary.edge("r", "a", "descendant").feasible
-        assert summary.edge("a", "b", "child").feasible
-        # Same-segment tags are conservatively feasible (the synopsis is
-        # segment-granular); absent tags never are.
-        assert summary.edge("b", "c", "descendant").feasible
-        assert not summary.edge("r", "nosuch", "descendant").feasible
-
-    def test_cross_segment_edge_infeasible(self):
-        # Two top-level documents live in segments with disjoint ER
-        # paths: an edge between their tags is provably empty.
-        db = LazyXMLDatabase()
-        db.insert("<x><y/></x>")
-        db.insert("<p><q/></p>")
-        db.prepare_for_query()
-        summary = PathSummary(db.log, db.index)
-        syn = summary.edge("x", "q", "descendant")
-        assert not syn.feasible and syn.est_pairs == 0
-        assert syn.a_total == 1 and syn.d_total == 1
-        assert not summary.edge("p", "y", "child").feasible
-
-    def test_feasible_rejects_impossible_query(self):
-        db = LazyXMLDatabase()
-        db.insert("<x><y/></x>")
-        db.insert("<p><q/></p>")
-        db.prepare_for_query()
-        summary = PathSummary(db.log, db.index)
-        assert summary.feasible(parse_twig("x//y"))
-        assert not summary.feasible(parse_twig("x//q"))
-        assert not summary.feasible(parse_twig("x//nosuch"))
-
-    def test_memo_hits_and_invalidation(self):
-        db = make_db()
-        summary = PathSummary(db.log, db.index)
-        summary.edge("r", "a", "descendant")
-        before = summary.stats()
-        summary.edge("r", "a", "descendant")
-        after = summary.stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        # An update bumps the taglist versions: the memo entry is stale
-        # and the written segment is folded in, with no rebuild.
-        db.insert("<a><b>new</b></a>", db.document_length)
-        folded = summary.edge("r", "a", "descendant")
-        bumped = summary.stats()
-        assert bumped["misses"] == after["misses"] + 1
-        assert bumped["invalidations"] == after["invalidations"]
-        fresh = PathSummary(db.log, db.index)  # no memo: built from scratch
-        assert folded == fresh.edge("r", "a", "descendant")
-
     def test_segment_sids(self):
         db = make_db()
         summary = PathSummary(db.log, db.index)
@@ -281,18 +229,11 @@ class TestPlanner:
         db.insert("<x><y/></x>")
         db.insert("<p><q/></p>")
         db.prepare_for_query()
-        plan = plan_twig(parse_twig("x//q"), PathSummary(db.log, db.index))
-        assert plan.empty
-
-    def test_plan_carries_costs(self):
-        db = make_db()
-        plan = plan_twig(parse_twig("r//a/b"), PathSummary(db.log, db.index))
-        assert plan.cost_twig > 0
-        assert plan.cost_pairwise > 0
-        assert plan.strategy in ("twig", "pairwise")
-        d = plan.as_dict()
-        assert d["strategy"] == plan.strategy
-        assert len(d["edge_costs"]) == 2
+        summary = PathSummary(db.log, db.index)
+        assert plan_twig(parse_twig("x//nosuch"), summary).empty
+        assert plan_twig(parse_twig("nosuch[y]"), summary).empty
+        plan = plan_twig(parse_twig("x//q"), summary)
+        assert (plan.strategy, plan.empty) == ("twig", False)
 
     def test_recorder_counts_decisions(self):
         db = make_db()
@@ -304,6 +245,25 @@ class TestPlanner:
         assert sum(counts.values()) == 2
         assert PLAN_RECORDER.snapshot()["recent"][-1]["surface"] == "twig"
 
+    def test_auto_reads_the_memo(self):
+        """Where a cost model would price pairwise far below holistic (a
+        thousand ``a`` in segments holding no ``b``, one ``a[b]`` in its
+        own segment), ``auto`` still answers from the twig memo."""
+        db = LazyXMLDatabase()
+        db.insert("<r>" + "<a/>" * 1000 + "</r>")
+        db.insert("<a><b/></a>")
+        db.prepare_for_query()
+        before = PLAN_RECORDER.snapshot()
+        context = QueryContext(trace=Trace())
+        got = db.twig_query("a[b]", context=context)
+        (span,) = [s for s in context.trace.spans if s.name == "twig_query"]
+        assert span.attrs["strategy"] == "twig"
+        assert span.attrs["memo"] == "cold"
+        counts = decisions_since(before, PLAN_RECORDER.snapshot())
+        assert (counts["twig"], counts["pairwise"]) == (1, 0)
+        assert got == db.twig_query("a[b]", strategy="pairwise")
+        assert len(got) == 1
+
     def test_path_surface_recorded_too(self):
         db = make_db()
         before = PLAN_RECORDER.snapshot()
@@ -312,14 +272,15 @@ class TestPlanner:
         assert PLAN_RECORDER.snapshot()["recent"][-1]["surface"] == "path"
 
     def test_prune_compiles_zero_columns(self):
-        """Acceptance: impossible twig answers [] off the synopsis alone."""
+        """Acceptance: a twig naming an absent tag answers [] off the tag
+        totals alone."""
         db = LazyXMLDatabase()
         db.insert("<x><y/></x>")
         db.insert("<p><q/></p>")
         db.prepare_for_query()
         before = db.readpath.stats()
         assert db.twig_query("x//nosuch[y]") == []
-        assert db.twig_query("x//q") == []
+        assert db.twig_query("x[nosuch]//y", strategy="pairwise") == []
         after = db.readpath.stats()
         assert after["misses"] == before["misses"]
         assert after["entries"] == before["entries"]
@@ -422,13 +383,6 @@ class TestEvaluate:
         with pytest.raises(ResourceExhausted):
             db.twig_query("r//a[b]/c", context=ctx)
 
-    def test_explicit_summary_reused(self):
-        db = make_db()
-        summary = PathSummary(db.log, db.index)
-        result = evaluate_twig(db, "r//a[b]", summary=summary)
-        assert len(result) == len(db.twig_query("r//a[b]"))
-        assert summary.stats()["entries"] > 0
-
     def test_results_survive_interleaved_update(self):
         db = make_db()
         cold = spans(db, db.twig_query("r//a[b]/c"))
@@ -462,15 +416,15 @@ class TestServiceSurface:
             assert reply["count"] == len(result)
             trace_spans = reply["trace"]
             twig_span = next(s for s in trace_spans if s["name"] == "twig_query")
-            assert twig_span["attrs"]["strategy"] in ("twig", "pairwise")
-            assert "cost_twig" in twig_span["attrs"]
+            assert twig_span["attrs"]["strategy"] == "twig"
+            assert twig_span["attrs"]["memo"] in ("hit", "refresh", "cold")
 
     def test_stats_exposes_planner(self):
         with service_db() as svc:
             before = PLAN_RECORDER.snapshot()
             svc.twig("r//a[b]")
             counts = decisions_since(before, svc.stats()["planner"])
-            assert counts["twig"] + counts["pairwise"] == 1
+            assert (counts["twig"], counts["pairwise"]) == (1, 0)
 
     def test_protocol_verb(self):
         with service_db() as svc:

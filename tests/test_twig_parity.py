@@ -17,11 +17,11 @@ fallback against the real ``plan_path`` pipeline, pinning the
 The same agreement is held after every step of the shared ``apply_op``
 histories of ``tests/test_join_chunks.py`` (inserts anywhere, whole,
 partial and nested removes, batches, rollback, repack, compact,
-dumps/loads; LD and LS).  Both executors (and ``bindings=True``) read
-the one stream builder, so agreement between them says nothing about
-*it*: wherever the text mirror still parses to the indexed elements, the
-answers are also held to the brute-force tree matcher of
-``tests/test_twig_oracle.py``.
+dumps/loads; LD and LS).  The pairwise executor and the holistic
+binding chains read the one stream builder, so agreement between them
+says nothing about *it*: wherever the text mirror still parses to the
+indexed elements, the answers are also held to the brute-force tree
+matcher of ``tests/test_twig_oracle.py``.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def mirror_reference(db):
 def assert_history_answers(db) -> None:
     """Every pattern: twig == pairwise, records and chains alike, == the
     brute-force tree matcher.  A step whose mirror is no longer the indexed
-    document is passed over: spans that share a start are not a forest,
-    and no executor defines an answer over them."""
+    document is passed over here; ``tests/test_twig_memo.py`` holds the
+    memo to pairwise there too."""
     db.prepare_for_query()
     ref = mirror_reference(db)
     if ref is None:
