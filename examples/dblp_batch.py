@@ -17,7 +17,7 @@ from repro.workloads.scenarios import dblp_stream
 
 
 def main(n_days: int = 5, entries_per_day: int = 80) -> None:
-    db = LazyXMLDatabase(mode="static", keep_text=False)
+    db = LazyXMLDatabase(mode="static")
 
     for day in range(n_days):
         # Daytime: entries stream in; nothing but the ER-tree is maintained.

@@ -17,7 +17,7 @@ from repro.workloads.scenarios import registration_stream
 
 
 def main(n_forms: int = 200) -> None:
-    db = LazyXMLDatabase(keep_text=False)  # big stream: skip the text mirror
+    db = LazyXMLDatabase()
 
     print(f"accepting {n_forms} registration forms ...")
     started = time.perf_counter()

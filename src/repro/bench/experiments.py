@@ -121,7 +121,7 @@ def _fig11_workload(shape, segment_counts, elements_per_segment, n_tags):
     tags = tag_pool(n_tags)
     fragment = generate_uniform_fragment(elements_per_segment, tags)
     tag_counts = dict(Counter(e.tag for e in parse_fragment(fragment).elements))
-    db = LazyXMLDatabase(keep_text=False)
+    db = LazyXMLDatabase()
     ops: list[tuple[int, int, dict[str, int]]] = []
     sids: list[int] = []
     snapshots = {}
@@ -223,9 +223,9 @@ def fig12_cross_join(
             for fraction, config in zip(
                 fractions, sweep_configs(n_segments, shape, list(fractions))
             ):
-                ld = LazyXMLDatabase(keep_text=False)
+                ld = LazyXMLDatabase()
                 build_join_mix(ld, config)
-                ls = LazyXMLDatabase(mode="static", keep_text=False)
+                ls = LazyXMLDatabase(mode="static")
                 build_join_mix(ls, config)
                 ls.prepare_for_query()  # so unsort has sorted input
                 stats = JoinStatistics()
@@ -319,9 +319,9 @@ def xmark_databases(scale: float, n_segments: int, seed: int = 7):
     take = min(n_segments - 1, len(candidates))
     step = max(1, len(candidates) // take) if take else 1
     ops = chop(document, [document.root] + candidates[::step][:take])
-    ld = LazyXMLDatabase(keep_text=False)
+    ld = LazyXMLDatabase()
     apply_chop(ld, ops)
-    ls = LazyXMLDatabase(mode="static", keep_text=False)
+    ls = LazyXMLDatabase(mode="static")
     apply_chop(ls, ops)
     ls.prepare_for_query()
     return ld, ls
@@ -439,7 +439,7 @@ def fig16_insert(
     tags = tag_pool(n_tags)
     fragment = generate_uniform_fragment(elements_per_segment, tags)
     for count in doc_segment_counts:
-        db = LazyXMLDatabase(keep_text=False)
+        db = LazyXMLDatabase()
         sids = build_uniform_segments(
             db,
             count,
@@ -556,7 +556,7 @@ def fig17_element_insert(
     def lazy_pair(count: int) -> list[tuple[str, LazyXMLDatabase, int]]:
         pair = []
         for name, mode in (("ld_us", "dynamic"), ("ls_us", "static")):
-            db = LazyXMLDatabase(mode=mode, keep_text=False)
+            db = LazyXMLDatabase(mode=mode)
             sids = build_uniform_segments(db, count, shape, n_tags=8)
             pair.append((name, db, sids[len(sids) // 2]))
         return pair
@@ -613,7 +613,7 @@ def fig17_element_insert(
 
 def ablation_repack(n_segments: int = 80, *, repeat: int = 7) -> list[Table]:
     """E11: segment packing (Section 5.3): a nested chain before/after compact."""
-    db = LazyXMLDatabase(keep_text=False)
+    db = LazyXMLDatabase()
     build_join_mix(
         db,
         JoinMixConfig(n_segments=n_segments, shape="nested", in_blocks_per_segment=2),
@@ -724,6 +724,8 @@ def _shape_fig16(tables: list[Table]) -> None:
             "does not grow with the document")
     _expect(trad[-1] > 5 * lazy[-1], f"traditional {trad[-1]:.2f} ms not > 5x "
             f"lazy {lazy[-1]:.2f} ms on the largest document")
+    _expect(lazy[-1] <= 1.5 * lazy[0], f"lazy {lazy[0]:.3f} -> {lazy[-1]:.3f} ms "
+            "grows with the document")
 
 
 def _shape_fig16_ingest(tables: list[Table]) -> None:
@@ -824,7 +826,7 @@ FIGURES: dict[str, Figure] = {
         "Fig. 16 — inserting one segment: LD vs traditional relabeling",
         fig16_insert,
         ("doc_elements", "lazy_ms", "traditional_ms", "relabelled_pct"),
-        quick={"doc_segment_counts": (20, 40, 80), "repeat": 2},
+        quick={"doc_segment_counts": (20, 40, 80), "repeat": 7},
         shape=_shape_fig16,
     ),
     "fig16-ingest": Figure(

@@ -12,10 +12,10 @@ Ties together the paper's pieces end to end:
   global spans are always derivable from the ER-tree (:meth:`global_span`) —
   the core invariant of the lazy approach.
 
-The database optionally mirrors the super document *text* (``keep_text``),
-which the benchmarks disable (the paper measures index maintenance, not file
-I/O) and the test suite uses as ground truth: reparsing the mirrored text
-must agree with every index-derived answer.
+Each segment keeps the fragment it was inserted with, and
+:attr:`LazyXMLDatabase.text` reads the super document off the ER-tree; the
+test suite reparses it as ground truth for every index-derived answer.
+Every insert and remove is checked against the text (DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -115,14 +115,13 @@ class LazyXMLDatabase:
         ``"dynamic"`` (LD — update log fully maintained per update) or
         ``"static"`` (LS — tag-list sorting deferred to
         :meth:`prepare_for_query`).
-    keep_text:
-        Mirror the super-document text in memory.  Needed for
-        ``validate="full"`` and for the test-suite ground truth; benchmarks
-        switch it off.
+    sid_start, sid_stride:
+        The sid lattice this database allocates from (shards use disjoint
+        ones).
     """
 
-    def __init__(self, mode: str = "dynamic", *, keep_text: bool = True,
-                 sid_start: int = 1, sid_stride: int = 1):
+    def __init__(self, mode: str = "dynamic", *, sid_start: int = 1,
+                 sid_stride: int = 1):
         self.log = UpdateLog(mode=mode, sid_start=sid_start,
                              sid_stride=sid_stride)
         self.index = ElementIndex()
@@ -138,13 +137,14 @@ class LazyXMLDatabase:
         from repro.twig.summary import PathSummary
 
         self.path_summary = PathSummary(self.log, self.index)
-        self._keep_text = keep_text
-        self._text: str = ""
         # Sids of the top-level documents known to be well-formed with every
         # segment and element record matching the text (DESIGN.md §4,
         # "Removal validation").  Derived and never persisted: a loaded
         # database starts with none and earns them back one scan at a time.
         self._trusted: set[int] = set()
+        # Sids of the top-level documents not known to parse as element
+        # content (the insert verdict needs that of all it does not touch).
+        self._unbalanced: set[int] = set()
 
     # ------------------------------------------------------------------
     # properties
@@ -156,10 +156,9 @@ class LazyXMLDatabase:
 
     @property
     def text(self) -> str:
-        """The mirrored super-document text (requires ``keep_text``)."""
-        if not self._keep_text:
-            raise QueryError("database was created with keep_text=False")
-        return self._text
+        """The super-document text, read off the segments' fragments."""
+        root = self.log.ertree.root
+        return root.read(0, root.length)
 
     @property
     def document_length(self) -> int:
@@ -183,27 +182,50 @@ class LazyXMLDatabase:
     # ------------------------------------------------------------------
     # updates
 
-    def insert(
-        self, fragment: str, position: int | None = None, *, validate: str = "fragment"
-    ) -> InsertReceipt:
+    def insert(self, fragment: str, position: int | None = None) -> InsertReceipt:
         """Insert a well-formed XML ``fragment`` at character ``position``.
 
         ``position`` defaults to the end of the super document (appending a
-        new top-level document, the DBLP-style batch-update case).
-
-        ``validate`` is ``"fragment"`` (parse the fragment only — the
-        paper's assumption that segments are valid) or ``"full"`` (also
-        re-parse the whole mirrored text afterwards; requires ``keep_text``).
+        new top-level document, the DBLP-style batch-update case).  The
+        insert is refused (:class:`~repro.errors.InvalidSegmentError`)
+        unless the super document with the fragment spliced in still
+        parses (:meth:`_validate_insert`).
 
         Returns the :class:`~repro.core.update_log.InsertReceipt` with the
         new segment's sid, path and local position.
 
         Exception safety: every input check — fragment parse, position
-        bounds, optional full-document validation — runs before the first
-        structure is touched, and the index maintenance after the update-log
-        insertion is guarded by a rollback, so a failing insert always
-        leaves ``check_invariants()`` green.
+        bounds, the splice verdict — runs before the first structure is
+        touched, and the index maintenance after the update-log insertion
+        is guarded by a rollback, so a failing insert always leaves
+        ``check_invariants()`` green.
         """
+        position, document, parent, base_level, trusted = self.check_insert(
+            fragment, position
+        )
+        tag_counts: Counter = Counter(e.tag for e in document.elements)
+        receipt = self.log.insert_segment(position, len(fragment), tag_counts)
+        self.log.node(receipt.sid).fragment = fragment
+        top_sid = parent.path[1] if parent.sid != DUMMY_ROOT_SID else receipt.sid
+        try:
+            records = [
+                (self.log.tags.intern(e.tag), e.start, e.end, e.level)
+                for e in document.elements
+            ]
+            if not self.index.insert_segment(receipt.sid, records, base_level):
+                self.index.note_text_write(receipt.sid)  # text, no element
+        except BaseException:
+            self._trusted.discard(top_sid)
+            self._rollback_insert(receipt, tag_counts)
+            raise
+        self._mark(top_sid, trusted)
+        return receipt
+
+    def check_insert(self, fragment: str, position: int | None = None):
+        """Raise, changing nothing, when ``insert(fragment, position)`` would
+        (as :meth:`check_removal` does for removes); else return what the
+        insert needs: ``(position, parsed fragment, parent segment, base
+        level, trusted afterwards)``."""
         if position is None:
             position = self.log.document_length
         document = parse_fragment(fragment)
@@ -212,46 +234,63 @@ class LazyXMLDatabase:
                 f"insert position {position} outside super document "
                 f"[0, {self.log.document_length}]"
             )
-        if validate == "full":
-            if not self._keep_text:
-                raise QueryError('validate="full" requires keep_text=True')
-            self._validate_splice(fragment, position)
         parent = self.log.ertree.innermost_segment(position)
         base_level, anchor = self._depth_at(parent, position)
-        # A fragment is a balanced run of whole tokens, so a trusted
-        # document stays trusted when the fragment lands inside an element
-        # and between tokens; the scan from the nearest record boundary
-        # decides the latter, before anything is touched.
-        top_sid = parent.path[1] if parent.sid != DUMMY_ROOT_SID else None
-        stays_trusted = (
-            top_sid in self._trusted
-            and base_level > 0
-            and reaches_cleanly(
-                self._text, anchor, position, self.log.node(top_sid).end
-            )
+        trusted = self._validate_insert(
+            fragment, position, document, parent, base_level, anchor
         )
+        return position, document, parent, base_level, trusted
 
-        tag_counts: Counter = Counter(e.tag for e in document.elements)
-        receipt = self.log.insert_segment(position, len(fragment), tag_counts)
-        try:
-            records = [
-                (self.log.tags.intern(e.tag), e.start, e.end, e.level)
-                for e in document.elements
-            ]
-            if not self.index.insert_segment(receipt.sid, records, base_level):
-                self.index.note_text_write(receipt.sid)  # text, no element
-            if self._keep_text:
-                self._text = self._text[:position] + fragment + self._text[position:]
-        except BaseException:
-            self._trusted.discard(top_sid)
-            self._rollback_insert(receipt, tag_counts)
-            raise
-        if top_sid is None:
-            if self._keep_text:
-                self._trusted.add(receipt.sid)  # a parsed fragment, alone
-        elif not stays_trusted:
-            self._trusted.discard(top_sid)
-        return receipt
+    def _validate_insert(
+        self, fragment: str, position: int, document, parent: ERNode,
+        base_level: int, anchor: int,
+    ) -> bool | None:
+        """Refuse an insert unless the super document, with ``fragment``
+        spliced in at ``position``, parses as element content.
+
+        The touched document decides once every other one is known to parse
+        (the ``_unbalanced`` ones are scanned first, and learnt): in a
+        trusted document inside an element, the gap from ``anchor`` (a
+        fragment is a balanced run of whole tokens); otherwise an audited
+        scan of it spliced.  Where a document fails alone, the text after it
+        could finish its last token, so the text from the first such
+        document on decides (DESIGN.md §4).  Returns what the touched or new
+        document is afterwards (:meth:`_mark`).
+        """
+        top = self.log.node(parent.path[1]) if parent.sid != DUMMY_ROOT_SID else None
+        others = [sid for sid in self._unbalanced if top is None or sid != top.sid]
+        for sid in others:
+            node = self.log.node(sid)
+            if well_formed(node.pieces(node.gp, node.end, []), wrapped=True):
+                self._unbalanced.discard(sid)
+        trusted: bool | None = True
+        if top is not None and not (
+            top.sid in self._trusted
+            and base_level > 0
+            and reaches_cleanly(parent.pieces(anchor, position, []))
+        ):
+            spliced = top.pieces(top.gp, position, [])
+            spliced.append((fragment, 0, len(fragment)))
+            top.pieces(position, top.end, spliced)
+            audit = self._audit(top, added=(parent, position, document))
+            if well_formed(spliced, audit=audit):
+                trusted = audit.confirmed
+            else:
+                trusted = False if well_formed(spliced, wrapped=True) else None
+        starts = [self.log.node(sid).gp for sid in others if sid in self._unbalanced]
+        if trusted is None:
+            starts.append(top.gp)
+        if starts:
+            first, root = min(starts), self.log.ertree.root
+            rest = root.pieces(first, max(first, position), [])
+            if position >= first:
+                rest.append((fragment, 0, len(fragment)))
+            root.pieces(max(first, position), root.length, rest)
+            if not well_formed(rest, wrapped=True):
+                raise InvalidSegmentError(
+                    f"insertion at {position} would produce malformed XML"
+                )
+        return trusted
 
     def _rollback_insert(self, receipt: InsertReceipt, tag_counts: Counter) -> None:
         """Undo a segment insertion whose index maintenance failed midway.
@@ -268,24 +307,6 @@ class LazyXMLDatabase:
         self.readpath.drop_segment(self.log.node(receipt.sid))
         report = self.log.remove_span(receipt.gp, receipt.length)
         self.log.apply_removal_counts({receipt.sid: counts}, report)
-
-    def _validate_splice(self, fragment: str, position: int) -> None:
-        """Reject an insertion that would leave the super document malformed.
-
-        Scans the mirror with the fragment spliced in logically — no
-        would-be text is built — before any structure is touched, so a
-        failed full validation leaves the database unchanged.
-        """
-        text = self._text
-        spliced = [
-            (text, 0, position),
-            (fragment, 0, len(fragment)),
-            (text, position, len(text)),
-        ]
-        if not well_formed(spliced, wrapped=True):
-            raise InvalidSegmentError(
-                f"insertion at {position} would produce malformed XML"
-            )
 
     def _depth_at(self, parent: ERNode, position: int) -> tuple[int, int]:
         """Absolute depth of the innermost element containing ``position``,
@@ -344,7 +365,7 @@ class LazyXMLDatabase:
         tag-list maintenance operates only on data the report proves
         present, so an invalid request never leaves partial mutations.
         """
-        verdict = self._validate_removal_span(position, length)
+        verdict = self.check_removal(position, length)
         report = self.log.remove_span(position, length)
         per_segment_counts: dict[int, Counter] = {}
         removed_elements = 0
@@ -372,45 +393,42 @@ class LazyXMLDatabase:
             per_segment_counts[partial.sid] = counts
             removed_elements += sum(counts.values())
         self._trusted.difference_update(report.removed_sids)
+        self._unbalanced.difference_update(report.removed_sids)
         self.log.apply_removal_counts(per_segment_counts, report)
-        if self._keep_text:
-            self._text = self._text[:position] + self._text[position + length :]
         if verdict is not None:
-            top_sid, trusted = verdict
-            if trusted:
-                self._trusted.add(top_sid)
-            else:
-                self._trusted.discard(top_sid)
+            self._mark(*verdict)
         return RemovalOutcome(report=report, elements_removed=removed_elements)
 
-    def check_removal(self, position: int, length: int) -> None:
-        """Raise, changing nothing, when ``remove(position, length)`` would.
+    def _mark(self, top_sid: int, trusted: bool | None) -> None:
+        """Record what an update's check learnt of top-level document
+        ``top_sid``: trusted (``True``), parsing as element content
+        (``False``), or neither known (``None``)."""
+        if trusted:
+            self._trusted.add(top_sid)
+        else:
+            self._trusted.discard(top_sid)
+        if trusted is None:
+            self._unbalanced.add(top_sid)
+        else:
+            self._unbalanced.discard(top_sid)
 
-        The whole pre-mutation check of :meth:`remove` as a read-only call,
-        so a caller that must commit to an operation before applying it (the
-        journal: :func:`repro.durability.recovery.validate_op`) refuses
-        exactly the spans the apply would refuse.
-        """
-        self._validate_removal_span(position, length)
-
-    def _validate_removal_span(
+    def check_removal(
         self, position: int, length: int
-    ) -> tuple[int, bool] | None:
-        """Reject spans that would corrupt structure, before any mutation.
-
-        Beyond bounds, two shapes are refused:
+    ) -> tuple[int, bool | None] | None:
+        """Raise, changing nothing, when ``remove(position, length)`` would:
+        the journal (:func:`repro.durability.recovery.validate_op`) refuses
+        exactly the spans the apply would.  Beyond bounds, two shapes:
 
         - a span **crossing a segment boundary** — Fig. 7's clipping cases
           would remove one segment's tail and its neighbour's head, leaving
           both with unbalanced tags.  A read-only ER-tree walk mirroring
           Fig. 7's span classification refuses any ``LEFT_INTERSECT``/
           ``RIGHT_INTERSECT`` against a live segment;
-        - a span **landing mid-tag** inside one top-level document
-          (text-mirror databases only): refused iff that document parses
-          now and would not parse with the span excised.  A mirror that is
-          already malformed (fragment-validated mid-text inserts) is never
-          refused, and spans covering whole top-level documents are not
-          text-checked.
+        - a span **landing mid-tag** inside one top-level document:
+          refused iff that document parses now and would not parse with
+          the span excised.  A document that is already malformed (one
+          with two roots, say) is never refused, and spans covering whole
+          top-level documents are not text-checked.
 
         The text check costs what the span costs.  In a *trusted* document
         (see ``_trusted``) a span that is exactly one live segment's extent
@@ -420,8 +438,8 @@ class LazyXMLDatabase:
         tree — and scans it as it stands only if that fails.
 
         Returns ``(top-level sid, trusted afterwards)`` for :meth:`remove`
-        to record once the span is gone, or ``None`` when the span lies in
-        no single document.  Read-only.
+        to record once the span is gone (:meth:`_mark`), or ``None`` when
+        the span lies in no single document.
         """
         if length <= 0:
             raise InvalidSegmentError(
@@ -466,58 +484,91 @@ class LazyXMLDatabase:
             node = inner
             if top is None:
                 top = inner
-        if not self._keep_text or top is None:
+        if top is None:
             return None
         if whole_segment and top.sid in self._trusted:
             return top.sid, True
-        text = self._text
-        audit = self._audit_after_removal(top, node, position, end)
-        excised = [(text, top.gp, position), (text, end, top.end)]
-        if not well_formed(excised, audit=audit) and well_formed(
-            [(text, top.gp, top.end)]
-        ):
+        audit = self._audit(top, lost=(node, position, end))
+        excised = top.pieces(top.gp, position, [])
+        top.pieces(end, top.end, excised)
+        if well_formed(excised, audit=audit):
+            return top.sid, audit.confirmed
+        if well_formed(top.pieces(top.gp, top.end, [])):
             raise InvalidSegmentError(
                 f"removal span [{position}, {end}) lands "
                 "mid-tag: the surviving document would not be "
                 "well-formed"
             )
-        return top.sid, audit.confirmed
+        return top.sid, None
 
-    def _audit_after_removal(
-        self, top: ERNode, holder: ERNode, position: int, end: int
-    ) -> Audit:
-        """What must hold in ``top``'s document, once ``[position, end)`` is
-        gone from segment ``holder``, for the document to be trusted: every
-        surviving segment under ``top`` a balanced run of whole tokens
-        inside an element, every surviving element record an element of the
-        text.  Offsets are pre-removal globals, as the excised scan sees
-        them."""
+    def _audit(self, top: ERNode, *, lost=None, added=None) -> Audit:
+        """What must hold in ``top``'s document after an update for it to be
+        trusted: every segment under ``top`` a balanced run of whole tokens
+        inside an element, every element record an element of the text.
+
+        The update takes ``lost = (holder, position, end)`` out of segment
+        ``holder`` (with the children and records inside it) or puts the
+        parsed ``document`` into ``parent`` at ``position``, ``added =
+        (parent, position, document)``.  Offsets count from ``top``'s
+        start in the updated text, as the scan of its pieces does.
+        """
+        base = top.gp
         ranges: list[tuple[int, bool]] = []
         elements: set[tuple[int, int]] = set()
-        lost_from = holder.to_local(position)
-        lost_to = holder.to_local(end)
-        pending: list[tuple[ERNode, bool]] = [(top, True)]
+        if lost is not None:
+            holder, position, end = lost
+            lost_from, lost_to = holder.to_local(position), holder.to_local(end)
+
+            def moved(offset: int, closing: bool) -> int:
+                if offset <= position:
+                    return offset
+                return max(position, offset - (end - position))
+        else:
+            parent, position, document = added
+            length = len(document.text)
+
+            def moved(offset: int, closing: bool) -> int:
+                # An end at the insert point stays before the new text.
+                if offset > position or (offset == position and not closing):
+                    return offset + length
+                return offset
+        pending: list[tuple[ERNode | None, bool]] = [(top, True)]
         while pending:
             node, entering = pending.pop()
+            if node is None:  # the inserted segment
+                at = position - base
+                ranges.append((at, True))
+                elements.update((at + e.start, at + e.end) for e in document.elements)
+                ranges.append((at + length, False))
+                continue
             if not entering:
-                ranges.append((node.end, False))
+                ranges.append((moved(node.end, True) - base, False))
                 continue
             if node is not top:
-                ranges.append((node.gp, True))
+                ranges.append((moved(node.gp, False) - base, True))
                 pending.append((node, False))
             to_global = node.to_global
             block = self.index.block(node.sid)
             for start, stop in zip(block.starts, block.ends):
                 # remove() drops the holder's records inside the span.
-                if node is holder and start >= lost_from and stop <= lost_to:
+                if lost is not None and node is holder and (
+                    start >= lost_from and stop <= lost_to
+                ):
                     continue
-                elements.add((to_global(start), to_global(stop, count_ties=False)))
-            pending.extend(
-                (child, True)
-                for child in reversed(node.children)
+                elements.add((
+                    moved(to_global(start), False) - base,
+                    moved(to_global(stop, count_ties=False), True) - base,
+                ))
+            children: list[ERNode | None] = list(node.children)
+            if lost is not None:
                 # Children inside the span go with it.
-                if not (position <= child.gp and child.end <= end)
-            )
+                children = [
+                    child for child in children
+                    if not (position <= child.gp and child.end <= end)
+                ]
+            elif node is parent:
+                children.insert(bisect_left(children, position, key=_segment_gp), None)
+            pending.extend((child, True) for child in reversed(children))
         return Audit(ranges, elements)
 
     def remove_segment(self, sid: int) -> RemovalOutcome:
@@ -664,10 +715,6 @@ class LazyXMLDatabase:
         """
         from repro.core.maintenance import repack_segment
 
-        node = self.log.node(sid)
-        if len(node.path) > 1:
-            # Re-derived labels are not the parsed ones the mark vouches for.
-            self._trusted.discard(node.path[1])
         return repack_segment(self, sid)
 
     def compact(self):
@@ -678,7 +725,6 @@ class LazyXMLDatabase:
         """
         from repro.core.maintenance import compact_database
 
-        self._trusted.clear()
         return compact_database(self)
 
     def apply_batch(self, ops: list[dict]) -> list:
@@ -702,7 +748,7 @@ class LazyXMLDatabase:
     # verification helpers (used heavily by the test suite)
 
     def check_invariants(self) -> None:
-        """Cross-structure consistency, including the text mirror if kept."""
+        """Cross-structure consistency, including every segment's text."""
         self.log.check_invariants()
         self.index.check_invariants()
         # The tag-list's incrementally maintained occurrence counts (what
@@ -723,22 +769,23 @@ class LazyXMLDatabase:
             "tag-list counts and element-index blocks disagree on (tid, sid): "
             f"{sorted(set(listed.items()) ^ set(indexed.items()))}"
         )
-        if self._keep_text:
-            assert len(self._text) == self.log.document_length, (
-                "text mirror and ER-tree disagree on document length"
+        for node in list(self.log.ertree.nodes())[1:]:
+            assert len(node.fragment) == node.virtual_own_length(), (
+                f"segment {node.sid}: fragment and ER-tree disagree on length"
             )
-        assert self._trusted <= {top.sid for top in self.log.ertree.root.children}, (
-            "trusted mark on something that is not a live top-level document"
+        tops = {top.sid for top in self.log.ertree.root.children}
+        assert self._trusted | self._unbalanced <= tops, (
+            "document mark on something that is not a live top-level document"
         )
+        assert not self._trusted & self._unbalanced, "trusted and unbalanced at once"
 
     def oracle_join(
         self, tag_a: str, tag_d: str, axis: str = AXIS_DESCENDANT
     ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Ground-truth join computed by re-parsing the mirrored text.
+        """Ground-truth join computed by re-parsing :attr:`text`.
 
         Returns global-span pairs; compare against
         ``[(global_span(a), global_span(d)) for a, d in structural_join(...)]``.
-        Requires ``keep_text``.
         """
         text = self.text
         if not text.strip():

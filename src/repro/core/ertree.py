@@ -51,11 +51,13 @@ class ERNode:
     pointer and children sorted ascending by ``gp``.  ``path`` is the tuple
     of sids from the dummy root down to this node (inclusive) — exactly what
     the tag-list stores; it is immutable because insertion always adds a leaf
-    and deletion never re-parents survivors.
+    and deletion never re-parents survivors.  ``fragment`` is the text the
+    segment was inserted with, indexed by virtual local offsets: what
+    removals take from it is tombstoned, never cut out (:meth:`pieces`).
     """
 
     __slots__ = (
-        "sid", "gp", "length", "lp", "parent", "children", "path",
+        "sid", "gp", "length", "lp", "parent", "children", "path", "fragment",
         "_tombstones", "_version", "_rp",
     )
 
@@ -73,6 +75,7 @@ class ERNode:
         self.lp = lp
         self.parent = parent
         self.children: list[ERNode] = []
+        self.fragment = ""
         self._tombstones: list[tuple[int, int]] = []
         # Read-path version key: bumped whenever anything the compiled
         # coordinate-mapping state depends on changes — own length, the
@@ -127,13 +130,25 @@ class ERNode:
         """Memoized read-path state, rebuilt lazily after :meth:`_touch`.
 
         ``(events, child_lps, child_len_prefix, tomb_starts, tomb_ends,
-        tomb_removed_prefix)`` — everything :meth:`to_local` /
-        :meth:`to_global` need, precomputed once per version instead of
-        per call.  Nothing here depends on ``gp``, so global-position
-        shifts leave the compiled state valid.
+        tomb_removed_prefix, event_offsets)`` — everything :meth:`to_local`
+        / :meth:`to_global` / :meth:`pieces` need, precomputed once per
+        version instead of per call; ``event_offsets`` holds each event's
+        actual offset from ``gp``.  Nothing here depends on ``gp``, so
+        global-position shifts leave the compiled state valid.
         """
         rp = self._rp
         if rp is None:
+            events = self._build_events()
+            offsets = []
+            actual = virtual = 0
+            for position, kind, size, _ in events:
+                actual += position - virtual
+                virtual = position
+                offsets.append(actual)
+                if kind == "child":
+                    actual += size
+                else:
+                    virtual += size
             children = self.children
             lps = [child.lp for child in children]
             len_prefix = [0] * (len(children) + 1)
@@ -151,12 +166,13 @@ class ERNode:
                 acc += t_end - t_start
                 removed_prefix.append(acc)
             rp = (
-                self._build_events(),
+                events,
                 lps,
                 len_prefix,
                 t_starts,
                 t_ends,
                 removed_prefix,
+                offsets,
             )
             self._rp = rp
         return rp
@@ -206,24 +222,18 @@ class ERNode:
                 return gp - self.gp
             child = self.children[idx - 1]
             return child.lp + max(0, gp - child.end)
-        actual = self.gp  # actual offset reached so far
-        virtual = 0
-        events = self._events()
-        for position, kind, size in events:
-            # Own characters between `virtual` and this event.
-            available = position - virtual
-            if actual + available >= gp:
-                return virtual + (gp - actual)
-            actual += available
-            virtual = position
-            if kind == "child":
-                if actual + size > gp:
-                    # Strictly inside the child: collapse to its lp.
-                    return virtual
-                actual += size
-            else:  # tombstone: consumes virtual space, no actual characters
-                virtual += size
-        return virtual + (gp - actual)
+        compiled = self._compiled()
+        events, offsets = compiled[0], compiled[6]
+        rel = gp - self.gp
+        at = bisect_left(offsets, rel)  # the first event at or after gp
+        if at:
+            position, _, size, child = events[at - 1]
+            if child is not None and rel < offsets[at - 1] + size:
+                return position  # strictly inside the child: its lp
+        if at < len(events):  # own characters run up to that event
+            return events[at][0] - (offsets[at] - rel)
+        position, _, size, child = events[-1]
+        return position + rel - offsets[-1] + (size if child is None else -size)
 
     def to_global(self, local: int, *, count_ties: bool = True) -> int:
         """Map a virtual local coordinate back to an actual global offset.
@@ -242,7 +252,7 @@ class ERNode:
         children may share an insertion point), so ties are resolved by
         bisect side: ``bisect_right`` counts them, ``bisect_left`` does not.
         """
-        _, lps, len_prefix, t_starts, t_ends, removed_prefix = self._compiled()
+        _, lps, len_prefix, t_starts, t_ends, removed_prefix, _ = self._compiled()
         # virtual_own_length(), from the compiled prefix sums: O(1), not a
         # walk over the children on every call.
         if not (0 <= local <= self.length - len_prefix[-1] + removed_prefix[-1]):
@@ -269,7 +279,7 @@ class ERNode:
         children nor tombstones maps every offset to itself: ``locals_``
         is returned as is, for the caller to share.
         """
-        _, lps, len_prefix, t_starts, t_ends, removed_prefix = self._compiled()
+        _, lps, len_prefix, t_starts, t_ends, removed_prefix, _ = self._compiled()
         if not lps and not t_starts:
             return locals_
         cut = bisect_right if count_ties else bisect_left
@@ -284,12 +294,53 @@ class ERNode:
             out.append(v - removed + len_prefix[cut(lps, v)])
         return out
 
-    def _events(self) -> list[tuple[int, str, int]]:
-        """Memoized :meth:`_build_events` (see :meth:`_compiled`)."""
-        return self._compiled()[0]
+    def pieces(self, lo: int, hi: int, out: list) -> list:
+        """Append this segment's text over global ``[lo, hi)`` to ``out`` as
+        ``(string, start, end)`` pieces in text order; returns ``out``.
 
-    def _build_events(self) -> list[tuple[int, str, int]]:
-        """Children and tombstones merged by virtual position.
+        The text is :attr:`fragment` read through the events, each child's
+        text spliced in at its ``lp`` and tombstoned ranges skipped, from a
+        bisect to the event at ``lo``: a window costs what lies inside it.
+        """
+        events = offsets = ()
+        if self.children or self._tombstones:  # a leaf compiles nothing
+            compiled = self._compiled()
+            events, offsets = compiled[0], compiled[6]
+        first = bisect_right(offsets, lo - self.gp) - 1
+        virtual, actual = (
+            (events[first][0], self.gp + offsets[first]) if first >= 0 else (0, self.gp)
+        )
+        for position, _, size, child in islice(events, max(first, 0), None):
+            actual = self._own(virtual, actual, position, lo, hi, out)
+            virtual = position
+            if actual >= hi:
+                return out
+            if child is None:
+                virtual += size
+            else:
+                if actual + size > lo:
+                    child.pieces(lo, hi, out)
+                actual += size
+        self._own(virtual, actual, len(self.fragment), lo, hi, out)
+        return out
+
+    def read(self, lo: int, hi: int) -> str:
+        """This segment's text over global ``[lo, hi)`` (see :meth:`pieces`)."""
+        return "".join(s[start:end] for s, start, end in self.pieces(lo, hi, []))
+
+    def _own(self, virtual: int, actual: int, until: int, lo: int, hi: int,
+             out: list) -> int:
+        """Append own characters ``[virtual, until)``, which start at global
+        ``actual``, clipped to ``[lo, hi)``; return the global after them."""
+        stop = actual + until - virtual
+        start, end = max(actual, lo), min(stop, hi)
+        if start < end:
+            out.append((self.fragment, virtual + start - actual, virtual + end - actual))
+        return stop
+
+    def _build_events(self) -> list[tuple[int, str, int, "ERNode | None"]]:
+        """Children and tombstones merged by virtual position:
+        ``(virtual offset, kind, size, child node or None)``.
 
         Children sort before a tombstone starting at the same virtual
         offset, mirroring ``to_global``'s reading that a child inserted at
@@ -298,18 +349,21 @@ class ERNode:
         A child's ``lp`` can sit strictly *inside* a tombstone: two
         removals flanking the child's insertion point leave touching
         holes, and :meth:`_add_tombstone` merges touching intervals.  The
-        scan in :meth:`to_local` needs events in interleaved order, so
-        such tombstones are split at every interior child lp.
+        event offsets (:meth:`to_local`, :meth:`pieces`) need events in
+        interleaved order, so such tombstones are split at every interior
+        child lp.
         """
-        events = [(child.lp, "child", child.length) for child in self.children]
+        events = [
+            (child.lp, "child", child.length, child) for child in self.children
+        ]
         lps = sorted({child.lp for child in self.children})
         for t_start, t_end in self._tombstones:
             start = t_start
             for lp in lps:
                 if start < lp < t_end:
-                    events.append((start, "tomb", lp - start))
+                    events.append((start, "tomb", lp - start, None))
                     start = lp
-            events.append((start, "tomb", t_end - start))
+            events.append((start, "tomb", t_end - start, None))
         events.sort(key=lambda e: (e[0], e[1]))  # "child" < "tomb"
         return events
 

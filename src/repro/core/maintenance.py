@@ -55,12 +55,16 @@ def repack_segment(db, sid: int) -> RepackResult:
 
     Every element of the subtree gets a fresh local label in the new
     segment's coordinate space (derived from its current global span, so
-    partial-removal tombstones are flattened away).  The ER-tree, tag-list
-    and element index are all kept consistent.
+    partial-removal tombstones are flattened away), and the new segment's
+    fragment is the subtree's text.  The ER-tree, tag-list and element
+    index are all kept consistent, and a top-level document's marks pass
+    to its new sid: the text and the global spans they vouch for are
+    unchanged.
     """
     require_repackable(db, sid)
     node = db.log.node(sid)
     base_gp = node.gp
+    text = node.read(node.gp, node.end)
 
     # Gather the subtree's element records with global-derived fresh labels.
     old_nodes = list(node.iter_subtree())
@@ -82,6 +86,11 @@ def repack_segment(db, sid: int) -> RepackResult:
     # One fresh segment over the same span; re-register everything.
     segments_before = db.segment_count
     new_node = db.log.ertree.collapse_subtree(sid)
+    new_node.fragment = text
+    for marks in (db._trusted, db._unbalanced):
+        if sid in marks:
+            marks.remove(sid)
+            marks.add(new_node.sid)
     counts = db.index.insert_segment(new_node.sid, fresh_records, base_level=0)
     for tid, count in counts.items():
         db.log.taglist.add_segment(tid, new_node, count)

@@ -217,16 +217,13 @@ class DurableDatabase:
         """
         return self._commit(dict(op))
 
-    def insert(
-        self, fragment: str, position: int | None = None, *, validate: str = "fragment"
-    ):
+    def insert(self, fragment: str, position: int | None = None):
         """Journaled :meth:`LazyXMLDatabase.insert`."""
         if position is None:
             position = self.db.document_length
-        op = {"op": "insert", "fragment": fragment, "position": position}
-        if validate != "fragment":
-            op["validate"] = validate
-        return self._commit(op)
+        return self._commit(
+            {"op": "insert", "fragment": fragment, "position": position}
+        )
 
     def remove(self, position: int, length: int):
         """Journaled :meth:`LazyXMLDatabase.remove`."""

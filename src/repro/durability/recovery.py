@@ -94,13 +94,15 @@ def validate_op(db: LazyXMLDatabase, op: dict) -> None:
 
     This runs *before* the journal append in the live write path, so the
     journal only ever records operations that will succeed; replay applies
-    the same checks, keeping the two paths in lockstep.  Removes go through
-    :meth:`LazyXMLDatabase.check_removal`, the very check ``remove`` runs,
-    so a mid-tag or boundary-crossing span is refused here, not after the
-    fsync.  (Batch sub-ops are checked at apply time, where a refused one
-    is skipped identically live and in replay; journals written before
-    this check existed may hold refused single removes, and replay skips
-    those the same way.)
+    the same checks, keeping the two paths in lockstep.  Inserts and
+    removes go through :meth:`LazyXMLDatabase.check_insert` and
+    :meth:`LazyXMLDatabase.check_removal`, the very checks ``insert`` and
+    ``remove`` run, so a splice that would not parse, or a mid-tag or
+    boundary-crossing span, is refused here, not after the fsync.  (Batch
+    sub-ops are checked at apply time, where a refused one is skipped
+    identically live and in replay; journals written before these checks
+    existed may hold refused single inserts and removes, and replay skips
+    those the same way.  Such a journal's ``validate`` field is ignored.)
     """
     kind = op.get("op")
     if kind == BATCH_KIND:
@@ -109,21 +111,10 @@ def validate_op(db: LazyXMLDatabase, op: dict) -> None:
     if kind not in OP_KINDS:
         raise RecoveryError(f"unknown journal operation {kind!r}")
     if kind == "insert":
-        fragment = op["fragment"]
         # An omitted position means append (mirrors the insert() API);
         # batch sub-ops rely on this since the append point shifts with
         # every preceding sub-op.
-        position = op.get("position")
-        if position is None:
-            position = db.document_length
-        parse_fragment(fragment)
-        if not 0 <= position <= db.document_length:
-            raise InvalidSegmentError(
-                f"insert position {position} outside super document "
-                f"[0, {db.document_length}]"
-            )
-        if op.get("validate") == "full":
-            db._validate_splice(fragment, position)
+        db.check_insert(op["fragment"], op.get("position"))
     elif kind == "remove":
         db.check_removal(op["position"], op["length"])
     elif kind == "remove_segment":
@@ -254,11 +245,7 @@ def apply_op(db: LazyXMLDatabase, op: dict):
     if kind == BATCH_KIND:
         return _apply_batch(db, op)
     if kind == "insert":
-        return db.insert(
-            op["fragment"],
-            op.get("position"),
-            validate=op.get("validate", "fragment"),
-        )
+        return db.insert(op["fragment"], op.get("position"))
     if kind == "remove":
         return db.remove(op["position"], op["length"])
     if kind == "remove_segment":
@@ -281,7 +268,7 @@ def recover(
 
     The result is a query-ready LD database: the checkpoint's
     (:func:`repro.storage.loads` builds LD whatever mode it names), or a
-    fresh one with the text mirror when there is none yet.  An existing
+    fresh one when there is none yet.  An existing
     checkpoint carries its own sid namespace; ``sid_start``/``sid_stride``
     seed it for fresh shard databases.  ``checkpoint_name`` lets the sharded
     coordinated-checkpoint layer use epoch-named checkpoint files.

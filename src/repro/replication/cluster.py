@@ -173,13 +173,12 @@ class ReplicationCluster:
     # ------------------------------------------------------------------
     # write API (mirrors DurableDatabase's journaled operations)
 
-    def insert(self, fragment: str, position: int | None = None, *, validate: str = "fragment"):
+    def insert(self, fragment: str, position: int | None = None):
         if position is None:
             position = self.primary.durable.db.document_length
-        op = {"op": "insert", "fragment": fragment, "position": position}
-        if validate != "fragment":
-            op["validate"] = validate
-        return self._commit(op)
+        return self._commit(
+            {"op": "insert", "fragment": fragment, "position": position}
+        )
 
     def remove(self, position: int, length: int):
         return self._commit({"op": "remove", "position": position, "length": length})

@@ -304,12 +304,8 @@ class DatabaseService:
             op = {**op, "position": self._base.document_length}
         return self._write(op)
 
-    def insert(self, fragment: str, position: int | None = None, *,
-               validate: str = "fragment"):
-        op = {"op": "insert", "fragment": fragment, "position": position}
-        if validate != "fragment":
-            op["validate"] = validate
-        return self.apply(op)
+    def insert(self, fragment: str, position: int | None = None):
+        return self.apply({"op": "insert", "fragment": fragment, "position": position})
 
     def remove(self, position: int, length: int):
         return self.apply({"op": "remove", "position": position, "length": length})

@@ -17,8 +17,8 @@ module gives readers a *pinned, immutable* view instead, RCU-style:
   crash recovery uses, so replica state is bit-identical to the primary,
   and costs what the ops cost: an insert parses its fragment, a
   whole-segment remove reads no text at all once the replica trusts the
-  document (a freshly cloned replica pays one scan of that document first;
-  see DESIGN.md §4, "Removal validation").  Readers arriving after the
+  document (a clone keeps its source's marks; see DESIGN.md §4, "Removal
+  validation").  Readers arriving after the
   swap see the new epoch; readers still holding the old one are
   undisturbed.
 - The previous buffer becomes the next spare once its pin count drains to

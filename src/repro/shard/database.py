@@ -181,7 +181,7 @@ class ShardedDatabase:
         Number of partitions.  Each shard allocates segment ids from a
         disjoint lattice (``sid_start=1+i``, ``sid_stride=n_shards``), so
         a sid names its owning shard: ``(sid - 1) % n_shards``.  Fresh
-        shards are LD databases with the text mirror.
+        shards are LD databases.
     executor:
         ``"inprocess"`` (default — run queries on the authoritative
         shards), ``"process"`` (persistent worker processes), or an
@@ -270,11 +270,9 @@ class ShardedDatabase:
     @property
     def text(self) -> str:
         """The virtual super-document text, documents in global order."""
-        parts = []
-        for doc in self._doc_table():
-            shard_text = self._base(doc.shard).text
-            parts.append(shard_text[doc.node.gp : doc.node.end])
-        return "".join(parts)
+        return "".join(
+            doc.node.read(doc.node.gp, doc.node.end) for doc in self._doc_table()
+        )
 
     def stats(self) -> LogStats:
         """Aggregated update-log size snapshot across shards."""
@@ -385,9 +383,7 @@ class ShardedDatabase:
     def _pre_commit(self, shard: int, op: dict, doc_change) -> None:
         """Hook for the durable layer; no-op in memory-only operation."""
 
-    def insert(
-        self, fragment: str, position: int | None = None, *, validate: str = "fragment"
-    ):
+    def insert(self, fragment: str, position: int | None = None):
         """Insert ``fragment`` at virtual-global ``position``.
 
         A position strictly inside an existing document routes to that
@@ -410,8 +406,6 @@ class ShardedDatabase:
                 )
             doc = self._doc_at(table, position)
             op: dict = {"op": "insert", "fragment": fragment}
-            if validate != "fragment":
-                op["validate"] = validate
             if doc is not None:
                 op["position"] = doc.node.gp + (position - doc.vstart)
                 return self._commit(doc.shard, op)
@@ -908,19 +902,16 @@ class ShardedDatabase:
         *,
         executor="inprocess",
     ) -> "ShardedDatabase":
-        """Partition an existing text-mirroring database by document.
+        """Partition an existing database by document.
 
         Each top-level document's text is re-inserted into its routed
         shard (internal segmentation is not carried over — the sharded
         copy starts with one segment per document, like a compacted
-        database).  Requires ``keep_text``.
+        database).
         """
-        if not db._keep_text:
-            raise QueryError("from_database requires a keep_text=True source")
         sharded = cls(n_shards)
-        text = db.text
         for top in db.log.ertree.root.children:
-            sharded.insert(text[top.gp : top.end])
+            sharded.insert(top.read(top.gp, top.end))
         if executor == "process":
             sharded._executor = ProcessExecutor(sharded._shards)
         elif executor != "inprocess":

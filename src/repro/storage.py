@@ -5,8 +5,8 @@ the administrator rebuilding it during maintenance windows.  For a usable
 library we also want to *close and reopen* a database without replaying the
 whole update history, so this module serializes the complete state — tag
 registry, segment tree (including tombstones), element records and the
-optional text mirror — to a single JSON document, and restores it
-losslessly.
+super-document text — to a single JSON document, and restores it
+losslessly: the text is sliced back into the segments' fragments.
 
 The format is versioned and deliberately simple (ints and strings only), so
 snapshots are diffable and future-proof.
@@ -66,8 +66,9 @@ def dumps(db: LazyXMLDatabase) -> str:
         # Every loaded database is LD (see :func:`loads`); the field stays
         # so the format, and snapshots written before, keep their bytes.
         "mode": "dynamic",
-        "keep_text": db._keep_text,
-        "text": db._text if db._keep_text else None,
+        # Kept so the format keeps its bytes: every database has its text.
+        "keep_text": True,
+        "text": db.text,
         "tags": [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))],
         "next_sid": db.log.ertree._next_sid,
         "segments": segments,
@@ -87,9 +88,14 @@ def clone(db: LazyXMLDatabase) -> LazyXMLDatabase:
     (which is all of them) is rebuilt from scratch, so the copy shares no
     mutable state with the original — the property the concurrent access
     layer (:mod:`repro.service.snapshot`) relies on when seeding read
-    replicas.
+    replicas.  The copy keeps the source's document marks (which a
+    snapshot does not hold), so a replica does not scan a document to
+    earn back what its source knew.
     """
-    return loads(dumps(db))
+    copy = loads(dumps(db))
+    copy._trusted = set(db._trusted)
+    copy._unbalanced = set(db._unbalanced)
+    return copy
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -111,10 +117,7 @@ def _validate_payload(payload: dict) -> None:
         f"mode must be 'dynamic' or 'static', got {payload['mode']!r}",
     )
     _expect(isinstance(payload["keep_text"], bool), "keep_text must be a bool")
-    _expect(
-        payload["text"] is None or isinstance(payload["text"], str),
-        "text must be a string or null",
-    )
+    _expect(isinstance(payload["text"], str), "text must be a string")
     tags = payload["tags"]
     _expect(
         isinstance(tags, list) and all(isinstance(t, str) for t in tags),
@@ -200,7 +203,10 @@ def loads(data: str) -> LazyXMLDatabase:
 
     The result is an LD database ready for queries, whatever ``mode`` the
     snapshot names: loading rebuilds every tag list in order, so an LS
-    snapshot has nothing left to defer.
+    snapshot has nothing left to defer.  Each segment's fragment is sliced
+    from the text; its tombstoned ranges, which no reader visits, are
+    filled with spaces.  No document is marked: the first insert scans
+    each once (see ``LazyXMLDatabase._validate_insert``).
     """
     try:
         payload = json.loads(data)
@@ -211,12 +217,9 @@ def loads(data: str) -> LazyXMLDatabase:
         raise SnapshotError(f"unsupported snapshot format: {found!r}")
     _validate_payload(payload)
     db = LazyXMLDatabase(
-        keep_text=payload["keep_text"],
         sid_start=payload.get("sid_start", 1),
         sid_stride=payload.get("sid_stride", 1),
     )
-    if db._keep_text:
-        db._text = payload["text"] or ""
     for name in payload["tags"]:
         db.log.tags.intern(name)
 
@@ -258,7 +261,39 @@ def loads(data: str) -> LazyXMLDatabase:
     for node in nodes.values():
         node.children.sort(key=lambda child: child.gp)
     ertree._next_sid = payload["next_sid"]
+    text = payload["text"]
+    if len(text) != ertree.root.length:
+        raise SnapshotError(
+            f"malformed snapshot: text holds {len(text)} characters, "
+            f"the segment tree {ertree.root.length}"
+        )
+    for node in nodes.values():
+        if node is not ertree.root:
+            node.fragment = _fragment(node, text)
+    db._unbalanced = {top.sid for top in ertree.root.children}
     return db
+
+
+def _fragment(node: ERNode, text: str) -> str:
+    """``node``'s own text sliced out of the super-document ``text``."""
+    parts, actual, virtual = [], node.gp, 0
+    events = node._compiled()[0] if node.children or node._tombstones else ()
+    for position, _, size, child in events:
+        parts.append(text[actual : actual + position - virtual])
+        actual += position - virtual
+        virtual = position
+        if child is None:
+            parts.append(" " * size)
+            virtual += size
+        else:
+            actual += size
+    parts.append(text[actual : node.end])
+    fragment = "".join(parts)
+    if len(fragment) != node.virtual_own_length():
+        raise SnapshotError(
+            f"malformed snapshot: segment {node.sid} does not fit the text"
+        )
+    return fragment
 
 
 def save(db: LazyXMLDatabase, path: str | Path) -> None:

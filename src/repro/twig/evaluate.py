@@ -43,7 +43,7 @@ from repro.errors import QueryError
 from repro.joins.path_stack import path_stack
 from repro.joins.stack_tree import AXIS_CHILD, stack_tree_desc
 from repro.obs.metrics import METRICS
-from repro.twig.memo import database_text, inner_text, memo_matches
+from repro.twig.memo import inner_text, memo_matches
 from repro.twig.pattern import WILDCARD, TwigQuery, parse_twig
 from repro.twig.plan import PLAN_RECORDER, plan_twig
 
@@ -325,13 +325,15 @@ def _value_matches(db, stream, value):
     """Which elements' raw inner text equals ``value``.
 
     Inner text is the slice between the start tag's ``>`` and the end
-    tag's ``<`` of the element's global span — raw, no normalization.
-    Requires the database to keep its text.
+    tag's ``<`` of the element's global span — raw, no normalization —
+    read off the element's own segment.
     """
-    text = database_text(db)
+    node = db.log.node
     return [
-        inner_text(text[start:end]) == value
-        for start, end in zip(stream[_STARTS], stream[_ENDS])
+        inner_text(node(record.sid), start, end) == value
+        for start, end, record in zip(
+            stream[_STARTS], stream[_ENDS], stream[_RECORDS]
+        )
     ]
 
 

@@ -23,8 +23,9 @@ inside one segment from the labels and the block's parent rows
 (:meth:`~repro.core.readpath.ReadPathCache.parent_rows`), across
 segments by Proposition 3 — element ``a`` of segment ``S`` holds segment
 ``T`` iff ``a.start < P_T^S < a.end``, ``P_T^S`` the local position of
-``T``'s way into ``S``.  Only a value predicate reads global text, and
-a positional one global starts, element by element.
+``T``'s way into ``S``.  Only a value predicate reads text — its
+element's window, off the element's segment — and a positional one
+global starts, element by element.
 """
 
 from __future__ import annotations
@@ -42,25 +43,15 @@ from repro.core.join import JoinAnswer
 from repro.core.query import patch_level
 from repro.core.readpath import PathMemo
 from repro.core.segment import DUMMY_ROOT_SID
-from repro.errors import QueryError
 from repro.joins.stack_tree import AXIS_CHILD
 
-__all__ = ["memo_key", "memo_matches", "database_text", "inner_text"]
+__all__ = ["memo_key", "memo_matches", "inner_text"]
 
 
-def database_text(db) -> str:
-    """The super-document text a value predicate reads."""
-    try:
-        return db.text
-    except QueryError as exc:
-        raise QueryError(
-            "value predicates require the database text "
-            "(open with keep_text=True)"
-        ) from exc
-
-
-def inner_text(element: str) -> str:
-    """What lies between an element's start tag and its end tag."""
+def inner_text(segment, start: int, end: int) -> str:
+    """What lies between the start tag and the end tag of the element at
+    global ``[start, end)`` of ``segment``: raw, no normalization."""
+    element = segment.read(start, end)
     open_end = element.find(">")
     close_start = element.rfind("<")
     return element[open_end + 1:close_start] if 0 <= open_end < close_start else ""
@@ -92,7 +83,6 @@ class _Layout(NamedTuple):
     order: list  #: every node after its branches, the trunk top down
     above: dict  #: node index -> pattern parent
     trunk_prev: dict  #: trunk node index -> the trunk step above it
-    values: bool  #: some node has a value predicate
 
 
 @lru_cache(maxsize=256)
@@ -112,7 +102,6 @@ def _layout(query) -> _Layout:
         order,
         {child.index: parent for parent, child in query.edges()},
         {node.index: prev for prev, node in zip(query.trunk, query.trunk[1:])},
-        any(node.value is not None for node in query.nodes),
     )
 
 
@@ -160,7 +149,6 @@ class _Refresh:
         self.layout = layout = _layout(query)
         self.above = layout.above
         self.trunk_prev = layout.trunk_prev
-        self.text = database_text(db) if layout.values else None
         self.levels: list = [None] * len(query.nodes)
         # per level, {sid: the records whose membership flipped}
         self.changes: list = [None] * len(query.nodes)
@@ -546,11 +534,9 @@ class _Refresh:
         block = self.index.block(sid)
         if node.value is not None:
             seg = self.tree.node(sid)
-            element = self.text[
-                seg.to_global(block.starts[row]):
-                seg.to_global(block.ends[row], count_ties=False)
-            ]
-            if inner_text(element) != node.value:
+            start = seg.to_global(block.starts[row])
+            end = seg.to_global(block.ends[row], count_ties=False)
+            if inner_text(seg, start, end) != node.value:
                 return False
         if node.position is None:
             return True

@@ -144,7 +144,7 @@ def scan_token(
     Returns ``(kind, token end, name)``.  This is the whole lexical grammar:
     :func:`tokenize` wraps it in :class:`Token` objects, and the
     well-formedness checker (:mod:`repro.xml.wellformed`) calls it directly
-    on windows of the text mirror.  ``doc_start`` is the offset at which an
+    on windows of the text.  ``doc_start`` is the offset at which an
     ``<?xml`` counts as the XML declaration; ``attributes``, when given,
     receives a start or empty tag's attribute pairs.  Raises
     :class:`~repro.errors.XMLSyntaxError` when no complete token fits in

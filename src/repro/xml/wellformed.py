@@ -14,8 +14,8 @@ are joined, and only as many as that token needs.
 A scan can also carry an :class:`Audit`: ranges of the text that must each
 be a balanced run of whole tokens below the root, and elements that must be
 found at given offsets.  The database uses it to learn, in the same pass
-that validates a removal, whether its segment and element records still
-describe the text (see ``LazyXMLDatabase._validate_removal_span``).
+that validates an update, whether its segment and element records still
+describe the text (see ``LazyXMLDatabase._audit``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class Audit:
     and end between tokens or inside character data, start inside some
     element, and cover a balanced run of tags.  ``elements`` is a set of
     ``(start, end)`` offsets; each must be the extent of an element of the
-    text.  Offsets are those of the pieces' own string.  ``confirmed`` is
+    text.  Offsets count characters of the pieces' concatenation, from 0
+    at its first.  ``confirmed`` is
     set by :func:`well_formed`: the text is well-formed and all of the
     above holds.
     """
@@ -61,8 +62,9 @@ class Audit:
 def _stitch(pieces: list[Piece], index: int, pos: int, doc_start: int):
     """Lex the token at ``pos`` of piece ``index`` across the pieces after it.
 
-    Returns ``(kind, name, piece index, offset)`` — where the token ends —
-    or ``None`` when the concatenation holds no complete token there either.
+    Returns ``(kind, name, piece index, offset, length)`` — where the token
+    ends, and how many characters it has — or ``None`` when the
+    concatenation holds no complete token there either.
     The look-ahead grows geometrically, so a token is joined from at most a
     constant factor more characters than it has.
     """
@@ -86,15 +88,16 @@ def _stitch(pieces: list[Piece], index: int, pos: int, doc_start: int):
                 return None
             window *= 4
             continue
+        length = stop
         stop -= len(head)
         following = index
         while stop > 0:
             following += 1
             _, start, end = pieces[following]
             if stop <= end - start:
-                return kind, name, following, start + stop
+                return kind, name, following, start + stop, length
             stop -= end - start
-        return kind, name, index, pos + len(head) + stop
+        return kind, name, index, pos + len(head) + stop, length
 
 
 def well_formed(
@@ -118,14 +121,18 @@ def well_formed(
     index = 0
     text, pos, end = pieces[0]
     doc_start = -1 if wrapped else pos
+    shift = -pos  # concatenation offset minus offset in ``text``
     while True:
         if pos >= end:
             index += 1
             if index == len(pieces):
                 break
+            shift += end
             text, pos, end = pieces[index]
+            shift -= pos
             continue
-        start = pos
+        begin = pos
+        start = pos + shift
         try:
             kind, pos, name = scan_token(text, pos, end, doc_start)
         except XMLSyntaxError:
@@ -134,14 +141,16 @@ def well_formed(
             stitched = _stitch(pieces, index, pos, 0 if pos == doc_start else -1)
             if stitched is None:
                 return False
-            kind, name, index, pos = stitched
+            kind, name, index, pos, length = stitched
             text, _, end = pieces[index]
+            shift = start + length - pos
+        stop = pos + shift
         # Range boundaries before the token's end, met at the depth the
         # token starts from.  At or before its first character they sit
         # between tokens (or in the gap an excised span left); further in
         # they are harmless in character data, where tags do not move,
         # and fatal to the audit in markup.
-        while event < len(events) and events[event][0] < pos:
+        while event < len(events) and events[event][0] < stop:
             offset, opens = events[event]
             if offset > start and kind is not _TEXT:
                 sound = False
@@ -154,7 +163,7 @@ def well_formed(
         if not sound:
             events = ()  # nothing left to confirm; ``floors`` may be off
         if kind is _TEXT:
-            if not names and not wrapped and text[start:pos].strip():
+            if not names and not wrapped and text[begin:pos].strip():
                 return False
         elif kind is _START_TAG or kind is _EMPTY_TAG:
             if root_seen and not names and not wrapped:
@@ -163,12 +172,12 @@ def well_formed(
             if kind is _START_TAG:
                 names.append(name)
                 starts.append(start)
-            elif (start, pos) in wanted:
+            elif (start, stop) in wanted:
                 found += 1
         elif kind is _END_TAG:
             if not names or names.pop() != name:
                 return False
-            if (starts.pop(), pos) in wanted:
+            if (starts.pop(), stop) in wanted:
                 found += 1
             if floors and len(names) < floors[-1]:
                 sound = False
@@ -183,18 +192,15 @@ def well_formed(
     return True
 
 
-def reaches_cleanly(text: str, start: int, target: int, limit: int) -> bool:
-    """True when lexing ``text[start:limit]`` from ``start`` — a position
-    between tokens — arrives at ``target`` between tokens or inside
-    character data, i.e. text spliced in at ``target`` splits no markup."""
-    if start > target:
-        return False
-    pos = start
+def reaches_cleanly(pieces: list[Piece]) -> bool:
+    """True when the concatenation of ``pieces``, read from a position
+    between tokens, lexes into whole tokens (the last may be character data
+    cut short): text spliced in at its end splits no markup."""
+    text = "".join(string[start:end] for string, start, end in pieces)
+    pos = 0
     try:
-        while pos < target:
-            kind, pos, _ = scan_token(text, pos, limit, -1)
-            if pos > target and kind is not _TEXT:
-                return False
+        while pos < len(text):
+            _, pos, _ = scan_token(text, pos, len(text), -1)
     except XMLSyntaxError:
         return False
     return True

@@ -98,7 +98,7 @@ class TestBuilders:
             parent_plan(3, "möbius")
 
     def test_build_uniform_segments_counts(self):
-        db = LazyXMLDatabase(keep_text=False)
+        db = LazyXMLDatabase()
         sids = build_uniform_segments(
             db, 10, "balanced", elements_per_segment=16, n_tags=4
         )
@@ -108,13 +108,13 @@ class TestBuilders:
         db.check_invariants()
 
     def test_build_uniform_segments_nested_depth(self):
-        db = LazyXMLDatabase(keep_text=False)
+        db = LazyXMLDatabase()
         sids = build_uniform_segments(db, 6, "nested", n_tags=4, elements_per_segment=8)
         node = db.log.node(sids[-1])
         assert node.depth == 6  # chain under the dummy root
 
     def test_build_requires_enough_elements(self):
-        db = LazyXMLDatabase(keep_text=False)
+        db = LazyXMLDatabase()
         with pytest.raises(UpdateError):
             build_uniform_segments(db, 3, "flat", elements_per_segment=2, n_tags=8)
 

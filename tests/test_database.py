@@ -8,7 +8,6 @@ from tests.helpers import assert_join_matches_oracle, count_for
 from repro.core.database import LazyXMLDatabase
 from repro.errors import (
     InvalidSegmentError,
-    QueryError,
     ReproError,
     XMLSyntaxError,
 )
@@ -62,30 +61,19 @@ class TestInsert:
         assert record.level == 3  # a(1) > c(2) > e(3)
 
     def test_validate_full_accepts_good_insert(self):
+        """Every insert is checked; one between tokens passes."""
         db = LazyXMLDatabase()
         db.insert("<a><b/></a>")
-        db.insert("<c/>", position=3, validate="full")
+        db.insert("<c/>", position=3)
         assert db.text == "<a><c/><b/></a>"
 
     def test_validate_full_rejects_tag_splitting(self):
         db = LazyXMLDatabase()
         db.insert("<a><b/></a>")
         with pytest.raises(InvalidSegmentError):
-            db.insert("<c/>", position=1, validate="full")  # inside "<a"
+            db.insert("<c/>", position=1)  # inside "<a"
         assert db.text == "<a><b/></a>"
         assert db.segment_count == 1
-
-    def test_validate_full_requires_text(self):
-        db = LazyXMLDatabase(keep_text=False)
-        db.insert("<a/>")
-        with pytest.raises(QueryError):
-            db.insert("<b/>", position=0, validate="full")
-
-    def test_keep_text_false_blocks_text_property(self):
-        db = LazyXMLDatabase(keep_text=False)
-        db.insert("<a/>")
-        with pytest.raises(QueryError):
-            _ = db.text
 
     def test_out_of_bounds_position(self):
         db = LazyXMLDatabase()
@@ -282,7 +270,7 @@ class TestExceptionSafety:
         before = self.fingerprint(db)
         with pytest.raises(InvalidSegmentError):
             # Splicing this at position 1 splits the first tag: malformed.
-            db.insert("<x/>", position=1, validate="full")
+            db.insert("<x/>", position=1)
         assert self.fingerprint(db) == before
         db.check_invariants()
 
@@ -401,13 +389,6 @@ class TestRemoveSpanValidation:
         assert db.text == "<c>three</c>"
         db.check_invariants()
 
-    def test_keep_text_false_still_catches_boundary_crossings(self):
-        db = LazyXMLDatabase(keep_text=False)
-        db.insert("<a>one</a>")
-        db.insert("<b>two</b>")
-        with pytest.raises(InvalidSegmentError, match="crosses the boundary"):
-            db.remove(5, 8)
-        db.check_invariants()
 
 
 def test_partial_removes_in_segments_sharing_a_start():

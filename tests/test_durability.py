@@ -276,11 +276,16 @@ class TestDurableDatabase:
 
     def test_refused_remove_segment_appends_nothing(self, tmp_path):
         """The whole-segment remove that must be refused: a segment whose
-        text ends a comment the document opened."""
+        text ends a comment the document opened (reached through a second
+        root, which lets the removes that open the comment through)."""
         with DurableDatabase(tmp_path / "state") as dd:
-            dd.insert("<a><b><!-- --></b></a>")
-            inner = dd.insert("<b>--></b>", dd.text.index("<!--") + 4)
-            dd.remove(dd.text.index(" --></b>"), len(" --></b>"))
+            dd.insert("<a><b><!----></b></a><!--e-->")
+            inner = dd.insert("<b>--></b>", dd.text.index("<!---->") + 7)
+            extra = dd.insert("<z/>", dd.text.index("<!--e-->"))
+            dd.remove(dd.text.index("<!---->") + 4, 3)
+            dd.remove(dd.text.index("</b></b>") + 4, 4)
+            dd.remove_segment(extra.sid)
+            assert dd.text == "<a><b><!--<b>--></b></a><!--e-->"
             seq, size = dd.last_seq, dd.journal_size
             with pytest.raises(InvalidSegmentError, match="mid-tag"):
                 dd.remove_segment(inner.sid)
@@ -378,23 +383,18 @@ class TestDurableDatabase:
             assert_join_matches_oracle(dd.db, "registration", "interest")
 
     def test_keep_text_false(self, tmp_path):
-        """So does a checkpoint of an LS database without the text mirror
-        (the figures' LS arm), which keeps no text."""
-        ls = LazyXMLDatabase(mode="static", keep_text=False)
-        reference = LazyXMLDatabase()
+        """A checkpoint written without its text (``"keep_text": false``,
+        as the figures' LS arm once wrote them) is refused typed: the
+        segments' fragments are sliced from the text."""
+        ls = LazyXMLDatabase(mode="static")
         for fragment in registration_stream(2):
             ls.insert(fragment)
-            reference.insert(fragment)
+        payload = json.loads(dumps(ls))
+        payload.update(mode="static", keep_text=False, text=None)
         directory = tmp_path / "state"
-        _hand_written_checkpoint(
-            directory,
-            dumps(ls).replace('"mode": "dynamic"', '"mode": "static"', 1),
-        )
-        with DurableDatabase(directory) as dd:
-            assert dd.mode == "dynamic"
-            assert sorted(dd.structural_join("user", "occupation")) == sorted(
-                reference.structural_join("user", "occupation")
-            )
+        _hand_written_checkpoint(directory, json.dumps(payload))
+        with pytest.raises(CheckpointError, match="text must be a string"):
+            DurableDatabase(directory)
 
     def test_recover_function_reports(self, tmp_path):
         directory = tmp_path / "state"

@@ -239,9 +239,7 @@ class TestLSMode:
 
     def test_ld_and_ls_agree(self):
         config = JoinMixConfig(n_segments=10, shape="balanced")
-        ld, ls = LazyXMLDatabase(keep_text=False), LazyXMLDatabase(
-            mode="static", keep_text=False
-        )
+        ld, ls = LazyXMLDatabase(), LazyXMLDatabase(mode="static")
         build_join_mix(ld, config)
         build_join_mix(ls, config)
         ls.prepare_for_query()

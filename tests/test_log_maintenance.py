@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.core.database import LazyXMLDatabase
 from repro.core.update_log import UpdateLog
-from repro.errors import ReproError
+from repro.errors import InvalidSegmentError, ReproError
 from tests.test_ertree import CharModel, assert_tree_matches_model
 
 FRAGMENTS = (
@@ -87,17 +87,35 @@ def _remove(db, position, length) -> list:
     return [("remove", position, length)]
 
 
+def refused(db: LazyXMLDatabase, call) -> bool:
+    """Run ``call()``; whether it was refused, in which case the text and
+    the element count must not have moved."""
+    text, elements = db.text, db.element_count
+    try:
+        call()
+    except InvalidSegmentError:
+        assert (db.text, db.element_count) == (text, elements)
+        return True
+    return False
+
+
 def apply_op(db: LazyXMLDatabase, kind: str, a: int, b: int) -> list:
     """Run one op of the ``_OPS`` alphabet; what it did to the text, as
     ``("insert", gp, length, sid or None)`` / ``("remove", gp, length)``.
-    Shared with ``tests/test_join_chunks.py``."""
+    An insert at a raw offset is refused where the fragment would not
+    splice in cleanly, and then does nothing.  Shared with
+    ``tests/test_join_chunks.py``."""
     fragment = FRAGMENTS[a % len(FRAGMENTS)]
     position = b % (db.document_length + 1)
     live = list(db.log.ertree.nodes())[1:]
     if kind == "insert":
-        receipt = db.insert(fragment, position)
-        return [("insert", position, len(fragment), receipt.sid)]
+        receipts = []
+        if refused(db, lambda: receipts.append(db.insert(fragment, position))):
+            return []
+        return [("insert", position, len(fragment), receipts[0].sid)]
     if kind == "rollback":
+        if refused(db, lambda: db.check_insert(fragment, position)):
+            return []
         # The index takes half the records, then fails: the rollback
         # finds the fresh segment's entries through the removal report.
         real = db.index.insert_segment
@@ -388,10 +406,11 @@ def _scaling_ratios() -> tuple[float, float, float]:
 def test_update_cost_does_not_follow_the_sibling_count():
     """Before PR 16 the per-op medians grew 15–30x from 250 to 4 000 forms
     (key lists rebuilt and lists scanned per tag of every update) and bulk
-    load ran at a fifth of the rate; now about 1.8x / 2.1x / 1.5x, and what
-    is left is the text mirror's string splice (ROADMAP item 1c: with
-    ``keep_text=False`` the three read 1.2x / 1.3x / 1.3x).  Generous
-    bounds, best of three attempts: this is a shape check, not a timer."""
+    load ran at a fifth of the rate; the super-document string spliced on
+    every update kept them at about 1.3x / 2.7x / 1.4x, and with each
+    segment owning its text they read about 1.1x / 1.3x / 0.7–1.0x (a
+    shared 2-core box).  Generous bounds, best of three attempts: this is
+    a shape check, not a timer."""
     for _attempt in range(3):
         insert, remove, ingest = _scaling_ratios()
         if insert <= 3 and remove <= 3 and ingest <= 2:

@@ -111,7 +111,7 @@ class TestCompactDatabase:
         assert_join_matches_oracle(db, "registration", "interest")
 
     def test_compact_shrinks_update_log(self):
-        db = LazyXMLDatabase(keep_text=False)
+        db = LazyXMLDatabase()
         config = JoinMixConfig(n_segments=25, shape="nested")
         build_join_mix(db, config)
         before = db.stats().total_bytes

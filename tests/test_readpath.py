@@ -50,7 +50,7 @@ from tests.test_log_maintenance import _form, _loaded
 
 def _mix_db(n_segments: int = 12, fraction: float = 0.5) -> LazyXMLDatabase:
     config = sweep_configs(n_segments, "nested", [fraction])[0]
-    db = LazyXMLDatabase(keep_text=False)
+    db = LazyXMLDatabase()
     build_join_mix(db, config)
     return db
 

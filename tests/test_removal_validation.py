@@ -1,16 +1,18 @@
-"""Removal validation: the lean checker against the double re-parse it replaced.
+"""Update validation: the lean checkers against the re-parses they replaced.
 
 ``remove`` refuses a span inside one top-level document iff that document
-parses now and would not parse with the span excised.  Until PR 14 the
-database decided that by slicing the document out of the text mirror twice
-and tree-parsing both copies; that validator lives on here, verbatim, as
-the oracle (:class:`DoubleParseDatabase`).  The shipped validator skips the
-text entirely for whole-segment removes in *trusted* documents and
-otherwise scans once, in place — so the properties below drive both through
-the same random histories (mid-tag inserts, comments and CDATA holding
-tags, partial removes, repack/compact, snapshot round trips) and demand the
-same verdict, the same error, the same text, every time — for the remove
-that was drawn and, in every state reached, for each live segment.
+parses now and would not parse with the span excised; ``insert`` refuses a
+fragment iff the super document with it spliced in would not parse as
+element content.  The database once decided both by slicing the text and
+tree-parsing the copies; those validators live on here, verbatim, as the
+oracle (:class:`DoubleParseDatabase`).  The shipped validators read the
+touched document only — nothing at all for whole-segment removes in
+*trusted* documents, the gap before the insert point for inserts into
+them — so the properties below drive both through the same random
+histories (inserts at any offset, comments and CDATA holding tags, partial
+removes, repack/compact, snapshot round trips) and demand the same verdict,
+the same error, the same text, every time — for the op that was drawn and,
+in every state reached, for the remove of each live segment.
 
 The second half pins the *shape* of the cost by counting the bytes handed
 to the checker, not by timing.
@@ -35,10 +37,13 @@ from repro.xml.wellformed import well_formed
 
 
 class DoubleParseDatabase(LazyXMLDatabase):
-    """The parent commit's validators, moved here verbatim: the oracle."""
+    """The parent commit's validators, moved here verbatim: the oracle.
+    (The text they read is :attr:`text` now, the removal check overrides
+    ``check_removal``, and the insert check's hook takes, and ignores,
+    where the insert lands.)"""
 
-    def _validate_splice(self, fragment: str, position: int) -> None:
-        candidate = self._text[:position] + fragment + self._text[position:]
+    def _validate_insert(self, fragment: str, position: int, *_located) -> None:
+        candidate = self.text[:position] + fragment + self.text[position:]
         try:
             parse_fragment(f"<__dummy_root__>{candidate}</__dummy_root__>")
         except XMLSyntaxError as exc:
@@ -46,7 +51,7 @@ class DoubleParseDatabase(LazyXMLDatabase):
                 f"insertion at {position} would produce malformed XML: {exc}"
             ) from exc
 
-    def _validate_removal_span(self, position: int, length: int) -> None:
+    def check_removal(self, position: int, length: int) -> None:
         if length <= 0:
             raise InvalidSegmentError(
                 f"removal length must be positive, got {length}"
@@ -57,15 +62,13 @@ class DoubleParseDatabase(LazyXMLDatabase):
                 f"super document [0, {self.log.document_length})"
             )
         self._reject_boundary_crossing(self.log.ertree.root, position, length)
-        if not self._keep_text:
-            return
         for top in self.log.ertree.root.children:
             if relate(position, length, top.gp, top.length) is not SpanRelation.CONTAINED:
                 continue
-            current = self._text[top.gp : top.end]
+            current = self.text[top.gp : top.end]
             candidate = (
-                self._text[top.gp : position]
-                + self._text[position + length : top.end]
+                self.text[top.gp : position]
+                + self.text[position + length : top.end]
             )
             if is_well_formed(current) and not is_well_formed(candidate):
                 raise InvalidSegmentError(
@@ -136,7 +139,7 @@ _OPS = st.tuples(
         + ["remove_segment"] * 4
         + ["remove_tokens"] * 3
         + ["repair"] * 2
-        + ["remove_any", "insert_full", "repack", "compact", "reload"]
+        + ["remove_any", "insert", "repack", "compact", "reload"]
     ),
     st.integers(0, 10_000),
     st.integers(0, 10_000),
@@ -161,14 +164,13 @@ def _replay(ops, check=None):
         text = oracle.text
         sids = sorted(sid for sid in oracle.log.ertree._nodes if sid)
         edges = [m.start() for m in _TOKEN_EDGE.finditer(text)] + [len(text)]
-        if kind in ("insert", "insert_full"):
+        if kind == "insert":
             # Any offset, but mostly at or just past a token edge: between
             # tokens, inside a tag's name, behind a comment's opener.
             position = a % (len(text) + 1)
             if b % 4:
                 position = min(len(text), edges[a % len(edges)] + (b % 4 - 1) * 2)
-            validate = "full" if kind == "insert_full" else "fragment"
-            call = lambda d: d.insert(fragment, position, validate=validate)  # noqa: E731
+            call = lambda d: d.insert(fragment, position)  # noqa: E731
         elif kind == "remove_segment":
             if not sids:
                 continue
@@ -219,7 +221,7 @@ def _replay(ops, check=None):
             assert _attempt(
                 db, lambda d: d.check_removal(node.gp, node.length)
             ) == _attempt(
-                oracle, lambda d: d._validate_removal_span(node.gp, node.length)
+                oracle, lambda d: d.check_removal(node.gp, node.length)
             ), (node.sid, db.text, db._trusted)
         if check is not None:
             check(db)
@@ -259,16 +261,46 @@ def test_segment_inside_a_comment_is_not_trusted():
     """The regression behind the 'token boundary' half of the mark: a
     document can parse while a live segment straddles a comment's end."""
     db = LazyXMLDatabase()
-    db.insert("<a><b><!-- --></b></a>")
-    inner = db.insert("<b>--></b>", db.text.index("<!--") + 4)
+    db.insert("<a><b><!----></b></a><!--e-->")
+    inner = db.insert("<b>--></b>", db.text.index("<!---->") + 7)
+    # A second root: the document stops parsing, so the removes that open
+    # the comment around the segment's start go through.
+    extra = db.insert("<z/>", db.text.index("<!--e-->"))
     assert not is_well_formed(db.text)
-    db.remove(db.text.index(" --></b>"), len(" --></b>"))
-    assert db.text == "<a><b><!--<b>--></b></a>"
+    db.remove(db.text.index("<!---->") + 4, 3)
+    db.remove(db.text.index("</b></b>") + 4, 4)
+    db.remove_segment(extra.sid)
+    assert db.text == "<a><b><!--<b>--></b></a><!--e-->"
     assert is_well_formed(db.text)
     before = storage.dumps(db)
     with pytest.raises(InvalidSegmentError, match="mid-tag"):
         db.remove_segment(inner.sid)
     assert storage.dumps(db) == before
+    db.check_invariants()
+
+
+def test_insert_beside_a_broken_document_gets_the_oracles_verdict():
+    """A second root stops a document parsing, so a remove may then cut
+    its text anywhere, and the super document stops parsing with it: from
+    there every insert anywhere is refused, as the double re-parse says,
+    until a remove mends that document."""
+    db, oracle = LazyXMLDatabase(), DoubleParseDatabase()
+    for d in (db, oracle):
+        d.insert("<!--p--><a/>")
+        d.insert("<b/>", len("<!--p-->"))
+        d.insert("<c/>")
+        d.remove(d.text.index("/><c/>"), 2)  # "<a/>" loses its "/>"
+    assert db.text == oracle.text == "<!--p--><b/><a<c/>"
+    for position in (0, len(db.text)):
+        for d in (db, oracle):
+            with pytest.raises(InvalidSegmentError):
+                d.insert("<d/>", position)
+    db = storage.loads(storage.dumps(db))  # the same verdicts, marks lost
+    with pytest.raises(InvalidSegmentError):
+        db.insert("<d/>", len(db.text))
+    db.remove(db.text.index("<a"), 2)
+    db.insert("<d/>", len(db.text))
+    assert db.text == "<!--p--><b/><c/><d/>"
     db.check_invariants()
 
 
@@ -334,17 +366,19 @@ def test_checker_reads_pieces_as_their_concatenation(text, other, data):
 
 
 class _ByteCounter:
-    """Wraps the database module's ``well_formed``; sums the window sizes."""
+    """Wraps the database module's ``well_formed`` (or another checker);
+    sums the window sizes."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, name="well_formed"):
         self.bytes = 0
         self.calls = 0
-        monkeypatch.setattr(database_module, "well_formed", self)
+        self.checker = getattr(database_module, name)
+        monkeypatch.setattr(database_module, name, self)
 
     def __call__(self, pieces, **kwargs):
         self.calls += 1
         self.bytes += sum(end - start for _, start, end in pieces)
-        return well_formed(pieces, **kwargs)
+        return self.checker(pieces, **kwargs)
 
     def take(self):
         seen, self.bytes, self.calls = (self.bytes, self.calls), 0, 0
@@ -369,6 +403,34 @@ def test_whole_segment_remove_in_a_trusted_document_reads_nothing(persons, monke
         receipt = db.insert(f"<person><name>new {round_}</name></person>", point)
         db.remove_segment(receipt.sid)
     assert counter.take() == (0, 0)
+    db.check_invariants()
+
+
+@pytest.mark.parametrize("maintenance", ["repack", "repack_nested", "compact", "clone"])
+def test_trust_survives_maintenance(maintenance, monkeypatch):
+    """Repacking relabels with the global spans the mark vouches for, over
+    unchanged text, and a clone copies the marks: afterwards a segment
+    remove reads nothing and a clean insert reads only its gap."""
+    db = LazyXMLDatabase()
+    db.insert(_site(50))
+    db.insert(_site(5))
+    nested = db.insert("<person><name>n</name></person>", db.text.index("<person"))
+    if maintenance == "repack":
+        db.repack(db.log.ertree.root.children[0].sid)
+    elif maintenance == "repack_nested":
+        db.repack(nested.sid)
+    elif maintenance == "compact":
+        db.compact()
+    else:
+        db = storage.clone(db)
+    assert db._trusted == {top.sid for top in db.log.ertree.root.children}
+    scans = _ByteCounter(monkeypatch)
+    gaps = _ByteCounter(monkeypatch, "reaches_cleanly")
+    point = db.text.index("<name>P 7</name>") + len("<name>P ")
+    receipt = db.insert("<x/>", point)
+    db.remove_segment(receipt.sid)
+    assert scans.take() == (0, 0)
+    assert gaps.take() == (len("<name>P "), 1)
     db.check_invariants()
 
 

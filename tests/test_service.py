@@ -418,8 +418,9 @@ class TestPressureMonitor:
         db = LazyXMLDatabase()
         db.insert("<a><b>deep</b></a>")
         sid = 1
-        for i in range(5):  # nest segments inside segment 1's <b>
-            receipt = db.insert(f"<n{i}>x</n{i}>", db.log.node(sid).gp + 6)
+        for i in range(5):  # nest each segment in the last one's element
+            inside = 6 if i == 0 else len(f"<n{i - 1}>")  # <b> first, then <n.>
+            receipt = db.insert(f"<n{i}>x</n{i}>", db.log.node(sid).gp + inside)
             sid = receipt.sid
         db.insert("<flat/>")
         monitor = PressureMonitor(

@@ -14,13 +14,12 @@ from repro.storage import SnapshotError, dumps, load, loads, save
 from repro.workloads.scenarios import registration_stream
 
 
-def populated_db(mode="dynamic", keep_text=True):
-    db = LazyXMLDatabase(mode=mode, keep_text=keep_text)
+def populated_db(mode="dynamic"):
+    db = LazyXMLDatabase(mode=mode)
     for fragment in registration_stream(5):
         db.insert(fragment)
-    if keep_text:
-        match = re.search("<preferences>", db.text)
-        db.insert('<interest topic="nested"/>', match.end())
+    match = re.search("<preferences>", db.text)
+    db.insert('<interest topic="nested"/>', match.end())
     return db
 
 
@@ -113,14 +112,6 @@ class TestSnapshotRoundTrip:
         for copy in (loads(text), loads(old)):
             assert copy.mode == "dynamic"
             assert_join_matches_oracle(copy, "registration", "interest")
-
-    def test_keep_text_false_roundtrip(self):
-        db = populated_db(keep_text=False)
-        copy = loads(dumps(db))
-        assert copy.segment_count == db.segment_count
-        assert sorted(copy.structural_join("user", "occupation")) == sorted(
-            db.structural_join("user", "occupation")
-        )
 
     def test_save_load_files(self, tmp_path):
         db = populated_db()

@@ -174,6 +174,27 @@ class TestLoadsHardening:
         with pytest.raises(SnapshotError, match="unknown parent"):
             loads(json.dumps(payload))
 
+    def test_text_that_disagrees_with_its_tree_rejected(self):
+        """The segments' fragments are sliced from the text, so a text
+        shorter than the ER-tree says cannot load (it used to, and then
+        failed ``check_invariants``)."""
+        db = LazyXMLDatabase()
+        db.insert("<a><b/></a>")
+        db.insert("<c/>", 3)
+        payload = json.loads(dumps(db))
+        assert len(payload["text"]) == 15
+        payload["text"] = payload["text"][:-4]
+        with pytest.raises(SnapshotError, match="text holds 11 characters"):
+            loads(json.dumps(payload))
+
+    def test_null_text_rejected(self):
+        """A snapshot written without its text (``"keep_text": false``)
+        has nothing to slice the fragments from."""
+        payload = valid_payload()
+        payload.update(keep_text=False, text=None)
+        with pytest.raises(SnapshotError, match="text must be a string"):
+            loads(json.dumps(payload))
+
     def test_valid_payload_still_loads(self):
         copy = loads(json.dumps(valid_payload()))
         copy.check_invariants()

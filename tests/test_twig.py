@@ -48,8 +48,8 @@ DOC = (
 )
 
 
-def make_db(text=DOC, *, keep_text=True, mode="dynamic"):
-    db = LazyXMLDatabase(mode=mode, keep_text=keep_text)
+def make_db(text=DOC, *, mode="dynamic"):
+    db = LazyXMLDatabase(mode=mode)
     db.insert(text)
     db.prepare_for_query()
     return db
@@ -331,11 +331,6 @@ class TestEvaluate:
         assert len(got) == 1
         assert spans(db, db.twig_query('r//b[.="y"]', strategy="pairwise")) == got
         assert db.twig_query('r//b[.="missing"]') == []
-
-    def test_value_predicate_needs_text(self):
-        db = make_db(keep_text=False)
-        with pytest.raises(QueryError, match="keep_text"):
-            db.twig_query('r//b[.="x"]')
 
     def test_positional_predicate(self):
         db = LazyXMLDatabase()

@@ -9,9 +9,8 @@ what it must buy:
 
 - after every step of the join memo's random update histories (LD and LS)
   each pattern answers what the pairwise executor answers, records and
-  chains alike, also where the text no longer parses (unless a start tag
-  collapsed), what the brute-force tree matcher answers wherever it
-  parses, and an immediate repeat recomputes no entry;
+  chains alike, what the brute-force tree matcher answers wherever the
+  text parses, and an immediate repeat recomputes no entry;
 - four broken refresh rules each fail those histories;
 - an aborted query publishes nothing;
 - after a tail insert and its remove a twig recomputes as many entries and
@@ -29,7 +28,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.core.database import LazyXMLDatabase
-from repro.core.element_index import ElementRecord
 from repro.errors import DeadlineExceeded, PathSyntaxError
 from repro.obs.trace import Trace
 from repro.service.context import QueryContext
@@ -82,11 +80,23 @@ _DOWNWARD_KILLER = [("insert", 2, 0), ("insert", 4, 15), ("insert", 1, 15)]
 _POSITIONAL_KILLER = [("insert", 4, 0), ("insert", 1, 3)]
 #: ... and a write trims the journal past every memo after an insert.
 _TRIM_KILLER = [("insert", 0, 0), ("insert", 2, 3), ("trim", 0, 0)]
-#: A batch inserts inside a start tag and a repack collapses two start
-#: tags: one segment holds ``a(1,8,L3)`` inside ``c(1,17,L2)``, the same
-#: local start.  Containment is strict, as in the structural joins: that
-#: ``c`` is no parent of that ``a``, and a start alone names no element.
+#: Histories that once reached two start tags tied at one local start —
+#: a batch inserting inside a start tag, then a repack, which left one
+#: segment holding ``a(1,8,L3)`` inside ``c(1,17,L2)`` — and so three
+#: containments, one per executor.  Every insert is checked now, so the
+#: tie is never reached: the inserts inside a start tag are refused.
 _TIED_STARTS = [("insert", 0, 0), ("batch", 177, 1), ("repack", 0, 0)]
+_TIED_AFTER_EPOCHS = [
+    ("trim", 154, 0), ("trim", 208, 0), ("batch", 41, 244), ("repack", 0, 0),
+    ("epoch", 0, 203), ("epoch", 0, 203), ("epoch", 0, 4888), ("insert", 1, 2549),
+]
+_TIED_AFTER_REMOVE = [
+    ("insert", 0, 0), ("insert", 0, 1), ("remove_any", 0, 0), ("repack", 0, 0),
+]
+_TIED_AFTER_BATCHES = [
+    ("insert", 0, 0), ("batch", 169, 30), ("batch", 370, 4096), ("repack", 0, 0),
+    ("remove_any", 0, 0), ("insert", 0, 1245),
+]
 
 
 def _traced(db: LazyXMLDatabase, expression: str, strategy: str = "twig"):
@@ -101,58 +111,20 @@ def _keys(records) -> list:
     return [record_key(record) for record in records]
 
 
-def _collapsed(db: LazyXMLDatabase) -> bool:
-    """Whether a remove collapsed a start tag: two elements share a global
-    start while one holds the other by local labels (Proposition 3).  The
-    pairwise executor reads local labels for plain chains and global spans
-    for twig-only patterns, so there it disagrees with itself (``c/a``
-    matches while ``c[a]`` does not) and defines no one answer."""
-    tree = db.log.ertree
-    by_start: dict = {}
-    for node in list(tree.nodes())[1:]:
-        block = db.index.block(node.sid)
-        for row in range(len(block)):
-            record = ElementRecord(
-                node.sid, block.starts[row], block.ends[row], block.levels[row]
-            )
-            by_start.setdefault(node.to_global(record.start), []).append(record)
-
-    def holds(a, d) -> bool:
-        if a.sid == d.sid:
-            return a.start < d.start < a.end
-        path = tree.node(d.sid).path
-        if a.sid not in path:
-            return False
-        way_in = tree.node(path[path.index(a.sid) + 1]).lp
-        return a.start < way_in < a.end
-
-    return any(
-        holds(a, d)
-        for tied in by_start.values() if len(tied) > 1
-        for a in tied for d in tied
-    )
-
-
 def assert_memo_answers(db: LazyXMLDatabase) -> None:
     """Every pattern == the pairwise executor, records and chains alike,
-    and its repeat is a hit.  The index defines an answer also where the
-    text mirror no longer parses (as after ``_TIED_STARTS``): only the
-    tree-matcher comparison needs the mirror, and only a collapsed start
-    tag (:func:`_collapsed`) leaves pairwise without one answer."""
+    == the tree matcher wherever the text parses, and its repeat is a
+    hit."""
     db.prepare_for_query()
     ref = mirror_reference(db)
-    pairwise = not _collapsed(db)
     for expression in _PATTERNS:
         got, attrs = _traced(db, expression)
-        if pairwise:
-            want = evaluate_twig(db, expression, strategy="pairwise")
-            assert _keys(got) == _keys(want), expression
-            chains = evaluate_twig(
-                db, expression, strategy="twig", bindings=True
-            )
-            assert chains == evaluate_twig(
-                db, expression, strategy="pairwise", bindings=True
-            ), expression
+        want = evaluate_twig(db, expression, strategy="pairwise")
+        assert _keys(got) == _keys(want), expression
+        chains = evaluate_twig(db, expression, strategy="twig", bindings=True)
+        assert chains == evaluate_twig(
+            db, expression, strategy="pairwise", bindings=True
+        ), expression
         if ref is not None:
             spans = sorted(db.global_span(record) for record in got)
             assert spans == reference_twig(ref, expression), expression
@@ -170,6 +142,9 @@ def assert_memo_answers(db: LazyXMLDatabase) -> None:
 @example(_POSITIONAL_KILLER)
 @example(_TRIM_KILLER)
 @example(_TIED_STARTS)
+@example(_TIED_AFTER_EPOCHS)
+@example(_TIED_AFTER_REMOVE)
+@example(_TIED_AFTER_BATCHES)
 def test_ld_history_twig_memo_equals_oracle_and_pairwise(ops):
     _replay("dynamic", ops, assert_memo_answers)
 
@@ -182,6 +157,9 @@ def test_ld_history_twig_memo_equals_oracle_and_pairwise(ops):
 @example(_POSITIONAL_KILLER)
 @example(_TRIM_KILLER)
 @example(_TIED_STARTS)
+@example(_TIED_AFTER_EPOCHS)
+@example(_TIED_AFTER_REMOVE)
+@example(_TIED_AFTER_BATCHES)
 def test_ls_history_twig_memo_equals_oracle_and_pairwise(ops):
     _replay("static", ops, assert_memo_answers)
 
