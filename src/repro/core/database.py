@@ -671,8 +671,8 @@ class LazyXMLDatabase:
     def path_query(self, expression: str, *, bindings: bool = False, context=None):
         """Evaluate a path expression (``"person//profile/interest"``).
 
-        See :func:`repro.core.query.evaluate_path`; one Lazy-Join per step.
-        ``context`` threads a shared deadline/row budget through every step.
+        See :func:`repro.core.query.evaluate_path`: the chain is answered
+        from its twig memo.  ``context`` threads a deadline/row budget.
         """
         from repro.core.query import evaluate_path
 

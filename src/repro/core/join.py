@@ -112,7 +112,7 @@ class JoinAnswer(Sequence):
     """A memoised answer's rows: its chunks', one after the other.
 
     What the join memo hands out (a chunk is a D-segment's ``(pairs,
-    depth)``, ``part`` picks the pairs) and the path memo (a chunk is a
+    depth)``, ``part`` picks the pairs) and the twig memo (a chunk is a
     segment's matches), uncopied: the chunk list is the memo's own and is
     never mutated, iteration chains the chunks at C level, and it compares
     equal to a list of the same rows (the from-scratch answer).  Indexing
@@ -133,14 +133,6 @@ class JoinAnswer(Sequence):
     def __iter__(self):
         parts = self._chunks if self._part is None else map(self._part, self._chunks)
         return chain.from_iterable(parts)
-
-    def segment_rows(self, nodes: list[ERNode], node: ERNode):
-        """The rows of ``node``'s chunk, or ``()`` when ``node`` is not in
-        ``nodes``, the segment list the chunks line up with."""
-        i = _position(nodes, node)
-        if i is None:
-            return ()
-        return self._chunks[i] if self._part is None else self._part(self._chunks[i])
 
     def __getitem__(self, index):
         if self._flat is None:

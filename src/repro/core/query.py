@@ -1,51 +1,34 @@
-"""Path-expression evaluation over structural joins.
+"""Path expressions: the linear surface over the twig memo.
 
 The paper frames structural join as "a core operation in optimizing XML
 path queries" whose outputs "are later used to evaluate other path query
-expressions".  This module supplies that layer: a small path language —
+expressions".  This module supplies that layer's language —
 
     person//interest          descendant step
     person/profile/interest   child steps
     site//person/profile      mixed
 
-— compiled to a left-to-right pipeline of Lazy-Joins with semi-join
-filtering between steps.  Every step reuses the segment-aware machinery, so
-a three-step path costs three structural joins, never a document scan.
+— and its diagnostics: :func:`parse_path` names the offending token and
+points twig-only syntax at the twig surface.  A parsed path is a twig
+pattern with no branch, so :func:`evaluate_path` answers it through
+:func:`~repro.twig.evaluate.evaluate_twig`, from the same twig memo
+(:mod:`repro.twig.memo`) ``twig_query`` of the same chain reads: per
+step and segment the elements matching so far, refreshed where the
+element index's journal and Proposition 3 say an update can have moved
+something (DESIGN.md §4e).  A tag with no element empties the answer
+before any memo exists.
 
 Evaluation returns the matches of the *last* step by default;
 ``bindings=True`` returns full match tuples (one element per step).
-
-Per call run the plan, one structural join per step (each from its join
-memo) and a read of the element index's write journal.  Memoised are
-:func:`parse_path` and, per parsed path, a :class:`~repro.core.readpath
-.PathMemo`: for step ``k`` and segment ``s`` the elements of ``s``
-matching the first ``k + 1`` steps, recomputed only once ``s`` is written
-(DESIGN.md §4e).  The answer chains the last level in sid order,
-uncopied: ``(sid, start)`` order without a sort.
-
-Execution is *selectivity-ordered*: before any join runs, every step tag is
-probed against the tag-list's O(1) occurrence totals
-(:meth:`~repro.core.taglist.TagList.total_count`).  A path naming an absent
-or element-free tag short-circuits to ``[]`` without touching the element
-index, and the per-step structural joins are executed cheapest-estimate
-first so that a step producing zero pairs aborts the query before its more
-expensive siblings run.  (The element index's blocks remain the
-authoritative source — ``check_invariants`` compares — while the planner
-reads only the incrementally maintained totals.)
 """
 
 from __future__ import annotations
 
 import re
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
 
-from repro.core.element_index import ElementRecord
-from repro.core.join import JoinAnswer
-from repro.core.readpath import PathMemo
 from repro.errors import PathSyntaxError
 from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT
 from repro.obs.metrics import METRICS
@@ -53,11 +36,8 @@ from repro.obs.metrics import METRICS
 __all__ = [
     "PathStep",
     "PathQuery",
-    "PathPlan",
     "parse_path",
-    "plan_path",
     "evaluate_path",
-    "patch_level",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w:.\-]*$")
@@ -184,73 +164,6 @@ def parse_path(expression: str) -> PathQuery:
     return PathQuery(entry=names[0], steps=steps)
 
 
-@dataclass(frozen=True)
-class PathPlan:
-    """Selectivity estimates for one path query, from tag-list totals.
-
-    ``tags`` lists the entry tag followed by each step tag; ``counts`` are
-    the corresponding O(1) occurrence totals (0 for unknown tags).
-    ``join_order`` gives the step indices sorted by estimated join cost
-    (the product of the two participating tags' totals — an upper bound on
-    output pairs): running the cheapest joins first lets a zero-pair step
-    abort the query before the expensive ones execute.
-
-    ``segment_counts`` are the per-tag segment-list lengths (empty when
-    the log is not query-ready).  They break cost ties — the Lazy-Join
-    merge's outer loop scales with segment counts, not element counts.
-    """
-
-    tags: tuple[str, ...]
-    counts: tuple[int, ...]
-    join_order: tuple[int, ...]
-    segment_counts: tuple[int, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        """True when some tag on the path has no elements at all."""
-        return any(count == 0 for count in self.counts)
-
-    def estimated_cost(self, step: int) -> int:
-        """The cost estimate used to order step ``step``'s join."""
-        return self.counts[step] * self.counts[step + 1]
-
-
-def plan_path(db, query: PathQuery) -> PathPlan:
-    """Plan ``query`` against ``db``'s tag-list selectivity totals."""
-    tags = (query.entry,) + tuple(step.tag for step in query.steps)
-    tids = []
-    counts = []
-    for tag in tags:
-        tid = db.log.tags.tid_of(tag)
-        tids.append(tid)
-        counts.append(0 if tid is None else db.log.taglist.total_count(tid))
-    counts = tuple(counts)
-    segment_counts: tuple[int, ...] = ()
-    if db.log.query_ready and all(counts):
-        # Feed the planner the segment lists' lengths: the lists the joins
-        # about to run merge, O(1) per tag.
-        segment_counts = tuple(len(db.log.taglist.nodes(tid)) for tid in tids)
-    n_steps = len(query.steps)
-    if segment_counts:
-        # Same primary cost; segment-count products break ties because
-        # the merge's outer loop scales with segments, not elements.
-        def cost(i: int) -> tuple[int, int]:
-            return (
-                counts[i] * counts[i + 1],
-                segment_counts[i] * segment_counts[i + 1],
-            )
-    else:
-        def cost(i: int) -> int:
-            return counts[i] * counts[i + 1]
-    join_order = tuple(sorted(range(n_steps), key=cost))
-    return PathPlan(
-        tags=tags,
-        counts=counts,
-        join_order=join_order,
-        segment_counts=segment_counts,
-    )
-
-
 def evaluate_path(
     db,
     expression: str,
@@ -260,203 +173,38 @@ def evaluate_path(
 ):
     """Evaluate a path expression against a :class:`LazyXMLDatabase`.
 
-    Returns the distinct matches of the final step in ``(sid, start)``
-    order, or — with ``bindings=True`` — the full match tuples (one
-    :class:`ElementRecord` per step, duplicates possible when intermediate
-    elements fan out).  One Lazy-Join runs per step; the distinct matches
-    come from the path memo (module docstring), a read-only sequence to
-    read, never mutate.
+    The chain is answered as the twig pattern it is (a twig with no
+    branch): :func:`~repro.twig.evaluate.evaluate_twig`, from the one twig
+    memo ``twig_query`` of the same chain reads too.  Returns the distinct
+    matches of the final step in ``(sid, start)`` order, the memo's own
+    read-only sequence (read it, never mutate it), or — with
+    ``bindings=True`` — the match chains, one :class:`~repro.core
+    .element_index.ElementRecord` per step, sorted by their records'
+    ``(sid, start, end, level)`` step by step: the twig executors'
+    canonical chain order.
 
     ``context`` is an optional
-    :class:`~repro.service.context.QueryContext`, threaded into every
-    per-step structural join and checked between steps, so a multi-step
-    path query honors one shared deadline/row budget end to end.
+    :class:`~repro.service.context.QueryContext`: its deadline is checked
+    per memo level and its row budget is charged with the answer's rows.
     """
+    # Imported here: the twig evaluator imports repro.core.database, and
+    # importing repro.core imports this module.
+    from repro.twig.evaluate import evaluate_twig
+    from repro.twig.pattern import parse_twig
+
     query = expression if isinstance(expression, PathQuery) else parse_path(expression)
     enabled = METRICS.enabled
     start = perf_counter() if enabled else 0.0
-    plan = plan_path(db, query)
-    _record_plan(query, plan)
+    text = str(query)
+    twig = parse_twig(text)
     trace = context.trace if context is not None else None
     if trace is None:
-        result = _evaluate(db, query, plan, bindings, context)
+        result = evaluate_twig(db, twig, bindings=bindings, context=context)
     else:
-        with trace.span("path_query", expr=str(query)) as span:
-            result = _evaluate(db, query, plan, bindings, context)
-            span.annotate(
-                matches=len(result),
-                strategy="pairwise",
-                step_costs=[
-                    plan.estimated_cost(i) for i in range(len(query.steps))
-                ],
-                join_order=list(plan.join_order),
-            )
+        with trace.span("path_query", expr=text) as span:
+            result = evaluate_twig(db, twig, bindings=bindings, context=context)
+            span.annotate(matches=len(result))
     if enabled:
         _M_PATH_CALLS.inc()
         _H_PATH_SECONDS.observe(perf_counter() - start)
     return result
-
-
-def _record_plan(query: PathQuery, plan: PathPlan) -> None:
-    """Feed the shared planner decision log (see :mod:`repro.twig.plan`).
-
-    Linear path queries always execute pairwise; recording them next to
-    the twig surface's decisions makes plan regressions observable from
-    one place (``stats()["planner"]``).
-    """
-    from repro.twig.plan import PLAN_RECORDER
-
-    PLAN_RECORDER.record(
-        expression=str(query),
-        strategy="pairwise",
-        surface="path",
-        pruned=plan.empty,
-    )
-
-
-def _evaluate(db, query: PathQuery, plan: PathPlan, bindings: bool, context):
-    if plan.empty:
-        # A tag with zero recorded elements anywhere on the path empties
-        # the whole result: answer without touching the element index.
-        return []
-    tid_entry = db.log.tags.tid_of(query.entry)
-    if tid_entry is None:
-        return []
-    # Run the per-step joins cheapest-estimate first (joins are read-only
-    # and independent; only the semi-join *filtering* is sequential), so a
-    # step with no pairs at all aborts before the expensive joins execute.
-    step_pairs: list = [None] * len(query.steps)
-    for i in plan.join_order:
-        if context is not None:
-            context.check_deadline()
-        step = query.steps[i]
-        pairs = db.structural_join(
-            plan.tags[i], step.tag, axis=step.axis, context=context
-        )
-        if not pairs:
-            return []
-        step_pairs[i] = pairs
-    steps = query.steps
-    if not steps:
-        db.log.require_query_ready()
-        # Record order is ``(sid, start)`` order.
-        records = sorted(
-            record
-            for node in db.log.taglist.nodes(tid_entry)
-            for record in db.index.block(node.sid).tag(tid_entry).records
-        )
-        return [(record,) for record in records] if bindings else records
-    if not bindings:
-        return _path_matches(db, tid_entry, steps, step_pairs, context)
-    # Seeded from the step-0 pairs: an entry element without one binds
-    # nothing, and sorted records are the index's order.
-    extend: dict[ElementRecord, list[ElementRecord]] = {}
-    for anc, desc in step_pairs[0]:
-        extend.setdefault(anc, []).append(desc)
-    current: list[tuple[ElementRecord, ...]] = [
-        (anc, desc) for anc in sorted(extend) for desc in extend[anc]
-    ]
-    for i in range(1, len(steps)):
-        if not current:
-            break
-        if context is not None:
-            context.check_deadline()
-        survivors = {binding[-1] for binding in current}
-        extend = {}
-        for anc, desc in step_pairs[i]:
-            if anc in survivors:
-                extend.setdefault(anc, []).append(desc)
-        current = [
-            binding + (desc,)
-            for binding in current
-            for desc in extend.get(binding[-1], ())
-        ]
-    return current
-
-
-def _path_matches(db, tid_entry: int, steps, answers: list, context):
-    """The distinct final matches: the path memo, brought up to date.
-
-    ``answers`` are the step joins' (each a join memo's
-    :class:`JoinAnswer`), in step order.  The sids the journal wrote since
-    the memo's position are recomputed level by level from each step
-    join's rows for the segment; no memo, or a journal trimmed past it,
-    recomputes every segment of each step tag's list.  Published with one
-    assignment after the last level: an abort publishes nothing.
-    """
-    log, index, rp = db.log, db.index, db.readpath
-    tids = [log.tags.tid_of(step.tag) for step in steps]
-    key = (tid_entry, tuple(zip([step.axis for step in steps], tids)))
-    old = rp.path_memo(key)
-    written = None if old is None else index.written_since(old.position)
-    if written == []:
-        return old.answer
-    position = index.journal_position
-    if written is not None:
-        tree = log.ertree
-        touched = [(s, tree.node(s) if s in tree else None) for s in set(written)]
-    last = len(steps) - 1
-    length = 0 if written is None else len(old.answer)
-    levels: list = []
-    previous = None
-    for k, pairs in enumerate(answers):
-        if context is not None:
-            context.check_deadline()
-        nodes = log.taglist.nodes(tids[k])
-        if written is None:
-            sids, entries = array("q"), []
-            redo = [(node.sid, node) for node in nodes]
-        else:
-            sids, entries = (held[:] for held in old.levels[k])
-            redo = touched
-        for sid, node in redo:
-            rows = () if node is None else pairs.segment_rows(nodes, node)
-            kept = _segment_matches(rows, previous) if rows else ()
-            if k == last:
-                kept = tuple(sorted(kept))
-                length -= len(patch_level(sids, entries, sid, kept))
-                length += len(kept)
-            else:
-                patch_level(sids, entries, sid, kept)
-        previous = (sids, entries)
-        levels.append(previous)
-    answer = JoinAnswer(previous[1], length)
-    rp.store_path(key, PathMemo(position, levels, answer))
-    return answer
-
-
-def patch_level(sids, entries, sid: int, entry):
-    """Put ``entry`` in segment ``sid``'s place of one memo level, the
-    sid-ascending parallel ``(sids, entries)`` of a path or twig memo
-    (copies, being refreshed); an empty ``entry`` takes ``sid`` out.
-    Returns the entry it replaced, ``()`` when there was none."""
-    i = bisect_left(sids, sid)
-    old = ()
-    if i < len(sids) and sids[i] == sid:
-        old = entries[i]
-        del sids[i], entries[i]
-    if entry:
-        sids.insert(i, sid)
-        entries.insert(i, entry)
-    return old
-
-
-def _segment_matches(rows, previous) -> set:
-    """One segment's matches at one level: the descendants in ``rows``
-    (a step join's pairs for the segment) whose ancestor matched the
-    level before — ``previous``, that level's ``(sids, entries)``, or
-    ``None`` at the first step, whose ancestors all match."""
-    if previous is None:
-        return {desc for _anc, desc in rows}
-    sids, entries = previous
-    held: dict = {}  # ancestor sid -> its entry at the level before
-    kept = set()
-    for anc, desc in rows:
-        matched = held.get(anc.sid)
-        if matched is None:
-            i = bisect_left(sids, anc.sid)
-            found = i < len(sids) and sids[i] == anc.sid
-            matched = held[anc.sid] = entries[i] if found else ()
-        if anc in matched:
-            kept.add(desc)
-    return kept

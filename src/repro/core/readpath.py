@@ -42,12 +42,11 @@ merge reads, and applies its own inserts and removes to it
   element index's journal logged since the memo was built, and re-merges
   those D-segments alone; a journal or an edit log trimmed past the memo
   makes it a miss.  Pair order survives too: gp shifts keep order.
-- **path matches** — per parsed path, a :class:`PathMemo`: per step and
-  segment the elements matching so far (:mod:`repro.core.query`), good
-  by the same rule; the :data:`PATHS_KEPT` stored last are kept;
-- **twig matches** — per parsed twig pattern, a :class:`PathMemo` in the
-  same store under the pattern's preorder: per pattern node and segment
-  the elements that survive (:mod:`repro.twig.memo`).  A written
+- **twig matches** — per parsed twig pattern, a :class:`PathMemo` keyed
+  by the pattern's preorder: per pattern node and segment the elements
+  that survive (:mod:`repro.twig.memo`).  A path is a twig with no
+  branch, so ``path_query`` and ``twig_query`` of one chain share one
+  entry; the :data:`PATHS_KEPT` stored last are kept.  A written
   segment is recomputed, and in its ER-ancestors only the *spine* — the
   elements around its branch point (Proposition 3) — is re-checked.  For
   that the cache keeps each block's **parent rows** (per element, the
@@ -77,7 +76,7 @@ __all__ = [
     "ReadPathCache",
 ]
 
-#: Path memos kept per cache (as many as ``query.parse_path`` memoises).
+#: Twig memos kept per cache (as many as ``parse_twig`` memoises).
 PATHS_KEPT = 256
 
 
@@ -210,12 +209,11 @@ class JoinMemo(NamedTuple):
 
 
 class PathMemo(NamedTuple):
-    """One path's distinct matches: ``levels[k]`` is sid-ascending parallel
-    ``(sids, entries)``, ``entries[i]`` segment ``sids[i]``'s elements
-    matching the first ``k + 1`` steps (a set; at the last step a
-    start-sorted tuple, which ``answer`` chains).  A twig memo has one
-    level per pattern node, every entry a start-sorted tuple, and chains
-    its output node's.  Never mutated."""
+    """One twig pattern's (a path's too) distinct matches: one level per
+    pattern node, ``levels[k]`` sid-ascending parallel ``(sids,
+    entries)``, ``entries[i]`` the start-sorted tuple of segment
+    ``sids[i]``'s elements surviving at node ``k``; ``answer`` chains the
+    output node's.  Never mutated."""
 
     position: int
     levels: list
@@ -242,9 +240,8 @@ class ReadPathCache:
         self._spans: dict[int, dict[int | None, tuple]] = {}
         # (tid_a, tid_d, axis) -> JoinMemo
         self._joins: dict[tuple[int, int, str], JoinMemo] = {}
-        # (entry tid, ((axis, tid), ...)) -> PathMemo, and a twig
-        # pattern's preorder ((tid, axis, position, value, shape), ...)
-        # -> its PathMemo
+        # a twig pattern's preorder ((tid, axis, position, value, shape),
+        # ...) -> its PathMemo
         self._paths: dict[tuple, PathMemo] = {}
         # sid -> (index version, parent rows of its block)
         self._parents: dict[int, tuple[int, array]] = {}
@@ -373,11 +370,11 @@ class ReadPathCache:
         return self._vanished.get(sid)
 
     def path_memo(self, key: tuple) -> PathMemo | None:
-        """The memo last stored for this path or twig, current or not."""
+        """The twig memo last stored under ``key``, current or not."""
         return self._paths.get(key)
 
     def store_path(self, key: tuple, memo: PathMemo) -> None:
-        """Publish a path memo as the newest, dropping the oldest past
+        """Publish a twig memo as the newest, dropping the oldest past
         :data:`PATHS_KEPT` (safe for readers storing at once)."""
         paths = self._paths
         paths.pop(key, None)
@@ -410,9 +407,6 @@ class ReadPathCache:
     def stats(self) -> dict:
         """Hit/miss/entry counts (surfaced by the service health output)."""
         lookups = self.hits + self.misses
-        paths = [[], []]  # path memos, twig memos
-        for key, memo in self._paths.items():
-            paths[_is_twig(key)].append(memo)
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -423,10 +417,12 @@ class ReadPathCache:
                 "span_columns": sum(map(len, self._spans.values())),
                 "join_results": len(self._joins),
                 "join_chunks": sum(len(m.chunks) for m in self._joins.values()),
-                "path_results": len(paths[0]),
-                "path_entries": _entry_count(paths[0]),
-                "twig_results": len(paths[1]),
-                "twig_entries": _entry_count(paths[1]),
+                "path_results": len(self._paths),
+                "path_entries": sum(
+                    len(sids)
+                    for memo in self._paths.values()
+                    for sids, _ in memo.levels
+                ),
             },
         }
 
@@ -454,12 +450,3 @@ class ReadPathCache:
         for _, parents in self._parents.values():
             total += 8 * len(parents)
         return total
-
-
-def _is_twig(key: tuple) -> bool:
-    """A twig memo's key is its nodes' tuples; a path's starts with a tid."""
-    return isinstance(key[0], tuple)
-
-
-def _entry_count(memos) -> int:
-    return sum(len(sids) for memo in memos for sids, _ in memo.levels)

@@ -9,9 +9,10 @@
   planner-decision log;
 - :mod:`repro.twig.evaluate` — the holistic and pairwise executors,
   byte-identical by construction;
-- :mod:`repro.twig.memo` — the twig memo the holistic executor answers
-  from: per pattern node and segment the surviving elements, refreshed
-  after an update by Proposition 3.
+- :mod:`repro.twig.memo` — the twig memo the holistic executor (and
+  ``path_query``, a chain being a twig with no branch) answers from: per
+  pattern node and segment the surviving elements, refreshed after an
+  update by Proposition 3.
 
 ``evaluate_twig`` is re-exported lazily: :mod:`repro.core.database`
 imports this package for :class:`PathSummary`, and the evaluator

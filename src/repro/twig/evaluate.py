@@ -16,14 +16,13 @@ a surviving element one trunk edge up, so no chain dead-ends.
 
 **Pairwise** (``strategy="pairwise"``).  The classic decomposition the
 holistic algorithm exists to beat: one Stack-Tree-Desc join per pattern
-edge, materializing intermediate pair lists, followed by semi-join
-filtering and chain assembly.  Plain chains (no twig-only features)
-instead fall back to the existing selectivity-ordered
-:func:`~repro.core.query.evaluate_path` pipeline, which reuses the
-read-path join memo.  Stream construction and the predicate filters
-serve the pairwise executor and the holistic chains; the memo shares
-none of it, so the parity suite holds it to an independent reading of
-the pattern.
+edge over whole global streams, materializing intermediate pair lists,
+followed by semi-join filtering and chain assembly — plain chains
+included, so it is the independent reading of a path too
+(:func:`~repro.core.query.evaluate_path` answers from the memo).  Stream
+construction and the predicate filters serve the pairwise executor and
+the holistic chains; the memo shares none of it, so the parity suite
+holds it to an independent reading of the pattern.
 
 Results are byte-identical across executors by construction of a
 canonical output order: distinct output-step records in ``(sid, start)``
@@ -93,9 +92,7 @@ def evaluate_twig(
     start = perf_counter() if enabled else 0.0
     plan = plan_twig(query, db.path_summary)
     chosen = plan.strategy if strategy == "auto" else strategy
-    PLAN_RECORDER.record(
-        expression=str(query), strategy=chosen, surface="twig", pruned=plan.empty
-    )
+    PLAN_RECORDER.record(expression=str(query), strategy=chosen, pruned=plan.empty)
     trace = context.trace if context is not None else None
     if trace is None:
         result, _ = _execute(db, query, plan.empty, chosen, bindings, context)
@@ -153,17 +150,6 @@ def _memo_chains(db, query, levels, context):
 
 def _pairwise_execute(db, query, bindings, context):
     """The pairwise decomposition over whole global streams."""
-    if query.is_plain:
-        # The existing selectivity-ordered Lazy-Join pipeline (with its
-        # read-path join memo) is the pairwise executor for plain chains.
-        from repro.core.query import evaluate_path
-
-        result = evaluate_path(
-            db, query.to_path_query(), bindings=bindings, context=context
-        )
-        if bindings:
-            result = sorted(result, key=_chain_record_key)
-        return result
     streams = _build_streams(db, query, context)
     chains = _pairwise(
         query, [_elements(stream) for stream in streams], context

@@ -1,13 +1,14 @@
 """The twig memo: a twig query after an update costs what the update touched.
 
 Per parsed pattern the read path keeps a :class:`~repro.core.readpath
-.PathMemo` (in the path memos' store, keyed by :func:`memo_key`): one
-level per pattern node, per segment the elements that survive there — a
-branch node's *witnesses* (the node's predicates hold and each of its
-branches has a witness below), a trunk step's elements with a surviving
-element one trunk edge up and a witness below for each branch.  The
-answer chains the output node's level in sid order, uncopied:
-``(sid, start)`` order without a sort, like a path answer.
+.PathMemo` (keyed by :func:`memo_key`): one level per pattern node, per
+segment the elements that survive there — a branch node's *witnesses*
+(the node's predicates hold and each of its branches has a witness
+below), a trunk step's elements with a surviving element one trunk edge
+up and a witness below for each branch.  A path is a pattern with no
+branch, so ``path_query`` reads the memo of ``twig_query`` on the same
+chain.  The answer chains the output node's level in sid order,
+uncopied: ``(sid, start)`` order without a sort.
 
 After an update the memo is refreshed, not rebuilt (DESIGN.md §4e): the
 segments the element index's journal wrote since the memo's position are
@@ -19,8 +20,9 @@ predicates re-check the spine and the spine's children.  No memo, or a
 journal trimmed past it, computes every segment with the same code.
 
 Containment is read from local labels, never from global positions:
-inside one segment from the labels and the block's parent rows
-(:meth:`~repro.core.readpath.ReadPathCache.parent_rows`), across
+inside one segment from the labels — a trunk step's rows are merged once
+against the level above's entry for the segment — and the block's parent
+rows (:meth:`~repro.core.readpath.ReadPathCache.parent_rows`), across
 segments by Proposition 3 — element ``a`` of segment ``S`` holds segment
 ``T`` iff ``a.start < P_T^S < a.end``, ``P_T^S`` the local position of
 ``T``'s way into ``S``.  Only a value predicate reads text — its
@@ -40,7 +42,6 @@ from typing import NamedTuple
 
 from repro.core.element_index import ElementRecord
 from repro.core.join import JoinAnswer
-from repro.core.query import patch_level
 from repro.core.readpath import PathMemo
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.joins.stack_tree import AXIS_CHILD
@@ -75,6 +76,22 @@ def memo_key(query, tags) -> tuple:
         )
         for node in query.nodes
     )
+
+
+def patch_level(sids, entries, sid: int, entry):
+    """Put ``entry`` in segment ``sid``'s place of one memo level, the
+    sid-ascending parallel ``(sids, entries)`` (copies, being refreshed);
+    an empty ``entry`` takes ``sid`` out.  Returns the entry it replaced,
+    ``()`` when there was none."""
+    i = bisect_left(sids, sid)
+    old = ()
+    if i < len(sids) and sids[i] == sid:
+        old = entries[i]
+        del sids[i], entries[i]
+    if entry:
+        sids.insert(i, sid)
+        entries.insert(i, entry)
+    return old
 
 
 class _Layout(NamedTuple):
@@ -261,15 +278,49 @@ class _Refresh:
         # A start alone names no element: two may share one.  The tag's
         # records are its rows in block order, which is record order for
         # one tag; the wildcard's ties are ordered by tag, so it sorts.
-        records = block.tag(tid).records
-        rows = range(len(block)) if tid is None else compress(
-            count(), map(tid.__eq__, block.tids)
+        rows = zip(
+            range(len(block)) if tid is None else compress(
+                count(), map(tid.__eq__, block.tids)
+            ),
+            block.tag(tid).records,
         )
+        prev = self.trunk_prev.get(node.index)
+        if prev is not None:
+            rows = self._under(prev.index, node.axis, sid, rows)
         entry = tuple(
-            record for row, record in zip(rows, records)
-            if self._member(node, sid, row)
+            record for row, record in rows if self._passes(node, sid, row)
         )
         return entry if tid is not None else tuple(sorted(entry))
+
+    def _under(self, n: int, axis: str, sid: int, rows):
+        """The ``(row, record)`` of ``rows`` (start order) with an element
+        of level ``n`` one trunk edge up: one merge against level ``n``'s
+        entry for the segment, Stack-Tree-Desc's in-segment test — the
+        holder starts strictly before the row and ends at or after it, and
+        on the child axis the innermost holder is one level up.  Only a
+        row with no holder in its segment looks outside it."""
+        holders = self._entry_of(n, sid)
+        child = axis == AXIS_CHILD
+        stack: list = []
+        i = 0
+        for row, record in rows:
+            start = record.start
+            while i < len(holders) and holders[i].start < start:
+                stack.append(holders[i])
+                i += 1
+            while stack and stack[-1].end <= start:
+                stack.pop()
+            if stack:
+                top = stack[-1]
+                if record.end <= top.end and (
+                    not child or top.level == record.level - 1
+                ):
+                    yield row, record
+            elif (
+                self._has_above(n, axis, sid, row) if child
+                else self._held_outside(n, sid)
+            ):
+                yield row, record
 
     def _entry_of(self, n: int, sid: int) -> tuple:
         sids, entries = self.levels[n]
@@ -461,12 +512,17 @@ class _Refresh:
     def _member(self, node, sid: int, row: int) -> bool:
         """Whether row ``row`` of segment ``sid`` (of ``node``'s tag)
         survives at ``node``, the levels it reads being current."""
+        prev = self.trunk_prev.get(node.index)
+        if prev is not None and not self._has_above(prev.index, node.axis, sid, row):
+            return False
+        return self._passes(node, sid, row)
+
+    def _passes(self, node, sid: int, row: int) -> bool:
+        """The row's own predicates hold at ``node`` and each branch has a
+        witness below it."""
         if (node.value is not None or node.position is not None) and not (
             self._predicates(node, sid, row)
         ):
-            return False
-        prev = self.trunk_prev.get(node.index)
-        if prev is not None and not self._has_above(prev.index, node.axis, sid, row):
             return False
         return all(
             self._has_below(branch.index, branch.axis, sid, row)
@@ -492,6 +548,11 @@ class _Refresh:
             if self._holds(n, sid, up):
                 return True
             up = parents[up]
+        return self._held_outside(n, sid)
+
+    def _held_outside(self, n: int, sid: int) -> bool:
+        """Level ``n`` holds an element of an ER-ancestor around segment
+        ``sid``: a spine element (memoised per level and segment)."""
         key = (n, sid)
         held = self._outer.get(key)
         if held is None:

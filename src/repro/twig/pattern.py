@@ -202,14 +202,6 @@ class TwigQuery:
         """No branches anywhere: the pattern is a plain chain."""
         return len(self.nodes) == len(self.trunk)
 
-    @property
-    def is_plain(self) -> bool:
-        """Expressible in the linear surface (no twig-only features)."""
-        return self.is_linear and all(
-            not n.is_wildcard and n.position is None and n.value is None
-            for n in self.nodes
-        )
-
     def edges(self):
         """Every (parent, child) pattern edge; ``child.axis`` is the axis."""
         for parent in self.nodes:
@@ -221,23 +213,6 @@ class TwigQuery:
     def tags(self) -> set[str]:
         """The concrete (non-wildcard) tags the pattern names."""
         return {n.tag for n in self.nodes if not n.is_wildcard}
-
-    def to_path_query(self):
-        """The equivalent :class:`~repro.core.query.PathQuery`.
-
-        Only valid for :attr:`is_plain` patterns — the linear pipeline
-        has no wildcard/predicate/branch semantics to map onto.
-        """
-        from repro.core.query import PathQuery, PathStep
-
-        if not self.is_plain:
-            raise PathSyntaxError(
-                "twig pattern uses features the linear surface lacks"
-            )
-        return PathQuery(
-            entry=self.trunk[0].tag,
-            steps=tuple(PathStep(n.axis, n.tag) for n in self.trunk[1:]),
-        )
 
     def __str__(self) -> str:
         out = []

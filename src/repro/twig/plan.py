@@ -44,24 +44,17 @@ def plan_twig(query: TwigQuery, summary: PathSummary) -> TwigPlan:
 
 
 class PlanRecorder:
-    """Bounded process-wide log of planner decisions (path and twig)."""
+    """Bounded process-wide log of planner decisions (paths are twigs)."""
 
     def __init__(self, keep: int = 16):
         self._recent: deque[dict] = deque(maxlen=keep)
         self._counts = {"twig": 0, "pairwise": 0, "pruned": 0}
 
-    def record(
-        self, *, expression: str, strategy: str, surface: str, pruned: bool
-    ) -> None:
+    def record(self, *, expression: str, strategy: str, pruned: bool) -> None:
         key = "pruned" if pruned else strategy
         self._counts[key] = self._counts.get(key, 0) + 1
         self._recent.append(
-            {
-                "expr": expression,
-                "surface": surface,
-                "strategy": strategy,
-                "pruned": pruned,
-            }
+            {"expr": expression, "strategy": strategy, "pruned": pruned}
         )
 
     def snapshot(self) -> dict:

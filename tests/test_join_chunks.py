@@ -473,16 +473,14 @@ def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
                     and list(twig) == want[2]
                     for trio in answers for pairs, matches, twig in trio
                 )
-                # Dead sids left with the publish: one chunk per join (the
-                # path's is the child axis), one path entry per live
-                # segment and one twig entry per node and live segment,
-                # however many epochs this replica replayed.
+                # Dead sids left with the publish: one join chunk per live
+                # segment, and one twig memo entry per pattern node and
+                # live segment — two nodes for the path, three for the
+                # twig — however many epochs this replica replayed.
                 entries = snap.db.readpath.stats()["entries"]
-                assert (entries["join_results"], entries["path_results"]) == (2, 1)
-                assert entries["join_chunks"] == 2 * snap.db.segment_count
-                assert entries["path_entries"] == snap.db.segment_count
-                assert entries["twig_results"] == 1
-                assert entries["twig_entries"] == 3 * snap.db.segment_count
+                assert (entries["join_results"], entries["path_results"]) == (1, 2)
+                assert entries["join_chunks"] == snap.db.segment_count
+                assert entries["path_entries"] == 5 * snap.db.segment_count
     finally:
         stop.set()
         writing.join()

@@ -1,16 +1,18 @@
-"""The path memo keeps a path's matches per segment: same answers, local cost.
+"""A path is answered from the twig memo: same answers, local cost.
 
-Per parsed path the read path stores, for each step and each segment, the
-elements matching the path so far, and after an update recomputes only the
-segments the element index's journal wrote (DESIGN.md §4e).  What that must
-not change, and what it must buy:
+A path is a twig pattern with no branch, so ``path_query`` reads the twig
+memo (:mod:`repro.twig.memo`) that ``twig_query`` of the same chain reads:
+per pattern node and segment the elements matching so far, and after an
+update only the segments the element index's journal wrote are recomputed
+(DESIGN.md §4e).  What that must not change, and what it must buy:
 
 - a path query equals the from-scratch semi-join chain — same records, same
   ``(sid, start)`` order — after every step of the join memo's random
   update histories, and an immediate repeat recomputes no entry;
-- the path query after a tail insert recomputes one segment entry, after
-  taking it back none, on 250 forms and on 4 000 alike, and the pair takes
-  less than twice as long on the larger corpus;
+- ``path_query`` and ``twig_query`` of one chain share one memo entry;
+- the path query after a tail insert recomputes one segment entry per
+  step, after taking it back none, on 250 forms and on 4 000 alike, and
+  the pair takes less than twice as long on the larger corpus;
 - a query that aborts publishes nothing.
 """
 
@@ -25,12 +27,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import query as query_module
 from repro.core.database import LazyXMLDatabase
 from repro.core.join import JoinAnswer
-from repro.core.query import parse_path
 from repro.core.readpath import PATHS_KEPT
 from repro.errors import DeadlineExceeded
+from repro.obs.trace import Trace
+from repro.service.context import QueryContext
+from repro.twig import memo as memo_module
+from repro.twig import parse_twig
 from tests.helpers import semi_join_path
 from tests.test_join_chunks import (
     _GP_TIE,
@@ -67,39 +71,39 @@ _MUTATION_KILLERS = [("insert", 0, 0), ("insert", 2, 3), ("trim", 0, 0)]
 
 
 def _path_key(db: LazyXMLDatabase, expression: str) -> tuple:
-    query = parse_path(expression)
-    tid_of = db.log.tags.tid_of
-    return (
-        tid_of(query.entry),
-        tuple((step.axis, tid_of(step.tag)) for step in query.steps),
-    )
+    """The twig memo key the path's chain is stored under."""
+    return memo_module.memo_key(parse_twig(expression), db.log.tags)
 
 
-class _Counting:
-    """Wraps :func:`repro.core.query._segment_matches`, counting calls."""
-
-    def __init__(self):
-        self.calls = 0
-        self._real = query_module._segment_matches
-
-    def __call__(self, *args):
-        self.calls += 1
-        return self._real(*args)
+def _traced(db: LazyXMLDatabase, expression: str, method: str = "path_query"):
+    """The answer and the ``twig_query`` span's attributes (``memo``,
+    ``refreshed``: the segment entries recomputed)."""
+    context = QueryContext(trace=Trace())
+    answer = getattr(db, method)(expression, context=context)
+    (span,) = [s for s in context.trace.spans if s.name == "twig_query"]
+    return answer, span.attrs
 
 
 def _checker(paths):
     def check(db: LazyXMLDatabase) -> None:
         """Each path: memo answer == oracle, in order; a repeat recomputes
-        no entry and hands out the same answer."""
+        no entry (no :meth:`repro.twig.memo._Refresh._entry` call) and
+        hands out the same answer."""
         db.prepare_for_query()
-        counting = _Counting()
-        with mock.patch.object(query_module, "_segment_matches", counting):
+        calls = []
+        real = memo_module._Refresh._entry
+
+        def entry(refresh, node, sid):
+            calls.append(sid)
+            return real(refresh, node, sid)
+
+        with mock.patch.object(memo_module._Refresh, "_entry", entry):
             for expression in paths:
                 got = db.path_query(expression)
                 assert list(got) == semi_join_path(db, expression), expression
-                calls = counting.calls
+                made = len(calls)
                 again = db.path_query(expression)
-                assert counting.calls == calls, expression
+                assert len(calls) == made, expression
                 assert again is got or not got, expression
 
     return check
@@ -134,7 +138,9 @@ def test_answer_is_the_memo_in_sid_then_start_order():
     assert [(r.sid, r.start) for r in got] == [(1, 3), (1, 11), (3, 0)]
     assert got is db.readpath.path_memo(_path_key(db, "a//b")).answer
     assert db.readpath.stats()["entries"]["path_results"] == 1
-    assert db.readpath.stats()["entries"]["path_entries"] == 2
+    # One entry at the ``a`` level (sid 1), two at the ``b`` level (sids
+    # 1 and 3; sid 2's ``b`` is under no ``a``).
+    assert db.readpath.stats()["entries"]["path_entries"] == 3
     assert db.readpath.approximate_bytes() > 0
     db.readpath.clear()
     assert db.readpath.path_memo(_path_key(db, "a//b")) is None
@@ -179,6 +185,12 @@ def test_aborted_path_query_publishes_nothing(case):
     memo = db.readpath.path_memo(key)
     for _ in range(2):
         context, error = _contexts()[case]
+        if context.max_stack_depth is not None:
+            # The memo keeps no stack: a depth budget does not apply, and
+            # the refresh publishes.
+            got = db.path_query("a//b", context=context)
+            assert list(got) == semi_join_path(db, "a//b")
+            return
         with pytest.raises(error):
             db.path_query("a//b", context=context)
         assert db.readpath.path_memo(key) is memo
@@ -186,25 +198,43 @@ def test_aborted_path_query_publishes_nothing(case):
 
 
 def test_abort_between_levels_publishes_nothing():
-    """The step joins succeed and the refresh fails at its second level:
-    the memo stays the one it found."""
+    """The refresh brings the first level up to date and fails at its
+    second: the memo stays the one it found."""
     db = _budget_db()
     key = _path_key(db, "a//a//b")
     assert db.path_query("a//a//b")
     db.insert("<a><a><b>late</b></a></a>")
     memo = db.readpath.path_memo(key)
-    real = query_module._segment_matches
+    real = memo_module._Refresh._refresh
+    levels = []
 
-    def fail_at_second_level(rows, previous):
-        if previous is not None:
+    def fail_at_second_level(self, node):
+        levels.append(node)
+        if len(levels) == 2:
             raise DeadlineExceeded("injected")
-        return real(rows, previous)
+        return real(self, node)
 
-    with mock.patch.object(query_module, "_segment_matches", fail_at_second_level):
+    with mock.patch.object(memo_module._Refresh, "_refresh", fail_at_second_level):
         with pytest.raises(DeadlineExceeded):
             db.path_query("a//a//b")
     assert db.readpath.path_memo(key) is memo
     assert list(db.path_query("a//a//b")) == semi_join_path(db, "a//a//b")
+
+
+# ----------------------------------------------------------------------
+# one memo for a chain, whichever surface asks
+
+
+def test_path_and_twig_of_one_chain_share_one_entry():
+    db = LazyXMLDatabase()
+    db.insert("<a><b>1</b><c><b>2</b></c></a>")
+    db.insert("<b>3</b>", db.text.index("</a>"))
+    path, cold = _traced(db, "a/b")
+    assert cold["memo"] == "cold" and len(path) == 2
+    twig, hit = _traced(db, "a/b", "twig_query")
+    assert (hit["memo"], hit["refreshed"]) == ("hit", 0)
+    assert twig is path
+    assert db.readpath.stats()["entries"]["path_results"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -229,32 +259,29 @@ def _path_after_tail_pair(db: LazyXMLDatabase, i: int) -> float:
 
 
 @pytest.mark.perf_smoke
-def test_path_after_update_does_not_follow_the_corpus(monkeypatch):
-    """Counts first: after a tail insert each path recomputes the new
-    form's entry alone, after taking it back nothing, on 250 forms and on
-    4 000.  Then time: the 4 000-form pair takes less than twice the
-    250-form one.  Medians of 40 pairs taken alternately, best of three
-    attempts: a shape check, not a timer."""
+def test_path_after_update_does_not_follow_the_corpus():
+    """Counts first (the ``twig_query`` span's ``refreshed``): after a
+    tail insert each path recomputes the new form's entry at each of its
+    two steps, after taking it back nothing, on 250 forms and on 4 000.
+    Then time: the 4 000-form pair takes less than twice the 250-form one.
+    Medians of 40 pairs taken alternately, best of three attempts: a shape
+    check, not a timer."""
     dbs = [_loaded(forms)[0] for forms in (250, 4_000)]
-    counting = _Counting()
-    monkeypatch.setattr(query_module, "_segment_matches", counting)
     for db, forms in zip(dbs, (250, 4_000)):
         for expression in _FORM_PATHS:
-            calls = counting.calls
-            db.path_query(expression)
-            assert counting.calls - calls == forms  # cold: every segment
+            _, attrs = _traced(db, expression)
+            # cold: every segment, at both steps
+            assert (attrs["memo"], attrs["refreshed"]) == ("cold", 2 * forms)
         receipt = db.insert(_form(1_000_000))
         counts = []
         for remove in (False, True):
             if remove:
                 db.remove_segment(receipt.sid)
             for expression in _FORM_PATHS:
-                calls = counting.calls
-                got = db.path_query(expression)
-                counts.append(counting.calls - calls)
+                got, attrs = _traced(db, expression)
+                counts.append(attrs["refreshed"])
                 assert list(got) == semi_join_path(db, expression)
-        assert counts == [1, 1, 0, 0], forms
-    monkeypatch.undo()
+        assert counts == [2, 2, 0, 0], forms
     for _attempt in range(3):
         samples = [[], []]
         for i in range(1, 46):

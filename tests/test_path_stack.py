@@ -2,7 +2,8 @@
 
 Unit tests drive :func:`path_stack` on hand-built streams; the parity
 class holds the twig executor's holistic strategy (which runs it over
-global streams) to the pairwise Lazy-Join pipeline on plain chains.
+global streams) on plain chains to a semi-join chain of from-scratch
+Lazy-Joins, and its bindings to the pairwise executor's.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ import random
 import pytest
 
 from repro.core.database import LazyXMLDatabase
-from repro.core.query import evaluate_path
 from repro.errors import QueryError
 from repro.joins.path_stack import path_stack
 from repro.twig.evaluate import evaluate_twig
 from repro.workloads.generator import GeneratorConfig, generate_tree
 from repro.workloads.scenarios import registration_stream
 from repro.xml.parser import parse
+from tests.helpers import semi_join_path
 from typing import NamedTuple
 
 
@@ -108,7 +109,7 @@ class TestAgainstJoinPipeline:
         db = LazyXMLDatabase()
         for fragment in registration_stream(6):
             db.insert(fragment)
-        joins = self.spans(db, evaluate_path(db, expression))
+        joins = self.spans(db, semi_join_path(db, expression))
         holistic = self.spans(db, evaluate_twig(db, expression, strategy="twig"))
         assert joins == holistic, expression
 
@@ -132,7 +133,7 @@ class TestAgainstJoinPipeline:
                 break
             db.insert("<t2><t1/></t2>", idx)
         for expression in ("t0//t1", "t0//t1//t2", "t0/t1", "t1//t2//t1"):
-            joins = self.spans(db, evaluate_path(db, expression))
+            joins = self.spans(db, semi_join_path(db, expression))
             holistic = self.spans(
                 db, evaluate_twig(db, expression, strategy="twig")
             )
@@ -145,7 +146,9 @@ class TestAgainstJoinPipeline:
         expression = "registration//preferences//interest"
         joins = sorted(
             tuple(db.global_span(r) for r in chain)
-            for chain in evaluate_path(db, expression, bindings=True)
+            for chain in evaluate_twig(
+                db, expression, bindings=True, strategy="pairwise"
+            )
         )
         holistic = sorted(
             tuple(db.global_span(r) for r in chain)

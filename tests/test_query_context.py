@@ -134,6 +134,24 @@ class TestCancellationInQueries:
         with pytest.raises(ResourceExhausted):
             db.path_query("registration//interest", context=ctx)
 
+    def test_path_row_budget_is_charged_with_the_answer(self):
+        """A path query's rows are its answer's, charged once — not its
+        step joins' pairs: six matches pass a budget of 6."""
+        db = populated_db()
+        expression = "registration/contact/address/city"
+        full = db.path_query(expression)
+        assert len(full) == 6
+        got = db.path_query(expression, context=QueryContext(max_result_rows=6))
+        assert list(got) == list(full)
+        with pytest.raises(ResourceExhausted):
+            db.path_query(expression, context=QueryContext(max_result_rows=5))
+
+    def test_row_budget_aborts_zero_step_path_query(self):
+        db = populated_db()
+        assert len(db.path_query("registration")) == 6
+        with pytest.raises(ResourceExhausted):
+            db.path_query("registration", context=QueryContext(max_result_rows=5))
+
     def test_deadline_aborts_path_query(self):
         db = populated_db()
         clock = FakeClock()

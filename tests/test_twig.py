@@ -77,7 +77,7 @@ class TestParser:
         q = parse_twig("r//a/b")
         assert [n.tag for n in q.trunk] == ["r", "a", "b"]
         assert [n.axis for n in q.trunk] == ["descendant", "descendant", "child"]
-        assert q.is_linear and q.is_plain
+        assert q.is_linear
         assert q.output is q.trunk[-1]
         assert str(q) == "r//a/b"
 
@@ -113,17 +113,7 @@ class TestParser:
         q = parse_twig("r/*/b")
         assert q.trunk[1].is_wildcard
         assert q.tags() == {"r", "b"}
-        assert q.is_linear and not q.is_plain
-
-    def test_to_path_query_on_plain_chain(self):
-        twig = parse_twig("r//a/b")
-        path = twig.to_path_query()
-        assert path == parse_path("r//a/b")
-        assert str(path) == "r//a/b"
-
-    def test_to_path_query_rejects_non_plain(self):
-        with pytest.raises(PathSyntaxError):
-            parse_twig("r/a[b]").to_path_query()
+        assert q.is_linear
 
     def test_multiple_branches(self):
         q = parse_twig("a[b][c]/d")
@@ -243,7 +233,9 @@ class TestPlanner:
         counts = decisions_since(before, PLAN_RECORDER.snapshot())
         assert counts["pruned"] == 1
         assert sum(counts.values()) == 2
-        assert PLAN_RECORDER.snapshot()["recent"][-1]["surface"] == "twig"
+        assert PLAN_RECORDER.snapshot()["recent"][-1] == {
+            "expr": "r//nosuch[b]", "strategy": "twig", "pruned": True
+        }
 
     def test_auto_reads_the_memo(self):
         """Where a cost model would price pairwise far below holistic (a
@@ -263,13 +255,6 @@ class TestPlanner:
         assert (counts["twig"], counts["pairwise"]) == (1, 0)
         assert got == db.twig_query("a[b]", strategy="pairwise")
         assert len(got) == 1
-
-    def test_path_surface_recorded_too(self):
-        db = make_db()
-        before = PLAN_RECORDER.snapshot()
-        db.path_query("r//a")
-        assert decisions_since(before, PLAN_RECORDER.snapshot())["pairwise"] == 1
-        assert PLAN_RECORDER.snapshot()["recent"][-1]["surface"] == "path"
 
     def test_prune_compiles_zero_columns(self):
         """Acceptance: a twig naming an absent tag answers [] off the tag

@@ -51,6 +51,8 @@ _PATTERNS = [
     "a/b",  # plain chains
     "a/c",
     "a//b",
+    "a//b/c",  # a three-step chain over both axes
+    "b",  # a zero-step chain: every element of the tag
     "a[b]",  # a branch
     "c[a]/b",  # a branch, then the child axis
     "b[b/a]",  # a branch chain
@@ -201,8 +203,8 @@ def test_memo_goes_cold_then_refreshes_then_hits():
     assert third is second
     assert _keys(third) == _keys(evaluate_twig(db, expression, strategy="pairwise"))
     entries = db.readpath.stats()["entries"]
-    assert entries["twig_results"] == 1 and entries["path_results"] == 0
-    assert entries["twig_entries"] >= 2
+    assert entries["path_results"] == 1
+    assert entries["path_entries"] >= 2
     assert db.readpath.approximate_bytes() > 0
     db.readpath.clear()
     assert _traced(db, expression)[1]["memo"] == "cold"

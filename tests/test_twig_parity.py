@@ -10,9 +10,9 @@ same canonical order, cold and warm, and again after further updates.
 Hypothesis drives both over seeded random documents (the same laminar
 update streams the differential oracle uses) and a pool of twig shapes
 covering branches, nested branches, wildcards, and positional
-predicates.  Plain linear chains additionally check the pairwise
-fallback against the real ``plan_path`` pipeline, pinning the
-``to_path_query`` bridge.
+predicates.  Plain linear chains — what ``path_query`` answers from the
+twig memo — are additionally held to the from-scratch semi-join chain of
+``tests/helpers.py::semi_join_path``.
 
 The same agreement is held after every step of the shared ``apply_op``
 histories of ``tests/test_join_chunks.py`` (inserts anywhere, whole,
@@ -31,15 +31,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.query import evaluate_path
 from repro.errors import XMLSyntaxError
-from repro.twig import parse_twig
 from repro.twig.evaluate import evaluate_twig
 from tests.oracle import (
     ReferenceDatabase,
     replay_random_sequence,
     safe_insert_positions,
 )
+from tests.helpers import semi_join_path
 from tests.test_join_chunks import _HISTORY, _replay
 from tests.test_twig_oracle import reference_twig
 from repro.workloads.generator import generate_fragment, tag_pool
@@ -141,17 +140,17 @@ def test_holistic_matches_pairwise_cold_warm_updated(seed):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_plain_chain_pairwise_fallback_matches_plan_path(seed):
-    """Plain chains: twig, pairwise-fallback, and evaluate_path agree."""
+def test_plain_chain_memo_pairwise_and_semi_join_agree(seed):
+    """Plain chains: the memo, the pairwise streams and the from-scratch
+    semi-join chain agree, in order."""
     rng = random.Random(seed)
     db = replay_random_sequence(seed, n_ops=4).db
     for _ in range(4):
         a, b = rng.sample(TAGS, 2)
         for expr in (f"{a}//{b}", f"{a}/{b}", f"{a}//{b}/{a}"):
-            assert parse_twig(expr).is_plain
-            want = [record_key(r) for r in evaluate_path(db, expr)]
-            got = assert_strategies_agree(db, expr)
-            assert sorted(got) == sorted(want), expr
+            want = [record_key(r) for r in semi_join_path(db, expr)]
+            assert assert_strategies_agree(db, expr) == want, expr
+            assert [record_key(r) for r in db.path_query(expr)] == want, expr
 
 
 @settings(max_examples=10, deadline=None)
