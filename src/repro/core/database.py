@@ -38,6 +38,7 @@ from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
 from repro.errors import InvalidSegmentError, QueryError
 from repro.joins.stack_tree import AXIS_DESCENDANT, stack_tree_desc
+from repro.xml.model import FlatDocument
 from repro.xml.parser import parse_fragment
 from repro.xml.wellformed import Audit, reaches_cleanly, well_formed
 
@@ -182,14 +183,17 @@ class LazyXMLDatabase:
     # ------------------------------------------------------------------
     # updates
 
-    def insert(self, fragment: str, position: int | None = None) -> InsertReceipt:
+    def insert(
+        self, fragment: str | FlatDocument, position: int | None = None
+    ) -> InsertReceipt:
         """Insert a well-formed XML ``fragment`` at character ``position``.
 
         ``position`` defaults to the end of the super document (appending a
         new top-level document, the DBLP-style batch-update case).  The
         insert is refused (:class:`~repro.errors.InvalidSegmentError`)
         unless the super document with the fragment spliced in still
-        parses (:meth:`_validate_insert`).
+        parses (:meth:`_validate_insert`).  ``fragment`` may be its parse
+        (:func:`~repro.xml.parser.parse_flat`), which is then reused.
 
         Returns the :class:`~repro.core.update_log.InsertReceipt` with the
         new segment's sid, path and local position.
@@ -204,8 +208,8 @@ class LazyXMLDatabase:
             fragment, position
         )
         tag_counts: Counter = Counter(e.tag for e in document.elements)
-        receipt = self.log.insert_segment(position, len(fragment), tag_counts)
-        self.log.node(receipt.sid).fragment = fragment
+        receipt = self.log.insert_segment(position, len(document.text), tag_counts)
+        self.log.node(receipt.sid).fragment = document.text
         top_sid = parent.path[1] if parent.sid != DUMMY_ROOT_SID else receipt.sid
         try:
             records = [
@@ -221,14 +225,14 @@ class LazyXMLDatabase:
         self._mark(top_sid, trusted)
         return receipt
 
-    def check_insert(self, fragment: str, position: int | None = None):
+    def check_insert(self, fragment: str | FlatDocument, position: int | None = None):
         """Raise, changing nothing, when ``insert(fragment, position)`` would
         (as :meth:`check_removal` does for removes); else return what the
         insert needs: ``(position, parsed fragment, parent segment, base
         level, trusted afterwards)``."""
         if position is None:
             position = self.log.document_length
-        document = parse_fragment(fragment)
+        document = parse_fragment(fragment) if isinstance(fragment, str) else fragment
         if not 0 <= position <= self.log.document_length:
             raise InvalidSegmentError(
                 f"insert position {position} outside super document "
@@ -237,7 +241,7 @@ class LazyXMLDatabase:
         parent = self.log.ertree.innermost_segment(position)
         base_level, anchor = self._depth_at(parent, position)
         trusted = self._validate_insert(
-            fragment, position, document, parent, base_level, anchor
+            document.text, position, document, parent, base_level, anchor
         )
         return position, document, parent, base_level, trusted
 
@@ -741,8 +745,7 @@ class LazyXMLDatabase:
         from repro.durability.recovery import apply_op, validate_op
 
         record = {"op": "batch", "ops": [dict(sub) for sub in ops]}
-        validate_op(self, record)
-        return apply_op(self, record)
+        return apply_op(self, record, validate_op(self, record))
 
     # ------------------------------------------------------------------
     # verification helpers (used heavily by the test suite)

@@ -10,7 +10,7 @@ Every structural operation follows the same commit protocol:
    considered committed;
 3. **apply** — the op mutates the in-memory database through the exact
    dispatcher recovery replays with, keeping live and replayed histories
-   identical.
+   identical, from the validation's parse (never journaled).
 
 A crash at any point leaves the directory describing either the pre-op
 state (journal record absent or torn) or the post-op state (record fully
@@ -149,22 +149,22 @@ class DurableDatabase:
         """Path of the current checkpoint file (for replica full resync)."""
         return self.directory / self._checkpoint_name
 
-    def _commit(self, op: dict):
+    def _commit(self, op: dict, parsed=None):
+        """Validate → journal → apply ``op``, from ``parse_op(op)`` if given."""
         if self._poisoned is not None:
             raise JournalError(
                 f"database is read-only after a journal failure "
                 f"({self._poisoned}); reopen {self.directory} to recover"
             )
+        parsed = validate_op(self.db, op, parsed)
         if self._deferred is not None:
             # Deferred journaling (the sharded coordinator's batching
-            # hook): validate and apply now — later ops' routing depends
-            # on this op's effects — and buffer the record; the journal
-            # write happens once, at :meth:`flush_deferred`.
-            validate_op(self.db, op)
-            result = apply_op(self.db, op)
+            # hook): apply now — later ops' routing depends on this op's
+            # effects — and buffer the record; the journal write happens
+            # once, at :meth:`flush_deferred`.
+            result = apply_op(self.db, op, parsed)
             self._deferred.append(dict(op))
             return result
-        validate_op(self.db, op)
         seq = self._last_seq + 1
         try:
             self._journal.append(seq, op)
@@ -175,7 +175,7 @@ class DurableDatabase:
             self._poisoned = f"append of seq {seq} failed: {exc}"
             raise
         self._last_seq = seq
-        return apply_op(self.db, op)
+        return apply_op(self.db, op, parsed)
 
     def checkpoint(self) -> None:
         """Fold the journal into an atomic snapshot, then truncate it."""

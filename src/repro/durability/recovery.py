@@ -15,9 +15,10 @@ Recovery reconstructs the database a durable directory describes:
 Replay uses the same operation dispatcher (:func:`apply_op`) the live
 :class:`~repro.durability.database.DurableDatabase` uses, so a replayed
 history is bit-identical to the directly applied one (the replay-
-equivalence property tests assert exactly this).  A record whose
-pre-validation fails during replay corresponds to a live call that raised
-before mutating anything; it is skipped, reproducing the live outcome.
+equivalence property tests assert exactly this), applying each record
+from its validation's parse.  A record whose pre-validation fails during
+replay corresponds to a live call that raised before mutating anything; it
+is skipped, reproducing the live outcome.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.errors import (
     RecoveryError,
     ReproError,
 )
-from repro.xml.parser import parse_fragment
+from repro.xml.parser import parse_flat
 
 __all__ = [
     "CHECKPOINT_NAME",
@@ -46,6 +47,7 @@ __all__ = [
     "RecoveryReport",
     "recover",
     "apply_op",
+    "parse_op",
     "validate_op",
     "validate_batch_ops",
 ]
@@ -89,8 +91,20 @@ class RecoveryReport:
         return ", ".join(parts)
 
 
-def validate_op(db: LazyXMLDatabase, op: dict) -> None:
-    """Raise (without mutating anything) if ``op`` cannot apply to ``db``.
+def parse_op(op: dict, doc_len: int):
+    """``op``'s parse (an insert's, or a batch's list after its
+    :func:`validate_batch_ops` checks), which :func:`validate_op` and
+    :func:`apply_op` take as ``parsed``; never part of the record itself."""
+    kind = op.get("op")
+    if kind == BATCH_KIND:
+        return validate_batch_ops(op.get("ops"), doc_len)
+    return parse_flat(op["fragment"]) if kind == "insert" else None
+
+
+def validate_op(db: LazyXMLDatabase, op: dict, parsed=None):
+    """Raise (without mutating anything) if ``op`` cannot apply to ``db``;
+    else return ``op``'s parse (:func:`parse_op`) for :func:`apply_op`:
+    ``parsed`` when given, else the one these checks made.
 
     This runs *before* the journal append in the live write path, so the
     journal only ever records operations that will succeed; replay applies
@@ -106,50 +120,39 @@ def validate_op(db: LazyXMLDatabase, op: dict) -> None:
     """
     kind = op.get("op")
     if kind == BATCH_KIND:
-        _validate_batch(db, op)
-        return
+        return validate_batch_ops(op.get("ops"), db.document_length, parsed)
     if kind not in OP_KINDS:
         raise RecoveryError(f"unknown journal operation {kind!r}")
     if kind == "insert":
-        # An omitted position means append (mirrors the insert() API);
-        # batch sub-ops rely on this since the append point shifts with
-        # every preceding sub-op.
-        db.check_insert(op["fragment"], op.get("position"))
-    elif kind == "remove":
+        # An omitted position means append (as insert() does; batch sub-ops
+        # rely on it: the append point shifts with every earlier sub-op).
+        # Parsed flat, to keep: apply_op inserts from this parse.
+        fragment = parse_flat(op["fragment"]) if parsed is None else parsed
+        return db.check_insert(fragment, op.get("position"))[1]
+    if kind == "remove":
         db.check_removal(op["position"], op["length"])
     elif kind == "remove_segment":
         node = db.log.node(op["sid"])  # raises SegmentNotFoundError when absent
         db.check_removal(node.gp, node.length)
     elif kind == "repack":
         require_repackable(db, op["sid"])
-    elif kind == "compact":
-        pass
+    return None
 
 
-def _validate_batch(db: LazyXMLDatabase, op: dict) -> None:
-    """Pre-journal checks for a batch record.
-
-    Sub-ops apply sequentially, so later bounds depend on earlier effects;
-    the checks that *can* run against pre-batch state do (shape, sub-kinds,
-    fragment syntax, splice bounds against the simulated document length).
-    Checks that need state only the application itself produces (segment
-    ids minted mid-batch, repackability after an earlier sub-op) are
-    deferred to apply time, where a failing sub-op is deterministically
-    skipped — identically live and in replay.
-    """
-    validate_batch_ops(op.get("ops"), db.document_length)
-
-
-def validate_batch_ops(ops, doc_len: int) -> None:
-    """The batch checks that run against a (simulated) document length.
-
-    Shared by the single-database batch validation above and the sharded
-    coordinator (which validates against its virtual super-document
-    length), so a malformed batch is rejected *whole* — before any sub-op
-    applies — identically at every layer.
-    """
+def validate_batch_ops(ops, doc_len: int, parsed=None) -> list:
+    """A batch record's pre-journal checks: those that can run against
+    pre-batch state (shape, sub-kinds, fragment syntax, splice bounds
+    against the simulated document length ``doc_len``; sub-ops apply in
+    order, so later bounds depend on earlier effects).  Checks that need
+    state only the application produces (sids minted mid-batch,
+    repackability after an earlier sub-op) run at apply time, where a
+    failing sub-op is skipped identically live and in replay.  Shared with
+    the sharded coordinator (its virtual document length), so a malformed
+    batch is rejected *whole* at every layer.  Returns ``parsed``, or the
+    sub-ops' parses made here (:func:`parse_op`)."""
     if not isinstance(ops, list) or not ops:
         raise RecoveryError("batch record must carry a non-empty ops list")
+    documents = parsed or [None] * len(ops)
     for index, sub in enumerate(ops):
         if not isinstance(sub, dict):
             raise RecoveryError(f"batch op {index} is not an op record")
@@ -173,7 +176,8 @@ def validate_batch_ops(ops, doc_len: int) -> None:
                 raise RecoveryError(
                     f"batch op {index}: insert 'position' must be an integer"
                 )
-            parse_fragment(fragment)
+            if documents[index] is None:
+                documents[index] = parse_flat(fragment)
             if not 0 <= position <= doc_len:
                 raise InvalidSegmentError(
                     f"batch op {index}: insert position {position} outside "
@@ -204,9 +208,10 @@ def validate_batch_ops(ops, doc_len: int) -> None:
                 raise RecoveryError(
                     f"batch op {index}: {sub_kind} needs an integer 'sid'"
                 )
+    return documents
 
 
-def _apply_batch(db: LazyXMLDatabase, op: dict) -> list:
+def _apply_batch(db: LazyXMLDatabase, op: dict, parsed) -> list:
     """Apply a batch record's sub-ops in order; returns per-op results.
 
     This is the *only* application path for batches — the live commit and
@@ -225,9 +230,8 @@ def _apply_batch(db: LazyXMLDatabase, op: dict) -> list:
             # No validate_op pre-pass: every op method validates its own
             # preconditions before the first mutation (insert additionally
             # rolls back), so a failing sub-op raises the same typed error
-            # without leaving partial state — and skipping the redundant
-            # fragment re-parse is what makes large ingest batches cheap.
-            results.append(apply_op(db, sub))
+            # without leaving partial state.
+            results.append(apply_op(db, sub, parsed and parsed[index]))
         except RecoveryError:
             raise
         except ReproError:
@@ -239,13 +243,15 @@ def _apply_batch(db: LazyXMLDatabase, op: dict) -> list:
     return results
 
 
-def apply_op(db: LazyXMLDatabase, op: dict):
-    """Apply one journal operation to ``db``; returns the op's result."""
+def apply_op(db: LazyXMLDatabase, op: dict, parsed=None):
+    """Apply one journal operation to ``db``, from its parse ``parsed``
+    (:func:`parse_op`) when given; returns the op's result."""
     kind = op.get("op")
     if kind == BATCH_KIND:
-        return _apply_batch(db, op)
+        return _apply_batch(db, op, parsed)
     if kind == "insert":
-        return db.insert(op["fragment"], op.get("position"))
+        fragment = op["fragment"] if parsed is None else parsed
+        return db.insert(fragment, op.get("position"))
     if kind == "remove":
         return db.remove(op["position"], op["length"])
     if kind == "remove_segment":
@@ -295,8 +301,7 @@ def recover(
             continue  # folded into the checkpoint already
         op = {key: value for key, value in record.items() if key != "seq"}
         try:
-            validate_op(db, op)
-            apply_op(db, op)
+            apply_op(db, op, validate_op(db, op))
         except RecoveryError:
             raise
         except ReproError as exc:

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.database import LazyXMLDatabase
-from repro.durability.recovery import apply_op
+from repro.durability.recovery import apply_op, parse_op
 from repro.errors import (
     Busy,
     CircuitOpenError,
@@ -295,13 +295,10 @@ class DatabaseService:
         The one write entry (the methods below are this call with the
         record spelled out): ``repack``/``compact`` run in the maintenance
         class behind the breaker, the rest in the write class; an
-        ``insert`` without a position appends.
+        ``insert`` without a position appends at the end the writer finds.
         """
-        kind = op["op"]
-        if kind in ("repack", "compact"):
+        if op["op"] in ("repack", "compact"):
             return self._maintenance_op(op)
-        if kind == "insert" and op.get("position") is None:
-            op = {**op, "position": self._base.document_length}
         return self._write(op)
 
     def insert(self, fragment: str, position: int | None = None):
@@ -347,23 +344,27 @@ class DatabaseService:
             )
         with self._admission.admit(request_class, self.config.admission_wait):
             with self._writer_lock:
-                result = self._apply_primary(op)
-                self._publish([op])
+                if op["op"] == "insert" and op.get("position") is None:
+                    op = {**op, "position": self._base.document_length}
+                # The write's one parse, for the primary and every replica.
+                parsed = self._epochs and parse_op(op, self._base.document_length)
+                result = self._apply_primary(op, parsed)
+                self._publish([op], [parsed])
                 self._counters["writes"] += 1
                 if request_class == "write":
                     self._after_write()
         return result
 
-    def _apply_primary(self, op: dict):
-        """Apply ``op`` to the authoritative database.
+    def _apply_primary(self, op: dict, parsed):
+        """Apply ``op`` to the authoritative database, from its parse
+        (``None`` for a sharded primary).
 
         Every primary spells the structural operations alike, so the
-        record goes through the dispatcher recovery and the replicas use:
-        a durable primary's methods journal (fsync before apply, so
-        pressure-triggered repacks journal like user writes), the sharded
-        coordinator's route to the owning shard.  A batch goes to the
-        primary's own ``apply_batch``, where it becomes *one* commit (one
-        whole-batch validation, one journal record, one fsync).
+        record goes through the dispatcher recovery and the replicas use
+        (``parse_op`` ran a batch's whole-batch checks): a durable primary
+        commits it (fsync before apply, so pressure-triggered repacks
+        journal like user writes; a batch is *one* record, one fsync), the
+        sharded coordinator's methods route to the owning shard.
 
         With a replication cluster attached, the write goes through the
         cluster instead: commit on the primary node, ship the record to
@@ -374,11 +375,15 @@ class DatabaseService:
             return self._replication.commit_from(
                 self._replication.primary_id, dict(op)
             )
-        if op["op"] == "batch":
+        if self._durable and not self._sharded:
+            if op["op"] == "insert":  # the record DurableDatabase.insert journals
+                op = {key: op[key] for key in ("op", "fragment", "position")}
+            return self.primary._commit(op, parsed)
+        if parsed is None and op["op"] == "batch":
             return self.primary.apply_batch(op["ops"])
-        return apply_op(self.primary, op)
+        return apply_op(self.primary, op, parsed)
 
-    def _publish(self, ops: list[dict]) -> None:
+    def _publish(self, ops: list[dict], parsed: list) -> None:
         """Publish committed ops to readers; self-heal on replica failure.
 
         Replica replay uses the same dispatcher as crash recovery, so a
@@ -393,7 +398,7 @@ class DatabaseService:
         if self._epochs is None:
             return
         try:
-            self._epochs.publish(ops)
+            self._epochs.publish(ops, parsed)
         except Exception:
             self._counters["replica_rebuilds"] += 1
             old = self._epochs
@@ -621,8 +626,8 @@ class DatabaseService:
         health["metrics"] = METRICS.snapshot()
         health["metric_catalogue"] = METRICS.catalogue()
         # Planner decisions (path + twig surfaces): strategy counts and
-        # the most recent choices with their cost estimates, so a plan
-        # regression shows up here instead of only in latency.
+        # the most recent choices, each ``{expr, strategy, pruned}``, so a
+        # plan regression shows up here instead of only in latency.
         from repro.twig.plan import PLAN_RECORDER
 
         health["planner"] = PLAN_RECORDER.snapshot()

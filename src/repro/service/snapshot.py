@@ -15,12 +15,12 @@ module gives readers a *pinned, immutable* view instead, RCU-style:
   Publish replays the ops onto a *spare* buffer and atomically swaps it in
   as the next epoch.  Replay goes through the deterministic dispatcher
   crash recovery uses, so replica state is bit-identical to the primary,
-  and costs what the ops cost: an insert parses its fragment, a
-  whole-segment remove reads no text at all once the replica trusts the
-  document (a clone keeps its source's marks; see DESIGN.md §4, "Removal
-  validation").  Readers arriving after the
-  swap see the new epoch; readers still holding the old one are
-  undisturbed.
+  and costs what the ops cost less the parse: an insert replays from the
+  primary's parse (kept beside the op), a whole-segment remove reads no
+  text at all once the replica trusts the document (a clone keeps its
+  source's marks; see DESIGN.md §4, "Removal validation").  Readers
+  arriving after the swap see the new epoch; readers still holding the
+  old one are undisturbed.
 - The previous buffer becomes the next spare once its pin count drains to
   zero (the RCU grace period).  A reader that holds a pin past
   ``drain_timeout`` cannot wedge the writer: publish abandons the stuck
@@ -120,9 +120,9 @@ class EpochManager:
         self._drain_timeout = drain_timeout
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
-        # Absolute op history; ops before _ops_base have been replayed by
-        # every tracked buffer and are dropped.
-        self._ops: deque[dict] = deque()
+        # Absolute op history of (op, parse) pairs; ops before _ops_base
+        # have been replayed by every tracked buffer and are dropped.
+        self._ops: deque[tuple[dict, object]] = deque()
         self._ops_base = 0
         self._ops_total = 0
         first = _Buffer(storage.clone(seed), applied_upto=0)
@@ -160,16 +160,17 @@ class EpochManager:
                 raise ServiceClosed("epoch manager is closed")
             return self._current.epoch
 
-    def publish(self, ops: list[dict]) -> int:
+    def publish(self, ops: list[dict], parsed: list | None = None) -> int:
         """Replay committed ``ops`` onto a spare buffer and swap it in.
 
         Returns the new epoch number.  Must be called by the (single)
         writer after the authoritative database has applied ``ops``.
+        Replicas replay from ``parsed``, each op's ``parse_op``, if given.
         """
         with self._lock:
             if self._current is None:
                 raise ServiceClosed("epoch manager is closed")
-            self._ops.extend(ops)
+            self._ops.extend(zip(ops, parsed or [None] * len(ops)))
             self._ops_total += len(ops)
             spare = self._take_spare_locked()
         if spare is None:
@@ -178,8 +179,7 @@ class EpochManager:
         # ops it has not seen.  apply_op is the recovery dispatcher, so the
         # replica's history is identical to the primary's.
         while spare.applied_upto < self._ops_total:
-            op = self._ops_at(spare.applied_upto)
-            apply_op(spare.db, op)
+            apply_op(spare.db, *self._ops_at(spare.applied_upto))
             spare.applied_upto += 1
         with self._lock:
             if self._current is None:
@@ -223,7 +223,7 @@ class EpochManager:
         self._clones += 1
         return buffer
 
-    def _ops_at(self, index: int) -> dict:
+    def _ops_at(self, index: int) -> tuple[dict, object]:
         return self._ops[index - self._ops_base]
 
     def _truncate_ops_locked(self) -> None:

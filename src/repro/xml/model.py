@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["XMLElement", "XMLDocument"]
+__all__ = ["XMLElement", "XMLDocument", "FlatDocument"]
 
 
 @dataclass
@@ -78,6 +79,19 @@ class XMLElement:
 
     def __hash__(self) -> int:  # identity-based: elements are tree nodes
         return id(self)
+
+
+#: An element of a :class:`FlatDocument`: an :class:`XMLElement` less its links.
+Element = NamedTuple("Element", [("tag", str), ("start", int), ("end", int),
+                                 ("level", int)])
+
+
+class FlatDocument(NamedTuple):
+    """A parse without its tree (:func:`~repro.xml.parser.parse_flat`): the
+    text and every :data:`Element` in document order."""
+
+    text: str
+    elements: list[Element]
 
 
 class XMLDocument:

@@ -12,11 +12,13 @@ the :class:`XMLElement` spans.
 
 from __future__ import annotations
 
+from sys import intern
+
 from repro.errors import XMLSyntaxError
-from repro.xml.model import XMLDocument, XMLElement
+from repro.xml.model import Element, FlatDocument, XMLDocument, XMLElement
 from repro.xml.tokenizer import Token, TokenKind, tokenize
 
-__all__ = ["parse", "parse_fragment", "is_well_formed"]
+__all__ = ["parse", "parse_fragment", "parse_flat", "is_well_formed"]
 
 
 def parse(text: str) -> XMLDocument:
@@ -100,6 +102,17 @@ def parse_fragment(text: str) -> XMLDocument:
     segment about to be inserted" from "parsing a whole document".
     """
     return parse(text)
+
+
+def parse_flat(text: str) -> FlatDocument:
+    """Parse a segment (:func:`parse`) into what an insert reads of it, to
+    keep: tags interned, and the tree freed at once (its parent links cut,
+    so it leaves the cycle collector no garbage)."""
+    document = parse(text)
+    flat = [Element(intern(e.tag), e.start, e.end, e.level) for e in document.elements]
+    for element in document.elements:
+        element.parent = None
+    return FlatDocument(text, flat)
 
 
 def is_well_formed(text: str) -> bool:

@@ -1,0 +1,244 @@
+"""A write parses its fragment once (perf-smoke count gate).
+
+The lazy insert of the paper costs one parse of the new segment plus local
+labels (Section 3.3).  Every write path that wraps the core — the journal's
+validate → journal → apply, recovery, batches, and the service's epoch
+replicas — hands the parse that checked a fragment on to every database
+that applies it.  Counted by wrapping :func:`repro.xml.parser.parse`.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+import threading
+import time
+
+import pytest
+
+import repro.xml.parser as parser
+from repro.core.database import LazyXMLDatabase
+from repro.durability.database import DurableDatabase
+from repro.errors import InvalidSegmentError, SegmentNotFoundError
+from repro.service import DatabaseService, ServiceConfig
+from repro.storage import dumps
+
+DOC = "<lib><shelf><book><t>a</t></book></shelf></lib>"
+FRAGMENT = "<book><t>n</t><p/></book>"
+BATCH = [{"op": "insert", "fragment": FRAGMENT} for _ in range(4)]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A list that gains one entry per call of the XML parser."""
+    calls: list[str] = []
+    real = parser.parse
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(parser, "parse", counted)
+    return calls
+
+
+def _count(calls, write) -> int:
+    before = len(calls)
+    write()
+    return len(calls) - before
+
+
+def _service(primary) -> DatabaseService:
+    # No pressure samples: maintenance would add writes of its own.
+    return DatabaseService(primary, config=ServiceConfig(pressure_check_every=0))
+
+
+@pytest.mark.perf_smoke
+def test_bare_writes_parse_once(parses):
+    db = LazyXMLDatabase()
+    assert _count(parses, lambda: db.insert(DOC)) == 1
+    assert _count(parses, lambda: db.apply_batch(BATCH)) == 4
+
+
+@pytest.mark.perf_smoke
+def test_durable_writes_and_recovery_parse_once(parses, tmp_path):
+    durable = DurableDatabase(tmp_path)
+    assert _count(parses, lambda: durable.insert(DOC)) == 1
+    assert _count(parses, lambda: durable.insert(DOC)) == 1
+    assert _count(parses, lambda: durable.apply_batch(BATCH)) == 4
+    expected = durable.db.text
+    durable.close()
+    # The journal holds 2 inserts and a 4-insert batch.
+    reopened = []
+    assert _count(parses, lambda: reopened.append(DurableDatabase(tmp_path))) == 6
+    assert reopened[0].db.text == expected
+    reopened[0].close()
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+def test_served_writes_parse_once(parses, tmp_path, durable):
+    primary = DurableDatabase(tmp_path) if durable else LazyXMLDatabase()
+    primary.insert(DOC)
+    with _service(primary) as svc:
+        # Steady state: both epoch buffers have replayed a write already.
+        svc.remove_segment(svc.insert(FRAGMENT).sid)
+        receipt = []
+        assert _count(parses, lambda: receipt.append(svc.insert(FRAGMENT))) == 1
+        assert _count(parses, lambda: svc.remove_segment(receipt[0].sid)) == 0
+        assert _count(parses, lambda: svc.apply_batch(BATCH)) == 4
+        with svc.snapshot() as snap:
+            assert snap.db.text == primary.text
+
+
+# ----------------------------------------------------------------------
+# Replicas replay from the primary's parse: parity over a seeded history.
+
+_FRAGMENTS = ("<a><b>x</b></a>", "<a><c/><b>y</b></a>", "<b/>")
+
+
+def _alive(db, sid: int) -> bool:
+    try:
+        db.log.node(sid)
+    except SegmentNotFoundError:
+        return False
+    return True
+
+
+def _nested_points(text: str) -> list[int]:
+    """Just after a ``<lib>`` or ``<a>`` start tag: a gap between tokens
+    that no span removed below ever straddles."""
+    return [m.end() for m in re.finditer(r"<(?:lib|a)>", text)]
+
+
+_KINDS = ("top", "nested", "remove_segment", "span", "batch", "refused")
+
+
+def _write(rng, svc, base, sids: list[int], kind: str) -> str:
+    """One seeded write of ``kind``; returns the kind it made (a remove
+    with nothing to remove inserts instead)."""
+    text = base.text
+    fragment = rng.choice(_FRAGMENTS)
+    live = [sid for sid in sids if _alive(base, sid)]
+    spans = [m.span() for m in re.finditer(r"<b>x</b>|<c/>", text)]
+    if kind == "remove_segment" and live:
+        svc.remove_segment(rng.choice(live))
+    elif kind == "span" and spans:
+        start, end = rng.choice(spans)
+        svc.remove(start, end - start)
+    elif kind == "batch":
+        ops = [
+            {"op": "insert", "fragment": fragment},
+            {"op": "remove_segment", "sid": 10**9},  # no such segment: skipped
+            {"op": "insert", "fragment": "<b/>",
+             "position": rng.choice(_nested_points(text))},
+        ]
+        first, skipped, last = svc.apply_batch(ops)
+        assert skipped is None and None not in (first, last)
+        sids.extend((first.sid, last.sid))
+    elif kind == "refused":
+        inside_tag = text.index("<lib>") + 2
+        with pytest.raises(InvalidSegmentError):
+            svc.insert(fragment, inside_tag)
+    else:
+        kind = "nested" if kind == "nested" else "top"
+        position = rng.choice(_nested_points(text)) if kind == "nested" else None
+        sids.append(svc.insert(fragment, position).sid)
+    return kind
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_replicas_replayed_from_the_primary_parse_match_it(tmp_path, durable, seed):
+    rng = random.Random(seed)
+    kinds = [kind for kind in _KINDS for _ in range(7)]
+    rng.shuffle(kinds)
+    primary = DurableDatabase(tmp_path) if durable else LazyXMLDatabase()
+    primary.insert(DOC)
+    base = getattr(primary, "db", primary)
+    sids: list[int] = []
+    made = set()
+    with _service(primary) as svc:
+        for kind in kinds:
+            publishes = svc.health()["epochs"]["publishes"]
+            kind = _write(rng, svc, base, sids, kind)
+            made.add(kind)
+            # A refused write publishes nothing; any other publishes once.
+            assert svc.health()["epochs"]["publishes"] == publishes + (
+                kind != "refused"
+            )
+            base.check_invariants()
+            # Each buffer is pinned in turn: the spare that was a write
+            # behind replays the previous op and this one, both from the
+            # primary's parses.
+            with svc.snapshot() as snap:
+                assert dumps(snap.db) == dumps(base)
+                snap.db.check_invariants()
+    assert made == set(_KINDS)
+
+
+# ----------------------------------------------------------------------
+# An append is positioned by the writer, under its lock.
+
+def test_append_queued_behind_a_remove_lands_at_the_end_it_finds():
+    primary = LazyXMLDatabase()
+    primary.insert(DOC)
+    doomed = primary.insert(FRAGMENT)
+    entered, release = threading.Event(), threading.Event()
+    real_remove_segment = primary.remove_segment
+
+    def held_remove_segment(sid):
+        entered.set()
+        assert release.wait(10)
+        return real_remove_segment(sid)
+
+    primary.remove_segment = held_remove_segment
+    config = ServiceConfig(pressure_check_every=0, admission_wait=10.0)
+    outcome: dict = {}
+    with DatabaseService(primary, config=config) as svc:
+        remover = threading.Thread(
+            target=lambda: outcome.update(removed=svc.remove_segment(doomed.sid))
+        )
+        remover.start()
+        assert entered.wait(10)
+
+        def append():
+            try:
+                outcome["receipt"] = svc.insert("<tail/>")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                outcome["error"] = exc
+
+        appender = threading.Thread(target=append)
+        appender.start()
+        # The append is queued for the write slot the remove holds.
+        deadline = time.monotonic() + 10
+        while svc.health()["admission"]["write"]["waiting"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        release.set()
+        remover.join(10)
+        appender.join(10)
+        assert not remover.is_alive() and not appender.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["removed"].elements_removed == 3
+        assert primary.text == DOC + "<tail/>"
+        with svc.snapshot() as snap:
+            assert snap.db.text == primary.text
+
+
+def test_served_durable_writes_journal_what_direct_writes_do(tmp_path):
+    # The wire spells an insert's fields position first; the journal
+    # record is the one DurableDatabase.insert writes all the same.
+    served = DurableDatabase(tmp_path / "served")
+    direct = DurableDatabase(tmp_path / "direct")
+    with _service(served) as svc:
+        svc.apply({"op": "insert", "fragment": DOC})
+        svc.apply({"op": "insert", "position": 5, "fragment": FRAGMENT})
+        svc.apply({"op": "remove", "position": 5, "length": len(FRAGMENT)})
+        svc.apply_batch(BATCH)
+    direct.insert(DOC)
+    direct.insert(FRAGMENT, 5)
+    direct.remove(5, len(FRAGMENT))
+    direct.apply_batch(BATCH)
+    direct.close()
+    assert served.journal_path.read_bytes() == direct.journal_path.read_bytes()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XMLSyntaxError
-from repro.xml.parser import is_well_formed, parse, parse_fragment
+from repro.xml.parser import is_well_formed, parse, parse_flat, parse_fragment
 from repro.xml.serializer import Node
 
 
@@ -149,6 +151,26 @@ class TestModelNavigation:
 
     def test_document_iter_and_len(self, doc):
         assert len(list(iter(doc))) == len(doc) == 5
+
+    def test_parse_flat_keeps_text_tags_and_spans(self, doc):
+        flat = parse_flat(doc.text)
+        assert flat.text is doc.text
+        assert flat.elements == [
+            (e.tag, e.start, e.end, e.level) for e in doc.elements
+        ]
+        # Tags are interned: one string per tag name, whatever the parse.
+        assert flat.elements[0].tag is parse_flat("<a/>").elements[0].tag
+
+    def test_parse_flat_leaves_no_garbage_for_the_cycle_collector(self, doc):
+        gc.collect()
+        gc.disable()
+        try:
+            parse_flat(doc.text)
+            assert gc.collect() == 0
+            parse(doc.text)  # the tree keeps its parent links: a cycle
+            assert gc.collect() > 0
+        finally:
+            gc.enable()
 
 
 def _node_trees(max_depth=4):
