@@ -13,9 +13,10 @@ exception the server caught (:func:`error_payload` /
 
 :func:`execute_request` is deliberately synchronous: the database service
 is thread-safe and blocking, so the asyncio server chooses where each
-request runs — a short read on its event loop, everything else on a
-bounded worker pool (:mod:`repro.net.server`) — and the protocol layer
-stays testable without an event loop.
+request runs — a request alone in flight whose verb can stop before it
+changes anything (a read, an in-memory write) on its event loop under a
+budget, everything else on a bounded worker pool (:mod:`repro.net.server`)
+— and the protocol layer stays testable without an event loop.
 """
 
 from __future__ import annotations

@@ -7,12 +7,18 @@ connections onto one thread-safe
 :class:`asyncio.Protocol`: the event loop calls it back with bytes, and it
 dispatches every frame synchronously.  The loop owns all connection state
 (single-threaded, no locks on the bookkeeping, no task per request).
-A read verb alone in flight on a service with an epoch store runs on the
-loop itself (the thread hop costs more than the read) and moves to the
-pool if it outlives :data:`LOOP_BUDGET`; every other request body runs
-on a bounded worker pool sized to the global in-flight cap, so the
-blocking database layer never holds the loop past the budget and the
-loop never queues unbounded work behind it.
+A request alone in flight runs on the loop itself (the thread hop costs
+more than the request) when its verb can stop before it changes anything
+and waits on no I/O: a read on a service with an epoch store, a write on
+an in-memory primary, and ``ping``/``pin``/``unpin``.  A read moves to the
+pool at its first checkpoint past :data:`LOOP_BUDGET`; a write has one
+checkpoint, after its parse and before its commit, and moves there if the
+budget is spent, or earlier, having waited for nothing, if its admission
+slot or the writer lock is taken or its commit would sample pressure or
+clone a replica.  Every other request body runs on a bounded worker pool
+sized to the global in-flight cap, so the blocking database layer never
+holds the loop past the budget and the loop never queues unbounded work
+behind it.
 
 Robustness contract (each clause is drilled by ``tests/test_net_faults``):
 
@@ -78,10 +84,14 @@ from repro.service.context import OverBudget
 
 __all__ = ["NetServerConfig", "TcpServer"]
 
-#: Seconds a read may hold the event loop before it moves to the pool: no
-#: longer than a pool thread holds the GIL from the loop anyway
-#: (``sys.getswitchinterval()``, 5 ms by default).
+#: Seconds a read, or a write up to its commit, may hold the event loop
+#: before it moves to the pool: no longer than a pool thread holds the GIL
+#: from the loop anyway (``sys.getswitchinterval()``, 5 ms by default).
 LOOP_BUDGET = 0.002
+
+#: Status verbs that touch nothing but memory (an epoch refcount at most):
+#: on the loop whenever they are alone in flight.
+_IN_MEMORY = frozenset({"ping", "pin", "unpin"})
 
 # `net.requests` and `net.sheds` repeat the per-server `_counters` twins
 # (which tests and health read per server) because the end-to-end
@@ -368,19 +378,21 @@ class _Connection(asyncio.Protocol):
         session.inflight[request_id] = ctx
         server._inflight += 1
         started = time.perf_counter()
-        # A paused connection's reads take the pool path, where the caps
-        # bound what its buffer can still be handed.
-        if self.paused_at is None and server._runs_on_loop(request.get("cmd")):
+        # A paused connection's requests take the pool path, where the
+        # caps bound what its buffer can still be handed.
+        kind = self.paused_at is None and server._loop_kind(request.get("cmd"))
+        if kind:
             try:
                 result = execute_request(
                     server.service, session, request, ctx.attempt(LOOP_BUDGET)
                 )
-            except OverBudget:
-                server._counters["moved_reads"] += 1
+            except OverBudget:  # only a read or a write stops
+                server._counters[f"moved_{kind}s"] += 1
             except Exception as exc:
                 return self._finish(request_id, request, started, exc)
             else:
-                server._counters["loop_reads"] += 1
+                if kind != "status":
+                    server._counters[f"loop_{kind}s"] += 1
                 return self._finish(request_id, request, started, result)
         self.loop.run_in_executor(
             server._executor, execute_request,
@@ -502,6 +514,8 @@ class TcpServer:
             "requests": 0,
             "loop_reads": 0,
             "moved_reads": 0,
+            "loop_writes": 0,
+            "moved_writes": 0,
             "sheds": 0,
             "errors": 0,
             "frames_rejected": 0,
@@ -635,13 +649,24 @@ class TcpServer:
             self._idle.clear()
             await _until(self._idle, timeout)
 
-    def _runs_on_loop(self, cmd) -> bool:
-        """A read verb alone in flight (it waits for no admission ticket)
-        on a service whose reads pin in-process buffers (a sharded read
-        waits on worker pipes for as long as its deadline allows)."""
+    def _loop_kind(self, cmd) -> str | None:
+        """The kind of ``cmd``'s verb if the request runs on the loop, else
+        None.  A request alone in flight runs there when its verb can stop
+        before it changes anything and waits on no I/O: a read on a
+        service whose reads pin in-process buffers (a sharded read waits
+        on worker pipes for as long as its deadline allows), a write on a
+        service whose writes stay in memory (no fsync, no replication,
+        no shards), and the memory-only status verbs."""
         verb = COMMANDS.get(cmd) if isinstance(cmd, str) else None
-        return (self._inflight == 1 and getattr(verb, "kind", None) == "read"
-                and self.service.has_epoch_store)
+        if self._inflight != 1 or verb is None:
+            return None
+        if verb.kind == "read":
+            runs = self.service.has_epoch_store
+        elif verb.kind == "write":
+            runs = self.service.writes_in_memory
+        else:
+            runs = cmd in _IN_MEMORY
+        return verb.kind if runs else None
 
     def status(self) -> dict:
         """Loop-side operational snapshot (merged into health/stats)."""

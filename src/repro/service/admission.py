@@ -145,6 +145,17 @@ class AdmissionController:
                 _H_WAIT.observe(wait - (deadline - time.monotonic()))
             return self._admit_locked(state, request_class)
 
+    def try_admit(self, request_class: str) -> Ticket | None:
+        """Admit only if a slot is free now; None otherwise.  Never waits,
+        never counts a rejection: the caller runs the request elsewhere."""
+        state = self._state(request_class)
+        with self._lock:
+            if self._closed:
+                raise ServiceClosed("admission controller is closed")
+            if state.active < state.limit:
+                return self._admit_locked(state, request_class)
+            return None
+
     def _admit_locked(self, state: _ClassState, request_class: str) -> Ticket:
         state.active += 1
         state.admitted += 1

@@ -232,12 +232,14 @@ def _batch_slot(op: dict, result) -> dict | None:
 
 
 def _write(kind: str):
-    """A write verb: its fields *are* the op record."""
+    """A write verb: its fields *are* the op record.  ``ctx`` goes along
+    so a loop attempt can stop before the commit (see
+    :meth:`DatabaseService.apply`)."""
 
     def handler(service, session, args, ctx):
         op = {"op": kind}
         op.update(item for item in args.items() if item[1] is not None)
-        return _batch_slot(op, service.apply(op))
+        return _batch_slot(op, service.apply(op, context=ctx))
 
     return handler
 

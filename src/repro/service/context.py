@@ -167,6 +167,19 @@ class QueryContext:
         fresh._cancelled = self._cancelled
         return fresh
 
+    @property
+    def is_attempt(self) -> bool:
+        """True for a context made by :meth:`attempt`: work under it may
+        wait for nothing, and stops with :class:`OverBudget` instead."""
+        return self._budget_end is not None
+
+    def check_budget(self) -> None:
+        """A write's one checkpoint: raise :class:`OverBudget` if this
+        attempt's budget is spent, and nothing else (a write honours
+        neither deadline nor cancellation)."""
+        if self._budget_end is not None and self._clock() > self._budget_end:
+            raise OverBudget(f"budget spent after {self._ticks} checkpoints")
+
     def charge_rows(self, n: int) -> None:
         """Charge ``n`` result rows against the row budget."""
         if n <= 0:

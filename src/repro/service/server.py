@@ -29,6 +29,7 @@ Composes the pieces of :mod:`repro.service` into one operational surface:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ from repro.joins.stack_tree import AXIS_DESCENDANT
 from repro.obs.metrics import METRICS
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker
-from repro.service.context import QueryContext
+from repro.service.context import OverBudget, QueryContext
 from repro.service.pressure import (
     LEVEL_CRITICAL,
     LEVEL_ELEVATED,
@@ -237,6 +238,13 @@ class DatabaseService:
         sharded primary, whose reads wait on worker pipes."""
         return self._epochs is not None
 
+    @property
+    def writes_in_memory(self) -> bool:
+        """True when a write waits on no I/O: a plain in-memory primary
+        with an epoch store (no journal fsync, no shard pipes; a
+        replication cluster's primary is durable)."""
+        return self._epochs is not None and not self._durable
+
     # ------------------------------------------------------------------
     # reads
 
@@ -289,17 +297,21 @@ class DatabaseService:
     # ------------------------------------------------------------------
     # writes (single writer)
 
-    def apply(self, op: dict):
+    def apply(self, op: dict, context=None):
         """Commit one journal-dialect op record; returns the op's result.
 
         The one write entry (the methods below are this call with the
         record spelled out): ``repack``/``compact`` run in the maintenance
         class behind the breaker, the rest in the write class; an
         ``insert`` without a position appends at the end the writer finds.
+        ``context`` matters only as a loop attempt
+        (:meth:`QueryContext.attempt`): the write then waits for nothing
+        and raises :class:`OverBudget`, having changed nothing, wherever
+        it would have to (see :meth:`_write`).
         """
         if op["op"] in ("repack", "compact"):
             return self._maintenance_op(op)
-        return self._write(op)
+        return self._write(op, context=context)
 
     def insert(self, fragment: str, position: int | None = None):
         return self.apply({"op": "insert", "fragment": fragment, "position": position})
@@ -330,7 +342,7 @@ class DatabaseService:
         """
         return self.apply({"op": "batch", "ops": [dict(sub) for sub in ops]})
 
-    def _write(self, op: dict, request_class: str = "write"):
+    def _write(self, op: dict, request_class: str = "write", context=None):
         self._ensure_open()
         if (
             request_class == "write"
@@ -342,18 +354,55 @@ class DatabaseService:
                 "service is degraded (pressure critical, maintenance "
                 "circuit open); writes are shed until the log drains"
             )
-        with self._admission.admit(request_class, self.config.admission_wait):
-            with self._writer_lock:
-                if op["op"] == "insert" and op.get("position") is None:
-                    op = {**op, "position": self._base.document_length}
-                # The write's one parse, for the primary and every replica.
-                parsed = self._epochs and parse_op(op, self._base.document_length)
-                result = self._apply_primary(op, parsed)
-                self._publish([op], [parsed])
-                self._counters["writes"] += 1
-                if request_class == "write":
-                    self._after_write()
+        attempt = context is not None and context.is_attempt
+        with self._write_slot(request_class, attempt):
+            if attempt and not self._commits_in_memory():
+                raise OverBudget("this write must wait or do maintenance")
+            if op["op"] == "insert" and op.get("position") is None:
+                op = {**op, "position": self._base.document_length}
+            # The write's one parse, for the primary and every replica.
+            parsed = self._epochs and parse_op(op, self._base.document_length)
+            if attempt:
+                # The attempt's one checkpoint: after the parse, the cost
+                # that grows with the payload, and before any change.
+                context.check_budget()
+            result = self._apply_primary(op, parsed)
+            self._publish([op], [parsed])
+            self._counters["writes"] += 1
+            if request_class == "write":
+                self._after_write()
         return result
+
+    @contextlib.contextmanager
+    def _write_slot(self, request_class: str, attempt: bool):
+        """Hold the class's admission ticket, then the writer lock.  A loop
+        attempt takes each only if it is free now and otherwise raises
+        :class:`OverBudget` holding neither: it never waits."""
+        if not attempt:
+            with self._admission.admit(request_class, self.config.admission_wait):
+                with self._writer_lock:
+                    yield
+            return
+        ticket = self._admission.try_admit(request_class)
+        if ticket is None:
+            raise OverBudget(f"the {request_class} slot is taken")
+        with ticket:
+            if not self._writer_lock.acquire(blocking=False):
+                raise OverBudget("the writer lock is held")
+            try:
+                yield
+            finally:
+                self._writer_lock.release()
+
+    def _commits_in_memory(self) -> bool:
+        """Under the writer lock: this write touches only memory up to its
+        reply.  It does not if the primary does I/O, if it is the write
+        that samples pressure (maintenance may repack or compact), or if
+        its publish would wait for a reader or clone a replica."""
+        every = self.config.pressure_check_every
+        return (self.writes_in_memory
+                and not 0 < every <= self._writes_since_check + 1
+                and self._epochs.spare_ready())
 
     def _apply_primary(self, op: dict, parsed):
         """Apply ``op`` to the authoritative database, from its parse

@@ -25,7 +25,8 @@ module gives readers a *pinned, immutable* view instead, RCU-style:
   zero (the RCU grace period).  A reader that holds a pin past
   ``drain_timeout`` cannot wedge the writer: publish abandons the stuck
   buffer to its readers and clones a fresh one from the published state
-  (counted in :meth:`metrics` as ``clone_fallbacks``).
+  (counted in :meth:`metrics` as ``clone_fallbacks``; the stuck reader's
+  pin still counts in ``active_pins`` until it is released).
 
 Writers therefore never block readers, and readers delay the writer only
 by at most one grace-period wait — and never indefinitely.
@@ -128,6 +129,9 @@ class EpochManager:
         first = _Buffer(storage.clone(seed), applied_upto=0)
         self._current: _Buffer | None = first
         self._spares: deque[_Buffer] = deque()
+        # Buffers publish gave up on, kept until their last pin goes so
+        # `active_pins` still counts the readers that hold them.
+        self._abandoned: set[_Buffer] = set()
         self._clones = 1
         self._publishes = 0
         self._drain_waits = 0
@@ -148,6 +152,7 @@ class EpochManager:
         with self._lock:
             buffer.pins -= 1
             if buffer.pins == 0:
+                self._abandoned.discard(buffer)
                 self._drained.notify_all()
 
     # ------------------------------------------------------------------
@@ -192,6 +197,15 @@ class EpochManager:
             self._truncate_ops_locked()
             return spare.epoch
 
+    def spare_ready(self) -> bool:
+        """True when the next :meth:`publish` would wait for nothing: a
+        spare is there and no reader holds it, so neither a drain wait
+        nor a clone is due.  Only publish makes a buffer a spare and
+        readers pin only the current one, so the single writer's answer
+        holds until it publishes."""
+        with self._lock:
+            return bool(self._spares) and self._spares[0].pins == 0
+
     def _take_spare_locked(self) -> _Buffer | None:
         """Pop a spare whose readers have drained; None → caller clones."""
         if not self._spares:
@@ -204,10 +218,11 @@ class EpochManager:
         while spare.pins:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                # A stuck reader owns that buffer now; abandon it (it is
-                # garbage-collected when the reader releases) and report
+                # A stuck reader owns that buffer now; abandon it (kept
+                # in `_abandoned` until the reader releases) and report
                 # that a fresh clone is needed.
                 self._clone_fallbacks += 1
+                self._abandoned.add(spare)
                 return None
             self._drained.wait(remaining)
         return spare
@@ -252,7 +267,8 @@ class EpochManager:
             return {
                 "epoch": current.epoch if current is not None else None,
                 "active_pins": (current.pins if current is not None else 0)
-                + sum(spare.pins for spare in self._spares),
+                + sum(buffer.pins for buffer in self._spares)
+                + sum(buffer.pins for buffer in self._abandoned),
                 "publishes": self._publishes,
                 "replica_clones": self._clones,
                 "drain_waits": self._drain_waits,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import operator
+import threading
 
 import pytest
 
@@ -515,9 +516,29 @@ def _memos(service) -> tuple:
         )
 
 
+_WRITE = "<registration><name>w</name></registration>"
+
+
+async def _writes(client) -> list:
+    """One request of each write verb over ``client``; their replies."""
+    first = await client.insert(_WRITE)
+    gp = first["gp"]
+    return [
+        first,
+        await client.request("insert", fragment="<x/>", position=gp),
+        await client.request("remove", position=gp, length=len("<x/>")),
+        await client.request("remove_segment", sid=first["sid"]),
+        await client.request("batch", ops=[
+            {"op": "insert", "fragment": _WRITE},
+            {"op": "remove_segment", "sid": 10**9},  # no such segment
+        ]),
+    ]
+
+
 class TestWhereARequestRuns:
-    """An idle server answers a read on its event loop; a read that
-    outlives the loop budget moves to the pool; everything else always
+    """An idle server answers a read, an in-memory write and ping/pin/unpin
+    on its event loop; a read past the loop budget, or a write that would
+    wait or do more than commit, moves to the pool; everything else always
     runs on the pool."""
 
     def test_idle_server_answers_reads_on_the_loop(self):
@@ -534,11 +555,17 @@ class TestWhereARequestRuns:
                 for cmd, fields in _READS:
                     await client.request(cmd, **fields)
                 assert pool == []
-                await client.insert("<registration><name>w</name></registration>")
+                # The first write clones the second replica: it moves.
+                await client.insert(_WRITE)
+                await client.insert(_WRITE)
                 await client.ping()
+                await client.request("pin")
+                await client.request("unpin")
                 await client.health()
-            assert pool == ["insert", "ping", "health"]
-            assert server.status()["counters"]["loop_reads"] == loop_reads + 4
+            assert pool == ["insert", "health"]
+            counters = server.status()["counters"]
+            assert counters["loop_reads"] == loop_reads + 4
+            assert (counters["loop_writes"], counters["moved_writes"]) == (1, 1)
 
         run_server_test(scenario)
 
@@ -643,6 +670,223 @@ class TestWhereARequestRuns:
 
         run_server_test(scenario, service=service)
 
+    def test_moved_write_replies_as_a_loop_write(self, monkeypatch):
+        """A write over the budget stops at its checkpoint (after the
+        parse, before the commit) and re-runs on the pool: the same
+        replies, the same primary and the same epoch as on the loop, and
+        every write applied exactly once."""
+        from repro.service import ServiceConfig
+        from repro.storage import dumps
+
+        def run(budget):
+            monkeypatch.setattr(server_module, "LOOP_BUDGET", budget)
+
+            async def scenario(service, server, port):
+                service.insert("<w/>")  # the second replica exists now
+                pool = pool_submissions(server)
+                async with await connect("127.0.0.1", port) as client:
+                    replies = await _writes(client)
+                health = service.health()
+                return (replies, dumps(service.primary),
+                        health["epochs"]["epoch"], health["counters"]["writes"],
+                        pool, server.status()["counters"])
+
+            return run_server_test(scenario, service=make_service(
+                config=ServiceConfig(pressure_check_every=0)
+            ))
+
+        on_loop, moved = run(server_module.LOOP_BUDGET), run(-1.0)
+        assert moved[:4] == on_loop[:4]
+        assert on_loop[3] == 1 + 5  # the warm-up write and the five
+        assert (on_loop[4], moved[4]) == (
+            [], ["insert", "insert", "remove", "remove_segment", "batch"]
+        )
+        for counters, runs in ((on_loop[5], (5, 0)), (moved[5], (0, 5))):
+            assert (counters["loop_writes"], counters["moved_writes"]) == runs
+            assert counters["errors"] == 0
+
+    @pytest.mark.parametrize("taken", ["writer lock", "write ticket"])
+    def test_write_finding_its_slot_taken_moves(self, taken):
+        """The loop attempt never waits for the writer lock or the write
+        admission ticket: it moves, the loop keeps answering, and the
+        write commits once the slot frees."""
+        from repro.service import ServiceConfig
+
+        async def scenario(service, server, port):
+            service.insert("<w/>")  # the second replica exists now
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                if taken == "writer lock":
+                    slot = service._writer_lock
+                else:
+                    slot = service._admission.admit("write", 1.0)
+                with slot:
+                    held.set()
+                    release.wait(10)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            assert held.wait(10)
+            pool = pool_submissions(server)
+            try:
+                async with await connect("127.0.0.1", port) as client, \
+                        await connect("127.0.0.1", port) as other:
+                    write = asyncio.ensure_future(client.insert(_WRITE))
+                    await asyncio.sleep(0.05)
+                    for _ in range(3):
+                        assert (await other.ping())["pong"] is True
+                    assert not write.done()
+                    release.set()
+                    assert (await write)["sid"] > 0
+            finally:
+                release.set()
+                holder.join(10)
+            assert pool == ["insert", "ping", "ping", "ping"]
+            counters = server.status()["counters"]
+            assert (counters["loop_writes"], counters["moved_writes"]) == (0, 1)
+            assert service.health()["counters"]["writes"] == 2
+            assert service.health()["admission"]["write"]["rejected"] == 0
+
+        # The moved write queues for the slot on the pool.
+        run_server_test(scenario, service=make_service(
+            config=ServiceConfig(admission_wait=10.0)
+        ))
+
+    def test_write_behind_a_pinned_spare_moves(self):
+        """A session's pin can hold the buffer the next publish must reuse.
+        That write moves instead of holding the loop for the drain wait
+        while the ``unpin`` that would end it waits behind it."""
+        from repro.service import ServiceConfig
+
+        async def scenario(service, server, port):
+            service.insert("<w/>")  # the second replica exists now
+            pool = pool_submissions(server)
+            async with await connect("127.0.0.1", port) as reader, \
+                    await connect("127.0.0.1", port) as writer:
+                await reader.request("pin")
+                await writer.insert(_WRITE)  # the pinned buffer retires
+                write = asyncio.ensure_future(writer.insert(_WRITE))
+                await asyncio.sleep(0.05)
+                assert not write.done()  # its publish waits for the pin
+                assert (await reader.request("unpin"))["unpinned"] is True
+                assert (await write)["sid"] > 0
+            assert pool == ["insert", "unpin"]
+            counters = server.status()["counters"]
+            assert (counters["loop_writes"], counters["moved_writes"]) == (1, 1)
+            epochs = service.health()["epochs"]
+            assert (epochs["clone_fallbacks"], epochs["active_pins"]) == (0, 0)
+
+        run_server_test(scenario, service=make_service(
+            config=ServiceConfig(drain_timeout=10.0)
+        ))
+
+    @pytest.mark.parametrize("kind", ["durable", "replicated", "sharded"])
+    def test_io_bound_writes_never_start_on_the_loop(self, tmp_path, kind):
+        from repro.durability.database import DurableDatabase
+        from repro.replication import ReplicationCluster
+        from repro.service.server import DatabaseService
+        from repro.shard import ShardedDatabase
+
+        if kind == "durable":
+            service = DatabaseService(DurableDatabase(tmp_path / "d"))
+        elif kind == "replicated":
+            cluster = ReplicationCluster(tmp_path / "c", 1)
+            service = DatabaseService(None, replication=cluster)
+        else:
+            service = DatabaseService(ShardedDatabase(2))
+        assert not service.writes_in_memory
+
+        async def scenario(service, server, port):
+            pool = pool_submissions(server)
+            async with await connect("127.0.0.1", port) as client:
+                for i in range(3):
+                    assert (await client.insert(f"<a><b>{i}</b></a>"))["sid"] >= 0
+            assert pool == ["insert"] * 3
+            counters = server.status()["counters"]
+            assert (counters["loop_writes"], counters["moved_writes"]) == (0, 0)
+
+        run_server_test(scenario, service=service)
+
+    def test_pressure_sampling_write_goes_to_the_pool(self):
+        """The write whose turn it is to sample pressure leaves the loop
+        before its commit, so maintenance never runs on the loop."""
+        from repro.service import ServiceConfig
+
+        async def scenario(service, server, port):
+            service.insert("<w/>")  # write 1; the second replica exists now
+            threads = []
+            sample = service.run_maintenance
+
+            def recorded():
+                threads.append(threading.current_thread())
+                return sample()
+
+            service.run_maintenance = recorded
+            pool = pool_submissions(server)
+            async with await connect("127.0.0.1", port) as client:
+                for _ in range(6):  # writes 2..7: 3 and 6 sample pressure
+                    await client.insert(_WRITE)
+            assert pool == ["insert", "insert"]
+            counters = server.status()["counters"]
+            assert (counters["loop_writes"], counters["moved_writes"]) == (4, 2)
+            assert len(threads) == 2
+            assert threading.main_thread() not in threads
+            assert service.health()["pressure"] is not None
+
+        run_server_test(scenario, service=make_service(
+            config=ServiceConfig(pressure_check_every=3)
+        ))
+
+    def test_loop_writes_racing_writer_threads_apply_once(self):
+        """Wire writes, each alone in flight, race three in-process writer
+        threads (more than the cores) for the write slot and the writer
+        lock under a short switch interval: every write applies exactly
+        once, and the published replica equals the primary."""
+        import sys
+
+        from repro.service import ServiceConfig
+        from repro.storage import dumps
+
+        async def scenario(service, server, port):
+            service.insert("<w/>")  # the second replica exists now
+            stop, rounds = threading.Event(), []
+
+            def writer():
+                while not stop.is_set():
+                    service.remove_segment(service.insert("<t/>").sid)
+                    rounds.append(1)
+
+            threads = [threading.Thread(target=writer) for _ in range(3)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                async with await connect("127.0.0.1", port) as client:
+                    for i in range(40):
+                        await client.insert(f"<n>{i}</n>")
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(10)
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            counters = server.status()["counters"]
+            assert counters["loop_writes"] + counters["moved_writes"] == 40
+            assert counters["errors"] == 0
+            writes = service.health()["counters"]["writes"]
+            assert writes == 1 + 40 + 2 * len(rounds)
+            text = service.primary.text
+            assert [text.count(f"<n>{i}</n>") for i in range(40)] == [1] * 40
+            assert "<t/>" not in text
+            with service.snapshot() as snap:
+                assert dumps(snap.db) == dumps(service.primary)
+
+        run_server_test(scenario, service=make_service(config=ServiceConfig(
+            pressure_check_every=0, admission_wait=10.0
+        )))
+
     def test_loop_budget_is_inside_the_switch_interval(self):
         import sys
 
@@ -650,12 +894,17 @@ class TestWhereARequestRuns:
 
     @pytest.mark.perf_smoke
     def test_idle_reads_make_no_thread_hop(self):
-        """The hop gate, as counts: on an idle server 50 sequential queries
-        are 50 loop reads and no pool submission; 10 inserts are 10.
-        Neither end creates a task or arms a timer for either."""
+        """The hop gate, as counts: on an idle in-memory server 50
+        sequential queries are 50 loop reads and no pool submission; 10
+        inserts and 10 removes are 18 loop writes, and the two whose turn
+        it is to sample pressure (every 8th write) are the only pool
+        submissions.  Neither end creates a task or arms a timer."""
 
         async def scenario(service, server, port):
-            with service.snapshot() as snap:  # warm, as a served corpus is
+            # Warm, as a served corpus is: one write has made the second
+            # replica (write 1), and the published one holds the memo.
+            service.insert("<w/>")
+            with service.snapshot() as snap:
                 snap.db.path_query("user/name")
             pool = pool_submissions(server)
             async with await connect("127.0.0.1", port) as client:
@@ -663,12 +912,18 @@ class TestWhereARequestRuns:
                 for _ in range(50):
                     assert (await client.query("user/name"))["count"] == 5
                 assert (pool, len(tasks), len(timers)) == ([], 0, 0)
-                for i in range(10):
-                    await client.insert(f"<registration><name>{i}</name></registration>")
+                fragments = [f"<registration><name>{i}</name></registration>"
+                             for i in range(10)]
+                gps = [(await client.insert(f))["gp"] for f in fragments]
+                for gp, fragment in reversed(list(zip(gps, fragments))):
+                    await client.request("remove", position=gp, length=len(fragment))
                 assert (len(tasks), len(timers)) == (0, 0)
-            assert pool == ["insert"] * 10
+            # Writes 2-11 insert and 12-21 remove; 8 and 16 sample pressure.
+            assert pool == ["insert", "remove"]
             counters = server.status()["counters"]
             assert (counters["loop_reads"], counters["moved_reads"]) == (50, 0)
+            assert (counters["loop_writes"], counters["moved_writes"]) == (18, 2)
+            assert service.primary.text.endswith("<w/>")
 
         run_server_test(scenario)
 

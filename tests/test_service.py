@@ -153,7 +153,9 @@ class TestEpochManager:
             mgr.publish([op])
         assert mgr.metrics()["clone_fallbacks"] >= 1
         stuck.db.check_invariants()  # abandoned buffer still consistent
+        assert mgr.metrics()["active_pins"] == 1  # its pin still counts
         stuck.release()
+        assert mgr.metrics()["active_pins"] == 0
 
     def test_closed_manager_refuses_pins(self):
         mgr = EpochManager(populated_db(1))
