@@ -439,7 +439,10 @@ def _serve_tcp(service, args: argparse.Namespace) -> None:
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
-    text = args.xml_file.read_text(encoding="utf-8")
+    try:
+        text = args.xml_file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{str(args.xml_file)!r} is not UTF-8 text: {exc}") from exc
     if args.durable is None:
         if args.shards > 1:
             raise ReproError("load --shards requires --durable DIR")

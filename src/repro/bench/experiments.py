@@ -48,7 +48,7 @@ from repro.workloads.xmark import (
     generate_person,
     generate_site,
 )
-from repro.xml.parser import parse, parse_fragment
+from repro.xml.parser import parse, parse_flat
 from repro.xml.serializer import Node
 
 __all__ = [
@@ -120,7 +120,7 @@ def _fig11_workload(shape, segment_counts, elements_per_segment, n_tags):
     """
     tags = tag_pool(n_tags)
     fragment = generate_uniform_fragment(elements_per_segment, tags)
-    tag_counts = dict(Counter(e.tag for e in parse_fragment(fragment).elements))
+    tag_counts = dict(Counter(e.tag for e in parse_flat(fragment).elements))
     db = LazyXMLDatabase()
     ops: list[tuple[int, int, dict[str, int]]] = []
     sids: list[int] = []

@@ -39,7 +39,7 @@ from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
 from repro.errors import InvalidSegmentError, QueryError
 from repro.joins.stack_tree import AXIS_DESCENDANT, stack_tree_desc
 from repro.xml.model import FlatDocument
-from repro.xml.parser import parse_fragment
+from repro.xml.parser import parse_flat, parse_fragment
 from repro.xml.wellformed import Audit, reaches_cleanly, well_formed
 
 __all__ = ["LazyXMLDatabase", "GlobalElement", "RemovalOutcome"]
@@ -232,7 +232,7 @@ class LazyXMLDatabase:
         level, trusted afterwards)``."""
         if position is None:
             position = self.log.document_length
-        document = parse_fragment(fragment) if isinstance(fragment, str) else fragment
+        document = parse_flat(fragment) if isinstance(fragment, str) else fragment
         if not 0 <= position <= self.log.document_length:
             raise InvalidSegmentError(
                 f"insert position {position} outside super document "

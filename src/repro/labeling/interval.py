@@ -20,7 +20,7 @@ from typing import NamedTuple
 from repro.btree import BPlusTree
 from repro.core.taglist import TagRegistry
 from repro.errors import InvalidSegmentError
-from repro.xml.parser import parse_fragment
+from repro.xml.parser import parse_flat
 
 __all__ = ["IntervalElement", "IntervalLabelingIndex"]
 
@@ -80,7 +80,7 @@ class IntervalLabelingIndex:
                 f"insert position {position} outside document "
                 f"[0, {self._document_length}]"
             )
-        document = parse_fragment(fragment)
+        document = parse_flat(fragment)
         length = len(fragment)
 
         base_level = self._depth_at(position)

@@ -311,4 +311,7 @@ def save(db: LazyXMLDatabase, path: str | Path) -> None:
 
 def load(path: str | Path) -> LazyXMLDatabase:
     """Read a snapshot from ``path``."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"snapshot is not UTF-8 text: {exc}") from exc

@@ -5,8 +5,8 @@ place; this package provides the parsing machinery that maps text spans to
 element structure with exact character offsets:
 
 - :mod:`repro.xml.tokenizer` — lexing with spans;
-- :mod:`repro.xml.parser` — well-formedness checking tree builder;
-- :mod:`repro.xml.model` — the span-carrying DOM;
+- :mod:`repro.xml.parser` — well-formedness checking flat parse;
+- :mod:`repro.xml.model` — flat elements, and the DOM built from them;
 - :mod:`repro.xml.serializer` — deterministic text construction for the
   workload generators.
 """
@@ -14,7 +14,7 @@ element structure with exact character offsets:
 from repro.xml.model import XMLDocument, XMLElement
 from repro.xml.parser import is_well_formed, parse, parse_fragment
 from repro.xml.serializer import Node, escape_attribute, escape_text, serialize
-from repro.xml.tokenizer import Token, TokenKind, tokenize
+from repro.xml.tokenizer import TokenKind, scan_token
 
 __all__ = [
     "XMLDocument",
@@ -26,7 +26,6 @@ __all__ = [
     "serialize",
     "escape_text",
     "escape_attribute",
-    "Token",
     "TokenKind",
-    "tokenize",
+    "scan_token",
 ]

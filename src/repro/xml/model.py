@@ -6,11 +6,13 @@ library therefore needs character-exact element spans, which is the one thing
 general-purpose XML libraries do not expose.  This module defines the small
 DOM the in-house parser produces:
 
-- :class:`XMLElement` — one element with its tag, attributes, character span
-  ``[start, end)``, depth (``level``, 1-based at the fragment root), parent
-  and children;
-- :class:`XMLDocument` — the parse result: the raw text, the root element,
-  and flat pre-order access to every element.
+- :data:`Element` and :class:`FlatDocument` — the parse as the element
+  index stores it: ``(tag, start, end, level)`` per element (``level`` is
+  1-based at the fragment root), in document order, with the text;
+- :class:`XMLElement` — one element of the tree, with its attributes,
+  parent and children;
+- :class:`XMLDocument` — the parse result: the flat view, and the tree,
+  built from it the first time a caller reads ``root`` or ``elements``.
 
 Spans are end-exclusive: ``text[e.start:e.end]`` is exactly the element's
 markup including both tags.
@@ -20,7 +22,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
+
+from repro.xml.tokenizer import scan_token
 
 __all__ = ["XMLElement", "XMLDocument", "FlatDocument"]
 
@@ -101,23 +106,48 @@ class XMLDocument:
     ----------
     text:
         The exact input text.
+    flat:
+        The :class:`FlatDocument`: no tree, so no cycle.
     root:
         The single root :class:`XMLElement`.
     elements:
-        Every element in document (pre-)order; ``elements[0] is root``.
+        Every :class:`XMLElement` in document (pre-)order; ``elements[0] is
+        root``.  The tree is built when first read.
     """
 
-    def __init__(self, text: str, root: XMLElement, elements: list[XMLElement]):
+    def __init__(self, text: str, elements: list[Element]):
         self.text = text
-        self.root = root
-        self.elements = elements
+        self.flat = FlatDocument(text, elements)
+
+    @property
+    def root(self) -> XMLElement:
+        return self.elements[0]
+
+    @cached_property
+    def elements(self) -> list[XMLElement]:
+        # Each start tag is lexed again for its attributes; an element's
+        # parent is the last element one level up.
+        elements: list[XMLElement] = []
+        path: list[XMLElement] = []  # the open ancestors, one per level
+        for tag, start, end, level in self.flat.elements:
+            attributes: dict[str, str] = {}
+            scan_token(self.text, start, end, 0, attributes)
+            element = XMLElement(tag, start, end, level, attributes)
+            del path[level - 1 :]
+            if path:
+                element.parent = path[-1]
+                path[-1].children.append(element)
+            path.append(element)
+            elements.append(element)
+        return elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.flat.elements)
 
     def __iter__(self) -> Iterator[XMLElement]:
         return iter(self.elements)
 
     def tags(self) -> set[str]:
         """The set of distinct tag names appearing in the fragment."""
-        return {element.tag for element in self.elements}
+        return {element.tag for element in self.flat.elements}
+

@@ -1,13 +1,10 @@
 """Offset-exact XML parser.
 
-Builds the :class:`~repro.xml.model.XMLDocument` tree from the token stream
-of :mod:`repro.xml.tokenizer`, checking well-formedness (balanced tags, a
-single root element).
-
-Every well-formed XML *segment* of the paper is parseable standalone with
-this parser; the element records the element index stores — ``(tag, start,
-end, level)`` in the segment's own coordinate space — come straight out of
-the :class:`XMLElement` spans.
+One loop over :func:`~repro.xml.tokenizer.scan_token` checks well-formedness
+(balanced tags, a single root element) and records each element flat, as
+the element index stores it: ``(tag, start, end, level)`` in the segment's
+own coordinate space.  It builds no tree; the
+:class:`~repro.xml.model.XMLDocument` builds one for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -15,10 +12,16 @@ from __future__ import annotations
 from sys import intern
 
 from repro.errors import XMLSyntaxError
-from repro.xml.model import Element, FlatDocument, XMLDocument, XMLElement
-from repro.xml.tokenizer import Token, TokenKind, tokenize
+from repro.xml.model import Element, FlatDocument, XMLDocument
+from repro.xml.tokenizer import TokenKind, scan_token
 
 __all__ = ["parse", "parse_fragment", "parse_flat", "is_well_formed"]
+
+_TEXT = TokenKind.TEXT
+_START_TAG = TokenKind.START_TAG
+_EMPTY_TAG = TokenKind.EMPTY_TAG
+_END_TAG = TokenKind.END_TAG
+_new = tuple.__new__  # an Element from a tuple, as Element._make builds one
 
 
 def parse(text: str) -> XMLDocument:
@@ -27,72 +30,43 @@ def parse(text: str) -> XMLDocument:
     Requires exactly one root element; prolog material (XML declaration,
     DOCTYPE, comments, whitespace) may precede it and comments/whitespace may
     follow it.  Raises :class:`~repro.errors.XMLSyntaxError` otherwise.
+    Tags are interned.
     """
-    root: XMLElement | None = None
-    elements: list[XMLElement] = []
-    stack: list[XMLElement] = []
-
-    def open_element(token: Token) -> XMLElement:
-        element = XMLElement(
-            tag=token.name,
-            start=token.start,
-            end=-1,
-            level=len(stack) + 1,
-            attributes=token.attributes,
-        )
-        if stack:
-            element.parent = stack[-1]
-            stack[-1].children.append(element)
-        elements.append(element)
-        return element
-
-    for token in tokenize(text):
-        kind = token.kind
-        if kind is TokenKind.START_TAG:
-            if root is not None and not stack:
-                raise XMLSyntaxError(
-                    "content after the root element", offset=token.start
-                )
-            element = open_element(token)
-            if root is None:
-                root = element
-            stack.append(element)
-        elif kind is TokenKind.EMPTY_TAG:
-            if root is not None and not stack:
-                raise XMLSyntaxError(
-                    "content after the root element", offset=token.start
-                )
-            element = open_element(token)
-            element.end = token.end
-            if root is None:
-                root = element
-        elif kind is TokenKind.END_TAG:
+    elements: list[Element | None] = []
+    stack: list[tuple[int, str, int]] = []  # open: (index, tag, start)
+    root_seen = False
+    pos, n = 0, len(text)
+    while pos < n:
+        kind, end, name = scan_token(text, pos, n)
+        if kind is _START_TAG or kind is _EMPTY_TAG:
+            if root_seen and not stack:
+                raise XMLSyntaxError("content after the root element", offset=pos)
+            root_seen = True
+            if kind is _START_TAG:
+                stack.append((len(elements), name, pos))
+                elements.append(None)  # filled in at its end tag
+            else:
+                elements.append(_new(Element, (intern(name), pos, end, len(stack) + 1)))
+        elif kind is _END_TAG:
             if not stack:
+                raise XMLSyntaxError(f"unexpected end tag </{name}>", offset=pos)
+            index, tag, start = stack.pop()
+            if tag != name:
                 raise XMLSyntaxError(
-                    f"unexpected end tag </{token.name}>", offset=token.start
+                    f"end tag </{name}> does not match <{tag}>", offset=pos
                 )
-            element = stack.pop()
-            if element.tag != token.name:
-                raise XMLSyntaxError(
-                    f"end tag </{token.name}> does not match <{element.tag}>",
-                    offset=token.start,
-                )
-            element.end = token.end
-        elif kind is TokenKind.TEXT:
-            if not stack and text[token.start : token.end].strip():
-                raise XMLSyntaxError(
-                    "character data outside the root element",
-                    offset=token.start,
-                )
+            elements[index] = _new(Element, (intern(tag), start, end, len(stack) + 1))
+        elif kind is _TEXT and not stack and text[pos:end].strip():
+            raise XMLSyntaxError("character data outside the root element", offset=pos)
         # Comments, CDATA, PIs, declarations and DOCTYPE carry no structure.
+        pos = end
 
     if stack:
-        raise XMLSyntaxError(
-            f"unclosed element <{stack[-1].tag}>", offset=stack[-1].start
-        )
-    if root is None:
+        _, tag, start = stack[-1]
+        raise XMLSyntaxError(f"unclosed element <{tag}>", offset=start)
+    if not root_seen:
         raise XMLSyntaxError("no root element found", offset=0)
-    return XMLDocument(text, root, elements)
+    return XMLDocument(text, elements)
 
 
 def parse_fragment(text: str) -> XMLDocument:
@@ -106,13 +80,9 @@ def parse_fragment(text: str) -> XMLDocument:
 
 def parse_flat(text: str) -> FlatDocument:
     """Parse a segment (:func:`parse`) into what an insert reads of it, to
-    keep: tags interned, and the tree freed at once (its parent links cut,
-    so it leaves the cycle collector no garbage)."""
-    document = parse(text)
-    flat = [Element(intern(e.tag), e.start, e.end, e.level) for e in document.elements]
-    for element in document.elements:
-        element.parent = None
-    return FlatDocument(text, flat)
+    keep: the text and its elements, tags interned, and no tree (so it
+    leaves the cycle collector no garbage)."""
+    return parse(text).flat
 
 
 def is_well_formed(text: str) -> bool:

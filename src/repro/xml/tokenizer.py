@@ -1,8 +1,8 @@
 """A character-exact XML tokenizer.
 
-Splits XML text into a stream of tokens, each carrying the exact character
-span ``[start, end)`` it occupies in the input.  The tokenizer recognizes the
-constructs the update model needs to step over faithfully:
+Lexes XML text one token at a time (:func:`scan_token`), each carrying the
+exact character span ``[start, end)`` it occupies in the input.  The
+tokenizer recognizes the constructs the update model needs to step over:
 
 - start tags (with attributes), end tags, empty-element tags;
 - character data;
@@ -11,30 +11,44 @@ constructs the update model needs to step over faithfully:
 - entity and character references inside character data (passed through as
   raw text — offsets, not decoded values, are what matters here).
 
-Offsets must survive round-trips, so nothing is normalized: the concatenation
-of all token source spans reproduces the input exactly.
+Nothing is normalized: token spans laid end to end are the input.  The
+character rules below are the grammar of record and raise every error; one
+compiled pattern first lexes the tokens almost every fragment is made of
+(character data, tags with ASCII names and quoted attributes) exactly as
+they do, and everything else, or a call asking for attribute pairs, goes
+to the rules.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import XMLSyntaxError
 
-__all__ = ["TokenKind", "Token", "scan_token", "tokenize"]
+__all__ = ["TokenKind", "scan_token"]
 
 _NAME_START_EXTRA = set("_:")
 _NAME_EXTRA = set("_:.-")
 _WHITESPACE = set(" \t\r\n")
-#: The ASCII subset of the two name rules below, for the common case.
-_ASCII_NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
+
+# An ASCII name ``_scan_name`` would not read on past (``\w`` is
+# ``str.isalnum()`` plus ``_``), so no match backtracks into a shorter name.
+# No possessive quantifiers or atomic groups: Python 3.10 has neither.
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*(?![\w.:\-])"
+_S = r"[ \t\r\n]*"
+#: The common tokens: 1 is character data, 2 a start tag's name and 3 its
+#: ``/`` if empty, 4 an end tag's name.  As in ``_scan_attributes``, an
+#: attribute needs no whitespace before it (``x="1"y="2"``).
+_COMMON = re.compile(
+    r"([^<]+)"
+    rf"""|<({_NAME})(?:{_S}{_NAME}{_S}={_S}(?:"[^"]*"|'[^']*'))*{_S}(/?)>"""
+    rf"|</({_NAME}){_S}>"
+)
 
 
 class TokenKind(Enum):
-    """Discriminates the token variants produced by :func:`tokenize`."""
+    """Discriminates the token variants :func:`scan_token` returns."""
 
     START_TAG = "start_tag"
     END_TAG = "end_tag"
@@ -47,19 +61,10 @@ class TokenKind(Enum):
     DOCTYPE = "doctype"
 
 
-@dataclass
-class Token:
-    """One lexical unit with its exact source span.
-
-    ``name`` is the tag/PI target name where applicable, ``attributes`` is
-    populated for start and empty tags.
-    """
-
-    kind: TokenKind
-    start: int
-    end: int
-    name: str = ""
-    attributes: dict[str, str] = field(default_factory=dict)
+_TEXT = TokenKind.TEXT
+_START_TAG = TokenKind.START_TAG
+_EMPTY_TAG = TokenKind.EMPTY_TAG
+_END_TAG = TokenKind.END_TAG
 
 
 def _is_name_start(ch: str) -> bool:
@@ -71,15 +76,9 @@ def _is_name_char(ch: str) -> bool:
 
 
 def _scan_name(text: str, pos: int, end: int) -> tuple[str, int]:
-    # One C-level match covers the ASCII run; the loop below extends it
-    # over any further name characters (and is the rule for the rest).
-    match = _ASCII_NAME.match(text, pos, end)
-    if match is not None:
-        stop = match.end()
-    elif pos < end and _is_name_start(text[pos]):
-        stop = pos + 1
-    else:
+    if pos >= end or not _is_name_start(text[pos]):
         raise XMLSyntaxError("expected a name", offset=pos)
+    stop = pos + 1
     while stop < end and _is_name_char(text[stop]):
         stop += 1
     return text[pos:stop], stop
@@ -142,7 +141,7 @@ def scan_token(
     """Lex the one token starting at ``pos``, reading nothing at or past ``end``.
 
     Returns ``(kind, token end, name)``.  This is the whole lexical grammar:
-    :func:`tokenize` wraps it in :class:`Token` objects, and the
+    the parser (:mod:`repro.xml.parser`) loops over it, and the
     well-formedness checker (:mod:`repro.xml.wellformed`) calls it directly
     on windows of the text.  ``doc_start`` is the offset at which an
     ``<?xml`` counts as the XML declaration; ``attributes``, when given,
@@ -150,6 +149,15 @@ def scan_token(
     :class:`~repro.errors.XMLSyntaxError` when no complete token fits in
     ``text[pos:end]``.
     """
+    if attributes is None:
+        match = _COMMON.match(text, pos, end)
+        if match is not None:
+            group = match.lastindex
+            if group == 1:
+                return _TEXT, match.end(), ""
+            if group == 4:
+                return _END_TAG, match.end(), match[4]
+            return _EMPTY_TAG if match[3] else _START_TAG, match.end(), match[2]
     if text[pos] != "<":
         # Character data up to the next markup (or the end of the window).
         next_lt = text.find("<", pos, end)
@@ -202,18 +210,3 @@ def scan_token(
     if text[attr_end] == ">":
         return TokenKind.START_TAG, attr_end + 1, name
     raise XMLSyntaxError(f"malformed start tag for {name!r}", offset=pos)
-
-
-def tokenize(text: str) -> Iterator[Token]:
-    """Yield :class:`Token` objects covering ``text`` completely and in order.
-
-    Raises :class:`~repro.errors.XMLSyntaxError` on lexical problems; tag
-    *nesting* errors are the parser's job, not the tokenizer's.
-    """
-    pos = 0
-    n = len(text)
-    while pos < n:
-        attributes: dict[str, str] = {}
-        kind, end, name = scan_token(text, pos, n, 0, attributes)
-        yield Token(kind, pos, end, name, attributes)
-        pos = end

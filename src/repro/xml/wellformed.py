@@ -4,12 +4,12 @@
 balanced tags, one root element, only whitespace outside it — but walks the
 text in place: one :func:`~repro.xml.tokenizer.scan_token` call per token
 (the tokenizer's own grammar, not a second one) and a stack of tag names.
-No :class:`~repro.xml.model.XMLElement`, no attribute dicts, and no copy of
-the text: the input is a list of *pieces* ``(string, start, end)`` read as
-their concatenation, so "this document with a span excised" is two windows
-on the same string and "this document with a fragment spliced in" is three.
-A markup token that straddles a piece boundary is the one place characters
-are joined, and only as many as that token needs.
+Unlike ``parse`` it records no element and copies no text: the input is a
+list of *pieces* ``(string, start, end)`` read as their concatenation, so
+"this document with a span excised" is two windows on the same string and
+"this document with a fragment spliced in" is three.  A markup token that
+straddles a piece boundary is the one place characters are joined, and
+only as many as that token needs.
 
 A scan can also carry an :class:`Audit`: ranges of the text that must each
 be a balanced run of whole tokens below the root, and elements that must be

@@ -215,6 +215,15 @@ class TestCLI:
         assert main(["stats", str(db_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_load_of_a_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        xml = tmp_path / "f.xml"
+        xml.write_bytes(b"\xff\xfe<a/>")
+        db_path = tmp_path / "db.json"
+        assert main(["load", str(xml), "--db", str(db_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err and not db_path.exists()
+
 
 #: Words for each read verb of the table, over the same document as TestCLI.
 READ_WORDS = {

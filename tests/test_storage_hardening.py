@@ -195,6 +195,17 @@ class TestLoadsHardening:
         with pytest.raises(SnapshotError, match="text must be a string"):
             loads(json.dumps(payload))
 
+    def test_snapshot_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        """Typed like any other malformed snapshot, so the CLI exits 1."""
+        from repro.__main__ import main
+
+        path = tmp_path / "snap.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SnapshotError, match="not UTF-8"):
+            load(path)
+        assert main(["stats", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: snapshot is not UTF-8")
+
     def test_valid_payload_still_loads(self):
         copy = loads(json.dumps(valid_payload()))
         copy.check_invariants()

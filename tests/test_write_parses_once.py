@@ -5,6 +5,8 @@ labels (Section 3.3).  Every write path that wraps the core — the journal's
 validate → journal → apply, recovery, batches, and the service's epoch
 replicas — hands the parse that checked a fragment on to every database
 that applies it.  Counted by wrapping :func:`repro.xml.parser.parse`.
+And that one parse builds no tree: no write path constructs an
+:class:`~repro.xml.model.XMLElement`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.durability.database import DurableDatabase
 from repro.errors import InvalidSegmentError, SegmentNotFoundError
 from repro.service import DatabaseService, ServiceConfig
 from repro.storage import dumps
+from repro.xml.model import XMLElement
 
 DOC = "<lib><shelf><book><t>a</t></book></shelf></lib>"
 FRAGMENT = "<book><t>n</t><p/></book>"
@@ -89,6 +92,46 @@ def test_served_writes_parse_once(parses, tmp_path, durable):
         assert _count(parses, lambda: svc.apply_batch(BATCH)) == 4
         with svc.snapshot() as snap:
             assert snap.db.text == primary.text
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """A list that gains one entry per :class:`XMLElement` constructed."""
+    built: list[str] = []
+    real = XMLElement.__init__
+
+    def counted(self, tag, *args, **kwargs):
+        built.append(tag)
+        real(self, tag, *args, **kwargs)
+
+    monkeypatch.setattr(XMLElement, "__init__", counted)
+    return built
+
+
+@pytest.mark.perf_smoke
+def test_no_write_path_builds_a_tree(trees, tmp_path):
+    db = LazyXMLDatabase()
+    assert _count(trees, lambda: db.insert(DOC)) == 0
+    assert _count(trees, lambda: db.apply_batch(BATCH)) == 0
+    durable = DurableDatabase(tmp_path / "durable")
+    assert _count(trees, lambda: durable.insert(DOC)) == 0
+    assert _count(trees, lambda: durable.apply_batch(BATCH)) == 0
+    durable.close()
+    reopened: list[DurableDatabase] = []
+
+    def reopen():
+        reopened.append(DurableDatabase(tmp_path / "durable"))
+
+    assert _count(trees, reopen) == 0
+    for primary in (LazyXMLDatabase(), reopened[0]):
+        primary.insert(DOC)
+        with _service(primary) as svc:
+            svc.remove_segment(svc.insert(FRAGMENT).sid)
+            assert _count(trees, lambda: svc.insert(FRAGMENT)) == 0
+            assert _count(trees, lambda: svc.apply_batch(BATCH)) == 0
+    reopened[0].close()
+    # The count sees a tree when one is built.
+    assert _count(trees, lambda: parser.parse(DOC).root) == 4
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,13 @@ from __future__ import annotations
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XMLSyntaxError
 from repro.xml.parser import is_well_formed, parse, parse_flat, parse_fragment
 from repro.xml.serializer import Node
+from repro.xml.tokenizer import TokenKind, scan_token
 
 
 class TestStructure:
@@ -167,10 +168,20 @@ class TestModelNavigation:
         try:
             parse_flat(doc.text)
             assert gc.collect() == 0
-            parse(doc.text)  # the tree keeps its parent links: a cycle
+            parse(doc.text)  # flat until a caller reads the tree
+            assert gc.collect() == 0
+            parse(doc.text).root  # the tree keeps its parent links: a cycle
             assert gc.collect() > 0
         finally:
             gc.enable()
+
+    def test_tree_is_built_once_on_first_read(self, doc):
+        fresh = parse(doc.text)
+        assert fresh.root is fresh.elements[0]
+        assert fresh.elements is fresh.elements
+        assert [(e.tag, e.start, e.end, e.level) for e in fresh.elements] == list(
+            fresh.flat.elements
+        )
 
 
 def _node_trees(max_depth=4):
@@ -216,3 +227,115 @@ class TestRoundTripProperties:
             for child in element.children:
                 assert element.start < child.start
                 assert child.end < element.end
+
+
+# ----------------------------------------------------------------------
+# The flat parse and its lazily built tree against a token-driven
+# reference: the tree builder the parser had, over the character rules.
+
+
+def reference_parse(text):
+    """``(tag, start, end, level, attributes, parent index)`` per element,
+    built token by token with the attribute pairs lexed as they come."""
+    elements: list[list] = []
+    stack: list[int] = []
+    root_seen = False
+    pos = 0
+    while pos < len(text):
+        attributes: dict[str, str] = {}
+        kind, end, name = scan_token(text, pos, len(text), 0, attributes)
+        if kind in (TokenKind.START_TAG, TokenKind.EMPTY_TAG):
+            if root_seen and not stack:
+                raise XMLSyntaxError("content after the root element", offset=pos)
+            root_seen = True
+            parent = stack[-1] if stack else None
+            elements.append([name, pos, end, len(stack) + 1, attributes, parent])
+            if kind is TokenKind.START_TAG:
+                stack.append(len(elements) - 1)
+        elif kind is TokenKind.END_TAG:
+            if not stack:
+                raise XMLSyntaxError(f"unexpected end tag </{name}>", offset=pos)
+            element = elements[stack.pop()]
+            if element[0] != name:
+                raise XMLSyntaxError(
+                    f"end tag </{name}> does not match <{element[0]}>", offset=pos
+                )
+            element[2] = end
+        elif kind is TokenKind.TEXT and not stack and text[pos:end].strip():
+            raise XMLSyntaxError("character data outside the root element", offset=pos)
+        pos = end
+    if stack:
+        element = elements[stack[-1]]
+        raise XMLSyntaxError(f"unclosed element <{element[0]}>", offset=element[1])
+    if not root_seen:
+        raise XMLSyntaxError("no root element found", offset=0)
+    return [tuple(element) for element in elements]
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except XMLSyntaxError as exc:
+        return XMLSyntaxError, str(exc), exc.offset
+
+
+def _tree(text):
+    elements = parse(text).elements
+    index = {id(e): i for i, e in enumerate(elements)}
+    return [
+        (e.tag, e.start, e.end, e.level, e.attributes,
+         None if e.parent is None else index[id(e.parent)])
+        for e in elements
+    ]
+
+
+_PIECES = (
+    "<a>", "</a>", "<b>", "</b>", "<c/>", "<é>", "</é>", "<aé/>", "<½/>",
+    "<a٣>", "</a٣>", "<Ⅻ/>", '<a x="1"y="2">', "<b k='>' j=\"<\">",
+    "<a\n>", "</a >", "text", " ", "\n", "&amp;", "<", ">", "/", "<?xml v?>",
+    "<?pi d?>", "<!-- c -->", "<![CDATA[<x>]]>", "<!DOCTYPE a>", '="',
+)
+_xmlish = st.lists(st.sampled_from(_PIECES), max_size=16).map("".join)
+#: Mostly balanced: pieces nested in tag pairs (one pair in six unbalanced).
+_TAG_PAIRS = (
+    ("<a>", "</a>"), ('<a x="1"y="2">', "</a>"), ("<é>", "</é>"),
+    ("<a٣ k='>'>", "</a٣>"), ("<Ⅻ\t>", "</Ⅻ >"), ("<b>", "</a>"),
+)
+
+
+def _enclose(pair_and_body):
+    (open_tag, close_tag), body = pair_and_body
+    return open_tag + "".join(body) + close_tag
+
+
+_nested = st.recursive(
+    st.lists(st.sampled_from(_PIECES), max_size=2).map("".join),
+    lambda inner: st.tuples(
+        st.sampled_from(_TAG_PAIRS), st.lists(inner, max_size=3)
+    ).map(_enclose),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _xmlish,
+    _xmlish.map(lambda body: f"<r>{body}</r>"),
+    st.tuples(st.sampled_from(("", "<?xml v?>", " <!DOCTYPE a>")), _nested).map(
+        "".join
+    ),
+))
+@example('<?xml v?><!DOCTYPE a><r x="1"y="2"><é/>½<aé k=">"></aé></r><!-- c -->')
+@example("<r><a></b></r>")
+@example("<r/><?xml v?>")
+def test_parse_matches_the_token_driven_reference(text):
+    """Same tags, spans, levels, attributes and parents, or the same error
+    message and offset."""
+    expected = _outcome(reference_parse, text)
+    assert _outcome(_tree, text) == expected
+    flat = _outcome(parse_flat, text)
+    if isinstance(expected, list):
+        assert flat.text is text
+        assert flat.elements == [row[:4] for row in expected]
+    else:
+        assert flat == expected
