@@ -36,7 +36,7 @@ from repro.core.join import JoinPair, JoinStatistics, LazyJoiner
 from repro.core.readpath import ReadPathCache
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
-from repro.errors import InvalidSegmentError, QueryError
+from repro.errors import InvalidSegmentError, QueryError, XMLSyntaxError
 from repro.joins.stack_tree import AXIS_DESCENDANT, stack_tree_desc
 from repro.xml.model import FlatDocument
 from repro.xml.parser import parse_flat, parse_fragment
@@ -432,14 +432,19 @@ class LazyXMLDatabase:
           refused iff that document parses now and would not parse with
           the span excised.  A document that is already malformed (one
           with two roots, say) is never refused, and spans covering whole
-          top-level documents are not text-checked.
+          top-level documents are not text-checked;
+        - a span **cutting an element** — taking one of its tags and
+          leaving the other (``</b><b>`` fuses two siblings and still
+          parses) — in a document that parses now: the element index
+          would keep both records, which no longer describe the text.
 
         The text check costs what the span costs.  In a *trusted* document
         (see ``_trusted``) a span that is exactly one live segment's extent
         is a balanced run of whole tokens inside an element, and taking it
         out cannot change how the rest parses: nothing is read.  Any other
         case scans the document once with the span excised — no copy, no
-        tree — and scans it as it stands only if that fails.
+        tree — and scans it as it stands only if that fails, or parses it
+        if it is not trusted (:meth:`_cuts_element`).
 
         Returns ``(top-level sid, trusted afterwards)`` for :meth:`remove`
         to record once the span is gone (:meth:`_mark`), or ``None`` when
@@ -496,6 +501,12 @@ class LazyXMLDatabase:
         excised = top.pieces(top.gp, position, [])
         top.pieces(end, top.end, excised)
         if well_formed(excised, audit=audit):
+            if self._cuts_element(top, node, position, end):
+                raise InvalidSegmentError(
+                    f"removal span [{position}, {end}) takes one tag of an "
+                    "element and leaves the other; remove whole elements "
+                    "or spans inside one"
+                )
             return top.sid, audit.confirmed
         if well_formed(top.pieces(top.gp, top.end, [])):
             raise InvalidSegmentError(
@@ -504,6 +515,40 @@ class LazyXMLDatabase:
                 "well-formed"
             )
         return top.sid, None
+
+    def _cuts_element(self, top: ERNode, holder: ERNode, position: int, end: int):
+        """Whether the span takes one tag of an element and leaves the
+        other, in a document that parses now: an element starting in it
+        and ending past it, or one around its start ending in it.
+
+        In a trusted document the elements are segment ``holder``'s
+        records (those of other segments hold the holder or lie wholly
+        inside or outside the span): a bisect, the elements starting in
+        the span, and the parent rows from the last one before it to the
+        innermost one around its start.  Any other document's records
+        need not be its elements (a segment inserted into a comment has
+        records, and no elements), so it is parsed."""
+        if top.sid not in self._trusted:
+            try:
+                elements = parse_flat(top.read(top.gp, top.end)).elements
+            except XMLSyntaxError:
+                return False
+            lo, hi = position - top.gp, end - top.gp
+            return any(
+                lo <= e.start < hi < e.end or e.start < lo < e.end <= hi
+                for e in elements
+            )
+        lo, hi = holder.to_local(position), holder.to_local(end)
+        block = self.index.block(holder.sid)
+        starts, ends = block.starts, block.ends
+        first = bisect_left(starts, lo)
+        if any(map(hi.__lt__, ends[first:bisect_left(starts, hi, first)])):
+            return True
+        parents = self.readpath.parent_rows(holder.sid)
+        row = first - 1
+        while row >= 0 and ends[row] <= lo:
+            row = parents[row]
+        return row >= 0 and ends[row] <= hi
 
     def _audit(self, top: ERNode, *, lost=None, added=None) -> Audit:
         """What must hold in ``top``'s document after an update for it to be
@@ -602,10 +647,11 @@ class LazyXMLDatabase:
         ``algorithm`` selects Lazy-Join (``"lazy"``) or Stack-Tree-Desc over
         derived global labels (``"std"``).  Both return the same pairs of
         :class:`~repro.core.element_index.ElementRecord`; ordering differs
-        (lazy: by descendant segment; std: by global descendant position).
-        ``stats`` (Lazy-Join only) collects :class:`JoinStatistics` and runs
-        the from-scratch merge instead of the join memo, whose answer comes
-        back uncopied: read it, never mutate it.
+        (lazy: grouped by descendant segment, in ascending sid; std: by
+        global descendant position).  ``stats`` (Lazy-Join only) collects
+        :class:`JoinStatistics` and runs the from-scratch merge instead of
+        the join memo, grouped in Fig. 9's ascending segment gp; the memo's
+        answer comes back uncopied: read it, never mutate it.
 
         ``context`` (a :class:`~repro.service.context.QueryContext`) adds
         cooperative deadline/row/depth enforcement to every algorithm; the

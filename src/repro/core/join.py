@@ -45,17 +45,20 @@ skip-ahead moves exploit these layouts:
   frame element joins and the segment has no in-segment work, the
   D-elements are never fetched at all.
 
-The answer is memoised **per descendant segment**: the output is grouped
-by D-segment and one group depends only on ``SL_A`` and that segment, so
-after an update :meth:`LazyJoiner._refresh` asks the element index which
-segments were written since the memo was built, runs the same loop over
-just those D-segments and splices their chunks into the rest — work that
-follows the update, not ``|SL_D|``.  The answer is returned as stored, not
-copied.  ``stats=`` runs the from-scratch merge, its oracle.
+The answer is memoised **per descendant segment**: one group of the
+output depends only on ``SL_A`` and its D-segment, so the memo keeps a
+chunk per D-segment, sid-ascending like a twig memo level, and after an
+update :meth:`LazyJoiner._refresh` asks the element index which segments
+were written since the memo was built, runs the same loop over just
+those D-segments and patches their chunks in — work that follows the
+update, not ``|SL_D|``.  The answer is returned as stored, not copied,
+grouped by D-segment in ascending sid.  ``stats=`` runs the from-scratch
+merge, its oracle, grouped in Fig. 9's ascending gp.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -66,7 +69,7 @@ from time import perf_counter
 
 from repro.core.element_index import ElementIndex, ElementRecord
 from repro.core.ertree import ERNode
-from repro.core.readpath import JoinMemo, ReadPathCache
+from repro.core.readpath import JoinMemo, ReadPathCache, patch_level
 from repro.core.update_log import UpdateLog
 from repro.errors import QueryError
 from repro.joins.kernels import select_open
@@ -98,8 +101,6 @@ _AXES = (AXIS_DESCENDANT, AXIS_CHILD)
 _NO_SPAN = nullcontext()  # stateless, so one serves every untraced join
 _node_gp = attrgetter("gp")
 _chunk_pairs = itemgetter(0)
-#: A memo chunk: one D-segment's ``(pairs, deepest stack charged)``.
-_NO_CHUNK = ((), 0)
 
 
 #: A join result: (ancestor element, descendant element), each an
@@ -297,11 +298,12 @@ class LazyJoiner:
     ) -> Sequence[JoinPair]:
         """Answer ``tag_a // tag_d`` (or ``/`` with ``axis="child"``).
 
-        Results are grouped by descendant segment in ascending global
-        position (cross-segment pairs for a segment first, then its
-        in-segment pairs); use :func:`sorted` with a global-position key for
-        a total document order.  Pass a :class:`JoinStatistics` to collect
-        execution counters.  The answer may be the join memo's own
+        Results are grouped by descendant segment (cross-segment pairs for
+        a segment first, then its in-segment pairs), the segments in
+        ascending sid — in ascending global position, Fig. 9's order, when
+        ``stats`` is passed; use :func:`sorted` with a global-position key
+        for a total document order.  Pass a :class:`JoinStatistics` to
+        collect execution counters.  The answer may be the join memo's own
         :class:`JoinAnswer`: read it, never mutate it.
 
         ``context`` is an optional
@@ -315,9 +317,10 @@ class LazyJoiner:
         ``prepare_for_query()`` run).
 
         Calls without ``stats`` are answered from the read-path cache's
-        per-descendant-segment join memo: the stored answer while both
-        tags are unchanged, otherwise the chunks of the unwritten
-        D-segments plus a merge of the written ones (:meth:`_refresh`).  A
+        per-descendant-segment join memo: the stored answer while no sid
+        the write journal named since it was stored is a D-segment now or
+        holds a chunk, otherwise the chunks of the other D-segments plus
+        a merge of those (:meth:`_refresh`).  A
         ``context`` is charged for the whole answer either way, so a
         budget aborts a warm call exactly as it aborts a cold one.
         Statistics collection runs the from-scratch merge, which stays the
@@ -340,25 +343,33 @@ class LazyJoiner:
                 memo_key = (tid_a, tid_d, axis)
                 if context is not None:
                     context.check_deadline()
-                memo = self._readpath.cached_join(tid_a, tid_d, axis)
-                if memo is not None:
-                    pairs = memo.answer
+                old, stale = self._stale(memo_key)
+                if stale == []:
+                    self._readpath.hits += 1
+                    pairs = old.answer
                     if context is not None:
-                        context.charge_depth(memo.depth)
+                        context.charge_depth(old.depth)
                         context.charge_rows(len(pairs))
                     if span is not None:
                         span.annotate(pairs=len(pairs), memo="hit")
                     if enabled:
                         _M_CALLS.inc()
                         _M_PAIRS.inc(len(pairs))
+                    position = self._index.journal_position
+                    if old.position != position:
+                        # Restamped: the next call reads only later writes.
+                        self._readpath.store_join(
+                            *memo_key, JoinMemo(position, *old[1:])
+                        )
                     return pairs
+                self._readpath.misses += 1
         if stats is None:
             stats = JoinStatistics()
         start = perf_counter() if enabled else 0.0
         if memo_key is None:
             results = self._join_impl(tag_a, tag_d, axis, stats, context)
         else:
-            results = self._refresh(memo_key, tag_a, tag_d, stats, context)
+            results = self._refresh(memo_key, old, stale, tag_a, tag_d, stats, context)
         if span is not None:
             span.annotate(
                 pairs=len(results),
@@ -375,57 +386,45 @@ class LazyJoiner:
             _H_SECONDS.observe(perf_counter() - start)
         return results
 
-    def _refresh(
-        self, memo_key, tag_a: str, tag_d: str, stats: JoinStatistics, context
-    ) -> JoinAnswer:
+    def _stale(self, memo_key) -> tuple[JoinMemo | None, list[int] | None]:
+        """The memo under ``memo_key`` and the sids written since its journal
+        position that are a D-segment now or hold a chunk, ascending (``[]``:
+        a hit); ``None`` for no memo or a journal that no longer reaches it."""
+        old = self._readpath.join_memo(*memo_key)
+        written = None if old is None else self._index.written_since(old.position)
+        if not written:
+            return old, written
+        in_d, held = self._log.taglist.counts(memo_key[1]), old.sids
+        return old, sorted({
+            sid for sid in set(written) if sid in in_d
+            or (i := bisect_left(held, sid)) < len(held) and held[i] == sid
+        })
+
+    def _refresh(self, memo_key, old, stale, tag_a, tag_d, stats, context):
         """Bring the join memo for ``memo_key`` up to date; answer from it.
 
-        A chunk is good while its D-segment has not been written — the
-        whole validity key, see DESIGN.md 4e.  The memo's chunks are
-        aligned with ``SL_D`` as it stood, so the tag list's edits to
-        ``SL_D`` since then realign them, a new D-segment getting an empty
-        chunk; the element index's journal names the segments written
-        since the memo's position, and the ordinary merge runs over those
-        still in ``SL_D`` (the loop is correct for any gp-ascending
-        subset), its output cut at their boundaries and put in their
-        places.  No memo, or a journal or tag
-        list that no longer reaches back to it, leaves every D-segment to
-        merge.  The new memo is published with one assignment, so readers
-        sharing a pinned replica each publish a complete entry, and an
-        abort (deadline, budget, cancel) propagates before the publish.
-        """
+        The ``stale`` sids (:meth:`_stale`; ``None``: all) still in ``SL_D``
+        are found there by :func:`_position` and merged by the ordinary loop
+        (correct for any gp-ascending subset), its output cut at their
+        boundaries; :func:`patch_level` then gives every stale sid its new
+        chunk or none (DESIGN.md 4e).  The memo is published with one
+        assignment, after any abort, so readers sharing a pinned replica
+        each publish a complete entry."""
         tid_a, tid_d, axis = memo_key
-        rp = self._readpath
-        taglist = self._log.taglist
         position = self._index.journal_position
-        old = rp.join_memo(tid_a, tid_d, axis)
-        written = edits = None
-        if old is not None:
-            written = self._index.written_since(old.position)
-            edits = taglist.edits_since(tid_d, old.version_d)
-        nodes = taglist.nodes(tid_d)
-        if written is None or edits is None:
+        nodes = self._log.taglist.nodes(tid_d)
+        fresh = dict.fromkeys(stale or (), ())
+        if stale is None:
             redo = range(len(nodes))
-            chunks = [_NO_CHUNK] * len(nodes)
-            counts = {0: len(nodes)}
-            length = 0
+            sids, chunks, counts, length = array("q"), [], {}, 0
         else:
-            chunks = old.chunks.copy()
+            sids, chunks = old.sids[:], old.chunks.copy()
             counts = old.depth_counts.copy()
             length = len(old.answer)
-            for edit in edits:
-                if edit > 0:
-                    chunks.insert(edit - 1, _NO_CHUNK)
-                    counts[0] = counts.get(0, 0) + 1
-                elif edit < 0:
-                    pairs, depth = chunks.pop(-edit - 1)
-                    counts[depth] -= 1
-                    length -= len(pairs)
-            ertree = self._log.ertree
-            redo = sorted({
-                i for sid in set(written) if sid in ertree
-                and (i := _position(nodes, ertree.node(sid))) is not None
-            })
+            in_d = self._log.taglist.counts(tid_d)
+            redo = sorted(
+                _position(nodes, self._log.node(sid)) for sid in stale if sid in in_d
+            )
         merged: list[JoinPair] = []
         if redo:
             meter = _ChunkMeter(context)
@@ -433,16 +432,19 @@ class LazyJoiner:
             merged = self._join_impl(tag_a, tag_d, axis, stats, meter, subset, meter)
             # No cuts: a tag has no element left, the merge returned before
             # its loop, and every chunk it was to redo is empty.
-            cuts = meter.cuts or [0] * len(redo)
+            cuts = meter.cuts
             cuts.append(len(merged))
-            for i, lo, hi, depth in zip(
-                redo, cuts, cuts[1:], meter.depths or [0] * len(redo)
-            ):
-                pairs, was = chunks[i]
-                counts[was] -= 1
-                counts[depth] = counts.get(depth, 0) + 1
-                length += hi - lo - len(pairs)
-                chunks[i] = (tuple(merged[lo:hi]), depth)
+            for i, lo, hi, depth in zip(redo, cuts, cuts[1:], meter.depths):
+                if hi > lo or depth:
+                    fresh[nodes[i].sid] = (tuple(merged[lo:hi]), depth)
+        for sid, chunk in sorted(fresh.items()):
+            was = patch_level(sids, chunks, sid, chunk)
+            if was:
+                counts[was[1]] -= 1
+                length -= len(was[0])
+            if chunk:
+                counts[chunk[1]] = counts.get(chunk[1], 0) + 1
+                length += len(chunk[0])
         depth = max(compress(counts, counts.values()), default=0)
         answer = JoinAnswer(chunks, length, _chunk_pairs)
         if context is not None:
@@ -451,9 +453,8 @@ class LazyJoiner:
             context.charge_depth(depth)
             context.charge_rows(length - len(merged))
             context.check_deadline()
-        rp.store_join(tid_a, tid_d, axis, JoinMemo(
-            taglist.version(tid_a), taglist.version(tid_d), position,
-            chunks, counts, answer, depth,
+        self._readpath.store_join(tid_a, tid_d, axis, JoinMemo(
+            position, sids, chunks, counts, answer, depth
         ))
         return answer
 

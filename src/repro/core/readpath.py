@@ -7,7 +7,8 @@ immutable, and the service layer's epoch publishing (``repro.service.
 snapshot``) makes that window explicit: a published replica is never
 mutated, so anything compiled from it stays valid for the epoch's lifetime.
 This module compiles the read-side layouts Lazy-Join touches per call and
-memoizes them under *per-structure version keys*.  Element columns are not
+memoizes them under *per-structure version keys*, and the two answer memos
+under the element index's write journal.  Element columns are not
 among them: a segment's elements are base data, held once by the element
 index as an immutable block (:mod:`repro.core.element_index`), and
 :meth:`ReadPathCache.elements` is a direct read of the block's view.  Nor
@@ -30,28 +31,31 @@ merge reads, and applies its own inserts and removes to it
   tombstones shares its block's view outright; a wildcard step reads
   the all-tags view (``tid`` ``None``) the same way;
 - **join results** — the top of the stack: per ``(tid_a, tid_d, axis)``,
-  a :class:`JoinMemo` — one *chunk* of pairs per descendant segment, in a
-  list aligned with ``SL_D``, and the answer, a read-only sequence over
-  the chunks handed out uncopied while *both tags' versions* stand.  A
-  chunk depends on its segment's own elements and on the A-elements of
-  its ER-ancestors that span its branch point; labels are immutable,
-  inserts add leaf segments, and a remove cannot delete such an ancestor
-  element without deleting the segment — so a chunk is good exactly while
-  its segment has not been written (DESIGN.md §4e).  The join after an
-  update realigns the chunks by ``SL_D``'s edits, reads the sids the
-  element index's journal logged since the memo was built, and re-merges
-  those D-segments alone; a journal or an edit log trimmed past the memo
-  makes it a miss.  Pair order survives too: gp shifts keep order.
+  a :class:`JoinMemo` laid out as one twig memo level: sid-ascending
+  parallel ``(sids, chunks)``, a chunk one D-segment's ``(pairs, depth)``
+  (empty ones left out), and the answer, a read-only sequence over the
+  chunks in sid order, handed out uncopied.  A chunk depends on its
+  segment's own elements and on the A-elements of its ER-ancestors that
+  span its branch point; labels are immutable, inserts add leaf
+  segments, and a remove cannot delete such an ancestor element without
+  deleting the segment — so a chunk is good exactly while the element
+  index's journal has not named its segment (DESIGN.md §4e).  The join
+  is a hit while no sid written since the memo's journal position is a
+  D-segment now or holds a chunk; otherwise it re-merges those sids alone
+  and :func:`patch_level` puts each chunk in its place.  A journal
+  trimmed past the memo makes it a miss.
 - **twig matches** — per parsed twig pattern, a :class:`PathMemo` keyed
   by the pattern's preorder: per pattern node and segment the elements
   that survive (:mod:`repro.twig.memo`).  A path is a twig with no
   branch, so ``path_query`` and ``twig_query`` of one chain share one
-  entry; the :data:`PATHS_KEPT` stored last are kept.  A written
-  segment is recomputed, and in its ER-ancestors only the *spine* — the
-  elements around its branch point (Proposition 3) — is re-checked.  For
-  that the cache keeps each block's **parent rows** (per element, the
-  row of the innermost enclosing element of the same segment) and, for
-  each segment dropped lately, its parent sid and local position.
+  entry.  A written segment is recomputed, and in its ER-ancestors only
+  the *spine* — the elements around its branch point (Proposition 3) —
+  is re-checked.  For that the cache keeps each block's **parent rows**
+  (per element, the row of the innermost enclosing element of the same
+  segment) and, for each segment dropped lately, its parent sid and
+  local position.
+
+Both memo tables keep the :data:`MEMOS_KEPT` entries stored last.
 
 There is one regime: every lookup memoises.  :meth:`ReadPathCache.clear`
 is the "cold" lever — it drops everything derived and forces the same
@@ -61,6 +65,7 @@ recompilation through the same code; element blocks are not its to drop.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate
 from typing import NamedTuple
@@ -74,10 +79,40 @@ __all__ = [
     "JoinMemo",
     "PathMemo",
     "ReadPathCache",
+    "patch_level",
 ]
 
-#: Twig memos kept per cache (as many as ``parse_twig`` memoises).
-PATHS_KEPT = 256
+#: Join memos, and twig memos, kept per cache (as many as ``parse_twig`` memoises).
+MEMOS_KEPT = 256
+
+
+def patch_level(sids, entries, sid: int, entry):
+    """Put ``entry`` in segment ``sid``'s place of one memo level, the
+    sid-ascending parallel ``(sids, entries)`` (copies, being refreshed);
+    an empty ``entry`` takes ``sid`` out.  Returns the entry it replaced,
+    ``()`` when there was none."""
+    i = bisect_left(sids, sid)
+    if i < len(sids) and sids[i] == sid:
+        old = entries[i]
+        if entry:
+            entries[i] = entry
+        else:
+            del sids[i], entries[i]
+        return old
+    if entry:
+        sids.insert(i, sid)
+        entries.insert(i, entry)
+    return ()
+
+
+def _keep(table: dict, key, memo) -> None:
+    """Publish ``memo`` under ``key`` as the newest of ``table``, dropping the
+    oldest past :data:`MEMOS_KEPT` (safe for readers storing at once)."""
+    table.pop(key, None)
+    table[key] = memo
+    if len(table) > MEMOS_KEPT:
+        for stale in list(table)[:-MEMOS_KEPT]:
+            table.pop(stale, None)
 
 
 def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
@@ -191,17 +226,17 @@ class CompiledPushList:
 class JoinMemo(NamedTuple):
     """One stored ``A // D`` answer and the chunks it is cut from.
 
-    ``chunks[i]`` is ``(pairs, depth)`` for the ``i``-th D-segment of
-    ``SL_D`` at tag version ``version_d``: its pairs and the deepest stack
-    its merge charged; ``depth_counts`` maps a depth to how many chunks
-    have it.  ``answer`` strings the chunks' pairs together — what callers
-    get — and ``depth`` is their maximum.  Built when the element index's
-    journal stood at ``position``.  Never mutated once stored.
+    ``sids`` / ``chunks`` are sid-ascending and parallel, a twig memo
+    level: ``chunks[i]`` is D-segment ``sids[i]``'s ``(pairs, depth)``,
+    its pairs and the deepest stack its merge charged, and a D-segment
+    with neither has no chunk.  ``depth_counts`` maps a depth to how many
+    chunks have it.  ``answer`` strings the chunks' pairs together — what
+    callers get — and ``depth`` is their maximum.  Built when the element
+    index's journal stood at ``position``.  Never mutated once stored.
     """
 
-    version_a: int
-    version_d: int
     position: int
+    sids: array
     chunks: list
     depth_counts: dict
     answer: Sequence
@@ -321,39 +356,13 @@ class ReadPathCache:
         """
         return self._versioned(self._spans, tid, node, span_offsets)
 
-    def cached_join(self, tid_a: int, tid_d: int, axis: str) -> JoinMemo | None:
-        """The stored ``tid_a // tid_d`` memo, if its answer is still whole.
-
-        Whole means *both* tags' versions are unchanged since the store —
-        then no chunk can have moved (see the module docstring).  On a miss
-        a stale entry stays in place, because most of its chunks are still
-        good (:meth:`join_memo`).
-        """
-        cached = self._joins.get((tid_a, tid_d, axis))
-        if cached is not None:
-            taglist = self._log.taglist
-            if (
-                cached.version_a == taglist.version(tid_a)
-                and cached.version_d == taglist.version(tid_d)
-            ):
-                self.hits += 1
-                return cached
-            self.invalidations += 1
-        self.misses += 1
-        return None
-
     def join_memo(self, tid_a: int, tid_d: int, axis: str) -> JoinMemo | None:
-        """The memo last stored for this join, whole or stale."""
+        """The join memo last stored for ``tid_a // tid_d``, current or not."""
         return self._joins.get((tid_a, tid_d, axis))
 
     def store_join(self, tid_a: int, tid_d: int, axis: str, memo: JoinMemo) -> None:
-        """Publish a join memo.
-
-        One assignment of one immutable entry: a concurrent reader of the
-        same (pinned, hence unchanging) replica sees the old entry or the
-        new one, both valid.
-        """
-        self._joins[(tid_a, tid_d, axis)] = memo
+        """Publish a join memo as the newest (:func:`_keep`)."""
+        _keep(self._joins, (tid_a, tid_d, axis), memo)
 
     def parent_rows(self, sid: int) -> array:
         """:func:`parent_rows` of segment ``sid``'s block, kept while the
@@ -374,14 +383,8 @@ class ReadPathCache:
         return self._paths.get(key)
 
     def store_path(self, key: tuple, memo: PathMemo) -> None:
-        """Publish a twig memo as the newest, dropping the oldest past
-        :data:`PATHS_KEPT` (safe for readers storing at once)."""
-        paths = self._paths
-        paths.pop(key, None)
-        paths[key] = memo
-        if len(paths) > PATHS_KEPT:
-            for stale in list(paths)[:-PATHS_KEPT]:
-                paths.pop(stale, None)
+        """Publish a twig memo as the newest (:func:`_keep`)."""
+        _keep(self._paths, key, memo)
 
     # ------------------------------------------------------------------
     # eager invalidation (lazy version checks already guarantee safety;
@@ -441,8 +444,9 @@ class ReadPathCache:
                 total += 8 * 3 * len(push)
         for memo in self._joins.values():
             # two 4-field records per pair, one more reference to it from
-            # its chunk; a chunk's reference, pairs and depth per D-segment
-            total += 8 * 9 * len(memo.answer) + 8 * 3 * len(memo.chunks)
+            # its chunk; a sid, a chunk's reference, pairs and depth per
+            # chunk
+            total += 8 * 9 * len(memo.answer) + 8 * 4 * len(memo.chunks)
         for memo in self._paths.values():
             # a reference per matched record; a sid and an entry per row
             for sids, entries in memo.levels:

@@ -18,13 +18,18 @@ place by bisecting the list on ``node.gp`` — one binary search per tag of
 the segment, no key list rebuilt, no scan by sid.  In LS mode segments are
 appended unsorted and :meth:`TagList.finalize` sorts every touched list
 just before querying.
+
+The tag-list keeps no version counters and no log of its edits: no
+segment enters or leaves a list, nor changes its count, without its
+elements being written, so what is memoised from the lists (the join memo,
+:mod:`repro.core.readpath`) is kept current from the element index's write
+journal alone.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from operator import attrgetter
 
 from repro.core.ertree import ERNode
@@ -33,10 +38,6 @@ from repro.errors import UpdateError
 __all__ = ["TagRegistry", "TagList"]
 
 _node_gp = attrgetter("gp")
-
-#: Edits one tag's list remembers.  Once it holds twice this many the
-#: oldest ``EDITS_KEPT`` go; a reader further behind starts over.
-EDITS_KEPT = 64
 
 
 class TagRegistry:
@@ -88,18 +89,6 @@ class TagList:
         self._counts: dict[int, dict[int, int]] = {}
         # Tags whose lists LS appends left unsorted (see finalize).
         self._unsorted: set[int] = set()
-        # Read-path version keys: one counter per tag, bumped exactly when
-        # that tag's list changes observably (segments added/dropped,
-        # counts changed, order changed by finalize/unsort).  The join memo
-        # (repro.core.readpath) keys on these.
-        self._versions: dict[int, int] = {}
-        # The edits behind the version bumps, for what a reader keeps
-        # aligned with a list (the join memo's chunks): tid -> [version
-        # before ``edits[0]``, edits], one edit per bump — ``i + 1`` a
-        # segment inserted at ``i``, ``-(i + 1)`` one deleted from ``i``,
-        # ``0`` a count changed in place.  A reorder (finalize, unsort)
-        # forgets them.
-        self._edits: dict[int, list] = {}
         # Total occurrences per tag across all segments, maintained
         # incrementally — the O(1) selectivity probe join planning uses
         # instead of counting through the element index.
@@ -109,37 +98,6 @@ class TagList:
         # O(T) (one len() per tag) instead of walking every list.
         self._max_fanout = 0
         self._fanout_dirty = False
-
-    def version(self, tid: int) -> int:
-        """Monotone counter of observable changes to ``tid``'s list."""
-        return self._versions.get(tid, 0)
-
-    def _bump(self, tid: int, edit: int) -> None:
-        version = self._versions.get(tid, 0)
-        self._versions[tid] = version + 1
-        held = self._edits.get(tid)
-        if held is None:
-            held = self._edits[tid] = [version, array("q")]
-        edits = held[1]
-        edits.append(edit)
-        if len(edits) >= 2 * EDITS_KEPT:
-            del edits[:EDITS_KEPT]
-            held[0] += EDITS_KEPT
-
-    def _reordered(self, tid: int) -> None:
-        self._versions[tid] = self._versions.get(tid, 0) + 1
-        self._edits.pop(tid, None)
-
-    def edits_since(self, tid: int, version: int) -> Sequence[int] | None:
-        """The edits that took ``tid``'s list from ``version`` to now (see
-        ``_edits``), or ``None`` when they are not all known any more or
-        the list awaits sorting (LS)."""
-        if version == self.version(tid):
-            return ()
-        held = self._edits.get(tid)
-        if held is None or version < held[0] or tid in self._unsorted:
-            return None
-        return held[1][version - held[0]:]
 
     def total_count(self, tid: int) -> int:
         """Total element occurrences of ``tid`` across all segments, O(1).
@@ -173,13 +131,11 @@ class TagList:
         if self._dynamic:
             # A live segment sharing this gp is an ancestor whose head was
             # cut back to here (repack re-adds under one): it stays first.
-            index = bisect_right(nodes, node.gp, key=_node_gp)
+            nodes.insert(bisect_right(nodes, node.gp, key=_node_gp), node)
         else:
-            index = len(nodes)
+            nodes.append(node)
             self._unsorted.add(tid)
-        nodes.insert(index, node)
         self._counts.setdefault(tid, {})[node.sid] = count
-        self._bump(tid, index + 1)
         self._totals[tid] = self._totals.get(tid, 0) + count
         if len(nodes) > self._max_fanout:
             self._max_fanout = len(nodes)
@@ -223,16 +179,11 @@ class TagList:
             del self._totals[tid]
         if held > removed:
             counts[node.sid] = held - removed
-            self._bump(tid, 0)
             return
         nodes = self._nodes[tid]
-        first = (
-            0 if tid in self._unsorted
-            else bisect_left(nodes, node.gp, key=_node_gp)
-        )
-        idx = nodes.index(node, first)
-        del nodes[idx], counts[node.sid]
-        self._bump(tid, -(idx + 1))
+        unsorted = tid in self._unsorted
+        first = 0 if unsorted else bisect_left(nodes, node.gp, key=_node_gp)
+        del nodes[nodes.index(node, first)], counts[node.sid]
         if not nodes:
             del self._nodes[tid], self._counts[tid]
             self._unsorted.discard(tid)
@@ -242,7 +193,6 @@ class TagList:
         """Sort any LS-mode lists left unsorted by appends."""
         for tid in self._unsorted:
             self._nodes[tid].sort(key=_node_gp)
-            self._reordered(tid)
         self._unsorted.clear()
 
     def unsort(self, rng=None) -> None:
@@ -259,7 +209,6 @@ class TagList:
             else:
                 rng.shuffle(nodes)
             self._unsorted.add(tid)
-            self._reordered(tid)
 
     # ------------------------------------------------------------------
     # queries

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice
+from math import isfinite
 from typing import Callable, NamedTuple
 
 from repro.errors import ProtocolError
@@ -72,9 +73,28 @@ class SessionState:
 # typed fields
 
 
+def _int(value) -> int:
+    # A wire number must be an integer already (``true`` is no 1, 2.9 no
+    # 2); a text line's word is read as one.
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise TypeError(value)
+    return int(value)
+
+
 def _count(value) -> int:
-    number = int(value)
+    number = _int(value)
     if number < 0:
+        raise ValueError(value)
+    return number
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(value)
+    number = float(value)
+    if not isfinite(number):  # a NaN deadline would never expire
         raise ValueError(value)
     return number
 
@@ -102,9 +122,9 @@ def _op_records(value) -> list:
 #: every field as a word, so the numeric kinds coerce from strings; ``text``
 #: takes the rest of a line; ``ops`` has no line form.
 _KINDS: dict[str, tuple[Callable, str]] = {
-    "int": (int, "an integer"),
+    "int": (_int, "an integer"),
     "count": (_count, "a non-negative integer"),
-    "float": (float, "a number"),
+    "float": (_float, "a finite number"),
     "word": (_string, "a non-empty string"),
     "text": (_string, "a non-empty string"),
     "flag": (_flag, "true or false"),

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from repro.core.element_index import ElementRecord
 from repro.core.join import JoinAnswer
-from repro.core.readpath import PathMemo
+from repro.core.readpath import PathMemo, patch_level
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.joins.stack_tree import AXIS_CHILD
 
@@ -76,22 +76,6 @@ def memo_key(query, tags) -> tuple:
         )
         for node in query.nodes
     )
-
-
-def patch_level(sids, entries, sid: int, entry):
-    """Put ``entry`` in segment ``sid``'s place of one memo level, the
-    sid-ascending parallel ``(sids, entries)`` (copies, being refreshed);
-    an empty ``entry`` takes ``sid`` out.  Returns the entry it replaced,
-    ``()`` when there was none."""
-    i = bisect_left(sids, sid)
-    old = ()
-    if i < len(sids) and sids[i] == sid:
-        old = entries[i]
-        del sids[i], entries[i]
-    if entry:
-        sids.insert(i, sid)
-        entries.insert(i, entry)
-    return old
 
 
 class _Layout(NamedTuple):

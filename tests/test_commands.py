@@ -40,6 +40,7 @@ from repro.net.server import TcpServer
 from repro.service import DatabaseService, ServiceConfig
 from repro.service.commands import (
     COMMANDS,
+    _REQUEST_FIELDS,
     Field,
     SessionState,
     Verb,
@@ -89,6 +90,15 @@ WRONG = {
     "ops": ["x", [], [1]],
 }
 
+#: Numbers of the wrong kind: a boolean is no number, 2.9 no integer and
+#: NaN no deadline; checked, not coerced.  Their cases follow the
+#: :data:`WRONG` ones, so each case keeps its place in the matrix.
+WRONG_NUMBER = {
+    "int": [True, 2.9],
+    "count": [True, 2.9],
+    "float": [True, "nan", float("inf")],
+}
+
 #: A well-typed value for each field kind (to fill the *other* fields).
 RIGHT = {
     "int": 1, "count": 1, "float": 1.0, "word": "a", "text": "a",
@@ -114,6 +124,11 @@ def bad_requests():
                 yield verb, field.name, missing
                 yield verb, field.name, {**good, field.name: None}
             for wrong in WRONG[field.kind]:
+                yield verb, field.name, {**good, field.name: wrong}
+    for verb, entry in COMMANDS.items():
+        good = good_request(verb)
+        for field in entry.fields:
+            for wrong in WRONG_NUMBER.get(field.kind, ()):
                 yield verb, field.name, {**good, field.name: wrong}
 
 
@@ -147,7 +162,8 @@ def test_every_verb_has_required_field_cases():
 
 @pytest.mark.parametrize("budget", [
     {"timeout_ms": "fast"}, {"max_rows": "many"}, {"trace": "yes"},
-    {"max_rows": -1},
+    {"max_rows": -1}, {"timeout_ms": "nan"}, {"timeout_ms": float("nan")},
+    {"timeout_ms": float("-inf")}, {"max_rows": True}, {"max_rows": 1.5},
 ])
 def test_request_wide_fields_are_checked_for_every_verb(tmp_path, budget):
     service = make_service("plain", tmp_path)
@@ -159,6 +175,20 @@ def test_request_wide_fields_are_checked_for_every_verb(tmp_path, budget):
                 )
     finally:
         service.close()
+
+
+def test_wire_numbers_are_checked_and_line_words_still_read():
+    """``true`` and 2.9 are refused, not run as a remove of ``[1, 3)``; a
+    text line's words (and a wire ``2.0``) still read as numbers."""
+    fields = COMMANDS["remove"].fields
+    with pytest.raises(ProtocolError, match="'position'"):
+        bind("remove", fields, {"cmd": "remove", "position": True, "length": 2.9})
+    with pytest.raises(ProtocolError, match="'length'"):
+        bind("remove", fields, {"cmd": "remove", "position": 1, "length": 2.9})
+    assert bind("remove", fields, {"position": "3", "length": 2.0}) == {
+        "position": 3, "length": 2,
+    }
+    assert bind("x", _REQUEST_FIELDS, {"timeout_ms": "2.5"})["timeout_ms"] == 2.5
 
 
 def test_limit_null_is_the_default_and_zero_is_zero(tmp_path):

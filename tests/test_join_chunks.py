@@ -1,15 +1,17 @@
 """The join memo is kept per descendant segment: same answers, local cost.
 
 ``LazyJoiner`` stores, per ``(A, D, axis)``, one chunk of pairs per
-D-segment and after an update re-merges only the D-segments whose element
-version moved (DESIGN.md §4e).  What that must not change, and what it must
-buy:
+D-segment, sid-ascending, and after an update re-merges only the
+D-segments the element index's write journal named (DESIGN.md §4e).  What
+that must not change, and what it must buy:
 
-- the default call equals the ``stats=`` from-scratch merge — same pairs,
-  same order — after every step of a random update history, and a second
-  call is a hit;
+- the default call equals the ``stats=`` from-scratch merge regrouped by
+  descendant sid — same pairs, same order within a D-segment — after
+  every step of a random update history, a second call is a hit, and its
+  distinct descendants are the twig memo's answer to the same step;
 - the join after a one-segment update merges one D-segment (insert) or none
-  (whole-segment remove), on 250 forms and on 4 000 alike;
+  (whole-segment remove), on 250 forms and on 4 000 alike, and a write
+  that touches no D-segment leaves the answer as it was;
 - readers sharing one pinned replica may refresh the memo (and the path
   and twig memos above it, ``tests/test_path_memo.py``,
   ``tests/test_twig_memo.py``) concurrently;
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import element_index
+from repro.core import element_index, readpath
 from repro.core import join as join_module
 from repro.core.database import LazyXMLDatabase
 from repro.core.element_index import ElementIndex
@@ -88,21 +90,31 @@ _HISTORY = st.lists(
 )
 
 
+def by_descendant_sid(pairs) -> list:
+    """``pairs`` stably regrouped by descendant segment in ascending sid:
+    the from-scratch merge (Fig. 9's gp order) in the memo's order."""
+    return sorted(pairs, key=lambda pair: pair[1].sid)
+
+
 def assert_memo_is_the_merge(db: LazyXMLDatabase) -> None:
-    """Every tag pair, both axes: default call == from-scratch merge, and
-    the call after it recompiles nothing."""
+    """Every tag pair, both axes: default call == from-scratch merge
+    regrouped by descendant sid, the call after it recompiles nothing, and
+    its distinct descendants are the twig memo's answer to the step."""
     db.prepare_for_query()
     for tag_a in _TAGS:
         for tag_d in _TAGS:
             for axis in _AXES:
                 got = db.structural_join(tag_a, tag_d, axis)
-                want = db.structural_join(
+                want = by_descendant_sid(db.structural_join(
                     tag_a, tag_d, axis, stats=JoinStatistics()
-                )
+                ))
                 assert got == want, (tag_a, tag_d, axis)
                 misses = db.readpath.misses
                 assert db.structural_join(tag_a, tag_d, axis) == want
                 assert db.readpath.misses == misses, (tag_a, tag_d, axis)
+                step = "//" if axis == "descendant" else "/"
+                twig = db.twig_query(f"{tag_a}{step}{tag_d}", strategy="twig")
+                assert {d for _, d in got} == set(twig), (tag_a, tag_d, axis)
 
 
 def _epochs(db: LazyXMLDatabase, a: int, b: int, check) -> None:
@@ -213,8 +225,8 @@ def test_gp_tie_answers_alike_warm_cold_and_from_scratch(mode):
 def _chunks(db: LazyXMLDatabase, key) -> dict:
     """``{D-segment sid: (pairs, depth)}`` of the memo just stored under
     ``key``."""
-    nodes = db.log.taglist.nodes(key[1])
-    return dict(zip((node.sid for node in nodes), db.readpath.join_memo(*key).chunks))
+    memo = db.readpath.join_memo(*key)
+    return dict(zip(memo.sids, memo.chunks))
 
 
 def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
@@ -277,6 +289,42 @@ def test_join_after_update_merges_only_the_touched_segment(monkeypatch):
     (after_insert, after_remove) = shapes[0]
     assert (after_insert[0], after_remove[0]) == (1, 0)
     assert shapes[0] == shapes[1]
+
+
+@pytest.mark.perf_smoke
+def test_write_touching_no_d_segment_keeps_the_join_a_hit():
+    """A top-level ``<form>`` with no ``f3`` writes no D-segment of
+    ``form//f3`` and holds none of its chunks: the next join hands back
+    the stored answer itself and misses nothing, on 250 and on 4 000
+    forms, though ``form``'s segment list changed."""
+    for forms in (250, 4_000):
+        db, _rate = _loaded(forms)
+        answer = db.structural_join("form", "f3")
+        db.insert("<form><id>no f3</id><f1>v</f1></form>")
+        misses = db.readpath.misses
+        assert db.structural_join("form", "f3") is answer
+        assert db.readpath.misses == misses
+        assert answer == by_descendant_sid(
+            db.structural_join("form", "f3", stats=JoinStatistics())
+        )
+
+
+def test_join_memos_are_bounded_like_twig_memos(monkeypatch):
+    """Both memo tables are kept to one bound, the oldest stored going
+    first; a refreshed memo counts as newly stored."""
+    monkeypatch.setattr(readpath, "MEMOS_KEPT", 4)
+    db = LazyXMLDatabase()
+    db.insert("<a><b><c/></b></a>")
+    pairs = [(a, d) for a in _TAGS for d in _TAGS]
+    for tag_a, tag_d in pairs:
+        db.structural_join(tag_a, tag_d)
+    tid = db.log.tags.tid_of
+    kept = [(tid(a), tid(d), "descendant") for a, d in pairs[-4:]]
+    assert list(db.readpath._joins) == kept
+    assert db.readpath.stats()["entries"]["join_results"] == 4
+    db.insert("<a><b><c/></b></a>")
+    db.structural_join(*pairs[-4])  # refreshed: now the newest
+    assert list(db.readpath._joins) == kept[1:] + kept[:1]
 
 
 def _join_after_tail_pair(db: LazyXMLDatabase, i: int) -> float:
@@ -370,7 +418,7 @@ def _contexts():
 @pytest.mark.parametrize("warm_first", [False, True])
 def test_budget_aborts_warm_and_cold_alike(case, warm_first):
     db = _budget_db()
-    full = db.structural_join("a", "b", stats=JoinStatistics())
+    full = by_descendant_sid(db.structural_join("a", "b", stats=JoinStatistics()))
     assert len(full) > 5
     if warm_first:
         assert db.structural_join("a", "b") == full
@@ -392,8 +440,8 @@ def test_budget_aborts_warm_and_cold_alike(case, warm_first):
     with pytest.raises(error):
         db.structural_join("a", "b", context=context)
     assert db.readpath.join_memo(*key) is memo
-    assert db.structural_join("a", "b") == db.structural_join(
-        "a", "b", stats=JoinStatistics()
+    assert db.structural_join("a", "b") == by_descendant_sid(
+        db.structural_join("a", "b", stats=JoinStatistics())
     )
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.database import LazyXMLDatabase
 from repro.core.join import JoinAnswer
-from repro.core.readpath import PATHS_KEPT
+from repro.core.readpath import MEMOS_KEPT
 from repro.errors import DeadlineExceeded
 from repro.obs.trace import Trace
 from repro.service.context import QueryContext
@@ -148,7 +148,7 @@ def test_answer_is_the_memo_in_sid_then_start_order():
 
 
 def test_path_memos_are_bounded():
-    """One more distinct path than ``PATHS_KEPT`` drops the memo stored
+    """One more distinct path than ``MEMOS_KEPT`` drops the memo stored
     longest ago; a refreshed memo counts as newly stored."""
     db = LazyXMLDatabase()
     db.insert("<a>" * 10 + "</a>" * 10)
@@ -156,14 +156,14 @@ def test_path_memos_are_bounded():
         "a" + "".join(f"{separator}a" for separator in separators)
         for steps in range(1, 9)
         for separators in product(_SEPARATORS, repeat=steps)
-    ][: PATHS_KEPT + 1]
-    assert len(expressions) == PATHS_KEPT + 1
+    ][: MEMOS_KEPT + 1]
+    assert len(expressions) == MEMOS_KEPT + 1
     for expression in expressions[:-1]:
         assert db.path_query(expression)
     db.insert("<a/>", 3)  # inside the outermost a: refreshes the first path
     assert db.path_query(expressions[0])
     assert db.path_query(expressions[-1])
-    assert db.readpath.stats()["entries"]["path_results"] == PATHS_KEPT
+    assert db.readpath.stats()["entries"]["path_results"] == MEMOS_KEPT
     assert db.readpath.path_memo(_path_key(db, expressions[1])) is None
     for expression in (expressions[0], expressions[2], expressions[-1]):
         assert db.readpath.path_memo(_path_key(db, expression)) is not None

@@ -124,15 +124,18 @@ def test_update_invalidates_only_touched_structures():
     rp = db.readpath
     tids = {tag: db.log.tags.tid_of(tag) for tag in "abde"}
     db.structural_join("a", "d")
-    memo_b = (db.structural_join("b", "e"), tids["b"], tids["e"], "descendant")
+    answer_b = db.structural_join("b", "e")
     nodes_a = db.log.taglist.nodes(tids["a"])
     # A new <a> document patches tag a's segment list where it stands and
     # must leave the b//e memo whole — invalidation is O(touched
     # structures), not a flush.
     db.insert("<a><d>three</d></a>")
     assert db.log.taglist.nodes(tids["a"]) is nodes_a and len(nodes_a) == 2
-    assert rp.cached_join(tids["a"], tids["d"], "descendant") is None
-    assert rp.cached_join(*memo_b[1:]).answer is memo_b[0]
+    misses = rp.misses
+    assert db.structural_join("b", "e") is answer_b
+    assert rp.misses == misses
+    assert len(db.structural_join("a", "d")) == 2
+    assert rp.misses == misses + 1
 
 
 def test_element_arrays_invalidate_on_in_segment_removal():
@@ -313,17 +316,17 @@ def test_join_memo_and_write_journal_are_counted():
     assert len(db.structural_join("a", "b")) == 6
     index_bytes = db.index.approximate_bytes()  # now with the views cut
     assert rp.stats()["entries"]["join_chunks"] == 3
-    # 72 bytes a pair (two records, one reference from its chunk), 24 a
-    # D-segment (its chunk's reference, pairs and depth).
-    assert rp.approximate_bytes() == 72 * 6 + 24 * 3
+    # 72 bytes a pair (two records, one reference from its chunk), 32 a
+    # chunk (its sid, its reference, pairs and depth).
+    assert rp.approximate_bytes() == 72 * 6 + 32 * 3
     receipt = db.insert("<a><b>z</b></a>")
     assert len(db.structural_join("a", "b")) == 7
     assert rp.stats()["entries"]["join_chunks"] == 4
-    assert rp.approximate_bytes() == 72 * 7 + 24 * 4
+    assert rp.approximate_bytes() == 72 * 7 + 32 * 4
     db.remove_segment(receipt.sid)
     db.structural_join("a", "b")
     assert rp.stats()["entries"]["join_chunks"] == 3
-    assert rp.approximate_bytes() == 72 * 6 + 24 * 3
+    assert rp.approximate_bytes() == 72 * 6 + 32 * 3
     assert db.index.approximate_bytes() == index_bytes + 8 * 2
 
 
@@ -412,18 +415,6 @@ def test_join_after_update_cuts_only_the_views_it_reads():
 # version exactness: bump iff observable state changed
 
 
-def _tag_states(db):
-    taglist = db.log.taglist
-    versions, states = {}, {}
-    for tid in list(taglist.tids()):
-        versions[tid] = taglist.version(tid)
-        counts = taglist.counts(tid)
-        states[tid] = tuple(
-            (node.sid, counts[node.sid]) for node in taglist.nodes(tid)
-        )
-    return versions, states
-
-
 def _segment_states(db):
     versions, states = {}, {}
     for node in db.log.ertree.nodes():
@@ -466,7 +457,7 @@ def test_version_counters_bump_exactly_on_observable_change(seed):
     db = LazyXMLDatabase()
     db.insert(generate_fragment(5, tags, rng=rng, max_depth=3))
     for _ in range(6):
-        tag_b, seg_b = _tag_states(db), _segment_states(db)
+        seg_b = _segment_states(db)
         nodes_b = _node_states(db)
         roll = rng.random()
         if roll < 0.25 and db.document_length:
@@ -488,9 +479,7 @@ def test_version_counters_bump_exactly_on_observable_change(seed):
                 1 + rng.randrange(4), tags, rng=rng, max_depth=3
             )
             db.insert(fragment, rng.choice(safe_insert_positions(db.text)))
-        tag_a, seg_a = _tag_states(db), _segment_states(db)
-        _assert_version_exactness(tag_b, tag_a, "tag")
-        _assert_version_exactness(seg_b, seg_a, "segment")
+        _assert_version_exactness(seg_b, _segment_states(db), "segment")
         # ER-node compiled state: staleness is the fatal direction — any
         # observable child change must have touched the node.  (Spurious
         # touches are permitted: ancestors recompile when descendant
@@ -506,12 +495,10 @@ def test_version_counters_bump_exactly_on_observable_change(seed):
 
 def test_queries_never_bump_versions():
     db = _mix_db(8)
-    before_tags = _tag_states(db)[0]
     before_segs = _segment_states(db)[0]
     db.structural_join("a", "d")
     db.structural_join("a", "d", stats=JoinStatistics())
     db.structural_join("d", "a")
-    assert _tag_states(db)[0] == before_tags
     assert _segment_states(db)[0] == before_segs
 
 

@@ -1,7 +1,8 @@
 """Update validation: the lean checkers against the re-parses they replaced.
 
 ``remove`` refuses a span inside one top-level document iff that document
-parses now and would not parse with the span excised; ``insert`` refuses a
+parses now and would not parse with the span excised, or the span takes
+one tag of an element and leaves the other; ``insert`` refuses a
 fragment iff the super document with it spliced in would not parse as
 element content.  The database once decided both by slicing the text and
 tree-parsing the copies; those validators live on here, verbatim, as the
@@ -31,8 +32,9 @@ from repro import storage
 from repro.core import database as database_module
 from repro.core.database import LazyXMLDatabase
 from repro.core.segment import SpanRelation, relate
+from repro.durability.recovery import validate_op
 from repro.errors import InvalidSegmentError, ReproError, XMLSyntaxError
-from repro.xml.parser import is_well_formed, parse_fragment
+from repro.xml.parser import is_well_formed, parse_flat, parse_fragment
 from repro.xml.wellformed import well_formed
 
 
@@ -40,7 +42,9 @@ class DoubleParseDatabase(LazyXMLDatabase):
     """The parent commit's validators, moved here verbatim: the oracle.
     (The text they read is :attr:`text` now, the removal check overrides
     ``check_removal``, and the insert check's hook takes, and ignores,
-    where the insert lands.)"""
+    where the insert lands.)  The removal check has since learnt to refuse
+    a span taking one tag of an element and leaving the other, read off
+    its own re-parse of the document."""
 
     def _validate_insert(self, fragment: str, position: int, *_located) -> None:
         candidate = self.text[:position] + fragment + self.text[position:]
@@ -70,11 +74,22 @@ class DoubleParseDatabase(LazyXMLDatabase):
                 self.text[top.gp : position]
                 + self.text[position + length : top.end]
             )
-            if is_well_formed(current) and not is_well_formed(candidate):
+            if not is_well_formed(current):
+                break
+            if not is_well_formed(candidate):
                 raise InvalidSegmentError(
                     f"removal span [{position}, {position + length}) lands "
                     "mid-tag: the surviving document would not be "
                     "well-formed"
+                )
+            lo, hi = position - top.gp, position + length - top.gp
+            if any(
+                lo <= e.start < hi < e.end or e.start < lo < e.end <= hi
+                for e in parse_flat(current).elements
+            ):
+                raise InvalidSegmentError(
+                    f"removal span [{position}, {position + length}) takes "
+                    "one tag of an element and leaves the other"
                 )
             break
 
@@ -316,16 +331,57 @@ def test_root_element_in_a_nested_segment_is_not_trusted():
         db.remove_segment(inner.sid)
 
 
+def test_removal_that_fuses_two_siblings_is_refused():
+    """Taking ``</b><b>`` leaves a document that parses, but one ``b``
+    where the element index holds two records: refused, like a mid-tag
+    cut, and by the journal's validation too."""
+    db = LazyXMLDatabase()
+    db.insert("<a><b>x</b><b>y</b></a>")
+    db.insert("<d/>", db.text.index("y"))
+    before = storage.dumps(db)
+    op = {"op": "remove", "position": db.text.index("</b><b>"), "length": 7}
+    for refuse in (
+        lambda: db.remove(op["position"], op["length"]),
+        lambda: validate_op(db, op),
+    ):
+        with pytest.raises(InvalidSegmentError, match="takes one tag"):
+            refuse()
+    assert storage.dumps(db) == before
+    assert [(e.start, e.end) for e in db.global_elements("b")] == [(3, 11), (11, 23)]
+    assert len(db.twig_query("a/b")) == 2
+    db.check_invariants()
+
+
+def test_removal_that_takes_an_end_tag_alone_is_refused():
+    """A span starting inside a processing instruction can take an end
+    tag and no start tag and still parse — the instruction runs on to the
+    next ``?>`` and swallows a start tag — so both directions are
+    checked."""
+    db = LazyXMLDatabase()
+    db.insert("<a><a><?p x?></a><a><?p y?></a></a>")
+    cut = "x?></a>"
+    assert is_well_formed(db.text.replace(cut, ""))
+    with pytest.raises(InvalidSegmentError, match="takes one tag"):
+        db.remove(db.text.index(cut), len(cut))
+
+
 def test_records_orphaned_by_an_unaligned_cut_are_not_trusted():
     """The 'records match the text' half: a cut through two tags can leave
     a document that parses and an element record that starts mid-tag — no
-    boundary for a later insert to scan from."""
+    boundary for a later insert to scan from.  In a document that parses
+    such a cut is refused (it takes ``b``'s end tag and leaves its start
+    tag); a second root lets it through, and taking that root out again
+    leaves the orphaned records in a document that parses."""
     db = LazyXMLDatabase()
-    top = db.insert('<a><b t="1">x</b><c u="2">y</c></a>')
+    top = db.insert('<a><b t="1">x</b><c u="2">y</c></a><!--e-->')
     assert top.sid in db._trusted
     cut = 'b t="1">x</b><'
+    with pytest.raises(InvalidSegmentError, match="takes one tag"):
+        db.remove(db.text.index(cut), len(cut))
+    extra = db.insert("<z/>", db.text.index("<!--e-->"))
     db.remove(db.text.index(cut), len(cut))
-    assert db.text == '<a><c u="2">y</c></a>' and is_well_formed(db.text)
+    db.remove_segment(extra.sid)
+    assert db.text == '<a><c u="2">y</c></a><!--e-->' and is_well_formed(db.text)
     assert top.sid not in db._trusted
     db.check_invariants()
 
