@@ -298,14 +298,13 @@ def _run_verb(args: argparse.Namespace) -> int:
         value = getattr(args, field.name)
         if value is not None:
             request[field.name] = value
-    db = _open(args.target)
-    service = DatabaseService(db)
+    service = DatabaseService(_open(args.target))
     try:
         reply = execute_request(service, SessionState(0), request)
     finally:
         service.close()
     if COMMANDS[verb].kind in ("write", "maintenance") and not args.target.is_dir():
-        save(db, args.target)
+        save(service.primary, args.target)
     print("\n".join(render_reply(verb, reply)))
     return 0
 
@@ -356,6 +355,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
     service = DatabaseService(db, config=config, replication=replication)
+    del db  # the service owns it: the save below reads service.primary
     if args.maintenance_interval > 0:
         service.start_maintenance(args.maintenance_interval)
     health = service.health()
@@ -387,7 +387,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         service.close()
         if snapshot:
-            save(db, args.target)
+            # The service's writer buffer, caught up: the object passed in
+            # may be a write behind.
+            save(service.primary, args.target)
     return 0
 
 

@@ -4,7 +4,7 @@ The paper's bargain is that updates stay cheap because queries derive what
 they need on demand — but deriving the *same* thing on every call is waste,
 not laziness.  Between two updates, the structures a join reads are
 immutable, and the service layer's epoch publishing (``repro.service.
-snapshot``) makes that window explicit: a published replica is never
+snapshot``) makes that window explicit: a published buffer is never
 mutated, so anything compiled from it stays valid for the epoch's lifetime.
 This module compiles the read-side layouts Lazy-Join touches per call and
 memoizes them under *per-structure version keys*, and the two answer memos
@@ -258,11 +258,11 @@ class PathMemo(NamedTuple):
 class ReadPathCache:
     """Version-keyed memo of compiled read-path state for one database.
 
-    Owned by a :class:`~repro.core.database.LazyXMLDatabase`; replicas get
-    their own instance (clones rebuild from scratch), and epoch replay on a
-    spare replica bumps exactly the touched structures' versions, so a
-    replica's warm state survives publishes untouched except where ops
-    landed.
+    Owned by a :class:`~repro.core.database.LazyXMLDatabase`; each epoch
+    buffer has its own instance (a clone rebuilds from scratch), and an
+    op replayed onto a buffer names the segments it writes in the element
+    index's write journal like any write, so a buffer's warm state
+    survives publishes untouched except where ops landed.
     """
 
     def __init__(self, log, index):

@@ -69,10 +69,11 @@ class DurableDatabase:
         sid_start: int = 1,
         sid_stride: int = 1,
     ):
+        self._epochs = None
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._checkpoint_name = checkpoint_name
-        self.db, self.recovery_report = recover(
+        self._db, self.recovery_report = recover(
             self.directory,
             checkpoint_name=checkpoint_name,
             sid_start=sid_start,
@@ -96,6 +97,21 @@ class DurableDatabase:
             fsync_directory(self.directory)
         self._poisoned: str | None = None
         self._deferred: list[dict] | None = None
+
+    @property
+    def db(self):
+        """The database this handle journals for: the recovered one, or,
+        once :meth:`attach_epochs` ran, the epoch store's writer buffer
+        brought up to date."""
+        epochs = self._epochs
+        return self._db if epochs is None else epochs.writer()
+
+    def attach_epochs(self, epochs) -> None:
+        """Commit to ``epochs``'s writer buffer from now on: an
+        :class:`~repro.service.snapshot.EpochManager` seeded with
+        :attr:`db`, whose published buffer serves the reads."""
+        self._epochs = epochs
+        self._db = None  # the store owns it now, and may drop it
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -156,13 +172,14 @@ class DurableDatabase:
                 f"database is read-only after a journal failure "
                 f"({self._poisoned}); reopen {self.directory} to recover"
             )
-        parsed = validate_op(self.db, op, parsed)
+        db = self.db
+        parsed = validate_op(db, op, parsed)
         if self._deferred is not None:
             # Deferred journaling (the sharded coordinator's batching
             # hook): apply now — later ops' routing depends on this op's
             # effects — and buffer the record; the journal write happens
             # once, at :meth:`flush_deferred`.
-            result = apply_op(self.db, op, parsed)
+            result = apply_op(db, op, parsed)
             self._deferred.append(dict(op))
             return result
         seq = self._last_seq + 1
@@ -175,7 +192,7 @@ class DurableDatabase:
             self._poisoned = f"append of seq {seq} failed: {exc}"
             raise
         self._last_seq = seq
-        return apply_op(self.db, op, parsed)
+        return apply_op(db, op, parsed)
 
     def checkpoint(self) -> None:
         """Fold the journal into an atomic snapshot, then truncate it."""
@@ -208,14 +225,15 @@ class DurableDatabase:
     # ------------------------------------------------------------------
     # journaled structural operations
 
-    def commit(self, op: dict):
-        """Journal and apply one op record (the replication entry point).
+    def commit(self, op: dict, parsed=None):
+        """Journal and apply one op record (the replication entry point),
+        from its parse ``parsed`` (``parse_op``) if given.
 
         A follower re-commits each shipped record through this, so its own
         journal mirrors the primary's with aligned sequence numbers; the op
         passes the same validate → journal → apply protocol as a local call.
         """
-        return self._commit(dict(op))
+        return self._commit(dict(op), parsed)
 
     def insert(self, fragment: str, position: int | None = None):
         """Journaled :meth:`LazyXMLDatabase.insert`."""

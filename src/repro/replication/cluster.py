@@ -195,15 +195,16 @@ class ReplicationCluster:
     def _commit(self, op: dict):
         return self.commit_from(self.primary_id, op)
 
-    def commit_from(self, node_id: int, op: dict):
-        """Commit + ship ``op`` from ``node_id``'s point of view.
+    def commit_from(self, node_id: int, op: dict, parsed=None):
+        """Commit + ship ``op`` from ``node_id``'s point of view, from its
+        parse ``parsed`` (``parse_op``) if given.
 
         The normal write path uses the current primary; the fault drills
         call this on a deposed node to race a stale primary against the
         new term.
         """
         sender = self.nodes[node_id]
-        result = sender.local_commit(op)
+        result = sender.local_commit(op, parsed)
         seq = sender.last_seq
         message = {
             "kind": "append",

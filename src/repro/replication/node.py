@@ -9,11 +9,13 @@ One :class:`ReplicaNode` is one participant in a replication group, wrapping:
   survives its own crashes);
 - a replication manifest (:mod:`repro.replication.manifest`) persisting
   the node's fencing ``term`` and ``role``;
-- an :class:`~repro.service.snapshot.EpochManager` publishing each applied
-  record as a new epoch, so reads are pinned snapshots tied to a
+- an :class:`~repro.service.snapshot.EpochManager` whose writer buffer is
+  the durable database itself (``durable.db`` follows it), publishing each
+  applied record as a new epoch, so reads are pinned snapshots tied to a
   replicated sequence number (``seq_at(epoch)``) — the read-consistency
   guarantee is "this answer is the state at primary seq N", not "whatever
-  the follower happened to hold".
+  the follower happened to hold".  A record costs two applies: the
+  commit, and the catch-up of the buffer the publish retired.
 
 **Catch-up** (:meth:`catch_up`) is incremental: the node tails the
 primary's journal from a cached byte offset
@@ -145,6 +147,7 @@ class ReplicaNode:
 
     def _build_epochs(self) -> None:
         self.epochs = EpochManager(self.durable.db)
+        self.durable.attach_epochs(self.epochs)
         self._epoch_seqs: dict[int, int] = {
             self.epochs.current_epoch: self.durable.last_seq
         }
@@ -176,8 +179,9 @@ class ReplicaNode:
     # ------------------------------------------------------------------
     # primary side
 
-    def local_commit(self, op: dict):
-        """Commit ``op`` locally as the primary (journal + apply + publish).
+    def local_commit(self, op: dict, parsed=None):
+        """Commit ``op`` locally as the primary (journal + apply + publish),
+        from its parse ``parsed`` (``parse_op``) if given.
 
         Refused with :class:`~repro.errors.FencedError` — before touching
         the journal — once the node is fenced or is not the primary.
@@ -189,8 +193,8 @@ class ReplicaNode:
             )
             err.term = self.term
             raise err
-        result = self.durable.commit(op)
-        self._publish([op])
+        result = self.durable.commit(op, parsed)
+        self._publish([op], [parsed])
         return result
 
     def fence(self, observed_term: int | None = None) -> None:
@@ -291,8 +295,8 @@ class ReplicaNode:
     # ------------------------------------------------------------------
     # epoch-pinned reads
 
-    def _publish(self, ops: list[dict]) -> int:
-        epoch = self.epochs.publish([dict(op) for op in ops])
+    def _publish(self, ops: list[dict], parsed: list | None = None) -> int:
+        epoch = self.epochs.publish([dict(op) for op in ops], parsed)
         self._epoch_seqs[epoch] = self.durable.last_seq
         self._published_seq = self.durable.last_seq
         while len(self._epoch_seqs) > _EPOCH_MAP_KEEP:

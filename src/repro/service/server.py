@@ -6,10 +6,12 @@ Composes the pieces of :mod:`repro.service` into one operational surface:
   (:mod:`repro.service.snapshot`), and run under a
   :class:`~repro.service.context.QueryContext` deadline/budget; they never
   observe a half-applied update and never block the writer;
-- **writes** (single-writer) go through admission control and the
-  journaled primary when it is a
-  :class:`~repro.durability.database.DurableDatabase` — then the committed
-  op is replayed onto the next epoch's replica and published atomically;
+- **writes** (single-writer) go through admission control and commit to
+  the epoch store's writer buffer, which *is* the authoritative database
+  (through the journal when the primary is a
+  :class:`~repro.durability.database.DurableDatabase`) — then that buffer
+  is published atomically and the retired one becomes the next writer
+  buffer, to catch up on the op at the next write;
 - **maintenance** is driven by the :class:`~repro.service.pressure.
   PressureMonitor` and executed behind a :class:`~repro.service.breaker.
   CircuitBreaker`: repeated repack/compact failures open the breaker and
@@ -34,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.core.database import LazyXMLDatabase
+from repro.durability.database import DurableDatabase
 from repro.durability.recovery import apply_op, parse_op
 from repro.errors import (
     Busy,
@@ -124,7 +126,11 @@ class DatabaseService:
         :class:`~repro.core.database.LazyXMLDatabase` or a
         :class:`~repro.durability.database.DurableDatabase` (in which case
         every write, including pressure-triggered repacks, goes through the
-        journaled commit protocol).
+        journaled commit protocol), or a sharded coordinator; ``None``
+        with ``replication``, whose primary node serves.  A plain or
+        durable database becomes the epoch store's first writer buffer:
+        from the first write on, read the state from :attr:`primary`,
+        not from the object passed in, which may be a write behind.
     config:
         :class:`ServiceConfig`; defaults are sized for tests/examples.
     clock:
@@ -146,30 +152,30 @@ class DatabaseService:
 
         self.config = config or ServiceConfig()
         self._replication = replication
-        if replication is not None and primary is None:
-            primary = replication.primary.durable
-        self.primary = primary
+        self._primary = primary
         self._sharded = isinstance(primary, ShardedDatabase)
+        # The service's own epoch store.  Sharded primaries skip it: reads
+        # fan out to worker replicas kept current by lazy op forwarding
+        # (the coordinator's shard lock isolates in-process readers).  A
+        # replication cluster's reads pin its primary node's store.
+        self._epochs: EpochManager | None = None
         if self._sharded:
-            # The coordinator is the read/write surface; its worker
-            # replicas (or the shard lock, in-process) isolate readers.
-            self._base = primary
             self._durable = isinstance(primary, ShardedDurableDatabase)
+        elif replication is not None:
+            self._durable = True
         else:
-            # The raw LazyXMLDatabase behind a durable wrapper (or the
-            # primary itself): what replicas are cloned from and pressure
-            # is sampled on.
-            self._base: LazyXMLDatabase = getattr(primary, "db", primary)
-            self._durable = self._base is not primary
+            self._durable = isinstance(primary, DurableDatabase)
+            self._epochs = EpochManager(
+                getattr(primary, "db", primary),
+                drain_timeout=self.config.drain_timeout,
+            )
+            if self._durable:
+                primary.attach_epochs(self._epochs)
+            else:
+                # The store owns a plain primary now: it is one of the two
+                # buffers, and a closed store lets the published one go.
+                self._primary = None
         self._clock = clock
-        # Sharded primaries skip the epoch store: reads fan out to worker
-        # replicas kept current by lazy op forwarding, so there is no
-        # single replica to publish epochs over.
-        self._epochs = (
-            None
-            if self._sharded
-            else EpochManager(self._base, drain_timeout=self.config.drain_timeout)
-        )
         self._admission = AdmissionController(
             {
                 "read": self.config.read_limit,
@@ -203,7 +209,6 @@ class DatabaseService:
             "writes_shed_degraded": 0,
             "maintenance_runs": 0,
             "maintenance_failures": 0,
-            "replica_rebuilds": 0,
         }
 
     # ------------------------------------------------------------------
@@ -220,6 +225,34 @@ class DatabaseService:
         options.update(overrides)
         return QueryContext(**options)
 
+    @property
+    def primary(self):
+        """The authoritative store, up to date: a plain primary's writer
+        buffer (caught up first), the durable handle whose ``db`` is that
+        buffer, the replication cluster's primary node's durable handle,
+        or the sharded coordinator."""
+        if self._replication is not None:
+            return self._replication.primary.durable
+        if self._durable or self._sharded:
+            return self._primary
+        with self._writer_lock:
+            return self._epochs.writer()
+
+    @property
+    def _base(self):
+        """The database a write commits to, up to date (the sharded
+        coordinator for a sharded primary)."""
+        primary = self.primary
+        return primary.db if self._durable and not self._sharded else primary
+
+    @property
+    def _store(self) -> EpochManager | None:
+        """The epoch store reads pin: the primary node's with a
+        replication cluster, else the service's own (None when sharded)."""
+        if self._replication is not None:
+            return self._replication.primary.epochs
+        return self._epochs
+
     def snapshot(self) -> Snapshot:
         """Pin the current epoch directly (no admission, no deadline) —
         for diagnostics and invariant checks; release it promptly.
@@ -228,15 +261,16 @@ class DatabaseService:
         the coordinator directly (reads take the shard lock per call).
         """
         self._ensure_open()
-        if self._epochs is None:
-            return _DirectView(self._base)
-        return self._epochs.pin()
+        store = self._store
+        if store is None:
+            return _DirectView(self._primary)
+        return store.pin()
 
     @property
     def has_epoch_store(self) -> bool:
         """True when a read pins an in-process epoch buffer; False for a
         sharded primary, whose reads wait on worker pipes."""
-        return self._epochs is not None
+        return not self._sharded
 
     @property
     def writes_in_memory(self) -> bool:
@@ -254,7 +288,7 @@ class DatabaseService:
         The one read entry point: admission-controlled, snapshot-
         isolated, deadline-enforced, counted.  ``fn`` must treat ``db`` as
         read-only and let nothing of it escape: once the pin is released a
-        drained buffer becomes the publish spare and is mutated in place.
+        retired buffer becomes the writer's and is mutated in place.
         ``snapshot`` is a pin the caller already holds (a session's
         repeatable-read epoch); omitted, the read pins the current one.
         """
@@ -358,16 +392,20 @@ class DatabaseService:
         with self._write_slot(request_class, attempt):
             if attempt and not self._commits_in_memory():
                 raise OverBudget("this write must wait or do maintenance")
+            # The writer buffer caught up: the replay of an op already
+            # committed, so an attempt may still stop after it.
+            base = self._base
             if op["op"] == "insert" and op.get("position") is None:
-                op = {**op, "position": self._base.document_length}
-            # The write's one parse, for the primary and every replica.
-            parsed = self._epochs and parse_op(op, self._base.document_length)
+                op = {**op, "position": base.document_length}
+            # The write's one parse, for the commit and the catch-up.
+            parsed = None if self._sharded else parse_op(op, base.document_length)
             if attempt:
                 # The attempt's one checkpoint: after the parse, the cost
                 # that grows with the payload, and before any change.
                 context.check_budget()
-            result = self._apply_primary(op, parsed)
-            self._publish([op], [parsed])
+            result = self._apply_primary(op, parsed, base)
+            if self._epochs is not None:
+                self._epochs.publish([op], [parsed])
             self._counters["writes"] += 1
             if request_class == "write":
                 self._after_write()
@@ -398,19 +436,19 @@ class DatabaseService:
         """Under the writer lock: this write touches only memory up to its
         reply.  It does not if the primary does I/O, if it is the write
         that samples pressure (maintenance may repack or compact), or if
-        its publish would wait for a reader or clone a replica."""
+        its writer buffer would wait for a reader or be cloned."""
         every = self.config.pressure_check_every
         return (self.writes_in_memory
                 and not 0 < every <= self._writes_since_check + 1
-                and self._epochs.spare_ready())
+                and self._epochs.writer_ready())
 
-    def _apply_primary(self, op: dict, parsed):
-        """Apply ``op`` to the authoritative database, from its parse
-        (``None`` for a sharded primary).
+    def _apply_primary(self, op: dict, parsed, base):
+        """Apply ``op`` to the authoritative database ``base``, from its
+        parse (``None`` for a sharded primary).
 
         Every primary spells the structural operations alike, so the
-        record goes through the dispatcher recovery and the replicas use
-        (``parse_op`` ran a batch's whole-batch checks): a durable primary
+        record goes through the dispatcher recovery and the epoch
+        catch-up use (``parse_op`` ran a batch's whole-batch checks): a durable primary
         commits it (fsync before apply, so pressure-triggered repacks
         journal like user writes; a batch is *one* record, one fsync), the
         sharded coordinator's methods route to the owning shard.
@@ -422,39 +460,17 @@ class DatabaseService:
         """
         if self._replication is not None:
             return self._replication.commit_from(
-                self._replication.primary_id, dict(op)
+                self._replication.primary_id, dict(op), parsed
             )
-        if self._durable and not self._sharded:
+        if self._sharded:
+            if op["op"] == "batch":
+                return base.apply_batch(op["ops"])
+            return apply_op(base, op)
+        if self._durable:
             if op["op"] == "insert":  # the record DurableDatabase.insert journals
                 op = {key: op[key] for key in ("op", "fragment", "position")}
-            return self.primary._commit(op, parsed)
-        if parsed is None and op["op"] == "batch":
-            return self.primary.apply_batch(op["ops"])
-        return apply_op(self.primary, op, parsed)
-
-    def _publish(self, ops: list[dict], parsed: list) -> None:
-        """Publish committed ops to readers; self-heal on replica failure.
-
-        Replica replay uses the same dispatcher as crash recovery, so a
-        failure here means the replica diverged (e.g. an injected fault).
-        The primary is already committed — readers must not be left on a
-        stale epoch forever — so the epoch store is rebuilt from a fresh
-        clone of the primary.
-
-        Sharded primaries publish nothing here: the coordinator already
-        forwarded the committed op to the owning shard's worker replica.
-        """
-        if self._epochs is None:
-            return
-        try:
-            self._epochs.publish(ops, parsed)
-        except Exception:
-            self._counters["replica_rebuilds"] += 1
-            old = self._epochs
-            self._epochs = EpochManager(
-                self._base, drain_timeout=self.config.drain_timeout
-            )
-            old.close()
+            return self._primary._commit(op, parsed)
+        return apply_op(base, op, parsed)
 
     # ------------------------------------------------------------------
     # replication / failover
@@ -469,24 +485,15 @@ class DatabaseService:
         """Fail over to ``node_id`` and rewire the service's authority.
 
         The cluster persists the new fenced term before the node accepts
-        a write; the service then re-seeds its epoch store from the new
-        primary's database so subsequent reads and writes flow through it.
+        a write; from then on reads pin the new primary node's epoch store
+        and writes commit through it.
         """
         from repro.errors import ReplicationError
 
         if self._replication is None:
             raise ReplicationError("service has no replication cluster")
         with self._writer_lock:
-            node = self._replication.promote(node_id)
-            self.primary = node.durable
-            self._base = node.durable.db
-            old = self._epochs
-            self._epochs = EpochManager(
-                self._base, drain_timeout=self.config.drain_timeout
-            )
-            if old is not None:
-                old.close()
-        return node
+            return self._replication.promote(node_id)
 
     def replication_status(self) -> dict | None:
         """The cluster's :meth:`~repro.replication.cluster
@@ -632,20 +639,25 @@ class DatabaseService:
             status = "warning"
         else:
             status = "ok"
-        log_stats = self._base.stats()
-        epochs = self._epochs.metrics() if self._epochs is not None else None
+        with self._latest() as db:
+            counts = {
+                "segments": db.segment_count,
+                "elements": db.element_count,
+                "document_length": db.document_length,
+                "log_bytes": db.stats().total_bytes,
+            }
+        # After the pin above is released: it is not a reader's.
+        store = self._store
+        epochs = store.metrics() if store is not None else None
         payload = {
             "status": status,
             "durable": self._durable,
-            "segments": self._base.segment_count,
-            "elements": self._base.element_count,
-            "document_length": self._base.document_length,
-            "log_bytes": log_stats.total_bytes,
+            **counts,
             "pressure": last.as_dict() if last is not None else None,
             "breaker": self._breaker.metrics(),
             "admission": self._admission.metrics(),
             "epochs": epochs,
-            # The published replica's compiled read-path cache — the one
+            # The published buffer's compiled read-path cache — the one
             # read queries actually hit (reads run on pinned snapshots).
             "readpath": epochs.get("readpath") if epochs is not None else None,
             "counters": dict(self._counters),
@@ -666,6 +678,25 @@ class DatabaseService:
                 ],
             }
         return payload
+
+    @contextlib.contextmanager
+    def _latest(self):
+        """The latest committed state, read-only: the published epoch
+        under a pin, which no write mutates (the coordinator for a sharded
+        primary).  Once the store is closed no write runs, and the writer
+        buffer, caught up, serves."""
+        store = self._store
+        if store is None:
+            yield self._primary
+            return
+        try:
+            snap = store.pin()
+        except ServiceClosed:
+            with self._writer_lock:
+                yield self._base
+            return
+        with snap:
+            yield snap.db
 
     def stats(self) -> dict:
         """:meth:`health` minus derived status, plus the full metric
@@ -717,11 +748,12 @@ class DatabaseService:
             self._maintenance_thread = None
         self._admission.close()
         if self._epochs is not None:
-            self._epochs.close()
+            with self._writer_lock:  # no write is between commit and publish
+                self._epochs.close()
         if self._replication is not None:
             self._replication.close()
         elif self._durable or self._sharded:
-            self.primary.close()
+            self._primary.close()
 
     def __enter__(self) -> "DatabaseService":
         return self

@@ -2,52 +2,59 @@
 
 The paper's structures are mutated in place, so a reader that overlaps a
 half-applied insert/remove could observe an inconsistent index.  This
-module gives readers a *pinned, immutable* view instead, RCU-style:
+module gives readers a *pinned, immutable* view instead, RCU-style, over
+two **buffers** — full databases, the second one built once with
+:func:`repro.storage.clone`:
 
-- The manager owns read **buffers** — full database replicas built with
-  :func:`repro.storage.clone`.  Exactly one buffer is *published* at any
-  instant; readers :meth:`~EpochManager.pin` it (one locked refcount
-  increment) and run arbitrary queries against it.  A published buffer is
-  never mutated, so a pinned snapshot stays internally consistent for as
-  long as it is held — that is the whole isolation argument.
-- The single writer applies each committed operation to the authoritative
-  database, then calls :meth:`~EpochManager.publish` with the op records.
-  Publish replays the ops onto a *spare* buffer and atomically swaps it in
-  as the next epoch.  Replay goes through the deterministic dispatcher
-  crash recovery uses, so replica state is bit-identical to the primary,
-  and costs what the ops cost less the parse: an insert replays from the
-  primary's parse (kept beside the op), a whole-segment remove reads no
-  text at all once the replica trusts the document (a clone keeps its
-  source's marks; see DESIGN.md §4, "Removal validation").  Readers
-  arriving after the swap see the new epoch; readers still holding the
-  old one are undisturbed.
-- The previous buffer becomes the next spare once its pin count drains to
-  zero (the RCU grace period).  A reader that holds a pin past
-  ``drain_timeout`` cannot wedge the writer: publish abandons the stuck
-  buffer to its readers and clones a fresh one from the published state
-  (counted in :meth:`metrics` as ``clone_fallbacks``; the stuck reader's
-  pin still counts in ``active_pins`` until it is released).
+- The **published** buffer is what readers :meth:`~EpochManager.pin`
+  (one locked refcount increment) and run arbitrary queries against.  A
+  published buffer is never mutated, so a pinned snapshot stays
+  internally consistent for as long as it is held — that is the whole
+  isolation argument.
+- The **writer** buffer is the authoritative database.  The single
+  writer takes it from :meth:`~EpochManager.writer` before it commits,
+  commits its ops to it (a durable primary journals first, as ever), and
+  calls :meth:`~EpochManager.publish` with the op records, which swaps it
+  in as the next epoch.  The retired buffer becomes the next writer
+  buffer, one publish behind.
+- :meth:`~EpochManager.writer` brings that buffer up to date first: it
+  waits for the pins readers took while it was published to drain (the
+  RCU grace period), then replays the ops it missed through the
+  deterministic dispatcher crash recovery uses — so both buffers hold
+  the same history, bit for bit — at what the ops cost less the parse:
+  an insert replays from the parse kept beside its op, a whole-segment
+  remove reads no text at all once the buffer trusts the document (a
+  clone keeps its source's marks; see DESIGN.md §4, "Removal
+  validation").  A write therefore applies its op twice: once as the
+  commit, once as the next write's catch-up.
+
+A reader that holds a pin past ``drain_timeout`` cannot wedge the
+writer: :meth:`~EpochManager.writer` abandons the stuck buffer to its
+readers and clones a fresh writer buffer from the published one (counted
+in :meth:`~EpochManager.metrics` as ``clone_fallbacks``; the stuck
+reader's pin still counts in ``active_pins`` until it is released).  A
+catch-up replay that fails leaves a buffer nobody can trust; it is
+dropped and cloned the same way (``replica_rebuilds``).  The published
+buffer holds every committed op, so a clone of it is always current.
 
 Writers therefore never block readers, and readers delay the writer only
 by at most one grace-period wait — and never indefinitely.
 
-The epoch discipline is also what lets replicas keep a **warm compiled
-read path** (:mod:`repro.core.readpath`) across publishes: a buffer is
-only mutated while private (op replay on the spare), each replayed op
-bumps exactly the version counters of the structures it touched, and once
-published the buffer is immutable — so compiled push lists, span
-columns and join chunks stay valid for untouched structures from epoch
-to epoch, and
-invalidation cost tracks the op stream, not the database size.
-:meth:`EpochManager.metrics` surfaces the published replica's cache
-hit/miss counters as ``readpath``.
+The epoch discipline is also what lets both buffers keep a **warm
+compiled read path** (:mod:`repro.core.readpath`) across publishes: a
+buffer is only mutated while private (the catch-up and the commit), each
+op names the segments it wrote in the element index's write journal, and
+once published the buffer is immutable — so compiled push lists, span
+columns and memo chunks stay valid for unwritten segments from epoch to
+epoch, and invalidation cost tracks the op stream, not the database
+size.  :meth:`EpochManager.metrics` surfaces the published buffer's
+cache hit/miss counters as ``readpath``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 
 from repro import storage
 from repro.core.database import LazyXMLDatabase
@@ -58,13 +65,12 @@ __all__ = ["EpochManager", "Snapshot"]
 
 
 class _Buffer:
-    """One read replica: a database plus epoch/pin bookkeeping."""
+    """One database plus epoch/pin bookkeeping."""
 
-    __slots__ = ("db", "applied_upto", "epoch", "pins")
+    __slots__ = ("db", "epoch", "pins")
 
-    def __init__(self, db: LazyXMLDatabase, applied_upto: int):
+    def __init__(self, db: LazyXMLDatabase):
         self.db = db
-        self.applied_upto = applied_upto  # absolute index into the op history
         self.epoch = 0
         self.pins = 0
 
@@ -107,35 +113,36 @@ class EpochManager:
     Parameters
     ----------
     seed:
-        The authoritative database's current state; the first published
-        buffer is a clone of it.
+        The authoritative LD database (every loader returns one; an LS
+        buffer would not be query-ready once published).  It becomes the
+        writer buffer as it is; the first published buffer is a clone of
+        it, the one clone a manager makes unless a reader is stuck.
     drain_timeout:
-        Seconds :meth:`publish` waits for the retiring buffer's pins to
-        drain before abandoning it and cloning a fresh replica instead.
-
-    Every buffer is a :func:`repro.storage.clone`, so a replica is a
-    query-ready LD database whatever the seed's mode.
+        Seconds :meth:`writer` waits for the writer buffer's pins to
+        drain before abandoning it and cloning a fresh one instead.
     """
 
     def __init__(self, seed: LazyXMLDatabase, *, drain_timeout: float = 5.0):
         self._drain_timeout = drain_timeout
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
-        # Absolute op history of (op, parse) pairs; ops before _ops_base
-        # have been replayed by every tracked buffer and are dropped.
-        self._ops: deque[tuple[dict, object]] = deque()
-        self._ops_base = 0
-        self._ops_total = 0
-        first = _Buffer(storage.clone(seed), applied_upto=0)
-        self._current: _Buffer | None = first
-        self._spares: deque[_Buffer] = deque()
-        # Buffers publish gave up on, kept until their last pin goes so
-        # `active_pins` still counts the readers that hold them.
+        # Held across a catch-up and a swap, so two callers of writer()
+        # never replay the same op twice.
+        self._writing = threading.Lock()
+        self._writer = _Buffer(seed)
+        self._published = _Buffer(storage.clone(seed))
+        # The (op, parse) pairs the writer buffer has not applied yet:
+        # those of the last publish, which swapped it out.
+        self._owed: list[tuple[dict, object]] = []
+        # Buffers the writer gave up on, kept until their last pin goes
+        # so `active_pins` still counts the readers that hold them.
         self._abandoned: set[_Buffer] = set()
+        self._closed = False
         self._clones = 1
         self._publishes = 0
         self._drain_waits = 0
         self._clone_fallbacks = 0
+        self._rebuilds = 0
 
     # ------------------------------------------------------------------
     # reader side
@@ -143,10 +150,10 @@ class EpochManager:
     def pin(self) -> Snapshot:
         """Pin the currently published epoch; cheap (one locked refcount)."""
         with self._lock:
-            if self._current is None:
+            if self._closed:
                 raise ServiceClosed("epoch manager is closed")
-            self._current.pins += 1
-            return Snapshot(self, self._current)
+            self._published.pins += 1
+            return Snapshot(self, self._published)
 
     def _unpin(self, buffer: _Buffer) -> None:
         with self._lock:
@@ -161,118 +168,134 @@ class EpochManager:
     @property
     def current_epoch(self) -> int:
         with self._lock:
-            if self._current is None:
+            if self._closed:
                 raise ServiceClosed("epoch manager is closed")
-            return self._current.epoch
+            return self._published.epoch
+
+    def writer(self) -> LazyXMLDatabase:
+        """The writer buffer, brought up to date: the authoritative
+        database, to commit to and then :meth:`publish`.
+
+        Waits for the pins readers took while it was published to drain
+        and replays the ops it missed; a no-op once it is current.  Still
+        answers after :meth:`close`, so the final state can be saved.
+        """
+        with self._writing:
+            if self._owed or self._writer.pins:
+                self._catch_up()
+            return self._writer.db
+
+    def writer_ready(self) -> bool:
+        """True when :meth:`writer` would wait for nothing and clone
+        nothing: no reader holds the writer buffer.  Readers pin only the
+        published buffer, so the single writer's answer holds until it
+        publishes."""
+        with self._lock:
+            return self._writer.pins == 0
+
+    def _catch_up(self) -> None:
+        """Under ``_writing``: drain the writer buffer's pins, replay what
+        it owes; a stuck reader or a failed replay costs a clone of the
+        published buffer instead."""
+        buffer: _Buffer | None = self._writer
+        with self._lock:
+            if buffer.pins:
+                self._drain_waits += 1
+                deadline = time.monotonic() + self._drain_timeout
+                while buffer.pins:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        # A stuck reader owns that buffer now; abandon it
+                        # (kept in `_abandoned` until the reader releases).
+                        self._clone_fallbacks += 1
+                        self._abandoned.add(buffer)
+                        buffer = None
+                        break
+                    self._drained.wait(remaining)
+        if buffer is not None:
+            # Private now (no pins, not published).  apply_op is the
+            # recovery dispatcher, so the history matches the published
+            # buffer's exactly.
+            try:
+                for op, parsed in self._owed:
+                    apply_op(buffer.db, op, parsed)
+            except Exception:
+                # The buffer diverged midway (an injected fault): the
+                # ops are committed, so drop it and start from a clone.
+                self._rebuilds += 1
+                buffer = None
+        if buffer is None:
+            # The published buffer is never mutated: reader-safe to clone.
+            buffer = _Buffer(storage.clone(self._published.db))
+            self._clones += 1
+        self._writer = buffer
+        self._owed = []
 
     def publish(self, ops: list[dict], parsed: list | None = None) -> int:
-        """Replay committed ``ops`` onto a spare buffer and swap it in.
+        """Swap in the writer buffer, which has committed ``ops``.
 
         Returns the new epoch number.  Must be called by the (single)
-        writer after the authoritative database has applied ``ops``.
-        Replicas replay from ``parsed``, each op's ``parse_op``, if given.
+        writer after committing ``ops`` to :meth:`writer`'s database; the
+        retired buffer replays them at the next :meth:`writer`, from
+        ``parsed``, each op's ``parse_op``, if given.
         """
-        with self._lock:
-            if self._current is None:
-                raise ServiceClosed("epoch manager is closed")
-            self._ops.extend(zip(ops, parsed or [None] * len(ops)))
-            self._ops_total += len(ops)
-            spare = self._take_spare_locked()
-        if spare is None:
-            spare = self._clone_current()
-        # The spare is private now (zero pins, not published): replay the
-        # ops it has not seen.  apply_op is the recovery dispatcher, so the
-        # replica's history is identical to the primary's.
-        while spare.applied_upto < self._ops_total:
-            apply_op(spare.db, *self._ops_at(spare.applied_upto))
-            spare.applied_upto += 1
-        with self._lock:
-            if self._current is None:
-                raise ServiceClosed("epoch manager is closed")
-            retiring = self._current
-            spare.epoch = retiring.epoch + 1
-            self._current = spare
-            self._spares.append(retiring)
-            self._publishes += 1
-            self._truncate_ops_locked()
-            return spare.epoch
-
-    def spare_ready(self) -> bool:
-        """True when the next :meth:`publish` would wait for nothing: a
-        spare is there and no reader holds it, so neither a drain wait
-        nor a clone is due.  Only publish makes a buffer a spare and
-        readers pin only the current one, so the single writer's answer
-        holds until it publishes."""
-        with self._lock:
-            return bool(self._spares) and self._spares[0].pins == 0
-
-    def _take_spare_locked(self) -> _Buffer | None:
-        """Pop a spare whose readers have drained; None → caller clones."""
-        if not self._spares:
-            return None
-        spare = self._spares.popleft()
-        if spare.pins == 0:
-            return spare
-        self._drain_waits += 1
-        deadline = time.monotonic() + self._drain_timeout
-        while spare.pins:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # A stuck reader owns that buffer now; abandon it (kept
-                # in `_abandoned` until the reader releases) and report
-                # that a fresh clone is needed.
-                self._clone_fallbacks += 1
-                self._abandoned.add(spare)
-                return None
-            self._drained.wait(remaining)
-        return spare
-
-    def _clone_current(self) -> _Buffer:
-        """Build a new buffer from the published state (reader-safe: the
-        published buffer is never mutated)."""
-        with self._lock:
-            if self._current is None:
-                raise ServiceClosed("epoch manager is closed")
-            source = self._current
-        buffer = _Buffer(storage.clone(source.db), applied_upto=source.applied_upto)
-        self._clones += 1
-        return buffer
-
-    def _ops_at(self, index: int) -> tuple[dict, object]:
-        return self._ops[index - self._ops_base]
-
-    def _truncate_ops_locked(self) -> None:
-        tracked = [self._current] + list(self._spares)
-        floor = min(buffer.applied_upto for buffer in tracked)
-        while self._ops_base < floor:
-            self._ops.popleft()
-            self._ops_base += 1
+        with self._writing:
+            if self._owed:
+                raise RuntimeError(
+                    "publish without writer(): ops were committed to a "
+                    "buffer that was not up to date"
+                )
+            with self._lock:
+                if self._closed:
+                    raise ServiceClosed("epoch manager is closed")
+                retiring, buffer = self._published, self._writer
+                buffer.epoch = retiring.epoch + 1
+                self._published, self._writer = buffer, retiring
+                self._publishes += 1
+            self._owed = list(zip(ops, parsed or [None] * len(ops)))
+            return buffer.epoch
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
 
     def close(self) -> None:
-        """Refuse further pins and publishes; outstanding pins stay valid."""
-        with self._lock:
-            self._current = None
-            self._spares.clear()
-            self._ops.clear()
+        """Refuse further pins and publishes; outstanding pins stay valid.
+
+        Unless a reader still holds the writer buffer, it catches up now
+        and the published buffer is let go (a reader holding it keeps
+        it), so a closed store holds one database, the final state.
+        :meth:`writer` returns it still, catching up first if it could
+        not here.
+        """
+        with self._writing:
+            with self._lock:
+                self._closed = True
+                if self._writer.pins or self._published is None:
+                    return
+            self._catch_up()
+            with self._lock:
+                if self._published.pins:
+                    self._abandoned.add(self._published)
+                self._published = None
 
     def metrics(self) -> dict:
         """Counters describing snapshot turnover (shape is part of the
         service's health output)."""
         with self._lock:
-            current = self._current
-            readpath = getattr(current.db, "readpath", None) if current is not None else None
+            published = self._published
             return {
-                "epoch": current.epoch if current is not None else None,
-                "active_pins": (current.pins if current is not None else 0)
-                + sum(buffer.pins for buffer in self._spares)
-                + sum(buffer.pins for buffer in self._abandoned),
+                "epoch": None if self._closed else published.epoch,
+                "active_pins": sum(
+                    buffer.pins
+                    for buffer in {published, self._writer, *self._abandoned}
+                    if buffer is not None
+                ),
                 "publishes": self._publishes,
                 "replica_clones": self._clones,
                 "drain_waits": self._drain_waits,
                 "clone_fallbacks": self._clone_fallbacks,
-                "pending_ops": len(self._ops),
-                "readpath": readpath.stats() if readpath is not None else None,
+                "replica_rebuilds": self._rebuilds,
+                "pending_ops": len(self._owed),
+                "readpath": None if published is None
+                else published.db.readpath.stats(),
             }

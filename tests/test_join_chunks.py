@@ -117,11 +117,12 @@ def assert_memo_is_the_merge(db: LazyXMLDatabase) -> None:
                 assert {d for _, d in got} == set(twig), (tag_a, tag_d, axis)
 
 
-def _epochs(db: LazyXMLDatabase, a: int, b: int, check) -> None:
+def _epochs(db: LazyXMLDatabase, a: int, b: int, check) -> LazyXMLDatabase:
     """Three publishes of an :class:`EpochManager` seeded with ``db``, the
-    published replica ``check``-ed in every epoch.  From the second
-    publish on, the spare replayed onto is a replica that answered an
-    epoch ago: its memo meets two ops' writes at once."""
+    published buffer ``check``-ed in every epoch; returns the writer
+    buffer, caught up.  From the second publish on, the writer buffer is
+    one that answered an epoch ago: its memo meets two ops' writes at once
+    (the catch-up and the commit)."""
     manager = EpochManager(db)
     first = {
         "op": "insert",
@@ -138,6 +139,7 @@ def _epochs(db: LazyXMLDatabase, a: int, b: int, check) -> None:
         # A first insert at a raw offset may be refused: a no-op, and
         # then the last one takes the second back.
         results = []
+        db = manager.writer()
         if refused(db, lambda: results.append(recovery.apply_op(db, op))):
             continue
         if op["op"] == "insert":
@@ -146,6 +148,7 @@ def _epochs(db: LazyXMLDatabase, a: int, b: int, check) -> None:
     with manager.pin() as snap:
         check(snap.db)
     manager.close()
+    return manager.writer()
 
 
 def _replay(mode: str, ops, check=assert_memo_is_the_merge) -> None:
@@ -175,7 +178,7 @@ def _replay(mode: str, ops, check=assert_memo_is_the_merge) -> None:
                 db.remove_segment(db.insert("<z/>").sid)
         elif kind == "epoch":
             db.prepare_for_query()
-            _epochs(db, a, b, check)
+            db = _epochs(db, a, b, check)
         else:
             apply_op(db, kind, a, b)
         db.check_invariants()

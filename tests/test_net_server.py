@@ -180,9 +180,9 @@ class TestProtocolDiscipline:
 
     def test_query_spans_computed_under_the_snapshot_pin(self):
         """Regression: span rows must be built while the read's epoch pin
-        is held.  The moment ``service.read()`` returns, a drained
-        snapshot buffer can be recycled as the publish spare and mutated
-        in place — so this test hands the handler a revocable proxy and
+        is held.  The moment ``service.read()`` returns, a retired
+        snapshot buffer can become the writer buffer and be mutated in
+        place — so this test hands the handler a revocable proxy and
         revokes it the instant the read returns."""
         from repro.net.protocol import SessionState, execute_request
 
@@ -555,17 +555,17 @@ class TestWhereARequestRuns:
                 for cmd, fields in _READS:
                     await client.request(cmd, **fields)
                 assert pool == []
-                # The first write clones the second replica: it moves.
+                # No write clones a buffer: the first runs on the loop too.
                 await client.insert(_WRITE)
                 await client.insert(_WRITE)
                 await client.ping()
                 await client.request("pin")
                 await client.request("unpin")
                 await client.health()
-            assert pool == ["insert", "health"]
+            assert pool == ["health"]
             counters = server.status()["counters"]
             assert counters["loop_reads"] == loop_reads + 4
-            assert (counters["loop_writes"], counters["moved_writes"]) == (1, 1)
+            assert (counters["loop_writes"], counters["moved_writes"]) == (2, 0)
 
         run_server_test(scenario)
 
@@ -682,7 +682,7 @@ class TestWhereARequestRuns:
             monkeypatch.setattr(server_module, "LOOP_BUDGET", budget)
 
             async def scenario(service, server, port):
-                service.insert("<w/>")  # the second replica exists now
+                service.insert("<w/>")  # the writer buffer owes a write now
                 pool = pool_submissions(server)
                 async with await connect("127.0.0.1", port) as client:
                     replies = await _writes(client)
@@ -713,7 +713,7 @@ class TestWhereARequestRuns:
         from repro.service import ServiceConfig
 
         async def scenario(service, server, port):
-            service.insert("<w/>")  # the second replica exists now
+            service.insert("<w/>")  # the writer buffer owes a write now
             held, release = threading.Event(), threading.Event()
 
             def hold():
@@ -754,13 +754,13 @@ class TestWhereARequestRuns:
         ))
 
     def test_write_behind_a_pinned_spare_moves(self):
-        """A session's pin can hold the buffer the next publish must reuse.
-        That write moves instead of holding the loop for the drain wait
+        """A session's pin can hold the buffer the next write must catch
+        up and commit to.  That write moves instead of holding the loop for the drain wait
         while the ``unpin`` that would end it waits behind it."""
         from repro.service import ServiceConfig
 
         async def scenario(service, server, port):
-            service.insert("<w/>")  # the second replica exists now
+            service.insert("<w/>")  # the writer buffer owes a write now
             pool = pool_submissions(server)
             async with await connect("127.0.0.1", port) as reader, \
                     await connect("127.0.0.1", port) as writer:
@@ -768,7 +768,7 @@ class TestWhereARequestRuns:
                 await writer.insert(_WRITE)  # the pinned buffer retires
                 write = asyncio.ensure_future(writer.insert(_WRITE))
                 await asyncio.sleep(0.05)
-                assert not write.done()  # its publish waits for the pin
+                assert not write.done()  # its catch-up waits for the pin
                 assert (await reader.request("unpin"))["unpinned"] is True
                 assert (await write)["sid"] > 0
             assert pool == ["insert", "unpin"]
@@ -814,7 +814,7 @@ class TestWhereARequestRuns:
         from repro.service import ServiceConfig
 
         async def scenario(service, server, port):
-            service.insert("<w/>")  # write 1; the second replica exists now
+            service.insert("<w/>")  # write 1; the writer buffer owes it now
             threads = []
             sample = service.run_maintenance
 
@@ -849,7 +849,7 @@ class TestWhereARequestRuns:
         from repro.storage import dumps
 
         async def scenario(service, server, port):
-            service.insert("<w/>")  # the second replica exists now
+            service.insert("<w/>")  # the writer buffer owes a write now
             stop, rounds = threading.Event(), []
 
             def writer():
@@ -901,8 +901,8 @@ class TestWhereARequestRuns:
         submissions.  Neither end creates a task or arms a timer."""
 
         async def scenario(service, server, port):
-            # Warm, as a served corpus is: one write has made the second
-            # replica (write 1), and the published one holds the memo.
+            # Warm, as a served corpus is: one write (write 1) has swapped
+            # the buffers, and the published one holds the memo.
             service.insert("<w/>")
             with service.snapshot() as snap:
                 snap.db.path_query("user/name")

@@ -68,94 +68,92 @@ def fragmented_db(nested=8):
 
 
 class TestEpochManager:
+    """The manager's seed is its writer buffer: each write takes the
+    buffer from ``writer()`` (caught up), commits to it and publishes."""
+
+    @staticmethod
+    def write(mgr, fragment):
+        from repro.durability.recovery import apply_op
+
+        db = mgr.writer()
+        op = {"op": "insert", "fragment": fragment,
+              "position": db.document_length}
+        apply_op(db, op)
+        return mgr.publish([op])
+
     def test_pin_sees_seed_state(self):
         db = populated_db()
         mgr = EpochManager(db)
+        assert mgr.writer() is db  # the seed is the writer buffer
         with mgr.pin() as snap:
             assert snap.epoch == 0
             assert snap.db.segment_count == db.segment_count
-            assert snap.db is not db  # a replica, not the primary
+            assert snap.db is not db  # a clone, not the writer buffer
 
     def test_publish_advances_epoch(self):
         db = populated_db()
         mgr = EpochManager(db)
-        op = {"op": "insert", "fragment": "<x/>", "position": db.document_length}
-        from repro.durability.recovery import apply_op
-
-        apply_op(db, op)
-        assert mgr.publish([op]) == 1
+        assert self.write(mgr, "<x/>") == 1
         with mgr.pin() as snap:
             assert snap.epoch == 1
-            assert snap.db.document_length == db.document_length
+            assert snap.db is db  # the writer buffer was swapped in
+            assert snap.db.document_length == mgr.writer().document_length
 
     def test_pinned_snapshot_survives_publish(self):
         """The isolation property: a held pin never observes later writes."""
         db = populated_db()
-        mgr = EpochManager(db)
+        mgr = EpochManager(db, drain_timeout=0.01)
         old = mgr.pin()
         before_len = old.db.document_length
-        from repro.durability.recovery import apply_op
-
         for i in range(3):
-            op = {"op": "insert", "fragment": f"<w{i}/>",
-                  "position": db.document_length}
-            apply_op(db, op)
-            mgr.publish([op])
+            self.write(mgr, f"<w{i}/>")
         assert old.db.document_length == before_len
         old.db.check_invariants()
         with mgr.pin() as new:
             assert new.epoch == 3
-            assert new.db.document_length == db.document_length
+            assert new.db.document_length == mgr.writer().document_length
         old.release()
 
     def test_replica_matches_primary_exactly(self):
         from repro.storage import dumps
 
-        db = populated_db()
-        mgr = EpochManager(db)
-        from repro.durability.recovery import apply_op
-
-        op = {"op": "insert", "fragment": "<x><y>z</y></x>",
-              "position": db.document_length}
-        apply_op(db, op)
-        mgr.publish([op])
-        db.prepare_for_query()
+        mgr = EpochManager(populated_db())
+        self.write(mgr, "<x><y>z</y></x>")
         with mgr.pin() as snap:
-            assert dumps(snap.db) == dumps(db)
+            assert dumps(snap.db) == dumps(mgr.writer())
 
     def test_buffers_are_recycled_not_recloned(self):
-        db = populated_db(2)
-        mgr = EpochManager(db)
-        from repro.durability.recovery import apply_op
-
+        mgr = EpochManager(populated_db(2))
         for i in range(6):
-            op = {"op": "insert", "fragment": f"<r{i}/>",
-                  "position": db.document_length}
-            apply_op(db, op)
-            mgr.publish([op])
+            self.write(mgr, f"<r{i}/>")
         metrics = mgr.metrics()
-        # Double buffering: first publish clones the second buffer, the
-        # remaining five recycle via op replay.
+        # Two buffers: the constructor clones the published one, and every
+        # publish after recycles the retired buffer through op replay.
         assert metrics["publishes"] == 6
-        assert metrics["replica_clones"] == 2
-        assert metrics["pending_ops"] <= 2
+        assert metrics["replica_clones"] == 1
+        assert metrics["pending_ops"] == 1  # the last write's, owed
 
     def test_stuck_reader_triggers_clone_fallback(self):
-        db = populated_db(2)
-        mgr = EpochManager(db, drain_timeout=0.01)
-        from repro.durability.recovery import apply_op
-
+        mgr = EpochManager(populated_db(2), drain_timeout=0.01)
         stuck = mgr.pin()  # never released while publishing continues
         for i in range(3):
-            op = {"op": "insert", "fragment": f"<s{i}/>",
-                  "position": db.document_length}
-            apply_op(db, op)
-            mgr.publish([op])
-        assert mgr.metrics()["clone_fallbacks"] >= 1
+            self.write(mgr, f"<s{i}/>")
+        assert mgr.metrics()["clone_fallbacks"] == 1
         stuck.db.check_invariants()  # abandoned buffer still consistent
         assert mgr.metrics()["active_pins"] == 1  # its pin still counts
         stuck.release()
         assert mgr.metrics()["active_pins"] == 0
+
+    def test_publish_needs_a_caught_up_writer(self):
+        from repro.durability.recovery import apply_op
+
+        db = populated_db(1)
+        mgr = EpochManager(db)
+        self.write(mgr, "<a/>")
+        op = {"op": "insert", "fragment": "<b/>", "position": 0}
+        apply_op(db, op)  # db is published now, and nobody asked writer()
+        with pytest.raises(RuntimeError, match="writer"):
+            mgr.publish([op])
 
     def test_closed_manager_refuses_pins(self):
         mgr = EpochManager(populated_db(1))
@@ -672,6 +670,26 @@ class TestCLIErrorHandling:
         captured = capsys.readouterr()
         assert "ok " in captured.out
         assert "serving" in captured.err
+
+    @pytest.mark.parametrize("inserts", [3, 4])
+    def test_serve_saves_every_write_at_eof(
+        self, tmp_path, capsys, monkeypatch, inserts
+    ):
+        """The save on exit writes the service's state: after an even
+        number of writes the database loaded from the file is the writer
+        buffer, a write behind."""
+        from repro.__main__ import main
+        from repro.storage import load, save
+
+        path = tmp_path / "db.json"
+        save(populated_db(1), path)
+        before = load(path).text
+        fragments = [f"<w{i}/>" for i in range(inserts)]
+        lines = "".join(f"insert end {fragment}\n" for fragment in fragments)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))  # then EOF
+        assert main(["serve", str(path)]) == 0
+        assert capsys.readouterr().out.count("ok inserted") == inserts
+        assert load(path).text == before + "".join(fragments)
 
     @pytest.mark.parametrize(
         "argv",

@@ -137,11 +137,17 @@ class TestDrillBreakerDegradation:
         )
         return svc, clock
 
-    def inject_compact_failure(self, svc):
+    @pytest.fixture(autouse=True)
+    def inject_compact_failure(self, monkeypatch):
+        """Every compact fails, on whichever buffer is the writer's (the
+        class, not one buffer: the two epoch buffers take turns), until
+        the test calls ``self.heal()``."""
+
         def broken_compact(*_a, **_k):
             raise RuntimeError("injected maintenance fault")
 
-        svc._base.compact = broken_compact  # plain primary: apply_op hits this
+        monkeypatch.setattr(LazyXMLDatabase, "compact", broken_compact)
+        self.heal = monkeypatch.undo
 
     def grow_until_degraded(self, svc, attempts=12):
         """Hot-insert until degradation sheds a write; return insert count."""
@@ -156,7 +162,6 @@ class TestDrillBreakerDegradation:
 
     def test_breaker_opens_and_reads_continue(self):
         svc, clock = self.build()
-        self.inject_compact_failure(svc)
         # grow nested segments past the bound; each write samples pressure
         # and attempts the (broken) compact until the breaker opens, after
         # which degraded mode sheds the next write
@@ -176,11 +181,10 @@ class TestDrillBreakerDegradation:
 
     def test_breaker_half_open_probe_recovers(self):
         svc, clock = self.build()
-        self.inject_compact_failure(svc)
         self.grow_until_degraded(svc)
         assert svc.health()["breaker"]["state"] == "open"
         # fault clears, reset timeout elapses: next maintenance probe heals
-        del svc._base.compact  # restore the real bound method
+        self.heal()
         clock.advance(30.0)
         report = svc.run_maintenance()
         assert svc.health()["breaker"]["state"] == "closed"
@@ -194,7 +198,6 @@ class TestDrillBreakerDegradation:
 
     def test_open_breaker_refuses_manual_maintenance(self):
         svc, clock = self.build()
-        self.inject_compact_failure(svc)
         self.grow_until_degraded(svc)
         with pytest.raises(CircuitOpenError):
             svc.compact()
@@ -306,3 +309,97 @@ class TestConcurrentStress:
         assert_join_matches_oracle(db, "stress", "val")
         second = (db.document_length, db.segment_count)
         return first, second
+
+
+class TestDrillEpochHandOff:
+    """The buffer a publish retires is the next writer buffer: a reader
+    still on it delays or reroutes the next write, never blocks it and
+    never sees it change."""
+
+    def test_session_pin_held_across_writes(self):
+        from repro.service.commands import SessionState, execute_request
+
+        svc = service_with_docs(3, pressure_check_every=0, drain_timeout=0.05)
+        svc.insert("<warm/>")
+        session = SessionState(1)
+        execute_request(svc, session, {"cmd": "pin"})
+        pinned = session.pinned
+        expected = dumps(pinned.db)
+        for i in range(20):
+            # Write 1 retires the pinned buffer; write 2 finds it still
+            # pinned past the drain timeout and clones the published one.
+            assert svc.insert(f"<w{i}/>").sid > 0
+            assert dumps(pinned.db) == expected
+            assert svc.health()["epochs"]["active_pins"] == 1
+        execute_request(svc, session, {"cmd": "unpin"})
+        epochs = svc.health()["epochs"]
+        assert (epochs["clone_fallbacks"], epochs["replica_clones"]) == (1, 2)
+        assert epochs["active_pins"] == 0
+        with svc.snapshot() as snap:
+            assert snap.epoch == 21
+            assert snap.db.text.endswith("".join(f"<w{i}/>" for i in range(20)))
+            assert dumps(snap.db) == dumps(svc.primary)
+        svc.close()
+
+    def test_failed_catch_up_rebuilds_the_writer_buffer(self, monkeypatch):
+        import repro.service.snapshot as snapshot_module
+
+        svc = service_with_docs(3, pressure_check_every=0)
+        svc.insert("<before/>")  # the writer buffer owes this insert
+        real_apply = snapshot_module.apply_op
+
+        def diverge(db, op, parsed=None):
+            monkeypatch.setattr(snapshot_module, "apply_op", real_apply)
+            raise RuntimeError("injected replay fault")
+
+        monkeypatch.setattr(snapshot_module, "apply_op", diverge)
+        assert svc.insert("<during/>").sid > 0
+        assert svc.insert("<after/>").sid > 0
+        epochs = svc.health()["epochs"]
+        assert (epochs["replica_rebuilds"], epochs["replica_clones"]) == (1, 2)
+        with svc.snapshot() as snap:
+            assert snap.db.text.endswith("<before/><during/><after/>")
+            assert dumps(snap.db) == dumps(svc.primary)
+            snap.db.check_invariants()
+        svc.close()
+
+    def test_health_reads_a_published_epoch(self, rng):
+        svc = service_with_docs(3, pressure_check_every=0)
+        stop = threading.Event()
+        seen: set[tuple] = set()
+        failures: list[str] = []
+
+        def triple(payload) -> tuple:
+            return (payload["segments"], payload["elements"],
+                    payload["document_length"])
+
+        def poll():
+            while not stop.is_set():
+                try:
+                    seen.add(triple(svc.health()))
+                except Exception as exc:  # pragma: no cover - fail the test
+                    failures.append(f"{type(exc).__name__}: {exc}")
+                    return
+
+        def published() -> tuple:
+            with svc.snapshot() as snap:
+                db = snap.db
+                return db.segment_count, db.element_count, db.document_length
+
+        epochs = {published()}
+        poller = threading.Thread(target=poll, name="health-poller")
+        poller.start()
+        sids: list[int] = []
+        try:
+            for step in range(200):
+                if sids and rng.random() < 0.4:
+                    svc.remove_segment(sids.pop(rng.randrange(len(sids))))
+                else:
+                    sids.append(svc.insert(f"<s><v>{step}</v></s>").sid)
+                epochs.add(published())
+        finally:
+            stop.set()
+            poller.join(timeout=30.0)
+        assert failures == []
+        assert seen and seen <= epochs
+        svc.close()

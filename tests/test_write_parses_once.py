@@ -2,9 +2,10 @@
 
 The lazy insert of the paper costs one parse of the new segment plus local
 labels (Section 3.3).  Every write path that wraps the core — the journal's
-validate → journal → apply, recovery, batches, and the service's epoch
-replicas — hands the parse that checked a fragment on to every database
-that applies it.  Counted by wrapping :func:`repro.xml.parser.parse`.
+validate → journal → apply, recovery, batches, replication, and the
+service's epoch buffers — hands the parse that checked a fragment on to
+every database that applies it.  Counted by wrapping
+:func:`repro.xml.parser.parse`.
 And that one parse builds no tree: no write path constructs an
 :class:`~repro.xml.model.XMLElement`.
 """
@@ -56,6 +57,21 @@ def _service(primary) -> DatabaseService:
     return DatabaseService(primary, config=ServiceConfig(pressure_check_every=0))
 
 
+def _served(kind, tmp_path, followers=1) -> DatabaseService:
+    if kind == "replicated":
+        from repro.replication import ReplicationCluster
+
+        cluster = ReplicationCluster(tmp_path / "cluster", followers)
+        cluster.insert(DOC)
+        return DatabaseService(
+            None, config=ServiceConfig(pressure_check_every=0),
+            replication=cluster,
+        )
+    primary = DurableDatabase(tmp_path) if kind == "durable" else LazyXMLDatabase()
+    primary.insert(DOC)
+    return _service(primary)
+
+
 @pytest.mark.perf_smoke
 def test_bare_writes_parse_once(parses):
     db = LazyXMLDatabase()
@@ -79,11 +95,11 @@ def test_durable_writes_and_recovery_parse_once(parses, tmp_path):
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
-def test_served_writes_parse_once(parses, tmp_path, durable):
-    primary = DurableDatabase(tmp_path) if durable else LazyXMLDatabase()
-    primary.insert(DOC)
-    with _service(primary) as svc:
+@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
+def test_served_writes_parse_once(parses, tmp_path, kind):
+    # A cluster with no follower: a follower parses the records it is
+    # shipped, as recovery does.
+    with _served(kind, tmp_path, followers=0) as svc:
         # Steady state: both epoch buffers have replayed a write already.
         svc.remove_segment(svc.insert(FRAGMENT).sid)
         receipt = []
@@ -91,7 +107,69 @@ def test_served_writes_parse_once(parses, tmp_path, durable):
         assert _count(parses, lambda: svc.remove_segment(receipt[0].sid)) == 0
         assert _count(parses, lambda: svc.apply_batch(BATCH)) == 4
         with svc.snapshot() as snap:
-            assert snap.db.text == primary.text
+            assert snap.db.text == svc.primary.text
+
+
+# ----------------------------------------------------------------------
+# A served write applies its op twice: the commit to the writer buffer,
+# and the catch-up of the buffer that publish retired, at the next write.
+
+@pytest.fixture
+def applies(monkeypatch):
+    """A list that gains the database of every top-level ``apply_op``
+    call (a batch is one call) the service, the journal or the epoch
+    store makes."""
+    import repro.durability.database as durable_module
+    import repro.service.server as server_module
+    import repro.service.snapshot as snapshot_module
+
+    calls: list = []
+    for module in (durable_module, server_module, snapshot_module):
+        def counted(db, op, parsed=None, _real=module.apply_op):
+            calls.append(db)
+            return _real(db, op, parsed)
+
+        monkeypatch.setattr(module, "apply_op", counted)
+    return calls
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
+def test_served_writes_apply_twice(applies, tmp_path, kind):
+    """Steady state, each write applies 2 ops to the primary's database:
+    its own commit and the previous write's catch-up.  (Before the writer
+    buffer was the primary: 3, 3 and 5.)  A follower costs 2 as well."""
+    with _served(kind, tmp_path) as svc:
+        svc.insert(FRAGMENT)  # the writer buffer owes a write from now on
+        receipt = []
+        writes = [
+            lambda: receipt.append(svc.insert(FRAGMENT)),
+            lambda: svc.remove_segment(receipt[0].sid),
+            lambda: svc.apply_batch(BATCH),
+            lambda: svc.insert(FRAGMENT),
+        ]
+        counts = []
+        for write in writes:
+            applies.clear()
+            write()
+            counts.append(list(applies))
+        with svc.snapshot() as snap:
+            primary = {id(svc._base), id(snap.db)}  # its two buffers
+        for dbs in counts:
+            mine = sum(id(db) in primary for db in dbs)
+            assert mine == 2, kind
+            assert len(dbs) - mine == (2 if kind == "replicated" else 0)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
+def test_epoch_store_clones_once(tmp_path, kind):
+    with _served(kind, tmp_path) as svc:
+        for i in range(25):
+            svc.remove_segment(svc.insert(FRAGMENT).sid)
+        epochs = svc.health()["epochs"]
+        assert epochs["publishes"] >= 50
+        assert (epochs["replica_clones"], epochs["clone_fallbacks"]) == (1, 0)
 
 
 @pytest.fixture
@@ -135,7 +213,8 @@ def test_no_write_path_builds_a_tree(trees, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Replicas replay from the primary's parse: parity over a seeded history.
+# The catch-up replays from the primary's parse: parity over a seeded
+# history.
 
 _FRAGMENTS = ("<a><b>x</b></a>", "<a><c/><b>y</b></a>", "<b/>")
 
@@ -198,24 +277,28 @@ def test_replicas_replayed_from_the_primary_parse_match_it(tmp_path, durable, se
     rng.shuffle(kinds)
     primary = DurableDatabase(tmp_path) if durable else LazyXMLDatabase()
     primary.insert(DOC)
-    base = getattr(primary, "db", primary)
     sids: list[int] = []
     made = set()
+
+    def base():
+        """The writer buffer, caught up: the authoritative database."""
+        return getattr(svc.primary, "db", svc.primary)
+
     with _service(primary) as svc:
         for kind in kinds:
             publishes = svc.health()["epochs"]["publishes"]
-            kind = _write(rng, svc, base, sids, kind)
+            kind = _write(rng, svc, base(), sids, kind)
             made.add(kind)
             # A refused write publishes nothing; any other publishes once.
             assert svc.health()["epochs"]["publishes"] == publishes + (
                 kind != "refused"
             )
-            base.check_invariants()
-            # Each buffer is pinned in turn: the spare that was a write
-            # behind replays the previous op and this one, both from the
-            # primary's parses.
+            # Each buffer is published in turn: the writer buffer, a
+            # write behind, replays the previous op from the primary's
+            # parse, then commits this one.
             with svc.snapshot() as snap:
-                assert dumps(snap.db) == dumps(base)
+                base().check_invariants()
+                assert dumps(snap.db) == dumps(base())
                 snap.db.check_invariants()
     assert made == set(_KINDS)
 
@@ -264,9 +347,9 @@ def test_append_queued_behind_a_remove_lands_at_the_end_it_finds():
         assert not remover.is_alive() and not appender.is_alive()
         assert "error" not in outcome, outcome.get("error")
         assert outcome["removed"].elements_removed == 3
-        assert primary.text == DOC + "<tail/>"
+        assert svc.primary.text == DOC + "<tail/>"
         with svc.snapshot() as snap:
-            assert snap.db.text == primary.text
+            assert snap.db.text == svc.primary.text
 
 
 def test_served_durable_writes_journal_what_direct_writes_do(tmp_path):
