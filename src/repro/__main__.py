@@ -2,10 +2,8 @@
 
 TARGET is a snapshot file or a durable directory, and the target itself
 says which: a directory is durable (write-ahead journal + atomic
-checkpoints, :mod:`repro.durability`), a directory holding
-``manifest.json`` is sharded (per-shard journals + a coordinated
-checkpoint, :mod:`repro.shard`), and anything else is a snapshot file
-(:mod:`repro.storage`).
+checkpoints, :mod:`repro.durability`), and anything else is a snapshot
+file (:mod:`repro.storage`).
 
 **Table verbs.**  Every verb of the service's table
 (:data:`repro.service.commands.COMMANDS`) is a subcommand, and the CLI is
@@ -32,18 +30,17 @@ other usage error; any other refusal is exit 1.
 **Commands with no verb:**
 
     python -m repro load doc.xml --db db.json --segments 20 --shape balanced
-    python -m repro load doc.xml --durable state/ [--shards 4]
+    python -m repro load doc.xml --durable state/
     python -m repro dump db.json            # print the document text
-    python -m repro checkpoint state/       # fold the journals into a checkpoint
+    python -m repro checkpoint state/       # fold the journal into a checkpoint
     python -m repro fsck state/             # read-only check: exit 0 ok, 1 corrupt
-    python -m repro serve state/ [--tcp HOST:PORT] [--executor inprocess]
-    python -m repro serve db.json --shards 4   # partition a snapshot at startup
+    python -m repro serve state/ [--tcp HOST:PORT]
 
 ``serve`` runs the verb table over stdin/stdout (or framed TCP) for a
-whole session; a sharded directory brings its topology from its manifest.
+whole session.
 
-**Replication** (:mod:`repro.replication`): ``serve --replicas N`` on an
-unsharded durable directory streams every committed journal record to N
+**Replication** (:mod:`repro.replication`): ``serve --replicas N`` on a
+durable directory streams every committed journal record to N
 follower directories under ``<dir>/replicas/``.  Offline, ``repl-status``
 and ``promote`` inspect and fail over a cluster that is not being served;
 they read manifests without opening a node, and they shadow the table
@@ -137,17 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument("--segments", type=_POSITIVE, default=1)
     cmd.add_argument("--shape", choices=["balanced", "nested"], default="balanced")
-    cmd.add_argument(
-        "--shards", type=_POSITIVE, default=1,
-        help="partition into N shards (requires --durable; creates "
-        "per-shard WALs and a coordinated checkpoint manifest)",
-    )
     cmd.set_defaults(run=_cmd_load)
 
     for name, run, text in (
         ("dump", _cmd_dump, "print the document text"),
         ("checkpoint", _cmd_checkpoint,
-         "fold a durable directory's journals into its checkpoint"),
+         "fold a durable directory's journal into its checkpoint"),
         ("fsck", _cmd_fsck,
          "verify a snapshot file or durable directory (read-only)"),
         ("repl-status", _cmd_repl_status,
@@ -201,19 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="pressure bound: ER-tree depth",
     )
     cmd.add_argument(
-        "--shards", type=_POSITIVE, default=None,
-        help="partition a snapshot into N shards at startup (a sharded "
-        "durable directory is detected from its manifest instead)",
-    )
-    cmd.add_argument(
-        "--executor", choices=["process", "inprocess"], default="process",
-        help="sharded query execution: persistent worker processes "
-        "(default) or in-process on the coordinator",
-    )
-    cmd.add_argument(
         "--replicas", type=_COUNT, default=0,
         help="replicate every committed record to N follower directories "
-        "under <target>/replicas/ (requires an unsharded durable directory)",
+        "under <target>/replicas/ (requires a durable directory)",
     )
     cmd.add_argument(
         "--tcp", metavar="HOST:PORT", default=None,
@@ -252,19 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sharded(target: Path) -> bool:
-    """A directory holding a coordinated-checkpoint manifest is sharded."""
-    return (target / "manifest.json").exists()
-
-
-def _open(target: Path, executor: str = "inprocess"):
-    """The database TARGET names: a directory is durable — sharded when it
-    holds a shard manifest — and anything else is a snapshot file."""
+def _open(target: Path):
+    """The database TARGET names: a directory is durable, and anything
+    else is a snapshot file."""
     if target.is_dir():
-        if _sharded(target):
-            from repro.shard.durable import ShardedDurableDatabase
-
-            return ShardedDurableDatabase(target, executor=executor)
         return DurableDatabase(target)
     if not target.is_file():
         raise OSError(
@@ -313,31 +286,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the resilient service shell over stdin/stdout."""
     from repro.service import PressureThresholds, ServiceConfig
     from repro.service.shell import ServiceShell
-    from repro.shard.database import ShardedDatabase
 
-    db = _open(args.target, args.executor)
+    db = _open(args.target)
     snapshot = not args.target.is_dir()
-    if isinstance(db, ShardedDatabase):
-        if args.shards is not None and db.n_shards != args.shards:
-            db.close()
-            raise ReproError(
-                f"--shards {args.shards} conflicts with the sharded "
-                f"directory's manifest ({db.n_shards} shards)"
-            )
-    elif args.shards is not None and args.shards > 1:
-        # Partition the snapshot at startup; writes stay in memory (the
-        # snapshot file is not rewritten from the sharded copy).
-        db = ShardedDatabase.from_database(db, args.shards, executor=args.executor)
-        snapshot = False
-
     replication = None
     if args.replicas:
         from repro.replication import ReplicationCluster
 
-        if not isinstance(db, DurableDatabase):
-            raise ReproError(
-                "serve --replicas requires an unsharded durable directory"
-            )
+        if snapshot:
+            raise ReproError("serve --replicas requires a durable directory")
         # The cluster owns the durable handle; reopen the directory as the
         # primary node (node 0) with followers under <target>/replicas/.
         db.close()
@@ -359,12 +316,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.maintenance_interval > 0:
         service.start_maintenance(args.maintenance_interval)
     health = service.health()
-    sharding = (
-        f", {health['shards']['count']} shard(s) "
-        f"[{health['shards']['executor']} executor]"
-        if "shards" in health
-        else ""
-    )
     replicas = (
         f", {len(health['replication']['nodes']) - 1} replica(s) "
         f"at term {health['replication']['term']}"
@@ -375,7 +326,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"serving {health['segments']} segment(s), "
         f"{health['elements']} element(s) "
         f"[{'durable' if health['durable'] else 'snapshot'} mode]"
-        f"{sharding}{replicas}; "
+        f"{replicas}; "
         "type 'help' for commands",
         file=sys.stderr,
     )
@@ -446,26 +397,19 @@ def _cmd_load(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise OSError(f"{str(args.xml_file)!r} is not UTF-8 text: {exc}") from exc
     if args.durable is None:
-        if args.shards > 1:
-            raise ReproError("load --shards requires --durable DIR")
         db, where = LazyXMLDatabase(), f"snapshot: {args.db}"
     else:
         from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME
-        from repro.shard.durable import MANIFEST_NAME, ShardedDurableDatabase
 
-        for name in (CHECKPOINT_NAME, JOURNAL_NAME, MANIFEST_NAME):
+        for name in (CHECKPOINT_NAME, JOURNAL_NAME):
             existing = args.durable / name
             if existing.exists() and existing.stat().st_size:
                 raise ReproError(
                     f"refusing to load into non-empty durable directory "
                     f"({existing} exists)"
                 )
-        if args.shards > 1:
-            db = ShardedDurableDatabase(args.durable, args.shards)
-            where = f"sharded durable dir ({args.shards} shards): {args.durable}"
-        else:
-            db = DurableDatabase(args.durable)
-            where = f"durable dir: {args.durable}"
+        db = DurableDatabase(args.durable)
+        where = f"durable dir: {args.durable}"
     if args.segments <= 1:
         db.insert(text)
     else:
@@ -509,24 +453,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     """Verify a snapshot file or durable directory; non-zero on corruption."""
     target = args.target
     try:
-        if target.is_dir() and _sharded(target):
-            from repro.shard.durable import ShardedDurableDatabase
-
-            db = ShardedDurableDatabase(target)
-            reports = db.recovery_reports()
-            detail = (
-                f"sharded ({db.n_shards} shards, epoch {db.epoch}); "
-                + "; ".join(
-                    f"shard {i}: {r.describe()}" for i, r in enumerate(reports)
-                )
-            )
-            if any(r.torn_tail for r in reports):
-                print(
-                    "fsck: note: torn final journal record discarded",
-                    file=sys.stderr,
-                )
-            db.close()
-        elif target.is_dir():
+        if target.is_dir():
             from repro.durability.recovery import recover
 
             db, report = recover(target)

@@ -33,30 +33,23 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def write_checkpoint(db: LazyXMLDatabase, path: str | Path, last_seq: int) -> int:
-    """Atomically write a checkpoint of ``db`` covering journal ``last_seq``.
-
-    Returns the payload's crc32 — the coordinated shard checkpoint records
-    it in its manifest so recovery can prove every shard checkpoint
-    belongs to the same epoch.
-    """
+def write_checkpoint(db: LazyXMLDatabase, path: str | Path, last_seq: int) -> None:
+    """Atomically write a checkpoint of ``db`` covering journal ``last_seq``."""
     from repro.storage import dumps
 
     payload = dumps(db)
-    crc = zlib.crc32(payload.encode("utf-8"))
     envelope = json.dumps(
         {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "last_seq": last_seq,
-            "crc32": crc,
+            "crc32": zlib.crc32(payload.encode("utf-8")),
             "payload": payload,
         }
     )
     hooks.fire("checkpoint.before_write")
     atomic_write_text(path, envelope)
     hooks.fire("checkpoint.after_write")
-    return crc
 
 
 def read_checkpoint(path: str | Path) -> tuple[LazyXMLDatabase, int]:

@@ -61,24 +61,11 @@ class DurableDatabase:
         behind the caller's back.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        checkpoint_name: str = CHECKPOINT_NAME,
-        sid_start: int = 1,
-        sid_stride: int = 1,
-    ):
+    def __init__(self, directory: str | Path):
         self._epochs = None
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._checkpoint_name = checkpoint_name
-        self._db, self.recovery_report = recover(
-            self.directory,
-            checkpoint_name=checkpoint_name,
-            sid_start=sid_start,
-            sid_stride=sid_stride,
-        )
+        self._db, self.recovery_report = recover(self.directory)
         self._last_seq = self.recovery_report.last_seq
         self._checkpoint_seq = self.recovery_report.checkpoint_seq
         journal_path = self.directory / JOURNAL_NAME
@@ -96,7 +83,6 @@ class DurableDatabase:
         if not journal_existed:
             fsync_directory(self.directory)
         self._poisoned: str | None = None
-        self._deferred: list[dict] | None = None
 
     @property
     def db(self):
@@ -163,7 +149,7 @@ class DurableDatabase:
     @property
     def checkpoint_path(self) -> Path:
         """Path of the current checkpoint file (for replica full resync)."""
-        return self.directory / self._checkpoint_name
+        return self.directory / CHECKPOINT_NAME
 
     def _commit(self, op: dict, parsed=None):
         """Validate → journal → apply ``op``, from ``parse_op(op)`` if given."""
@@ -174,14 +160,6 @@ class DurableDatabase:
             )
         db = self.db
         parsed = validate_op(db, op, parsed)
-        if self._deferred is not None:
-            # Deferred journaling (the sharded coordinator's batching
-            # hook): apply now — later ops' routing depends on this op's
-            # effects — and buffer the record; the journal write happens
-            # once, at :meth:`flush_deferred`.
-            result = apply_op(db, op, parsed)
-            self._deferred.append(dict(op))
-            return result
         seq = self._last_seq + 1
         try:
             self._journal.append(seq, op)
@@ -196,28 +174,7 @@ class DurableDatabase:
 
     def checkpoint(self) -> None:
         """Fold the journal into an atomic snapshot, then truncate it."""
-        write_checkpoint(
-            self.db, self.directory / self._checkpoint_name, self._last_seq
-        )
-        self._checkpoint_seq = self._last_seq
-        self._journal.truncate()
-        hooks.fire("checkpoint.after_truncate")
-
-    def export_checkpoint(self, name: str) -> int:
-        """Phase 1 of a coordinated checkpoint: write a snapshot under
-        ``name`` *without* truncating the journal; returns its crc32.
-
-        The journal keeps covering every committed op until
-        :meth:`confirm_checkpoint`, so a crash before the coordinator's
-        manifest swap loses nothing — the old epoch stays recoverable.
-        """
-        crc = write_checkpoint(self.db, self.directory / name, self._last_seq)
-        self._checkpoint_name = name
-        return crc
-
-    def confirm_checkpoint(self) -> None:
-        """Phase 2 of a coordinated checkpoint: the manifest now names the
-        new epoch, so the journal (folded into it) can be truncated."""
+        write_checkpoint(self.db, self.checkpoint_path, self._last_seq)
         self._checkpoint_seq = self._last_seq
         self._journal.truncate()
         hooks.fire("checkpoint.after_truncate")
@@ -274,65 +231,6 @@ class DurableDatabase:
         return self._commit(
             {"op": "batch", "ops": [dict(sub) for sub in ops]}
         )
-
-    # ------------------------------------------------------------------
-    # deferred journaling (the sharded coordinator's batching hook)
-
-    def begin_deferred(self) -> None:
-        """Buffer subsequent commits instead of journaling them per op.
-
-        Each commit still validates and applies immediately (later ops may
-        depend on its effects); the journal write is deferred until
-        :meth:`flush_deferred` appends the whole buffer as **one** batch
-        record with one fsync.  Until that flush the buffered ops are
-        applied in memory but not durable — callers must not acknowledge
-        them before flushing.
-        """
-        self._deferred = []
-
-    def suspend_deferred(self) -> None:
-        """Journal per op again until :meth:`resume_deferred`.
-
-        Only legal with an empty buffer (flush first): the sharded
-        coordinator uses this for document-map-changing ops, whose meta
-        record predicts the exact next journal seq.
-        """
-        if self._deferred:
-            raise JournalError(
-                "cannot suspend deferred journaling with buffered ops; "
-                "flush first"
-            )
-        self._deferred = None
-
-    def resume_deferred(self) -> None:
-        """Re-enter deferred journaling after :meth:`suspend_deferred`."""
-        self._deferred = []
-
-    def flush_deferred(self, *, end: bool = False) -> None:
-        """Append the buffered ops as one batch journal record (one fsync).
-
-        The buffered ops are already applied in memory, so the record is
-        journaled *without* re-applying.  ``end=True`` also leaves
-        deferred mode.  An append failure poisons the handle exactly like
-        a per-op commit: the applied-but-unjournaled suffix can no longer
-        be proven durable through this handle.
-        """
-        ops = self._deferred or []
-        self._deferred = None if end else []
-        if not ops:
-            return
-        if self._poisoned is not None:
-            raise JournalError(
-                f"database is read-only after a journal failure "
-                f"({self._poisoned}); reopen {self.directory} to recover"
-            )
-        seq = self._last_seq + 1
-        try:
-            self._journal.append(seq, {"op": "batch", "ops": ops})
-        except Exception as exc:
-            self._poisoned = f"append of seq {seq} failed: {exc}"
-            raise
-        self._last_seq = seq
 
     # ------------------------------------------------------------------
     # read-side delegation

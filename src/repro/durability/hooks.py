@@ -46,10 +46,6 @@ FAILPOINT_NAMES = frozenset(
         "checkpoint.before_write",
         "checkpoint.after_write",  # checkpoint durable, journal not truncated
         "checkpoint.after_truncate",
-        # Sharded coordinated checkpoint: the manifest replace is the commit
-        # point of the two-phase protocol (fired only by sharded sessions).
-        "manifest.before_write",  # phase-1 snapshots durable, manifest old
-        "manifest.after_write",  # manifest names the new epoch, journals untruncated
         # Batched apply: the batch record is already durable (the journal
         # fsync is the single commit point), these bracket the in-memory
         # application of its sub-ops.  A crash at any of them must recover

@@ -28,7 +28,6 @@ from pathlib import Path
 
 from repro.core.database import LazyXMLDatabase
 from repro.core.maintenance import require_repackable
-from repro.core.segment import DUMMY_ROOT_SID
 from repro.durability import hooks
 from repro.durability.checkpoint import read_checkpoint
 from repro.durability.wal import JournalScan, read_journal
@@ -54,6 +53,10 @@ __all__ = [
 
 CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "journal.wal"
+
+#: What an older version wrote at the top of a directory it split into
+#: several databases; :func:`recover` refuses such a directory.
+MANIFEST_NAME = "manifest.json"
 
 #: Operation kinds a journal record may carry as a single record.
 OP_KINDS = ("insert", "remove", "remove_segment", "repack", "compact")
@@ -146,9 +149,9 @@ def validate_batch_ops(ops, doc_len: int, parsed=None) -> list:
     order, so later bounds depend on earlier effects).  Checks that need
     state only the application produces (sids minted mid-batch,
     repackability after an earlier sub-op) run at apply time, where a
-    failing sub-op is skipped identically live and in replay.  Shared with
-    the sharded coordinator (its virtual document length), so a malformed
-    batch is rejected *whole* at every layer.  Returns ``parsed``, or the
+    failing sub-op is skipped identically live and in replay.  Every layer
+    that takes a batch runs these checks first, so a malformed batch is
+    rejected *whole*.  Returns ``parsed``, or the
     sub-ops' parses made here (:func:`parse_op`)."""
     if not isinstance(ops, list) or not ops:
         raise RecoveryError("batch record must carry a non-empty ops list")
@@ -263,35 +266,33 @@ def apply_op(db: LazyXMLDatabase, op: dict, parsed=None):
     raise RecoveryError(f"unknown journal operation {kind!r}")
 
 
-def recover(
-    directory: str | Path,
-    *,
-    checkpoint_name: str = CHECKPOINT_NAME,
-    sid_start: int = 1,
-    sid_stride: int = 1,
-) -> tuple[LazyXMLDatabase, RecoveryReport]:
+def recover(directory: str | Path) -> tuple[LazyXMLDatabase, RecoveryReport]:
     """Reconstruct the database stored in ``directory``.
 
     The result is a query-ready LD database: the checkpoint's
     (:func:`repro.storage.loads` builds LD whatever mode it names), or a
-    fresh one when there is none yet.  An existing
-    checkpoint carries its own sid namespace; ``sid_start``/``sid_stride``
-    seed it for fresh shard databases.  ``checkpoint_name`` lets the sharded
-    coordinated-checkpoint layer use epoch-named checkpoint files.
+    fresh one when there is none yet.
     Raises :class:`RecoveryError` (via :class:`CheckpointError`) when the
     checkpoint itself is corrupt — losing the base state is not a condition
-    replay can paper over — and on post-replay invariant violations.
+    replay can paper over — on post-replay invariant violations, and on a
+    directory an older version wrote as several databases (it holds
+    :data:`MANIFEST_NAME`), which this one neither reads nor overwrites.
     """
     directory = Path(directory)
+    if (directory / MANIFEST_NAME).exists():
+        raise RecoveryError(
+            f"{directory} holds {MANIFEST_NAME}: it was written as a sharded "
+            "directory, and this version serves one database"
+        )
     report = RecoveryReport(directory=str(directory))
-    checkpoint_path = directory / checkpoint_name
+    checkpoint_path = directory / CHECKPOINT_NAME
     if checkpoint_path.exists():
         db, last_seq = read_checkpoint(checkpoint_path)
         report.checkpoint_found = True
         report.checkpoint_seq = last_seq
         report.last_seq = last_seq
     else:
-        db = LazyXMLDatabase(sid_start=sid_start, sid_stride=sid_stride)
+        db = LazyXMLDatabase()
     scan: JournalScan = read_journal(directory / JOURNAL_NAME)
     report.torn_tail = scan.torn_tail
     report.journal_valid_bytes = scan.valid_bytes

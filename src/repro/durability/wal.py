@@ -28,7 +28,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from time import perf_counter
 
@@ -183,11 +183,6 @@ class Journal:
         else:
             os.fsync(fd)
         hooks.fire("wal.append.after_fsync")
-
-    def append_all(self, records: Iterable[tuple[int, dict]]) -> None:
-        """Append several ``(seq, op)`` records (each individually durable)."""
-        for seq, op in records:
-            self.append(seq, op)
 
     def truncate(self) -> None:
         """Discard every record (after a successful checkpoint)."""

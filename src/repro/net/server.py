@@ -652,16 +652,15 @@ class TcpServer:
     def _loop_kind(self, cmd) -> str | None:
         """The kind of ``cmd``'s verb if the request runs on the loop, else
         None.  A request alone in flight runs there when its verb can stop
-        before it changes anything and waits on no I/O: a read on a
-        service whose reads pin in-process buffers (a sharded read waits
-        on worker pipes for as long as its deadline allows), a write on a
-        service whose writes stay in memory (no fsync, no replication,
-        no shards), and the memory-only status verbs."""
+        before it changes anything and waits on no I/O: a read (it pins an
+        in-process buffer), a write on a service whose writes stay in
+        memory (no fsync, no replication), and the memory-only status
+        verbs."""
         verb = COMMANDS.get(cmd) if isinstance(cmd, str) else None
         if self._inflight != 1 or verb is None:
             return None
         if verb.kind == "read":
-            runs = self.service.has_epoch_store
+            runs = True
         elif verb.kind == "write":
             runs = self.service.writes_in_memory
         else:

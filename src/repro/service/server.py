@@ -16,14 +16,7 @@ Composes the pieces of :mod:`repro.service` into one operational surface:
   PressureMonitor` and executed behind a :class:`~repro.service.breaker.
   CircuitBreaker`: repeated repack/compact failures open the breaker and
   the service degrades gracefully — reads keep flowing, writes are shed
-  while pressure is critical — instead of hot-looping a failing repair;
-- **sharded primaries** (:class:`~repro.shard.database.ShardedDatabase`
-  and its durable subclass) are served natively: reads scatter-gather
-  through the shard executor's worker replicas instead of pinning epoch
-  snapshots (the coordinator's shard lock plus per-worker replicas *are*
-  the isolation mechanism), writes route through the coordinator's
-  virtual-coordinate methods, and pressure is sampled per shard with the
-  worst level governing degradation.
+  while pressure is critical — instead of hot-looping a failing repair.
 
 ``python -m repro serve`` wraps this class in a line-oriented shell (see
 :mod:`repro.service.shell`).
@@ -53,8 +46,6 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.context import OverBudget, QueryContext
 from repro.service.pressure import (
     LEVEL_CRITICAL,
-    LEVEL_ELEVATED,
-    LEVEL_OK,
     PressureMonitor,
     PressureReport,
     PressureThresholds,
@@ -95,27 +86,6 @@ class ServiceConfig:
     shed_writes_when_degraded: bool = True
 
 
-#: Severity order for merging per-shard pressure levels.
-_LEVEL_ORDER = {LEVEL_OK: 0, LEVEL_ELEVATED: 1, LEVEL_CRITICAL: 2}
-
-
-class _DirectView:
-    """`snapshot()` stand-in for sharded primaries: a context-managed
-    handle on the coordinator itself (no epoch pinning to release)."""
-
-    def __init__(self, db):
-        self.db = db
-
-    def release(self) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
 class DatabaseService:
     """Concurrent, deadline-aware, self-defending access to a database.
 
@@ -126,8 +96,8 @@ class DatabaseService:
         :class:`~repro.core.database.LazyXMLDatabase` or a
         :class:`~repro.durability.database.DurableDatabase` (in which case
         every write, including pressure-triggered repacks, goes through the
-        journaled commit protocol), or a sharded coordinator; ``None``
-        with ``replication``, whose primary node serves.  A plain or
+        journaled commit protocol); ``None`` with ``replication``, whose
+        primary node serves.  A plain or
         durable database becomes the epoch store's first writer buffer:
         from the first write on, read the state from :attr:`primary`,
         not from the object passed in, which may be a write behind.
@@ -145,23 +115,13 @@ class DatabaseService:
         clock=time.monotonic,
         replication=None,
     ):
-        # Local import: repro.shard.executor needs repro.service.context,
-        # so a module-level import here would be circular.
-        from repro.shard.database import ShardedDatabase
-        from repro.shard.durable import ShardedDurableDatabase
-
         self.config = config or ServiceConfig()
         self._replication = replication
         self._primary = primary
-        self._sharded = isinstance(primary, ShardedDatabase)
-        # The service's own epoch store.  Sharded primaries skip it: reads
-        # fan out to worker replicas kept current by lazy op forwarding
-        # (the coordinator's shard lock isolates in-process readers).  A
-        # replication cluster's reads pin its primary node's store.
+        # The service's own epoch store; a replication cluster's reads pin
+        # its primary node's store instead.
         self._epochs: EpochManager | None = None
-        if self._sharded:
-            self._durable = isinstance(primary, ShardedDurableDatabase)
-        elif replication is not None:
+        if replication is not None:
             self._durable = True
         else:
             self._durable = isinstance(primary, DurableDatabase)
@@ -229,55 +189,40 @@ class DatabaseService:
     def primary(self):
         """The authoritative store, up to date: a plain primary's writer
         buffer (caught up first), the durable handle whose ``db`` is that
-        buffer, the replication cluster's primary node's durable handle,
-        or the sharded coordinator."""
+        buffer, or the replication cluster's primary node's durable
+        handle."""
         if self._replication is not None:
             return self._replication.primary.durable
-        if self._durable or self._sharded:
+        if self._durable:
             return self._primary
         with self._writer_lock:
             return self._epochs.writer()
 
     @property
     def _base(self):
-        """The database a write commits to, up to date (the sharded
-        coordinator for a sharded primary)."""
+        """The database a write commits to, up to date."""
         primary = self.primary
-        return primary.db if self._durable and not self._sharded else primary
+        return primary.db if self._durable else primary
 
     @property
-    def _store(self) -> EpochManager | None:
+    def _store(self) -> EpochManager:
         """The epoch store reads pin: the primary node's with a
-        replication cluster, else the service's own (None when sharded)."""
+        replication cluster, else the service's own."""
         if self._replication is not None:
             return self._replication.primary.epochs
         return self._epochs
 
     def snapshot(self) -> Snapshot:
         """Pin the current epoch directly (no admission, no deadline) —
-        for diagnostics and invariant checks; release it promptly.
-
-        Sharded primaries have no epoch store; the returned handle views
-        the coordinator directly (reads take the shard lock per call).
-        """
+        for diagnostics and invariant checks; release it promptly."""
         self._ensure_open()
-        store = self._store
-        if store is None:
-            return _DirectView(self._primary)
-        return store.pin()
-
-    @property
-    def has_epoch_store(self) -> bool:
-        """True when a read pins an in-process epoch buffer; False for a
-        sharded primary, whose reads wait on worker pipes."""
-        return not self._sharded
+        return self._store.pin()
 
     @property
     def writes_in_memory(self) -> bool:
         """True when a write waits on no I/O: a plain in-memory primary
-        with an epoch store (no journal fsync, no shard pipes; a
-        replication cluster's primary is durable)."""
-        return self._epochs is not None and not self._durable
+        (no journal fsync; a replication cluster's primary is durable)."""
+        return not self._durable
 
     # ------------------------------------------------------------------
     # reads
@@ -398,7 +343,7 @@ class DatabaseService:
             if op["op"] == "insert" and op.get("position") is None:
                 op = {**op, "position": base.document_length}
             # The write's one parse, for the commit and the catch-up.
-            parsed = None if self._sharded else parse_op(op, base.document_length)
+            parsed = parse_op(op, base.document_length)
             if attempt:
                 # The attempt's one checkpoint: after the parse, the cost
                 # that grows with the payload, and before any change.
@@ -444,14 +389,14 @@ class DatabaseService:
 
     def _apply_primary(self, op: dict, parsed, base):
         """Apply ``op`` to the authoritative database ``base``, from its
-        parse (``None`` for a sharded primary).
+        parse.
 
         Every primary spells the structural operations alike, so the
         record goes through the dispatcher recovery and the epoch
-        catch-up use (``parse_op`` ran a batch's whole-batch checks): a durable primary
-        commits it (fsync before apply, so pressure-triggered repacks
-        journal like user writes; a batch is *one* record, one fsync), the
-        sharded coordinator's methods route to the owning shard.
+        catch-up use (``parse_op`` ran a batch's whole-batch checks): a
+        durable primary commits it (fsync before apply, so
+        pressure-triggered repacks journal like user writes; a batch is
+        *one* record, one fsync).
 
         With a replication cluster attached, the write goes through the
         cluster instead: commit on the primary node, ship the record to
@@ -462,10 +407,6 @@ class DatabaseService:
             return self._replication.commit_from(
                 self._replication.primary_id, dict(op), parsed
             )
-        if self._sharded:
-            if op["op"] == "batch":
-                return base.apply_batch(op["ops"])
-            return apply_op(base, op)
         if self._durable:
             if op["op"] == "insert":  # the record DurableDatabase.insert journals
                 op = {key: op[key] for key in ("op", "fragment", "position")}
@@ -518,41 +459,9 @@ class DatabaseService:
         """Sample pressure on the authoritative log (no maintenance run):
         the log's O(1) trackers, no ER-tree or tag-list walk."""
         with self._writer_lock:
-            if self._sharded:
-                report = self._sample_sharded()
-            else:
-                report = self._monitor.sample(self._base)
+            report = self._monitor.sample(self._base)
         self._last_pressure = report
         return report
-
-    def _sample_sharded(self) -> PressureReport:
-        """Per-shard pressure, merged: worst level governs, plans concatenate.
-
-        Each shard's log is sampled from its own O(1) trackers.  Repack
-        plans carry lattice sids, which the sharded
-        dispatcher routes to the owning shard; a compact anywhere collapses
-        to one global compact (the coordinator compacts every shard).
-        """
-        merged = PressureReport(segments=0, depth=0, fanout=0)
-        want_compact = False
-        for shard, db in enumerate(self.primary.shards):
-            report = self._monitor.sample(getattr(db, "db", db))
-            merged.segments += report.segments
-            merged.depth = max(merged.depth, report.depth)
-            merged.fanout = max(merged.fanout, report.fanout)
-            if _LEVEL_ORDER[report.level] > _LEVEL_ORDER[merged.level]:
-                merged.level = report.level
-            merged.reasons.extend(
-                f"shard {shard}: {reason}" for reason in report.reasons
-            )
-            for op in report.plan:
-                if op["op"] == "compact":
-                    want_compact = True
-                else:
-                    merged.plan.append(op)
-        if want_compact:
-            merged.plan.append({"op": "compact"})
-        return merged
 
     def run_maintenance(self) -> PressureReport:
         """Sample pressure and execute the recommended plan, if any.
@@ -647,8 +556,7 @@ class DatabaseService:
                 "log_bytes": db.stats().total_bytes,
             }
         # After the pin above is released: it is not a reader's.
-        store = self._store
-        epochs = store.metrics() if store is not None else None
+        epochs = self._store.metrics()
         payload = {
             "status": status,
             "durable": self._durable,
@@ -659,38 +567,20 @@ class DatabaseService:
             "epochs": epochs,
             # The published buffer's compiled read-path cache — the one
             # read queries actually hit (reads run on pinned snapshots).
-            "readpath": epochs.get("readpath") if epochs is not None else None,
+            "readpath": epochs.get("readpath"),
             "counters": dict(self._counters),
         }
         if self._replication is not None:
             payload["replication"] = self._replication.status()
-        if self._sharded:
-            executor = self.primary.executor
-            payload["shards"] = {
-                "count": self.primary.n_shards,
-                "executor": executor.kind,
-                "documents": [
-                    self.primary.docmap.docs_on(s)
-                    for s in range(self.primary.n_shards)
-                ],
-                "workers_alive": [
-                    executor.alive(s) for s in range(self.primary.n_shards)
-                ],
-            }
         return payload
 
     @contextlib.contextmanager
     def _latest(self):
         """The latest committed state, read-only: the published epoch
-        under a pin, which no write mutates (the coordinator for a sharded
-        primary).  Once the store is closed no write runs, and the writer
-        buffer, caught up, serves."""
-        store = self._store
-        if store is None:
-            yield self._primary
-            return
+        under a pin, which no write mutates.  Once the store is closed no
+        write runs, and the writer buffer, caught up, serves."""
         try:
-            snap = store.pin()
+            snap = self._store.pin()
         except ServiceClosed:
             with self._writer_lock:
                 yield self._base
@@ -752,7 +642,7 @@ class DatabaseService:
                 self._epochs.close()
         if self._replication is not None:
             self._replication.close()
-        elif self._durable or self._sharded:
+        elif self._durable:
             self._primary.close()
 
     def __enter__(self) -> "DatabaseService":

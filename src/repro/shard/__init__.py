@@ -1,4 +1,4 @@
-"""Sharded parallel execution: partitioned super-documents (PR 5).
+"""Sharded execution in memory: partitioned super-documents.
 
 The paper's super-document model hangs every document off one dummy root
 (Section 3), which makes *document boundaries* a natural partitioning key:
@@ -15,15 +15,16 @@ exploits exactly that property:
   shard affinity over pipes;
 - :mod:`repro.shard.database` — :class:`ShardedDatabase`, the coordinator:
   deterministic document -> shard routing for updates, scatter-gather
-  Lazy-Join / path plans for queries, results merged by global position;
-- :mod:`repro.shard.durable` — per-shard WAL directories plus the
-  coordinated (all-or-nothing) checkpoint manifest.
+  Lazy-Join / path plans for queries, results merged by global position.
+
+Nothing durable and nothing served is sharded: two shards answer a query
+tens of times slower than one database (DESIGN.md §4f), and the package
+stays only for the end-to-end benchmark's shard surfaces.
 """
 
 from repro.shard.catalog import TagCatalog
 from repro.shard.database import ShardedDatabase, ShardElement
 from repro.shard.docmap import DocumentMap
-from repro.shard.durable import ShardedDurableDatabase
 from repro.shard.executor import InProcessExecutor, ProcessExecutor
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "TagCatalog",
     "ShardedDatabase",
     "ShardElement",
-    "ShardedDurableDatabase",
     "InProcessExecutor",
     "ProcessExecutor",
 ]

@@ -40,7 +40,6 @@ from __future__ import annotations
 import heapq
 import threading
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import fields
 from typing import NamedTuple
 
@@ -186,34 +185,19 @@ class ShardedDatabase:
         ``"inprocess"`` (default — run queries on the authoritative
         shards), ``"process"`` (persistent worker processes), or an
         executor instance.
-    shards, docmap:
-        Pre-built shard databases and document map — the durable layer
-        passes recovered state here.  ``shards`` may be durable wrappers;
-        anything delegating reads to a :class:`LazyXMLDatabase` works.
     """
 
-    def __init__(
-        self,
-        n_shards: int = 1,
-        *,
-        executor="inprocess",
-        shards=None,
-        docmap: DocumentMap | None = None,
-    ):
+    def __init__(self, n_shards: int = 1, *, executor="inprocess"):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if shards is not None and len(shards) != n_shards:
-            raise ValueError(
-                f"got {len(shards)} shard databases for n_shards={n_shards}"
-            )
         self._n = n_shards
-        self._shards = list(shards) if shards is not None else [
+        self._shards = [
             LazyXMLDatabase(sid_start=1 + i, sid_stride=n_shards)
             for i in range(n_shards)
         ]
-        self.docmap = docmap if docmap is not None else DocumentMap()
+        self.docmap = DocumentMap()
         self.catalog = TagCatalog(self._shards)
-        self._doc_seq = len(self.docmap)
+        self._doc_seq = 0
         self._lock = threading.RLock()
         # Scatter result cache: per-shard row lists and the merged result,
         # keyed by query shape and validated against _shard_ops tokens
@@ -245,8 +229,7 @@ class ShardedDatabase:
         return self._executor
 
     def _base(self, shard: int) -> LazyXMLDatabase:
-        db = self._shards[shard]
-        return getattr(db, "db", db)
+        return self._shards[shard]
 
     def shard_of_sid(self, sid: int) -> int:
         """Owning shard of a segment id (the sid-lattice inverse)."""
@@ -363,12 +346,9 @@ class ShardedDatabase:
 
         ``doc_change`` is ``("insert", doc_index)`` / ``("remove",
         doc_index)`` when the op creates/destroys a top-level document.
-        :meth:`_pre_commit` runs first (the durable layer journals the
-        document-map change there, *before* the shard commit); the op then
-        applies through the same dispatcher crash recovery and worker
-        replicas use, and is forwarded lazily to the shard's worker.
+        The op applies through the same dispatcher crash recovery and
+        worker replicas use, and is forwarded lazily to the shard's worker.
         """
-        self._pre_commit(shard, op, doc_change)
         result = apply_op(self._shards[shard], op)
         if doc_change is not None:
             kind, doc_index = doc_change
@@ -379,9 +359,6 @@ class ShardedDatabase:
         self._shard_ops[shard] += 1
         self._executor.forward(shard, op)
         return result
-
-    def _pre_commit(self, shard: int, op: dict, doc_change) -> None:
-        """Hook for the durable layer; no-op in memory-only operation."""
 
     def insert(self, fragment: str, position: int | None = None):
         """Insert ``fragment`` at virtual-global ``position``.
@@ -570,22 +547,14 @@ class ShardedDatabase:
         which route each to its shard — under one lock acquisition, so no
         reader interleaves mid-batch, and a sub-op whose preconditions
         fail against mid-batch state yields ``None`` in its result slot
-        exactly as there.  The durable subclass turns each shard's share
-        of the batch into a single journal record (atomicity is per shard
-        there — see :class:`~repro.shard.durable.ShardedDurableDatabase`).
+        exactly as there.
         """
         with self._lock:
             # Whole-batch validation against the virtual super-document
             # length first, so a malformed batch is rejected before any
             # sub-op applies — identically to the single database.
             validate_batch_ops(list(ops), self.document_length)
-            with self._batched_commits():
-                return apply_op(self, {"op": "batch", "ops": ops})
-
-    @contextmanager
-    def _batched_commits(self):
-        """Hook for the durable layer's per-shard journal batching."""
-        yield
+            return apply_op(self, {"op": "batch", "ops": ops})
 
     # ------------------------------------------------------------------
     # scatter-gather queries
@@ -890,30 +859,3 @@ class ShardedDatabase:
                 f"shard {s}: top-level segments cover {tiled} of "
                 f"{self._base(s).document_length} characters"
             )
-
-    # ------------------------------------------------------------------
-    # construction helpers
-
-    @classmethod
-    def from_database(
-        cls,
-        db: LazyXMLDatabase,
-        n_shards: int,
-        *,
-        executor="inprocess",
-    ) -> "ShardedDatabase":
-        """Partition an existing database by document.
-
-        Each top-level document's text is re-inserted into its routed
-        shard (internal segmentation is not carried over — the sharded
-        copy starts with one segment per document, like a compacted
-        database).
-        """
-        sharded = cls(n_shards)
-        for top in db.log.ertree.root.children:
-            sharded.insert(top.read(top.gp, top.end))
-        if executor == "process":
-            sharded._executor = ProcessExecutor(sharded._shards)
-        elif executor != "inprocess":
-            sharded._executor = executor
-        return sharded

@@ -24,8 +24,8 @@ class DocumentMap:
 
     __slots__ = ("_docs",)
 
-    def __init__(self, docs: list[int] | None = None):
-        self._docs: list[int] = list(docs) if docs else []
+    def __init__(self):
+        self._docs: list[int] = []
 
     # ------------------------------------------------------------------
     # reads
@@ -65,12 +65,6 @@ class DocumentMap:
     def remove_doc(self, doc_index: int) -> int:
         """Drop the document at ``doc_index``; returns its shard."""
         return self._docs.pop(doc_index)
-
-    # ------------------------------------------------------------------
-    # persistence (the durable manifest embeds the raw list)
-
-    def to_list(self) -> list[int]:
-        return list(self._docs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DocumentMap docs={self._docs}>"

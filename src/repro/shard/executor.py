@@ -81,8 +81,7 @@ def _rows(db, records):
 def handle_request(db, verb: str, args: tuple):
     """Execute one shard-local request against ``db``; returns the payload.
 
-    ``db`` is one shard — a plain :class:`~repro.core.database.
-    LazyXMLDatabase` (or a durable wrapper delegating to one).
+    ``db`` is one shard, a :class:`~repro.core.database.LazyXMLDatabase`.
     """
     if verb == "join":
         tag_a, tag_d, axis, algorithm, timeout = args
@@ -211,8 +210,7 @@ class ProcessExecutor:
         return "process"
 
     def _snapshot(self, shard: int) -> str:
-        db = self._shards[shard]
-        return storage.dumps(getattr(db, "db", db))
+        return storage.dumps(self._shards[shard])
 
     def _spawn(self, shard: int) -> _Worker:
         parent, child = self._ctx.Pipe()

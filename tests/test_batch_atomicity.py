@@ -14,11 +14,6 @@ path at every boundary the batch crosses:
 Recovered text is checked against an independent **string-splice oracle**
 (sequential splices over the pre-batch text), not against the database's
 own idea of the outcome.
-
-The sharded coordinator flushes one batch record *per touched shard*, so
-its atomicity is per shard (DESIGN.md §4i): the cross-shard drills assert
-the only durable states are batch-order prefixes in which each shard's
-share applied all-or-nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import re
 import pytest
 
 from repro.durability.database import DurableDatabase
-from repro.shard.durable import ShardedDurableDatabase
 from repro.storage import dumps, loads
 from tests.failpoints import SimulatedCrash, crash_at
 from tests.test_durability_failpoints import WAL_APPEND_POINTS, seed
@@ -171,142 +165,5 @@ def test_batch_with_skipped_sub_op_replays_identically(tmp_path):
     recovered = DurableDatabase(directory)
     assert dumps(recovered.db) == post
     assert "<survivor_a/>" in recovered.text and "<survivor_b/>" in recovered.text
-    recovered.check_invariants()
-    recovered.close()
-
-
-# ----------------------------------------------------------------------
-# sharded durable coordinator
-
-DOC_A = "<alpha><one>aaa</one></alpha>"
-DOC_B = "<beta><two>bbb</two></beta>"
-
-
-def seed_sharded(directory) -> ShardedDurableDatabase:
-    sdd = ShardedDurableDatabase(directory, 2)
-    sdd.insert(DOC_A)
-    sdd.insert(DOC_B)
-    return sdd
-
-
-def nested_insert_ops(text: str, targets) -> tuple[list[dict], str]:
-    """Insert ops placed right after each regex match, splice-simulated so
-    every position is valid at its execution step."""
-    ops: list[dict] = []
-    for pattern, fragment in targets:
-        anchor = re.search(pattern, text)
-        ops.append(
-            {"op": "insert", "fragment": fragment, "position": anchor.end()}
-        )
-        text = splice(text, ops[-1:])
-    return ops, text
-
-
-@pytest.mark.parametrize(
-    "failpoint", PRE_POINTS + EITHER_POINTS + ["wal.append.after_fsync"]
-)
-def test_sharded_batch_crash_single_shard(tmp_path, failpoint):
-    """A batch confined to one shard is globally atomic: its single shard
-    record is the only commit point (flushed at batch end)."""
-    directory = tmp_path / "state"
-    sdd = seed_sharded(directory)
-    pre_text = sdd.text
-    ops, oracle_text = nested_insert_ops(
-        pre_text, [("<one>", "<i1/>"), ("<alpha>", "<i0/>")]
-    )
-
-    crashed = False
-    try:
-        with crash_at(failpoint):
-            sdd.apply_batch(ops)
-    except SimulatedCrash:
-        crashed = True
-    assert crashed, f"{failpoint} never fired during sharded apply_batch"
-    sdd.close()
-
-    recovered = ShardedDurableDatabase(directory)
-    if failpoint in PRE_POINTS:
-        assert recovered.text == pre_text
-    elif failpoint in EITHER_POINTS:
-        assert recovered.text in (pre_text, oracle_text)
-    else:
-        assert recovered.text == oracle_text
-    recovered.check_invariants()
-
-    recovered.insert("<post_recovery/>")
-    recovered.close()
-    reopened = ShardedDurableDatabase(directory)
-    assert "<post_recovery/>" in reopened.text
-    reopened.check_invariants()
-    reopened.close()
-
-
-@pytest.mark.parametrize("failpoint,hit", [
-    ("wal.append.before_write", 1),  # nothing durable
-    ("wal.append.after_fsync", 1),   # shard 0's share durable, shard 1's not
-    ("wal.append.before_write", 2),  # same hybrid, killed before the write
-    ("wal.append.after_fsync", 2),   # both shares durable
-])
-def test_sharded_batch_crash_cross_shard(tmp_path, failpoint, hit):
-    """Cross-shard batches are atomic *per shard* (DESIGN.md §4i): a crash
-    between the two shard flushes keeps shard 0's whole share and none of
-    shard 1's.  Ops are ordered shard-0-first, so every legal durable
-    state is a batch-order prefix."""
-    directory = tmp_path / "state"
-    sdd = seed_sharded(directory)
-    pre_text = sdd.text
-    ops, _ = nested_insert_ops(
-        pre_text,
-        [("<one>", "<i1/>"), ("<alpha>", "<i0/>"), ("<two>", "<i2/>")],
-    )
-    legal = {splice(pre_text, ops[:k]) for k in (0, 2, 3)}
-
-    crashed = False
-    try:
-        with crash_at(failpoint, hit=hit):
-            sdd.apply_batch(ops)
-    except SimulatedCrash:
-        crashed = True
-    assert crashed, f"{failpoint} hit {hit} never fired"
-    sdd.close()
-
-    recovered = ShardedDurableDatabase(directory)
-    assert recovered.text in legal, "recovery produced a non-prefix state"
-    recovered.check_invariants()
-    recovered.close()
-
-
-@pytest.mark.parametrize("hit", [1, 2, 3, 4])
-def test_sharded_batch_docmap_change_mid_batch(tmp_path, hit):
-    """A new-document op mid-batch forces the buffered shares to flush
-    first (the meta record predicts the exact next shard journal seq), so
-    crashes at successive journal fsyncs walk the batch-order prefixes:
-    nothing / the flushed share / +the new document / the whole batch."""
-    directory = tmp_path / "state"
-    sdd = seed_sharded(directory)
-    pre_text = sdd.text
-    ops, _ = nested_insert_ops(pre_text, [("<one>", "<i1/>")])
-    ops.append({"op": "insert", "fragment": "<gamma>new-doc</gamma>"})
-    ops.append(
-        {
-            "op": "insert",
-            "fragment": "<i2/>",
-            "position": splice(pre_text, ops[:2]).index("<two>") + len("<two>"),
-        }
-    )
-    legal = {splice(pre_text, ops[:k]) for k in range(len(ops) + 1)}
-
-    crashed = False
-    try:
-        with crash_at("wal.append.after_fsync", hit=hit):
-            sdd.apply_batch(ops)
-    except SimulatedCrash:
-        crashed = True
-    sdd.close()
-
-    recovered = ShardedDurableDatabase(directory)
-    if not crashed:  # fewer fsyncs than `hit`: the batch simply committed
-        assert recovered.text == splice(pre_text, ops)
-    assert recovered.text in legal, "recovery produced a non-prefix state"
     recovered.check_invariants()
     recovered.close()

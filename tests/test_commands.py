@@ -8,7 +8,7 @@ and one ``SAMPLES`` line:
   a typed ``ProtocolError`` naming the field, with nothing journaled or
   applied;
 - every verb gives the same reply as a shell line, as a request dict and
-  over a real TCP round trip, on a plain, a durable and a 2-shard primary;
+  over a real TCP round trip, on a plain and a durable primary;
 - the replies of the requests ``benchmarks/e2e/surfaces.py`` builds are the
   parent commit's, value for value;
 - pinned reads, tracing, and a throw-away verb, on both front ends.
@@ -62,11 +62,9 @@ DOCS = ["<a><b>x</b><c>y</c></a>", "<a><c>z</c></a>", "<b><c>q</c></b>"]
 def make_primary(kind: str, tmp_path):
     if kind == "plain":
         db = LazyXMLDatabase()
-    elif kind == "durable":
+    else:
         directory = tmp_path / f"state-{len(list(tmp_path.iterdir()))}"
         db = DurableDatabase(directory)
-    else:
-        db = ShardedDatabase(2)
     for doc in DOCS:
         db.insert(doc)
     return db
@@ -356,7 +354,7 @@ def run_shell(service, steps):
     return printed
 
 
-@pytest.mark.parametrize("kind", ["plain", "durable", "sharded"])
+@pytest.mark.parametrize("kind", ["plain", "durable"])
 def test_every_verb_same_reply_on_every_surface(tmp_path, kind):
     steps = samples(*probe_sids(kind, tmp_path))
     assert {request["cmd"] for _, request in steps} == set(COMMANDS), (
@@ -405,8 +403,7 @@ def test_every_verb_same_reply_on_every_surface(tmp_path, kind):
     # The history did what it says (not three identical failures).
     counts = [r["count"] for (_, q), r in zip(steps, by_dict)
               if q == {"cmd": "query", "expr": "a//b"}]
-    # A sharded primary has no epoch store: its pin views the coordinator.
-    assert counts == ([2, 1, 1] if kind == "sharded" else [2, 2, 1])
+    assert counts == [2, 2, 1]
     batch = next(r for (_, q), r in zip(steps, by_dict) if q["cmd"] == "batch")
     assert batch["applied"] == 1 and batch["skipped"] == 1
     assert batch["results"][1] is None

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,12 @@ from repro.durability.checkpoint import read_checkpoint, write_checkpoint
 from repro.durability.database import DurableDatabase
 from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME, recover
 from repro.durability.wal import RECORD_HEADER, Journal, read_journal
-from repro.errors import CheckpointError, InvalidSegmentError, JournalError
+from repro.errors import (
+    CheckpointError,
+    InvalidSegmentError,
+    JournalError,
+    RecoveryError,
+)
 from repro.storage import dumps
 from repro.workloads.scenarios import registration_stream
 from tests.helpers import assert_join_matches_oracle
@@ -484,6 +492,43 @@ class TestDurableCLI:
         assert main(["stats", state, "stray.json"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "left over: 'stray.json'" in err
+
+    def test_sharded_directory_is_refused_untouched(self, tmp_path):
+        """A directory an older ``load --durable D --shards N`` wrote holds
+        ``manifest.json`` and ``shard-NN/`` but no top-level journal.  It
+        is refused before anything is created there: never opened as an
+        empty database."""
+        state = tmp_path / "state"
+        (state / "shard-00").mkdir(parents=True)
+        (state / "manifest.json").write_text(
+            json.dumps({"format": "repro-shard-manifest", "version": 1,
+                        "epoch": 1, "shards": 2})
+        )
+
+        def listing():
+            return sorted(
+                (str(p.relative_to(state)), p.stat().st_size)
+                for p in state.rglob("*")
+            )
+
+        before = listing()
+        with pytest.raises(RecoveryError, match="manifest.json"):
+            DurableDatabase(state)
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "stats", str(state)],
+            cwd=root,
+            env={"PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        assert "manifest.json" in done.stderr
+        assert "serves one database" in done.stderr
+        assert listing() == before
 
     def test_checkpoint_requires_durable(self, doc_file, tmp_path, capsys):
         snapshot = str(tmp_path / "db.json")

@@ -143,11 +143,8 @@ def test_crash_during_checkpoint(tmp_path, failpoint):
 
 def test_every_declared_failpoint_reachable(tmp_path):
     """Each failpoint in the registry fires during a normal durable session
-    (guards against declared-but-never-fired names rotting the matrix).
-    The ``manifest.*`` points belong to the sharded coordinated checkpoint,
-    so a sharded session runs alongside the single-DB one."""
+    (guards against declared-but-never-fired names rotting the matrix)."""
     from repro.durability import hooks
-    from repro.shard.durable import ShardedDurableDatabase
 
     fired: set[str] = set()
     for name in hooks.FAILPOINT_NAMES:
@@ -160,12 +157,6 @@ def test_every_declared_failpoint_reachable(tmp_path):
                  {"op": "insert", "fragment": "<c/>"}]
             )  # fires the batch.* application bracket
             dd.checkpoint()
-        sharded = ShardedDurableDatabase(tmp_path / "sharded", 2)
-        try:
-            sharded.insert("<a/>")
-            sharded.checkpoint()
-        finally:
-            sharded.close()
     finally:
         hooks.clear_all_failpoints()
     assert fired == set(hooks.FAILPOINT_NAMES)

@@ -649,27 +649,6 @@ class TestWhereARequestRuns:
             service.close()
             twin.close()
 
-    def test_sharded_reads_never_start_on_the_loop(self):
-        from repro.service.server import DatabaseService
-        from repro.shard import ShardedDatabase
-
-        primary = ShardedDatabase(2)
-        for doc in ("<a><b>x</b></a>", "<a><b>y</b><b>z</b></a>"):
-            primary.insert(doc)
-        service = DatabaseService(primary)
-        assert not service.has_epoch_store
-
-        async def scenario(service, server, port):
-            pool = pool_submissions(server)
-            async with await connect("127.0.0.1", port) as client:
-                assert (await client.query("a/b"))["count"] == 3
-                assert (await client.join("a", "b"))["pairs"] == 3
-                assert (await client.request("twig", expr="a[b]"))["count"] == 2
-            assert pool == ["query", "join", "twig"]
-            assert server.status()["counters"]["loop_reads"] == 0
-
-        run_server_test(scenario, service=service)
-
     def test_moved_write_replies_as_a_loop_write(self, monkeypatch):
         """A write over the budget stops at its checkpoint (after the
         parse, before the commit) and re-runs on the pool: the same
@@ -781,20 +760,17 @@ class TestWhereARequestRuns:
             config=ServiceConfig(drain_timeout=10.0)
         ))
 
-    @pytest.mark.parametrize("kind", ["durable", "replicated", "sharded"])
+    @pytest.mark.parametrize("kind", ["durable", "replicated"])
     def test_io_bound_writes_never_start_on_the_loop(self, tmp_path, kind):
         from repro.durability.database import DurableDatabase
         from repro.replication import ReplicationCluster
         from repro.service.server import DatabaseService
-        from repro.shard import ShardedDatabase
 
         if kind == "durable":
             service = DatabaseService(DurableDatabase(tmp_path / "d"))
-        elif kind == "replicated":
+        else:
             cluster = ReplicationCluster(tmp_path / "c", 1)
             service = DatabaseService(None, replication=cluster)
-        else:
-            service = DatabaseService(ShardedDatabase(2))
         assert not service.writes_in_memory
 
         async def scenario(service, server, port):

