@@ -18,14 +18,17 @@ the op before the reply.
 
     python -m repro insert db.json 120 '<interest topic="x"/>'   # or: end
     python -m repro remove db.json 120 34
-    python -m repro query db.json 'person//profile/interest' [--limit 0]
+    python -m repro query db.json 'person[profile]//interest' [--limit 0]
     python -m repro twig db.json 'person[profile]//phone' --strategy pairwise
     python -m repro join db.json person interest std [child]
     python -m repro stats state/            # health + metric catalogue, JSON
     python -m repro compact db.json
 
-A bad or missing field is one ``error: ...`` line and exit 2, like any
-other usage error; any other refusal is exit 1.
+``query`` takes any pattern of the one grammar (:mod:`repro.twig.pattern`):
+a path or a twig.  ``twig`` is the same read with ``--strategy``, which can
+pin the pairwise baseline.  A bad or missing field is one ``error: ...``
+line and exit 2, like any other usage error; any other refusal (a
+malformed pattern too) is exit 1.
 
 **Commands with no verb:**
 

@@ -35,10 +35,10 @@ def measure_cold_join(
 ) -> tuple[float, int]:
     """Best-of-``repeat`` seconds of ``join()`` on ``db``, and its pair count.
 
-    The database's derived read state (push lists, span columns, the join
-    memo) is dropped before every repetition, so the time is the merge of
-    Fig. 9 plus its index reads — never a join memo hit
-    (:meth:`~repro.core.readpath.ReadPathCache.join_memo`), which
+    The database's derived read state (push lists, span columns, the
+    answer memos) is dropped before every repetition, so the time is the
+    merge of Fig. 9 plus its index reads — never a memo hit
+    (:meth:`~repro.core.readpath.ReadPathCache.memo`), which
     repetitions two and three of a plain :func:`measure` would report.
     Element blocks are base data: LD, LS and STD read them through the
     same :meth:`~repro.core.element_index.ElementIndex.block` call.

@@ -17,7 +17,6 @@ from repro.core.element_index import ElementIndex, ElementRecord
 from repro.core.ertree import ERNode, ERTree, PartialRemoval, RemovalReport
 from repro.core.join import JoinPair, JoinStatistics, LazyJoiner
 from repro.core.maintenance import RepackResult, compact_database, repack_segment
-from repro.core.query import PathQuery, PathStep, evaluate_path, parse_path
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.core.taglist import TagList, TagRegistry
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
@@ -32,10 +31,6 @@ __all__ = [
     "ElementIndex",
     "ElementRecord",
     "LazyJoiner",
-    "PathQuery",
-    "PathStep",
-    "parse_path",
-    "evaluate_path",
     "RepackResult",
     "repack_segment",
     "compact_database",

@@ -127,7 +127,7 @@ class LazyXMLDatabase:
                              sid_stride=sid_stride)
         self.index = ElementIndex()
         # The compiled read path (version-keyed push lists and span
-        # columns, the join memo) is shared by every query executor on
+        # columns, the answer memos) is shared by every query executor on
         # this database.
         self.readpath = ReadPathCache(self.log, self.index)
         self._joiner = LazyJoiner(self.log, self.index, self.readpath)
@@ -654,7 +654,7 @@ class LazyXMLDatabase:
         answer comes back uncopied: read it, never mutate it.
 
         ``context`` (a :class:`~repro.service.context.QueryContext`) adds
-        cooperative deadline/row/depth enforcement to every algorithm; the
+        cooperative deadline/row enforcement to every algorithm; the
         join is read-only, so a typed abort leaves the database untouched.
         """
         if algorithm not in _ALGORITHMS:
@@ -719,14 +719,10 @@ class LazyXMLDatabase:
         )
 
     def path_query(self, expression: str, *, bindings: bool = False, context=None):
-        """Evaluate a path expression (``"person//profile/interest"``).
-
-        See :func:`repro.core.query.evaluate_path`: the chain is answered
-        from its twig memo.  ``context`` threads a deadline/row budget.
-        """
-        from repro.core.query import evaluate_path
-
-        return evaluate_path(self, expression, bindings=bindings, context=context)
+        """Evaluate a pattern (``"person//profile/interest"``,
+        ``"person[phone]"``): :meth:`twig_query` with its default
+        executor, the twig memo."""
+        return self.twig_query(expression, bindings=bindings, context=context)
 
     def twig_query(
         self,

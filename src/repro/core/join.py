@@ -46,11 +46,11 @@ skip-ahead moves exploit these layouts:
   D-elements are never fetched at all.
 
 The answer is memoised **per descendant segment**: one group of the
-output depends only on ``SL_A`` and its D-segment, so the memo keeps a
-chunk per D-segment, sid-ascending like a twig memo level, and after an
+output depends only on ``SL_A`` and its D-segment, so the memo is a
+one-level twig memo whose entry per D-segment is its pairs, and after an
 update :meth:`LazyJoiner._refresh` asks the element index which segments
 were written since the memo was built, runs the same loop over just
-those D-segments and patches their chunks in — work that follows the
+those D-segments and patches their entries in — work that follows the
 update, not ``|SL_D|``.  The answer is returned as stored, not copied,
 grouped by D-segment in ascending sid.  ``stats=`` runs the from-scratch
 merge, its oracle, grouped in Fig. 9's ascending gp.
@@ -63,13 +63,13 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, compress, product
-from operator import attrgetter, itemgetter
+from itertools import chain, product
+from operator import attrgetter
 from time import perf_counter
 
 from repro.core.element_index import ElementIndex, ElementRecord
 from repro.core.ertree import ERNode
-from repro.core.readpath import JoinMemo, ReadPathCache, patch_level
+from repro.core.readpath import PathMemo, ReadPathCache, join_key, patch_level
 from repro.core.update_log import UpdateLog
 from repro.errors import QueryError
 from repro.joins.kernels import select_open
@@ -100,7 +100,6 @@ _AXES = (AXIS_DESCENDANT, AXIS_CHILD)
 
 _NO_SPAN = nullcontext()  # stateless, so one serves every untraced join
 _node_gp = attrgetter("gp")
-_chunk_pairs = itemgetter(0)
 
 
 #: A join result: (ancestor element, descendant element), each an
@@ -110,21 +109,19 @@ JoinPair = tuple[ElementRecord, ElementRecord]
 
 
 class JoinAnswer(Sequence):
-    """A memoised answer's rows: its chunks', one after the other.
+    """A memo's answer: its output level's entries, one after the other.
 
-    What the join memo hands out (a chunk is a D-segment's ``(pairs,
-    depth)``, ``part`` picks the pairs) and the twig memo (a chunk is a
-    segment's matches), uncopied: the chunk list is the memo's own and is
-    never mutated, iteration chains the chunks at C level, and it compares
+    What a memo hands out (an entry is a D-segment's pairs, or a
+    segment's matches), uncopied: the entry list is the memo's own and is
+    never mutated, iteration chains the entries at C level, and it compares
     equal to a list of the same rows (the from-scratch answer).  Indexing
     flattens once.
     """
 
-    __slots__ = ("_chunks", "_part", "_length", "_flat")
+    __slots__ = ("_chunks", "_length", "_flat")
 
-    def __init__(self, chunks: list, length: int, part=None):
+    def __init__(self, chunks: list, length: int):
         self._chunks = chunks
-        self._part = part
         self._length = length
         self._flat = None
 
@@ -132,8 +129,7 @@ class JoinAnswer(Sequence):
         return self._length
 
     def __iter__(self):
-        parts = self._chunks if self._part is None else map(self._part, self._chunks)
-        return chain.from_iterable(parts)
+        return chain.from_iterable(self._chunks)
 
     def __getitem__(self, index):
         if self._flat is None:
@@ -227,46 +223,6 @@ class _Frame:
         return self.source.records
 
 
-class _ChunkMeter:
-    """The ``context`` of a memoised merge (:meth:`LazyJoiner._refresh`).
-
-    Forwards every checkpoint and charge to the caller's context, if any,
-    so deadlines and budgets act on the merge as it runs, and records per
-    merged D-segment where its output starts (``cuts``) and the deepest
-    stack charged meanwhile (``depths``: segment stack and in-segment
-    element stack alike) — what a warm call charges in the merge's place.
-    """
-
-    __slots__ = ("_context", "cuts", "depths")
-
-    def __init__(self, context):
-        self._context = context
-        self.cuts: list[int] = []
-        self.depths: list[int] = []
-
-    def begin_segment(self, offset: int) -> None:
-        self.cuts.append(offset)
-        self.depths.append(0)
-
-    def tick(self) -> None:
-        if self._context is not None:
-            self._context.tick()
-
-    def check_deadline(self) -> None:
-        if self._context is not None:
-            self._context.check_deadline()
-
-    def charge_rows(self, n: int) -> None:
-        if self._context is not None:
-            self._context.charge_rows(n)
-
-    def charge_depth(self, depth: int) -> None:
-        if depth > self.depths[-1]:
-            self.depths[-1] = depth
-        if self._context is not None:
-            self._context.charge_depth(depth)
-
-
 class LazyJoiner:
     """Executes Lazy-Join over an update log and element index."""
 
@@ -308,9 +264,8 @@ class LazyJoiner:
 
         ``context`` is an optional
         :class:`~repro.service.context.QueryContext`: the descendant-segment
-        loop is a cooperative cancellation checkpoint (deadline), result
-        rows are charged against its row budget and stack pushes against its
-        depth budget.  Joins are read-only, so an abort at any checkpoint
+        loop is a cooperative cancellation checkpoint (deadline) and result
+        rows are charged against its row budget.  Joins are read-only, so an abort at any checkpoint
         leaves every structure untouched.
 
         Requires a query-ready log (LD always is; LS must have had
@@ -319,7 +274,7 @@ class LazyJoiner:
         Calls without ``stats`` are answered from the read-path cache's
         per-descendant-segment join memo: the stored answer while no sid
         the write journal named since it was stored is a D-segment now or
-        holds a chunk, otherwise the chunks of the other D-segments plus
+        holds an entry, otherwise the entries of the other D-segments plus
         a merge of those (:meth:`_refresh`).  A
         ``context`` is charged for the whole answer either way, so a
         budget aborts a warm call exactly as it aborts a cold one.
@@ -340,7 +295,7 @@ class LazyJoiner:
             tid_a = self._log.tags.tid_of(tag_a)
             tid_d = self._log.tags.tid_of(tag_d)
             if tid_a is not None and tid_d is not None:
-                memo_key = (tid_a, tid_d, axis)
+                memo_key = join_key(tid_a, tid_d, axis)
                 if context is not None:
                     context.check_deadline()
                 old, stale = self._stale(memo_key)
@@ -348,7 +303,6 @@ class LazyJoiner:
                     self._readpath.hits += 1
                     pairs = old.answer
                     if context is not None:
-                        context.charge_depth(old.depth)
                         context.charge_rows(len(pairs))
                     if span is not None:
                         span.annotate(pairs=len(pairs), memo="hit")
@@ -358,8 +312,8 @@ class LazyJoiner:
                     position = self._index.journal_position
                     if old.position != position:
                         # Restamped: the next call reads only later writes.
-                        self._readpath.store_join(
-                            *memo_key, JoinMemo(position, *old[1:])
+                        self._readpath.store(
+                            memo_key, old._replace(position=position)
                         )
                     return pairs
                 self._readpath.misses += 1
@@ -386,15 +340,16 @@ class LazyJoiner:
             _H_SECONDS.observe(perf_counter() - start)
         return results
 
-    def _stale(self, memo_key) -> tuple[JoinMemo | None, list[int] | None]:
+    def _stale(self, memo_key) -> tuple[PathMemo | None, list[int] | None]:
         """The memo under ``memo_key`` and the sids written since its journal
-        position that are a D-segment now or hold a chunk, ascending (``[]``:
+        position that are a D-segment now or hold an entry, ascending (``[]``:
         a hit); ``None`` for no memo or a journal that no longer reaches it."""
-        old = self._readpath.join_memo(*memo_key)
+        old = self._readpath.memo(memo_key)
         written = None if old is None else self._index.written_since(old.position)
         if not written:
             return old, written
-        in_d, held = self._log.taglist.counts(memo_key[1]), old.sids
+        _, _, tid_d, _ = memo_key
+        in_d, held = self._log.taglist.counts(tid_d), old.levels[0][0]
         return old, sorted({
             sid for sid in set(written) if sid in in_d
             or (i := bisect_left(held, sid)) < len(held) and held[i] == sid
@@ -407,19 +362,18 @@ class LazyJoiner:
         are found there by :func:`_position` and merged by the ordinary loop
         (correct for any gp-ascending subset), its output cut at their
         boundaries; :func:`patch_level` then gives every stale sid its new
-        chunk or none (DESIGN.md 4e).  The memo is published with one
+        entry or none (DESIGN.md 4e).  The memo is published with one
         assignment, after any abort, so readers sharing a pinned replica
         each publish a complete entry."""
-        tid_a, tid_d, axis = memo_key
+        _, _, tid_d, axis = memo_key
         position = self._index.journal_position
         nodes = self._log.taglist.nodes(tid_d)
         fresh = dict.fromkeys(stale or (), ())
         if stale is None:
             redo = range(len(nodes))
-            sids, chunks, counts, length = array("q"), [], {}, 0
+            sids, chunks, length = array("q"), [], 0
         else:
-            sids, chunks = old.sids[:], old.chunks.copy()
-            counts = old.depth_counts.copy()
+            sids, chunks = (held[:] for held in old.levels[0])
             length = len(old.answer)
             in_d = self._log.taglist.counts(tid_d)
             redo = sorted(
@@ -427,35 +381,28 @@ class LazyJoiner:
             )
         merged: list[JoinPair] = []
         if redo:
-            meter = _ChunkMeter(context)
+            cuts: list[int] = []
             subset = None if len(redo) == len(nodes) else [nodes[i] for i in redo]
-            merged = self._join_impl(tag_a, tag_d, axis, stats, meter, subset, meter)
+            merged = self._join_impl(
+                tag_a, tag_d, axis, stats, context, subset, cuts
+            )
             # No cuts: a tag has no element left, the merge returned before
-            # its loop, and every chunk it was to redo is empty.
-            cuts = meter.cuts
+            # its loop, and every entry it was to redo is empty.
             cuts.append(len(merged))
-            for i, lo, hi, depth in zip(redo, cuts, cuts[1:], meter.depths):
-                if hi > lo or depth:
-                    fresh[nodes[i].sid] = (tuple(merged[lo:hi]), depth)
-        for sid, chunk in sorted(fresh.items()):
-            was = patch_level(sids, chunks, sid, chunk)
-            if was:
-                counts[was[1]] -= 1
-                length -= len(was[0])
-            if chunk:
-                counts[chunk[1]] = counts.get(chunk[1], 0) + 1
-                length += len(chunk[0])
-        depth = max(compress(counts, counts.values()), default=0)
-        answer = JoinAnswer(chunks, length, _chunk_pairs)
+            for i, lo, hi in zip(redo, cuts, cuts[1:]):
+                if hi > lo:
+                    fresh[nodes[i].sid] = tuple(merged[lo:hi])
+        for sid, entry in sorted(fresh.items()):
+            length += len(entry) - len(patch_level(sids, chunks, sid, entry))
+        answer = JoinAnswer(chunks, length)
         if context is not None:
-            # The merge charged what it produced; the reused chunks are
+            # The merge charged what it produced; the reused entries are
             # charged here, so the budget sees the whole answer.
-            context.charge_depth(depth)
             context.charge_rows(length - len(merged))
             context.check_deadline()
-        self._readpath.store_join(tid_a, tid_d, axis, JoinMemo(
-            position, sids, chunks, counts, answer, depth
-        ))
+        self._readpath.store(
+            memo_key, PathMemo(position, [(sids, chunks)], answer)
+        )
         return answer
 
     def _join_impl(
@@ -466,10 +413,10 @@ class LazyJoiner:
         stats: JoinStatistics,
         context,
         d_nodes=None,
-        meter=None,
+        cuts=None,
     ) -> list[JoinPair]:
         """The merge of Fig. 9; ``d_nodes`` restricts it to a gp-ascending
-        subset of ``SL_D`` and ``meter`` learns where each D-segment's
+        subset of ``SL_D`` and ``cuts`` collects where each D-segment's
         output starts (both for :meth:`_refresh`)."""
         if axis not in _AXES:
             raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
@@ -496,8 +443,8 @@ class LazyJoiner:
         for sd in nodes_d if d_nodes is None else d_nodes:
             if context is not None:
                 context.tick()
-            if meter is not None:
-                meter.begin_segment(len(results))
+            if cuts is not None:
+                cuts.append(len(results))
             # Step 1 — pop stack segments that end before sd starts: sorted
             # gps mean they cannot contain sd nor any later D-segment.
             while stack and sd.gp >= stack[-1].node.end:
@@ -564,11 +511,6 @@ class LazyJoiner:
                 stats.segments_skipped += (nxt - ai) - pushed_in_run
                 stats.segments_galloped += (nxt - ai) - len(candidates)
                 ai = nxt
-            # Charged per D-segment, not per push: the stack sd is merged
-            # under is part of what its memo chunk must remember.
-            if context is not None and stack:
-                context.charge_depth(len(stack))
-
             # Step 3 — generate joins for sd.  Fetch sd's D-elements only
             # when some join can actually involve them — this is the
             # "segments that do not satisfy Proposition 3(1) are skipped"

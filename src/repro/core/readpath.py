@@ -7,7 +7,7 @@ immutable, and the service layer's epoch publishing (``repro.service.
 snapshot``) makes that window explicit: a published buffer is never
 mutated, so anything compiled from it stays valid for the epoch's lifetime.
 This module compiles the read-side layouts Lazy-Join touches per call and
-memoizes them under *per-structure version keys*, and the two answer memos
+memoizes them under *per-structure version keys*, and the answer memos
 under the element index's write journal.  Element columns are not
 among them: a segment's elements are base data, held once by the element
 index as an immutable block (:mod:`repro.core.element_index`), and
@@ -30,32 +30,32 @@ merge reads, and applies its own inserts and removes to it
   shift invalidates nothing.  A segment with no children and no
   tombstones shares its block's view outright; a wildcard step reads
   the all-tags view (``tid`` ``None``) the same way;
-- **join results** — the top of the stack: per ``(tid_a, tid_d, axis)``,
-  a :class:`JoinMemo` laid out as one twig memo level: sid-ascending
-  parallel ``(sids, chunks)``, a chunk one D-segment's ``(pairs, depth)``
-  (empty ones left out), and the answer, a read-only sequence over the
-  chunks in sid order, handed out uncopied.  A chunk depends on its
-  segment's own elements and on the A-elements of its ER-ancestors that
-  span its branch point; labels are immutable, inserts add leaf
-  segments, and a remove cannot delete such an ancestor element without
-  deleting the segment — so a chunk is good exactly while the element
-  index's journal has not named its segment (DESIGN.md §4e).  The join
-  is a hit while no sid written since the memo's journal position is a
-  D-segment now or holds a chunk; otherwise it re-merges those sids alone
-  and :func:`patch_level` puts each chunk in its place.  A journal
-  trimmed past the memo makes it a miss.
-- **twig matches** — per parsed twig pattern, a :class:`PathMemo` keyed
-  by the pattern's preorder: per pattern node and segment the elements
-  that survive (:mod:`repro.twig.memo`).  A path is a twig with no
-  branch, so ``path_query`` and ``twig_query`` of one chain share one
-  entry.  A written segment is recomputed, and in its ER-ancestors only
-  the *spine* — the elements around its branch point (Proposition 3) —
-  is re-checked.  For that the cache keeps each block's **parent rows**
-  (per element, the row of the innermost enclosing element of the same
-  segment) and, for each segment dropped lately, its parent sid and
-  local position.
+- **answers** — one table of :class:`PathMemo` entries, each laid out
+  as twig memo levels: per level, sid-ascending parallel ``(sids,
+  entries)`` (empty entries left out), and the answer, a read-only
+  sequence over the output level's entries in sid order, handed out
+  uncopied.  A structural join ``A // D`` is a one-level memo (its key
+  :func:`join_key`) whose entry per D-segment is that segment's pairs
+  tuple.  An entry depends on its segment's own elements and on the
+  A-elements of its ER-ancestors that span its branch point; labels are
+  immutable, inserts add leaf segments, and a remove cannot delete such
+  an ancestor element without deleting the segment — so an entry is good
+  exactly while the element index's journal has not named its segment
+  (DESIGN.md §4e).  The join is a hit while no sid written since the
+  memo's journal position is a D-segment now or holds an entry;
+  otherwise it re-merges those sids alone and :func:`patch_level` puts
+  each entry in its place.  A twig pattern's memo (a path's too: a path
+  is a twig with no branch) is keyed by the pattern's preorder and holds
+  per pattern node and segment the elements that survive
+  (:mod:`repro.twig.memo`).  A written segment is recomputed, and in its
+  ER-ancestors only the *spine* — the elements around its branch point
+  (Proposition 3) — is re-checked.  For that the cache keeps each
+  block's **parent rows** (per element, the row of the innermost
+  enclosing element of the same segment) and, for each segment dropped
+  lately, its parent sid and local position.  A journal trimmed past a
+  memo makes it a miss.
 
-Both memo tables keep the :data:`MEMOS_KEPT` entries stored last.
+The table keeps the :data:`MEMOS_KEPT` entries stored last.
 
 There is one regime: every lookup memoises.  :meth:`ReadPathCache.clear`
 is the "cold" lever — it drops everything derived and forces the same
@@ -76,14 +76,20 @@ from repro.joins.kernels import push_kept
 
 __all__ = [
     "CompiledPushList",
-    "JoinMemo",
     "PathMemo",
     "ReadPathCache",
+    "join_key",
     "patch_level",
 ]
 
-#: Join memos, and twig memos, kept per cache (as many as ``parse_twig`` memoises).
+#: Answer memos kept per cache (as many as ``parse_twig`` memoises).
 MEMOS_KEPT = 256
+
+
+def join_key(tid_a: int, tid_d: int, axis: str) -> tuple:
+    """The memo key of ``tid_a // tid_d``: a twig key is a tuple of node
+    tuples, so one led by a string never collides with it."""
+    return ("join", tid_a, tid_d, axis)
 
 
 def patch_level(sids, entries, sid: int, entry):
@@ -103,16 +109,6 @@ def patch_level(sids, entries, sid: int, entry):
         sids.insert(i, sid)
         entries.insert(i, entry)
     return ()
-
-
-def _keep(table: dict, key, memo) -> None:
-    """Publish ``memo`` under ``key`` as the newest of ``table``, dropping the
-    oldest past :data:`MEMOS_KEPT` (safe for readers storing at once)."""
-    table.pop(key, None)
-    table[key] = memo
-    if len(table) > MEMOS_KEPT:
-        for stale in list(table)[:-MEMOS_KEPT]:
-            table.pop(stale, None)
 
 
 def span_offsets(compiled: CompiledElements, node) -> CompiledElements:
@@ -223,32 +219,13 @@ class CompiledPushList:
         return len(self.starts)
 
 
-class JoinMemo(NamedTuple):
-    """One stored ``A // D`` answer and the chunks it is cut from.
-
-    ``sids`` / ``chunks`` are sid-ascending and parallel, a twig memo
-    level: ``chunks[i]`` is D-segment ``sids[i]``'s ``(pairs, depth)``,
-    its pairs and the deepest stack its merge charged, and a D-segment
-    with neither has no chunk.  ``depth_counts`` maps a depth to how many
-    chunks have it.  ``answer`` strings the chunks' pairs together — what
-    callers get — and ``depth`` is their maximum.  Built when the element
-    index's journal stood at ``position``.  Never mutated once stored.
-    """
-
-    position: int
-    sids: array
-    chunks: list
-    depth_counts: dict
-    answer: Sequence
-    depth: int
-
-
 class PathMemo(NamedTuple):
-    """One twig pattern's (a path's too) distinct matches: one level per
-    pattern node, ``levels[k]`` sid-ascending parallel ``(sids,
-    entries)``, ``entries[i]`` the start-sorted tuple of segment
-    ``sids[i]``'s elements surviving at node ``k``; ``answer`` chains the
-    output node's.  Never mutated."""
+    """One stored answer: ``levels[k]`` sid-ascending parallel ``(sids,
+    entries)``, ``entries[i]`` segment ``sids[i]``'s rows at level ``k``
+    — a twig pattern's elements surviving at its node ``k``, start-sorted,
+    or a join's pairs with a descendant in that segment (its one level);
+    ``answer`` chains the output level's.  Built when the element index's
+    journal stood at ``position``.  Never mutated."""
 
     position: int
     levels: list
@@ -273,11 +250,9 @@ class ReadPathCache:
         # sid -> {tid: (index_version, node_version, gp-free
         #   CompiledElements)}; tid None = all tags
         self._spans: dict[int, dict[int | None, tuple]] = {}
-        # (tid_a, tid_d, axis) -> JoinMemo
-        self._joins: dict[tuple[int, int, str], JoinMemo] = {}
-        # a twig pattern's preorder ((tid, axis, position, value, shape),
-        # ...) -> its PathMemo
-        self._paths: dict[tuple, PathMemo] = {}
+        # join_key(...) or a twig pattern's preorder ((tid, axis,
+        # position, value, shape), ...) -> its PathMemo, oldest stored first
+        self._memos: dict[tuple, PathMemo] = {}
         # sid -> (index version, parent rows of its block)
         self._parents: dict[int, tuple[int, array]] = {}
         # sid -> (parent sid, lp) of a dropped segment, oldest first; as
@@ -291,8 +266,7 @@ class ReadPathCache:
         """Drop all compiled state (counters are kept)."""
         self._push.clear()
         self._spans.clear()
-        self._joins.clear()
-        self._paths.clear()
+        self._memos.clear()
         self._parents.clear()
 
     # ------------------------------------------------------------------
@@ -356,14 +330,6 @@ class ReadPathCache:
         """
         return self._versioned(self._spans, tid, node, span_offsets)
 
-    def join_memo(self, tid_a: int, tid_d: int, axis: str) -> JoinMemo | None:
-        """The join memo last stored for ``tid_a // tid_d``, current or not."""
-        return self._joins.get((tid_a, tid_d, axis))
-
-    def store_join(self, tid_a: int, tid_d: int, axis: str, memo: JoinMemo) -> None:
-        """Publish a join memo as the newest (:func:`_keep`)."""
-        _keep(self._joins, (tid_a, tid_d, axis), memo)
-
     def parent_rows(self, sid: int) -> array:
         """:func:`parent_rows` of segment ``sid``'s block, kept while the
         block stands."""
@@ -378,13 +344,19 @@ class ReadPathCache:
         once forgotten (or never dropped)."""
         return self._vanished.get(sid)
 
-    def path_memo(self, key: tuple) -> PathMemo | None:
-        """The twig memo last stored under ``key``, current or not."""
-        return self._paths.get(key)
+    def memo(self, key: tuple) -> PathMemo | None:
+        """The memo last stored under ``key``, current or not."""
+        return self._memos.get(key)
 
-    def store_path(self, key: tuple, memo: PathMemo) -> None:
-        """Publish a twig memo as the newest (:func:`_keep`)."""
-        _keep(self._paths, key, memo)
+    def store(self, key: tuple, memo: PathMemo) -> None:
+        """Publish ``memo`` under ``key`` as the newest, dropping the oldest
+        past :data:`MEMOS_KEPT` (safe for readers storing at once)."""
+        memos = self._memos
+        memos.pop(key, None)
+        memos[key] = memo
+        if len(memos) > MEMOS_KEPT:
+            for stale in list(memos)[:-MEMOS_KEPT]:
+                memos.pop(stale, None)
 
     # ------------------------------------------------------------------
     # eager invalidation (lazy version checks already guarantee safety;
@@ -418,12 +390,10 @@ class ReadPathCache:
             "entries": {
                 "push_lists": sum(map(len, self._push.values())),
                 "span_columns": sum(map(len, self._spans.values())),
-                "join_results": len(self._joins),
-                "join_chunks": sum(len(m.chunks) for m in self._joins.values()),
-                "path_results": len(self._paths),
-                "path_entries": sum(
+                "memos": len(self._memos),
+                "memo_entries": sum(
                     len(sids)
-                    for memo in self._paths.values()
+                    for memo in self._memos.values()
                     for sids, _ in memo.levels
                 ),
             },
@@ -442,13 +412,9 @@ class ReadPathCache:
         for held in self._push.values():
             for _, _, push in held.values():
                 total += 8 * 3 * len(push)
-        for memo in self._joins.values():
-            # two 4-field records per pair, one more reference to it from
-            # its chunk; a sid, a chunk's reference, pairs and depth per
-            # chunk
-            total += 8 * 9 * len(memo.answer) + 8 * 4 * len(memo.chunks)
-        for memo in self._paths.values():
-            # a reference per matched record; a sid and an entry per row
+        for memo in self._memos.values():
+            # a reference per row (a record, or a join's pair); a sid and
+            # an entry per segment
             for sids, entries in memo.levels:
                 total += 8 * (2 * len(sids) + sum(map(len, entries)))
         for _, parents in self._parents.values():

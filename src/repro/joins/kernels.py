@@ -119,8 +119,6 @@ def std_pairs_python(
             stack_recs.append(a_recs[ai])
             stack_ends.append(a_end)
             ai += 1
-        if context is not None:
-            context.charge_depth(len(stack_recs))
         # Expire frames that end at or before this descendant's start.
         while stack_ends and stack_ends[-1] <= ds:
             stack_ends.pop()

@@ -3,7 +3,7 @@
 The paper cites the holistic twig-join line of work (reference [2]) as the
 state of the art it composes with; this module implements its linear-path
 core, PathStack; the twig executor (:mod:`repro.twig.evaluate`) runs it over
-a pattern's trunk, where :mod:`repro.core.query` evaluates the same chains
+a pattern's trunk, where its pairwise baseline evaluates the same chains
 with pipelined binary joins.
 
 PathStack scans one sorted element stream per path step, maintaining one

@@ -60,9 +60,8 @@ def stack_tree_desc(
 
     ``context`` is an optional
     :class:`~repro.service.context.QueryContext`: each run of descendants
-    sharing one stack is a cooperative cancellation checkpoint, emitted
-    pairs are charged against the row budget and stack pushes against the
-    depth budget.  The join is read-only, so an abort leaves no trace.
+    sharing one stack is a cooperative cancellation checkpoint and emitted
+    pairs are charged against the row budget.  The join is read-only, so an abort leaves no trace.
 
     Self-joins are safe: an element never pairs with itself because
     containment is strict.

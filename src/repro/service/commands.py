@@ -314,22 +314,23 @@ class Verb(NamedTuple):
 
 
 _LIMIT = Field("limit", "count", MAX_RESPONSE_SPANS)
+_EXPR = Field("expr", "text")
+#: ``query`` and ``twig``: a pattern's matches; ``twig`` also names the
+#: executor (the pairwise baseline), ``query`` runs the default.
+_PATTERN = _read(lambda db, a, ctx: _matches(
+    db, db.twig_query(a["expr"], strategy=a.get("strategy", "auto"), context=ctx),
+    a["limit"]))
 _SID = (Field("sid", "int"),)
 _REMOVED = "removed {elements_removed} element record(s)"
 
 COMMANDS: dict[str, Verb] = {
     "ping": Verb(lambda *_: {"pong": True}, doc="liveness probe"),
     "query": Verb(
-        _read(lambda db, a, ctx: _matches(
-            db, db.path_query(a["expr"], context=ctx), a["limit"])),
-        (Field("expr", "text"), _LIMIT),
-        "read", "{count} match(es)", "path query: count + global spans"),
+        _PATTERN, (_EXPR, _LIMIT), "read", "{count} match(es)",
+        "pattern query (path or twig): count + global spans"),
     "twig": Verb(
-        _read(lambda db, a, ctx: _matches(
-            db, db.twig_query(a["expr"], strategy=a["strategy"], context=ctx),
-            a["limit"])),
-        (Field("expr", "text"), Field("strategy", "word", "auto"), _LIMIT),
-        "read", "{count} match(es)", "branching twig pattern"),
+        _PATTERN, (_EXPR, Field("strategy", "word", "auto"), _LIMIT),
+        "read", "{count} match(es)", "pattern query, executor pinned"),
     "join": Verb(
         _read(lambda db, a, ctx: {"pairs": len(db.structural_join(
             a["ancestor"], a["descendant"], a["axis"],

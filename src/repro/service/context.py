@@ -36,7 +36,7 @@ class OverBudget(Exception):
 
 
 class QueryContext:
-    """Deadline, row budget and stack-depth budget for a single query.
+    """Deadline and row budget for a single query.
 
     Parameters
     ----------
@@ -44,9 +44,6 @@ class QueryContext:
         Seconds from now until the deadline, or ``None`` for no deadline.
     max_result_rows:
         Upper bound on result pairs/rows a query may produce.
-    max_stack_depth:
-        Upper bound on candidate-ancestor stack depth inside the join
-        algorithms (guards pathological nesting).
     check_every:
         Ticks between clock reads (exposed for tests).
     clock:
@@ -64,7 +61,6 @@ class QueryContext:
         "_ticks",
         "_rows",
         "max_result_rows",
-        "max_stack_depth",
         "_cancelled",
         "_budget_end",
         "trace",
@@ -76,7 +72,6 @@ class QueryContext:
         timeout: float | None = None,
         deadline: float | None = None,
         max_result_rows: int | None = None,
-        max_stack_depth: int | None = None,
         check_every: int = _CHECK_EVERY,
         clock=time.monotonic,
         trace=None,
@@ -93,7 +88,6 @@ class QueryContext:
         self._ticks = 0
         self._rows = 0
         self.max_result_rows = max_result_rows
-        self.max_stack_depth = max_stack_depth
         self._cancelled: str | None = None
         self._budget_end: float | None = None
         self.trace = trace
@@ -158,7 +152,6 @@ class QueryContext:
         fresh = QueryContext(
             deadline=end if self._deadline is None else min(end, self._deadline),
             max_result_rows=self.max_result_rows,
-            max_stack_depth=self.max_stack_depth,
             check_every=self._check_every,
             clock=self._clock,
             trace=None if self.trace is None else Trace(),
@@ -189,14 +182,6 @@ class QueryContext:
             raise ResourceExhausted(
                 f"query produced {self._rows} result rows, over the "
                 f"budget of {self.max_result_rows}"
-            )
-
-    def charge_depth(self, depth: int) -> None:
-        """Validate a candidate-stack depth against the depth budget."""
-        if self.max_stack_depth is not None and depth > self.max_stack_depth:
-            raise ResourceExhausted(
-                f"join stack depth {depth} over the budget of "
-                f"{self.max_stack_depth}"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -54,25 +54,25 @@ from repro.service.snapshot import EpochManager, Snapshot
 
 __all__ = ["ServiceConfig", "DatabaseService"]
 
+#: Writes that may wait for the writer slot (one writer, one maintenance
+#: run at a time; maintenance never queues).
+WRITE_QUEUE_DEPTH = 8
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Operational knobs for a :class:`DatabaseService`."""
 
-    #: Per-class concurrency limits; ``write`` must stay 1 (single writer).
+    #: Reads running at once (writes and maintenance: one each).
     read_limit: int = 16
-    maintenance_limit: int = 1
-    #: Wait-queue depth per class (over the concurrency limit).
+    #: Reads that may wait over the limit.
     read_queue_depth: int = 32
-    write_queue_depth: int = 8
     #: Seconds a request may wait for admission before ``Busy``.
     admission_wait: float = 0.05
     #: Default per-query deadline (seconds); ``None`` = no deadline.
     default_timeout: float | None = None
     #: Default per-query result-row budget; ``None`` = unbounded.
     max_result_rows: int | None = None
-    #: Default per-query join-stack depth budget; ``None`` = unbounded.
-    max_stack_depth: int | None = None
     #: Seconds a publish waits for a retiring epoch's readers to drain.
     drain_timeout: float = 5.0
     #: Writes between automatic pressure samples (0 disables).
@@ -80,10 +80,6 @@ class ServiceConfig:
     thresholds: PressureThresholds = field(default_factory=PressureThresholds)
     breaker_failure_threshold: int = 3
     breaker_reset_timeout: float = 30.0
-    #: Shed writes with ``Busy`` while pressure is critical and the
-    #: breaker is open (maintenance cannot run) — self-defense against
-    #: unbounded log growth.
-    shed_writes_when_degraded: bool = True
 
 
 class DatabaseService:
@@ -140,11 +136,11 @@ class DatabaseService:
             {
                 "read": self.config.read_limit,
                 "write": 1,
-                "maintenance": self.config.maintenance_limit,
+                "maintenance": 1,
             },
             queue_depth={
                 "read": self.config.read_queue_depth,
-                "write": self.config.write_queue_depth,
+                "write": WRITE_QUEUE_DEPTH,
                 "maintenance": 0,
             },
         )
@@ -179,7 +175,6 @@ class DatabaseService:
         options = {
             "timeout": self.config.default_timeout,
             "max_result_rows": self.config.max_result_rows,
-            "max_stack_depth": self.config.max_stack_depth,
             "clock": self._clock,
         }
         options.update(overrides)
@@ -323,11 +318,10 @@ class DatabaseService:
 
     def _write(self, op: dict, request_class: str = "write", context=None):
         self._ensure_open()
-        if (
-            request_class == "write"
-            and self.config.shed_writes_when_degraded
-            and self.is_degraded
-        ):
+        # A write is shed while pressure is critical and the breaker is
+        # open (maintenance cannot run): self-defense against unbounded
+        # log growth.
+        if request_class == "write" and self.is_degraded:
             self._counters["writes_shed_degraded"] += 1
             raise Busy(
                 "service is degraded (pressure critical, maintenance "

@@ -10,8 +10,8 @@ couple of dict lookups per shard.
 The coordinator uses :meth:`shards_for` to prune the fan-out: a shard
 where *any* joined tag has zero occurrences cannot produce a pair (both
 sides of a containment pair live in the same document, hence the same
-shard), so it is skipped entirely — the sharded analogue of the planner's
-zero-count short-circuit in :mod:`repro.core.query`.
+shard), so it is skipped entirely — the sharded analogue of the twig
+planner's zero-count short-circuit (:func:`repro.twig.plan.plan_twig`).
 """
 
 from __future__ import annotations

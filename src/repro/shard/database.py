@@ -46,7 +46,6 @@ from typing import NamedTuple
 from repro.core.database import _ALGORITHMS, LazyXMLDatabase, RemovalOutcome
 from repro.core.ertree import ERNode, RemovalReport
 from repro.core.join import _AXES, JoinStatistics
-from repro.core.query import parse_path
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.core.maintenance import RepackResult
 from repro.core.update_log import LogStats
@@ -781,35 +780,18 @@ class ShardedDatabase:
         )
 
     def path_query(self, expression: str, *, context=None):
-        """Scatter-gather path evaluation (``person//profile/interest``).
-
-        A path match lives entirely inside one document, so per-shard
-        evaluation unions to the global answer; shards missing any tag on
-        the path are pruned.  Returns :class:`ShardElement` rows merged
-        by global position.
-        """
-        query = parse_path(expression)
-        tags = [query.entry] + [step.tag for step in query.steps]
-        with self._lock:
-            return self._scatter_matches(
-                ("path", expression),
-                self.catalog.shards_for(*tags),
-                "path",
-                lambda s: (
-                    expression,
-                    context.remaining() if context is not None else None,
-                ),
-                context,
-            )
+        """A pattern (``person//profile/interest``), scattered as the
+        :meth:`twig_query` it is."""
+        return self.twig_query(expression, context=context)
 
     def twig_query(self, expression: str, *, strategy: str = "auto", context=None):
         """Scatter-gather twig evaluation (``person[profile]//phone``).
 
-        Like :meth:`path_query`, a twig match is rooted inside one
-        document, so per-shard holistic evaluation unions to the global
-        answer; shards missing any *concrete* tag of the pattern are
-        pruned (wildcard steps prune nothing).  Rows merge by global
-        position on the coordinator's heap.
+        A match is rooted inside one document, so per-shard evaluation
+        unions to the global answer; shards missing any *concrete* tag of
+        the pattern are pruned (wildcard steps prune nothing).  Returns
+        :class:`ShardElement` rows merged by global position on the
+        coordinator's heap.
         """
         from repro.twig.evaluate import _STRATEGIES
         from repro.twig.pattern import parse_twig

@@ -102,10 +102,6 @@ def handle_request(db, verb: str, args: tuple):
             (e.record.start, e.record.end, e.start, e.end, e.record.sid, e.level)
             for e in db.global_elements(tag)
         ]
-    if verb == "path":
-        expression, timeout = args
-        context = QueryContext(timeout=timeout) if timeout is not None else None
-        return _rows(db, db.path_query(expression, context=context))
     if verb == "twig":
         expression, strategy, timeout = args
         context = QueryContext(timeout=timeout) if timeout is not None else None

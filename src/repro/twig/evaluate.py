@@ -18,8 +18,7 @@ a surviving element one trunk edge up, so no chain dead-ends.
 holistic algorithm exists to beat: one Stack-Tree-Desc join per pattern
 edge over whole global streams, materializing intermediate pair lists,
 followed by semi-join filtering and chain assembly — plain chains
-included, so it is the independent reading of a path too
-(:func:`~repro.core.query.evaluate_path` answers from the memo).  Stream
+included, so it is the independent reading of a path too.  Stream
 construction and the predicate filters serve the pairwise executor and
 the holistic chains; the memo shares none of it, so the parity suite
 holds it to an independent reading of the pattern.
@@ -91,7 +90,7 @@ def evaluate_twig(
     enabled = METRICS.enabled
     start = perf_counter() if enabled else 0.0
     plan = plan_twig(query, db.path_summary)
-    chosen = plan.strategy if strategy == "auto" else strategy
+    chosen = "twig" if strategy == "auto" else strategy
     PLAN_RECORDER.record(expression=str(query), strategy=chosen, pruned=plan.empty)
     trace = context.trace if context is not None else None
     if trace is None:
@@ -128,7 +127,7 @@ def _execute(db, query, empty, chosen, bindings, context):
         context.charge_rows(len(result))
     if served[0] != "hit":
         # Published once the answer is charged: an abort publishes nothing.
-        db.readpath.store_path(key, memo)
+        db.readpath.store(key, memo)
     return result, served
 
 

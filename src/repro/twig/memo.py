@@ -6,8 +6,7 @@ segment the elements that survive there — a branch node's *witnesses*
 (the node's predicates hold and each of its branches has a witness
 below), a trunk step's elements with a surviving element one trunk edge
 up and a witness below for each branch.  A path is a pattern with no
-branch, so ``path_query`` reads the memo of ``twig_query`` on the same
-chain.  The answer chains the output node's level in sid order,
+branch.  The answer chains the output node's level in sid order,
 uncopied: ``(sid, start)`` order without a sort.
 
 After an update the memo is refreshed, not rebuilt (DESIGN.md §4e): the
@@ -115,7 +114,7 @@ def memo_matches(db, query, context):
     answer is charged, so an abort publishes nothing."""
     rp = db.readpath
     key = memo_key(query, db.log.tags)
-    old = rp.path_memo(key)
+    old = rp.memo(key)
     written = None if old is None else db.index.written_since(old.position)
     if written == []:
         rp.hits += 1

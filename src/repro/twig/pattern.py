@@ -1,9 +1,10 @@
-"""Twig pattern model and parser.
+"""Twig pattern model and parser: the one pattern grammar.
 
-The linear surface (:func:`repro.core.query.parse_path`) stops at
-``a//b/c``.  This module supplies the branching surface the paper's
-Lazy-Join machinery deserves:
+Every read verb that takes an expression parses it here — a path
+(``a//b/c``) is a pattern with no branch — so the language is:
 
+    person//interest                   descendant step
+    person/profile/interest            child steps
     person[profile]//interest          branching step
     person[profile//age]/phone         nested branch chain
     site//*/item                       wildcard step
@@ -100,8 +101,8 @@ class TwigNode:
     """One step of a twig pattern.
 
     ``axis`` is the relationship to the node's *parent* in the pattern
-    tree (``descendant`` for the entry step, by the relative-expression
-    convention of :func:`~repro.core.query.parse_path`).  ``child`` links
+    tree (``descendant`` for the entry step: an expression is relative,
+    its first tag matches anywhere).  ``child`` links
     the next trunk step (``None`` off the trunk and at the output step);
     ``branches`` hold existential sub-twigs.  ``position`` / ``value``
     are the optional ``[n]`` / ``[.="v"]`` predicates.
@@ -384,11 +385,10 @@ class _Parser:
 
 @lru_cache(maxsize=256)
 def parse_twig(expression: str) -> TwigQuery:
-    """Parse a branching twig expression into a :class:`TwigQuery`.
+    """Parse a pattern into a :class:`TwigQuery`.
 
-    Accepts everything :func:`~repro.core.query.parse_path` accepts plus
-    wildcard steps, ``[...]`` branches, and positional/value predicates.
-    Raises :class:`~repro.errors.PathSyntaxError` with the offending
+    Child and descendant steps, wildcard steps, ``[...]`` branches, and
+    positional/value predicates; no leading separator.  Raises :class:`~repro.errors.PathSyntaxError` with the offending
     token and position on malformed input.  Memoised per string, so a
     parsed query is shared: nothing may mutate it; a bad string raises on
     every call.

@@ -27,20 +27,18 @@ __all__ = ["TwigPlan", "plan_twig", "PlanRecorder", "PLAN_RECORDER"]
 class TwigPlan:
     """The planner's verdict for one twig pattern."""
 
-    strategy: str  #: what ``auto`` runs: always "twig"
     empty: bool  #: some named tag has no element
 
 
 def plan_twig(query: TwigQuery, summary: PathSummary) -> TwigPlan:
-    """``auto`` runs the twig memo; the pattern is empty iff a named tag
-    has no element."""
+    """The pattern is empty iff a named tag has no element."""
     # The rule also keeps an absent tag out of the memo: ``memo_key`` and
     # the memo's cold pass read tid ``None`` as the wildcard.
     empty = any(
         not node.is_wildcard and summary.total(node.tag) == 0
         for node in query.nodes
     )
-    return TwigPlan(strategy="twig", empty=empty)
+    return TwigPlan(empty=empty)
 
 
 class PlanRecorder:

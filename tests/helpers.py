@@ -81,8 +81,6 @@ def stack_tree_desc_legacy(
                 stack.pop()
             stack.append(candidate)
             a_index += 1
-        if context is not None:
-            context.charge_depth(len(stack))
         # Drop ancestors that ended before this descendant starts.
         while stack and stack[-1].end <= desc.start:
             stack.pop()
@@ -155,16 +153,16 @@ def merge_join_records(db, tag_a, tag_d, axis=AXIS_DESCENDANT) -> list:
 def semi_join_path(db, expression: str) -> list:
     """The path memo's oracle: the distinct final matches of a path with
     at least one step, in ``(sid, start)`` order, from a semi-join chain
-    over from-scratch step merges (``stats=``: no join memo read)."""
+    over from-scratch step merges (``stats=``: no join memo read) along
+    the trunk of :func:`~repro.twig.pattern.parse_twig`."""
     from repro.core.join import JoinStatistics
-    from repro.core.query import parse_path
+    from repro.twig.pattern import parse_twig
 
-    query = parse_path(expression)
-    ancestors = [query.entry] + [step.tag for step in query.steps]
+    trunk = parse_twig(expression).trunk
     matched = None
-    for tag_a, step in zip(ancestors, query.steps):
+    for above, step in zip(trunk, trunk[1:]):
         pairs = db.structural_join(
-            tag_a, step.tag, step.axis, stats=JoinStatistics()
+            above.tag, step.tag, step.axis, stats=JoinStatistics()
         )
         matched = {d for a, d in pairs if matched is None or a in matched}
     # ``(sid, start)`` identifies a record, so record order is that order.

@@ -43,7 +43,7 @@ class TestMeasure:
         compiled_at_entry = []
 
         def join():
-            compiled_at_entry.append(db.readpath.stats()["entries"]["join_results"])
+            compiled_at_entry.append(db.readpath.stats()["entries"]["memos"])
             return db.structural_join("a", "d")
 
         elapsed, pairs = measure_cold_join(db, join, repeat=3)

@@ -409,6 +409,32 @@ def test_every_verb_same_reply_on_every_surface(tmp_path, kind):
     assert batch["results"][1] is None
 
 
+@pytest.mark.parametrize("kind", ["plain", "durable"])
+def test_query_and_twig_answer_a_branching_pattern_alike(tmp_path, kind):
+    """``query`` takes any pattern of the one grammar: a branching one,
+    a predicate, a wildcard, as ``twig`` answers them — as a request
+    dict, over TCP and as a shell line."""
+    patterns = {"a[b]/c": 1, "a[c]": 2, 'a[c="z"]': 1, "*[c]": 3}
+    steps = [
+        (f"{verb} {expr}", {"cmd": verb, "expr": expr})
+        for expr in patterns
+        for verb in ("query", "twig")
+    ]
+    services = [make_service(kind, tmp_path) for _ in range(3)]
+    try:
+        by_dict = run_dict(services[0], steps)
+        by_tcp = run_tcp(services[1], steps)
+        by_shell = run_shell(services[2], steps)
+    finally:
+        for service in services:
+            service.close()
+    assert by_tcp == by_dict
+    assert [r["count"] for r in by_dict[::2]] == list(patterns.values())
+    assert by_dict[::2] == by_dict[1::2]
+    assert by_shell[::2] == by_shell[1::2]
+    assert by_shell[0][0] == "ok 1 match(es)"
+
+
 def test_shell_rows_are_the_global_spans_remove_consumes(tmp_path):
     """Same inserts and reads through the shell and ``execute_request``:
     same rows — global spans, which ``remove <position> <length>`` takes

@@ -1,7 +1,8 @@
 """The join memo is kept per descendant segment: same answers, local cost.
 
-``LazyJoiner`` stores, per ``(A, D, axis)``, one chunk of pairs per
-D-segment, sid-ascending, and after an update re-merges only the
+``LazyJoiner`` stores, per ``(A, D, axis)``, a one-level memo in the
+read path's one memo table: an entry of pairs per D-segment,
+sid-ascending, and after an update re-merges only the
 D-segments the element index's write journal named (DESIGN.md §4e).  What
 that must not change, and what it must buy:
 
@@ -46,6 +47,8 @@ from repro.service.context import QueryContext
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.snapshot import EpochManager
 from repro.storage import clone, dumps, loads
+from repro.twig import memo as twig_memo
+from repro.twig import parse_twig
 from tests.helpers import semi_join_path
 from tests.test_log_maintenance import (
     FRAGMENTS,
@@ -226,10 +229,8 @@ def test_gp_tie_answers_alike_warm_cold_and_from_scratch(mode):
 
 
 def _chunks(db: LazyXMLDatabase, key) -> dict:
-    """``{D-segment sid: (pairs, depth)}`` of the memo just stored under
-    ``key``."""
-    memo = db.readpath.join_memo(*key)
-    return dict(zip(memo.sids, memo.chunks))
+    """``{D-segment sid: pairs}`` of the memo just stored under ``key``."""
+    return dict(zip(*db.readpath.memo(key).levels[0]))
 
 
 def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
@@ -238,7 +239,9 @@ def test_chunk_survives_unrelated_updates_and_leaves_with_its_segment():
     nested = db.insert("<b><c>2</c></b>", db.text.index("</a>"))
     db.insert("<a><b>3</b></a>")
     db.structural_join("a", "b")
-    key = (db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant")
+    key = readpath.join_key(
+        db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant"
+    )
     before = _chunks(db, key)
     assert set(before) == {1, 2, 3}
     db.insert("<a><b>4</b></a>")
@@ -313,21 +316,23 @@ def test_write_touching_no_d_segment_keeps_the_join_a_hit():
 
 
 def test_join_memos_are_bounded_like_twig_memos(monkeypatch):
-    """Both memo tables are kept to one bound, the oldest stored going
-    first; a refreshed memo counts as newly stored."""
+    """Join and twig memos share one table and its bound, the oldest
+    stored going first; a refreshed memo counts as newly stored."""
     monkeypatch.setattr(readpath, "MEMOS_KEPT", 4)
     db = LazyXMLDatabase()
     db.insert("<a><b><c/></b></a>")
     pairs = [(a, d) for a in _TAGS for d in _TAGS]
     for tag_a, tag_d in pairs:
         db.structural_join(tag_a, tag_d)
+    db.path_query("a/b")
     tid = db.log.tags.tid_of
-    kept = [(tid(a), tid(d), "descendant") for a, d in pairs[-4:]]
-    assert list(db.readpath._joins) == kept
-    assert db.readpath.stats()["entries"]["join_results"] == 4
+    kept = [readpath.join_key(tid(a), tid(d), "descendant") for a, d in pairs[-3:]]
+    kept.append(twig_memo.memo_key(parse_twig("a/b"), db.log.tags))
+    assert list(db.readpath._memos) == kept
+    assert db.readpath.stats()["entries"]["memos"] == 4
     db.insert("<a><b><c/></b></a>")
-    db.structural_join(*pairs[-4])  # refreshed: now the newest
-    assert list(db.readpath._joins) == kept[1:] + kept[:1]
+    db.structural_join(*pairs[-3])  # refreshed: now the newest
+    assert list(db.readpath._memos) == kept[1:] + kept[:1]
 
 
 def _join_after_tail_pair(db: LazyXMLDatabase, i: int) -> float:
@@ -411,7 +416,7 @@ def _contexts():
     cancelled.cancel("caller went away")
     return [
         (QueryContext(max_result_rows=5), ResourceExhausted),
-        (QueryContext(max_stack_depth=0), ResourceExhausted),
+        (QueryContext(max_result_rows=0), ResourceExhausted),
         (expired, DeadlineExceeded),
         (cancelled, QueryCancelled),
     ]
@@ -425,24 +430,26 @@ def test_budget_aborts_warm_and_cold_alike(case, warm_first):
     assert len(full) > 5
     if warm_first:
         assert db.structural_join("a", "b") == full
-    key = (db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant")
-    memo = db.readpath.join_memo(*key)
-    assert (memo is not None and len(memo.chunks) == 7) == warm_first
+    key = readpath.join_key(
+        db.log.tags.tid_of("a"), db.log.tags.tid_of("b"), "descendant"
+    )
+    memo = db.readpath.memo(key)
+    assert (memo is not None and len(memo.levels[0][0]) == 7) == warm_first
     for _ in range(2):  # cold-then-cold again, or warm-then-warm
         context, error = _contexts()[case]
         with pytest.raises(error) as raised:
             db.structural_join("a", "b", context=context)
         assert type(raised.value) is error
         # An aborted query leaves the memo as it found it.
-        assert db.readpath.join_memo(*key) is memo
+        assert db.readpath.memo(key) is memo
     assert db.structural_join("a", "b") == full
     # ... and after an update, with one chunk to re-merge.
     db.insert("<a><b>late</b></a>")
-    memo = db.readpath.join_memo(*key)
+    memo = db.readpath.memo(key)
     context, error = _contexts()[case]
     with pytest.raises(error):
         db.structural_join("a", "b", context=context)
-    assert db.readpath.join_memo(*key) is memo
+    assert db.readpath.memo(key) is memo
     assert db.structural_join("a", "b") == by_descendant_sid(
         db.structural_join("a", "b", stats=JoinStatistics())
     )
@@ -452,15 +459,10 @@ def test_generous_budget_is_charged_the_whole_answer_warm_and_cold():
     db = _budget_db()
     charged = []
     for _ in range(2):
-        context = QueryContext(
-            timeout=60.0, max_result_rows=10**6, max_stack_depth=10**6
-        )
+        context = QueryContext(timeout=60.0, max_result_rows=10**6)
         pairs = db.structural_join("a", "b", context=context)
         charged.append((context.rows, len(pairs)))
     assert charged[0] == charged[1] == (len(pairs), len(pairs))
-    tight = QueryContext(max_stack_depth=1)
-    with pytest.raises(ResourceExhausted):  # nested <a> in one segment: depth 2
-        db.structural_join("a", "b", context=tight)
 
 
 # ----------------------------------------------------------------------
@@ -524,14 +526,13 @@ def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
                     and list(twig) == want[2]
                     for trio in answers for pairs, matches, twig in trio
                 )
-                # Dead sids left with the publish: one join chunk per live
-                # segment, and one twig memo entry per pattern node and
-                # live segment — two nodes for the path, three for the
-                # twig — however many epochs this replica replayed.
+                # Dead sids left with the publish: one memo entry per
+                # pattern node and live segment — one level for the join,
+                # two for the path, three for the twig — however many
+                # epochs this replica replayed.
                 entries = snap.db.readpath.stats()["entries"]
-                assert (entries["join_results"], entries["path_results"]) == (1, 2)
-                assert entries["join_chunks"] == snap.db.segment_count
-                assert entries["path_entries"] == 5 * snap.db.segment_count
+                assert entries["memos"] == 3
+                assert entries["memo_entries"] == 6 * snap.db.segment_count
     finally:
         stop.set()
         writing.join()

@@ -105,16 +105,12 @@ class _RecordingContext:
     def __init__(self):
         self.rows = 0
         self.ticks = 0
-        self.max_depth = 0
 
     def tick(self):
         self.ticks += 1
 
     def charge_rows(self, n):
         self.rows += n
-
-    def charge_depth(self, n):
-        self.max_depth = max(self.max_depth, n)
 
 
 # ----------------------------------------------------------------------

@@ -500,6 +500,7 @@ def _updated_service():
 
 
 def _memos(service) -> tuple:
+    from repro.core.readpath import join_key
     from repro.twig import memo, parse_twig
 
     with service.snapshot() as snap:
@@ -507,9 +508,11 @@ def _memos(service) -> tuple:
         readpath = snap.db.readpath
         tags = snap.db.log.tags
         return (
-            readpath.join_memo(tid("registration"), tid("interest"), "descendant"),
+            readpath.memo(
+                join_key(tid("registration"), tid("interest"), "descendant")
+            ),
             *(
-                readpath.path_memo(memo.memo_key(parse_twig(fields["expr"]), tags))
+                readpath.memo(memo.memo_key(parse_twig(fields["expr"]), tags))
                 for cmd, fields in _READS
                 if cmd != "join"
             ),

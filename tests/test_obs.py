@@ -156,7 +156,6 @@ class TestRegistry:
             "join.lazy.pairs",
             "join.lazy.seconds",
             "join.stacktree.calls",
-            "query.path.calls",
         }
 
 
@@ -218,7 +217,6 @@ class TestWiring:
                 "index.reads",
                 "join.lazy.calls",
                 "join.lazy.pairs",
-                "query.path.calls",
             )
         }
         seconds_before = METRICS.get("join.lazy.seconds").count

@@ -43,7 +43,6 @@ REGION_COUNTERS = (
     "join.lazy.calls",
     "join.stacktree.calls",
     "index.reads",
-    "query.path.calls",
 )
 
 

@@ -136,14 +136,14 @@ def test_answer_is_the_memo_in_sid_then_start_order():
     got = db.path_query("a//b")
     assert isinstance(got, JoinAnswer)
     assert [(r.sid, r.start) for r in got] == [(1, 3), (1, 11), (3, 0)]
-    assert got is db.readpath.path_memo(_path_key(db, "a//b")).answer
-    assert db.readpath.stats()["entries"]["path_results"] == 1
+    assert got is db.readpath.memo(_path_key(db, "a//b")).answer
+    assert db.readpath.stats()["entries"]["memos"] == 1
     # One entry at the ``a`` level (sid 1), two at the ``b`` level (sids
     # 1 and 3; sid 2's ``b`` is under no ``a``).
-    assert db.readpath.stats()["entries"]["path_entries"] == 3
+    assert db.readpath.stats()["entries"]["memo_entries"] == 3
     assert db.readpath.approximate_bytes() > 0
     db.readpath.clear()
-    assert db.readpath.path_memo(_path_key(db, "a//b")) is None
+    assert db.readpath.memo(_path_key(db, "a//b")) is None
     assert db.path_query("a//b") == got
 
 
@@ -163,10 +163,10 @@ def test_path_memos_are_bounded():
     db.insert("<a/>", 3)  # inside the outermost a: refreshes the first path
     assert db.path_query(expressions[0])
     assert db.path_query(expressions[-1])
-    assert db.readpath.stats()["entries"]["path_results"] == MEMOS_KEPT
-    assert db.readpath.path_memo(_path_key(db, expressions[1])) is None
+    assert db.readpath.stats()["entries"]["memos"] == MEMOS_KEPT
+    assert db.readpath.memo(_path_key(db, expressions[1])) is None
     for expression in (expressions[0], expressions[2], expressions[-1]):
-        assert db.readpath.path_memo(_path_key(db, expression)) is not None
+        assert db.readpath.memo(_path_key(db, expression)) is not None
         assert list(db.path_query(expression)) == semi_join_path(db, expression)
 
 
@@ -182,18 +182,12 @@ def test_aborted_path_query_publishes_nothing(case):
     assert len(want) > 5
     assert db.path_query("a//b") == want
     db.insert("<a><b>late</b></a>")
-    memo = db.readpath.path_memo(key)
+    memo = db.readpath.memo(key)
     for _ in range(2):
         context, error = _contexts()[case]
-        if context.max_stack_depth is not None:
-            # The memo keeps no stack: a depth budget does not apply, and
-            # the refresh publishes.
-            got = db.path_query("a//b", context=context)
-            assert list(got) == semi_join_path(db, "a//b")
-            return
         with pytest.raises(error):
             db.path_query("a//b", context=context)
-        assert db.readpath.path_memo(key) is memo
+        assert db.readpath.memo(key) is memo
     assert list(db.path_query("a//b")) == semi_join_path(db, "a//b")
 
 
@@ -204,7 +198,7 @@ def test_abort_between_levels_publishes_nothing():
     key = _path_key(db, "a//a//b")
     assert db.path_query("a//a//b")
     db.insert("<a><a><b>late</b></a></a>")
-    memo = db.readpath.path_memo(key)
+    memo = db.readpath.memo(key)
     real = memo_module._Refresh._refresh
     levels = []
 
@@ -217,7 +211,7 @@ def test_abort_between_levels_publishes_nothing():
     with mock.patch.object(memo_module._Refresh, "_refresh", fail_at_second_level):
         with pytest.raises(DeadlineExceeded):
             db.path_query("a//a//b")
-    assert db.readpath.path_memo(key) is memo
+    assert db.readpath.memo(key) is memo
     assert list(db.path_query("a//a//b")) == semi_join_path(db, "a//a//b")
 
 
@@ -234,7 +228,7 @@ def test_path_and_twig_of_one_chain_share_one_entry():
     twig, hit = _traced(db, "a/b", "twig_query")
     assert (hit["memo"], hit["refreshed"]) == ("hit", 0)
     assert twig is path
-    assert db.readpath.stats()["entries"]["path_results"] == 1
+    assert db.readpath.stats()["entries"]["memos"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,35 +1,41 @@
-"""Tests for path-expression parsing and evaluation."""
+"""Paths: patterns with no branch, parsed by the one pattern grammar
+(:func:`~repro.twig.pattern.parse_twig`) and answered by ``path_query``."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.database import LazyXMLDatabase
-from repro.core.query import PathQuery, PathStep, evaluate_path, parse_path
 from repro.errors import PathSyntaxError, QueryError
+from repro.twig.pattern import TwigNode, TwigQuery, parse_twig
 from repro.workloads.scenarios import registration_stream
 from repro.xml.parser import parse
 
 
+def trunk_steps(expression):
+    """``(entry tag, [(axis, tag) per later step])`` of a branch-free
+    pattern."""
+    trunk = parse_twig(expression).trunk
+    assert all(not node.branches for node in trunk)
+    return trunk[0].tag, [(node.axis, node.tag) for node in trunk[1:]]
+
+
 class TestParse:
     def test_single_tag(self):
-        query = parse_path("person")
-        assert query.entry == "person"
-        assert query.steps == ()
+        assert trunk_steps("person") == ("person", [])
 
     def test_descendant_steps(self):
-        query = parse_path("a//b//c")
-        assert query.entry == "a"
-        assert [s.axis for s in query.steps] == ["descendant", "descendant"]
-        assert [s.tag for s in query.steps] == ["b", "c"]
+        entry, steps = trunk_steps("a//b//c")
+        assert entry == "a"
+        assert steps == [("descendant", "b"), ("descendant", "c")]
 
     def test_child_steps(self):
-        query = parse_path("a/b/c")
-        assert [s.axis for s in query.steps] == ["child", "child"]
+        _, steps = trunk_steps("a/b/c")
+        assert [axis for axis, _ in steps] == ["child", "child"]
 
     def test_mixed(self):
-        query = parse_path("site//person/profile//interest")
-        assert [(s.axis, s.tag) for s in query.steps] == [
+        _, steps = trunk_steps("site//person/profile//interest")
+        assert steps == [
             ("descendant", "person"),
             ("child", "profile"),
             ("descendant", "interest"),
@@ -37,36 +43,36 @@ class TestParse:
 
     def test_str_roundtrip(self):
         for expression in ("a", "a//b", "a/b//c", "x//y/z"):
-            assert str(parse_path(expression)) == expression
+            assert str(parse_twig(expression)) == expression
 
     def test_whitespace_stripped(self):
-        assert parse_path("  a//b ").entry == "a"
+        assert trunk_steps("  a//b ")[0] == "a"
 
     @pytest.mark.parametrize(
         "bad", ["", "  ", "/a", "//a", "a//", "a///b", "a//b//", "a b", "1tag", "a//2b"]
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(QueryError):
-            parse_path(bad)
+            parse_twig(bad)
 
     def test_memoised_per_expression_string(self):
-        assert parse_path("a//b/c") is parse_path("a//b/c")
+        assert parse_twig("a//b/c") is parse_twig("a//b/c")
         for _ in range(2):  # an error is not cached: it raises every time
             with pytest.raises(PathSyntaxError):
-                parse_path("a///b")
+                parse_twig("a///b")
 
 
 def oracle_path(db, expression):
     """Text-reparse oracle: global spans of the final step's matches."""
-    query = parse_path(expression)
+    entry, steps = trunk_steps(expression)
     doc = parse(f"<w>{db.text}</w>")
     shift = len("<w>")
-    matches = [e for e in doc.elements if e.tag == query.entry]
-    for step in query.steps:
+    matches = [e for e in doc.elements if e.tag == entry]
+    for axis, tag in steps:
         next_matches = []
         for element in matches:
-            pool = element.descendants() if step.axis == "descendant" else element.children
-            next_matches.extend(x for x in pool if x.tag == step.tag)
+            pool = element.descendants() if axis == "descendant" else element.children
+            next_matches.extend(x for x in pool if x.tag == tag)
         matches = next_matches
     return sorted({(e.start - shift, e.end - shift) for e in matches})
 
@@ -100,23 +106,23 @@ class TestEvaluate:
         ],
     )
     def test_matches_oracle(self, db, expression):
-        got = self.spans(db, evaluate_path(db, expression))
+        got = self.spans(db, db.path_query(expression))
         assert got == oracle_path(db, expression), expression
 
     def test_unknown_entry_tag(self, db):
-        assert evaluate_path(db, "nonexistent//interest") == []
+        assert db.path_query("nonexistent//interest") == []
 
     def test_unknown_step_tag(self, db):
-        assert evaluate_path(db, "registration//nonexistent") == []
+        assert db.path_query("registration//nonexistent") == []
 
     def test_bindings_tuple_length(self, db):
-        bindings = evaluate_path(db, "registration//preferences//interest", bindings=True)
+        bindings = db.path_query("registration//preferences//interest", bindings=True)
         assert bindings
         assert all(len(binding) == 3 for binding in bindings)
 
     def test_bindings_are_nested(self, db):
-        for reg, prefs, interest in evaluate_path(
-            db, "registration//preferences//interest", bindings=True
+        for reg, prefs, interest in db.path_query(
+            "registration//preferences//interest", bindings=True
         ):
             reg_span = db.global_span(reg)
             prefs_span = db.global_span(prefs)
@@ -125,25 +131,28 @@ class TestEvaluate:
             assert interest_span[1] <= prefs_span[1] < reg_span[1]
 
     def test_results_deduplicated_and_sorted(self, db):
-        records = evaluate_path(db, "registration//interest")
+        records = db.path_query("registration//interest")
         keys = [(r.sid, r.start) for r in records]
         assert keys == sorted(set(keys))
 
     def test_accepts_prebuilt_query(self, db):
-        query = PathQuery("registration", (PathStep("descendant", "interest"),))
-        assert evaluate_path(db, query) == evaluate_path(db, "registration//interest")
+        root = TwigNode("registration", "descendant")
+        root.child = TwigNode("interest", "descendant")
+        assert db.path_query(TwigQuery(root)) == db.path_query(
+            "registration//interest"
+        )
 
     def test_cross_segment_steps(self):
         db = LazyXMLDatabase()
         db.insert("<a><hook/></a>")
         db.insert("<b><hook2/></b>", position=db.text.index("<hook/>"))
         db.insert("<c/>", position=db.text.index("<hook2/>"))
-        records = evaluate_path(db, "a//b//c")
+        records = db.path_query("a//b//c")
         assert self_spans(db, records) == oracle_path(db, "a//b//c")
 
     def test_empty_database(self):
         db = LazyXMLDatabase()
-        assert evaluate_path(db, "a//b") == []
+        assert db.path_query("a//b") == []
 
 
 def self_spans(db, records):

@@ -46,7 +46,6 @@ class TestQueryContextUnit:
         for _ in range(1000):
             ctx.tick()
         ctx.charge_rows(10**9)
-        ctx.charge_depth(10**9)
 
     def test_timeout_and_deadline_are_exclusive(self):
         with pytest.raises(ValueError):
@@ -87,12 +86,6 @@ class TestQueryContextUnit:
         ctx.charge_rows(10)
         with pytest.raises(ResourceExhausted):
             ctx.charge_rows(1)
-
-    def test_depth_budget(self):
-        ctx = QueryContext(max_stack_depth=3)
-        ctx.charge_depth(3)
-        with pytest.raises(ResourceExhausted):
-            ctx.charge_depth(4)
 
     def test_explicit_cancel(self):
         ctx = QueryContext()
@@ -175,8 +168,7 @@ class TestCancellationInQueries:
 
     def test_generous_budget_changes_nothing(self):
         db = populated_db()
-        ctx = QueryContext(timeout=60.0, max_result_rows=10**6,
-                           max_stack_depth=10**6)
+        ctx = QueryContext(timeout=60.0, max_result_rows=10**6)
         with_ctx = db.structural_join("registration", "interest", context=ctx)
         without = db.structural_join("registration", "interest")
         assert with_ctx == without

@@ -192,7 +192,7 @@ def test_join_memo_invalidates_when_either_tag_changes():
     db = LazyXMLDatabase()
     db.insert("<a><d>x</d></a>")
     first = db.structural_join("a", "d")
-    assert db.readpath.stats()["entries"]["join_results"] == 1
+    assert db.readpath.stats()["entries"]["memos"] == 1
     db.insert("<d>solo</d>")  # touches d only; memo for (a, d) is stale
     second = db.structural_join("a", "d")
     assert _ids(second) == _ids(first)  # the new top-level <d> joins nothing
@@ -304,9 +304,21 @@ def test_span_columns_are_counted_and_cleared():
     assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32 + 8 * 2
 
 
+def test_joins_and_paths_share_one_memo_table():
+    """One join and one path query: two memos of the one kind the read
+    path keeps, a join's one level beside a path's two."""
+    db = LazyXMLDatabase()
+    db.insert("<a><b>x</b></a>")
+    db.structural_join("a", "b")
+    db.path_query("a/b")
+    entries = db.readpath.stats()["entries"]
+    assert [name for name in entries if name.startswith(("join", "path"))] == []
+    assert (entries["memos"], entries["memo_entries"]) == (2, 3)
+
+
 def test_join_memo_and_write_journal_are_counted():
-    """``join_chunks`` and the memo's bytes follow its chunk lists; the
-    element index counts its journal's sids."""
+    """The memo's entries and bytes follow its entry lists; the element
+    index counts its journal's sids."""
     db = LazyXMLDatabase()
     for _ in range(3):
         db.insert("<a><b>x</b><b>y</b></a>")
@@ -315,18 +327,18 @@ def test_join_memo_and_write_journal_are_counted():
     assert db.index.approximate_bytes() == 32 * 10 + 8 * 4  # a sid a write
     assert len(db.structural_join("a", "b")) == 6
     index_bytes = db.index.approximate_bytes()  # now with the views cut
-    assert rp.stats()["entries"]["join_chunks"] == 3
-    # 72 bytes a pair (two records, one reference from its chunk), 32 a
-    # chunk (its sid, its reference, pairs and depth).
-    assert rp.approximate_bytes() == 72 * 6 + 32 * 3
+    assert rp.stats()["entries"]["memo_entries"] == 3
+    # 8 bytes a pair (its reference from its entry), 16 an entry (its sid
+    # and its reference).
+    assert rp.approximate_bytes() == 8 * 6 + 16 * 3
     receipt = db.insert("<a><b>z</b></a>")
     assert len(db.structural_join("a", "b")) == 7
-    assert rp.stats()["entries"]["join_chunks"] == 4
-    assert rp.approximate_bytes() == 72 * 7 + 32 * 4
+    assert rp.stats()["entries"]["memo_entries"] == 4
+    assert rp.approximate_bytes() == 8 * 7 + 16 * 4
     db.remove_segment(receipt.sid)
     db.structural_join("a", "b")
-    assert rp.stats()["entries"]["join_chunks"] == 3
-    assert rp.approximate_bytes() == 72 * 6 + 32 * 3
+    assert rp.stats()["entries"]["memo_entries"] == 3
+    assert rp.approximate_bytes() == 8 * 6 + 16 * 3
     assert db.index.approximate_bytes() == index_bytes + 8 * 2
 
 
@@ -520,7 +532,7 @@ def test_perf_smoke_second_pass_hits_and_envelope_validates():
     stats = db.readpath.stats()
     assert db.readpath.hits > hits_before, "second pass never hit the cache"
     assert stats["hit_rate"] > 0.0
-    assert stats["entries"]["join_results"] == len(queries)
+    assert stats["entries"]["memos"] == len(queries)
 
 
 # ----------------------------------------------------------------------
@@ -582,19 +594,18 @@ def test_memos_miss_iff_state_changed(seed):
 
 def test_lattice_memo_populates_and_survives_unrelated_updates():
     """The per-pair memo is the join memo now (the path lattice is gone):
-    one entry per tag pair, one chunk per D-segment, a repeat reads it."""
+    one memo per tag pair, one entry per D-segment holding a pair, a
+    repeat reads it."""
     db = replay_random_sequence(7, n_ops=6).db
     tags = [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))]
     live = [t for t in tags if db.log.tags.tid_of(t) is not None][:2]
     if len(live) < 2:
         pytest.skip("seed produced fewer than two live tags")
     a, d = live
-    db.structural_join(a, d)
+    pairs = db.structural_join(a, d)
     entries = db.readpath.stats()["entries"]
-    assert entries["join_results"] == 1
-    assert entries["join_chunks"] == len(
-        db.log.taglist.nodes(db.log.tags.tid_of(d))
-    )
+    assert entries["memos"] == 1
+    assert entries["memo_entries"] == len({pair[1].sid for pair in pairs})
     misses_before = db.readpath.misses
     db.structural_join(a, d)
     assert db.readpath.misses == misses_before

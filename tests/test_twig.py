@@ -1,8 +1,8 @@
 """Twig subsystem: parser, path summary, planner, evaluators, surfaces.
 
 Covers the whole vertical: the pattern grammar and its typed
-:class:`PathSyntaxError` reporting (shared with the upgraded
-``parse_path``), the :class:`PathSummary` tag totals and segment sets,
+:class:`PathSyntaxError` reporting (the one grammar every read verb
+parses with), the :class:`PathSummary` tag totals and segment sets,
 the plan rule and its process-wide decision log, the holistic and pairwise
 executors on handcrafted documents (branches, wildcards, positional and
 value predicates, bindings), and the end-to-end surfaces — database
@@ -22,7 +22,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.database import LazyXMLDatabase
-from repro.core.query import evaluate_path, parse_path
 from repro.errors import (
     PathSyntaxError,
     ProtocolError,
@@ -153,39 +152,30 @@ class TestParser:
 
 
 class TestParsePathErrors:
-    """The satellite: parse_path reports typed, positioned errors."""
+    """A path is parsed by the pattern grammar: typed, positioned errors."""
 
     @pytest.mark.parametrize(
         "expr, token, position",
         [
-            ("a/*", "*", 2),
-            ("a[b]", "[", 1),
-            ('a/b[.="x"]', "[", 3),
             ("following-sibling::b", "following-sibling::", 0),
             ("a/ancestor::b", "ancestor::", 2),
             ("/a", "/", 0),
-            ("a//", "//", 1),
         ],
     )
     def test_typed_with_token_and_position(self, expr, token, position):
         with pytest.raises(PathSyntaxError) as exc_info:
-            parse_path(expr)
+            parse_twig(expr)
         err = exc_info.value
         assert err.token == token
         assert err.position == position
 
-    def test_twig_tokens_redirect_to_twig_surface(self):
-        with pytest.raises(PathSyntaxError) as exc_info:
-            parse_path("r/a[b]")
-        assert "the `twig` verb" in str(exc_info.value)
-
     def test_empty_expression(self):
         with pytest.raises(PathSyntaxError):
-            parse_path("")
+            parse_twig("")
 
     def test_still_a_query_error(self):
         with pytest.raises(QueryError):
-            parse_path("*")
+            parse_twig("a/b[")
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +212,7 @@ class TestPlanner:
         summary = PathSummary(db.log, db.index)
         assert plan_twig(parse_twig("x//nosuch"), summary).empty
         assert plan_twig(parse_twig("nosuch[y]"), summary).empty
-        plan = plan_twig(parse_twig("x//q"), summary)
-        assert (plan.strategy, plan.empty) == ("twig", False)
+        assert not plan_twig(parse_twig("x//q"), summary).empty
 
     def test_recorder_counts_decisions(self):
         db = make_db()
@@ -279,7 +268,7 @@ class TestEvaluate:
     def test_plain_chain_matches_path_query(self):
         db = make_db()
         for expr in ("r//b", "r/a/b", "r//a/c", "d//b"):
-            want = spans(db, evaluate_path(db, expr))
+            want = spans(db, db.path_query(expr))
             for strategy in ("auto", "twig", "pairwise"):
                 got = spans(db, db.twig_query(expr, strategy=strategy))
                 assert got == want, (expr, strategy)

@@ -203,8 +203,8 @@ def test_memo_goes_cold_then_refreshes_then_hits():
     assert third is second
     assert _keys(third) == _keys(evaluate_twig(db, expression, strategy="pairwise"))
     entries = db.readpath.stats()["entries"]
-    assert entries["path_results"] == 1
-    assert entries["path_entries"] >= 2
+    assert entries["memos"] == 1
+    assert entries["memo_entries"] >= 2
     assert db.readpath.approximate_bytes() > 0
     db.readpath.clear()
     assert _traced(db, expression)[1]["memo"] == "cold"
@@ -252,19 +252,13 @@ def test_aborted_twig_query_publishes_nothing(case):
     key = memo_module.memo_key(parse_twig(_ABORTED), db.log.tags)
     assert len(db.twig_query(_ABORTED, strategy="twig")) > 5
     db.insert("<a><a><b>late</b></a></a>")
-    memo = db.readpath.path_memo(key)
+    memo = db.readpath.memo(key)
     want = _keys(evaluate_twig(db, _ABORTED, strategy="pairwise"))
     for _ in range(2):
         context, error = _contexts()[case]
-        if context.max_stack_depth is not None:
-            # The holistic executor keeps no stack: a depth budget does not
-            # apply, and the refresh publishes.
-            got = db.twig_query(_ABORTED, strategy="twig", context=context)
-            assert _keys(got) == want
-            return
         with pytest.raises(error):
             db.twig_query(_ABORTED, strategy="twig", context=context)
-        assert db.readpath.path_memo(key) is memo
+        assert db.readpath.memo(key) is memo
     assert _keys(db.twig_query(_ABORTED, strategy="twig")) == want
 
 
@@ -273,7 +267,7 @@ def test_abort_between_levels_publishes_nothing():
     key = memo_module.memo_key(parse_twig(_ABORTED), db.log.tags)
     assert db.twig_query(_ABORTED, strategy="twig")
     db.insert("<a><a><b>late</b></a></a>")
-    memo = db.readpath.path_memo(key)
+    memo = db.readpath.memo(key)
     real = memo_module._Refresh._refresh
     levels = []
 
@@ -286,7 +280,7 @@ def test_abort_between_levels_publishes_nothing():
     with mock.patch.object(memo_module._Refresh, "_refresh", fail_at_second_level):
         with pytest.raises(DeadlineExceeded):
             db.twig_query(_ABORTED, strategy="twig")
-    assert db.readpath.path_memo(key) is memo
+    assert db.readpath.memo(key) is memo
     assert _keys(db.twig_query(_ABORTED, strategy="twig")) == _keys(
         evaluate_twig(db, _ABORTED, strategy="pairwise")
     )
