@@ -8,6 +8,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import JoinStatistics, LazyXMLDatabase
+from repro.joins import std_join
 
 
 def main() -> None:
@@ -49,12 +50,12 @@ def main() -> None:
     outcome = db.remove(start, len("<pamphlet/>"))
     print("removed", outcome.elements_removed, "element(s); document:", db.text)
 
-    # 6. Compare algorithms: Lazy-Join vs Stack-Tree-Desc over derived
-    #    global labels — identical answers.
+    # 6. Compare with the baseline: Stack-Tree-Desc over derived global
+    #    labels (std_join) — identical answers.
     lazy = {(db.global_span(a), db.global_span(d))
             for a, d in db.structural_join("library", "title")}
     std = {(db.global_span(a), db.global_span(d))
-           for a, d in db.structural_join("library", "title", algorithm="std")}
+           for a, d in std_join(db, "library", "title")}
     assert lazy == std
     print("lazy == std on library//title:", len(lazy), "pairs")
 

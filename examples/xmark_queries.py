@@ -12,6 +12,7 @@ import sys
 import time
 
 from repro import JoinStatistics
+from repro.joins import std_join
 from repro.workloads.chopper import chop_text
 from repro.workloads.xmark import XMARK_QUERIES, XMarkConfig, generate_site
 
@@ -39,7 +40,7 @@ def main(scale: float = 0.05, n_segments: int = 60) -> None:
         lazy_ms = (time.perf_counter() - started) * 1e3
 
         started = time.perf_counter()
-        db.structural_join(tag_a, tag_d, algorithm="std")
+        std_join(db, tag_a, tag_d)
         std_ms = (time.perf_counter() - started) * 1e3
 
         print(f"{qid:6} {tag_a + '//' + tag_d:22} {len(pairs):>8} "

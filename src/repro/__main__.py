@@ -12,23 +12,21 @@ one more codec over it, like the ``serve`` shell.
 TARGET, wraps it in a :class:`~repro.service.server.DatabaseService`, runs
 the request the shell line ``<verb> <words...>`` stands for and prints the
 reply exactly as the shell prints it.  ``--<field>`` sets a field only the
-wire reaches, such as ``--limit`` or ``--strategy``.  After a write or
-maintenance verb a snapshot target is saved; a durable target journaled
-the op before the reply.
+wire reaches, such as ``--limit``.  After a write or maintenance verb a
+snapshot target is saved; a durable target journaled the op before the
+reply.
 
     python -m repro insert db.json 120 '<interest topic="x"/>'   # or: end
     python -m repro remove db.json 120 34
     python -m repro query db.json 'person[profile]//interest' [--limit 0]
-    python -m repro twig db.json 'person[profile]//phone' --strategy pairwise
-    python -m repro join db.json person interest std [child]
+    python -m repro join db.json person interest [child]
     python -m repro stats state/            # health + metric catalogue, JSON
     python -m repro compact db.json
 
 ``query`` takes any pattern of the one grammar (:mod:`repro.twig.pattern`):
-a path or a twig.  ``twig`` is the same read with ``--strategy``, which can
-pin the pairwise baseline.  A bad or missing field is one ``error: ...``
-line and exit 2, like any other usage error; any other refusal (a
-malformed pattern too) is exit 1.
+a path or a twig; ``twig`` is another name for it.  A bad or missing field
+is one ``error: ...`` line and exit 2, like any other usage error; any
+other refusal (a malformed pattern too) is exit 1.
 
 **Commands with no verb:**
 

@@ -13,8 +13,9 @@ Every LD/LS join timing goes through
 :func:`~repro.bench.harness.measure_cold_join`, so a figure compares joins
 over label schemes — Lazy-Join from dropped compiled state against
 Stack-Tree-Desc deriving its global labels — not a result cache against a
-join.  Both algorithms run with the cyclic collector paused
-(``LazyXMLDatabase.structural_join``); timings are best-of-seven by
+join.  Both joins run with the cyclic collector paused
+(``LazyXMLDatabase.structural_join`` and
+:func:`~repro.joins.stack_tree.std_join`); timings are best-of-seven by
 default against machine noise.
 """
 
@@ -36,6 +37,7 @@ from repro.core.join import JoinStatistics
 from repro.core.update_log import UpdateLog
 from repro.durability.database import DurableDatabase
 from repro.errors import QueryError
+from repro.joins.stack_tree import std_join
 from repro.labeling.interval import IntervalLabelingIndex
 from repro.labeling.prime import PrimeLabeling
 from repro.twig.pattern import parse_twig
@@ -97,9 +99,9 @@ def _time_joins(ld, ls, tag_a: str, tag_d: str, repeat: int) -> dict[str, float]
         ld, lambda: ld.structural_join(tag_a, tag_d), repeat=repeat
     )
     times["ld_ms"] = t_ld * _MS
-    counts["std"] = len(ld.structural_join(tag_a, tag_d, algorithm="std"))
+    counts["std"] = len(std_join(ld, tag_a, tag_d))
     times["std_ms"] = _MS * measure(
-        lambda: ld.structural_join(tag_a, tag_d, algorithm="std"), repeat=repeat
+        lambda: std_join(ld, tag_a, tag_d), repeat=repeat
     )
     if len(set(counts.values())) != 1:
         raise QueryError(

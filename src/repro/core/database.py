@@ -6,8 +6,8 @@ Ties together the paper's pieces end to end:
   XML fragment / a ``(position, length)`` span, exactly the interface Section
   3.3 assumes ("only the start location ... and the length ... are available
   to us"), and keep the update log and element index consistent;
-- queries: :meth:`structural_join` runs Lazy-Join (``algorithm="lazy"``) or
-  Stack-Tree-Desc over derived global labels (``"std"``);
+- queries: :meth:`structural_join` runs Lazy-Join; the STD baseline over
+  derived global labels is :func:`repro.joins.stack_tree.std_join`;
 - global-position reconstruction: element labels are local and immutable, but
   global spans are always derivable from the ER-tree (:meth:`global_span`) —
   the core invariant of the lazy approach.
@@ -20,8 +20,6 @@ Every insert and remove is checked against the text (DESIGN.md §4).
 
 from __future__ import annotations
 
-import gc
-import threading
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
@@ -36,54 +34,15 @@ from repro.core.join import JoinPair, JoinStatistics, LazyJoiner
 from repro.core.readpath import ReadPathCache
 from repro.core.segment import DUMMY_ROOT_SID, SpanRelation, relate
 from repro.core.update_log import InsertReceipt, LogStats, UpdateLog
-from repro.errors import InvalidSegmentError, QueryError, XMLSyntaxError
-from repro.joins.stack_tree import AXIS_DESCENDANT, stack_tree_desc
+from repro.errors import InvalidSegmentError, XMLSyntaxError
+from repro.joins.stack_tree import AXIS_DESCENDANT, gc_paused
 from repro.xml.model import FlatDocument
 from repro.xml.parser import parse_flat, parse_fragment
 from repro.xml.wellformed import Audit, reaches_cleanly, well_formed
 
 __all__ = ["LazyXMLDatabase", "GlobalElement", "RemovalOutcome"]
 
-_ALGORITHMS = ("lazy", "std")
-
 _segment_gp = attrgetter("gp")
-
-# A join allocates tens of thousands of result tuples that all *survive*
-# into the returned list, so every generation-0 collection triggered by
-# that allocation burst scans live data and frees nothing — pure overhead,
-# measured at ~25% of a large cold join.  Both join algorithms (lazy and
-# std: one regime, so the figures compare merges and not collectors)
-# therefore run with automatic collection paused — nesting-safe across
-# threads; the pause window is bounded by one join and restores the
-# caller's GC state.
-_gc_lock = threading.Lock()
-_gc_depth = 0
-_gc_was_enabled = False
-
-
-class _GcPaused:
-    """Scoped pause of automatic garbage collection (see the note above)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        global _gc_depth, _gc_was_enabled
-        with _gc_lock:
-            if _gc_depth == 0:
-                _gc_was_enabled = gc.isenabled()
-                if _gc_was_enabled:
-                    gc.disable()
-            _gc_depth += 1
-
-    def __exit__(self, *exc_info) -> None:
-        global _gc_depth
-        with _gc_lock:
-            _gc_depth -= 1
-            if _gc_depth == 0 and _gc_was_enabled:
-                gc.enable()
-
-
-_gc_paused = _GcPaused()  # stateless: one serves every join
 
 
 class GlobalElement(NamedTuple):
@@ -638,51 +597,23 @@ class LazyXMLDatabase:
         tag_d: str,
         axis: str = AXIS_DESCENDANT,
         *,
-        algorithm: str = "lazy",
         stats: JoinStatistics | None = None,
         context=None,
     ) -> Sequence[JoinPair]:
-        """Answer ``tag_a // tag_d`` (or ``/`` with ``axis="child"``).
+        """Lazy-Join ``tag_a // tag_d`` (or ``/`` with ``axis="child"``).
 
-        ``algorithm`` selects Lazy-Join (``"lazy"``) or Stack-Tree-Desc over
-        derived global labels (``"std"``).  Both return the same pairs of
-        :class:`~repro.core.element_index.ElementRecord`; ordering differs
-        (lazy: grouped by descendant segment, in ascending sid; std: by
-        global descendant position).  ``stats`` (Lazy-Join only) collects
-        :class:`JoinStatistics` and runs the from-scratch merge instead of
-        the join memo, grouped in Fig. 9's ascending segment gp; the memo's
-        answer comes back uncopied: read it, never mutate it.
+        Returns pairs of :class:`~repro.core.element_index.ElementRecord`
+        grouped by descendant segment, in ascending sid.  ``stats``
+        collects :class:`JoinStatistics` and runs the from-scratch merge
+        instead of the join memo, grouped in Fig. 9's ascending segment
+        gp; the memo's answer comes back uncopied: read it, never mutate it.
 
         ``context`` (a :class:`~repro.service.context.QueryContext`) adds
-        cooperative deadline/row enforcement to every algorithm; the
-        join is read-only, so a typed abort leaves the database untouched.
+        cooperative deadline/row enforcement; the join is read-only, so a
+        typed abort leaves the database untouched.
         """
-        if algorithm not in _ALGORITHMS:
-            raise QueryError(
-                f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
-            )
-        with _gc_paused:
-            if algorithm == "lazy":
-                return self._joiner.join(
-                    tag_a, tag_d, axis, stats=stats, context=context
-                )
-            self.log.require_query_ready()
-            trace = context.trace if context is not None else None
-            if trace is None:
-                return self._std_join(tag_a, tag_d, axis, context)
-            with trace.span("std_join", a=tag_a, d=tag_d, axis=axis) as span:
-                results = self._std_join(tag_a, tag_d, axis, context)
-                span.annotate(pairs=len(results))
-            return results
-
-    def _std_join(
-        self, tag_a: str, tag_d: str, axis: str, context
-    ) -> list[JoinPair]:
-        """The STD baseline: derive global labels, join on them."""
-        a_globals = self.global_elements(tag_a, context=context)
-        d_globals = self.global_elements(tag_d, context=context)
-        pairs = stack_tree_desc(a_globals, d_globals, axis=axis, context=context)
-        return [(a.record, d.record) for a, d in pairs]
+        with gc_paused:
+            return self._joiner.join(tag_a, tag_d, axis, stats=stats, context=context)
 
     def global_elements(self, tag: str, *, context=None) -> list[GlobalElement]:
         """All elements of ``tag`` with derived global spans, sorted by start.

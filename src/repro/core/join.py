@@ -71,9 +71,13 @@ from repro.core.element_index import ElementIndex, ElementRecord
 from repro.core.ertree import ERNode
 from repro.core.readpath import PathMemo, ReadPathCache, join_key, patch_level
 from repro.core.update_log import UpdateLog
-from repro.errors import QueryError
 from repro.joins.kernels import select_open
-from repro.joins.stack_tree import AXIS_CHILD, AXIS_DESCENDANT, stack_tree_desc
+from repro.joins.stack_tree import (
+    AXIS_CHILD,
+    AXIS_DESCENDANT,
+    check_axis,
+    stack_tree_desc,
+)
 from repro.obs.metrics import METRICS
 
 # The per-call JoinStatistics is folded into the registry once at join
@@ -95,8 +99,6 @@ _H_SECONDS = METRICS.histogram(
 )
 
 __all__ = ["LazyJoiner", "JoinAnswer", "JoinPair", "JoinStatistics"]
-
-_AXES = (AXIS_DESCENDANT, AXIS_CHILD)
 
 _NO_SPAN = nullcontext()  # stateless, so one serves every untraced join
 _node_gp = attrgetter("gp")
@@ -289,9 +291,10 @@ class LazyJoiner:
             return self._join(tag_a, tag_d, axis, stats, context, span)
 
     def _join(self, tag_a, tag_d, axis, stats, context, span) -> Sequence[JoinPair]:
+        check_axis(axis)
         enabled = METRICS.enabled
         memo_key = None
-        if stats is None and axis in _AXES and self._log.query_ready:
+        if stats is None and self._log.query_ready:
             tid_a = self._log.tags.tid_of(tag_a)
             tid_d = self._log.tags.tid_of(tag_d)
             if tid_a is not None and tid_d is not None:
@@ -418,8 +421,6 @@ class LazyJoiner:
         """The merge of Fig. 9; ``d_nodes`` restricts it to a gp-ascending
         subset of ``SL_D`` and ``cuts`` collects where each D-segment's
         output starts (both for :meth:`_refresh`)."""
-        if axis not in _AXES:
-            raise QueryError(f"axis must be one of {_AXES}, got {axis!r}")
         self._log.require_query_ready()
         tid_a = self._log.tags.tid_of(tag_a)
         tid_d = self._log.tags.tid_of(tag_d)

@@ -315,30 +315,25 @@ class Verb(NamedTuple):
 
 _LIMIT = Field("limit", "count", MAX_RESPONSE_SPANS)
 _EXPR = Field("expr", "text")
-#: ``query`` and ``twig``: a pattern's matches; ``twig`` also names the
-#: executor (the pairwise baseline), ``query`` runs the default.
-_PATTERN = _read(lambda db, a, ctx: _matches(
-    db, db.twig_query(a["expr"], strategy=a.get("strategy", "auto"), context=ctx),
-    a["limit"]))
+#: ``query`` and ``twig``, its other name: a pattern's matches.
+_PATTERN = Verb(
+    _read(lambda db, a, ctx: _matches(
+        db, db.twig_query(a["expr"], context=ctx), a["limit"])),
+    (_EXPR, _LIMIT), "read", "{count} match(es)",
+    "pattern query (path or twig): count + global spans")
 _SID = (Field("sid", "int"),)
 _REMOVED = "removed {elements_removed} element record(s)"
 
 COMMANDS: dict[str, Verb] = {
     "ping": Verb(lambda *_: {"pong": True}, doc="liveness probe"),
-    "query": Verb(
-        _PATTERN, (_EXPR, _LIMIT), "read", "{count} match(es)",
-        "pattern query (path or twig): count + global spans"),
-    "twig": Verb(
-        _PATTERN, (_EXPR, Field("strategy", "word", "auto"), _LIMIT),
-        "read", "{count} match(es)", "pattern query, executor pinned"),
+    "query": _PATTERN,
+    "twig": _PATTERN,
     "join": Verb(
         _read(lambda db, a, ctx: {"pairs": len(db.structural_join(
-            a["ancestor"], a["descendant"], a["axis"],
-            algorithm=a["algorithm"], context=ctx))}),
+            a["ancestor"], a["descendant"], a["axis"], context=ctx))}),
         (Field("ancestor", "word"), Field("descendant", "word"),
-         Field("algorithm", "word", "lazy"),
          Field("axis", "word", "descendant")),
-        "read", "{pairs} pair(s)", "structural join (lazy | std)"),
+        "read", "{pairs} pair(s)", "structural join (Lazy-Join)"),
     "insert": Verb(
         _write("insert"),
         (Field("position", "int", None, "end"), Field("fragment", "text")),

@@ -253,12 +253,11 @@ class DatabaseService:
         return result
 
     def query(self, expression: str):
-        """Snapshot-isolated :meth:`LazyXMLDatabase.path_query`."""
+        """Snapshot-isolated :meth:`LazyXMLDatabase.path_query`: any
+        pattern, a path or a twig."""
         return self.read(lambda db, ctx: db.path_query(expression, context=ctx))
 
-    def twig(self, expression: str):
-        """Snapshot-isolated :meth:`LazyXMLDatabase.twig_query`."""
-        return self.read(lambda db, ctx: db.twig_query(expression, context=ctx))
+    twig = query
 
     def join(self, tag_a: str, tag_d: str, axis: str = AXIS_DESCENDANT, *,
              context=None):

@@ -43,15 +43,15 @@ from bisect import bisect_right
 from dataclasses import fields
 from typing import NamedTuple
 
-from repro.core.database import _ALGORITHMS, LazyXMLDatabase, RemovalOutcome
+from repro.core.database import LazyXMLDatabase, RemovalOutcome
 from repro.core.ertree import ERNode, RemovalReport
-from repro.core.join import _AXES, JoinStatistics
+from repro.core.join import JoinStatistics
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.core.maintenance import RepackResult
 from repro.core.update_log import LogStats
 from repro.durability.recovery import apply_op, validate_batch_ops
-from repro.errors import InvalidSegmentError, QueryError
-from repro.joins.stack_tree import AXIS_DESCENDANT
+from repro.errors import InvalidSegmentError
+from repro.joins.stack_tree import AXIS_DESCENDANT, check_axis
 from repro.obs.metrics import METRICS
 from repro.shard.catalog import TagCatalog
 from repro.shard.docmap import DocumentMap
@@ -77,13 +77,6 @@ _SCATTER_CACHE_CAP = 128
 #: Merge orders — identical to the single-database result orders.
 _PAIR_SORT_KEY = lambda p: (p[1].gstart, p[1].gend, p[0].gstart, p[0].gend)  # noqa: E731
 _ELEMENT_SORT_KEY = lambda e: (e.gstart, e.gend)  # noqa: E731
-
-
-def _check_choice(name: str, value: str, allowed: tuple) -> None:
-    """The single database's refusal of an unknown ``axis``,
-    ``algorithm`` or ``strategy``, raised before the catalog prunes."""
-    if value not in allowed:
-        raise QueryError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def _hashable_key(*parts):
@@ -690,15 +683,14 @@ class ShardedDatabase:
         tag_d: str,
         axis: str = AXIS_DESCENDANT,
         *,
-        algorithm: str = "lazy",
         stats: JoinStatistics | None = None,
         context=None,
     ) -> list[tuple[ShardElement, ShardElement]]:
         """Scatter-gather ``tag_a // tag_d`` across the shards.
 
-        Per-shard joins run the selected algorithm locally (no pair can
-        cross shards — the routing invariant); the catalog prunes shards
-        where either tag has zero occurrences, and the scatter cache
+        Per-shard joins run Lazy-Join locally (no pair can cross shards
+        — the routing invariant); the catalog prunes shards where either
+        tag has zero occurrences, and the scatter cache
         prunes shards whose op token is unchanged since the last run of
         this query.  Results are merged by virtual-global position:
         ``(d.gstart, d.gend, a.gstart, a.gend)``, an order independent of
@@ -706,7 +698,7 @@ class ShardedDatabase:
         :class:`JoinStatistics` (summed; stack depth maxed) and forces a
         full fan-out, like the single database's memo bypass.
         """
-        key = _hashable_key("join", tag_a, tag_d, axis, algorithm)
+        key = _hashable_key("join", tag_a, tag_d, axis)
 
         def build(views, shard, reply):
             make = self._make_element
@@ -719,9 +711,8 @@ class ShardedDatabase:
         if stats is not None:
             fold = lambda shard, reply: self._fold_stats(stats, reply["stats"])
         # Argument errors come before pruning: a join no shard can answer
-        # refuses a bad axis or algorithm exactly as one database does.
-        _check_choice("algorithm", algorithm, _ALGORITHMS)
-        _check_choice("axis", axis, _AXES)
+        # refuses a bad axis exactly as one database does.
+        check_axis(axis)
         with self._lock:
             targets = self.catalog.shards_for(tag_a, tag_d)
             if not targets:
@@ -734,7 +725,6 @@ class ShardedDatabase:
                     tag_a,
                     tag_d,
                     axis,
-                    algorithm,
                     context.remaining() if context is not None else None,
                 ),
                 context,
@@ -753,7 +743,7 @@ class ShardedDatabase:
             else:
                 setattr(stats, field.name, getattr(stats, field.name) + value)
 
-    def global_elements(self, tag: str, *, context=None) -> list[ShardElement]:
+    def global_elements(self, tag: str) -> list[ShardElement]:
         """All elements of ``tag``, virtual-global spans, sorted by start."""
         with self._lock:
             return self._scatter_matches(
@@ -761,7 +751,7 @@ class ShardedDatabase:
                 self.catalog.shards_for(tag),
                 "elements",
                 lambda s: (tag,),
-                context,
+                None,
             )
 
     def _scatter_matches(self, key, targets, verb, make_args, context):
@@ -784,7 +774,7 @@ class ShardedDatabase:
         :meth:`twig_query` it is."""
         return self.twig_query(expression, context=context)
 
-    def twig_query(self, expression: str, *, strategy: str = "auto", context=None):
+    def twig_query(self, expression: str, *, context=None):
         """Scatter-gather twig evaluation (``person[profile]//phone``).
 
         A match is rooted inside one document, so per-shard evaluation
@@ -793,21 +783,18 @@ class ShardedDatabase:
         :class:`ShardElement` rows merged by global position on the
         coordinator's heap.
         """
-        from repro.twig.evaluate import _STRATEGIES
         from repro.twig.pattern import parse_twig
 
         tags = sorted(parse_twig(expression).tags())
-        _check_choice("strategy", strategy, _STRATEGIES)
         with self._lock:
             return self._scatter_matches(
-                ("twig", expression, strategy),
+                ("twig", expression),
                 # An all-wildcard pattern names no concrete tag: every
                 # shard is a candidate.
                 self.catalog.shards_for(*tags) if tags else list(range(self._n)),
                 "twig",
                 lambda s: (
                     expression,
-                    strategy,
                     context.remaining() if context is not None else None,
                 ),
                 context,

@@ -84,12 +84,10 @@ def handle_request(db, verb: str, args: tuple):
     ``db`` is one shard, a :class:`~repro.core.database.LazyXMLDatabase`.
     """
     if verb == "join":
-        tag_a, tag_d, axis, algorithm, timeout = args
+        tag_a, tag_d, axis, timeout = args
         context = QueryContext(timeout=timeout) if timeout is not None else None
         stats = JoinStatistics()
-        pairs = db.structural_join(
-            tag_a, tag_d, axis, algorithm=algorithm, stats=stats, context=context
-        )
+        pairs = db.structural_join(tag_a, tag_d, axis, stats=stats, context=context)
         a_rows = _rows(db, [a for a, _ in pairs])
         d_rows = _rows(db, [d for _, d in pairs])
         return {
@@ -103,11 +101,9 @@ def handle_request(db, verb: str, args: tuple):
             for e in db.global_elements(tag)
         ]
     if verb == "twig":
-        expression, strategy, timeout = args
+        expression, timeout = args
         context = QueryContext(timeout=timeout) if timeout is not None else None
-        return _rows(
-            db, db.twig_query(expression, strategy=strategy, context=context)
-        )
+        return _rows(db, db.twig_query(expression, context=context))
     if verb == "ping":
         return "pong"
     raise ValueError(f"unknown shard request verb {verb!r}")

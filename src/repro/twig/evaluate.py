@@ -10,15 +10,16 @@ moved, so a query after an update costs what the update touched.  The
 distinct output matches are the memo's own read-only sequence, in
 ``(sid, start)`` order.  With ``bindings=True`` (which must *return* the
 chains) each trunk step's global element stream is cut to the elements
-its memo level holds, and the chains come from the chained per-step
-stacks of :func:`~repro.joins.path_stack.path_stack`: every survivor has
-a surviving element one trunk edge up, so no chain dead-ends.
+its memo level holds, and :func:`~repro.joins.stack_tree.path_chains`
+strings the chains edge by edge, as the pairwise executor does: every
+survivor has a surviving element one trunk edge up, so no chain
+dead-ends.
 
 **Pairwise** (``strategy="pairwise"``).  The classic decomposition the
 holistic algorithm exists to beat: one Stack-Tree-Desc join per pattern
 edge over whole global streams, materializing intermediate pair lists,
-followed by semi-join filtering and chain assembly — plain chains
-included, so it is the independent reading of a path too.  Stream
+followed by semi-join filtering and the same chain assembly — plain
+chains included, so it is the independent reading of a path too.  Stream
 construction and the predicate filters serve the pairwise executor and
 the holistic chains; the memo shares none of it, so the parity suite
 holds it to an independent reading of the pattern.
@@ -38,8 +39,7 @@ from time import perf_counter
 
 from repro.core.database import GlobalElement
 from repro.errors import QueryError
-from repro.joins.path_stack import path_stack
-from repro.joins.stack_tree import AXIS_CHILD, stack_tree_desc
+from repro.joins.stack_tree import AXIS_CHILD, path_chains, stack_tree_desc
 from repro.obs.metrics import METRICS
 from repro.twig.memo import inner_text, memo_matches
 from repro.twig.pattern import WILDCARD, TwigQuery, parse_twig
@@ -91,7 +91,7 @@ def evaluate_twig(
     start = perf_counter() if enabled else 0.0
     plan = plan_twig(query, db.path_summary)
     chosen = "twig" if strategy == "auto" else strategy
-    PLAN_RECORDER.record(expression=str(query), strategy=chosen, pruned=plan.empty)
+    PLAN_RECORDER.record(query, strategy=chosen, pruned=plan.empty)
     trace = context.trace if context is not None else None
     if trace is None:
         result, _ = _execute(db, query, plan.empty, chosen, bindings, context)
@@ -119,8 +119,9 @@ def _execute(db, query, empty, chosen, bindings, context):
     if chosen == "pairwise":
         return _pairwise_execute(db, query, bindings, context), None
     key, memo, served = memo_matches(db, query, context)
-    result = _memo_chains(db, query, memo.levels, context) if bindings else (
-        memo.answer
+    result = (
+        _bindings(_memo_chains(db, query, memo.levels, context)) if bindings
+        else memo.answer
     )
     if context is not None:
         context.check_deadline()
@@ -140,32 +141,45 @@ def _memo_chains(db, query, levels, context):
         streams.append(
             _elements(_take(stream, [r in held for r in stream[_RECORDS]]))
         )
-    chains = path_stack(streams, [node.axis for node in query.trunk])
-    return sorted(
-        (tuple(e.record for e in chain) for chain in chains),
-        key=_chain_record_key,
-    )
+    return path_chains(streams, [node.axis for node in query.trunk])
 
 
 def _pairwise_execute(db, query, bindings, context):
-    """The pairwise decomposition over whole global streams."""
-    streams = _build_streams(db, query, context)
-    chains = _pairwise(
-        query, [_elements(stream) for stream in streams], context
+    """The pairwise decomposition, the baseline holistic beats: one
+    Stack-Tree join per edge over whole global streams, pair lists and all."""
+    streams = [_elements(stream) for stream in _build_streams(db, query, context)]
+
+    def alive(node):
+        """The node's stream, cut to the elements every branch matches."""
+        elements = streams[node.index]
+        alive_set = set(elements)
+        for branch in node.branches:
+            if not alive_set:
+                break
+            pairs = stack_tree_desc(
+                elements, alive(branch), axis=branch.axis, context=context
+            )
+            alive_set &= {a for a, _ in pairs}
+        return [e for e in elements if e in alive_set]
+
+    trunk = query.trunk
+    chains = path_chains(
+        [alive(node) for node in trunk], [node.axis for node in trunk], context=context
     )
     if context is not None:
         context.check_deadline()
         context.charge_rows(len(chains))
     if bindings:
-        return sorted(
-            (tuple(e.record for e in chain) for chain in chains),
-            key=_chain_record_key,
-        )
+        return _bindings(chains)
     return sorted({chain[-1].record for chain in chains})
 
 
-def _chain_record_key(chain):
-    return tuple((r.sid, r.start, r.end, r.level) for r in chain)
+def _bindings(chains):
+    """The chains as record tuples, sorted by their records' coordinates."""
+    return sorted(
+        (tuple(e.record for e in chain) for chain in chains),
+        key=lambda chain: tuple((r.sid, r.start, r.end, r.level) for r in chain),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +199,7 @@ def _take(stream, keep):
 
 
 def _elements(stream):
-    """The stream as :class:`GlobalElement` objects (``path_stack`` and
+    """The stream as :class:`GlobalElement` objects (``path_chains`` and
     ``stack_tree_desc`` take and return elements, not columns)."""
     return list(map(GlobalElement, *stream))
 
@@ -350,55 +364,3 @@ def _nth_child(parents, children, n):
                     break
     return keep
 
-
-# ----------------------------------------------------------------------
-# the pairwise decomposition executor (the baseline holistic beats)
-
-
-def _pairwise(query, streams, context):
-    """One Stack-Tree join per edge, pair lists and all."""
-
-    def alive(node):
-        elements = streams[node.index]
-        alive_set = set(elements)
-        for branch in node.branches:
-            if not alive_set:
-                break
-            branch_alive = alive(branch)
-            branch_stream = [
-                e for e in streams[branch.index] if e in branch_alive
-            ]
-            pairs = stack_tree_desc(
-                elements, branch_stream, axis=branch.axis, context=context
-            )
-            alive_set &= {a for a, _ in pairs}
-        return alive_set
-
-    trunk = query.trunk
-    entry_alive = alive(trunk[0])
-    chains = [(e,) for e in streams[trunk[0].index] if e in entry_alive]
-    for node in trunk[1:]:
-        if not chains:
-            break
-        node_alive = alive(node)
-        node_stream = [e for e in streams[node.index] if e in node_alive]
-        tails = {chain[-1] for chain in chains}
-        parent_stream = [
-            e for e in streams[_trunk_parent(query, node).index] if e in tails
-        ]
-        pairs = stack_tree_desc(
-            parent_stream, node_stream, axis=node.axis, context=context
-        )
-        extend: dict = {}
-        for a, d in pairs:
-            extend.setdefault(a, []).append(d)
-        chains = [
-            chain + (d,)
-            for chain in chains
-            for d in extend.get(chain[-1], ())
-        ]
-    return chains
-
-
-def _trunk_parent(query, node):
-    return query.trunk[query.trunk.index(node) - 1]

@@ -42,21 +42,30 @@ def plan_twig(query: TwigQuery, summary: PathSummary) -> TwigPlan:
 
 
 class PlanRecorder:
-    """Bounded process-wide log of planner decisions (paths are twigs)."""
+    """Bounded process-wide log of planner decisions (paths are twigs).
+    It keeps each parsed, shared pattern and formats it only when
+    :meth:`snapshot` reads it: a memo hit pays no string."""
 
     def __init__(self, keep: int = 16):
-        self._recent: deque[dict] = deque(maxlen=keep)
+        self._recent: deque[tuple] = deque(maxlen=keep)
         self._counts = {"twig": 0, "pairwise": 0, "pruned": 0}
 
-    def record(self, *, expression: str, strategy: str, pruned: bool) -> None:
+    def record(self, query: TwigQuery, *, strategy: str, pruned: bool) -> None:
         key = "pruned" if pruned else strategy
         self._counts[key] = self._counts.get(key, 0) + 1
-        self._recent.append(
-            {"expr": expression, "strategy": strategy, "pruned": pruned}
-        )
+        self._recent.append((query, strategy, pruned))
 
     def snapshot(self) -> dict:
-        return {"counts": dict(self._counts), "recent": list(self._recent)}
+        # One C-level copy first: formatting runs Python code, and another
+        # thread's append would break an iteration over the deque itself.
+        recent = list(self._recent)
+        return {
+            "counts": dict(self._counts),
+            "recent": [
+                {"expr": str(query), "strategy": strategy, "pruned": pruned}
+                for query, strategy, pruned in recent
+            ],
+        }
 
 
 #: The process-wide decision log: the one count of planner verdicts.

@@ -130,10 +130,26 @@ def bad_requests():
                 yield verb, field.name, {**good, field.name: wrong}
 
 
+#: Places in the matrix once held by the cases of fields the verb table
+#: no longer has (``twig``'s ``strategy`` at 10-11, ``join``'s
+#: ``algorithm`` at 22-23).  They stay taken, so a case id names the same
+#: case it always did.
+RETIRED_SLOTS = frozenset({10, 11, 22, 23})
+
+
+def case_ids():
+    slot = 0
+    for verb, name, _ in bad_requests():
+        while slot in RETIRED_SLOTS:
+            slot += 1
+        yield f"{verb}-{name}-{slot}"
+        slot += 1
+
+
 @pytest.mark.parametrize(
     "verb,name,request_",
-    [pytest.param(*case, id=f"{case[0]}-{case[1]}-{i}")
-     for i, case in enumerate(bad_requests())],
+    [pytest.param(*case, id=case_id)
+     for case, case_id in zip(bad_requests(), case_ids())],
 )
 def test_bad_field_is_a_protocol_error_and_nothing_happens(
     tmp_path, verb, name, request_
@@ -243,9 +259,8 @@ def samples(top_sid: int, tail_sid: int):
         ("query a//b", {"cmd": "query", "expr": "a//b"}),
         ("twig a[b]/c", {"cmd": "twig", "expr": "a[b]/c"}),
         ("join a c", {"cmd": "join", "ancestor": "a", "descendant": "c"}),
-        ("join a c std child",
-         {"cmd": "join", "ancestor": "a", "descendant": "c",
-          "algorithm": "std", "axis": "child"}),
+        ("join a c child",
+         {"cmd": "join", "ancestor": "a", "descendant": "c", "axis": "child"}),
         ("trace query a/c", {"cmd": "query", "expr": "a/c", "trace": True}),
         ("pin", {"cmd": "pin"}),
         ("remove 3 9", {"cmd": "remove", "position": 3, "length": 9}),
@@ -352,6 +367,23 @@ def run_shell(service, steps):
         printed.append(out.getvalue().splitlines())
     shell._session.release()  # not drain(): the service stays usable
     return printed
+
+
+@pytest.mark.parametrize("kind", ["plain", "durable"])
+def test_the_retired_algorithm_word_is_a_bad_axis(tmp_path, kind):
+    """``join a c std``: no field names an algorithm, so the third word is
+    the axis, and the line is refused with the typed bad-axis error and
+    changes nothing."""
+    with make_service(kind, tmp_path) as service:
+        primary = service.primary
+        before = (primary.text, primary.segment_count)
+        (printed,) = run_shell(service, [("join a c std", {"cmd": "join"})])
+        assert printed == [
+            "error QueryError: axis must be one of "
+            "('descendant', 'child'), got 'std'"
+        ]
+        assert (primary.text, primary.segment_count) == before
+        assert service.health()["counters"]["writes"] == 0
 
 
 @pytest.mark.parametrize("kind", ["plain", "durable"])

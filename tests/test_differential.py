@@ -26,6 +26,7 @@ import pytest
 from repro.core.database import LazyXMLDatabase
 from repro.core.element_index import ElementIndex
 from repro.core.join import JoinStatistics
+from repro.joins.stack_tree import std_join
 from repro.obs.metrics import METRICS
 from repro.workloads.generator import generate_fragment, tag_pool
 
@@ -75,7 +76,7 @@ def test_lazy_store_matches_reference(seed):
         lazy = db.structural_join(tag_a, tag_d, stats=stats)
         assert _span_pairs(db, lazy) == truth, (tag_a, tag_d, result.ops)
 
-        std = db.structural_join(tag_a, tag_d, algorithm="std")
+        std = std_join(db, tag_a, tag_d)
         assert _span_pairs(db, std) == truth, (tag_a, tag_d, result.ops)
 
         # Metric ground truth: the registry's deltas and the per-call

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from tests.helpers import assert_join_matches_oracle, normalized_join
 from repro.core.database import LazyXMLDatabase
 from repro.core.element_index import ElementRecord
+from repro.joins.stack_tree import std_join
 from repro.workloads.generator import generate_fragment, tag_pool
 from repro.workloads.scenarios import dblp_stream, registration_stream
 from repro.workloads.xmark import XMARK_QUERIES, XMarkConfig, generate_site
@@ -212,5 +213,5 @@ class TestHypothesisWorkloads:
         random_workload(db, rnd, steps=steps)
         for tag_a, tag_d in JOIN_PAIRS[:2]:
             lazy = normalized_join(db, db.structural_join(tag_a, tag_d))
-            std = normalized_join(db, db.structural_join(tag_a, tag_d, algorithm="std"))
+            std = normalized_join(db, std_join(db, tag_a, tag_d))
             assert lazy == std

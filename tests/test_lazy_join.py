@@ -14,6 +14,7 @@ from tests.helpers import (
 from repro.core.database import LazyXMLDatabase
 from repro.core.join import JoinStatistics
 from repro.errors import QueryError
+from repro.joins.stack_tree import std_join
 from repro.workloads.join_mix import JoinMixConfig, build_join_mix, sweep_configs
 
 
@@ -166,7 +167,7 @@ class TestOptimizationEquivalence:
         for axis in ("descendant", "child"):
             memo = db.structural_join("a", "d", axis)
             scratch = db.structural_join("a", "d", axis, stats=JoinStatistics())
-            std = db.structural_join("a", "d", axis, algorithm="std")
+            std = std_join(db, "a", "d", axis)
             assert memo == scratch
             assert normalized_join(db, memo) == normalized_join(db, std)
 
@@ -251,7 +252,7 @@ class TestLSMode:
         db = LazyXMLDatabase(mode="static")
         db.insert("<a><d/></a>")
         with pytest.raises(QueryError):
-            db.structural_join("a", "d", algorithm="std")
+            std_join(db, "a", "d")
 
 
 class TestAlgorithmsAgree:
@@ -259,18 +260,18 @@ class TestAlgorithmsAgree:
     def test_lazy_std_merge_same_pairs(self, shape):
         db = LazyXMLDatabase()
         build_join_mix(db, JoinMixConfig(n_segments=15, shape=shape))
-        results = {
-            alg: normalized_join(db, db.structural_join("a", "d", algorithm=alg))
-            for alg in ("lazy", "std")
-        }
+        lazy = normalized_join(db, db.structural_join("a", "d"))
+        std = normalized_join(db, std_join(db, "a", "d"))
         merge = normalized_join(db, merge_join_records(db, "a", "d"))
-        assert results["lazy"] == results["std"] == merge
+        assert lazy == std == merge
 
     def test_bad_algorithm_rejected(self):
+        """No keyword picks the algorithm: the STD baseline is
+        ``std_join``, and a stray ``algorithm=`` is refused, not ignored."""
         db = LazyXMLDatabase()
         db.insert("<a/>")
-        for algorithm in ("quantum", "merge"):  # merge is a test oracle now
-            with pytest.raises(QueryError):
+        for algorithm in ("std", "quantum"):
+            with pytest.raises(TypeError):
                 db.structural_join("a", "a", algorithm=algorithm)
 
     def test_stats_cross_fraction_property(self):

@@ -1,9 +1,11 @@
-"""Tests for the holistic PathStack enumerator.
+"""Tests for linear-path chains: :func:`~repro.joins.stack_tree.path_chains`,
+one Stack-Tree-Desc per edge, which both twig executors string their
+binding chains with.
 
-Unit tests drive :func:`path_stack` on hand-built streams; the parity
-class holds the twig executor's holistic strategy (which runs it over
-global streams) on plain chains to a semi-join chain of from-scratch
-Lazy-Joins, and its bindings to the pairwise executor's.
+Unit tests drive :func:`path_chains` on hand-built streams; the parity
+class holds the twig executor's holistic strategy on plain chains to a
+semi-join chain of from-scratch Lazy-Joins, and its bindings to the
+pairwise executor's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 
 from repro.core.database import LazyXMLDatabase
 from repro.errors import QueryError
-from repro.joins.path_stack import path_stack
+from repro.joins.stack_tree import path_chains
 from repro.twig.evaluate import evaluate_twig
 from repro.workloads.generator import GeneratorConfig, generate_tree
 from repro.workloads.scenarios import registration_stream
@@ -40,7 +42,7 @@ def streams_from_xml(text: str, tags: list[str]) -> list[list[Interval]]:
 class TestPathStackUnit:
     def test_two_step_descendant(self):
         streams = streams_from_xml("<a><x><b/></x><b/></a>", ["a", "b"])
-        chains = path_stack(streams, ["descendant", "descendant"])
+        chains = path_chains(streams, ["descendant", "descendant"])
         assert len(chains) == 2
         for anc, desc in chains:
             assert anc.start < desc.start and desc.end <= anc.end
@@ -48,46 +50,56 @@ class TestPathStackUnit:
     def test_three_step_chain(self):
         text = "<a><b><c/></b><b><c/><c/></b></a>"
         streams = streams_from_xml(text, ["a", "b", "c"])
-        chains = path_stack(streams, ["descendant"] * 3)
+        chains = path_chains(streams, ["descendant"] * 3)
         assert len(chains) == 3
+
+    def test_shared_middle_element(self):
+        # The b is the middle step of two chains, one per enclosing a.
+        text = "<a><a><b><c/></b></a></a>"
+        streams = streams_from_xml(text, ["a", "b", "c"])
+        chains = path_chains(streams, ["descendant"] * 3)
+        assert [anc.start for anc, _, _ in chains] == [0, 3]
 
     def test_child_axis_enforced(self):
         text = "<a><x><b/></x><b/></a>"
         streams = streams_from_xml(text, ["a", "b"])
-        chains = path_stack(streams, ["descendant", "child"])
+        chains = path_chains(streams, ["descendant", "child"])
         assert len(chains) == 1
 
     def test_repeated_tag_no_self_chains(self):
         text = "<a><a><a/></a></a>"
         streams = streams_from_xml(text, ["a", "a"])
-        chains = path_stack(streams, ["descendant", "descendant"])
+        chains = path_chains(streams, ["descendant", "descendant"])
         assert len(chains) == 3
         assert all(anc.start < desc.start for anc, desc in chains)
 
     def test_no_match(self):
         streams = streams_from_xml("<r><a/><b/></r>", ["a", "b"])
-        assert path_stack(streams, ["descendant", "descendant"]) == []
+        assert path_chains(streams, ["descendant", "descendant"]) == []
 
     def test_single_step(self):
         streams = streams_from_xml("<a><a/></a>", ["a"])
-        assert len(path_stack(streams, ["descendant"])) == 2
+        assert len(path_chains(streams, ["descendant"])) == 2
 
     def test_empty(self):
-        assert path_stack([], []) == []
+        assert path_chains([], []) == []
 
     def test_mismatched_axes_rejected(self):
         with pytest.raises(QueryError):
-            path_stack([[], []], ["descendant"])
+            path_chains([[], []], ["descendant"])
 
     def test_bad_axis_rejected(self):
         with pytest.raises(QueryError):
-            path_stack([[]], ["cousin"])
+            path_chains([[]], ["cousin"])
 
     def test_emitted_in_leaf_order(self):
-        text = "<a><b/><x><b/></x><b/></a>"
+        # Nested ancestors: the outer a's chain to the last b comes after
+        # the inner a's chain to the middle one.
+        text = "<a><b/><a><b/></a><x><b/></x></a>"
         streams = streams_from_xml(text, ["a", "b"])
-        chains = path_stack(streams, ["descendant", "descendant"])
+        chains = path_chains(streams, ["descendant", "descendant"])
         leaf_starts = [chain[-1].start for chain in chains]
+        assert len(chains) == 4
         assert leaf_starts == sorted(leaf_starts)
 
 

@@ -19,6 +19,7 @@ from repro.errors import (
     CircuitOpenError,
     ServiceClosed,
 )
+from repro.joins.stack_tree import std_join
 from repro.service import (
     AdmissionController,
     BackoffPolicy,
@@ -474,8 +475,8 @@ class TestDatabaseService:
     def test_explicit_algorithm_respected(self):
         svc = DatabaseService(populated_db(3))
         lazy = svc.join("registration", "interest")
-        std = svc.read(lambda db, ctx: db.structural_join(
-            "registration", "interest", algorithm="std", context=ctx))
+        std = svc.read(lambda db, ctx: std_join(
+            db, "registration", "interest", context=ctx))
         assert sorted(lazy) == sorted(std)
         svc.close()
 

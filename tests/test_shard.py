@@ -171,30 +171,27 @@ class TestCatalog:
 
 
 #: A bad argument on a query over tags no shard holds: (verb request,
-#: direct call, the argument the error names).
+#: direct call, the argument the error names).  The second is the retired
+#: algorithm word ``std`` where the line ``join <a> <d> [axis]`` puts the
+#: axis: no algorithm is a field any more, so it is a bad axis.
 _BAD_ARGUMENTS = [
     ({"cmd": "join", "ancestor": "nope", "descendant": "nada",
       "axis": "sideways"},
      lambda db: db.structural_join("nope", "nada", "sideways"), "axis"),
-    ({"cmd": "join", "ancestor": "nope", "descendant": "nada",
-      "algorithm": "merge"},
-     lambda db: db.structural_join("nope", "nada", algorithm="merge"),
-     "algorithm"),
-    ({"cmd": "twig", "expr": "nope[nada]", "strategy": "fastest"},
-     lambda db: db.twig_query("nope[nada]", strategy="fastest"), "strategy"),
+    ({"cmd": "join", "ancestor": "nope", "descendant": "nada", "axis": "std"},
+     lambda db: db.structural_join("nope", "nada", "std"), "axis"),
 ]
 
 
 @pytest.mark.parametrize("n_shards", [None, 1, 2], ids=["single", "1", "2"])
 @pytest.mark.parametrize(
-    "request_, call, name", _BAD_ARGUMENTS, ids=["axis", "algorithm", "strategy"]
+    "request_, call, name", _BAD_ARGUMENTS, ids=["axis", "algorithm"]
 )
 def test_bad_argument_refused_before_pruning(n_shards, request_, call, name):
-    """The coordinator checks ``axis``/``algorithm``/``strategy`` before
-    the catalog prunes every shard, so a query no shard can answer raises
-    the single database's :class:`QueryError` instead of answering ``[]``;
-    the single database raises it through the verb too (only one database
-    is ever served)."""
+    """The coordinator checks ``axis`` before the catalog prunes every
+    shard, so a query no shard can answer raises the single database's
+    :class:`QueryError` instead of answering ``[]``; the single database
+    raises it through the verb too (only one database is ever served)."""
     from repro.errors import QueryError
     from repro.service import DatabaseService
     from repro.service.commands import SessionState, execute_request

@@ -229,7 +229,7 @@ class TestCLI:
 READ_WORDS = {
     "query": "person//phone",
     "twig": "site/person[phone]",
-    "join": "person phone std",
+    "join": "person phone child",
 }
 
 

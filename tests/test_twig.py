@@ -226,6 +226,23 @@ class TestPlanner:
             "expr": "r//nosuch[b]", "strategy": "twig", "pruned": True
         }
 
+    def test_a_memo_hit_formats_no_pattern(self, monkeypatch):
+        """The decision log keeps the parsed pattern and formats it when
+        read: a memo-hit ``path_query`` calls ``TwigQuery.__str__`` 0
+        times, and the snapshot still names the pattern."""
+        db = make_db()
+        db.path_query("r//a[b]/c")  # cold: the memo is stored
+        calls = []
+        formatted = TwigQuery.__str__
+        monkeypatch.setattr(
+            TwigQuery, "__str__", lambda q: calls.append(q) or formatted(q)
+        )
+        db.path_query("r//a[b]/c")
+        assert calls == []
+        assert PLAN_RECORDER.snapshot()["recent"][-1] == {
+            "expr": "r//a[b]/c", "strategy": "twig", "pruned": False
+        }
+
     def test_auto_reads_the_memo(self):
         """Where a cost model would price pairwise far below holistic (a
         thousand ``a`` in segments holding no ``b``, one ``a[b]`` in its
@@ -406,17 +423,18 @@ class TestServiceSurface:
             assert not out["truncated"]
 
     def test_protocol_strategy_and_limit(self):
+        """``strategy`` is not a wire field: a request that still carries
+        one gets the reply of the same request without it."""
         with service_db() as svc:
             session = SessionState(1)
+            request = {"cmd": "twig", "expr": "r//a", "limit": 1}
             out = execute_request(
-                svc,
-                session,
-                {"cmd": "twig", "expr": "r//a", "strategy": "pairwise",
-                 "limit": 1},
+                svc, session, {**request, "strategy": "pairwise"}
             )
             assert out["count"] == 4
             assert len(out["spans"]) == 1
             assert out["truncated"]
+            assert out == execute_request(svc, session, request)
 
     def test_protocol_rejects_bad_fields(self):
         with service_db() as svc:
@@ -425,8 +443,7 @@ class TestServiceSurface:
                 execute_request(svc, session, {"cmd": "twig"})
             with pytest.raises(ProtocolError):
                 execute_request(
-                    svc, session,
-                    {"cmd": "twig", "expr": "r//a", "strategy": 7},
+                    svc, session, {"cmd": "twig", "expr": "r//a", "limit": 7.5},
                 )
 
     def test_shell_twig(self):
@@ -483,11 +500,13 @@ class TestCLISurface:
         assert lines[0] == "ok 2 match(es)" and len(lines) == 3
 
     def test_query_twig_strategy_and_count(self, db_path, capsys):
+        """``--strategy`` is no option (a usage error, exit 2); ``--limit 0``
+        prints the count alone."""
+        with pytest.raises(SystemExit) as usage:
+            main(["twig", str(db_path), "r//a[b]/c", "--strategy", "pairwise"])
+        assert usage.value.code == 2
         capsys.readouterr()
-        assert main(
-            ["twig", str(db_path), "r//a[b]/c",
-             "--strategy", "pairwise", "--limit", "0"]
-        ) == 0
+        assert main(["twig", str(db_path), "r//a[b]/c", "--limit", "0"]) == 0
         assert capsys.readouterr().out.strip() == "ok 2 match(es)"
 
     def test_query_twig_syntax_error(self, db_path, capsys):

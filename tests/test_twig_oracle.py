@@ -41,8 +41,10 @@ SEEDS = list(range(15))
 SHARD_COUNTS = [1, 4]
 
 
-def reference_twig(ref: ReferenceDatabase, expression: str):
-    """Ground-truth twig answer: sorted global (start, end) output spans."""
+def reference_twig(ref: ReferenceDatabase, expression: str, *, chains=False):
+    """Ground-truth twig answer: sorted global (start, end) output spans;
+    with ``chains=True`` also the sorted trunk chains, each a tuple of
+    one global span per trunk step (what ``bindings=True`` returns)."""
     query = parse_twig(expression)
     parsed = ref._parse()
     wrapped = f"<{_WRAPPER}>{ref.text}</{_WRAPPER}>"
@@ -84,21 +86,27 @@ def reference_twig(ref: ReferenceDatabase, expression: str):
         return True
 
     out = set()
+    found = []
 
-    def walk(elem, depth):
-        """``elem`` matched trunk[depth]; extend the chain to the leaf."""
+    def walk(elem, depth, chain):
+        """``elem`` matched trunk[depth] after ``chain``; extend the chain
+        to the leaf."""
+        chain += ((elem.start - shift, elem.end - shift),)
         if depth == len(query.trunk) - 1:
-            out.add((elem.start - shift, elem.end - shift))
+            out.add(chain[-1])
+            found.append(chain)
             return
         step = query.trunk[depth + 1]
         scope = elem.children if step.axis == "child" else elem.descendants()
         for child in scope:
             if matches(child, step, elem if step.axis == "child" else None):
-                walk(child, depth + 1)
+                walk(child, depth + 1, chain)
 
     for elem in parsed.elements:
         if elem.tag != _WRAPPER and matches(elem, query.trunk[0], None):
-            walk(elem, 0)
+            walk(elem, 0, ())
+    if chains:
+        return sorted(out), sorted(found)
     return sorted(out)
 
 

@@ -1,9 +1,9 @@
 """Hypothesis parity: holistic twig ≡ pairwise decomposition, byte for byte.
 
-The twig engine ships two executors over the same compiled streams — the
-TwigStack-style holistic evaluator (per-node chained stacks, no
-intermediate pair lists) and the pairwise decomposition (one
-:func:`stack_tree_desc` per twig edge plus a semi-join reduce).  Their
+The twig engine ships two executors — the holistic one, answered from
+the twig memo (no intermediate pair lists), and the pairwise
+decomposition (one :func:`stack_tree_desc` per twig edge plus a
+semi-join reduce).  Their
 answers must be *identical*, not merely equal as sets: same records,
 same canonical order, cold and warm, and again after further updates.
 
@@ -18,10 +18,11 @@ The same agreement is held after every step of the shared ``apply_op``
 histories of ``tests/test_join_chunks.py`` (inserts anywhere, whole,
 partial and nested removes, batches, rollback, repack, compact,
 dumps/loads; LD and LS).  The pairwise executor and the holistic
-binding chains read the one stream builder, so agreement between them
-says nothing about *it*: wherever the text mirror still parses to the
-indexed elements, the answers are also held to the brute-force tree
-matcher of ``tests/test_twig_oracle.py``.
+binding chains read the one stream builder and string their chains with
+the one ``path_chains``, so agreement between them says nothing about
+either: wherever the text mirror still parses to the indexed elements,
+the answers and both executors' binding chains are also held to the
+brute-force tree matcher of ``tests/test_twig_oracle.py``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ HISTORY_PATTERNS = [
     "c[b[1]]",
     'a[b="x"]',
     'b[b/a="v"]//a',
+    "*//b//a",
 ]
 
 
@@ -185,9 +187,9 @@ def mirror_reference(db):
 
 def assert_history_answers(db) -> None:
     """Every pattern: twig == pairwise, records and chains alike, == the
-    brute-force tree matcher.  A step whose mirror is no longer the indexed
-    document is passed over here; ``tests/test_twig_memo.py`` holds the
-    memo to pairwise there too."""
+    brute-force tree matcher, records and chains alike.  A step whose
+    mirror is no longer the indexed document is passed over here;
+    ``tests/test_twig_memo.py`` holds the memo to pairwise there too."""
     db.prepare_for_query()
     ref = mirror_reference(db)
     if ref is None:
@@ -197,8 +199,17 @@ def assert_history_answers(db) -> None:
         spans = sorted(
             db.global_span(r) for r in evaluate_twig(db, expr, strategy="twig")
         )
+        want_spans, want_chains = reference_twig(ref, expr, chains=True)
         assert len(spans) == len(got)
-        assert spans == reference_twig(ref, expr), expr
+        assert spans == want_spans, expr
+        for strategy in ("twig", "pairwise"):
+            chains = sorted(
+                tuple(db.global_span(r) for r in chain)
+                for chain in evaluate_twig(
+                    db, expr, strategy=strategy, bindings=True
+                )
+            )
+            assert chains == want_chains, (expr, strategy)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ from repro.btree import BPlusTree
 from repro.core.database import LazyXMLDatabase
 from repro.core.update_log import UpdateLog
 from repro.errors import QueryError
+from repro.joins.stack_tree import std_join
 from tests.helpers import count_for
 
 
@@ -234,7 +235,7 @@ _ENTRY_POINTS = {
     "path two steps": lambda db: db.path_query("a//b"),
     "twig": lambda db: db.twig_query("a[b]"),
     "lazy join": lambda db: db.structural_join("a", "b"),
-    "std join": lambda db: db.structural_join("a", "b", algorithm="std"),
+    "std join": lambda db: std_join(db, "a", "b"),
     "global elements": lambda db: db.global_elements("a"),
 }
 
