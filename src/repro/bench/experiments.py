@@ -122,9 +122,11 @@ def _fig11_workload(shape, segment_counts, elements_per_segment, n_tags):
     """
     tags = tag_pool(n_tags)
     fragment = generate_uniform_fragment(elements_per_segment, tags)
-    tag_counts = dict(Counter(e.tag for e in parse_flat(fragment).elements))
     db = LazyXMLDatabase()
-    ops: list[tuple[int, int, dict[str, int]]] = []
+    tag_counts = dict(
+        Counter(db.log.tags.intern(e.tag) for e in parse_flat(fragment).elements)
+    )
+    ops: list[tuple[int, int, dict[int, int]]] = []
     sids: list[int] = []
     snapshots = {}
     for i, parent in enumerate(parent_plan(max(segment_counts), shape)):

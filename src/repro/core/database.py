@@ -166,16 +166,20 @@ class LazyXMLDatabase:
         position, document, parent, base_level, trusted = self.check_insert(
             fragment, position
         )
-        tag_counts: Counter = Counter(e.tag for e in document.elements)
+        # One pass from the parse: the element columns, each tag interned
+        # once, and the tag counts the tag-list takes in one call.
+        tags, starts, ends, levels = tuple(zip(*document.elements)) or ((),) * 4
+        tids = list(map(self.log.tags.intern, tags))
+        tag_counts = Counter(tids)
         receipt = self.log.insert_segment(position, len(document.text), tag_counts)
         self.log.node(receipt.sid).fragment = document.text
         top_sid = parent.path[1] if parent.sid != DUMMY_ROOT_SID else receipt.sid
         try:
-            records = [
-                (self.log.tags.intern(e.tag), e.start, e.end, e.level)
-                for e in document.elements
-            ]
-            if not self.index.insert_segment(receipt.sid, records, base_level):
+            if tids:
+                self.index.insert_segment(
+                    receipt.sid, tids, starts, ends, levels, base_level
+                )
+            else:
                 self.index.note_text_write(receipt.sid)  # text, no element
         except BaseException:
             self._trusted.discard(top_sid)
@@ -265,11 +269,10 @@ class LazyXMLDatabase:
         segment's global position and ancestor lengths and leaves no
         tombstone (the span aligns with the fresh node's boundaries).
         """
-        counts = {self.log.tags.tid_of(name): n for name, n in tag_counts.items()}
         self.index.remove_segment(receipt.sid)
         self.readpath.drop_segment(self.log.node(receipt.sid))
         report = self.log.remove_span(receipt.gp, receipt.length)
-        self.log.apply_removal_counts({receipt.sid: counts}, report)
+        self.log.apply_removal_counts({receipt.sid: tag_counts}, report)
 
     def _depth_at(self, parent: ERNode, position: int) -> tuple[int, int]:
         """Absolute depth of the innermost element containing ``position``,
@@ -287,6 +290,14 @@ class LazyXMLDatabase:
         the end of a child segment before it, or ``parent``'s own start —
         whichever is nearest.  In a trusted document each of these lies
         between tokens, which is what lets :meth:`insert` scan only the gap.
+
+        Per segment this is a bisect and a walk up the parent rows
+        (:meth:`~repro.core.readpath.ReadPathCache.parent_rows`) from the
+        last row starting before the position: rows nest or are disjoint,
+        so the rows that contain the position are that row's enclosing
+        chain, and the walk stops at the first of them.  Rows sharing a
+        start (a repack can leave them) are one step of the walk, since the
+        parent rows skip them.
         """
         node = parent
         anchor = position
@@ -294,16 +305,28 @@ class LazyXMLDatabase:
             local = node.to_local(position)
             best = boundary = 0
             block = self.index.block(node.sid)
-            for start, end, level in zip(block.starts, block.ends, block.levels):
-                if start >= local:
-                    break
-                if local < end:
-                    if level > best:
-                        best = level
-                    if start > boundary:
-                        boundary = start
-                elif end > boundary:
-                    boundary = end
+            starts, ends, levels = block.starts, block.ends, block.levels
+            row = bisect_left(starts, local) - 1
+            if row >= 0:
+                parents = self.readpath.parent_rows(node.sid)
+                while row >= 0:
+                    start = starts[row]
+                    tie = row
+                    while True:
+                        end = ends[tie]
+                        if end > local:
+                            if levels[tie] > best:
+                                best = levels[tie]
+                            if start > boundary:
+                                boundary = start
+                        elif end > boundary:
+                            boundary = end
+                        tie -= 1
+                        if tie < 0 or starts[tie] != start:
+                            break
+                    if best:
+                        break
+                    row = parents[row]
             if node is parent:
                 # Children inserted at the boundary's own offset follow it.
                 anchor = node.to_global(boundary, count_ties=False)

@@ -32,7 +32,10 @@ from typing import NamedTuple
 
 from repro.obs.metrics import METRICS
 
-__all__ = ["ElementRecord", "CompiledElements", "SegmentBlock", "ElementIndex"]
+__all__ = [
+    "ElementRecord", "CompiledElements", "SegmentBlock", "ElementIndex",
+    "block_columns",
+]
 
 _M_READS = METRICS.counter(
     "index.reads", unit="views", site="SegmentBlock.tag"
@@ -102,10 +105,9 @@ class SegmentBlock:
 
     __slots__ = ("sid", "tids", "starts", "ends", "levels", "_views")
 
-    def __init__(self, sid: int, rows=()):
-        """``rows`` are ``(tid, start, end, level)`` in block order."""
+    def __init__(self, sid: int, tids=(), starts=(), ends=(), levels=()):
+        """The four columns are the rows in block order."""
         self.sid = sid
-        tids, starts, ends, levels = zip(*rows) if rows else ((), (), (), ())
         self.tids = array("q", tids)
         self.starts = array("q", starts)
         self.ends = array("q", ends)
@@ -142,6 +144,14 @@ class SegmentBlock:
 
 
 _NO_ELEMENTS = SegmentBlock(0)
+
+
+def block_columns(rows: Iterable[tuple[int, int, int, int]]):
+    """``(tids, starts, ends, levels)`` of ``(tid, start, end, level)`` rows
+    in any order, sorted into block order: what :meth:`ElementIndex.
+    insert_segment` takes from a writer whose rows are not a fresh parse
+    (a snapshot, a repack)."""
+    return tuple(zip(*sorted(rows, key=_ROW_ORDER))) or ((),) * 4
 
 
 class ElementIndex:
@@ -215,33 +225,22 @@ class ElementIndex:
     # updates
 
     def insert_segment(
-        self,
-        sid: int,
-        records: Iterable[tuple[int, int, int, int]],
-        base_level: int = 0,
-    ) -> Counter:
-        """Write a freshly inserted segment's block.
+        self, sid: int, tids, starts, ends, levels, base_level: int = 0
+    ) -> None:
+        """Write a freshly inserted segment's block from its columns.
 
-        ``records`` are ``(tid, start, end, level)`` tuples with segment-local
-        spans and 1-based in-segment levels; ``base_level`` is the absolute
-        depth of the insertion point, so stored levels are absolute.
-
-        Returns the per-tid occurrence counts, which the caller feeds into
-        the tag-list.
+        The columns are in block order, segment-local spans and 1-based
+        in-segment levels; ``base_level`` is the absolute depth of the
+        insertion point, so stored levels are absolute.  A parse's elements
+        are in block order as they come (their starts strictly increase),
+        so the columns go into the arrays as given; other writers sort
+        with :func:`block_columns`.  No columns, no block.
         """
-        block = SegmentBlock(
-            sid,
-            sorted(
-                (
-                    (tid, start, end, base_level + level)
-                    for tid, start, end, level in records
-                ),
-                key=_ROW_ORDER,
-            ),
-        )
-        if block:
-            self._install(sid, block)
-        return Counter(block.tids)
+        if not tids:
+            return
+        if base_level:
+            levels = [base_level + level for level in levels]
+        self._install(sid, SegmentBlock(sid, tids, starts, ends, levels))
 
     def remove_segment(self, sid: int) -> Counter:
         """Drop segment ``sid``'s block.
@@ -250,7 +249,11 @@ class ElementIndex:
         out as needed to decide tag-list path removal.  A segment without
         elements contributes nothing and is harmless.
         """
-        return self._keep(sid, [])
+        block = self._blocks.get(sid)
+        if block is None:
+            return Counter()
+        self._install(sid, _NO_ELEMENTS)
+        return Counter(block.tids)
 
     def remove_local_range(
         self, sid: int, local_start: int, local_end: int
@@ -264,20 +267,14 @@ class ElementIndex:
         interval survive (their labels stay order-consistent).  Returns
         per-tid removal counts.
         """
-        return self._keep(
-            sid,
-            [
-                row for row in self.block(sid).rows()
-                if row[1] < local_start or row[2] > local_end
-            ],
-        )
-
-    def _keep(self, sid: int, rows: list) -> Counter:
-        """Leave ``sid`` only ``rows`` of its block; count what left by tid."""
         block = self.block(sid)
+        rows = [
+            row for row in block.rows()
+            if row[1] < local_start or row[2] > local_end
+        ]
         if len(rows) == len(block):
             return Counter()
-        survivors = SegmentBlock(sid, rows)
+        survivors = SegmentBlock(sid, *zip(*rows))
         self._install(sid, survivors)
         counts = Counter(block.tids)
         counts.subtract(survivors.tids)

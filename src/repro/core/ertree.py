@@ -41,6 +41,7 @@ __all__ = ["ERNode", "ERTree", "RemovalReport", "PartialRemoval"]
 # Child lists are sorted by gp and hold live nodes: every per-update lookup
 # bisects them in place instead of rebuilding a key list.
 _node_gp = attrgetter("gp")
+_node_lp = attrgetter("lp")
 
 
 class ERNode:
@@ -252,14 +253,27 @@ class ERNode:
         children may share an insertion point), so ties are resolved by
         bisect side: ``bisect_right`` counts them, ``bisect_left`` does not.
         """
+        if self._rp is None and not self._tombstones:
+            # No holes, nothing compiled (an update just touched the node):
+            # the last child inserted before ``local`` ends where the own
+            # characters after it resume, so one bisect of the children on
+            # lp replaces compiling the prefix sums.  Past the own length
+            # the answer lands past ``end``.
+            children = self.children
+            cut = (bisect_right if count_ties else bisect_left)(
+                children, local, key=_node_lp
+            )
+            offset = (
+                children[cut - 1].end - children[cut - 1].lp if cut else self.gp
+            ) + local
+            if local < 0 or offset > self.end:
+                self._outside(local)
+            return offset
         _, lps, len_prefix, t_starts, t_ends, removed_prefix, _ = self._compiled()
         # virtual_own_length(), from the compiled prefix sums: O(1), not a
         # walk over the children on every call.
         if not (0 <= local <= self.length - len_prefix[-1] + removed_prefix[-1]):
-            raise InvalidSegmentError(
-                f"local offset {local} outside segment {self.sid} "
-                f"(virtual own length {self.virtual_own_length()})"
-            )
+            self._outside(local)
         idx = bisect_left(t_starts, local)
         removed = removed_prefix[idx]
         if idx and t_ends[idx - 1] > local:
@@ -267,6 +281,13 @@ class ERNode:
         offset = local - removed
         cut = bisect_right(lps, local) if count_ties else bisect_left(lps, local)
         return self.gp + offset + len_prefix[cut]
+
+    def _outside(self, local: int):
+        """Refuse ``local``: no offset of this segment's own text."""
+        raise InvalidSegmentError(
+            f"local offset {local} outside segment {self.sid} "
+            f"(virtual own length {self.virtual_own_length()})"
+        )
 
     def global_offsets(self, locals_, *, count_ties: bool = True):
         """Column form of :meth:`to_global`, minus ``gp``.
@@ -301,11 +322,28 @@ class ERNode:
         The text is :attr:`fragment` read through the events, each child's
         text spliced in at its ``lp`` and tombstoned ranges skipped, from a
         bisect to the event at ``lo``: a window costs what lies inside it.
+        With no tombstones the events are the children, found by a bisect
+        on ``gp``, and nothing is compiled.
         """
-        events = offsets = ()
-        if self.children or self._tombstones:  # a leaf compiles nothing
-            compiled = self._compiled()
-            events, offsets = compiled[0], compiled[6]
+        if not self._tombstones:
+            children = self.children
+            first = bisect_right(children, lo, key=_node_gp) - 1
+            if first >= 0:
+                virtual, actual = children[first].lp, children[first].gp
+            else:
+                first, virtual, actual = 0, 0, self.gp
+            for child in islice(children, first, None):
+                actual = self._own(virtual, actual, child.lp, lo, hi, out)
+                virtual = child.lp
+                if actual >= hi:
+                    return out
+                actual = child.end
+                if actual > lo:
+                    child.pieces(lo, hi, out)
+            self._own(virtual, actual, len(self.fragment), lo, hi, out)
+            return out
+        compiled = self._compiled()
+        events, offsets = compiled[0], compiled[6]
         first = bisect_right(offsets, lo - self.gp) - 1
         virtual, actual = (
             (events[first][0], self.gp + offsets[first]) if first >= 0 else (0, self.gp)
@@ -527,13 +565,14 @@ class ERTree:
 
         The one O(N) step the paper itself prescribes (Figs. 5/7) — but it
         is handed only the siblings at or after the update point, never the
-        whole tree.  Consumes ``pending``.
+        whole tree.  ``pending`` grows by each node's children as the loop
+        reaches them; the caller drops it afterwards.
         """
-        while pending:
-            node = pending.pop()
+        extend = pending.extend
+        for node in pending:
             node.gp += delta
             if node.children:
-                pending.extend(node.children)
+                extend(node.children)
 
     # ------------------------------------------------------------------
     # insertion (Fig. 5)

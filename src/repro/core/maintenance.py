@@ -20,8 +20,10 @@ holes), so packing also reclaims the bookkeeping left by partial removals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
+from repro.core.element_index import block_columns
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.errors import InvalidSegmentError
 
@@ -77,8 +79,9 @@ def repack_segment(db, sid: int) -> RepackResult:
 
     # Drop the old segments from every structure.
     for old_node in old_nodes:
-        for tid, count in db.index.remove_segment(old_node.sid).items():
-            db.log.taglist.remove_occurrences(tid, old_node, count)
+        db.log.taglist.remove_occurrences(
+            old_node, db.index.remove_segment(old_node.sid)
+        )
         # The version bumps above already fence off stale compiled state;
         # eagerly reclaim it (repacked sids are never queried again).
         db.readpath.drop_segment(old_node)
@@ -91,9 +94,9 @@ def repack_segment(db, sid: int) -> RepackResult:
         if sid in marks:
             marks.remove(sid)
             marks.add(new_node.sid)
-    counts = db.index.insert_segment(new_node.sid, fresh_records, base_level=0)
-    for tid, count in counts.items():
-        db.log.taglist.add_segment(tid, new_node, count)
+    columns = block_columns(fresh_records)
+    db.index.insert_segment(new_node.sid, *columns)
+    db.log.taglist.add_segment(new_node, Counter(columns[0]))
     return RepackResult(
         new_sids=[new_node.sid],
         segments_before=segments_before,

@@ -119,32 +119,44 @@ class TagList:
     # ------------------------------------------------------------------
     # updates
 
-    def add_segment(self, tid: int, node: ERNode, count: int) -> None:
-        """Record that segment ``node`` holds ``count`` elements of ``tid``.
+    def add_segment(self, node: ERNode, counts: Mapping[int, int]) -> None:
+        """Record that segment ``node`` holds ``counts[tid]`` elements of
+        each ``tid``: one call per segment, whatever its tags.
 
-        LD keeps the list sorted by segment gp (binary insertion); LS appends
-        and defers sorting to :meth:`finalize`.
+        LD keeps each list sorted by segment gp (binary insertion); LS
+        appends and defers sorting to :meth:`finalize`.
         """
-        if count <= 0:
-            raise UpdateError(f"tag count must be positive, got {count}")
-        nodes = self._nodes.setdefault(tid, [])
-        if self._dynamic:
-            # A live segment sharing this gp is an ancestor whose head was
-            # cut back to here (repack re-adds under one): it stays first.
-            nodes.insert(bisect_right(nodes, node.gp, key=_node_gp), node)
-        else:
-            nodes.append(node)
-            self._unsorted.add(tid)
-        self._counts.setdefault(tid, {})[node.sid] = count
-        self._totals[tid] = self._totals.get(tid, 0) + count
-        if len(nodes) > self._max_fanout:
-            self._max_fanout = len(nodes)
+        if min(counts.values(), default=1) <= 0:
+            raise UpdateError(f"tag counts must be positive, got {dict(counts)}")
+        lists, tallies, totals = self._nodes, self._counts, self._totals
+        gp, sid, dynamic = node.gp, node.sid, self._dynamic
+        longest = self._max_fanout
+        for tid, count in counts.items():
+            nodes = lists.get(tid)
+            if nodes is None:
+                nodes = lists[tid] = []
+                tallies[tid] = {sid: count}
+            else:
+                tallies[tid][sid] = count
+            if dynamic:
+                # A live segment sharing this gp is an ancestor whose head
+                # was cut back to here (repack re-adds under one): it stays
+                # first.
+                nodes.insert(bisect_right(nodes, gp, key=_node_gp), node)
+            else:
+                nodes.append(node)
+                self._unsorted.add(tid)
+            totals[tid] = totals.get(tid, 0) + count
+            if len(nodes) > longest:
+                longest = len(nodes)
+        self._max_fanout = longest
 
-    def remove_occurrences(self, tid: int, node: ERNode, removed: int) -> None:
-        """Subtract ``removed`` occurrences of ``tid`` from segment ``node``.
+    def remove_occurrences(self, node: ERNode, counts: Mapping[int, int]) -> None:
+        """Subtract ``counts[tid]`` occurrences of each ``tid`` from segment
+        ``node``: one call per segment, whatever its tags.
 
-        Drops the segment from the list once its count reaches zero — the
-        rule of Section 3.3: "a path has to be deleted only if no more
+        Drops the segment from a tag's list once its count reaches zero —
+        the rule of Section 3.3: "a path has to be deleted only if no more
         elements with that tag are contained in the segment after the
         deletion".  ``node`` may be a segment the ER-tree has just deleted
         (see :class:`~repro.core.ertree.RemovalReport`).
@@ -157,37 +169,37 @@ class TagList:
         deleted with ``node``.  An unfinalized LS list is unsorted and has
         to be walked.
         """
-        if removed <= 0:
-            return
-        counts = self._counts.get(tid)
-        if counts is None:
-            raise UpdateError(f"no tag-list for tid {tid}")
-        held = counts.get(node.sid)
-        if held is None:
-            raise UpdateError(
-                f"segment {node.sid} not in tag-list of tid {tid}"
-            )
-        if held < removed:
-            raise UpdateError(
-                f"removing {removed} occurrences of tid {tid} from segment "
-                f"{node.sid}, only {held} recorded"
-            )
-        remaining = self._totals[tid] - removed
-        if remaining > 0:
-            self._totals[tid] = remaining
-        else:
-            del self._totals[tid]
-        if held > removed:
-            counts[node.sid] = held - removed
-            return
-        nodes = self._nodes[tid]
-        unsorted = tid in self._unsorted
-        first = 0 if unsorted else bisect_left(nodes, node.gp, key=_node_gp)
-        del nodes[nodes.index(node, first)], counts[node.sid]
-        if not nodes:
-            del self._nodes[tid], self._counts[tid]
-            self._unsorted.discard(tid)
-        self._fanout_dirty = True
+        sid = node.sid
+        for tid, removed in counts.items():
+            if removed <= 0:
+                continue
+            tallies = self._counts.get(tid)
+            if tallies is None:
+                raise UpdateError(f"no tag-list for tid {tid}")
+            held = tallies.get(sid)
+            if held is None:
+                raise UpdateError(f"segment {sid} not in tag-list of tid {tid}")
+            if held < removed:
+                raise UpdateError(
+                    f"removing {removed} occurrences of tid {tid} from segment "
+                    f"{sid}, only {held} recorded"
+                )
+            remaining = self._totals[tid] - removed
+            if remaining > 0:
+                self._totals[tid] = remaining
+            else:
+                del self._totals[tid]
+            if held > removed:
+                tallies[sid] = held - removed
+                continue
+            nodes = self._nodes[tid]
+            unsorted = tid in self._unsorted
+            first = 0 if unsorted else bisect_left(nodes, node.gp, key=_node_gp)
+            del nodes[nodes.index(node, first)], tallies[sid]
+            if not nodes:
+                del self._nodes[tid], self._counts[tid]
+                self._unsorted.discard(tid)
+            self._fanout_dirty = True
 
     def finalize(self) -> None:
         """Sort any LS-mode lists left unsorted by appends."""

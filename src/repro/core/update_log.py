@@ -3,7 +3,8 @@
 :class:`UpdateLog` composes the structures the paper defines — ER-tree,
 SB-tree and tag-list — behind the two update entry points the paper's
 model allows: *insert a segment* and *remove a span*, both given only
-``(global position, length)`` plus the inserted segment's tag counts.  The
+``(global position, length)`` plus the inserted segment's tag counts (by
+tag id: the caller interns the names once, for the element index too).  The
 SB-tree is asked only point questions (which node has this sid?), so its
 sid index is the ER-tree's own ``{sid: node}`` registry (DESIGN.md §2).
 
@@ -94,18 +95,17 @@ class UpdateLog:
     # updates
 
     def insert_segment(
-        self, gp: int, length: int, tag_counts: Mapping[str, int]
+        self, gp: int, length: int, tag_counts: Mapping[int, int]
     ) -> InsertReceipt:
         """Insert a segment of ``length`` characters at offset ``gp``.
 
-        ``tag_counts`` maps tag names to element occurrence counts inside the
-        segment — the information the tag-list stores.  Runs Fig. 5 on the
-        ER-tree and updates (LD) or appends to (LS) the per-tag path lists.
+        ``tag_counts`` maps tag ids (:attr:`tags`) to element occurrence
+        counts inside the segment — the information the tag-list stores.
+        Runs Fig. 5 on the ER-tree and updates (LD) or appends to (LS) the
+        per-tag path lists, in one tag-list call.
         """
         node = self.ertree.add_segment(gp, length)
-        for name, count in tag_counts.items():
-            tid = self.tags.intern(name)
-            self.taglist.add_segment(tid, node, count)
+        self.taglist.add_segment(node, tag_counts)
         assert node.parent is not None  # only the dummy root lacks a parent
         return InsertReceipt(
             sid=node.sid,
@@ -132,15 +132,16 @@ class UpdateLog:
         """Fold element-index removal counts back into the tag-list.
 
         ``per_segment_counts`` maps sid → Counter(tid → removed occurrences)
-        as returned by the element index.  Fully removed segments no longer
-        have ER-tree nodes; the report still holds them, so every entry —
-        deleted segment's or survivor's — is found by its node's gp.
+        as returned by the element index; each segment is one tag-list
+        call.  Fully removed segments no longer have ER-tree nodes; the
+        report still holds them, so every entry — deleted segment's or
+        survivor's — is found by its node's gp.
         """
         gone = {node.sid: node for node in report.removed}
         for sid, counts in per_segment_counts.items():
-            node = gone.get(sid) or self.ertree.node(sid)
-            for tid, count in counts.items():
-                self.taglist.remove_occurrences(tid, node, count)
+            if counts:
+                node = gone.get(sid) or self.ertree.node(sid)
+                self.taglist.remove_occurrences(node, counts)
 
     # ------------------------------------------------------------------
     # LS-mode finalization

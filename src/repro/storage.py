@@ -23,9 +23,11 @@ snapshots are diffable and future-proof.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from repro.core.database import LazyXMLDatabase
+from repro.core.element_index import block_columns
 from repro.core.ertree import ERNode
 from repro.core.segment import DUMMY_ROOT_SID
 from repro.errors import ReproError
@@ -255,9 +257,9 @@ def loads(data: str) -> LazyXMLDatabase:
         nodes[sid] = node
         ertree._track_add(node)
         # Stored levels are absolute already.
-        counts = db.index.insert_segment(sid, entry["records"], base_level=0)
-        for tid, count in counts.items():
-            db.log.taglist.add_segment(tid, node, count)
+        columns = block_columns(entry["records"])
+        db.index.insert_segment(sid, *columns)
+        db.log.taglist.add_segment(node, Counter(columns[0]))
     for node in nodes.values():
         node.children.sort(key=lambda child: child.gp)
     ertree._next_sid = payload["next_sid"]

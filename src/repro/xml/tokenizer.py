@@ -17,6 +17,12 @@ compiled pattern first lexes the tokens almost every fragment is made of
 (character data, tags with ASCII names and quoted attributes) exactly as
 they do, and everything else, or a call asking for attribute pairs, goes
 to the rules.
+
+:data:`MARKUP` is the same tag pattern without character data, for a scan
+that finds markup with ``finditer`` and never visits the text between
+tags (the parser, :mod:`repro.xml.parser`).  It matches any ``<``: a tag
+it reads whole, and anything else as that one character, at which the
+scan falls back to :func:`scan_token`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from enum import Enum
 
 from repro.errors import XMLSyntaxError
 
-__all__ = ["TokenKind", "scan_token"]
+__all__ = ["MARKUP", "TokenKind", "scan_token"]
 
 _NAME_START_EXTRA = set("_:")
 _NAME_EXTRA = set("_:.-")
@@ -37,14 +43,21 @@ _WHITESPACE = set(" \t\r\n")
 # No possessive quantifiers or atomic groups: Python 3.10 has neither.
 _NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*(?![\w.:\-])"
 _S = r"[ \t\r\n]*"
-#: The common tokens: 1 is character data, 2 a start tag's name and 3 its
-#: ``/`` if empty, 4 an end tag's name.  As in ``_scan_attributes``, an
-#: attribute needs no whitespace before it (``x="1"y="2"``).
-_COMMON = re.compile(
-    r"([^<]+)"
-    rf"""|<({_NAME})(?:{_S}{_NAME}{_S}={_S}(?:"[^"]*"|'[^']*'))*{_S}(/?)>"""
+# A start tag (its name, then its ``/`` if empty) and an end tag (its
+# name).  As in ``_scan_attributes``, an attribute needs no whitespace
+# before it (``x="1"y="2"``).
+_TAGS = (
+    rf"""<({_NAME})(?:{_S}{_NAME}{_S}={_S}(?:"[^"]*"|'[^']*'))*{_S}(/?)>"""
     rf"|</({_NAME}){_S}>"
 )
+#: The common tokens: 1 is character data, 2 a start tag's name and 3 its
+#: ``/`` if empty, 4 an end tag's name.
+_COMMON = re.compile(rf"([^<]+)|{_TAGS}")
+#: Markup, for a scan that steps over character data: 1 a start tag's name
+#: and 2 its ``/`` if empty, 3 an end tag's name, and no group for any
+#: other ``<`` (a comment, CDATA, a PI, a declaration, a name the pattern
+#: does not read, or an error), which only :func:`scan_token` can lex.
+MARKUP = re.compile(rf"{_TAGS}|<")
 
 
 class TokenKind(Enum):

@@ -31,6 +31,12 @@ def assert_join_matches_oracle(db, tag_a, tag_d, axis="descendant", **options):
     return pairs
 
 
+def tag_counts(log, **counts: int) -> dict[int, int]:
+    """``{tid: count}`` for tag names, interned in ``log``'s registry as
+    an insert interns them: what ``UpdateLog.insert_segment`` takes."""
+    return {log.tags.intern(name): count for name, count in counts.items()}
+
+
 def count_for(taglist, tid: int, sid: int) -> int:
     """Occurrences of ``tid`` recorded for segment ``sid`` (0 if none)."""
     return taglist.counts(tid).get(sid, 0)

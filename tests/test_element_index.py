@@ -7,16 +7,21 @@ from collections import Counter
 import pytest
 
 from repro.core import element_index
-from repro.core.element_index import ElementIndex, ElementRecord
+from repro.core.element_index import ElementIndex, ElementRecord, block_columns
+
+
+def _write(idx, sid, rows, base_level=0):
+    """Write ``(tid, start, end, level)`` rows in any order as sid's block."""
+    idx.insert_segment(sid, *block_columns(rows), base_level)
 
 
 @pytest.fixture
 def index():
     idx = ElementIndex()
     # segment 1: tid 0 root spanning [0, 30), two tid-1 children
-    idx.insert_segment(1, [(0, 0, 30, 1), (1, 3, 10, 2), (1, 12, 20, 2)], 0)
+    _write(idx, 1, [(0, 0, 30, 1), (1, 3, 10, 2), (1, 12, 20, 2)], 0)
     # segment 2 inserted at depth 2: tid 0 root, one tid-1 child
-    idx.insert_segment(2, [(0, 0, 14, 1), (1, 4, 8, 2)], 2)
+    _write(idx, 2, [(0, 0, 14, 1), (1, 4, 8, 2)], 2)
     return idx
 
 
@@ -26,10 +31,16 @@ def _tagged(index, tid):
 
 
 class TestInsertAndLookup:
-    def test_counts_returned_on_insert(self):
+    def test_insert_writes_the_columns_it_is_given(self):
+        """A parse's columns go in as they come: no sort, no counts back."""
         idx = ElementIndex()
-        counts = idx.insert_segment(5, [(0, 0, 10, 1), (1, 2, 6, 2), (1, 6, 9, 2)], 0)
-        assert counts == Counter({1: 2, 0: 1})
+        tids, starts, ends, levels = [0, 1, 1], (0, 2, 6), (10, 6, 9), (1, 2, 2)
+        assert idx.insert_segment(5, tids, starts, ends, levels, 3) is None
+        assert list(idx.block(5).rows()) == [
+            (0, 0, 10, 4), (1, 2, 6, 5), (1, 6, 9, 5),
+        ]
+        idx.insert_segment(6, [], (), (), ())  # no columns, no block
+        assert list(idx.sids()) == [5] and idx.journal_position == 1
 
     def test_len(self, index):
         assert len(index) == 5
@@ -48,14 +59,14 @@ class TestInsertAndLookup:
 
     def test_elements_sorted_by_start(self, index):
         idx = ElementIndex()
-        idx.insert_segment(1, [(0, 20, 25, 2), (0, 0, 30, 1), (0, 5, 9, 2)], 0)
+        _write(idx, 1, [(0, 20, 25, 2), (0, 0, 30, 1), (0, 5, 9, 2)], 0)
         assert list(idx.block(1).tag(0).starts) == [0, 5, 20]
 
     def test_rows_are_the_records_in_block_order(self):
         idx = ElementIndex()
         # Equal starts (a repacked token-split document): tid, then end.
         rows = [(1, 4, 9, 2), (0, 4, 9, 2), (0, 4, 6, 3), (2, 0, 12, 1)]
-        idx.insert_segment(1, rows, 0)
+        _write(idx, 1, rows, 0)
         assert list(idx.block(1).rows()) == [
             (2, 0, 12, 1), (0, 4, 6, 3), (0, 4, 9, 2), (1, 4, 9, 2),
         ]
@@ -78,7 +89,7 @@ class TestInsertAndLookup:
 
     def test_one_tag_segment_shares_its_all_tags_view(self):
         idx = ElementIndex()
-        idx.insert_segment(1, [(4, 0, 9, 1), (4, 2, 5, 2)], 0)
+        _write(idx, 1, [(4, 0, 9, 1), (4, 2, 5, 2)], 0)
         assert idx.block(1).tag(4) is idx.block(1).tag(None)
 
     def test_all_elements_across_segments(self, index):
@@ -159,7 +170,7 @@ class TestRemoveLocalRange:
 
     def test_multiple_tids(self):
         idx = ElementIndex()
-        idx.insert_segment(1, [(0, 0, 20, 1), (1, 2, 6, 2), (2, 8, 12, 2)], 0)
+        _write(idx, 1, [(0, 0, 20, 1), (1, 2, 6, 2), (2, 8, 12, 2)], 0)
         counts = idx.remove_local_range(1, 0, 20)
         assert counts == Counter({0: 1, 1: 1, 2: 1})
         assert len(idx) == 0 and list(idx.sids()) == []
@@ -182,7 +193,7 @@ class TestAccounting:
     def test_many_segments_scale(self):
         idx = ElementIndex()
         for sid in range(1, 101):
-            idx.insert_segment(sid, [(0, 0, 10, 1), (1, 2, 8, 2)], 0)
+            _write(idx, sid, [(0, 0, 10, 1), (1, 2, 8, 2)], 0)
         assert len(idx) == 200
         idx.check_invariants()
         for sid in range(1, 101, 2):
@@ -207,7 +218,7 @@ class TestWriteJournal:
         monkeypatch.setattr(element_index, "JOURNAL_KEPT", 2)
         idx = ElementIndex()
         for sid in range(1, 5):
-            idx.insert_segment(sid, [(0, 0, 10, 1)], 0)
+            _write(idx, sid, [(0, 0, 10, 1)], 0)
         # The fourth write reached twice JOURNAL_KEPT: the oldest two went.
         assert idx.journal_position == 4
         assert idx.written_since(1) is None

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core.database import LazyXMLDatabase
 from repro.core.update_log import UpdateLog
 from repro.errors import InvalidSegmentError, ReproError
+from tests.helpers import tag_counts
 from tests.test_ertree import CharModel, assert_tree_matches_model
 
 FRAGMENTS = (
@@ -120,8 +121,10 @@ def apply_op(db: LazyXMLDatabase, kind: str, a: int, b: int) -> list:
         # finds the fresh segment's entries through the removal report.
         real = db.index.insert_segment
 
-        def half_then_fail(sid, records, base_level=0):
-            real(sid, records[: len(records) // 2], base_level)
+        def half_then_fail(sid, tids, starts, ends, levels, base_level=0):
+            half = len(tids) // 2
+            real(sid, tids[:half], starts[:half], ends[:half], levels[:half],
+                 base_level)
             raise RuntimeError("injected index failure")
 
         db.index.insert_segment = half_then_fail
@@ -225,7 +228,7 @@ def test_log_level_history_with_crossing_spans(raw_ops):
         else:
             gp = a % (total + 1)
             names = {("x", "y", "z")[(b + i) % 3]: 1 + i for i in range(1 + b % 3)}
-            receipt = log.insert_segment(gp, 2 + b % 7, names)
+            receipt = log.insert_segment(gp, 2 + b % 7, tag_counts(log, **names))
             assert receipt.sid == model.insert(gp, receipt.length)
             held[receipt.sid] = Counter(
                 {log.tags.tid_of(name): n for name, n in names.items()}
@@ -258,19 +261,19 @@ def test_head_cut_back_to_first_child_start():
     """A segment and its first child share a gp: the bisect lands on the
     parent's entry and has to step to the child's, and back."""
     log = UpdateLog()
-    outer = log.insert_segment(0, 20, {"t": 2})
-    inner = log.insert_segment(4, 6, {"t": 1})
-    after = log.insert_segment(26, 5, {"t": 1})
+    outer = log.insert_segment(0, 20, tag_counts(log, t=2))
+    inner = log.insert_segment(4, 6, tag_counts(log, t=1))
+    after = log.insert_segment(26, 5, tag_counts(log, t=1))
     report = log.remove_span(0, 4)  # outer's head, up to inner's start
     assert report.removed_sids == []
     assert log.node(outer.sid).gp == log.node(inner.sid).gp == 0
     assert _sids(log, "t") == [outer.sid, inner.sid, after.sid]
     tid = log.tags.tid_of("t")
-    log.taglist.remove_occurrences(tid, log.node(inner.sid), 1)
+    log.taglist.remove_occurrences(log.node(inner.sid), {tid: 1})
     assert _sids(log, "t") == [outer.sid, after.sid]
-    log.taglist.add_segment(tid, log.node(inner.sid), 1)  # as repack re-adds
+    log.taglist.add_segment(log.node(inner.sid), {tid: 1})  # as repack re-adds
     assert _sids(log, "t") == [outer.sid, inner.sid, after.sid]
-    log.taglist.remove_occurrences(tid, log.node(outer.sid), 2)
+    log.taglist.remove_occurrences(log.node(outer.sid), {tid: 2})
     assert _sids(log, "t") == [inner.sid, after.sid]
     log.check_invariants()
 
@@ -376,6 +379,64 @@ def test_writes_do_no_pressure_work(monkeypatch):
             calls.clear()
             service.check_pressure()
             assert calls == [db.log.taglist], forms
+
+
+class _CountedRows:
+    """A parent-row column that counts the rows read from it."""
+
+    def __init__(self, rows, reads: list):
+        self._rows, self._reads = rows, reads
+
+    def __getitem__(self, row):
+        self._reads.append(row)
+        return self._rows[row]
+
+
+@pytest.mark.perf_smoke
+def test_insert_work_follows_the_fragment(monkeypatch):
+    """A bare insert costs its fragment plus a few probes of its parent:
+    one element inserted at the tail of the last form (a trusted parent
+    with no tombstones) compiles no ER-node's coordinate state, makes one
+    tag-list call, and reads at most nesting depth + 1 parent rows in
+    ``_depth_at`` — the same counts on 250 and on 4 000 forms."""
+    from repro.core.ertree import ERNode
+    from repro.core.readpath import ReadPathCache
+    from repro.core.taglist import TagList
+
+    calls: list[str] = []
+    reads: list[int] = []
+
+    def tally(cls, name: str, label: str) -> None:
+        real = getattr(cls, name)
+
+        def counted(self, *args):
+            calls.append(label)
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    tally(ERNode, "_build_events", "compile")
+    tally(TagList, "add_segment", "tag-list")
+    tally(TagList, "remove_occurrences", "tag-list")
+    parent_rows = ReadPathCache.parent_rows
+    monkeypatch.setattr(
+        ReadPathCache, "parent_rows",
+        lambda self, sid: _CountedRows(parent_rows(self, sid), reads),
+    )
+    fragment = "<f16>tail</f16>"
+    for forms in (250, 4_000):
+        db, _ = _loaded(forms)
+        parent = db.log.ertree.root.children[-1]
+        position = parent.end - len("</form>")
+        db.remove_segment(db.insert(fragment, position).sid)  # warm
+        assert parent.sid in db._trusted and not parent.tombstones()
+        calls.clear()
+        reads.clear()
+        receipt = db.insert(fragment, position)
+        depth = db.index.block(receipt.sid).levels[0] - 1
+        assert (calls, depth) == (["tag-list"], 1), forms
+        assert 0 < len(reads) <= depth + 1, (forms, reads)
+        db.check_invariants()
 
 
 def _scaling_ratios() -> tuple[float, float, float]:

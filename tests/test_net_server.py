@@ -877,7 +877,11 @@ class TestWhereARequestRuns:
         sequential queries are 50 loop reads and no pool submission; 10
         inserts and 10 removes are 18 loop writes, and the two whose turn
         it is to sample pressure (every 8th write) are the only pool
-        submissions.  Neither end creates a task or arms a timer."""
+        submissions.  Neither end creates a task or arms a timer.
+
+        The loop attempt's budget is read off the service's clock, which is
+        frozen here: no attempt runs out of it, so the counts depend on the
+        rule alone and never on how loaded the machine is."""
 
         async def scenario(service, server, port):
             # Warm, as a served corpus is: one write (write 1) has swapped
@@ -904,7 +908,7 @@ class TestWhereARequestRuns:
             assert (counters["loop_writes"], counters["moved_writes"]) == (18, 2)
             assert service.primary.text.endswith("<w/>")
 
-        run_server_test(scenario)
+        run_server_test(scenario, clock=lambda: 0.0)
 
 
 class TestHandshake:

@@ -291,8 +291,10 @@ def test_span_columns_are_counted_and_cleared():
     # inner one.  Element views are the element index's, not entries here.
     assert entries["span_columns"] == 3 and "elements" not in entries
     # 16 bytes a row for the outer segment's two sets of offset columns
-    # (the inner segment's span columns are its block's view again).
-    assert rp.approximate_bytes() == 16 * 3
+    # (the inner segment's span columns are its block's view again), and
+    # 8 a row for its parent rows, which the nested insert's depth probe
+    # read.
+    assert rp.approximate_bytes() == 16 * 3 + 8 * 2
     # The index counts the columns: 32 a row per block, 8 a row for each
     # all-tags view's records, 32 for the outer segment's one-row a view
     # (a one-tag segment's per-tag view is its all-tags one), 8 for each

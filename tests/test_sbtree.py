@@ -13,6 +13,7 @@ import pytest
 from repro.core.ertree import ERTree
 from repro.core.update_log import UpdateLog
 from repro.errors import SegmentNotFoundError
+from tests.helpers import tag_counts
 
 
 class TestDynamic:
@@ -56,7 +57,7 @@ class TestDynamic:
 
     def test_never_stale(self):
         log = UpdateLog()
-        log.insert_segment(0, 5, {"a": 1})
+        log.insert_segment(0, 5, tag_counts(log, a=1))
         assert log.query_ready
         log.remove_span(0, 5)
         assert log.query_ready
@@ -70,14 +71,14 @@ class TestDynamic:
 class TestStatic:
     def test_updates_keep_stale(self):
         log = UpdateLog(mode="static")
-        log.insert_segment(0, 10, {"a": 1})
+        log.insert_segment(0, 10, tag_counts(log, a=1))
         assert not log.query_ready
-        log.insert_segment(0, 10, {"a": 1})
+        log.insert_segment(0, 10, tag_counts(log, a=1))
         assert not log.query_ready
 
     def test_rebuild_registers_everything(self):
         log = UpdateLog(mode="static")
-        receipts = [log.insert_segment(0, 4, {"a": 1}) for _ in range(10)]
+        receipts = [log.insert_segment(0, 4, tag_counts(log, a=1)) for _ in range(10)]
         # The sid map is live before the deferred work runs ...
         assert not log.query_ready
         for receipt in receipts:
@@ -91,15 +92,15 @@ class TestStatic:
 
     def test_update_after_rebuild_restales(self):
         log = UpdateLog(mode="static")
-        log.insert_segment(0, 4, {"a": 1})
+        log.insert_segment(0, 4, tag_counts(log, a=1))
         log.prepare_for_query()
-        log.insert_segment(0, 4, {"a": 1})
+        log.insert_segment(0, 4, tag_counts(log, a=1))
         assert not log.query_ready
 
     def test_rebuild_drops_removed(self):
         log = UpdateLog(mode="static")
-        first = log.insert_segment(0, 4, {"a": 1})
-        last = log.insert_segment(0, 4, {"a": 1})
+        first = log.insert_segment(0, 4, tag_counts(log, a=1))
+        last = log.insert_segment(0, 4, tag_counts(log, a=1))
         log.prepare_for_query()
         log.remove_span(0, 4)
         # Unregistered at once, not at the next prepare.
@@ -115,5 +116,5 @@ class TestAccounting:
         log = UpdateLog()
         before = log.stats().sbtree_bytes
         for _ in range(20):
-            log.insert_segment(0, 5, {"a": 1})
+            log.insert_segment(0, 5, tag_counts(log, a=1))
         assert log.stats().sbtree_bytes > before

@@ -52,7 +52,7 @@ class TestDynamicMode:
         taglist = TagList(dynamic=True)
         # insert in a scrambled order; list must come out gp-sorted
         for node in [nodes[2], nodes[0], nodes[3], nodes[1]]:
-            taglist.add_segment(7, node, count=2)
+            taglist.add_segment(node, {7: 2})
         gps = [node.gp for node in taglist.nodes(7)]
         assert gps == sorted(gps) and len(gps) == 4
         assert set(taglist.counts(7).values()) == {2}
@@ -62,21 +62,21 @@ class TestDynamicMode:
         tree, nodes = make_tree_with_segments(1)
         taglist = TagList()
         with pytest.raises(UpdateError):
-            taglist.add_segment(1, nodes[0], count=0)
+            taglist.add_segment(nodes[0], {1: 0})
 
     def test_remove_occurrences_decrements(self):
         tree, nodes = make_tree_with_segments(2)
         taglist = TagList()
-        taglist.add_segment(1, nodes[0], count=3)
-        taglist.remove_occurrences(1, nodes[0], 2)
+        taglist.add_segment(nodes[0], {1: 3})
+        taglist.remove_occurrences(nodes[0], {1: 2})
         assert count_for(taglist, 1, nodes[0].sid) == 1
 
     def test_remove_to_zero_drops_entry(self):
         tree, nodes = make_tree_with_segments(2)
         taglist = TagList()
-        taglist.add_segment(1, nodes[0], count=2)
-        taglist.add_segment(1, nodes[1], count=1)
-        taglist.remove_occurrences(1, nodes[0], 2)
+        taglist.add_segment(nodes[0], {1: 2})
+        taglist.add_segment(nodes[1], {1: 1})
+        taglist.remove_occurrences(nodes[0], {1: 2})
         assert count_for(taglist, 1, nodes[0].sid) == 0
         assert len(taglist.nodes(1)) == 1
         taglist.check_invariants()
@@ -84,47 +84,47 @@ class TestDynamicMode:
     def test_last_entry_removal_drops_list(self):
         tree, nodes = make_tree_with_segments(1)
         taglist = TagList()
-        taglist.add_segment(1, nodes[0], count=1)
-        taglist.remove_occurrences(1, nodes[0], 1)
+        taglist.add_segment(nodes[0], {1: 1})
+        taglist.remove_occurrences(nodes[0], {1: 1})
         assert list(taglist.tids()) == []
         assert taglist.counts(1) == {}
 
     def test_remove_more_than_recorded_raises(self):
         tree, nodes = make_tree_with_segments(1)
         taglist = TagList()
-        taglist.add_segment(1, nodes[0], count=1)
+        taglist.add_segment(nodes[0], {1: 1})
         with pytest.raises(UpdateError):
-            taglist.remove_occurrences(1, nodes[0], 2)
+            taglist.remove_occurrences(nodes[0], {1: 2})
 
     def test_remove_unknown_tid_raises(self):
         taglist = TagList()
         with pytest.raises(UpdateError):
-            taglist.remove_occurrences(9, ERTree().root, 1)
+            taglist.remove_occurrences(ERTree().root, {9: 1})
 
     def test_remove_unknown_segment_raises(self):
         tree, nodes = make_tree_with_segments(2)
         taglist = TagList()
-        taglist.add_segment(1, nodes[0], count=1)
+        taglist.add_segment(nodes[0], {1: 1})
         with pytest.raises(UpdateError):
-            taglist.remove_occurrences(1, nodes[1], 1)
+            taglist.remove_occurrences(nodes[1], {1: 1})
         # Same gp as a recorded segment, but not that segment.
         twin = ERNode(999, gp=nodes[0].gp, length=10, lp=0, parent=tree.root)
         with pytest.raises(UpdateError):
-            taglist.remove_occurrences(1, twin, 1)
+            taglist.remove_occurrences(twin, {1: 1})
 
     def test_remove_zero_is_noop(self):
         tree, nodes = make_tree_with_segments(1)
         taglist = TagList()
-        taglist.add_segment(1, nodes[0], count=1)
-        taglist.remove_occurrences(1, nodes[0], 0)
+        taglist.add_segment(nodes[0], {1: 1})
+        taglist.remove_occurrences(nodes[0], {1: 0})
         assert count_for(taglist, 1, nodes[0].sid) == 1
 
     def test_remove_from_the_middle(self):
         tree, nodes = make_tree_with_segments(6)
         taglist = TagList()
         for node in nodes:
-            taglist.add_segment(3, node, count=2)
-        taglist.remove_occurrences(3, nodes[3], 2)
+            taglist.add_segment(node, {3: 2})
+        taglist.remove_occurrences(nodes[3], {3: 2})
         assert count_for(taglist, 3, nodes[3].sid) == 0
         assert len(taglist.nodes(3)) == 5
         taglist.check_invariants()
@@ -132,7 +132,7 @@ class TestDynamicMode:
     def test_entry_exposes_path(self):
         tree, nodes = make_tree_with_segments(3, nested=True)
         taglist = TagList()
-        taglist.add_segment(1, nodes[2], count=1)
+        taglist.add_segment(nodes[2], {1: 1})
         (node,) = taglist.nodes(1)
         assert node.path == nodes[2].path
         assert dict(taglist.counts(1)) == {nodes[2].sid: 1}
@@ -140,9 +140,9 @@ class TestDynamicMode:
     def test_tids_for_segment(self):
         tree, nodes = make_tree_with_segments(2)
         taglist = TagList()
-        taglist.add_segment(1, nodes[0], count=1)
-        taglist.add_segment(2, nodes[0], count=1)
-        taglist.add_segment(2, nodes[1], count=1)
+        taglist.add_segment(nodes[0], {1: 1})
+        taglist.add_segment(nodes[0], {2: 1})
+        taglist.add_segment(nodes[1], {2: 1})
         assert sorted(tids_for_segment(taglist, nodes[0].sid)) == [1, 2]
         assert tids_for_segment(taglist, nodes[1].sid) == [2]
 
@@ -155,7 +155,7 @@ class TestDynamicMode:
         for _ in range(30):
             gp = rnd.randint(0, tree.total_length)
             node = tree.add_segment(gp, 5)
-            taglist.add_segment(0, node, count=1)
+            taglist.add_segment(node, {0: 1})
             gps = [node.gp for node in taglist.nodes(0)]
             assert gps == sorted(gps)
 
@@ -165,7 +165,7 @@ class TestStaticMode:
         tree, nodes = make_tree_with_segments(3)
         taglist = TagList(dynamic=False)
         for node in reversed(nodes):
-            taglist.add_segment(1, node, count=1)
+            taglist.add_segment(node, {1: 1})
         assert taglist.awaiting_sort
         taglist.check_invariants()
         taglist.finalize()
@@ -177,8 +177,8 @@ class TestStaticMode:
         tree, nodes = make_tree_with_segments(3)
         taglist = TagList(dynamic=False)
         for node in nodes:
-            taglist.add_segment(1, node, count=1)
-        taglist.remove_occurrences(1, nodes[1], 1)
+            taglist.add_segment(node, {1: 1})
+        taglist.remove_occurrences(nodes[1], {1: 1})
         taglist.finalize()
         assert taglist.nodes(1) == [nodes[0], nodes[2]]
 
@@ -186,7 +186,7 @@ class TestStaticMode:
         tree, nodes = make_tree_with_segments(4)
         taglist = TagList(dynamic=False)
         for node in nodes:
-            taglist.add_segment(1, node, count=1)
+            taglist.add_segment(node, {1: 1})
         taglist.finalize()
         taglist.unsort()
         assert taglist.awaiting_sort
@@ -198,7 +198,7 @@ class TestStaticMode:
         tree, nodes = make_tree_with_segments(5)
         taglist = TagList(dynamic=False)
         for node in nodes:
-            taglist.add_segment(1, node, count=1)
+            taglist.add_segment(node, {1: 1})
         taglist.finalize()
         taglist.unsort(random.Random(0))
         taglist.finalize()
@@ -211,7 +211,7 @@ class TestAccounting:
         taglist = TagList()
         for tid in (1, 2):
             for node in nodes:
-                taglist.add_segment(tid, node, count=1)
+                taglist.add_segment(node, {tid: 1})
         assert taglist.entry_count() == 6
 
     def test_bytes_reflect_path_lengths(self):
@@ -219,9 +219,9 @@ class TestAccounting:
         nested_tree, nested_nodes = make_tree_with_segments(5, nested=True)
         flat_list, nested_list = TagList(), TagList()
         for node in flat_nodes:
-            flat_list.add_segment(0, node, count=1)
+            flat_list.add_segment(node, {0: 1})
         for node in nested_nodes:
-            nested_list.add_segment(0, node, count=1)
+            nested_list.add_segment(node, {0: 1})
         # Nested paths are longer, so the nested tag-list is bigger — the
         # O(T·N²) vs O(T·N·logN-ish) contrast behind Fig. 11(a).
         assert nested_list.approximate_bytes() > flat_list.approximate_bytes()

@@ -12,7 +12,7 @@ from repro.core.database import LazyXMLDatabase
 from repro.core.update_log import UpdateLog
 from repro.errors import QueryError
 from repro.joins.stack_tree import std_join
-from tests.helpers import count_for
+from tests.helpers import count_for, tag_counts
 
 
 class TestConstruction:
@@ -34,7 +34,7 @@ class TestConstruction:
 class TestInsertion:
     def test_receipt_fields(self):
         log = UpdateLog()
-        receipt = log.insert_segment(0, 20, {"a": 2, "b": 1})
+        receipt = log.insert_segment(0, 20, tag_counts(log, a=2, b=1))
         assert receipt.sid == 1
         assert receipt.parent_sid == 0
         assert receipt.gp == 0 and receipt.length == 20 and receipt.lp == 0
@@ -42,27 +42,27 @@ class TestInsertion:
 
     def test_tag_counts_recorded(self):
         log = UpdateLog()
-        receipt = log.insert_segment(0, 20, {"a": 2, "b": 1})
+        receipt = log.insert_segment(0, 20, tag_counts(log, a=2, b=1))
         tid_a = log.tags.tid_of("a")
         assert count_for(log.taglist, tid_a, receipt.sid) == 2
 
     def test_nested_receipt(self):
         log = UpdateLog()
-        outer = log.insert_segment(0, 50, {"a": 1})
-        inner = log.insert_segment(10, 8, {"a": 1})
+        outer = log.insert_segment(0, 50, tag_counts(log, a=1))
+        inner = log.insert_segment(10, 8, tag_counts(log, a=1))
         assert inner.parent_sid == outer.sid
         assert inner.lp == 10
         assert log.node(outer.sid).length == 58
 
     def test_sbtree_lookup_after_insert(self):
         log = UpdateLog()
-        receipt = log.insert_segment(0, 10, {"x": 1})
+        receipt = log.insert_segment(0, 10, tag_counts(log, x=1))
         assert log.node(receipt.sid).sid == receipt.sid
 
     def test_segment_count_and_length(self):
         log = UpdateLog()
         for _ in range(5):
-            log.insert_segment(log.document_length, 10, {"x": 1})
+            log.insert_segment(log.document_length, 10, tag_counts(log, x=1))
         assert log.segment_count == 5
         assert log.document_length == 50
         log.check_invariants()
@@ -71,8 +71,8 @@ class TestInsertion:
 class TestRemoval:
     def build(self):
         log = UpdateLog()
-        outer = log.insert_segment(0, 30, {"a": 3})
-        inner = log.insert_segment(10, 10, {"a": 1, "b": 2})
+        outer = log.insert_segment(0, 30, tag_counts(log, a=3))
+        inner = log.insert_segment(10, 10, tag_counts(log, a=1, b=2))
         return log, outer, inner
 
     def test_full_removal_report(self):
@@ -116,21 +116,21 @@ class TestRemoval:
 class TestStaticMode:
     def test_not_query_ready_until_prepared(self):
         log = UpdateLog(mode="static")
-        log.insert_segment(0, 10, {"a": 1})
+        log.insert_segment(0, 10, tag_counts(log, a=1))
         assert not log.query_ready
         log.prepare_for_query()
         assert log.query_ready
 
     def test_prepare_builds_sbtree(self):
         log = UpdateLog(mode="static")
-        receipt = log.insert_segment(0, 10, {"a": 1})
+        receipt = log.insert_segment(0, 10, tag_counts(log, a=1))
         log.prepare_for_query()
         assert log.node(receipt.sid).sid == receipt.sid
 
     def test_prepare_sorts_taglist(self):
         log = UpdateLog(mode="static")
         for _ in range(5):
-            log.insert_segment(0, 10, {"a": 1})  # prepends: reverse gp order
+            log.insert_segment(0, 10, tag_counts(log, a=1))  # prepends: reverse gp order
         log.prepare_for_query()
         tid = log.tags.tid_of("a")
         gps = [node.gp for node in log.taglist.nodes(tid)]
@@ -138,15 +138,15 @@ class TestStaticMode:
 
     def test_updates_after_prepare_restale(self):
         log = UpdateLog(mode="static")
-        log.insert_segment(0, 10, {"a": 1})
+        log.insert_segment(0, 10, tag_counts(log, a=1))
         log.prepare_for_query()
-        log.insert_segment(0, 10, {"a": 1})
+        log.insert_segment(0, 10, tag_counts(log, a=1))
         assert not log.query_ready
 
     def test_mark_stale_roundtrip(self):
         log = UpdateLog(mode="static")
         for _ in range(4):
-            log.insert_segment(log.document_length, 10, {"a": 1})
+            log.insert_segment(log.document_length, 10, tag_counts(log, a=1))
         log.prepare_for_query()
         log.taglist.unsort(random.Random(1))
         assert not log.query_ready
@@ -171,7 +171,7 @@ class TestStaticMode:
 
     def test_list_emptied_before_prepare_defers_nothing(self):
         log = UpdateLog(mode="static")
-        receipt = log.insert_segment(0, 10, {"a": 1})
+        receipt = log.insert_segment(0, 10, tag_counts(log, a=1))
         assert not log.query_ready
         report = log.remove_span(0, 10)
         log.apply_removal_counts(
@@ -182,7 +182,7 @@ class TestStaticMode:
 
     def test_prepare_noop_in_dynamic(self):
         log = UpdateLog()
-        log.insert_segment(0, 10, {"a": 1})
+        log.insert_segment(0, 10, tag_counts(log, a=1))
         log.prepare_for_query()
         assert log.query_ready
 
@@ -191,7 +191,7 @@ class TestStats:
     def test_stats_fields(self):
         log = UpdateLog()
         for _ in range(10):
-            log.insert_segment(log.document_length, 10, {"a": 1, "b": 1})
+            log.insert_segment(log.document_length, 10, tag_counts(log, a=1, b=1))
         stats = log.stats()
         assert stats.segments == 10
         assert stats.tag_entries == 20
@@ -207,7 +207,7 @@ class TestStats:
         prev = None
         for _ in range(300):
             gp = 0 if prev is None else log.node(prev).gp + 1
-            prev = log.insert_segment(gp, 10, {"a": 1}).sid
+            prev = log.insert_segment(gp, 10, tag_counts(log, a=1)).sid
         nodes = list(log.ertree.nodes())
         tree = BPlusTree.bulk_load(sorted((n.sid, n) for n in nodes), order=64)
         btree = tree.approximate_bytes() + sum(
@@ -222,7 +222,7 @@ class TestStats:
             prev = None
             for _ in range(n):
                 gp = 0 if prev is None else log.node(prev).gp + 1
-                prev = log.insert_segment(gp, 10, {"a": 1}).sid
+                prev = log.insert_segment(gp, 10, tag_counts(log, a=1)).sid
             return log.stats().taglist_bytes
 
         small, large = nested_log(10), nested_log(20)

@@ -328,6 +328,20 @@ _nested = st.recursive(
 @example('<?xml v?><!DOCTYPE a><r x="1"y="2"><é/>½<aé k=">"></aé></r><!-- c -->')
 @example("<r><a></b></r>")
 @example("<r/><?xml v?>")
+# The markup scan's fallback switch: a "<" inside an attribute value, ...
+@example('<r><a k="<b>" j=\'</a>\'>x</a><c k="<"/></r>')
+# ... a non-ASCII name after ASCII siblings, ...
+@example("<r><a/><b>t</b><é>x</é><c/></r>")
+# ... a comment, CDATA or PI between two elements (a comment holding what
+# the pattern reads as a tag running past its end, too), ...
+@example('<r><a/><!-- <b> --><![CDATA[<c>]]><?pi <d>?><e/></r>')
+@example('<r><!--<a x="--><b/>"></r>')
+# ... non-whitespace text after the root, ...
+@example("<r/>tail")
+@example("<r/> <!--c--> x")
+# ... and an unclosed tag after a fallback token.
+@example("<r><!--c--><a>")
+@example("<?xml v?><r><é><![CDATA[x]]><a>")
 def test_parse_matches_the_token_driven_reference(text):
     """Same tags, spans, levels, attributes and parents, or the same error
     message and offset."""
