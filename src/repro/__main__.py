@@ -65,7 +65,7 @@ from pathlib import Path
 
 from repro import LazyXMLDatabase, __version__
 from repro.durability.database import DurableDatabase
-from repro.errors import ProtocolError, ReproError
+from repro.errors import CheckpointError, ProtocolError, ReproError
 from repro.service import DatabaseService
 from repro.service.commands import (
     COMMANDS,
@@ -511,7 +511,8 @@ def _replication_group(directory: Path) -> list[Path]:
 def _node_replication_status(directory: Path) -> dict:
     """One node's manifest plus its durable seqs, read without opening
     (and thereby recovering) the database — safe on a live node."""
-    from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME
+    from repro.durability.checkpoint import CHECKPOINT_NAME, read_checkpoint_header
+    from repro.durability.recovery import JOURNAL_NAME
     from repro.durability.wal import read_journal
     from repro.replication import read_replication_manifest
 
@@ -520,9 +521,8 @@ def _node_replication_status(directory: Path) -> dict:
     checkpoint = directory / CHECKPOINT_NAME
     if checkpoint.exists():
         try:
-            envelope = json.loads(checkpoint.read_text(encoding="utf-8"))
-            checkpoint_seq = int(envelope.get("last_seq", 0))
-        except (ValueError, TypeError):
+            checkpoint_seq = read_checkpoint_header(checkpoint)["last_seq"]
+        except CheckpointError:
             checkpoint_seq = -1  # unreadable checkpoint: flagged, not fatal
     scan = read_journal(directory / JOURNAL_NAME)
     last_seq = max(

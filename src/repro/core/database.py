@@ -99,8 +99,9 @@ class LazyXMLDatabase:
         self.path_summary = PathSummary(self.log, self.index)
         # Sids of the top-level documents known to be well-formed with every
         # segment and element record matching the text (DESIGN.md §4,
-        # "Removal validation").  Derived and never persisted: a loaded
-        # database starts with none and earns them back one scan at a time.
+        # "Removal validation").  A durable checkpoint keeps both marks
+        # (repro.durability.checkpoint); a loaded snapshot starts with none
+        # and earns them back one scan at a time.
         self._trusted: set[int] = set()
         # Sids of the top-level documents not known to parse as element
         # content (the insert verdict needs that of all it does not touch).

@@ -188,6 +188,11 @@ class ElementIndex:
         """Monotone counter of observable changes to ``sid``'s records."""
         return self._versions.get(sid, 0)
 
+    def forget(self, sid: int) -> None:
+        """Drop removed segment ``sid``'s version counter: sids never
+        return, so the map holds live segments only."""
+        self._versions.pop(sid, None)
+
     def _bump(self, sid: int) -> None:
         """Record a write of ``sid``: its version and the journal."""
         self._versions[sid] = self._versions.get(sid, 0) + 1

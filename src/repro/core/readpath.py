@@ -364,8 +364,9 @@ class ReadPathCache:
 
     def drop_segment(self, node) -> int:
         """Forget all compiled state for a removed/repacked segment, and
-        note where it hung (:meth:`vanished`)."""
+        its version counter, and note where it hung (:meth:`vanished`)."""
         sid = node.sid
+        self._index.forget(sid)
         self._parents.pop(sid, None)
         vanished = self._vanished
         vanished[sid] = (node.parent.sid, node.lp)

@@ -10,9 +10,9 @@ This package adds the missing durability layer:
   record length-prefixed and CRC32-checksummed, fsynced before the update
   is acknowledged;
 - :mod:`repro.durability.checkpoint` — atomic snapshots (tmp file + fsync +
-  ``os.replace`` + directory fsync) wrapping :func:`repro.storage.dumps`
-  with an embedded payload checksum and the journal sequence number they
-  cover;
+  ``os.replace`` + directory fsync): a JSON header line with the journal
+  sequence number covered and a checksum, then the zlib-compressed
+  :func:`repro.storage.dumps` output and the document marks;
 - :mod:`repro.durability.recovery` — loads the latest valid checkpoint,
   replays the journal tail, discards a torn final record, and finishes with
   ``check_invariants()``;
@@ -40,7 +40,7 @@ __all__ = [
     "RecoveryReport",
     "apply_op",
     "validate_op",
-    "atomic_write_text",
+    "atomic_write",
 ]
 
 _EXPORTS = {
@@ -54,7 +54,7 @@ _EXPORTS = {
     "RecoveryReport": ("repro.durability.recovery", "RecoveryReport"),
     "apply_op": ("repro.durability.recovery", "apply_op"),
     "validate_op": ("repro.durability.recovery", "validate_op"),
-    "atomic_write_text": ("repro.durability.atomic", "atomic_write_text"),
+    "atomic_write": ("repro.durability.atomic", "atomic_write"),
 }
 
 

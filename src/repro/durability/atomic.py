@@ -6,6 +6,10 @@ of either.  A crash before the rename leaves the old file untouched (plus a
 stale ``*.tmp`` sibling, which the next write overwrites); a crash after
 the rename leaves the new file in place.  The final directory fsync makes
 the rename itself durable on filesystems that defer directory updates.
+
+It writes bytes: a checkpoint's header line and zlib body
+(:mod:`repro.durability.checkpoint`), a snapshot file's or a replication
+manifest's UTF-8 JSON (their callers encode).
 """
 
 from __future__ import annotations
@@ -15,18 +19,17 @@ from pathlib import Path
 
 from repro.durability import hooks
 
-__all__ = ["atomic_write_text", "fsync_directory"]
+__all__ = ["atomic_write", "fsync_directory"]
 
 
-def atomic_write_text(path: str | Path, data: str) -> None:
-    """Atomically replace ``path`` with ``data`` (UTF-8)."""
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Atomically replace ``path`` with ``data``."""
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    payload = data.encode("utf-8")
     hooks.fire("atomic.before_tmp_write")
     fd = os.open(str(tmp), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
     try:
-        os.write(fd, payload)
+        os.write(fd, data)
         hooks.fire("atomic.after_tmp_write")
         os.fsync(fd)
     finally:

@@ -42,7 +42,7 @@ FAILPOINT_NAMES = frozenset(
         "atomic.after_tmp_fsync",  # tmp durable, target not yet replaced
         "atomic.after_replace",  # target replaced, directory not fsynced
         "atomic.after_dir_fsync",
-        # Checkpoint: envelope write then journal truncation.
+        # Checkpoint: file write then journal truncation.
         "checkpoint.before_write",
         "checkpoint.after_write",  # checkpoint durable, journal not truncated
         "checkpoint.after_truncate",

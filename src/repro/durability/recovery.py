@@ -2,8 +2,9 @@
 
 Recovery reconstructs the database a durable directory describes:
 
-1. load the checkpoint if one exists (verified by its embedded checksum),
-   otherwise start from an empty database;
+1. load the checkpoint if one exists (verified by its embedded checksum,
+   with the document marks it was written with), otherwise start from an
+   empty database;
 2. scan the journal, silently discarding a torn final record (the
    signature of a crash mid-append);
 3. replay every record with ``seq`` greater than the checkpoint's
@@ -29,7 +30,7 @@ from pathlib import Path
 from repro.core.database import LazyXMLDatabase
 from repro.core.maintenance import require_repackable
 from repro.durability import hooks
-from repro.durability.checkpoint import read_checkpoint
+from repro.durability.checkpoint import CHECKPOINT_NAME, read_checkpoint
 from repro.durability.wal import JournalScan, read_journal
 from repro.errors import (
     InvalidSegmentError,
@@ -51,7 +52,6 @@ __all__ = [
     "validate_batch_ops",
 ]
 
-CHECKPOINT_NAME = "checkpoint.json"
 JOURNAL_NAME = "journal.wal"
 
 #: What an older version wrote at the top of a directory it split into

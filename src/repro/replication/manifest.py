@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.durability.atomic import atomic_write_text
+from repro.durability.atomic import atomic_write
 from repro.errors import FencedError, ReplicationError
 
 __all__ = [
@@ -118,8 +118,9 @@ def write_replication_manifest(
         "role": role,
         "replicated_seq": max(replicated_seq, persisted_watermark),
     }
-    atomic_write_text(
-        Path(directory) / REPLICATION_MANIFEST_NAME, json.dumps(manifest)
+    atomic_write(
+        Path(directory) / REPLICATION_MANIFEST_NAME,
+        json.dumps(manifest).encode("utf-8"),
     )
     return manifest
 

@@ -43,8 +43,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.durability.atomic import atomic_write_text
+from repro.durability.checkpoint import CHECKPOINT_NAME, copy_checkpoint
 from repro.durability.database import DurableDatabase
+from repro.durability.recovery import JOURNAL_NAME
 from repro.durability.wal import read_journal, tail_journal
 from repro.errors import (
     ChannelCut,
@@ -379,16 +380,13 @@ class ReplicaNode:
         self.resyncs += 1
         self.epochs.close()
         self.durable.close()
-        (self.directory / "journal.wal").unlink(missing_ok=True)
+        (self.directory / JOURNAL_NAME).unlink(missing_ok=True)
         ckpt_path = Path(view.checkpoint_path)
         if ckpt_path.exists():
-            atomic_write_text(
-                self.directory / "checkpoint.json",
-                ckpt_path.read_text(encoding="utf-8"),
-            )
+            copy_checkpoint(ckpt_path, self.directory / CHECKPOINT_NAME)
         else:
             # The primary has no checkpoint: start over from scratch.
-            (self.directory / "checkpoint.json").unlink(missing_ok=True)
+            (self.directory / CHECKPOINT_NAME).unlink(missing_ok=True)
         self.durable = DurableDatabase(self.directory)
         self.durable.checkpoint()
         self._tail_offset = 0

@@ -449,10 +449,13 @@ class DatabaseService:
             self.run_maintenance()
 
     def check_pressure(self) -> PressureReport:
-        """Sample pressure on the authoritative log (no maintenance run):
-        the log's O(1) trackers, no ER-tree or tag-list walk."""
-        with self._writer_lock:
-            report = self._monitor.sample(self._base)
+        """Sample pressure on the latest committed state (no maintenance
+        run): the log's O(1) trackers, no ER-tree or tag-list walk.  The
+        published epoch is read under a pin, as :meth:`health` reads it,
+        so a sample never makes the writer buffer replay the write just
+        published."""
+        with self._latest() as db:
+            report = self._monitor.sample(db)
         self._last_pressure = report
         return report
 

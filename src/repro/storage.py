@@ -302,13 +302,15 @@ def save(db: LazyXMLDatabase, path: str | Path) -> None:
     """Atomically write a snapshot to ``path``.
 
     Goes through tmp file + fsync + ``os.replace`` + directory fsync
-    (:func:`repro.durability.atomic.atomic_write_text`), so a crash
+    (:func:`repro.durability.atomic.atomic_write`), so a crash
     mid-save can never truncate or tear an existing snapshot: the path
-    holds either the complete old snapshot or the complete new one.
+    holds either the complete old snapshot or the complete new one.  The
+    file is plain UTF-8 JSON, diffable; only a durable directory's
+    checkpoint compresses its snapshot (:mod:`repro.durability.checkpoint`).
     """
-    from repro.durability.atomic import atomic_write_text
+    from repro.durability.atomic import atomic_write
 
-    atomic_write_text(path, dumps(db))
+    atomic_write(path, dumps(db).encode("utf-8"))
 
 
 def load(path: str | Path) -> LazyXMLDatabase:

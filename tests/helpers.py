@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import zlib
 from bisect import bisect_right
 from operator import attrgetter
+from pathlib import Path
 
 from repro.core.database import LazyXMLDatabase
 from repro.errors import QueryError
@@ -173,3 +176,29 @@ def semi_join_path(db, expression: str) -> list:
         matched = {d for a, d in pairs if matched is None or a in matched}
     # ``(sid, start)`` identifies a record, so record order is that order.
     return sorted(matched)
+
+
+def v1_checkpoint(payload: str, last_seq: int = 0) -> str:
+    """A version 1 checkpoint file around snapshot ``payload``: the JSON
+    envelope checkpoints were before version 2, which recovery still
+    reads."""
+    return json.dumps({
+        "format": "repro-checkpoint", "version": 1, "last_seq": last_seq,
+        "crc32": zlib.crc32(payload.encode("utf-8")), "payload": payload,
+    })
+
+
+def v2_parts(path) -> tuple[dict, bytes]:
+    """A version 2 checkpoint's header and uncompressed body."""
+    line, _, stream = Path(path).read_bytes().partition(b"\n")
+    return json.loads(line), zlib.decompress(stream)
+
+
+def write_v2(path, header: dict, body: bytes, *, fix_crc: bool = True) -> None:
+    """Write a version 2 checkpoint of ``header`` and ``body`` by hand,
+    its ``crc32`` recomputed unless ``fix_crc`` is false."""
+    if fix_crc:
+        header = {**header, "crc32": zlib.crc32(body)}
+    Path(path).write_bytes(
+        json.dumps(header).encode() + b"\n" + zlib.compress(body, 1)
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import subprocess
 import sys
 import zlib
@@ -14,7 +15,11 @@ import pytest
 from repro.__main__ import main
 from repro.core.database import LazyXMLDatabase
 from repro.durability import hooks
-from repro.durability.checkpoint import read_checkpoint, write_checkpoint
+from repro.durability.checkpoint import (
+    read_checkpoint,
+    read_checkpoint_header,
+    write_checkpoint,
+)
 from repro.durability.database import DurableDatabase
 from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME, recover
 from repro.durability.wal import RECORD_HEADER, Journal, read_journal
@@ -26,16 +31,19 @@ from repro.errors import (
 )
 from repro.storage import dumps
 from repro.workloads.scenarios import registration_stream
-from tests.helpers import assert_join_matches_oracle
+from tests.helpers import (
+    assert_join_matches_oracle,
+    v1_checkpoint,
+    v2_parts,
+    write_v2,
+)
 
 
 def _hand_written_checkpoint(directory, payload: str) -> None:
-    """A checkpoint envelope around ``payload``, bypassing ``dumps``."""
+    """A version 1 checkpoint envelope around ``payload``, bypassing
+    ``dumps``."""
     directory.mkdir(parents=True)
-    (directory / CHECKPOINT_NAME).write_text(json.dumps({
-        "format": "repro-checkpoint", "version": 1, "last_seq": 0,
-        "crc32": zlib.crc32(payload.encode("utf-8")), "payload": payload,
-    }))
+    (directory / CHECKPOINT_NAME).write_text(v1_checkpoint(payload))
 
 
 class TestJournal:
@@ -124,6 +132,10 @@ class TestCheckpoint:
             db.insert(fragment)
         return db
 
+    def write_v1(self, path, db=None, last_seq=1):
+        """``db`` checkpointed as version 1 wrote it."""
+        path.write_text(v1_checkpoint(dumps(db or self.make_db()), last_seq))
+
     def test_roundtrip(self, tmp_path):
         db = self.make_db()
         path = tmp_path / "ckpt.json"
@@ -131,14 +143,68 @@ class TestCheckpoint:
         copy, last_seq = read_checkpoint(path)
         assert last_seq == 7
         assert dumps(copy) == dumps(db)
+        assert (copy._trusted, copy._unbalanced) == (db._trusted, db._unbalanced)
 
-    def test_checksum_detects_corruption(self, tmp_path):
+    def test_layout_is_a_header_line_and_a_zlib_body(self, tmp_path):
         db = self.make_db()
         path = tmp_path / "ckpt.json"
-        write_checkpoint(db, path, last_seq=1)
+        write_checkpoint(db, path, last_seq=3)
+        header, body = v2_parts(path)
+        assert header == {
+            "format": "repro-checkpoint", "version": 2, "last_seq": 3,
+            "crc32": zlib.crc32(body),
+        }
+        marks, snapshot = body.decode().split("\n", 1)
+        assert json.loads(marks) == {
+            "trusted": sorted(db._trusted), "unbalanced": sorted(db._unbalanced),
+        }
+        assert snapshot == dumps(db)
+        assert path.stat().st_size < len(snapshot) / 2
+        assert read_checkpoint_header(path) == header
+
+    def test_header_reader_reads_both_versions(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self.write_v1(path, last_seq=5)
+        assert read_checkpoint_header(path)["last_seq"] == 5
+        write_checkpoint(self.make_db(), path, last_seq=6)
+        assert read_checkpoint_header(path)["last_seq"] == 6
+        with pytest.raises(CheckpointError):
+            read_checkpoint_header(tmp_path / "absent.json")
+
+    def test_v1_roundtrip(self, tmp_path):
+        db = self.make_db()
+        path = tmp_path / "ckpt.json"
+        self.write_v1(path, db, last_seq=4)
+        copy, last_seq = read_checkpoint(path)
+        assert last_seq == 4
+        assert dumps(copy) == dumps(db)
+        # Version 1 carries no marks: every document is unknown, as after
+        # a snapshot load.
+        assert copy._trusted == set()
+        assert copy._unbalanced == {top.sid for top in copy.log.ertree.root.children}
+
+    def test_checksum_detects_corruption(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        self.write_v1(path)
         envelope = json.loads(path.read_text())
         envelope["payload"] = envelope["payload"].replace("registration", "corrupted", 1)
         path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match="checksum"):
+            read_checkpoint(path)
+
+    def test_v2_checksum_detects_corruption(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        header, body = v2_parts(path)
+        write_v2(path, header, body.replace(b"registration", b"corrupted", 1), fix_crc=False)
+        with pytest.raises(CheckpointError, match="checksum"):
+            read_checkpoint(path)
+
+    def test_v2_crc_mismatch(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        header, body = v2_parts(path)
+        write_v2(path, {**header, "crc32": header["crc32"] ^ 1}, body, fix_crc=False)
         with pytest.raises(CheckpointError, match="checksum"):
             read_checkpoint(path)
 
@@ -156,44 +222,280 @@ class TestCheckpoint:
         ],
     )
     def test_malformed_envelopes_rejected(self, tmp_path, mutate):
-        db = self.make_db()
         path = tmp_path / "ckpt.json"
-        write_checkpoint(db, path, last_seq=1)
+        self.write_v1(path)
         envelope = json.loads(path.read_text())
         path.write_text(mutate(envelope))
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda head: "not json at all",
+            lambda head: json.dumps([1, 2, 3]),
+            lambda head: json.dumps({**head, "format": "other"}),
+            lambda head: json.dumps({**head, "version": 99}),
+            lambda head: json.dumps({**head, "version": 3}),
+            lambda head: json.dumps({**head, "version": True}),
+            lambda head: json.dumps({**head, "last_seq": "seven"}),
+            lambda head: json.dumps({**head, "last_seq": -1}),
+            lambda head: json.dumps({**head, "crc32": None}),
+            lambda head: json.dumps({**head, "crc32": True}),
+        ],
+        ids=["not-json", "list", "format", "version-99", "version-3", "version-bool",
+             "seq-str", "seq-negative", "crc-none", "crc-bool"],
+    )
+    def test_v2_bad_header_line_rejected(self, tmp_path, mutate):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        line, _, stream = path.read_bytes().partition(b"\n")
+        path.write_bytes(mutate(json.loads(line)).encode() + b"\n" + stream)
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            read_checkpoint_header(path)
+
+    def test_v2_flipped_body_byte(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        raw = path.read_bytes()
+        body_start = raw.index(b"\n") + 1
+        for offset in range(body_start, len(raw), max(1, (len(raw) - body_start) // 40)):
+            flipped = bytearray(raw)
+            flipped[offset] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError):
+                read_checkpoint(path)
+
+    def test_v2_truncated_file(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+        for cut in (1, newline // 2, newline, newline + 1, newline + 3,
+                    (newline + len(raw)) // 2, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                read_checkpoint(path)
+
+    def test_v2_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="overlong"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "marks",
+        [
+            b"not json",
+            b"[]",
+            b'{"trusted": []}',
+            b'{"trusted": [999], "unbalanced": []}',
+            b'{"trusted": ["1"], "unbalanced": []}',
+            b'{"trusted": [1], "unbalanced": [1]}',
+        ],
+        ids=["not-json", "list", "missing", "dead-sid", "str-sid", "both"],
+    )
+    def test_v2_malformed_marks_rejected(self, tmp_path, marks):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        header, body = v2_parts(path)
+        write_v2(path, header, marks + b"\n" + body.split(b"\n", 1)[1])
+        with pytest.raises(CheckpointError, match="marks"):
+            read_checkpoint(path)
+
     def test_bad_payload_wrapped(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        payload = json.dumps({"format": 99})
-        path.write_text(
-            json.dumps(
-                {
-                    "format": "repro-checkpoint",
-                    "version": 1,
-                    "last_seq": 0,
-                    "crc32": zlib.crc32(payload.encode()),
-                    "payload": payload,
-                }
-            )
-        )
+        path.write_text(v1_checkpoint(json.dumps({"format": 99})))
         with pytest.raises(CheckpointError, match="payload rejected"):
             read_checkpoint(path)
+
+    def test_v2_bad_payload_wrapped(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        header = {"format": "repro-checkpoint", "version": 2, "last_seq": 0}
+        marks = b'{"trusted": [], "unbalanced": []}\n'
+        for snapshot in (b'{"format": 99}', b"\xff\xfe"):
+            write_v2(path, header, marks + snapshot)
+            with pytest.raises(CheckpointError, match="payload rejected"):
+                read_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             read_checkpoint(tmp_path / "absent.json")
 
     def test_invalid_utf8_reported_as_corruption(self, tmp_path):
-        db = self.make_db()
         path = tmp_path / "ckpt.json"
-        write_checkpoint(db, path, last_seq=1)
+        self.write_v1(path)
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF  # 0x80-0xFF mid-ASCII breaks the decode
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="not valid UTF-8"):
             read_checkpoint(path)
+
+    def test_v2_invalid_utf8_header_reported_as_corruption(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(self.make_db(), path, last_seq=1)
+        raw = bytearray(path.read_bytes())
+        raw[10] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="not valid UTF-8"):
+            read_checkpoint(path)
+
+
+class TestCheckpointMarks:
+    """A version 2 checkpoint carries the document marks, so a reopened
+    database knows what the checkpointed one knew."""
+
+    def test_marks_survive_checkpoint_and_reopen(self, tmp_path):
+        """All three states of a document survive: unbalanced (unknown,
+        as a version 1 checkpoint leaves every one), trusted, and known
+        to parse as content but not trusted."""
+        db = LazyXMLDatabase()
+        for fragment in registration_stream(4):
+            db.insert(fragment)
+        directory = tmp_path / "state"
+        _hand_written_checkpoint(directory, dumps(db))
+        marks = []
+        for step in range(2):
+            with DurableDatabase(directory) as dd:
+                if step:
+                    position = dd.text.index("<preferences>") + len("<preferences>")
+                    dd.insert('<interest topic="new"/>', position)
+                marks.append((set(dd.db._trusted), set(dd.db._unbalanced)))
+                dd.checkpoint()
+            with DurableDatabase(directory) as dd:
+                assert (dd.db._trusted, dd.db._unbalanced) == marks[-1]
+                tops = {top.sid for top in dd.db.log.ertree.root.children}
+                dd.check_invariants()
+        assert marks[0] == (set(), tops)
+        trusted, unbalanced = marks[1]
+        assert len(trusted) == 1 and not unbalanced and len(tops) > 1
+
+    def test_snapshot_load_keeps_no_marks(self, tmp_path):
+        from repro.storage import load, save
+
+        db = LazyXMLDatabase()
+        for fragment in registration_stream(3):
+            db.insert(fragment)
+        assert db._trusted
+        save(db, tmp_path / "snap.json")
+        loaded = load(tmp_path / "snap.json")
+        assert loaded._trusted == set()
+        assert loaded._unbalanced == {top.sid for top in loaded.log.ertree.root.children}
+
+    @pytest.mark.perf_smoke
+    def test_first_insert_after_reopen_scans_only_its_document(self, tmp_path, monkeypatch):
+        """Count gate: the first nested insert after checkpoint + reopen
+        runs the well-formedness scans the same insert runs on the
+        database that was never closed (at most one, of the document it
+        touches), not one per document: with 40 documents a version 1
+        checkpoint made it scan all 40."""
+        import repro.core.database as core_database
+
+        scans = []
+        real = core_database.well_formed
+
+        def counted(pieces, **options):
+            scans.append(pieces)
+            return real(pieces, **options)
+
+        monkeypatch.setattr(core_database, "well_formed", counted)
+        directory = tmp_path / "state"
+        fragments = list(registration_stream(40))
+        counts = []
+        for reopen in (False, True):
+            shutil.rmtree(directory, ignore_errors=True)
+            dd = DurableDatabase(directory)
+            for fragment in fragments:
+                dd.insert(fragment)
+            if reopen:
+                dd.checkpoint()
+                dd.close()
+                dd = DurableDatabase(directory)
+            position = dd.text.index("<preferences>") + len("<preferences>")
+            scans.clear()
+            dd.insert('<interest topic="new"/>', position)
+            counts.append(len(scans))
+            dd.check_invariants()
+            dd.close()
+        assert counts[1] == counts[0] <= 1, counts
+
+
+class TestReplicationStatusReadsTheHeader:
+    def test_checkpoint_seq_from_the_header(self, tmp_path, capsys):
+        """``repl-status`` reads a node's ``last_seq`` off its checkpoint
+        header; a header it cannot read reads -1, and the rest stands."""
+        from repro.replication import ReplicationCluster
+
+        cluster = ReplicationCluster(tmp_path / "cluster", 1)
+        cluster.insert("<a/>")
+        cluster.insert("<b/>")
+        cluster.checkpoint()
+        cluster.insert("<c/>")
+        cluster.close()
+        assert main(["repl-status", str(tmp_path / "cluster")]) == 0
+        nodes = json.loads(capsys.readouterr().out)["nodes"]
+        assert (nodes[0]["checkpoint_seq"], nodes[0]["last_seq"]) == (2, 3)
+        ckpt = tmp_path / "cluster" / "node-0" / CHECKPOINT_NAME
+        ckpt.write_bytes(b"not a header\n" + ckpt.read_bytes())
+        assert main(["repl-status", str(tmp_path / "cluster")]) == 0
+        nodes = json.loads(capsys.readouterr().out)["nodes"]
+        assert (nodes[0]["checkpoint_seq"], nodes[0]["last_seq"]) == (-1, 3)
+
+
+class TestVersionOneDirectory:
+    """A durable directory written before version 2 (a checkpoint envelope
+    plus a journal tail, committed under tests/fixtures) recovers to the
+    same text and the same answers, and its next checkpoint is version 2."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "durable_v1"
+
+    @pytest.fixture
+    def expected(self):
+        return json.loads((self.FIXTURE.parent / "durable_v1.expected.json").read_text())
+
+    def assert_answers(self, db, expected):
+        assert db.text == expected["text"]
+        for tag_a, tag_d, axis, pairs in expected["joins"]:
+            got = sorted(
+                [list(db.global_span(a)), list(db.global_span(d))]
+                for a, d in db.structural_join(tag_a, tag_d, axis)
+            )
+            assert got == pairs, (tag_a, tag_d, axis)
+        for expression, spans in expected["queries"]:
+            got = sorted(list(db.global_span(r)) for r in db.path_query(expression))
+            assert got == spans, expression
+
+    def test_fixture_is_version_one(self):
+        header = read_checkpoint_header(self.FIXTURE / CHECKPOINT_NAME)
+        assert header["version"] == 1 and "payload" in header
+
+    def test_recovers_unchanged(self, expected):
+        db, report = recover(self.FIXTURE)
+        assert report.checkpoint_seq == expected["checkpoint_seq"]
+        assert report.last_seq == expected["last_seq"]
+        assert report.ops_replayed == expected["last_seq"] - expected["checkpoint_seq"]
+        self.assert_answers(db, expected)
+        db.check_invariants()
+
+    def test_next_checkpoint_is_version_two(self, tmp_path, expected):
+        directory = tmp_path / "state"
+        shutil.copytree(self.FIXTURE, directory)
+        with DurableDatabase(directory) as dd:
+            dd.checkpoint()
+        header = read_checkpoint_header(directory / CHECKPOINT_NAME)
+        assert (header["version"], header["last_seq"]) == (2, expected["last_seq"])
+        with DurableDatabase(directory) as dd2:
+            assert dd2.last_seq == expected["last_seq"]
+            self.assert_answers(dd2.db, expected)
+
+    def test_fsck_and_stats_read_it(self, capsys):
+        assert main(["fsck", str(self.FIXTURE)]) == 0
+        assert "ok" in capsys.readouterr().out
+        assert main(["stats", str(self.FIXTURE)]) == 0
+        assert capsys.readouterr().out.startswith("ok ")
 
 
 class TestDurableDatabase:
@@ -566,14 +868,28 @@ class TestFsckCLI:
         assert "CORRUPT" in capsys.readouterr().err
 
     def test_fsck_corrupt_durable_checkpoint(self, tmp_path, capsys):
+        """A version 1 checkpoint whose checksum fails."""
+        state = tmp_path / "state"
+        with DurableDatabase(state) as dd:
+            dd.insert("<a/>")
+            dd.checkpoint()
+            payload = dumps(dd.db)
+        ckpt = state / CHECKPOINT_NAME
+        envelope = json.loads(v1_checkpoint(payload, 1))
+        envelope["crc32"] ^= 1
+        ckpt.write_text(json.dumps(envelope))
+        assert main(["fsck", str(state)]) == 1
+        err = capsys.readouterr().err
+        assert "CORRUPT" in err and "CheckpointError" in err
+
+    def test_fsck_corrupt_durable_checkpoint_v2(self, tmp_path, capsys):
         state = tmp_path / "state"
         with DurableDatabase(state) as dd:
             dd.insert("<a/>")
             dd.checkpoint()
         ckpt = state / CHECKPOINT_NAME
-        envelope = json.loads(ckpt.read_text())
-        envelope["crc32"] ^= 1
-        ckpt.write_text(json.dumps(envelope))
+        header, body = v2_parts(ckpt)
+        write_v2(ckpt, {**header, "crc32": header["crc32"] ^ 1}, body, fix_crc=False)
         assert main(["fsck", str(state)]) == 1
         err = capsys.readouterr().err
         assert "CORRUPT" in err and "CheckpointError" in err

@@ -36,7 +36,7 @@ WAL_APPEND_POINTS = [
     "wal.append.after_fsync",
 ]
 
-#: Failpoints crossed while taking a checkpoint (envelope write, atomic
+#: Failpoints crossed while taking a checkpoint (checkpoint file write, atomic
 #: replace, journal truncation).
 CHECKPOINT_POINTS = [
     "checkpoint.before_write",

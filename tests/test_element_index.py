@@ -224,3 +224,22 @@ class TestWriteJournal:
         assert idx.written_since(1) is None
         assert idx.written_since(2) == [3, 4]
         assert idx.approximate_bytes() == 8 * 4 * 4 + 8 * 2
+
+
+def test_version_map_holds_live_segments_only():
+    """A removed segment's version counter leaves with its block and
+    compiled state (sids never return): 2 000 inserts and removes at 11
+    live segments leave the map within the live count plus a constant,
+    where it kept one entry per sid ever written."""
+    from repro.core.database import LazyXMLDatabase
+
+    db = LazyXMLDatabase()
+    for i in range(10):
+        db.insert(f"<doc><item>{i}</item></doc>")
+    for i in range(1_000):
+        position = db.text.index("<item>") if i % 2 else None
+        receipt = db.insert("<x><y/></x>", position)
+        assert db.segment_count == 11
+        db.remove_segment(receipt.sid)
+    db.check_invariants()
+    assert len(db.index._versions) <= db.segment_count + 2

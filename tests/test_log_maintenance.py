@@ -357,7 +357,7 @@ def test_writes_do_no_pressure_work(monkeypatch):
     """An update touches the ER-tree and its tag lists and nothing else:
     20 tail insert/remove pairs make no ``TagList.max_fanout`` call, on
     250 and on 4 000 forms.  The fan-out is read when pressure is
-    sampled, once per ``check_pressure``."""
+    sampled, once per ``check_pressure``, on the published epoch."""
     from repro.core.taglist import TagList
     from repro.service import DatabaseService, ServiceConfig
 
@@ -378,7 +378,8 @@ def test_writes_do_no_pressure_work(monkeypatch):
         with DatabaseService(db, config=ServiceConfig(pressure_check_every=0)) as service:
             calls.clear()
             service.check_pressure()
-            assert calls == [db.log.taglist], forms
+            with service.snapshot() as snap:
+                assert calls == [snap.db.log.taglist], forms
 
 
 class _CountedRows:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-import zlib
 
 import pytest
 
 from repro.core.database import LazyXMLDatabase
 from repro.storage import SnapshotError, dumps, load, loads, save
 from tests.failpoints import SimulatedCrash, crash_at
+from tests.helpers import v1_checkpoint, v2_parts, write_v2
 
 
 def small_db() -> LazyXMLDatabase:
@@ -239,9 +239,10 @@ class TestLoadsHardening:
             loads(json.dumps(payload))
 
     def test_checkpoint_with_a_live_next_sid_is_corrupt(self, tmp_path, capsys):
-        """Recovery refuses such a checkpoint with a typed error, and
-        ``fsck`` reports the directory CORRUPT."""
+        """Recovery refuses such a checkpoint, of either version, with a
+        typed error, and ``fsck`` reports the directory CORRUPT."""
         from repro.__main__ import main
+        from repro.durability.checkpoint import CHECKPOINT_NAME
         from repro.durability.database import DurableDatabase
         from repro.errors import CheckpointError
 
@@ -250,14 +251,16 @@ class TestLoadsHardening:
             durable.insert("<a/>")
             durable.insert("<b/>")
             durable.checkpoint()
-        path = directory / "checkpoint.json"
-        envelope = json.loads(path.read_text())
-        envelope["payload"] = envelope["payload"].replace(
-            '"next_sid": 3', '"next_sid": 1'
-        )
-        envelope["crc32"] = zlib.crc32(envelope["payload"].encode("utf-8"))
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(CheckpointError, match="next_sid"):
-            DurableDatabase(directory)
-        assert main(["fsck", str(directory)]) == 1
-        assert "CORRUPT" in capsys.readouterr().err
+        path = directory / CHECKPOINT_NAME
+        header, body = v2_parts(path)
+        assert b'"next_sid": 3' in body
+        body = body.replace(b'"next_sid": 3', b'"next_sid": 1')
+        write_v2(path, header, body)
+        snapshot = body.decode().split("\n", 1)[1]
+        for rewrite in (None, lambda: path.write_text(v1_checkpoint(snapshot, 2))):
+            if rewrite is not None:
+                rewrite()
+            with pytest.raises(CheckpointError, match="next_sid"):
+                DurableDatabase(directory)
+            assert main(["fsck", str(directory)]) == 1
+            assert "CORRUPT" in capsys.readouterr().err

@@ -57,19 +57,19 @@ def _service(primary) -> DatabaseService:
     return DatabaseService(primary, config=ServiceConfig(pressure_check_every=0))
 
 
-def _served(kind, tmp_path, followers=1) -> DatabaseService:
+def _served(kind, tmp_path, followers=1, every=0) -> DatabaseService:
+    """A service over a ``kind`` primary holding DOC, sampling pressure
+    every ``every``-th write (0: never)."""
+    config = ServiceConfig(pressure_check_every=every)
     if kind == "replicated":
         from repro.replication import ReplicationCluster
 
         cluster = ReplicationCluster(tmp_path / "cluster", followers)
         cluster.insert(DOC)
-        return DatabaseService(
-            None, config=ServiceConfig(pressure_check_every=0),
-            replication=cluster,
-        )
+        return DatabaseService(None, config=config, replication=cluster)
     primary = DurableDatabase(tmp_path) if kind == "durable" else LazyXMLDatabase()
     primary.insert(DOC)
-    return _service(primary)
+    return DatabaseService(primary, config=config)
 
 
 @pytest.mark.perf_smoke
@@ -159,6 +159,27 @@ def test_served_writes_apply_twice(applies, tmp_path, kind):
             mine = sum(id(db) in primary for db in dbs)
             assert mine == 2, kind
             assert len(dbs) - mine == (2 if kind == "replicated" else 0)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
+def test_pressure_sample_replays_nothing(applies, tmp_path, kind):
+    """The write whose turn it is to sample pressure applies 2 ops to the
+    primary's database, as any write does, and leaves its op owed
+    (``pending_ops`` 1): the sample reads the published epoch under a
+    pin.  (Sampling the writer buffer made it replay the write just
+    published: 3 applies, ``pending_ops`` 0.)"""
+    with _served(kind, tmp_path, every=2) as svc:
+        svc.insert(FRAGMENT)  # the first write: not sampled
+        applies.clear()
+        svc.insert(FRAGMENT)  # the second: sampled
+        made = list(applies)
+        health = svc.health()
+        assert health["pressure"] is not None
+        assert health["epochs"]["pending_ops"] == 1
+        with svc.snapshot() as snap:
+            primary = {id(svc._base), id(snap.db)}  # its two buffers
+        assert sum(id(db) in primary for db in made) == 2, kind
 
 
 @pytest.mark.perf_smoke
