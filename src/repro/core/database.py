@@ -40,7 +40,7 @@ from repro.xml.model import FlatDocument
 from repro.xml.parser import parse_flat, parse_fragment
 from repro.xml.wellformed import Audit, reaches_cleanly, well_formed
 
-__all__ = ["LazyXMLDatabase", "GlobalElement", "RemovalOutcome"]
+__all__ = ["LazyXMLDatabase", "GlobalElement", "InsertCheck", "RemovalOutcome"]
 
 _segment_gp = attrgetter("gp")
 
@@ -56,6 +56,17 @@ class GlobalElement(NamedTuple):
     end: int
     level: int
     record: ElementRecord
+
+
+class InsertCheck(NamedTuple):
+    """What :meth:`LazyXMLDatabase.check_insert` found: all the insert
+    needs, on the state the check ran on."""
+
+    position: int
+    document: FlatDocument
+    parent: ERNode
+    base_level: int
+    trusted: bool | None
 
 
 @dataclass
@@ -144,7 +155,8 @@ class LazyXMLDatabase:
     # updates
 
     def insert(
-        self, fragment: str | FlatDocument, position: int | None = None
+        self, fragment: str | FlatDocument, position: int | None = None,
+        checked: InsertCheck | None = None,
     ) -> InsertReceipt:
         """Insert a well-formed XML ``fragment`` at character ``position``.
 
@@ -154,6 +166,9 @@ class LazyXMLDatabase:
         unless the super document with the fragment spliced in still
         parses (:meth:`_validate_insert`).  ``fragment`` may be its parse
         (:func:`~repro.xml.parser.parse_flat`), which is then reused.
+        ``checked`` is :meth:`check_insert`'s answer for this very insert
+        on this very state (the journal's validation made it): given, the
+        insert checks nothing again.
 
         Returns the :class:`~repro.core.update_log.InsertReceipt` with the
         new segment's sid, path and local position.
@@ -164,9 +179,9 @@ class LazyXMLDatabase:
         is guarded by a rollback, so a failing insert always leaves
         ``check_invariants()`` green.
         """
-        position, document, parent, base_level, trusted = self.check_insert(
-            fragment, position
-        )
+        if checked is None:
+            checked = self.check_insert(fragment, position)
+        position, document, parent, base_level, trusted = checked
         # One pass from the parse: the element columns, each tag interned
         # once, and the tag counts the tag-list takes in one call.
         tags, starts, ends, levels = tuple(zip(*document.elements)) or ((),) * 4
@@ -189,11 +204,12 @@ class LazyXMLDatabase:
         self._mark(top_sid, trusted)
         return receipt
 
-    def check_insert(self, fragment: str | FlatDocument, position: int | None = None):
+    def check_insert(
+        self, fragment: str | FlatDocument, position: int | None = None
+    ) -> InsertCheck:
         """Raise, changing nothing, when ``insert(fragment, position)`` would
         (as :meth:`check_removal` does for removes); else return what the
-        insert needs: ``(position, parsed fragment, parent segment, base
-        level, trusted afterwards)``."""
+        insert needs, which :meth:`insert` takes as ``checked``."""
         if position is None:
             position = self.log.document_length
         document = parse_flat(fragment) if isinstance(fragment, str) else fragment
@@ -207,7 +223,7 @@ class LazyXMLDatabase:
         trusted = self._validate_insert(
             document.text, position, document, parent, base_level, anchor
         )
-        return position, document, parent, base_level, trusted
+        return InsertCheck(position, document, parent, base_level, trusted)
 
     def _validate_insert(
         self, fragment: str, position: int, document, parent: ERNode,
@@ -339,7 +355,10 @@ class LazyXMLDatabase:
             node = node.parent
         return 0, anchor
 
-    def remove(self, position: int, length: int) -> RemovalOutcome:
+    def remove(
+        self, position: int, length: int,
+        checked: tuple[int | None, bool | None] | None = None,
+    ) -> RemovalOutcome:
         """Remove ``length`` characters starting at ``position``.
 
         Runs Fig. 7 on the update log, deletes the affected element records
@@ -351,8 +370,11 @@ class LazyXMLDatabase:
         mutation; once the ER-tree removal has run, the remaining index and
         tag-list maintenance operates only on data the report proves
         present, so an invalid request never leaves partial mutations.
+        ``checked`` is :meth:`check_removal`'s answer for this very span on
+        this very state (the journal's validation made it): given, the
+        span is not checked again.
         """
-        verdict = self.check_removal(position, length)
+        verdict = self.check_removal(position, length) if checked is None else checked
         report = self.log.remove_span(position, length)
         per_segment_counts: dict[int, Counter] = {}
         removed_elements = 0
@@ -386,10 +408,13 @@ class LazyXMLDatabase:
             self._mark(*verdict)
         return RemovalOutcome(report=report, elements_removed=removed_elements)
 
-    def _mark(self, top_sid: int, trusted: bool | None) -> None:
+    def _mark(self, top_sid: int | None, trusted: bool | None) -> None:
         """Record what an update's check learnt of top-level document
         ``top_sid``: trusted (``True``), parsing as element content
-        (``False``), or neither known (``None``)."""
+        (``False``), or neither known (``None``).  No document (``None``):
+        nothing to record."""
+        if top_sid is None:
+            return
         if trusted:
             self._trusted.add(top_sid)
         else:
@@ -401,7 +426,7 @@ class LazyXMLDatabase:
 
     def check_removal(
         self, position: int, length: int
-    ) -> tuple[int, bool | None] | None:
+    ) -> tuple[int | None, bool | None]:
         """Raise, changing nothing, when ``remove(position, length)`` would:
         the journal (:func:`repro.durability.recovery.validate_op`) refuses
         exactly the spans the apply would.  Beyond bounds, two shapes:
@@ -430,8 +455,9 @@ class LazyXMLDatabase:
         if it is not trusted (:meth:`_cuts_element`).
 
         Returns ``(top-level sid, trusted afterwards)`` for :meth:`remove`
-        to record once the span is gone (:meth:`_mark`), or ``None`` when
-        the span lies in no single document.
+        to record once the span is gone (:meth:`_mark`), ``(None, None)``
+        when the span lies in no single document: never ``None``, so the
+        answer can travel to :meth:`remove` as its ``checked``.
         """
         if length <= 0:
             raise InvalidSegmentError(
@@ -477,7 +503,7 @@ class LazyXMLDatabase:
             if top is None:
                 top = inner
         if top is None:
-            return None
+            return None, None
         if whole_segment and top.sid in self._trusted:
             return top.sid, True
         audit = self._audit(top, lost=(node, position, end))
@@ -603,10 +629,13 @@ class LazyXMLDatabase:
             pending.extend((child, True) for child in reversed(children))
         return Audit(ranges, elements)
 
-    def remove_segment(self, sid: int) -> RemovalOutcome:
-        """Remove exactly the span segment ``sid`` currently occupies."""
+    def remove_segment(
+        self, sid: int, checked: tuple[int | None, bool | None] | None = None
+    ) -> RemovalOutcome:
+        """Remove exactly the span segment ``sid`` currently occupies
+        (``checked``: as :meth:`remove` takes it, for that span)."""
         node = self.log.node(sid)
-        return self.remove(node.gp, node.length)
+        return self.remove(node.gp, node.length, checked)
 
     def prepare_for_query(self) -> None:
         """Finalize deferred LS-mode maintenance; no-op beyond that in LD."""

@@ -27,6 +27,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import compress, repeat
+from json import dumps
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -101,9 +102,15 @@ class SegmentBlock:
     the block's lifetime — a segment holds many tags and most are never
     queried, so nothing per tag exists until a reader asks.  Readers of a
     pinned replica may cut the same view twice; either object is valid.
+
+    The block also keeps its encoding: :meth:`records_json`, the JSON text
+    of the snapshot's ``records`` list, is made by the first snapshot that
+    reads it and reused by every later one.  A write installs a new block,
+    so the text never goes stale and nothing invalidates it, and a
+    checkpoint encodes only the blocks written since the last.
     """
 
-    __slots__ = ("sid", "tids", "starts", "ends", "levels", "_views")
+    __slots__ = ("sid", "tids", "starts", "ends", "levels", "_views", "_json")
 
     def __init__(self, sid: int, tids=(), starts=(), ends=(), levels=()):
         """The four columns are the rows in block order."""
@@ -113,6 +120,7 @@ class SegmentBlock:
         self.ends = array("q", ends)
         self.levels = array("q", levels)
         self._views: dict[int | None, CompiledElements] = {}
+        self._json: str | None = None
 
     def __len__(self) -> int:
         return len(self.tids)
@@ -121,6 +129,20 @@ class SegmentBlock:
         """``(tid, start, end, level)`` per element, in block order — the
         ``records`` list of the snapshot format."""
         return zip(self.tids, self.starts, self.ends, self.levels)
+
+    @property
+    def encoded(self) -> bool:
+        """Whether :meth:`records_json` has made its text yet."""
+        return self._json is not None
+
+    def records_json(self) -> str:
+        """The JSON text of :meth:`rows` as the snapshot's ``records`` list
+        (``json.dumps`` of the rows as lists), made on the first call and
+        kept: the block is never edited, so the text stays right."""
+        text = self._json
+        if text is None:
+            text = self._json = dumps(list(map(list, self.rows())))
+        return text
 
     def tag(self, tid: int | None) -> CompiledElements:
         """The elements of tag ``tid`` (``None``: of every tag) as columns."""
@@ -144,6 +166,7 @@ class SegmentBlock:
 
 
 _NO_ELEMENTS = SegmentBlock(0)
+_NO_ELEMENTS.records_json()  # shared by every element-less segment
 
 
 def block_columns(rows: Iterable[tuple[int, int, int, int]]):
@@ -290,10 +313,11 @@ class ElementIndex:
 
     def approximate_bytes(self) -> int:
         """Estimated in-memory size: 8 bytes per stored scalar (the write
-        journal's sids included)."""
+        journal's sids included), plus a byte per character of each kept
+        encoding."""
         total = 8 * len(self._journal)
         for block in self._blocks.values():
-            total += 8 * 4 * len(block)
+            total += 8 * 4 * len(block) + len(block._json or "")
             for view in {id(v): v for v in block._views.values()}.values():
                 # Record references; a filtered view's own three columns.
                 total += 8 * len(view) * (1 if view.starts is block.starts else 4)

@@ -10,7 +10,8 @@ Every structural operation follows the same commit protocol:
    considered committed;
 3. **apply** — the op mutates the in-memory database through the exact
    dispatcher recovery replays with, keeping live and replayed histories
-   identical, from the validation's parse (never journaled).
+   identical, from what the validation found (the parse and the verdict,
+   never journaled): each check runs once per op.
 
 A crash at any point leaves the directory describing either the pre-op
 state (journal record absent or torn) or the post-op state (record fully
@@ -159,7 +160,7 @@ class DurableDatabase:
                 f"({self._poisoned}); reopen {self.directory} to recover"
             )
         db = self.db
-        parsed = validate_op(db, op, parsed)
+        checked = validate_op(db, op, parsed)
         seq = self._last_seq + 1
         try:
             self._journal.append(seq, op)
@@ -170,7 +171,7 @@ class DurableDatabase:
             self._poisoned = f"append of seq {seq} failed: {exc}"
             raise
         self._last_seq = seq
-        return apply_op(db, op, parsed)
+        return apply_op(db, op, checked)
 
     def checkpoint(self) -> None:
         """Fold the journal into an atomic snapshot, then truncate it."""

@@ -17,7 +17,8 @@ Replay uses the same operation dispatcher (:func:`apply_op`) the live
 :class:`~repro.durability.database.DurableDatabase` uses, so a replayed
 history is bit-identical to the directly applied one (the replay-
 equivalence property tests assert exactly this), applying each record
-from its validation's parse.  A record whose pre-validation fails during
+from what its validation found (parse and verdict), so it is checked
+once.  A record whose pre-validation fails during
 replay corresponds to a live call that raised before mutating anything; it
 is skipped, reproducing the live outcome.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.database import LazyXMLDatabase
+from repro.core.database import InsertCheck, LazyXMLDatabase
 from repro.core.maintenance import require_repackable
 from repro.durability import hooks
 from repro.durability.checkpoint import CHECKPOINT_NAME, read_checkpoint
@@ -106,8 +107,12 @@ def parse_op(op: dict, doc_len: int):
 
 def validate_op(db: LazyXMLDatabase, op: dict, parsed=None):
     """Raise (without mutating anything) if ``op`` cannot apply to ``db``;
-    else return ``op``'s parse (:func:`parse_op`) for :func:`apply_op`:
-    ``parsed`` when given, else the one these checks made.
+    else return what :func:`apply_op` takes to apply it to ``db`` as it
+    stands: an insert's or a remove's verdict (what
+    :meth:`~LazyXMLDatabase.check_insert` or
+    :meth:`~LazyXMLDatabase.check_removal` returned, the parse included),
+    which the apply then does not check again, or a batch's sub-op parses
+    (``parsed`` when given, else those these checks made).
 
     This runs *before* the journal append in the live write path, so the
     journal only ever records operations that will succeed; replay applies
@@ -131,13 +136,13 @@ def validate_op(db: LazyXMLDatabase, op: dict, parsed=None):
         # rely on it: the append point shifts with every earlier sub-op).
         # Parsed flat, to keep: apply_op inserts from this parse.
         fragment = parse_flat(op["fragment"]) if parsed is None else parsed
-        return db.check_insert(fragment, op.get("position"))[1]
+        return db.check_insert(fragment, op.get("position"))
     if kind == "remove":
-        db.check_removal(op["position"], op["length"])
-    elif kind == "remove_segment":
+        return db.check_removal(op["position"], op["length"])
+    if kind == "remove_segment":
         node = db.log.node(op["sid"])  # raises SegmentNotFoundError when absent
-        db.check_removal(node.gp, node.length)
-    elif kind == "repack":
+        return db.check_removal(node.gp, node.length)
+    if kind == "repack":
         require_repackable(db, op["sid"])
     return None
 
@@ -247,18 +252,27 @@ def _apply_batch(db: LazyXMLDatabase, op: dict, parsed) -> list:
 
 
 def apply_op(db: LazyXMLDatabase, op: dict, parsed=None):
-    """Apply one journal operation to ``db``, from its parse ``parsed``
-    (:func:`parse_op`) when given; returns the op's result."""
+    """Apply one journal operation to ``db``; returns the op's result.
+
+    ``parsed`` is what :func:`validate_op` returned for ``op`` on ``db``
+    as it stands (an insert or a remove then checks nothing again), or
+    the op's parse (:func:`parse_op`), or ``None``: an op that brings no
+    verdict (an epoch catch-up, a batch sub-op, a bare call) is checked
+    as it applies."""
     kind = op.get("op")
     if kind == BATCH_KIND:
         return _apply_batch(db, op, parsed)
     if kind == "insert":
+        if isinstance(parsed, InsertCheck):
+            return db.insert(op["fragment"], op.get("position"), parsed)
         fragment = op["fragment"] if parsed is None else parsed
         return db.insert(fragment, op.get("position"))
+    # A removal's verdict is a (sid, trusted) pair, never None.
+    checked = () if parsed is None else (parsed,)
     if kind == "remove":
-        return db.remove(op["position"], op["length"])
+        return db.remove(op["position"], op["length"], *checked)
     if kind == "remove_segment":
-        return db.remove_segment(op["sid"])
+        return db.remove_segment(op["sid"], *checked)
     if kind == "repack":
         return db.repack(op["sid"])
     if kind == "compact":

@@ -35,6 +35,7 @@ from repro.errors import ReproError
 __all__ = [
     "FORMAT_VERSION",
     "dumps",
+    "encode",
     "loads",
     "save",
     "load",
@@ -50,37 +51,50 @@ class SnapshotError(ReproError):
 
 
 def dumps(db: LazyXMLDatabase) -> str:
-    """Serialize the database to a JSON string."""
-    segments = []
+    """Serialize the database to a JSON string.
+
+    The text is ``json.dumps`` of the snapshot payload, byte for byte,
+    assembled here so that each segment's element records come from its
+    block's kept encoding (:meth:`~repro.core.element_index.SegmentBlock.
+    records_json`): only the blocks written since the last call are
+    encoded, and the rest of a segment entry (``gp`` and ``length`` do
+    move) is one format per ER-node.
+    """
+    return encode(db)[0]
+
+
+def encode(db: LazyXMLDatabase) -> tuple[str, int]:
+    """:func:`dumps`' text, and how many blocks' records it encoded (the
+    others reused the encoding their block keeps)."""
+    blocks, encoded, segments = db.index.block, 0, []
     for node in db.log.ertree.nodes():
-        entry = {
-            "sid": node.sid,
-            "parent": node.parent.sid if node.parent is not None else None,
-            "gp": node.gp,
-            "length": node.length,
-            "lp": node.lp,
-            "tombstones": [list(t) for t in node.tombstones()],
-            "records": [list(row) for row in db.index.block(node.sid).rows()],
-        }
-        segments.append(entry)
-    payload = {
-        "format": FORMAT_VERSION,
-        # Every loaded database is LD (see :func:`loads`); the field stays
-        # so the format, and snapshots written before, keep their bytes.
-        "mode": "dynamic",
-        # Kept so the format keeps its bytes: every database has its text.
-        "keep_text": True,
-        "text": db.text,
-        "tags": [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))],
-        "next_sid": db.log.ertree._next_sid,
-        "segments": segments,
-    }
+        block = blocks(node.sid)
+        encoded += not block.encoded
+        parent, stones = node.parent, node.tombstones()
+        segments.append(
+            f'{{"sid": {node.sid}, '
+            f'"parent": {"null" if parent is None else parent.sid}, '
+            f'"gp": {node.gp}, "length": {node.length}, "lp": {node.lp}, '
+            f'"tombstones": {json.dumps(stones) if stones else "[]"}, '
+            f'"records": {block.records_json()}}}'
+        )
+    tags = db.log.tags
+    ertree = db.log.ertree
+    # Every loaded database is LD (see :func:`loads`), and every database
+    # has its text: ``mode`` and ``keep_text`` stay so the format, and
+    # snapshots written before, keep their bytes.
+    head = (
+        f'{{"format": {FORMAT_VERSION}, "mode": "dynamic", "keep_text": true, '
+        f'"text": {json.dumps(db.text)}, '
+        f'"tags": {json.dumps([tags.name_of(tid) for tid in range(len(tags))])}, '
+        f'"next_sid": {ertree._next_sid}, "segments": ['
+    )
     # Sid-namespace keys are emitted only when non-default so snapshots
     # from unsharded databases stay byte-compatible with older readers.
-    if db.log.ertree.sid_start != 1 or db.log.ertree.sid_stride != 1:
-        payload["sid_start"] = db.log.ertree.sid_start
-        payload["sid_stride"] = db.log.ertree.sid_stride
-    return json.dumps(payload)
+    tail = "]}"
+    if ertree.sid_start != 1 or ertree.sid_stride != 1:
+        tail = f'], "sid_start": {ertree.sid_start}, "sid_stride": {ertree.sid_stride}}}'
+    return head + ", ".join(segments) + tail, encoded
 
 
 def clone(db: LazyXMLDatabase) -> LazyXMLDatabase:

@@ -202,3 +202,37 @@ def write_v2(path, header: dict, body: bytes, *, fix_crc: bool = True) -> None:
     Path(path).write_bytes(
         json.dumps(header).encode() + b"\n" + zlib.compress(body, 1)
     )
+
+
+def reference_dumps(db: LazyXMLDatabase) -> str:
+    """The snapshot text encoded from scratch: ``json.dumps`` of the whole
+    payload, every block's records included.  What
+    :func:`repro.storage.dumps`, which reuses each block's kept encoding,
+    must equal byte for byte."""
+    from repro.storage import FORMAT_VERSION
+
+    segments = []
+    for node in db.log.ertree.nodes():
+        entry = {
+            "sid": node.sid,
+            "parent": node.parent.sid if node.parent is not None else None,
+            "gp": node.gp,
+            "length": node.length,
+            "lp": node.lp,
+            "tombstones": [list(t) for t in node.tombstones()],
+            "records": [list(row) for row in db.index.block(node.sid).rows()],
+        }
+        segments.append(entry)
+    payload = {
+        "format": FORMAT_VERSION,
+        "mode": "dynamic",
+        "keep_text": True,
+        "text": db.text,
+        "tags": [db.log.tags.name_of(tid) for tid in range(len(db.log.tags))],
+        "next_sid": db.log.ertree._next_sid,
+        "segments": segments,
+    }
+    if db.log.ertree.sid_start != 1 or db.log.ertree.sid_stride != 1:
+        payload["sid_start"] = db.log.ertree.sid_start
+        payload["sid_stride"] = db.log.ertree.sid_stride
+    return json.dumps(payload)

@@ -33,6 +33,7 @@ from repro.storage import dumps
 from repro.workloads.scenarios import registration_stream
 from tests.helpers import (
     assert_join_matches_oracle,
+    reference_dumps,
     v1_checkpoint,
     v2_parts,
     write_v2,
@@ -421,6 +422,53 @@ class TestCheckpointMarks:
             dd.check_invariants()
             dd.close()
         assert counts[1] == counts[0] <= 1, counts
+
+
+class TestCheckpointEncodesWhatWasWritten:
+    """A block keeps its encoding, so a checkpoint encodes the records of
+    the blocks written since the last one: a segment's labels are fixed
+    when it goes in, and only a write installs a block."""
+
+    @staticmethod
+    def _form(i: int) -> str:
+        fields = "".join(f"<f{j}>v{i}</f{j}>" for j in range(16))
+        return f"<form><id>{i}</id>{fields}</form>"
+
+    @pytest.mark.perf_smoke
+    @pytest.mark.parametrize("forms", [250, 4_000])
+    def test_checkpoint_encodes_the_blocks_written_since_the_last(
+        self, tmp_path, monkeypatch, forms
+    ):
+        """Count gate: after k tail inserts, j whole-segment removes and
+        one partial remove taking an element out, a checkpoint encodes
+        k + 1 blocks' records; with nothing written since, 0.  (Before
+        blocks kept their encoding: every block, every time.)"""
+        from repro.obs.metrics import METRICS
+
+        monkeypatch.setattr(METRICS, "enabled", True)
+        encoded = METRICS.get("durability.checkpoint.blocks_encoded")
+        with DurableDatabase(tmp_path / "state") as dd:
+            dd.apply_batch(
+                [{"op": "insert", "fragment": self._form(i)} for i in range(forms)]
+            )
+            dd.checkpoint()  # every block is new here
+            k, j = 5, 3
+            for i in range(k):
+                dd.insert(self._form(forms + i))
+            tops = [top.sid for top in dd.db.log.ertree.root.children]
+            for sid in tops[1 : 1 + j]:
+                dd.remove_segment(sid)
+            element = "<f3>v0</f3>"  # in the first form, still there
+            dd.remove(dd.text.index(element), len(element))
+            counts = []
+            for _ in range(2):
+                before = encoded.value
+                dd.checkpoint()
+                counts.append(encoded.value - before)
+            assert counts == [k + 1, 0], (forms, counts)
+            assert dumps(dd.db) == reference_dumps(dd.db)
+        with DurableDatabase(tmp_path / "state") as reopened:
+            assert dumps(reopened.db) == reference_dumps(reopened.db)
 
 
 class TestReplicationStatusReadsTheHeader:

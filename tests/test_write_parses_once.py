@@ -1,11 +1,13 @@
-"""A write parses its fragment once (perf-smoke count gate).
+"""A write parses its fragment once, and a journaled op is checked once
+(perf-smoke count gates).
 
 The lazy insert of the paper costs one parse of the new segment plus local
 labels (Section 3.3).  Every write path that wraps the core — the journal's
 validate → journal → apply, recovery, batches, replication, and the
 service's epoch buffers — hands the parse that checked a fragment on to
 every database that applies it.  Counted by wrapping
-:func:`repro.xml.parser.parse`.
+:func:`repro.xml.parser.parse`; the journal's verdict travels with it,
+counted by wrapping ``check_insert`` / ``check_removal``.
 And that one parse builds no tree: no write path constructs an
 :class:`~repro.xml.model.XMLElement`.
 """
@@ -108,6 +110,78 @@ def test_served_writes_parse_once(parses, tmp_path, kind):
         assert _count(parses, lambda: svc.apply_batch(BATCH)) == 4
         with svc.snapshot() as snap:
             assert snap.db.text == svc.primary.text
+
+
+# ----------------------------------------------------------------------
+# A journaled op is checked once: the verdict validate_op makes before the
+# journal append travels with the parse to the apply.
+
+@pytest.fixture
+def checks(monkeypatch):
+    """A list that gains the method name of every ``check_insert`` /
+    ``check_removal`` call on any database."""
+    calls: list[str] = []
+    for name in ("check_insert", "check_removal"):
+        def counted(self, *args, _real=getattr(LazyXMLDatabase, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(LazyXMLDatabase, name, counted)
+    return calls
+
+
+def _checks(calls, write) -> dict[str, int]:
+    before = len(calls)
+    write()
+    made = calls[before:]
+    return {name: made.count(name) for name in ("check_insert", "check_removal")}
+
+
+@pytest.mark.perf_smoke
+def test_journaled_ops_are_checked_once(checks, tmp_path):
+    """Count gate, as check calls (the parent's count, which checked at
+    validate and again at apply, in brackets): a durable insert 1 (2), a
+    durable remove_segment 1 (2), a durable batch of 4 inserts 4 (4: its
+    sub-ops are checked as they apply), and recovery of a journal of 2
+    inserts and 1 remove 3 (6)."""
+    durable = DurableDatabase(tmp_path)
+    assert _checks(checks, lambda: durable.insert(DOC)) == {
+        "check_insert": 1, "check_removal": 0}
+    receipt = durable.insert(FRAGMENT)
+    assert _checks(checks, lambda: durable.remove_segment(receipt.sid)) == {
+        "check_insert": 0, "check_removal": 1}
+    assert _checks(checks, lambda: durable.apply_batch(BATCH)) == {
+        "check_insert": 4, "check_removal": 0}
+    expected = durable.db.text
+    durable.close()
+    reopened = []
+    assert _checks(checks, lambda: reopened.append(DurableDatabase(tmp_path))) == {
+        "check_insert": 6, "check_removal": 1}
+    assert reopened[0].db.text == expected
+    reopened[0].close()
+    # The journal without the batch: 2 inserts and 1 remove.
+    other = DurableDatabase(tmp_path / "other")
+    other.insert(DOC)
+    other.remove_segment(other.insert(FRAGMENT).sid)
+    other.close()
+    assert _checks(checks, lambda: DurableDatabase(tmp_path / "other").close()) == {
+        "check_insert": 2, "check_removal": 1}
+
+
+@pytest.mark.perf_smoke
+def test_served_writes_on_a_plain_primary_check_at_commit_and_catch_up(checks):
+    """A served write on an in-memory primary brings no verdict: its
+    commit checks it, and so does the catch-up of the buffer that
+    publish retired, at the next write (unchanged)."""
+    with _served("plain", None) as svc:
+        svc.remove_segment(svc.insert(FRAGMENT).sid)  # steady state
+        receipt = []
+        assert _checks(checks, lambda: receipt.append(svc.insert(FRAGMENT))) == {
+            "check_insert": 1, "check_removal": 1}
+        assert _checks(checks, lambda: svc.remove_segment(receipt[0].sid)) == {
+            "check_insert": 1, "check_removal": 1}
+        assert _checks(checks, lambda: svc.insert(FRAGMENT)) == {
+            "check_insert": 1, "check_removal": 1}
 
 
 # ----------------------------------------------------------------------
