@@ -187,13 +187,15 @@ class LazyXMLDatabase:
         tags, starts, ends, levels = tuple(zip(*document.elements)) or ((),) * 4
         tids = list(map(self.log.tags.intern, tags))
         tag_counts = Counter(tids)
-        receipt = self.log.insert_segment(position, len(document.text), tag_counts)
+        receipt = self.log.insert_segment(
+            position, len(document.text), tag_counts, parent
+        )
         self.log.node(receipt.sid).fragment = document.text
         top_sid = parent.path[1] if parent.sid != DUMMY_ROOT_SID else receipt.sid
         try:
             if tids:
                 self.index.insert_segment(
-                    receipt.sid, tids, starts, ends, levels, base_level
+                    receipt.sid, tids, starts, ends, levels, base_level, tag_counts
                 )
             else:
                 self.index.note_text_write(receipt.sid)  # text, no element
@@ -375,7 +377,11 @@ class LazyXMLDatabase:
         span is not checked again.
         """
         verdict = self.check_removal(position, length) if checked is None else checked
-        report = self.log.remove_span(position, length)
+        return self._removed(self.log.remove_span(position, length), verdict)
+
+    def _removed(self, report: RemovalReport, verdict) -> RemovalOutcome:
+        """The index and tag-list maintenance after the ER-tree removal
+        ``report``, then the ``verdict``'s marks (Section 3.3's order)."""
         per_segment_counts: dict[int, Counter] = {}
         removed_elements = 0
         for node in report.removed:
@@ -632,10 +638,26 @@ class LazyXMLDatabase:
     def remove_segment(
         self, sid: int, checked: tuple[int | None, bool | None] | None = None
     ) -> RemovalOutcome:
-        """Remove exactly the span segment ``sid`` currently occupies
-        (``checked``: as :meth:`remove` takes it, for that span)."""
-        node = self.log.node(sid)
-        return self.remove(node.gp, node.length, checked)
+        """Remove exactly the span segment ``sid`` currently occupies, as
+        :meth:`remove` of that span would, by unlinking its ER-tree node
+        (:meth:`~repro.core.ertree.ERTree.remove_node`).  ``checked`` is
+        :meth:`check_segment_removal`'s answer on this very state."""
+        node = self.log.ertree.outermost(sid)
+        verdict = self.check_segment_removal(sid) if checked is None else checked
+        if node.parent is None:  # the dummy root: every document
+            return self.remove(node.gp, node.length, verdict)
+        return self._removed(self.log.ertree.remove_node(node), verdict)
+
+    def check_segment_removal(self, sid: int) -> tuple[int | None, bool | None]:
+        """:meth:`check_removal` of segment ``sid``'s span, read off its
+        node: a top-level segment (a whole document) and one in a trusted
+        document read nothing, and any other runs that check."""
+        node = self.log.ertree.outermost(sid)
+        if node.depth == 1:
+            return None, None
+        if node.depth > 1 and node.path[1] in self._trusted:
+            return node.path[1], True
+        return self.check_removal(node.gp, node.length)
 
     def prepare_for_query(self) -> None:
         """Finalize deferred LS-mode maintenance; no-op beyond that in LD."""

@@ -110,10 +110,13 @@ class SegmentBlock:
     checkpoint encodes only the blocks written since the last.
     """
 
-    __slots__ = ("sid", "tids", "starts", "ends", "levels", "_views", "_json")
+    __slots__ = (
+        "sid", "tids", "starts", "ends", "levels", "_views", "_json", "_counts",
+    )
 
-    def __init__(self, sid: int, tids=(), starts=(), ends=(), levels=()):
-        """The four columns are the rows in block order."""
+    def __init__(self, sid: int, tids=(), starts=(), ends=(), levels=(), counts=None):
+        """The four columns are the rows in block order; ``counts`` is
+        ``Counter(tids)`` when the writer has it, kept for the removal."""
         self.sid = sid
         self.tids = array("q", tids)
         self.starts = array("q", starts)
@@ -121,6 +124,7 @@ class SegmentBlock:
         self.levels = array("q", levels)
         self._views: dict[int | None, CompiledElements] = {}
         self._json: str | None = None
+        self._counts = counts
 
     def __len__(self) -> int:
         return len(self.tids)
@@ -253,7 +257,7 @@ class ElementIndex:
     # updates
 
     def insert_segment(
-        self, sid: int, tids, starts, ends, levels, base_level: int = 0
+        self, sid: int, tids, starts, ends, levels, base_level: int = 0, counts=None
     ) -> None:
         """Write a freshly inserted segment's block from its columns.
 
@@ -262,13 +266,14 @@ class ElementIndex:
         insertion point, so stored levels are absolute.  A parse's elements
         are in block order as they come (their starts strictly increase),
         so the columns go into the arrays as given; other writers sort
-        with :func:`block_columns`.  No columns, no block.
+        with :func:`block_columns`; ``counts`` is ``Counter(tids)`` if the
+        writer made it (an insert does).  No columns, no block.
         """
         if not tids:
             return
         if base_level:
             levels = [base_level + level for level in levels]
-        self._install(sid, SegmentBlock(sid, tids, starts, ends, levels))
+        self._install(sid, SegmentBlock(sid, tids, starts, ends, levels, counts))
 
     def remove_segment(self, sid: int) -> Counter:
         """Drop segment ``sid``'s block.
@@ -281,7 +286,7 @@ class ElementIndex:
         if block is None:
             return Counter()
         self._install(sid, _NO_ELEMENTS)
-        return Counter(block.tids)
+        return block._counts or Counter(block.tids)
 
     def remove_local_range(
         self, sid: int, local_start: int, local_end: int
@@ -313,20 +318,25 @@ class ElementIndex:
 
     def approximate_bytes(self) -> int:
         """Estimated in-memory size: 8 bytes per stored scalar (the write
-        journal's sids included), plus a byte per character of each kept
-        encoding."""
+        journal's sids and the kept tag counts included), plus a byte per
+        character of each kept encoding."""
         total = 8 * len(self._journal)
         for block in self._blocks.values():
             total += 8 * 4 * len(block) + len(block._json or "")
+            total += 16 * len(block._counts or ())
             for view in {id(v): v for v in block._views.values()}.values():
                 # Record references; a filtered view's own three columns.
                 total += 8 * len(view) * (1 if view.starts is block.starts else 4)
         return total
 
     def check_invariants(self) -> None:
-        """Every block non-empty and in block order; the size in step."""
+        """Every block non-empty, in block order, its kept counts right;
+        the size in step."""
         for sid, block in self._blocks.items():
             assert block and block.sid == sid, f"block {sid} empty or misfiled"
+            assert block._counts is None or block._counts == Counter(block.tids), (
+                f"block {sid}: kept tag counts out of step"
+            )
             rows = list(map(_ROW_ORDER, block.rows()))
             assert rows == sorted(rows), f"block {sid} is out of order"
         assert self._size == sum(map(len, self._blocks.values()))

@@ -5,6 +5,11 @@ ordered by global position, the dummy root (sid 0) spanning the whole super
 document.  All updates are expressed on it in the paper's terms — an
 insertion or removal is just a ``(global position, length)`` pair.
 
+Fig. 7 serves a span (:meth:`ERTree.remove_span`), classifying each
+level's children against it.  A removal by sid (:meth:`ERTree.remove_node`)
+is Fig. 5 run backwards: unlink the node, shrink its ancestors and move the
+later siblings left, with the path walk an insert takes.
+
 Two deliberate deviations from the paper's pseudocode, both forced by text
 editing semantics (discussed in DESIGN.md):
 
@@ -577,7 +582,9 @@ class ERTree:
     # ------------------------------------------------------------------
     # insertion (Fig. 5)
 
-    def add_segment(self, gp: int, length: int, sid: int | None = None) -> ERNode:
+    def add_segment(
+        self, gp: int, length: int, sid: int | None = None, parent: ERNode | None = None
+    ) -> ERNode:
         """Insert a segment of ``length`` characters at global offset ``gp``.
 
         Implements ``AddNewSegment_Start``/``AddNewSegment`` of Fig. 5:
@@ -587,7 +594,8 @@ class ERTree:
         immutable local position per Definition 2.
 
         Returns the new node.  ``sid`` defaults to the next system-generated
-        id.
+        id; ``parent``, when the caller found it, is :meth:`innermost_segment`
+        of ``gp``.
         """
         if length <= 0:
             raise InvalidSegmentError(f"segment length must be positive, got {length}")
@@ -607,26 +615,14 @@ class ERTree:
             steps = (sid + self.sid_stride - self.sid_start) // self.sid_stride
             self._next_sid = self.sid_start + steps * self.sid_stride
 
-        # Steps 1 and 2 in one descent: at each level the siblings at or
-        # after ``gp`` (inclusive — see module docstring) move right with
-        # their whole subtrees, and the one child strictly containing ``gp``
-        # is the next level.  Each ancestor on the way grows, and its
-        # compiled read state depends on child lengths, so the whole chain
-        # is touched — O(depth), the "invalidation is O(touched
-        # structures)" contract.  An append finds nothing to move and no
-        # child to enter after one bisect of the root's children.
-        parent = self.root
-        moving: list[ERNode] = []
-        while True:
-            parent.length += length
-            parent._touch()
-            children = parent.children
-            idx = bisect_left(children, gp, key=_node_gp)
-            moving.extend(islice(children, idx, None))
-            if not idx or children[idx - 1].end <= gp:
-                break
-            parent = children[idx - 1]
-        self._shift_subtrees(moving, length)
+        # Steps 1 and 2: the parent is the deepest segment strictly
+        # containing ``gp``; every segment on its path grows, and the
+        # siblings at or after ``gp`` (inclusive — see module docstring)
+        # move right with their whole subtrees.  An append finds nothing
+        # to move after one bisect of the root's children.
+        parent = self.innermost_segment(gp) if parent is None else parent
+        idx = bisect_left(parent.children, gp, key=_node_gp)
+        self._resize_path(parent, idx, length)
 
         # Step 3: splice the new leaf in, keeping children sorted by gp,
         # and compute its local position.  ``to_local`` implements
@@ -640,14 +636,61 @@ class ERTree:
         self._track_add(new)
         return new
 
+    def _resize_path(self, parent: ERNode, idx: int, delta: int) -> None:
+        """Grow ``parent`` and its ancestors by ``delta`` (touching each:
+        O(depth)) and move by ``delta`` the later siblings on each level —
+        ``parent``'s children from ``idx`` on, and above, those after the
+        child leading to ``parent`` — with their subtrees."""
+        moving: list[ERNode] = []
+        while True:
+            parent.length += delta
+            parent._touch()
+            moving.extend(islice(parent.children, idx, None))
+            child, parent = parent, parent.parent
+            if parent is None:
+                break
+            # Siblings are disjoint, so no other starts at ``child.gp``.
+            idx = bisect_right(parent.children, child.gp, key=_node_gp)
+        self._shift_subtrees(moving, delta)
+
     # ------------------------------------------------------------------
-    # removal (Fig. 7)
+    # removal: by node (Fig. 5 backwards) and by span (Fig. 7)
+
+    def outermost(self, sid: int) -> ERNode:
+        """The outermost segment whose span is segment ``sid``'s: what a
+        removal of that span deletes (with an ancestor left holding only
+        this segment, Fig. 7 deletes the ancestor too)."""
+        node = self.node(sid)
+        parent = node.parent
+        while parent and parent.parent and parent.length == node.length:
+            node, parent = parent, parent.parent
+        return node
+
+    def remove_node(self, node: ERNode) -> RemovalReport:
+        """Remove segment ``node`` (an :meth:`outermost` one) with its
+        subtree, as :meth:`remove_span` of its span would: unlink it by
+        bisect, then :meth:`_resize_path` backwards.  The report holds the
+        subtree and no partial."""
+        parent = node.parent
+        if parent is None:
+            raise InvalidSegmentError("cannot remove the dummy root")
+        children = parent.children
+        idx = bisect_left(children, node.gp, key=_node_gp)
+        assert children[idx] is node, f"segment {node.sid} not under its parent"
+        del children[idx]
+        self._resize_path(parent, idx, -node.length)
+        report = RemovalReport()
+        self._delete_subtree(node, report)
+        for sub in report.removed:
+            sub.gp = node.gp  # see RemovalReport
+        return report
 
     def remove_span(self, gp: int, length: int) -> RemovalReport:
         """Remove ``length`` characters starting at global offset ``gp``.
 
-        Implements ``RemoveSegment_Start``/``RemoveSegment`` of Fig. 7 with
-        the ordering fix described in the module docstring: classify children
+        Implements ``RemoveSegment_Start``/``RemoveSegment`` of Fig. 7 for
+        any span (:meth:`remove_node` takes a whole segment's) with the
+        ordering fix described in the module docstring: classify children
         against pre-shift coordinates, then shift survivors.  Handles all of
         the paper's cases — removed span contained in a segment, containing
         whole segments, and left/right intersections — and returns the

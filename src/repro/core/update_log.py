@@ -95,16 +95,17 @@ class UpdateLog:
     # updates
 
     def insert_segment(
-        self, gp: int, length: int, tag_counts: Mapping[int, int]
+        self, gp: int, length: int, tag_counts: Mapping[int, int], parent=None
     ) -> InsertReceipt:
         """Insert a segment of ``length`` characters at offset ``gp``.
 
         ``tag_counts`` maps tag ids (:attr:`tags`) to element occurrence
         counts inside the segment — the information the tag-list stores.
         Runs Fig. 5 on the ER-tree and updates (LD) or appends to (LS) the
-        per-tag path lists, in one tag-list call.
+        per-tag path lists, in one tag-list call.  ``parent``: as
+        :meth:`~repro.core.ertree.ERTree.add_segment` takes it.
         """
-        node = self.ertree.add_segment(gp, length)
+        node = self.ertree.add_segment(gp, length, parent=parent)
         self.taglist.add_segment(node, tag_counts)
         assert node.parent is not None  # only the dummy root lacks a parent
         return InsertReceipt(

@@ -108,23 +108,24 @@ def parse_op(op: dict, doc_len: int):
 def validate_op(db: LazyXMLDatabase, op: dict, parsed=None):
     """Raise (without mutating anything) if ``op`` cannot apply to ``db``;
     else return what :func:`apply_op` takes to apply it to ``db`` as it
-    stands: an insert's or a remove's verdict (what
-    :meth:`~LazyXMLDatabase.check_insert` or
-    :meth:`~LazyXMLDatabase.check_removal` returned, the parse included),
-    which the apply then does not check again, or a batch's sub-op parses
-    (``parsed`` when given, else those these checks made).
+    stands: an insert's or a remove's verdict (what its ``check_*`` method
+    returned, the parse included), which the apply then does not check
+    again, or a batch's sub-op parses (``parsed`` when given, else those
+    these checks made).
 
     This runs *before* the journal append in the live write path, so the
     journal only ever records operations that will succeed; replay applies
     the same checks, keeping the two paths in lockstep.  Inserts and
-    removes go through :meth:`LazyXMLDatabase.check_insert` and
-    :meth:`LazyXMLDatabase.check_removal`, the very checks ``insert`` and
-    ``remove`` run, so a splice that would not parse, or a mid-tag or
-    boundary-crossing span, is refused here, not after the fsync.  (Batch
-    sub-ops are checked at apply time, where a refused one is skipped
-    identically live and in replay; journals written before these checks
-    existed may hold refused single inserts and removes, and replay skips
-    those the same way.  Such a journal's ``validate`` field is ignored.)
+    removes go through :meth:`LazyXMLDatabase.check_insert`,
+    :meth:`~LazyXMLDatabase.check_removal` and
+    :meth:`~LazyXMLDatabase.check_segment_removal`, the checks ``insert``,
+    ``remove`` and ``remove_segment`` run, so a splice that would not
+    parse, or a mid-tag or boundary-crossing span, is refused here, not
+    after the fsync.  (Batch sub-ops are checked at apply time, where a
+    refused one is skipped identically live and in replay; journals
+    written before these checks existed may hold refused single inserts
+    and removes, and replay skips those the same way.  Such a journal's
+    ``validate`` field is ignored.)
     """
     kind = op.get("op")
     if kind == BATCH_KIND:
@@ -140,8 +141,8 @@ def validate_op(db: LazyXMLDatabase, op: dict, parsed=None):
     if kind == "remove":
         return db.check_removal(op["position"], op["length"])
     if kind == "remove_segment":
-        node = db.log.node(op["sid"])  # raises SegmentNotFoundError when absent
-        return db.check_removal(node.gp, node.length)
+        # Raises SegmentNotFoundError when the sid is absent.
+        return db.check_segment_removal(op["sid"])
     if kind == "repack":
         require_repackable(db, op["sid"])
     return None

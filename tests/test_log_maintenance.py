@@ -121,7 +121,9 @@ def apply_op(db: LazyXMLDatabase, kind: str, a: int, b: int) -> list:
         # finds the fresh segment's entries through the removal report.
         real = db.index.insert_segment
 
-        def half_then_fail(sid, tids, starts, ends, levels, base_level=0):
+        def half_then_fail(sid, tids, starts, ends, levels, base_level=0,
+                           counts=None):
+            # Half the rows: the insert's counts are the whole segment's.
             half = len(tids) // 2
             real(sid, tids[:half], starts[:half], ends[:half], levels[:half],
                  base_level)
@@ -437,6 +439,63 @@ def test_insert_work_follows_the_fragment(monkeypatch):
         depth = db.index.block(receipt.sid).levels[0] - 1
         assert (calls, depth) == (["tag-list"], 1), forms
         assert 0 < len(reads) <= depth + 1, (forms, reads)
+        db.check_invariants()
+
+
+@pytest.mark.perf_smoke
+def test_remove_work_follows_the_segment(monkeypatch):
+    """A bare remove by sid costs its segment: taking back one element
+    inserted at the tail of the last form (a trusted document) unlinks
+    its ER-node with no coordinate mapping — 0 ``ERNode.to_local`` calls,
+    no ER-node compiled, no ``check_removal`` — makes one tag-list call,
+    and writes the same ER-nodes on 250 and on 4 000 forms: the form and
+    the dummy root shrink, and no sibling moves."""
+    from repro.core.ertree import ERNode, ERTree
+    from repro.core.taglist import TagList
+
+    calls: list[str] = []
+    written: list[int] = []
+
+    def tally(cls, name: str, label: str) -> None:
+        real = getattr(cls, name)
+
+        def counted(self, *args):
+            calls.append(label)
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    tally(ERNode, "_build_events", "compile")
+    tally(ERNode, "to_local", "to_local")
+    tally(LazyXMLDatabase, "check_removal", "check_removal")
+    tally(TagList, "add_segment", "tag-list")
+    tally(TagList, "remove_occurrences", "tag-list")
+    touch, shift = ERNode._touch, ERTree._shift_subtrees
+
+    def touched(node):
+        written.append(node.sid)
+        touch(node)
+
+    def shifted(pending, delta):
+        shift(pending, delta)
+        written.extend(node.sid for node in pending)
+
+    monkeypatch.setattr(ERNode, "_touch", touched)
+    monkeypatch.setattr(ERTree, "_shift_subtrees", staticmethod(shifted))
+    fragment = "<f16>tail</f16>"
+    for forms in (250, 4_000):
+        db, _ = _loaded(forms)
+        parent = db.log.ertree.root.children[-1]
+        position = parent.end - len("</form>")
+        db.remove_segment(db.insert(fragment, position).sid)  # warm
+        sid = db.insert(fragment, position).sid
+        assert parent.sid in db._trusted
+        calls.clear()
+        written.clear()
+        db.remove_segment(sid)
+        assert calls == ["tag-list"], forms
+        assert written == [parent.sid, 0], forms
+        assert sid not in db.log.ertree and parent.sid in db._trusted
         db.check_invariants()
 
 

@@ -298,12 +298,13 @@ def test_span_columns_are_counted_and_cleared():
     # The index counts the columns: 32 a row per block, 8 a row for each
     # all-tags view's records, 32 for the outer segment's one-row a view
     # (a one-tag segment's per-tag view is its all-tags one), 8 for each
-    # of the two writes its journal holds.
-    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32 + 8 * 2
+    # of the two writes its journal holds, 16 for each tag count the
+    # blocks keep from their inserts (a and b outside, b inside).
+    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32 + 8 * 2 + 16 * 3
     rp.clear()
     assert not any(rp.stats()["entries"].values())
     assert rp.approximate_bytes() == 0
-    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32 + 8 * 2
+    assert db.index.approximate_bytes() == 32 * 3 + 8 * 3 + 32 + 8 * 2 + 16 * 3
 
 
 def test_joins_and_paths_share_one_memo_table():
@@ -326,7 +327,8 @@ def test_join_memo_and_write_journal_are_counted():
         db.insert("<a><b>x</b><b>y</b></a>")
     db.insert("<c/>")
     rp = db.readpath
-    assert db.index.approximate_bytes() == 32 * 10 + 8 * 4  # a sid a write
+    # 8 a sid a write, 16 a tag count the blocks keep (a and b thrice, c).
+    assert db.index.approximate_bytes() == 32 * 10 + 8 * 4 + 16 * 7
     assert len(db.structural_join("a", "b")) == 6
     index_bytes = db.index.approximate_bytes()  # now with the views cut
     assert rp.stats()["entries"]["memo_entries"] == 3

@@ -7,7 +7,8 @@ validate → journal → apply, recovery, batches, replication, and the
 service's epoch buffers — hands the parse that checked a fragment on to
 every database that applies it.  Counted by wrapping
 :func:`repro.xml.parser.parse`; the journal's verdict travels with it,
-counted by wrapping ``check_insert`` / ``check_removal``.
+counted by wrapping ``check_insert`` / ``check_removal`` /
+``check_segment_removal``.
 And that one parse builds no tree: no write path constructs an
 :class:`~repro.xml.model.XMLElement`.
 """
@@ -116,12 +117,19 @@ def test_served_writes_parse_once(parses, tmp_path, kind):
 # A journaled op is checked once: the verdict validate_op makes before the
 # journal append travels with the parse to the apply.
 
+_CHECKS = ("check_insert", "check_removal", "check_segment_removal")
+
+
+def _made(insert=0, removal=0, segment=0) -> dict[str, int]:
+    return dict(zip(_CHECKS, (insert, removal, segment)))
+
+
 @pytest.fixture
 def checks(monkeypatch):
     """A list that gains the method name of every ``check_insert`` /
-    ``check_removal`` call on any database."""
+    ``check_removal`` / ``check_segment_removal`` call on any database."""
     calls: list[str] = []
-    for name in ("check_insert", "check_removal"):
+    for name in _CHECKS:
         def counted(self, *args, _real=getattr(LazyXMLDatabase, name), _name=name):
             calls.append(_name)
             return _real(self, *args)
@@ -134,54 +142,58 @@ def _checks(calls, write) -> dict[str, int]:
     before = len(calls)
     write()
     made = calls[before:]
-    return {name: made.count(name) for name in ("check_insert", "check_removal")}
+    return {name: made.count(name) for name in _CHECKS}
 
 
 @pytest.mark.perf_smoke
 def test_journaled_ops_are_checked_once(checks, tmp_path):
-    """Count gate, as check calls (the parent's count, which checked at
-    validate and again at apply, in brackets): a durable insert 1 (2), a
-    durable remove_segment 1 (2), a durable batch of 4 inserts 4 (4: its
-    sub-ops are checked as they apply), and recovery of a journal of 2
-    inserts and 1 remove 3 (6)."""
+    """Count gate, as check calls: a durable insert 1 check_insert, a
+    durable remove_segment 1 check_segment_removal and no check_removal
+    (it was 1: the span verdict's descent), a durable batch of 4 inserts
+    4 (its sub-ops are checked as they apply), and recovery of a journal
+    of 2 inserts and 1 remove_segment 2 + 1."""
     durable = DurableDatabase(tmp_path)
-    assert _checks(checks, lambda: durable.insert(DOC)) == {
-        "check_insert": 1, "check_removal": 0}
+    assert _checks(checks, lambda: durable.insert(DOC)) == _made(insert=1)
     receipt = durable.insert(FRAGMENT)
-    assert _checks(checks, lambda: durable.remove_segment(receipt.sid)) == {
-        "check_insert": 0, "check_removal": 1}
-    assert _checks(checks, lambda: durable.apply_batch(BATCH)) == {
-        "check_insert": 4, "check_removal": 0}
+    assert _checks(
+        checks, lambda: durable.remove_segment(receipt.sid)
+    ) == _made(segment=1)
+    assert _checks(checks, lambda: durable.apply_batch(BATCH)) == _made(insert=4)
     expected = durable.db.text
     durable.close()
     reopened = []
-    assert _checks(checks, lambda: reopened.append(DurableDatabase(tmp_path))) == {
-        "check_insert": 6, "check_removal": 1}
+    assert _checks(
+        checks, lambda: reopened.append(DurableDatabase(tmp_path))
+    ) == _made(insert=6, segment=1)
     assert reopened[0].db.text == expected
     reopened[0].close()
-    # The journal without the batch: 2 inserts and 1 remove.
+    # The journal without the batch: 2 inserts and 1 remove_segment.
     other = DurableDatabase(tmp_path / "other")
     other.insert(DOC)
     other.remove_segment(other.insert(FRAGMENT).sid)
     other.close()
-    assert _checks(checks, lambda: DurableDatabase(tmp_path / "other").close()) == {
-        "check_insert": 2, "check_removal": 1}
+    assert _checks(
+        checks, lambda: DurableDatabase(tmp_path / "other").close()
+    ) == _made(insert=2, segment=1)
 
 
 @pytest.mark.perf_smoke
 def test_served_writes_on_a_plain_primary_check_at_commit_and_catch_up(checks):
     """A served write on an in-memory primary brings no verdict: its
     commit checks it, and so does the catch-up of the buffer that
-    publish retired, at the next write (unchanged)."""
+    publish retired, at the next write.  A remove_segment is checked
+    from its node both times (check_removal was 1 each)."""
     with _served("plain", None) as svc:
         svc.remove_segment(svc.insert(FRAGMENT).sid)  # steady state
         receipt = []
-        assert _checks(checks, lambda: receipt.append(svc.insert(FRAGMENT))) == {
-            "check_insert": 1, "check_removal": 1}
-        assert _checks(checks, lambda: svc.remove_segment(receipt[0].sid)) == {
-            "check_insert": 1, "check_removal": 1}
-        assert _checks(checks, lambda: svc.insert(FRAGMENT)) == {
-            "check_insert": 1, "check_removal": 1}
+        assert _checks(
+            checks, lambda: receipt.append(svc.insert(FRAGMENT))
+        ) == _made(insert=1, segment=1)
+        assert _checks(
+            checks, lambda: svc.remove_segment(receipt[0].sid)
+        ) == _made(insert=1, segment=1)
+        assert _checks(checks, lambda: svc.insert(FRAGMENT)) == _made(
+            insert=1, segment=1)
 
 
 # ----------------------------------------------------------------------
