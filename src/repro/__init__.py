@@ -21,7 +21,7 @@ algorithms), :mod:`repro.labeling` (interval and prime-number comparators),
 :mod:`repro.workloads` (data generators), :mod:`repro.bench` (experiment
 harness), :mod:`repro.durability` (journal + checkpoints),
 :mod:`repro.service` (concurrent access: snapshot reads, deadlines,
-backpressure, graceful degradation).
+backpressure, operator maintenance).
 """
 
 from repro.core import (

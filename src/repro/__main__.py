@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser(
         "serve",
         help="serve the database over a line protocol on stdin/stdout "
-        "(snapshot isolation, deadlines, backpressure, auto-maintenance)",
+        "(snapshot isolation, deadlines, backpressure)",
     )
     cmd.add_argument("target", type=Path, help=_TARGET)
     cmd.add_argument(
@@ -180,19 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument("--readers", type=_POSITIVE, default=16,
                      help="concurrent read limit")
-    cmd.add_argument(
-        "--maintenance-interval", type=_SECONDS_OR_ZERO, default=0.0,
-        help="seconds between background pressure checks (0 = only "
-        "piggybacked on writes)",
-    )
-    cmd.add_argument(
-        "--max-segments", type=_POSITIVE, default=256,
-        help="pressure bound: segment count",
-    )
-    cmd.add_argument(
-        "--max-depth", type=_POSITIVE, default=12,
-        help="pressure bound: ER-tree depth",
-    )
     cmd.add_argument(
         "--replicas", type=_COUNT, default=0,
         help="replicate every committed record to N follower directories "
@@ -285,7 +272,7 @@ def _run_verb(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the resilient service shell over stdin/stdout."""
-    from repro.service import PressureThresholds, ServiceConfig
+    from repro.service import ServiceConfig
     from repro.service.shell import ServiceShell
 
     db = _open(args.target)
@@ -308,14 +295,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         read_limit=args.readers,
         default_timeout=args.timeout,
         max_result_rows=args.max_rows,
-        thresholds=PressureThresholds(
-            max_segments=args.max_segments, max_depth=args.max_depth
-        ),
     )
     service = DatabaseService(db, config=config, replication=replication)
     del db  # the service owns it: the save below reads service.primary
-    if args.maintenance_interval > 0:
-        service.start_maintenance(args.maintenance_interval)
     health = service.health()
     replicas = (
         f", {len(health['replication']['nodes']) - 1} replica(s) "

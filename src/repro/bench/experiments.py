@@ -40,6 +40,7 @@ from repro.errors import QueryError
 from repro.joins.stack_tree import std_join
 from repro.labeling.interval import IntervalLabelingIndex
 from repro.labeling.prime import PrimeLabeling
+from repro.storage import clone
 from repro.twig.pattern import parse_twig
 from repro.workloads.chopper import apply_chop, chop, chop_text
 from repro.workloads.generator import generate_uniform_fragment, tag_pool
@@ -270,8 +271,25 @@ def spine_document(
     return root.to_xml()
 
 
+def _compacted_join(db, pairs: int, repeat: int) -> tuple[float, float]:
+    """Best-of-``repeat`` ms of one ``compact`` of a copy of ``db``, and of
+    the cold ``t0//t1`` join on the compacted copy (``pairs`` pairs)."""
+    compact_s = float("inf")
+    for _ in range(repeat):
+        packed = clone(db)
+        start = time.perf_counter()
+        packed.compact()
+        compact_s = min(compact_s, time.perf_counter() - start)
+    after_s, after_pairs = measure_cold_join(
+        packed, lambda: packed.structural_join("t0", "t1"), repeat=repeat
+    )
+    if after_pairs != pairs:
+        raise QueryError(f"compaction changed t0//t1: {pairs} -> {after_pairs} pairs")
+    return compact_s * _MS, after_s * _MS
+
+
 def fig13_segments(
-    segment_counts: tuple[int, ...] = (10, 20, 40, 80, 160),
+    segment_counts: tuple[int, ...] = (10, 20, 40, 80, 160, 320, 640),
     shapes: tuple[str, ...] = ("balanced", "nested"),
     *,
     depth: int = 200,
@@ -282,23 +300,42 @@ def fig13_segments(
 
     The same spine document is chopped into each segment count; STD sees
     the same elements however they are chopped, LD's segment lists grow
-    with the count.
+    with the count.  A nested chop needs one spine element per segment,
+    so the nested sweep stops at ``depth`` (a spine deep enough for 640
+    makes ``t0//t1`` 410 240 pairs, and the join pair-bound).  The repack
+    arm prices an operator's ``compact``: ``compact_ms`` folds the chopped
+    document into one segment, ``after_ms`` is the cold join after it,
+    and ``breakeven_joins`` is how many cold joins the compaction takes
+    to pay for itself, ``compact_ms / (ld_ms - after_ms)`` (infinite
+    where LD is no slower).
     """
     text = spine_document(depth, bushiness)
-    tables = []
+    rows = []
     for shape in shapes:
-        sweep = Sweep("segments")
         for count in segment_counts:
+            if shape == "nested" and count > depth:
+                continue
             db, _ = chop_text(text, count, shape)
             stats = JoinStatistics()
             db.structural_join("t0", "t1", stats=stats)
-            sweep.add(
-                count,
-                **_time_joins(db, None, "t0", "t1", repeat),
-                cross_pct=round(stats.cross_fraction * 100, 1),
-            )
-        tables.append(sweep.to_table(f"Fig 13 — {shape} ER-tree"))
-    return tables
+            times = _time_joins(db, None, "t0", "t1", repeat)
+            db.readpath.clear()
+            rows.append((shape, count, db, times, stats.cross_fraction))
+    # The repack arm runs after every LD/STD timing, so no row's timing
+    # follows another row's copies and compactions.
+    sweeps = {shape: Sweep("segments") for shape in shapes}
+    for shape, count, db, times, cross in rows:
+        compact_ms, after_ms = _compacted_join(db, times["pairs"], repeat)
+        gain = times["ld_ms"] - after_ms
+        sweeps[shape].add(
+            count,
+            **times,
+            cross_pct=round(cross * 100, 1),
+            compact_ms=compact_ms,
+            after_ms=after_ms,
+            breakeven_joins=compact_ms / gain if gain > 0 else float("inf"),
+        )
+    return [sweeps[shape].to_table(f"Fig 13 — {shape} ER-tree") for shape in shapes]
 
 
 # ----------------------------------------------------------------------
@@ -798,7 +835,8 @@ FIGURES: dict[str, Figure] = {
     "fig13": Figure(
         "Fig. 13 — join time vs number of segments (LD / STD)",
         fig13_segments,
-        ("segments", "ld_ms", "std_ms", "pairs"),
+        ("segments", "ld_ms", "std_ms", "pairs", "compact_ms", "after_ms",
+         "breakeven_joins"),
         quick={"segment_counts": (10, 40, 160), "repeat": 2},
         shape=_shape_fig13,
     ),

@@ -476,38 +476,6 @@ class ERTree:
         self.sid_start = sid_start
         self.sid_stride = sid_stride
         self._next_sid = sid_start
-        # depth -> number of live segments at that depth (dummy root at 0);
-        # kept incrementally so max_depth is O(1) instead of a tree walk.
-        self._depth_counts: dict[int, int] = {0: 1}
-        self._max_depth = 0
-
-    # ------------------------------------------------------------------
-    # incremental dimension tracking (feeds PressureMonitor)
-
-    def _track_add(self, node: ERNode) -> None:
-        depth = node.depth
-        self._depth_counts[depth] = self._depth_counts.get(depth, 0) + 1
-        if depth > self._max_depth:
-            self._max_depth = depth
-
-    def _track_remove(self, node: ERNode) -> None:
-        depth = node.depth
-        remaining = self._depth_counts.get(depth, 0) - 1
-        if remaining <= 0:
-            self._depth_counts.pop(depth, None)
-            if depth == self._max_depth:
-                self._max_depth = max(self._depth_counts, default=0)
-        else:
-            self._depth_counts[depth] = remaining
-
-    @property
-    def max_depth(self) -> int:
-        """Depth of the deepest live segment (0 = only the dummy root).
-
-        Maintained incrementally by the update algorithms — O(1), unlike
-        a full pre-order walk.
-        """
-        return self._max_depth
 
     # ------------------------------------------------------------------
     # accessors
@@ -633,7 +601,6 @@ class ERTree:
         parent.children.insert(idx, new)
         parent._touch()
         self._nodes[sid] = new
-        self._track_add(new)
         return new
 
     def _resize_path(self, parent: ERNode, idx: int, delta: int) -> None:
@@ -792,7 +759,6 @@ class ERTree:
         for sub in node.iter_subtree():
             report.removed.append(sub)
             del self._nodes[sub.sid]
-            self._track_remove(sub)
 
     # ------------------------------------------------------------------
     # maintenance surgery (segment packing, Section 5.3 / future work)
@@ -816,14 +782,12 @@ class ERTree:
         assert parent is not None
         for sub in old.iter_subtree():
             del self._nodes[sub.sid]
-            self._track_remove(sub)
         new_sid = self._next_sid
         self._next_sid += self.sid_stride
         new = ERNode(new_sid, gp=old.gp, length=old.length, lp=old.lp, parent=parent)
         parent.children[parent.children.index(old)] = new
         parent._touch()
         self._nodes[new_sid] = new
-        self._track_add(new)
         return new
 
     # ------------------------------------------------------------------
@@ -838,11 +802,9 @@ class ERTree:
         Definition 2 linking lp to gp.
         """
         seen: set[int] = set()
-        depth_counts: dict[int, int] = {}
         for node in self.root.iter_subtree():
             assert node.sid not in seen, f"duplicate sid {node.sid}"
             seen.add(node.sid)
-            depth_counts[node.depth] = depth_counts.get(node.depth, 0) + 1
             assert self._nodes.get(node.sid) is node, "registry out of sync"
             assert node.length >= 0, f"negative length on sid {node.sid}"
             child_sum = 0
@@ -878,5 +840,3 @@ class ERTree:
                     "changed children/lengths/tombstones without _touch()"
                 )
         assert seen == set(self._nodes), "registry contains orphans"
-        assert depth_counts == self._depth_counts, "depth tracking out of sync"
-        assert self._max_depth == max(depth_counts), "max_depth out of sync"

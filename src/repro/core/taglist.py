@@ -93,11 +93,6 @@ class TagList:
         # incrementally — the O(1) selectivity probe join planning uses
         # instead of counting through the element index.
         self._totals: dict[int, int] = {}
-        # Longest per-tag list, maintained incrementally: adds bump it in
-        # O(1); drops only mark it dirty and max_fanout() recomputes in
-        # O(T) (one len() per tag) instead of walking every list.
-        self._max_fanout = 0
-        self._fanout_dirty = False
 
     def total_count(self, tid: int) -> int:
         """Total element occurrences of ``tid`` across all segments, O(1).
@@ -108,13 +103,6 @@ class TagList:
         authoritative for invariant checks).
         """
         return self._totals.get(tid, 0)
-
-    def max_fanout(self) -> int:
-        """Length of the longest per-tag list (0 when empty)."""
-        if self._fanout_dirty:
-            self._max_fanout = max(map(len, self._nodes.values()), default=0)
-            self._fanout_dirty = False
-        return self._max_fanout
 
     # ------------------------------------------------------------------
     # updates
@@ -130,7 +118,6 @@ class TagList:
             raise UpdateError(f"tag counts must be positive, got {dict(counts)}")
         lists, tallies, totals = self._nodes, self._counts, self._totals
         gp, sid, dynamic = node.gp, node.sid, self._dynamic
-        longest = self._max_fanout
         for tid, count in counts.items():
             nodes = lists.get(tid)
             if nodes is None:
@@ -147,9 +134,6 @@ class TagList:
                 nodes.append(node)
                 self._unsorted.add(tid)
             totals[tid] = totals.get(tid, 0) + count
-            if len(nodes) > longest:
-                longest = len(nodes)
-        self._max_fanout = longest
 
     def remove_occurrences(self, node: ERNode, counts: Mapping[int, int]) -> None:
         """Subtract ``counts[tid]`` occurrences of each ``tid`` from segment
@@ -199,7 +183,6 @@ class TagList:
             if not nodes:
                 del self._nodes[tid], self._counts[tid]
                 self._unsorted.discard(tid)
-            self._fanout_dirty = True
 
     def finalize(self) -> None:
         """Sort any LS-mode lists left unsorted by appends."""

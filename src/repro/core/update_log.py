@@ -180,32 +180,24 @@ class UpdateLog:
         The SB-tree counts, per live segment (dummy root included), a
         16-byte sid map entry — the key and value a B+-tree leaf holds —
         and the fixed-width leaf record of Fig. 2: gp, length, lp, parent
-        pointer and one pointer per child.
+        pointer and one pointer per child.  Every node but the dummy root
+        is one child pointer, so ``n`` nodes, dummy root included, take
+        ``8 * (7n - 1)`` bytes, without a walk.
         """
         return LogStats(
             segments=self.segment_count,
             tag_entries=self.taglist.entry_count(),
-            sbtree_bytes=sum(
-                8 * (6 + len(node.children)) for node in self.ertree.nodes()
-            ),
+            sbtree_bytes=8 * (7 * len(self.ertree) - 1),
             taglist_bytes=self.taglist.approximate_bytes(),
         )
-
-    def dimensions(self) -> dict:
-        """The pressure dimensions, from the incremental trackers — O(1)
-        amortized, unlike the full ER-tree/tag-list walks the
-        :class:`~repro.service.pressure.PressureMonitor` used to run.
-        """
-        return {
-            "segments": self.segment_count,
-            "max_depth": self.ertree.max_depth,
-            "max_fanout": self.taglist.max_fanout(),
-        }
 
     def check_invariants(self) -> None:
         """Cross-structure consistency check used by the test suite."""
         self.ertree.check_invariants()
         self.taglist.check_invariants()
+        assert self.stats().sbtree_bytes == sum(
+            8 * (6 + len(node.children)) for node in self.ertree.nodes()
+        ), "SB-tree size formula disagrees with the walk"
         for tid in self.taglist.tids():
             for node in self.taglist.nodes(tid):
                 assert self.ertree._nodes.get(node.sid) is node, (

@@ -108,8 +108,7 @@ def tail_journal(path: str | Path, from_offset: int = 0) -> JournalScan:
     """Incrementally scan a journal from a previously returned offset.
 
     Returns only the records that start at or after ``from_offset`` — a
-    poller (a replication follower, the pressure monitor) does O(new
-    records) work per call instead of re-parsing the whole file, by
+    poller (a replication follower) does O(new records) work per call instead of re-parsing the whole file, by
     feeding each scan's ``valid_bytes`` back as the next ``from_offset``.
 
     ``from_offset`` must be a record boundary of the *same* journal

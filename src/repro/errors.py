@@ -29,7 +29,6 @@ __all__ = [
     "DeadlineExceeded",
     "ResourceExhausted",
     "Busy",
-    "CircuitOpenError",
     "ServiceClosed",
     "ShardError",
     "WorkerLost",
@@ -195,11 +194,6 @@ class Busy(ServiceError):
     """Transient admission-control rejection: the request class is at its
     concurrency/queue limit.  Safe to retry after backing off
     (see :func:`repro.service.admission.retry_with_backoff`)."""
-
-
-class CircuitOpenError(ServiceError):
-    """Raised when an operation is refused because its circuit breaker is
-    open (repeated recent failures); retry after the reset timeout."""
 
 
 class ServiceClosed(ServiceError):

@@ -14,8 +14,8 @@ an in-memory primary, and ``ping``/``pin``/``unpin``.  A read moves to the
 pool at its first checkpoint past :data:`LOOP_BUDGET`; a write has one
 checkpoint, after its parse and before its commit, and moves there if the
 budget is spent, or earlier, having waited for nothing, if its admission
-slot or the writer lock is taken, its commit would sample pressure, or
-a reader still holds its writer buffer.  Every other request body runs on a bounded worker pool
+slot or the writer lock is taken or a reader still holds its writer
+buffer.  Every other request body runs on a bounded worker pool
 sized to the global in-flight cap, so the blocking database layer never
 holds the loop past the budget and the loop never queues unbounded work
 behind it.

@@ -1,5 +1,4 @@
-"""Concurrent access layer: snapshot reads, deadlines, backpressure,
-graceful degradation.
+"""Concurrent access layer: snapshot reads, deadlines, backpressure.
 
 The paper's laziness trades update cost for update-log growth; this package
 makes that trade safe to operate under concurrent load:
@@ -14,18 +13,12 @@ makes that trade safe to operate under concurrent load:
   .Busy`;
 - :mod:`repro.service.retry` — the shared capped-jittered backoff policy
   used by admission callers and the replication heartbeat;
-- :mod:`repro.service.breaker` — a circuit breaker guarding automatic
-  maintenance;
-- :mod:`repro.service.pressure` — update-log pressure monitoring and
-  repack/compact planning;
 - :mod:`repro.service.server` — :class:`DatabaseService`, the facade tying
   it all together (wired to ``python -m repro serve``).
 """
 
 from repro.service.admission import AdmissionController
-from repro.service.breaker import CircuitBreaker
 from repro.service.context import QueryContext
-from repro.service.pressure import PressureMonitor, PressureReport, PressureThresholds
 from repro.service.retry import BackoffPolicy, retry_with_backoff
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.snapshot import EpochManager, Snapshot
@@ -33,12 +26,8 @@ from repro.service.snapshot import EpochManager, Snapshot
 __all__ = [
     "AdmissionController",
     "BackoffPolicy",
-    "CircuitBreaker",
     "DatabaseService",
     "EpochManager",
-    "PressureMonitor",
-    "PressureReport",
-    "PressureThresholds",
     "QueryContext",
     "ServiceConfig",
     "Snapshot",

@@ -264,12 +264,6 @@ def _write(kind: str):
     return handler
 
 
-def _maintain(service, session, args, ctx):
-    report = service.run_maintenance()
-    return {"pressure": report.level,
-            "breaker": service.health()["breaker"]["state"]}
-
-
 def _pin(service, session, args, ctx):
     if session.pinned is None:
         session.pinned = service.snapshot()
@@ -356,13 +350,6 @@ COMMANDS: dict[str, Verb] = {
         _write("compact"), (), "maintenance",
         "compacted {segments_before} -> {segments_after} segment(s)",
         "one segment per document"),
-    "maintain": Verb(
-        _maintain, (), "maintenance",
-        "pressure {pressure}; breaker {breaker}",
-        "sample pressure, run the plan"),
-    "pressure": Verb(
-        lambda service, *_: service.check_pressure().as_dict(),
-        doc="update-log pressure sample"),
     "health": Verb(
         lambda service, *_: service.health(), doc="operational snapshot"),
     "stats": Verb(

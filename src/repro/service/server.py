@@ -12,11 +12,11 @@ Composes the pieces of :mod:`repro.service` into one operational surface:
   :class:`~repro.durability.database.DurableDatabase`) — then that buffer
   is published atomically and the retired one becomes the next writer
   buffer, to catch up on the op at the next write;
-- **maintenance** is driven by the :class:`~repro.service.pressure.
-  PressureMonitor` and executed behind a :class:`~repro.service.breaker.
-  CircuitBreaker`: repeated repack/compact failures open the breaker and
-  the service degrades gracefully — reads keep flowing, writes are shed
-  while pressure is critical — instead of hot-looping a failing repair.
+- **maintenance** (``repack``/``compact``) runs only when an operator asks
+  for it, in its own admission class, and commits like any write (through
+  the journal on a durable primary).  Nothing samples the update log or
+  repairs it unasked: on the workloads measured (DESIGN.md §5) an
+  automatic trigger never found work it could do.
 
 ``python -m repro serve`` wraps this class in a line-oriented shell (see
 :mod:`repro.service.shell`).
@@ -27,13 +27,11 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.durability.database import DurableDatabase
 from repro.durability.recovery import apply_op, parse_op
 from repro.errors import (
-    Busy,
-    CircuitOpenError,
     DeadlineExceeded,
     Draining,
     ResourceExhausted,
@@ -42,14 +40,7 @@ from repro.errors import (
 from repro.joins.stack_tree import AXIS_DESCENDANT
 from repro.obs.metrics import METRICS
 from repro.service.admission import AdmissionController
-from repro.service.breaker import CircuitBreaker
 from repro.service.context import OverBudget, QueryContext
-from repro.service.pressure import (
-    LEVEL_CRITICAL,
-    PressureMonitor,
-    PressureReport,
-    PressureThresholds,
-)
 from repro.service.snapshot import EpochManager, Snapshot
 
 __all__ = ["ServiceConfig", "DatabaseService"]
@@ -75,15 +66,10 @@ class ServiceConfig:
     max_result_rows: int | None = None
     #: Seconds a publish waits for a retiring epoch's readers to drain.
     drain_timeout: float = 5.0
-    #: Writes between automatic pressure samples (0 disables).
-    pressure_check_every: int = 8
-    thresholds: PressureThresholds = field(default_factory=PressureThresholds)
-    breaker_failure_threshold: int = 3
-    breaker_reset_timeout: float = 30.0
 
 
 class DatabaseService:
-    """Concurrent, deadline-aware, self-defending access to a database.
+    """Concurrent, deadline-aware access to a database.
 
     Parameters
     ----------
@@ -91,7 +77,7 @@ class DatabaseService:
         The authoritative store — a plain
         :class:`~repro.core.database.LazyXMLDatabase` or a
         :class:`~repro.durability.database.DurableDatabase` (in which case
-        every write, including pressure-triggered repacks, goes through the
+        every write, ``repack`` and ``compact`` included, goes through the
         journaled commit protocol); ``None`` with ``replication``, whose
         primary node serves.  A plain or
         durable database becomes the epoch store's first writer buffer:
@@ -100,7 +86,7 @@ class DatabaseService:
     config:
         :class:`ServiceConfig`; defaults are sized for tests/examples.
     clock:
-        Injectable monotonic clock shared by deadlines and the breaker.
+        Injectable monotonic clock the query deadlines read.
     """
 
     def __init__(
@@ -144,25 +130,14 @@ class DatabaseService:
                 "maintenance": 0,
             },
         )
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout=self.config.breaker_reset_timeout,
-            clock=clock,
-        )
-        self._monitor = PressureMonitor(self.config.thresholds)
         self._writer_lock = threading.RLock()
-        self._writes_since_check = 0
-        self._last_pressure: PressureReport | None = None
         self._closed = False
         self._draining = False
-        self._stop_maintenance = threading.Event()
-        self._maintenance_thread: threading.Thread | None = None
         self._counters = {
             "queries": 0,
             "writes": 0,
             "deadline_aborts": 0,
             "resource_aborts": 0,
-            "writes_shed_degraded": 0,
             "maintenance_runs": 0,
             "maintenance_failures": 0,
         }
@@ -275,8 +250,8 @@ class DatabaseService:
 
         The one write entry (the methods below are this call with the
         record spelled out): ``repack``/``compact`` run in the maintenance
-        class behind the breaker, the rest in the write class; an
-        ``insert`` without a position appends at the end the writer finds.
+        class, the rest in the write class; an ``insert`` without a
+        position appends at the end the writer finds.
         ``context`` matters only as a loop attempt
         (:meth:`QueryContext.attempt`): the write then waits for nothing
         and raises :class:`OverBudget`, having changed nothing, wherever
@@ -296,11 +271,11 @@ class DatabaseService:
         return self.apply({"op": "remove_segment", "sid": sid})
 
     def repack(self, sid: int):
-        """Operator-requested repack (maintenance class, breaker-guarded)."""
+        """Operator-requested repack (maintenance class)."""
         return self.apply({"op": "repack", "sid": sid})
 
     def compact(self):
-        """Operator-requested compact (maintenance class, breaker-guarded)."""
+        """Operator-requested compact (maintenance class)."""
         return self.apply({"op": "compact"})
 
     def apply_batch(self, ops: list[dict]):
@@ -317,19 +292,10 @@ class DatabaseService:
 
     def _write(self, op: dict, request_class: str = "write", context=None):
         self._ensure_open()
-        # A write is shed while pressure is critical and the breaker is
-        # open (maintenance cannot run): self-defense against unbounded
-        # log growth.
-        if request_class == "write" and self.is_degraded:
-            self._counters["writes_shed_degraded"] += 1
-            raise Busy(
-                "service is degraded (pressure critical, maintenance "
-                "circuit open); writes are shed until the log drains"
-            )
         attempt = context is not None and context.is_attempt
         with self._write_slot(request_class, attempt):
             if attempt and not self._commits_in_memory():
-                raise OverBudget("this write must wait or do maintenance")
+                raise OverBudget("this write must wait")
             # The writer buffer caught up: the replay of an op already
             # committed, so an attempt may still stop after it.
             base = self._base
@@ -345,8 +311,6 @@ class DatabaseService:
             if self._epochs is not None:
                 self._epochs.publish([op], [parsed])
             self._counters["writes"] += 1
-            if request_class == "write":
-                self._after_write()
         return result
 
     @contextlib.contextmanager
@@ -372,13 +336,9 @@ class DatabaseService:
 
     def _commits_in_memory(self) -> bool:
         """Under the writer lock: this write touches only memory up to its
-        reply.  It does not if the primary does I/O, if it is the write
-        that samples pressure (maintenance may repack or compact), or if
-        its writer buffer would wait for a reader or be cloned."""
-        every = self.config.pressure_check_every
-        return (self.writes_in_memory
-                and not 0 < every <= self._writes_since_check + 1
-                and self._epochs.writer_ready())
+        reply.  It does not if the primary does I/O, or if its writer
+        buffer would wait for a reader or be cloned."""
+        return self.writes_in_memory and self._epochs.writer_ready()
 
     def _apply_primary(self, op: dict, parsed, base):
         """Apply ``op`` to the authoritative database ``base``, from its
@@ -387,9 +347,9 @@ class DatabaseService:
         Every primary spells the structural operations alike, so the
         record goes through the dispatcher recovery and the epoch
         catch-up use (``parse_op`` ran a batch's whole-batch checks): a
-        durable primary commits it (fsync before apply, so
-        pressure-triggered repacks journal like user writes; a batch is
-        *one* record, one fsync).
+        durable primary commits it (fsync before apply, so repacks and
+        compactions journal like user writes; a batch is *one* record, one
+        fsync).
 
         With a replication cluster attached, the write goes through the
         cluster instead: commit on the primary node, ship the record to
@@ -437,111 +397,26 @@ class DatabaseService:
         return self._replication.status()
 
     # ------------------------------------------------------------------
-    # pressure-driven maintenance & degradation
-
-    def _after_write(self) -> None:
-        every = self.config.pressure_check_every
-        if every <= 0:
-            return
-        self._writes_since_check += 1
-        if self._writes_since_check >= every:
-            self._writes_since_check = 0
-            self.run_maintenance()
-
-    def check_pressure(self) -> PressureReport:
-        """Sample pressure on the latest committed state (no maintenance
-        run): the log's O(1) trackers, no ER-tree or tag-list walk.  The
-        published epoch is read under a pin, as :meth:`health` reads it,
-        so a sample never makes the writer buffer replay the write just
-        published."""
-        with self._latest() as db:
-            report = self._monitor.sample(db)
-        self._last_pressure = report
-        return report
-
-    def run_maintenance(self) -> PressureReport:
-        """Sample pressure and execute the recommended plan, if any.
-
-        Each planned op runs behind the circuit breaker; failures open it
-        after the configured threshold and are swallowed here (the service
-        keeps serving — that is the graceful-degradation contract).
-        Returns the pressure report that drove the decision.
-        """
-        report = self.check_pressure()
-        if not report.needs_maintenance:
-            return report
-        for op in report.plan:
-            try:
-                self._maintenance_op(op)
-            except (Busy, CircuitOpenError, ServiceClosed):
-                break
-            except Exception:
-                # Recorded by the breaker inside _maintenance_op; degraded
-                # mode (breaker open) is the steady state if this persists.
-                break
-        self._last_pressure = self.check_pressure()
-        return self._last_pressure
+    # operator maintenance
 
     def _maintenance_op(self, op: dict):
-        def attempt():
-            return self._write(op, "maintenance")
-
         self._counters["maintenance_runs"] += 1
         try:
-            return self._breaker.call(attempt)
-        except CircuitOpenError:
-            raise
+            return self._write(op, "maintenance")
         except Exception:
             self._counters["maintenance_failures"] += 1
             raise
-
-    @property
-    def is_degraded(self) -> bool:
-        """True when pressure is critical but maintenance cannot run
-        (breaker open): reads continue, writes are shed."""
-        if self._breaker.state != "open":
-            return False
-        last = self._last_pressure
-        return last is not None and last.level == LEVEL_CRITICAL
-
-    # ------------------------------------------------------------------
-    # background maintenance
-
-    def start_maintenance(self, interval: float = 1.0) -> None:
-        """Run :meth:`run_maintenance` every ``interval`` seconds in a
-        daemon thread until :meth:`close`."""
-        self._ensure_open()
-        if self._maintenance_thread is not None:
-            return
-
-        def loop():
-            while not self._stop_maintenance.wait(interval):
-                try:
-                    self.run_maintenance()
-                except ServiceClosed:  # pragma: no cover - close race
-                    break
-
-        self._maintenance_thread = threading.Thread(
-            target=loop, name="repro-maintenance", daemon=True
-        )
-        self._maintenance_thread.start()
 
     # ------------------------------------------------------------------
     # health & lifecycle
 
     def health(self) -> dict:
-        """Operational snapshot: status, pressure, breaker, admission,
-        epochs, read-path cache, log stats."""
-        last = self._last_pressure
-        breaker_state = self._breaker.state
+        """Operational snapshot: status, admission, epochs, read-path cache,
+        log stats."""
         if self._closed:
             status = "closed"
         elif self._draining:
             status = "draining"
-        elif self.is_degraded:
-            status = "degraded"
-        elif breaker_state != "closed" or (last is not None and last.level != "ok"):
-            status = "warning"
         else:
             status = "ok"
         with self._latest() as db:
@@ -557,8 +432,6 @@ class DatabaseService:
             "status": status,
             "durable": self._durable,
             **counts,
-            "pressure": last.as_dict() if last is not None else None,
-            "breaker": self._breaker.metrics(),
             "admission": self._admission.metrics(),
             "epochs": epochs,
             # The published buffer's compiled read-path cache — the one
@@ -618,20 +491,15 @@ class DatabaseService:
         has ended.  Idempotent; a no-op on a closed service.
         """
         self._draining = True
-        self._stop_maintenance.set()
 
     def close(self) -> None:
-        """Stop maintenance, refuse new requests, release the epoch store.
+        """Refuse new requests, release the epoch store.
 
         In-flight reads holding pinned snapshots finish normally.
         """
         if self._closed:
             return
         self._closed = True
-        self._stop_maintenance.set()
-        if self._maintenance_thread is not None:
-            self._maintenance_thread.join(timeout=5.0)
-            self._maintenance_thread = None
         self._admission.close()
         if self._epochs is not None:
             with self._writer_lock:  # no write is between commit and publish

@@ -6,8 +6,8 @@ over a pipe, a terminal, or a test harness without any dependency beyond
 the standard library.  The shell owns no verb: a line is tokenised into
 the request dict its verb's table entry describes, run by
 :func:`~repro.service.commands.execute_request` — so every command gets
-the service's admission control, snapshot isolation, deadlines, and
-graceful degradation, and the field checks the TCP front end gets — and
+the service's admission control, snapshot isolation and deadlines, and
+the field checks the TCP front end gets — and
 printed by one reply renderer.  A ``Busy`` or ``DeadlineExceeded`` is
 reported and the loop keeps serving.
 
@@ -62,9 +62,9 @@ class ServiceShell:
 
         Every exit path ends in :meth:`drain`: the service refuses new
         requests with a typed :class:`~repro.errors.Draining` while
-        admitted work (background maintenance included) finishes — the
-        same graceful-drain contract as the TCP front end, and never a
-        raw traceback on the operator's terminal.
+        admitted work finishes — the same graceful-drain contract as the
+        TCP front end, and never a raw traceback on the operator's
+        terminal.
         """
         try:
             for line in self._in:

@@ -269,7 +269,6 @@ def loads(data: str) -> LazyXMLDatabase:
         parent.children.append(node)
         parent._touch()
         nodes[sid] = node
-        ertree._track_add(node)
         # Stored levels are absolute already.
         columns = block_columns(entry["records"])
         db.index.insert_segment(sid, *columns)

@@ -275,8 +275,6 @@ def samples(top_sid: int, tail_sid: int):
         ]}),
         (f"repack {top_sid}", {"cmd": "repack", "sid": top_sid}),
         ("compact", {"cmd": "compact"}),
-        ("maintain", {"cmd": "maintain"}),
-        ("pressure", {"cmd": "pressure"}),
         ("health", {"cmd": "health"}),
         ("stats", {"cmd": "stats"}),
         ("repl-status", {"cmd": "repl-status"}),
@@ -534,8 +532,8 @@ PARENT_REPLIES = [
 ]
 
 PARENT_HEALTH_KEYS = [
-    "admission", "breaker", "counters", "document_length", "durable",
-    "elements", "epochs", "log_bytes", "pressure", "readpath",
+    "admission", "counters", "document_length", "durable",
+    "elements", "epochs", "log_bytes", "readpath",
     "segments", "status",
 ]
 PARENT_STATS_KEYS = sorted(

@@ -69,9 +69,6 @@ def assert_lists_match_index(db: LazyXMLDatabase) -> None:
             rebuilt.sort()
         assert held == rebuilt, (db.log.tags.name_of(tid), held, rebuilt)
         assert taglist.total_count(tid) == sum(count for _, count in rebuilt)
-    assert taglist.max_fanout() == max(
-        (len(taglist.nodes(tid)) for tid in taglist.tids()), default=0
-    )
 
 
 def _check(db: LazyXMLDatabase, model: CharModel) -> None:
@@ -352,36 +349,6 @@ def _tail_pair(db: LazyXMLDatabase, i: int) -> tuple[float, float]:
     inserted = time.perf_counter()
     db.remove(receipt.gp, receipt.length)
     return inserted - started, time.perf_counter() - inserted
-
-
-@pytest.mark.perf_smoke
-def test_writes_do_no_pressure_work(monkeypatch):
-    """An update touches the ER-tree and its tag lists and nothing else:
-    20 tail insert/remove pairs make no ``TagList.max_fanout`` call, on
-    250 and on 4 000 forms.  The fan-out is read when pressure is
-    sampled, once per ``check_pressure``, on the published epoch."""
-    from repro.core.taglist import TagList
-    from repro.service import DatabaseService, ServiceConfig
-
-    calls = []
-    max_fanout = TagList.max_fanout
-
-    def counted(taglist):
-        calls.append(taglist)
-        return max_fanout(taglist)
-
-    monkeypatch.setattr(TagList, "max_fanout", counted)
-    for forms in (250, 4_000):
-        db, _ = _loaded(forms)
-        calls.clear()
-        for i in range(20):
-            _tail_pair(db, i)
-        assert calls == [], f"{len(calls)} max_fanout calls on {forms} forms"
-        with DatabaseService(db, config=ServiceConfig(pressure_check_every=0)) as service:
-            calls.clear()
-            service.check_pressure()
-            with service.snapshot() as snap:
-                assert calls == [snap.db.log.taglist], forms
 
 
 class _CountedRows:

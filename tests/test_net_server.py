@@ -657,7 +657,6 @@ class TestWhereARequestRuns:
         parse, before the commit) and re-runs on the pool: the same
         replies, the same primary and the same epoch as on the loop, and
         every write applied exactly once."""
-        from repro.service import ServiceConfig
         from repro.storage import dumps
 
         def run(budget):
@@ -673,9 +672,7 @@ class TestWhereARequestRuns:
                         health["epochs"]["epoch"], health["counters"]["writes"],
                         pool, server.status()["counters"])
 
-            return run_server_test(scenario, service=make_service(
-                config=ServiceConfig(pressure_check_every=0)
-            ))
+            return run_server_test(scenario)
 
         on_loop, moved = run(server_module.LOOP_BUDGET), run(-1.0)
         assert moved[:4] == on_loop[:4]
@@ -787,36 +784,6 @@ class TestWhereARequestRuns:
 
         run_server_test(scenario, service=service)
 
-    def test_pressure_sampling_write_goes_to_the_pool(self):
-        """The write whose turn it is to sample pressure leaves the loop
-        before its commit, so maintenance never runs on the loop."""
-        from repro.service import ServiceConfig
-
-        async def scenario(service, server, port):
-            service.insert("<w/>")  # write 1; the writer buffer owes it now
-            threads = []
-            sample = service.run_maintenance
-
-            def recorded():
-                threads.append(threading.current_thread())
-                return sample()
-
-            service.run_maintenance = recorded
-            pool = pool_submissions(server)
-            async with await connect("127.0.0.1", port) as client:
-                for _ in range(6):  # writes 2..7: 3 and 6 sample pressure
-                    await client.insert(_WRITE)
-            assert pool == ["insert", "insert"]
-            counters = server.status()["counters"]
-            assert (counters["loop_writes"], counters["moved_writes"]) == (4, 2)
-            assert len(threads) == 2
-            assert threading.main_thread() not in threads
-            assert service.health()["pressure"] is not None
-
-        run_server_test(scenario, service=make_service(
-            config=ServiceConfig(pressure_check_every=3)
-        ))
-
     def test_loop_writes_racing_writer_threads_apply_once(self):
         """Wire writes, each alone in flight, race three in-process writer
         threads (more than the cores) for the write slot and the writer
@@ -863,7 +830,7 @@ class TestWhereARequestRuns:
                 assert dumps(snap.db) == dumps(service.primary)
 
         run_server_test(scenario, service=make_service(config=ServiceConfig(
-            pressure_check_every=0, admission_wait=10.0
+            admission_wait=10.0
         )))
 
     def test_loop_budget_is_inside_the_switch_interval(self):
@@ -875,9 +842,8 @@ class TestWhereARequestRuns:
     def test_idle_reads_make_no_thread_hop(self):
         """The hop gate, as counts: on an idle in-memory server 50
         sequential queries are 50 loop reads and no pool submission; 10
-        inserts and 10 removes are 18 loop writes, and the two whose turn
-        it is to sample pressure (every 8th write) are the only pool
-        submissions.  Neither end creates a task or arms a timer.
+        inserts and 10 removes are 20 loop writes and no pool submission.
+        Neither end creates a task or arms a timer.
 
         The loop attempt's budget is read off the service's clock, which is
         frozen here: no attempt runs out of it, so the counts depend on the
@@ -901,11 +867,10 @@ class TestWhereARequestRuns:
                 for gp, fragment in reversed(list(zip(gps, fragments))):
                     await client.request("remove", position=gp, length=len(fragment))
                 assert (len(tasks), len(timers)) == (0, 0)
-            # Writes 2-11 insert and 12-21 remove; 8 and 16 sample pressure.
-            assert pool == ["insert", "remove"]
+            assert pool == []
             counters = server.status()["counters"]
             assert (counters["loop_reads"], counters["moved_reads"]) == (50, 0)
-            assert (counters["loop_writes"], counters["moved_writes"]) == (18, 2)
+            assert (counters["loop_writes"], counters["moved_writes"]) == (20, 0)
             assert service.primary.text.endswith("<w/>")
 
         run_server_test(scenario, clock=lambda: 0.0)

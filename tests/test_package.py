@@ -294,7 +294,7 @@ def test_every_metric_has_a_reader():
 #: with why the keyword stays.
 SET_ONLY_BY_TESTS = {
     "service.server.DatabaseService(clock)":
-        "test-fake seam: breaker and deadline tests drive a fake clock",
+        "test-fake seam: deadline tests drive a fake clock",
     "replication.cluster.ReplicationCluster(sleep)":
         "test-fake seam: heartbeat drills record the backoff instead of sleeping",
     "replication.cluster.ReplicationCluster(heartbeat_policy)":

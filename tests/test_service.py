@@ -1,6 +1,6 @@
 """Unit tests for the resilient service layer (:mod:`repro.service`).
 
-Each component is exercised in isolation with injected clocks/sleeps so
+Each component is exercised in isolation with injected sleeps so
 nothing here depends on wall-clock timing, then the assembled
 :class:`DatabaseService` is checked for end-to-end behaviour: snapshot
 isolation, the clean-log fast join path, admission metrics, health
@@ -16,18 +16,14 @@ import pytest
 from repro.core.database import LazyXMLDatabase
 from repro.errors import (
     Busy,
-    CircuitOpenError,
     ServiceClosed,
 )
 from repro.joins.stack_tree import std_join
 from repro.service import (
     AdmissionController,
     BackoffPolicy,
-    CircuitBreaker,
     DatabaseService,
     EpochManager,
-    PressureMonitor,
-    PressureThresholds,
     ServiceConfig,
     retry_with_backoff,
 )
@@ -35,31 +31,10 @@ from repro.service.shell import ServiceShell
 from repro.workloads.scenarios import registration_stream
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def advance(self, dt):
-        self.now += dt
-
-    def __call__(self):
-        return self.now
-
-
 def populated_db(n=5):
     db = LazyXMLDatabase()
     for fragment in registration_stream(n):
         db.insert(fragment)
-    db.prepare_for_query()
-    return db
-
-
-def fragmented_db(nested=8):
-    """One document carrying ``nested`` nested segments — collapsible debt."""
-    db = LazyXMLDatabase()
-    db.insert("<doc><hot>x</hot></doc>")
-    for i in range(nested):
-        db.insert(f"<item>{i}</item>", db.log.node(1).gp + len("<doc><hot>"))
     db.prepare_for_query()
     return db
 
@@ -299,158 +274,6 @@ class TestBackoff:
 
 
 # ----------------------------------------------------------------------
-# circuit breaker
-
-
-class TestCircuitBreaker:
-    def make(self, clock, threshold=3, reset=10.0):
-        return CircuitBreaker(
-            failure_threshold=threshold, reset_timeout=reset, clock=clock
-        )
-
-    def test_opens_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            with pytest.raises(RuntimeError):
-                breaker.call(self._fail)
-        assert breaker.state == "open"
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never runs")
-
-    def test_success_resets_failure_streak(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                breaker.call(self._fail)
-        breaker.call(lambda: "ok")
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                breaker.call(self._fail)
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        self._trip(breaker)
-        clock.advance(10.0)
-        assert breaker.state == "half_open"
-        assert breaker.call(lambda: 42) == 42
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        self._trip(breaker)
-        clock.advance(10.0)
-        with pytest.raises(RuntimeError):
-            breaker.call(self._fail)
-        assert breaker.state == "open"
-        clock.advance(9.9)
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: None)
-
-    def test_single_probe_reserved(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        self._trip(breaker)
-        clock.advance(10.0)
-        assert breaker.allow() is True  # the probe
-        assert breaker.allow() is False  # everyone else waits
-
-    def test_metrics(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        self._trip(breaker)
-        metrics = breaker.metrics()
-        assert metrics["trips"] == 1
-        assert metrics["failures"] == 3
-        assert metrics["state"] == "open"
-
-    @staticmethod
-    def _fail():
-        raise RuntimeError("injected")
-
-    def _trip(self, breaker):
-        for _ in range(3):
-            with pytest.raises(RuntimeError):
-                breaker.call(self._fail)
-        assert breaker.state == "open"
-
-
-# ----------------------------------------------------------------------
-# pressure
-
-
-class TestPressureMonitor:
-    def test_quiet_database_is_ok(self):
-        monitor = PressureMonitor()
-        report = monitor.sample(populated_db(3))
-        assert report.level == "ok"
-        assert report.plan == []
-        assert not report.needs_maintenance
-
-    def test_elevated_below_bound(self):
-        db = populated_db(8)
-        monitor = PressureMonitor(PressureThresholds(max_segments=10))
-        report = monitor.sample(db)
-        assert report.level == "elevated"
-        assert report.plan == []
-        assert any("segments" in reason for reason in report.reasons)
-
-    def test_segment_pressure_plans_compact(self):
-        db = fragmented_db(8)
-        monitor = PressureMonitor(PressureThresholds(max_segments=4))
-        report = monitor.sample(db)
-        assert report.level == "critical"
-        assert report.plan == [{"op": "compact"}]
-
-    def test_uncollapsible_pressure_has_empty_plan(self):
-        """Top-level documents cannot be merged: critical but unactionable."""
-        db = populated_db(8)
-        monitor = PressureMonitor(PressureThresholds(max_segments=4))
-        report = monitor.sample(db)
-        assert report.level == "critical"
-        assert report.plan == []
-        assert any("unactionable" in reason for reason in report.reasons)
-
-    def test_depth_pressure_plans_targeted_repack(self):
-        db = LazyXMLDatabase()
-        db.insert("<a><b>deep</b></a>")
-        sid = 1
-        for i in range(5):  # nest each segment in the last one's element
-            inside = 6 if i == 0 else len(f"<n{i - 1}>")  # <b> first, then <n.>
-            receipt = db.insert(f"<n{i}>x</n{i}>", db.log.node(sid).gp + inside)
-            sid = receipt.sid
-        db.insert("<flat/>")
-        monitor = PressureMonitor(
-            PressureThresholds(max_depth=3, max_segments=1000, max_fanout=1000)
-        )
-        report = monitor.sample(db)
-        assert report.level == "critical"
-        assert report.plan == [{"op": "repack", "sid": 1}]
-
-    def test_executing_the_plan_clears_pressure(self):
-        db = fragmented_db(8)
-        monitor = PressureMonitor(PressureThresholds(max_segments=6))
-        report = monitor.sample(db)
-        assert report.needs_maintenance
-        for op in report.plan:
-            assert op["op"] == "compact"
-            db.compact()
-        after = monitor.sample(db)
-        assert after.level == "ok"
-        assert monitor.metrics()["samples"] == 2
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            PressureThresholds(max_segments=0)
-        with pytest.raises(ValueError):
-            PressureThresholds(elevated_fraction=0.0)
-
-
-# ----------------------------------------------------------------------
 # the assembled service
 
 
@@ -511,20 +334,6 @@ class TestDatabaseService:
         assert stalled
         svc.close()
 
-    def test_maintenance_triggers_on_pressure(self):
-        config = ServiceConfig(
-            pressure_check_every=1,
-            thresholds=PressureThresholds(max_segments=4),
-        )
-        svc = DatabaseService(LazyXMLDatabase(), config=config)
-        svc.insert("<doc><hot>x</hot></doc>")
-        for i in range(12):  # hot inserts nested inside <hot> (gp 10)
-            svc.insert(f"<item>{i}</item>", len("<doc><hot>"))
-        # auto-compact kept the log within bounds
-        assert svc.health()["segments"] <= 4
-        assert svc.health()["counters"]["maintenance_runs"] >= 1
-        svc.close()
-
     def test_durable_primary_journals_service_writes(self, tmp_path):
         from repro.durability.database import DurableDatabase
         from repro.durability.recovery import recover
@@ -544,8 +353,7 @@ class TestDatabaseService:
         assert health["status"] == "ok"
         assert health["durable"] is False
         assert set(health) >= {
-            "segments", "elements", "pressure", "breaker", "admission",
-            "epochs", "counters",
+            "segments", "elements", "admission", "epochs", "counters",
         }
         svc.close()
 
@@ -605,10 +413,10 @@ class TestServiceShell:
         assert lines[1].startswith("error bad argument")
         assert lines[2].startswith("ok 1 match(es)")
 
-    def test_health_and_pressure_are_json(self):
+    def test_health_and_stats_are_json(self):
         import json
 
-        lines = self.run_shell("health\npressure\nstats\nquit\n")
+        lines = self.run_shell("health\nstats\nquit\n")
         for line in lines[:-1]:
             assert line.startswith("ok ")
             payload = json.loads(line[3:])
@@ -699,6 +507,7 @@ class TestCLIErrorHandling:
             ["serve", "{snap}", "--max-rows", "-1"],
             ["serve", "{snap}", "--timeout", "-1"],
             ["serve", "{snap}", "--timeout", "0"],
+            # Flags that no longer exist: a usage error like any unknown one.
             ["serve", "{snap}", "--maintenance-interval", "-1"],
             ["serve", "{snap}", "--max-segments", "0"],
             ["serve", "{snap}", "--max-depth", "0"],

@@ -55,24 +55,17 @@ def _count(calls, write) -> int:
     return len(calls) - before
 
 
-def _service(primary) -> DatabaseService:
-    # No pressure samples: maintenance would add writes of its own.
-    return DatabaseService(primary, config=ServiceConfig(pressure_check_every=0))
-
-
-def _served(kind, tmp_path, followers=1, every=0) -> DatabaseService:
-    """A service over a ``kind`` primary holding DOC, sampling pressure
-    every ``every``-th write (0: never)."""
-    config = ServiceConfig(pressure_check_every=every)
+def _served(kind, tmp_path, followers=1) -> DatabaseService:
+    """A service over a ``kind`` primary holding DOC."""
     if kind == "replicated":
         from repro.replication import ReplicationCluster
 
         cluster = ReplicationCluster(tmp_path / "cluster", followers)
         cluster.insert(DOC)
-        return DatabaseService(None, config=config, replication=cluster)
+        return DatabaseService(None, replication=cluster)
     primary = DurableDatabase(tmp_path) if kind == "durable" else LazyXMLDatabase()
     primary.insert(DOC)
-    return DatabaseService(primary, config=config)
+    return DatabaseService(primary)
 
 
 @pytest.mark.perf_smoke
@@ -249,27 +242,6 @@ def test_served_writes_apply_twice(applies, tmp_path, kind):
 
 @pytest.mark.perf_smoke
 @pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
-def test_pressure_sample_replays_nothing(applies, tmp_path, kind):
-    """The write whose turn it is to sample pressure applies 2 ops to the
-    primary's database, as any write does, and leaves its op owed
-    (``pending_ops`` 1): the sample reads the published epoch under a
-    pin.  (Sampling the writer buffer made it replay the write just
-    published: 3 applies, ``pending_ops`` 0.)"""
-    with _served(kind, tmp_path, every=2) as svc:
-        svc.insert(FRAGMENT)  # the first write: not sampled
-        applies.clear()
-        svc.insert(FRAGMENT)  # the second: sampled
-        made = list(applies)
-        health = svc.health()
-        assert health["pressure"] is not None
-        assert health["epochs"]["pending_ops"] == 1
-        with svc.snapshot() as snap:
-            primary = {id(svc._base), id(snap.db)}  # its two buffers
-        assert sum(id(db) in primary for db in made) == 2, kind
-
-
-@pytest.mark.perf_smoke
-@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
 def test_epoch_store_clones_once(tmp_path, kind):
     with _served(kind, tmp_path) as svc:
         for i in range(25):
@@ -310,7 +282,7 @@ def test_no_write_path_builds_a_tree(trees, tmp_path):
     assert _count(trees, reopen) == 0
     for primary in (LazyXMLDatabase(), reopened[0]):
         primary.insert(DOC)
-        with _service(primary) as svc:
+        with DatabaseService(primary) as svc:
             svc.remove_segment(svc.insert(FRAGMENT).sid)
             assert _count(trees, lambda: svc.insert(FRAGMENT)) == 0
             assert _count(trees, lambda: svc.apply_batch(BATCH)) == 0
@@ -391,7 +363,7 @@ def test_replicas_replayed_from_the_primary_parse_match_it(tmp_path, durable, se
         """The writer buffer, caught up: the authoritative database."""
         return getattr(svc.primary, "db", svc.primary)
 
-    with _service(primary) as svc:
+    with DatabaseService(primary) as svc:
         for kind in kinds:
             publishes = svc.health()["epochs"]["publishes"]
             kind = _write(rng, svc, base(), sids, kind)
@@ -426,7 +398,7 @@ def test_append_queued_behind_a_remove_lands_at_the_end_it_finds():
         return real_remove_segment(sid)
 
     primary.remove_segment = held_remove_segment
-    config = ServiceConfig(pressure_check_every=0, admission_wait=10.0)
+    config = ServiceConfig(admission_wait=10.0)
     outcome: dict = {}
     with DatabaseService(primary, config=config) as svc:
         remover = threading.Thread(
@@ -464,7 +436,7 @@ def test_served_durable_writes_journal_what_direct_writes_do(tmp_path):
     # record is the one DurableDatabase.insert writes all the same.
     served = DurableDatabase(tmp_path / "served")
     direct = DurableDatabase(tmp_path / "direct")
-    with _service(served) as svc:
+    with DatabaseService(served) as svc:
         svc.apply({"op": "insert", "fragment": DOC})
         svc.apply({"op": "insert", "position": 5, "fragment": FRAGMENT})
         svc.apply({"op": "remove", "position": 5, "length": len(FRAGMENT)})
