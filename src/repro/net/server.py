@@ -18,7 +18,11 @@ slot or the writer lock is taken or a reader still holds its writer
 buffer.  Every other request body runs on a bounded worker pool
 sized to the global in-flight cap, so the blocking database layer never
 holds the loop past the budget and the loop never queues unbounded work
-behind it.
+behind it.  Once a write's reply is sent, wherever the write ran, the
+loop replays it into the epoch store's retired buffer
+(:meth:`~repro.service.server.DatabaseService.settle`) before it reads
+the next frame: a closed-loop client is then busy with the reply, and the
+next write finds its writer buffer current.
 
 Robustness contract (each clause is drilled by ``tests/test_net_faults``):
 
@@ -92,6 +96,15 @@ LOOP_BUDGET = 0.002
 #: Status verbs that touch nothing but memory (an epoch refcount at most):
 #: on the loop whenever they are alone in flight.
 _IN_MEMORY = frozenset({"ping", "pin", "unpin"})
+
+#: Verb kinds whose reply is followed by the service's idle catch-up.
+_SETTLES = frozenset({"write", "maintenance"})
+
+
+def _kind(cmd) -> str | None:
+    """The kind of the verb ``cmd`` names, or None if it names none."""
+    verb = COMMANDS.get(cmd) if isinstance(cmd, str) else None
+    return None if verb is None else verb.kind
 
 # `net.requests` and `net.sheds` repeat the per-server `_counters` twins
 # (which tests and health read per server) because the end-to-end
@@ -431,6 +444,11 @@ class _Connection(asyncio.Protocol):
         if not server._inflight:
             server._idle.set()
         self._send(type_, request_id, payload)
+        if _kind(request.get("cmd")) in _SETTLES:
+            # The reply is out: the retired buffer replays the write now,
+            # before the loop reads the next frame, not inside the next
+            # write's latency.
+            self.loop.call_soon(server.service.settle)
         if not session.inflight:
             if self.transport.is_closing():
                 session.release()
@@ -656,16 +674,16 @@ class TcpServer:
         in-process buffer), a write on a service whose writes stay in
         memory (no fsync, no replication), and the memory-only status
         verbs."""
-        verb = COMMANDS.get(cmd) if isinstance(cmd, str) else None
-        if self._inflight != 1 or verb is None:
+        kind = _kind(cmd)
+        if self._inflight != 1 or kind is None:
             return None
-        if verb.kind == "read":
+        if kind == "read":
             runs = True
-        elif verb.kind == "write":
+        elif kind == "write":
             runs = self.service.writes_in_memory
         else:
             runs = cmd in _IN_MEMORY
-        return verb.kind if runs else None
+        return kind if runs else None
 
     def status(self) -> dict:
         """Loop-side operational snapshot (merged into health/stats)."""

@@ -11,7 +11,8 @@ Composes the pieces of :mod:`repro.service` into one operational surface:
   (through the journal when the primary is a
   :class:`~repro.durability.database.DurableDatabase`) — then that buffer
   is published atomically and the retired one becomes the next writer
-  buffer, to catch up on the op at the next write;
+  buffer, to catch up on the op in the front end's idle time
+  (:meth:`DatabaseService.settle`) or else at the next write;
 - **maintenance** (``repack``/``compact``) runs only when an operator asks
   for it, in its own admission class, and commits like any write (through
   the journal on a durable primary).  Nothing samples the update log or
@@ -64,7 +65,8 @@ class ServiceConfig:
     default_timeout: float | None = None
     #: Default per-query result-row budget; ``None`` = unbounded.
     max_result_rows: int | None = None
-    #: Seconds a publish waits for a retiring epoch's readers to drain.
+    #: Seconds a write waits for its writer buffer's readers (pins taken
+    #: while that buffer was published) to drain before cloning instead.
     drain_timeout: float = 5.0
 
 
@@ -312,6 +314,23 @@ class DatabaseService:
                 self._epochs.publish([op], [parsed])
             self._counters["writes"] += 1
         return result
+
+    def settle(self) -> bool:
+        """Replay the last write into the retired buffer now, so the next
+        write finds its writer buffer current (:meth:`EpochManager.settle`).
+
+        For a front end's idle time: it takes the writer lock only if it
+        is free and waits for nothing, and returns whether it replayed.
+        A replicated service has no store of its own and never settles.
+        """
+        if self._epochs is None or self._draining:
+            return False
+        if not self._writer_lock.acquire(blocking=False):
+            return False
+        try:
+            return self._epochs.settle()
+        finally:
+            self._writer_lock.release()
 
     @contextlib.contextmanager
     def _write_slot(self, request_class: str, attempt: bool):

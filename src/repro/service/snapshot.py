@@ -26,7 +26,14 @@ two **buffers** — full databases, the second one built once with
   remove reads no text at all once the buffer trusts the document (a
   clone keeps its source's marks; see DESIGN.md §4, "Removal
   validation").  A write therefore applies its op twice: once as the
-  commit, once as the next write's catch-up.
+  commit, once as the catch-up.
+- :meth:`~EpochManager.settle` runs that catch-up ahead of the next
+  write, when it waits for nothing: the TCP front end calls it once a
+  write's reply has left, so the second application runs in the idle
+  time between frames instead of inside the next write's latency.  A
+  settle that would wait (a reader holds the buffer, another writer is
+  busy, the store is closed) does nothing, and :meth:`~EpochManager.writer`
+  catches up at the next write as before.
 
 A reader that holds a pin past ``drain_timeout`` cannot wedge the
 writer: :meth:`~EpochManager.writer` abandons the stuck buffer to its
@@ -143,6 +150,7 @@ class EpochManager:
         self._drain_waits = 0
         self._clone_fallbacks = 0
         self._rebuilds = 0
+        self._idle_catch_ups = 0
 
     # ------------------------------------------------------------------
     # reader side
@@ -184,6 +192,23 @@ class EpochManager:
             if self._owed or self._writer.pins:
                 self._catch_up()
             return self._writer.db
+
+    def settle(self) -> bool:
+        """Catch the writer buffer up now if that waits for nothing: no
+        other caller holds the writer side, no reader holds the buffer,
+        and the store is open.  Returns whether it replayed ops; when it
+        does not, :meth:`writer` catches up at the next write instead."""
+        if not self._writing.acquire(blocking=False):
+            return False
+        try:
+            with self._lock:
+                if self._closed or self._writer.pins or not self._owed:
+                    return False
+                self._idle_catch_ups += 1
+            self._catch_up()
+            return True
+        finally:
+            self._writing.release()
 
     def writer_ready(self) -> bool:
         """True when :meth:`writer` would wait for nothing and clone
@@ -295,6 +320,7 @@ class EpochManager:
                 "drain_waits": self._drain_waits,
                 "clone_fallbacks": self._clone_fallbacks,
                 "replica_rebuilds": self._rebuilds,
+                "idle_catch_ups": self._idle_catch_ups,
                 "pending_ops": len(self._owed),
                 "readpath": None if published is None
                 else published.db.readpath.stats(),

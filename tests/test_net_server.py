@@ -876,6 +876,123 @@ class TestWhereARequestRuns:
         run_server_test(scenario, clock=lambda: 0.0)
 
 
+class TestIdleCatchUp:
+    """Once a write's reply is out, the loop replays the write into the
+    retired epoch buffer before it reads the next frame, so the next write
+    finds its writer buffer current; where that would wait, it is skipped
+    and the next write catches up as before."""
+
+    @pytest.mark.perf_smoke
+    def test_idle_catch_up_leaves_the_next_write_nothing_to_replay(self):
+        """Count gate: on an idle in-memory server, after the first write
+        no write's ``writer()`` replays an op, there is one idle catch-up
+        per write served, and nothing is owed after the last reply.  The
+        first write catches up the in-process write before it, which no
+        reply followed."""
+
+        async def scenario(service, server, port):
+            service.insert("<w/>")  # the writer buffer owes a write now
+            epochs, replays = service._epochs, []
+            real_writer = epochs.writer
+
+            def writer():
+                replays.append(epochs.metrics()["pending_ops"])
+                return real_writer()
+
+            epochs.writer = writer
+            pool = pool_submissions(server)
+            async with await connect("127.0.0.1", port) as client:
+                fragments = [f"<registration><name>{i}</name></registration>"
+                             for i in range(10)]
+                gps = [(await client.insert(f))["gp"] for f in fragments]
+                for gp, fragment in reversed(list(zip(gps, fragments))):
+                    await client.request("remove", position=gp, length=len(fragment))
+                metrics = epochs.metrics()
+            assert replays == [1] + [0] * 19
+            assert (metrics["idle_catch_ups"], metrics["pending_ops"]) == (20, 0)
+            assert metrics["replica_clones"] == 1
+            assert pool == []
+            counters = server.status()["counters"]
+            assert (counters["loop_writes"], counters["moved_writes"]) == (20, 0)
+
+        run_server_test(scenario, clock=lambda: 0.0)
+
+    def test_pinned_retired_buffer_is_left_to_the_next_write(self):
+        """A session's pin on the buffer a write retires makes its idle
+        catch-up a no-op: it neither waits for the pin nor clones.  The
+        next write moves to the pool and catches up there, as it did
+        before there was an idle catch-up."""
+        from repro.service import ServiceConfig
+
+        async def scenario(service, server, port):
+            pool = pool_submissions(server)
+            async with await connect("127.0.0.1", port) as reader, \
+                    await connect("127.0.0.1", port) as writer:
+                await reader.request("pin")
+                await writer.insert(_WRITE)  # the pinned buffer retires
+                epochs = service.health()["epochs"]
+                assert (epochs["pending_ops"], epochs["idle_catch_ups"]) == (1, 0)
+                assert (epochs["drain_waits"], epochs["clone_fallbacks"]) == (0, 0)
+                write = asyncio.ensure_future(writer.insert(_WRITE))
+                await asyncio.sleep(0.05)
+                assert not write.done()  # its catch-up waits for the pin
+                assert (await reader.request("unpin"))["unpinned"] is True
+                assert (await write)["sid"] > 0
+                epochs = service.health()["epochs"]
+            assert pool == ["insert", "unpin"]
+            assert (epochs["drain_waits"], epochs["clone_fallbacks"]) == (1, 0)
+            assert (epochs["idle_catch_ups"], epochs["pending_ops"]) == (1, 0)
+            assert (epochs["replica_clones"], epochs["active_pins"]) == (1, 0)
+
+        run_server_test(scenario, service=make_service(
+            config=ServiceConfig(drain_timeout=10.0)
+        ))
+
+    def test_failed_idle_catch_up_rebuilds_and_the_loop_keeps_serving(
+        self, monkeypatch
+    ):
+        import repro.service.snapshot as snapshot_module
+        from repro.storage import dumps
+        from tests.oracle import ReferenceDatabase
+
+        async def scenario(service, server, port):
+            reference = ReferenceDatabase()
+            reference.insert(service.primary.text)
+            real_apply = snapshot_module.apply_op
+
+            def diverge(db, op, parsed=None):
+                monkeypatch.setattr(snapshot_module, "apply_op", real_apply)
+                raise RuntimeError("injected replay fault")
+
+            monkeypatch.setattr(snapshot_module, "apply_op", diverge)
+
+            async def matches_reference(client):
+                names = await client.query("name")
+                assert [tuple(row[:2]) for row in names["spans"]] == \
+                    reference.elements("name")
+                pairs = await client.join("registration", "name")
+                assert pairs["pairs"] == len(reference.join("registration", "name"))
+
+            async with await connect("127.0.0.1", port) as client:
+                await client.insert(_WRITE)  # its idle catch-up fails
+                reference.insert(_WRITE)
+                epochs = service.health()["epochs"]
+                assert (epochs["replica_rebuilds"], epochs["replica_clones"]) == (1, 2)
+                assert (epochs["idle_catch_ups"], epochs["pending_ops"]) == (1, 0)
+                await matches_reference(client)
+                await client.insert(_WRITE)
+                reference.insert(_WRITE)
+                await matches_reference(client)
+            assert server.status()["counters"]["errors"] == 0
+            epochs = service.health()["epochs"]
+            assert (epochs["replica_rebuilds"], epochs["idle_catch_ups"]) == (1, 2)
+            with service.snapshot() as snap:
+                assert dumps(snap.db) == dumps(service.primary)
+                assert snap.db.text == reference.text
+
+        run_server_test(scenario)
+
+
 class TestHandshake:
     def test_wire_version_mismatch_refused_typed(self):
         async def scenario(service, server, port):

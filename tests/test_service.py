@@ -140,6 +140,98 @@ class TestEpochManager:
         snap.release()  # outstanding pin still releasable after close
 
 
+class TestSettle:
+    """``settle`` runs the writer buffer's catch-up ahead of the next
+    write, and only where it would wait for nothing."""
+
+    write = staticmethod(TestEpochManager.write)
+
+    def test_settle_replays_what_the_writer_buffer_owes_once(self):
+        from repro.storage import dumps
+
+        mgr = EpochManager(populated_db(2))
+        assert mgr.settle() is False  # a new store owes nothing
+        self.write(mgr, "<a/>")
+        assert mgr.metrics()["pending_ops"] == 1
+        assert mgr.settle() is True
+        assert mgr.settle() is False
+        metrics = mgr.metrics()
+        assert (metrics["pending_ops"], metrics["idle_catch_ups"]) == (0, 1)
+        assert metrics["replica_clones"] == 1
+        with mgr.pin() as snap:
+            assert dumps(snap.db) == dumps(mgr.writer())
+
+    def test_settle_beside_a_reader_of_the_writer_buffer_is_a_no_op(self):
+        mgr = EpochManager(populated_db(2), drain_timeout=0.01)
+        snap = mgr.pin()
+        self.write(mgr, "<a/>")  # the pinned buffer is the writer's now
+        assert mgr.settle() is False
+        metrics = mgr.metrics()
+        assert (metrics["pending_ops"], metrics["idle_catch_ups"]) == (1, 0)
+        assert (metrics["drain_waits"], metrics["clone_fallbacks"]) == (0, 0)
+        assert snap.db.text == populated_db(2).text  # untouched
+        snap.release()
+        assert mgr.settle() is True
+
+    def test_settle_after_close_is_a_no_op(self):
+        mgr = EpochManager(populated_db(2))
+        snap = mgr.pin()
+        self.write(mgr, "<a/>")
+        mgr.close()  # the writer buffer is pinned: close cannot catch up
+        snap.release()
+        assert mgr.settle() is False
+        assert mgr.metrics()["pending_ops"] == 1
+        # writer() still answers with the final state.
+        assert mgr.writer().text.endswith("<a/>")
+        assert mgr.metrics()["idle_catch_ups"] == 0
+
+    def test_service_settle_after_close_or_during_drain_is_a_no_op(self):
+        svc = DatabaseService(populated_db(2))
+        svc.insert("<a/>")
+        svc.begin_drain()
+        assert svc.settle() is False
+        assert svc.health()["epochs"]["pending_ops"] == 1
+        svc.close()
+        assert svc.settle() is False
+        assert svc.health()["epochs"]["idle_catch_ups"] == 0
+
+    def test_service_settle_beside_a_held_writer_lock_returns_at_once(self):
+        import threading
+        import time
+
+        svc = DatabaseService(populated_db(2))
+        svc.insert("<a/>")
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with svc._writer_lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            started = time.monotonic()
+            assert svc.settle() is False
+            assert time.monotonic() - started < 1.0
+            assert svc.health()["epochs"]["pending_ops"] == 1
+        finally:
+            release.set()
+            holder.join(10)
+        assert svc.settle() is True
+        assert svc.health()["epochs"]["pending_ops"] == 0
+        svc.close()
+
+    def test_replicated_service_never_settles(self, tmp_path):
+        from repro.replication import ReplicationCluster
+
+        cluster = ReplicationCluster(tmp_path / "cluster", 1)
+        with DatabaseService(None, replication=cluster) as svc:
+            svc.insert("<a/>")
+            assert svc.settle() is False
+
+
 # ----------------------------------------------------------------------
 # admission & backoff
 

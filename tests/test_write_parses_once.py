@@ -241,6 +241,64 @@ def test_served_writes_apply_twice(applies, tmp_path, kind):
 
 
 @pytest.mark.perf_smoke
+@pytest.mark.parametrize("kind", ["plain", "durable"])
+def test_served_writes_apply_twice_over_tcp(applies, tmp_path, monkeypatch, kind):
+    """The TCP twin: each write is still 2 ``apply_op`` calls on the
+    primary's two buffers, its commit and its own catch-up, which runs
+    after the reply (on the loop for a plain primary, whose writes run
+    there too; a durable primary's writes run on the pool) and leaves
+    nothing owed when the server reads the next frame."""
+    import asyncio
+
+    from repro.net import server as net_server
+    from repro.net.client import connect
+
+    svc = _served(kind, tmp_path)
+    owed_at_read: list[int] = []
+    real_received = net_server._Connection.data_received
+
+    def received(self, data):
+        owed_at_read.append(svc.health()["epochs"]["pending_ops"])
+        real_received(self, data)
+
+    monkeypatch.setattr(net_server._Connection, "data_received", received)
+
+    async def main():
+        server = net_server.TcpServer(svc)
+        await server.start()
+        counts = []
+
+        async def counted(request):
+            applies.clear()
+            reply = await request
+            counts.append(list(applies))
+            return reply
+
+        try:
+            async with await connect("127.0.0.1", server.port) as client:
+                receipt = await counted(client.insert(FRAGMENT))
+                await counted(client.request("remove_segment", sid=receipt["sid"]))
+                await counted(client.request("batch", ops=BATCH))
+                await counted(client.insert(FRAGMENT))
+            with svc.snapshot() as snap:
+                primary = {id(svc._base), id(snap.db)}  # its two buffers
+        finally:
+            await server.drain(grace=2.0)
+        return counts, primary, server.status()["counters"]
+
+    try:
+        counts, primary, counters = asyncio.run(main())
+        for dbs in counts:
+            assert len(dbs) == 2 and {id(db) for db in dbs} <= primary, kind
+        assert owed_at_read and set(owed_at_read) == {0}
+        assert svc.health()["epochs"]["idle_catch_ups"] == 4
+        assert counters["errors"] == 0
+        assert counters["loop_writes"] == (4 if kind == "plain" else 0)
+    finally:
+        svc.close()
+
+
+@pytest.mark.perf_smoke
 @pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
 def test_epoch_store_clones_once(tmp_path, kind):
     with _served(kind, tmp_path) as svc:
