@@ -39,21 +39,6 @@ other refusal (a malformed pattern too) is exit 1.
 
 ``serve`` runs the verb table over stdin/stdout (or framed TCP) for a
 whole session.
-
-**Replication** (:mod:`repro.replication`): ``serve --replicas N`` on a
-durable directory streams every committed journal record to N
-follower directories under ``<dir>/replicas/``.  Offline, ``repl-status``
-and ``promote`` inspect and fail over a cluster that is not being served;
-they read manifests without opening a node, and they shadow the table
-verbs of the same name:
-
-    python -m repro serve state/ --replicas 2
-    python -m repro repl-status state/
-    python -m repro promote state/replicas/node-1
-
-Offline ``promote`` persists the fenced term bump in the node's
-replication manifest *before* it may accept writes; a stale primary that
-comes back sees the higher term and refuses appends.
 """
 
 from __future__ import annotations
@@ -65,7 +50,7 @@ from pathlib import Path
 
 from repro import LazyXMLDatabase, __version__
 from repro.durability.database import DurableDatabase
-from repro.errors import CheckpointError, ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError
 from repro.service import DatabaseService
 from repro.service.commands import (
     COMMANDS,
@@ -143,26 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
          "fold a durable directory's journal into its checkpoint"),
         ("fsck", _cmd_fsck,
          "verify a snapshot file or durable directory (read-only)"),
-        ("repl-status", _cmd_repl_status,
-         "print replication manifests, terms and seqs for a cluster "
-         "directory (a served durable dir or a cluster root)"),
     ):
         cmd = commands.add_parser(name, help=text)
         cmd.add_argument("target", type=Path, help=_TARGET)
         cmd.set_defaults(run=run)
-
-    cmd = commands.add_parser(
-        "promote",
-        help="fail over to the given node directory: persist a fenced, "
-        "strictly higher term in its replication manifest",
-    )
-    cmd.add_argument("target", type=Path, help="replica node directory")
-    cmd.add_argument(
-        "--term", type=int, default=None,
-        help="explicit new term (default: one above the highest term "
-        "found across the node's replication group)",
-    )
-    cmd.set_defaults(run=_cmd_promote)
 
     cmd = commands.add_parser(
         "serve",
@@ -180,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument("--readers", type=_POSITIVE, default=16,
                      help="concurrent read limit")
-    cmd.add_argument(
-        "--replicas", type=_COUNT, default=0,
-        help="replicate every committed record to N follower directories "
-        "under <target>/replicas/ (requires a durable directory)",
-    )
     cmd.add_argument(
         "--tcp", metavar="HOST:PORT", default=None,
         help="serve the framed TCP protocol on HOST:PORT instead of the "
@@ -204,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(run=_cmd_serve)
 
     for verb, entry in COMMANDS.items():
-        if verb in commands.choices:
-            continue  # an offline command of the same name shadows the verb
         cmd = commands.add_parser(verb, help=entry.doc)
         cmd.add_argument("target", type=Path, help=_TARGET)
         if line_fields(verb) is not None:
@@ -275,41 +237,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig
     from repro.service.shell import ServiceShell
 
-    db = _open(args.target)
     snapshot = not args.target.is_dir()
-    replication = None
-    if args.replicas:
-        from repro.replication import ReplicationCluster
-
-        if snapshot:
-            raise ReproError("serve --replicas requires a durable directory")
-        # The cluster owns the durable handle; reopen the directory as the
-        # primary node (node 0) with followers under <target>/replicas/.
-        db.close()
-        replication = ReplicationCluster(
-            args.target / "replicas", args.replicas, primary_dir=args.target
-        )
-        db = None
-
     config = ServiceConfig(
         read_limit=args.readers,
         default_timeout=args.timeout,
         max_result_rows=args.max_rows,
     )
-    service = DatabaseService(db, config=config, replication=replication)
-    del db  # the service owns it: the save below reads service.primary
+    # The service owns the database: the save below reads service.primary.
+    service = DatabaseService(_open(args.target), config=config)
     health = service.health()
-    replicas = (
-        f", {len(health['replication']['nodes']) - 1} replica(s) "
-        f"at term {health['replication']['term']}"
-        if "replication" in health
-        else ""
-    )
     print(
         f"serving {health['segments']} segment(s), "
         f"{health['elements']} element(s) "
-        f"[{'durable' if health['durable'] else 'snapshot'} mode]"
-        f"{replicas}; "
+        f"[{'durable' if health['durable'] else 'snapshot'} mode]; "
         "type 'help' for commands",
         file=sys.stderr,
     )
@@ -454,127 +394,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     print(
         f"fsck: {target}: ok ({detail}; {db.element_count} elements, "
         f"{db.document_length} chars)"
-    )
-    return 0
-
-
-def _replication_group(directory: Path) -> list[Path]:
-    """Node directories of the replication group ``directory`` belongs to.
-
-    Covers both on-disk layouts: a served durable dir with followers under
-    ``<dir>/replicas/node-*`` (the dir itself is node 0), and a bare
-    cluster root whose nodes are ``<dir>/node-*`` — plus the view from
-    inside one node directory (siblings, and the ``replicas/`` parent's
-    owner).  Only directories holding a replication manifest qualify.
-    """
-    from repro.replication import read_replication_manifest
-
-    candidates = [directory]
-    candidates += sorted(directory.glob("node-*"))
-    candidates += sorted((directory / "replicas").glob("node-*"))
-    candidates += sorted(directory.parent.glob("node-*"))
-    if directory.parent.name == "replicas":
-        candidates.append(directory.parent.parent)
-    group, seen = [], set()
-    for path in candidates:
-        key = path.resolve()
-        if key in seen or not path.is_dir():
-            continue
-        seen.add(key)
-        try:
-            manifest = read_replication_manifest(path)
-        except ReproError:
-            continue
-        if manifest is not None:
-            group.append(path)
-    return group
-
-
-def _node_replication_status(directory: Path) -> dict:
-    """One node's manifest plus its durable seqs, read without opening
-    (and thereby recovering) the database — safe on a live node."""
-    from repro.durability.checkpoint import CHECKPOINT_NAME, read_checkpoint_header
-    from repro.durability.recovery import JOURNAL_NAME
-    from repro.durability.wal import read_journal
-    from repro.replication import read_replication_manifest
-
-    manifest = read_replication_manifest(directory)
-    checkpoint_seq = 0
-    checkpoint = directory / CHECKPOINT_NAME
-    if checkpoint.exists():
-        try:
-            checkpoint_seq = read_checkpoint_header(checkpoint)["last_seq"]
-        except CheckpointError:
-            checkpoint_seq = -1  # unreadable checkpoint: flagged, not fatal
-    scan = read_journal(directory / JOURNAL_NAME)
-    last_seq = max(
-        checkpoint_seq, *(r["seq"] for r in scan.records), 0
-    ) if scan.records else max(checkpoint_seq, 0)
-    return {
-        "directory": str(directory),
-        "node": manifest["node"],
-        "term": manifest["term"],
-        "role": manifest["role"],
-        "checkpoint_seq": checkpoint_seq,
-        "last_seq": last_seq,
-        "journal_records": len(scan.records),
-        "torn_tail": scan.torn_tail,
-    }
-
-
-def _cmd_repl_status(args: argparse.Namespace) -> int:
-    directory = args.target
-    if not directory.is_dir():
-        raise OSError(f"{str(directory)!r} is not a directory")
-    group = _replication_group(directory)
-    if not group:
-        print(
-            f"error: no replication manifests under {directory} "
-            "(serve with --replicas N first)",
-            file=sys.stderr,
-        )
-        return 1
-    nodes = [_node_replication_status(path) for path in group]
-    nodes.sort(key=lambda entry: entry["node"])
-    top_seq = max(entry["last_seq"] for entry in nodes)
-    payload = {
-        "term": max(entry["term"] for entry in nodes),
-        "primary": [
-            entry["node"] for entry in nodes if entry["role"] == "primary"
-        ],
-        "lag": {
-            str(entry["node"]): top_seq - entry["last_seq"] for entry in nodes
-        },
-        "nodes": nodes,
-    }
-    print(json.dumps(payload, sort_keys=True))
-    return 0
-
-
-def _cmd_promote(args: argparse.Namespace) -> int:
-    from repro.replication import advance_term, read_replication_manifest
-
-    directory = args.target
-    if not directory.is_dir():
-        raise OSError(f"{str(directory)!r} is not a directory")
-    manifest = read_replication_manifest(directory)
-    if manifest is None:
-        raise ReproError(
-            f"{directory} has no replication manifest; promote targets a "
-            "replica node directory (e.g. <durable>/replicas/node-1)"
-        )
-    group = _replication_group(directory)
-    highest = max(
-        read_replication_manifest(path)["term"] for path in group
-    )
-    new_term = args.term if args.term is not None else highest + 1
-    advance_term(
-        directory, node=manifest["node"], new_term=new_term, role="primary"
-    )
-    print(
-        f"node {manifest['node']} promoted to primary at term {new_term} "
-        f"(was {manifest['role']} at term {manifest['term']}; "
-        f"group high term was {highest})"
     )
     return 0
 

@@ -8,8 +8,8 @@ the rename leaves the new file in place.  The final directory fsync makes
 the rename itself durable on filesystems that defer directory updates.
 
 It writes bytes: a checkpoint's header line and zlib body
-(:mod:`repro.durability.checkpoint`), a snapshot file's or a replication
-manifest's UTF-8 JSON (their callers encode).
+(:mod:`repro.durability.checkpoint`) or a snapshot file's UTF-8 JSON
+(its caller encodes).
 """
 
 from __future__ import annotations

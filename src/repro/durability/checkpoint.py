@@ -15,9 +15,7 @@ line, ``{"trusted": [sids], "unbalanced": [sids]}``, then the
 reopened database takes the marks back as the checkpointed one held them
 (``LazyXMLDatabase._trusted`` / ``_unbalanced``) and its first insert
 does not scan every document again; a plain snapshot file carries none
-and earns them back.  Only this module parses the file:
-:func:`read_checkpoint_header` gives ``last_seq`` without a decompress,
-and :func:`copy_checkpoint` installs one as bytes.
+and earns them back.  Only this module parses the file.
 
 Version 1, the JSON envelope ``{"format", "version": 1, "last_seq",
 "crc32", "payload": "<dumps string>"}`` (crc32 of the UTF-8 payload), is
@@ -53,8 +51,6 @@ __all__ = [
     "COMPRESS_LEVEL",
     "write_checkpoint",
     "read_checkpoint",
-    "read_checkpoint_header",
-    "copy_checkpoint",
 ]
 
 #: The checkpoint's file name in a durable directory (both versions).
@@ -107,20 +103,6 @@ def write_checkpoint(db: LazyXMLDatabase, path: str | Path, last_seq: int) -> No
         _H_SECONDS.observe(perf_counter() - started)
 
 
-def read_checkpoint_header(path: str | Path) -> dict:
-    """The checkpoint's header, checked: ``format``, ``version``,
-    ``last_seq`` and ``crc32``, read from its first line alone (a version
-    1 file is one line: its whole envelope).  Raises
-    :class:`CheckpointError` when the file cannot be read or the header
-    is malformed."""
-    try:
-        with open(path, "rb") as handle:
-            line = handle.readline()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return _header(path, line)
-
-
 def read_checkpoint(path: str | Path) -> tuple[LazyXMLDatabase, int]:
     """Load a checkpoint of either version, verifying structure and checksum.
 
@@ -166,18 +148,9 @@ def read_checkpoint(path: str | Path) -> tuple[LazyXMLDatabase, int]:
     return db, header["last_seq"]
 
 
-def copy_checkpoint(source: str | Path, target: str | Path) -> None:
-    """Atomically install a copy of checkpoint ``source`` at ``target``,
-    byte for byte (the reopen that follows verifies it)."""
-    try:
-        data = Path(source).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {source}: {exc}") from exc
-    atomic_write(target, data)
-
-
 def _header(path, line: bytes) -> dict:
-    """The checked header of ``line``, a checkpoint's first line."""
+    """The checked header of ``line``, a checkpoint's first line (a
+    version 1 file is one line: its whole envelope)."""
     try:
         header = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError as exc:

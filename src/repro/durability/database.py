@@ -68,7 +68,6 @@ class DurableDatabase:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._db, self.recovery_report = recover(self.directory)
         self._last_seq = self.recovery_report.last_seq
-        self._checkpoint_seq = self.recovery_report.checkpoint_seq
         journal_path = self.directory / JOURNAL_NAME
         journal_existed = journal_path.exists()
         # Physically trim a torn tail before appending past it: O_APPEND
@@ -127,33 +126,27 @@ class DurableDatabase:
         return self._last_seq
 
     @property
-    def checkpoint_seq(self) -> int:
-        """Sequence number folded into the current checkpoint (0 = none).
-
-        A replication follower uses this as a journal-generation marker:
-        every checkpoint truncates the journal, so when the primary's
-        ``checkpoint_seq`` changes, the follower's cached tail offset is
-        stale and must be reset to 0.
-        """
-        return self._checkpoint_seq
-
-    @property
     def journal_size(self) -> int:
         """Current journal length in bytes."""
         return self._journal.size()
 
     @property
     def journal_path(self) -> Path:
-        """Path of the journal file (for replication tail shipping)."""
+        """Path of the journal file."""
         return self.directory / JOURNAL_NAME
 
     @property
     def checkpoint_path(self) -> Path:
-        """Path of the current checkpoint file (for replica full resync)."""
+        """Path of the current checkpoint file."""
         return self.directory / CHECKPOINT_NAME
 
-    def _commit(self, op: dict, parsed=None):
-        """Validate → journal → apply ``op``, from ``parse_op(op)`` if given."""
+    def commit(self, op: dict, parsed=None):
+        """Validate → journal → apply one op record, from its parse
+        ``parsed`` (``parse_op(op)``) if given; returns the op's result.
+
+        The one write entry: the journaled verbs below and
+        :class:`~repro.service.server.DatabaseService` both commit here.
+        """
         if self._poisoned is not None:
             raise JournalError(
                 f"database is read-only after a journal failure "
@@ -176,46 +169,35 @@ class DurableDatabase:
     def checkpoint(self) -> None:
         """Fold the journal into an atomic snapshot, then truncate it."""
         write_checkpoint(self.db, self.checkpoint_path, self._last_seq)
-        self._checkpoint_seq = self._last_seq
         self._journal.truncate()
         hooks.fire("checkpoint.after_truncate")
 
     # ------------------------------------------------------------------
     # journaled structural operations
 
-    def commit(self, op: dict, parsed=None):
-        """Journal and apply one op record (the replication entry point),
-        from its parse ``parsed`` (``parse_op``) if given.
-
-        A follower re-commits each shipped record through this, so its own
-        journal mirrors the primary's with aligned sequence numbers; the op
-        passes the same validate → journal → apply protocol as a local call.
-        """
-        return self._commit(dict(op), parsed)
-
     def insert(self, fragment: str, position: int | None = None):
         """Journaled :meth:`LazyXMLDatabase.insert`."""
         if position is None:
             position = self.db.document_length
-        return self._commit(
+        return self.commit(
             {"op": "insert", "fragment": fragment, "position": position}
         )
 
     def remove(self, position: int, length: int):
         """Journaled :meth:`LazyXMLDatabase.remove`."""
-        return self._commit({"op": "remove", "position": position, "length": length})
+        return self.commit({"op": "remove", "position": position, "length": length})
 
     def remove_segment(self, sid: int):
         """Journaled :meth:`LazyXMLDatabase.remove_segment`."""
-        return self._commit({"op": "remove_segment", "sid": sid})
+        return self.commit({"op": "remove_segment", "sid": sid})
 
     def repack(self, sid: int):
         """Journaled :meth:`LazyXMLDatabase.repack`."""
-        return self._commit({"op": "repack", "sid": sid})
+        return self.commit({"op": "repack", "sid": sid})
 
     def compact(self):
         """Journaled :meth:`LazyXMLDatabase.compact`."""
-        return self._commit({"op": "compact"})
+        return self.commit({"op": "compact"})
 
     def apply_batch(self, ops: list[dict]) -> list:
         """Journal and apply several structural ops as **one** commit.
@@ -229,7 +211,7 @@ class DurableDatabase:
         skipped (``None`` in the returned result list), identically live
         and in replay.
         """
-        return self._commit(
+        return self.commit(
             {"op": "batch", "ops": [dict(sub) for sub in ops]}
         )
 

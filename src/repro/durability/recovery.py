@@ -59,6 +59,10 @@ JOURNAL_NAME = "journal.wal"
 #: several databases; :func:`recover` refuses such a directory.
 MANIFEST_NAME = "manifest.json"
 
+#: What an older version wrote in each node directory of a replicated
+#: group; :func:`recover` refuses such a directory too.
+REPLICA_MANIFEST_NAME = "replication.json"
+
 #: Operation kinds a journal record may carry as a single record.
 OP_KINDS = ("insert", "remove", "remove_segment", "repack", "compact")
 
@@ -291,13 +295,22 @@ def recover(directory: str | Path) -> tuple[LazyXMLDatabase, RecoveryReport]:
     checkpoint itself is corrupt — losing the base state is not a condition
     replay can paper over — on post-replay invariant violations, and on a
     directory an older version wrote as several databases (it holds
-    :data:`MANIFEST_NAME`), which this one neither reads nor overwrites.
+    :data:`MANIFEST_NAME`) or as one node of a group (it holds
+    :data:`REPLICA_MANIFEST_NAME`), which this one neither reads nor
+    overwrites.  A deposed primary's journal may hold acknowledged writes
+    no other node has; opened as one database it would keep them without
+    saying so.
     """
     directory = Path(directory)
     if (directory / MANIFEST_NAME).exists():
         raise RecoveryError(
             f"{directory} holds {MANIFEST_NAME}: it was written as a sharded "
             "directory, and this version serves one database"
+        )
+    if (directory / REPLICA_MANIFEST_NAME).exists():
+        raise RecoveryError(
+            f"{directory} holds {REPLICA_MANIFEST_NAME}: it was written as a "
+            "replication node, and this version serves one database"
         )
     report = RecoveryReport(directory=str(directory))
     checkpoint_path = directory / CHECKPOINT_NAME

@@ -40,7 +40,6 @@ __all__ = [
     "Journal",
     "JournalScan",
     "read_journal",
-    "tail_journal",
     "RECORD_HEADER",
 ]
 
@@ -60,16 +59,20 @@ class JournalScan(NamedTuple):
     torn_tail: bool  # True when bytes past ``valid_bytes`` were discarded
 
 
-def _scan_records(data: bytes, offset: int) -> JournalScan:
-    """Parse records from ``data`` starting at byte ``offset``.
+def read_journal(path: str | Path) -> JournalScan:
+    """Scan a journal file, returning valid records and torn-tail status.
 
-    ``offset`` must be a record boundary (0, or the ``valid_bytes`` of an
-    earlier scan of the same file); starting mid-record desynchronizes the
-    framing and the scan stops at the first CRC mismatch, reporting a torn
-    tail — which is also exactly what happens on genuinely torn data, so a
-    caller with a stale offset makes progress only after resetting to 0.
+    Never raises on torn or trailing-garbage data: a crash mid-append is an
+    expected state, and recovery's contract is to keep every record that
+    was fully acknowledged and drop the one that was not.  Scanning stops
+    at the first record whose framing, CRC or JSON does not check.
     """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return JournalScan([], 0, False)
     records: list[dict] = []
+    offset = 0
     while offset + RECORD_HEADER.size <= len(data):
         length, crc = RECORD_HEADER.unpack_from(data, offset)
         start = offset + RECORD_HEADER.size
@@ -88,50 +91,6 @@ def _scan_records(data: bytes, offset: int) -> JournalScan:
         records.append(record)
         offset = end
     return JournalScan(records, offset, offset < len(data))
-
-
-def read_journal(path: str | Path) -> JournalScan:
-    """Scan a journal file, returning valid records and torn-tail status.
-
-    Never raises on torn or trailing-garbage data: a crash mid-append is an
-    expected state, and recovery's contract is to keep every record that
-    was fully acknowledged and drop the one that was not.
-    """
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        return JournalScan([], 0, False)
-    return _scan_records(data, 0)
-
-
-def tail_journal(path: str | Path, from_offset: int = 0) -> JournalScan:
-    """Incrementally scan a journal from a previously returned offset.
-
-    Returns only the records that start at or after ``from_offset`` — a
-    poller (a replication follower) does O(new records) work per call instead of re-parsing the whole file, by
-    feeding each scan's ``valid_bytes`` back as the next ``from_offset``.
-
-    ``from_offset`` must be a record boundary of the *same* journal
-    generation.  Two staleness signatures are handled without raising:
-
-    - the file shrank below ``from_offset`` (the journal was truncated by
-      a checkpoint): the scan restarts from byte 0, returning the whole
-      current journal;
-    - the file was truncated and regrew past ``from_offset`` (the offset
-      now points mid-record): the framing fails CRC immediately and the
-      scan reports zero records with a torn tail — callers that track the
-      writer's checkpoint seq reset their offset to 0 on a checkpoint
-      instead of ever hitting this.
-    """
-    if from_offset < 0:
-        raise ValueError(f"from_offset must be >= 0, got {from_offset}")
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        return JournalScan([], 0, False)
-    if from_offset > len(data):
-        return _scan_records(data, 0)
-    return _scan_records(data, from_offset)
 
 
 class Journal:

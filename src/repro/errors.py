@@ -32,11 +32,6 @@ __all__ = [
     "ServiceClosed",
     "ShardError",
     "WorkerLost",
-    "ReplicationError",
-    "FencedError",
-    "ChannelCut",
-    "ReplicaDiverged",
-    "LaggingReplica",
     "Draining",
     "NetError",
     "ProtocolError",
@@ -193,7 +188,7 @@ class ResourceExhausted(QueryCancelled):
 class Busy(ServiceError):
     """Transient admission-control rejection: the request class is at its
     concurrency/queue limit.  Safe to retry after backing off
-    (see :func:`repro.service.admission.retry_with_backoff`)."""
+    (see :func:`repro.service.retry.retry_with_backoff`)."""
 
 
 class ServiceClosed(ServiceError):
@@ -210,41 +205,6 @@ class WorkerLost(ShardError):
     query is in flight.  The query fails fast with this typed error; the
     executor marks the worker dead and later queries run degraded
     (in-process on the coordinator's authoritative shard) until respawn."""
-
-
-class ReplicationError(ServiceError):
-    """Base class for errors raised by the replication subsystem
-    (:mod:`repro.replication`)."""
-
-
-class FencedError(ReplicationError):
-    """Raised when a primary's append carries a stale term: another node
-    was promoted with a higher fencing term, so the write must be refused.
-
-    A primary that receives this error transitions to the *fenced* state
-    and refuses all further appends with the same error, before touching
-    its journal — the acknowledged-but-unreplicated writes it already holds
-    are reported when it rejoins as a follower (:class:`~repro.replication
-    .cluster.RejoinReport`)."""
-
-
-class ChannelCut(ReplicationError):
-    """Raised when a replication channel is cut (simulated partition or a
-    closed peer); the record was not delivered.  The primary keeps the
-    record durable in its own journal and the follower catches up from the
-    journal tail on reconnect."""
-
-
-class ReplicaDiverged(ReplicationError):
-    """Raised when a follower's committed history conflicts with the
-    current primary's at a matching sequence number and the divergence
-    cannot be resolved by a reported rejoin (e.g. mid-history tampering)."""
-
-
-class LaggingReplica(ReplicationError):
-    """Raised when a read demands a minimum replicated sequence number a
-    follower has not applied yet and cannot catch up to (primary
-    unreachable).  Safe to retry after the follower reconnects."""
 
 
 class Draining(ServiceError):

@@ -672,7 +672,7 @@ class TcpServer:
         None.  A request alone in flight runs there when its verb can stop
         before it changes anything and waits on no I/O: a read (it pins an
         in-process buffer), a write on a service whose writes stay in
-        memory (no fsync, no replication), and the memory-only status
+        memory (no fsync), and the memory-only status
         verbs."""
         kind = _kind(cmd)
         if self._inflight != 1 or kind is None:

@@ -11,8 +11,8 @@ makes that trade safe to operate under concurrent load:
 - :mod:`repro.service.admission` — bounded per-class admission control
   that sheds over-limit requests with a transient :class:`~repro.errors
   .Busy`;
-- :mod:`repro.service.retry` — the shared capped-jittered backoff policy
-  used by admission callers and the replication heartbeat;
+- :mod:`repro.service.retry` — capped, jittered backoff for a caller
+  that retries a shed request;
 - :mod:`repro.service.server` — :class:`DatabaseService`, the facade tying
   it all together (wired to ``python -m repro serve``).
 """

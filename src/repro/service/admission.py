@@ -11,9 +11,7 @@ admitted counts are in :meth:`AdmissionController.metrics`.
 
 Callers that can wait should wrap their attempt in
 :func:`~repro.service.retry.retry_with_backoff` (re-exported here), which
-retries ``Busy`` with capped exponential backoff and full jitter — the
-shared policy in :mod:`repro.service.retry`, also used by the replication
-heartbeat and the network client.
+retries ``Busy`` with capped exponential backoff and full jitter.
 """
 
 from __future__ import annotations

@@ -276,18 +276,6 @@ def _unpin(service, session, args, ctx):
     return {"unpinned": had}
 
 
-def _repl_status(service, session, args, ctx):
-    status = service.replication_status()
-    if status is None:
-        return {"replication": "disabled (serve with --replicas N)"}
-    return status
-
-
-def _promote(service, session, args, ctx):
-    node = service.promote(args["node"])
-    return {"node": node.node_id, "term": node.term}
-
-
 # ----------------------------------------------------------------------
 # the table
 
@@ -357,12 +345,6 @@ COMMANDS: dict[str, Verb] = {
         doc="health plus the metric catalogue"),
     "pin": Verb(_pin, doc="pin the current epoch: repeatable reads"),
     "unpin": Verb(_unpin, doc="release the session's pin"),
-    "repl-status": Verb(
-        _repl_status, doc="replication term/lag/role per node"),
-    "promote": Verb(
-        _promote, (Field("node", "int"),), "maintenance",
-        "node {node} promoted to primary at term {term}",
-        "fail over to a follower (fenced term)"),
 }
 
 

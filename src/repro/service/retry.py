@@ -1,12 +1,13 @@
-"""Shared retry-with-backoff policy for every transient-failure site.
+"""Retry with backoff, for a caller that can wait out a transient
+rejection.
 
-Two subsystems retry transient rejections: admission control retries
-:class:`~repro.errors.Busy` on behalf of impatient callers, and the
-replication heartbeat retries :class:`~repro.errors.ChannelCut` through
-partitions.  They share one policy — capped exponential backoff with
-**full jitter** (the AWS-style scheme: sleeping a uniform random fraction
-of the cap de-correlates retry storms) — and one set of metrics, so a
-storm anywhere shows up in the same ``service.retry.*`` instruments.
+A request the service sheds (:class:`~repro.errors.Busy` from admission
+control, :class:`~repro.errors.Overloaded` from the TCP front end) is safe
+to send again later.  :func:`retry_with_backoff` does that with capped
+exponential backoff and **full jitter** (the AWS-style scheme: sleeping a
+uniform random fraction of the cap de-correlates retry storms), and counts
+every retry in the ``service.retry.*`` instruments, so a storm shows up in
+``stats`` instead of only as latency.
 
 Both the sleep function and the policy's RNG are injectable, so tests
 drive retries deterministically and instantaneously.

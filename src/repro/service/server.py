@@ -80,11 +80,10 @@ class DatabaseService:
         :class:`~repro.core.database.LazyXMLDatabase` or a
         :class:`~repro.durability.database.DurableDatabase` (in which case
         every write, ``repack`` and ``compact`` included, goes through the
-        journaled commit protocol); ``None`` with ``replication``, whose
-        primary node serves.  A plain or
-        durable database becomes the epoch store's first writer buffer:
-        from the first write on, read the state from :attr:`primary`,
-        not from the object passed in, which may be a write behind.
+        journaled commit protocol).  It becomes the epoch store's first
+        writer buffer: from the first write on, read the state from
+        :attr:`primary`, not from the object passed in, which may be a
+        write behind.
     config:
         :class:`ServiceConfig`; defaults are sized for tests/examples.
     clock:
@@ -97,28 +96,20 @@ class DatabaseService:
         *,
         config: ServiceConfig | None = None,
         clock=time.monotonic,
-        replication=None,
     ):
         self.config = config or ServiceConfig()
-        self._replication = replication
         self._primary = primary
-        # The service's own epoch store; a replication cluster's reads pin
-        # its primary node's store instead.
-        self._epochs: EpochManager | None = None
-        if replication is not None:
-            self._durable = True
+        self._durable = isinstance(primary, DurableDatabase)
+        self._epochs = EpochManager(
+            getattr(primary, "db", primary),
+            drain_timeout=self.config.drain_timeout,
+        )
+        if self._durable:
+            primary.attach_epochs(self._epochs)
         else:
-            self._durable = isinstance(primary, DurableDatabase)
-            self._epochs = EpochManager(
-                getattr(primary, "db", primary),
-                drain_timeout=self.config.drain_timeout,
-            )
-            if self._durable:
-                primary.attach_epochs(self._epochs)
-            else:
-                # The store owns a plain primary now: it is one of the two
-                # buffers, and a closed store lets the published one go.
-                self._primary = None
+            # The store owns a plain primary now: it is one of the two
+            # buffers, and a closed store lets the published one go.
+            self._primary = None
         self._clock = clock
         self._admission = AdmissionController(
             {
@@ -160,11 +151,8 @@ class DatabaseService:
     @property
     def primary(self):
         """The authoritative store, up to date: a plain primary's writer
-        buffer (caught up first), the durable handle whose ``db`` is that
-        buffer, or the replication cluster's primary node's durable
-        handle."""
-        if self._replication is not None:
-            return self._replication.primary.durable
+        buffer (caught up first), or the durable handle whose ``db`` is
+        that buffer."""
         if self._durable:
             return self._primary
         with self._writer_lock:
@@ -176,24 +164,16 @@ class DatabaseService:
         primary = self.primary
         return primary.db if self._durable else primary
 
-    @property
-    def _store(self) -> EpochManager:
-        """The epoch store reads pin: the primary node's with a
-        replication cluster, else the service's own."""
-        if self._replication is not None:
-            return self._replication.primary.epochs
-        return self._epochs
-
     def snapshot(self) -> Snapshot:
         """Pin the current epoch directly (no admission, no deadline) —
         for diagnostics and invariant checks; release it promptly."""
         self._ensure_open()
-        return self._store.pin()
+        return self._epochs.pin()
 
     @property
     def writes_in_memory(self) -> bool:
         """True when a write waits on no I/O: a plain in-memory primary
-        (no journal fsync; a replication cluster's primary is durable)."""
+        (no journal fsync)."""
         return not self._durable
 
     # ------------------------------------------------------------------
@@ -310,8 +290,7 @@ class DatabaseService:
                 # that grows with the payload, and before any change.
                 context.check_budget()
             result = self._apply_primary(op, parsed, base)
-            if self._epochs is not None:
-                self._epochs.publish([op], [parsed])
+            self._epochs.publish([op], [parsed])
             self._counters["writes"] += 1
         return result
 
@@ -321,9 +300,8 @@ class DatabaseService:
 
         For a front end's idle time: it takes the writer lock only if it
         is free and waits for nothing, and returns whether it replayed.
-        A replicated service has no store of its own and never settles.
         """
-        if self._epochs is None or self._draining:
+        if self._draining:
             return False
         if not self._writer_lock.acquire(blocking=False):
             return False
@@ -369,51 +347,12 @@ class DatabaseService:
         durable primary commits it (fsync before apply, so repacks and
         compactions journal like user writes; a batch is *one* record, one
         fsync).
-
-        With a replication cluster attached, the write goes through the
-        cluster instead: commit on the primary node, ship the record to
-        every follower, fence on a stale term
-        (:class:`~repro.errors.FencedError` propagates to the caller).
         """
-        if self._replication is not None:
-            return self._replication.commit_from(
-                self._replication.primary_id, dict(op), parsed
-            )
         if self._durable:
             if op["op"] == "insert":  # the record DurableDatabase.insert journals
                 op = {key: op[key] for key in ("op", "fragment", "position")}
-            return self._primary._commit(op, parsed)
+            return self._primary.commit(op, parsed)
         return apply_op(base, op, parsed)
-
-    # ------------------------------------------------------------------
-    # replication / failover
-
-    @property
-    def replication(self):
-        """The attached :class:`~repro.replication.cluster
-        .ReplicationCluster` (None when standalone)."""
-        return self._replication
-
-    def promote(self, node_id: int):
-        """Fail over to ``node_id`` and rewire the service's authority.
-
-        The cluster persists the new fenced term before the node accepts
-        a write; from then on reads pin the new primary node's epoch store
-        and writes commit through it.
-        """
-        from repro.errors import ReplicationError
-
-        if self._replication is None:
-            raise ReplicationError("service has no replication cluster")
-        with self._writer_lock:
-            return self._replication.promote(node_id)
-
-    def replication_status(self) -> dict | None:
-        """The cluster's :meth:`~repro.replication.cluster
-        .ReplicationCluster.status` (None when standalone)."""
-        if self._replication is None:
-            return None
-        return self._replication.status()
 
     # ------------------------------------------------------------------
     # operator maintenance
@@ -446,8 +385,8 @@ class DatabaseService:
                 "log_bytes": db.stats().total_bytes,
             }
         # After the pin above is released: it is not a reader's.
-        epochs = self._store.metrics()
-        payload = {
+        epochs = self._epochs.metrics()
+        return {
             "status": status,
             "durable": self._durable,
             **counts,
@@ -458,9 +397,6 @@ class DatabaseService:
             "readpath": epochs.get("readpath"),
             "counters": dict(self._counters),
         }
-        if self._replication is not None:
-            payload["replication"] = self._replication.status()
-        return payload
 
     @contextlib.contextmanager
     def _latest(self):
@@ -468,7 +404,7 @@ class DatabaseService:
         under a pin, which no write mutates.  Once the store is closed no
         write runs, and the writer buffer, caught up, serves."""
         try:
-            snap = self._store.pin()
+            snap = self._epochs.pin()
         except ServiceClosed:
             with self._writer_lock:
                 yield self._base
@@ -520,12 +456,9 @@ class DatabaseService:
             return
         self._closed = True
         self._admission.close()
-        if self._epochs is not None:
-            with self._writer_lock:  # no write is between commit and publish
-                self._epochs.close()
-        if self._replication is not None:
-            self._replication.close()
-        elif self._durable:
+        with self._writer_lock:  # no write is between commit and publish
+            self._epochs.close()
+        if self._durable:
             self._primary.close()
 
     def __enter__(self) -> "DatabaseService":

@@ -173,13 +173,6 @@ class EpochManager:
     # ------------------------------------------------------------------
     # writer side (single writer assumed; the service serializes writes)
 
-    @property
-    def current_epoch(self) -> int:
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("epoch manager is closed")
-            return self._published.epoch
-
     def writer(self) -> LazyXMLDatabase:
         """The writer buffer, brought up to date: the authoritative
         database, to commit to and then :meth:`publish`.

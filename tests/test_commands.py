@@ -132,9 +132,9 @@ def bad_requests():
 
 #: Places in the matrix once held by the cases of fields the verb table
 #: no longer has (``twig``'s ``strategy`` at 10-11, ``join``'s
-#: ``algorithm`` at 22-23).  They stay taken, so a case id names the same
-#: case it always did.
-RETIRED_SLOTS = frozenset({10, 11, 22, 23})
+#: ``algorithm`` at 22-23, ``promote``'s ``node`` at 48-50).  They stay
+#: taken, so a case id names the same case it always did.
+RETIRED_SLOTS = frozenset({10, 11, 22, 23, 48, 49, 50})
 
 
 def case_ids():
@@ -277,8 +277,6 @@ def samples(top_sid: int, tail_sid: int):
         ("compact", {"cmd": "compact"}),
         ("health", {"cmd": "health"}),
         ("stats", {"cmd": "stats"}),
-        ("repl-status", {"cmd": "repl-status"}),
-        ("promote 1", {"cmd": "promote", "node": 1}),
         ("join a", {"cmd": "join", "ancestor": "a"}),  # a field error
     ]
 

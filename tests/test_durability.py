@@ -15,11 +15,7 @@ import pytest
 from repro.__main__ import main
 from repro.core.database import LazyXMLDatabase
 from repro.durability import hooks
-from repro.durability.checkpoint import (
-    read_checkpoint,
-    read_checkpoint_header,
-    write_checkpoint,
-)
+from repro.durability.checkpoint import read_checkpoint, write_checkpoint
 from repro.durability.database import DurableDatabase
 from repro.durability.recovery import CHECKPOINT_NAME, JOURNAL_NAME, recover
 from repro.durability.wal import RECORD_HEADER, Journal, read_journal
@@ -161,16 +157,15 @@ class TestCheckpoint:
         }
         assert snapshot == dumps(db)
         assert path.stat().st_size < len(snapshot) / 2
-        assert read_checkpoint_header(path) == header
 
     def test_header_reader_reads_both_versions(self, tmp_path):
         path = tmp_path / "ckpt.json"
         self.write_v1(path, last_seq=5)
-        assert read_checkpoint_header(path)["last_seq"] == 5
+        assert read_checkpoint(path)[1] == 5
         write_checkpoint(self.make_db(), path, last_seq=6)
-        assert read_checkpoint_header(path)["last_seq"] == 6
+        assert read_checkpoint(path)[1] == 6
         with pytest.raises(CheckpointError):
-            read_checkpoint_header(tmp_path / "absent.json")
+            read_checkpoint(tmp_path / "absent.json")
 
     def test_v1_roundtrip(self, tmp_path):
         db = self.make_db()
@@ -254,8 +249,6 @@ class TestCheckpoint:
         path.write_bytes(mutate(json.loads(line)).encode() + b"\n" + stream)
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
-        with pytest.raises(CheckpointError):
-            read_checkpoint_header(path)
 
     def test_v2_flipped_body_byte(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -471,28 +464,6 @@ class TestCheckpointEncodesWhatWasWritten:
             assert dumps(reopened.db) == reference_dumps(reopened.db)
 
 
-class TestReplicationStatusReadsTheHeader:
-    def test_checkpoint_seq_from_the_header(self, tmp_path, capsys):
-        """``repl-status`` reads a node's ``last_seq`` off its checkpoint
-        header; a header it cannot read reads -1, and the rest stands."""
-        from repro.replication import ReplicationCluster
-
-        cluster = ReplicationCluster(tmp_path / "cluster", 1)
-        cluster.insert("<a/>")
-        cluster.insert("<b/>")
-        cluster.checkpoint()
-        cluster.insert("<c/>")
-        cluster.close()
-        assert main(["repl-status", str(tmp_path / "cluster")]) == 0
-        nodes = json.loads(capsys.readouterr().out)["nodes"]
-        assert (nodes[0]["checkpoint_seq"], nodes[0]["last_seq"]) == (2, 3)
-        ckpt = tmp_path / "cluster" / "node-0" / CHECKPOINT_NAME
-        ckpt.write_bytes(b"not a header\n" + ckpt.read_bytes())
-        assert main(["repl-status", str(tmp_path / "cluster")]) == 0
-        nodes = json.loads(capsys.readouterr().out)["nodes"]
-        assert (nodes[0]["checkpoint_seq"], nodes[0]["last_seq"]) == (-1, 3)
-
-
 class TestVersionOneDirectory:
     """A durable directory written before version 2 (a checkpoint envelope
     plus a journal tail, committed under tests/fixtures) recovers to the
@@ -517,7 +488,7 @@ class TestVersionOneDirectory:
             assert got == spans, expression
 
     def test_fixture_is_version_one(self):
-        header = read_checkpoint_header(self.FIXTURE / CHECKPOINT_NAME)
+        header = json.loads((self.FIXTURE / CHECKPOINT_NAME).read_text())
         assert header["version"] == 1 and "payload" in header
 
     def test_recovers_unchanged(self, expected):
@@ -533,7 +504,7 @@ class TestVersionOneDirectory:
         shutil.copytree(self.FIXTURE, directory)
         with DurableDatabase(directory) as dd:
             dd.checkpoint()
-        header = read_checkpoint_header(directory / CHECKPOINT_NAME)
+        header, _ = v2_parts(directory / CHECKPOINT_NAME)
         assert (header["version"], header["last_seq"]) == (2, expected["last_seq"])
         with DurableDatabase(directory) as dd2:
             assert dd2.last_seq == expected["last_seq"]
@@ -877,6 +848,47 @@ class TestDurableCLI:
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1
         assert "manifest.json" in done.stderr
+        assert "serves one database" in done.stderr
+        assert listing() == before
+
+    def test_replica_directory_is_refused_untouched(self, tmp_path):
+        """A node directory an older ``serve --replicas N`` wrote holds
+        ``replication.json`` beside its checkpoint and journal.  A deposed
+        primary's journal may hold acknowledged writes no follower got, so
+        the directory is refused before anything is created or trimmed
+        there: never opened as a standalone database."""
+        state = tmp_path / "state"
+        with DurableDatabase(state) as dd:
+            dd.insert("<a><b/></a>")
+            dd.checkpoint()
+            dd.insert("<c/>")
+        (state / "replication.json").write_text(
+            json.dumps({"node": 0, "term": 2, "role": "primary",
+                        "replicated_seq": 1})
+        )
+
+        def listing():
+            return sorted(
+                (str(p.relative_to(state)), p.stat().st_size)
+                for p in state.rglob("*")
+            )
+
+        before = listing()
+        with pytest.raises(RecoveryError, match="replication.json"):
+            DurableDatabase(state)
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "stats", str(state)],
+            cwd=root,
+            env={"PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        assert "replication.json" in done.stderr
         assert "serves one database" in done.stderr
         assert listing() == before
 

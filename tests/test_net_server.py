@@ -760,17 +760,12 @@ class TestWhereARequestRuns:
             config=ServiceConfig(drain_timeout=10.0)
         ))
 
-    @pytest.mark.parametrize("kind", ["durable", "replicated"])
+    @pytest.mark.parametrize("kind", ["durable"])
     def test_io_bound_writes_never_start_on_the_loop(self, tmp_path, kind):
         from repro.durability.database import DurableDatabase
-        from repro.replication import ReplicationCluster
         from repro.service.server import DatabaseService
 
-        if kind == "durable":
-            service = DatabaseService(DurableDatabase(tmp_path / "d"))
-        else:
-            cluster = ReplicationCluster(tmp_path / "c", 1)
-            service = DatabaseService(None, replication=cluster)
+        service = DatabaseService(DurableDatabase(tmp_path / "d"))
         assert not service.writes_in_memory
 
         async def scenario(service, server, port):

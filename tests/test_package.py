@@ -125,12 +125,6 @@ READ_ONLY_BY_TESTS = {
         "oracle: Def. 1 containment the chopper tests check nesting with",
     "labeling.prime.PrimeLabeling.is_ancestor":
         "oracle: the divisibility test that shows PRIME labels are right",
-    "replication.cluster.ReplicationCluster.restart":
-        "fault verb: the crash-restart drills bring a killed node back",
-    "replication.cluster.ReplicationCluster.heal":
-        "fault verb: the partition drills end a partition",
-    "replication.cluster.ReplicationCluster.heartbeat_all":
-        "recovery verb: the drills drive one heartbeat round",
     "shard.executor.ProcessExecutor.respawn":
         "recovery verb: the killed-worker drill restarts a worker",
     "durability.hooks.set_failpoint":
@@ -143,18 +137,14 @@ READ_ONLY_BY_TESTS = {
         "reset hook: drills drop the scatter cache to reach a dead worker",
     "obs.metrics.MetricsRegistry.reset":
         "reset hook: metric tests start from zeroed instruments",
+    "service.retry.retry_with_backoff":
+        "client helper: a caller that can wait retries a shed request with it",
     "service.context.QueryContext.ticks":
         "introspection: the budget tests count checkpoints",
     "btree.bptree.BPlusTree.node_count":
         "introspection: the B+-tree tests check splits and bulk loads",
     "labeling.interval.IntervalLabelingIndex.all_records":
         "introspection: the relabeling tests read every label",
-    "replication.channel.InProcessChannel.is_cut":
-        "introspection: the partition tests check a channel is cut",
-    "replication.node.ReplicaNode.seq_at":
-        "introspection: the drills check which seq an epoch holds",
-    "replication.node.RejoinReport.reported_seqs":
-        "introspection: the rejoin drills check the unreplicated seqs",
     "workloads.generator.generate_fragment":
         "test input generator: random well-formed fragments",
 }
@@ -295,18 +285,16 @@ def test_every_metric_has_a_reader():
 SET_ONLY_BY_TESTS = {
     "service.server.DatabaseService(clock)":
         "test-fake seam: deadline tests drive a fake clock",
-    "replication.cluster.ReplicationCluster(sleep)":
-        "test-fake seam: heartbeat drills record the backoff instead of sleeping",
-    "replication.cluster.ReplicationCluster(heartbeat_policy)":
-        "test-fake seam: reconnect drills shrink the backoff policy",
-    "replication.cluster.ReplicationCluster.partition(after)":
-        "drill verb argument: a partition that cuts after n records",
-    "replication.node.ReplicaNode.pin(min_seq)":
-        "drill verb argument: a follower read that must reach a seq",
+    "service.retry.retry_with_backoff(sleep)":
+        "test-fake seam: retry tests record the backoff instead of sleeping",
+    "service.retry.retry_with_backoff(policy)":
+        "caller's choice: how many retries and how long to back off",
+    "service.retry.retry_with_backoff(retry_on)":
+        "caller's choice: which shed error (Busy, Overloaded) is transient",
 }
 
 #: The serving stack the keyword guard walks: packages above the core.
-_SERVING_STACK = ("durability", "shard", "replication", "service", "net")
+_SERVING_STACK = ("durability", "shard", "service", "net")
 
 
 def test_serving_stack_never_loads_shard(tmp_path):
@@ -462,7 +450,7 @@ def _keyword_walk(root: Path):
 
 def test_every_keyword_has_a_setter():
     """Every defaulted parameter of a ``def`` in the serving stack
-    (``durability``, ``shard``, ``replication``, ``service``, ``net``) and
+    (``durability``, ``shard``, ``service``, ``net``) and
     ``__main__.py`` is set by some call under ``src/``, ``benchmarks/`` or
     ``examples/`` — or is in :data:`SET_ONLY_BY_TESTS` with its reason.
 
@@ -511,8 +499,8 @@ def test_front_ends_own_no_verb():
     """The shell and the CLI are codecs over the verb table.  The shell
     defines no ``_cmd_*`` and imports nothing from ``repro.net``; ``help``
     is the table, so every verb (a new one included) appears in it.  Every
-    verb but the offline ``repl-status``/``promote`` is a CLI subcommand
-    the table built, and ``__main__`` defines no handler named after one."""
+    verb is a CLI subcommand the table built, and ``__main__`` defines no
+    handler named after one."""
     from repro import __main__ as cli
     from repro.service import DatabaseService, commands, shell
 
@@ -526,7 +514,7 @@ def test_front_ends_own_no_verb():
     rows = commands.reference().splitlines()
     assert [row.split()[0] for row in rows] == list(commands.COMMANDS)
 
-    table_verbs = set(commands.COMMANDS) - {"repl-status", "promote"}
+    table_verbs = set(commands.COMMANDS)
     subcommands = next(
         action.choices for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)

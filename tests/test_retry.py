@@ -1,9 +1,7 @@
-"""Tests for the shared retry/backoff policy (``repro.service.retry``).
+"""Tests for the retry/backoff policy (``repro.service.retry``).
 
-One policy engine serves both retry sites (admission ``Busy``,
-replication ``ChannelCut``), so its contract is tested once, here:
-deterministic delays under an injected RNG, exact retry counts and
-typed-exception selectivity.
+Its contract: deterministic delays under an injected RNG, exact retry
+counts and typed-exception selectivity.
 """
 
 from __future__ import annotations
@@ -12,7 +10,8 @@ import random
 
 import pytest
 
-from repro.errors import Busy, ChannelCut, Overloaded, QueryError
+from repro.errors import Busy, ConnectionLost, Overloaded, QueryError
+from repro.obs.metrics import METRICS
 from repro.service.retry import BackoffPolicy, retry_with_backoff
 
 
@@ -109,12 +108,12 @@ class TestRetrySync:
 
         def cut():
             calls.append(1)
-            raise ChannelCut("partitioned")
+            raise ConnectionLost("reset by peer")
 
-        with pytest.raises(ChannelCut):
+        with pytest.raises(ConnectionLost):
             retry_with_backoff(
                 cut, policy=make_policy(retries=2),
-                retry_on=(ChannelCut,), sleep=lambda _: None,
+                retry_on=(ConnectionLost,), sleep=lambda _: None,
             )
         assert len(calls) == 3
 
@@ -147,7 +146,39 @@ class TestSharedImportSites:
         assert A_Policy is BackoffPolicy
         assert a_retry is retry_with_backoff
 
-    def test_replication_uses_shared_policy(self):
-        import repro.replication.node as node
 
-        assert node.BackoffPolicy is BackoffPolicy
+class TestRetryMetrics:
+    def test_attempts_and_sleep_histogram(self, monkeypatch):
+        monkeypatch.setattr(METRICS, "enabled", True)
+        attempts = METRICS.get("service.retry.attempts")
+        sleeps = METRICS.get("service.retry.sleep_seconds")
+        before_attempts = attempts.value
+        before_sleeps = sleeps.count
+        calls = {"n": 0}
+
+        def flaky():
+            calls["n"] += 1
+            if calls["n"] < 3:
+                raise Busy("transient")
+            return "ok"
+
+        result = retry_with_backoff(
+            flaky, policy=BackoffPolicy(retries=5), sleep=lambda d: None
+        )
+        assert result == "ok"
+        assert attempts.value - before_attempts == 2
+        assert sleeps.count - before_sleeps == 2
+
+    def test_giveups_counted_on_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(METRICS, "enabled", True)
+        giveups = METRICS.get("service.retry.giveups")
+        before = giveups.value
+
+        def always_shed():
+            raise Busy("down")
+
+        with pytest.raises(Busy):
+            retry_with_backoff(
+                always_shed, policy=BackoffPolicy(retries=2), sleep=lambda d: None
+            )
+        assert giveups.value - before == 1

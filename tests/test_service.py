@@ -223,14 +223,6 @@ class TestSettle:
         assert svc.health()["epochs"]["pending_ops"] == 0
         svc.close()
 
-    def test_replicated_service_never_settles(self, tmp_path):
-        from repro.replication import ReplicationCluster
-
-        cluster = ReplicationCluster(tmp_path / "cluster", 1)
-        with DatabaseService(None, replication=cluster) as svc:
-            svc.insert("<a/>")
-            assert svc.settle() is False
-
 
 # ----------------------------------------------------------------------
 # admission & backoff

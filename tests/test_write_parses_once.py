@@ -3,8 +3,8 @@
 
 The lazy insert of the paper costs one parse of the new segment plus local
 labels (Section 3.3).  Every write path that wraps the core — the journal's
-validate → journal → apply, recovery, batches, replication, and the
-service's epoch buffers — hands the parse that checked a fragment on to
+validate → journal → apply, recovery, batches, and the service's
+epoch buffers — hands the parse that checked a fragment on to
 every database that applies it.  Counted by wrapping
 :func:`repro.xml.parser.parse`; the journal's verdict travels with it,
 counted by wrapping ``check_insert`` / ``check_removal`` /
@@ -55,14 +55,8 @@ def _count(calls, write) -> int:
     return len(calls) - before
 
 
-def _served(kind, tmp_path, followers=1) -> DatabaseService:
+def _served(kind, tmp_path) -> DatabaseService:
     """A service over a ``kind`` primary holding DOC."""
-    if kind == "replicated":
-        from repro.replication import ReplicationCluster
-
-        cluster = ReplicationCluster(tmp_path / "cluster", followers)
-        cluster.insert(DOC)
-        return DatabaseService(None, replication=cluster)
     primary = DurableDatabase(tmp_path) if kind == "durable" else LazyXMLDatabase()
     primary.insert(DOC)
     return DatabaseService(primary)
@@ -91,11 +85,9 @@ def test_durable_writes_and_recovery_parse_once(parses, tmp_path):
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
+@pytest.mark.parametrize("kind", ["plain", "durable"])
 def test_served_writes_parse_once(parses, tmp_path, kind):
-    # A cluster with no follower: a follower parses the records it is
-    # shipped, as recovery does.
-    with _served(kind, tmp_path, followers=0) as svc:
+    with _served(kind, tmp_path) as svc:
         # Steady state: both epoch buffers have replayed a write already.
         svc.remove_segment(svc.insert(FRAGMENT).sid)
         receipt = []
@@ -213,11 +205,11 @@ def applies(monkeypatch):
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
+@pytest.mark.parametrize("kind", ["plain", "durable"])
 def test_served_writes_apply_twice(applies, tmp_path, kind):
     """Steady state, each write applies 2 ops to the primary's database:
     its own commit and the previous write's catch-up.  (Before the writer
-    buffer was the primary: 3, 3 and 5.)  A follower costs 2 as well."""
+    buffer was the primary: 3, 3 and 5.)"""
     with _served(kind, tmp_path) as svc:
         svc.insert(FRAGMENT)  # the writer buffer owes a write from now on
         receipt = []
@@ -235,9 +227,7 @@ def test_served_writes_apply_twice(applies, tmp_path, kind):
         with svc.snapshot() as snap:
             primary = {id(svc._base), id(snap.db)}  # its two buffers
         for dbs in counts:
-            mine = sum(id(db) in primary for db in dbs)
-            assert mine == 2, kind
-            assert len(dbs) - mine == (2 if kind == "replicated" else 0)
+            assert len(dbs) == 2 and {id(db) for db in dbs} <= primary, kind
 
 
 @pytest.mark.perf_smoke
@@ -299,7 +289,7 @@ def test_served_writes_apply_twice_over_tcp(applies, tmp_path, monkeypatch, kind
 
 
 @pytest.mark.perf_smoke
-@pytest.mark.parametrize("kind", ["plain", "durable", "replicated"])
+@pytest.mark.parametrize("kind", ["plain", "durable"])
 def test_epoch_store_clones_once(tmp_path, kind):
     with _served(kind, tmp_path) as svc:
         for i in range(25):
