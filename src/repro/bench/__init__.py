@@ -7,7 +7,7 @@ runs it (``[id ...] [--quick] [--check]``) and the source of every number
 in EXPERIMENTS.md.
 """
 
-from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
+from repro.bench.builders import build_uniform_segments, insert_under
 from repro.bench.experiments import FIGURES, Figure, spine_document
 from repro.bench.harness import Sweep, Table, measure, measure_cold_join
 
@@ -18,7 +18,6 @@ __all__ = [
     "Sweep",
     "insert_under",
     "build_uniform_segments",
-    "parent_plan",
     "spine_document",
     "FIGURES",
     "Figure",

@@ -11,11 +11,11 @@ from __future__ import annotations
 from repro.core.database import LazyXMLDatabase
 from repro.errors import UpdateError
 from repro.workloads.generator import generate_uniform_fragment, tag_pool
+from repro.workloads.join_mix import parent_plan
 
 __all__ = [
     "insert_under",
     "build_uniform_segments",
-    "parent_plan",
 ]
 
 
@@ -30,23 +30,6 @@ def insert_under(db: LazyXMLDatabase, parent_sid: int, fragment: str, root_tag: 
     close_len = len(root_tag) + 3  # </tag>
     position = node.end - close_len
     return db.insert(fragment, position)
-
-
-def parent_plan(n_segments: int, shape: str, branching: int = 8) -> list[int]:
-    """Parent index for each of ``n_segments`` segments; -1 for the first.
-
-    ``"nested"`` → a chain (segment i inside segment i-1): the paper's
-    worst-case ER-tree.  ``"balanced"`` → a complete ``branching``-ary tree:
-    the paper's realistic case.  ``"flat"`` → every segment directly under
-    the first.
-    """
-    if shape == "nested":
-        return [-1] + list(range(n_segments - 1))
-    if shape == "balanced":
-        return [-1] + [(i - 1) // branching for i in range(1, n_segments)]
-    if shape == "flat":
-        return [-1] + [0] * (n_segments - 1)
-    raise UpdateError(f"unknown shape {shape!r}")
 
 
 def build_uniform_segments(

@@ -29,7 +29,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
-from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
+from repro.bench.builders import build_uniform_segments, insert_under
 from repro.bench.harness import Sweep, Table, measure, measure_cold_join
 from repro.bench.overload import overload
 from repro.core.database import LazyXMLDatabase
@@ -44,7 +44,12 @@ from repro.storage import clone
 from repro.twig.pattern import parse_twig
 from repro.workloads.chopper import apply_chop, chop, chop_text
 from repro.workloads.generator import generate_uniform_fragment, tag_pool
-from repro.workloads.join_mix import JoinMixConfig, build_join_mix, sweep_configs
+from repro.workloads.join_mix import (
+    JoinMixConfig,
+    build_join_mix,
+    parent_plan,
+    sweep_configs,
+)
 from repro.workloads.xmark import (
     XMARK_QUERIES,
     XMarkConfig,

@@ -187,8 +187,7 @@ class ResourceExhausted(QueryCancelled):
 
 class Busy(ServiceError):
     """Transient admission-control rejection: the request class is at its
-    concurrency/queue limit.  Safe to retry after backing off
-    (see :func:`repro.service.retry.retry_with_backoff`)."""
+    concurrency/queue limit.  Safe to retry after backing off."""
 
 
 class ServiceClosed(ServiceError):
@@ -247,8 +246,7 @@ class FrameCorrupt(FrameError):
 class Overloaded(NetError):
     """Typed load-shed response: the server is at a connection or
     in-flight cap and refuses the request *immediately* instead of
-    queueing it unboundedly.  Safe to retry with backoff (see
-    :func:`repro.service.retry.retry_with_backoff`)."""
+    queueing it unboundedly.  Safe to retry with backoff."""
 
 
 class ConnectionLost(NetError):

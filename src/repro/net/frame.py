@@ -15,9 +15,9 @@ the stream must be sliceable into self-validating frames.  Wire format
 
 Design rules, all load-bearing for robustness:
 
-- **Validate before buffering.**  The length field is checked against the
-  decoder's cap as soon as the header is readable, so an adversarial
-  length cannot make the server buffer gigabytes before noticing
+- **Validate before buffering.**  The length field is checked against
+  :data:`MAX_FRAME_BYTES` as soon as the header is readable, so an
+  adversarial length cannot make the server buffer gigabytes before noticing
   (:class:`~repro.errors.FrameTooLarge`).
 - **Corruption is typed, never an unhandled exception.**  Bad magic and
   CRC mismatches raise :class:`~repro.errors.FrameCorrupt`; an
@@ -64,7 +64,8 @@ WIRE_VERSION = 1
 HEADER = struct.Struct(">2sBBQII")
 HEADER_SIZE = HEADER.size  # 20 bytes
 
-#: Default cap on one frame's payload (decoders may configure their own).
+#: Cap on one frame's payload, both directions (read when a frame is
+#: encoded or decoded).
 MAX_FRAME_BYTES = 1 << 20
 
 # Message types.  HELLO/WELCOME is the version handshake; REQUEST carries
@@ -100,26 +101,20 @@ class Frame:
         return TYPE_NAMES.get(self.type, f"type-{self.type}")
 
 
-def encode_frame(
-    type: int,
-    request_id: int,
-    payload: bytes,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> bytes:
+def encode_frame(type: int, request_id: int, payload: bytes) -> bytes:
     """Serialize one frame; refuses oversized payloads before sending.
 
     The sender-side cap means a client cannot even *construct* a frame
-    its peer is configured to reject.
+    its peer would reject.
     """
     if type not in TYPE_NAMES:
         raise ProtocolError(f"unknown frame type {type}")
     if not 0 <= request_id < 1 << 64:
         raise ProtocolError(f"request id {request_id} out of u64 range")
-    if len(payload) > max_frame_bytes:
+    if len(payload) > MAX_FRAME_BYTES:
         raise FrameTooLarge(
             f"payload is {len(payload)} bytes, over the "
-            f"{max_frame_bytes}-byte frame cap"
+            f"{MAX_FRAME_BYTES}-byte frame cap"
         )
     header = HEADER.pack(
         MAGIC, WIRE_VERSION, type, request_id, len(payload),
@@ -138,10 +133,9 @@ class FrameDecoder:
     the same error, so a server cannot accidentally keep parsing garbage.
     """
 
-    __slots__ = ("max_frame_bytes", "_buffer", "_error")
+    __slots__ = ("_buffer", "_error")
 
-    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES):
-        self.max_frame_bytes = max_frame_bytes
+    def __init__(self):
         self._buffer = bytearray()
         self._error: Exception | None = None
 
@@ -182,10 +176,10 @@ class FrameDecoder:
             )
         # Cap check happens on the header alone — before the payload is
         # buffered — so a hostile length field cannot balloon memory.
-        if length > self.max_frame_bytes:
+        if length > MAX_FRAME_BYTES:
             raise FrameTooLarge(
                 f"frame declares {length} payload bytes, over the "
-                f"{self.max_frame_bytes}-byte cap"
+                f"{MAX_FRAME_BYTES}-byte cap"
             )
         if len(buffer) < HEADER_SIZE + length:
             return None

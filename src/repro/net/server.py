@@ -16,10 +16,11 @@ checkpoint, after its parse and before its commit, and moves there if the
 budget is spent, or earlier, having waited for nothing, if its admission
 slot or the writer lock is taken or a reader still holds its writer
 buffer.  Every other request body runs on a bounded worker pool
-sized to the global in-flight cap, so the blocking database layer never
-holds the loop past the budget and the loop never queues unbounded work
-behind it.  Once a write's reply is sent, wherever the write ran, the
-loop replays it into the epoch store's retired buffer
+sized to the global in-flight cap (:data:`MAX_INFLIGHT`), so the
+blocking database layer never holds the loop past the budget and the
+loop never queues unbounded work behind it.  Once a write's reply is
+sent, wherever the write ran, the loop replays it into the epoch
+store's retired buffer
 (:meth:`~repro.service.server.DatabaseService.settle`) before it reads
 the next frame: a closed-loop client is then busy with the reply, and the
 next write finds its writer buffer current.
@@ -27,13 +28,13 @@ next write finds its writer buffer current.
 Robustness contract (each clause is drilled by ``tests/test_net_faults``):
 
 - **Backpressure, not buffering.**  Each transport's write-buffer
-  high-water mark is ``write_buffer_cap``; when a slow client's buffer
-  crosses it, asyncio calls ``pause_writing`` and the connection *stops
-  reading* (counted in ``backpressure_pauses``) until ``resume_writing``,
-  so a client that never reads can never balloon server memory — its TCP
-  window fills instead.  A connection still paused after
-  ``write_timeout`` is declared dead by its timer and aborted, returning
-  its in-flight slots to the pool.
+  high-water mark is :data:`WRITE_BUFFER_CAP`; when a slow client's
+  buffer crosses it, asyncio calls ``pause_writing`` and the connection
+  *stops reading* (counted in ``backpressure_pauses``) until
+  ``resume_writing``, so a client that never reads can never balloon
+  server memory — its TCP window fills instead.  A connection still
+  paused after :data:`WRITE_TIMEOUT` is declared dead by its timer and
+  aborted, returning its in-flight slots to the pool.
 - **Shedding, not queueing.**  A connection over ``max_conns``, or a
   request over the per-connection / global in-flight caps, is refused
   immediately with a typed :class:`~repro.errors.Overloaded` response
@@ -57,7 +58,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
-import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,6 +93,28 @@ __all__ = ["NetServerConfig", "TcpServer"]
 #: from the loop anyway (``sys.getswitchinterval()``, 5 ms by default).
 LOOP_BUDGET = 0.002
 
+#: Concurrent executing requests across all connections (also sizes the
+#: worker pool, so nothing queues behind a full pool).
+MAX_INFLIGHT = 64
+
+#: Concurrent executing requests per connection (pipelining budget).
+MAX_INFLIGHT_PER_CONN = 8
+
+#: Write-buffer high-water mark per connection; reads pause above it.
+WRITE_BUFFER_CAP = 256 * 1024
+
+#: Seconds a connection may stay paused (its client not reading), or
+#: closing with bytes unflushed, before it is declared dead and aborted.
+#: Without this bound, a client that stops reading would park its
+#: in-flight requests (and their global slots) forever.
+WRITE_TIMEOUT = 30.0
+
+#: Seconds a new connection may take to send its HELLO.
+HANDSHAKE_TIMEOUT = 5.0
+
+#: Seconds a connection may sit idle (no frames, nothing in flight).
+IDLE_TIMEOUT = 300.0
+
 #: Status verbs that touch nothing but memory (an epoch refcount at most):
 #: on the loop whenever they are alone in flight.
 _IN_MEMORY = frozenset({"ping", "pin", "unpin"})
@@ -125,35 +147,13 @@ _H_DRAIN_SECONDS = METRICS.histogram(
 
 @dataclass(frozen=True)
 class NetServerConfig:
-    """Operational knobs for a :class:`TcpServer`."""
+    """Operational knobs for a :class:`TcpServer` (``serve``'s ``--tcp``,
+    ``--max-conns`` and ``--drain-grace``)."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (tests); the bound port is `.port`
     #: Concurrent connections; excess connects are shed with `Overloaded`.
     max_conns: int = 128
-    #: Concurrent executing requests across all connections (also sizes
-    #: the worker pool, so nothing queues behind a full pool).
-    max_inflight: int = 64
-    #: Concurrent executing requests per connection (pipelining budget).
-    max_inflight_per_conn: int = 8
-    #: Per-frame payload cap (both directions).
-    max_frame_bytes: int = wire.MAX_FRAME_BYTES
-    #: Write-buffer high-water mark per connection; reads pause above it.
-    write_buffer_cap: int = 256 * 1024
-    #: Optional SO_SNDBUF for accepted sockets.  Backpressure is only as
-    #: tight as kernel buffering allows; shrinking the socket send buffer
-    #: makes the app-level cap bind sooner (tests use this to drill
-    #: slow-reader behavior deterministically).
-    so_sndbuf: int | None = None
-    #: Seconds a connection may stay paused (its client not reading), or
-    #: closing with bytes unflushed, before it is declared dead and
-    #: aborted.  Without this bound, a client that stops reading would
-    #: park its in-flight requests (and their global slots) forever.
-    write_timeout: float = 30.0
-    #: Seconds a new connection may take to send its HELLO.
-    handshake_timeout: float = 5.0
-    #: Seconds a connection may sit idle (no frames, nothing in flight).
-    idle_timeout: float = 300.0
     #: Seconds drain waits for in-flight requests before cancelling them.
     drain_grace: float = 5.0
 
@@ -183,7 +183,7 @@ class _Connection(asyncio.Protocol):
     def __init__(self, server: TcpServer):
         self.server = server
         self.session = SessionState(next(server._session_ids))
-        self.decoder = FrameDecoder(max_frame_bytes=server.config.max_frame_bytes)
+        self.decoder = FrameDecoder()
         self.loop = asyncio.get_running_loop()
         self.transport: asyncio.Transport | None = None
         self.timer: asyncio.TimerHandle | None = None
@@ -221,13 +221,9 @@ class _Connection(asyncio.Protocol):
         server._conns[self.session.session_id] = self
         server._counters["connections_total"] += 1
         transport.set_write_buffer_limits(
-            high=config.write_buffer_cap, low=config.write_buffer_cap // 4
+            high=WRITE_BUFFER_CAP, low=WRITE_BUFFER_CAP // 4
         )
-        if config.so_sndbuf is not None:
-            transport.get_extra_info("socket").setsockopt(
-                socket.SOL_SOCKET, socket.SO_SNDBUF, config.so_sndbuf
-            )
-        self.timer = self.loop.call_later(config.handshake_timeout, self._tick)
+        self.timer = self.loop.call_later(HANDSHAKE_TIMEOUT, self._tick)
 
     def data_received(self, data: bytes) -> None:
         if self.leaving:
@@ -288,15 +284,14 @@ class _Connection(asyncio.Protocol):
     def _tick(self) -> None:
         """The connection's one timer: act on the bound that applies now
         if it has passed, else re-arm for the moment it would."""
-        config = self.server.config
         now = self.loop.time()
         if self.paused_at is not None:
-            since, limit = self.paused_at, config.write_timeout
+            since, limit = self.paused_at, WRITE_TIMEOUT
         elif not self.welcomed:
-            since, limit = self.opened, config.handshake_timeout
+            since, limit = self.opened, HANDSHAKE_TIMEOUT
         else:
             since = now if self.session.inflight else self.active
-            limit = config.idle_timeout
+            limit = IDLE_TIMEOUT
         if now < since + limit:
             self.timer = self.loop.call_at(since + limit, self._tick)
             return
@@ -330,13 +325,12 @@ class _Connection(asyncio.Protocol):
                 f"(speaking {wire.WIRE_VERSION})"
             ))
         self.welcomed = True  # frames behind the HELLO are valid at once
-        config = self.server.config
         self._send(wire.T_WELCOME, hello.request_id, {
             "server": "repro",
             "version": wire.WIRE_VERSION,
             "session": self.session.session_id,
-            "max_frame_bytes": config.max_frame_bytes,
-            "max_inflight": config.max_inflight_per_conn,
+            "max_frame_bytes": wire.MAX_FRAME_BYTES,
+            "max_inflight": MAX_INFLIGHT_PER_CONN,
         })
 
     def _dispatch(self, frame: Frame) -> None:
@@ -344,7 +338,6 @@ class _Connection(asyncio.Protocol):
         reuse, the two caps, decode — then run it on the loop or hand it
         to the pool."""
         server, session = self.server, self.session
-        config = server.config
         request_id = frame.request_id
         if frame.type == wire.T_GOODBYE:
             # Client sign-off: let in-flight work answer, then close.
@@ -366,8 +359,8 @@ class _Connection(asyncio.Protocol):
             return self._send(wire.T_ERROR, request_id, error_payload(
                 ProtocolError(f"request id {request_id} is already in flight")
             ))
-        full_conn = len(session.inflight) >= config.max_inflight_per_conn
-        if full_conn or server._inflight >= config.max_inflight:
+        full_conn = len(session.inflight) >= MAX_INFLIGHT_PER_CONN
+        if full_conn or server._inflight >= MAX_INFLIGHT:
             # Shed, never queue: the caps bound worker-pool depth exactly.
             server._counters["sheds"] += 1
             if METRICS.enabled:
@@ -462,11 +455,8 @@ class _Connection(asyncio.Protocol):
         """Write one frame; a closing connection drops it."""
         if self.transport.is_closing():
             return
-        cap = self.server.config.max_frame_bytes
         try:
-            data = encode_frame(
-                type_, request_id, encode_payload(payload), max_frame_bytes=cap
-            )
+            data = encode_frame(type_, request_id, encode_payload(payload))
         except ReproError:
             # Response bigger than the frame cap: degrade to a typed
             # error the client *can* receive.
@@ -475,7 +465,6 @@ class _Connection(asyncio.Protocol):
                 encode_payload(error_payload(NetError(
                     "response exceeded the frame cap; narrow the request"
                 ))),
-                max_frame_bytes=cap,
             )
         self.transport.write(data)
 
@@ -550,7 +539,7 @@ class TcpServer:
         if self._server is not None:
             raise NetError("server already started")
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_inflight,
+            max_workers=MAX_INFLIGHT,
             thread_name_prefix="repro-net",
         )
         self._server = await asyncio.get_running_loop().create_server(
@@ -695,10 +684,10 @@ class TcpServer:
             "inflight": self._inflight,
             "limits": {
                 "max_conns": self.config.max_conns,
-                "max_inflight": self.config.max_inflight,
-                "max_inflight_per_conn": self.config.max_inflight_per_conn,
-                "max_frame_bytes": self.config.max_frame_bytes,
-                "write_buffer_cap": self.config.write_buffer_cap,
+                "max_inflight": MAX_INFLIGHT,
+                "max_inflight_per_conn": MAX_INFLIGHT_PER_CONN,
+                "max_frame_bytes": wire.MAX_FRAME_BYTES,
+                "write_buffer_cap": WRITE_BUFFER_CAP,
             },
             "counters": dict(self._counters),
         }

@@ -2,16 +2,14 @@
 
 A production service in front of the lazy store must bound its own
 concurrency: unbounded reader fan-out starves the writer, and unbounded
-writes grow the update log faster than maintenance can drain it.  The
-:class:`AdmissionController` enforces per-class (``read`` / ``write`` /
-``maintenance``) concurrency limits plus a small wait queue per class; a
-request over both limits is rejected *immediately* with the transient
-:class:`~repro.errors.Busy` — load shedding, not queue collapse.  Shed and
-admitted counts are in :meth:`AdmissionController.metrics`.
-
-Callers that can wait should wrap their attempt in
-:func:`~repro.service.retry.retry_with_backoff` (re-exported here), which
-retries ``Busy`` with capped exponential backoff and full jitter.
+writes grow the update log faster than an operator's ``compact`` can
+drain it.  The :class:`AdmissionController` admits two classes: ``read``
+(many at once) and ``write`` (one at a time: the snapshot protocol is
+single-writer; ``repack`` and ``compact`` are writes too).  Each class
+has a small wait queue (:data:`QUEUE_DEPTH`); a request over both is
+rejected *immediately* with the transient :class:`~repro.errors.Busy` —
+load shedding, not queue collapse.  Shed and admitted counts are in
+:meth:`AdmissionController.metrics`.
 """
 
 from __future__ import annotations
@@ -21,9 +19,8 @@ import time
 
 from repro.errors import Busy, ServiceClosed
 from repro.obs.metrics import METRICS
-from repro.service.retry import BackoffPolicy, retry_with_backoff
 
-__all__ = ["AdmissionController", "Ticket", "BackoffPolicy", "retry_with_backoff"]
+__all__ = ["AdmissionController", "Ticket"]
 
 _H_WAIT = METRICS.histogram(
     "service.admission.wait_seconds",
@@ -31,12 +28,8 @@ _H_WAIT = METRICS.histogram(
     site="AdmissionController.admit (queued waits only)",
 )
 
-#: Default per-class concurrency limits: many readers, one writer (the
-#: snapshot protocol is single-writer), one maintenance job at a time.
-DEFAULT_LIMITS = {"read": 16, "write": 1, "maintenance": 1}
-
-#: Default per-class wait-queue depth on top of the concurrency limit.
-DEFAULT_QUEUE_DEPTH = {"read": 32, "write": 8, "maintenance": 0}
+#: Per-class wait-queue depth on top of the concurrency limit.
+QUEUE_DEPTH = {"read": 32, "write": 8}
 
 
 class Ticket:
@@ -66,11 +59,10 @@ class Ticket:
 
 
 class _ClassState:
-    __slots__ = ("limit", "queue_depth", "active", "waiting", "admitted", "rejected", "peak")
+    __slots__ = ("limit", "active", "waiting", "admitted", "rejected", "peak")
 
-    def __init__(self, limit: int, queue_depth: int):
+    def __init__(self, limit: int):
         self.limit = limit
-        self.queue_depth = queue_depth
         self.active = 0
         self.waiting = 0
         self.admitted = 0
@@ -81,29 +73,19 @@ class _ClassState:
 class AdmissionController:
     """Bounded per-class admission with immediate ``Busy`` load shedding.
 
-    ``admit(cls, wait)`` admits when the class has a free slot; otherwise
-    it waits up to ``wait`` seconds *if* the class's wait queue has room,
-    and rejects with :class:`~repro.errors.Busy` when the queue is full or
-    the wait times out.  ``wait=0`` makes rejection immediate.
+    ``read_limit`` reads run at once and one write.  ``admit(cls, wait)``
+    admits when the class has a free slot; otherwise it waits up to
+    ``wait`` seconds *if* the class's wait queue has room, and rejects
+    with :class:`~repro.errors.Busy` when the queue is full or the wait
+    times out.  ``wait=0`` makes rejection immediate.
     """
 
-    def __init__(
-        self,
-        limits: dict[str, int] | None = None,
-        *,
-        queue_depth: dict[str, int] | None = None,
-    ):
-        limits = dict(DEFAULT_LIMITS if limits is None else limits)
-        depths = dict(DEFAULT_QUEUE_DEPTH if queue_depth is None else queue_depth)
-        for name, limit in limits.items():
-            if limit < 1:
-                raise ValueError(f"limit for {name!r} must be >= 1, got {limit}")
+    def __init__(self, read_limit: int):
+        if read_limit < 1:
+            raise ValueError(f"read limit must be >= 1, got {read_limit}")
         self._lock = threading.Lock()
         self._freed = threading.Condition(self._lock)
-        self._classes = {
-            name: _ClassState(limit, max(0, depths.get(name, 0)))
-            for name, limit in limits.items()
-        }
+        self._classes = {"read": _ClassState(read_limit), "write": _ClassState(1)}
         self._closed = False
 
     def admit(self, request_class: str, wait: float) -> Ticket:
@@ -114,7 +96,7 @@ class AdmissionController:
                 raise ServiceClosed("admission controller is closed")
             if state.active < state.limit:
                 return self._admit_locked(state, request_class)
-            if wait <= 0 or state.waiting >= state.queue_depth:
+            if wait <= 0 or state.waiting >= QUEUE_DEPTH[request_class]:
                 state.rejected += 1
                 raise Busy(
                     f"{request_class} limit reached "

@@ -284,8 +284,9 @@ class Verb(NamedTuple):
     """One table entry.  ``fields`` are in the order a text line supplies
     them; a ``text`` field takes the rest of the line, so fields after it
     — and a verb with an ``ops`` field altogether — are wire-only.
-    ``kind`` is the service class the verb runs in (``status`` verbs take
-    no admission ticket); ``summary`` formats the shell's ``ok`` line from
+    ``kind`` is ``read``, ``write``, ``maintenance`` (a write whose cost
+    follows the whole log: it never runs on the TCP event loop) or
+    ``status`` (no admission ticket); ``summary`` formats the shell's ``ok`` line from
     the reply (None = the reply as JSON)."""
 
     handler: Callable

@@ -14,10 +14,10 @@ Composes the pieces of :mod:`repro.service` into one operational surface:
   buffer, to catch up on the op in the front end's idle time
   (:meth:`DatabaseService.settle`) or else at the next write;
 - **maintenance** (``repack``/``compact``) runs only when an operator asks
-  for it, in its own admission class, and commits like any write (through
-  the journal on a durable primary).  Nothing samples the update log or
-  repairs it unasked: on the workloads measured (DESIGN.md §5) an
-  automatic trigger never found work it could do.
+  for it, and is a write: it queues for the one write slot and commits
+  like any write (through the journal on a durable primary).  Nothing
+  samples the update log or repairs it unasked: on the workloads measured
+  (DESIGN.md §5) an automatic trigger never found work it could do.
 
 ``python -m repro serve`` wraps this class in a line-oriented shell (see
 :mod:`repro.service.shell`).
@@ -46,28 +46,21 @@ from repro.service.snapshot import EpochManager, Snapshot
 
 __all__ = ["ServiceConfig", "DatabaseService"]
 
-#: Writes that may wait for the writer slot (one writer, one maintenance
-#: run at a time; maintenance never queues).
-WRITE_QUEUE_DEPTH = 8
+#: Seconds a request may wait in its admission queue before ``Busy``.
+ADMISSION_WAIT = 0.05
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Operational knobs for a :class:`DatabaseService`."""
+    """Operational knobs for a :class:`DatabaseService` (``serve``'s
+    ``--readers``, ``--timeout`` and ``--max-rows``)."""
 
-    #: Reads running at once (writes and maintenance: one each).
+    #: Reads running at once (writes, maintenance included: one).
     read_limit: int = 16
-    #: Reads that may wait over the limit.
-    read_queue_depth: int = 32
-    #: Seconds a request may wait for admission before ``Busy``.
-    admission_wait: float = 0.05
     #: Default per-query deadline (seconds); ``None`` = no deadline.
     default_timeout: float | None = None
     #: Default per-query result-row budget; ``None`` = unbounded.
     max_result_rows: int | None = None
-    #: Seconds a write waits for its writer buffer's readers (pins taken
-    #: while that buffer was published) to drain before cloning instead.
-    drain_timeout: float = 5.0
 
 
 class DatabaseService:
@@ -100,10 +93,7 @@ class DatabaseService:
         self.config = config or ServiceConfig()
         self._primary = primary
         self._durable = isinstance(primary, DurableDatabase)
-        self._epochs = EpochManager(
-            getattr(primary, "db", primary),
-            drain_timeout=self.config.drain_timeout,
-        )
+        self._epochs = EpochManager(getattr(primary, "db", primary))
         if self._durable:
             primary.attach_epochs(self._epochs)
         else:
@@ -111,18 +101,7 @@ class DatabaseService:
             # buffers, and a closed store lets the published one go.
             self._primary = None
         self._clock = clock
-        self._admission = AdmissionController(
-            {
-                "read": self.config.read_limit,
-                "write": 1,
-                "maintenance": 1,
-            },
-            queue_depth={
-                "read": self.config.read_queue_depth,
-                "write": WRITE_QUEUE_DEPTH,
-                "maintenance": 0,
-            },
-        )
+        self._admission = AdmissionController(self.config.read_limit)
         self._writer_lock = threading.RLock()
         self._closed = False
         self._draining = False
@@ -190,7 +169,7 @@ class DatabaseService:
         repeatable-read epoch); omitted, the read pins the current one.
         """
         self._ensure_open()
-        with self._admission.admit("read", self.config.admission_wait):
+        with self._admission.admit("read", ADMISSION_WAIT):
             ctx = context if context is not None else self.make_context()
             if snapshot is not None:
                 return self._run_read(fn, snapshot.db, ctx)
@@ -231,9 +210,9 @@ class DatabaseService:
         """Commit one journal-dialect op record; returns the op's result.
 
         The one write entry (the methods below are this call with the
-        record spelled out): ``repack``/``compact`` run in the maintenance
-        class, the rest in the write class; an ``insert`` without a
-        position appends at the end the writer finds.
+        record spelled out), one at a time in the write class;
+        ``repack``/``compact`` count as maintenance runs.  An ``insert``
+        without a position appends at the end the writer finds.
         ``context`` matters only as a loop attempt
         (:meth:`QueryContext.attempt`): the write then waits for nothing
         and raises :class:`OverBudget`, having changed nothing, wherever
@@ -253,11 +232,11 @@ class DatabaseService:
         return self.apply({"op": "remove_segment", "sid": sid})
 
     def repack(self, sid: int):
-        """Operator-requested repack (maintenance class)."""
+        """Operator-requested repack (a write)."""
         return self.apply({"op": "repack", "sid": sid})
 
     def compact(self):
-        """Operator-requested compact (maintenance class)."""
+        """Operator-requested compact (a write)."""
         return self.apply({"op": "compact"})
 
     def apply_batch(self, ops: list[dict]):
@@ -272,10 +251,10 @@ class DatabaseService:
         """
         return self.apply({"op": "batch", "ops": [dict(sub) for sub in ops]})
 
-    def _write(self, op: dict, request_class: str = "write", context=None):
+    def _write(self, op: dict, context=None):
         self._ensure_open()
         attempt = context is not None and context.is_attempt
-        with self._write_slot(request_class, attempt):
+        with self._write_slot(attempt):
             if attempt and not self._commits_in_memory():
                 raise OverBudget("this write must wait")
             # The writer buffer caught up: the replay of an op already
@@ -311,18 +290,18 @@ class DatabaseService:
             self._writer_lock.release()
 
     @contextlib.contextmanager
-    def _write_slot(self, request_class: str, attempt: bool):
-        """Hold the class's admission ticket, then the writer lock.  A loop
-        attempt takes each only if it is free now and otherwise raises
+    def _write_slot(self, attempt: bool):
+        """Hold the write ticket, then the writer lock.  A loop attempt
+        takes each only if it is free now and otherwise raises
         :class:`OverBudget` holding neither: it never waits."""
         if not attempt:
-            with self._admission.admit(request_class, self.config.admission_wait):
+            with self._admission.admit("write", ADMISSION_WAIT):
                 with self._writer_lock:
                     yield
             return
-        ticket = self._admission.try_admit(request_class)
+        ticket = self._admission.try_admit("write")
         if ticket is None:
-            raise OverBudget(f"the {request_class} slot is taken")
+            raise OverBudget("the write slot is taken")
         with ticket:
             if not self._writer_lock.acquire(blocking=False):
                 raise OverBudget("the writer lock is held")
@@ -360,7 +339,7 @@ class DatabaseService:
     def _maintenance_op(self, op: dict):
         self._counters["maintenance_runs"] += 1
         try:
-            return self._write(op, "maintenance")
+            return self._write(op)
         except Exception:
             self._counters["maintenance_failures"] += 1
             raise

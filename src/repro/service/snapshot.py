@@ -35,7 +35,7 @@ two **buffers** — full databases, the second one built once with
   busy, the store is closed) does nothing, and :meth:`~EpochManager.writer`
   catches up at the next write as before.
 
-A reader that holds a pin past ``drain_timeout`` cannot wedge the
+A reader that holds a pin past :data:`DRAIN_TIMEOUT` cannot wedge the
 writer: :meth:`~EpochManager.writer` abandons the stuck buffer to its
 readers and clones a fresh writer buffer from the published one (counted
 in :meth:`~EpochManager.metrics` as ``clone_fallbacks``; the stuck
@@ -69,6 +69,10 @@ from repro.durability.recovery import apply_op
 from repro.errors import ServiceClosed
 
 __all__ = ["EpochManager", "Snapshot"]
+
+#: Seconds a write waits for its writer buffer's readers (pins taken while
+#: that buffer was published) to drain before cloning a fresh one instead.
+DRAIN_TIMEOUT = 5.0
 
 
 class _Buffer:
@@ -124,13 +128,9 @@ class EpochManager:
         buffer would not be query-ready once published).  It becomes the
         writer buffer as it is; the first published buffer is a clone of
         it, the one clone a manager makes unless a reader is stuck.
-    drain_timeout:
-        Seconds :meth:`writer` waits for the writer buffer's pins to
-        drain before abandoning it and cloning a fresh one instead.
     """
 
-    def __init__(self, seed: LazyXMLDatabase, *, drain_timeout: float = 5.0):
-        self._drain_timeout = drain_timeout
+    def __init__(self, seed: LazyXMLDatabase):
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
         # Held across a catch-up and a swap, so two callers of writer()
@@ -219,7 +219,7 @@ class EpochManager:
         with self._lock:
             if buffer.pins:
                 self._drain_waits += 1
-                deadline = time.monotonic() + self._drain_timeout
+                deadline = time.monotonic() + DRAIN_TIMEOUT
                 while buffer.pins:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:

@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 from repro.core.database import LazyXMLDatabase
 from repro.errors import UpdateError
 
-__all__ = ["JoinMixConfig", "JoinMixInfo", "build_join_mix", "sweep_configs"]
+__all__ = [
+    "JoinMixConfig", "JoinMixInfo", "build_join_mix", "parent_plan", "sweep_configs",
+]
 
 _SHAPES = ("nested", "balanced")
 
@@ -95,11 +97,21 @@ class JoinMixInfo:
         return self.expected_cross / total if total else 0.0
 
 
-def parent_indices(n_segments: int, shape: str, branching: int) -> list[int]:
-    """Parent index for each segment (−1 for the root)."""
+def parent_plan(n_segments: int, shape: str, branching: int = 8) -> list[int]:
+    """Parent index for each of ``n_segments`` segments; -1 for the first.
+
+    ``"nested"`` → a chain (segment i inside segment i-1): the paper's
+    worst-case ER-tree.  ``"balanced"`` → a complete ``branching``-ary tree:
+    the paper's realistic case.  ``"flat"`` → every segment directly under
+    the first.
+    """
     if shape == "nested":
         return [-1] + list(range(n_segments - 1))
-    return [-1] + [(i - 1) // branching for i in range(1, n_segments)]
+    if shape == "balanced":
+        return [-1] + [(i - 1) // branching for i in range(1, n_segments)]
+    if shape == "flat":
+        return [-1] + [0] * (n_segments - 1)
+    raise UpdateError(f"unknown shape {shape!r}")
 
 
 def subtree_sizes(parents: list[int]) -> list[int]:
@@ -164,7 +176,7 @@ def build_join_mix(
         raise UpdateError(f"shape must be one of {_SHAPES}, got {config.shape!r}")
     if db.segment_count != 0:
         raise UpdateError("build_join_mix requires an empty database")
-    parents = parent_indices(config.n_segments, config.shape, config.branching)
+    parents = parent_plan(config.n_segments, config.shape, config.branching)
     children_of: dict[int, list[int]] = {}
     for child, parent in enumerate(parents):
         if parent >= 0:
@@ -257,7 +269,7 @@ def sweep_configs(
     |D|; only the cross/in split moves.  Greedy largest-first subset
     selection picks which children's insertion points are wrapped.
     """
-    parents = parent_indices(n_segments, shape, branching)
+    parents = parent_plan(n_segments, shape, branching)
     sizes = subtree_sizes(parents)
     child_sizes = sorted(
         ((sizes[i], i) for i in range(1, n_segments)), reverse=True

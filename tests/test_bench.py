@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import experiments
-from repro.bench.builders import build_uniform_segments, insert_under, parent_plan
+from repro.bench.builders import build_uniform_segments, insert_under
 from repro.bench.experiments import (
     FIGURES,
     ablation_repack,
@@ -19,6 +19,7 @@ from repro.bench.harness import Sweep, Table, measure, measure_cold_join
 from repro.core.database import LazyXMLDatabase
 from repro.errors import UpdateError
 from repro.joins.stack_tree import std_join
+from repro.workloads.join_mix import parent_plan
 from repro.workloads.xmark import XMARK_QUERIES
 from repro.xml.parser import parse
 from tests.helpers import merge_join_records

@@ -37,7 +37,8 @@ from repro.errors import (
 from repro.net.client import connect
 from repro.net.protocol import raise_error_payload
 from repro.net.server import TcpServer
-from repro.service import DatabaseService, ServiceConfig
+from repro.service import DatabaseService, ServiceConfig, admission
+from repro.service import server as service_server
 from repro.service.commands import (
     COMMANDS,
     _REQUEST_FIELDS,
@@ -547,6 +548,8 @@ def test_replies_are_the_parent_commits():
             assert execute_request(service, session, request) == want, request
         health = execute_request(service, session, {"cmd": "health"})
         assert sorted(health) == PARENT_HEALTH_KEYS
+        # repack and compact queue as writes: no class of their own
+        assert sorted(health["admission"]) == ["read", "write"]
         assert (health["segments"], health["elements"],
                 health["document_length"]) == (3, 6, 49)
         stats = execute_request(service, session, {"cmd": "stats"})
@@ -569,8 +572,10 @@ def test_a_durable_batch_is_still_one_record(tmp_path):
 # pinned reads go through the service's one read entry
 
 
-def test_pinned_read_is_counted_and_admitted(tmp_path):
-    config = ServiceConfig(read_limit=1, read_queue_depth=0, admission_wait=0.0)
+def test_pinned_read_is_counted_and_admitted(tmp_path, monkeypatch):
+    monkeypatch.setitem(admission.QUEUE_DEPTH, "read", 0)
+    monkeypatch.setattr(service_server, "ADMISSION_WAIT", 0.0)
+    config = ServiceConfig(read_limit=1)
     with make_service("plain", tmp_path, config=config) as service:
         session = SessionState(1)
         execute_request(service, session, {"cmd": "pin"})

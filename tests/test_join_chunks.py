@@ -44,7 +44,8 @@ from repro.errors import (
     ResourceExhausted,
 )
 from repro.service.context import QueryContext
-from repro.service.server import DatabaseService, ServiceConfig
+from repro.service import snapshot as snapshot_module
+from repro.service.server import DatabaseService
 from repro.service.snapshot import EpochManager
 from repro.storage import clone, dumps, loads
 from repro.twig import memo as twig_memo
@@ -469,10 +470,13 @@ def test_generous_budget_is_charged_the_whole_answer_warm_and_cold():
 # readers of one pinned replica refresh the memo concurrently
 
 
-def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes():
+def test_readers_sharing_a_pinned_snapshot_while_the_writer_publishes(
+    monkeypatch,
+):
+    monkeypatch.setattr(snapshot_module, "DRAIN_TIMEOUT", 0.05)
     db = LazyXMLDatabase()
     db.apply_batch([{"op": "insert", "fragment": _form(i)} for i in range(40)])
-    service = DatabaseService(db, config=ServiceConfig(drain_timeout=0.05))
+    service = DatabaseService(db)
     errors: list = []
     stop = threading.Event()
 

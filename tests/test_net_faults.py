@@ -20,6 +20,7 @@ and then asserts the three invariants the subsystem exists to provide:
 from __future__ import annotations
 
 import re
+import socket
 import threading
 import time
 
@@ -37,6 +38,7 @@ from repro.errors import (
 from repro.net import frame as wire
 from repro.net.frame import encode_frame
 from repro.net.protocol import decode_payload, encode_payload
+from repro.net import server as net_server
 from repro.net.server import NetServerConfig
 from tests.net_harness import FaultyClient, ServerHarness
 from tests.net_util import make_service, slowop_installed
@@ -279,12 +281,12 @@ class TestConnectionDeaths:
         finally:
             service.close()
 
-    def test_stall_mid_frame_hits_idle_timeout(self):
+    def test_stall_mid_frame_hits_idle_timeout(self, monkeypatch):
+        monkeypatch.setattr(net_server, "IDLE_TIMEOUT", 0.3)
         service = make_service()
-        config = NetServerConfig(idle_timeout=0.3)
         payload = encode_payload({"cmd": "ping"})
         try:
-            with ServerHarness(service, config) as harness:
+            with ServerHarness(service) as harness:
                 with FaultyClient("127.0.0.1", harness.port) as client:
                     client.send_truncated(wire.T_REQUEST, 1, payload, 10)
                     reply = client.recv_frame()  # server's goodbye
@@ -332,18 +334,16 @@ class TestConnectionDeaths:
 
 
 class TestPipelinedBurst:
-    def test_reused_inflight_id_is_refused_and_the_cap_holds(self):
+    def test_reused_inflight_id_is_refused_and_the_cap_holds(self, monkeypatch):
         """Six pipelined frames share id 7, then ids 8 and 9 follow: one
         id-7 request runs, the other five are typed ProtocolErrors carrying
         id 7 (no slot taken), id 8 fills the per-connection cap of two and
         id 9 is shed."""
+        monkeypatch.setattr(net_server, "MAX_INFLIGHT_PER_CONN", 2)
         service = make_service()
-        config = NetServerConfig(max_inflight_per_conn=2)
         ids = [7] * 6 + [8, 9]
         try:
-            with slowop_installed(), ServerHarness(
-                service, config
-            ) as harness:
+            with slowop_installed(), ServerHarness(service) as harness:
                 with FaultyClient("127.0.0.1", harness.port) as client:
                     client.send_bytes(b"".join(
                         encode_frame(
@@ -375,19 +375,18 @@ class TestPipelinedBurst:
         finally:
             service.close()
 
-    def test_single_chunk_burst_cannot_bypass_inflight_caps(self):
+    def test_single_chunk_burst_cannot_bypass_inflight_caps(self, monkeypatch):
         """Every frame of a burst that arrives in one read chunk is
         dispatched without yielding to the event loop, so the in-flight
         caps must be reserved synchronously at dispatch — otherwise the
         whole burst bypasses the caps and queues in the worker pool,
         violating shed-never-queue."""
+        monkeypatch.setattr(net_server, "MAX_INFLIGHT", 2)
+        monkeypatch.setattr(net_server, "MAX_INFLIGHT_PER_CONN", 2)
         service = make_service()
-        config = NetServerConfig(max_inflight=2, max_inflight_per_conn=2)
         n = 10
         try:
-            with slowop_installed(), ServerHarness(
-                service, config
-            ) as harness:
+            with slowop_installed(), ServerHarness(service) as harness:
                 with FaultyClient("127.0.0.1", harness.port) as client:
                     burst = b"".join(
                         encode_frame(
@@ -424,23 +423,38 @@ class TestPipelinedBurst:
             service.close()
 
 
+@pytest.fixture
+def tight_buffers(monkeypatch):
+    """A 2 KiB write-buffer cap, 4 requests in flight per connection and
+    a 4 KiB socket send buffer on every accepted connection: backpressure
+    is only as tight as kernel buffering allows, so the app-level cap
+    binds at once and slow-reader drills are deterministic."""
+    monkeypatch.setattr(net_server, "WRITE_BUFFER_CAP", 2048)
+    monkeypatch.setattr(net_server, "MAX_INFLIGHT_PER_CONN", 4)
+    made = net_server._Connection.connection_made
+
+    def connection_made(self, transport):
+        transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+        )
+        made(self, transport)
+
+    monkeypatch.setattr(net_server._Connection, "connection_made", connection_made)
+
+
 class TestBackpressure:
-    def test_slow_reader_pauses_intake_and_loses_nothing(self):
+    def test_slow_reader_pauses_intake_and_loses_nothing(self, tight_buffers):
         """A client that pipelines queries but stops reading forces the
         server to pause reading its requests (bounded write buffer);
         when the client finally reads, every response arrives.
 
         Tiny kernel buffers on both sides make the app-level cap bind:
         responses that can't reach the slow client pile up in the
-        transport buffer, cross ``write_buffer_cap``, and pause intake.
+        transport buffer, cross ``WRITE_BUFFER_CAP``, and pause intake.
         """
         service = make_service(200)
-        config = NetServerConfig(
-            write_buffer_cap=2048, max_inflight_per_conn=4,
-            so_sndbuf=4096,
-        )
         try:
-            with ServerHarness(service, config) as harness:
+            with ServerHarness(service) as harness:
                 with FaultyClient(
                     "127.0.0.1", harness.port, rcvbuf=4096
                 ) as client:
@@ -482,20 +496,19 @@ class TestBackpressure:
         finally:
             service.close()
 
-    def test_client_that_never_reads_is_aborted_not_parked(self):
+    def test_client_that_never_reads_is_aborted_not_parked(
+        self, tight_buffers, monkeypatch
+    ):
         """A client that pipelines work and then never reads a byte must
         not park its in-flight slots forever: the read loop's idle
         timeout cannot fire while a response write holds the connection
         write lock, so the *bounded* write wait is what declares the
         client dead, aborts the connection, and reclaims every slot and
         pin for the rest of the fleet."""
+        monkeypatch.setattr(net_server, "WRITE_TIMEOUT", 0.5)
         service = make_service(200)
-        config = NetServerConfig(
-            write_buffer_cap=2048, max_inflight_per_conn=4,
-            so_sndbuf=4096, write_timeout=0.5,
-        )
         try:
-            with ServerHarness(service, config) as harness:
+            with ServerHarness(service) as harness:
                 client = FaultyClient(
                     "127.0.0.1", harness.port, rcvbuf=4096
                 )

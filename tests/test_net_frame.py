@@ -14,6 +14,7 @@ header alone.
 from __future__ import annotations
 
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
 )
+from repro.net import frame
 from repro.net.frame import (
     HEADER,
     HEADER_SIZE,
@@ -172,14 +174,22 @@ class TestCorruption:
 
 
 class TestOversize:
+    """The cap is :data:`repro.net.frame.MAX_FRAME_BYTES`, read per frame."""
+
+    @staticmethod
+    def small_cap():
+        return mock.patch.object(frame, "MAX_FRAME_BYTES", 64)
+
     def test_encoder_refuses_oversized_payloads(self):
-        with pytest.raises(FrameTooLarge):
-            encode_frame(T_REQUEST, 1, b"x" * 100, max_frame_bytes=64)
+        with self.small_cap():
+            with pytest.raises(FrameTooLarge):
+                encode_frame(T_REQUEST, 1, b"x" * 100)
+            assert len(encode_frame(T_REQUEST, 1, b"x" * 64)) == HEADER_SIZE + 64
 
     def test_decoder_refuses_from_header_alone(self):
         """The cap trips before any payload is buffered — a hostile
         length cannot balloon memory."""
-        decoder = FrameDecoder(max_frame_bytes=64)
+        decoder = FrameDecoder()
         header = HEADER.pack(MAGIC, WIRE_VERSION, T_REQUEST, 1, 1 << 30, 0)
         with pytest.raises(FrameTooLarge):
             decoder.feed(header)  # note: no payload bytes at all
@@ -188,11 +198,11 @@ class TestOversize:
     @given(st.integers(min_value=65, max_value=1 << 31))
     @settings(max_examples=20)
     def test_any_over_cap_length_is_refused(self, declared):
-        decoder = FrameDecoder(max_frame_bytes=64)
+        decoder = FrameDecoder()
         header = HEADER.pack(
             MAGIC, WIRE_VERSION, T_GOODBYE, 0, declared & 0xFFFFFFFF, 0
         )
-        with pytest.raises(FrameTooLarge):
+        with self.small_cap(), pytest.raises(FrameTooLarge):
             decoder.feed(header)
 
 

@@ -114,22 +114,25 @@ class TestRequestExecution:
 
         run_server_test(scenario)
 
-    def test_pipelining_many_requests_one_connection(self):
+    def test_pipelining_many_requests_one_connection(self, monkeypatch):
         # The in-flight caps are enforced eagerly (reserved at dispatch),
         # so a pipelining client must stay within the budget the WELCOME
         # advertises — this test sizes the budget to the burst; staying
         # under a smaller cap via shed-and-retry is TestLoadShedding's
         # territory.
-        config = NetServerConfig(max_inflight_per_conn=64)
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT_PER_CONN", 64)
 
         async def scenario(service, server, port):
             async with await connect("127.0.0.1", port) as client:
+                # WELCOME and status() report the caps read at use.
+                assert client.server_limits["max_inflight"] == 64
+                assert server.status()["limits"]["max_inflight_per_conn"] == 64
                 results = await asyncio.gather(
                     *(client.query("name") for _ in range(50))
                 )
                 assert all(r["count"] == 5 for r in results)
 
-        run_server_test(scenario, config=config)
+        run_server_test(scenario)
 
     def test_typed_errors_reraise_client_side(self):
         async def scenario(service, server, port):
@@ -310,8 +313,8 @@ class TestSessionPinning:
 
 
 class TestLoadShedding:
-    def test_per_connection_inflight_cap_sheds_typed(self):
-        config = NetServerConfig(max_inflight_per_conn=2)
+    def test_per_connection_inflight_cap_sheds_typed(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT_PER_CONN", 2)
 
         async def scenario(service, server, port):
             with slowop_installed():
@@ -329,10 +332,11 @@ class TestLoadShedding:
                     assert all(r["slept"] == 1.0 for r in done)
             assert server.status()["counters"]["sheds"] >= 1
 
-        run_server_test(scenario, config=config)
+        run_server_test(scenario)
 
-    def test_global_inflight_cap_sheds_typed(self):
-        config = NetServerConfig(max_inflight=2, max_inflight_per_conn=2)
+    def test_global_inflight_cap_sheds_typed(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT", 2)
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT_PER_CONN", 2)
 
         async def scenario(service, server, port):
             with slowop_installed():
@@ -355,7 +359,7 @@ class TestLoadShedding:
                     await busy.close()
                     await bystander.close()
 
-        run_server_test(scenario, config=config)
+        run_server_test(scenario)
 
     def test_connection_cap_sheds_at_the_door(self):
         config = NetServerConfig(max_conns=1)
@@ -685,11 +689,14 @@ class TestWhereARequestRuns:
             assert counters["errors"] == 0
 
     @pytest.mark.parametrize("taken", ["writer lock", "write ticket"])
-    def test_write_finding_its_slot_taken_moves(self, taken):
+    def test_write_finding_its_slot_taken_moves(self, taken, monkeypatch):
         """The loop attempt never waits for the writer lock or the write
         admission ticket: it moves, the loop keeps answering, and the
         write commits once the slot frees."""
-        from repro.service import ServiceConfig
+        from repro.service import server as service_server
+
+        # The moved write queues for the slot on the pool.
+        monkeypatch.setattr(service_server, "ADMISSION_WAIT", 10.0)
 
         async def scenario(service, server, port):
             service.insert("<w/>")  # the writer buffer owes a write now
@@ -727,16 +734,15 @@ class TestWhereARequestRuns:
             assert service.health()["counters"]["writes"] == 2
             assert service.health()["admission"]["write"]["rejected"] == 0
 
-        # The moved write queues for the slot on the pool.
-        run_server_test(scenario, service=make_service(
-            config=ServiceConfig(admission_wait=10.0)
-        ))
+        run_server_test(scenario)
 
-    def test_write_behind_a_pinned_spare_moves(self):
+    def test_write_behind_a_pinned_spare_moves(self, monkeypatch):
         """A session's pin can hold the buffer the next write must catch
         up and commit to.  That write moves instead of holding the loop for the drain wait
         while the ``unpin`` that would end it waits behind it."""
-        from repro.service import ServiceConfig
+        from repro.service import snapshot
+
+        monkeypatch.setattr(snapshot, "DRAIN_TIMEOUT", 10.0)
 
         async def scenario(service, server, port):
             service.insert("<w/>")  # the writer buffer owes a write now
@@ -756,9 +762,7 @@ class TestWhereARequestRuns:
             epochs = service.health()["epochs"]
             assert (epochs["clone_fallbacks"], epochs["active_pins"]) == (0, 0)
 
-        run_server_test(scenario, service=make_service(
-            config=ServiceConfig(drain_timeout=10.0)
-        ))
+        run_server_test(scenario)
 
     @pytest.mark.parametrize("kind", ["durable"])
     def test_io_bound_writes_never_start_on_the_loop(self, tmp_path, kind):
@@ -779,15 +783,17 @@ class TestWhereARequestRuns:
 
         run_server_test(scenario, service=service)
 
-    def test_loop_writes_racing_writer_threads_apply_once(self):
+    def test_loop_writes_racing_writer_threads_apply_once(self, monkeypatch):
         """Wire writes, each alone in flight, race three in-process writer
         threads (more than the cores) for the write slot and the writer
         lock under a short switch interval: every write applies exactly
         once, and the published replica equals the primary."""
         import sys
 
-        from repro.service import ServiceConfig
+        from repro.service import server as service_server
         from repro.storage import dumps
+
+        monkeypatch.setattr(service_server, "ADMISSION_WAIT", 10.0)
 
         async def scenario(service, server, port):
             service.insert("<w/>")  # the writer buffer owes a write now
@@ -824,9 +830,7 @@ class TestWhereARequestRuns:
             with service.snapshot() as snap:
                 assert dumps(snap.db) == dumps(service.primary)
 
-        run_server_test(scenario, service=make_service(config=ServiceConfig(
-            admission_wait=10.0
-        )))
+        run_server_test(scenario)
 
     def test_loop_budget_is_inside_the_switch_interval(self):
         import sys
@@ -912,12 +916,14 @@ class TestIdleCatchUp:
 
         run_server_test(scenario, clock=lambda: 0.0)
 
-    def test_pinned_retired_buffer_is_left_to_the_next_write(self):
+    def test_pinned_retired_buffer_is_left_to_the_next_write(self, monkeypatch):
         """A session's pin on the buffer a write retires makes its idle
         catch-up a no-op: it neither waits for the pin nor clones.  The
         next write moves to the pool and catches up there, as it did
         before there was an idle catch-up."""
-        from repro.service import ServiceConfig
+        from repro.service import snapshot
+
+        monkeypatch.setattr(snapshot, "DRAIN_TIMEOUT", 10.0)
 
         async def scenario(service, server, port):
             pool = pool_submissions(server)
@@ -939,9 +945,7 @@ class TestIdleCatchUp:
             assert (epochs["idle_catch_ups"], epochs["pending_ops"]) == (1, 0)
             assert (epochs["replica_clones"], epochs["active_pins"]) == (1, 0)
 
-        run_server_test(scenario, service=make_service(
-            config=ServiceConfig(drain_timeout=10.0)
-        ))
+        run_server_test(scenario)
 
     def test_failed_idle_catch_up_rebuilds_and_the_loop_keeps_serving(
         self, monkeypatch
@@ -1040,8 +1044,8 @@ class TestHandshake:
 
         run_server_test(scenario)
 
-    def test_handshake_timeout_closes_silent_connections(self):
-        config = NetServerConfig(handshake_timeout=0.2)
+    def test_handshake_timeout_closes_silent_connections(self, monkeypatch):
+        monkeypatch.setattr(server_module, "HANDSHAKE_TIMEOUT", 0.2)
 
         async def scenario(service, server, port):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -1052,10 +1056,10 @@ class TestHandshake:
             assert server.status()["counters"]["timeouts"] >= 1
             assert server.status()["connections_open"] == 0
 
-        run_server_test(scenario, config=config)
+        run_server_test(scenario)
 
-    def test_idle_timeout_closes_with_goodbye(self):
-        config = NetServerConfig(idle_timeout=0.2)
+    def test_idle_timeout_closes_with_goodbye(self, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.2)
 
         async def scenario(service, server, port):
             from repro.net import frame as wire
@@ -1072,10 +1076,10 @@ class TestHandshake:
             await client.close(goodbye=False)
             assert server.status()["counters"]["timeouts"] >= 1
 
-        run_server_test(scenario, config=config)
+        run_server_test(scenario)
 
-    def test_inflight_work_defers_idle_timeout(self):
-        config = NetServerConfig(idle_timeout=0.15)
+    def test_inflight_work_defers_idle_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.15)
 
         async def scenario(service, server, port):
             with slowop_installed():
@@ -1085,7 +1089,7 @@ class TestHandshake:
                     reply = await client.request("slowop", seconds=0.6)
                     assert reply["slept"] == 0.6
 
-        run_server_test(scenario, config=config)
+        run_server_test(scenario)
 
 
     def test_connect_to_a_silent_server_times_out_typed(self, monkeypatch):

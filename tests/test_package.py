@@ -137,8 +137,6 @@ READ_ONLY_BY_TESTS = {
         "reset hook: drills drop the scatter cache to reach a dead worker",
     "obs.metrics.MetricsRegistry.reset":
         "reset hook: metric tests start from zeroed instruments",
-    "service.retry.retry_with_backoff":
-        "client helper: a caller that can wait retries a shed request with it",
     "service.context.QueryContext.ticks":
         "introspection: the budget tests count checkpoints",
     "btree.bptree.BPlusTree.node_count":
@@ -285,12 +283,6 @@ def test_every_metric_has_a_reader():
 SET_ONLY_BY_TESTS = {
     "service.server.DatabaseService(clock)":
         "test-fake seam: deadline tests drive a fake clock",
-    "service.retry.retry_with_backoff(sleep)":
-        "test-fake seam: retry tests record the backoff instead of sleeping",
-    "service.retry.retry_with_backoff(policy)":
-        "caller's choice: how many retries and how long to back off",
-    "service.retry.retry_with_backoff(retry_on)":
-        "caller's choice: which shed error (Busy, Overloaded) is transient",
 }
 
 #: The serving stack the keyword guard walks: packages above the core.
@@ -328,7 +320,12 @@ def test_serving_stack_never_loads_shard(tmp_path):
 def _keyword_walk(root: Path):
     """The defaulted parameters of every ``def`` in the serving stack (and
     ``__main__.py``) that no call under ``src/``, ``benchmarks/`` or
-    ``examples/`` sets, as ``module.Qual.name(parameter)``.
+    ``examples/`` sets, as ``module.Qual.name(parameter)``.  A frozen
+    ``@dataclass``'s fields are the parameters of its constructor, the
+    only place they can be set: a field with a default is a keyword like
+    any other.  (A mutable dataclass's fields are also assigned after
+    construction, as ``RecoveryReport``'s counts are, so its constructor
+    is not where a setting would show.)
 
     A def is called by its name, or by its class's name for ``__init__``
     (``super().__init__`` names the base classes).  A call sets a
@@ -344,6 +341,8 @@ def _keyword_walk(root: Path):
     def visit(node, module, cls, enclosing):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _is_frozen_dataclass(child):
+                    defs.append(_dataclass_defn(child, module))
                 visit(child, module, child, enclosing)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method = node is cls and not any(
@@ -446,6 +445,51 @@ def _keyword_walk(root: Path):
         for name in defn["defaulted"]
         if not called_with(defn, name)
     )
+
+
+def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        and any(
+            kw.arg == "frozen" and getattr(kw.value, "value", False) is True
+            for kw in d.keywords
+        )
+        for d in cls.decorator_list
+    )
+
+
+def _dataclass_defn(cls: ast.ClassDef, module: str) -> dict:
+    """A dataclass's generated ``__init__`` as a :func:`_keyword_walk`
+    def: its fields in order, those with a default defaulted."""
+    positional, defaulted = [], []
+    for stmt in cls.body:
+        if not (
+            isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ):
+            continue
+        value = stmt.value
+        is_field = (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+        )
+        options = {kw.arg: kw.value for kw in value.keywords} if is_field else {}
+        if getattr(options.get("init"), "value", True) is False:
+            continue
+        positional.append(stmt.target.id)
+        if value is not None and (
+            not is_field or {"default", "default_factory"} & set(options)
+        ):
+            defaulted.append(stmt.target.id)
+    return {
+        "key": f"{module}.{cls.name}",
+        "callee": cls.name,
+        "positional": positional,
+        "named": set(positional),
+        "required": set(positional) - set(defaulted),
+        "defaulted": defaulted,
+        "kwarg": None,
+        "set": set(),
+        "any": False,
+    }
 
 
 def test_every_keyword_has_a_setter():

@@ -21,11 +21,12 @@ from repro.errors import (
 from repro.joins.stack_tree import std_join
 from repro.service import (
     AdmissionController,
-    BackoffPolicy,
     DatabaseService,
     EpochManager,
     ServiceConfig,
-    retry_with_backoff,
+    admission,
+    server,
+    snapshot,
 )
 from repro.service.shell import ServiceShell
 from repro.workloads.scenarios import registration_stream
@@ -75,10 +76,11 @@ class TestEpochManager:
             assert snap.db is db  # the writer buffer was swapped in
             assert snap.db.document_length == mgr.writer().document_length
 
-    def test_pinned_snapshot_survives_publish(self):
+    def test_pinned_snapshot_survives_publish(self, monkeypatch):
         """The isolation property: a held pin never observes later writes."""
+        monkeypatch.setattr(snapshot, "DRAIN_TIMEOUT", 0.01)
         db = populated_db()
-        mgr = EpochManager(db, drain_timeout=0.01)
+        mgr = EpochManager(db)
         old = mgr.pin()
         before_len = old.db.document_length
         for i in range(3):
@@ -109,8 +111,9 @@ class TestEpochManager:
         assert metrics["replica_clones"] == 1
         assert metrics["pending_ops"] == 1  # the last write's, owed
 
-    def test_stuck_reader_triggers_clone_fallback(self):
-        mgr = EpochManager(populated_db(2), drain_timeout=0.01)
+    def test_stuck_reader_triggers_clone_fallback(self, monkeypatch):
+        monkeypatch.setattr(snapshot, "DRAIN_TIMEOUT", 0.01)
+        mgr = EpochManager(populated_db(2))
         stuck = mgr.pin()  # never released while publishing continues
         for i in range(3):
             self.write(mgr, f"<s{i}/>")
@@ -161,8 +164,11 @@ class TestSettle:
         with mgr.pin() as snap:
             assert dumps(snap.db) == dumps(mgr.writer())
 
-    def test_settle_beside_a_reader_of_the_writer_buffer_is_a_no_op(self):
-        mgr = EpochManager(populated_db(2), drain_timeout=0.01)
+    def test_settle_beside_a_reader_of_the_writer_buffer_is_a_no_op(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(snapshot, "DRAIN_TIMEOUT", 0.01)
+        mgr = EpochManager(populated_db(2))
         snap = mgr.pin()
         self.write(mgr, "<a/>")  # the pinned buffer is the writer's now
         assert mgr.settle() is False
@@ -225,12 +231,17 @@ class TestSettle:
 
 
 # ----------------------------------------------------------------------
-# admission & backoff
+# admission
+
+
+@pytest.fixture
+def no_read_queue(monkeypatch):
+    monkeypatch.setitem(admission.QUEUE_DEPTH, "read", 0)
 
 
 class TestAdmission:
-    def test_admits_up_to_limit_then_busy(self):
-        ctl = AdmissionController({"read": 2}, queue_depth={"read": 0})
+    def test_admits_up_to_limit_then_busy(self, no_read_queue):
+        ctl = AdmissionController(2)
         a = ctl.admit("read", 0)
         b = ctl.admit("read", 0)
         with pytest.raises(Busy):
@@ -246,38 +257,39 @@ class TestAdmission:
         assert metrics["active"] == 0
 
     def test_release_is_idempotent(self):
-        ctl = AdmissionController({"read": 1}, queue_depth={"read": 0})
+        ctl = AdmissionController(1)
         ticket = ctl.admit("read", 0)
         ticket.release()
         ticket.release()
         assert ctl.metrics()["read"]["active"] == 0
 
     def test_ticket_context_manager(self):
-        ctl = AdmissionController({"write": 1}, queue_depth={"write": 0})
+        ctl = AdmissionController(16)
         with ctl.admit("write", 0):
             with pytest.raises(Busy):
                 ctl.admit("write", 0)
         ctl.admit("write", 0).release()
 
-    def test_full_queue_rejects_immediately(self):
-        ctl = AdmissionController({"read": 1}, queue_depth={"read": 0})
+    def test_full_queue_rejects_immediately(self, no_read_queue):
+        ctl = AdmissionController(1)
         with ctl.admit("read", 0):
             with pytest.raises(Busy):
                 ctl.admit("read", 5.0)  # depth 0: no waiting
 
     def test_wait_timeout_expires(self):
-        ctl = AdmissionController({"read": 1}, queue_depth={"read": 4})
+        ctl = AdmissionController(1)
         with ctl.admit("read", 0):
             with pytest.raises(Busy, match="queue wait"):
                 ctl.admit("read", 0.01)
 
     def test_unknown_class_is_busy(self):
-        ctl = AdmissionController()
+        ctl = AdmissionController(16)
         with pytest.raises(Busy):
-            ctl.admit("nonsense", 0)
+            ctl.admit("maintenance", 0)  # a write now, no class of its own
+        assert set(ctl.metrics()) == {"read", "write"}
 
     def test_closed_controller(self):
-        ctl = AdmissionController()
+        ctl = AdmissionController(16)
         ctl.close()
         with pytest.raises(ServiceClosed):
             ctl.admit("read", 0)
@@ -289,7 +301,7 @@ class TestAdmission:
         import threading
         import time
 
-        ctl = AdmissionController({"read": 1}, queue_depth={"read": 4})
+        ctl = AdmissionController(1)
         outcome = {}
 
         def queued():
@@ -313,48 +325,6 @@ class TestAdmission:
         assert isinstance(outcome["error"], ServiceClosed), outcome
         assert outcome["waited"] < 5.0
         assert ctl.metrics()["read"]["rejected"] == 0
-
-
-class TestBackoff:
-    def test_delays_grow_and_cap(self):
-        policy = BackoffPolicy(base_delay=0.1, max_delay=0.4, multiplier=2.0)
-        for attempt, cap in [(0, 0.1), (1, 0.2), (2, 0.4), (5, 0.4)]:
-            for _ in range(20):
-                assert 0.0 <= policy.delay(attempt) <= cap
-
-    def test_retry_until_success(self):
-        calls = {"n": 0}
-        sleeps = []
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise Busy("later")
-            return "done"
-
-        result = retry_with_backoff(flaky, sleep=sleeps.append)
-        assert result == "done"
-        assert calls["n"] == 3
-        assert len(sleeps) == 2
-
-    def test_retries_exhausted_propagates(self):
-        policy = BackoffPolicy(retries=2)
-        calls = {"n": 0}
-
-        def always_busy():
-            calls["n"] += 1
-            raise Busy("no")
-
-        with pytest.raises(Busy):
-            retry_with_backoff(always_busy, policy=policy, sleep=lambda _s: None)
-        assert calls["n"] == 3  # initial + 2 retries
-
-    def test_non_retryable_errors_pass_through(self):
-        def boom():
-            raise ValueError("not transient")
-
-        with pytest.raises(ValueError):
-            retry_with_backoff(boom, sleep=lambda _s: None)
 
 
 # ----------------------------------------------------------------------
@@ -402,10 +372,9 @@ class TestDatabaseService:
         assert svc.query("b") == []
         svc.close()
 
-    def test_busy_when_read_limit_hit(self):
-        config = ServiceConfig(read_limit=1, read_queue_depth=0,
-                               admission_wait=0.0)
-        svc = DatabaseService(populated_db(2), config=config)
+    def test_busy_when_read_limit_hit(self, no_read_queue, monkeypatch):
+        monkeypatch.setattr(server, "ADMISSION_WAIT", 0.0)
+        svc = DatabaseService(populated_db(2), config=ServiceConfig(read_limit=1))
         stalled = []
 
         def slow_read(db, ctx):

@@ -9,6 +9,8 @@ These are the acceptance scenarios of the resilient-access work:
 (c) an injected compact failure changes nothing, is counted, and the
     service keeps answering reads and writes; once the fault clears, the
     next compact succeeds;
+(d) a compact behind a running write waits in the write queue and
+    commits after it, or is shed past the admission wait, unapplied;
 
 plus a randomized N-readers × 1-writer stress test asserting that every
 pinned snapshot is internally consistent (invariants + text-oracle joins)
@@ -18,20 +20,17 @@ and the final state passes the full invariant check.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.core.database import LazyXMLDatabase
 from repro.errors import Busy, DeadlineExceeded, ResourceExhausted
-from repro.service import (
-    BackoffPolicy,
-    DatabaseService,
-    ServiceConfig,
-    retry_with_backoff,
-)
+from repro.service import DatabaseService, server, snapshot
 from repro.storage import dumps
 from repro.workloads.scenarios import registration_stream
 from tests.helpers import assert_join_matches_oracle
+from tests.oracle import ReferenceDatabase
 
 
 class FakeClock:
@@ -45,11 +44,11 @@ class FakeClock:
         return self.now
 
 
-def service_with_docs(n=5, **config_kwargs):
+def service_with_docs(n=5):
     db = LazyXMLDatabase()
     for fragment in registration_stream(n):
         db.insert(fragment)
-    return DatabaseService(db, config=ServiceConfig(**config_kwargs))
+    return DatabaseService(db)
 
 
 class TestDrillDeadlineAbort:
@@ -154,14 +153,117 @@ class TestDrillMaintenanceFailure:
         svc.close()
 
 
+class TestDrillMaintenanceBehindAWrite:
+    """Drill (d): ``repack`` and ``compact`` are writes.  A compact that
+    finds a write holding the write slot waits in the write queue, then
+    commits after it; past the admission wait it is shed and changes
+    nothing."""
+
+    DOC = "<doc><hot>seed</hot></doc>"
+    ITEM = "<item>w</item>"
+
+    @pytest.fixture
+    def held_write(self, monkeypatch):
+        """A service over one document, an oracle holding the same text,
+        and ``start()``: an insert on its own thread that holds the write
+        slot (and the writer lock) until ``release`` is set."""
+        entered, release = threading.Event(), threading.Event()
+        real_apply = server.apply_op
+
+        def held_apply(db, op, parsed=None):
+            if op["op"] == "insert":
+                entered.set()
+                assert release.wait(10)
+            return real_apply(db, op, parsed)
+
+        monkeypatch.setattr(server, "apply_op", held_apply)
+        db = LazyXMLDatabase()
+        db.insert(self.DOC)
+        svc = DatabaseService(db)
+        ref = ReferenceDatabase()
+        ref.insert(self.DOC)
+        position = len("<doc><hot>")
+
+        def start():
+            writer = threading.Thread(
+                target=lambda: svc.insert(self.ITEM, position)
+            )
+            writer.start()
+            assert entered.wait(10)
+            ref.insert(self.ITEM, position)
+            return writer
+
+        yield svc, ref, start, release
+        release.set()
+        svc.close()
+
+    @staticmethod
+    def assert_reads_match(svc, ref):
+        def check(db, _ctx):
+            assert db.text == ref.text
+            for tag in ("doc", "hot", "item"):
+                spans = sorted((e.start, e.end) for e in db.global_elements(tag))
+                assert spans == ref.elements(tag), tag
+            return db.segment_count
+
+        return svc.read(check)
+
+    def test_compact_queues_behind_a_write_then_commits(self, held_write, monkeypatch):
+        monkeypatch.setattr(server, "ADMISSION_WAIT", 10.0)
+        svc, ref, start, release = held_write
+        writer = start()
+        outcome = {}
+        compactor = threading.Thread(
+            target=lambda: outcome.update(result=svc.compact())
+        )
+        compactor.start()
+        deadline = time.monotonic() + 10
+        while svc.health()["admission"]["write"]["waiting"] == 0:
+            assert time.monotonic() < deadline, "the compact never queued"
+            time.sleep(0.001)
+        assert "result" not in outcome
+        release.set()
+        writer.join(10)
+        compactor.join(10)
+        # The compact ran after the insert: it folded the insert's segment.
+        assert outcome["result"].segments_after == 1
+        write_class = svc.health()["admission"]["write"]
+        assert (write_class["admitted"], write_class["rejected"]) == (2, 0)
+        counters = svc.health()["counters"]
+        assert (counters["writes"], counters["maintenance_runs"]) == (2, 1)
+        assert self.assert_reads_match(svc, ref) == 1
+
+    def test_compact_past_the_wait_is_shed_and_changes_nothing(
+        self, held_write, monkeypatch
+    ):
+        monkeypatch.setattr(server, "ADMISSION_WAIT", 0.01)
+        svc, ref, start, release = held_write
+        with svc.snapshot() as snap:
+            before = dumps(snap.db)
+        writer = start()
+        with pytest.raises(Busy, match="queue wait"):
+            svc.compact()
+        with svc.snapshot() as snap:
+            assert dumps(snap.db) == before  # nothing published
+        release.set()
+        writer.join(10)
+        write_class = svc.health()["admission"]["write"]
+        assert (write_class["admitted"], write_class["rejected"]) == (1, 1)
+        counters = svc.health()["counters"]
+        assert counters["maintenance_runs"] == counters["maintenance_failures"] == 1
+        assert svc.health()["epochs"]["publishes"] == 1  # the insert's alone
+        assert self.assert_reads_match(svc, ref) == 2  # not compacted
+
+
 class TestConcurrentStress:
     """N reader threads × 1 writer over a random op history."""
 
     READERS = 4
     WRITES = 60
 
-    def test_snapshots_consistent_under_concurrent_writes(self, rng):
-        svc = service_with_docs(3, admission_wait=2.0)
+    def test_snapshots_consistent_under_concurrent_writes(self, rng, monkeypatch):
+        monkeypatch.setattr(server, "ADMISSION_WAIT", 2.0)
+        svc = service_with_docs(3)
         stop = threading.Event()
         failures: list[str] = []
 
@@ -187,19 +289,13 @@ class TestConcurrentStress:
         for thread in threads:
             thread.start()
 
-        policy = BackoffPolicy(retries=20, base_delay=0.001, max_delay=0.02,
-                               rng=rng)
+        # One writer thread: the write slot is never contended.
         inserted_sids: list[int] = []
         try:
             for step in range(self.WRITES):
                 roll = rng.random()
                 if roll < 0.55 or not inserted_sids:
-                    receipt = retry_with_backoff(
-                        lambda: svc.insert(
-                            f"<stress><val>{step}</val></stress>"
-                        ),
-                        policy=policy,
-                    )
+                    receipt = svc.insert(f"<stress><val>{step}</val></stress>")
                     inserted_sids.append(receipt.sid)
                 elif roll < 0.8:
                     # nested insert into a random stress doc
@@ -208,18 +304,11 @@ class TestConcurrentStress:
                     if node is None:
                         inserted_sids.remove(sid)
                         continue
-                    retry_with_backoff(
-                        lambda: svc.insert(
-                            f"<n>{step}</n>", node.gp + len("<stress>")
-                        ),
-                        policy=policy,
-                    )
+                    svc.insert(f"<n>{step}</n>", node.gp + len("<stress>"))
                 else:
                     sid = rng.choice(inserted_sids)
                     if sid in svc.primary.log.ertree._nodes:
-                        retry_with_backoff(
-                            lambda: svc.remove_segment(sid), policy=policy
-                        )
+                        svc.remove_segment(sid)
                     inserted_sids.remove(sid)
         finally:
             stop.set()
@@ -261,10 +350,11 @@ class TestDrillEpochHandOff:
     still on it delays or reroutes the next write, never blocks it and
     never sees it change."""
 
-    def test_session_pin_held_across_writes(self):
+    def test_session_pin_held_across_writes(self, monkeypatch):
         from repro.service.commands import SessionState, execute_request
 
-        svc = service_with_docs(3, drain_timeout=0.05)
+        monkeypatch.setattr(snapshot, "DRAIN_TIMEOUT", 0.05)
+        svc = service_with_docs(3)
         svc.insert("<warm/>")
         session = SessionState(1)
         execute_request(svc, session, {"cmd": "pin"})

@@ -26,7 +26,8 @@ import repro.xml.parser as parser
 from repro.core.database import LazyXMLDatabase
 from repro.durability.database import DurableDatabase
 from repro.errors import InvalidSegmentError, SegmentNotFoundError
-from repro.service import DatabaseService, ServiceConfig
+from repro.service import DatabaseService
+from repro.service import server as service_server
 from repro.storage import dumps
 from repro.xml.model import XMLElement
 
@@ -433,7 +434,7 @@ def test_replicas_replayed_from_the_primary_parse_match_it(tmp_path, durable, se
 # ----------------------------------------------------------------------
 # An append is positioned by the writer, under its lock.
 
-def test_append_queued_behind_a_remove_lands_at_the_end_it_finds():
+def test_append_queued_behind_a_remove_lands_at_the_end_it_finds(monkeypatch):
     primary = LazyXMLDatabase()
     primary.insert(DOC)
     doomed = primary.insert(FRAGMENT)
@@ -446,9 +447,9 @@ def test_append_queued_behind_a_remove_lands_at_the_end_it_finds():
         return real_remove_segment(sid)
 
     primary.remove_segment = held_remove_segment
-    config = ServiceConfig(admission_wait=10.0)
+    monkeypatch.setattr(service_server, "ADMISSION_WAIT", 10.0)
     outcome: dict = {}
-    with DatabaseService(primary, config=config) as svc:
+    with DatabaseService(primary) as svc:
         remover = threading.Thread(
             target=lambda: outcome.update(removed=svc.remove_segment(doomed.sid))
         )
